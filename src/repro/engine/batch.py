@@ -158,3 +158,26 @@ def batch_rows(batch: "Batch | Iterable[tuple]") -> Iterable[tuple]:
     if isinstance(batch, Batch):
         return batch.iter_rows()
     return batch
+
+
+def rechunk_batches(batches: Iterable[Batch], batch_size: int) -> Iterator[Batch]:
+    """Re-cut a columnar stream into ``batch_size``-row batches.
+
+    The columnar twin of :func:`repro.storage.csvcodec.chunk_rows`: the
+    same rows in the same order with the same batch boundaries (the
+    final batch may be short; empty input yields no batches), by column
+    concatenation and slicing instead of a per-row loop.
+    """
+    if batch_size <= 0:
+        raise ValueError(f"batch_size must be positive, got {batch_size}")
+    columns: list[list] = []
+    for batch in batches:
+        if not columns:
+            columns = [[] for _ in batch.columns]
+        for pending, column in zip(columns, batch.columns):
+            pending.extend(column)
+        while len(columns[0]) >= batch_size:
+            yield Batch([col[:batch_size] for col in columns], batch_size)
+            columns = [col[batch_size:] for col in columns]
+    if columns and columns[0]:
+        yield Batch(columns)

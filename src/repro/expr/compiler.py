@@ -13,6 +13,7 @@ clauses treat NULL as not-matching.  AND/OR use three-valued logic.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from typing import Callable, Mapping
 
@@ -118,19 +119,19 @@ def _compile_unary(expr: ast.Unary, schema: dict[str, int]) -> RowFunc:
 
 
 _ARITH = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "%": lambda a, b: a % b,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "%": operator.mod,
 }
 
 _COMPARE = {
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
 

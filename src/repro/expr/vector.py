@@ -34,6 +34,8 @@ from repro.expr.compiler import (
     _COMPARE,
     _coerce_pair,
     _compile,
+    _fn_substring,
+    _FUNCTIONS,
     _lower_schema,
     compile_predicate,
     _require_number,
@@ -46,6 +48,7 @@ from repro.sqlparser import ast
 VectorFunc = Callable[[Batch], list]
 
 _NUMBER_TYPES = {int, float}
+_CAST_IDENTITY = {"INT": int, "FLOAT": float, "STRING": str}
 
 
 class _Node:
@@ -248,8 +251,20 @@ def compile_aggregate_input_vector(
 
 def _row_fallback(expr: ast.Expr, schema: dict[str, int]) -> _Node:
     """No kernel for this construct: map the row-wise closure per batch."""
+    if not ast.referenced_columns(expr) and not ast.contains_aggregate(expr):
+        return _fold(expr, schema)
     fn = _compile(expr, schema)
     return _Node(fn=lambda batch: [fn(row) for row in batch.iter_rows()])
+
+
+def _fold(expr: ast.Expr, schema: dict[str, int]) -> _Node:
+    """Column-free subtree: constant-fold (lazily) via the row compiler.
+
+    Kernel compilers call this when every operand node is constant, so
+    const-ness is decided bottom-up, never by re-walking the subtree.
+    """
+    fn = _compile(expr, schema)
+    return _Node(thunk=lambda: fn(()))
 
 
 def _compile_v(expr: ast.Expr, schema: dict[str, int]) -> _Node:
@@ -260,10 +275,6 @@ def _compile_v(expr: ast.Expr, schema: dict[str, int]) -> _Node:
         fn = _compile(expr, schema)  # raises the canonical unknown-column error
         idx = schema[expr.name.lower()]
         return _Node(fn=lambda batch: batch.column(idx))
-    if not ast.referenced_columns(expr) and not ast.contains_aggregate(expr):
-        # Column-free subtree: constant-fold (lazily) via the row compiler.
-        fn = _compile(expr, schema)
-        return _Node(thunk=lambda: fn(()))
     if isinstance(expr, ast.Unary):
         return _compile_unary_v(expr, schema)
     if isinstance(expr, ast.Binary):
@@ -278,16 +289,22 @@ def _compile_v(expr: ast.Expr, schema: dict[str, int]) -> _Node:
         return _compile_like_v(expr, schema)
     if isinstance(expr, ast.IsNull):
         operand = _compile_v(expr.operand, schema)
+        if operand.is_const:
+            return _fold(expr, schema)
         negated = expr.negated
         if negated:
             return _Node(fn=lambda batch: [v is not None for v in operand.values(batch)])
         return _Node(fn=lambda batch: [v is None for v in operand.values(batch)])
-    # CASE, scalar functions, and anything new compile row-wise per batch.
+    if isinstance(expr, ast.FuncCall) and _FUNCTIONS.get(expr.name) is _fn_substring:
+        return _compile_substring_v(expr, schema)
+    # CASE, other scalar functions, and anything new compile row-wise per batch.
     return _row_fallback(expr, schema)
 
 
 def _compile_unary_v(expr: ast.Unary, schema: dict[str, int]) -> _Node:
     operand = _compile_v(expr.operand, schema)
+    if operand.is_const:
+        return _fold(expr, schema)
     if expr.op == "-":
         def negate(batch: Batch) -> list:
             out = []
@@ -313,6 +330,8 @@ def _compile_binary_v(expr: ast.Binary, schema: dict[str, int]) -> _Node:
         return _compile_logical_v(expr, schema)
     left = _compile_v(expr.left, schema)
     right = _compile_v(expr.right, schema)
+    if left.is_const and right.is_const:
+        return _fold(expr, schema)
     if op == "||":
         def concat(batch: Batch) -> list:
             return [
@@ -332,6 +351,8 @@ def _compile_binary_v(expr: ast.Binary, schema: dict[str, int]) -> _Node:
 def _compile_logical_v(expr: ast.Binary, schema: dict[str, int]) -> _Node:
     left = _compile_v(expr.left, schema)
     right = _compile_v(expr.right, schema)
+    if left.is_const and right.is_const:
+        return _fold(expr, schema)
     if expr.op == "AND":
         def conj(batch: Batch) -> list:
             return [
@@ -361,14 +382,38 @@ def _arith_one(a: object, b: object, op: str, fn) -> object:
 def _arith_kernel(op: str, left: _Node, right: _Node):
     fn = _ARITH[op]
 
-    def arith(batch: Batch) -> list:
+    def arith_generic(batch: Batch) -> list:
         return [
             None if a is None or b is None
             else fn(a, b) if type(a) in _NUMBER_TYPES and type(b) in _NUMBER_TYPES
             else _arith_one(a, b, op, fn)
             for a, b in zip(left.values(batch), right.values(batch))
         ]
-    return arith
+
+    const, column = (right, left) if right.is_const else (left, right)
+    if not const.is_const:
+        return arith_generic
+
+    def arith_const(batch: Batch) -> list:
+        c = const.const_value()
+        if type(c) not in _NUMBER_TYPES:
+            return arith_generic(batch)  # NULL or a type error, row by row
+        vals = column.values(batch)
+        if const is left:
+            return [
+                None if v is None
+                else fn(c, v) if type(v) in _NUMBER_TYPES
+                else _arith_one(c, v, op, fn)
+                for v in vals
+            ]
+        return [
+            None if v is None
+            else fn(v, c) if type(v) in _NUMBER_TYPES
+            else _arith_one(v, c, op, fn)
+            for v in vals
+        ]
+
+    return arith_const
 
 
 def _divide_one(a: object, b: object) -> object:
@@ -461,28 +506,29 @@ def _compile_cast_v(expr: ast.Cast, schema: dict[str, int]) -> _Node:
     if caster is None:
         return _row_fallback(expr, schema)  # canonical unsupported-CAST error
     operand = _compile_v(expr.operand, schema)
+    if operand.is_const:
+        return _fold(expr, schema)
     type_name = expr.type_name
+    same = _CAST_IDENTITY.get(type_name)  # values of this type cast to themselves
 
-    def cast(batch: Batch) -> list:
-        out = []
-        for v in operand.values(batch):
-            if v is None:
-                out.append(None)
-                continue
-            try:
-                out.append(caster(v))
-            except (ValueError, TypeError) as exc:
-                raise TypeMismatchError(
-                    f"cannot CAST {v!r} to {type_name}"
-                ) from exc
-        return out
-    return _Node(fn=cast)
+    def cast_one(v: object) -> object:
+        try:
+            return caster(v)
+        except (ValueError, TypeError) as exc:
+            raise TypeMismatchError(f"cannot CAST {v!r} to {type_name}") from exc
+
+    return _Node(fn=lambda batch: [
+        v if v is None or type(v) is same else cast_one(v)
+        for v in operand.values(batch)
+    ])
 
 
 def _compile_in_v(expr: ast.InList, schema: dict[str, int]) -> _Node:
     if not all(isinstance(item, ast.Literal) for item in expr.items):
         return _row_fallback(expr, schema)
     operand = _compile_v(expr.operand, schema)
+    if operand.is_const:
+        return _fold(expr, schema)
     literals = [item.value for item in expr.items]  # type: ignore[union-attr]
     values = frozenset(v for v in literals if v is not None)
     has_null_item = any(v is None for v in literals)
@@ -501,6 +547,8 @@ def _compile_between_v(expr: ast.Between, schema: dict[str, int]) -> _Node:
     operand = _compile_v(expr.operand, schema)
     low = _compile_v(expr.low, schema)
     high = _compile_v(expr.high, schema)
+    if operand.is_const and low.is_const and high.is_const:
+        return _fold(expr, schema)
     negated = expr.negated
 
     def between(batch: Batch) -> list:
@@ -530,6 +578,8 @@ def _compile_like_v(expr: ast.Like, schema: dict[str, int]) -> _Node:
     if not (isinstance(expr.pattern, ast.Literal) and isinstance(expr.pattern.value, str)):
         return _row_fallback(expr, schema)
     operand = _compile_v(expr.operand, schema)
+    if operand.is_const:
+        return _fold(expr, schema)
     match = like_to_regex(expr.pattern.value).match
     negated = expr.negated
     if negated:
@@ -541,3 +591,34 @@ def _compile_like_v(expr: ast.Like, schema: dict[str, int]) -> _Node:
         None if v is None else match(_to_str(v)) is not None
         for v in operand.values(batch)
     ])
+
+
+def _compile_substring_v(expr: ast.FuncCall, schema: dict[str, int]) -> _Node:
+    """SUBSTRING(text, start[, length]) over vectorized operands.
+
+    The per-row formula is :func:`compiler._fn_substring` itself, applied
+    to operand tuples; a constant text and length (the Bloom-join
+    predicate's bit string) fold once per batch and in-range integer
+    positions slice directly.
+    """
+    if len(expr.args) not in (2, 3):
+        return _row_fallback(expr, schema)  # canonical arity error
+    operands = [_compile_v(arg, schema) for arg in expr.args]
+    if all(operand.is_const for operand in operands):
+        return _fold(expr, schema)
+    one = _fn_substring([lambda row, i=i: row[i] for i in range(len(operands))])
+    folded = len(operands) == 3 and operands[0].is_const and operands[2].is_const
+
+    def substring(batch: Batch) -> list:
+        if folded:
+            text, length = operands[0].const_value(), operands[2].const_value()
+            if type(text) is str and type(length) is int and length >= 0:
+                return [
+                    None if start is None
+                    else text[start - 1 : start - 1 + length]
+                    if type(start) is int and start > 0
+                    else one((text, start, length))
+                    for start in operands[1].values(batch)
+                ]
+        return [one(row) for row in zip(*(o.values(batch) for o in operands))]
+    return _Node(fn=substring)

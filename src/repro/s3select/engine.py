@@ -19,13 +19,18 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from repro.common.errors import UnsupportedFeatureError
 from repro.engine.batch import Batch
 from repro.expr.aggregates import CompiledAggregate, split_aggregate_expr
-from repro.expr.compiler import compile_expr, compile_predicate
-from repro.expr.vector import compile_expr_vector, compile_predicate_vector
+from repro.expr.compiler import compile_expr
+from repro.expr.vector import (
+    compile_aggregate_input_vector,
+    compile_expr_vector,
+    compile_predicate_vector,
+)
 from repro.s3select.validator import (
     EXPRESSION_LIMIT_BYTES,
     expression_complexity,
@@ -36,8 +41,10 @@ from repro.storage.csvcodec import (
     DEFAULT_BATCH_SIZE,
     chunk_rows,
     encode_row,
+    encoded_size,
+    iter_column_batches,
     iter_decode_column_batches,
-    iter_records_with_offsets,
+    iter_records,
 )
 from repro.storage.object_store import StoredObject
 from repro.storage.parquet import ParquetFile
@@ -60,15 +67,28 @@ class ScanRange:
 
 @dataclass
 class SelectResult:
-    """Outcome of one S3 Select request."""
+    """Outcome of one S3 Select request.
 
-    payload: bytes
-    rows: list[tuple]
+    The response stays columnar (``batches``); ``bytes_returned`` is the
+    size of its CSV encoding.  The row tuples and the CSV bytes
+    themselves are built on first use only — the planner's streaming
+    pipeline consumes the batches and never asks for either.
+    """
+
+    batches: list[Batch]
     column_names: list[str]
     bytes_scanned: int
     bytes_returned: int
     rows_scanned: int
     term_evals: int
+
+    @cached_property
+    def rows(self) -> list[tuple]:
+        return [row for batch in self.batches for row in batch.iter_rows()]
+
+    @cached_property
+    def payload(self) -> bytes:
+        return b"".join(encode_row(row) for row in self.rows)
 
 
 def object_schema(obj: StoredObject) -> TableSchema:
@@ -131,27 +151,31 @@ def _execute_csv(
 ) -> SelectResult:
     schema = object_schema(obj)
     has_header = obj.metadata.get("header", True)
+    # Only the referenced columns are typed; the rest stay raw text.
+    needed = _referenced_columns(query, schema) or None
     if scan_range is not None:
         window = obj.data[scan_range.start : scan_range.end]
         bytes_scanned = len(window)
-        rows = _iter_range_rows(obj, window, scan_range, schema, has_header)
-        batches = chunk_rows(rows, DEFAULT_BATCH_SIZE)
+        records = _iter_range_records(obj, window, scan_range, schema, has_header)
+        batches = iter_column_batches(records, schema, columns=needed)
     else:
         bytes_scanned = len(obj.data)
-        # Full-object scans decode straight into columnar batches; the
-        # query then runs through the vectorized kernels.
-        batches = iter_decode_column_batches(obj.data, schema, has_header=has_header)
+        batches = iter_decode_column_batches(
+            obj.data, schema, has_header=has_header, columns=needed
+        )
+    if needed:
+        schema = schema.project(needed)
     return _evaluate(query, batches, schema, bytes_scanned)
 
 
-def _iter_range_rows(
+def _iter_range_records(
     obj: StoredObject,
     window: bytes,
     scan_range: ScanRange,
     schema: TableSchema,
     has_header: bool,
-) -> Iterator[tuple]:
-    """Lazily parse the rows of one CSV ScanRange window.
+) -> Iterator[list[str]]:
+    """Lazily tokenize the records of one CSV ScanRange window.
 
     A record is in-range if it *starts* inside the range; the engine
     reads through its end.  We approximate by dropping a trailing record
@@ -168,22 +192,27 @@ def _iter_range_rows(
     )
     header = list(schema.names)
     pending: list[str] | None = None
-    for _, _, record in iter_records_with_offsets(window):
+    # A range may cut a multi-byte character; those bytes can only belong
+    # to the cut trailing record, which is dropped below.
+    for record in iter_records(window.decode(errors="ignore").encode()):
         if pending is not None:
-            yield schema.parse_row(pending)
+            yield pending
         if has_header and record == header:
             pending = None  # range started at 0 and swallowed the header
             continue
         pending = record
     if pending is not None and keep_trailing:
-        yield schema.parse_row(pending)
+        yield pending
 
 
 def _execute_parquet(obj: StoredObject, query: ast.Query) -> SelectResult:
     pq = ParquetFile(obj.data)
     needed = _referenced_columns(query, pq.schema)
-    batches = chunk_rows(pq.iter_rows(needed), DEFAULT_BATCH_SIZE)
     schema = pq.schema.project(needed) if needed else pq.schema
+    batches = (
+        Batch.from_rows(chunk)
+        for chunk in chunk_rows(pq.iter_rows(needed), DEFAULT_BATCH_SIZE)
+    )
     bytes_scanned = pq.scan_bytes_for(needed if needed else None)
     return _evaluate(query, batches, schema, bytes_scanned)
 
@@ -195,8 +224,9 @@ def _referenced_columns(query: ast.Query, schema: TableSchema) -> list[str]:
         if isinstance(item.expr, ast.Star):
             return list(schema.names)
         names |= ast.referenced_columns(item.expr)
-    if query.where is not None:
-        names |= ast.referenced_columns(query.where)
+    for expr in (query.where, *query.group_by):
+        if expr is not None:
+            names |= ast.referenced_columns(expr)
     lowered = {n.lower() for n in names}
     return [n for n in schema.names if n.lower() in lowered]
 
@@ -223,33 +253,25 @@ class _BatchCounter:
 
 
 def _filtered_batches(
-    batches: Iterable, where: ast.Expr | None, name_to_index: dict[str, int]
-) -> Iterator:
-    """Apply the WHERE predicate per batch, vectorized when columnar."""
+    batches: Iterable[Batch], where: ast.Expr | None, name_to_index: dict[str, int]
+) -> Iterator[Batch]:
+    """Apply the WHERE predicate per batch through the vector kernels."""
     if where is None:
         yield from batches
         return
     keep_mask = compile_predicate_vector(where, name_to_index)
-    keep = None
     for batch in batches:
-        if isinstance(batch, Batch):
-            yield batch.filter(keep_mask(batch))
-        else:
-            if keep is None:
-                keep = compile_predicate(where, name_to_index)
-            yield [r for r in batch if keep(r)]
+        yield batch.filter(keep_mask(batch))
 
 
 def _evaluate(
     query: ast.Query,
-    raw_batches: Iterable,
+    raw_batches: Iterable[Batch],
     schema: TableSchema,
     bytes_scanned: int,
 ) -> SelectResult:
-    """Evaluate ``query`` over a lazy batch source.
+    """Evaluate ``query`` over a lazy source of columnar batches.
 
-    Batches are either columnar :class:`Batch`es (full-object CSV scans)
-    or ``list[tuple]`` chunks (ScanRange windows, Parquet row groups).
     ``rows_scanned`` / ``term_evals`` meter the records actually parsed;
     ``bytes_scanned`` is fixed by the caller (the full object or the
     requested ScanRange — billing does not shrink when LIMIT stops the
@@ -261,27 +283,25 @@ def _evaluate(
 
     if query.group_by:
         out_rows, names = _run_grouped_aggregation(query, batches, name_to_index)
+        out = [Batch.from_rows(out_rows, len(names))]
+    elif any(
+        not isinstance(item.expr, ast.Star) and ast.contains_aggregate(item.expr)
+        for item in query.select_items
+    ):
+        out_rows, names = _run_aggregation(query, batches, name_to_index)
+        if query.limit is not None:
+            out_rows = out_rows[: query.limit]
+        out = [Batch.from_rows(out_rows, len(names))]
     else:
-        is_aggregation = any(
-            not isinstance(item.expr, ast.Star) and ast.contains_aggregate(item.expr)
-            for item in query.select_items
+        out, names = _run_projection(
+            query, batches, schema, name_to_index, query.limit
         )
-        if is_aggregation:
-            out_rows, names = _run_aggregation(query, batches, name_to_index)
-            if query.limit is not None:
-                out_rows = out_rows[: query.limit]
-        else:
-            out_rows, names = _run_projection(
-                query, batches, schema, name_to_index, query.limit
-            )
 
-    payload = b"".join(encode_row(row) for row in out_rows)
     return SelectResult(
-        payload=payload,
-        rows=out_rows,
+        batches=out,
         column_names=names,
         bytes_scanned=bytes_scanned,
-        bytes_returned=len(payload),
+        bytes_returned=sum(encoded_size(b.columns, len(b)) for b in out),
         rows_scanned=counter.count,
         term_evals=counter.count * expression_complexity(query),
     )
@@ -289,83 +309,82 @@ def _evaluate(
 
 def _run_projection(
     query: ast.Query,
-    batches: Iterable,
+    batches: Iterable[Batch],
     schema: TableSchema,
     name_to_index: dict[str, int],
     limit: int | None,
-) -> tuple[list[tuple], list[str]]:
+) -> tuple[list[Batch], list[str]]:
     """Project batches through the select list, stopping at ``limit`` rows.
 
     Early termination is what makes ``LIMIT n`` cheap: the batch source
     is never pulled past the batch that completes the n-th output row.
-    Columnar batches evaluate each select item once per column and
-    transpose; list batches keep the per-row extractors.
+    Each select item is evaluated once per column; the output stays
+    columnar.
     """
     extractors = []
-    vec_extractors = []
     names: list[str] = []
     for ordinal, item in enumerate(query.select_items, start=1):
         if isinstance(item.expr, ast.Star):
             for idx, col in enumerate(schema.columns):
-                extractors.append(lambda row, i=idx: row[i])
-                vec_extractors.append(lambda batch, i=idx: batch.column(i))
+                extractors.append(lambda batch, i=idx: batch.column(i))
                 names.append(col.name)
             continue
-        extractors.append(compile_expr(item.expr, name_to_index))
-        vec_extractors.append(compile_expr_vector(item.expr, name_to_index))
+        extractors.append(compile_expr_vector(item.expr, name_to_index))
         names.append(item.output_name(ordinal))
-    out: list[tuple] = []
+    out: list[Batch] = []
+    remaining = limit
     for batch in batches:
-        if isinstance(batch, Batch):
-            out.extend(zip(*(fn(batch) for fn in vec_extractors)))
-        else:
-            out.extend(tuple(fn(row) for fn in extractors) for row in batch)
-        if limit is not None and len(out) >= limit:
-            return out[:limit], names
+        projected = Batch([fn(batch) for fn in extractors], len(batch))
+        if remaining is None:
+            out.append(projected)
+            continue
+        out.append(projected[:remaining])
+        remaining -= len(projected)
+        if remaining <= 0:
+            break
     return out, names
 
 
 def _run_aggregation(
     query: ast.Query,
-    batches: Iterable[list[tuple]],
+    batches: Iterable[Batch],
     name_to_index: dict[str, int],
 ) -> tuple[list[tuple], list[str]]:
-    """Evaluate an aggregate-only select list over filtered rows.
+    """Evaluate an aggregate-only select list over filtered batches.
 
     Supports arithmetic around aggregates (e.g. ``SUM(a*b) / 100``) —
     the S3-side group-by pushdown emits plain ``SUM(CASE ...)`` columns
     but TPC-H pushdowns use compound forms.
     """
     names: list[str] = []
-    per_item: list[tuple[list[CompiledAggregate], object]] = []
+    per_item: list[tuple[list, object]] = []  # ([(input fn, accumulator)], finisher)
     for ordinal, item in enumerate(query.select_items, start=1):
         agg_nodes, finisher = split_aggregate_expr(item.expr)
-        compiled = [CompiledAggregate(node, name_to_index) for node in agg_nodes]
-        per_item.append((compiled, finisher))
+        folds = [
+            (
+                compile_aggregate_input_vector(node, name_to_index),
+                CompiledAggregate(node, name_to_index).new_accumulator(),
+            )
+            for node in agg_nodes
+        ]
+        per_item.append((folds, finisher))
         names.append(item.output_name(ordinal))
 
-    accumulators = [
-        [agg.new_accumulator() for agg in compiled] for compiled, _ in per_item
-    ]
     for batch in batches:
-        for row in batch:
-            for (compiled, _), accs in zip(per_item, accumulators):
-                for agg, acc in zip(compiled, accs):
-                    acc.add(agg.input_value(row))
+        for folds, _ in per_item:
+            for input_values, acc in folds:
+                acc.add_many(input_values(batch))
 
     values: list[object] = []
-    for (compiled, finisher), accs in zip(per_item, accumulators):
-        results = [acc.result() for acc in accs]
-        if finisher is None:
-            values.append(results[0])
-        else:
-            values.append(finisher(results))
+    for folds, finisher in per_item:
+        results = [acc.result() for _, acc in folds]
+        values.append(results[0] if finisher is None else finisher(results))
     return [tuple(values)], names
 
 
 def _run_grouped_aggregation(
     query: ast.Query,
-    batches: Iterable[list[tuple]],
+    batches: Iterable[Batch],
     name_to_index: dict[str, int],
 ) -> tuple[list[tuple], list[str]]:
     """Partial group-by at the storage side (Suggestion 4 extension).

@@ -36,7 +36,8 @@ KEYWORDS = frozenset(
     }
 )
 
-_OPERATORS = ("<>", "!=", "<=", ">=", "=", "<", ">", "+", "-", "*", "/", "%", "||")
+#: Longest first: ``_match_any`` returns the first candidate that matches.
+_OPERATORS = ("<>", "!=", "<=", ">=", "||", "=", "<", ">", "+", "-", "*", "/", "%")
 _PUNCT = ("(", ")", ",", ".")
 
 
@@ -98,8 +99,8 @@ def tokenize(sql: str) -> list[Token]:
 
 
 def _match_any(sql: str, i: int, candidates: tuple[str, ...]) -> str | None:
-    """Return the longest candidate that matches ``sql`` at offset ``i``."""
-    for cand in sorted(candidates, key=len, reverse=True):
+    """Return the first candidate that matches ``sql`` at offset ``i``."""
+    for cand in candidates:
         if sql.startswith(cand, i):
             return cand
     return None
@@ -107,19 +108,17 @@ def _match_any(sql: str, i: int, candidates: tuple[str, ...]) -> str | None:
 
 def _read_string(sql: str, start: int) -> tuple[Token, int]:
     """Read a single-quoted string literal; ``''`` escapes a quote."""
-    i = start + 1
     parts: list[str] = []
-    while i < len(sql):
-        ch = sql[i]
-        if ch == "'":
-            if i + 1 < len(sql) and sql[i + 1] == "'":
-                parts.append("'")
-                i += 2
-                continue
-            return Token(TokenType.STRING, "".join(parts), start), i + 1
-        parts.append(ch)
-        i += 1
-    raise SQLSyntaxError("unterminated string literal", position=start)
+    i = start + 1
+    while True:
+        end = sql.find("'", i)
+        if end < 0:
+            raise SQLSyntaxError("unterminated string literal", position=start)
+        parts.append(sql[i:end])
+        if not sql.startswith("'", end + 1):
+            return Token(TokenType.STRING, "".join(parts), start), end + 1
+        parts.append("'")
+        i = end + 2
 
 
 def _read_number(sql: str, start: int) -> tuple[Token, int]:

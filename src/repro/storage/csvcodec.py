@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from itertools import islice, repeat
 from typing import Iterable, Iterator, Sequence
 
 from repro.engine.batch import Batch
@@ -54,6 +55,23 @@ def encode_row(row: Sequence[object]) -> bytes:
     return (line + RECORD_DELIM).encode()
 
 
+def encoded_size(columns: Sequence[Sequence[object]], num_rows: int) -> int:
+    """Bytes :func:`encode_row` would emit for the rows ``columns`` hold.
+
+    Sized column-at-a-time — one delimiter per field plus each column's
+    UTF-8 text, with RFC-4180 quoting overhead only where a trigger
+    character occurs at all — so no row tuple or payload is built.
+    """
+    total = num_rows * len(columns)
+    for column in columns:
+        texts = list(map(format_value, column))
+        joined = "".join(texts)
+        total += len(joined.encode())
+        if any(ch in joined for ch in _QUOTE_TRIGGERS):
+            total += sum(len(_escape(text)) - len(text) for text in texts)
+    return total
+
+
 @dataclass(frozen=True)
 class RowExtent:
     """Byte extent of one encoded row inside a CSV object (inclusive)."""
@@ -86,8 +104,21 @@ def iter_records(data: bytes) -> Iterator[list[str]]:
     """Parse CSV bytes into records (lists of string fields).
 
     Handles RFC-4180 quoting; tolerant of a missing trailing newline.
+    Without a quote character nothing can embed a delimiter, so records
+    and fields are plain ``str.split`` pieces (CR is dropped wherever it
+    appears, as the quote-aware scanner does).
     """
     text = data.decode()
+    if QUOTE in text:
+        return _scan_quoted(text)
+    lines = text.replace("\r", "").split(RECORD_DELIM)
+    if not lines[-1]:
+        lines.pop()  # the final record's delimiter, not an empty record
+    return map(str.split, lines, repeat(FIELD_DELIM))
+
+
+def _scan_quoted(text: str) -> Iterator[list[str]]:
+    """Character-level RFC-4180 scanner for text that contains quotes."""
     field: list[str] = []
     record: list[str] = []
     in_quotes = False
@@ -137,83 +168,7 @@ def iter_records(data: bytes) -> Iterator[list[str]]:
         yield record
 
 
-def iter_records_with_offsets(data: bytes) -> Iterator[tuple[int, int, list[str]]]:
-    """Like :func:`iter_records` but yields ``(first_byte, last_byte, record)``.
-
-    Offsets are inclusive *byte* positions of the encoded record
-    (including its trailing newline, when present) — the convention the
-    paper's index tables use.  Character positions and byte positions
-    diverge on non-ASCII content, so the scan tracks the UTF-8 width of
-    every consumed character.  Quoting is handled, so embedded delimiters
-    do not split records.
-    """
-    text = data.decode()
-    ascii_only = len(text) == len(data)
-    field: list[str] = []
-    record: list[str] = []
-    in_quotes = False
-    i = 0
-    pos = 0  # byte offset of text[i]
-    n = len(text)
-    start = 0
-    saw_any = False
-
-    def width(ch: str) -> int:
-        return 1 if ascii_only else len(ch.encode())
-
-    while i < n:
-        ch = text[i]
-        if in_quotes:
-            if ch == QUOTE:
-                if i + 1 < n and text[i + 1] == QUOTE:
-                    field.append(QUOTE)
-                    i += 2
-                    pos += 2
-                    continue
-                in_quotes = False
-                i += 1
-                pos += 1
-                continue
-            field.append(ch)
-            i += 1
-            pos += width(ch)
-            continue
-        if ch == QUOTE:
-            in_quotes = True
-            saw_any = True
-            i += 1
-            pos += 1
-            continue
-        if ch == FIELD_DELIM:
-            record.append("".join(field))
-            field = []
-            saw_any = True
-            i += 1
-            pos += 1
-            continue
-        if ch == "\n":
-            record.append("".join(field))
-            yield start, pos, record
-            field, record = [], []
-            saw_any = False
-            i += 1
-            pos += 1
-            start = pos
-            continue
-        if ch == "\r":
-            i += 1
-            pos += 1
-            continue
-        field.append(ch)
-        saw_any = True
-        i += 1
-        pos += width(ch)
-    if saw_any or record:
-        record.append("".join(field))
-        yield start, len(data) - 1, record
-
-
-def chunk_rows(rows: Iterable[tuple], batch_size: int) -> Iterator[list[tuple]]:
+def chunk_rows(rows: Iterable, batch_size: int) -> Iterator[list]:
     """Chunk a row iterable into RecordBatches of ``batch_size`` rows.
 
     The single chunking implementation behind every batch iterator in
@@ -223,13 +178,8 @@ def chunk_rows(rows: Iterable[tuple], batch_size: int) -> Iterator[list[tuple]]:
     """
     if batch_size <= 0:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
-    batch: list[tuple] = []
-    for row in rows:
-        batch.append(row)
-        if len(batch) >= batch_size:
-            yield batch
-            batch = []
-    if batch:
+    rows = iter(rows)
+    while batch := list(islice(rows, batch_size)):
         yield batch
 
 
@@ -272,39 +222,45 @@ def iter_decode_column_batches(
     schema: TableSchema,
     batch_size: int = DEFAULT_BATCH_SIZE,
     has_header: bool = True,
+    columns: Sequence[str] | None = None,
 ) -> Iterator[Batch]:
     """Lazily decode CSV bytes straight into columnar :class:`Batch`es.
 
-    The vectorized twin of :func:`iter_decode_batches`: raw string
-    records are gathered per batch, transposed once, and parsed with one
-    typed comprehension per column — no intermediate row tuples.  Rows
-    whose field count disagrees with the schema raise the same
-    :class:`~repro.common.errors.CatalogError` as the row-wise decoder.
+    The vectorized twin of :func:`iter_decode_batches`; see
+    :func:`iter_column_batches` for the batch layout and errors.
     """
-    if batch_size <= 0:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
     records = iter_records(data)
     if has_header:
         next(records, None)
-    ncols = len(schema.columns)
-    raw: list[list[str]] = []
-    for record in records:
-        if len(record) != ncols:
-            schema.parse_row(record)  # raises the canonical CatalogError
-        raw.append(record)
-        if len(raw) >= batch_size:
-            yield _parse_column_batch(raw, schema)
-            raw = []
-    if raw:
-        yield _parse_column_batch(raw, schema)
+    yield from iter_column_batches(records, schema, batch_size, columns)
 
 
-def _parse_column_batch(raw: list[list[str]], schema: TableSchema) -> Batch:
-    text_columns = zip(*raw)
-    return Batch(
-        [col.parse_column(texts) for col, texts in zip(schema.columns, text_columns)],
-        len(raw),
-    )
+def iter_column_batches(
+    records: Iterable[list[str]],
+    schema: TableSchema,
+    batch_size: int = DEFAULT_BATCH_SIZE,
+    columns: Sequence[str] | None = None,
+) -> Iterator[Batch]:
+    """Type raw string records into columnar :class:`Batch`es.
+
+    Records are gathered per batch, transposed once, and parsed with one
+    typed comprehension per column — no intermediate row tuples.
+    ``columns`` keeps only the named columns (in the given order): the
+    rest are tokenized but never parsed.  Rows whose field count
+    disagrees with the schema raise the same
+    :class:`~repro.common.errors.CatalogError` as the row-wise decoder.
+    """
+    width = len(schema.columns)
+    kept = [
+        (schema.index_of(name), schema.column(name))
+        for name in (schema.names if columns is None else columns)
+    ]
+    for raw in chunk_rows(records, batch_size):
+        if set(map(len, raw)) != {width}:
+            # raises the canonical CatalogError
+            schema.parse_row(next(r for r in raw if len(r) != width))
+        texts = list(zip(*raw))
+        yield Batch([col.parse_column(texts[i]) for i, col in kept], len(raw))
 
 
 def decode_table(

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from repro.cloud.context import CloudContext
@@ -31,10 +32,10 @@ from repro.cloud.metrics import Phase
 from repro.common.errors import ReproError
 from repro.engine.catalog import TableInfo
 from repro.s3select.engine import ScanRange
-from repro.engine.batch import Batch
+from repro.engine.batch import Batch, rechunk_batches
+from repro.engine.operators.base import materialize
 from repro.storage.csvcodec import (
     DEFAULT_BATCH_SIZE,
-    chunk_rows,
     decode_table,
     iter_decode_column_batches,
 )
@@ -47,10 +48,17 @@ class PartitionScan:
 
     index: int
     key: str
-    rows: list[tuple]
+    #: The partition's data as pipeline batches: the decoded row list of
+    #: a raw GET, or the columnar batches of an S3 Select response.
+    batches: list[Batch | list[tuple]]
     #: Column names of an S3 Select response; ``None`` for raw GETs
     #: (the table schema applies unchanged).
     column_names: list[str] | None
+
+    @cached_property
+    def rows(self) -> list[tuple]:
+        """The partition's row tuples (materialized on first use)."""
+        return materialize(self.batches)
 
 
 def _resolve_workers(ctx: CloudContext, workers: int | None) -> int:
@@ -98,7 +106,9 @@ def scan_partitions(
                 rows = decode_table(data, table.schema, has_header=False)
             else:
                 rows = ParquetFile(data).read_rows()
-            return PartitionScan(index=index, key=key, rows=rows, column_names=None)
+            return PartitionScan(
+                index=index, key=key, batches=[rows], column_names=None
+            )
         scan_range = None
         if scan_range_fraction is not None:
             size = ctx.store.object_size(table.bucket, key)
@@ -110,7 +120,7 @@ def scan_partitions(
         return PartitionScan(
             index=index,
             key=key,
-            rows=result.rows,
+            batches=result.batches,
             column_names=list(result.column_names),
         )
 
@@ -146,7 +156,7 @@ def iter_scan_batches(
     """
     if batch_size is None:
         batch_size = getattr(ctx, "batch_size", DEFAULT_BATCH_SIZE)
-    if sql is None and scan_range_fraction is None:
+    if sql is None:
         return _iter_get_batches(
             ctx, table, workers=workers, batch_size=batch_size,
             partitions=partitions,
@@ -155,12 +165,11 @@ def iter_scan_batches(
         ctx, table, sql, workers=workers, scan_range_fraction=scan_range_fraction,
         partitions=partitions,
     )
-    chunks = chunk_rows(
-        (row for scan in scans for row in scan.rows), batch_size
+    # S3 Select responses are columnar already; only the batch boundaries
+    # are re-cut (ingest accounting under LIMIT counts whole batches).
+    return rechunk_batches(
+        (batch for scan in scans for batch in scan.batches), batch_size
     )
-    # S3 Select responses arrive as row lists; re-shape each chunk into a
-    # columnar Batch so downstream operators take the vectorized path.
-    return (Batch.from_rows(chunk) for chunk in chunks)
 
 
 def _iter_get_batches(

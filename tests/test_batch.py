@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.engine.batch import Batch, batch_rows
+from repro.engine.batch import Batch, batch_rows, rechunk_batches
+from repro.storage.csvcodec import chunk_rows
 
 ROWS = [
     (1, 10.5, "a", "1995-01-01"),
@@ -127,3 +128,20 @@ class TestBatchRows:
     def test_columnar_and_list_currencies(self):
         assert list(batch_rows(Batch.from_rows(ROWS))) == ROWS
         assert batch_rows(ROWS) is ROWS
+
+
+@given(
+    st.lists(st.lists(st.tuples(st.integers(), st.text(max_size=3)), max_size=9), max_size=8),
+    st.integers(1, 7),
+)
+def test_property_rechunk_matches_row_chunking(partitions, batch_size):
+    """Columnar re-chunking cuts exactly where ``chunk_rows`` cuts."""
+    batches = [Batch.from_rows(rows, num_columns=2) for rows in partitions]
+    rows = [row for part in partitions for row in part]
+    got = [batch.to_rows() for batch in rechunk_batches(batches, batch_size)]
+    assert got == list(chunk_rows(rows, batch_size))
+
+
+def test_rechunk_rejects_non_positive_batch_size():
+    with pytest.raises(ValueError):
+        list(rechunk_batches([], 0))

@@ -18,7 +18,9 @@ from repro.bloom.universal_hash import (
     make_hash_family,
     next_prime,
 )
+from repro.engine.batch import Batch
 from repro.expr.compiler import compile_predicate
+from repro.expr.vector import compile_predicate_vector
 from repro.sqlparser.parser import parse_expression
 
 
@@ -187,5 +189,14 @@ def test_property_sql_equivalence(keys):
         parse_expression(bloom.to_sql_predicate("k", cast_to_int=False)),
         {"k": 0},
     )
-    for probe in keys + [k + 1 for k in keys[:10]]:
+    probes = keys + [k + 1 for k in keys[:10]]
+    for probe in probes:
         assert predicate((probe,)) == bloom.might_contain(probe)
+    # The vectorized mask (SUBSTRING / CAST / arithmetic kernels) agrees
+    # key by key, on typed keys and on keys arriving as CSV text.
+    expected = [bloom.might_contain(probe) for probe in probes]
+    mask = compile_predicate_vector(
+        parse_expression(bloom.to_sql_predicate("k")), {"k": 0}
+    )
+    assert mask(Batch([probes])) == expected
+    assert mask(Batch([[str(probe) for probe in probes]])) == expected

@@ -1,9 +1,11 @@
 """Unit tests for the SQL tokenizer."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.common.errors import SQLSyntaxError
-from repro.sqlparser.lexer import Token, TokenType, tokenize
+from repro.sqlparser.lexer import Token, TokenType, _read_string, tokenize
 
 
 def kinds(sql):
@@ -95,3 +97,39 @@ class TestRealQueries:
         values = [t.value for t in tokenize(sql)]
         for keyword in ("CASE", "WHEN", "THEN", "ELSE", "END"):
             assert keyword in values
+
+
+def _read_string_by_character(sql, start):
+    """The character-at-a-time reader ``_read_string`` replaced."""
+    i = start + 1
+    parts = []
+    while i < len(sql):
+        ch = sql[i]
+        if ch == "'":
+            if i + 1 < len(sql) and sql[i + 1] == "'":
+                parts.append("'")
+                i += 2
+                continue
+            return Token(TokenType.STRING, "".join(parts), start), i + 1
+        parts.append(ch)
+        i += 1
+    raise SQLSyntaxError("unterminated string literal", position=start)
+
+
+@given(
+    st.lists(st.sampled_from(["'", "''", "a", "0", " ", "\n", "\u00e9"]), max_size=12).map("".join),
+    st.integers(0, 3),
+)
+def test_property_read_string_matches_character_reader(body, start):
+    """Same token and end offset — or the same error at the same position —
+    on ``''`` escapes, empty literals, and unterminated input."""
+    sql = "x" * start + "'" + body
+    try:
+        expected = _read_string_by_character(sql, start)
+    except SQLSyntaxError as exc:
+        with pytest.raises(SQLSyntaxError) as caught:
+            _read_string(sql, start)
+        assert caught.value.position == exc.position == start
+        assert str(caught.value) == str(exc)
+    else:
+        assert _read_string(sql, start) == expected

@@ -14,9 +14,10 @@ from repro.storage.csvcodec import (
     decode_table,
     encode_row,
     encode_table,
+    encoded_size,
     format_value,
+    iter_decode_column_batches,
     iter_records,
-    iter_records_with_offsets,
 )
 from repro.storage.object_store import ObjectStore
 from repro.storage.schema import ColumnDef, TableSchema
@@ -105,15 +106,16 @@ class TestCsvCodec:
         for prev, cur in zip(extents, extents[1:]):
             assert cur.first_byte == prev.last_byte + 1
 
-    def test_offsets_iteration_matches_extents(self):
-        rows = [(i, "x" * (i % 5)) for i in range(10)]
+    def test_extents_of_rows_with_embedded_delimiters(self):
+        # What the index tables store: a ranged GET of one extent must
+        # tokenize to exactly that row, quoted newlines included.
+        rows = [(i, "x\n," * (i % 3) + "\u00e9" * (i % 2)) for i in range(10)]
         data, extents = encode_table(rows)
-        offsets = list(iter_records_with_offsets(data))
-        assert len(offsets) == len(extents)
-        for (first, last, _), ext in zip(offsets, extents):
-            assert first == ext.first_byte
-            # iter_records_with_offsets reports the newline-exclusive end
-            assert last <= ext.last_byte
+        assert len(extents) == len(rows)
+        for ext, row in zip(extents, rows):
+            piece = data[ext.first_byte : ext.last_byte + 1]
+            assert piece.endswith(b"\n")
+            assert list(iter_records(piece)) == [[str(row[0]), row[1]]]
 
     def test_decode_table_roundtrip(self):
         schema = TableSchema.of("a:int", "b:float", "c:str")
@@ -202,16 +204,124 @@ def test_property_escape_roundtrip_table(rows):
     # Ragged rows are fine at the codec level; only the splitter is under test.
     data = b"".join(encode_row(r) for r in rows)
     assert list(iter_records(data)) == [list(r) for r in rows]
-    # The offset-reporting splitter must agree and produce adjacent,
-    # non-overlapping extents covering the object.
-    offsets = list(iter_records_with_offsets(data))
-    assert [rec for _, _, rec in offsets] == [list(r) for r in rows]
+    # encode_table's extents (what the index tables store) are adjacent,
+    # non-overlapping, cover the object, and each slices out its own row.
+    encoded, extents = encode_table(rows)
+    assert encoded == data
     position = 0
-    for first, last, _ in offsets:
-        assert first == position
-        assert last >= first
-        position = last + 1
+    for extent, row in zip(extents, rows):
+        assert extent.first_byte == position
+        piece = data[extent.first_byte : extent.last_byte + 1]
+        assert list(iter_records(piece)) == [list(row)]
+        position = extent.last_byte + 1
     assert position == len(data)
+
+
+def _reference_records(data: bytes) -> list[list[str]]:
+    """The character-level scanner that tokenized everything before the
+    ``str.split`` path existed: the oracle for both paths."""
+    text = data.decode()
+    field, record, out = [], [], []
+    in_quotes = saw_any = False
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        i += 1
+        if in_quotes:
+            if ch != '"':
+                field.append(ch)
+            elif i < n and text[i] == '"':
+                field.append('"')
+                i += 1
+            else:
+                in_quotes = False
+        elif ch == '"':
+            in_quotes = saw_any = True
+        elif ch == ",":
+            record.append("".join(field))
+            field = []
+            saw_any = True
+        elif ch == "\n":
+            record.append("".join(field))
+            out.append(record)
+            field, record = [], []
+            saw_any = False
+        elif ch != "\r":
+            field.append(ch)
+            saw_any = True
+    if saw_any or record:
+        record.append("".join(field))
+        out.append(record)
+    return out
+
+
+#: Raw object text, not encoder output: stray and unbalanced quotes, bare
+#: CR, CRLF, empty lines, non-ASCII, with or without a trailing newline.
+_RAW_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from([",", "\n", "\r", '"', "a", "7", " ", "\u00e9", "\u4e2d"]),
+        st.characters(blacklist_categories=("Cs",)),
+    ),
+    max_size=60,
+)
+
+
+@given(_RAW_TEXT)
+def test_property_tokenizer_matches_reference_scanner(text):
+    """``iter_records`` == the character scanner on arbitrary input."""
+    data = text.encode()
+    assert list(iter_records(data)) == _reference_records(data)
+
+
+@given(_RAW_TEXT.filter(lambda text: '"' not in text))
+def test_property_split_tokenizer_matches_reference_scanner(text):
+    """The quote-free ``str.split`` path alone, on the same oracle."""
+    data = text.encode()
+    assert list(iter_records(data)) == _reference_records(data)
+
+
+@given(
+    st.lists(st.lists(st.sampled_from(["1", "", "22"]), min_size=1, max_size=4),
+             min_size=1, max_size=12),
+    st.integers(1, 5),
+)
+def test_property_wrong_field_count_raises_catalog_error(records, batch_size):
+    """Ragged rows raise ``CatalogError`` from the columnar decoder too."""
+    schema = TableSchema.of("a:int", "b:int")
+    data = "".join(",".join(r) + "\n" for r in records).encode()
+    decode = lambda: list(
+        iter_decode_column_batches(data, schema, batch_size, has_header=False)
+    )
+    if all(len(r) == 2 for r in records):
+        rows = [row for batch in decode() for row in batch]
+        assert rows == [schema.parse_row(r) for r in records]
+    else:
+        with pytest.raises(CatalogError):
+            decode()
+
+
+_TYPED_VALUE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-10**12, 10**12),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-10**6, 10**6).map(float),  # integral floats: "2.0", not "2"
+    _FIELD,  # strings that need quoting, multi-byte text
+)
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda width: st.lists(
+        st.tuples(*[_TYPED_VALUE] * width), max_size=12
+    ).map(lambda rows: (width, rows))
+))
+def test_property_encoded_size_equals_encoded_rows(case):
+    """Per-column sizing == the length of the row-wise CSV encoding."""
+    width, rows = case
+    columns = [[row[i] for row in rows] for i in range(width)]
+    assert encoded_size(columns, len(rows)) == len(
+        b"".join(encode_row(r) for r in rows)
+    )
 
 
 class TestObjectStore:

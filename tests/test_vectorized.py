@@ -73,6 +73,24 @@ EXPRESSIONS = [
     "CASE WHEN a > 0 THEN 'pos' WHEN a < 0 THEN 'neg' ELSE 'zero' END",
     "COALESCE(a, b, 0)", "UPPER(s)",
     "1 + 2 * 3", "NULL", "'const'", "a < NULL", "NULL AND a = 1",
+    # SUBSTRING kernel: start <= 0 and past the end (a in -50..50),
+    # negative lengths (b in -5..5), NULLs in every operand, float
+    # positions, the 2- and 3-argument forms, and the Bloom shape (a
+    # constant text and length, a computed position).
+    "SUBSTRING(s, 1, 2)", "SUBSTRING(s, a, b)", "SUBSTRING(s, a)", "SUBSTR(s, 2)",
+    "SUBSTRING(s, f)", "SUBSTRING(s, b, f)", "SUBSTRING(d, 1, 4)",
+    "SUBSTRING('0110100110', a, 1)", "SUBSTRING('0110100110', f, 1)",
+    "SUBSTRING('0110100110', a, 0)", "SUBSTRING('0110100110', a, -1)",
+    "SUBSTRING('0110100110', a, NULL)", "SUBSTRING(NULL, a, 1)",
+    "SUBSTRING(s, NULL, 1)", "SUBSTRING(12345, b, 2)", "SUBSTRING('abc', 2, 1)",
+    "SUBSTRING('0110100110', ((7 * CAST(a AS INT) + 3) % 11) % 10 + 1, 1) = '1'",
+    # Arithmetic / CAST against one constant operand, either side, and
+    # constants the bottom-up fold must find inside larger trees.
+    "3 * a", "a * 3", "7 % b", "b % 7", "a - 1.5", "1.5 - a", "a + NULL",
+    "NULL * a", "a + 'x'", "a + (1 + 2)", "s = UPPER('abc')",
+    "CAST(a AS int)", "CAST(f AS float)", "CAST(s AS string)", "CAST(s AS int)",
+    "a + CASE WHEN 1 = 1 THEN 2 END", "NOT (1 = 1)", "1 BETWEEN 0 AND 2",
+    "'x' LIKE 'x%'", "2 IN (1, 2)", "NULL IS NULL", "-(1 + 2) + a",
 ]
 
 
@@ -106,7 +124,11 @@ class TestExpressionKernels:
         assert vec_fn(Batch.from_rows([], num_columns=5)) == []
 
     @pytest.mark.parametrize(
-        "sql", ["a = 1", "s LIKE 'a%'", "a IN (1, NULL)", "a = 1 OR b = 1"]
+        "sql", [
+            "a = 1", "s LIKE 'a%'", "a IN (1, NULL)", "a = 1 OR b = 1",
+            "SUBSTRING('0110100110', a, 1) = '1'"
+            " AND SUBSTRING('1011001110', (3 * b + 7) % 10 + 1, 1) = '1'",
+        ]
     )
     @settings(max_examples=20, deadline=None)
     @given(rows=rows_strategy)
