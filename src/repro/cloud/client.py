@@ -12,7 +12,12 @@ from __future__ import annotations
 import time
 
 from repro.cloud.metrics import MetricsCollector, RequestKind, RequestRecord
-from repro.s3select.engine import ScanRange, SelectResult, execute_select
+from repro.s3select.engine import (
+    PreparedSelect,
+    ScanRange,
+    SelectResult,
+    execute_select,
+)
 from repro.s3select.validator import EXPRESSION_LIMIT_BYTES
 from repro.storage.object_store import ObjectStore
 
@@ -132,7 +137,7 @@ class S3Client:
         self,
         bucket: str,
         key: str,
-        sql: str,
+        sql: str | PreparedSelect,
         scan_range: ScanRange | None = None,
         expression_limit: int = EXPRESSION_LIMIT_BYTES,
         allow_group_by: bool = False,
@@ -140,6 +145,9 @@ class S3Client:
     ) -> SelectResult:
         """Run an S3 Select query against one object (metered SELECT).
 
+        ``sql`` is the SQL text or — for a scan sending one statement to
+        many objects — that statement as a ``PreparedSelect``, which has
+        passed the ``expression_limit`` / ``allow_group_by`` checks already.
         ``allow_group_by`` and ``compress_output`` opt into the paper's
         Suggestion 4 and Section IX extensions respectively (neither is
         available on the real service).

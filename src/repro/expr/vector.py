@@ -143,13 +143,11 @@ def compile_predicate_vector(
 
 def _compile_mask(expr: ast.Expr, schema: dict[str, int]) -> Callable[[Batch], list]:
     """``batch -> [bool]`` mask compiler (``value IS TRUE`` per row)."""
-    if isinstance(expr, ast.Binary) and expr.op in ("AND", "OR"):
+    if isinstance(expr, ast.Binary) and expr.op == "AND":
+        return _compile_conjunction(ast.split_conjuncts(expr), schema)
+    if isinstance(expr, ast.Binary) and expr.op == "OR":
         left = _compile_mask(expr.left, schema)
         right = _compile_mask(expr.right, schema)
-        if expr.op == "AND":
-            return lambda batch: [
-                a and b for a, b in zip(left(batch), right(batch))
-            ]
         return lambda batch: [a or b for a, b in zip(left(batch), right(batch))]
     if isinstance(expr, ast.Binary) and expr.op in _COMPARE:
         return _compare_mask_kernel(
@@ -162,6 +160,97 @@ def _compile_mask(expr: ast.Expr, schema: dict[str, int]) -> Callable[[Batch], l
         return lambda batch: [v is False for v in inner.values(batch)]
     node = _compile_v(expr, schema)
     return lambda batch: [v is True for v in node.values(batch)]
+
+
+class _Survivors(Batch):
+    """The rows of a batch still alive part-way through an AND chain.
+
+    A column is gathered from the full batch the first time a kernel
+    reads it, so a conjunct pays only for the columns it references.
+    """
+
+    __slots__ = ("_source", "_alive")
+
+    def __init__(self, source: list, alive: list[int]):
+        self._source = source
+        self._alive = alive
+        self.columns = [None] * len(source)
+        self.length = len(alive)
+
+    def column(self, i: int) -> list:
+        column = self.columns[i]
+        if column is None:
+            source = self._source[i]
+            column = self.columns[i] = [source[j] for j in self._alive]
+        return column
+
+    def iter_rows(self):
+        for i in range(len(self.columns)):  # row-wise fallback kernels read whole rows
+            self.column(i)
+        return super().iter_rows()
+
+
+def _is_column_cast(node: ast.Expr) -> bool:
+    return (
+        isinstance(node, ast.Cast)
+        and isinstance(node.operand, ast.Column)
+        and node.type_name in _CASTS
+    )
+
+
+def _compile_conjunction(
+    conjuncts: list[ast.Expr], schema: dict[str, int]
+) -> Callable[[Batch], list]:
+    """AND chain as a keep-mask, each conjunct evaluated on survivors only.
+
+    Like the row compiler, a conjunct runs on exactly the rows no earlier
+    conjunct made ``False`` — a NULL does not stop the chain, it only
+    keeps the row out of the result — so a later conjunct raises here iff
+    it raises row-wise.  The Bloom-join predicate is the shape this is
+    for: ``k`` expensive conjuncts, the first already rejecting most rows.
+
+    A ``CAST(column AS type)`` the first conjunct shares with later ones
+    (the Bloom probe's hash input) is evaluated once per batch and read
+    like a column: ``schema`` maps the AST node to an extra column slot.
+    """
+    shared = list(dict.fromkeys(filter(_is_column_cast, ast.walk(conjuncts[0]))))
+    if shared:
+        later = {n for c in conjuncts[1:] for n in ast.walk(c) if _is_column_cast(n)}
+        shared = [node for node in shared if node in later]
+    width = max(schema.values(), default=-1) + 1
+    casts = [_compile_v(node, schema) for node in shared]
+    schema = {**schema, **{node: width + i for i, node in enumerate(shared)}}
+    nodes = [_compile_v(conjunct, schema) for conjunct in conjuncts]
+
+    def conjunction(batch: Batch) -> list:
+        n = len(batch)
+        if not n:
+            return []
+        source = batch.columns
+        if casts:
+            source = source[:width] + [cast.values(batch) for cast in casts]
+            batch = Batch(source, n)
+        alive = range(n)  # row positions no conjunct has made False
+        unknown: list[int] = []  # alive, but some conjunct was not true: never kept
+        for node in nodes:
+            values = node.values(batch)
+            survivors = [i for i, v in zip(alive, values) if v is not False]
+            if values.count(True) != len(survivors):
+                unknown += [i for i, v in zip(alive, values) if not v and v is not False]
+            if len(survivors) < len(values):
+                alive = survivors
+                batch = _Survivors(source, alive)
+        if len(alive) == n:
+            mask = [True] * n
+        else:
+            mask = [False] * n
+            for i in alive:
+                mask[i] = True
+        for i in unknown:
+            mask[i] = False
+        return mask
+
+    return conjunction
 
 
 def _compare_mask_kernel(op: str, left: _Node, right: _Node):
@@ -505,6 +594,9 @@ def _compile_cast_v(expr: ast.Cast, schema: dict[str, int]) -> _Node:
     caster = _CASTS.get(expr.type_name)
     if caster is None:
         return _row_fallback(expr, schema)  # canonical unsupported-CAST error
+    slot = schema.get(expr)
+    if slot is not None:  # an AND chain computed this CAST once for the batch
+        return _Node(fn=lambda batch: batch.column(slot))
     operand = _compile_v(expr.operand, schema)
     if operand.is_const:
         return _fold(expr, schema)

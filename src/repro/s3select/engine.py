@@ -20,12 +20,12 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from itertools import islice
+from typing import Callable, Iterable, Iterator
 
 from repro.common.errors import UnsupportedFeatureError
 from repro.engine.batch import Batch
 from repro.expr.aggregates import CompiledAggregate, split_aggregate_expr
-from repro.expr.compiler import compile_expr
 from repro.expr.vector import (
     compile_aggregate_input_vector,
     compile_expr_vector,
@@ -105,17 +105,152 @@ def object_schema(obj: StoredObject) -> TableSchema:
     return TableSchema.of(*spec)
 
 
+class _Binding:
+    """A statement's kernels compiled against one object schema.
+
+    Holds only per-schema constants and stateless kernels; every ``run``
+    call makes its own accumulators, so one binding serves any number of
+    concurrent requests.
+    """
+
+    __slots__ = ("key", "schema", "needed", "names", "_keep_mask", "_evaluate")
+
+    def __init__(self, query: ast.Query, key: object, schema: TableSchema):
+        self.key = key
+        #: The object's full schema (the CSV decoder needs every column).
+        self.schema = schema
+        #: Referenced columns in schema order; only these are typed.
+        self.needed = _referenced_columns(query, schema)
+        projected = schema.project(self.needed) if self.needed else schema
+        name_to_index = projected.name_to_index
+        if query.group_by:
+            plan = _plan_grouped_aggregation(query, name_to_index)
+        elif any(
+            not isinstance(item.expr, ast.Star) and ast.contains_aggregate(item.expr)
+            for item in query.select_items
+        ):
+            plan = _plan_aggregation(query, name_to_index)
+        else:
+            plan = _plan_projection(query, projected, name_to_index)
+        self.names, self._evaluate = plan
+        self._keep_mask = (
+            None if query.where is None
+            else compile_predicate_vector(query.where, name_to_index)
+        )
+
+    def run(self, batches: Iterable[Batch]) -> list[Batch]:
+        """Filter and evaluate one request's batches."""
+        keep_mask = self._keep_mask
+        if keep_mask is not None:
+            batches = (batch.filter(keep_mask(batch)) for batch in batches)
+        return self._evaluate(batches)
+
+
+class PreparedSelect:
+    """One pushed statement, prepared once and executed per object.
+
+    Preparing lexes, parses and validates the SQL text and fixes its
+    per-row term count; a scan sends the same text to every partition, so
+    it prepares once and executes the result against each object (S3
+    still bills every request in full — nothing metered is shared).
+    The kernels are compiled against the first object's schema and
+    re-compiled only when a later object advertises a different one.
+    Construction raises the errors :func:`execute_select` documents.
+    """
+
+    def __init__(
+        self,
+        sql: str,
+        expression_limit: int = EXPRESSION_LIMIT_BYTES,
+        allow_group_by: bool = False,
+    ):
+        self.query = parser.parse(sql)
+        validate_select_sql(
+            sql, self.query, expression_limit, allow_group_by=allow_group_by
+        )
+        self._terms = expression_complexity(self.query)
+        self._binding: _Binding | None = None
+
+    def _bound(self, key: object, schema) -> _Binding:
+        """The binding for an object advertising ``key`` (``schema()`` is
+        only called to re-bind).  Racing threads may each bind once; the
+        bindings are interchangeable and the last one is kept."""
+        binding = self._binding
+        if binding is None or binding.key != key:
+            binding = self._binding = _Binding(self.query, key, schema())
+        return binding
+
+    def execute(
+        self,
+        obj: StoredObject,
+        scan_range: ScanRange | None = None,
+        compress_output: bool = False,
+    ) -> SelectResult:
+        """Run the statement as one request against ``obj``.
+
+        ``rows_scanned`` / ``term_evals`` meter the records actually
+        parsed; ``bytes_scanned`` does not shrink when LIMIT stops early.
+        """
+        fmt = obj.metadata.get("format", "csv")
+        if fmt == "csv":
+            binding = self._bound(
+                tuple(obj.metadata.get("schema") or ()), lambda: object_schema(obj)
+            )
+            has_header = obj.metadata.get("header", True)
+            needed = binding.needed or None
+            if scan_range is not None:
+                window = obj.data[scan_range.start : scan_range.end]
+                bytes_scanned = len(window)
+                records = _iter_range_records(
+                    obj, window, scan_range, binding.schema, has_header
+                )
+                batches = iter_column_batches(records, binding.schema, columns=needed)
+            else:
+                bytes_scanned = len(obj.data)
+                batches = iter_decode_column_batches(
+                    obj.data, binding.schema, has_header=has_header, columns=needed
+                )
+        elif fmt == "parquet":
+            if scan_range is not None:
+                raise UnsupportedFeatureError("ScanRange applies to CSV input only")
+            pq = ParquetFile(obj.data)
+            binding = self._bound(pq.schema.columns, lambda: pq.schema)
+            batches = (
+                Batch.from_rows(chunk)
+                for chunk in chunk_rows(pq.iter_rows(binding.needed), DEFAULT_BATCH_SIZE)
+            )
+            bytes_scanned = pq.scan_bytes_for(binding.needed or None)
+        else:
+            raise UnsupportedFeatureError(f"unknown object format {fmt!r}")
+        counter = _BatchCounter(batches)
+        out = binding.run(counter)
+        result = SelectResult(
+            batches=out,
+            column_names=list(binding.names),
+            bytes_scanned=bytes_scanned,
+            bytes_returned=sum(encoded_size(b.columns, len(b)) for b in out),
+            rows_scanned=counter.count,
+            term_evals=counter.count * self._terms,
+        )
+        if compress_output:
+            result.payload = zlib.compress(result.payload)
+            result.bytes_returned = len(result.payload)
+        return result
+
+
 def execute_select(
     obj: StoredObject,
-    sql: str,
+    sql: str | PreparedSelect,
     scan_range: ScanRange | None = None,
     expression_limit: int = EXPRESSION_LIMIT_BYTES,
     allow_group_by: bool = False,
     compress_output: bool = False,
 ) -> SelectResult:
-    """Run one S3 Select request against ``obj``.
+    """Run one S3 Select request against ``obj``: prepare, then execute.
 
     Args:
+        sql: the SQL text, or a :class:`PreparedSelect`, which already
+            passed the ``expression_limit`` / ``allow_group_by`` checks.
         allow_group_by: enable the *partial group-by* extension of the
             paper's Suggestion 4 (see :mod:`repro.strategies.extensions`).
         compress_output: enable the Section IX mitigation the paper
@@ -129,43 +264,9 @@ def execute_select(
         UnsupportedFeatureError: SQL outside the S3 Select dialect.
         ExpressionLimitExceededError: SQL text over ``expression_limit``.
     """
-    query = parser.parse(sql)
-    validate_select_sql(sql, query, expression_limit, allow_group_by=allow_group_by)
-    fmt = obj.metadata.get("format", "csv")
-    if fmt == "csv":
-        result = _execute_csv(obj, query, scan_range)
-    elif fmt == "parquet":
-        if scan_range is not None:
-            raise UnsupportedFeatureError("ScanRange applies to CSV input only")
-        result = _execute_parquet(obj, query)
-    else:
-        raise UnsupportedFeatureError(f"unknown object format {fmt!r}")
-    if compress_output:
-        result.payload = zlib.compress(result.payload)
-        result.bytes_returned = len(result.payload)
-    return result
-
-
-def _execute_csv(
-    obj: StoredObject, query: ast.Query, scan_range: ScanRange | None
-) -> SelectResult:
-    schema = object_schema(obj)
-    has_header = obj.metadata.get("header", True)
-    # Only the referenced columns are typed; the rest stay raw text.
-    needed = _referenced_columns(query, schema) or None
-    if scan_range is not None:
-        window = obj.data[scan_range.start : scan_range.end]
-        bytes_scanned = len(window)
-        records = _iter_range_records(obj, window, scan_range, schema, has_header)
-        batches = iter_column_batches(records, schema, columns=needed)
-    else:
-        bytes_scanned = len(obj.data)
-        batches = iter_decode_column_batches(
-            obj.data, schema, has_header=has_header, columns=needed
-        )
-    if needed:
-        schema = schema.project(needed)
-    return _evaluate(query, batches, schema, bytes_scanned)
+    if not isinstance(sql, PreparedSelect):
+        sql = PreparedSelect(sql, expression_limit, allow_group_by)
+    return sql.execute(obj, scan_range, compress_output)
 
 
 def _iter_range_records(
@@ -205,18 +306,6 @@ def _iter_range_records(
         yield pending
 
 
-def _execute_parquet(obj: StoredObject, query: ast.Query) -> SelectResult:
-    pq = ParquetFile(obj.data)
-    needed = _referenced_columns(query, pq.schema)
-    schema = pq.schema.project(needed) if needed else pq.schema
-    batches = (
-        Batch.from_rows(chunk)
-        for chunk in chunk_rows(pq.iter_rows(needed), DEFAULT_BATCH_SIZE)
-    )
-    bytes_scanned = pq.scan_bytes_for(needed if needed else None)
-    return _evaluate(query, batches, schema, bytes_scanned)
-
-
 def _referenced_columns(query: ast.Query, schema: TableSchema) -> list[str]:
     """Columns the query touches, in schema order (``*`` means all)."""
     names: set[str] = set()
@@ -252,69 +341,10 @@ class _BatchCounter:
             yield batch
 
 
-def _filtered_batches(
-    batches: Iterable[Batch], where: ast.Expr | None, name_to_index: dict[str, int]
-) -> Iterator[Batch]:
-    """Apply the WHERE predicate per batch through the vector kernels."""
-    if where is None:
-        yield from batches
-        return
-    keep_mask = compile_predicate_vector(where, name_to_index)
-    for batch in batches:
-        yield batch.filter(keep_mask(batch))
-
-
-def _evaluate(
-    query: ast.Query,
-    raw_batches: Iterable[Batch],
-    schema: TableSchema,
-    bytes_scanned: int,
-) -> SelectResult:
-    """Evaluate ``query`` over a lazy source of columnar batches.
-
-    ``rows_scanned`` / ``term_evals`` meter the records actually parsed;
-    ``bytes_scanned`` is fixed by the caller (the full object or the
-    requested ScanRange — billing does not shrink when LIMIT stops the
-    scan early, matching the byte accounting of the materialized engine).
-    """
-    name_to_index = schema.name_to_index
-    counter = _BatchCounter(raw_batches)
-    batches = _filtered_batches(counter, query.where, name_to_index)
-
-    if query.group_by:
-        out_rows, names = _run_grouped_aggregation(query, batches, name_to_index)
-        out = [Batch.from_rows(out_rows, len(names))]
-    elif any(
-        not isinstance(item.expr, ast.Star) and ast.contains_aggregate(item.expr)
-        for item in query.select_items
-    ):
-        out_rows, names = _run_aggregation(query, batches, name_to_index)
-        if query.limit is not None:
-            out_rows = out_rows[: query.limit]
-        out = [Batch.from_rows(out_rows, len(names))]
-    else:
-        out, names = _run_projection(
-            query, batches, schema, name_to_index, query.limit
-        )
-
-    return SelectResult(
-        batches=out,
-        column_names=names,
-        bytes_scanned=bytes_scanned,
-        bytes_returned=sum(encoded_size(b.columns, len(b)) for b in out),
-        rows_scanned=counter.count,
-        term_evals=counter.count * expression_complexity(query),
-    )
-
-
-def _run_projection(
-    query: ast.Query,
-    batches: Iterable[Batch],
-    schema: TableSchema,
-    name_to_index: dict[str, int],
-    limit: int | None,
-) -> tuple[list[Batch], list[str]]:
-    """Project batches through the select list, stopping at ``limit`` rows.
+def _plan_projection(
+    query: ast.Query, schema: TableSchema, name_to_index: dict[str, int]
+) -> tuple[list[str], Callable[[Iterable[Batch]], list[Batch]]]:
+    """Compile the select list; the evaluator stops at ``LIMIT`` rows.
 
     Early termination is what makes ``LIMIT n`` cheap: the batch source
     is never pulled past the batch that completes the n-th output row.
@@ -331,62 +361,70 @@ def _run_projection(
             continue
         extractors.append(compile_expr_vector(item.expr, name_to_index))
         names.append(item.output_name(ordinal))
-    out: list[Batch] = []
-    remaining = limit
-    for batch in batches:
-        projected = Batch([fn(batch) for fn in extractors], len(batch))
-        if remaining is None:
-            out.append(projected)
-            continue
-        out.append(projected[:remaining])
-        remaining -= len(projected)
-        if remaining <= 0:
-            break
-    return out, names
+    limit = query.limit
+
+    def evaluate(batches: Iterable[Batch]) -> list[Batch]:
+        out: list[Batch] = []
+        remaining = limit
+        for batch in batches:
+            projected = Batch([fn(batch) for fn in extractors], len(batch))
+            if remaining is None:
+                out.append(projected)
+                continue
+            out.append(projected[:remaining])
+            remaining -= len(projected)
+            if remaining <= 0:
+                break
+        return out
+
+    return names, evaluate
 
 
-def _run_aggregation(
-    query: ast.Query,
-    batches: Iterable[Batch],
-    name_to_index: dict[str, int],
-) -> tuple[list[tuple], list[str]]:
-    """Evaluate an aggregate-only select list over filtered batches.
+def _finish(finisher, results: list[object]) -> object:
+    return results[0] if finisher is None else finisher(results)
 
-    Supports arithmetic around aggregates (e.g. ``SUM(a*b) / 100``) —
-    the S3-side group-by pushdown emits plain ``SUM(CASE ...)`` columns
+
+def _plan_aggregates(
+    item: ast.SelectItem, name_to_index: dict[str, int]
+) -> tuple[list, list[CompiledAggregate], object]:
+    """One aggregate select item: vector inputs, accumulator makers and the
+    finisher for arithmetic around the aggregates (``SUM(a*b) / 100``)."""
+    agg_nodes, finisher = split_aggregate_expr(item.expr)
+    inputs = [compile_aggregate_input_vector(n, name_to_index) for n in agg_nodes]
+    return inputs, [CompiledAggregate(n, name_to_index) for n in agg_nodes], finisher
+
+
+def _plan_aggregation(
+    query: ast.Query, name_to_index: dict[str, int]
+) -> tuple[list[str], Callable[[Iterable[Batch]], list[Batch]]]:
+    """Compile an aggregate-only select list over filtered batches.
+
+    The S3-side group-by pushdown emits plain ``SUM(CASE ...)`` columns
     but TPC-H pushdowns use compound forms.
     """
-    names: list[str] = []
-    per_item: list[tuple[list, object]] = []  # ([(input fn, accumulator)], finisher)
-    for ordinal, item in enumerate(query.select_items, start=1):
-        agg_nodes, finisher = split_aggregate_expr(item.expr)
-        folds = [
-            (
-                compile_aggregate_input_vector(node, name_to_index),
-                CompiledAggregate(node, name_to_index).new_accumulator(),
-            )
-            for node in agg_nodes
-        ]
-        per_item.append((folds, finisher))
-        names.append(item.output_name(ordinal))
+    items = [_plan_aggregates(item, name_to_index) for item in query.select_items]
+    names = [item.output_name(i) for i, item in enumerate(query.select_items, 1)]
+    limit = query.limit
 
-    for batch in batches:
-        for folds, _ in per_item:
-            for input_values, acc in folds:
-                acc.add_many(input_values(batch))
+    def evaluate(batches: Iterable[Batch]) -> list[Batch]:
+        state = [[agg.new_accumulator() for agg in aggs] for _, aggs, _ in items]
+        for batch in batches:
+            for (inputs, _, _), accs in zip(items, state):
+                for input_values, acc in zip(inputs, accs):
+                    acc.add_many(input_values(batch))
+        row = tuple(
+            _finish(finisher, [acc.result() for acc in accs])
+            for (_, _, finisher), accs in zip(items, state)
+        )
+        rows = [row] if limit is None else [row][:limit]
+        return [Batch.from_rows(rows, len(names))]
 
-    values: list[object] = []
-    for folds, finisher in per_item:
-        results = [acc.result() for _, acc in folds]
-        values.append(results[0] if finisher is None else finisher(results))
-    return [tuple(values)], names
+    return names, evaluate
 
 
-def _run_grouped_aggregation(
-    query: ast.Query,
-    batches: Iterable[Batch],
-    name_to_index: dict[str, int],
-) -> tuple[list[tuple], list[str]]:
+def _plan_grouped_aggregation(
+    query: ast.Query, name_to_index: dict[str, int]
+) -> tuple[list[str], Callable[[Iterable[Batch]], list[Batch]]]:
     """Partial group-by at the storage side (Suggestion 4 extension).
 
     Group columns come from the GROUP BY clause; every select item must
@@ -394,51 +432,50 @@ def _run_grouped_aggregation(
     different partitions merge at the query node (the "partial" in
     partial group-by).
     """
-    group_fns = [compile_expr(g, name_to_index) for g in query.group_by]
-    group_sql = {g.to_sql() for g in query.group_by}
+    group_fns = [compile_expr_vector(g, name_to_index) for g in query.group_by]
+    group_pos: dict[str, int] = {}
+    for pos, group in enumerate(query.group_by):
+        group_pos.setdefault(group.to_sql(), pos)
 
     names: list[str] = []
-    agg_items: list[tuple[list[CompiledAggregate], object]] = []
-    layout: list[tuple[str, int]] = []  # ("group", key_pos) | ("agg", item_pos)
+    agg_items: list[tuple] = []
+    layout: list[tuple[bool, int]] = []  # (is aggregate, key / item position)
     for ordinal, item in enumerate(query.select_items, start=1):
         names.append(item.output_name(ordinal))
         if not isinstance(item.expr, ast.Star) and ast.contains_aggregate(item.expr):
-            agg_nodes, finisher = split_aggregate_expr(item.expr)
-            compiled = [CompiledAggregate(n, name_to_index) for n in agg_nodes]
-            layout.append(("agg", len(agg_items)))
-            agg_items.append((compiled, finisher))
+            layout.append((True, len(agg_items)))
+            agg_items.append(_plan_aggregates(item, name_to_index))
             continue
-        if isinstance(item.expr, ast.Star) or item.expr.to_sql() not in group_sql:
+        if isinstance(item.expr, ast.Star) or item.expr.to_sql() not in group_pos:
             raise UnsupportedFeatureError(
                 "partial group-by select items must be group expressions"
                 " or aggregates"
             )
-        key_pos = [g.to_sql() for g in query.group_by].index(item.expr.to_sql())
-        layout.append(("group", key_pos))
+        layout.append((False, group_pos[item.expr.to_sql()]))
+    makers = [agg for _, aggs, _ in agg_items for agg in aggs]
+    inputs = [fn for fns, _, _ in agg_items for fn in fns]
 
-    groups: dict[tuple, list] = {}
-    for batch in batches:
-        for row in batch:
-            key = tuple(fn(row) for fn in group_fns)
-            state = groups.get(key)
-            if state is None:
-                state = [
-                    [agg.new_accumulator() for agg in compiled]
-                    for compiled, _ in agg_items
-                ]
-                groups[key] = state
-            for (compiled, _), accs in zip(agg_items, state):
-                for agg, acc in zip(compiled, accs):
-                    acc.add(agg.input_value(row))
+    def evaluate(batches: Iterable[Batch]) -> list[Batch]:
+        groups: dict[tuple, list] = {}
+        for batch in batches:
+            keys = zip(*(fn(batch) for fn in group_fns))
+            # Rows fold in scan order, so float sums match the row loop.
+            for key, *values in zip(keys, *(fn(batch) for fn in inputs)):
+                accs = groups.get(key)
+                if accs is None:
+                    accs = groups[key] = [agg.new_accumulator() for agg in makers]
+                for acc, value in zip(accs, values):
+                    acc.add(value)
+        out: list[tuple] = []
+        for key, accs in groups.items():
+            results = (acc.result() for acc in accs)
+            agg_values = [
+                _finish(finisher, list(islice(results, len(aggs))))
+                for _, aggs, finisher in agg_items
+            ]
+            out.append(tuple(
+                agg_values[pos] if is_agg else key[pos] for is_agg, pos in layout
+            ))
+        return [Batch.from_rows(out, len(names))]
 
-    out: list[tuple] = []
-    for key, state in groups.items():
-        agg_values = []
-        for (compiled, finisher), accs in zip(agg_items, state):
-            results = [acc.result() for acc in accs]
-            agg_values.append(results[0] if finisher is None else finisher(results))
-        row_out = []
-        for kind, pos in layout:
-            row_out.append(key[pos] if kind == "group" else agg_values[pos])
-        out.append(tuple(row_out))
-    return out, names
+    return names, evaluate

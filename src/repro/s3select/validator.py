@@ -21,6 +21,8 @@ EXPRESSION_LIMIT_BYTES = 256 * 1024
 #: The only table name S3 Select accepts.
 S3_OBJECT_TABLE = "s3object"
 
+_SUBQUERY_NODES = (ast.InSubquery, ast.Exists, ast.ScalarSubquery)
+
 
 def validate_select_sql(sql: str, query: ast.Query,
                         expression_limit: int = EXPRESSION_LIMIT_BYTES,
@@ -30,8 +32,8 @@ def validate_select_sql(sql: str, query: ast.Query,
     Checks, in the order the real service would reject them:
 
     * total expression size <= 256 KB;
-    * ``FROM S3Object`` only — no joins;
-    * no GROUP BY, no ORDER BY (LIMIT is allowed);
+    * ``FROM S3Object`` only — no joins, derived tables or subqueries;
+    * no GROUP BY, no HAVING, no ORDER BY (LIMIT is allowed);
     * aggregates must not be mixed with per-row select items.
 
     Args:
@@ -45,16 +47,25 @@ def validate_select_sql(sql: str, query: ast.Query,
         raise UnsupportedFeatureError(
             f"S3 Select queries must read FROM S3Object, got {query.table!r}"
         )
-    if query.join_table is not None:
+    if query.join_table is not None or query.joins:
         raise UnsupportedFeatureError("S3 Select does not support joins")
+    if query.derived is not None:
+        raise UnsupportedFeatureError("S3 Select does not support derived tables")
     if query.group_by and not allow_group_by:
         raise UnsupportedFeatureError("S3 Select does not support GROUP BY")
+    if query.having is not None:
+        raise UnsupportedFeatureError("S3 Select does not support HAVING")
     if query.order_by:
         raise UnsupportedFeatureError("S3 Select does not support ORDER BY")
     if not query.group_by:
         _validate_select_list(query)
     if query.where is not None and ast.contains_aggregate(query.where):
         raise UnsupportedFeatureError("aggregates are not allowed in WHERE")
+    exprs = [item.expr for item in query.select_items] + list(query.group_by)
+    if query.where is not None:
+        exprs.append(query.where)
+    if any(isinstance(node, _SUBQUERY_NODES) for e in exprs for node in ast.walk(e)):
+        raise UnsupportedFeatureError("S3 Select does not support subqueries")
 
 
 def _validate_select_list(query: ast.Query) -> None:

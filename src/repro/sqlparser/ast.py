@@ -350,36 +350,40 @@ class Query:
 
 def walk(expr: Expr):
     """Yield ``expr`` and all sub-expressions, depth-first."""
-    yield expr
-    children: tuple = ()
-    if isinstance(expr, Unary):
-        children = (expr.operand,)
-    elif isinstance(expr, Binary):
-        children = (expr.left, expr.right)
-    elif isinstance(expr, FuncCall):
-        children = expr.args
-    elif isinstance(expr, Cast):
-        children = (expr.operand,)
-    elif isinstance(expr, Case):
-        children = tuple(x for pair in expr.whens for x in pair)
-        if expr.default is not None:
-            children += (expr.default,)
-    elif isinstance(expr, InList):
-        children = (expr.operand, *expr.items)
-    elif isinstance(expr, Between):
-        children = (expr.operand, expr.low, expr.high)
-    elif isinstance(expr, Like):
-        children = (expr.operand, expr.pattern)
-    elif isinstance(expr, IsNull):
-        children = (expr.operand,)
-    elif isinstance(expr, Aggregate):
-        children = (expr.operand,)
-    elif isinstance(expr, InSubquery):
-        # The subquery body is a separate scope; only the outer operand
-        # is walked.  Exists/ScalarSubquery have no outer children.
-        children = (expr.operand,)
-    for child in children:
-        yield from walk(child)
+    stack = [expr]
+    while stack:
+        expr = stack.pop()
+        yield expr
+        if isinstance(expr, (Literal, Column)):
+            continue
+        children: tuple = ()
+        if isinstance(expr, Unary):
+            children = (expr.operand,)
+        elif isinstance(expr, Binary):
+            children = (expr.left, expr.right)
+        elif isinstance(expr, FuncCall):
+            children = expr.args
+        elif isinstance(expr, Cast):
+            children = (expr.operand,)
+        elif isinstance(expr, Case):
+            children = tuple(x for pair in expr.whens for x in pair)
+            if expr.default is not None:
+                children += (expr.default,)
+        elif isinstance(expr, InList):
+            children = (expr.operand, *expr.items)
+        elif isinstance(expr, Between):
+            children = (expr.operand, expr.low, expr.high)
+        elif isinstance(expr, Like):
+            children = (expr.operand, expr.pattern)
+        elif isinstance(expr, IsNull):
+            children = (expr.operand,)
+        elif isinstance(expr, Aggregate):
+            children = (expr.operand,)
+        elif isinstance(expr, InSubquery):
+            # The subquery body is a separate scope; only the outer operand
+            # is walked.  Exists/ScalarSubquery have no outer children.
+            children = (expr.operand,)
+        stack.extend(reversed(children))
 
 
 def split_conjuncts(expr: Expr | None) -> list[Expr]:

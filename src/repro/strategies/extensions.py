@@ -26,9 +26,9 @@ from repro.cloud.context import CloudContext, QueryExecution
 from repro.common.errors import PlanError
 from repro.engine.catalog import Catalog
 from repro.engine.operators.project import project_columns
-from repro.sqlparser import ast
+from repro.s3select.engine import PreparedSelect
 from repro.strategies.base import finish_output
-from repro.strategies.filter import FilterQuery, _single_indexed_column
+from repro.strategies.filter import FilterQuery, index_lookup
 from repro.strategies.groupby import GroupByQuery, _output_names
 from repro.strategies.scans import phase_since, projection_sql
 from repro.storage.csvcodec import iter_records
@@ -47,20 +47,7 @@ def multirange_indexed_filter(
     per :data:`MAX_RANGES_PER_REQUEST` ranges.
     """
     table = catalog.get(query.table)
-    index_column = _single_indexed_column(table, query.predicate)
-    index = table.index_for(index_column)
-
-    index_predicate = ast.rename_columns(query.predicate, {index_column: "value"})
-    index_sql = projection_sql(["first_byte", "last_byte"], index_predicate.to_sql())
-    mark = ctx.begin_query()
-    extents_per_partition: list[list[tuple[int, int]]] = []
-    for key in index.keys:
-        result = ctx.client.select_object_content(table.bucket, key, index_sql)
-        extents_per_partition.append([(int(a), int(b)) for a, b in result.rows])
-    matched = sum(len(e) for e in extents_per_partition)
-    phase1 = phase_since(
-        ctx, mark, "index-lookup", streams=len(index.keys), ingest=(matched, 2)
-    )
+    mark, extents_per_partition, matched, phase1 = index_lookup(ctx, table, query)
 
     mark2 = ctx.metrics.mark()
     rows: list[tuple] = []
@@ -129,10 +116,9 @@ def partial_pushdown_group_by(
     n_group = len(query.group_columns)
     merged: dict[tuple, list] = {}
     rows_returned = 0
+    statement = PreparedSelect(sql, allow_group_by=True)
     for key in table.keys:
-        result = ctx.client.select_object_content(
-            table.bucket, key, sql, allow_group_by=True
-        )
+        result = ctx.client.select_object_content(table.bucket, key, statement)
         rows_returned += len(result.rows)
         for row in result.rows:
             group = row[:n_group]

@@ -19,6 +19,7 @@ from repro.common.errors import PlanError
 from repro.engine.catalog import Catalog
 from repro.engine.operators.filter import filter_rows
 from repro.engine.operators.project import project_columns
+from repro.s3select.engine import PreparedSelect
 from repro.sqlparser import ast
 from repro.storage.csvcodec import iter_records
 from repro.strategies.base import finish_output
@@ -91,6 +92,31 @@ def s3_side_filter(
     )
 
 
+def index_lookup(ctx: CloudContext, table, query: FilterQuery):
+    """Phase 1 of the index strategies: push the predicate to the index
+    table's ``value`` column, one prepared statement for every index object.
+
+    Returns the query's metrics mark, the matched ``(first_byte,
+    last_byte)`` extents per data partition, their count and the phase.
+    """
+    index_column = _single_indexed_column(table, query.predicate)
+    index = table.index_for(index_column)
+    index_predicate = ast.rename_columns(query.predicate, {index_column: "value"})
+    statement = PreparedSelect(
+        projection_sql(["first_byte", "last_byte"], index_predicate.to_sql())
+    )
+    mark = ctx.begin_query()
+    extents_per_partition: list[list[tuple[int, int]]] = []
+    for key in index.keys:
+        result = ctx.client.select_object_content(table.bucket, key, statement)
+        extents_per_partition.append([(int(a), int(b)) for a, b in result.rows])
+    matched = sum(len(e) for e in extents_per_partition)
+    phase = phase_since(
+        ctx, mark, "index-lookup", streams=len(index.keys), ingest=(matched, 2)
+    )
+    return mark, extents_per_partition, matched, phase
+
+
 def indexed_filter(
     ctx: CloudContext, catalog: Catalog, query: FilterQuery
 ) -> QueryExecution:
@@ -102,23 +128,7 @@ def indexed_filter(
     paper's Suggestion 1 asks for multi-range GETs.
     """
     table = catalog.get(query.table)
-    index_column = _single_indexed_column(table, query.predicate)
-    index = table.index_for(index_column)
-
-    # Phase 1: predicate against the index table's `value` column.
-    index_predicate = ast.rename_columns(query.predicate, {index_column: "value"})
-    index_sql = projection_sql(
-        ["first_byte", "last_byte"], index_predicate.to_sql()
-    )
-    mark = ctx.begin_query()
-    extents_per_partition: list[list[tuple[int, int]]] = []
-    for key in index.keys:
-        result = ctx.client.select_object_content(table.bucket, key, index_sql)
-        extents_per_partition.append([(int(a), int(b)) for a, b in result.rows])
-    matched = sum(len(e) for e in extents_per_partition)
-    phase1 = phase_since(
-        ctx, mark, "index-lookup", streams=len(index.keys), ingest=(matched, 2)
-    )
+    mark, extents_per_partition, matched, phase1 = index_lookup(ctx, table, query)
 
     # Phase 2: one ranged GET per matched record (no S3 Select involved,
     # hence no scan/return charges — only request cost).

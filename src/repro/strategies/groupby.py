@@ -31,6 +31,7 @@ from repro.strategies.scans import (
     get_table,
     phase_since,
     projection_sql,
+    select_aggregate,
     select_table,
 )
 
@@ -387,12 +388,9 @@ def _pushdown_group_aggregates(
         if not chunk:
             return
         columns = [col for _, _, cols in chunk for col in cols]
-        sql = projection_sql(columns, where_sql)
-        partial_rows = []
-        for key in table.keys:
-            result = ctx.client.select_object_content(table.bucket, key, sql)
-            if result.rows:
-                partial_rows.append(result.rows[0])
+        partial_rows, _ = select_aggregate(
+            ctx, table, projection_sql(columns, where_sql)
+        )
         col_pos = 0
         for g_idx, a_idx, cols in chunk:
             func = query.aggregates[a_idx].func.upper()

@@ -31,14 +31,10 @@ from repro.cloud.context import CloudContext
 from repro.cloud.metrics import Phase
 from repro.common.errors import ReproError
 from repro.engine.catalog import TableInfo
-from repro.s3select.engine import ScanRange
+from repro.s3select.engine import PreparedSelect, ScanRange
 from repro.engine.batch import Batch, rechunk_batches
 from repro.engine.operators.base import materialize
-from repro.storage.csvcodec import (
-    DEFAULT_BATCH_SIZE,
-    decode_table,
-    iter_decode_column_batches,
-)
+from repro.storage.csvcodec import decode_table, iter_decode_column_batches
 from repro.storage.parquet import ParquetFile
 
 
@@ -63,7 +59,7 @@ class PartitionScan:
 
 def _resolve_workers(ctx: CloudContext, workers: int | None) -> int:
     if workers is None:
-        workers = getattr(ctx, "workers", None)
+        workers = ctx.workers
     if workers is None:
         return 1
     return max(1, int(workers))
@@ -98,9 +94,17 @@ def scan_partitions(
             request count, not just bytes.
     """
     workers = _resolve_workers(ctx, workers)
+    if partitions is None:
+        items = list(enumerate(table.keys))
+    else:
+        items = [(i, table.keys[i]) for i in partitions]
+    # One statement for the whole scan, prepared only if a partition is
+    # actually requested: bad SQL raises before any request is metered,
+    # and a fully pruned scan never looks at its SQL.
+    statement = PreparedSelect(sql) if sql is not None and items else None
 
     def scan_one(index: int, key: str) -> PartitionScan:
-        if sql is None:
+        if statement is None:
             data = ctx.client.get_object(table.bucket, key)
             if table.format == "csv":
                 rows = decode_table(data, table.schema, has_header=False)
@@ -115,19 +119,15 @@ def scan_partitions(
             end = max(1, int(size * scan_range_fraction))
             scan_range = ScanRange(start=0, end=end)
         result = ctx.client.select_object_content(
-            table.bucket, key, sql, scan_range=scan_range
+            table.bucket, key, statement, scan_range=scan_range
         )
         return PartitionScan(
             index=index,
             key=key,
             batches=result.batches,
-            column_names=list(result.column_names),
+            column_names=result.column_names,
         )
 
-    if partitions is None:
-        items = list(enumerate(table.keys))
-    else:
-        items = [(i, table.keys[i]) for i in partitions]
     if workers <= 1 or len(items) <= 1:
         return iter([scan_one(i, k) for i, k in items])
     with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
@@ -155,7 +155,7 @@ def iter_scan_batches(
     pulling never parses the remaining bytes.
     """
     if batch_size is None:
-        batch_size = getattr(ctx, "batch_size", DEFAULT_BATCH_SIZE)
+        batch_size = ctx.batch_size
     if sql is None:
         return _iter_get_batches(
             ctx, table, workers=workers, batch_size=batch_size,

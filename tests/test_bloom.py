@@ -200,3 +200,12 @@ def test_property_sql_equivalence(keys):
     )
     assert mask(Batch([probes])) == expected
     assert mask(Batch([[str(probe) for probe in probes]])) == expected
+    # The conjuncts run on survivors only: a NULL key is never a member,
+    # and batches of any size agree (empty, one row, keys in a wide batch).
+    assert mask(Batch([[None] + probes])) == [False] + expected
+    assert mask(Batch([[]])) == []
+    assert [mask(Batch([[probe]]))[0] for probe in probes] == expected
+    wide = compile_predicate_vector(
+        parse_expression(bloom.to_sql_predicate("k")), {"pad": 0, "k": 1, "tail": 2}
+    )
+    assert wide(Batch([["x"] * len(probes), probes, probes])) == expected

@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 
 from repro.common.errors import (
     ExpressionLimitExceededError,
+    ReproError,
     UnsupportedFeatureError,
 )
 from repro.expr.aggregates import CompiledAggregate, split_aggregate_expr
 from repro.expr.compiler import compile_expr, compile_predicate
-from repro.s3select.engine import ScanRange, execute_select
+from repro.s3select.engine import PreparedSelect, ScanRange, execute_select
 from repro.s3select.validator import expression_complexity, validate_select_sql
 from repro.sqlparser.parser import parse
 from repro.storage.csvcodec import encode_row, encode_table
@@ -352,3 +353,91 @@ def test_property_scan_range_is_a_prefix_of_the_full_scan(rows, end, items):
     assert window.bytes_scanned == min(end, len(obj.data))
     if end >= len(obj.data):
         assert window.rows == full.rows
+
+
+# ----------------------------------------------------------------------
+# dialect holes: clauses the parser learned after the validator was written
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT SUM(k) FROM S3Object HAVING SUM(k) > 100",
+        "SELECT k FROM S3Object LEFT JOIN t ON k = j",
+        "SELECT k FROM (SELECT k FROM S3Object) AS S3Object",
+        "SELECT k FROM S3Object WHERE k IN (SELECT k FROM S3Object)",
+        "SELECT k FROM S3Object WHERE EXISTS (SELECT k FROM S3Object)",
+        "SELECT k FROM S3Object WHERE v > (SELECT MAX(v) FROM S3Object)",
+        "SELECT (SELECT MAX(v) FROM S3Object) FROM S3Object",
+    ],
+)
+def test_having_joins_derived_tables_and_subqueries_rejected(sql):
+    """Each used to be accepted with the clause silently dropped (HAVING,
+    LEFT JOIN) or to fail only when the kernels were compiled."""
+    with pytest.raises(UnsupportedFeatureError):
+        validate_select_sql(sql, parse(sql))
+    with pytest.raises(UnsupportedFeatureError):
+        execute_select(csv_object(), sql)
+
+
+# ----------------------------------------------------------------------
+# one prepared statement, many objects == a fresh request per object
+# ----------------------------------------------------------------------
+
+_WIDE_SCHEMA = TableSchema.of("day:date", "pad:int", "name:str", "v:float", "k:int")
+
+
+def _wide(rows):
+    """The same rows under another schema: reordered, one extra column."""
+    return [(day, 7, name, v, k) for k, v, name, day in rows]
+
+
+def _observed(request):
+    """Everything a request shows its caller: rows, names and the four
+    metered fields — or the error type (a ScanRange that ends on a newline
+    inside a quoted field raises CatalogError, prepared or not)."""
+    try:
+        result = request()
+    except ReproError as exc:
+        return type(exc)
+    return (
+        result.rows, result.column_names, result.bytes_scanned,
+        result.bytes_returned, result.rows_scanned, result.term_evals,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(_TYPED_ROWS, st.sampled_from(["csv", "wide", "range", "parquet"])),
+        min_size=1, max_size=5,
+    ),
+    st.sampled_from(_ITEMS + _AGGREGATES),
+    st.sampled_from(_WHERE),
+    st.one_of(st.none(), st.integers(0, 30)),
+)
+def test_property_prepared_statement_matches_fresh_requests(objects, items, where, limit):
+    """Re-binding on a schema change, ScanRange and Parquet included; every
+    object is requested twice, so an accumulator carried over from the
+    previous request would show."""
+    assume(not any(
+        kind == "parquet" and any("\n" in (row[2] or "") for row in rows)
+        for rows, kind in objects
+    ))
+    sql = _sql(items, where, limit)
+    statement = PreparedSelect(sql)
+    for rows, kind in objects + objects:
+        scan_range = None
+        if kind == "parquet":
+            obj = parquet_object(rows)
+        elif kind == "wide":
+            data, _ = encode_table(_wide(rows))
+            spec = [f"{c.name}:{c.type}" for c in _WIDE_SCHEMA.columns]
+            obj = StoredObject(data, {"format": "csv", "schema": spec, "header": False})
+        else:
+            obj = csv_object(rows)
+            if kind == "range":
+                scan_range = ScanRange(0, len(obj.data) // 2)
+        fresh = _observed(lambda: execute_select(obj, sql, scan_range=scan_range))
+        assert _observed(lambda: statement.execute(obj, scan_range)) == fresh
+        assert _observed(lambda: execute_select(obj, statement, scan_range)) == fresh

@@ -24,7 +24,12 @@ import pytest
 from repro.cloud.context import CloudContext
 from repro.cloud.metrics import MetricsCollector, Phase, RequestKind, RequestRecord
 from repro.cloud.perf import PAPER_PERF
-from repro.common.errors import ReproError
+from repro.common.errors import (
+    ExpressionLimitExceededError,
+    ReproError,
+    SQLSyntaxError,
+    UnsupportedFeatureError,
+)
 from repro.engine.catalog import Catalog, load_table
 from repro.engine.operators.base import BatchCounter, CpuTally, batches_of, materialize
 from repro.engine.operators.filter import filter_batches, filter_rows
@@ -36,6 +41,7 @@ from repro.engine.operators.sort import sort_batches, sort_rows
 from repro.engine.operators.topk import top_k, top_k_batches
 from repro.queries.dataset import load_tpch
 from repro.queries.tpch_queries import TPCH_QUERIES
+from repro.s3select import engine as select_engine
 from repro.s3select.engine import ScanRange, execute_select
 from repro.sqlparser import ast
 from repro.sqlparser.parser import parse, parse_expression
@@ -375,6 +381,52 @@ class TestConcurrentScans:
                 baseline = summary
             else:
                 assert summary == baseline
+
+    def test_scan_prepares_its_statement_once(self, monkeypatch):
+        """16 partition requests, one parse — and the same 16 records as
+        a serial scan, because S3 still bills every request in full."""
+        parsed = []
+        real_parse = select_engine.parser.parse
+        monkeypatch.setattr(
+            select_engine.parser, "parse",
+            lambda sql: parsed.append(sql) or real_parse(sql),
+        )
+        sql = "SELECT k, v FROM S3Object WHERE k % 3 = 0 AND v < 200.0"
+        recorded = {}
+        for workers in (1, 4):
+            ctx = CloudContext()
+            info = self._table(ctx)
+            parsed.clear()
+            mark = ctx.metrics.mark()
+            scans = list(scan_partitions(ctx, info, sql, workers=workers))
+            assert parsed == [sql]
+            assert len(scans) == 16
+            recorded[workers] = sorted(
+                ctx.metrics.records_since(mark), key=lambda r: r.key
+            )
+        assert len(recorded[4]) == 16
+        assert recorded[4] == recorded[1]
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize(
+        "sql, error",
+        [
+            ("SELECT k FROM S3Object ORDER BY k", UnsupportedFeatureError),
+            ("SELECT k FROM S3Object WHERE", SQLSyntaxError),
+            ("SELECT k FROM S3Object WHERE 'x' = '" + "1" * 300_000 + "'",
+             ExpressionLimitExceededError),
+        ],
+        ids=["dialect", "syntax", "over-limit"],
+    )
+    def test_bad_sql_raises_before_any_request_is_metered(self, sql, error, workers):
+        ctx = CloudContext()
+        info = self._table(ctx)
+        mark = ctx.metrics.mark()
+        with pytest.raises(error):
+            scan_partitions(ctx, info, sql, workers=workers)
+        # A scan with every partition pruned away never looks at its SQL.
+        assert list(scan_partitions(ctx, info, sql, workers=workers, partitions=[])) == []
+        assert ctx.metrics.records_since(mark) == []
 
 
 @pytest.fixture(scope="module")

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cloud.context import CloudContext, set_default_pipeline
-from repro.common.errors import CatalogError
+from repro.common.errors import CatalogError, TypeMismatchError
 from repro.engine.batch import Batch
 from repro.engine.operators.base import CpuTally, batches_of, materialize
 from repro.engine.operators.filter import filter_batches
@@ -160,6 +160,88 @@ class TestExpressionKernels:
         row_fn = compile_expr(expr, SCHEMA)
         vec_fn = compile_expr_vector(expr, SCHEMA)
         assert vec_fn(Batch.from_rows(rows)) == [row_fn(r) for r in rows]
+
+
+#: Conjuncts for the survivor-evaluation matrix: NULLs possible in every
+#: operand, a CAST that raises on most strings, a CAST shared between
+#: conjuncts, non-boolean and constant conjuncts, a row-fallback shape.
+CONJUNCTS = [
+    "a > 0", "b <> 0", "f < 50.0", "s IS NOT NULL", "s LIKE 'a%'",
+    "a IN (1, 2, NULL)", "a BETWEEN -20 AND 20", "d >= '1996-01-01'",
+    "NOT b = 1", "a = 1 OR b = 1", "a < NULL", "b", "1 = 1", "1 = 0",
+    "CAST(s AS INT) > 0", "CAST(a AS INT) % 2 = 0", "CAST(a AS INT) < 10",
+    "CASE WHEN a > 0 THEN b > 0 END",
+]
+
+
+def _and_chain(conjuncts, right_nested):
+    conjuncts = [f"({c})" for c in conjuncts]
+    if not right_nested:
+        return " AND ".join(conjuncts)
+    sql = conjuncts[-1]
+    for conjunct in reversed(conjuncts[:-1]):
+        sql = f"{conjunct} AND ({sql})"
+    return sql
+
+
+class TestSurvivorConjunctions:
+    """An AND chain evaluates later conjuncts on surviving rows only; the
+    row compiler (which short-circuits on FALSE, never on NULL) decides
+    both the mask and whether evaluation raises."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        conjuncts=st.lists(st.sampled_from(CONJUNCTS), min_size=2, max_size=8),
+        right_nested=st.booleans(),
+        rows=rows_strategy,
+    )
+    def test_mask_and_errors_match_row_predicate(self, conjuncts, right_nested, rows):
+        expr = parse_expression(_and_chain(conjuncts, right_nested))
+        pred = compile_predicate(expr, SCHEMA)
+        mask_fn = compile_predicate_vector(expr, SCHEMA)
+        batch = Batch.from_rows(rows, num_columns=5)
+        try:
+            want = [pred(row) for row in rows]
+        except Exception as exc:
+            with pytest.raises(type(exc)):
+                mask_fn(batch)
+            return
+        assert mask_fn(batch) == want
+        for row in rows:  # size-1 batches
+            assert mask_fn(Batch.from_rows([row])) == [pred(row)]
+
+    @pytest.mark.parametrize(
+        "sql", ["a > 0 AND CAST(s AS INT) > 0", "a > 0 AND b = 1 AND CAST(s AS INT) > 0"]
+    )
+    def test_null_left_still_evaluates_right_false_left_does_not(self, sql):
+        expr = parse_expression(sql)
+        mask_fn = compile_predicate_vector(expr, SCHEMA)
+        false_left = [(-1, 1, 1.0, "x", None), (0, 1, 1.0, "y", None)]
+        assert mask_fn(Batch.from_rows(false_left)) == [False, False]
+        null_left = false_left + [(None, 1, 1.0, "x", None)]
+        with pytest.raises(TypeMismatchError):
+            compile_predicate(expr, SCHEMA)(null_left[-1])
+        with pytest.raises(TypeMismatchError):
+            mask_fn(Batch.from_rows(null_left))
+
+    @pytest.mark.parametrize(
+        "rows, want",
+        [
+            ([], []),
+            ([(4, 2, 0.0, "7", None)], [True]),
+            ([(4, 2, 0.0, "7", None)] * 3, [True] * 3),  # all survive
+            ([(3, 2, 0.0, "7", None)] * 3, [False] * 3),  # none survives
+            ([(4, 2, 0.0, "7", None), (3, 2, 0.0, "x", None), (4, None, 0.0, "7", None),
+              (None, 2, 0.0, "7", None), (4, 2, 0.0, "-7", None)],
+             [True, False, False, False, False]),
+        ],
+    )
+    def test_shared_cast_chain(self, rows, want):
+        expr = parse_expression(
+            "CAST(a AS INT) % 2 = 0 AND b > 0 AND CAST(a AS INT) < 10 AND CAST(s AS INT) > 0"
+        )
+        mask = compile_predicate_vector(expr, SCHEMA)(Batch.from_rows(rows, num_columns=5))
+        assert mask == want == [compile_predicate(expr, SCHEMA)(row) for row in rows]
 
 
 NAMES = ["a", "b", "f", "s", "d"]
