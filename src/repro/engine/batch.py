@@ -1,27 +1,25 @@
 """The columnar RecordBatch: one value sequence per column.
 
-The streaming pipeline historically moved ``list[tuple]`` chunks.  Row
-tuples are convenient but slow to build and tear apart: every operator
-pays a Python-level loop per row, and the CSV decoder materializes a
-tuple per record just so a filter can immediately discard most of them.
-A :class:`Batch` stores the same chunk column-wise — one plain Python
-list (or ``array.array`` for NULL-free fixed-width numerics, see
-:meth:`compact`) per column plus a row count — so the vectorized
-expression kernels in :mod:`repro.expr.vector` can sweep whole columns
-with C-speed list comprehensions.
+A :class:`Batch` is the one thing that flows between operators: a chunk
+of rows stored column-wise — one plain Python list (or ``array.array``
+for NULL-free fixed-width numerics, see :meth:`compact`) per column plus
+a row count — so the vectorized expression kernels in
+:mod:`repro.expr.vector` sweep whole columns with C-speed list
+comprehensions instead of paying a Python-level loop per row.
 
-Compatibility contract: a :class:`Batch` behaves like the sequence of
-row tuples it represents.  ``len(batch)`` is the row count, iteration
-yields tuples, ``batch[i]`` is a row, and ``batch[a:b]`` is a sliced
-*view* — column slices share the underlying value objects and no row
-tuple is ever rebuilt.  Operators that receive plain lists keep their
-row-wise paths, so the two batch currencies can coexist in one stream.
+A batch also reads like the sequence of row tuples it represents:
+``len(batch)`` is the row count, iteration yields tuples, ``batch[i]``
+is a row, and ``batch[a:b]`` is a sliced *view* — column slices share
+the underlying value objects and no row tuple is ever rebuilt.  Row
+tuples exist only at the edges: operator *state* (hash tables, heaps,
+sort buffers) and the final result handed to the caller.
 """
 
 from __future__ import annotations
 
 from array import array
 from itertools import compress
+from operator import eq
 from typing import Iterable, Iterator, Sequence
 
 #: ``array.array`` typecodes used by :meth:`Batch.compact`.
@@ -120,7 +118,12 @@ class Batch:
         return Batch([list(compress(col, mask)) for col in self.columns], kept)
 
     def take(self, indices: Sequence[int]) -> "Batch":
-        """Gather the given row positions into a new batch."""
+        """Gather the given row positions into a new batch (``self`` when
+        they are every row once, in order — a join whose probe rows all
+        match exactly once copies nothing)."""
+        n = self.length
+        if len(indices) == n and all(map(eq, indices, range(n))):
+            return self
         return Batch([[col[i] for i in indices] for col in self.columns], len(indices))
 
     def compact(self) -> "Batch":
@@ -153,31 +156,30 @@ class Batch:
         return f"Batch(columns={len(self.columns)}, rows={self.length})"
 
 
-def batch_rows(batch: "Batch | Iterable[tuple]") -> Iterable[tuple]:
-    """Row tuples of either batch currency (columnar or list)."""
-    if isinstance(batch, Batch):
-        return batch.iter_rows()
-    return batch
-
-
 def rechunk_batches(batches: Iterable[Batch], batch_size: int) -> Iterator[Batch]:
-    """Re-cut a columnar stream into ``batch_size``-row batches.
+    """Re-cut a batch stream into ``batch_size``-row batches.
 
-    The columnar twin of :func:`repro.storage.csvcodec.chunk_rows`: the
-    same rows in the same order with the same batch boundaries (the
-    final batch may be short; empty input yields no batches), by column
-    concatenation and slicing instead of a per-row loop.
+    The same rows in the same order (the final batch may be short; empty
+    input yields no batches), by column concatenation and slicing instead
+    of a per-row loop.  Zero-column batches carry only their length.
     """
     if batch_size <= 0:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
-    columns: list[list] = []
+    columns: list[list] | None = None
+    pending = 0
     for batch in batches:
-        if not columns:
+        if columns is None:
             columns = [[] for _ in batch.columns]
-        for pending, column in zip(columns, batch.columns):
-            pending.extend(column)
-        while len(columns[0]) >= batch_size:
-            yield Batch([col[:batch_size] for col in columns], batch_size)
-            columns = [col[batch_size:] for col in columns]
-    if columns and columns[0]:
-        yield Batch(columns)
+        for held, column in zip(columns, batch.columns):
+            held.extend(column)
+        pending += len(batch)
+        start = 0
+        while pending - start >= batch_size:
+            stop = start + batch_size
+            yield Batch([col[start:stop] for col in columns], batch_size)
+            start = stop
+        if start:
+            columns = [col[start:] for col in columns]
+            pending -= start
+    if pending:
+        yield Batch(columns, pending)

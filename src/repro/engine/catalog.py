@@ -155,13 +155,13 @@ def load_table(
     """
     if data_format not in ("csv", "parquet"):
         raise CatalogError(f"unknown format {data_format!r}")
-    feedback = getattr(ctx, "feedback", None)
+    feedback = ctx.feedback
     if feedback is not None:
         # (Re)loading invalidates every measurement taken against the
         # table's previous contents — stale "facts" must not outlive
         # the data they were measured on.
         feedback.forget_table(name)
-    result_cache = getattr(ctx, "result_cache", None)
+    result_cache = ctx.result_cache
     if result_cache is not None:
         # Same rule for cached results: a reloaded name bumps the
         # table's content version and drops every derived entry, so the

@@ -1,23 +1,19 @@
 """Local (query-node) operator primitives.
 
-PushdownDB executes whatever S3 Select cannot on the query node.  Each
-local operator comes in two shapes:
+PushdownDB executes whatever S3 Select cannot on the query node.  Every
+operator is a ``*_batches`` function over a stream of columnar
+:class:`~repro.engine.batch.Batch` objects — the only thing that flows
+between operators — evaluating expressions with the vector kernels of
+:mod:`repro.expr.vector` and charging modeled per-row CPU into a
+:class:`CpuTally` as the batches flow.  Streaming operators (filter,
+project, hash-join probe, limit) yield batches; pipeline breakers (sort,
+group-by, top-K) drain their input and return an :class:`OpResult`.
 
-* a **materialized** function (``filter_rows``, ``project``, ...) that
-  transforms full row lists and returns an :class:`OpResult`;
-* a **streaming** variant (``filter_batches``, ``project_batches``, ...)
-  that consumes and produces iterators of RecordBatches, charging the
-  same per-row CPU into a :class:`CpuTally` as the batches flow.
-  Pipeline-breaking operators (sort, group-by, top-K) drain their input
-  internally and return an :class:`OpResult`.
-
-A RecordBatch comes in two currencies that coexist in one stream: a
-plain ``list[tuple]`` chunk (the historical shape, still produced by
-S3 Select result decoding and accepted everywhere), or a columnar
-:class:`repro.engine.batch.Batch`.  Streaming operators dispatch per
-batch — columnar input takes the vectorized kernels from
-:mod:`repro.expr.vector`, list input keeps the row-wise path — and both
-charge identical modeled CPU.
+The row-list functions beside them (``filter_rows``, ``project``,
+``sort_rows``, ``hash_join``, ``group_by_aggregate``, ``top_k``) are
+adapters for the hand-assembled strategies: they wrap the rows in one
+batch, run the ``*_batches`` operator and hand rows back, charging the
+same modeled CPU.
 
 Estimated CPU time is folded into the owning phase's
 ``server_cpu_seconds`` so the performance model can charge local compute.
@@ -26,14 +22,9 @@ Estimated CPU time is folded into the owning phase's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Union
+from typing import Iterable, Iterator
 
-from repro.engine.batch import Batch as ColumnBatch
-from repro.storage.csvcodec import chunk_rows
-
-#: One RecordBatch: a chunk of row tuples (legacy list currency) or a
-#: columnar :class:`~repro.engine.batch.Batch` flowing through the pipeline.
-Batch = Union[List[tuple], ColumnBatch]
+from repro.engine.batch import Batch
 
 
 @dataclass
@@ -59,17 +50,6 @@ class CpuTally:
         self.seconds += seconds
 
 
-def batches_of(rows: Iterable[tuple], batch_size: int) -> Iterator[Batch]:
-    """Chunk a row iterable into RecordBatches of ``batch_size`` rows."""
-    return chunk_rows(rows, batch_size)
-
-
-def rows_of(batches: Iterable[Batch]) -> Iterator[tuple]:
-    """Flatten a batch stream back into individual rows."""
-    for batch in batches:
-        yield from batch
-
-
 def materialize(batches: Iterable[Batch]) -> list[tuple]:
     """Drain a batch stream into one row list (the pipeline's sink)."""
     out: list[tuple] = []
@@ -83,7 +63,8 @@ class BatchCounter:
 
     The planner wraps scan sources in one of these so ingest accounting
     (records / fields materialized on the query node) reflects what the
-    pipeline actually pulled.
+    pipeline actually pulled; S3 Select meters ``rows_scanned`` the same
+    way.
     """
 
     __slots__ = ("_batches", "rows")

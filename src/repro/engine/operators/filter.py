@@ -9,9 +9,8 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from repro.cloud.perf import SERVER_CPU_PER_ROW
-from repro.engine.batch import Batch as ColumnBatch
-from repro.engine.operators.base import Batch, CpuTally, OpResult
-from repro.expr.compiler import compile_predicate
+from repro.engine.batch import Batch
+from repro.engine.operators.base import CpuTally, OpResult, materialize
 from repro.expr.vector import compile_predicate_vector
 from repro.sqlparser import ast
 
@@ -22,30 +21,21 @@ def filter_batches(
     predicate: ast.Expr | None,
     tally: CpuTally | None = None,
 ) -> Iterator[Batch]:
-    """Streaming :func:`filter_rows`: filter each RecordBatch as it flows.
+    """Filter each batch as it flows: one mask sweep + one gather.
 
-    Columnar batches are filtered through the vectorized predicate (one
-    mask sweep + one gather); list batches keep the row-wise closure.
-    Charges the same per-input-row CPU as the materialized variant into
-    ``tally`` while batches are pulled, so a downstream LIMIT that stops
-    early also stops paying.
+    Charges per-input-row CPU into ``tally`` while batches are pulled, so
+    a downstream LIMIT that stops early also stops paying.
     """
     if predicate is None:
         yield from batches
         return
     schema = {name: i for i, name in enumerate(column_names)}
     keep_mask = compile_predicate_vector(predicate, schema)  # compile errors now
-    keep = None
     per_row = SERVER_CPU_PER_ROW["filter"]
     for batch in batches:
         if tally is not None:
             tally.add_seconds(len(batch) * per_row)
-        if isinstance(batch, ColumnBatch):
-            yield batch.filter(keep_mask(batch))
-        else:
-            if keep is None:
-                keep = compile_predicate(predicate, schema)
-            yield [row for row in batch if keep(row)]
+        yield batch.filter(keep_mask(batch))
 
 
 def filter_rows(
@@ -53,11 +43,13 @@ def filter_rows(
     column_names: Sequence[str],
     predicate: ast.Expr | None,
 ) -> OpResult:
-    """Keep rows satisfying ``predicate`` (``None`` keeps everything)."""
+    """Row-list adapter: keep rows satisfying ``predicate`` (``None``
+    keeps everything)."""
     if predicate is None:
         return OpResult(rows=list(rows), column_names=list(column_names))
-    schema = {name: i for i, name in enumerate(column_names)}
-    keep = compile_predicate(predicate, schema)
-    out = [row for row in rows if keep(row)]
-    cpu = len(rows) * SERVER_CPU_PER_ROW["filter"]
-    return OpResult(rows=out, column_names=list(column_names), cpu_seconds=cpu)
+    tally = CpuTally()
+    batch = Batch.from_rows(rows, len(column_names))
+    out = materialize(filter_batches([batch], column_names, predicate, tally))
+    return OpResult(
+        rows=out, column_names=list(column_names), cpu_seconds=tally.seconds
+    )

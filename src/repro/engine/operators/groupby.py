@@ -4,11 +4,9 @@ Used by the server-side / filtered group-by strategies, by hybrid
 group-by for its small-group tail, and by the SQL planner for TPC-H
 queries with GROUP BY.
 
-Both batch currencies feed one :class:`_GroupByState`: columnar batches
-extract group keys and aggregate inputs column-at-a-time and fold each
-group's slice with :meth:`Accumulator.add_many`; list batches keep the
-per-row loop.  Keys, accumulation order, and the modeled CPU charge are
-identical either way, so a stream may mix the two freely.
+Group keys and aggregate inputs are extracted column-at-a-time and each
+group's slice of a batch is folded with :meth:`Accumulator.add_many`, in
+row order, so float sums do not depend on batch boundaries.
 """
 
 from __future__ import annotations
@@ -16,16 +14,15 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.cloud.perf import SERVER_CPU_PER_ROW
-from repro.engine.batch import Batch as ColumnBatch
-from repro.engine.operators.base import Batch, OpResult
+from repro.engine.batch import Batch
+from repro.engine.operators.base import OpResult
 from repro.expr.aggregates import CompiledAggregate, split_aggregate_expr
-from repro.expr.compiler import compile_expr
 from repro.expr.vector import compile_aggregate_input_vector, compile_expr_vector
 from repro.sqlparser import ast
 
 
 class _GroupByState:
-    """Incremental hash-aggregation state shared by both input shapes."""
+    """Incremental hash-aggregation state."""
 
     def __init__(
         self,
@@ -34,10 +31,9 @@ class _GroupByState:
         agg_items: Sequence[ast.SelectItem],
     ):
         schema = {name: i for i, name in enumerate(column_names)}
-        self.group_exprs = list(group_exprs)
-        self.group_fns = [compile_expr(g, schema) for g in group_exprs]
+        self.group_fns = [compile_expr_vector(g, schema) for g in group_exprs]
         self.compiled_items: list[tuple[list[CompiledAggregate], object]] = []
-        self.flat_agg_nodes: list[ast.Aggregate] = []
+        self.input_fns: list = []
         self.out_names: list[str] = []
         for i, g in enumerate(group_exprs):
             self.out_names.append(g.name if isinstance(g, ast.Column) else f"group_{i}")
@@ -45,13 +41,10 @@ class _GroupByState:
             agg_nodes, finisher = split_aggregate_expr(item.expr)
             compiled = [CompiledAggregate(node, schema) for node in agg_nodes]
             self.compiled_items.append((compiled, finisher))
-            self.flat_agg_nodes.extend(agg_nodes)
+            self.input_fns.extend(
+                compile_aggregate_input_vector(node, schema) for node in agg_nodes
+            )
             self.out_names.append(item.output_name(ordinal))
-        self.total_aggs = len(self.flat_agg_nodes)
-        # Vectorized extractors, compiled on the first columnar batch.
-        self._vec_group_fns: list | None = None
-        self._vec_input_fns: list | None = None
-        self._vec_schema = schema
 
         self.groups: dict[tuple, list] = {}
         if not group_exprs:
@@ -67,38 +60,16 @@ class _GroupByState:
             for compiled, _ in self.compiled_items
         ]
 
-    def add_rows(self, rows: Iterable[tuple]) -> None:
-        groups = self.groups
-        for row in rows:
-            key = tuple(fn(row) for fn in self.group_fns)
-            state = groups.get(key)
-            if state is None:
-                state = self._new_state()
-                groups[key] = state
-            for (compiled, _), accs in zip(self.compiled_items, state):
-                for agg, acc in zip(compiled, accs):
-                    acc.add(agg.input_value(row))
-                    self.n_aggs += 1
-
-    def add_batch(self, batch: ColumnBatch) -> None:
+    def add_batch(self, batch: Batch) -> None:
         n = len(batch)
         if n == 0:
             return
-        if self._vec_input_fns is None:
-            schema = self._vec_schema
-            self._vec_group_fns = [
-                compile_expr_vector(g, schema) for g in self.group_exprs
-            ]
-            self._vec_input_fns = [
-                compile_aggregate_input_vector(node, schema)
-                for node in self.flat_agg_nodes
-            ]
-        input_cols = [fn(batch) for fn in self._vec_input_fns]
+        input_cols = [fn(batch) for fn in self.input_fns]
         groups = self.groups
         if not self.group_fns:
             self._fold(groups[()], input_cols, None)
         else:
-            key_cols = [fn(batch) for fn in self._vec_group_fns]
+            key_cols = [fn(batch) for fn in self.group_fns]
             buckets: dict[tuple, list[int]] = {}
             setdefault = buckets.setdefault
             for i, key in enumerate(zip(*key_cols)):
@@ -109,7 +80,7 @@ class _GroupByState:
                     state = self._new_state()
                     groups[key] = state
                 self._fold(state, input_cols, None if len(idxs) == n else idxs)
-        self.n_aggs += n * self.total_aggs
+        self.n_aggs += n * len(self.input_fns)
 
     def _fold(self, state: list, input_cols: list, idxs: list[int] | None):
         flat_accs = (acc for accs in state for acc in accs)
@@ -138,17 +109,18 @@ def group_by_batches(
     group_exprs: Sequence[ast.Expr],
     agg_items: Sequence[ast.SelectItem],
 ) -> OpResult:
-    """Streaming :func:`group_by_aggregate`: a pipeline breaker.
+    """Group the stream by ``group_exprs`` and evaluate ``agg_items``.
 
-    Drains the batch stream into hash-table accumulators as batches
-    arrive — nothing upstream is ever materialized whole.
+    A pipeline breaker: drains the batch stream into hash-table
+    accumulators as batches arrive — nothing upstream is ever
+    materialized whole.  Each aggregate item may be a bare aggregate or
+    arithmetic over aggregates (``SUM(a) / SUM(b)``).  Output columns are
+    the group expressions followed by one column per aggregate item;
+    output order follows first appearance of each group (deterministic).
     """
     state = _GroupByState(column_names, group_exprs, agg_items)
     for batch in batches:
-        if isinstance(batch, ColumnBatch):
-            state.add_batch(batch)
-        else:
-            state.add_rows(batch)
+        state.add_batch(batch)
     return state.finish()
 
 
@@ -158,13 +130,6 @@ def group_by_aggregate(
     group_exprs: Sequence[ast.Expr],
     agg_items: Sequence[ast.SelectItem],
 ) -> OpResult:
-    """Group ``rows`` by ``group_exprs`` and evaluate ``agg_items``.
-
-    Each aggregate item may be a bare aggregate or arithmetic over
-    aggregates (``SUM(a) / SUM(b)``).  Output columns are the group
-    expressions followed by one column per aggregate item; output order
-    follows first appearance of each group (deterministic).
-    """
-    state = _GroupByState(column_names, group_exprs, agg_items)
-    state.add_rows(rows)
-    return state.finish()
+    """Row-list adapter for :func:`group_by_batches`."""
+    batch = Batch.from_rows(list(rows), len(column_names))
+    return group_by_batches([batch], column_names, group_exprs, agg_items)

@@ -19,6 +19,11 @@ TPC-H decorrelation pass produces:
 
 ``match_pred`` evaluates a residual ON/correlation condition per
 candidate (build_row + probe_row) pair before a pair counts as a match.
+
+The build side is operator *state* (row tuples in a hash table); the
+probe side is a :class:`~repro.engine.batch.Batch` stream and so is the
+output, assembled by gathering the matched build rows and the probe
+positions they matched — no joined row tuple is ever concatenated.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.cloud.perf import SERVER_CPU_PER_ROW
 from repro.common.errors import PlanError
-from repro.engine.batch import Batch as ColumnBatch
-from repro.engine.operators.base import Batch, CpuTally, OpResult
+from repro.engine.batch import Batch
+from repro.engine.operators.base import CpuTally, OpResult, materialize
 
 JOIN_TYPES = ("inner", "left", "semi", "anti", "anti_null")
 
@@ -73,41 +78,52 @@ def _check_names(
     return join_output_names(build_names, probe_names, join_type)
 
 
-def _join_rows(
+def _probe(
     build: _BuildTable,
-    rows: Iterable[tuple],
+    batch: Batch,
     probe_idx: int,
     join_type: str,
     match_pred: Callable[[tuple], object] | None,
     null_pad: tuple,
-) -> Iterator[tuple]:
-    """Join one batch of probe rows against the built table."""
-    get = build.table.get
+) -> Batch:
+    """Join one probe batch against the built table.
+
+    Output rows follow probe order, and build order within one probe
+    row's matches.
+    """
     if join_type == "anti_null" and build.has_null:
-        return  # NOT IN over a set containing NULL is never true
-    for row in rows:
-        matches = get(row[probe_idx])
-        if match_pred is None:
-            matched = matches or ()
-        else:
-            matched = [b for b in (matches or ()) if match_pred(b + row)]
-        if join_type == "inner":
-            for build_row in matched:
-                yield build_row + row
-        elif join_type == "left":
-            if matched:
-                for build_row in matched:
-                    yield build_row + row
-            else:
-                yield null_pad + row
-        elif join_type == "semi":
-            if matched:
-                yield row
-        else:  # anti / anti_null
-            if join_type == "anti_null" and row[probe_idx] is None:
-                continue  # NULL NOT IN (non-empty set) is unknown, not true
-            if not matched:
-                yield row
+        return batch[:0]  # NOT IN over a set containing NULL is never true
+    keys = batch.column(probe_idx)
+    found = map(build.table.get, keys)  # a NULL key finds nothing
+    if match_pred is not None:
+        found = [
+            hits and [b for b in hits if match_pred(b + row)]
+            for hits, row in zip(found, batch.iter_rows())
+        ]
+    if join_type == "semi":
+        return batch.take([i for i, hits in enumerate(found) if hits])
+    if join_type == "anti":
+        return batch.take([i for i, hits in enumerate(found) if not hits])
+    if join_type == "anti_null":
+        # NULL NOT IN (non-empty set) is unknown, not true
+        return batch.take([
+            i for i, (hits, key) in enumerate(zip(found, keys))
+            if not hits and key is not None
+        ])
+    pad_misses = join_type == "left"
+    picked: list[tuple] = []  # the build row of every output row
+    positions: list[int] = []  # ... and the probe row it joined
+    for i, hits in enumerate(found):
+        if hits:
+            picked += hits
+            positions += [i] * len(hits)
+        elif pad_misses:
+            picked.append(null_pad)
+            positions.append(i)
+    build_columns = (
+        [list(col) for col in zip(*picked)] if picked else [[] for _ in null_pad]
+    )
+    return Batch(build_columns + batch.take(positions).columns, len(positions))
 
 
 def hash_join_batches(
@@ -121,12 +137,17 @@ def hash_join_batches(
     join_type: str = "inner",
     match_pred: Callable[[tuple], object] | None = None,
 ) -> tuple[list[str], Iterator[Batch]]:
-    """Streaming :func:`hash_join`: build eagerly, probe batch by batch.
+    """Equi-join: build eagerly, probe batch by batch.
 
     The build side is a pipeline breaker (hashed up front, charged to
-    ``tally`` immediately); the probe side streams, so joined batches
-    reach downstream operators while later probe batches are still being
-    produced.  Returns ``(output_names, joined_batches)``.
+    ``tally`` immediately); the probe side streams, one output batch per
+    probe batch, so joined batches reach downstream operators while later
+    probe batches are still being produced.  Returns ``(output_names,
+    joined_batches)``.
+
+    Raises:
+        PlanError: if output column names would collide (TPC-H names are
+            globally unique, so collisions indicate a planning bug).
     """
     out_names = _check_names(build_names, probe_names, join_type)
     build_idx = _index_of(build_names, build_key)
@@ -139,28 +160,10 @@ def hash_join_batches(
 
     def probe() -> Iterator[Batch]:
         per_row = SERVER_CPU_PER_ROW["hash_probe"]
-        get = build.table.get
-        fast_inner = join_type == "inner" and match_pred is None
         for batch in probe_batches:
             if tally is not None:
                 tally.add_seconds(len(batch) * per_row)
-            out: list[tuple] = []
-            if fast_inner and isinstance(batch, ColumnBatch):
-                # Probe the key column directly; only matching rows are
-                # ever materialized as tuples.
-                row_of = batch.row
-                for i, key in enumerate(batch.column(probe_idx)):
-                    matches = get(key)
-                    if matches:
-                        row = row_of(i)
-                        for build_row in matches:
-                            out.append(build_row + row)
-            else:
-                rows = batch.iter_rows() if isinstance(batch, ColumnBatch) else batch
-                out.extend(
-                    _join_rows(build, rows, probe_idx, join_type, match_pred, null_pad)
-                )
-            yield out
+            yield _probe(build, batch, probe_idx, join_type, match_pred, null_pad)
 
     return out_names, probe()
 
@@ -175,27 +178,16 @@ def hash_join(
     join_type: str = "inner",
     match_pred: Callable[[tuple], object] | None = None,
 ) -> OpResult:
-    """Materialized equi-join (see module docstring for join types).
-
-    Raises:
-        PlanError: if output column names would collide (TPC-H names are
-            globally unique, so collisions indicate a planning bug).
-    """
-    out_names = _check_names(build_names, probe_names, join_type)
-    build_idx = _index_of(build_names, build_key)
-    probe_idx = _index_of(probe_names, probe_key)
-
-    build = _BuildTable(build_rows, build_idx)
-    null_pad = (None,) * len(build_names)
-    out = list(
-        _join_rows(build, probe_rows, probe_idx, join_type, match_pred, null_pad)
+    """Row-list adapter for :func:`hash_join_batches`."""
+    tally = CpuTally()
+    probe = Batch.from_rows(probe_rows, len(probe_names))
+    names, joined = hash_join_batches(
+        build_rows, build_names, [probe], probe_names, build_key, probe_key,
+        tally, join_type, match_pred,
     )
-
-    cpu = (
-        len(build_rows) * SERVER_CPU_PER_ROW["hash_build"]
-        + len(probe_rows) * SERVER_CPU_PER_ROW["hash_probe"]
+    return OpResult(
+        rows=materialize(joined), column_names=names, cpu_seconds=tally.seconds
     )
-    return OpResult(rows=out, column_names=out_names, cpu_seconds=cpu)
 
 
 def _index_of(names: Sequence[str], wanted: str) -> int:

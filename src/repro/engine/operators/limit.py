@@ -1,10 +1,10 @@
-"""Local LIMIT: truncate a row batch."""
+"""Local LIMIT: truncate a batch stream."""
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
-from repro.engine.operators.base import Batch, OpResult
+from repro.engine.batch import Batch
 
 
 def limit_batches(batches: Iterable[Batch], n: int | None) -> Iterator[Batch]:
@@ -28,12 +28,3 @@ def limit_batches(batches: Iterable[Batch], n: int | None) -> Iterator[Batch]:
         remaining -= len(batch)
         if batch:
             yield batch
-
-
-def limit_rows(rows: list[tuple], column_names: Sequence[str], n: int | None) -> OpResult:
-    """Keep the first ``n`` rows (``None`` keeps everything)."""
-    if n is None:
-        return OpResult(rows=list(rows), column_names=list(column_names))
-    if n < 0:
-        raise ValueError(f"LIMIT must be non-negative, got {n}")
-    return OpResult(rows=rows[:n], column_names=list(column_names))

@@ -1,13 +1,12 @@
-"""Local projection: evaluate select-list expressions per row."""
+"""Local projection: evaluate select-list expressions per batch."""
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
 from repro.cloud.perf import SERVER_CPU_PER_ROW
-from repro.engine.batch import Batch as ColumnBatch
-from repro.engine.operators.base import Batch, CpuTally, OpResult
-from repro.expr.compiler import compile_expr
+from repro.engine.batch import Batch
+from repro.engine.operators.base import CpuTally, OpResult, materialize
 from repro.expr.vector import compile_expr_vector
 from repro.sqlparser import ast
 
@@ -15,40 +14,25 @@ from repro.sqlparser import ast
 def _compile_items(
     column_names: Sequence[str], items: Sequence[ast.SelectItem]
 ) -> tuple[list, list[str]]:
-    """Extractor functions + output names for a select list."""
+    """``batch -> column`` functions + output names for a select list."""
     schema = {name: i for i, name in enumerate(column_names)}
     extractors = []
     out_names: list[str] = []
     for ordinal, item in enumerate(items, start=1):
         if isinstance(item.expr, ast.Star):
             for idx, name in enumerate(column_names):
-                extractors.append(lambda row, i=idx: row[i])
+                extractors.append(lambda batch, i=idx: batch.column(i))
                 out_names.append(name)
             continue
-        extractors.append(compile_expr(item.expr, schema))
+        extractors.append(compile_expr_vector(item.expr, schema))
         out_names.append(item.output_name(ordinal))
     return extractors, out_names
-
-
-def _compile_items_vector(
-    column_names: Sequence[str], items: Sequence[ast.SelectItem]
-) -> list:
-    """Vectorized twin of :func:`_compile_items`: batch -> column funcs."""
-    schema = {name: i for i, name in enumerate(column_names)}
-    extractors = []
-    for item in items:
-        if isinstance(item.expr, ast.Star):
-            for idx in range(len(column_names)):
-                extractors.append(lambda batch, i=idx: batch.column(i))
-            continue
-        extractors.append(compile_expr_vector(item.expr, schema))
-    return extractors
 
 
 def projected_names(
     column_names: Sequence[str], items: Sequence[ast.SelectItem]
 ) -> list[str]:
-    """Output column names of :func:`project` without evaluating rows."""
+    """Output column names of a projection without evaluating rows."""
     return _compile_items(column_names, items)[1]
 
 
@@ -58,22 +42,16 @@ def project_batches(
     items: Sequence[ast.SelectItem],
     tally: CpuTally | None = None,
 ) -> Iterator[Batch]:
-    """Streaming :func:`project`: evaluate the select list per batch.
+    """Evaluate the select list once per column of each batch.
 
     Output names are available up front via :func:`projected_names`.
     """
-    vec_extractors = _compile_items_vector(column_names, items)
-    extractors = None
-    per_row = len(vec_extractors) * SERVER_CPU_PER_ROW["filter"]
+    extractors = _compile_items(column_names, items)[0]
+    per_row = len(extractors) * SERVER_CPU_PER_ROW["filter"]
     for batch in batches:
         if tally is not None:
             tally.add_seconds(len(batch) * per_row)
-        if isinstance(batch, ColumnBatch):
-            yield ColumnBatch([fn(batch) for fn in vec_extractors], len(batch))
-        else:
-            if extractors is None:
-                extractors = _compile_items(column_names, items)[0]
-            yield [tuple(fn(row) for fn in extractors) for row in batch]
+        yield Batch([fn(batch) for fn in extractors], len(batch))
 
 
 def project(
@@ -81,11 +59,15 @@ def project(
     column_names: Sequence[str],
     items: Sequence[ast.SelectItem],
 ) -> OpResult:
-    """Project ``rows`` through ``items`` (no aggregates, no ``*``)."""
-    extractors, out_names = _compile_items(column_names, items)
-    out = [tuple(fn(row) for fn in extractors) for row in rows]
-    cpu = len(rows) * len(extractors) * SERVER_CPU_PER_ROW["filter"]
-    return OpResult(rows=out, column_names=out_names, cpu_seconds=cpu)
+    """Row-list adapter: project ``rows`` through ``items``."""
+    tally = CpuTally()
+    batch = Batch.from_rows(rows, len(column_names))
+    out = materialize(project_batches([batch], column_names, items, tally))
+    return OpResult(
+        rows=out,
+        column_names=projected_names(column_names, items),
+        cpu_seconds=tally.seconds,
+    )
 
 
 def project_columns(

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.cloud.perf import SERVER_CPU_PER_ROW
-from repro.engine.operators.base import OpResult, materialize
-from repro.expr.compiler import compile_expr
+from repro.engine.batch import Batch
+from repro.engine.operators.base import OpResult
 from repro.expr.vector import compile_expr_vector
 from repro.sqlparser import ast
 
@@ -41,23 +41,13 @@ class SortKey:
         return isinstance(other, SortKey) and self.value == other.value
 
 
-def make_key_fn(column_names: Sequence[str], order_items: Sequence[ast.OrderItem]):
-    """Build a ``row -> sort key tuple`` function."""
-    schema = {name: i for i, name in enumerate(column_names)}
-    compiled = [(compile_expr(o.expr, schema), o.descending) for o in order_items]
-
-    def key_fn(row: tuple) -> tuple:
-        return tuple(SortKey(fn(row), desc) for fn, desc in compiled)
-    return key_fn
-
-
 def make_vector_key_fn(
     column_names: Sequence[str], order_items: Sequence[ast.OrderItem]
 ):
-    """Vectorized :func:`make_key_fn`: ``batch -> list of sort key tuples``.
+    """Build a ``batch -> list of sort key tuples`` function.
 
-    Evaluates each ORDER BY expression once per column instead of once
-    per row; the key tuples compare identically to the row-wise ones.
+    Each ORDER BY expression is evaluated once per column; a key tuple
+    holds one :class:`SortKey` per item.
     """
     schema = {name: i for i, name in enumerate(column_names)}
     compiled = [
@@ -73,12 +63,25 @@ def make_vector_key_fn(
 
 
 def sort_batches(
-    batches,
+    batches: Iterable[Batch],
     column_names: Sequence[str],
     order_items: Sequence[ast.OrderItem],
 ) -> OpResult:
-    """Streaming :func:`sort_rows`: a pipeline breaker (drains its input)."""
-    return sort_rows(materialize(batches), column_names, order_items)
+    """Sort the stream by the ORDER BY items (a pipeline breaker).
+
+    Stable: rows with equal keys keep arrival order.
+    """
+    keys_fn = make_vector_key_fn(column_names, order_items)
+    keys: list[tuple] = []
+    rows: list[tuple] = []
+    for batch in batches:
+        keys.extend(keys_fn(batch))
+        rows.extend(batch)
+    n = len(rows)
+    out = [rows[i] for i in sorted(range(n), key=keys.__getitem__)]
+    comparisons = n * max(1.0, math.log2(n)) if n else 0.0
+    cpu = comparisons * len(order_items) * SERVER_CPU_PER_ROW["sort_per_cmp"]
+    return OpResult(rows=out, column_names=list(column_names), cpu_seconds=cpu)
 
 
 def sort_rows(
@@ -86,10 +89,6 @@ def sort_rows(
     column_names: Sequence[str],
     order_items: Sequence[ast.OrderItem],
 ) -> OpResult:
-    """Sort ``rows`` by the ORDER BY items."""
-    key_fn = make_key_fn(column_names, order_items)
-    out = sorted(rows, key=key_fn)
-    n = len(rows)
-    comparisons = n * max(1.0, math.log2(n)) if n else 0.0
-    cpu = comparisons * len(order_items) * SERVER_CPU_PER_ROW["sort_per_cmp"]
-    return OpResult(rows=out, column_names=list(column_names), cpu_seconds=cpu)
+    """Row-list adapter for :func:`sort_batches`."""
+    batch = Batch.from_rows(rows, len(column_names))
+    return sort_batches([batch], column_names, order_items)

@@ -14,10 +14,10 @@ import math
 from typing import Iterable, Sequence
 
 from repro.cloud.perf import SERVER_CPU_PER_ROW
-from repro.engine.batch import Batch as ColumnBatch
-from repro.engine.operators.base import Batch, OpResult
+from repro.engine.batch import Batch
+from repro.engine.operators.base import OpResult
+from repro.engine.operators.sort import make_vector_key_fn
 from repro.sqlparser import ast
-from repro.engine.operators.sort import make_key_fn, make_vector_key_fn
 
 
 def top_k_batches(
@@ -26,43 +26,31 @@ def top_k_batches(
     order_items: Sequence[ast.OrderItem],
     k: int,
 ) -> OpResult:
-    """Streaming :func:`top_k`: drains its input keeping only K rows live.
+    """The K smallest rows under the ORDER BY items, in sorted order.
 
     Equivalent to ``nsmallest`` over the whole input (ties keep input
     order), but memory is bounded by K + one batch instead of the full
-    row set.  Rows are carried as ``(key, seq, row)`` heap entries — the
-    globally increasing ``seq`` breaks key ties by arrival order, so the
-    row payload itself is never compared; columnar batches compute keys
-    column-at-a-time and only materialize the (at most K) surviving row
-    tuples per batch.
+    row set.  Rows are carried as ``(key, seq, batch, position)`` heap
+    entries — the globally increasing ``seq`` breaks key ties by arrival
+    order, so the payload itself is never compared; keys are computed
+    column-at-a-time and only the (at most K) surviving row tuples per
+    batch are materialized.
     """
     if k < 0:
         raise ValueError(f"K must be non-negative, got {k}")
-    key_fn = None
-    keys_fn = None
+    keys_fn = make_vector_key_fn(column_names, order_items)
     best: list[tuple] = []
     n = 0
     for batch in batches:
-        # Bind the running row count now: the entry generators are lazy,
+        # Bind the running row count now: the entry generator is lazy,
         # and seq must reflect arrival order, not post-increment state.
         base = n
         n += len(batch)
-        if isinstance(batch, ColumnBatch):
-            if keys_fn is None:
-                keys_fn = make_vector_key_fn(column_names, order_items)
-            entries = (
-                (key, base + i, batch, i)
-                for i, key in enumerate(keys_fn(batch))
-            )
-        else:
-            if key_fn is None:
-                key_fn = make_key_fn(column_names, order_items)
-            entries = (
-                (key_fn(row), base + i, None, row)
-                for i, row in enumerate(batch)
-            )
+        entries = (
+            (key, base + i, batch, i) for i, key in enumerate(keys_fn(batch))
+        )
         best = heapq.nsmallest(k, itertools.chain(best, entries))
-        # Pin at most K rows, not whole batches: swap surviving columnar
+        # Pin at most K rows, not whole batches: swap surviving batch
         # references for materialized row tuples right away.
         best = [
             (key, seq, None, b.row(payload) if b is not None else payload)
@@ -79,11 +67,6 @@ def top_k(
     order_items: Sequence[ast.OrderItem],
     k: int,
 ) -> OpResult:
-    """The K smallest rows under the ORDER BY items, in sorted order."""
-    if k < 0:
-        raise ValueError(f"K must be non-negative, got {k}")
-    key_fn = make_key_fn(column_names, order_items)
-    out = heapq.nsmallest(k, rows, key=key_fn)
-    n = len(rows)
-    cpu = n * max(1.0, math.log2(max(k, 2))) * SERVER_CPU_PER_ROW["heap"]
-    return OpResult(rows=out, column_names=list(column_names), cpu_seconds=cpu)
+    """Row-list adapter for :func:`top_k_batches`."""
+    batch = Batch.from_rows(rows, len(column_names))
+    return top_k_batches([batch], column_names, order_items, k)

@@ -183,7 +183,7 @@ class CostModel:
     ) -> float:
         """Session-feedback-first selectivity (System-R when cold)."""
         return estimate_selectivity_with_feedback(
-            getattr(self.ctx, "feedback", None), table, predicate, stats
+            self.ctx.feedback, table, predicate, stats
         )
 
     @staticmethod
@@ -684,7 +684,7 @@ class CostModel:
         # A warm semantic cache answers the pushed candidate for free:
         # the chooser must see a zero-request phase or it keeps picking
         # whole-table baselines over replays.
-        cache = getattr(self.ctx, "result_cache", None)
+        cache = self.ctx.result_cache
 
         if planner_mod._fully_pushable(query):
             notes = {"selectivity": sel, "pushed": "aggregate"}
@@ -756,7 +756,7 @@ class CostModel:
         from repro.optimizer.pruning import keep_partitions
 
         keep = None
-        if getattr(self.ctx, "prune_partitions", True):
+        if self.ctx.prune_partitions:
             keep = keep_partitions(table, predicate)
         if keep is None:
             return table.partitions, float(table.total_bytes), 1.0

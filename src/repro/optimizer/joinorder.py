@@ -378,7 +378,7 @@ class JoinOrderSearch:
         self.query = query
         self.fpr = fpr
         self.model = CostModel(ctx, catalog)
-        self.feedback = getattr(ctx, "feedback", None)
+        self.feedback = ctx.feedback
         #: Per-table ``(name, predicate_signature)`` pairs, precomputed
         #: once so warm-session DP candidates can build their feedback
         #: signatures without re-serializing predicates per candidate.
@@ -475,7 +475,7 @@ class JoinOrderSearch:
         node = ScanNode(
             shape.info, shape.columns, self.graph.predicates[name],
             pushdown=True, phase_label=f"scan-{name}",
-            prune=getattr(self.ctx, "prune_partitions", True),
+            prune=self.ctx.prune_partitions,
         )
         node.est_rows = shape.filtered_rows
         node.est_filtered_rows = shape.filtered_rows

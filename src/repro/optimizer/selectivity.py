@@ -253,7 +253,7 @@ def probe_selectivity(
     """
     from repro.strategies.scans import projection_sql, select_table
 
-    store = getattr(ctx, "feedback", None)
+    store = ctx.feedback
     if store is not None and not refresh:
         cached = store.lookup_selectivity(table.name, predicate)
         if cached is not None:

@@ -46,17 +46,12 @@ from repro.cloud.context import CloudContext, QueryExecution
 from repro.cloud.metrics import Phase
 from repro.cloud.perf import SERVER_CPU_PER_ROW
 from repro.common.errors import PlanError
-from repro.engine.batch import Batch as ColumnBatch
+from repro.engine.batch import Batch
 from repro.engine.catalog import TableInfo
-from repro.engine.operators.base import (
-    Batch,
-    BatchCounter,
-    CpuTally,
-    materialize,
-)
-from repro.engine.operators.filter import filter_batches, filter_rows
+from repro.engine.operators.base import BatchCounter, CpuTally, materialize
+from repro.engine.operators.filter import filter_batches
 from repro.engine.operators.groupby import group_by_batches
-from repro.engine.operators.hashjoin import hash_join, hash_join_batches
+from repro.engine.operators.hashjoin import hash_join_batches
 from repro.engine.operators.limit import limit_batches
 from repro.engine.operators.project import project_batches, projected_names
 from repro.engine.operators.sort import sort_batches
@@ -68,8 +63,8 @@ from repro.strategies.scans import (
     merge_sum_partials,
     phase_since,
     projection_sql,
+    scan_partitions,
     select_aggregate,
-    select_table,
 )
 
 
@@ -126,6 +121,11 @@ def _counted(node: "PlanNode", batches: Iterable[Batch]) -> Iterator[Batch]:
 
 
 _DONE = object()
+
+
+def _one_batch(rows: list[tuple], names: Sequence[str]) -> Iterator[Batch]:
+    """A materialized result handed downstream as a one-batch stream."""
+    return iter([Batch.from_rows(rows, len(names))])
 
 
 def _add_wall(node: "PlanNode", seconds: float) -> None:
@@ -237,9 +237,7 @@ class ScanNode(PlanNode):
         Honors the context's ``prune_partitions`` kill switch at run
         time so one plan can be A/B-executed with pruning on and off.
         """
-        if self.keep_partitions is None or not getattr(
-            ctx, "prune_partitions", True
-        ):
+        if self.keep_partitions is None or not ctx.prune_partitions:
             return None, self.table.partitions
         return self.keep_partitions, len(self.keep_partitions)
 
@@ -274,7 +272,7 @@ class ScanNode(PlanNode):
             or state.combined
         ):
             return None
-        return getattr(state.ctx, "result_cache", None)
+        return state.ctx.result_cache
 
     def _replay(
         self, state: ExecState, reuse
@@ -287,9 +285,7 @@ class ScanNode(PlanNode):
             )
         if reuse.extra:
             width = len(self.columns)
-            stream = (
-                ColumnBatch(b.columns[:width], len(b)) for b in stream
-            )
+            stream = (Batch(b.columns[:width], len(b)) for b in stream)
         return iter(stream)
 
     def _tee_cache(self, stream: Iterator[Batch]) -> Iterator[Batch]:
@@ -298,14 +294,7 @@ class ScanNode(PlanNode):
         self._cache_batches = buffer
         self._cache_done = False
         for batch in stream:
-            if isinstance(batch, ColumnBatch):
-                buffer.append(batch)
-            else:
-                buffer.append(
-                    ColumnBatch.from_rows(
-                        list(batch), num_columns=len(self.columns)
-                    )
-                )
+            buffer.append(batch)
             yield batch
         self._cache_done = True
 
@@ -383,49 +372,50 @@ class ScanNode(PlanNode):
 
     def run_materialized(
         self, state: ExecState, bloom_keys: Sequence | None = None
-    ) -> tuple[list[str], list[tuple]]:
-        """Materializing scan (hash-build sides): phase appended now."""
+    ) -> tuple[list[str], list[Batch]]:
+        """Scan drained now (hash-build sides, non-spine probes): the
+        phase is appended before this returns."""
         ctx = state.ctx
         start = perf_counter()
+        mark = ctx.metrics.mark()
+        names = list(self.columns)
+        cache = self._cacheable(state, bloom_keys)
+        reuse = None if cache is None else cache.lookup_scan(
+            self.table.name, self.predicate, self.columns
+        )
         if not self.pushdown:
             names = list(self.table.schema.names)
-            rows = materialize(iter_scan_batches(ctx, self.table))
-            result = state.tally.add(filter_rows(rows, names, self.predicate))
-            self.actual_rows = len(result.rows)
-            _add_wall(self, perf_counter() - start)
-            return names, result.rows
-        mark = ctx.metrics.mark()
-        cache = self._cacheable(state, bloom_keys)
-        if cache is not None:
-            reuse = cache.lookup_scan(
-                self.table.name, self.predicate, self.columns
+            batches = list(filter_batches(
+                iter_scan_batches(ctx, self.table), names, self.predicate,
+                state.tally,
+            ))
+        elif reuse is not None:
+            self.cache_status = reuse.status
+            batches = list(self._replay(state, reuse))
+            state.phases.append(
+                phase_since(ctx, mark, self.phase_label, streams=1)
             )
-            if reuse is not None:
-                self.cache_status = reuse.status
-                rows = materialize(self._replay(state, reuse))
-                state.phases.append(
-                    phase_since(ctx, mark, self.phase_label, streams=1)
-                )
-                self.actual_rows = len(rows)
-                _add_wall(self, perf_counter() - start)
-                return list(self.columns), rows
-            self.cache_status = "miss"
-        keep, streams = self._effective_partitions(ctx)
-        rows, _ = select_table(
-            ctx, self.table, self._scan_sql(bloom_keys), partitions=keep
-        )
-        state.phases.append(phase_since(
-            ctx, mark, self.phase_label, streams=streams,
-            ingest=(len(rows), len(self.columns)),
-        ))
-        if cache is not None:
-            self._cache_batches = [
-                ColumnBatch.from_rows(rows, num_columns=len(self.columns))
-            ]
-            self._cache_done = True
-        self.actual_rows = len(rows)
+        else:
+            keep, streams = self._effective_partitions(ctx)
+            scans = scan_partitions(
+                ctx, self.table, self._scan_sql(bloom_keys), partitions=keep
+            )
+            batches = [batch for scan in scans for batch in scan.batches]
+            state.phases.append(phase_since(
+                ctx, mark, self.phase_label, streams=streams,
+                ingest=(sum(map(len, batches)), len(self.columns)),
+            ))
+            if cache is not None:
+                self.cache_status = "miss"
+                # One batch per entry: the cache sizes entries per batch,
+                # and eviction order must not depend on partition count.
+                self._cache_batches = [
+                    Batch.from_rows(materialize(batches), len(self.columns))
+                ]
+                self._cache_done = True
+        self.actual_rows = sum(map(len, batches))
         _add_wall(self, perf_counter() - start)
-        return list(self.columns), rows
+        return names, batches
 
 
 class PushedAggregateNode(PlanNode):
@@ -494,10 +484,7 @@ class PushedAggregateNode(PlanNode):
             item.output_name(i)
             for i, item in enumerate(self.query.select_items, start=1)
         ]
-        cache = (
-            getattr(ctx, "result_cache", None)
-            if not state.combined else None
-        )
+        cache = ctx.result_cache if not state.combined else None
         if cache is not None:
             reuse = cache.lookup_aggregate(
                 self.table.name, self.query.where, self._item_signatures()
@@ -510,14 +497,14 @@ class PushedAggregateNode(PlanNode):
                 ))
                 self.actual_rows = 1
                 _add_wall(self, perf_counter() - start)
-                return out_names, iter([[tuple(merged)]])
+                return out_names, _one_batch([tuple(merged)], out_names)
             self.cache_status = "miss"
         pushed = ast.Query(
             select_items=self.query.select_items, table="S3Object",
             where=self.query.where,
         )
         keep = self.keep_partitions
-        if not getattr(ctx, "prune_partitions", True):
+        if not ctx.prune_partitions:
             keep = None
         streams = self.table.partitions if keep is None else len(keep)
         partials, _ = select_aggregate(
@@ -531,7 +518,7 @@ class PushedAggregateNode(PlanNode):
         ))
         self.actual_rows = 1
         _add_wall(self, perf_counter() - start)
-        return out_names, iter([[tuple(merged)]])
+        return out_names, _one_batch([tuple(merged)], out_names)
 
 
 class HashJoinNode(PlanNode):
@@ -539,12 +526,13 @@ class HashJoinNode(PlanNode):
 
     ``stream_probe`` marks the plan's spine join (the outermost one):
     its probe child streams batch-by-batch through the rest of the
-    pipeline.  Inner joins materialize both children and pick the hash
+    pipeline.  Inner joins materialize both children, pick the hash
     build side from the *actual* row counts, as the chained executor
-    always did.  ``bloom`` pushes a Bloom predicate on the probe scan
-    when the probe child is a pushdown scan and the build key is an
-    integer column — including inner (non-outermost) probes, which the
-    left-deep chain executor could never do.
+    always did, and probe with the other side as one batch.  ``bloom``
+    pushes a Bloom predicate on the probe scan when the probe child is a
+    pushdown scan and the build key is an integer column — including
+    inner (non-outermost) probes, which the left-deep chain executor
+    could never do.
     """
 
     def __init__(
@@ -608,7 +596,7 @@ class HashJoinNode(PlanNode):
             f"{cond}{tag}{src}"
         )
 
-    def _bloom_keys(self, build_names, build_rows):
+    def _bloom_keys(self, build_names, build: list[Batch]):
         if self.join_type not in ("inner", "semi"):
             # Left/anti joins must see every probe row: a Bloom filter on
             # the probe scan would drop exactly the rows they preserve.
@@ -617,7 +605,9 @@ class HashJoinNode(PlanNode):
                 and self.probe.pushdown):
             return None
         idx = _index_of(build_names, self.build_key)
-        keys = [r[idx] for r in build_rows if r[idx] is not None]
+        keys = [
+            k for batch in build for k in batch.column(idx) if k is not None
+        ]
         return keys or None
 
     def _match_pred(self, build_names, probe_names):
@@ -632,45 +622,32 @@ class HashJoinNode(PlanNode):
 
     def run(self, state: ExecState):
         start = perf_counter()
-        build_names, build_rows = _materialize_node(self.build, state)
-        bloom_keys = self._bloom_keys(build_names, build_rows)
+        build_names, build = _drain_node(self.build, state)
+        bloom_keys = self._bloom_keys(build_names, build)
+        build_key, probe_key = self.build_key, self.probe_key
         if self.stream_probe:
-            probe_names, probe_stream = _run_node(self.probe, state, bloom_keys)
-            names, joined = hash_join_batches(
-                build_rows, build_names, probe_stream, probe_names,
-                self.build_key, self.probe_key, state.tally,
-                join_type=self.join_type,
-                match_pred=self._match_pred(build_names, probe_names),
-            )
-            _add_wall(self, perf_counter() - start)  # build phase
-            return names, _counted(self, joined)     # + streamed probe
-        probe_names, probe_rows = _materialize_node(self.probe, state, bloom_keys)
-        # Inner joins hash the actually-smaller side, as the chained
-        # executor did; Bloom placement stays per the plan's orientation.
-        # Non-inner joins (and residual match conditions) have asymmetric
-        # sides, so the planned orientation is kept.
-        if self.join_type == "inner" and self.match_cond is None and len(
-            build_rows
-        ) <= len(probe_rows):
-            out = state.tally.add(hash_join(
-                build_rows, build_names, probe_rows, probe_names,
-                self.build_key, self.probe_key,
-            ))
-        elif self.join_type == "inner" and self.match_cond is None:
-            out = state.tally.add(hash_join(
-                probe_rows, probe_names, build_rows, build_names,
-                self.probe_key, self.build_key,
-            ))
+            probe_names, probe = _run_node(self.probe, state, bloom_keys)
         else:
-            out = state.tally.add(hash_join(
-                build_rows, build_names, probe_rows, probe_names,
-                self.build_key, self.probe_key,
-                join_type=self.join_type,
-                match_pred=self._match_pred(build_names, probe_names),
-            ))
-        self.actual_rows = len(out.rows)
-        _add_wall(self, perf_counter() - start)
-        return out.column_names, iter([out.rows])
+            probe_names, probe = _drain_node(self.probe, state, bloom_keys)
+            # Inner joins hash the actually-smaller side, as the chained
+            # executor did; Bloom placement stays per the plan's
+            # orientation.  Non-inner joins (and residual match
+            # conditions) have asymmetric sides, so the planned
+            # orientation is kept.
+            if self.join_type == "inner" and self.match_cond is None and sum(
+                map(len, build)
+            ) > sum(map(len, probe)):
+                build, probe = probe, build
+                build_names, probe_names = probe_names, build_names
+                build_key, probe_key = probe_key, build_key
+        names, joined = hash_join_batches(
+            materialize(build), build_names, probe, probe_names,
+            build_key, probe_key, state.tally,
+            join_type=self.join_type,
+            match_pred=self._match_pred(build_names, probe_names),
+        )
+        _add_wall(self, perf_counter() - start)  # build phase
+        return names, _counted(self, joined)     # + the probe
 
 
 class MaterializedNode(PlanNode):
@@ -708,7 +685,7 @@ class MaterializedNode(PlanNode):
         return f"materialized[{label}] rows={len(self.rows)}"
 
     def run(self, state: ExecState):
-        return list(self.names), iter([self.rows])
+        return list(self.names), _one_batch(self.rows, self.names)
 
 
 class CrossProductNode(PlanNode):
@@ -752,8 +729,7 @@ class CrossProductNode(PlanNode):
         if self.stream_probe:
             probe_names, probe_stream = _run_node(self.probe, state, None)
         else:
-            probe_names, probe_rows = _materialize_node(self.probe, state)
-            probe_stream = iter([probe_rows])
+            probe_names, probe_stream = _drain_node(self.probe, state)
         out_names = [*build_names, *probe_names]
         if len(set(n.lower() for n in out_names)) != len(out_names):
             raise PlanError(
@@ -763,12 +739,17 @@ class CrossProductNode(PlanNode):
 
         def product() -> Iterator[Batch]:
             per_row = SERVER_CPU_PER_ROW["hash_probe"]
+            fan_out = range(len(build_rows))
+            build_columns = Batch.from_rows(build_rows, len(build_names)).columns
             for batch in probe_stream:
-                out: Batch = [
-                    build_row + row for row in batch for build_row in build_rows
-                ]
-                state.tally.add_seconds(len(out) * per_row)
-                yield out
+                # Probe-major order: every build row against each probe row.
+                n = len(batch) * len(build_rows)
+                state.tally.add_seconds(n * per_row)
+                yield Batch(
+                    [col * len(batch) for col in build_columns]
+                    + [[v for v in col for _ in fan_out] for col in batch.columns],
+                    n,
+                )
 
         _add_wall(self, perf_counter() - start)  # build phase
         return out_names, _counted(self, product())
@@ -855,7 +836,7 @@ class GroupByNode(PlanNode):
         )
         self.actual_rows = len(out.rows)
         _add_wall(self, perf_counter() - start)
-        return out.column_names, iter([out.rows])
+        return out.column_names, _one_batch(out.rows, out.column_names)
 
 
 class SortNode(PlanNode):
@@ -881,7 +862,7 @@ class SortNode(PlanNode):
         out = state.tally.add(sort_batches(stream, names, self.order_by))
         self.actual_rows = len(out.rows)
         _add_wall(self, perf_counter() - start)
-        return out.column_names, iter([out.rows])
+        return out.column_names, _one_batch(out.rows, out.column_names)
 
 
 class TopKNode(PlanNode):
@@ -912,7 +893,7 @@ class TopKNode(PlanNode):
         )
         self.actual_rows = len(out.rows)
         _add_wall(self, perf_counter() - start)
-        return out.column_names, iter([out.rows])
+        return out.column_names, _one_batch(out.rows, out.column_names)
 
 
 class LimitNode(PlanNode):
@@ -1116,7 +1097,7 @@ class AdaptiveJoinNode(PlanNode):
                 break
             if action == "build_scan":
                 scan = join.build
-                names, rows = scan.run_materialized(state)
+                names, rows = _materialize_node(scan, state)
                 done = MaterializedNode(rows, names, scan.tables, source=scan)
                 join.build = done
                 tree = self._check(tree, done, scan.est_rows)
@@ -1196,12 +1177,18 @@ def _run_node(node: PlanNode, state: ExecState, bloom_keys=None):
     return node.run(state)
 
 
-def _materialize_node(node: PlanNode, state: ExecState, bloom_keys=None):
-    """Drain a subtree into a row list (hash-build / cross-build sides)."""
+def _drain_node(node: PlanNode, state: ExecState, bloom_keys=None):
+    """Run a subtree to completion now; returns (names, batches)."""
     if isinstance(node, ScanNode):
         return node.run_materialized(state, bloom_keys)
     names, stream = node.run(state)
-    return names, materialize(stream)
+    return names, list(stream)
+
+
+def _materialize_node(node: PlanNode, state: ExecState, bloom_keys=None):
+    """Drain a subtree into a row list (hash-build / cross-build sides)."""
+    names, batches = _drain_node(node, state, bloom_keys)
+    return names, materialize(batches)
 
 
 # ----------------------------------------------------------------------
@@ -1497,14 +1484,14 @@ def execute_plan(
             "replans": adaptive.replans,
             "events": list(adaptive.events),
         }
-    feedback = getattr(ctx, "feedback", None)
+    feedback = ctx.feedback
     if feedback is not None:
         # Close the loop: every measured cardinality becomes a learned
         # estimate for the rest of the session, for free.
         from repro.optimizer.feedback import harvest_plan
 
         harvest_plan(feedback, plan.root)
-    result_cache = getattr(ctx, "result_cache", None)
+    result_cache = ctx.result_cache
     if result_cache is not None:
         # Same walk, other direction: fully-drained pushed scans and
         # aggregates become reusable cache entries (LIMIT-cut subtrees
@@ -1567,7 +1554,7 @@ def predicted_phases(node: PlanNode, ctx: CloudContext | None = None) -> list[Ph
     """
     from repro.optimizer.cost import _phase
 
-    cache = getattr(ctx, "result_cache", None) if ctx is not None else None
+    cache = ctx.result_cache if ctx is not None else None
     phases: list[Phase] = []
 
     def walk(n: PlanNode) -> None:

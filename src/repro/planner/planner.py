@@ -211,10 +211,10 @@ def _apply_sub_joins(
                 sj.scan_cols if optimized else list(sj.table.schema.names),
                 sj.scan_pred, pushdown=optimized,
                 phase_label=f"join-scan-{sj.table.name}",
-                prune=getattr(ctx, "prune_partitions", True),
+                prune=ctx.prune_partitions,
             )
             build.est_rows = estimate_selectivity_with_feedback(
-                getattr(ctx, "feedback", None), sj.table.name, sj.scan_pred,
+                ctx.feedback, sj.table.name, sj.scan_pred,
                 sj.table.stats_or_default(),
             ) * sj.table.num_rows
             if optimized:
@@ -285,7 +285,7 @@ def _build_single_plan(
         and _fully_pushable(query)
     ):
         root = PushedAggregateNode(
-            table, query, prune=getattr(ctx, "prune_partitions", True)
+            table, query, prune=ctx.prune_partitions
         )
         return PhysicalPlan(
             root=root, mode=mode, strategy="optimized single-table",
@@ -293,7 +293,7 @@ def _build_single_plan(
         )
     stats = table.stats_or_default()
     selectivity = estimate_selectivity_with_feedback(
-        getattr(ctx, "feedback", None), table.name, query.where, stats
+        ctx.feedback, table.name, query.where, stats
     )
     if mode == "baseline":
         names = list(table.schema.names)
@@ -306,7 +306,7 @@ def _build_single_plan(
         )
         scan = ScanNode(table, names, query.where, pushdown=True,
                         phase_label="scan",
-                        prune=getattr(ctx, "prune_partitions", True))
+                        prune=ctx.prune_partitions)
         scan.est_terms = float(
             table.num_rows * len(ast.split_conjuncts(query.where))
         )
@@ -522,7 +522,7 @@ def _build_pairwise_plan(
         query, plan.probe, plan.probe_key, plan.residual, extra=extra
     )
     optimized = mode != "baseline"
-    prune = getattr(ctx, "prune_partitions", True)
+    prune = ctx.prune_partitions
     build_scan = ScanNode(
         plan.build,
         build_cols if optimized else list(plan.build.schema.names),
@@ -573,7 +573,7 @@ def _annotate_pairwise(
     join: HashJoinNode,
 ) -> None:
     """Containment estimates for the pairwise plan's EXPLAIN annotations."""
-    feedback = getattr(ctx, "feedback", None)
+    feedback = ctx.feedback
     b_stats = plan.build.stats_or_default()
     p_stats = plan.probe.stats_or_default()
     build_rows = estimate_selectivity_with_feedback(

@@ -25,6 +25,7 @@ from typing import Callable, Iterable, Iterator
 
 from repro.common.errors import UnsupportedFeatureError
 from repro.engine.batch import Batch
+from repro.engine.operators.base import BatchCounter
 from repro.expr.aggregates import CompiledAggregate, split_aggregate_expr
 from repro.expr.vector import (
     compile_aggregate_input_vector,
@@ -39,7 +40,7 @@ from repro.s3select.validator import (
 from repro.sqlparser import ast, parser
 from repro.storage.csvcodec import (
     DEFAULT_BATCH_SIZE,
-    chunk_rows,
+    QUOTE,
     encode_row,
     encoded_size,
     iter_column_batches,
@@ -215,22 +216,21 @@ class PreparedSelect:
                 raise UnsupportedFeatureError("ScanRange applies to CSV input only")
             pq = ParquetFile(obj.data)
             binding = self._bound(pq.schema.columns, lambda: pq.schema)
-            batches = (
-                Batch.from_rows(chunk)
-                for chunk in chunk_rows(pq.iter_rows(binding.needed), DEFAULT_BATCH_SIZE)
-            )
+            batches = pq.iter_batches(binding.needed, DEFAULT_BATCH_SIZE)
             bytes_scanned = pq.scan_bytes_for(binding.needed or None)
         else:
             raise UnsupportedFeatureError(f"unknown object format {fmt!r}")
-        counter = _BatchCounter(batches)
+        # LIMIT stops pulling batches early, and the decoders have no
+        # lookahead, so the count is what was actually parsed.
+        counter = BatchCounter(batches)
         out = binding.run(counter)
         result = SelectResult(
             batches=out,
             column_names=list(binding.names),
             bytes_scanned=bytes_scanned,
             bytes_returned=sum(encoded_size(b.columns, len(b)) for b in out),
-            rows_scanned=counter.count,
-            term_evals=counter.count * self._terms,
+            rows_scanned=counter.rows,
+            term_evals=counter.rows * self._terms,
         )
         if compress_output:
             result.payload = zlib.compress(result.payload)
@@ -284,12 +284,16 @@ def _iter_range_records(
     is complete when the range reaches the object boundary, when the
     window ends with the record delimiter, or when the delimiter is the
     very next byte after the window (a range ending exactly on a record
-    boundary must not lose that record).
+    boundary must not lose that record).  A newline is a delimiter only
+    outside quotes: an odd number of quote characters in the window
+    means it ends inside a quoted field, so the record is cut.
     """
-    keep_trailing = (
-        scan_range.end >= len(obj.data)
-        or window.endswith(b"\n")
-        or obj.data[scan_range.end : scan_range.end + 1] == b"\n"
+    keep_trailing = scan_range.end >= len(obj.data) or (
+        window.count(QUOTE.encode()) % 2 == 0
+        and (
+            window.endswith(b"\n")
+            or obj.data[scan_range.end : scan_range.end + 1] == b"\n"
+        )
     )
     header = list(schema.names)
     pending: list[str] | None = None
@@ -318,27 +322,6 @@ def _referenced_columns(query: ast.Query, schema: TableSchema) -> list[str]:
             names |= ast.referenced_columns(expr)
     lowered = {n.lower() for n in names}
     return [n for n in schema.names if n.lower() in lowered]
-
-
-class _BatchCounter:
-    """Counts rows pulled from a lazy batch source (``rows_scanned``).
-
-    With LIMIT early-termination the engine stops pulling once enough
-    output rows exist, so the count reflects what was actually parsed.
-    Counting whole batches totals the same as the old per-row meter:
-    the decoder has no lookahead and the count is only read at the end.
-    """
-
-    __slots__ = ("_batches", "count")
-
-    def __init__(self, batches: Iterable):
-        self._batches = batches
-        self.count = 0
-
-    def __iter__(self) -> Iterator:
-        for batch in self._batches:
-            self.count += len(batch)
-            yield batch
 
 
 def _plan_projection(

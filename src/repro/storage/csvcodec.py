@@ -169,52 +169,15 @@ def _scan_quoted(text: str) -> Iterator[list[str]]:
 
 
 def chunk_rows(rows: Iterable, batch_size: int) -> Iterator[list]:
-    """Chunk a row iterable into RecordBatches of ``batch_size`` rows.
+    """Chunk a row iterable into lists of ``batch_size`` rows.
 
-    The single chunking implementation behind every batch iterator in
-    the pipeline (CSV/Parquet decode, S3 Select evaluation, partition
-    re-chunking, operator helpers).  The final batch may be short;
-    empty input yields no batches.
+    The final chunk may be short; empty input yields no chunks.
     """
     if batch_size <= 0:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
     rows = iter(rows)
     while batch := list(islice(rows, batch_size)):
         yield batch
-
-
-def iter_decode_table(
-    data: bytes, schema: TableSchema, has_header: bool = True
-) -> Iterator[tuple]:
-    """Lazily decode CSV bytes into typed tuples according to ``schema``.
-
-    Unlike :func:`decode_table` nothing is materialized: rows are parsed
-    on demand, so a consumer that stops early (LIMIT, top-K sampling)
-    never pays for the rest of the object.
-    """
-    records = iter_records(data)
-    if has_header:
-        next(records, None)
-    parse_row = schema.parse_row
-    for record in records:
-        yield parse_row(record)
-
-
-def iter_decode_batches(
-    data: bytes,
-    schema: TableSchema,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    has_header: bool = True,
-) -> Iterator[list[tuple]]:
-    """Lazily decode CSV bytes into :data:`DEFAULT_BATCH_SIZE`-row batches.
-
-    The unit of the streaming execution core: each yielded list is one
-    RecordBatch.  The final batch may be short; empty input yields no
-    batches.
-    """
-    yield from chunk_rows(
-        iter_decode_table(data, schema, has_header=has_header), batch_size
-    )
 
 
 def iter_decode_column_batches(
@@ -224,9 +187,10 @@ def iter_decode_column_batches(
     has_header: bool = True,
     columns: Sequence[str] | None = None,
 ) -> Iterator[Batch]:
-    """Lazily decode CSV bytes straight into columnar :class:`Batch`es.
+    """Lazily decode CSV bytes into columnar :class:`Batch`es.
 
-    The vectorized twin of :func:`iter_decode_batches`; see
+    Nothing is decoded ahead of the consumer, so one that stops early
+    (LIMIT, top-K sampling) never pays for the rest of the object.  See
     :func:`iter_column_batches` for the batch layout and errors.
     """
     records = iter_records(data)
@@ -247,8 +211,8 @@ def iter_column_batches(
     typed comprehension per column — no intermediate row tuples.
     ``columns`` keeps only the named columns (in the given order): the
     rest are tokenized but never parsed.  Rows whose field count
-    disagrees with the schema raise the same
-    :class:`~repro.common.errors.CatalogError` as the row-wise decoder.
+    disagrees with the schema raise
+    :class:`~repro.common.errors.CatalogError`.
     """
     width = len(schema.columns)
     kept = [
@@ -261,10 +225,3 @@ def iter_column_batches(
             schema.parse_row(next(r for r in raw if len(r) != width))
         texts = list(zip(*raw))
         yield Batch([col.parse_column(texts[i]) for i, col in kept], len(raw))
-
-
-def decode_table(
-    data: bytes, schema: TableSchema, has_header: bool = True
-) -> list[tuple]:
-    """Decode CSV bytes into typed tuples according to ``schema``."""
-    return list(iter_decode_table(data, schema, has_header=has_header))

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from repro.common.errors import ReproError
-from repro.storage.csvcodec import chunk_rows, format_value
+from repro.engine.batch import Batch, rechunk_batches
+from repro.storage.csvcodec import format_value
 from repro.storage.schema import ColumnDef, TableSchema
 
 MAGIC = b"SPQ1"
@@ -73,7 +74,7 @@ def _decode_column(data: bytes, column: ColumnDef, num_rows: int) -> list[object
         raise ParquetFormatError(
             f"column chunk has {len(fields)} values, expected {num_rows}"
         )
-    return [column.parse(f) for f in fields]
+    return column.parse_column(fields)
 
 
 def write_parquet(
@@ -186,58 +187,31 @@ class ParquetFile:
         raw = zlib.decompress(payload) if self._codec == "zlib" else payload
         return _decode_column(raw, self.schema.columns[col_idx], group.num_rows)
 
-    def read_columns(self, names: Sequence[str]) -> dict[str, list[object]]:
-        """Materialize the named columns across all row groups."""
-        indexes = [self.schema.index_of(n) for n in names]
-        result: dict[str, list[object]] = {n: [] for n in names}
-        for group in self.row_groups:
-            for name, idx in zip(names, indexes):
-                result[name].extend(self._read_chunk(group, idx))
-        return result
-
-    def iter_row_group_rows(
-        self, names: Sequence[str] | None = None
-    ) -> Iterator[list[tuple]]:
-        """Lazily yield one batch of row tuples per row group.
-
-        Only the referenced column chunks of each group are decompressed,
-        and only when the group is reached — a consumer that stops early
-        (LIMIT pushdown) never decodes the remaining groups.
-        """
-        names = list(names) if names is not None else list(self.schema.names)
-        indexes = [self.schema.index_of(n) for n in names]
-        for group in self.row_groups:
-            columns = [self._read_chunk(group, idx) for idx in indexes]
-            yield list(zip(*columns)) if columns else []
-
     def iter_batches(
         self,
         names: Sequence[str] | None = None,
         batch_size: int | None = None,
-    ) -> Iterator[list[tuple]]:
-        """Lazily yield RecordBatches, optionally re-chunked to ``batch_size``.
+    ) -> Iterator[Batch]:
+        """Lazily yield the named columns (default: all) as batches.
 
-        ``batch_size=None`` keeps the natural row-group granularity (one
-        batch per group), which avoids copying.
+        One :class:`Batch` per row group — only the referenced column
+        chunks of a group are decompressed, and only when the group is
+        reached, so a consumer that stops early (LIMIT pushdown) never
+        decodes the remaining groups — re-cut to ``batch_size`` rows when
+        one is given.  No names means zero-column batches that still
+        carry each group's row count.
         """
+        names = self.schema.names if names is None else names
+        indexes = [self.schema.index_of(n) for n in names]
+        groups = (
+            Batch([self._read_chunk(group, idx) for idx in indexes], group.num_rows)
+            for group in self.row_groups
+        )
         if batch_size is None:
-            yield from self.iter_row_group_rows(names)
-            return
+            return groups
         if batch_size <= 0:
             raise ParquetFormatError(f"batch_size must be positive, got {batch_size}")
-        yield from chunk_rows(self.iter_rows(names), batch_size)
-
-    def iter_rows(self, names: Sequence[str] | None = None) -> Iterator[tuple]:
-        """Lazily yield row tuples (optionally projected to ``names``)."""
-        for batch in self.iter_row_group_rows(names):
-            yield from batch
-
-    def read_rows(self, names: Sequence[str] | None = None) -> list[tuple]:
-        """Materialize rows (optionally projected to ``names``)."""
-        out: list[tuple] = []
-        for batch in self.iter_row_group_rows(names):
-            out.extend(batch)
-        return out
+        return rechunk_batches(groups, batch_size)
 
     def scan_bytes_for(self, names: Sequence[str] | None = None) -> int:
         """Bytes a column-selective scan reads: referenced chunks + footer."""

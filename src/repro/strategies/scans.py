@@ -34,7 +34,7 @@ from repro.engine.catalog import TableInfo
 from repro.s3select.engine import PreparedSelect, ScanRange
 from repro.engine.batch import Batch, rechunk_batches
 from repro.engine.operators.base import materialize
-from repro.storage.csvcodec import decode_table, iter_decode_column_batches
+from repro.storage.csvcodec import iter_decode_column_batches
 from repro.storage.parquet import ParquetFile
 
 
@@ -44,9 +44,9 @@ class PartitionScan:
 
     index: int
     key: str
-    #: The partition's data as pipeline batches: the decoded row list of
-    #: a raw GET, or the columnar batches of an S3 Select response.
-    batches: list[Batch | list[tuple]]
+    #: The partition's data as pipeline batches: a raw GET decoded
+    #: locally, or the batches of an S3 Select response.
+    batches: list[Batch]
     #: Column names of an S3 Select response; ``None`` for raw GETs
     #: (the table schema applies unchanged).
     column_names: list[str] | None
@@ -55,6 +55,17 @@ class PartitionScan:
     def rows(self) -> list[tuple]:
         """The partition's row tuples (materialized on first use)."""
         return materialize(self.batches)
+
+
+def _decode_partition(
+    table: TableInfo, data: bytes, batch_size: int
+) -> Iterator[Batch]:
+    """Lazily decode one GET'd partition object into batches."""
+    if table.format == "csv":
+        return iter_decode_column_batches(
+            data, table.schema, batch_size=batch_size, has_header=False
+        )
+    return ParquetFile(data).iter_batches(batch_size=batch_size)
 
 
 def _resolve_workers(ctx: CloudContext, workers: int | None) -> int:
@@ -106,12 +117,9 @@ def scan_partitions(
     def scan_one(index: int, key: str) -> PartitionScan:
         if statement is None:
             data = ctx.client.get_object(table.bucket, key)
-            if table.format == "csv":
-                rows = decode_table(data, table.schema, has_header=False)
-            else:
-                rows = ParquetFile(data).read_rows()
+            batches = list(_decode_partition(table, data, ctx.batch_size))
             return PartitionScan(
-                index=index, key=key, batches=[rows], column_names=None
+                index=index, key=key, batches=batches, column_names=None
             )
         scan_range = None
         if scan_range_fraction is not None:
@@ -146,8 +154,8 @@ def iter_scan_batches(
     batch_size: int | None = None,
     scan_range_fraction: float | None = None,
     partitions: Sequence[int] | None = None,
-) -> Iterator[Batch | list[tuple]]:
-    """Stream a table scan as columnar RecordBatches, in partition order.
+) -> Iterator[Batch]:
+    """Stream a table scan as batches, in partition order.
 
     The per-partition requests are issued eagerly (so request/byte
     accounting is independent of how far the stream is consumed); for
@@ -165,8 +173,8 @@ def iter_scan_batches(
         ctx, table, sql, workers=workers, scan_range_fraction=scan_range_fraction,
         partitions=partitions,
     )
-    # S3 Select responses are columnar already; only the batch boundaries
-    # are re-cut (ingest accounting under LIMIT counts whole batches).
+    # Only the batch boundaries of the responses are re-cut (ingest
+    # accounting under LIMIT counts whole batches).
     return rechunk_batches(
         (batch for scan in scans for batch in scan.batches), batch_size
     )
@@ -178,7 +186,7 @@ def _iter_get_batches(
     workers: int | None,
     batch_size: int,
     partitions: Sequence[int] | None = None,
-) -> Iterator[Batch | list[tuple]]:
+) -> Iterator[Batch]:
     """GET the partitions (metered, possibly concurrent), decode lazily."""
     workers = _resolve_workers(ctx, workers)
     if partitions is None:
@@ -193,16 +201,11 @@ def _iter_get_batches(
                 pool.map(lambda k: ctx.client.get_object(table.bucket, k), keys)
             )
 
-    def decoded() -> Iterator[Batch | list[tuple]]:
-        for data in payloads:
-            if table.format == "csv":
-                yield from iter_decode_column_batches(
-                    data, table.schema, batch_size=batch_size, has_header=False
-                )
-            else:
-                yield from ParquetFile(data).iter_batches(batch_size=batch_size)
-
-    return decoded()
+    return (
+        batch
+        for data in payloads
+        for batch in _decode_partition(table, data, batch_size)
+    )
 
 
 def get_table(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from repro.storage.csvcodec import iter_records
+
 
 def approx_rows(rows, places=4):
     """Normalize rows for order-insensitive comparison with FP tolerance."""
@@ -29,3 +31,11 @@ def assert_rows_close(a, b, rel=1e-9):
                 )
             else:
                 assert va == vb, f"{va!r} != {vb!r}"
+
+
+def decode_rows(data, schema, has_header=False):
+    """Naive row-at-a-time CSV decode: the reference for the batch decoder."""
+    records = iter_records(data)
+    if has_header:
+        next(records, None)
+    return [schema.parse_row(record) for record in records]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.engine.batch import Batch, batch_rows, rechunk_batches
+from repro.engine.batch import Batch, rechunk_batches
 from repro.storage.csvcodec import chunk_rows
 
 ROWS = [
@@ -103,6 +103,12 @@ class TestTransforms:
         batch = Batch.from_rows(ROWS)
         assert batch.take([2, 0]).to_rows() == [ROWS[2], ROWS[0]]
         assert batch.take([]).to_rows() == []
+        assert batch.take([0, 0, 2]).to_rows() == [ROWS[0], ROWS[0], ROWS[2]]
+
+    def test_take_every_row_in_order_returns_self(self):
+        batch = Batch.from_rows(ROWS)
+        assert batch.take([0, 1, 2]) is batch
+        assert batch.take([0, 2, 1]) is not batch
 
     def test_compact_packs_numeric_columns(self):
         batch = Batch.from_rows([(1, 1.5), (2, 2.5)]).compact()
@@ -124,12 +130,6 @@ class TestTransforms:
         assert batch.to_rows() == [(2**80,), (1,)]
 
 
-class TestBatchRows:
-    def test_columnar_and_list_currencies(self):
-        assert list(batch_rows(Batch.from_rows(ROWS))) == ROWS
-        assert batch_rows(ROWS) is ROWS
-
-
 @given(
     st.lists(st.lists(st.tuples(st.integers(), st.text(max_size=3)), max_size=9), max_size=8),
     st.integers(1, 7),
@@ -140,6 +140,20 @@ def test_property_rechunk_matches_row_chunking(partitions, batch_size):
     rows = [row for part in partitions for row in part]
     got = [batch.to_rows() for batch in rechunk_batches(batches, batch_size)]
     assert got == list(chunk_rows(rows, batch_size))
+
+
+def test_rechunk_zero_column_batches_carry_their_length():
+    """Batches without columns (a pushed COUNT(*)) are re-cut by length."""
+    got = list(rechunk_batches([Batch([], 5), Batch([], 0), Batch([], 4)], 4))
+    assert [type(b) for b in got] == [Batch] * 3
+    assert [(len(b), b.columns) for b in got] == [(4, []), (4, []), (1, [])]
+
+
+def test_rechunk_cuts_one_large_batch_into_many():
+    batch = Batch.from_rows([(i, str(i)) for i in range(11)])
+    got = [b.to_rows() for b in rechunk_batches([batch], 3)]
+    assert [len(rows) for rows in got] == [3, 3, 3, 2]
+    assert [row for rows in got for row in rows] == batch.to_rows()
 
 
 def test_rechunk_rejects_non_positive_batch_size():

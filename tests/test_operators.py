@@ -1,14 +1,17 @@
-"""Tests for the local query-node operators."""
+"""Tests for the local query-node operators, through their row-list
+adapters, against hand-computed rows and naive Python references."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.errors import PlanError
+from repro.engine.batch import Batch
+from repro.engine.operators.base import materialize
 from repro.engine.operators.filter import filter_rows
 from repro.engine.operators.groupby import group_by_aggregate
 from repro.engine.operators.hashjoin import hash_join
-from repro.engine.operators.limit import limit_rows
+from repro.engine.operators.limit import limit_batches
 from repro.engine.operators.project import project, project_columns
 from repro.engine.operators.sort import SortKey, sort_rows
 from repro.engine.operators.topk import top_k
@@ -163,10 +166,12 @@ class TestSortAndTopK:
             top_k(ROWS, NAMES, [ast.OrderItem(expr=ast.Column("v"))], -1)
 
     def test_limit(self):
-        assert limit_rows(ROWS, NAMES, 2).rows == ROWS[:2]
-        assert limit_rows(ROWS, NAMES, None).rows == ROWS
+        batches = [Batch.from_rows(ROWS[:3]), Batch.from_rows(ROWS[3:])]
+        assert materialize(limit_batches(batches, 2)) == ROWS[:2]
+        assert materialize(limit_batches(batches, 0)) == []
+        assert list(limit_batches(batches, None)) == batches
         with pytest.raises(ValueError):
-            limit_rows(ROWS, NAMES, -1)
+            list(limit_batches(batches, -1))
 
 
 @given(
@@ -181,10 +186,10 @@ def test_property_topk_equals_sorted_prefix(rows, k, descending):
     """Heap top-K over random data == sort-then-take-K."""
     names = ["a", "b"]
     order = [ast.OrderItem(expr=ast.Column("b"), descending=descending)]
-    expected = sort_rows(rows, names, order).rows[:k]
-    got = top_k(rows, names, order, k).rows
-    # Ties may reorder equal keys; compare the key sequence.
-    assert [r[1] for r in got] == [r[1] for r in expected]
+    expected = sorted(rows, key=lambda r: r[1], reverse=descending)[:k]
+    # Stable both ways: ties keep arrival order (a reversed sort does too).
+    assert top_k(rows, names, order, k).rows == expected
+    assert sort_rows(rows, names, order).rows[:k] == expected
 
 
 @given(

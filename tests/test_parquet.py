@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.errors import CatalogError
+from repro.engine.batch import Batch
+from repro.engine.operators.base import materialize
 from repro.storage.parquet import (
     ParquetFile,
     ParquetFormatError,
@@ -15,19 +18,31 @@ SCHEMA = TableSchema.of("a:int", "b:float", "c:str")
 ROWS = [(1, 1.5, "x"), (2, 2.5, "y"), (None, None, None), (4, 4.5, "z,w")]
 
 
+def read_rows(pq, names=None):
+    return materialize(pq.iter_batches(names))
+
+
 class TestRoundTrip:
     def test_read_rows(self):
         data = write_parquet(ROWS, SCHEMA)
-        assert ParquetFile(data).read_rows() == ROWS
+        assert read_rows(ParquetFile(data)) == ROWS
 
     def test_read_single_column(self):
-        data = write_parquet(ROWS, SCHEMA)
-        cols = ParquetFile(data).read_columns(["b"])
-        assert cols["b"] == [1.5, 2.5, None, 4.5]
+        data = write_parquet(ROWS, SCHEMA, row_group_rows=3)
+        batches = list(ParquetFile(data).iter_batches(["b"]))
+        assert [type(b) for b in batches] == [Batch, Batch]
+        assert [b.columns for b in batches] == [[[1.5, 2.5, None]], [[4.5]]]
+
+    def test_no_columns_keeps_the_row_counts(self):
+        data = write_parquet(ROWS, SCHEMA, row_group_rows=3)
+        batches = list(ParquetFile(data).iter_batches([]))
+        assert [(len(b), b.columns) for b in batches] == [(3, []), (1, [])]
+        recut = list(ParquetFile(data).iter_batches([], batch_size=2))
+        assert [(len(b), b.columns) for b in recut] == [(2, []), (2, [])]
 
     def test_projection_order_respected(self):
         data = write_parquet(ROWS, SCHEMA)
-        rows = ParquetFile(data).read_rows(["c", "a"])
+        rows = read_rows(ParquetFile(data), ["c", "a"])
         assert rows[0] == ("x", 1)
 
     def test_multiple_row_groups(self):
@@ -35,17 +50,17 @@ class TestRoundTrip:
         pq = ParquetFile(data)
         assert len(pq.row_groups) == 2
         assert pq.num_rows == 4
-        assert pq.read_rows() == ROWS
+        assert read_rows(pq) == ROWS
 
     def test_empty_table(self):
         data = write_parquet([], SCHEMA)
         pq = ParquetFile(data)
         assert pq.num_rows == 0
-        assert pq.read_rows() == []
+        assert read_rows(pq) == []
 
     def test_uncompressed_roundtrip(self):
         data = write_parquet(ROWS, SCHEMA, compression="none")
-        assert ParquetFile(data).read_rows() == ROWS
+        assert read_rows(ParquetFile(data)) == ROWS
 
 
 class TestScanAccounting:
@@ -96,8 +111,13 @@ class TestErrors:
 
     def test_unknown_column_rejected(self):
         data = write_parquet(ROWS, SCHEMA)
-        with pytest.raises(Exception):
-            ParquetFile(data).read_columns(["nope"])
+        with pytest.raises(CatalogError):
+            ParquetFile(data).iter_batches(["nope"])
+
+    def test_bad_batch_size_rejected(self):
+        data = write_parquet(ROWS, SCHEMA)
+        with pytest.raises(ParquetFormatError):
+            ParquetFile(data).iter_batches(batch_size=0)
 
 
 @settings(max_examples=40)
@@ -128,4 +148,4 @@ def test_property_parquet_roundtrip(rows, row_group_rows):
         (a, float(b) if b is not None else None, c) for a, b, c in rows
     ]
     data = write_parquet(normalized, SCHEMA, row_group_rows=row_group_rows)
-    assert ParquetFile(data).read_rows() == normalized
+    assert read_rows(ParquetFile(data)) == normalized

@@ -13,19 +13,31 @@ cardinalities.
 from __future__ import annotations
 
 import textwrap
+from collections import Counter
 
 import pytest
 
+from repro.cloud.context import CloudContext
+from repro.engine.batch import Batch
+from repro.engine.catalog import Catalog, load_table
+from repro.experiments.tpch_suite import ALL_QUERIES, QUERY_DIR, load_suite_tables
 from repro.planner import physical
 from repro.planner.database import PushdownDB
 from repro.planner.planner import (
     build_plan,
+    execute_parsed,
     execute_with_join_order,
     execute_with_join_tree,
+    plan_and_execute,
 )
 from repro.sqlparser.parser import parse
 from repro.storage.schema import TableSchema
-from repro.workloads.synthetic import SNOWFLAKE_SCHEMAS, snowflake_tables
+from repro.workloads.synthetic import (
+    CORRELATED_STAR_SCHEMAS,
+    SNOWFLAKE_SCHEMAS,
+    correlated_star_tables,
+    snowflake_tables,
+)
 
 SNOWFLAKE_SQL = (
     "SELECT SUM(f_v) AS total FROM fact, dim1, sub1, dim2, sub2"
@@ -244,3 +256,94 @@ class TestActualsFeedback:
         assert "physical plan" in report
         assert "scan fact" in report
         assert "est_rows" in report
+
+
+def _plan_node_classes(cls=physical.PlanNode):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _plan_node_classes(sub)
+
+
+@pytest.fixture()
+def batch_streams(monkeypatch):
+    """Check the type of every batch any plan node's stream yields;
+    returns the per-node-class batch counts."""
+    seen: Counter = Counter()
+    for cls in _plan_node_classes():
+        if "run" not in vars(cls):
+            continue
+
+        def run(self, *args, _run=cls.run, **kwargs):
+            names, stream = _run(self, *args, **kwargs)
+
+            def checked():
+                for batch in stream:
+                    assert type(batch) is Batch, (self.describe(), type(batch))
+                    assert len(batch.columns) == len(names), self.describe()
+                    seen[type(self).__name__] += 1
+                    yield batch
+
+            return names, checked()
+
+        monkeypatch.setattr(cls, "run", run)
+    return seen
+
+
+def test_every_plan_node_stream_yields_batches(batch_streams):
+    """One currency: whatever the plan shape, format or cache state, a
+    node hands its parent `Batch` objects and nothing else."""
+    ctx, catalog = CloudContext(), Catalog()
+    load_suite_tables(ctx, catalog, 0.002, seed=11).close()
+    for name in ALL_QUERIES:
+        query = parse((QUERY_DIR / f"{name}.sql").read_text())
+        for mode in ("baseline", "optimized"):
+            execute_parsed(ctx, catalog, query, mode)
+
+    # A Parquet-loaded table, GET'd whole and pushed down; then the same
+    # pushed scan replayed from the semantic cache.
+    ctx, catalog = CloudContext(cache_bytes=1 << 20), Catalog()
+    load_table(
+        ctx, catalog, "pq", [(i, i % 5, float(i)) for i in range(300)],
+        TableSchema.of("p_id:int", "p_g:int", "p_v:float"),
+        partitions=2, data_format="parquet", row_group_rows=64,
+    )
+    sql = "SELECT p_g, SUM(p_v) AS s FROM pq WHERE p_id < 200 GROUP BY p_g"
+    rows = {
+        mode: sorted(plan_and_execute(ctx, catalog, sql, mode=mode).rows)
+        for mode in ("baseline", "optimized")
+    }
+    replay = plan_and_execute(ctx, catalog, sql, mode="optimized")
+    assert replay.details["cache"]["hit"] == 1 and replay.num_requests == 0
+    assert rows["baseline"] == rows["optimized"] == sorted(replay.rows)
+    count = plan_and_execute(ctx, catalog, "SELECT COUNT(*) AS n FROM pq")
+    assert count.rows == [(300,)]
+    load_table(
+        ctx, catalog, "tiny", [(i,) for i in range(4)], TableSchema.of("y_id:int"),
+        partitions=1,
+    )
+    for mode in ("baseline", "optimized"):
+        crossed = plan_and_execute(
+            ctx, catalog, "SELECT p_id, y_id FROM pq, tiny WHERE p_id < 3 LIMIT 7",
+            mode=mode,
+        )
+        assert len(crossed.rows) == 7
+        assert set(crossed.rows) <= {(p, y) for p in range(3) for y in range(4)}
+
+    # An adaptive execution whose misestimated build fires a re-plan.
+    ctx, catalog = CloudContext(), Catalog()
+    for name, table in correlated_star_tables(4000, seed=11).items():
+        load_table(ctx, catalog, name, table, CORRELATED_STAR_SCHEMAS[name])
+    adaptive = plan_and_execute(
+        ctx, catalog,
+        "SELECT SUM(f_v) AS total FROM fact, dima, dimb, dimc"
+        " WHERE f_a = a_id AND f_b = b_id AND f_c = c_id"
+        " AND a_x < 15 AND a_y < 15 AND b_sel < 12",
+        mode="adaptive",
+    )
+    assert adaptive.details["adaptive"]["replans"] >= 1
+
+    assert set(batch_streams) >= {
+        "ScanNode", "PushedAggregateNode", "HashJoinNode", "MaterializedNode",
+        "AdaptiveJoinNode", "FilterNode", "ProjectNode", "GroupByNode",
+        "SortNode", "TopKNode", "LimitNode", "CrossProductNode",
+    }

@@ -10,8 +10,8 @@ from repro.common.errors import (
     NoSuchBucketError,
     NoSuchKeyError,
 )
+from repro.engine.operators.base import materialize
 from repro.storage.csvcodec import (
-    decode_table,
     encode_row,
     encode_table,
     encoded_size,
@@ -117,11 +117,11 @@ class TestCsvCodec:
             assert piece.endswith(b"\n")
             assert list(iter_records(piece)) == [[str(row[0]), row[1]]]
 
-    def test_decode_table_roundtrip(self):
+    def test_decode_roundtrip(self):
         schema = TableSchema.of("a:int", "b:float", "c:str")
         rows = [(1, 2.5, "x,y"), (None, None, None)]
         data, _ = encode_table(rows)
-        assert decode_table(data, schema, has_header=False) == rows
+        assert materialize(iter_decode_column_batches(data, schema, has_header=False)) == rows
 
 
 _VALUE = st.one_of(
@@ -170,7 +170,7 @@ def test_property_csv_roundtrip(rows):
             out.append(value)
         normalized.append(tuple(out))
     data, _ = encode_table(normalized)
-    assert decode_table(data, schema, has_header=False) == normalized
+    assert materialize(iter_decode_column_batches(data, schema, has_header=False)) == normalized
 
 
 #: Raw field text exercising every quoting trigger: the field delimiter,

@@ -6,9 +6,10 @@ Covers the PR-1 refactor end to end:
   range swallowing the header, range past EOF);
 * LIMIT early-termination accounting (fewer rows parsed, identical
   bytes billed);
-* lazy batch iterators agreeing with the materializing codecs;
-* streaming operator variants agreeing with the materialized ones,
-  including charged CPU;
+* lazy batch iterators agreeing with a naive row-at-a-time decode;
+* the batch operators agreeing with the row compiler and naive Python
+  references, at any batch boundaries, and their row-list adapters
+  charging the same CPU;
 * ``select_table`` column-name handling over empty partitions;
 * ``workers > 1`` vs ``workers = 1`` producing identical rows, bytes
   and cost — differentially on every TPC-H query;
@@ -23,15 +24,16 @@ import pytest
 
 from repro.cloud.context import CloudContext
 from repro.cloud.metrics import MetricsCollector, Phase, RequestKind, RequestRecord
-from repro.cloud.perf import PAPER_PERF
+from repro.cloud.perf import PAPER_PERF, SERVER_CPU_PER_ROW
 from repro.common.errors import (
     ExpressionLimitExceededError,
     ReproError,
     SQLSyntaxError,
     UnsupportedFeatureError,
 )
+from repro.engine.batch import Batch
 from repro.engine.catalog import Catalog, load_table
-from repro.engine.operators.base import BatchCounter, CpuTally, batches_of, materialize
+from repro.engine.operators.base import BatchCounter, CpuTally, materialize
 from repro.engine.operators.filter import filter_batches, filter_rows
 from repro.engine.operators.groupby import group_by_aggregate, group_by_batches
 from repro.engine.operators.hashjoin import hash_join, hash_join_batches
@@ -39,6 +41,7 @@ from repro.engine.operators.limit import limit_batches
 from repro.engine.operators.project import project, project_batches, projected_names
 from repro.engine.operators.sort import sort_batches, sort_rows
 from repro.engine.operators.topk import top_k, top_k_batches
+from repro.expr.compiler import compile_expr, compile_predicate
 from repro.queries.dataset import load_tpch
 from repro.queries.tpch_queries import TPCH_QUERIES
 from repro.s3select import engine as select_engine
@@ -46,14 +49,16 @@ from repro.s3select.engine import ScanRange, execute_select
 from repro.sqlparser import ast
 from repro.sqlparser.parser import parse, parse_expression
 from repro.storage.csvcodec import (
-    decode_table,
+    chunk_rows,
     encode_table,
-    iter_decode_batches,
+    iter_decode_column_batches,
 )
 from repro.storage.object_store import StoredObject
 from repro.storage.parquet import ParquetFile, write_parquet
 from repro.storage.schema import TableSchema
 from repro.strategies.scans import scan_partitions, select_aggregate, select_table
+
+from helpers import decode_rows
 
 SCHEMA = TableSchema.of("k:int", "v:float")
 SPEC = ["k:int", "v:float"]
@@ -123,6 +128,27 @@ class TestScanRangeEdges:
         assert [r[0] for r in result.rows] == [r[0] for r in ROWS]
         assert result.bytes_scanned == len(obj.data)
 
+    def test_range_ending_on_a_newline_inside_quotes_drops_the_cut_record(self):
+        """A newline inside a quoted field is content, not a delimiter:
+        the window's quote parity says the last record is cut."""
+        rows = [("a", "x"), ("b\nc", "y"), ("d", "z")]
+        data, _ = encode_table(rows)
+        obj = StoredObject(
+            data, {"format": "csv", "schema": ["s:str", "t:str"], "header": False}
+        )
+        end = data.index(b"b\n") + 2  # just past the quoted newline
+        assert data[:end].endswith(b"\n") and data[:end].count(b'"') % 2 == 1
+        sql = "SELECT s, t FROM S3Object"
+        cut = execute_select(obj, sql, scan_range=ScanRange(0, end))
+        assert cut.rows == [("a", "x")]
+        assert cut.rows_scanned == 1 and cut.bytes_scanned == end
+        # Past the closing quote the record is whole again.
+        whole = execute_select(
+            obj, sql, scan_range=ScanRange(0, data.index(b',y') + 3)
+        )
+        assert whole.rows == rows[:2]
+        assert execute_select(obj, sql, scan_range=ScanRange(0, len(data))).rows == rows
+
 
 # ----------------------------------------------------------------------
 # LIMIT early termination
@@ -157,114 +183,170 @@ class TestLimitEarlyTermination:
 # ----------------------------------------------------------------------
 
 class TestBatchIterators:
-    def test_csv_batches_concatenate_to_decode_table(self):
+    def test_csv_batches_concatenate_to_the_row_decode(self):
         data, _ = encode_table(ROWS)
-        whole = decode_table(data, SCHEMA, has_header=False)
+        whole = decode_rows(data, SCHEMA)
+        assert whole == ROWS
         for batch_size in (1, 3, 7, 1000):
             batches = list(
-                iter_decode_batches(data, SCHEMA, batch_size, has_header=False)
+                iter_decode_column_batches(data, SCHEMA, batch_size, has_header=False)
             )
-            assert [r for b in batches for r in b] == whole
+            assert all(type(b) is Batch for b in batches)
+            assert materialize(batches) == whole
             assert all(len(b) <= batch_size for b in batches)
 
-    def test_parquet_batches_concatenate_to_read_rows(self):
+    def test_parquet_batches_concatenate_to_the_rows_written(self):
         rows = [(i, float(i)) for i in range(100)]
         pq = ParquetFile(write_parquet(rows, SCHEMA, row_group_rows=13))
-        whole = pq.read_rows()
-        assert whole == rows
-        assert [r for b in pq.iter_batches() for r in b] == rows
+        assert materialize(pq.iter_batches()) == rows
         for batch_size in (4, 13, 50, 500):
             batches = list(pq.iter_batches(batch_size=batch_size))
-            assert [r for b in batches for r in b] == rows
-            assert all(len(b) <= batch_size for b in batches)
+            assert all(type(b) is Batch for b in batches)
+            assert materialize(batches) == rows
+            assert [len(b) for b in batches] == [
+                len(c) for c in chunk_rows(rows, batch_size)
+            ]
 
     def test_parquet_batches_project_columns(self):
         rows = [(i, float(i)) for i in range(30)]
         pq = ParquetFile(write_parquet(rows, SCHEMA, row_group_rows=7))
-        assert [r for b in pq.iter_batches(names=["v"]) for r in b] == [
+        assert materialize(pq.iter_batches(names=["v"])) == [
             (float(i),) for i in range(30)
         ]
 
     def test_empty_input_yields_no_batches(self):
         data, _ = encode_table([])
-        assert list(iter_decode_batches(data, SCHEMA, has_header=False)) == []
+        assert list(iter_decode_column_batches(data, SCHEMA, has_header=False)) == []
+
+    def test_get_scan_decodes_lazily_into_the_same_batches(self):
+        """`scan_partitions(sql=None)`: batches per partition, rows on demand."""
+        for fmt in ("csv", "parquet"):
+            ctx = CloudContext(batch_size=4)
+            info = load_table(
+                ctx, Catalog(), "t", ROWS, SCHEMA, bucket="b", partitions=2,
+                data_format=fmt,
+            )
+            scans = list(scan_partitions(ctx, info))
+            assert all(type(b) is Batch for s in scans for b in s.batches)
+            assert all(len(b) <= 4 for s in scans for b in s.batches)
+            assert [r for s in scans for r in s.rows] == ROWS
 
 
 # ----------------------------------------------------------------------
-# streaming operators vs materialized operators
+# batch operators vs the row compiler and naive references
 # ----------------------------------------------------------------------
 
 NAMES = ["k", "v"]
+NAME_INDEX = {"k": 0, "v": 1}
 OP_ROWS = [(i % 7, float(i)) for i in range(100)]
 
 
-def _stream(batch_size=9):
-    return batches_of(iter(OP_ROWS), batch_size)
+def _stream(rows=OP_ROWS, batch_size=9):
+    return [Batch.from_rows(chunk) for chunk in chunk_rows(rows, batch_size)]
 
 
+#: Batch boundaries must never show in rows or modeled CPU: many small
+#: batches, and the single batch the row-list adapters build.
+BATCH_SIZES = [9, len(OP_ROWS)]
+
+
+@pytest.mark.parametrize("batch_size", BATCH_SIZES)
 class TestStreamingOperators:
-    def test_filter_batches_matches_filter_rows(self):
+    def test_filter_matches_row_predicate(self, batch_size):
         pred = parse_expression("k >= 3")
+        keep = compile_predicate(pred, NAME_INDEX)
         tally = CpuTally()
-        got = materialize(filter_batches(_stream(), NAMES, pred, tally))
-        want = filter_rows(OP_ROWS, NAMES, pred)
-        assert got == want.rows
-        assert tally.seconds == pytest.approx(want.cpu_seconds)
+        got = materialize(
+            filter_batches(_stream(batch_size=batch_size), NAMES, pred, tally)
+        )
+        assert got == [row for row in OP_ROWS if keep(row)]
+        adapter = filter_rows(OP_ROWS, NAMES, pred)
+        assert adapter.rows == got
+        assert adapter.cpu_seconds == len(OP_ROWS) * SERVER_CPU_PER_ROW["filter"]
+        assert tally.seconds == pytest.approx(adapter.cpu_seconds)
 
-    def test_project_batches_matches_project(self):
+    def test_project_matches_row_expressions(self, batch_size):
         items = parse("SELECT v, k * 2 FROM S3Object").select_items
+        fns = [compile_expr(item.expr, NAME_INDEX) for item in items]
         tally = CpuTally()
-        got = materialize(project_batches(_stream(), NAMES, items, tally))
-        want = project(OP_ROWS, NAMES, items)
-        assert got == want.rows
-        assert projected_names(NAMES, items) == want.column_names
-        assert tally.seconds == pytest.approx(want.cpu_seconds)
+        got = materialize(
+            project_batches(_stream(batch_size=batch_size), NAMES, items, tally)
+        )
+        assert got == [tuple(fn(row) for fn in fns) for row in OP_ROWS]
+        adapter = project(OP_ROWS, NAMES, items)
+        assert adapter.rows == got
+        assert projected_names(NAMES, items) == adapter.column_names == ["v", "_2"]
+        assert adapter.cpu_seconds == pytest.approx(
+            len(OP_ROWS) * 2 * SERVER_CPU_PER_ROW["filter"]
+        )
+        assert tally.seconds == pytest.approx(adapter.cpu_seconds)
 
-    def test_group_by_batches_matches_group_by_aggregate(self):
+    def test_group_by_matches_naive_fold(self, batch_size):
         q = parse("SELECT k, SUM(v) AS s, COUNT(*) AS n FROM t GROUP BY k")
         agg_items = [i for i in q.select_items if ast.contains_aggregate(i.expr)]
-        got = group_by_batches(_stream(), NAMES, q.group_by, agg_items)
-        want = group_by_aggregate(OP_ROWS, NAMES, q.group_by, agg_items)
-        assert got.rows == want.rows
-        assert got.column_names == want.column_names
-        assert got.cpu_seconds == pytest.approx(want.cpu_seconds)
-
-    def test_sort_and_topk_batches_match(self):
-        order = parse("SELECT k FROM t ORDER BY v DESC").order_by
-        assert sort_batches(_stream(), NAMES, order).rows == (
-            sort_rows(OP_ROWS, NAMES, order).rows
+        got = group_by_batches(
+            _stream(batch_size=batch_size), NAMES, q.group_by, agg_items
         )
+        want: dict = {}
+        for k, v in OP_ROWS:  # first-appearance order, sequential float sums
+            entry = want.setdefault(k, [0, 0])
+            entry[0] += v
+            entry[1] += 1
+        assert got.rows == [(k, s, n) for k, (s, n) in want.items()]
+        assert got.column_names == ["k", "s", "n"]
+        adapter = group_by_aggregate(OP_ROWS, NAMES, q.group_by, agg_items)
+        assert (adapter.rows, adapter.column_names) == (got.rows, got.column_names)
+        assert got.cpu_seconds == adapter.cpu_seconds == (
+            len(OP_ROWS) * 2 * SERVER_CPU_PER_ROW["aggregate"]
+        )
+
+    def test_sort_and_topk_match_sorted(self, batch_size):
+        order = parse("SELECT k FROM t ORDER BY v DESC").order_by
+        want = sorted(OP_ROWS, key=lambda row: -row[1])
+        got = sort_batches(_stream(batch_size=batch_size), NAMES, order)
+        adapter = sort_rows(OP_ROWS, NAMES, order)
+        assert got.rows == adapter.rows == want
+        assert got.cpu_seconds == adapter.cpu_seconds > 0
         for k in (0, 5, 100, 1000):
-            got = top_k_batches(_stream(), NAMES, order, k)
-            want = top_k(OP_ROWS, NAMES, order, k)
-            assert got.rows == want.rows
-            assert got.cpu_seconds == pytest.approx(want.cpu_seconds)
+            got = top_k_batches(_stream(batch_size=batch_size), NAMES, order, k)
+            adapter = top_k(OP_ROWS, NAMES, order, k)
+            assert got.rows == adapter.rows == want[:k]
+            assert got.cpu_seconds == adapter.cpu_seconds > 0
 
-    def test_topk_batches_tie_stability(self):
-        rows = [(1, float(i % 2)) for i in range(40)]
+    def test_sort_and_topk_ties_keep_arrival_order(self, batch_size):
+        rows = [(i, float(i % 2)) for i in range(40)]
         order = parse("SELECT k FROM t ORDER BY v").order_by
-        got = top_k_batches(batches_of(iter(rows), 6), NAMES, order, 10)
-        assert got.rows == top_k(rows, NAMES, order, 10).rows
+        want = sorted(rows, key=lambda row: row[1])  # stable
+        stream = _stream(rows, min(batch_size, 6))
+        assert sort_batches(stream, NAMES, order).rows == want
+        assert top_k_batches(stream, NAMES, order, 10).rows == want[:10]
+        assert top_k(rows, NAMES, order, 10).rows == want[:10]
 
-    def test_hash_join_batches_matches_hash_join(self):
+    def test_hash_join_matches_nested_loop(self, batch_size):
         build = [(i, f"n{i}") for i in range(10)]
         probe = [(i % 13, float(i)) for i in range(60)]
         tally = CpuTally()
         names, joined = hash_join_batches(
-            build, ["id", "name"], batches_of(iter(probe), 7), ["fk", "x"],
+            build, ["id", "name"], _stream(probe, batch_size), ["fk", "x"],
             "id", "fk", tally,
         )
         got = materialize(joined)
-        want = hash_join(build, ["id", "name"], probe, ["fk", "x"], "id", "fk")
-        assert got == want.rows
-        assert names == want.column_names
-        assert tally.seconds == pytest.approx(want.cpu_seconds)
+        assert got == [b + p for p in probe for b in build if b[0] == p[0]]
+        adapter = hash_join(build, ["id", "name"], probe, ["fk", "x"], "id", "fk")
+        assert (adapter.rows, adapter.column_names) == (got, names)
+        assert adapter.cpu_seconds == (
+            len(build) * SERVER_CPU_PER_ROW["hash_build"]
+            + len(probe) * SERVER_CPU_PER_ROW["hash_probe"]
+        )
+        assert tally.seconds == pytest.approx(adapter.cpu_seconds)
 
+
+class TestLimitAndCounting:
     def test_limit_batches_stops_pulling_upstream(self):
         pulled = []
 
         def source():
-            for i, batch in enumerate(batches_of(iter(OP_ROWS), 10)):
+            for i, batch in enumerate(_stream(batch_size=10)):
                 pulled.append(i)
                 yield batch
 
@@ -273,7 +355,7 @@ class TestStreamingOperators:
         assert pulled == [0, 1, 2]  # 3 batches of 10, not all 10 batches
 
     def test_batch_counter_counts_consumed_rows(self):
-        counter = BatchCounter(batches_of(iter(OP_ROWS), 8))
+        counter = BatchCounter(_stream(batch_size=8))
         materialize(limit_batches(counter, 20))
         assert counter.rows == 24  # three 8-row batches pulled
 

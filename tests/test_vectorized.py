@@ -1,10 +1,12 @@
 """Vectorized-vs-row-wise equivalence tests.
 
-The vectorized compiler in :mod:`repro.expr.vector` and the columnar
-operator paths must be observationally identical to the row-wise
-originals: same values, same value *types*, same NULL handling, same
-modeled CPU charges.  These tests pin that contract with randomized
-data (NULLs, non-ASCII strings, empty batches, batch_size=1).
+The vectorized compiler in :mod:`repro.expr.vector` and the batch
+operators built on it must be observationally identical to the row
+compiler (:mod:`repro.expr.compiler`, the semantics oracle) applied one
+row at a time: same values, same value *types*, same NULL handling,
+and modeled CPU that does not depend on batch boundaries.  These tests
+pin that contract with randomized data (NULLs, non-ASCII strings, empty
+batches, batch_size=1).
 """
 
 from __future__ import annotations
@@ -14,26 +16,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cloud.context import CloudContext, set_default_pipeline
+from repro.cloud.perf import SERVER_CPU_PER_ROW
 from repro.common.errors import CatalogError, TypeMismatchError
 from repro.engine.batch import Batch
-from repro.engine.operators.base import CpuTally, batches_of, materialize
+from repro.engine.operators.base import CpuTally, materialize
 from repro.engine.operators.filter import filter_batches
-from repro.engine.operators.groupby import group_by_aggregate, group_by_batches
-from repro.engine.operators.hashjoin import hash_join, hash_join_batches
+from repro.engine.operators.groupby import group_by_batches
+from repro.engine.operators.hashjoin import hash_join_batches
 from repro.engine.operators.limit import limit_batches
-from repro.engine.operators.project import project, project_batches
-from repro.engine.operators.topk import top_k, top_k_batches
+from repro.engine.operators.project import project_batches
+from repro.engine.operators.sort import SortKey, sort_batches
+from repro.engine.operators.topk import top_k_batches
 from repro.expr.compiler import compile_expr, compile_predicate
 from repro.expr.vector import compile_expr_vector, compile_predicate_vector
 from repro.queries.common import items
 from repro.sqlparser import ast
 from repro.sqlparser.parser import parse_expression
 from repro.storage.csvcodec import (
+    chunk_rows,
     encode_table,
-    iter_decode_batches,
     iter_decode_column_batches,
 )
 from repro.storage.schema import TableSchema
+
+from helpers import decode_rows
 
 # Columns: a int, b int, f float, s str, d date-ish str.
 SCHEMA = {"a": 0, "b": 1, "f": 2, "s": 3, "d": 4}
@@ -253,74 +259,98 @@ DATA = [
 
 
 def columnar_batches(rows, batch_size=32):
-    return [Batch.from_rows(chunk) for chunk in batches_of(rows, batch_size)]
+    return [Batch.from_rows(chunk) for chunk in chunk_rows(rows, batch_size)]
 
 
+NAME_INDEX = {name: i for i, name in enumerate(NAMES)}
+
+
+@pytest.mark.parametrize("batch_size", [1, 32, len(DATA)])
 class TestOperatorParity:
-    """Columnar and list batches through one operator: same rows, same CPU."""
+    """Batch operators vs the row compiler applied one row at a time: same
+    rows, and CPU charges that ignore where the batch boundaries fall."""
 
-    def test_filter(self):
+    def test_filter(self, batch_size):
         pred = parse_expression("a < 4 AND s IS NOT NULL")
-        t_col, t_row = CpuTally(), CpuTally()
+        keep = compile_predicate(pred, NAME_INDEX)
+        tally = CpuTally()
         got = materialize(
-            filter_batches(columnar_batches(DATA), NAMES, pred, t_col)
+            filter_batches(columnar_batches(DATA, batch_size), NAMES, pred, tally)
         )
-        want = materialize(
-            filter_batches(batches_of(DATA, 32), NAMES, pred, t_row)
+        assert got == [row for row in DATA if keep(row)]
+        assert tally.seconds == pytest.approx(
+            len(DATA) * SERVER_CPU_PER_ROW["filter"], rel=1e-12
         )
-        assert got == want
-        assert t_col.seconds == t_row.seconds
 
-    def test_project(self):
+    def test_project(self, batch_size):
         sel = items("a + b AS ab", "UPPER(s) AS u", "f")
-        t_col, t_row = CpuTally(), CpuTally()
+        fns = [compile_expr(item.expr, NAME_INDEX) for item in sel]
+        tally = CpuTally()
         got = materialize(
-            project_batches(columnar_batches(DATA), NAMES, sel, t_col)
+            project_batches(columnar_batches(DATA, batch_size), NAMES, sel, tally)
         )
-        want = materialize(
-            project_batches(batches_of(DATA, 32), NAMES, sel, t_row)
+        assert got == [tuple(fn(row) for fn in fns) for row in DATA]
+        assert tally.seconds == pytest.approx(
+            len(DATA) * 3 * SERVER_CPU_PER_ROW["filter"], rel=1e-12
         )
-        assert got == want
-        assert t_col.seconds == t_row.seconds
 
-    def test_group_by(self):
-        groups = [parse_expression("a")]
+    def test_group_by(self, batch_size):
         aggs = items(
             "COUNT(*) AS n", "SUM(f) AS sf", "MIN(s) AS mn", "AVG(b) AS av"
         )
-        got = group_by_batches(columnar_batches(DATA), NAMES, groups, aggs)
-        want = group_by_aggregate(DATA, NAMES, groups, aggs)
-        assert got.rows == want.rows  # includes float bit-identity
-        assert got.column_names == want.column_names
-        assert got.cpu_seconds == want.cpu_seconds
+        got = group_by_batches(
+            columnar_batches(DATA, batch_size), NAMES, [parse_expression("a")], aggs
+        )
+        # First-appearance group order; sums folded row by row, so the
+        # floats are bit-identical whatever the batch boundaries.
+        want: dict = {}
+        for a, b, f, s, _ in DATA:
+            g = want.setdefault(a, {"n": 0, "sf": None, "mn": None, "sb": 0, "nb": 0})
+            g["n"] += 1
+            if f is not None:
+                g["sf"] = f if g["sf"] is None else g["sf"] + f
+            if s is not None:
+                g["mn"] = s if g["mn"] is None else min(g["mn"], s)
+            g["sb"] += b
+            g["nb"] += 1
+        assert got.rows == [
+            (a, g["n"], g["sf"], g["mn"], g["sb"] / g["nb"]) for a, g in want.items()
+        ]
+        assert got.column_names == ["a", "n", "sf", "mn", "av"]
+        assert got.cpu_seconds == len(DATA) * 4 * SERVER_CPU_PER_ROW["aggregate"]
 
-    def test_global_aggregate(self):
+    def test_global_aggregate(self, batch_size):
         aggs = items("COUNT(*) AS n", "SUM(a) AS sa")
-        got = group_by_batches(columnar_batches(DATA), NAMES, [], aggs)
-        want = group_by_aggregate(DATA, NAMES, [], aggs)
-        assert got.rows == want.rows
-        assert got.cpu_seconds == want.cpu_seconds
+        got = group_by_batches(columnar_batches(DATA, batch_size), NAMES, [], aggs)
+        assert got.rows == [(len(DATA), sum(row[0] for row in DATA))]
+        assert got.cpu_seconds == len(DATA) * 2 * SERVER_CPU_PER_ROW["aggregate"]
+        # ... and one row even over no input at all.
+        assert group_by_batches([], NAMES, [], aggs).rows == [(0, None)]
 
-    def test_top_k_ties_keep_arrival_order(self):
+    def test_sort_and_top_k_ties_keep_arrival_order(self, batch_size):
         order = [
             ast.OrderItem(expr=ast.Column("b")),
             ast.OrderItem(expr=ast.Column("a"), descending=True),
         ]
-        got = top_k_batches(columnar_batches(DATA), NAMES, order, 10)
-        want = top_k(DATA, NAMES, order, 10)
-        assert got.rows == want.rows
-        assert got.cpu_seconds == want.cpu_seconds
+        want = sorted(DATA, key=lambda r: (SortKey(r[1], False), SortKey(r[0], True)))
+        batches = columnar_batches(DATA, batch_size)
+        assert sort_batches(batches, NAMES, order).rows == want
+        got = top_k_batches(batches, NAMES, order, 10)
+        assert got.rows == want[:10]
+        assert got.cpu_seconds > 0
 
-    def test_hash_join(self):
+    def test_hash_join(self, batch_size):
         build = [(i, f"t{i}") for i in range(7)]
         names, joined = hash_join_batches(
-            build, ["k", "tag"], columnar_batches(DATA), NAMES, "k", "a"
+            build, ["k", "tag"], columnar_batches(DATA, batch_size), NAMES, "k", "a"
         )
-        got = materialize(joined)
-        want = hash_join(build, ["k", "tag"], DATA, NAMES, "k", "a")
-        assert got == want.rows
-        assert names == want.column_names
+        assert materialize(joined) == [
+            b + row for row in DATA for b in build if b[0] == row[0]
+        ]
+        assert names == ["k", "tag", *NAMES]
 
+
+class TestLimitView:
     def test_limit_slices_mid_batch_as_view(self):
         batches = columnar_batches(DATA, 32)
         out = list(limit_batches(iter(batches), 40))
@@ -335,8 +365,10 @@ class TestColumnarDecode:
     SCHEMA = TableSchema.of("k:int", "v:float", "s:str", "d:date")
     ROWS = [(1, 1.5, "x", "1995-01-01"), (2, None, None, None), (None, -2.0, "üz", "1996-02-03")]
 
-    def test_matches_row_wise_decoder(self):
+    def test_matches_row_wise_decode(self):
         data, _ = encode_table(self.ROWS)
+        want = decode_rows(data, self.SCHEMA)
+        assert want == self.ROWS
         for size in (1, 2, 100):
             got = [
                 b.to_rows()
@@ -344,13 +376,7 @@ class TestColumnarDecode:
                     data, self.SCHEMA, batch_size=size, has_header=False
                 )
             ]
-            want = [
-                list(b)
-                for b in iter_decode_batches(
-                    data, self.SCHEMA, batch_size=size, has_header=False
-                )
-            ]
-            assert got == want
+            assert got == list(chunk_rows(want, size))
 
     def test_bad_field_count_raises_catalog_error(self):
         data, _ = encode_table(self.ROWS)
