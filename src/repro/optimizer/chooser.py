@@ -17,7 +17,7 @@ seconds (the Figures 1a-9a axis).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.cloud.context import CloudContext, QueryExecution
 from repro.common.errors import PlanError
@@ -33,6 +33,9 @@ from repro.strategies.filter import FilterQuery
 from repro.strategies.groupby import GroupByQuery
 from repro.strategies.join import JoinQuery
 from repro.strategies.topk import TopKQuery
+
+if TYPE_CHECKING:
+    from repro.planner.physical import PhysicalPlan
 
 OBJECTIVES = ("cost", "runtime")
 
@@ -65,6 +68,9 @@ class Choice:
     picked: str = ""
     #: Extra context (probe spend, estimation inputs) for the report.
     notes: dict = field(default_factory=dict)
+    #: SQL mode choices only: the picked candidate's plan — the very
+    #: object that was priced, for the caller to run or render.
+    plan: PhysicalPlan | None = None
 
     @property
     def best(self) -> StrategyEstimate:
@@ -74,8 +80,7 @@ class Choice:
         raise PlanError(f"no candidate named {self.picked!r}")
 
     def ranked(self) -> list[StrategyEstimate]:
-        key = _objective_key(self.objective)
-        return sorted(self.candidates, key=key)
+        return sorted(self.candidates, key=objective_key(self.objective))
 
     def explain(self) -> str:
         return explain_choice(self)
@@ -100,17 +105,13 @@ class Choice:
         }
 
 
-#: Kept as the chooser's historical name for the shared ranking key.
-_objective_key = objective_key
-
-
 def _choose(kind: str, candidates: list[StrategyEstimate], objective: str,
             notes: dict | None = None) -> Choice:
     if objective not in OBJECTIVES:
         raise PlanError(f"unknown objective {objective!r}; use {OBJECTIVES}")
     if not candidates:
         raise PlanError(f"no candidate strategies for {kind}")
-    best = min(candidates, key=_objective_key(objective))
+    best = min(candidates, key=objective_key(objective))
     return Choice(
         query_kind=kind,
         objective=objective,
@@ -209,30 +210,42 @@ def choose_planner_mode(
     query,
     objective: str = "cost",
     extra_refs=(),
+    prepared=None,
 ) -> Choice:
     """Pick the SQL planner's execution mode (``baseline`` / ``optimized``).
 
     ``query`` is a parsed :class:`repro.sqlparser.ast.Query`; this is the
-    hook behind ``PushdownDB.execute(sql, mode="auto")``.  When the
-    decorrelation pass rewrote the query, ``extra_refs`` carries the
-    core-side columns its sub-joins read so projection estimates match
-    the plan that will actually run.
+    hook behind ``PushdownDB.execute(sql, mode="auto")``.  Both modes'
+    physical plans are built once — one join-order search between them —
+    and each is priced by the plan cost walker
+    (:mod:`repro.planner.costing`); the candidates *are* the plans'
+    predicted profiles, and the picked plan rides along as
+    ``choice.plan``.  When the decorrelation pass rewrote the query,
+    ``prepared`` is its output, so the priced plans carry the sub-joins
+    that will run; ``extra_refs`` alone widens the core scans'
+    projections by the columns such sub-joins would read.
 
     For multi-table queries the join-order search's per-candidate table
     (each considered order with predicted rows/runtime/cost) is lifted
     into the choice's notes so EXPLAIN can render it.
     """
-    model = CostModel(ctx, catalog)
-    candidates = model.estimate_planner_modes(query, objective, extra_refs)
-    notes = {}
-    for candidate in candidates:
-        if "join_orders" in candidate.notes:
-            notes = {
-                key: candidate.notes[key]
-                for key in ("join_order", "join_order_list", "join_tree",
-                            "join_order_method", "join_orders")
-            }
-    return _choose("sql", candidates, objective, notes)
+    # Imported here: the planner itself imports this module.
+    from repro.planner import planner
+    from repro.planner.subquery import PreparedQuery
+
+    if prepared is None and extra_refs:
+        prepared = PreparedQuery(query, extra_refs=set(extra_refs))
+    baseline, optimized = planner.build_plans(
+        ctx, catalog, query, ("baseline", "optimized"), objective,
+        prepared=prepared,
+    )
+    decision = optimized.join_decision
+    choice = _choose(
+        "sql", [baseline.estimate, optimized.estimate], objective,
+        decision.summary() if decision is not None else None,
+    )
+    choice.plan = baseline if choice.picked == "baseline" else optimized
+    return choice
 
 
 _CHOOSERS = {

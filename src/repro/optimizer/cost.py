@@ -125,6 +125,44 @@ def _phase(
     )
 
 
+def price_phases(
+    ctx: CloudContext, strategy: str, phases: list[Phase],
+    notes: dict | None = None,
+) -> StrategyEstimate:
+    """Price predicted phases through ``ctx``'s PerfModel and Pricing.
+
+    The one place predicted work becomes seconds and dollars: every
+    strategy estimator and the plan cost walker
+    (:mod:`repro.planner.costing`) end here, so a calibrated context
+    calibrates every prediction.
+    """
+    runtime = ctx.perf.runtime(phases)
+    requests = sum(p.requests for p in phases)
+    scanned = sum(p.select_scan_bytes for p in phases)
+    returned = sum(p.select_returned_bytes for p in phases)
+    transferred = sum(p.get_bytes for p in phases)
+    synthetic = RequestRecord(
+        kind=RequestKind.SELECT,
+        bucket="",
+        key="",
+        bytes_scanned=int(scanned),
+        bytes_returned=int(returned),
+        bytes_transferred=int(transferred),
+        weight=requests,
+    )
+    cost = cost_of_query([synthetic], runtime, ctx.pricing)
+    return StrategyEstimate(
+        strategy=strategy,
+        requests=requests,
+        bytes_scanned=scanned,
+        bytes_returned=returned,
+        bytes_transferred=transferred,
+        runtime_seconds=runtime,
+        cost=cost,
+        notes=notes or {},
+    )
+
+
 class CostModel:
     """Predicts :class:`StrategyEstimate` profiles for candidate plans."""
 
@@ -138,41 +176,7 @@ class CostModel:
     def _finalize(
         self, strategy: str, phases: list[Phase], notes: dict | None = None
     ) -> StrategyEstimate:
-        runtime = self.ctx.perf.runtime(phases)
-        requests = sum(p.requests for p in phases)
-        scanned = sum(p.select_scan_bytes for p in phases)
-        returned = sum(p.select_returned_bytes for p in phases)
-        transferred = sum(p.get_bytes for p in phases)
-        synthetic = RequestRecord(
-            kind=RequestKind.SELECT,
-            bucket="",
-            key="",
-            bytes_scanned=int(scanned),
-            bytes_returned=int(returned),
-            bytes_transferred=int(transferred),
-            weight=requests,
-        )
-        cost = cost_of_query([synthetic], runtime, self.ctx.pricing)
-        return StrategyEstimate(
-            strategy=strategy,
-            requests=requests,
-            bytes_scanned=scanned,
-            bytes_returned=returned,
-            bytes_transferred=transferred,
-            runtime_seconds=runtime,
-            cost=cost,
-            notes=notes or {},
-        )
-
-    def price_phases(
-        self, strategy: str, phases: list[Phase], notes: dict | None = None
-    ) -> StrategyEstimate:
-        """Price externally assembled phases (the join-order search's hook).
-
-        Runs the same runtime + dollar pricing every built-in estimator
-        uses, so composed plans inherit the context's calibration.
-        """
-        return self._finalize(strategy, phases, notes)
+        return price_phases(self.ctx, strategy, phases, notes)
 
     def _table(self, name: str) -> tuple[TableInfo, TableStats]:
         info = self.catalog.get(name)
@@ -604,281 +608,6 @@ class CostModel:
             {"k": k, "sample_size": sample_size, "expected_pass": pass_rows},
         ))
         return estimates
-
-    # ------------------------------------------------------------------
-    # planner modes (SQL front door): baseline vs optimized
-    # ------------------------------------------------------------------
-    def _tail_cpu(self, query: ast.Query, rows: float) -> float:
-        """Local-pipeline CPU of the planner's post-scan tail."""
-        cpu = 0.0
-        agg_items = [
-            i for i in query.select_items
-            if not isinstance(i.expr, ast.Star) and ast.contains_aggregate(i.expr)
-        ]
-        if query.group_by or agg_items:
-            cpu += rows * max(len(agg_items), 1) * SERVER_CPU_PER_ROW["aggregate"]
-        elif not all(isinstance(i.expr, ast.Star) for i in query.select_items):
-            cpu += rows * len(query.select_items) * SERVER_CPU_PER_ROW["filter"]
-        if query.order_by:
-            if query.limit is not None:
-                log_k = max(1.0, math.log2(max(query.limit, 2)))
-                cpu += rows * log_k * SERVER_CPU_PER_ROW["heap"]
-            elif rows > 1:
-                cpu += (
-                    rows * math.log2(rows) * len(query.order_by)
-                    * SERVER_CPU_PER_ROW["sort_per_cmp"]
-                )
-        return cpu
-
-    def estimate_planner_modes(
-        self, query: ast.Query, objective: str = "cost", extra_refs=()
-    ) -> list[StrategyEstimate]:
-        """Predict the planner's ``baseline`` vs ``optimized`` execution.
-
-        ``extra_refs`` are columns the decorrelation pass reads beyond
-        the query text (sub-join probe keys, ON-residual references);
-        they widen the projected scans exactly as they do at execution,
-        so a rewritten core whose select list only names columns of a
-        decorrelated leg still prices a valid projection.
-
-        Mirrors :mod:`repro.planner.planner`: baseline loads whole tables
-        with GETs and runs the local pipeline; optimized pushes
-        selection/projection (or the entire additive aggregate) into S3
-        Select, with a Bloom filter on join probes.  LIMIT
-        early-termination shrinks measured ingest below these
-        predictions, never the billed side, so the ranking stands.
-        """
-        from repro.planner import planner as planner_mod
-
-        if len(query.from_tables) > 2 or (
-            query.join_table is not None
-            and not planner_mod._has_equi_join(self.catalog, query)
-        ):
-            # N-way chains and 2-table cross products share the
-            # join-tree planner.
-            return self._estimate_planner_multijoin(query, objective)
-        if query.join_table is not None:
-            return self._estimate_planner_join(query, extra_refs)
-        table, stats = self._table(query.table)
-        n = table.num_rows
-        sel = self._selectivity(query.table, query.where, stats)
-        kept = sel * n
-        estimates = [self._finalize(
-            "baseline",
-            [_phase(
-                "scan", table.partitions,
-                get_bytes=float(table.total_bytes),
-                cpu_seconds=n * SERVER_CPU_PER_ROW["filter"]
-                * (query.where is not None)
-                + self._tail_cpu(query, kept),
-                records=kept, fields=kept * len(table.schema),
-            )],
-            {"selectivity": sel},
-        )]
-
-        # Zone-map pruning shrinks the optimized candidates' request
-        # streams and scanned bytes — the chooser must see those savings
-        # or it keeps ranking as if every partition were requested.
-        streams, scan_bytes, row_frac = self._pruned_profile(table, query.where)
-        pruned = table.partitions - streams
-        # A warm semantic cache answers the pushed candidate for free:
-        # the chooser must see a zero-request phase or it keeps picking
-        # whole-table baselines over replays.
-        cache = self.ctx.result_cache
-
-        if planner_mod._fully_pushable(query):
-            notes = {"selectivity": sel, "pushed": "aggregate"}
-            if cache is not None and cache.peek_aggregate(
-                table.name, query.where,
-                [item.expr.to_sql() for item in query.select_items],
-            ) is not None:
-                notes["cache"] = "hit"
-                estimates.append(self._finalize(
-                    "optimized",
-                    [_phase("pushed-aggregate", 1, requests=0.0)],
-                    notes,
-                ))
-                return estimates
-            terms = n * row_frac * (
-                len(query.select_items) + _conjuncts(query.where)
-            )
-            if pruned:
-                notes["partitions_pruned"] = pruned
-            estimates.append(self._finalize(
-                "optimized",
-                [_phase(
-                    "pushed-aggregate", streams,
-                    scan_bytes=scan_bytes,
-                    returned_bytes=streams
-                    * len(query.select_items) * 12.0,
-                    term_evals=terms,
-                )],
-                notes,
-            ))
-            return estimates
-
-        needed = planner_mod._needed_columns(query, table, extra=extra_refs)
-        notes = {"selectivity": sel, "pushed": "select"}
-        if cache is not None:
-            status = cache.peek_scan(table.name, query.where, needed)
-            if status is not None:
-                notes["cache"] = status
-                estimates.append(self._finalize(
-                    "optimized",
-                    [_phase(
-                        "scan", 1, requests=0.0,
-                        cpu_seconds=self._tail_cpu(query, kept),
-                    )],
-                    notes,
-                ))
-                return estimates
-        if pruned:
-            notes["partitions_pruned"] = pruned
-        estimates.append(self._finalize(
-            "optimized",
-            [_phase(
-                "scan", streams,
-                scan_bytes=scan_bytes,
-                returned_bytes=kept * stats.projected_row_bytes(needed),
-                term_evals=n * row_frac * _conjuncts(query.where),
-                cpu_seconds=self._tail_cpu(query, kept),
-                records=kept, fields=kept * len(needed),
-            )],
-            notes,
-        ))
-        return estimates
-
-    def _pruned_profile(
-        self, table, predicate
-    ) -> tuple[int, float, float]:
-        """(streams, scanned bytes, scanned-row fraction) a pushdown scan
-        of ``table`` pays after zone-map pruning of ``predicate``."""
-        from repro.optimizer.pruning import keep_partitions
-
-        keep = None
-        if self.ctx.prune_partitions:
-            keep = keep_partitions(table, predicate)
-        if keep is None:
-            return table.partitions, float(table.total_bytes), 1.0
-        sizes = table.partition_bytes
-        if len(sizes) == table.partitions:
-            scan_bytes = float(sum(sizes[i] for i in keep))
-        else:
-            scan_bytes = (
-                float(table.total_bytes) * len(keep)
-                / max(table.partitions, 1)
-            )
-        counts = table.partition_rows
-        if len(counts) == table.partitions and table.num_rows:
-            row_frac = sum(counts[i] for i in keep) / table.num_rows
-        else:
-            row_frac = len(keep) / max(table.partitions, 1)
-        return len(keep), scan_bytes, row_frac
-
-    def _estimate_planner_join(
-        self, query: ast.Query, extra_refs=()
-    ) -> list[StrategyEstimate]:
-        from repro.planner import planner as planner_mod
-
-        plan, _ = planner_mod._build_join_plan(self.catalog, query)
-        build_cols = planner_mod._join_needed_columns(
-            query, plan.build, plan.build_key, plan.residual, extra=extra_refs
-        )
-        probe_cols = planner_mod._join_needed_columns(
-            query, plan.probe, plan.probe_key, plan.residual, extra=extra_refs
-        )
-        join_query = JoinQuery(
-            build_table=plan.build.name,
-            probe_table=plan.probe.name,
-            build_key=plan.build_key,
-            probe_key=plan.probe_key,
-            build_predicate=plan.build_pred,
-            probe_predicate=plan.probe_pred,
-            build_projection=build_cols,
-            probe_projection=probe_cols,
-        )
-        by_name = {e.strategy: e for e in self.estimate_join(join_query)}
-        baseline = by_name["baseline join"]
-        use_bloom = (
-            plan.build.schema.column(plan.build_key).type == "int"
-            and "bloom join" in by_name
-        )
-        optimized = by_name["bloom join" if use_bloom else "filtered join"]
-        # Both planner modes run the identical local tail over the join
-        # output, so the tail CPU lands on both candidates — and the
-        # dollar cost is repriced from the new runtime so the two
-        # objectives keep ranking from consistent profiles.
-        out_rows = optimized.notes.get("matched_probe_rows", 0.0)
-        tail = self._tail_cpu(query, out_rows) * self.ctx.perf.server_cpu_factor
-        return [
-            self._with_added_runtime(baseline, "baseline", tail, "baseline join"),
-            self._with_added_runtime(
-                optimized, "optimized", tail, optimized.strategy
-            ),
-        ]
-
-    def _estimate_planner_multijoin(
-        self, query: ast.Query, objective: str = "cost"
-    ) -> list[StrategyEstimate]:
-        """Baseline vs optimized for an N-way (or cross-product) query.
-
-        Runs the join-tree search once (under the caller's objective);
-        both planner modes execute the picked tree, so the candidates
-        differ only in how each table reaches the query node.  The
-        search's per-candidate estimate table rides along in the
-        optimized candidate's notes for the EXPLAIN report.
-        """
-        from repro.optimizer.joinorder import plan_join_order
-        from repro.planner.physical import join_tree_label
-
-        decision = plan_join_order(self.ctx, self.catalog, query, objective)
-        out_rows = float(decision.estimate.notes.get("est_rows", 0.0))
-        tail = self._tail_cpu(query, out_rows) * self.ctx.perf.server_cpu_factor
-        label = join_tree_label(decision.tree)
-        join_orders = {
-            "join_order": " -> ".join(decision.order),
-            "join_order_list": list(decision.order),
-            #: Structured form of the pick — the planner's data contract
-            #: (the display strings above are for EXPLAIN only; the
-            #: serialized tree can express bushy and cross shapes the
-            #: left-deep order list cannot).
-            "join_tree": decision.shape,
-            "join_order_method": decision.method,
-            "join_orders": decision.candidate_table(),
-        }
-        baseline = self._with_added_runtime(
-            decision.baseline, "baseline", tail, "baseline multi-join"
-        )
-        optimized = self._with_added_runtime(
-            decision.estimate, "optimized", tail, f"multi-join {label}"
-        )
-        optimized.notes.update(join_orders)
-        return [baseline, optimized]
-
-    def _with_added_runtime(
-        self, estimate: StrategyEstimate, name: str, extra_seconds: float,
-        plan: str,
-    ) -> StrategyEstimate:
-        runtime = estimate.runtime_seconds + extra_seconds
-        synthetic = RequestRecord(
-            kind=RequestKind.SELECT,
-            bucket="",
-            key="",
-            bytes_scanned=int(estimate.bytes_scanned),
-            bytes_returned=int(estimate.bytes_returned),
-            bytes_transferred=int(estimate.bytes_transferred),
-            weight=estimate.requests,
-        )
-        return StrategyEstimate(
-            strategy=name,
-            requests=estimate.requests,
-            bytes_scanned=estimate.bytes_scanned,
-            bytes_returned=estimate.bytes_returned,
-            bytes_transferred=estimate.bytes_transferred,
-            runtime_seconds=runtime,
-            cost=cost_of_query([synthetic], runtime, self.ctx.pricing),
-            notes={**estimate.notes, "plan": plan},
-        )
 
     # ------------------------------------------------------------------
     # joins (paper Section V, Figures 2-4)

@@ -12,8 +12,8 @@ the planner past that limit:
   left-deep chains) up to :data:`DP_TABLE_LIMIT` tables, a greedy
   minimum-intermediate-rows fallback above — building each candidate as
   a :mod:`repro.planner.physical` operator tree and pricing it through
-  the existing :class:`~repro.optimizer.cost.CostModel` phase machinery,
-  so the context's calibrated :class:`~repro.cloud.perf.PerfModel` and
+  the one plan cost walker (:mod:`repro.planner.costing`), so the
+  context's calibrated :class:`~repro.cloud.perf.PerfModel` and
   :class:`~repro.cloud.pricing.Pricing` carry over unchanged.  Bloom
   predicates are attached to *every* probe-side scan whose build key is
   an integer — inner (non-outermost) probes included, which snowflake
@@ -41,17 +41,17 @@ from repro.cloud.perf import SERVER_CPU_PER_ROW
 from repro.common.errors import PlanError
 from repro.engine.catalog import Catalog, TableInfo
 from repro.optimizer.cost import (
-    CostModel,
     StrategyEstimate,
     _conjuncts,
-    _phase,
     objective_key,
+    price_phases,
 )
 from repro.optimizer.feedback import (
     estimate_selectivity_with_feedback,
     predicate_signature,
 )
 from repro.planner import physical
+from repro.planner.costing import predicted_phases
 from repro.planner.physical import (
     CrossProductNode,
     HashJoinNode,
@@ -310,8 +310,6 @@ class JoinOrderDecision:
     tree: PlanNode
     #: Priced estimate of the optimized pushdown tree for the pick.
     estimate: StrategyEstimate
-    #: Priced estimate of the baseline (GET everything) plan.
-    baseline: StrategyEstimate
     #: Every candidate tree considered at the top level, priced.
     candidates: list[StrategyEstimate] = field(default_factory=list)
     method: str = "dp"
@@ -334,6 +332,14 @@ class JoinOrderDecision:
             }
             for c in self.candidates
         ]
+
+    def summary(self) -> dict:
+        """The pick plus the candidate table, as EXPLAIN-report keys."""
+        return {
+            "join_order": " -> ".join(self.order),
+            "join_order_method": self.method,
+            "join_orders": self.candidate_table(),
+        }
 
 
 def _leaves(node: PlanNode) -> list[ScanNode]:
@@ -359,15 +365,15 @@ class JoinOrderSearch:
     """Join-tree enumeration priced through the shared physical-plan IR.
 
     Candidates are built as :mod:`repro.planner.physical` node trees and
-    priced via :func:`physical.predicted_phases` — the *same* per-node
-    phase assembly EXPLAIN annotates with — so search ranking, EXPLAIN
-    estimates and execution metering all read from one IR.
+    priced via :func:`~repro.planner.costing.predicted_phases` — the
+    *same* per-node phase assembly the mode chooser ranks and EXPLAIN
+    annotates with — so search ranking, EXPLAIN estimates and execution
+    metering all read from one IR.
     """
 
     def __init__(
         self,
         ctx: CloudContext,
-        catalog: Catalog,
         graph: JoinGraph,
         query: ast.Query,
         fpr: float = DEFAULT_FPR,
@@ -377,7 +383,6 @@ class JoinOrderSearch:
         self.graph = graph
         self.query = query
         self.fpr = fpr
-        self.model = CostModel(ctx, catalog)
         self.feedback = ctx.feedback
         #: Per-table ``(name, predicate_signature)`` pairs, precomputed
         #: once so warm-session DP candidates can build their feedback
@@ -657,15 +662,17 @@ class JoinOrderSearch:
     def price_tree(self, tree: PlanNode) -> StrategyEstimate:
         """Predicted profile of the optimized pushdown plan for ``tree``.
 
-        The tree's own :func:`physical.predicted_phases` run through the
-        shared :meth:`CostModel.price_phases` — scan phases mirror the
-        executor's per-scan metering (Bloom-reduced returned rows on
-        probe scans), join CPU lands on the phase preceding each join.
+        The tree's own :func:`~repro.planner.costing.predicted_phases`
+        priced by :func:`~repro.optimizer.cost.price_phases` — scan
+        phases mirror the executor's per-scan metering (Bloom-reduced
+        returned rows on probe scans), join CPU lands on the phase
+        preceding each join.
         """
         label = physical.join_tree_label(tree)
-        return self.model.price_phases(
+        return price_phases(
+            self.ctx,
             f"join-order {label}",
-            physical.predicted_phases(tree, self.model.ctx),
+            predicted_phases(tree, self.ctx),
             {
                 "order": physical.join_leaf_order(tree),
                 "label": label,
@@ -674,54 +681,9 @@ class JoinOrderSearch:
             },
         )
 
-    def price_order(self, order: list[str], final: bool = True
-                    ) -> StrategyEstimate:
-        """Price a forced left-deep order (``final`` kept for backward
-        compatibility; Bloom placement is per-node now, so prefix and
-        final pricing coincide)."""
-        del final
+    def price_order(self, order: list[str]) -> StrategyEstimate:
+        """Price a forced left-deep order."""
         return self.price_tree(self.left_deep_tree(list(order)))
-
-    def price_baseline(self, tree) -> StrategyEstimate:
-        """Predicted profile of the baseline plan: GET every table whole.
-
-        Accepts a tree or a left-deep order list (test/back-compat).
-        """
-        if isinstance(tree, list):
-            tree = self.left_deep_tree(tree)
-        get_bytes = records = fields = 0.0
-        streams = 0
-        cpu = 0.0
-
-        def walk(node: PlanNode) -> None:
-            nonlocal get_bytes, records, fields, streams, cpu
-            if isinstance(node, ScanNode):
-                info = node.table
-                get_bytes += float(info.total_bytes)
-                records += info.num_rows
-                fields += info.num_rows * len(info.schema)
-                streams += info.partitions
-                if node.predicate is not None:
-                    cpu += info.num_rows * SERVER_CPU_PER_ROW["filter"]
-                return
-            for child in node.children():
-                walk(child)
-            cpu += node.est_cpu_plain
-
-        walk(tree)
-        return self.model.price_phases(
-            "baseline multi-join",
-            [_phase(
-                "load+join", streams,
-                get_bytes=get_bytes, cpu_seconds=cpu,
-                records=records, fields=fields,
-            )],
-            {
-                "order": physical.join_leaf_order(tree),
-                "label": physical.join_tree_label(tree),
-                "est_rows": tree.est_rows,
-            },
-        )
 
     # -- enumeration -------------------------------------------------
     def search(self, objective: str = "cost") -> JoinOrderDecision:
@@ -776,7 +738,6 @@ class JoinOrderSearch:
             order=physical.join_leaf_order(tree),
             tree=tree,
             estimate=estimate,
-            baseline=self.price_baseline(physical.clone_tree(tree)),
             candidates=candidates,
             method=method,
         )
@@ -972,4 +933,4 @@ def plan_join_order(
     """Build the join graph (unless given) and run the tree search."""
     if graph is None:
         graph = build_join_graph(catalog, query)
-    return JoinOrderSearch(ctx, catalog, graph, query).search(objective)
+    return JoinOrderSearch(ctx, graph, query).search(objective)

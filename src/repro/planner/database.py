@@ -18,7 +18,7 @@ from repro.cloud.context import CloudContext, QueryExecution
 from repro.cloud.perf import PerfModel
 from repro.cloud.pricing import Pricing
 from repro.engine.catalog import DEFAULT_PARTITIONS, Catalog, TableInfo, load_table
-from repro.planner.planner import plan_and_execute
+from repro.planner.planner import choose_plan, plan_and_execute
 from repro.storage.schema import TableSchema
 
 
@@ -164,17 +164,17 @@ class PushdownDB:
         and dollar cost, and marks the pick.  For multi-table queries
         the report also carries the join-order search's candidate table
         (each considered tree with its predicted rows, runtime and
-        cost).  The picked mode's physical operator tree is rendered
+        cost).  The picked candidate's physical plan — the object that
+        was priced, and what ``mode="auto"`` would run — is rendered
         below the candidate table, annotated with per-node ``est_rows``
-        and cumulative ``est_cost``.  Plan building itself never touches
+        and cumulative ``est_cost``; the root's ``est_cost`` is the
+        picked candidate's cost.  Plan building itself never touches
         storage, with one exception: queries with subqueries or derived
         tables pre-execute those legs (decorrelation joins against their
         actual result), so their scans run and are billed to the
         session.  Decorrelated joins render with their provenance, e.g.
         ``semi hash-join [...] (decorrelated EXISTS)``.
         """
-        from repro.optimizer.chooser import choose_planner_mode
-        from repro.planner.planner import build_plan
         from repro.planner.subquery import needs_rewrite, prepare_query
         from repro.sqlparser.parser import parse
 
@@ -183,24 +183,13 @@ class PushdownDB:
         if needs_rewrite(query):
             prepared = prepare_query(self.ctx, self.catalog, query, "optimized")
             query = prepared.query
-        if prepared is not None and prepared.derived_rows is not None:
-            plan = build_plan(
-                self.ctx, self.catalog, query, "optimized", prepared=prepared
-            )
-            return f"physical plan (optimized):\n{plan.describe()}"
-        choice = choose_planner_mode(
-            self.ctx, self.catalog, query,
-            extra_refs=prepared.extra_refs if prepared is not None else (),
+        plan, choice = choose_plan(
+            self.ctx, self.catalog, query, "auto", prepared
         )
-        plan = build_plan(
-            self.ctx, self.catalog, query, choice.picked,
-            shape=choice.notes.get("join_tree"),
-            prepared=prepared,
-        )
-        return (
-            f"{choice.explain()}\n"
-            f"physical plan ({choice.picked}):\n{plan.describe()}"
-        )
+        report = f"physical plan ({plan.mode}):\n{plan.describe()}"
+        if choice is not None:
+            report = f"{choice.explain()}\n{report}"
+        return report
 
     def calibrate_to_paper_scale(self, paper_bytes: float = 10e9) -> float:
         """Re-rate the context as if loaded data were paper-sized."""

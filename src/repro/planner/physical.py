@@ -1,25 +1,19 @@
 """The explicit physical-plan IR: one operator tree for everything.
 
-Prior to this module the planner executed through ad-hoc per-strategy
-code paths (inline single-table pipelines, a hand-chained multi-join
-loop), so plan *shape* was hard-coded: left-deep joins only, Bloom
-filters on the outermost probe only, and no way for EXPLAIN to show the
-actual operator structure.  This module makes the plan a first-class
-tree of :class:`PlanNode` objects that
+The plan is a first-class tree of :class:`PlanNode` objects that
 
 * a **single recursive executor** (:func:`execute_plan`) walks, yielding
-  RecordBatches bottom-up through the same streaming operator functions
-  the old paths used (so metering is unchanged where the shape is);
-* the **cost model** prices node-by-node (:func:`predicted_phases`
+  ``Batch`` streams bottom-up through the streaming operator functions;
+* the **cost walker** prices (:func:`repro.planner.costing.predicted_phases`
   assembles the same :class:`~repro.cloud.metrics.Phase` objects the
-  executor meters; the join-order search ranks candidate trees with it);
+  executor meters — the mode chooser, the join-order search and the
+  per-node ``est_cost`` annotations all read from it);
 * **EXPLAIN** renders (:func:`render_plan`), including per-node
   ``est_rows`` / ``est_cost`` annotations and — after execution —
   observed cardinalities with estimate-vs-actual Q-error columns
   (:func:`render_execution_report`).
 
-Execution contract (kept identical to the pre-IR planner so two-table
-pairwise queries stay byte-for-byte the same):
+Execution contract:
 
 * every **materialized** scan (hash-build sides) issues its requests and
   appends its phase immediately; the one **streaming** scan on the
@@ -28,19 +22,19 @@ pairwise queries stay byte-for-byte the same):
 * in ``baseline`` mode for joins, all scans collapse into one
   ``load+join`` phase whose ingest is the whole-table formula;
 * all local-operator CPU accumulates into one :class:`CpuTally` charged
-  to the final phase, exactly as before.
+  to the final phase.
 
-New plan shapes unlocked by the IR: **bushy** join trees (both sides of
-a join may themselves be joins), Bloom predicates on **inner**
-(non-outermost) probe scans, and **cross products** for small
-disconnected FROM lists.
+Join trees may be **bushy** (both sides of a join may themselves be
+joins), carry Bloom predicates on **inner** (non-outermost) probe scans,
+and fall back to **cross products** for small disconnected FROM lists.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.cloud.context import CloudContext, QueryExecution
 from repro.cloud.metrics import Phase
@@ -66,6 +60,10 @@ from repro.strategies.scans import (
     scan_partitions,
     select_aggregate,
 )
+
+if TYPE_CHECKING:
+    from repro.optimizer.cost import StrategyEstimate
+    from repro.optimizer.joinorder import JoinOrderDecision
 
 
 # ----------------------------------------------------------------------
@@ -155,6 +153,8 @@ class PlanNode:
     * ``est_rows`` — estimated output cardinality;
     * ``est_cost`` — estimated cumulative dollar cost of the subtree,
       priced through the context's PerfModel + Pricing;
+    * ``est_cpu`` — estimated local CPU seconds of this operator alone
+      (joins and the local tail; scans price their own phases);
     * ``actual_rows`` — observed output cardinality, recorded during
       execution (estimate-vs-actual feedback for EXPLAIN);
     * ``wall_seconds`` — measured inclusive wall-clock this subtree
@@ -163,6 +163,7 @@ class PlanNode:
 
     est_rows: float | None = None
     est_cost: float | None = None
+    est_cpu: float = 0.0
     actual_rows: int | None = None
     wall_seconds: float | None = None
 
@@ -460,7 +461,7 @@ class PushedAggregateNode(PlanNode):
             text += f" cache: {self.cache_status}"
         return text
 
-    def _item_signatures(self) -> list[str]:
+    def item_signatures(self) -> list[str]:
         """Alias-insensitive signature of each pushed aggregate item."""
         return [item.expr.to_sql() for item in self.query.select_items]
 
@@ -471,7 +472,7 @@ class PushedAggregateNode(PlanNode):
         partials = self._cache_partials
         self._cache_partials = None
         stored = cache.store_aggregate(
-            self.table.name, self.query.where, self._item_signatures(),
+            self.table.name, self.query.where, self.item_signatures(),
             partials,
         )
         return 1 if stored else 0
@@ -487,7 +488,7 @@ class PushedAggregateNode(PlanNode):
         cache = ctx.result_cache if not state.combined else None
         if cache is not None:
             reuse = cache.lookup_aggregate(
-                self.table.name, self.query.where, self._item_signatures()
+                self.table.name, self.query.where, self.item_signatures()
             )
             if reuse is not None:
                 self.cache_status = reuse.status
@@ -1331,26 +1332,40 @@ def _group_output_projection(
 
 
 def attach_local_tail(
-    node: PlanNode, query: ast.Query, input_names: Sequence[str]
+    node: PlanNode,
+    query: ast.Query,
+    input_names: Sequence[str],
+    est_rows: float = 0.0,
 ) -> PlanNode:
     """GROUP BY / aggregate / ORDER BY / LIMIT as plan nodes above ``node``.
 
-    Mirrors the streaming planner's tail exactly: row-at-a-time operators
-    (projection, LIMIT) stay streaming; pipeline breakers (group-by,
-    sort, top-K) drain internally.  ``ORDER BY`` keys outside the select
-    list defer the projection until after the sort so the keys stay in
-    scope; alias references in the deferred sort are rewritten to their
-    select expressions.  ``input_names`` are the plan-time column names
-    of ``node``'s output (presence only — runtime order may differ when
-    an inner join swaps its hash sides).
+    Row-at-a-time operators (projection, LIMIT) stay streaming; pipeline
+    breakers (group-by, sort, top-K) drain internally.  ``ORDER BY``
+    keys outside the select list defer the projection until after the
+    sort so the keys stay in scope; alias references in the deferred
+    sort are rewritten to their select expressions.  ``input_names`` are
+    the plan-time column names of ``node``'s output (presence only —
+    runtime order may differ when an inner join swaps its hash sides).
+    ``est_rows`` is the estimated cardinality flowing into the tail;
+    each CPU-bearing tail node is annotated with the ``est_cpu`` it
+    spends on that many rows, which the cost walker charges like a
+    join's.
     """
     deferred_projection = False
+    project_cpu = (
+        est_rows * len(query.select_items) * SERVER_CPU_PER_ROW["filter"]
+    )
+    aggregate_cpu = (
+        est_rows * max(len(agg_items(query)), 1)
+        * SERVER_CPU_PER_ROW["aggregate"]
+    )
     if query.group_by:
         items = agg_items(query)
         having_pred, hidden = (None, [])
         if query.having is not None:
             having_pred, hidden = _rewrite_having(query, items)
         node = GroupByNode(node, tuple(query.group_by), items + hidden)
+        node.est_cpu = aggregate_cpu
         if having_pred is not None:
             node = FilterNode(node, having_pred)
         reorder = _group_output_projection(query, items, bool(hidden))
@@ -1365,6 +1380,7 @@ def attach_local_tail(
         if query.having is not None:
             having_pred, hidden = _rewrite_having(query, items)
         node = GroupByNode(node, (), items + hidden)
+        node.est_cpu = aggregate_cpu
         if having_pred is not None:
             node = FilterNode(node, having_pred)
             if hidden:
@@ -1384,6 +1400,7 @@ def attach_local_tail(
         )
         if not deferred_projection:
             node = ProjectNode(node, query.select_items)
+            node.est_cpu = project_cpu
 
     order_by = query.order_by
     if deferred_projection:
@@ -1394,12 +1411,22 @@ def attach_local_tail(
     if order_by:
         if query.limit is not None:
             node = TopKNode(node, order_by, query.limit)
+            node.est_cpu = (
+                est_rows * max(1.0, math.log2(max(query.limit, 2)))
+                * SERVER_CPU_PER_ROW["heap"]
+            )
         else:
             node = SortNode(node, order_by)
+            if est_rows > 1:
+                node.est_cpu = (
+                    est_rows * math.log2(est_rows) * len(order_by)
+                    * SERVER_CPU_PER_ROW["sort_per_cmp"]
+                )
     elif query.limit is not None:
         node = LimitNode(node, query.limit)
     if deferred_projection:
         node = ProjectNode(node, query.select_items)
+        node.est_cpu = project_cpu
     return node
 
 
@@ -1422,6 +1449,13 @@ class PhysicalPlan:
     #: The mid-flight re-optimization wrapper, when this is an adaptive
     #: plan (``mode="adaptive"`` over a 3+-way equi-join tree).
     adaptive_node: "AdaptiveJoinNode | None" = None
+    #: The join-order search's outcome, when the search (rather than a
+    #: forced shape or order) picked this plan's join tree.
+    join_decision: JoinOrderDecision | None = None
+    #: Predicted profile of the whole plan, filled by
+    #: :func:`repro.planner.costing.annotate_costs`; its ``total_cost``
+    #: is the root's ``est_cost``.
+    estimate: StrategyEstimate | None = None
 
     def describe(self) -> str:
         return render_plan(self.root)
@@ -1506,141 +1540,6 @@ def execute_plan(
         details["session"] = result_cache.stats.summary()
         execution.details["cache"] = details
     return execution
-
-
-# ----------------------------------------------------------------------
-# cost-model hooks: predicted phases + cumulative cost annotations
-# ----------------------------------------------------------------------
-
-def _pruned_scan_profile(n: ScanNode) -> tuple[int, float, float]:
-    """(streams, scanned bytes, scanned-row fraction) after pruning.
-
-    Exact per-partition sizes and row counts are used when the catalog
-    has them; tables registered by hand fall back to a pro-rata split so
-    the prediction still shrinks with the partition count.
-    """
-    keep = n.keep_partitions
-    total = max(n.table.partitions, 1)
-    if keep is None:
-        return n.table.partitions, float(n.table.total_bytes), 1.0
-    sizes = n.table.partition_bytes
-    if len(sizes) == n.table.partitions:
-        scan_bytes = float(sum(sizes[i] for i in keep))
-    else:
-        scan_bytes = float(n.table.total_bytes) * len(keep) / total
-    counts = n.table.partition_rows
-    if len(counts) == n.table.partitions and n.table.num_rows:
-        row_frac = sum(counts[i] for i in keep) / n.table.num_rows
-    else:
-        row_frac = len(keep) / total
-    return len(keep), scan_bytes, row_frac
-
-
-def predicted_phases(node: PlanNode, ctx: CloudContext | None = None) -> list[Phase]:
-    """Assemble the predicted phases of a join subtree, node by node.
-
-    Mirrors what :func:`execute_plan` meters for the same tree: one
-    phase per scan (with Bloom-reduced returned rows where a parent join
-    attached a Bloom predicate), and each join's local CPU charged to the
-    last phase emitted before it completes.  The join-order search prices
-    candidate trees by running these through
-    :meth:`~repro.optimizer.cost.CostModel.price_phases`, so the
-    context's calibrated PerfModel/Pricing carry over unchanged.
-
-    When ``ctx`` carries a warm semantic cache, pushdown scans that
-    would answer from it are priced at zero requests and bytes — the
-    chooser and the join-order DP therefore *prefer* cacheable plans
-    exactly when the cache would fire.
-    """
-    from repro.optimizer.cost import _phase
-
-    cache = ctx.result_cache if ctx is not None else None
-    phases: list[Phase] = []
-
-    def walk(n: PlanNode) -> None:
-        if isinstance(n, MaterializedNode):
-            # Already executed (and billed): contributes no future work.
-            return
-        if isinstance(n, ScanNode):
-            stats = n.table.stats_or_default()
-            est = (
-                n.est_rows if n.est_rows is not None
-                else float(n.table.num_rows)
-            )
-            if n.pushdown:
-                if (
-                    cache is not None
-                    and n.bloom_attr is None
-                    and cache.peek_scan(
-                        n.table.name, n.predicate, n.columns
-                    ) is not None
-                ):
-                    # Replay is local: no requests, no scanned bytes,
-                    # no server-side ingest.
-                    phases.append(_phase(n.phase_label, 1, requests=0.0))
-                    return
-                streams, scan_bytes, row_frac = _pruned_scan_profile(n)
-                phases.append(_phase(
-                    n.phase_label, streams,
-                    scan_bytes=scan_bytes,
-                    returned_bytes=est * stats.projected_row_bytes(n.columns),
-                    term_evals=n.est_terms * row_frac,
-                    records=est,
-                    fields=est * max(len(n.columns), 1),
-                ))
-            else:
-                raw = n.table.num_rows
-                cpu = (
-                    raw * SERVER_CPU_PER_ROW["filter"]
-                    if n.predicate is not None else 0.0
-                )
-                phases.append(_phase(
-                    n.phase_label, n.table.partitions,
-                    get_bytes=float(n.table.total_bytes),
-                    cpu_seconds=cpu,
-                    records=raw,
-                    fields=raw * len(n.table.schema),
-                ))
-            return
-        if isinstance(n, (HashJoinNode, CrossProductNode)):
-            walk(n.build)
-            walk(n.probe)
-            if phases:
-                phases[-1].server_cpu_seconds += n.est_cpu
-            elif n.est_cpu:
-                # Both inputs already materialized (mid-flight replan
-                # candidates): the join's local CPU is still future work
-                # and must not vanish from the ranking — carry it on a
-                # zero-IO phase.
-                phases.append(_phase(
-                    "local-join", 1, requests=0.0, cpu_seconds=n.est_cpu,
-                ))
-            return
-        for child in n.children():
-            walk(child)
-
-    walk(node)
-    return phases
-
-
-def annotate_costs(root: PlanNode, ctx: CloudContext, catalog) -> None:
-    """Fill ``est_cost`` on scan/join/cross nodes: cumulative subtree
-    cost priced through the existing CostModel phase machinery."""
-    from repro.optimizer.cost import CostModel
-
-    model = CostModel(ctx, catalog)
-
-    def walk(node: PlanNode) -> None:
-        for child in node.children():
-            walk(child)
-        if isinstance(node, (ScanNode, HashJoinNode, CrossProductNode,)):
-            phases = predicted_phases(node, ctx)
-            if phases:
-                node.est_cost = model.price_phases(
-                    "node", phases
-                ).total_cost
-
-    walk(root)
 
 
 # ----------------------------------------------------------------------

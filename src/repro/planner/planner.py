@@ -8,32 +8,33 @@ queries run through a cost-based join-tree search
 
 Every path **builds an explicit physical plan** — a
 :mod:`repro.planner.physical` operator tree — and hands it to the single
-recursive executor.  The same tree is what the cost model prices and
-what ``db.explain()`` renders.
+recursive executor.  The same plan object is what the cost walker
+(:mod:`repro.planner.costing`) prices, what ``mode="auto"`` ranks, what
+``db.explain()`` renders and what runs.
 
 Supported SQL per query:
 
 * single table — WHERE / GROUP BY / aggregates / ORDER BY / LIMIT;
-* two tables (``FROM a, b WHERE a.k = b.k AND ...``) — equi-join plus
-  the same local tail (kept on the historical pairwise plan shape so its
-  metering is unchanged); pairs *without* an equi-join condition fall
-  back to a guarded cross product;
-* three or more tables — an equi-join tree (left-deep or bushy) planned
-  by the join-order search, with Bloom predicates on probe-side scans
-  and cross-product fallbacks for small disconnected FROM lists.
+* two or more tables (``FROM a, b WHERE a.k = b.k AND ...``) — an
+  equi-join tree (left-deep or bushy) planned by the join-order search,
+  with Bloom predicates on probe-side scans, the same local tail, and
+  cross-product fallbacks for small disconnected FROM lists.
 
 Anything else raises :class:`~repro.common.errors.PlanError`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
 
 from repro.cloud.context import CloudContext, QueryExecution
 from repro.common.errors import PlanError
 from repro.engine.catalog import Catalog, TableInfo
+from repro.optimizer import chooser
 from repro.optimizer.feedback import estimate_selectivity_with_feedback
+from repro.optimizer.joinorder import JoinOrderSearch, build_join_graph
 from repro.planner import physical
+from repro.planner.costing import annotate_costs
 from repro.planner.physical import (
     FilterNode,
     HashJoinNode,
@@ -93,34 +94,38 @@ def execute_parsed(
         mark = ctx.begin_query()
         prepared = prepare_query(ctx, catalog, query, mode)
         query = prepared.query
-    summary = None
+    plan, choice = choose_plan(ctx, catalog, query, mode, prepared)
+    execution = execute_plan(
+        ctx, plan, mark=mark,
+        pre_phases=prepared.pre_phases if prepared is not None else None,
+    )
+    if choice is not None:
+        execution.details["optimizer"] = choice.summary()
+    return execution
+
+
+def choose_plan(
+    ctx: CloudContext, catalog: Catalog, query: ast.Query, mode: str,
+    prepared=None,
+) -> tuple[PhysicalPlan, chooser.Choice | None]:
+    """The plan ``mode`` runs for a (rewritten) query, plus the
+    optimizer's choice when ``mode="auto"`` made one.
+
+    ``auto`` builds and prices both candidate plans once and hands back
+    the picked *plan object* — execution and EXPLAIN run and render
+    exactly what was priced.
+    """
     if mode == "auto":
         if prepared is not None and prepared.derived_rows is not None:
             # A derived-table core reads no storage; there is nothing
             # for the baseline-vs-pushdown chooser to decide.
             mode = "optimized"
         else:
-            from repro.optimizer.chooser import choose_planner_mode
-
-            choice = choose_planner_mode(
-                ctx, catalog, query,
-                extra_refs=(
-                    prepared.extra_refs if prepared is not None else ()
-                ),
+            choice = chooser.choose_planner_mode(
+                ctx, catalog, query, prepared=prepared
             )
-            mode = choice.picked
-            summary = choice.summary()
-    # Reuse the tree the auto-mode search already picked rather than
-    # running the DP a second time.
-    shape = summary.get("join_tree") if summary is not None else None
-    plan = build_plan(ctx, catalog, query, mode, shape=shape, prepared=prepared)
-    execution = execute_plan(
-        ctx, plan, mark=mark,
-        pre_phases=prepared.pre_phases if prepared is not None else None,
-    )
-    if summary is not None:
-        execution.details["optimizer"] = summary
-    return execution
+            return choice.plan, choice
+    return build_plan(ctx, catalog, query, mode, prepared=prepared), None
 
 
 def build_plan(
@@ -134,33 +139,54 @@ def build_plan(
 ) -> PhysicalPlan:
     """Build the physical plan for ``query`` without executing it.
 
-    ``shape`` forces a serialized join-tree shape (the auto-mode reuse
-    path); ``force_order`` forces a left-deep order (experiment sweeps).
-    ``prepared`` is the decorrelation pass's output
+    ``shape`` forces a serialized join-tree shape and ``force_order`` a
+    left-deep order (experiment sweeps).  ``prepared`` is the
+    decorrelation pass's output
     (:class:`repro.planner.subquery.PreparedQuery`) — its sub-joins
     stack on top of the core join tree, below the local tail.  Plan
     building never touches storage (pre-executed subquery legs already
     ran inside ``prepared``), so ``db.explain()`` can render the tree
     for free.
     """
-    forced = shape is not None or force_order is not None
+    return build_plans(
+        ctx, catalog, query, (mode,), shape=shape, force_order=force_order,
+        prepared=prepared,
+    )[0]
+
+
+def build_plans(
+    ctx: CloudContext,
+    catalog: Catalog,
+    query: ast.Query,
+    modes: Sequence[str],
+    objective: str = "cost",
+    shape=None,
+    force_order: list[str] | None = None,
+    prepared=None,
+) -> list[PhysicalPlan]:
+    """One priced plan per entry of ``modes`` (see :func:`build_plan`).
+
+    Multi-table queries run the join-order search (under ``objective``)
+    once and derive every mode's plan from the tree it picked, so the
+    ``auto`` chooser's baseline and optimized candidates join in the
+    same order.  Every returned plan carries its predicted profile
+    (``plan.estimate``) and per-node ``est_cost``.
+    """
     if prepared is not None and prepared.derived_rows is not None:
-        plan = _build_derived_plan(query, mode, prepared)
+        plans = [_build_derived_plan(query, mode, prepared) for mode in modes]
     elif query.join_table is None:
-        plan = _build_single_plan(ctx, catalog, query, mode, prepared=prepared)
-    elif (
-        not forced
-        and len(query.from_tables) == 2
-        and _has_equi_join(catalog, query)
-    ):
-        plan = _build_pairwise_plan(ctx, catalog, query, mode, prepared=prepared)
+        plans = [
+            _build_single_plan(ctx, catalog, query, mode, prepared=prepared)
+            for mode in modes
+        ]
     else:
-        plan = _build_multiway_plan(
-            ctx, catalog, query, mode, shape=shape, force_order=force_order,
-            prepared=prepared,
+        plans = _join_plans(
+            ctx, catalog, query, modes, objective, shape=shape,
+            force_order=force_order, prepared=prepared,
         )
-    physical.annotate_costs(plan.root, ctx, catalog)
-    return plan
+    for plan in plans:
+        annotate_costs(plan, ctx)
+    return plans
 
 
 def _build_derived_plan(query: ast.Query, mode: str, prepared) -> PhysicalPlan:
@@ -170,9 +196,10 @@ def _build_derived_plan(query: ast.Query, mode: str, prepared) -> PhysicalPlan:
         prepared.derived_rows, prepared.derived_names, tables=(query.table,)
     )
     names = list(prepared.derived_names)
+    est_rows = node.est_rows
     if query.where is not None:
         node = FilterNode(node, query.where)
-    root = attach_local_tail(node, query, names)
+    root = attach_local_tail(node, query, names, est_rows)
     return PhysicalPlan(
         root=root, mode=mode, strategy=f"{mode} derived-table",
         scan_tables=[],
@@ -183,6 +210,7 @@ def _apply_sub_joins(
     ctx: CloudContext,
     node: physical.PlanNode,
     names: list[str],
+    probe_est: float,
     prepared,
     mode: str,
 ) -> tuple[physical.PlanNode, list[str], list[TableInfo]]:
@@ -192,7 +220,7 @@ def _apply_sub_joins(
     uses output caps by join kind — semi/anti joins emit at most the
     probe side, a left-outer join emits at least it, and a decorrelated
     scalar join (unique group keys) at most it; all four estimate at
-    the probe cardinality.  Bloom predicates are never attached here:
+    the probe cardinality ``probe_est``.  Bloom predicates are never attached here:
     left/anti joins must see every probe row, and the pre-executed
     build sides never rescan storage anyway.  Returns the wrapped node,
     its output names, and the tables any LEFT JOIN scans added (the
@@ -202,7 +230,6 @@ def _apply_sub_joins(
     from repro.engine.operators.hashjoin import join_output_names
 
     extra_tables: list[TableInfo] = []
-    probe_est = getattr(node, "est_rows", None) or 0.0
     for sj in prepared.sub_joins:
         if sj.table is not None:
             optimized = mode != "baseline"
@@ -244,17 +271,9 @@ def _apply_sub_joins(
         )
         names = join_output_names(build_names, names, sj.kind)
         node = join
-        probe_est = join.est_rows
     if prepared.post_filter is not None:
         node = FilterNode(node, prepared.post_filter)
     return node, names, extra_tables
-
-
-def _has_equi_join(catalog: Catalog, query: ast.Query) -> bool:
-    """Whether a 2-table query carries an equi-join condition."""
-    from repro.optimizer.joinorder import build_join_graph
-
-    return bool(build_join_graph(catalog, query).edges)
 
 
 # ----------------------------------------------------------------------
@@ -315,9 +334,9 @@ def _build_single_plan(
     extra_tables: list[TableInfo] = []
     if wrapped:
         node, names, extra_tables = _apply_sub_joins(
-            ctx, node, names, prepared, mode
+            ctx, node, names, scan.est_rows, prepared, mode
         )
-    root = attach_local_tail(node, query, names)
+    root = attach_local_tail(node, query, names, scan.est_rows)
     # A baseline LEFT JOIN scan materializes via plain GETs whose
     # ingest only the combined-phase formula accounts for; plans
     # without such scans keep their historical per-scan phase.
@@ -378,267 +397,7 @@ def _needed_columns(
 
 
 # ----------------------------------------------------------------------
-# two-table join plans (the historical pairwise shape)
-# ----------------------------------------------------------------------
-
-@dataclass
-class _JoinPlan:
-    build: TableInfo
-    probe: TableInfo
-    build_key: str
-    probe_key: str
-    build_pred: ast.Expr | None
-    probe_pred: ast.Expr | None
-    residual: ast.Expr | None
-
-
-#: Shared WHERE-decomposition primitives (also used by the join-order
-#: search); kept as module aliases for the pairwise planner's call sites.
-_split_conjuncts = ast.split_conjuncts
-_and_join = ast.and_join
-
-
-def _owner(column: ast.Column, a: TableInfo, b: TableInfo) -> TableInfo | None:
-    if column.table:
-        if column.table.lower() == a.name.lower():
-            return a
-        if column.table.lower() == b.name.lower():
-            return b
-        return None
-    in_a = a.schema.has_column(column.name)
-    in_b = b.schema.has_column(column.name)
-    if in_a and not in_b:
-        return a
-    if in_b and not in_a:
-        return b
-    if in_a and in_b:
-        raise PlanError(
-            f"ambiguous column {column.name!r}: qualify it with a table name"
-        )
-    return None
-
-
-def _build_join_plan(
-    catalog: Catalog, query: ast.Query
-) -> tuple[_JoinPlan, list[ast.Expr]]:
-    a = catalog.get(query.table)
-    b = catalog.get(query.join_table)
-    join_cond: tuple[str, str] | None = None
-    side_preds: dict[str, list[ast.Expr]] = {a.name: [], b.name: []}
-    residual: list[ast.Expr] = []
-    for conjunct in _split_conjuncts(query.where):
-        if (
-            join_cond is None
-            and isinstance(conjunct, ast.Binary)
-            and conjunct.op == "="
-            and isinstance(conjunct.left, ast.Column)
-            and isinstance(conjunct.right, ast.Column)
-        ):
-            lo = _owner(conjunct.left, a, b)
-            ro = _owner(conjunct.right, a, b)
-            if lo is not None and ro is not None and lo is not ro:
-                if lo is a:
-                    join_cond = (conjunct.left.name, conjunct.right.name)
-                else:
-                    join_cond = (conjunct.right.name, conjunct.left.name)
-                continue
-        owners = set()
-        for column in ast.walk(conjunct):
-            if isinstance(column, ast.Column):
-                owner = _owner(column, a, b)
-                if owner is not None:
-                    owners.add(owner.name)
-        if owners == {a.name}:
-            side_preds[a.name].append(conjunct)
-        elif owners == {b.name}:
-            side_preds[b.name].append(conjunct)
-        else:
-            residual.append(conjunct)
-    if join_cond is None:
-        raise PlanError(
-            "two-table queries need an equi-join condition like a.k = b.k"
-        )
-    a_key, b_key = join_cond
-    # Build side = smaller table, as in the paper's hash joins.
-    if a.num_rows <= b.num_rows:
-        plan = _JoinPlan(
-            build=a, probe=b, build_key=a_key, probe_key=b_key,
-            build_pred=_and_join(side_preds[a.name]),
-            probe_pred=_and_join(side_preds[b.name]),
-            residual=_and_join(residual),
-        )
-    else:
-        plan = _JoinPlan(
-            build=b, probe=a, build_key=b_key, probe_key=a_key,
-            build_pred=_and_join(side_preds[b.name]),
-            probe_pred=_and_join(side_preds[a.name]),
-            residual=_and_join(residual),
-        )
-    return plan, residual
-
-
-def _join_needed_columns(
-    query: ast.Query, table: TableInfo, key: str, residual: ast.Expr | None,
-    extra=(),
-) -> list[str]:
-    referenced: set[str] = {key.lower()} | {c.lower() for c in extra}
-    star = False
-    exprs = [i.expr for i in query.select_items]
-    exprs += list(query.group_by)
-    exprs += [o.expr for o in query.order_by]
-    if query.having is not None:
-        exprs.append(query.having)
-    if residual is not None:
-        exprs.append(residual)
-    for expr in exprs:
-        if isinstance(expr, ast.Star):
-            star = True
-            continue
-        referenced |= {c.lower() for c in ast.referenced_columns(expr)}
-    if star:
-        return list(table.schema.names)
-    return [n for n in table.schema.names if n.lower() in referenced]
-
-
-def _build_pairwise_plan(
-    ctx: CloudContext, catalog: Catalog, query: ast.Query, mode: str,
-    prepared=None,
-) -> PhysicalPlan:
-    """Two-table equi-join as the historical pairwise plan shape.
-
-    The build side is a pipeline breaker (its rows must be hashed before
-    probing), so its scan materializes; the probe side streams
-    batch-by-batch through the join, the residual filter, and the local
-    tail.  Metering is byte-identical to the pre-IR pairwise path.
-    Decorrelated sub-joins stack above the residual filter, below the
-    tail.
-    """
-    extra = prepared.extra_refs if prepared is not None else ()
-    plan, _ = _build_join_plan(catalog, query)
-    build_cols = _join_needed_columns(
-        query, plan.build, plan.build_key, plan.residual, extra=extra
-    )
-    probe_cols = _join_needed_columns(
-        query, plan.probe, plan.probe_key, plan.residual, extra=extra
-    )
-    optimized = mode != "baseline"
-    prune = ctx.prune_partitions
-    build_scan = ScanNode(
-        plan.build,
-        build_cols if optimized else list(plan.build.schema.names),
-        plan.build_pred, pushdown=optimized, phase_label="build-scan",
-        prune=prune,
-    )
-    probe_scan = ScanNode(
-        plan.probe,
-        probe_cols if optimized else list(plan.probe.schema.names),
-        plan.probe_pred, pushdown=optimized, phase_label="probe-scan",
-        prune=prune,
-    )
-    bloom = optimized and plan.build.schema.column(plan.build_key).type == "int"
-    if bloom:
-        probe_scan.bloom_attr = plan.probe_key
-    join = HashJoinNode(
-        build_scan, probe_scan, plan.build_key, plan.probe_key,
-        bloom=bloom, stream_probe=True,
-    )
-    _annotate_pairwise(ctx, catalog, plan, build_scan, probe_scan, join)
-    node: physical.PlanNode = join
-    if plan.residual is not None:
-        node = FilterNode(node, plan.residual)
-    names = (
-        build_scan.columns + probe_scan.columns
-        if optimized
-        else list(plan.build.schema.names) + list(plan.probe.schema.names)
-    )
-    extra_tables: list[TableInfo] = []
-    if prepared is not None:
-        node, names, extra_tables = _apply_sub_joins(
-            ctx, node, names, prepared, mode
-        )
-    root = attach_local_tail(node, query, names)
-    return PhysicalPlan(
-        root=root, mode=mode, strategy=f"{mode} join",
-        scan_tables=[plan.build, plan.probe] + extra_tables,
-        combined_label=None if optimized else "load+join",
-    )
-
-
-def _annotate_pairwise(
-    ctx: CloudContext,
-    catalog: Catalog,
-    plan: _JoinPlan,
-    build_scan: ScanNode,
-    probe_scan: ScanNode,
-    join: HashJoinNode,
-) -> None:
-    """Containment estimates for the pairwise plan's EXPLAIN annotations."""
-    feedback = ctx.feedback
-    b_stats = plan.build.stats_or_default()
-    p_stats = plan.probe.stats_or_default()
-    build_rows = estimate_selectivity_with_feedback(
-        feedback, plan.build.name, plan.build_pred, b_stats
-    ) * plan.build.num_rows
-    probe_rows = estimate_selectivity_with_feedback(
-        feedback, plan.probe.name, plan.probe_pred, p_stats
-    ) * plan.probe.num_rows
-    build_scan.est_rows = build_rows
-    build_scan.est_terms = float(
-        plan.build.num_rows * len(ast.split_conjuncts(plan.build_pred))
-    )
-    probe_scan.est_rows = probe_rows
-    probe_scan.est_terms = float(
-        plan.probe.num_rows * len(ast.split_conjuncts(plan.probe_pred))
-    )
-    build_key_stats = b_stats.column(plan.build_key)
-    probe_key_stats = p_stats.column(plan.probe_key)
-    build_distinct = (
-        max(build_key_stats.distinct, 1) if build_key_stats
-        else max(plan.build.num_rows, 1)
-    )
-    probe_distinct = (
-        max(probe_key_stats.distinct, 1) if probe_key_stats
-        else max(plan.probe.num_rows, 1)
-    )
-    distinct_keys = min(build_rows, build_distinct)
-    matched = probe_rows * min(1.0, distinct_keys / probe_distinct)
-    if feedback is not None and feedback.has_join_feedback():
-        from repro.optimizer.feedback import join_signature
-
-        parts = physical.tree_signature(join)
-        if parts is not None:
-            measured = feedback.lookup_join(join_signature(*parts))
-            if measured is not None:
-                matched = measured
-    join.est_rows = matched
-    join.est_build_rows = min(build_rows, probe_rows)
-    join.est_probe_rows = max(build_rows, probe_rows)
-    from repro.cloud.perf import SERVER_CPU_PER_ROW
-
-    join.est_cpu_plain = (
-        join.est_build_rows * SERVER_CPU_PER_ROW["hash_build"]
-        + join.est_probe_rows * SERVER_CPU_PER_ROW["hash_probe"]
-    )
-    join.est_cpu = join.est_cpu_plain
-    if join.bloom:
-        # Mirror what the executor meters: the Bloom predicate reduces
-        # the probe scan's returned rows to the expected pass-rows and
-        # adds its hash evaluations to the scanned-row terms.
-        from repro.bloom.filter import optimal_num_bits, optimal_num_hashes
-        from repro.s3select.validator import EXPRESSION_LIMIT_BYTES
-        from repro.strategies.join import DEFAULT_FPR
-
-        join.est_cpu += build_rows * SERVER_CPU_PER_ROW["bloom_insert"]
-        hashes = optimal_num_hashes(DEFAULT_FPR)
-        bits = optimal_num_bits(int(max(distinct_keys, 1)), DEFAULT_FPR)
-        if hashes * (bits + 60) <= EXPRESSION_LIMIT_BYTES:
-            pass_rows = matched + (probe_rows - matched) * DEFAULT_FPR
-            probe_scan.est_rows = min(probe_rows, pass_rows)
-            probe_scan.est_terms += float(plan.probe.num_rows * hashes)
-
-
-# ----------------------------------------------------------------------
-# N-way (>2 table) and cross-product join plans
+# join plans: N-way equi-join trees and cross products
 # ----------------------------------------------------------------------
 
 def execute_with_join_order(
@@ -682,34 +441,31 @@ def execute_with_join_tree(
     return execute_plan(ctx, plan)
 
 
-def _build_multiway_plan(
+def _join_plans(
     ctx: CloudContext,
     catalog: Catalog,
     query: ast.Query,
-    mode: str,
+    modes: Sequence[str],
+    objective: str = "cost",
     shape=None,
     force_order: list[str] | None = None,
     prepared=None,
-) -> PhysicalPlan:
-    """N-way equi-join (or guarded cross product) as a physical plan.
+) -> list[PhysicalPlan]:
+    """A multi-table query's plan in each of ``modes``, from one search.
 
     The join-tree search (``optimizer/joinorder.py``) decides the shape
-    — left-deep or bushy — unless the caller forces one.  Hash-build
-    sides materialize; the spine join streams its probe through the
-    residual filter and the local tail.  In optimized mode each table's
-    predicate and projection are pushed into its S3 Select scan, and
-    *every* probe-side scan whose build key is an integer carries a
-    Bloom predicate — inner probes included, which is what bushy
-    snowflake plans profit from.
+    — left-deep or bushy, equi-joins or a guarded cross product — unless
+    the caller forces one; every mode's plan is derived from that one
+    tree (``modes`` may hold one pushdown mode, which takes the tree
+    itself, beside ``baseline``, which rebuilds it on GET scans).
     """
-    from repro.optimizer.joinorder import JoinOrderSearch, build_join_graph
-
     graph = build_join_graph(catalog, query)
     search = JoinOrderSearch(
-        ctx, catalog, graph, query,
+        ctx, graph, query,
         extra_refs=frozenset(prepared.extra_refs) if prepared is not None
         else frozenset(),
     )
+    decision = None
     if force_order is not None:
         order = list(force_order)
         if sorted(order) != sorted(graph.table_names()):
@@ -726,8 +482,32 @@ def _build_multiway_plan(
     elif shape is not None:
         tree = search.build_tree(shape)
     else:
-        tree = search.search().tree
+        decision = search.search(objective)
+        tree = decision.tree
+    return [
+        _join_plan(ctx, query, mode, tree, search, decision, prepared)
+        for mode in modes
+    ]
 
+
+def _join_plan(
+    ctx: CloudContext,
+    query: ast.Query,
+    mode: str,
+    tree: physical.PlanNode,
+    search: JoinOrderSearch,
+    decision,
+    prepared,
+) -> PhysicalPlan:
+    """The plan executing the search's join ``tree`` in one ``mode``.
+
+    Hash-build sides materialize; the spine join streams its probe
+    through the residual filter and the local tail.  In the pushdown
+    modes each table's predicate and projection are pushed into its S3
+    Select scan, and *every* probe-side scan whose build key is an
+    integer carries a Bloom predicate — inner probes included, which is
+    what bushy snowflake plans profit from.
+    """
     optimized = mode != "baseline"
     if not optimized:
         tree = _as_baseline_tree(tree)
@@ -737,7 +517,9 @@ def _build_multiway_plan(
     deferred = [
         edge.to_expr() for edge in _collect_extra_edges(tree)
     ]
-    residual = _and_join(deferred + _split_conjuncts(graph.residual))
+    residual = ast.and_join(
+        deferred + ast.split_conjuncts(search.graph.residual)
+    )
     node: physical.PlanNode = tree
     adaptive_node = None
     if (
@@ -764,15 +546,16 @@ def _build_multiway_plan(
     extra_tables: list[TableInfo] = []
     if prepared is not None:
         node, names, extra_tables = _apply_sub_joins(
-            ctx, node, names, prepared, mode
+            ctx, node, names, tree.est_rows, prepared, mode
         )
-    root = attach_local_tail(node, query, names)
+    root = attach_local_tail(node, query, names, tree.est_rows)
     return PhysicalPlan(
         root=root, mode=mode,
         strategy=f"{mode} multi-join ({label})",
         scan_tables=[leaf.table for leaf in _leaf_scans(tree)] + extra_tables,
         combined_label=None if optimized else "load+join",
         adaptive_node=adaptive_node,
+        join_decision=decision,
     )
 
 

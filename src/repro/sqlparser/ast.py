@@ -289,9 +289,7 @@ class Query:
 
     The ``FROM`` list is carried as ``table`` (first entry),
     ``join_table`` (second entry, if any) and ``extra_tables`` (third
-    entry onward); :attr:`from_tables` reassembles the full list.  The
-    split keeps the historical two-table field layout stable for the
-    pairwise join planner while letting N-way queries parse.
+    entry onward); :attr:`from_tables` reassembles the full list.
 
     Explicit outer joins live in ``joins`` (their tables are *not* part
     of :attr:`from_tables` — the planner applies them on top of the

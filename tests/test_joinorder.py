@@ -7,6 +7,7 @@ import pytest
 from repro.cloud.context import CloudContext
 from repro.common.errors import PlanError
 from repro.engine.catalog import Catalog, load_table
+from repro.optimizer.chooser import choose_planner_mode
 from repro.optimizer.joinorder import (
     DP_TABLE_LIMIT,
     JoinOrderSearch,
@@ -145,7 +146,7 @@ class TestSearch:
         )
         graph = build_join_graph(catalog, query)
         decision = plan_join_order(ctx, catalog, query, graph=graph)
-        search = JoinOrderSearch(ctx, catalog, graph, query)
+        search = JoinOrderSearch(ctx, graph, query)
         exhaustive = min(
             search.price_order(order).total_cost
             for order in enumerate_left_deep_orders(graph)
@@ -173,8 +174,10 @@ class TestSearch:
         decision = plan_join_order(ctx, catalog, query)
         assert decision.estimate.runtime_seconds > 0
         assert decision.estimate.total_cost > 0
-        assert decision.baseline.bytes_transferred > 0
         assert decision.estimate.bytes_scanned > 0
+        baseline = choose_planner_mode(ctx, catalog, query).candidates[0]
+        assert baseline.strategy == "baseline"
+        assert baseline.bytes_transferred > 0
 
     def test_greedy_fallback_above_dp_limit(self):
         ctx = CloudContext()
@@ -205,12 +208,12 @@ class TestSearch:
             " WHERE a_id = b_a AND b_id = c_b AND a_v < 4"
         )
         graph = build_join_graph(catalog, query)
-        search = JoinOrderSearch(ctx, catalog, graph, query)
+        search = JoinOrderSearch(ctx, graph, query)
         with_bloom = search.price_order(["a", "b", "c"])
         assert with_bloom.notes["order"] == ["a", "b", "c"]
-        assert with_bloom.bytes_returned < search.price_baseline(
-            ["a", "b", "c"]
-        ).bytes_transferred
+        baseline = choose_planner_mode(ctx, catalog, query).candidates[0]
+        assert baseline.strategy == "baseline"
+        assert with_bloom.bytes_returned < baseline.bytes_transferred
 
 
 class TestBushySearch:
@@ -256,7 +259,7 @@ class TestBushySearch:
         ctx, catalog, query = snowflake
         graph = build_join_graph(catalog, query)
         decision = plan_join_order(ctx, catalog, query, graph=graph)
-        search = JoinOrderSearch(ctx, catalog, graph, query)
+        search = JoinOrderSearch(ctx, graph, query)
         best_left_deep = min(
             search.price_order(order).total_cost
             for order in enumerate_left_deep_orders(graph)

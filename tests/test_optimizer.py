@@ -358,3 +358,95 @@ class TestPlannerAuto:
 
 def summary_mode(execution):
     return execution.details["optimizer"]["picked"]
+
+
+class TestAutoRunsThePlanItPriced:
+    """The chooser's candidates are plan objects: what it priced is what
+    ``auto`` executes and what EXPLAIN renders."""
+
+    @pytest.fixture(scope="class")
+    def suite(self):
+        from repro.experiments.tpch_suite import load_suite_tables
+
+        ctx, catalog = CloudContext(), Catalog()
+        load_suite_tables(ctx, catalog, 0.002, seed=11).close()
+        names = catalog.table_names()
+        ctx.calibrate_to_paper_scale(
+            sum(catalog.get(t).total_bytes for t in names), 10e9
+        )
+        return ctx, catalog
+
+    def test_tpch_auto_equals_its_pick(self, suite):
+        """Per TPC-H query: the picked candidate's predicted requests are
+        the metered ones, and running the priced plan meters exactly what
+        the picked fixed mode's plan does (pre-executed subquery legs
+        excluded: they are shared, and each made its own choice)."""
+        from repro.experiments.tpch_suite import ALL_QUERIES, QUERY_DIR
+        from repro.planner.planner import build_plan, execute_plan
+        from repro.planner.subquery import needs_rewrite, prepare_query
+
+        ctx, catalog = suite
+        picks = set()
+        for name in ALL_QUERIES:
+            query = parse((QUERY_DIR / f"{name}.sql").read_text())
+            prepared = None
+            if needs_rewrite(query):
+                prepared = prepare_query(ctx, catalog, query, "auto")
+                query = prepared.query
+                if prepared.derived_rows is not None:
+                    continue  # reads no storage: nothing to choose
+            ctx.feedback.reset()
+            choice = choose_planner_mode(ctx, catalog, query, prepared=prepared)
+            auto = execute_plan(ctx, choice.plan)
+            assert choice.best.requests == auto.num_requests, name
+            ctx.feedback.reset()
+            fixed = execute_plan(ctx, build_plan(
+                ctx, catalog, query, choice.picked, prepared=prepared
+            ))
+            assert auto.rows == fixed.rows, name
+            for metered in (
+                "num_requests", "bytes_scanned", "bytes_returned",
+                "bytes_transferred", "runtime_seconds",
+            ):
+                assert getattr(auto, metered) == getattr(fixed, metered), (
+                    name, metered
+                )
+            picks.add(choice.picked)
+        assert picks == {"baseline", "optimized"}
+
+    def test_tpch_auto_rows_match_picked_mode_end_to_end(self, suite):
+        from helpers import assert_rows_close
+        from repro.experiments.tpch_suite import ALL_QUERIES, QUERY_DIR
+        from repro.planner.planner import execute_parsed
+
+        ctx, catalog = suite
+        for name in ALL_QUERIES:
+            query = parse((QUERY_DIR / f"{name}.sql").read_text())
+            ctx.feedback.reset()
+            auto = execute_parsed(ctx, catalog, query, "auto")
+            if "optimizer" not in auto.details:
+                continue  # derived-table outer query: legs chose, it did not
+            ctx.feedback.reset()
+            fixed = execute_parsed(ctx, catalog, query, summary_mode(auto))
+            assert_rows_close(auto.rows, fixed.rows, rel=1e-6)
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT o_orderkey FROM orders WHERE o_totalprice < 1000",
+        "SELECT SUM(l_extendedprice) AS s FROM lineitem WHERE l_discount > 0.05",
+        "SELECT COUNT(*) AS n FROM customer, orders"
+        " WHERE c_custkey = o_custkey AND c_acctbal < 0",
+        "SELECT COUNT(*) AS n FROM customer, orders, lineitem"
+        " WHERE c_custkey = o_custkey AND o_orderkey = l_orderkey",
+    ], ids=["scan", "pushed-aggregate", "join-2", "join-3"])
+    def test_explain_is_self_consistent(self, suite, sql):
+        """The picked candidate's cost *is* the rendered root's est_cost
+        (same phases, same pricing), for either pick."""
+        from repro.planner.planner import choose_plan
+
+        ctx, catalog = suite
+        plan, choice = choose_plan(ctx, catalog, parse(sql), "auto")
+        assert plan is choice.plan and plan.mode == choice.picked
+        assert plan.root.est_cost == choice.best.total_cost
+        assert plan.describe().splitlines()[0].endswith(
+            f"est_cost=${plan.root.est_cost:.6g})"
+        )

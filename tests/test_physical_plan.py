@@ -2,12 +2,12 @@
 
 The golden strings pin the rendered operator trees (shape, pushdown
 annotations, Bloom placement, per-node est_rows/est_cost) for every plan
-family: single-table, pairwise, left-deep, bushy, cross-product.  A
-shape or annotation regression shows up as a readable diff.  The
-differential tests assert that bushy trees, forced left-deep orders and
-the auto planner all produce identical row sets on snowflake-shaped
-queries, and that executions record per-node estimate-vs-actual
-cardinalities.
+family: single-table, pushed aggregate, pairwise, left-deep, bushy,
+cross-product.  A shape or annotation regression shows up as a readable
+diff.  The differential tests assert that bushy trees, forced left-deep
+orders and the auto planner all produce identical row sets on
+snowflake-shaped queries, and that executions record per-node
+estimate-vs-actual cardinalities.
 """
 
 from __future__ import annotations
@@ -79,9 +79,19 @@ class TestGoldenPlans:
             "SELECT s1_id, s1_attr FROM sub1 WHERE s1_attr < 10"
             " ORDER BY s1_attr",
         ) == textwrap.dedent("""\
-            sort [s1_attr ASC]
-            `- project [s1_id, s1_attr]
+            sort [s1_attr ASC]  (est_cost=$1.22256e-05)
+            `- project [s1_id, s1_attr]  (est_cost=$1.22256e-05)
                `- scan sub1 [select] cols=2 pred=((s1_attr < 10)) partitions pruned: 1/2  (est_rows=3.0, est_cost=$1.22256e-05)""")
+
+    def test_pushed_aggregate(self, db):
+        assert rendered(
+            db,
+            "SELECT SUM(s1_attr) AS total, COUNT(*) AS n FROM sub1"
+            " WHERE s1_attr < 10",
+        ) == (
+            "pushed-aggregate sub1 [SUM(s1_attr) AS total, COUNT(*) AS n]"
+            " partitions pruned: 1/2  (est_rows=1.0, est_cost=$1.2228e-05)"
+        )
 
     def test_pairwise_join(self, db):
         assert rendered(
@@ -89,7 +99,7 @@ class TestGoldenPlans:
             "SELECT COUNT(*) AS n FROM sub1, dim1"
             " WHERE s1_id = d1_s1 AND s1_attr < 10",
         ) == textwrap.dedent("""\
-            group-by [-] aggs=1
+            group-by [-] aggs=1  (est_cost=$2.48917e-05)
             `- hash-join [s1_id = d1_s1] streamed  (est_rows=12.6, est_cost=$2.48917e-05)
                +- build: scan sub1 [select] cols=1 pred=((s1_attr < 10)) partitions pruned: 1/2  (est_rows=3.0, est_cost=$1.22256e-05)
                `- probe: scan dim1 [select+bloom(d1_s1)] cols=1  (est_rows=13.3, est_cost=$1.26661e-05)""")
@@ -107,7 +117,7 @@ class TestGoldenPlans:
             "optimized", force_order=["sub1", "dim1", "fact"],
         )
         assert plan.describe() == textwrap.dedent("""\
-            group-by [-] aggs=1
+            group-by [-] aggs=1  (est_cost=$3.81894e-05)
             `- hash-join [d1_id = f_d1] streamed  (est_rows=126.3, est_cost=$3.81894e-05)
                +- build: hash-join [s1_id = d1_s1]  (est_rows=12.6, est_cost=$2.48917e-05)
                |  +- build: scan sub1 [select] cols=1 pred=((s1_attr < 10)) partitions pruned: 1/2  (est_rows=3.0, est_cost=$1.22256e-05)
@@ -118,7 +128,7 @@ class TestGoldenPlans:
         assert rendered(
             db, SNOWFLAKE_SQL, shape=BUSHY_SHAPE,
         ) == textwrap.dedent("""\
-            group-by [-] aggs=1
+            group-by [-] aggs=1  (est_cost=$6.31108e-05)
             `- hash-join [d1_id = f_d1] streamed  (est_rows=0.0, est_cost=$6.31108e-05)
                +- build: hash-join [s1_id = d1_s1]  (est_rows=12.6, est_cost=$2.48917e-05)
                |  +- build: scan sub1 [select] cols=1 pred=((s1_attr < 10)) partitions pruned: 1/2  (est_rows=3.0, est_cost=$1.22256e-05)
@@ -133,7 +143,7 @@ class TestGoldenPlans:
         assert rendered(
             db, "SELECT COUNT(*) AS n FROM sub1, tiny WHERE s1_attr < 5",
         ) == textwrap.dedent("""\
-            group-by [-] aggs=1
+            group-by [-] aggs=1  (est_cost=$2.48541e-05)
             `- cross-product streamed  (est_rows=40.0, est_cost=$2.48538e-05)
                +- build: scan sub1 [select] cols=1 pred=((s1_attr < 5)) partitions pruned: 1/2  (est_rows=2.0, est_cost=$1.22256e-05)
                `- probe: scan tiny [select] cols=1  (est_rows=20.0, est_cost=$1.26274e-05)""")

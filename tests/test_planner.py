@@ -187,6 +187,10 @@ class TestJoins:
 
 
 class TestMultiwayJoins:
+    SQL2 = (
+        "SELECT COUNT(*) AS n FROM customer, orders"
+        " WHERE c_custkey = o_custkey AND c_acctbal < 0"
+    )
     SQL3 = (
         "SELECT c_mktsegment, SUM(l_extendedprice) AS revenue"
         " FROM customer, orders, lineitem"
@@ -276,13 +280,46 @@ class TestMultiwayJoins:
                 " WHERE c_custkey = o_custkey"
             )
 
-    def test_two_table_path_unchanged(self, db):
-        """2-table queries must keep the pairwise planner's metering."""
-        execution = db.execute(
-            "SELECT COUNT(*) AS n FROM customer, orders"
-            " WHERE c_custkey = o_custkey"
-        )
-        assert execution.strategy == "optimized join"
+    @pytest.mark.parametrize("sql", ["SQL2", "SQL3"])
+    def test_auto_runs_one_join_order_search(self, db, monkeypatch, sql):
+        """``auto`` builds both candidate plans from one search and runs
+        the plan it priced: no second search to rebuild the pick."""
+        from repro.optimizer.joinorder import JoinOrderSearch
+
+        built = []
+        init = JoinOrderSearch.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(JoinOrderSearch, "__init__", counting_init)
+        db.execute(getattr(self, sql), mode="auto")
+        assert len(built) == 1
+        db.explain(getattr(self, sql))
+        assert len(built) == 2
+
+    def test_two_table_query_is_the_join_builder_at_n_2(self, db):
+        """A 2-table query and the same query forced through
+        ``execute_with_join_tree`` on the searched shape are one plan:
+        same strategy, rows and metering."""
+        from repro.planner.planner import execute_with_join_tree
+
+        for mode in ("baseline", "optimized"):
+            planned = db.execute(self.SQL2, mode=mode)
+            forced = execute_with_join_tree(
+                db.ctx, db.catalog, self.SQL2,
+                ["hash", "customer", "orders"], mode=mode,
+            )
+            assert planned.strategy == f"{mode} multi-join (customer >< orders)"
+            assert forced.strategy == planned.strategy
+            assert forced.rows == planned.rows
+            for metered in (
+                "num_requests", "bytes_scanned", "bytes_returned",
+                "bytes_transferred", "runtime_seconds",
+            ):
+                assert getattr(forced, metered) == getattr(planned, metered)
+            assert forced.cost.total == planned.cost.total
 
 
 class TestFacade:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.engine.catalog import TableInfo
+from repro.optimizer.chooser import choose_planner_mode
 from repro.optimizer.pruning import keep_partitions, partition_may_match
 from repro.optimizer.stats import ColumnZone, PartitionZoneMap
 from repro.planner.database import PushdownDB
@@ -237,28 +238,61 @@ class TestExplainAndCost:
         assert "partitions pruned" not in report
 
     def test_chooser_predicts_pruned_requests(self, db):
-        from repro.optimizer.cost import CostModel
-
         query = parse("SELECT k FROM t WHERE k < 20")
-        estimates = CostModel(db.ctx, db.catalog).estimate_planner_modes(query)
-        optimized = next(e for e in estimates if e.strategy == "optimized")
-        assert optimized.notes.get("partitions_pruned") == 3
-        baseline = next(e for e in estimates if e.strategy == "baseline")
-        assert optimized.requests < baseline.requests
+        choice = choose_planner_mode(db.ctx, db.catalog, query)
+        baseline, optimized = choice.candidates
+        assert (baseline.strategy, optimized.strategy) == (
+            "baseline", "optimized"
+        )
+        assert optimized.requests == 1
+        assert baseline.requests == db.table("t").partitions
 
     def test_pushed_aggregate_prediction_prunes(self, db):
-        from repro.optimizer.cost import CostModel
-
         query = parse("SELECT SUM(v) AS s FROM t WHERE k < 20")
-        estimates = CostModel(db.ctx, db.catalog).estimate_planner_modes(query)
-        optimized = next(e for e in estimates if e.strategy == "optimized")
-        assert optimized.notes.get("pushed") == "aggregate"
-        assert optimized.notes.get("partitions_pruned") == 3
-        assert optimized.requests == 1
+        choice = choose_planner_mode(db.ctx, db.catalog, query)
+        assert choice.picked == "optimized"
+        assert choice.plan.strategy == "optimized single-table"
+        assert choice.plan.root.pruned_partitions == 3
+        assert choice.best.requests == 1
 
-    def test_predicted_requests_match_measured(self, db):
-        db.ctx.prune_partitions = True
-        execution = db.execute("SELECT k FROM t WHERE k < 20", mode="auto")
+    @pytest.mark.parametrize("sql, warm_up", [
+        ("SELECT k FROM t WHERE k < 20", None),
+        ("SELECT SUM(v) AS s FROM t WHERE k < 20", None),
+        # One prunable side (16 partitions -> 1) beside a small dimension.
+        ("SELECT COUNT(*) AS n FROM d, wide WHERE dk = wk AND wk < 2000",
+         None),
+        ("SELECT COUNT(*) AS n FROM d, wide, t"
+         " WHERE dk = wk AND wk = k AND wk < 2000", None),
+        # The warm-up run caches the build scan of the join below.
+        ("SELECT COUNT(*) AS n FROM d, wide WHERE dk = wk AND wk < 2000",
+         "SELECT dk FROM d"),
+    ], ids=["scan", "pushed-aggregate", "join-2", "join-3", "join-2-warm"])
+    def test_predicted_requests_match_measured(self, sql, warm_up):
+        """``auto`` runs the plan it priced: the picked candidate's
+        predicted request count is the metered one — zone-map pruning
+        and a warm semantic cache included — and on the joins, whose
+        cardinalities the statistics get right, so is its cost."""
+        db = PushdownDB(bucket="prune-predict", cache_bytes=1 << 20)
+        db.load_table("t", make_rows(), SCHEMA, partitions=4)
+        db.load_table(
+            "wide", [(k, f"pad-{k:05d}") for k in range(32_000)],
+            TableSchema.of("wk:int", "wpad:str"), partitions=16,
+        )
+        db.load_table(
+            "d", [(k, k % 7) for k in range(0, 4000, 2)],
+            TableSchema.of("dk:int", "dv:int"), partitions=2,
+        )
+        db.calibrate_to_paper_scale()
+        if warm_up is not None:
+            db.execute(warm_up, mode="optimized")
+        execution = db.execute(sql, mode="auto")
         optimizer = execution.details["optimizer"]
         picked = optimizer["candidates"][optimizer["picked"]]
         assert picked["requests"] == execution.num_requests
+        if warm_up is not None:
+            assert execution.details["cache"]["hit"] == 1
+        if "wide" in sql:
+            assert optimizer["picked"] == "optimized"
+            assert picked["cost"] == pytest.approx(
+                execution.cost.total, rel=0.01
+            )
