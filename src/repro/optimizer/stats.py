@@ -18,12 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from repro.storage.csvcodec import (
-    _QUOTE_TRIGGERS,
-    FIELD_DELIM,
-    RECORD_DELIM,
-    format_value,
-)
+from repro.storage.csvcodec import FIELD_DELIM, RECORD_DELIM, encoded_size
 from repro.storage.schema import TableSchema
 
 #: Most-common values kept per column.  Large enough to cover the
@@ -188,20 +183,13 @@ def collect_table_stats(
         values = [row[idx] for row in rows]
         non_null = [v for v in values if v is not None]
         null_count = n - len(non_null)
-        counter: Counter | None = Counter()
-        distinct_set: set = set()
-        width_total = 0
-        for v in values:
-            text = format_value(v)
-            width_total += len(text.encode())
-            if any(ch in _QUOTE_TRIGGERS for ch in text):
-                width_total += 2 + text.count('"')  # quoting overhead
-            if v is not None:
-                distinct_set.add(v)
-                if counter is not None:
-                    counter[v] += 1
-                    if len(counter) > _MCV_TRACK_LIMIT:
-                        counter = None
+        distinct_set = set(non_null)
+        # Counts in first-seen order: ``most_common`` ties break by position.
+        counter = (
+            Counter(non_null) if len(distinct_set) <= _MCV_TRACK_LIMIT else None
+        )
+        # The column's encoded size, less the one delimiter per field.
+        width_total = encoded_size([values], n) - n
         columns[col.name.lower()] = ColumnStats(
             name=col.name,
             type=col.type,

@@ -179,7 +179,15 @@ class PlanNode:
 
 
 class ScanNode(PlanNode):
-    """Leaf: scan one table, either pushed down or GET + local filter."""
+    """Leaf: scan one table, either pushed down or GET + local filter.
+
+    ``columns`` is the scan's output.  A pushed scan projects them
+    S3-side, so they are also what is returned and ingested.  A GET scan
+    only *decodes* them (what the plan above reads, plus whatever its own
+    local predicate reads): the request still transfers whole objects
+    and its phase still ingests the full schema width, so the column
+    list changes no metered number.
+    """
 
     def __init__(
         self,
@@ -243,6 +251,8 @@ class ScanNode(PlanNode):
         return self.keep_partitions, len(self.keep_partitions)
 
     def describe(self) -> str:
+        """The EXPLAIN line; ``cols=`` is the width a ``select`` scan
+        projects or a ``get`` scan decodes (not the width a GET bills)."""
         how = "select" if self.pushdown else "get"
         if self.bloom_attr:
             how += f"+bloom({self.bloom_attr})"
@@ -327,16 +337,17 @@ class ScanNode(PlanNode):
         ctx = state.ctx
         mark = ctx.metrics.mark()
         if not self.pushdown:
-            names = list(self.table.schema.names)
+            names = list(self.columns)
             stream = filter_batches(
-                iter_scan_batches(ctx, self.table), names, self.predicate,
-                state.tally,
+                iter_scan_batches(ctx, self.table, columns=names), names,
+                self.predicate, state.tally,
             )
             counter = BatchCounter(stream)
             if not state.combined:
+                # Billed at the full row width, whatever was decoded.
                 state.pending = _PendingScan(
                     mark, self.phase_label, self.table.partitions,
-                    counter, len(names),
+                    counter, len(self.table.schema),
                 )
             return names, _counted(self, iter(counter))
         cache = self._cacheable(state, bloom_keys)
@@ -385,10 +396,9 @@ class ScanNode(PlanNode):
             self.table.name, self.predicate, self.columns
         )
         if not self.pushdown:
-            names = list(self.table.schema.names)
             batches = list(filter_batches(
-                iter_scan_batches(ctx, self.table), names, self.predicate,
-                state.tally,
+                iter_scan_batches(ctx, self.table, columns=names), names,
+                self.predicate, state.tally,
             ))
         elif reuse is not None:
             self.cache_status = reuse.status

@@ -235,7 +235,8 @@ def _apply_sub_joins(
             optimized = mode != "baseline"
             build: physical.PlanNode = ScanNode(
                 sj.table,
-                sj.scan_cols if optimized else list(sj.table.schema.names),
+                sj.scan_cols if optimized
+                else _decoded_columns(sj.table, sj.scan_cols, sj.scan_pred),
                 sj.scan_pred, pushdown=optimized,
                 phase_label=f"join-scan-{sj.table.name}",
                 prune=ctx.prune_partitions,
@@ -314,15 +315,15 @@ def _build_single_plan(
     selectivity = estimate_selectivity_with_feedback(
         ctx.feedback, table.name, query.where, stats
     )
+    names = _needed_columns(
+        query, table,
+        extra=prepared.extra_refs if prepared is not None else (),
+    )
     if mode == "baseline":
-        names = list(table.schema.names)
+        names = _decoded_columns(table, names, query.where)
         scan = ScanNode(table, names, query.where, pushdown=False,
                         phase_label="scan")
     else:
-        names = _needed_columns(
-            query, table,
-            extra=prepared.extra_refs if prepared is not None else (),
-        )
         scan = ScanNode(table, names, query.where, pushdown=True,
                         phase_label="scan",
                         prune=ctx.prune_partitions)
@@ -394,6 +395,18 @@ def _needed_columns(
         # the pushed scan preserves row count.
         needed = [table.schema.names[0]]
     return needed
+
+
+def _decoded_columns(
+    table: TableInfo, needed: Sequence[str], predicate: ast.Expr | None
+) -> list[str]:
+    """What a baseline GET scan decodes, in schema order: the columns
+    the plan above it reads (``needed``, its pushdown twin's projection)
+    plus those its own local filter reads."""
+    wanted = {c.lower() for c in needed}
+    if predicate is not None:
+        wanted |= {c.lower() for c in ast.referenced_columns(predicate)}
+    return [n for n in table.schema.names if n.lower() in wanted]
 
 
 # ----------------------------------------------------------------------
@@ -593,8 +606,9 @@ def _as_baseline_tree(tree: physical.PlanNode) -> physical.PlanNode:
     """Rebuild a search tree for baseline mode: GET scans, no Blooms."""
     if isinstance(tree, ScanNode):
         twin = ScanNode(
-            tree.table, list(tree.table.schema.names), tree.predicate,
-            pushdown=False, phase_label=tree.phase_label,
+            tree.table,
+            _decoded_columns(tree.table, tree.columns, tree.predicate),
+            tree.predicate, pushdown=False, phase_label=tree.phase_label,
         )
         # Baseline scans carry no Bloom, so annotate with the pre-Bloom
         # filtered estimate — the optimized tree's est_rows may have

@@ -8,21 +8,20 @@ so the encoder can report per-row extents as it writes.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from typing import Iterable, Iterator, Sequence
 
 from repro.engine.batch import Batch
-from repro.storage.schema import TableSchema
+from repro.storage.schema import ColumnDef, TableSchema
 
 RECORD_DELIM = "\n"
 FIELD_DELIM = ","
 QUOTE = '"'
 
-#: Rows per :class:`RecordBatch` in the streaming execution pipeline.
-#: Large enough to amortize per-batch overhead, small enough that a
-#: batch of wide TPC-H rows stays cache-resident.
+#: Rows per :class:`~repro.engine.batch.Batch` in the streaming
+#: execution pipeline.  Large enough to amortize per-batch overhead,
+#: small enough that a batch of wide TPC-H rows stays cache-resident.
 DEFAULT_BATCH_SIZE = 4096
 
 
@@ -38,13 +37,32 @@ def format_value(value: object) -> str:
     return str(value)
 
 
+def format_column(values: Sequence[object]) -> Sequence[str]:
+    """:func:`format_value` of a whole column, dispatched once on the
+    types it holds: text is returned as it is, pure int / float columns
+    render in one pass, anything else (NULLs, bools, mixed) per value."""
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return values
+    if kinds == {int}:
+        return list(map(str, values))
+    if kinds == {float}:
+        return [f"{v:.1f}" if v.is_integer() else repr(v) for v in values]
+    return list(map(format_value, values))
+
+
 #: Characters that force a field into RFC-4180 quotes: the field and
 #: record delimiters, the quote itself, and CR (CRLF tolerance).
-_QUOTE_TRIGGERS = frozenset({FIELD_DELIM, QUOTE, RECORD_DELIM, "\n", "\r"})
+_QUOTE_TRIGGERS = (FIELD_DELIM, QUOTE, RECORD_DELIM, "\r")
+
+
+def _has_trigger(text: str) -> bool:
+    """Whether a field — or a column's joined fields — needs quoting."""
+    return any(ch in text for ch in _QUOTE_TRIGGERS)
 
 
 def _escape(field: str) -> str:
-    if any(ch in _QUOTE_TRIGGERS for ch in field):
+    if _has_trigger(field):
         return QUOTE + field.replace(QUOTE, QUOTE + QUOTE) + QUOTE
     return field
 
@@ -64,10 +82,10 @@ def encoded_size(columns: Sequence[Sequence[object]], num_rows: int) -> int:
     """
     total = num_rows * len(columns)
     for column in columns:
-        texts = list(map(format_value, column))
+        texts = format_column(column)
         joined = "".join(texts)
-        total += len(joined.encode())
-        if any(ch in joined for ch in _QUOTE_TRIGGERS):
+        total += len(joined) if joined.isascii() else len(joined.encode())
+        if _has_trigger(joined):
             total += sum(len(_escape(text)) - len(text) for text in texts)
     return total
 
@@ -87,34 +105,48 @@ def encode_table(
 
     The extents exclude the header line and are exactly what the paper's
     index tables store (``first_byte_offset`` / ``last_byte_offset``).
+    Rows are formatted and escaped a column at a time; ragged or
+    zero-width rows cannot be transposed and go through :func:`encode_row`.
     """
-    buf = io.BytesIO()
-    if header is not None:
-        buf.write(encode_row(list(header)))
-    extents: list[RowExtent] = []
-    for row in rows:
-        start = buf.tell()
-        encoded = encode_row(row)
-        buf.write(encoded)
-        extents.append(RowExtent(first_byte=start, last_byte=start + len(encoded) - 1))
-    return buf.getvalue(), extents
+    rows = list(rows)
+    if len(set(map(len, rows))) == 1 and len(rows[0]):
+        texts = []
+        for column in zip(*rows):
+            fields = format_column(column)
+            if _has_trigger("".join(fields)):
+                fields = list(map(_escape, fields))
+            texts.append(fields)
+        lines = list(map(FIELD_DELIM.join, zip(*texts)))
+    else:
+        lines = [encode_row(row)[:-1].decode() for row in rows]
+    head = b"" if header is None else encode_row(list(header))
+    body = RECORD_DELIM.join([*lines, ""])
+    sizes = map(len, lines if body.isascii() else map(str.encode, lines))
+    # A record spans its line plus the delimiter byte.
+    firsts = list(accumulate(sizes, lambda at, n: at + n + 1, initial=len(head)))
+    extents = [RowExtent(a, b - 1) for a, b in zip(firsts, firsts[1:])]
+    return head + body.encode(), extents
+
+
+def _split_lines(text: str) -> list[str]:
+    """Quote-free text as one line per record: nothing can embed a
+    delimiter (CR is dropped wherever it appears, as the scanner does)."""
+    lines = text.replace("\r", "").split(RECORD_DELIM)
+    if not lines[-1]:
+        lines.pop()  # the final record's delimiter, not an empty record
+    return lines
 
 
 def iter_records(data: bytes) -> Iterator[list[str]]:
     """Parse CSV bytes into records (lists of string fields).
 
     Handles RFC-4180 quoting; tolerant of a missing trailing newline.
-    Without a quote character nothing can embed a delimiter, so records
-    and fields are plain ``str.split`` pieces (CR is dropped wherever it
-    appears, as the quote-aware scanner does).
+    Records and fields of quote-free text are plain ``str.split`` pieces.
     """
     text = data.decode()
     if QUOTE in text:
         return _scan_quoted(text)
-    lines = text.replace("\r", "").split(RECORD_DELIM)
-    if not lines[-1]:
-        lines.pop()  # the final record's delimiter, not an empty record
-    return map(str.split, lines, repeat(FIELD_DELIM))
+    return map(str.split, _split_lines(text), repeat(FIELD_DELIM))
 
 
 def _scan_quoted(text: str) -> Iterator[list[str]]:
@@ -180,6 +212,17 @@ def chunk_rows(rows: Iterable, batch_size: int) -> Iterator[list]:
         yield batch
 
 
+def _kept_columns(
+    schema: TableSchema, batch_size: int, columns: Sequence[str] | None
+) -> list[tuple[int, ColumnDef]]:
+    """``(schema position, column)`` per kept column; a bad decoder
+    argument raises here, at the call, not when the stream is pulled."""
+    if batch_size <= 0:
+        raise ValueError(f"batch_size must be positive, got {batch_size}")
+    names = schema.names if columns is None else columns
+    return [(schema.index_of(name), schema.column(name)) for name in names]
+
+
 def iter_decode_column_batches(
     data: bytes,
     schema: TableSchema,
@@ -189,14 +232,37 @@ def iter_decode_column_batches(
 ) -> Iterator[Batch]:
     """Lazily decode CSV bytes into columnar :class:`Batch`es.
 
-    Nothing is decoded ahead of the consumer, so one that stops early
+    Quote-free text is cut into lines once; each ``batch_size`` chunk
+    has its field counts checked and is split into one flat field list,
+    from which only the kept columns are sliced (``flat[i::width]``) and
+    typed.  Text holding a quote goes through the RFC-4180 scanner.
+    Nothing is typed ahead of the consumer, so one that stops early
     (LIMIT, top-K sampling) never pays for the rest of the object.  See
-    :func:`iter_column_batches` for the batch layout and errors.
+    :func:`iter_column_batches` for ``columns`` and errors.
     """
-    records = iter_records(data)
-    if has_header:
-        next(records, None)
-    yield from iter_column_batches(records, schema, batch_size, columns)
+    text = data.decode()
+    if QUOTE in text:
+        records = islice(_scan_quoted(text), int(has_header), None)
+        return iter_column_batches(records, schema, batch_size, columns)
+    kept = _kept_columns(schema, batch_size, columns)
+    lines = _split_lines(text)
+    width = len(schema.columns)
+
+    def batches() -> Iterator[Batch]:
+        for start in range(int(has_header), len(lines), batch_size):
+            chunk = lines[start : start + batch_size]
+            if set(map(str.count, chunk, repeat(FIELD_DELIM))) != {width - 1}:
+                ragged = next(
+                    line for line in chunk if line.count(FIELD_DELIM) != width - 1
+                )
+                # raises the canonical CatalogError
+                schema.parse_row(ragged.split(FIELD_DELIM))
+            flat = FIELD_DELIM.join(chunk).split(FIELD_DELIM)
+            yield Batch(
+                [col.parse_column(flat[i::width]) for i, col in kept], len(chunk)
+            )
+
+    return batches()
 
 
 def iter_column_batches(
@@ -207,21 +273,24 @@ def iter_column_batches(
 ) -> Iterator[Batch]:
     """Type raw string records into columnar :class:`Batch`es.
 
-    Records are gathered per batch, transposed once, and parsed with one
-    typed comprehension per column — no intermediate row tuples.
-    ``columns`` keeps only the named columns (in the given order): the
-    rest are tokenized but never parsed.  Rows whose field count
-    disagrees with the schema raise
-    :class:`~repro.common.errors.CatalogError`.
+    Records are gathered per batch and each kept column is parsed in
+    one typed pass — no intermediate row tuples.  ``columns`` keeps only
+    the named columns (in the given order): the rest are tokenized but
+    never parsed.  Rows whose field count disagrees with the schema
+    raise :class:`~repro.common.errors.CatalogError` from the batch that
+    holds them; a bad ``batch_size`` or column name raises at the call.
     """
+    kept = _kept_columns(schema, batch_size, columns)
     width = len(schema.columns)
-    kept = [
-        (schema.index_of(name), schema.column(name))
-        for name in (schema.names if columns is None else columns)
-    ]
-    for raw in chunk_rows(records, batch_size):
-        if set(map(len, raw)) != {width}:
-            # raises the canonical CatalogError
-            schema.parse_row(next(r for r in raw if len(r) != width))
-        texts = list(zip(*raw))
-        yield Batch([col.parse_column(texts[i]) for i, col in kept], len(raw))
+
+    def batches() -> Iterator[Batch]:
+        for raw in chunk_rows(records, batch_size):
+            if set(map(len, raw)) != {width}:
+                # raises the canonical CatalogError
+                schema.parse_row(next(r for r in raw if len(r) != width))
+            flat = list(chain.from_iterable(raw))
+            yield Batch(
+                [col.parse_column(flat[i::width]) for i, col in kept], len(raw)
+            )
+
+    return batches()

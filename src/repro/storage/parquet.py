@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.common.errors import ReproError
 from repro.engine.batch import Batch, rechunk_batches
-from repro.storage.csvcodec import format_value
+from repro.storage.csvcodec import format_column
 from repro.storage.schema import ColumnDef, TableSchema
 
 MAGIC = b"SPQ1"
@@ -63,7 +63,7 @@ class RowGroupMeta:
 
 def _encode_column(values: Sequence[object]) -> bytes:
     """Serialize one column chunk as newline-separated CSV fields."""
-    return "\n".join(format_value(v) for v in values).encode()
+    return "\n".join(format_column(values)).encode()
 
 
 def _decode_column(data: bytes, column: ColumnDef, num_rows: int) -> list[object]:

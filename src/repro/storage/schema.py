@@ -21,46 +21,12 @@ COLUMN_TYPES = ("int", "float", "str", "date")
 #: without collected statistics; measured statistics always win.
 TYPICAL_FIELD_BYTES = {"int": 6.0, "float": 9.0, "str": 12.0, "date": 10.0}
 
-
-def _parse_int(text: str) -> int | None:
-    return int(text) if text else None
-
-
-def _parse_float(text: str) -> float | None:
-    return float(text) if text else None
-
-
-def _parse_str(text: str) -> str | None:
-    return text if text else None
-
-
-_PARSERS: dict[str, Callable[[str], object]] = {
-    "int": _parse_int,
-    "float": _parse_float,
-    "str": _parse_str,
-    "date": _parse_str,
-}
-
-
-def _parse_int_column(texts: Sequence[str]) -> list:
-    return [int(t) if t else None for t in texts]
-
-
-def _parse_float_column(texts: Sequence[str]) -> list:
-    return [float(t) if t else None for t in texts]
-
-
-def _parse_str_column(texts: Sequence[str]) -> list:
-    return [t if t else None for t in texts]
-
-
-#: Column-at-a-time twins of ``_PARSERS`` for the vectorized decoder:
-#: one comprehension per column instead of a Python call per field.
-_COLUMN_PARSERS: dict[str, Callable[[Sequence[str]], list]] = {
-    "int": _parse_int_column,
-    "float": _parse_float_column,
-    "str": _parse_str_column,
-    "date": _parse_str_column,
+#: Python constructor that revives a non-empty CSV field of each type.
+_CONVERTERS: dict[str, Callable[[str], object]] = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "date": str,
 }
 
 
@@ -80,11 +46,21 @@ class ColumnDef:
 
     def parse(self, text: str) -> object:
         """Parse a CSV field into this column's Python type ('' -> NULL)."""
-        return _PARSERS[self.type](text)
+        return _CONVERTERS[self.type](text) if text else None
 
-    def parse_column(self, texts: Sequence[str]) -> list:
-        """Parse a whole column of CSV fields at once ('' -> NULL)."""
-        return _COLUMN_PARSERS[self.type](texts)
+    def parse_column(self, texts: list[str]) -> list:
+        """Parse a whole column of CSV fields at once ('' -> NULL).
+
+        One C-level pass when the column holds no NULL (a str / date
+        column is then returned as ``texts`` itself), one comprehension
+        otherwise — never a Python call per field.
+        """
+        convert = _CONVERTERS[self.type]
+        if convert is str:
+            return texts if "" not in texts else [t or None for t in texts]
+        if "" not in texts:
+            return list(map(convert, texts))
+        return [convert(t) if t else None for t in texts]
 
     def typical_field_bytes(self) -> float:
         """Ballpark encoded width of one field of this type."""

@@ -58,14 +58,19 @@ class PartitionScan:
 
 
 def _decode_partition(
-    table: TableInfo, data: bytes, batch_size: int
+    table: TableInfo,
+    data: bytes,
+    batch_size: int,
+    columns: Sequence[str] | None = None,
 ) -> Iterator[Batch]:
-    """Lazily decode one GET'd partition object into batches."""
+    """Lazily decode one GET'd partition object into batches of
+    ``columns`` (default: the whole schema)."""
     if table.format == "csv":
         return iter_decode_column_batches(
-            data, table.schema, batch_size=batch_size, has_header=False
+            data, table.schema, batch_size=batch_size, has_header=False,
+            columns=columns,
         )
-    return ParquetFile(data).iter_batches(batch_size=batch_size)
+    return ParquetFile(data).iter_batches(columns, batch_size=batch_size)
 
 
 def _resolve_workers(ctx: CloudContext, workers: int | None) -> int:
@@ -154,20 +159,23 @@ def iter_scan_batches(
     batch_size: int | None = None,
     scan_range_fraction: float | None = None,
     partitions: Sequence[int] | None = None,
+    columns: Sequence[str] | None = None,
 ) -> Iterator[Batch]:
     """Stream a table scan as batches, in partition order.
 
     The per-partition requests are issued eagerly (so request/byte
     accounting is independent of how far the stream is consumed); for
     plain GETs the *decoding* is lazy, so a downstream LIMIT that stops
-    pulling never parses the remaining bytes.
+    pulling never parses the remaining bytes, and only ``columns``
+    (default: the whole schema) are decoded — a GET still transfers
+    every byte.  A pushed scan's projection is its ``sql``.
     """
     if batch_size is None:
         batch_size = ctx.batch_size
     if sql is None:
         return _iter_get_batches(
             ctx, table, workers=workers, batch_size=batch_size,
-            partitions=partitions,
+            partitions=partitions, columns=columns,
         )
     scans = scan_partitions(
         ctx, table, sql, workers=workers, scan_range_fraction=scan_range_fraction,
@@ -186,6 +194,7 @@ def _iter_get_batches(
     workers: int | None,
     batch_size: int,
     partitions: Sequence[int] | None = None,
+    columns: Sequence[str] | None = None,
 ) -> Iterator[Batch]:
     """GET the partitions (metered, possibly concurrent), decode lazily."""
     workers = _resolve_workers(ctx, workers)
@@ -204,7 +213,7 @@ def _iter_get_batches(
     return (
         batch
         for data in payloads
-        for batch in _decode_partition(table, data, batch_size)
+        for batch in _decode_partition(table, data, batch_size, columns)
     )
 
 

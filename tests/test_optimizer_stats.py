@@ -1,16 +1,24 @@
 """Tests for the optimizer's statistics layer and selectivity estimates."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cloud.context import CloudContext
 from repro.engine.catalog import Catalog, load_table
 from repro.optimizer.selectivity import estimate_selectivity, probe_selectivity
 from repro.optimizer.stats import (
+    _MCV_TRACK_LIMIT,
+    ColumnStats,
+    TableStats,
+    build_histogram,
     collect_table_stats,
     synthesize_table_stats,
 )
 from repro.sqlparser.parser import parse_expression
-from repro.storage.csvcodec import encode_table
+from repro.storage.csvcodec import encode_table, format_value
 from repro.storage.schema import TableSchema
 
 SCHEMA = TableSchema.of("k:int", "v:float", "tag:str")
@@ -74,6 +82,85 @@ class TestCollection:
         assert empty.row_count == 0
         assert empty.avg_row_bytes == 0.0
         assert empty.column("k").distinct == 0
+
+
+def _reference_table_stats(rows, schema, mcv_size=16):
+    """The per-value loop ``collect_table_stats`` replaced — its own
+    quoting-overhead rule, a counter that gives up past the tracking
+    limit — kept as the oracle: the chooser and the join-order DP read
+    these numbers, so none of them may move."""
+    n = len(rows)
+    columns = {}
+    for idx, col in enumerate(schema.columns):
+        values = [row[idx] for row in rows]
+        non_null = [v for v in values if v is not None]
+        counter = Counter()
+        distinct_set = set()
+        width_total = 0
+        for v in values:
+            text = format_value(v)
+            width_total += len(text.encode())
+            if any(ch in ',"\n\r' for ch in text):
+                width_total += 2 + text.count('"')  # quoting overhead
+            if v is not None:
+                distinct_set.add(v)
+                if counter is not None:
+                    counter[v] += 1
+                    if len(counter) > _MCV_TRACK_LIMIT:
+                        counter = None
+        columns[col.name.lower()] = ColumnStats(
+            name=col.name,
+            type=col.type,
+            distinct=len(distinct_set),
+            null_count=n - len(non_null),
+            min_value=min(non_null) if non_null else None,
+            max_value=max(non_null) if non_null else None,
+            avg_field_bytes=width_total / n if n else 0.0,
+            mcvs=tuple(counter.most_common(mcv_size)) if counter else (),
+            histogram=build_histogram(non_null),
+        )
+    field_bytes = sum(c.avg_field_bytes for c in columns.values())
+    return TableStats(
+        row_count=n,
+        avg_row_bytes=(field_bytes + len(schema)) if n else 0.0,
+        columns=columns,
+    )
+
+
+#: Few distinct values (MCV ties broken by first appearance), NULLs, and
+#: text whose width depends on quoting and on multi-byte characters.
+_STATS_ROW = st.tuples(
+    st.one_of(st.none(), st.integers(0, 5)),
+    st.one_of(st.none(), st.sampled_from([0.5, 2.0, -0.0, 1e16, 2.5])),
+    st.one_of(
+        st.none(),
+        st.sampled_from(["a", "b,c", 'say "hi"', "x\ny", "\u00e9t\u00e9", ""]),
+    ),
+)
+
+
+class TestCollectionMatchesThePerValueLoop:
+    @given(st.lists(_STATS_ROW, max_size=40), st.integers(1, 4))
+    def test_property_equal_table_stats(self, rows, mcv_size):
+        assert collect_table_stats(rows, SCHEMA, mcv_size) == (
+            _reference_table_stats(rows, SCHEMA, mcv_size)
+        )
+
+    def test_mcv_ties_break_by_first_appearance(self):
+        rows = [(k, 0.0, "t") for k in (3, 1, 2, 1, 3, 2, 0)]
+        stats = collect_table_stats(rows, SCHEMA, mcv_size=2)
+        assert stats.column("k").mcvs == ((3, 2), (1, 2))
+        assert stats == _reference_table_stats(rows, SCHEMA, mcv_size=2)
+
+    @pytest.mark.parametrize("distinct", [_MCV_TRACK_LIMIT, _MCV_TRACK_LIMIT + 1])
+    def test_mcv_tracking_stops_past_the_limit(self, distinct):
+        """At the limit the MCV list is kept; one more distinct value and
+        it is dropped — the distinct count stays exact either way."""
+        rows = [(k % distinct, 1.0, "t") for k in range(distinct + 7)]
+        stats = collect_table_stats(rows, SCHEMA)
+        assert stats == _reference_table_stats(rows, SCHEMA)
+        assert stats.column("k").distinct == distinct
+        assert bool(stats.column("k").mcvs) == (distinct <= _MCV_TRACK_LIMIT)
 
 
 class TestCatalogWiring:

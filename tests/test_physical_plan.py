@@ -12,6 +12,7 @@ estimate-vs-actual cardinalities.
 
 from __future__ import annotations
 
+import re
 import textwrap
 from collections import Counter
 
@@ -147,6 +148,33 @@ class TestGoldenPlans:
             `- cross-product streamed  (est_rows=40.0, est_cost=$2.48538e-05)
                +- build: scan sub1 [select] cols=1 pred=((s1_attr < 5)) partitions pruned: 1/2  (est_rows=2.0, est_cost=$1.22256e-05)
                `- probe: scan tiny [select] cols=1  (est_rows=20.0, est_cost=$1.26274e-05)""")
+
+    def test_baseline_get_scans_print_the_decoded_width(self, db):
+        """``cols=`` of a ``[get]`` scan is what it decodes: the columns
+        the plan above reads plus its own predicate's (sub1: 2 of 3,
+        fact: 2 of 7) — the whole schema only for ``SELECT *``."""
+        assert rendered(
+            db,
+            "SELECT SUM(f_v) AS total FROM fact, dim1, sub1"
+            " WHERE f_d1 = d1_id AND d1_s1 = s1_id AND s1_attr < 10",
+            mode="baseline",
+        ) == textwrap.dedent("""\
+            group-by [-] aggs=1  (est_cost=$1.46799e-05)
+            `- hash-join [s1_id = d1_s1] streamed  (est_rows=126.3, est_cost=$1.4679e-05)
+               +- build: scan sub1 [get] cols=2 pred=((s1_attr < 10))  (est_rows=3.0, est_cost=$1.26287e-05)
+               `- probe: hash-join [d1_id = f_d1]  (est_rows=800.0, est_cost=$1.38583e-05)
+                  +- build: scan dim1 [get] cols=2  (est_rows=80.0, est_cost=$1.26481e-05)
+                  `- probe: scan fact [get] cols=2  (est_rows=800.0, est_cost=$1.30409e-05)""")
+        assert rendered(
+            db, "SELECT s1_id FROM sub1 WHERE s1_attr < 10 ORDER BY s1_id",
+            mode="baseline",
+        ).endswith(
+            "scan sub1 [get] cols=2 pred=((s1_attr < 10))"
+            "  (est_rows=3.0, est_cost=$1.26255e-05)"
+        )
+        assert rendered(
+            db, "SELECT * FROM sub1 WHERE s1_attr < 10", mode="baseline"
+        ).startswith("scan sub1 [get] cols=3 ")
 
     def test_baseline_plan_uses_get_scans(self, db):
         text = rendered(
@@ -357,3 +385,108 @@ def test_every_plan_node_stream_yields_batches(batch_streams):
         "AdaptiveJoinNode", "FilterNode", "ProjectNode", "GroupByNode",
         "SortNode", "TopKNode", "LimitNode", "CrossProductNode",
     }
+
+
+def _scan_leaves(node):
+    if isinstance(node, physical.ScanNode):
+        yield node
+    for child in node.children():
+        yield from _scan_leaves(child)
+
+
+def test_baseline_get_scans_decode_needed_columns_and_bill_full_rows(monkeypatch):
+    """GET-path projection pruning, over the 22 TPC-H files: a baseline
+    scan decodes exactly its pushdown twin's projection plus the columns
+    its local predicate reads — nothing the query does not name — while
+    its phase keeps ingesting whole rows (a GET transfers every byte)."""
+    from repro.planner import planner
+    from repro.sqlparser import ast
+    from repro.strategies import scans
+
+    db = PushdownDB()
+    ctx, catalog = db.ctx, db.catalog
+    load_suite_tables(ctx, catalog, 0.002, seed=11).close()
+
+    decoded: list[tuple[str, tuple]] = []
+    real_decode = scans._decode_partition
+
+    def decode(table, data, batch_size, columns=None):
+        decoded.append((table.name, tuple(columns)))  # never None: never "all"
+        return real_decode(table, data, batch_size, columns)
+
+    monkeypatch.setattr(scans, "_decode_partition", decode)
+
+    twins: dict[int, physical.PhysicalPlan] = {}
+    real_choose = planner.choose_plan
+
+    def choose(ctx, catalog, query, mode, prepared=None):
+        plan, choice = real_choose(ctx, catalog, query, mode, prepared)
+        twins[id(plan)] = (
+            query, build_plan(ctx, catalog, query, "optimized", prepared=prepared)
+        )
+        return plan, choice
+
+    monkeypatch.setattr(planner, "choose_plan", choose)
+
+    executed: list[tuple[physical.PhysicalPlan, object]] = []
+    real_execute = planner.execute_plan
+
+    def execute(ctx, plan, **kwargs):
+        execution = real_execute(ctx, plan, **kwargs)
+        executed.append((plan, execution))
+        return execution
+
+    monkeypatch.setattr(planner, "execute_plan", execute)
+
+    narrower = 0
+    for name in ALL_QUERIES:
+        sql = (QUERY_DIR / f"{name}.sql").read_text()
+        words = set(re.findall(r"[a-z_0-9]+", sql.lower()))
+        decoded.clear(), executed.clear(), twins.clear()
+        execute_parsed(ctx, catalog, parse(sql), "baseline")
+        expected_decodes = set()
+        for plan, execution in executed:
+            query, twin = twins[id(plan)]
+            twin_scans = {n.table.name: n for n in _scan_leaves(twin.root)}
+            for scan in _scan_leaves(plan.root):
+                assert not scan.pushdown, (name, scan.describe())
+                schema = scan.table.schema
+                if scan.table.name in twin_scans:
+                    needed = set(twin_scans[scan.table.name].columns)
+                else:  # the twin pushed the whole aggregate S3-side
+                    assert isinstance(twin.root, physical.PushedAggregateNode)
+                    needed = set().union(*(
+                        ast.referenced_columns(i.expr) for i in query.select_items
+                    ))
+                if scan.predicate is not None:
+                    needed |= ast.referenced_columns(scan.predicate)
+                assert scan.columns == [
+                    n for n in schema.names if n in needed
+                ], (name, scan.describe())
+                assert set(scan.columns) <= words, (name, scan.describe())
+                narrower += len(scan.columns) < len(schema)
+                expected_decodes.add((scan.table.name, tuple(scan.columns)))
+            # Metering is blind to the decoded width.
+            last = execution.phases[-1]
+            tables = plan.scan_tables
+            if plan.combined_label is not None:
+                assert last.name == "load+join"
+                assert last.server_records == sum(t.num_rows for t in tables)
+                # (the executor multiplies records by a mean float width)
+                assert last.server_fields == pytest.approx(
+                    sum(t.num_rows * len(t.schema) for t in tables), rel=1e-12
+                )
+            elif tables:
+                (spine,) = (
+                    s for s in _scan_leaves(plan.root) if s.phase_label == "scan"
+                )
+                assert last.name == "scan"
+                assert last.server_records == spine.actual_rows
+                assert last.server_fields == (
+                    last.server_records * len(tables[0].schema)
+                )
+        assert set(decoded) == expected_decodes, name
+    assert narrower >= 60  # nearly every scan: Q2 alone reads all of supplier
+
+    q6 = (QUERY_DIR / "q06.sql").read_text()
+    assert "scan lineitem [get] cols=4 " in db.explain(q6)

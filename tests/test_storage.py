@@ -1,5 +1,9 @@
 """Tests for schemas, the CSV codec, and the object store."""
 
+import io
+import math
+from array import array
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,17 +14,23 @@ from repro.common.errors import (
     NoSuchBucketError,
     NoSuchKeyError,
 )
+from repro.engine.batch import Batch
 from repro.engine.operators.base import materialize
 from repro.storage.csvcodec import (
+    RowExtent,
     encode_row,
     encode_table,
     encoded_size,
+    format_column,
     format_value,
+    iter_column_batches,
     iter_decode_column_batches,
     iter_records,
 )
 from repro.storage.object_store import ObjectStore
 from repro.storage.schema import ColumnDef, TableSchema
+
+from helpers import decode_rows
 
 
 class TestSchema:
@@ -322,6 +332,234 @@ def test_property_encoded_size_equals_encoded_rows(case):
     assert encoded_size(columns, len(rows)) == len(
         b"".join(encode_row(r) for r in rows)
     )
+
+
+# ----------------------------------------------------------------------
+# the column-at-a-time codec against its row-at-a-time references
+# ----------------------------------------------------------------------
+
+def _decoded(data, schema, batch_size, has_header, columns):
+    """(rows of each batch the decoder yielded, CatalogError text or None)."""
+    batches, error = [], None
+    try:
+        for batch in iter_decode_column_batches(
+            data, schema, batch_size, has_header, columns
+        ):
+            batches.append(batch.to_rows())
+    except CatalogError as exc:
+        error = str(exc)
+    return batches, error
+
+
+def _reference_decoded(data, schema, batch_size, has_header, columns):
+    """The same, from ``schema.parse_row`` per ``iter_records`` record:
+    a ragged record fails the batch that holds it with ``parse_row``'s
+    message for the batch's first ragged record; earlier batches stand."""
+    records = list(iter_records(data))[int(has_header):]
+    keep = [
+        schema.index_of(c) for c in (schema.names if columns is None else columns)
+    ]
+    batches = []
+    for start in range(0, len(records), batch_size):
+        try:
+            rows = [schema.parse_row(r) for r in records[start : start + batch_size]]
+        except CatalogError as exc:
+            return batches, str(exc)
+        batches.append([tuple(row[i] for i in keep) for row in rows])
+    return batches, None
+
+
+#: Valid field texts per column type; '' is NULL.  No quote, comma or
+#: newline — but bare CR (dropped by every tokenizer), spaces, non-ASCII.
+_FIELD_TEXT = {
+    "int": st.sampled_from(["", "0", "7", "-12", "123456789012"]),
+    "float": st.sampled_from(["", "0.5", "-3", "1e3", "2.0", "inf"]),
+    "str": st.text(
+        alphabet=st.sampled_from(["a", "Z", " ", "\r", "\u00e9", "\u4e2d", "7"]),
+        max_size=5,
+    ),
+    "date": st.sampled_from(["", "1994-01-01", "1998-12-31"]),
+}
+
+
+@st.composite
+def _csv_objects(draw):
+    """(bytes, schema, has_header): a quote-free object under
+    a typed schema of width 1-4, with LF or CRLF line ends, an optional
+    missing trailing newline, and — sometimes — stray lines of another
+    width (an empty line is a 1-field record: NULL under a width-1
+    schema, ragged under a wider one)."""
+    types = draw(st.lists(st.sampled_from(sorted(_FIELD_TEXT)), min_size=1, max_size=4))
+    schema = TableSchema.of(*(f"c{i}:{t}" for i, t in enumerate(types)))
+    valid = st.tuples(*(_FIELD_TEXT[t] for t in types)).map(",".join)
+    stray = st.sampled_from(["", "1,2,3,4,5", ","])
+    lines = draw(st.lists(st.one_of(valid, valid, valid, stray), max_size=14))
+    has_header = draw(st.booleans())
+    if has_header:
+        lines.insert(0, ",".join(schema.names))
+    ends = draw(st.lists(
+        st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)
+    ))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and draw(st.booleans()):
+        text = text.rstrip("\r\n") or text  # missing trailing newline
+    return text.encode(), schema, has_header
+
+
+def _column_picks(schema):
+    """``columns=`` arguments: None, subsets, re-orderings, repeats."""
+    return st.one_of(
+        st.none(),
+        st.lists(st.sampled_from(schema.names), min_size=1, max_size=6),
+    )
+
+
+@given(st.data(), _csv_objects(), st.integers(1, 6))
+def test_property_column_decoder_matches_row_reference(data, obj, batch_size):
+    """``iter_decode_column_batches`` == ``parse_row`` per record, projected:
+    same batches, same NULLs, same error from the same batch."""
+    payload, schema, has_header = obj
+    columns = data.draw(_column_picks(schema))
+    got = _decoded(payload, schema, batch_size, has_header, columns)
+    assert got == _reference_decoded(payload, schema, batch_size, has_header, columns)
+    if got[1] is None:
+        keep = [schema.index_of(c) for c in columns or schema.names]
+        assert [row for rows in got[0] for row in rows] == [
+            tuple(row[i] for i in keep)
+            for row in decode_rows(payload, schema, has_header)
+        ]
+        # Types, not just values: 2.0 == 2 but a float column holds floats.
+        for rows in got[0]:
+            for row in rows:
+                for value, i in zip(row, keep):
+                    kind = schema.columns[i].type
+                    assert value is None or type(value) is {
+                        "int": int, "float": float
+                    }.get(kind, str)
+
+
+@given(st.data(), _RAW_TEXT, st.integers(1, 3), st.integers(1, 4), st.booleans())
+def test_property_column_decoder_on_arbitrary_text(
+    data, text, width, batch_size, has_header
+):
+    """Arbitrary bytes under an all-text schema — stray quotes (the
+    scanner's result), bare CR, empty lines, no trailing newline."""
+    schema = TableSchema.of(*(f"c{i}:str" for i in range(width)))
+    columns = data.draw(_column_picks(schema))
+    payload = text.encode()
+    assert _decoded(payload, schema, batch_size, has_header, columns) == (
+        _reference_decoded(payload, schema, batch_size, has_header, columns)
+    )
+
+
+def test_ragged_row_fails_its_own_batch_only():
+    schema = TableSchema.of("a:int", "b:int")
+    data = b"1,2\n3,4\n5\n6,7,8\n9,9\n"
+    stream = iter_decode_column_batches(data, schema, 2, has_header=False)
+    assert next(stream).to_rows() == [(1, 2), (3, 4)]
+    with pytest.raises(CatalogError, match="row has 1 fields, schema has 2"):
+        next(stream)
+
+
+@pytest.mark.parametrize("decode", [
+    lambda schema, **kw: iter_decode_column_batches(
+        b"1,2\n", schema, has_header=False, **kw
+    ),
+    lambda schema, **kw: iter_decode_column_batches(
+        b'1,"2"\n', schema, has_header=False, **kw
+    ),
+    lambda schema, **kw: iter_column_batches(iter([["1", "2"]]), schema, **kw),
+])
+def test_bad_decoder_arguments_raise_at_the_call(decode):
+    """Not at the first ``next()``: a stream is often pulled far from
+    where it was built."""
+    schema = TableSchema.of("a:int", "b:int")
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="batch_size must be positive"):
+            decode(schema, batch_size=bad)
+    with pytest.raises(CatalogError, match="no column 'c'"):
+        decode(schema, columns=["a", "c"])
+    assert next(decode(schema, columns=["b", "a", "b"])).to_rows() == [(2, 1, 2)]
+
+
+_SPECIAL_FLOATS = st.sampled_from(
+    [0.0, -0.0, 1e16, -1e16, 1e22, 1.5e300, 5e-324, math.inf, -math.inf, math.nan]
+)
+
+_COLUMN = st.one_of(
+    st.lists(st.integers(-10**20, 10**20), max_size=12),
+    st.lists(st.one_of(st.floats(), _SPECIAL_FLOATS), max_size=12),
+    st.lists(_FIELD, max_size=12),
+    st.lists(st.one_of(_TYPED_VALUE, _SPECIAL_FLOATS), max_size=12),
+)
+
+
+@given(_COLUMN)
+def test_property_format_column_equals_format_value_per_value(column):
+    """Pure int / float / str columns take the one-pass branches; NULLs,
+    bools and mixed types the per-value one — same texts either way, and
+    for the ``array.array`` columns ``Batch.compact`` builds."""
+    expected = [format_value(v) for v in column]
+    assert list(format_column(column)) == expected
+    assert list(format_column(tuple(column))) == expected
+    (packed,) = Batch([column], len(column)).compact().columns
+    assert list(format_column(packed)) == expected
+
+
+def test_format_column_of_compacted_columns():
+    ints, floats = Batch([[3, -4], [-0.0, 2.5]], 2).compact().columns
+    assert isinstance(ints, array) and isinstance(floats, array)
+    assert format_column(ints) == ["3", "-4"]
+    assert format_column(floats) == ["-0.0", "2.5"]
+
+
+def _reference_encode_table(rows, header=None):
+    """The row-at-a-time encoder ``encode_table`` replaced, quoting rule
+    included: the oracle for its bytes and its extents."""
+    def encode(row):
+        fields = []
+        for value in row:
+            text = format_value(value)
+            if any(ch in ',"\n\r' for ch in text):
+                text = '"' + text.replace('"', '""') + '"'
+            fields.append(text)
+        return (",".join(fields) + "\n").encode()
+
+    buf = io.BytesIO()
+    if header is not None:
+        buf.write(encode(list(header)))
+    extents = []
+    for row in rows:
+        start = buf.tell()
+        encoded = encode(row)
+        assert encode_row(row) == encoded
+        buf.write(encoded)
+        extents.append(RowExtent(first_byte=start, last_byte=start + len(encoded) - 1))
+    return buf.getvalue(), extents
+
+
+_TABLE = st.one_of(
+    # rectangular, widths 1-4 (and the empty table)
+    st.integers(1, 4).flatmap(
+        lambda width: st.lists(
+            st.tuples(*[st.one_of(_TYPED_VALUE, _SPECIAL_FLOATS)] * width), max_size=12
+        )
+    ),
+    # type-pure columns: the one-pass branches
+    st.lists(st.tuples(st.integers(), st.floats(), _FIELD), max_size=12),
+    # ragged and zero-width rows
+    st.lists(st.lists(_TYPED_VALUE, max_size=3).map(tuple), max_size=8),
+)
+
+
+@given(_TABLE, st.one_of(st.none(), st.lists(_FIELD, min_size=1, max_size=4)))
+def test_property_encode_table_equals_row_at_a_time_encoder(rows, header):
+    """Byte-identical objects and identical extents: quote triggers,
+    multi-byte text, header, empty input, ragged rows — and from a
+    one-shot iterable as well as a list."""
+    expected = _reference_encode_table(rows, header)
+    assert encode_table(rows, header) == expected
+    assert encode_table(iter(rows), header) == expected
 
 
 class TestObjectStore:

@@ -42,6 +42,7 @@ from repro.engine.operators.project import project, project_batches, projected_n
 from repro.engine.operators.sort import sort_batches, sort_rows
 from repro.engine.operators.topk import top_k, top_k_batches
 from repro.expr.compiler import compile_expr, compile_predicate
+from repro.planner.planner import plan_and_execute
 from repro.queries.dataset import load_tpch
 from repro.queries.tpch_queries import TPCH_QUERIES
 from repro.s3select import engine as select_engine
@@ -55,7 +56,7 @@ from repro.storage.csvcodec import (
 )
 from repro.storage.object_store import StoredObject
 from repro.storage.parquet import ParquetFile, write_parquet
-from repro.storage.schema import TableSchema
+from repro.storage.schema import ColumnDef, TableSchema
 from repro.strategies.scans import scan_partitions, select_aggregate, select_table
 
 from helpers import decode_rows
@@ -217,6 +218,40 @@ class TestBatchIterators:
     def test_empty_input_yields_no_batches(self):
         data, _ = encode_table([])
         assert list(iter_decode_column_batches(data, SCHEMA, has_header=False)) == []
+
+    def test_column_decoder_types_no_batch_past_the_one_it_stops_in(
+        self, monkeypatch
+    ):
+        """Typing is lazy per batch and per kept column: nothing at the
+        call, one column chunk per pulled batch — also under a LIMIT
+        that cuts a baseline GET scan short."""
+        typed: list[tuple[str, int]] = []
+        real = ColumnDef.parse_column
+
+        def parse_column(self, texts):
+            typed.append((self.name, len(texts)))
+            return real(self, texts)
+
+        monkeypatch.setattr(ColumnDef, "parse_column", parse_column)
+        data, _ = encode_table(ROWS)
+        stream = iter_decode_column_batches(
+            data, SCHEMA, 6, has_header=False, columns=["v"]
+        )
+        assert typed == []
+        assert next(stream).to_rows() == [(r[1],) for r in ROWS[:6]]
+        assert typed == [("v", 6)]
+        next(stream)
+        assert typed == [("v", 6), ("v", 6)]
+
+        del typed[:]
+        ctx, catalog = CloudContext(batch_size=4), Catalog()
+        load_table(ctx, catalog, "t", ROWS, SCHEMA, bucket="b", partitions=2)
+        limited = plan_and_execute(
+            ctx, catalog, "SELECT k FROM t LIMIT 3", mode="baseline"
+        )
+        assert limited.rows == [(0,), (1,), (2,)]
+        assert typed == [("k", 4)]  # one batch of one column, of 20 x 2
+        assert limited.num_requests == 2  # both partitions still billed
 
     def test_get_scan_decodes_lazily_into_the_same_batches(self):
         """`scan_partitions(sql=None)`: batches per partition, rows on demand."""
