@@ -23,6 +23,7 @@ import pytest
 from repro.cloud.context import CloudContext
 from repro.engine.batch import Batch
 from repro.engine.catalog import Catalog, load_table
+from repro.engine.operators.base import materialize
 from repro.engine.operators.filter import filter_batches
 from repro.engine.operators.groupby import group_by_batches
 from repro.engine.operators.hashjoin import hash_join_batches
@@ -32,7 +33,7 @@ from repro.s3select.engine import execute_select
 from repro.sqlparser.parser import parse_expression
 from repro.storage.csvcodec import chunk_rows, encode_table, iter_decode_column_batches
 from repro.storage.object_store import StoredObject
-from repro.strategies.scans import select_table
+from repro.strategies.scans import iter_scan_batches
 from repro.workloads.synthetic import (
     FILTER_SCHEMA,
     clustered_filter_table,
@@ -170,9 +171,9 @@ def _timed_scan(ctx, table, workers: int, repeats: int = 3) -> tuple[float, list
     rows = None
     for _ in range(repeats):
         start = time.perf_counter()
-        rows, _names = select_table(
+        rows = materialize(iter_scan_batches(
             ctx, table, "SELECT key, p0 FROM S3Object", workers=workers
-        )
+        ))
         times.append(time.perf_counter() - start)
     return statistics.median(times), rows
 
@@ -279,7 +280,7 @@ def test_concurrent_partition_scan_speedup(benchmark):
     # Recorded with the simulated latency still active, so the benchmark
     # table shows the same conditions the speedup was measured under.
     benchmark.pedantic(
-        lambda: select_table(ctx, table, "SELECT key, p0 FROM S3Object", workers=4),
+        lambda: _timed_scan(ctx, table, workers=4, repeats=1),
         rounds=1, iterations=1,
     )
     ctx.client.request_delay = 0.0

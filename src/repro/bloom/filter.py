@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 
 from repro.bloom.universal_hash import UniversalHash, make_hash_family
 from repro.s3select.validator import EXPRESSION_LIMIT_BYTES
+from repro.sqlparser.ast import Literal
 
 
 def optimal_num_hashes(fpr: float) -> int:
@@ -169,3 +170,100 @@ def build_bloom_filter_within_limit(
         if bloom.predicate_size_bytes(attr) <= budget:
             return BloomBuildOutcome(bloom=bloom, achieved_fpr=fpr, attempts=attempts)
     return BloomBuildOutcome(bloom=None, achieved_fpr=1.0, attempts=attempts)
+
+
+# ----------------------------------------------------------------------
+# shipping a build side's key set into the probe scan (Section V-B1)
+# ----------------------------------------------------------------------
+
+#: Default Bloom false-positive rate; the paper finds 0.01 the sweet spot
+#: (Figure 4).
+DEFAULT_FPR = 0.01
+
+#: Most SELECT requests (per partition) the chunked IN-list fallback may
+#: issue before an unfiltered scan becomes the cheaper degradation: each
+#: chunk re-scans the whole probe table, so past this point the scan bill
+#: dwarfs what the membership filter saves in returned bytes.
+MAX_MEMBERSHIP_CHUNKS = 16
+
+
+@dataclass(frozen=True)
+class BloomPushdown:
+    """How a hash join ships its build keys into its probe scan.
+
+    SQL plans use the defaults.  The last two fields are where the
+    paper's hand-written variants are modeled differently from SQL joins
+    (ROADMAP item 3's audit list): both sides' numbers are pinned, so
+    the difference is stated here instead of resolved.
+    """
+
+    fpr: float = DEFAULT_FPR
+    seed: int | None = None
+    #: The service's 256 KB; smaller values let tests walk the ladder.
+    limit_bytes: int = EXPRESSION_LIMIT_BYTES
+    #: Modeled CPU per inserted key, charged to the build side's phase
+    #: (``bloom_join`` only; SQL joins charge none).
+    insert_cpu: float = 0.0
+    #: An empty build side ships its all-zero filter, so the probe
+    #: returns nothing (the paper variants); SQL joins scan unfiltered.
+    when_empty: bool = False
+
+
+def membership_chunks(
+    attr: str,
+    keys,
+    overhead_bytes: int,
+    limit_bytes: int = EXPRESSION_LIMIT_BYTES,
+) -> list[str] | None:
+    """Render ``attr IN (...)`` predicates, each within the service limit.
+
+    The unique keys are split greedily so every rendered predicate plus
+    ``overhead_bytes`` (the rest of the query) stays at or under
+    ``limit_bytes``.  Chunks partition the key set, so unioning the
+    chunked scans' results reproduces a single membership scan exactly.
+    Returns ``None`` when not even a one-key predicate fits.
+    """
+    unique = sorted(set(keys))
+    budget = limit_bytes - overhead_bytes
+    fixed = len(f"{attr} IN (".encode()) + 1
+    chunks: list[str] = []
+    current: list[str] = []
+    current_bytes = 0
+    for key in unique:
+        literal = Literal(key).to_sql()
+        cost = len(literal.encode()) + 2  # ", " separator
+        if fixed + len(literal.encode()) > budget:
+            return None
+        if current and fixed + current_bytes + cost > budget:
+            chunks.append(f"{attr} IN ({', '.join(current)})")
+            current, current_bytes = [], 0
+        current.append(literal)
+        current_bytes += cost
+    if current:
+        chunks.append(f"{attr} IN ({', '.join(current)})")
+    return chunks
+
+
+def membership_clauses(
+    keys: Sequence[int], attr: str, base_sql: str, how: BloomPushdown
+) -> tuple[list[str], BloomBuildOutcome]:
+    """The pushed predicates testing ``attr`` against ``keys``, one probe
+    scan per clause, down the degradation ladder: a Bloom filter (its FPR
+    raised until the query fits the expression limit), else at most
+    :data:`MAX_MEMBERSHIP_CHUNKS` exact ``IN`` lists whose scans union to
+    the membership scan, else none (an unfiltered scan).  ``base_sql`` is
+    the probe scan without the predicate (its size counts against the
+    limit); ``outcome.bloom is None`` marks the two degraded rungs.
+    """
+    unique = list(dict.fromkeys(keys))
+    overhead = len(base_sql.encode()) + 16
+    outcome = build_bloom_filter_within_limit(
+        unique, how.fpr, attr, sql_overhead_bytes=overhead,
+        limit_bytes=how.limit_bytes, seed=how.seed,
+    )
+    if outcome.bloom is not None:
+        return [outcome.bloom.to_sql_predicate(attr)], outcome
+    chunks = membership_chunks(attr, unique, overhead, how.limit_bytes)
+    if chunks and len(chunks) <= MAX_MEMBERSHIP_CHUNKS:
+        return chunks, outcome
+    return [], outcome

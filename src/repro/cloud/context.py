@@ -244,7 +244,6 @@ class CloudContext:
         column_names: Sequence[str],
         phases: list[Phase],
         strategy: str = "",
-        details: dict | None = None,
     ) -> QueryExecution:
         """Price and time the records accumulated since ``mark``."""
         records = self.metrics.records_since(mark)
@@ -261,5 +260,4 @@ class CloudContext:
             bytes_returned=sum(r.bytes_returned for r in records),
             bytes_transferred=sum(r.bytes_transferred for r in records),
             strategy=strategy,
-            details=details or {},
         )

@@ -9,12 +9,6 @@ between operators — evaluating expressions with the vector kernels of
 project, hash-join probe, limit) yield batches; pipeline breakers (sort,
 group-by, top-K) drain their input and return an :class:`OpResult`.
 
-The row-list functions beside them (``filter_rows``, ``project``,
-``sort_rows``, ``hash_join``, ``group_by_aggregate``, ``top_k``) are
-adapters for the hand-assembled strategies: they wrap the rows in one
-batch, run the ``*_batches`` operator and hand rows back, charging the
-same modeled CPU.
-
 Estimated CPU time is folded into the owning phase's
 ``server_cpu_seconds`` so the performance model can charge local compute.
 """

@@ -10,7 +10,7 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.cloud.perf import SERVER_CPU_PER_ROW
 from repro.engine.batch import Batch
-from repro.engine.operators.base import CpuTally, OpResult, materialize
+from repro.engine.operators.base import CpuTally
 from repro.expr.vector import compile_predicate_vector
 from repro.sqlparser import ast
 
@@ -36,20 +36,3 @@ def filter_batches(
         if tally is not None:
             tally.add_seconds(len(batch) * per_row)
         yield batch.filter(keep_mask(batch))
-
-
-def filter_rows(
-    rows: list[tuple],
-    column_names: Sequence[str],
-    predicate: ast.Expr | None,
-) -> OpResult:
-    """Row-list adapter: keep rows satisfying ``predicate`` (``None``
-    keeps everything)."""
-    if predicate is None:
-        return OpResult(rows=list(rows), column_names=list(column_names))
-    tally = CpuTally()
-    batch = Batch.from_rows(rows, len(column_names))
-    out = materialize(filter_batches([batch], column_names, predicate, tally))
-    return OpResult(
-        rows=out, column_names=list(column_names), cpu_seconds=tally.seconds
-    )

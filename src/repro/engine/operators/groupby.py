@@ -122,14 +122,3 @@ def group_by_batches(
     for batch in batches:
         state.add_batch(batch)
     return state.finish()
-
-
-def group_by_aggregate(
-    rows: Iterable[tuple],
-    column_names: Sequence[str],
-    group_exprs: Sequence[ast.Expr],
-    agg_items: Sequence[ast.SelectItem],
-) -> OpResult:
-    """Row-list adapter for :func:`group_by_batches`."""
-    batch = Batch.from_rows(list(rows), len(column_names))
-    return group_by_batches([batch], column_names, group_exprs, agg_items)

@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from repro.cloud.perf import SERVER_CPU_PER_ROW
 from repro.common.errors import PlanError
 from repro.engine.batch import Batch
-from repro.engine.operators.base import CpuTally, OpResult, materialize
+from repro.engine.operators.base import CpuTally
 
 JOIN_TYPES = ("inner", "left", "semi", "anti", "anti_null")
 
@@ -166,28 +166,6 @@ def hash_join_batches(
             yield _probe(build, batch, probe_idx, join_type, match_pred, null_pad)
 
     return out_names, probe()
-
-
-def hash_join(
-    build_rows: list[tuple],
-    build_names: Sequence[str],
-    probe_rows: list[tuple],
-    probe_names: Sequence[str],
-    build_key: str,
-    probe_key: str,
-    join_type: str = "inner",
-    match_pred: Callable[[tuple], object] | None = None,
-) -> OpResult:
-    """Row-list adapter for :func:`hash_join_batches`."""
-    tally = CpuTally()
-    probe = Batch.from_rows(probe_rows, len(probe_names))
-    names, joined = hash_join_batches(
-        build_rows, build_names, [probe], probe_names, build_key, probe_key,
-        tally, join_type, match_pred,
-    )
-    return OpResult(
-        rows=materialize(joined), column_names=names, cpu_seconds=tally.seconds
-    )
 
 
 def _index_of(names: Sequence[str], wanted: str) -> int:

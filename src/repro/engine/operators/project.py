@@ -6,7 +6,7 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.cloud.perf import SERVER_CPU_PER_ROW
 from repro.engine.batch import Batch
-from repro.engine.operators.base import CpuTally, OpResult, materialize
+from repro.engine.operators.base import CpuTally
 from repro.expr.vector import compile_expr_vector
 from repro.sqlparser import ast
 
@@ -52,30 +52,3 @@ def project_batches(
         if tally is not None:
             tally.add_seconds(len(batch) * per_row)
         yield Batch([fn(batch) for fn in extractors], len(batch))
-
-
-def project(
-    rows: list[tuple],
-    column_names: Sequence[str],
-    items: Sequence[ast.SelectItem],
-) -> OpResult:
-    """Row-list adapter: project ``rows`` through ``items``."""
-    tally = CpuTally()
-    batch = Batch.from_rows(rows, len(column_names))
-    out = materialize(project_batches([batch], column_names, items, tally))
-    return OpResult(
-        rows=out,
-        column_names=projected_names(column_names, items),
-        cpu_seconds=tally.seconds,
-    )
-
-
-def project_columns(
-    rows: list[tuple], column_names: Sequence[str], wanted: Sequence[str]
-) -> OpResult:
-    """Fast path: project to named columns only."""
-    schema = {name.lower(): i for i, name in enumerate(column_names)}
-    idxs = [schema[w.lower()] for w in wanted]
-    out = [tuple(row[i] for i in idxs) for row in rows]
-    cpu = len(rows) * len(idxs) * SERVER_CPU_PER_ROW["filter"]
-    return OpResult(rows=out, column_names=list(wanted), cpu_seconds=cpu)

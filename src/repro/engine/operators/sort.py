@@ -82,13 +82,3 @@ def sort_batches(
     comparisons = n * max(1.0, math.log2(n)) if n else 0.0
     cpu = comparisons * len(order_items) * SERVER_CPU_PER_ROW["sort_per_cmp"]
     return OpResult(rows=out, column_names=list(column_names), cpu_seconds=cpu)
-
-
-def sort_rows(
-    rows: list[tuple],
-    column_names: Sequence[str],
-    order_items: Sequence[ast.OrderItem],
-) -> OpResult:
-    """Row-list adapter for :func:`sort_batches`."""
-    batch = Batch.from_rows(rows, len(column_names))
-    return sort_batches([batch], column_names, order_items)

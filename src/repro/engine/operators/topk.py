@@ -59,14 +59,3 @@ def top_k_batches(
     rows = [payload for _, _, _, payload in best]
     cpu = n * max(1.0, math.log2(max(k, 2))) * SERVER_CPU_PER_ROW["heap"]
     return OpResult(rows=rows, column_names=list(column_names), cpu_seconds=cpu)
-
-
-def top_k(
-    rows: list[tuple],
-    column_names: Sequence[str],
-    order_items: Sequence[ast.OrderItem],
-    k: int,
-) -> OpResult:
-    """Row-list adapter for :func:`top_k_batches`."""
-    batch = Batch.from_rows(rows, len(column_names))
-    return top_k_batches([batch], column_names, order_items, k)

@@ -16,7 +16,8 @@ from __future__ import annotations
 from repro.cloud.context import CloudContext
 from repro.engine.catalog import Catalog, load_table
 from repro.experiments.harness import ExperimentResult
-from repro.strategies.scans import phase_since, select_table
+from repro.planner import physical
+from repro.sqlparser import ast
 from repro.workloads.synthetic import float_schema, float_table
 
 DEFAULT_NUM_ROWS = 30_000
@@ -60,17 +61,16 @@ def run(
         )
         for selectivity in selectivities:
             # Values are uniform in [0, 1): `f0 < s` matches fraction s.
-            sql = f"SELECT f0 FROM S3Object WHERE f0 < {selectivity}"
+            predicate = ast.Binary("<", ast.Column("f0"), ast.Literal(selectivity))
             reference = None
             for fmt, table_name in (("csv", "csv_table"), ("parquet", "pq_table")):
-                table = catalog.get(table_name)
-                mark = ctx.begin_query()
-                out_rows, _ = select_table(ctx, table, sql)
-                phase = phase_since(
-                    ctx, mark, "scan", streams=table.partitions,
-                    ingest=(len(out_rows), 1),
+                scan = physical.whole_table_select(
+                    catalog.get(table_name), ["f0"], predicate, "scan"
                 )
-                execution = ctx.finalize(mark, out_rows, ["f0"], [phase])
+                execution = physical.execute_plan(
+                    ctx, physical.PhysicalPlan(scan, "optimized", strategy="")
+                )
+                out_rows = execution.rows
                 if reference is None:
                     reference = len(out_rows)
                 elif len(out_rows) != reference:

@@ -321,13 +321,7 @@ class CostModel:
     def _groupby_shape(self, query: GroupByQuery, stats: TableStats):
         table = self.catalog.get(query.table)
         sel = self._selectivity(query.table, query.predicate, stats)
-        agg_columns: list[str] = []
-        for agg in query.aggregates:
-            agg_columns.extend(
-                c for c in table.schema.names
-                if c.lower() in {r.lower() for r in agg.referenced_columns()}
-            )
-        needed = list(dict.fromkeys([*query.group_columns, *agg_columns]))
+        needed = query.needed_columns(table)
         groups = 1
         for col in query.group_columns:
             col_stats = stats.column(col)

@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from repro.bloom.filter import optimal_num_bits, optimal_num_hashes
+from repro.bloom.filter import BloomPushdown, optimal_num_bits, optimal_num_hashes
 from repro.cloud.context import CloudContext
 from repro.cloud.perf import SERVER_CPU_PER_ROW
 from repro.common.errors import PlanError
@@ -558,7 +558,7 @@ class JoinOrderSearch:
         bloom = self._bloom_shape(node, build_end, probe_end)
         if bloom is not None:
             pass_rows, hashes = bloom
-            node.bloom = True
+            node.bloom = BloomPushdown()
             probe.bloom_attr = node.probe_key
             probe.est_rows = min(probe.est_rows, pass_rows)
             probe.est_terms += probe.table.num_rows * hashes

@@ -251,7 +251,7 @@ def probe_selectivity(
     measurement is recorded back into the store either way.
     ``refresh=True`` forces a fresh metered probe.
     """
-    from repro.strategies.scans import projection_sql, select_table
+    from repro.strategies.scans import iter_scan_batches, projection_sql
 
     store = ctx.feedback
     if store is not None and not refresh:
@@ -261,9 +261,10 @@ def probe_selectivity(
     sql = projection_sql(
         [f"SUM(CASE WHEN {predicate.to_sql()} THEN 1 ELSE 0 END)", "SUM(1)"]
     )
-    rows, _ = select_table(ctx, table, sql, scan_range_fraction=fraction)
-    matched = sum(r[0] or 0 for r in rows)
-    seen = sum(r[1] or 0 for r in rows)
+    matched = seen = 0
+    for batch in iter_scan_batches(ctx, table, sql, scan_range_fraction=fraction):
+        matched += sum(v or 0 for v in batch.column(0))
+        seen += sum(v or 0 for v in batch.column(1))
     if not seen:
         return estimate_selectivity(predicate, table.stats_or_default())
     measured = matched / seen

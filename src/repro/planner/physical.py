@@ -33,9 +33,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from time import perf_counter
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
+from repro.bloom.filter import BloomBuildOutcome, BloomPushdown, membership_clauses
 from repro.cloud.context import CloudContext, QueryExecution
 from repro.cloud.metrics import Phase
 from repro.cloud.perf import SERVER_CPU_PER_ROW
@@ -50,7 +52,6 @@ from repro.engine.operators.limit import limit_batches
 from repro.engine.operators.project import project_batches, projected_names
 from repro.engine.operators.sort import sort_batches
 from repro.engine.operators.topk import top_k_batches
-from repro.queries.common import bloom_where
 from repro.sqlparser import ast
 from repro.strategies.scans import (
     iter_scan_batches,
@@ -94,12 +95,12 @@ class ExecState:
     pending: _PendingScan | None = None
 
 
-def _counted(node: "PlanNode", batches: Iterable[Batch]) -> Iterator[Batch]:
+def counted(node: "PlanNode", batches: Iterable[Batch]) -> Iterator[Batch]:
     """Record observed cardinality and wall-clock on ``node`` per batch.
 
     The clock runs only while *this* node's stream is being pulled, so
     ``wall_seconds`` is the inclusive production time of the subtree
-    (children wrapped in their own ``_counted`` subtract out as
+    (children wrapped in their own ``counted`` subtract out as
     self-time in :func:`collect_operator_times`).  Nodes past a LIMIT
     cut-off are never pulled and keep ``actual_rows``/``wall_seconds``
     at ``None``.
@@ -121,12 +122,12 @@ def _counted(node: "PlanNode", batches: Iterable[Batch]) -> Iterator[Batch]:
 _DONE = object()
 
 
-def _one_batch(rows: list[tuple], names: Sequence[str]) -> Iterator[Batch]:
+def one_batch(rows: list[tuple], names: Sequence[str]) -> Iterator[Batch]:
     """A materialized result handed downstream as a one-batch stream."""
     return iter([Batch.from_rows(rows, len(names))])
 
 
-def _add_wall(node: "PlanNode", seconds: float) -> None:
+def add_wall(node: "PlanNode", seconds: float) -> None:
     """Accumulate explicitly-timed work (pipeline-breaker drains)."""
     node.wall_seconds = (node.wall_seconds or 0.0) + seconds
 
@@ -158,7 +159,10 @@ class PlanNode:
     * ``actual_rows`` — observed output cardinality, recorded during
       execution (estimate-vs-actual feedback for EXPLAIN);
     * ``wall_seconds`` — measured inclusive wall-clock this subtree
-      spent producing its output (``None`` until the node runs).
+      spent producing its output (``None`` until the node runs);
+    * ``details`` — what a node publishes about its run (matched rows,
+      pushed groups, a sampled threshold, ...); :func:`execute_plan`
+      merges it into ``execution.details``.
     """
 
     est_rows: float | None = None
@@ -166,6 +170,7 @@ class PlanNode:
     est_cpu: float = 0.0
     actual_rows: int | None = None
     wall_seconds: float | None = None
+    details: dict | None = None
 
     def children(self) -> tuple["PlanNode", ...]:
         return ()
@@ -204,7 +209,8 @@ class ScanNode(PlanNode):
         self.pushdown = pushdown
         self.phase_label = phase_label or f"scan-{table.name}"
         #: Probe-key attribute a parent join blooms this scan on (the
-        #: Bloom clause itself is built at run time from build rows).
+        #: join builds the clauses at run time from its build rows and
+        #: hands them to :meth:`run` as ``pushed``).
         self.bloom_attr: str | None = None
         #: Estimated S3-side term evaluations (WHERE conjuncts + Bloom
         #: hashes per scanned row), for the cost model.
@@ -213,9 +219,6 @@ class ScanNode(PlanNode):
         #: baseline twins (GET + local filter, no Bloom) annotate with
         #: this so their Q-error reports stay meaningful.
         self.est_filtered_rows: float | None = None
-        self.est_rows = None
-        self.est_cost = None
-        self.actual_rows = None
         self.tables: frozenset = frozenset((table.name,))
         #: Partition indices this scan will actually request, or ``None``
         #: for all of them.  Pushdown scans refute the table's zone maps
@@ -268,7 +271,7 @@ class ScanNode(PlanNode):
             parts.append(f"cache: {self.cache_status}")
         return " ".join(parts)
 
-    def _cacheable(self, state: ExecState, bloom_keys: Sequence | None):
+    def _cacheable(self, state: ExecState, pushed: Sequence[str] | None):
         """The session cache, when this scan may consult/populate it.
 
         Only plain pushdown scans participate: Bloom-annotated scans
@@ -279,7 +282,7 @@ class ScanNode(PlanNode):
         if (
             not self.pushdown
             or self.bloom_attr is not None
-            or bloom_keys
+            or pushed is not None
             or state.combined
         ):
             return None
@@ -320,18 +323,17 @@ class ScanNode(PlanNode):
         )
         return 1 if stored else 0
 
-    def _scan_sql(self, bloom_keys: Sequence | None) -> str:
-        clauses = []
-        if self.predicate is not None:
-            clauses.append(self.predicate.to_sql())
-        if bloom_keys and self.bloom_attr:
-            base_sql = projection_sql(self.columns, " AND ".join(clauses) or None)
-            clause = bloom_where(bloom_keys, self.bloom_attr, base_sql)
-            if clause is not None:
-                clauses.append(clause)
-        return projection_sql(self.columns, " AND ".join(clauses) or None)
+    def scan_sqls(self, pushed: Sequence[str] | None = None) -> list[str]:
+        """The scan's statements: its projection and predicate, once —
+        or once per ``pushed`` clause a parent join ANDs on (a Bloom
+        predicate, or the ``IN`` lists partitioning its key set)."""
+        own = [self.predicate.to_sql()] if self.predicate is not None else []
+        return [
+            projection_sql(self.columns, " AND ".join(own + extra) or None)
+            for extra in ([[clause] for clause in pushed] if pushed else [[]])
+        ]
 
-    def run(self, state: ExecState, bloom_keys: Sequence | None = None):
+    def run(self, state: ExecState, pushed: Sequence[str] | None = None):
         """Streaming scan: requests issue now, the phase finalizes at the
         end of the pipeline so ingest reflects the rows actually pulled."""
         ctx = state.ctx
@@ -349,8 +351,8 @@ class ScanNode(PlanNode):
                     mark, self.phase_label, self.table.partitions,
                     counter, len(self.table.schema),
                 )
-            return names, _counted(self, iter(counter))
-        cache = self._cacheable(state, bloom_keys)
+            return names, counted(self, iter(counter))
+        cache = self._cacheable(state, pushed)
         if cache is not None:
             reuse = cache.lookup_scan(
                 self.table.name, self.predicate, self.columns
@@ -364,26 +366,27 @@ class ScanNode(PlanNode):
                 )
                 return (
                     list(self.columns),
-                    _counted(self, self._replay(state, reuse)),
+                    counted(self, self._replay(state, reuse)),
                 )
             self.cache_status = "miss"
         keep, streams = self._effective_partitions(ctx)
-        counter = BatchCounter(
-            iter_scan_batches(
-                ctx, self.table, self._scan_sql(bloom_keys), partitions=keep
+        # Every statement's requests are issued before the first batch.
+        counter = BatchCounter(chain.from_iterable([
+            iter_scan_batches(ctx, self.table, sql, partitions=keep)
+            for sql in self.scan_sqls(pushed)
+        ]))
+        if not state.combined:
+            state.pending = _PendingScan(
+                mark, self.phase_label, streams,
+                counter, len(self.columns),
             )
-        )
-        state.pending = _PendingScan(
-            mark, self.phase_label, streams,
-            counter, len(self.columns),
-        )
         stream: Iterator[Batch] = iter(counter)
         if cache is not None:
             stream = self._tee_cache(stream)
-        return list(self.columns), _counted(self, stream)
+        return list(self.columns), counted(self, stream)
 
     def run_materialized(
-        self, state: ExecState, bloom_keys: Sequence | None = None
+        self, state: ExecState, pushed: Sequence[str] | None = None
     ) -> tuple[list[str], list[Batch]]:
         """Scan drained now (hash-build sides, non-spine probes): the
         phase is appended before this returns."""
@@ -391,7 +394,7 @@ class ScanNode(PlanNode):
         start = perf_counter()
         mark = ctx.metrics.mark()
         names = list(self.columns)
-        cache = self._cacheable(state, bloom_keys)
+        cache = self._cacheable(state, pushed)
         reuse = None if cache is None else cache.lookup_scan(
             self.table.name, self.predicate, self.columns
         )
@@ -408,10 +411,14 @@ class ScanNode(PlanNode):
             )
         else:
             keep, streams = self._effective_partitions(ctx)
-            scans = scan_partitions(
-                ctx, self.table, self._scan_sql(bloom_keys), partitions=keep
-            )
-            batches = [batch for scan in scans for batch in scan.batches]
+            batches = [
+                batch
+                for sql in self.scan_sqls(pushed)
+                for response in scan_partitions(
+                    ctx, self.table, sql, partitions=keep
+                )
+                for batch in response
+            ]
             state.phases.append(phase_since(
                 ctx, mark, self.phase_label, streams=streams,
                 ingest=(sum(map(len, batches)), len(self.columns)),
@@ -425,19 +432,43 @@ class ScanNode(PlanNode):
                 ]
                 self._cache_done = True
         self.actual_rows = sum(map(len, batches))
-        _add_wall(self, perf_counter() - start)
+        add_wall(self, perf_counter() - start)
         return names, batches
+
+
+def whole_table_select(
+    table: TableInfo,
+    columns: Sequence[str] | None = None,
+    predicate: ast.Expr | None = None,
+    phase_label: str | None = None,
+    bloom_attr: str | None = None,
+) -> ScanNode:
+    """A pushed scan as the paper's strategies issue it: ``columns``
+    (default: all) of every partition — never zone-map pruned, their
+    numbers are the whole-table reference.  ``bloom_attr`` lets a join
+    above ship its build keys into the WHERE clause."""
+    scan = ScanNode(
+        table, table.schema.names if columns is None else columns, predicate,
+        pushdown=True, phase_label=phase_label, prune=False,
+    )
+    scan.bloom_attr = bloom_attr
+    return scan
 
 
 class PushedAggregateNode(PlanNode):
     """Leaf: a fully-pushable additive aggregate (SUM/COUNT shapes)."""
 
-    def __init__(self, table: TableInfo, query: ast.Query, prune: bool = True):
+    def __init__(
+        self,
+        table: TableInfo,
+        query: ast.Query,
+        prune: bool = True,
+        phase_label: str = "pushed-aggregate",
+    ):
         self.table = table
         self.query = query
+        self.phase_label = phase_label
         self.est_rows = 1.0
-        self.est_cost = None
-        self.actual_rows = None
         self.tables: frozenset = frozenset((table.name,))
         #: Surviving partitions after zone-map refutation of the WHERE
         #: clause (``None`` = all).  Sound for additive aggregates: a
@@ -496,40 +527,32 @@ class PushedAggregateNode(PlanNode):
             for i, item in enumerate(self.query.select_items, start=1)
         ]
         cache = ctx.result_cache if not state.combined else None
-        if cache is not None:
-            reuse = cache.lookup_aggregate(
-                self.table.name, self.query.where, self.item_signatures()
+        reuse = None if cache is None else cache.lookup_aggregate(
+            self.table.name, self.query.where, self.item_signatures()
+        )
+        if reuse is not None:
+            self.cache_status = reuse.status
+            partials, streams = reuse.partials, 1
+        else:
+            pushed = ast.Query(
+                select_items=self.query.select_items, table="S3Object",
+                where=self.query.where,
             )
-            if reuse is not None:
-                self.cache_status = reuse.status
-                merged = merge_sum_partials(reuse.partials)
-                state.phases.append(phase_since(
-                    ctx, mark, "pushed-aggregate", streams=1
-                ))
-                self.actual_rows = 1
-                _add_wall(self, perf_counter() - start)
-                return out_names, _one_batch([tuple(merged)], out_names)
-            self.cache_status = "miss"
-        pushed = ast.Query(
-            select_items=self.query.select_items, table="S3Object",
-            where=self.query.where,
-        )
-        keep = self.keep_partitions
-        if not ctx.prune_partitions:
-            keep = None
-        streams = self.table.partitions if keep is None else len(keep)
-        partials, _ = select_aggregate(
-            ctx, self.table, pushed.to_sql(), partitions=keep
-        )
-        if cache is not None:
-            self._cache_partials = [list(row) for row in partials]
+            keep = self.keep_partitions if ctx.prune_partitions else None
+            streams = self.table.partitions if keep is None else len(keep)
+            partials = select_aggregate(
+                ctx, self.table, pushed.to_sql(), partitions=keep
+            )
+            if cache is not None:
+                self.cache_status = "miss"
+                self._cache_partials = [list(row) for row in partials]
         merged = merge_sum_partials(partials)
         state.phases.append(phase_since(
-            ctx, mark, "pushed-aggregate", streams=streams
+            ctx, mark, self.phase_label, streams=streams
         ))
         self.actual_rows = 1
-        _add_wall(self, perf_counter() - start)
-        return out_names, _one_batch([tuple(merged)], out_names)
+        add_wall(self, perf_counter() - start)
+        return out_names, one_batch([tuple(merged)], out_names)
 
 
 class HashJoinNode(PlanNode):
@@ -540,10 +563,10 @@ class HashJoinNode(PlanNode):
     pipeline.  Inner joins materialize both children, pick the hash
     build side from the *actual* row counts, as the chained executor
     always did, and probe with the other side as one batch.  ``bloom``
-    pushes a Bloom predicate on the probe scan when the probe child is a
-    pushdown scan and the build key is an integer column — including
-    inner (non-outermost) probes, which the left-deep chain executor
-    could never do.
+    ships the build keys into the probe scan's WHERE clause when the
+    probe child is a pushdown scan annotated with ``bloom_attr`` —
+    including inner (non-outermost) probes, which the left-deep chain
+    executor could never do.
     """
 
     def __init__(
@@ -552,7 +575,7 @@ class HashJoinNode(PlanNode):
         probe: PlanNode,
         build_key: str,
         probe_key: str,
-        bloom: bool = False,
+        bloom: BloomPushdown | None = None,
         stream_probe: bool = False,
         join_type: str = "inner",
         match_cond: ast.Expr | None = None,
@@ -563,6 +586,12 @@ class HashJoinNode(PlanNode):
         self.build_key = build_key
         self.probe_key = probe_key
         self.bloom = bloom
+        #: What a Bloom join shipped (``None`` until it runs): the
+        #: clauses and outcome of :func:`membership_clauses`, and how
+        #: many non-NULL build keys went in.
+        self.bloom_clauses: list[str] | None = None
+        self.bloom_outcome: BloomBuildOutcome | None = None
+        self.bloom_keys = 0
         self.stream_probe = stream_probe
         #: inner | left | semi | anti | anti_null (see operators.hashjoin).
         self.join_type = join_type
@@ -572,9 +601,6 @@ class HashJoinNode(PlanNode):
         #: Where this join came from, for EXPLAIN (e.g. "decorrelated
         #: EXISTS", "LEFT OUTER JOIN").
         self.provenance = provenance
-        self.est_rows = None
-        self.est_cost = None
-        self.actual_rows = None
         #: Estimated rows this node itself emits when extra equi edges
         #: are deferred to the plan's residual filter: ``est_rows``
         #: folds every crossing edge's selectivity in (the quantity the
@@ -607,19 +633,36 @@ class HashJoinNode(PlanNode):
             f"{cond}{tag}{src}"
         )
 
-    def _bloom_keys(self, build_names, build: list[Batch]):
+    def _pushed_membership(
+        self, build_names, build: list[Batch], state: ExecState
+    ) -> list[str] | None:
+        """The clauses shipping the build keys to the probe scan (one
+        scan each; none = the ladder ended unfiltered), or ``None`` when
+        this join pushes nothing."""
         if self.join_type not in ("inner", "semi"):
             # Left/anti joins must see every probe row: a Bloom filter on
             # the probe scan would drop exactly the rows they preserve.
             return None
-        if not (self.bloom and isinstance(self.probe, ScanNode)
-                and self.probe.pushdown):
+        probe = self.probe
+        if not (self.bloom and isinstance(probe, ScanNode)
+                and probe.pushdown and probe.bloom_attr):
             return None
         idx = _index_of(build_names, self.build_key)
         keys = [
             k for batch in build for k in batch.column(idx) if k is not None
         ]
-        return keys or None
+        if not keys and not self.bloom.when_empty:
+            return None
+        if self.bloom.insert_cpu:
+            # The build scan's phase was appended when it drained.
+            state.phases[-1].server_cpu_seconds += (
+                len(keys) * self.bloom.insert_cpu
+            )
+        self.bloom_keys = len(keys)
+        self.bloom_clauses, self.bloom_outcome = membership_clauses(
+            keys, probe.bloom_attr, probe.scan_sqls()[0], self.bloom
+        )
+        return self.bloom_clauses
 
     def _match_pred(self, build_names, probe_names):
         if self.match_cond is None:
@@ -634,12 +677,12 @@ class HashJoinNode(PlanNode):
     def run(self, state: ExecState):
         start = perf_counter()
         build_names, build = _drain_node(self.build, state)
-        bloom_keys = self._bloom_keys(build_names, build)
+        pushed = self._pushed_membership(build_names, build, state)
         build_key, probe_key = self.build_key, self.probe_key
         if self.stream_probe:
-            probe_names, probe = _run_node(self.probe, state, bloom_keys)
+            probe_names, probe = _run_node(self.probe, state, pushed)
         else:
-            probe_names, probe = _drain_node(self.probe, state, bloom_keys)
+            probe_names, probe = _drain_node(self.probe, state, pushed)
             # Inner joins hash the actually-smaller side, as the chained
             # executor did; Bloom placement stays per the plan's
             # orientation.  Non-inner joins (and residual match
@@ -657,8 +700,8 @@ class HashJoinNode(PlanNode):
             join_type=self.join_type,
             match_pred=self._match_pred(build_names, probe_names),
         )
-        _add_wall(self, perf_counter() - start)  # build phase
-        return names, _counted(self, joined)     # + the probe
+        add_wall(self, perf_counter() - start)  # build phase
+        return names, counted(self, joined)     # + the probe
 
 
 class MaterializedNode(PlanNode):
@@ -685,7 +728,6 @@ class MaterializedNode(PlanNode):
         #: feedback harvesting descend into it; execution does not).
         self.source = source
         self.est_rows = float(len(rows))
-        self.est_cost = None
         self.actual_rows = len(rows)
 
     def children(self) -> tuple[PlanNode, ...]:
@@ -696,7 +738,7 @@ class MaterializedNode(PlanNode):
         return f"materialized[{label}] rows={len(self.rows)}"
 
     def run(self, state: ExecState):
-        return list(self.names), _one_batch(self.rows, self.names)
+        return list(self.names), one_batch(self.rows, self.names)
 
 
 class CrossProductNode(PlanNode):
@@ -712,9 +754,6 @@ class CrossProductNode(PlanNode):
         self.build = build
         self.probe = probe
         self.stream_probe = stream_probe
-        self.est_rows = None
-        self.est_cost = None
-        self.actual_rows = None
         self.est_build_rows: float = 0.0
         self.est_probe_rows: float = 0.0
         self.est_cpu: float = 0.0
@@ -762,8 +801,8 @@ class CrossProductNode(PlanNode):
                     n,
                 )
 
-        _add_wall(self, perf_counter() - start)  # build phase
-        return out_names, _counted(self, product())
+        add_wall(self, perf_counter() - start)  # build phase
+        return out_names, counted(self, product())
 
 
 class FilterNode(PlanNode):
@@ -772,9 +811,6 @@ class FilterNode(PlanNode):
     def __init__(self, child: PlanNode, predicate: ast.Expr):
         self.child = child
         self.predicate = predicate
-        self.est_rows = None
-        self.est_cost = None
-        self.actual_rows = None
 
     def children(self):
         return (self.child,)
@@ -784,7 +820,7 @@ class FilterNode(PlanNode):
 
     def run(self, state: ExecState):
         names, stream = _run_node(self.child, state)
-        return names, _counted(
+        return names, counted(
             self, filter_batches(stream, names, self.predicate, state.tally)
         )
 
@@ -795,9 +831,6 @@ class ProjectNode(PlanNode):
     def __init__(self, child: PlanNode, items: Sequence[ast.SelectItem]):
         self.child = child
         self.items = list(items)
-        self.est_rows = None
-        self.est_cost = None
-        self.actual_rows = None
 
     def children(self):
         return (self.child,)
@@ -811,7 +844,7 @@ class ProjectNode(PlanNode):
     def run(self, state: ExecState):
         names, stream = _run_node(self.child, state)
         out_names = projected_names(names, self.items)
-        return out_names, _counted(
+        return out_names, counted(
             self, project_batches(stream, names, self.items, state.tally)
         )
 
@@ -828,9 +861,6 @@ class GroupByNode(PlanNode):
         self.child = child
         self.group_exprs = tuple(group_exprs)
         self.agg_items = list(agg_items)
-        self.est_rows = None
-        self.est_cost = None
-        self.actual_rows = None
 
     def children(self):
         return (self.child,)
@@ -846,8 +876,8 @@ class GroupByNode(PlanNode):
             group_by_batches(stream, names, self.group_exprs, self.agg_items)
         )
         self.actual_rows = len(out.rows)
-        _add_wall(self, perf_counter() - start)
-        return out.column_names, _one_batch(out.rows, out.column_names)
+        add_wall(self, perf_counter() - start)
+        return out.column_names, one_batch(out.rows, out.column_names)
 
 
 class SortNode(PlanNode):
@@ -856,9 +886,6 @@ class SortNode(PlanNode):
     def __init__(self, child: PlanNode, order_by: Sequence[ast.OrderItem]):
         self.child = child
         self.order_by = tuple(order_by)
-        self.est_rows = None
-        self.est_cost = None
-        self.actual_rows = None
 
     def children(self):
         return (self.child,)
@@ -872,8 +899,8 @@ class SortNode(PlanNode):
         start = perf_counter()
         out = state.tally.add(sort_batches(stream, names, self.order_by))
         self.actual_rows = len(out.rows)
-        _add_wall(self, perf_counter() - start)
-        return out.column_names, _one_batch(out.rows, out.column_names)
+        add_wall(self, perf_counter() - start)
+        return out.column_names, one_batch(out.rows, out.column_names)
 
 
 class TopKNode(PlanNode):
@@ -885,9 +912,6 @@ class TopKNode(PlanNode):
         self.child = child
         self.order_by = tuple(order_by)
         self.k = k
-        self.est_rows = None
-        self.est_cost = None
-        self.actual_rows = None
 
     def children(self):
         return (self.child,)
@@ -903,8 +927,8 @@ class TopKNode(PlanNode):
             top_k_batches(stream, names, self.order_by, self.k)
         )
         self.actual_rows = len(out.rows)
-        _add_wall(self, perf_counter() - start)
-        return out.column_names, _one_batch(out.rows, out.column_names)
+        add_wall(self, perf_counter() - start)
+        return out.column_names, one_batch(out.rows, out.column_names)
 
 
 class LimitNode(PlanNode):
@@ -913,9 +937,6 @@ class LimitNode(PlanNode):
     def __init__(self, child: PlanNode, n: int):
         self.child = child
         self.n = n
-        self.est_rows = None
-        self.est_cost = None
-        self.actual_rows = None
 
     def children(self):
         return (self.child,)
@@ -925,7 +946,7 @@ class LimitNode(PlanNode):
 
     def run(self, state: ExecState):
         names, stream = _run_node(self.child, state)
-        return names, _counted(self, limit_batches(stream, self.n))
+        return names, counted(self, limit_batches(stream, self.n))
 
 
 def q_error(est: float | None, actual: int | None) -> float:
@@ -1082,8 +1103,6 @@ class AdaptiveJoinNode(PlanNode):
         self.events: list[dict] = []
         self.replans = 0
         self.est_rows = child.est_rows
-        self.est_cost = None
-        self.actual_rows = None
         self.tables: frozenset = getattr(child, "tables", frozenset())
         #: Extra equi edges the *planned* tree deferred — the planner put
         #: them in the residual filter above this node.  A re-planned
@@ -1135,8 +1154,8 @@ class AdaptiveJoinNode(PlanNode):
                 [edge.to_expr() for edge in self._missing_residual]
             )
             stream = filter_batches(stream, names, residual, state.tally)
-        _add_wall(self, perf_counter() - start)  # materialization schedule
-        return names, _counted(self, stream)     # + final spine drain
+        add_wall(self, perf_counter() - start)  # materialization schedule
+        return names, counted(self, stream)     # + final spine drain
 
     def _check(
         self, tree: "HashJoinNode", done: MaterializedNode,
@@ -1182,24 +1201,31 @@ class AdaptiveJoinNode(PlanNode):
         return new_tree
 
 
-def _run_node(node: PlanNode, state: ExecState, bloom_keys=None):
+def _run_node(node: PlanNode, state: ExecState, pushed=None):
     if isinstance(node, ScanNode):
-        return node.run(state, bloom_keys)
+        return node.run(state, pushed)
     return node.run(state)
 
 
-def _drain_node(node: PlanNode, state: ExecState, bloom_keys=None):
+def _drain_node(node: PlanNode, state: ExecState, pushed=None):
     """Run a subtree to completion now; returns (names, batches)."""
     if isinstance(node, ScanNode):
-        return node.run_materialized(state, bloom_keys)
+        return node.run_materialized(state, pushed)
     names, stream = node.run(state)
     return names, list(stream)
 
 
-def _materialize_node(node: PlanNode, state: ExecState, bloom_keys=None):
+def _materialize_node(node: PlanNode, state: ExecState):
     """Drain a subtree into a row list (hash-build / cross-build sides)."""
-    names, batches = _drain_node(node, state, bloom_keys)
+    names, batches = _drain_node(node, state)
     return names, materialize(batches)
+
+
+def walk_plan(node: PlanNode) -> Iterator[PlanNode]:
+    """Every node of a plan tree, pre-order."""
+    yield node
+    for child in node.children():
+        yield from walk_plan(child)
 
 
 # ----------------------------------------------------------------------
@@ -1440,6 +1466,27 @@ def attach_local_tail(
     return node
 
 
+def column_items(columns: Sequence[str]) -> list[ast.SelectItem]:
+    """A plain column projection as select items."""
+    return [ast.SelectItem(ast.Column(c)) for c in columns]
+
+
+def select_list_node(
+    child: PlanNode, items: Sequence[ast.SelectItem] | None
+) -> PlanNode:
+    """A final select list over ``child``: ``None`` passes it through, a
+    list holding an aggregate is a one-group aggregation (the micro
+    benchmarks' ``SUM(o_totalprice)`` shape), anything else a projection."""
+    if items is None:
+        return child
+    if any(
+        not isinstance(i.expr, ast.Star) and ast.contains_aggregate(i.expr)
+        for i in items
+    ):
+        return GroupByNode(child, (), items)
+    return ProjectNode(child, items)
+
+
 # ----------------------------------------------------------------------
 # the plan object + the single recursive executor
 # ----------------------------------------------------------------------
@@ -1451,10 +1498,10 @@ class PhysicalPlan:
     root: PlanNode
     mode: str
     strategy: str
-    #: Tables every scan in the plan touches (combined-phase accounting).
-    scan_tables: list[TableInfo] = field(default_factory=list)
-    #: Phase name for baseline join plans, which meter all scans as one
-    #: whole-query phase with formula ingest; ``None`` = per-scan phases.
+    #: Phase name for plans whose scans load in parallel and meter as
+    #: one whole-query phase (baseline joins, the paper's filtered
+    #: join): a GET scan ingests its whole table by formula, a pushed
+    #: scan what it returned.  ``None`` = per-scan phases.
     combined_label: str | None = None
     #: The mid-flight re-optimization wrapper, when this is an adaptive
     #: plan (``mode="adaptive"`` over a 3+-way equi-join tree).
@@ -1498,13 +1545,19 @@ def execute_plan(
     names, stream = _run_node(plan.root, state)
     rows = materialize(stream)
     if plan.combined_label is not None:
-        n_records = sum(t.num_rows for t in plan.scan_tables)
-        n_fields = sum(
-            t.num_rows * len(t.schema) for t in plan.scan_tables
-        )
+        # GET scans ingest whole tables whatever the pipeline pulled;
+        # pushed scans ingest the rows and columns they returned.
+        scans = [n for n in walk_plan(plan.root) if isinstance(n, ScanNode)]
+        ingest = [
+            (n.actual_rows or 0, len(n.columns)) if n.pushdown
+            else (n.table.num_rows, len(n.table.schema))
+            for n in scans
+        ]
+        n_records = sum(records for records, _ in ingest)
+        n_fields = sum(records * width for records, width in ingest)
         phases = (pre_phases or []) + [phase_since(
             ctx, query_mark, plan.combined_label,
-            streams=sum(t.partitions for t in plan.scan_tables),
+            streams=sum(n.table.partitions for n in scans),
             server_cpu_seconds=state.tally.seconds,
             ingest=(n_records, n_fields / max(n_records, 1)),
         )]
@@ -1518,6 +1571,8 @@ def execute_plan(
             ))
         phases[-1].server_cpu_seconds += state.tally.seconds
     execution = ctx.finalize(mark, rows, names, phases, strategy=plan.strategy)
+    for node in walk_plan(plan.root):
+        execution.details.update(node.details or {})
     execution.details["plan"] = render_plan(plan.root)
     execution.details["actuals"] = collect_actuals(plan.root)
     execution.details["operator_times"] = collect_operator_times(plan.root)

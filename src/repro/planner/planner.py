@@ -46,6 +46,7 @@ from repro.planner.physical import (
 )
 from repro.sqlparser import ast
 from repro.sqlparser.parser import parse
+from repro.strategies.scans import decoded_columns
 
 #: Aggregates whose per-partition partials merge by plain addition.
 _ADDITIVE = {"SUM", "COUNT"}
@@ -202,7 +203,6 @@ def _build_derived_plan(query: ast.Query, mode: str, prepared) -> PhysicalPlan:
     root = attach_local_tail(node, query, names, est_rows)
     return PhysicalPlan(
         root=root, mode=mode, strategy=f"{mode} derived-table",
-        scan_tables=[],
     )
 
 
@@ -213,7 +213,7 @@ def _apply_sub_joins(
     probe_est: float,
     prepared,
     mode: str,
-) -> tuple[physical.PlanNode, list[str], list[TableInfo]]:
+) -> tuple[physical.PlanNode, list[str]]:
     """Stack the decorrelated joins on top of the core tree.
 
     Wraps are pinned: the join-order DP never reorders them.  Pricing
@@ -222,21 +222,19 @@ def _apply_sub_joins(
     scalar join (unique group keys) at most it; all four estimate at
     the probe cardinality ``probe_est``.  Bloom predicates are never attached here:
     left/anti joins must see every probe row, and the pre-executed
-    build sides never rescan storage anyway.  Returns the wrapped node,
-    its output names, and the tables any LEFT JOIN scans added (the
-    baseline combined-phase formula must cover them).
+    build sides never rescan storage anyway.  Returns the wrapped node
+    and its output names.
     """
     from repro.cloud.perf import SERVER_CPU_PER_ROW
     from repro.engine.operators.hashjoin import join_output_names
 
-    extra_tables: list[TableInfo] = []
     for sj in prepared.sub_joins:
         if sj.table is not None:
             optimized = mode != "baseline"
             build: physical.PlanNode = ScanNode(
                 sj.table,
                 sj.scan_cols if optimized
-                else _decoded_columns(sj.table, sj.scan_cols, sj.scan_pred),
+                else decoded_columns(sj.table, sj.scan_cols, sj.scan_pred),
                 sj.scan_pred, pushdown=optimized,
                 phase_label=f"join-scan-{sj.table.name}",
                 prune=ctx.prune_partitions,
@@ -251,7 +249,6 @@ def _apply_sub_joins(
                 )
             build_names = list(build.columns)
             build_rows_est = build.est_rows
-            extra_tables.append(sj.table)
         else:
             build = physical.MaterializedNode(
                 sj.rows, sj.names, tables=sj.source_tables
@@ -274,7 +271,7 @@ def _apply_sub_joins(
         node = join
     if prepared.post_filter is not None:
         node = FilterNode(node, prepared.post_filter)
-    return node, names, extra_tables
+    return node, names
 
 
 # ----------------------------------------------------------------------
@@ -308,8 +305,7 @@ def _build_single_plan(
             table, query, prune=ctx.prune_partitions
         )
         return PhysicalPlan(
-            root=root, mode=mode, strategy="optimized single-table",
-            scan_tables=[table],
+            root=root, mode=mode, strategy="optimized single-table"
         )
     stats = table.stats_or_default()
     selectivity = estimate_selectivity_with_feedback(
@@ -320,7 +316,7 @@ def _build_single_plan(
         extra=prepared.extra_refs if prepared is not None else (),
     )
     if mode == "baseline":
-        names = _decoded_columns(table, names, query.where)
+        names = decoded_columns(table, names, query.where)
         scan = ScanNode(table, names, query.where, pushdown=False,
                         phase_label="scan")
     else:
@@ -332,20 +328,20 @@ def _build_single_plan(
         )
     scan.est_rows = selectivity * table.num_rows
     node: physical.PlanNode = scan
-    extra_tables: list[TableInfo] = []
     if wrapped:
-        node, names, extra_tables = _apply_sub_joins(
+        node, names = _apply_sub_joins(
             ctx, node, names, scan.est_rows, prepared, mode
         )
     root = attach_local_tail(node, query, names, scan.est_rows)
     # A baseline LEFT JOIN scan materializes via plain GETs whose
     # ingest only the combined-phase formula accounts for; plans
     # without such scans keep their historical per-scan phase.
-    combined = "load+join" if mode == "baseline" and extra_tables else None
+    combined = mode == "baseline" and wrapped and any(
+        sj.table is not None for sj in prepared.sub_joins
+    )
     return PhysicalPlan(
         root=root, mode=mode, strategy=f"{mode} single-table",
-        scan_tables=[table] + extra_tables,
-        combined_label=combined,
+        combined_label="load+join" if combined else None,
     )
 
 
@@ -397,18 +393,6 @@ def _needed_columns(
     return needed
 
 
-def _decoded_columns(
-    table: TableInfo, needed: Sequence[str], predicate: ast.Expr | None
-) -> list[str]:
-    """What a baseline GET scan decodes, in schema order: the columns
-    the plan above it reads (``needed``, its pushdown twin's projection)
-    plus those its own local filter reads."""
-    wanted = {c.lower() for c in needed}
-    if predicate is not None:
-        wanted |= {c.lower() for c in ast.referenced_columns(predicate)}
-    return [n for n in table.schema.names if n.lower() in wanted]
-
-
 # ----------------------------------------------------------------------
 # join plans: N-way equi-join trees and cross products
 # ----------------------------------------------------------------------
@@ -426,8 +410,8 @@ def execute_with_join_order(
     and compare the optimizer's pick against the measured best.
     """
     query = parse(sql)
-    if len(query.from_tables) < 3:
-        raise PlanError("execute_with_join_order needs a 3+-table query")
+    if len(query.from_tables) < 2:
+        raise PlanError("execute_with_join_order needs a multi-table query")
     plan = build_plan(
         ctx, catalog, query, mode, force_order=[t.lower() for t in order]
     )
@@ -556,16 +540,14 @@ def _join_plan(
         for leaf in _leaf_scans(tree)
         for column in leaf.columns
     ]
-    extra_tables: list[TableInfo] = []
     if prepared is not None:
-        node, names, extra_tables = _apply_sub_joins(
+        node, names = _apply_sub_joins(
             ctx, node, names, tree.est_rows, prepared, mode
         )
     root = attach_local_tail(node, query, names, tree.est_rows)
     return PhysicalPlan(
         root=root, mode=mode,
         strategy=f"{mode} multi-join ({label})",
-        scan_tables=[leaf.table for leaf in _leaf_scans(tree)] + extra_tables,
         combined_label=None if optimized else "load+join",
         adaptive_node=adaptive_node,
         join_decision=decision,
@@ -607,7 +589,7 @@ def _as_baseline_tree(tree: physical.PlanNode) -> physical.PlanNode:
     if isinstance(tree, ScanNode):
         twin = ScanNode(
             tree.table,
-            _decoded_columns(tree.table, tree.columns, tree.predicate),
+            decoded_columns(tree.table, tree.columns, tree.predicate),
             tree.predicate, pushdown=False, phase_label=tree.phase_label,
         )
         # Baseline scans carry no Bloom, so annotate with the pre-Bloom
@@ -623,7 +605,7 @@ def _as_baseline_tree(tree: physical.PlanNode) -> physical.PlanNode:
     probe = _as_baseline_tree(tree.probe)
     if isinstance(tree, HashJoinNode):
         twin = HashJoinNode(
-            build, probe, tree.build_key, tree.probe_key, bloom=False
+            build, probe, tree.build_key, tree.probe_key
         )
     else:
         twin = physical.CrossProductNode(build, probe)

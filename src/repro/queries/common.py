@@ -2,14 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.bloom.filter import build_bloom_filter_within_limit
-from repro.cloud.context import CloudContext
-from repro.engine.catalog import TableInfo
 from repro.sqlparser import ast
 from repro.sqlparser.parser import parse_expression
-from repro.strategies.scans import projection_sql, select_table
 
 
 def items(*specs: str) -> list[ast.SelectItem]:
@@ -21,41 +15,3 @@ def items(*specs: str) -> list[ast.SelectItem]:
             ast.SelectItem(expr=parse_expression(expr_sql), alias=alias.strip() or None)
         )
     return out
-
-
-def bloom_where(
-    keys: Sequence[int],
-    attr: str,
-    base_sql: str,
-    fpr: float = 0.01,
-    seed: int | None = None,
-) -> str | None:
-    """Bloom predicate for ``attr``, or ``None`` if it cannot fit 256 KB."""
-    unique = list(dict.fromkeys(keys))
-    outcome = build_bloom_filter_within_limit(
-        unique, fpr, attr, sql_overhead_bytes=len(base_sql.encode()) + 16, seed=seed
-    )
-    if outcome.bloom is None:
-        return None
-    return outcome.bloom.to_sql_predicate(attr)
-
-
-def select_with_bloom(
-    ctx: CloudContext,
-    table: TableInfo,
-    columns: list[str],
-    where: str | None,
-    bloom_keys: Sequence[int] | None,
-    bloom_attr: str | None,
-    fpr: float = 0.01,
-) -> tuple[list[tuple], list[str]]:
-    """S3 Select scan with an optional Bloom predicate appended."""
-    base_sql = projection_sql(columns, where)
-    clauses = [where] if where else []
-    if bloom_keys is not None and bloom_attr is not None:
-        clause = bloom_where(bloom_keys, bloom_attr, base_sql, fpr)
-        if clause is not None:
-            clauses.append(clause)
-    sql = projection_sql(columns, " AND ".join(clauses) or None)
-    rows, _ = select_table(ctx, table, sql)
-    return rows, columns

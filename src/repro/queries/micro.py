@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from functools import partial
 
-from repro.cloud.context import CloudContext, QueryExecution
-from repro.engine.catalog import Catalog
 from repro.queries.common import items
 from repro.queries.tpch_queries import QueryVariants
 from repro.sqlparser.parser import parse_expression
@@ -57,31 +55,25 @@ _JOIN_QUERY = JoinQuery(
 )
 
 
-def _wrap(fn, query) -> "QueryFn":
-    def run(ctx: CloudContext, catalog: Catalog) -> QueryExecution:
-        return fn(ctx, catalog, query)
-    return run
-
-
 MICRO_QUERIES: dict[str, QueryVariants] = {
     "filter": QueryVariants(
         "filter",
-        _wrap(server_side_filter, _FILTER_QUERY),
-        _wrap(s3_side_filter, _FILTER_QUERY),
+        partial(server_side_filter, query=_FILTER_QUERY),
+        partial(s3_side_filter, query=_FILTER_QUERY),
     ),
     "group-by": QueryVariants(
         "group-by",
-        _wrap(server_side_group_by, _GROUPBY_QUERY),
-        _wrap(s3_side_group_by, _GROUPBY_QUERY),
+        partial(server_side_group_by, query=_GROUPBY_QUERY),
+        partial(s3_side_group_by, query=_GROUPBY_QUERY),
     ),
     "top-k": QueryVariants(
         "top-k",
-        _wrap(server_side_top_k, _TOPK_QUERY),
-        _wrap(sampling_top_k, _TOPK_QUERY),
+        partial(server_side_top_k, query=_TOPK_QUERY),
+        partial(sampling_top_k, query=_TOPK_QUERY),
     ),
     "join": QueryVariants(
         "join",
-        _wrap(baseline_join, _JOIN_QUERY),
-        _wrap(bloom_join, _JOIN_QUERY),
+        partial(baseline_join, query=_JOIN_QUERY),
+        partial(bloom_join, query=_JOIN_QUERY),
     ),
 }

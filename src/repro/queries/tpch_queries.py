@@ -9,36 +9,51 @@ Every query comes in two variants matching the paper's configurations:
   joins, S3-side group-by).
 
 Each variant is a function ``(ctx, catalog) -> QueryExecution`` over
-tables loaded by :func:`repro.queries.dataset.load_tpch`.
+tables loaded by :func:`repro.queries.dataset.load_tpch`: a hand-written
+:mod:`repro.planner.physical` tree run by the one executor.  A baseline
+is GET scans metered as one whole-query phase named after the query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
+from repro.bloom.filter import BloomPushdown
 from repro.cloud.context import CloudContext, QueryExecution
-from repro.engine.catalog import Catalog
-from repro.engine.operators.filter import filter_rows
-from repro.engine.operators.groupby import group_by_aggregate
-from repro.engine.operators.hashjoin import hash_join
-from repro.engine.operators.sort import sort_rows
-from repro.engine.operators.topk import top_k
-from repro.queries.common import items, select_with_bloom
+from repro.engine.catalog import Catalog, TableInfo
+from repro.planner import physical
+from repro.planner.physical import (
+    FilterNode,
+    GroupByNode,
+    HashJoinNode,
+    MaterializedNode,
+    PhysicalPlan,
+    PlanNode,
+    ProjectNode,
+    PushedAggregateNode,
+    ScanNode,
+    SortNode,
+    TopKNode,
+    select_list_node,
+    whole_table_select,
+)
+from repro.queries.common import items
 from repro.sqlparser import ast
 from repro.sqlparser.parser import parse_expression
-from repro.strategies.base import finish_output
-from repro.strategies.groupby import AggSpec, GroupByQuery, s3_side_group_by
-from repro.strategies.scans import (
-    get_table,
-    merge_sum_partials,
-    phase_since,
-    projection_sql,
-    select_aggregate,
-    select_table,
+from repro.strategies.filter import FilterQuery, server_side_filter_node
+from repro.strategies.groupby import (
+    AggSpec,
+    CaseGroupByNode,
+    GroupByQuery,
+    server_side_group_by_node,
 )
+from repro.strategies.scans import decoded_columns
 
 QueryFn = Callable[[CloudContext, Catalog], QueryExecution]
+
+#: The paper variants ship an empty build side's (all-zero) Bloom filter.
+_BLOOM = BloomPushdown(when_empty=True)
 
 
 @dataclass(frozen=True)
@@ -50,64 +65,86 @@ class QueryVariants:
     optimized: QueryFn
 
 
+def _get(
+    table: TableInfo,
+    reads: Sequence[str],
+    where: str | None = None,
+    bloom_attr: str | None = None,
+) -> ScanNode:
+    """A GET scan decoding what the plan ``reads`` (and its own filter);
+    a join above it has no WHERE clause to ship ``bloom_attr`` keys into."""
+    predicate = parse_expression(where) if where else None
+    return ScanNode(
+        table, decoded_columns(table, reads, predicate), predicate, pushdown=False
+    )
+
+
+def _select(
+    table: TableInfo,
+    columns: Sequence[str],
+    where: str | None = None,
+    bloom_attr: str | None = None,
+) -> ScanNode:
+    """A pushed scan whose phase is named after its table."""
+    return whole_table_select(
+        table, columns, parse_expression(where) if where else None,
+        table.name, bloom_attr,
+    )
+
+
+def _plan(strategy: str, root: PlanNode, one_phase: bool = False) -> PhysicalPlan:
+    """A variant's plan.  Several GET scans (a baseline join) load in
+    parallel, as do the pushed scans of a ``one_phase`` plan: they meter
+    as the one phase ``q<N>``."""
+    name, mode = strategy.split()
+    gets = sum(
+        isinstance(node, ScanNode) and not node.pushdown
+        for node in physical.walk_plan(root)
+    )
+    return PhysicalPlan(
+        root, mode, strategy,
+        combined_label=name if gets > 1 or one_phase else None,
+    )
+
+
 # ----------------------------------------------------------------------
 # Q1: pricing summary report (filter + 8 aggregates, 2 group columns)
 # ----------------------------------------------------------------------
 
-_Q1_DATE = "1998-09-02"  # 1998-12-01 minus DELTA=90 days
-_Q1_AGGS = [
-    AggSpec("sum", "l_quantity", "sum_qty"),
-    AggSpec("sum", "l_extendedprice", "sum_base_price"),
-    AggSpec("sum", "l_extendedprice * (1 - l_discount)", "sum_disc_price"),
-    AggSpec("sum", "l_extendedprice * (1 - l_discount) * (1 + l_tax)", "sum_charge"),
-    AggSpec("avg", "l_quantity", "avg_qty"),
-    AggSpec("avg", "l_extendedprice", "avg_price"),
-    AggSpec("avg", "l_discount", "avg_disc"),
-    AggSpec("count", "1", "count_order"),
-]
-_Q1_ORDER = [
-    ast.OrderItem(expr=ast.Column("l_returnflag")),
-    ast.OrderItem(expr=ast.Column("l_linestatus")),
-]
+_Q1_WHERE = "l_shipdate <= '1998-09-02'"  # 1998-12-01 minus DELTA=90 days
+_Q1 = GroupByQuery(
+    table="lineitem",
+    group_columns=["l_returnflag", "l_linestatus"],
+    aggregates=[
+        AggSpec("sum", "l_quantity", "sum_qty"),
+        AggSpec("sum", "l_extendedprice", "sum_base_price"),
+        AggSpec("sum", "l_extendedprice * (1 - l_discount)", "sum_disc_price"),
+        AggSpec(
+            "sum", "l_extendedprice * (1 - l_discount) * (1 + l_tax)", "sum_charge"
+        ),
+        AggSpec("avg", "l_quantity", "avg_qty"),
+        AggSpec("avg", "l_extendedprice", "avg_price"),
+        AggSpec("avg", "l_discount", "avg_disc"),
+        AggSpec("count", "1", "count_order"),
+    ],
+    predicate=parse_expression(_Q1_WHERE),
+)
+_Q1_ORDER = [ast.OrderItem(expr=e) for e in _Q1.group_exprs()]
 
 
 def q1_baseline(ctx: CloudContext, catalog: Catalog) -> QueryExecution:
-    lineitem = catalog.get("lineitem")
-    mark = ctx.begin_query()
-    rows = get_table(ctx, lineitem)
-    filtered = filter_rows(
-        rows, lineitem.schema.names, parse_expression(f"l_shipdate <= '{_Q1_DATE}'")
+    grouped = server_side_group_by_node(catalog.get("lineitem"), _Q1, "q1")
+    return physical.execute_plan(
+        ctx, _plan("q1 baseline", SortNode(grouped, _Q1_ORDER))
     )
-    grouped = group_by_aggregate(
-        filtered.rows,
-        lineitem.schema.names,
-        [ast.Column("l_returnflag"), ast.Column("l_linestatus")],
-        [a.to_select_item() for a in _Q1_AGGS],
-    )
-    final = sort_rows(grouped.rows, grouped.column_names, _Q1_ORDER)
-    cpu = filtered.cpu_seconds + grouped.cpu_seconds + final.cpu_seconds
-    phase = phase_since(
-        ctx, mark, "q1", streams=lineitem.partitions, server_cpu_seconds=cpu,
-        ingest=(len(rows), len(lineitem.schema)),
-    )
-    return ctx.finalize(mark, final.rows, final.column_names, [phase], strategy="q1 baseline")
 
 
 def q1_optimized(ctx: CloudContext, catalog: Catalog) -> QueryExecution:
     """Push the whole aggregation to S3 via S3-side group-by (6 groups)."""
-    execution = s3_side_group_by(
-        ctx,
-        catalog,
-        GroupByQuery(
-            table="lineitem",
-            group_columns=["l_returnflag", "l_linestatus"],
-            aggregates=_Q1_AGGS,
-            predicate=parse_expression(f"l_shipdate <= '{_Q1_DATE}'"),
-        ),
+    grouped = CaseGroupByNode(catalog.get("lineitem"), _Q1)
+    return physical.execute_plan(
+        ctx, _plan("q1 optimized", SortNode(grouped, _Q1_ORDER))
     )
-    execution.rows = sort_rows(execution.rows, execution.column_names, _Q1_ORDER).rows
-    execution.strategy = "q1 optimized"
-    return execution
 
 
 # ----------------------------------------------------------------------
@@ -115,144 +152,76 @@ def q1_optimized(ctx: CloudContext, catalog: Catalog) -> QueryExecution:
 # ----------------------------------------------------------------------
 
 _Q3_DATE = "1995-03-15"
-_Q3_REVENUE = items("SUM(l_extendedprice * (1 - l_discount)) AS revenue")[0]
+_Q3_KEYS = [
+    ast.Column("l_orderkey"), ast.Column("o_orderdate"), ast.Column("o_shippriority")
+]
+_Q3_REVENUE = items("SUM(l_extendedprice * (1 - l_discount)) AS revenue")
 _Q3_ORDER = [
     ast.OrderItem(expr=ast.Column("revenue"), descending=True),
     ast.OrderItem(expr=ast.Column("o_orderdate")),
 ]
 
 
-def _q3_local_tail(ctx, mark, joined_rows, names, phases, strategy):
-    grouped = group_by_aggregate(
-        joined_rows,
-        names,
-        [ast.Column("l_orderkey"), ast.Column("o_orderdate"), ast.Column("o_shippriority")],
-        [_Q3_REVENUE],
+def _q3(catalog: Catalog, scan) -> PlanNode:
+    """Cascaded (Bloom) joins: customer keys -> orders, order keys ->
+    lineitem.  The semi join is exact: it eliminates the false positives
+    of a Bloom-filtered orders scan."""
+    matched_orders = HashJoinNode(
+        scan(catalog.get("customer"), ["c_custkey"], "c_mktsegment = 'BUILDING'"),
+        scan(
+            catalog.get("orders"),
+            ["o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"],
+            f"o_orderdate < '{_Q3_DATE}'", bloom_attr="o_custkey",
+        ),
+        "c_custkey", "o_custkey", bloom=_BLOOM, join_type="semi",
     )
-    final = top_k(grouped.rows, grouped.column_names, _Q3_ORDER, 10)
-    phases[-1].server_cpu_seconds += grouped.cpu_seconds + final.cpu_seconds
-    return ctx.finalize(mark, final.rows, final.column_names, phases, strategy=strategy)
+    joined = HashJoinNode(
+        matched_orders,
+        scan(
+            catalog.get("lineitem"), ["l_orderkey", "l_extendedprice", "l_discount"],
+            f"l_shipdate > '{_Q3_DATE}'", bloom_attr="l_orderkey",
+        ),
+        "o_orderkey", "l_orderkey", bloom=_BLOOM, stream_probe=True,
+    )
+    return TopKNode(GroupByNode(joined, _Q3_KEYS, _Q3_REVENUE), _Q3_ORDER, 10)
 
 
 def q3_baseline(ctx: CloudContext, catalog: Catalog) -> QueryExecution:
-    customer, orders, lineitem = (
-        catalog.get("customer"), catalog.get("orders"), catalog.get("lineitem")
-    )
-    mark = ctx.begin_query()
-    c_rows = get_table(ctx, customer)
-    o_rows = get_table(ctx, orders)
-    l_rows = get_table(ctx, lineitem)
-    cpu = 0.0
-    c = filter_rows(c_rows, customer.schema.names,
-                    parse_expression("c_mktsegment = 'BUILDING'"))
-    o = filter_rows(o_rows, orders.schema.names,
-                    parse_expression(f"o_orderdate < '{_Q3_DATE}'"))
-    li = filter_rows(l_rows, lineitem.schema.names,
-                     parse_expression(f"l_shipdate > '{_Q3_DATE}'"))
-    cpu += c.cpu_seconds + o.cpu_seconds + li.cpu_seconds
-    co = hash_join(c.rows, customer.schema.names, o.rows, orders.schema.names,
-                   "c_custkey", "o_custkey")
-    col = hash_join(co.rows, co.column_names, li.rows, lineitem.schema.names,
-                    "o_orderkey", "l_orderkey")
-    cpu += co.cpu_seconds + col.cpu_seconds
-    total_streams = customer.partitions + orders.partitions + lineitem.partitions
-    n_records = len(c_rows) + len(o_rows) + len(l_rows)
-    n_fields = (
-        len(c_rows) * len(customer.schema)
-        + len(o_rows) * len(orders.schema)
-        + len(l_rows) * len(lineitem.schema)
-    )
-    phase = phase_since(
-        ctx, mark, "q3", streams=total_streams, server_cpu_seconds=cpu,
-        ingest=(n_records, n_fields / max(n_records, 1)),
-    )
-    return _q3_local_tail(ctx, mark, col.rows, col.column_names, [phase], "q3 baseline")
+    return physical.execute_plan(ctx, _plan("q3 baseline", _q3(catalog, _get)))
 
 
 def q3_optimized(ctx: CloudContext, catalog: Catalog) -> QueryExecution:
-    """Cascaded Bloom joins: customer keys -> orders, order keys -> lineitem."""
-    customer, orders, lineitem = (
-        catalog.get("customer"), catalog.get("orders"), catalog.get("lineitem")
-    )
-    mark = ctx.begin_query()
-    c_rows, _ = select_table(
-        ctx, customer,
-        projection_sql(["c_custkey"], "c_mktsegment = 'BUILDING'"),
-    )
-    cust_keys = [r[0] for r in c_rows]
-    phase1 = phase_since(
-        ctx, mark, "customer", streams=customer.partitions, ingest=(len(c_rows), 1)
-    )
-
-    mark2 = ctx.metrics.mark()
-    o_cols = ["o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"]
-    o_rows, _ = select_with_bloom(
-        ctx, orders, o_cols, f"o_orderdate < '{_Q3_DATE}'",
-        cust_keys, "o_custkey",
-    )
-    # Eliminate Bloom false positives with an exact semi-join.
-    cust_set = set(cust_keys)
-    o_rows = [r for r in o_rows if r[1] in cust_set]
-    phase2 = phase_since(
-        ctx, mark2, "orders", streams=orders.partitions,
-        ingest=(len(o_rows), len(o_cols)),
-    )
-
-    mark3 = ctx.metrics.mark()
-    l_cols = ["l_orderkey", "l_extendedprice", "l_discount"]
-    l_rows, _ = select_with_bloom(
-        ctx, lineitem, l_cols, f"l_shipdate > '{_Q3_DATE}'",
-        [r[0] for r in o_rows], "l_orderkey",
-    )
-    joined = hash_join(o_rows, o_cols, l_rows, l_cols, "o_orderkey", "l_orderkey")
-    phase3 = phase_since(
-        ctx, mark3, "lineitem", streams=lineitem.partitions,
-        server_cpu_seconds=joined.cpu_seconds, ingest=(len(l_rows), len(l_cols)),
-    )
-    return _q3_local_tail(
-        ctx, mark, joined.rows, joined.column_names,
-        [phase1, phase2, phase3], "q3 optimized",
-    )
+    return physical.execute_plan(ctx, _plan("q3 optimized", _q3(catalog, _select)))
 
 
 # ----------------------------------------------------------------------
 # Q6: forecasting revenue change (pure filter + aggregate)
 # ----------------------------------------------------------------------
 
-_Q6_WHERE = (
-    "l_shipdate >= '1994-01-01' AND l_shipdate < '1995-01-01'"
-    " AND l_discount BETWEEN 0.05 AND 0.07 AND l_quantity < 24"
+_Q6 = FilterQuery(
+    table="lineitem",
+    predicate=parse_expression(
+        "l_shipdate >= '1994-01-01' AND l_shipdate < '1995-01-01'"
+        " AND l_discount BETWEEN 0.05 AND 0.07 AND l_quantity < 24"
+    ),
+    output=items("SUM(l_extendedprice * l_discount) AS revenue"),
 )
 
 
 def q6_baseline(ctx: CloudContext, catalog: Catalog) -> QueryExecution:
-    lineitem = catalog.get("lineitem")
-    mark = ctx.begin_query()
-    rows = get_table(ctx, lineitem)
-    filtered = filter_rows(rows, lineitem.schema.names, parse_expression(_Q6_WHERE))
-    out = finish_output(
-        filtered.rows, lineitem.schema.names,
-        items("SUM(l_extendedprice * l_discount) AS revenue"),
-    )
-    phase = phase_since(
-        ctx, mark, "q6", streams=lineitem.partitions,
-        server_cpu_seconds=filtered.cpu_seconds + out.cpu_seconds,
-        ingest=(len(rows), len(lineitem.schema)),
-    )
-    return ctx.finalize(mark, out.rows, out.column_names, [phase], strategy="q6 baseline")
+    root = server_side_filter_node(catalog.get("lineitem"), _Q6, "q6")
+    return physical.execute_plan(ctx, _plan("q6 baseline", root))
 
 
 def q6_optimized(ctx: CloudContext, catalog: Catalog) -> QueryExecution:
     """The entire query is inside the S3 Select dialect: push it all."""
-    lineitem = catalog.get("lineitem")
-    mark = ctx.begin_query()
-    sql = f"SELECT SUM(l_extendedprice * l_discount) FROM S3Object WHERE {_Q6_WHERE}"
-    partials, _ = select_aggregate(ctx, lineitem, sql)
-    merged = merge_sum_partials(partials)
-    phase = phase_since(ctx, mark, "q6", streams=lineitem.partitions)
-    return ctx.finalize(
-        mark, [tuple(merged)], ["revenue"], [phase], strategy="q6 optimized"
+    query = ast.Query(
+        select_items=tuple(_Q6.output), table="lineitem", where=_Q6.predicate
     )
+    root = PushedAggregateNode(
+        catalog.get("lineitem"), query, prune=False, phase_label="q6"
+    )
+    return physical.execute_plan(ctx, _plan("q6 optimized", root))
 
 
 # ----------------------------------------------------------------------
@@ -260,59 +229,30 @@ def q6_optimized(ctx: CloudContext, catalog: Catalog) -> QueryExecution:
 # ----------------------------------------------------------------------
 
 _Q14_WHERE = "l_shipdate >= '1995-09-01' AND l_shipdate < '1995-10-01'"
+_Q14_L_COLS = ["l_partkey", "l_extendedprice", "l_discount"]
+_Q14_P_COLS = ["p_partkey", "p_type"]
 _Q14_OUTPUT = items(
     "100 * SUM(CASE WHEN p_type LIKE 'PROMO%' THEN l_extendedprice * (1 - l_discount)"
     " ELSE 0 END) / SUM(l_extendedprice * (1 - l_discount)) AS promo_revenue"
 )
 
 
+def _q14(catalog: Catalog, scan) -> PlanNode:
+    """Filtered lineitem is the small side; Bloom its part keys into part."""
+    joined = HashJoinNode(
+        scan(catalog.get("lineitem"), _Q14_L_COLS, _Q14_WHERE),
+        scan(catalog.get("part"), _Q14_P_COLS, bloom_attr="p_partkey"),
+        "l_partkey", "p_partkey", bloom=_BLOOM, stream_probe=True,
+    )
+    return select_list_node(joined, _Q14_OUTPUT)
+
+
 def q14_baseline(ctx: CloudContext, catalog: Catalog) -> QueryExecution:
-    lineitem, part = catalog.get("lineitem"), catalog.get("part")
-    mark = ctx.begin_query()
-    l_rows = get_table(ctx, lineitem)
-    p_rows = get_table(ctx, part)
-    li = filter_rows(l_rows, lineitem.schema.names, parse_expression(_Q14_WHERE))
-    joined = hash_join(
-        li.rows, lineitem.schema.names, p_rows, part.schema.names,
-        "l_partkey", "p_partkey",
-    )
-    out = finish_output(joined.rows, joined.column_names, _Q14_OUTPUT)
-    n_records = len(l_rows) + len(p_rows)
-    n_fields = len(l_rows) * len(lineitem.schema) + len(p_rows) * len(part.schema)
-    phase = phase_since(
-        ctx, mark, "q14", streams=lineitem.partitions + part.partitions,
-        server_cpu_seconds=li.cpu_seconds + joined.cpu_seconds + out.cpu_seconds,
-        ingest=(n_records, n_fields / max(n_records, 1)),
-    )
-    return ctx.finalize(mark, out.rows, out.column_names, [phase], strategy="q14 baseline")
+    return physical.execute_plan(ctx, _plan("q14 baseline", _q14(catalog, _get)))
 
 
 def q14_optimized(ctx: CloudContext, catalog: Catalog) -> QueryExecution:
-    """Filtered lineitem is the small side; Bloom its part keys into part."""
-    lineitem, part = catalog.get("lineitem"), catalog.get("part")
-    mark = ctx.begin_query()
-    l_cols = ["l_partkey", "l_extendedprice", "l_discount"]
-    l_rows, _ = select_table(ctx, lineitem, projection_sql(l_cols, _Q14_WHERE))
-    phase1 = phase_since(
-        ctx, mark, "lineitem", streams=lineitem.partitions,
-        ingest=(len(l_rows), len(l_cols)),
-    )
-
-    mark2 = ctx.metrics.mark()
-    p_cols = ["p_partkey", "p_type"]
-    p_rows, _ = select_with_bloom(
-        ctx, part, p_cols, None, [r[0] for r in l_rows], "p_partkey"
-    )
-    joined = hash_join(l_rows, l_cols, p_rows, p_cols, "l_partkey", "p_partkey")
-    out = finish_output(joined.rows, joined.column_names, _Q14_OUTPUT)
-    phase2 = phase_since(
-        ctx, mark2, "part", streams=part.partitions,
-        server_cpu_seconds=joined.cpu_seconds + out.cpu_seconds,
-        ingest=(len(p_rows), len(p_cols)),
-    )
-    return ctx.finalize(
-        mark, out.rows, out.column_names, [phase1, phase2], strategy="q14 optimized"
-    )
+    return physical.execute_plan(ctx, _plan("q14 optimized", _q14(catalog, _select)))
 
 
 # ----------------------------------------------------------------------
@@ -320,73 +260,52 @@ def q14_optimized(ctx: CloudContext, catalog: Catalog) -> QueryExecution:
 # ----------------------------------------------------------------------
 
 _Q17_PART_WHERE = "p_brand = 'Brand#23' AND p_container = 'MED BOX'"
+_Q17_L_COLS = ["l_partkey", "l_quantity", "l_extendedprice"]
+#: (an empty candidate set sums to 0, not NULL, as the hand loop did)
+_Q17_OUTPUT = items("COALESCE(SUM(l_extendedprice), 0.0) / 7.0 AS avg_yearly")
 
 
-def _q17_local(part_keys: set, li_rows: list[tuple]) -> list[tuple]:
+def _q17(ctx: CloudContext, catalog: Catalog, scan, strategy: str) -> QueryExecution:
     """avg_yearly = SUM(l_extendedprice | l_quantity < 0.2*avg(part)) / 7.
 
-    ``li_rows`` are ``(l_partkey, l_quantity, l_extendedprice)`` already
-    restricted (or Bloom-narrowed) to the candidate parts.
+    The selected parts join their lineitems once; the correlated average
+    and the outer aggregate are a second plan over those rows, billed to
+    the same query as a subquery leg is.
     """
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for partkey, quantity, _ in li_rows:
-        if partkey in part_keys:
-            sums[partkey] = sums.get(partkey, 0.0) + quantity
-            counts[partkey] = counts.get(partkey, 0) + 1
-    total = 0.0
-    for partkey, quantity, price in li_rows:
-        if partkey in part_keys and counts.get(partkey):
-            if quantity < 0.2 * (sums[partkey] / counts[partkey]):
-                total += price
-    return [(total / 7.0,)]
+    candidates = _plan(strategy, HashJoinNode(
+        scan(catalog.get("part"), ["p_partkey"], _Q17_PART_WHERE),
+        scan(catalog.get("lineitem"), _Q17_L_COLS, bloom_attr="l_partkey"),
+        "p_partkey", "l_partkey", bloom=_BLOOM, stream_probe=True,
+    ))
+    mark = ctx.begin_query()
+    lines = physical.execute_plan(ctx, candidates, mark=mark)
+    scope = (lines.rows, lines.column_names, ("part", "lineitem"))
+    average = ProjectNode(
+        GroupByNode(
+            MaterializedNode(*scope), [ast.Column("l_partkey")],
+            items("AVG(l_quantity) AS avg_quantity"),
+        ),
+        items("l_partkey AS avg_partkey", "avg_quantity"),
+    )
+    small = FilterNode(
+        HashJoinNode(
+            average, MaterializedNode(*scope, source=candidates.root),
+            "avg_partkey", "l_partkey", stream_probe=True,
+        ),
+        parse_expression("l_quantity < 0.2 * avg_quantity"),
+    )
+    outer = PhysicalPlan(
+        select_list_node(small, _Q17_OUTPUT), candidates.mode, strategy
+    )
+    return physical.execute_plan(ctx, outer, mark=mark, pre_phases=lines.phases)
 
 
 def q17_baseline(ctx: CloudContext, catalog: Catalog) -> QueryExecution:
-    lineitem, part = catalog.get("lineitem"), catalog.get("part")
-    mark = ctx.begin_query()
-    p_rows = get_table(ctx, part)
-    l_rows = get_table(ctx, lineitem)
-    p = filter_rows(p_rows, part.schema.names, parse_expression(_Q17_PART_WHERE))
-    keys = {r[0] for r in p.rows}
-    schema = lineitem.schema
-    idx = [schema.index_of(c) for c in ("l_partkey", "l_quantity", "l_extendedprice")]
-    li = [(r[idx[0]], r[idx[1]], r[idx[2]]) for r in l_rows]
-    out_rows = _q17_local(keys, li)
-    cpu = p.cpu_seconds + len(l_rows) * 7e-8
-    n_records = len(l_rows) + len(p_rows)
-    n_fields = len(l_rows) * len(lineitem.schema) + len(p_rows) * len(part.schema)
-    phase = phase_since(
-        ctx, mark, "q17", streams=lineitem.partitions + part.partitions,
-        server_cpu_seconds=cpu, ingest=(n_records, n_fields / max(n_records, 1)),
-    )
-    return ctx.finalize(mark, out_rows, ["avg_yearly"], [phase], strategy="q17 baseline")
+    return _q17(ctx, catalog, _get, "q17 baseline")
 
 
 def q17_optimized(ctx: CloudContext, catalog: Catalog) -> QueryExecution:
-    lineitem, part = catalog.get("lineitem"), catalog.get("part")
-    mark = ctx.begin_query()
-    p_rows, _ = select_table(
-        ctx, part, projection_sql(["p_partkey"], _Q17_PART_WHERE)
-    )
-    keys = {r[0] for r in p_rows}
-    phase1 = phase_since(
-        ctx, mark, "part", streams=part.partitions, ingest=(len(p_rows), 1)
-    )
-
-    mark2 = ctx.metrics.mark()
-    l_cols = ["l_partkey", "l_quantity", "l_extendedprice"]
-    l_rows, _ = select_with_bloom(
-        ctx, lineitem, l_cols, None, sorted(keys), "l_partkey"
-    )
-    out_rows = _q17_local(keys, l_rows)
-    phase2 = phase_since(
-        ctx, mark2, "lineitem", streams=lineitem.partitions,
-        server_cpu_seconds=len(l_rows) * 7e-8, ingest=(len(l_rows), len(l_cols)),
-    )
-    return ctx.finalize(
-        mark, out_rows, ["avg_yearly"], [phase1, phase2], strategy="q17 optimized"
-    )
+    return _q17(ctx, catalog, _select, "q17 optimized")
 
 
 # ----------------------------------------------------------------------
@@ -398,82 +317,65 @@ _Q19_BRANCHES = [
     ("Brand#23", ("MED BAG", "MED BOX", "MED PKG", "MED PACK"), (10, 20), (1, 10)),
     ("Brand#34", ("LG CASE", "LG BOX", "LG PACK", "LG PKG"), (20, 30), (1, 15)),
 ]
+
+
+def _quoted(values: Sequence[str]) -> str:
+    return ", ".join(f"'{value}'" for value in values)
+
+
+#: Each branch's conjuncts over part, and its one over lineitem.
+_Q19_P_SIDE = [
+    f"p_brand = '{brand}' AND p_container IN ({_quoted(containers)})"
+    f" AND p_size BETWEEN {size[0]} AND {size[1]}"
+    for brand, containers, _, size in _Q19_BRANCHES
+]
+_Q19_L_SIDE = [
+    f"l_quantity BETWEEN {lo} AND {hi}" for _, _, (lo, hi), _ in _Q19_BRANCHES
+]
+_Q19_BRANCHES_SQL = " OR ".join(
+    f"({p} AND {l})" for p, l in zip(_Q19_P_SIDE, _Q19_L_SIDE)
+)
 _Q19_COMMON_L = (
     "l_shipmode IN ('AIR', 'AIR REG') AND l_shipinstruct = 'DELIVER IN PERSON'"
 )
+_Q19_L_COLS = ["l_partkey", "l_quantity", "l_extendedprice", "l_discount"]
+_Q19_P_COLS = ["p_partkey", "p_brand", "p_size", "p_container"]
 _Q19_OUTPUT = items("SUM(l_extendedprice * (1 - l_discount)) AS revenue")
 
 
-def _q19_branch_sql(brand, containers, qty, size) -> str:
-    container_list = ", ".join(f"'{c}'" for c in containers)
-    return (
-        f"(p_brand = '{brand}' AND p_container IN ({container_list})"
-        f" AND l_quantity BETWEEN {qty[0]} AND {qty[1]}"
-        f" AND p_size BETWEEN {size[0]} AND {size[1]})"
-    )
-
-
-def _q19_full_predicate() -> ast.Expr:
-    branches = " OR ".join(_q19_branch_sql(*b) for b in _Q19_BRANCHES)
-    return parse_expression(f"({branches}) AND {_Q19_COMMON_L}")
+def _q19(ctx, strategy: str, part: ScanNode, lineitem: ScanNode, residual: str):
+    joined = HashJoinNode(part, lineitem, "p_partkey", "l_partkey", stream_probe=True)
+    kept = FilterNode(joined, parse_expression(residual))
+    # The two scans load in parallel, pushed or not: one phase.
+    return physical.execute_plan(ctx, _plan(
+        strategy, select_list_node(kept, _Q19_OUTPUT), one_phase=True
+    ))
 
 
 def q19_baseline(ctx: CloudContext, catalog: Catalog) -> QueryExecution:
-    lineitem, part = catalog.get("lineitem"), catalog.get("part")
-    mark = ctx.begin_query()
-    l_rows = get_table(ctx, lineitem)
-    p_rows = get_table(ctx, part)
-    joined = hash_join(
-        p_rows, part.schema.names, l_rows, lineitem.schema.names,
-        "p_partkey", "l_partkey",
+    return _q19(
+        ctx, "q19 baseline", _get(catalog.get("part"), _Q19_P_COLS),
+        _get(catalog.get("lineitem"), _Q19_L_COLS + ["l_shipmode", "l_shipinstruct"]),
+        f"({_Q19_BRANCHES_SQL}) AND {_Q19_COMMON_L}",
     )
-    kept = filter_rows(joined.rows, joined.column_names, _q19_full_predicate())
-    out = finish_output(kept.rows, kept.column_names, _Q19_OUTPUT)
-    n_records = len(l_rows) + len(p_rows)
-    n_fields = len(l_rows) * len(lineitem.schema) + len(p_rows) * len(part.schema)
-    phase = phase_since(
-        ctx, mark, "q19", streams=lineitem.partitions + part.partitions,
-        server_cpu_seconds=joined.cpu_seconds + kept.cpu_seconds + out.cpu_seconds,
-        ingest=(n_records, n_fields / max(n_records, 1)),
-    )
-    return ctx.finalize(mark, out.rows, out.column_names, [phase], strategy="q19 baseline")
 
 
 def q19_optimized(ctx: CloudContext, catalog: Catalog) -> QueryExecution:
-    """Push each side's part of the disjunction; finish exactly locally."""
-    lineitem, part = catalog.get("lineitem"), catalog.get("part")
-    qty_disjunction = " OR ".join(
-        f"l_quantity BETWEEN {lo} AND {hi}" for _, _, (lo, hi), _ in _Q19_BRANCHES
+    """Push each side's part of the disjunction; finish exactly locally:
+    the common lineitem conjuncts were fully applied at S3, only the
+    per-branch (brand, container, quantity, size) combination still
+    needs an exact check."""
+    return _q19(
+        ctx, "q19 optimized",
+        _select(catalog.get("part"), _Q19_P_COLS, " OR ".join(
+            f"({p})" for p in _Q19_P_SIDE
+        )),
+        _select(
+            catalog.get("lineitem"), _Q19_L_COLS,
+            f"{_Q19_COMMON_L} AND ({' OR '.join(_Q19_L_SIDE)})",
+        ),
+        _Q19_BRANCHES_SQL,
     )
-    l_where = f"{_Q19_COMMON_L} AND ({qty_disjunction})"
-    p_where = " OR ".join(
-        _q19_branch_sql(*b).replace(
-            f" AND l_quantity BETWEEN {b[2][0]} AND {b[2][1]}", ""
-        )
-        for b in _Q19_BRANCHES
-    )
-    mark = ctx.begin_query()
-    l_cols = ["l_partkey", "l_quantity", "l_extendedprice", "l_discount"]
-    l_rows, _ = select_table(ctx, lineitem, projection_sql(l_cols, l_where))
-    p_cols = ["p_partkey", "p_brand", "p_size", "p_container"]
-    p_rows, _ = select_table(ctx, part, projection_sql(p_cols, p_where))
-    joined = hash_join(p_rows, p_cols, l_rows, l_cols, "p_partkey", "l_partkey")
-    # The common lineitem conjuncts were fully applied at S3; only the
-    # per-branch (brand, container, quantity, size) combination still
-    # needs an exact local check.
-    residual = parse_expression(
-        " OR ".join(_q19_branch_sql(*b) for b in _Q19_BRANCHES)
-    )
-    kept = filter_rows(joined.rows, joined.column_names, residual)
-    out = finish_output(kept.rows, kept.column_names, _Q19_OUTPUT)
-    n_records = len(l_rows) + len(p_rows)
-    n_fields = len(l_rows) * len(l_cols) + len(p_rows) * len(p_cols)
-    phase = phase_since(
-        ctx, mark, "q19", streams=lineitem.partitions + part.partitions,
-        server_cpu_seconds=joined.cpu_seconds + kept.cpu_seconds + out.cpu_seconds,
-        ingest=(n_records, n_fields / max(n_records, 1)),
-    )
-    return ctx.finalize(mark, out.rows, out.column_names, [phase], strategy="q19 optimized")
 
 
 # ----------------------------------------------------------------------

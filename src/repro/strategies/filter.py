@@ -1,4 +1,4 @@
-"""The paper's three filtering strategies (Section IV).
+"""The paper's three filtering strategies (Section IV), as plan constructors.
 
 * **server-side filter** — GET the whole table, filter on the query node;
 * **S3-side filter** — push the WHERE clause into an S3 Select request;
@@ -8,27 +8,34 @@
 Figure 1 compares them across selectivities: S3-side filter wins broadly,
 indexing wins only when very few rows match (each match costs one HTTP
 request), and server-side is ~10x slower than S3-side throughout.
+
+Each runner builds a :mod:`repro.planner.physical` tree and hands it to
+the one executor; the index access is a leaf node of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from time import perf_counter
 
 from repro.cloud.context import CloudContext, QueryExecution
 from repro.common.errors import PlanError
-from repro.engine.catalog import Catalog
-from repro.engine.operators.filter import filter_rows
-from repro.engine.operators.project import project_columns
+from repro.engine.catalog import Catalog, TableInfo
+from repro.planner import physical
+from repro.planner.physical import (
+    FilterNode,
+    PhysicalPlan,
+    PlanNode,
+    ProjectNode,
+    ScanNode,
+    column_items,
+    select_list_node,
+    whole_table_select,
+)
 from repro.s3select.engine import PreparedSelect
 from repro.sqlparser import ast
-from repro.storage.csvcodec import iter_records
-from repro.strategies.base import finish_output
-from repro.strategies.scans import (
-    get_table,
-    phase_since,
-    projection_sql,
-    select_table,
-)
+from repro.storage.csvcodec import iter_decode_column_batches
+from repro.strategies.scans import decoded_columns, phase_since, projection_sql
 
 
 #: Parallel workers issuing the indexing strategy's byte-range GETs
@@ -46,30 +53,46 @@ class FilterQuery:
     #: Optional final select list (aggregates allowed), applied locally.
     output: list[ast.SelectItem] | None = None
 
+    def reads(self, table: TableInfo) -> list[str]:
+        """The table columns the query-node side of the plan computes its
+        result from (all of them for a bare ``SELECT *`` shape)."""
+        if self.projection is not None:
+            return list(self.projection)
+        if self.output is None or any(
+            isinstance(item.expr, ast.Star) for item in self.output
+        ):
+            return list(table.schema.names)
+        return decoded_columns(table, set().union(
+            *(ast.referenced_columns(item.expr) for item in self.output)
+        ))
+
+    def local_tail(self, node: PlanNode) -> PlanNode:
+        """The projection and select list applied on the query node."""
+        if self.projection is not None:
+            node = ProjectNode(node, column_items(self.projection))
+        return select_list_node(node, self.output)
+
+
+def server_side_filter_node(
+    table: TableInfo, query: FilterQuery, phase_label: str = "load+filter"
+) -> PlanNode:
+    """GET scan, local filter, local projection and select list.  The
+    filter sits above the scan, not in it: the phase ingests every
+    loaded row, as the paper's server-side baseline does."""
+    scan = ScanNode(
+        table, decoded_columns(table, query.reads(table), query.predicate),
+        None, pushdown=False, phase_label=phase_label,
+    )
+    return query.local_tail(FilterNode(scan, query.predicate))
+
 
 def server_side_filter(
     ctx: CloudContext, catalog: Catalog, query: FilterQuery
 ) -> QueryExecution:
     """Load the entire table from S3 and filter on the compute node."""
-    table = catalog.get(query.table)
-    mark = ctx.begin_query()
-    rows = get_table(ctx, table)
-    loaded = (len(rows), len(table.schema))
-    filtered = filter_rows(rows, table.schema.names, query.predicate)
-    cpu = filtered.cpu_seconds
-    rows_out, names = filtered.rows, filtered.column_names
-    if query.projection is not None:
-        projected = project_columns(rows_out, names, query.projection)
-        cpu += projected.cpu_seconds
-        rows_out, names = projected.rows, projected.column_names
-    out = finish_output(rows_out, names, query.output)
-    cpu += out.cpu_seconds
-    phase = phase_since(
-        ctx, mark, "load+filter", streams=table.partitions,
-        server_cpu_seconds=cpu, ingest=loaded,
-    )
-    return ctx.finalize(
-        mark, out.rows, out.column_names, [phase], strategy="server-side filter"
+    root = server_side_filter_node(catalog.get(query.table), query)
+    return physical.execute_plan(
+        ctx, PhysicalPlan(root, "baseline", "server-side filter")
     )
 
 
@@ -78,91 +101,132 @@ def s3_side_filter(
 ) -> QueryExecution:
     """Push selection (and projection) into S3 Select."""
     table = catalog.get(query.table)
-    mark = ctx.begin_query()
-    columns = query.projection if query.projection is not None else list(table.schema.names)
-    sql = projection_sql(columns, query.predicate.to_sql())
-    rows, names = select_table(ctx, table, sql)
-    out = finish_output(rows, names, query.output)
-    phase = phase_since(
-        ctx, mark, "s3-filter", streams=table.partitions,
-        server_cpu_seconds=out.cpu_seconds, ingest=(len(rows), len(names)),
+    scan = whole_table_select(
+        table, query.projection, query.predicate, phase_label="s3-filter"
     )
-    return ctx.finalize(
-        mark, out.rows, out.column_names, [phase], strategy="s3-side filter"
-    )
+    return physical.execute_plan(ctx, PhysicalPlan(
+        select_list_node(scan, query.output), "optimized", "s3-side filter"
+    ))
 
 
-def index_lookup(ctx: CloudContext, table, query: FilterQuery):
-    """Phase 1 of the index strategies: push the predicate to the index
-    table's ``value`` column, one prepared statement for every index object.
+class IndexFetchNode(PlanNode):
+    """Leaf: two-phase index access (Section IV-A).
 
-    Returns the query's metrics mark, the matched ``(first_byte,
-    last_byte)`` extents per data partition, their count and the phase.
+    Phase 1 (``index-lookup``) pushes the predicate to the index table's
+    ``value`` column, one prepared statement for every index object, and
+    gets back the matching records' byte extents.  Phase 2 fetches them:
+    one ranged GET per record from a pool of :data:`REQUEST_WORKERS`
+    (``record-fetch``) — which is exactly why this strategy degrades at
+    higher selectivities (Figure 1) — or, with the paper's Suggestion 1,
+    ``ranges_per_request`` extents per multi-range GET
+    (``multirange-fetch``).  Every request is issued before the first
+    batch; the fetched records decode lazily, ``columns`` only.
     """
-    index_column = _single_indexed_column(table, query.predicate)
-    index = table.index_for(index_column)
-    index_predicate = ast.rename_columns(query.predicate, {index_column: "value"})
-    statement = PreparedSelect(
-        projection_sql(["first_byte", "last_byte"], index_predicate.to_sql())
+
+    def __init__(
+        self,
+        table: TableInfo,
+        predicate: ast.Expr,
+        columns: list[str],
+        ranges_per_request: int | None = None,
+    ):
+        column = _single_indexed_column(table, predicate)
+        self.table = table
+        self.columns = list(columns)
+        self.index = table.index_for(column)
+        self.index_predicate = ast.rename_columns(predicate, {column: "value"})
+        self.ranges_per_request = ranges_per_request
+
+    def describe(self) -> str:
+        per_get = self.ranges_per_request or 1
+        return (
+            f"index-fetch {self.table.name} [{per_get} range(s) per get]"
+            f" cols={len(self.columns)} pred=({self.index_predicate.to_sql()})"
+        )
+
+    def run(self, state: physical.ExecState):
+        ctx, table = state.ctx, self.table
+        start = perf_counter()
+        mark = ctx.metrics.mark()
+        statement = PreparedSelect(projection_sql(
+            ["first_byte", "last_byte"], self.index_predicate.to_sql()
+        ))
+        extents_per_partition = [
+            [
+                (int(first), int(last)) for first, last in
+                ctx.client.select_object_content(table.bucket, key, statement).rows
+            ]
+            for key in self.index.keys
+        ]
+        matched = sum(map(len, extents_per_partition))
+        state.phases.append(phase_since(
+            ctx, mark, "index-lookup", streams=len(self.index.keys),
+            ingest=(matched, 2),
+        ))
+
+        # No S3 Select involved, hence no scan/return charges — only
+        # request cost.
+        mark = ctx.metrics.mark()
+        per_request = self.ranges_per_request
+        if per_request is None:
+            payloads = [
+                ctx.client.get_object_range(table.bucket, key, first, last)
+                for key, extents in zip(table.keys, extents_per_partition)
+                for first, last in extents
+            ]
+            # The per-record GETs are issued by a bounded pool of workers;
+            # the dispatch term of the performance model charges every
+            # request beyond one per worker stream.
+            label, streams = "record-fetch", REQUEST_WORKERS
+        else:
+            # One multi-range request stands for the number of requests
+            # the same batch size would need at paper scale.
+            row_weight = ctx.client.range_request_weight
+            payloads = []
+            for key, extents in zip(table.keys, extents_per_partition):
+                for at in range(0, len(extents), per_request):
+                    ranges = extents[at : at + per_request]
+                    payloads += ctx.client.get_object_ranges(
+                        table.bucket, key, ranges,
+                        weight=max(1.0, len(ranges) * row_weight / per_request),
+                    )
+            label, streams = "multirange-fetch", table.partitions
+        state.phases.append(phase_since(
+            ctx, mark, label, streams=streams,
+            ingest=(matched, len(table.schema)),
+        ))
+        self.details = {"matched_rows": matched}
+        physical.add_wall(self, perf_counter() - start)
+        # An extent spans its record's delimiter: the payloads are lines
+        # (index tables exist for CSV data only).
+        stream = iter_decode_column_batches(
+            b"".join(payloads), table.schema, batch_size=ctx.batch_size,
+            has_header=False, columns=self.columns,
+        )
+        return list(self.columns), physical.counted(self, stream)
+
+
+def indexed_filter_plan(
+    catalog: Catalog,
+    query: FilterQuery,
+    strategy: str,
+    ranges_per_request: int | None = None,
+) -> PhysicalPlan:
+    """Index fetch plus the query's local projection and select list."""
+    table = catalog.get(query.table)
+    fetch = IndexFetchNode(
+        table, query.predicate, query.reads(table), ranges_per_request
     )
-    mark = ctx.begin_query()
-    extents_per_partition: list[list[tuple[int, int]]] = []
-    for key in index.keys:
-        result = ctx.client.select_object_content(table.bucket, key, statement)
-        extents_per_partition.append([(int(a), int(b)) for a, b in result.rows])
-    matched = sum(len(e) for e in extents_per_partition)
-    phase = phase_since(
-        ctx, mark, "index-lookup", streams=len(index.keys), ingest=(matched, 2)
-    )
-    return mark, extents_per_partition, matched, phase
+    return PhysicalPlan(query.local_tail(fetch), "optimized", strategy)
 
 
 def indexed_filter(
     ctx: CloudContext, catalog: Catalog, query: FilterQuery
 ) -> QueryExecution:
-    """Two-phase index access (Section IV-A).
-
-    Phase 1 pushes the predicate to the index table; phase 2 issues one
-    byte-range GET per matching record — which is exactly why this
-    strategy degrades at higher selectivities (Figure 1) and why the
-    paper's Suggestion 1 asks for multi-range GETs.
-    """
-    table = catalog.get(query.table)
-    mark, extents_per_partition, matched, phase1 = index_lookup(ctx, table, query)
-
-    # Phase 2: one ranged GET per matched record (no S3 Select involved,
-    # hence no scan/return charges — only request cost).
-    mark2 = ctx.metrics.mark()
-    rows: list[tuple] = []
-    for data_key, extents in zip(table.keys, extents_per_partition):
-        for first_byte, last_byte in extents:
-            payload = ctx.client.get_object_range(
-                table.bucket, data_key, first_byte, last_byte
-            )
-            for record in iter_records(payload):
-                rows.append(table.schema.parse_row(record))
-    names: list[str] = list(table.schema.names)
-    cpu = 0.0
-    if query.projection is not None:
-        projected = project_columns(rows, names, query.projection)
-        cpu += projected.cpu_seconds
-        rows, names = projected.rows, projected.column_names
-    out = finish_output(rows, names, query.output)
-    cpu += out.cpu_seconds
-    # The per-record GETs are issued by a bounded pool of workers; the
-    # dispatch term of the performance model charges every request beyond
-    # one per worker stream.
-    phase2 = phase_since(
-        ctx, mark2, "record-fetch", streams=REQUEST_WORKERS,
-        server_cpu_seconds=cpu, ingest=(matched, len(table.schema)),
-    )
-    return ctx.finalize(
-        mark,
-        out.rows,
-        out.column_names,
-        [phase1, phase2],
-        strategy="s3-side indexing",
-        details={"matched_rows": matched},
+    """Two-phase index access with one byte-range GET per matching record
+    (why the paper's Suggestion 1 asks for multi-range GETs)."""
+    return physical.execute_plan(
+        ctx, indexed_filter_plan(catalog, query, "s3-side indexing")
     )
 
 

@@ -1,4 +1,4 @@
-"""The paper's four group-by strategies (Section VI).
+"""The paper's four group-by strategies (Section VI), as plan constructors.
 
 * **server-side** — GET everything, hash-aggregate locally;
 * **filtered** — push projection (group + aggregate columns) into S3
@@ -12,27 +12,43 @@
 
 S3 Select has no GROUP BY, which is what forces the CASE encoding — and
 what the paper's Suggestion 4 (partial group-by) would fix.
+
+The first two are scans under a :class:`~repro.planner.physical.GroupByNode`;
+the CASE-encoded and the hybrid aggregation are leaf nodes of their own.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from time import perf_counter
 
 from repro.cloud.context import CloudContext, QueryExecution
 from repro.cloud.metrics import Phase
 from repro.cloud.perf import SERVER_CPU_PER_ROW
 from repro.common.errors import PlanError
 from repro.engine.catalog import Catalog, TableInfo
-from repro.engine.operators.groupby import group_by_aggregate
+from repro.engine.operators.base import BatchCounter, materialize
+from repro.engine.operators.groupby import group_by_batches
+from repro.planner import physical
+from repro.planner.physical import (
+    FilterNode,
+    GroupByNode,
+    PhysicalPlan,
+    PlanNode,
+    ScanNode,
+    whole_table_select,
+)
 from repro.s3select.validator import EXPRESSION_LIMIT_BYTES
 from repro.sqlparser import ast
 from repro.strategies.scans import (
-    get_table,
+    decoded_columns,
+    iter_scan_batches,
+    merge_partial,
     phase_since,
     projection_sql,
     select_aggregate,
-    select_table,
 )
 
 #: Keep pushed aggregation queries comfortably under the 256 KB limit.
@@ -73,17 +89,18 @@ class AggSpec:
         safe = "".join(c if c.isalnum() else "_" for c in self.column)
         return f"{self.func.lower()}_{safe}"
 
+    @cached_property
     def parsed_expr(self) -> ast.Expr:
         from repro.sqlparser.parser import parse_expression
 
         return parse_expression(self.column)
 
     def referenced_columns(self) -> set[str]:
-        return ast.referenced_columns(self.parsed_expr())
+        return ast.referenced_columns(self.parsed_expr)
 
     def to_select_item(self) -> ast.SelectItem:
         return ast.SelectItem(
-            expr=ast.Aggregate(func=self.func.upper(), operand=self.parsed_expr()),
+            expr=ast.Aggregate(func=self.func.upper(), operand=self.parsed_expr),
             alias=self.output_name,
         )
 
@@ -97,43 +114,55 @@ class GroupByQuery:
     aggregates: list[AggSpec]
     predicate: ast.Expr | None = None
 
+    def needed_columns(self, table: TableInfo) -> list[str]:
+        """The group columns, then the table columns each aggregate reads."""
+        agg_columns = [
+            name
+            for refs in (
+                {c.lower() for c in agg.referenced_columns()}
+                for agg in self.aggregates
+            )
+            for name in table.schema.names
+            if name.lower() in refs
+        ]
+        return list(dict.fromkeys([*self.group_columns, *agg_columns]))
 
-def _output_names(query: GroupByQuery) -> list[str]:
-    return [*query.group_columns, *(a.output_name for a in query.aggregates)]
+    def where_sql(self) -> str | None:
+        return self.predicate.to_sql() if self.predicate is not None else None
+
+    def output_names(self) -> list[str]:
+        return [*self.group_columns, *(a.output_name for a in self.aggregates)]
+
+    def group_exprs(self) -> list[ast.Expr]:
+        return [ast.Column(c) for c in self.group_columns]
+
+    def agg_items(self) -> list[ast.SelectItem]:
+        return [a.to_select_item() for a in self.aggregates]
 
 
-def _local_group_by(rows, names, query: GroupByQuery):
-    return group_by_aggregate(
-        rows,
-        names,
-        [ast.Column(c) for c in query.group_columns],
-        [a.to_select_item() for a in query.aggregates],
+def server_side_group_by_node(
+    table: TableInfo, query: GroupByQuery, phase_label: str = "load+groupby"
+) -> PlanNode:
+    """GET scan, local filter, local hash aggregation."""
+    node: PlanNode = ScanNode(
+        table,
+        decoded_columns(table, query.needed_columns(table), query.predicate),
+        None, pushdown=False, phase_label=phase_label,
     )
+    if query.predicate is not None:
+        # Above the scan, not in it: the phase ingests every loaded row,
+        # as the paper's server-side baseline does.
+        node = FilterNode(node, query.predicate)
+    return GroupByNode(node, query.group_exprs(), query.agg_items())
 
 
 def server_side_group_by(
     ctx: CloudContext, catalog: Catalog, query: GroupByQuery
 ) -> QueryExecution:
     """GET all columns of all rows; aggregate on the query node."""
-    table = catalog.get(query.table)
-    mark = ctx.begin_query()
-    rows = get_table(ctx, table)
-    names = list(table.schema.names)
-    cpu = 0.0
-    if query.predicate is not None:
-        from repro.engine.operators.filter import filter_rows
-
-        filtered = filter_rows(rows, names, query.predicate)
-        rows, cpu = filtered.rows, filtered.cpu_seconds
-    grouped = _local_group_by(rows, names, query)
-    phase = phase_since(
-        ctx, mark, "load+groupby",
-        streams=table.partitions, server_cpu_seconds=cpu + grouped.cpu_seconds,
-        ingest=(len(rows), len(table.schema)),
-    )
-    return ctx.finalize(
-        mark, grouped.rows, grouped.column_names, [phase],
-        strategy="server-side group-by",
+    root = server_side_group_by_node(catalog.get(query.table), query)
+    return physical.execute_plan(
+        ctx, PhysicalPlan(root, "baseline", "server-side group-by")
     )
 
 
@@ -146,59 +175,196 @@ def filtered_group_by(
     with a 64% speedup over server-side on its 20-column table.
     """
     table = catalog.get(query.table)
-    agg_columns: list[str] = []
-    for agg in query.aggregates:
-        agg_columns.extend(
-            n for n in table.schema.names if n.lower() in
-            {c.lower() for c in agg.referenced_columns()}
+    scan = whole_table_select(
+        table, query.needed_columns(table), query.predicate, "select+groupby"
+    )
+    root = GroupByNode(scan, query.group_exprs(), query.agg_items())
+    return physical.execute_plan(
+        ctx, PhysicalPlan(root, "optimized", "filtered group-by")
+    )
+
+
+class PushedGroupByNode(PlanNode):
+    """Leaf: a group-by computed (partly) in storage.  A subclass issues
+    its requests and appends its phases in :meth:`group_rows`; the
+    finished groups leave as one batch."""
+
+    kind = ""
+
+    def __init__(self, table: TableInfo, query: GroupByQuery):
+        self.table = table
+        self.query = query
+
+    def describe(self) -> str:
+        query = self.query
+        text = (
+            f"{self.kind} {self.table.name} [{', '.join(query.group_columns)}]"
+            f" aggs={len(query.aggregates)}"
         )
-    needed = list(dict.fromkeys([*query.group_columns, *agg_columns]))
-    sql = projection_sql(
-        needed, query.predicate.to_sql() if query.predicate is not None else None
-    )
-    mark = ctx.begin_query()
-    rows, _ = select_table(ctx, table, sql)
-    grouped = _local_group_by(rows, needed, query)
-    phase = phase_since(
-        ctx, mark, "select+groupby",
-        streams=table.partitions, server_cpu_seconds=grouped.cpu_seconds,
-        ingest=(len(rows), len(needed)),
-    )
-    return ctx.finalize(
-        mark, grouped.rows, grouped.column_names, [phase],
-        strategy="filtered group-by",
-    )
+        if query.predicate is not None:
+            text += f" pred=({query.predicate.to_sql()})"
+        return text
+
+    def group_rows(self, ctx: CloudContext, phases: list[Phase]) -> list[tuple]:
+        raise NotImplementedError
+
+    def run(self, state: physical.ExecState):
+        start = perf_counter()
+        rows = self.group_rows(state.ctx, state.phases)
+        self.actual_rows = len(rows)
+        physical.add_wall(self, perf_counter() - start)
+        names = self.query.output_names()
+        return names, physical.one_batch(rows, names)
+
+
+class CaseGroupByNode(PushedGroupByNode):
+    """The whole aggregation pushed to S3 via CASE encoding (Section VI-A).
+
+    Phase 1 (``collect-groups``) projects the group columns and finds
+    the distinct values locally; phase 2 (``s3-aggregate``) pushes one
+    aggregate column per (group, aggregate), chunked to stay under the
+    expression limit.
+    """
+
+    kind = "case-group-by"
+
+    def group_rows(self, ctx: CloudContext, phases: list[Phase]) -> list[tuple]:
+        table, query = self.table, self.query
+        mark = ctx.metrics.mark()
+        group_rows = materialize(iter_scan_batches(
+            ctx, table, projection_sql(query.group_columns, query.where_sql())
+        ))
+        groups = list(dict.fromkeys(group_rows))  # distinct, first-seen order
+        phases.append(phase_since(
+            ctx, mark, "collect-groups", streams=table.partitions,
+            server_cpu_seconds=len(group_rows) * SERVER_CPU_PER_ROW["aggregate"],
+            ingest=(len(group_rows), len(query.group_columns)),
+        ))
+
+        mark = ctx.metrics.mark()
+        rows = assemble_group_rows(
+            query, _pushdown_group_aggregates(ctx, table, query, groups)
+        )
+        phases.append(
+            phase_since(ctx, mark, "s3-aggregate", streams=table.partitions)
+        )
+        self.details = {"num_groups": len(groups)}
+        return rows
 
 
 def s3_side_group_by(
     ctx: CloudContext, catalog: Catalog, query: GroupByQuery
 ) -> QueryExecution:
     """Push the whole aggregation to S3 via CASE encoding (Section VI-A)."""
-    table = catalog.get(query.table)
-
-    # Phase 1: project group columns, find distinct values locally.
-    mark = ctx.begin_query()
-    group_rows, _ = select_table(
-        ctx, table, projection_sql(query.group_columns, _predicate_sql(query))
-    )
-    groups = list(dict.fromkeys(group_rows))  # distinct, first-seen order
-    cpu1 = len(group_rows) * SERVER_CPU_PER_ROW["aggregate"]
-    phase1 = phase_since(
-        ctx, mark, "collect-groups", streams=table.partitions,
-        server_cpu_seconds=cpu1, ingest=(len(group_rows), len(query.group_columns)),
+    root = CaseGroupByNode(catalog.get(query.table), query)
+    return physical.execute_plan(
+        ctx, PhysicalPlan(root, "optimized", "s3-side group-by")
     )
 
-    # Phase 2: one aggregate column per (group, aggregate), chunked to
-    # stay under the expression limit.
-    mark2 = ctx.metrics.mark()
-    merged = _pushdown_group_aggregates(ctx, table, query, groups)
-    phase2 = phase_since(ctx, mark2, "s3-aggregate", streams=table.partitions)
 
-    out_rows = _assemble_group_rows(query, groups, merged)
-    return ctx.finalize(
-        mark, out_rows, _output_names(query), [phase1, phase2],
-        strategy="s3-side group-by", details={"num_groups": len(groups)},
-    )
+class HybridGroupByNode(PushedGroupByNode):
+    """Hybrid group-by (Section VI-B): big groups at S3, tail locally.
+
+    Phase 1 (``sample-groups``) samples the leading fraction of each
+    partition to find the populous groups.  In phase 2 (``s3-agg+tail``)
+    Q1 pushes the aggregation of those groups and Q2 pulls the remaining
+    rows for local aggregation; both run in parallel and the phase model
+    takes the max (cf. Figure 6's two bars).
+
+    The pushed-group count is clamped so Q2's ``NOT IN`` tail predicate
+    stays within the service's expression limit — a ``NOT IN`` over all
+    pushed groups must travel in *one* request (its conjuncts cannot be
+    unioned across requests), so groups that do not fit are moved back
+    to the local tail instead of failing the query.
+    """
+
+    def __init__(
+        self,
+        table: TableInfo,
+        query: GroupByQuery,
+        sample_fraction: float,
+        s3_groups: int,
+        expression_limit_bytes: int,
+    ):
+        if len(query.group_columns) != 1:
+            raise PlanError("hybrid group-by supports a single group column")
+        super().__init__(table, query)
+        self.kind = f"hybrid-group-by [s3_groups<={s3_groups}]"
+        self.sample_fraction = sample_fraction
+        self.s3_groups = s3_groups
+        self.expression_limit_bytes = expression_limit_bytes
+
+    def group_rows(self, ctx: CloudContext, phases: list[Phase]) -> list[tuple]:
+        table, query = self.table, self.query
+        (group_col,) = query.group_columns
+        needed = query.needed_columns(table)
+
+        mark = ctx.metrics.mark()
+        sample = [
+            value
+            for batch in iter_scan_batches(
+                ctx, table, projection_sql([group_col], query.where_sql()),
+                scan_range_fraction=self.sample_fraction,
+            )
+            for value in batch.column(0)
+        ]
+        large_groups = [
+            (value,) for value, _ in Counter(sample).most_common(self.s3_groups)
+        ]
+
+        def tail_sql() -> str:
+            where = [
+                p for p in (
+                    query.where_sql(),
+                    _tail_sql(group_col, [g[0] for g in large_groups]),
+                ) if p
+            ]
+            return projection_sql(needed, " AND ".join(where) or None)
+
+        # Drop the smallest pushed groups until the tail query fits the
+        # expression limit; every dropped group is aggregated locally.
+        while large_groups and (
+            len(tail_sql().encode()) > self.expression_limit_bytes
+        ):
+            large_groups.pop()
+        phases.append(phase_since(
+            ctx, mark, "sample-groups", streams=table.partitions,
+            server_cpu_seconds=len(sample) * SERVER_CPU_PER_ROW["aggregate"],
+            ingest=(len(sample), 1),
+        ))
+
+        mark = ctx.metrics.mark()
+        pushed = _pushdown_group_aggregates(ctx, table, query, large_groups)
+        q1_records = ctx.metrics.records_since(mark)
+        mark = ctx.metrics.mark()
+        tail_rows = BatchCounter(iter_scan_batches(ctx, table, tail_sql()))
+        tail = group_by_batches(
+            tail_rows, needed, query.group_exprs(), query.agg_items()
+        )
+        q2_records = ctx.metrics.records_since(mark)
+        local = dict(
+            server_cpu_seconds=tail.cpu_seconds,
+            server_records=tail_rows.rows,
+            server_fields=tail_rows.rows * len(needed),
+        )
+        phases.append(Phase.from_records(
+            "s3-agg+tail", q1_records + q2_records,
+            streams=2 * table.partitions, **local,
+        ))
+        self.details = {
+            "large_groups": len(large_groups),
+            "s3_side_seconds": ctx.perf.phase_time(
+                Phase.from_records("q1", q1_records, streams=table.partitions)
+            ),
+            "server_side_seconds": ctx.perf.phase_time(Phase.from_records(
+                "q2", q2_records, streams=table.partitions, **local
+            )),
+            "tail_rows": tail_rows.rows,
+            "bytes_returned_phase2": sum(
+                r.bytes_returned for r in q1_records + q2_records
+            ),
+        }
+        return assemble_group_rows(query, pushed) + tail.rows
 
 
 def hybrid_group_by(
@@ -209,99 +375,14 @@ def hybrid_group_by(
     s3_groups: int = DEFAULT_S3_GROUPS,
     expression_limit_bytes: int = EXPRESSION_LIMIT_BYTES,
 ) -> QueryExecution:
-    """Hybrid group-by (Section VI-B): big groups at S3, tail locally.
-
-    The pushed-group count is clamped so Q2's ``NOT IN`` tail predicate
-    stays within the service's expression limit — a ``NOT IN`` over all
-    pushed groups must travel in *one* request (its conjuncts cannot be
-    unioned across requests), so groups that do not fit are moved back
-    to the local tail instead of failing the query.
-    ``expression_limit_bytes`` is a test seam; real S3 is 256 KB.
-    """
-    table = catalog.get(query.table)
-    if len(query.group_columns) != 1:
-        raise PlanError("hybrid group-by supports a single group column")
-    group_col = query.group_columns[0]
-
-    agg_columns: list[str] = []
-    for agg in query.aggregates:
-        agg_columns.extend(
-            n for n in table.schema.names if n.lower() in
-            {c.lower() for c in agg.referenced_columns()}
-        )
-    needed = list(dict.fromkeys([group_col, *agg_columns]))
-
-    # Phase 1: sample the leading fraction of each partition to find the
-    # populous groups.
-    mark = ctx.begin_query()
-    sample_rows, _ = select_table(
-        ctx,
-        table,
-        projection_sql([group_col], _predicate_sql(query)),
-        scan_range_fraction=sample_fraction,
+    """Hybrid group-by (Section VI-B); see :class:`HybridGroupByNode`.
+    ``expression_limit_bytes`` is a test seam; real S3 is 256 KB."""
+    root = HybridGroupByNode(
+        catalog.get(query.table), query, sample_fraction, s3_groups,
+        expression_limit_bytes,
     )
-    counts = Counter(row[0] for row in sample_rows)
-    large_groups = [(value,) for value, _ in counts.most_common(s3_groups)]
-
-    def q2_sql_for(groups: list[tuple]) -> str:
-        tail_predicate = _not_in_sql(group_col, [g[0] for g in groups])
-        where_parts = [p for p in (_predicate_sql(query), tail_predicate) if p]
-        return projection_sql(needed, " AND ".join(where_parts) or None)
-
-    # Drop the smallest pushed groups until the tail query fits the
-    # expression limit; every dropped group is aggregated locally instead.
-    while large_groups and len(q2_sql_for(large_groups).encode()) > expression_limit_bytes:
-        large_groups.pop()
-
-    cpu1 = len(sample_rows) * SERVER_CPU_PER_ROW["aggregate"]
-    phase1 = phase_since(
-        ctx, mark, "sample-groups", streams=table.partitions,
-        server_cpu_seconds=cpu1, ingest=(len(sample_rows), 1),
-    )
-
-    # Phase 2: Q1 pushes aggregation for the large groups; Q2 pulls the
-    # remaining rows for local aggregation.  Both run in parallel; the
-    # phase model takes the max (cf. Figure 6's two bars).
-    mark2 = ctx.metrics.mark()
-    merged = _pushdown_group_aggregates(ctx, table, query, large_groups)
-    q1_records = ctx.metrics.records_since(mark2)
-
-    mark_q2 = ctx.metrics.mark()
-    q2_sql = q2_sql_for(large_groups)
-    tail_rows, _ = select_table(ctx, table, q2_sql)
-    q2_records = ctx.metrics.records_since(mark_q2)
-
-    tail_grouped = _local_group_by(tail_rows, needed, query)
-    phase2 = Phase.from_records(
-        "s3-agg+tail",
-        q1_records + q2_records,
-        streams=2 * table.partitions,
-        server_cpu_seconds=tail_grouped.cpu_seconds,
-        server_records=len(tail_rows),
-        server_fields=len(tail_rows) * len(needed),
-    )
-
-    out_rows = _assemble_group_rows(query, large_groups, merged)
-    out_rows += tail_grouped.rows
-    q1_phase = Phase.from_records("q1", q1_records, streams=table.partitions)
-    q2_phase = Phase.from_records(
-        "q2", q2_records, streams=table.partitions,
-        server_cpu_seconds=tail_grouped.cpu_seconds,
-        server_records=len(tail_rows),
-        server_fields=len(tail_rows) * len(needed),
-    )
-    details = {
-        "large_groups": len(large_groups),
-        "s3_side_seconds": ctx.perf.phase_time(q1_phase),
-        "server_side_seconds": ctx.perf.phase_time(q2_phase),
-        "tail_rows": len(tail_rows),
-        "bytes_returned_phase2": sum(
-            r.bytes_returned for r in q1_records + q2_records
-        ),
-    }
-    return ctx.finalize(
-        mark, out_rows, _output_names(query), [phase1, phase2],
-        strategy="hybrid group-by", details=details,
+    return physical.execute_plan(
+        ctx, PhysicalPlan(root, "optimized", "hybrid group-by")
     )
 
 
@@ -309,22 +390,23 @@ def hybrid_group_by(
 # pushdown helpers
 # ----------------------------------------------------------------------
 
-def _predicate_sql(query: GroupByQuery) -> str | None:
-    return query.predicate.to_sql() if query.predicate is not None else None
-
-
 def _group_match_sql(group_columns: list[str], values: tuple) -> str:
-    conjuncts = [
-        f"{col} = {ast.Literal(v).to_sql()}" for col, v in zip(group_columns, values)
-    ]
-    return " AND ".join(conjuncts)
+    return " AND ".join(
+        f"{col} IS NULL" if v is None else f"{col} = {ast.Literal(v).to_sql()}"
+        for col, v in zip(group_columns, values)
+    )
 
 
-def _not_in_sql(column: str, values: list) -> str | None:
-    if not values:
+def _tail_sql(column: str, pushed: list) -> str | None:
+    """The rows of every group but the ``pushed`` ones.  ``NOT IN`` is
+    unknown for a NULL key (and for every key once NULL is listed), so
+    the NULL group is kept or dropped by its own test."""
+    heads = ", ".join(ast.Literal(v).to_sql() for v in pushed if v is not None)
+    if None in pushed:
+        return f"{column} NOT IN ({heads})" if heads else f"{column} IS NOT NULL"
+    if not heads:
         return None
-    rendered = ", ".join(ast.Literal(v).to_sql() for v in values)
-    return f"{column} NOT IN ({rendered})"
+    return f"({column} NOT IN ({heads}) OR {column} IS NULL)"
 
 
 def _agg_column_sql(agg: AggSpec, match: str) -> list[str]:
@@ -343,16 +425,26 @@ def _agg_column_sql(agg: AggSpec, match: str) -> list[str]:
     ]
 
 
-def _merge_partial(func: str, a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if func in ("SUM", "COUNT", "AVG"):
-        return a + b
-    if func == "MIN":
-        return min(a, b)
-    return max(a, b)
+def assemble_group_rows(
+    query: GroupByQuery, partials_by_group: dict[tuple, list]
+) -> list[tuple]:
+    """Output rows from each group's merged pushed partials: flat, in
+    aggregate order, AVG holding its sum then its count."""
+    rows = []
+    for group, partials in partials_by_group.items():
+        out, at = list(group), 0
+        for agg in query.aggregates:
+            func = agg.func.upper()
+            if func == "AVG":
+                total, count = partials[at : at + 2]
+                out.append(None if not count else total / count)
+                at += 2
+            else:
+                value = partials[at]
+                out.append(0 if func == "COUNT" and value is None else value)
+                at += 1
+        rows.append(tuple(out))
+    return rows
 
 
 def _pushdown_group_aggregates(
@@ -360,75 +452,51 @@ def _pushdown_group_aggregates(
     table: TableInfo,
     query: GroupByQuery,
     groups: list[tuple],
-) -> dict[tuple[int, int], list]:
+) -> dict[tuple, list]:
     """Run the CASE-encoded aggregation queries for ``groups``.
 
-    Returns ``(group_index, agg_index) -> list of merged partial values``
-    (one value for most aggregates, two — sum and count — for AVG).
-
-    Queries are chunked so each stays under the expression-size budget;
-    every chunk is sent to every partition and partials are merged
-    according to the aggregate function.
+    Returns each group's merged partials in the layout
+    :func:`assemble_group_rows` reads.  Queries are chunked so each stays
+    under the expression-size budget; every chunk is sent to every
+    partition and partials are merged according to the aggregate
+    function.
     """
-    # Build the per-(group, agg) column lists with bookkeeping.
-    jobs: list[tuple[int, int, list[str]]] = []
-    where_sql = _predicate_sql(query)
-    for g_idx, values in enumerate(groups):
+    where_sql = query.where_sql()
+    # One job per (group, aggregate): the slot its partials merge into,
+    # how they merge, and the pushed columns computing them.
+    merged: dict[tuple, list] = {}
+    jobs: list[tuple[list, int, str, list[str]]] = []
+    for values in groups:
+        slot = merged[values] = []
         match = _group_match_sql(query.group_columns, values)
-        for a_idx, agg in enumerate(query.aggregates):
-            jobs.append((g_idx, a_idx, _agg_column_sql(agg, match)))
+        for agg in query.aggregates:
+            columns = _agg_column_sql(agg, match)
+            jobs.append((slot, len(slot), agg.func.upper(), columns))
+            slot.extend([None] * len(columns))
 
-    merged: dict[tuple[int, int], list] = {}
-    chunk: list[tuple[int, int, list[str]]] = []
+    def run_chunk(chunk: list) -> None:
+        partial_rows = select_aggregate(ctx, table, projection_sql(
+            [column for *_, columns in chunk for column in columns], where_sql
+        ))
+        at = 0
+        for slot, first, func, columns in chunk:
+            for j in range(len(columns)):
+                for row in partial_rows:
+                    slot[first + j] = merge_partial(
+                        func, slot[first + j], row[at + j]
+                    )
+            at += len(columns)
+
+    chunk: list = []
     chunk_bytes = 0
     base_bytes = len(projection_sql(["x"], where_sql).encode()) + 64
-
-    def run_chunk() -> None:
-        nonlocal chunk, chunk_bytes
-        if not chunk:
-            return
-        columns = [col for _, _, cols in chunk for col in cols]
-        partial_rows, _ = select_aggregate(
-            ctx, table, projection_sql(columns, where_sql)
-        )
-        col_pos = 0
-        for g_idx, a_idx, cols in chunk:
-            func = query.aggregates[a_idx].func.upper()
-            values: list = [None] * len(cols)
-            for row in partial_rows:
-                for j in range(len(cols)):
-                    values[j] = _merge_partial(func, values[j], row[col_pos + j])
-            merged[(g_idx, a_idx)] = values
-            col_pos += len(cols)
-        chunk, chunk_bytes = [], 0
-
     for job in jobs:
-        job_bytes = sum(len(c.encode()) + 2 for c in job[2])
+        job_bytes = sum(len(c.encode()) + 2 for c in job[3])
         if chunk and base_bytes + chunk_bytes + job_bytes > _SQL_BUDGET_BYTES:
-            run_chunk()
+            run_chunk(chunk)
+            chunk, chunk_bytes = [], 0
         chunk.append(job)
         chunk_bytes += job_bytes
-    run_chunk()
+    if chunk:
+        run_chunk(chunk)
     return merged
-
-
-def _assemble_group_rows(
-    query: GroupByQuery,
-    groups: list[tuple],
-    merged: dict[tuple[int, int], list],
-) -> list[tuple]:
-    rows = []
-    for g_idx, values in enumerate(groups):
-        out: list = list(values)
-        for a_idx, agg in enumerate(query.aggregates):
-            partials = merged.get((g_idx, a_idx), [None])
-            if agg.func.upper() == "AVG":
-                total, count = partials
-                out.append(None if not count else total / count)
-            else:
-                value = partials[0]
-                if agg.func.upper() == "COUNT" and value is None:
-                    value = 0
-                out.append(value)
-        rows.append(tuple(out))
-    return rows

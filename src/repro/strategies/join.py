@@ -1,4 +1,4 @@
-"""The paper's three join strategies (Section V).
+"""The paper's three join strategies (Section V), as plan constructors.
 
 All are two-phase hash joins differing only in what reaches the server:
 
@@ -16,75 +16,39 @@ membership predicate is chunked into exact ``IN``-list scans (up to
 :data:`MAX_MEMBERSHIP_CHUNKS` SELECT requests, every one metered), and
 only past that does it fall back to an unfiltered probe scan.  All the
 degraded scans are *serial* after the build side (the decision is made
-only after the build side is loaded).
+only after the build side is loaded).  The ladder itself is
+:func:`repro.bloom.filter.membership_clauses`, run by the plan's
+:class:`~repro.planner.physical.HashJoinNode`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bloom.filter import build_bloom_filter_within_limit
+from repro.bloom.filter import (  # noqa: F401  (re-exported)
+    DEFAULT_FPR,
+    MAX_MEMBERSHIP_CHUNKS,
+    BloomPushdown,
+    membership_chunks,
+)
 from repro.cloud.context import CloudContext, QueryExecution
 from repro.cloud.perf import SERVER_CPU_PER_ROW
 from repro.common.errors import PlanError
-from repro.engine.catalog import Catalog, TableInfo
-from repro.engine.operators.filter import filter_rows
-from repro.engine.operators.hashjoin import hash_join
-from repro.engine.operators.project import project_columns
+from repro.engine.catalog import Catalog
+from repro.planner import physical
+from repro.planner.physical import (
+    HashJoinNode,
+    PhysicalPlan,
+    PlanNode,
+    ProjectNode,
+    ScanNode,
+    column_items,
+    select_list_node,
+    whole_table_select,
+)
 from repro.s3select.validator import EXPRESSION_LIMIT_BYTES
 from repro.sqlparser import ast
-from repro.strategies.base import finish_output
-from repro.strategies.scans import (
-    get_table,
-    phase_since,
-    projection_sql,
-    select_table,
-)
-
-#: Default Bloom false-positive rate; the paper finds 0.01 the sweet spot
-#: (Figure 4).
-DEFAULT_FPR = 0.01
-
-#: Most SELECT requests (per partition) the chunked IN-list fallback may
-#: issue before an unfiltered scan becomes the cheaper degradation: each
-#: chunk re-scans the whole probe table, so past this point the scan bill
-#: dwarfs what the membership filter saves in returned bytes.
-MAX_MEMBERSHIP_CHUNKS = 16
-
-
-def membership_chunks(
-    attr: str,
-    keys,
-    overhead_bytes: int,
-    limit_bytes: int = EXPRESSION_LIMIT_BYTES,
-) -> list[str] | None:
-    """Render ``attr IN (...)`` predicates, each within the service limit.
-
-    The unique keys are split greedily so every rendered predicate plus
-    ``overhead_bytes`` (the rest of the query) stays at or under
-    ``limit_bytes``.  Chunks partition the key set, so unioning the
-    chunked scans' results reproduces a single membership scan exactly.
-    Returns ``None`` when not even a one-key predicate fits.
-    """
-    unique = sorted(set(keys))
-    budget = limit_bytes - overhead_bytes
-    fixed = len(f"{attr} IN (".encode()) + 1
-    chunks: list[str] = []
-    current: list[str] = []
-    current_bytes = 0
-    for key in unique:
-        literal = ast.Literal(key).to_sql()
-        cost = len(literal.encode()) + 2  # ", " separator
-        if fixed + len(literal.encode()) > budget:
-            return None
-        if current and fixed + current_bytes + cost > budget:
-            chunks.append(f"{attr} IN ({', '.join(current)})")
-            current, current_bytes = [], 0
-        current.append(literal)
-        current_bytes += cost
-    if current:
-        chunks.append(f"{attr} IN ({', '.join(current)})")
-    return chunks
+from repro.strategies.scans import decoded_columns
 
 
 @dataclass
@@ -107,46 +71,32 @@ class JoinQuery:
 
 def baseline_join(ctx: CloudContext, catalog: Catalog, query: JoinQuery) -> QueryExecution:
     """Load both tables in full (no S3 Select) and join locally."""
+
+    def side(table, projection, predicate) -> PlanNode:
+        reads = projection if projection is not None else table.schema.names
+        node: PlanNode = ScanNode(
+            table, decoded_columns(table, reads, predicate), predicate,
+            pushdown=False,
+        )
+        # Apply the query's projections locally so baseline output matches
+        # the pushdown strategies' column-for-column (it still *moved*
+        # every column over the network, which is the point of the
+        # comparison).
+        if projection is not None:
+            node = ProjectNode(node, column_items(projection))
+        return node
+
     build = catalog.get(query.build_table)
     probe = catalog.get(query.probe_table)
-    mark = ctx.begin_query()
-    build_rows = get_table(ctx, build)
-    probe_rows = get_table(ctx, probe)
-    loaded_records = len(build_rows) + len(probe_rows)
-    loaded_fields = (
-        len(build_rows) * len(build.schema) + len(probe_rows) * len(probe.schema)
+    join = HashJoinNode(
+        side(build, query.build_projection, query.build_predicate),
+        side(probe, query.probe_projection, query.probe_predicate),
+        query.build_key, query.probe_key, stream_probe=True,
     )
-    cpu = 0.0
-    filtered_build = filter_rows(build_rows, build.schema.names, query.build_predicate)
-    filtered_probe = filter_rows(probe_rows, probe.schema.names, query.probe_predicate)
-    cpu += filtered_build.cpu_seconds + filtered_probe.cpu_seconds
-    # Apply the query's projections locally so baseline output matches the
-    # pushdown strategies' column-for-column (it still *moved* every
-    # column over the network, which is the point of the comparison).
-    build_side = filtered_build.rows, list(build.schema.names)
-    probe_side = filtered_probe.rows, list(probe.schema.names)
-    if query.build_projection is not None:
-        projected = project_columns(*build_side, query.build_projection)
-        cpu += projected.cpu_seconds
-        build_side = projected.rows, projected.column_names
-    if query.probe_projection is not None:
-        projected = project_columns(*probe_side, query.probe_projection)
-        cpu += projected.cpu_seconds
-        probe_side = projected.rows, projected.column_names
-    joined = hash_join(
-        build_side[0], build_side[1], probe_side[0], probe_side[1],
-        query.build_key, query.probe_key,
-    )
-    cpu += joined.cpu_seconds
-    out = finish_output(joined.rows, joined.column_names, query.output)
-    cpu += out.cpu_seconds
-    phase = phase_since(
-        ctx, mark, "load+join",
-        streams=build.partitions + probe.partitions,
-        server_cpu_seconds=cpu,
-        ingest=(loaded_records, loaded_fields / max(loaded_records, 1)),
-    )
-    return ctx.finalize(mark, out.rows, out.column_names, [phase], strategy="baseline join")
+    return physical.execute_plan(ctx, PhysicalPlan(
+        select_list_node(join, query.output), "baseline", "baseline join",
+        combined_label="load+join",
+    ))
 
 
 def filtered_join(ctx: CloudContext, catalog: Catalog, query: JoinQuery) -> QueryExecution:
@@ -155,30 +105,21 @@ def filtered_join(ctx: CloudContext, catalog: Catalog, query: JoinQuery) -> Quer
     Both table scans run in parallel (one phase), which is the behaviour
     the paper contrasts with the degraded Bloom join's serial scans.
     """
-    build = catalog.get(query.build_table)
-    probe = catalog.get(query.probe_table)
-    mark = ctx.begin_query()
-    build_rows, build_names = _select_side(
-        ctx, build, query.build_projection, query.build_predicate
+    join = HashJoinNode(
+        whole_table_select(
+            catalog.get(query.build_table), query.build_projection,
+            query.build_predicate,
+        ),
+        whole_table_select(
+            catalog.get(query.probe_table), query.probe_projection,
+            query.probe_predicate,
+        ),
+        query.build_key, query.probe_key, stream_probe=True,
     )
-    probe_rows, probe_names = _select_side(
-        ctx, probe, query.probe_projection, query.probe_predicate
-    )
-    joined = hash_join(
-        build_rows, build_names, probe_rows, probe_names,
-        query.build_key, query.probe_key,
-    )
-    out = finish_output(joined.rows, joined.column_names, query.output)
-    avg_cols = (
-        len(build_rows) * len(build_names) + len(probe_rows) * len(probe_names)
-    ) / max(len(build_rows) + len(probe_rows), 1)
-    phase = phase_since(
-        ctx, mark, "select+join",
-        streams=build.partitions + probe.partitions,
-        server_cpu_seconds=joined.cpu_seconds + out.cpu_seconds,
-        ingest=(len(build_rows) + len(probe_rows), avg_cols),
-    )
-    return ctx.finalize(mark, out.rows, out.column_names, [phase], strategy="filtered join")
+    return physical.execute_plan(ctx, PhysicalPlan(
+        select_list_node(join, query.output), "optimized", "filtered join",
+        combined_label="select+join",
+    ))
 
 
 def bloom_join(
@@ -191,117 +132,48 @@ def bloom_join(
 ) -> QueryExecution:
     """Bloom join (Section V-A2): ship the build side's key set to S3.
 
-    ``expression_limit_bytes`` exists so tests can exercise the
-    degradation ladder (Bloom -> chunked IN-list -> unfiltered scan)
-    without building megabyte key sets; production callers leave it at
-    the service's 256 KB.
+    Phase 1 (``build+bloom``) loads the build side via S3 Select and
+    constructs the hash table and the Bloom filter; phase 2
+    (``probe+join``) scans the probe side filtered at S3 — after phase 1
+    by construction, including in the degraded case, which is precisely
+    the paper's serial-scans caveat.  ``expression_limit_bytes`` exists
+    so tests can exercise the degradation ladder without building
+    megabyte key sets; production callers leave it at the service's
+    256 KB.
     """
     build = catalog.get(query.build_table)
-    probe = catalog.get(query.probe_table)
     key_type = build.schema.column(query.build_key).type
     if key_type != "int":
         raise PlanError(
             f"Bloom join requires an integer join attribute; {query.build_key!r}"
             f" is {key_type} (paper Section V-A2 limitation)"
         )
-
-    # Phase 1: build side via S3 Select; construct hash table + Bloom filter.
-    mark = ctx.begin_query()
-    build_rows, build_names = _select_side(
-        ctx, build, query.build_projection, query.build_predicate
+    probe = whole_table_select(
+        catalog.get(query.probe_table), query.probe_projection,
+        query.probe_predicate, "probe+join", bloom_attr=query.probe_key,
     )
-    key_idx = [n.lower() for n in build_names].index(query.build_key.lower())
-    keys = [row[key_idx] for row in build_rows if row[key_idx] is not None]
-
-    probe_where_parts = []
-    if query.probe_predicate is not None:
-        probe_where_parts.append(query.probe_predicate.to_sql())
-    probe_columns = (
-        query.probe_projection
-        if query.probe_projection is not None
-        else list(probe.schema.names)
+    join = HashJoinNode(
+        whole_table_select(
+            build, query.build_projection, query.build_predicate, "build+bloom"
+        ),
+        probe, query.build_key, query.probe_key, stream_probe=True,
+        bloom=BloomPushdown(
+            fpr, seed, expression_limit_bytes,
+            insert_cpu=SERVER_CPU_PER_ROW["bloom_insert"], when_empty=True,
+        ),
     )
-    base_sql = projection_sql(probe_columns, " AND ".join(probe_where_parts) or None)
-    outcome = build_bloom_filter_within_limit(
-        keys, fpr, query.probe_key, sql_overhead_bytes=len(base_sql.encode()) + 16,
-        seed=seed, limit_bytes=expression_limit_bytes,
-    )
-    bloom_cpu = len(keys) * SERVER_CPU_PER_ROW["bloom_insert"]
-    phase1 = phase_since(
-        ctx, mark, "build+bloom",
-        streams=build.partitions, server_cpu_seconds=bloom_cpu,
-        ingest=(len(build_rows), len(build_names)),
-    )
-
-    # Phase 2: probe side, filtered at S3 by the Bloom predicate.  Runs
-    # after phase 1 by construction — including in the degraded case,
-    # which is precisely the paper's serial-scans caveat.  When no Bloom
-    # filter fits the expression limit, the exact membership predicate is
-    # chunked across multiple SELECT requests (each chunk under the
-    # limit, each request metered); only when even that would take too
-    # many re-scans does the probe run unfiltered.
-    mark2 = ctx.metrics.mark()
-    degraded = outcome.bloom is None
-    num_chunks = 0
-    if degraded:
-        chunks = membership_chunks(
-            query.probe_key,
-            keys,
-            overhead_bytes=len(base_sql.encode()) + 16,
-            limit_bytes=expression_limit_bytes,
-        )
-        if chunks and len(chunks) <= MAX_MEMBERSHIP_CHUNKS:
-            num_chunks = len(chunks)
-            probe_rows, probe_names = [], []
-            for chunk in chunks:
-                where = " AND ".join(probe_where_parts + [chunk])
-                rows_part, probe_names = select_table(
-                    ctx, probe, projection_sql(probe_columns, where)
-                )
-                probe_rows.extend(rows_part)
-        else:
-            probe_rows, probe_names = select_table(ctx, probe, base_sql)
-    else:
-        bloom_pred = outcome.bloom.to_sql_predicate(query.probe_key)
-        where = " AND ".join(probe_where_parts + [bloom_pred])
-        probe_sql = projection_sql(probe_columns, where)
-        probe_rows, probe_names = select_table(ctx, probe, probe_sql)
-
-    joined = hash_join(
-        build_rows, build_names, probe_rows, probe_names,
-        query.build_key, query.probe_key,
-    )
-    out = finish_output(joined.rows, joined.column_names, query.output)
-    phase2 = phase_since(
-        ctx, mark2, "probe+join",
-        streams=probe.partitions,
-        server_cpu_seconds=joined.cpu_seconds + out.cpu_seconds,
-        ingest=(len(probe_rows), len(probe_names)),
-    )
-    details = {
+    execution = physical.execute_plan(ctx, PhysicalPlan(
+        select_list_node(join, query.output), "optimized", "bloom join"
+    ))
+    bloom = join.bloom_outcome.bloom
+    execution.details.update({
         "requested_fpr": fpr,
-        "achieved_fpr": outcome.achieved_fpr,
-        "degraded": degraded,
-        "membership_chunks": num_chunks,
-        "bloom_bits": 0 if degraded else outcome.bloom.num_bits,
-        "bloom_hashes": 0 if degraded else outcome.bloom.num_hashes,
-        "build_keys": len(keys),
-        "probe_rows_returned": len(probe_rows),
-    }
-    return ctx.finalize(
-        mark, out.rows, out.column_names, [phase1, phase2],
-        strategy="bloom join", details=details,
-    )
-
-
-def _select_side(
-    ctx: CloudContext,
-    table: TableInfo,
-    projection: list[str] | None,
-    predicate: ast.Expr | None,
-) -> tuple[list[tuple], list[str]]:
-    columns = projection if projection is not None else list(table.schema.names)
-    sql = projection_sql(columns, predicate.to_sql() if predicate is not None else None)
-    rows, names = select_table(ctx, table, sql)
-    # S3 Select names computed outputs `_N`; normalize to the requested columns.
-    return rows, columns if len(columns) == len(names) else names
+        "achieved_fpr": join.bloom_outcome.achieved_fpr,
+        "degraded": bloom is None,
+        "membership_chunks": len(join.bloom_clauses) if bloom is None else 0,
+        "bloom_bits": 0 if bloom is None else bloom.num_bits,
+        "bloom_hashes": 0 if bloom is None else bloom.num_hashes,
+        "build_keys": join.bloom_keys,
+        "probe_rows_returned": probe.actual_rows,
+    })
+    return execution

@@ -1,19 +1,13 @@
-"""Shared table-scan helpers for the pushdown strategies.
+"""Table-scan helpers under the plan nodes.
 
 Two ways to get table data onto the query node, matching the paper's two
-baselines:
-
-* :func:`get_table` — plain GETs of every partition object, parsed
-  locally ("server-side" processing);
-* :func:`select_table` — one S3 Select request per partition with a SQL
-  string ("S3-side" processing).
-
-Both are built on :func:`scan_partitions`, which fans the per-partition
-requests out over a worker pool (``workers`` knob, default serial) and
-hands back per-partition results.  :func:`iter_scan_batches` exposes the
-same scan as a stream of RecordBatches for the planner's streaming
-pipeline.  The caller wraps the metered requests into a
-:class:`~repro.cloud.metrics.Phase` via :func:`phase_since`.
+baselines: plain GETs of every partition object, decoded locally
+("server-side" processing), or one S3 Select request per partition with
+a SQL string ("S3-side" processing).  :func:`iter_scan_batches` streams
+either as RecordBatches; :func:`scan_partitions` hands back the pushed
+scan's responses partition by partition.  The caller wraps the metered
+requests into a :class:`~repro.cloud.metrics.Phase` via
+:func:`phase_since`.
 
 Concurrency never changes *what* is metered: every partition request is
 issued regardless of how results are consumed, so rows, bytes and cost
@@ -22,39 +16,18 @@ are identical for any ``workers`` setting — only wall-clock changes.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator, Sequence
+from concurrent.futures import ThreadPoolExecutor
+from itertools import chain
+from typing import Callable, Iterator, Sequence
 
 from repro.cloud.context import CloudContext
 from repro.cloud.metrics import Phase
-from repro.common.errors import ReproError
 from repro.engine.catalog import TableInfo
 from repro.s3select.engine import PreparedSelect, ScanRange
 from repro.engine.batch import Batch, rechunk_batches
-from repro.engine.operators.base import materialize
+from repro.sqlparser import ast
 from repro.storage.csvcodec import iter_decode_column_batches
 from repro.storage.parquet import ParquetFile
-
-
-@dataclass(frozen=True)
-class PartitionScan:
-    """Result of scanning one table partition (GET + parse, or S3 Select)."""
-
-    index: int
-    key: str
-    #: The partition's data as pipeline batches: a raw GET decoded
-    #: locally, or the batches of an S3 Select response.
-    batches: list[Batch]
-    #: Column names of an S3 Select response; ``None`` for raw GETs
-    #: (the table schema applies unchanged).
-    column_names: list[str] | None
-
-    @cached_property
-    def rows(self) -> list[tuple]:
-        """The partition's row tuples (materialized on first use)."""
-        return materialize(self.batches)
 
 
 def _decode_partition(
@@ -73,81 +46,80 @@ def _decode_partition(
     return ParquetFile(data).iter_batches(columns, batch_size=batch_size)
 
 
-def _resolve_workers(ctx: CloudContext, workers: int | None) -> int:
-    if workers is None:
-        workers = ctx.workers
-    if workers is None:
-        return 1
-    return max(1, int(workers))
+def decoded_columns(
+    table: TableInfo, needed: Sequence[str], predicate: ast.Expr | None = None
+) -> list[str]:
+    """What a GET scan decodes, in schema order: the columns the plan
+    above it reads (``needed``, its pushdown twin's projection) plus
+    those a local ``predicate`` reads."""
+    wanted = {c.lower() for c in needed}
+    if predicate is not None:
+        wanted |= {c.lower() for c in ast.referenced_columns(predicate)}
+    return [n for n in table.schema.names if n.lower() in wanted]
+
+
+def _partition_keys(table: TableInfo, partitions: Sequence[int] | None) -> list[str]:
+    if partitions is None:
+        return list(table.keys)
+    return [table.keys[i] for i in partitions]
+
+
+def _fan_out(
+    ctx: CloudContext,
+    workers: int | None,
+    request: Callable[[str], object],
+    keys: list[str],
+) -> list:
+    """``request(key)`` per partition object: the results in order, issued
+    by up to ``workers`` threads (``None``: ``ctx.workers``, by default
+    serial)."""
+    workers = ctx.workers if workers is None else workers
+    if workers is None or workers <= 1 or len(keys) <= 1:
+        return [request(key) for key in keys]
+    with ThreadPoolExecutor(max_workers=min(int(workers), len(keys))) as pool:
+        return list(pool.map(request, keys))
 
 
 def scan_partitions(
     ctx: CloudContext,
     table: TableInfo,
-    sql: str | None = None,
+    sql: str,
     *,
     workers: int | None = None,
     scan_range_fraction: float | None = None,
-    ordered: bool = True,
     partitions: Sequence[int] | None = None,
-) -> Iterator[PartitionScan]:
-    """Scan ``table``'s partitions, optionally concurrently.
+) -> list[list[Batch]]:
+    """Push ``sql`` to ``table``'s partitions; each response's batches,
+    in partition order.
 
     Args:
-        sql: S3 Select SQL to push per partition; ``None`` issues plain
-            GETs and parses locally.
         workers: concurrent partition requests.  ``None`` falls back to
             ``ctx.workers`` (default serial).  Concurrency affects
             wall-clock only, never the metered requests, rows, or cost.
         scan_range_fraction: scan only the leading fraction of each
             partition (sampling phases; S3 bills just the range).
-        ordered: yield results in partition order (deterministic row
-            order for callers that concatenate).  ``False`` yields in
-            completion order.
         partitions: partition indices to scan; ``None`` scans them all.
             Zone-map pruning passes the surviving subset here — skipped
             partitions issue *no* request, so pruning cuts the metered
             request count, not just bytes.
     """
-    workers = _resolve_workers(ctx, workers)
-    if partitions is None:
-        items = list(enumerate(table.keys))
-    else:
-        items = [(i, table.keys[i]) for i in partitions]
-    # One statement for the whole scan, prepared only if a partition is
-    # actually requested: bad SQL raises before any request is metered,
-    # and a fully pruned scan never looks at its SQL.
-    statement = PreparedSelect(sql) if sql is not None and items else None
+    keys = _partition_keys(table, partitions)
+    if not keys:
+        return []  # a fully pruned scan never looks at its SQL
+    # One statement for the whole scan: bad SQL raises before any
+    # request is metered.
+    statement = PreparedSelect(sql)
 
-    def scan_one(index: int, key: str) -> PartitionScan:
-        if statement is None:
-            data = ctx.client.get_object(table.bucket, key)
-            batches = list(_decode_partition(table, data, ctx.batch_size))
-            return PartitionScan(
-                index=index, key=key, batches=batches, column_names=None
-            )
+    def select(key: str) -> list[Batch]:
         scan_range = None
         if scan_range_fraction is not None:
             size = ctx.store.object_size(table.bucket, key)
-            end = max(1, int(size * scan_range_fraction))
-            scan_range = ScanRange(start=0, end=end)
-        result = ctx.client.select_object_content(
+            scan_range = ScanRange(start=0, end=max(1, int(size * scan_range_fraction)))
+        return ctx.client.select_object_content(
             table.bucket, key, statement, scan_range=scan_range
-        )
-        return PartitionScan(
-            index=index,
-            key=key,
-            batches=result.batches,
-            column_names=result.column_names,
-        )
+        ).batches
 
-    if workers <= 1 or len(items) <= 1:
-        return iter([scan_one(i, k) for i, k in items])
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        futures = [pool.submit(scan_one, i, k) for i, k in items]
-        ordering = futures if ordered else as_completed(futures)
-        results = [f.result() for f in ordering]
-    return iter(results)
+    return _fan_out(ctx, workers, select, keys)
 
 
 def iter_scan_batches(
@@ -165,114 +137,30 @@ def iter_scan_batches(
 
     The per-partition requests are issued eagerly (so request/byte
     accounting is independent of how far the stream is consumed); for
-    plain GETs the *decoding* is lazy, so a downstream LIMIT that stops
-    pulling never parses the remaining bytes, and only ``columns``
-    (default: the whole schema) are decoded — a GET still transfers
-    every byte.  A pushed scan's projection is its ``sql``.
+    plain GETs (``sql=None``) the *decoding* is lazy, so a downstream
+    LIMIT that stops pulling never parses the remaining bytes, and only
+    ``columns`` (default: the whole schema) are decoded — a GET still
+    transfers every byte.  A pushed scan's projection is its ``sql``.
     """
     if batch_size is None:
         batch_size = ctx.batch_size
     if sql is None:
-        return _iter_get_batches(
-            ctx, table, workers=workers, batch_size=batch_size,
-            partitions=partitions, columns=columns,
+        payloads = _fan_out(
+            ctx, workers, lambda key: ctx.client.get_object(table.bucket, key),
+            _partition_keys(table, partitions),
         )
-    scans = scan_partitions(
+        return (
+            batch
+            for data in payloads
+            for batch in _decode_partition(table, data, batch_size, columns)
+        )
+    responses = scan_partitions(
         ctx, table, sql, workers=workers, scan_range_fraction=scan_range_fraction,
         partitions=partitions,
     )
     # Only the batch boundaries of the responses are re-cut (ingest
     # accounting under LIMIT counts whole batches).
-    return rechunk_batches(
-        (batch for scan in scans for batch in scan.batches), batch_size
-    )
-
-
-def _iter_get_batches(
-    ctx: CloudContext,
-    table: TableInfo,
-    workers: int | None,
-    batch_size: int,
-    partitions: Sequence[int] | None = None,
-    columns: Sequence[str] | None = None,
-) -> Iterator[Batch]:
-    """GET the partitions (metered, possibly concurrent), decode lazily."""
-    workers = _resolve_workers(ctx, workers)
-    if partitions is None:
-        keys = list(table.keys)
-    else:
-        keys = [table.keys[i] for i in partitions]
-    if workers <= 1 or len(keys) <= 1:
-        payloads = [ctx.client.get_object(table.bucket, k) for k in keys]
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, len(keys))) as pool:
-            payloads = list(
-                pool.map(lambda k: ctx.client.get_object(table.bucket, k), keys)
-            )
-
-    return (
-        batch
-        for data in payloads
-        for batch in _decode_partition(table, data, batch_size, columns)
-    )
-
-
-def get_table(
-    ctx: CloudContext, table: TableInfo, workers: int | None = None
-) -> list[tuple]:
-    """Load every partition with plain GETs and parse locally."""
-    rows: list[tuple] = []
-    for scan in scan_partitions(ctx, table, workers=workers):
-        rows.extend(scan.rows)
-    return rows
-
-
-def _merge_names(names: list[str], scan: PartitionScan) -> list[str]:
-    """Adopt the first partition's column names; insist the rest agree."""
-    if not scan.column_names:
-        return names
-    if not names:
-        return scan.column_names
-    if scan.column_names != names:
-        raise ReproError(
-            f"partition {scan.key!r} returned columns {scan.column_names},"
-            f" expected {names}"
-        )
-    return names
-
-
-def select_table(
-    ctx: CloudContext,
-    table: TableInfo,
-    sql: str,
-    scan_range_fraction: float | None = None,
-    workers: int | None = None,
-    partitions: Sequence[int] | None = None,
-) -> tuple[list[tuple], list[str]]:
-    """Run one S3 Select per (surviving) partition; concatenate results.
-
-    Column names come from the first partition's response (they are a
-    function of the query and schema, so an empty trailing partition can
-    no longer blank them out) and are asserted consistent across
-    partitions.
-
-    Args:
-        scan_range_fraction: if given, scan only the leading fraction of
-            each partition (used by sampling phases; S3 bills just the
-            range scanned).
-        workers: concurrent partition requests (default ``ctx.workers``).
-        partitions: partition indices to request (zone-map pruning's
-            surviving subset); ``None`` selects every partition.
-    """
-    rows: list[tuple] = []
-    names: list[str] = []
-    for scan in scan_partitions(
-        ctx, table, sql, workers=workers, scan_range_fraction=scan_range_fraction,
-        partitions=partitions,
-    ):
-        rows.extend(scan.rows)
-        names = _merge_names(names, scan)
-    return rows, names
+    return rechunk_batches(chain.from_iterable(responses), batch_size)
 
 
 def select_aggregate(
@@ -281,7 +169,7 @@ def select_aggregate(
     sql: str,
     workers: int | None = None,
     partitions: Sequence[int] | None = None,
-) -> tuple[list[list[object]], list[str]]:
+) -> list[list[object]]:
     """Run an aggregate-only select per partition, keeping partials apart.
 
     Each partition returns exactly one row of partial aggregates; the
@@ -291,30 +179,33 @@ def select_aggregate(
     because its refuted rows would only have produced NULL/zero
     partials.
     """
-    partials: list[list[object]] = []
-    names: list[str] = []
-    for scan in scan_partitions(ctx, table, sql, workers=workers,
-                                partitions=partitions):
-        if scan.rows:
-            partials.append(list(scan.rows[0]))
-        names = _merge_names(names, scan)
-    return partials, names
+    partials = (
+        next((row for batch in batches for row in batch), None)
+        for batches in scan_partitions(
+            ctx, table, sql, workers=workers, partitions=partitions
+        )
+    )
+    return [list(row) for row in partials if row is not None]
+
+
+def merge_partial(func: str, a, b):
+    """Combine two partials of one pushed aggregate column (``func``
+    upper-case; AVG travels as a sum and a count, both additive).  A
+    NULL partial (an empty partition) is skipped, as SQL aggregates do."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    if func in ("SUM", "COUNT", "AVG"):
+        return a + b
+    return min(a, b) if func == "MIN" else max(a, b)
 
 
 def merge_sum_partials(partials: list[list[object]]) -> list[object]:
-    """Merge per-partition SUM/COUNT rows by element-wise addition.
-
-    NULL partials (empty partitions) are skipped, matching SQL SUM
-    semantics.
-    """
-    if not partials:
-        return []
-    merged: list[object] = list(partials[0])
+    """Merge per-partition SUM/COUNT rows by element-wise addition."""
+    merged: list[object] = list(partials[0]) if partials else []
     for row in partials[1:]:
-        for i, value in enumerate(row):
-            if value is None:
-                continue
-            merged[i] = value if merged[i] is None else merged[i] + value
+        merged = [merge_partial("SUM", a, b) for a, b in zip(merged, row)]
     return merged
 
 
@@ -325,7 +216,6 @@ def phase_since(
     streams: int | None = None,
     server_cpu_seconds: float = 0.0,
     ingest: tuple[int, int] | None = None,
-    workers: int | None = None,
 ) -> Phase:
     """Bundle all requests issued since ``mark`` into one phase.
 
@@ -333,9 +223,6 @@ def phase_since(
         ingest: ``(records, columns)`` the query node materializes from
             this phase's responses; the performance model charges
             per-record and per-field parse time for them.
-        workers: bound the modeled stream concurrency of the phase
-            (see :class:`~repro.cloud.metrics.Phase`).  ``None`` keeps
-            the fully overlapped model.
     """
     records, columns = ingest if ingest is not None else (0, 0)
     return Phase.from_records(
@@ -345,7 +232,6 @@ def phase_since(
         server_cpu_seconds=server_cpu_seconds,
         server_records=records,
         server_fields=records * columns,
-        workers=workers,
     )
 
 

@@ -1,4 +1,4 @@
-"""The paper's top-K strategies (Section VII).
+"""The paper's top-K strategies (Section VII), as plan constructors.
 
 * **server-side top-K** — GET the whole table, heap-select locally;
 * **sampling-based top-K** — phase 1 samples ``S`` records (projected to
@@ -10,6 +10,9 @@ The optimal sample size minimizing bytes moved is ``S* = sqrt(K*N/alpha)``
 where ``alpha`` is the fraction of row bytes the ORDER BY expression
 needs (Section VII-B); :func:`optimal_sample_size` implements it and the
 Figure 8 experiment sweeps around it.
+
+Both are a scan under a :class:`~repro.planner.physical.TopKNode`; the
+sampling variant's scan first samples its own threshold predicate.
 """
 
 from __future__ import annotations
@@ -20,14 +23,10 @@ from dataclasses import dataclass
 from repro.cloud.context import CloudContext, QueryExecution
 from repro.common.errors import PlanError
 from repro.engine.catalog import Catalog, TableInfo
-from repro.engine.operators.topk import top_k
+from repro.planner import physical
+from repro.planner.physical import PhysicalPlan, ScanNode, TopKNode
 from repro.sqlparser import ast
-from repro.strategies.scans import (
-    get_table,
-    phase_since,
-    projection_sql,
-    select_table,
-)
+from repro.strategies.scans import iter_scan_batches, phase_since, projection_sql
 
 
 @dataclass
@@ -87,18 +86,82 @@ def server_side_top_k(
 ) -> QueryExecution:
     """Load everything; heap-select K locally."""
     table = catalog.get(query.table)
-    mark = ctx.begin_query()
-    rows = get_table(ctx, table)
-    selected = top_k(rows, table.schema.names, query.order_items(), query.k)
-    phase = phase_since(
-        ctx, mark, "load+topk",
-        streams=table.partitions, server_cpu_seconds=selected.cpu_seconds,
-        ingest=(len(rows), len(table.schema)),
+    scan = ScanNode(
+        table, table.schema.names, None, pushdown=False, phase_label="load+topk"
     )
-    return ctx.finalize(
-        mark, selected.rows, selected.column_names, [phase],
-        strategy="server-side top-k",
+    root = TopKNode(scan, query.order_items(), query.k)
+    return physical.execute_plan(
+        ctx, PhysicalPlan(root, "baseline", "server-side top-k")
     )
+
+
+class SampledThresholdScan(ScanNode):
+    """Leaf: a pushed scan (``scan``) of the rows at or past a threshold
+    it samples first (``sample``), Section VII-A.
+
+    The sample is the leading fraction of each partition, projected to
+    the ORDER BY column.  (The paper assumes either random row order or
+    random byte-range sampling; our generators emit rows in random
+    order, so a prefix is a uniform sample.)  Its K-th order statistic
+    guarantees at least K rows pass the pushed predicate, because the K
+    sampled records at or below it are themselves in the table.
+    """
+
+    def __init__(self, table: TableInfo, query: TopKQuery, sample_size: int):
+        super().__init__(
+            table, table.schema.names, None, pushdown=True,
+            phase_label="scan", prune=False,
+        )
+        self.query = query
+        self.sample_size = sample_size
+
+    def describe(self) -> str:
+        return f"sampled[{self.sample_size}] {super().describe()}"
+
+    def run(self, state: physical.ExecState, pushed=None):
+        ctx, table, query = state.ctx, self.table, self.query
+        mark = ctx.metrics.mark()
+        sample = [
+            value
+            for batch in iter_scan_batches(
+                ctx, table, projection_sql([query.order_column]),
+                scan_range_fraction=min(1.0, self.sample_size / table.num_rows),
+            )
+            for value in batch.column(0)
+        ]
+        values = sorted(
+            (v for v in sample if v is not None), reverse=query.descending
+        )
+        # A sample that came up short (tiny tables) keeps everything.
+        threshold = values[-1] if values else None
+        if len(values) >= query.k:
+            threshold = values[query.k - 1]
+            self.predicate = self._at_or_past(threshold)
+        state.phases.append(phase_since(
+            ctx, mark, "sample", streams=table.partitions,
+            server_cpu_seconds=len(sample) * math.log2(max(len(sample), 2)) * 6e-9,
+            ingest=(len(sample), 1),
+        ))
+        self.details = {"sample_size": self.sample_size, "threshold": threshold}
+        return super().run(state)
+
+    def _at_or_past(self, threshold) -> ast.Expr:
+        """The pushed range predicate.  Inclusive in both directions, so
+        duplicates *at* the K-th order statistic survive the pushdown — a
+        strict comparison could return fewer than K rows when the
+        threshold value is tied.  Ascending order additionally keeps
+        NULL keys: the local top-K operator sorts NULLs first, so they
+        are part of the true result and must not be dropped by the
+        pushed predicate (NULL compares as unknown and would be filtered
+        out).  Descending order sorts NULLs last; they can only matter
+        when the sample came up short, which scans unfiltered."""
+        column = ast.Column(self.query.order_column)
+        if self.query.descending:
+            return ast.Binary(">=", column, ast.Literal(threshold))
+        return ast.Binary(
+            "OR", ast.Binary("<=", column, ast.Literal(threshold)),
+            ast.IsNull(column),
+        )
 
 
 def sampling_top_k(
@@ -115,10 +178,6 @@ def sampling_top_k(
             optimum ``sqrt(K*N/alpha)``.
         alpha: ORDER BY bytes fraction; defaults to a column-count
             estimate.
-
-    The threshold (the K-th order statistic of the sample) guarantees at
-    least K rows pass phase 2's pushed predicate, because the K sampled
-    records at or below it are themselves in the table.
     """
     table = catalog.get(query.table)
     if query.k > table.num_rows:
@@ -131,70 +190,16 @@ def sampling_top_k(
     if sample_size is None:
         sample_size = optimal_sample_size(query.k, table.num_rows, alpha)
     sample_size = max(min(sample_size, table.num_rows), min(query.k, table.num_rows))
-
-    # Phase 1: sample the leading fraction of each partition, projected
-    # to the ORDER BY column.  (The paper assumes either random row order
-    # or random byte-range sampling; our generators emit rows in random
-    # order, so a prefix is a uniform sample.)
-    fraction = min(1.0, sample_size / table.num_rows)
-    mark = ctx.begin_query()
-    sample_rows, _ = select_table(
-        ctx,
-        table,
-        projection_sql([query.order_column]),
-        scan_range_fraction=fraction,
+    scan = SampledThresholdScan(table, query, sample_size)
+    root = TopKNode(scan, query.order_items(), query.k)
+    execution = physical.execute_plan(
+        ctx, PhysicalPlan(root, "optimized", "sampling top-k")
     )
-    values = sorted(
-        (row[0] for row in sample_rows if row[0] is not None),
-        reverse=query.descending,
+    sample_phase, scan_phase = execution.phases
+    execution.details.update(
+        alpha=alpha,
+        phase2_rows=scan.actual_rows,
+        sample_seconds=ctx.perf.phase_time(sample_phase),
+        scan_seconds=ctx.perf.phase_time(scan_phase),
     )
-    if len(values) < query.k:
-        # Sample came up short (tiny tables): keep everything in phase 2.
-        threshold = values[-1] if values else None
-        unbounded = True
-    else:
-        threshold = values[query.k - 1]
-        unbounded = False
-    cpu1 = len(sample_rows) * math.log2(max(len(sample_rows), 2)) * 6e-9
-    phase1 = phase_since(
-        ctx, mark, "sample", streams=table.partitions,
-        server_cpu_seconds=cpu1, ingest=(len(sample_rows), 1),
-    )
-
-    # Phase 2: pushed range scan; only rows at or below (above, for DESC)
-    # the threshold come back.  The comparison is inclusive in both
-    # directions so duplicates *at* the K-th order statistic survive the
-    # pushdown — a strict comparison could return fewer than K rows when
-    # the threshold value is tied.  Ascending order additionally keeps
-    # NULL keys: the local top-K operator sorts NULLs first, so they are
-    # part of the true result and must not be dropped by the pushed
-    # predicate (NULL compares as unknown and would be filtered out).
-    # Descending order sorts NULLs last; they can only matter when the
-    # sample came up short, which takes the unbounded full-scan path.
-    mark2 = ctx.metrics.mark()
-    if unbounded or threshold is None:
-        where = None
-    else:
-        op = ">=" if query.descending else "<="
-        where = f"{query.order_column} {op} {ast.Literal(threshold).to_sql()}"
-        if not query.descending:
-            where = f"({where} OR {query.order_column} IS NULL)"
-    scan_rows, _ = select_table(ctx, table, projection_sql(list(table.schema.names), where))
-    selected = top_k(scan_rows, table.schema.names, query.order_items(), query.k)
-    phase2 = phase_since(
-        ctx, mark2, "scan", streams=table.partitions,
-        server_cpu_seconds=selected.cpu_seconds,
-        ingest=(len(scan_rows), len(table.schema)),
-    )
-    details = {
-        "sample_size": sample_size,
-        "alpha": alpha,
-        "threshold": threshold,
-        "phase2_rows": len(scan_rows),
-        "sample_seconds": ctx.perf.phase_time(phase1),
-        "scan_seconds": ctx.perf.phase_time(phase2),
-    }
-    return ctx.finalize(
-        mark, selected.rows, selected.column_names, [phase1, phase2],
-        strategy="sampling top-k", details=details,
-    )
+    return execution

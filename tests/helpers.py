@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.engine.batch import Batch
 from repro.storage.csvcodec import iter_records
 
 
@@ -39,3 +40,8 @@ def decode_rows(data, schema, has_header=False):
     if has_header:
         next(records, None)
     return [schema.parse_row(record) for record in records]
+
+
+def one_batch(rows, names):
+    """``rows`` as the one-batch stream a ``*_batches`` operator takes."""
+    return [Batch.from_rows(list(rows), len(names))]

@@ -1,13 +1,17 @@
 """Tests for the four group-by strategies (paper Section VI)."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import approx_rows
 from repro.cloud.context import CloudContext
 from repro.common.errors import PlanError
 from repro.engine.catalog import Catalog, load_table
 from repro.sqlparser.parser import parse_expression
+from repro.storage.schema import TableSchema
 from repro.strategies import groupby as gb
+from repro.strategies.extensions import partial_pushdown_group_by
 from repro.strategies.groupby import (
     AggSpec,
     GroupByQuery,
@@ -211,3 +215,71 @@ class TestAggSpec:
     def test_unknown_func_rejected(self):
         with pytest.raises(PlanError):
             AggSpec("median", "v0")
+
+    def test_expression_parsed_once_per_spec(self):
+        spec = AggSpec("sum", "a * (1 - b)")
+        assert spec.parsed_expr is spec.parsed_expr
+        assert spec.to_select_item().expr.operand is spec.parsed_expr
+
+
+# ----------------------------------------------------------------------
+# NULL group keys: every runner, against a plain-Python reference
+# ----------------------------------------------------------------------
+
+NULLABLE_SCHEMA = TableSchema.of("g:int", "v:int")
+NULL_AGGS = [
+    AggSpec("sum", "v", "s"), AggSpec("count", "1", "n"),
+    AggSpec("min", "v", "lo"), AggSpec("avg", "v", "mean"),
+]
+
+
+def _reference_groups(rows, keep):
+    groups: dict = {}
+    for g, v in rows:
+        if keep(v):
+            groups.setdefault(g, []).append(v)
+    return sorted(
+        ((g, sum(vs), len(vs), min(vs), sum(vs) / len(vs)) for g, vs in groups.items()),
+        key=repr,
+    )
+
+
+def _skewed_to(key, n=40):
+    """``n`` rows, most of them under ``key``, the rest spread over 1..3."""
+    return [(key if i % 4 else 1 + i % 3, i) for i in range(n)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.sampled_from([None, None, 1, 2, 3]), st.integers(0, 99)),
+        min_size=1, max_size=40,
+    ),
+    with_predicate=st.booleans(),
+    s3_groups=st.integers(0, 4),
+)
+@example(rows=_skewed_to(None), with_predicate=False, s3_groups=2)   # populous, pushed
+@example(rows=_skewed_to(None), with_predicate=True, s3_groups=1)    # NULL the only head
+@example(rows=_skewed_to(2) + [(None, 7)], with_predicate=False, s3_groups=2)  # rare: tail
+@example(rows=_skewed_to(2) + [(None, 7)], with_predicate=True, s3_groups=0)
+@example(rows=_skewed_to(2), with_predicate=False, s3_groups=2)      # absent
+def test_null_group_keys_survive_every_strategy(rows, with_predicate, s3_groups):
+    ctx, catalog = CloudContext(), Catalog()
+    load_table(ctx, catalog, "t", rows, NULLABLE_SCHEMA, bucket="nulls", partitions=3)
+    query = GroupByQuery(
+        table="t", group_columns=["g"], aggregates=NULL_AGGS,
+        predicate=parse_expression("v < 60") if with_predicate else None,
+    )
+    expected = _reference_groups(rows, (lambda v: v < 60) if with_predicate else bool_true)
+    assert sorted(server_side_group_by(ctx, catalog, query).rows, key=repr) == expected
+    for fn in (filtered_group_by, s3_side_group_by, partial_pushdown_group_by):
+        assert sorted(fn(ctx, catalog, query).rows, key=repr) == expected, fn.__name__
+    hybrid = hybrid_group_by(
+        ctx, catalog, query, sample_fraction=1.0, s3_groups=s3_groups
+    )
+    assert sorted(hybrid.rows, key=repr) == expected
+    assert hybrid.details["large_groups"] <= s3_groups
+
+
+def bool_true(_value) -> bool:
+    return True

@@ -189,3 +189,60 @@ class TestAccountingShapes:
         ctx, catalog = tpch_env
         execution = filtered_join(ctx, catalog, join_query())
         assert len(execution.phases) == 1  # parallel scans, one phase
+
+
+class TestSqlJoinsShareTheLadder:
+    """The degradation ladder lives on the plan's join node, so SQL joins
+    walk it too (they only never reach the lower rungs at 256 KB)."""
+
+    SQL = (
+        "SELECT o_custkey, o_totalprice FROM customer, orders"
+        " WHERE c_custkey = o_custkey AND c_acctbal <= 0"
+    )
+
+    def test_sql_join_forced_into_chunked_in_lists(self, tpch_env, tpch_rows):
+        import sqlite3
+        from dataclasses import replace
+
+        from repro.planner import physical
+        from repro.planner.planner import build_plan
+        from repro.sqlparser.parser import parse
+        from repro.workloads.tpch import TABLE_SCHEMAS
+
+        ctx, catalog = tpch_env
+        plan = build_plan(ctx, catalog, parse(self.SQL), "optimized")
+        (join,) = (
+            n for n in physical.walk_plan(plan.root)
+            if isinstance(n, physical.HashJoinNode)
+        )
+        assert join.bloom is not None and join.probe.table.name == "orders"
+        join.bloom = replace(join.bloom, limit_bytes=130)
+        mark = ctx.metrics.mark()
+        execution = physical.execute_plan(ctx, plan)
+        records = ctx.metrics.records_since(mark)
+
+        assert join.bloom_outcome.bloom is None  # no filter fits 130 bytes
+        chunks = len(join.bloom_clauses)
+        assert 1 < chunks <= 16
+        assert all(c.startswith("o_custkey IN (") for c in join.bloom_clauses)
+        # Every chunk re-scans every probe partition, and is metered.
+        partitions = {n: catalog.get(n).partitions for n in ("customer", "orders")}
+        assert len(records) == execution.num_requests == (
+            partitions["customer"] - join.build.pruned_partitions
+            + chunks * partitions["orders"]
+        )
+        assert sum(
+            r.bytes_scanned for r in records if r.key.startswith("orders/")
+        ) == chunks * catalog.get("orders").total_bytes
+        assert len(execution.phases[-1].streams) == partitions["orders"]
+
+        oracle = sqlite3.connect(":memory:")
+        for name in ("customer", "orders"):
+            columns = TABLE_SCHEMAS[name].names
+            oracle.execute(f"CREATE TABLE {name} ({', '.join(columns)})")
+            oracle.executemany(
+                f"INSERT INTO {name} VALUES ({', '.join('?' * len(columns))})",
+                tpch_rows[name],
+            )
+        assert_rows_close(execution.rows, oracle.execute(self.SQL).fetchall())
+        oracle.close()

@@ -1,20 +1,21 @@
-"""Tests for the local query-node operators, through their row-list
-adapters, against hand-computed rows and naive Python references."""
+"""Tests for the local query-node operators, fed one batch each, against
+hand-computed rows and naive Python references."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import one_batch
 from repro.common.errors import PlanError
 from repro.engine.batch import Batch
-from repro.engine.operators.base import materialize
-from repro.engine.operators.filter import filter_rows
-from repro.engine.operators.groupby import group_by_aggregate
-from repro.engine.operators.hashjoin import hash_join
+from repro.engine.operators.base import CpuTally, materialize
+from repro.engine.operators.filter import filter_batches
+from repro.engine.operators.groupby import group_by_batches
+from repro.engine.operators.hashjoin import hash_join_batches
 from repro.engine.operators.limit import limit_batches
-from repro.engine.operators.project import project, project_columns
-from repro.engine.operators.sort import SortKey, sort_rows
-from repro.engine.operators.topk import top_k
+from repro.engine.operators.project import project_batches, projected_names
+from repro.engine.operators.sort import SortKey, sort_batches
+from repro.engine.operators.topk import top_k_batches
 from repro.queries.common import items
 from repro.sqlparser import ast
 from repro.sqlparser.parser import parse_expression
@@ -28,31 +29,61 @@ ROWS = [
 ]
 
 
+def project(rows, names, select_items):
+    out = materialize(project_batches(one_batch(rows, names), names, select_items))
+    return out, projected_names(names, select_items)
+
+
+def filter_rows(rows, names, predicate, tally=None):
+    return materialize(filter_batches(one_batch(rows, names), names, predicate, tally))
+
+
+def hash_join(build, build_names, probe, probe_names, build_key, probe_key):
+    names, joined = hash_join_batches(
+        build, build_names, one_batch(probe, probe_names), probe_names,
+        build_key, probe_key,
+    )
+    return materialize(joined), names
+
+
+def group_by(rows, names, group_exprs, agg_items):
+    return group_by_batches(one_batch(rows, names), names, group_exprs, agg_items)
+
+
+def sort_rows(rows, names, order):
+    return sort_batches(one_batch(rows, names), names, order).rows
+
+
+def top_k(rows, names, order, k):
+    return top_k_batches(one_batch(rows, names), names, order, k).rows
+
+
 class TestProjectAndFilter:
     def test_project_columns(self):
-        out = project_columns(ROWS, NAMES, ["tag", "k"])
-        assert out.rows[0] == ("c", 3)
-        assert out.column_names == ["tag", "k"]
+        rows, names = project(ROWS, NAMES, items("tag", "k"))
+        assert rows[0] == ("c", 3)
+        assert names == ["tag", "k"]
 
     def test_project_expressions(self):
-        out = project(ROWS, NAMES, items("k * 10 AS k10", "v"))
-        assert out.column_names == ["k10", "v"]
-        assert out.rows[0] == (30, 30.0)
+        rows, names = project(ROWS, NAMES, items("k * 10 AS k10", "v"))
+        assert names == ["k10", "v"]
+        assert rows[0] == (30, 30.0)
 
     def test_project_star_expands(self):
-        out = project(ROWS, NAMES, [ast.SelectItem(expr=ast.Star())])
-        assert out.column_names == NAMES
-        assert out.rows == ROWS
+        rows, names = project(ROWS, NAMES, [ast.SelectItem(expr=ast.Star())])
+        assert names == NAMES
+        assert rows == ROWS
 
     def test_filter(self):
-        out = filter_rows(ROWS, NAMES, parse_expression("k = 2"))
-        assert len(out.rows) == 2
+        assert len(filter_rows(ROWS, NAMES, parse_expression("k = 2"))) == 2
 
     def test_filter_none_predicate_passes_all(self):
-        assert filter_rows(ROWS, NAMES, None).rows == ROWS
+        assert filter_rows(ROWS, NAMES, None) == ROWS
 
     def test_cpu_estimates_nonzero(self):
-        assert filter_rows(ROWS, NAMES, parse_expression("k = 1")).cpu_seconds > 0
+        tally = CpuTally()
+        filter_rows(ROWS, NAMES, parse_expression("k = 1"), tally)
+        assert tally.seconds > 0
 
 
 class TestHashJoin:
@@ -60,24 +91,26 @@ class TestHashJoin:
     PROBE = [(10, 1), (20, 1), (30, 2), (40, 9)]
 
     def test_inner_join(self):
-        out = hash_join(self.BUILD, ["id", "name"], self.PROBE, ["amt", "fk"], "id", "fk")
-        assert out.column_names == ["id", "name", "amt", "fk"]
-        assert sorted(out.rows) == [
+        rows, names = hash_join(
+            self.BUILD, ["id", "name"], self.PROBE, ["amt", "fk"], "id", "fk"
+        )
+        assert names == ["id", "name", "amt", "fk"]
+        assert sorted(rows) == [
             (1, "x", 10, 1), (1, "x", 20, 1), (2, "y", 30, 2),
         ]
 
     def test_duplicate_build_keys_multiply(self):
-        out = hash_join(
+        rows, _ = hash_join(
             [(1, "a"), (1, "b")], ["id", "name"],
             [(5, 1)], ["amt", "fk"], "id", "fk",
         )
-        assert len(out.rows) == 2
+        assert len(rows) == 2
 
     def test_null_keys_never_match(self):
-        out = hash_join(
+        rows, _ = hash_join(
             [(None, "a")], ["id", "name"], [(5, None)], ["amt", "fk"], "id", "fk"
         )
-        assert out.rows == []
+        assert rows == []
 
     def test_name_collision_rejected(self):
         with pytest.raises(PlanError):
@@ -90,31 +123,31 @@ class TestHashJoin:
 
 class TestGroupBy:
     def test_single_group_column(self):
-        out = group_by_aggregate(
+        out = group_by(
             ROWS, NAMES, [ast.Column("k")], items("SUM(v) AS total", "COUNT(*) AS n")
         )
         as_dict = {r[0]: (r[1], r[2]) for r in out.rows}
         assert as_dict == {3: (30.0, 1), 1: (10.0, 1), 2: (45.0, 2)}
 
     def test_empty_group_list_is_global_aggregate(self):
-        out = group_by_aggregate(ROWS, NAMES, (), items("SUM(v) AS t"))
+        out = group_by(ROWS, NAMES, (), items("SUM(v) AS t"))
         assert out.rows == [(85.0,)]
 
     def test_compound_aggregate_item(self):
-        out = group_by_aggregate(
+        out = group_by(
             ROWS, NAMES, [ast.Column("tag")], items("SUM(v) / COUNT(v) AS avg_v")
         )
         as_dict = dict(out.rows)
         assert as_dict["b"] == 22.5
 
     def test_group_expression(self):
-        out = group_by_aggregate(
+        out = group_by(
             ROWS, NAMES, [parse_expression("k % 2")], items("COUNT(*) AS n")
         )
         assert dict(out.rows) == {1: 2, 0: 2}
 
     def test_output_names(self):
-        out = group_by_aggregate(
+        out = group_by(
             ROWS, NAMES, [ast.Column("k")], items("SUM(v) AS total")
         )
         assert out.column_names == ["k", "total"]
@@ -123,7 +156,7 @@ class TestGroupBy:
 class TestSortAndTopK:
     def test_sort_ascending(self):
         out = sort_rows(ROWS, NAMES, [ast.OrderItem(expr=ast.Column("k"))])
-        assert [r[0] for r in out.rows] == [1, 2, 2, 3]
+        assert [r[0] for r in out] == [1, 2, 2, 3]
 
     def test_sort_mixed_directions(self):
         order = [
@@ -131,21 +164,21 @@ class TestSortAndTopK:
             ast.OrderItem(expr=ast.Column("v")),
         ]
         out = sort_rows(ROWS, NAMES, order)
-        assert [(r[0], r[1]) for r in out.rows] == [
+        assert [(r[0], r[1]) for r in out] == [
             (3, 30.0), (2, 20.0), (2, 25.0), (1, 10.0),
         ]
 
     def test_sort_nulls_first_ascending(self):
         rows = [(2,), (None,), (1,)]
         out = sort_rows(rows, ["x"], [ast.OrderItem(expr=ast.Column("x"))])
-        assert [r[0] for r in out.rows] == [None, 1, 2]
+        assert [r[0] for r in out] == [None, 1, 2]
 
     def test_sort_nulls_last_descending(self):
         rows = [(2,), (None,), (1,)]
         out = sort_rows(
             rows, ["x"], [ast.OrderItem(expr=ast.Column("x"), descending=True)]
         )
-        assert [r[0] for r in out.rows] == [2, 1, None]
+        assert [r[0] for r in out] == [2, 1, None]
 
     def test_sortkey_equality(self):
         assert SortKey(1, False) == SortKey(1, True)
@@ -154,12 +187,12 @@ class TestSortAndTopK:
 
     def test_top_k_matches_sort_prefix(self):
         order = [ast.OrderItem(expr=ast.Column("v"))]
-        full = sort_rows(ROWS, NAMES, order).rows
-        assert top_k(ROWS, NAMES, order, 2).rows == full[:2]
+        full = sort_rows(ROWS, NAMES, order)
+        assert top_k(ROWS, NAMES, order, 2) == full[:2]
 
     def test_top_k_beyond_size(self):
         order = [ast.OrderItem(expr=ast.Column("v"))]
-        assert len(top_k(ROWS, NAMES, order, 99).rows) == len(ROWS)
+        assert len(top_k(ROWS, NAMES, order, 99)) == len(ROWS)
 
     def test_top_k_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -188,8 +221,8 @@ def test_property_topk_equals_sorted_prefix(rows, k, descending):
     order = [ast.OrderItem(expr=ast.Column("b"), descending=descending)]
     expected = sorted(rows, key=lambda r: r[1], reverse=descending)[:k]
     # Stable both ways: ties keep arrival order (a reversed sort does too).
-    assert top_k(rows, names, order, k).rows == expected
-    assert sort_rows(rows, names, order).rows[:k] == expected
+    assert top_k(rows, names, order, k) == expected
+    assert sort_rows(rows, names, order)[:k] == expected
 
 
 @given(
@@ -200,7 +233,7 @@ def test_property_topk_equals_sorted_prefix(rows, k, descending):
 def test_property_groupby_matches_naive(rows):
     """Hash group-by equals a dict-based reference implementation."""
     names = ["g", "v"]
-    out = group_by_aggregate(
+    out = group_by(
         rows, names, [ast.Column("g")], items("SUM(v) AS s", "COUNT(*) AS n")
     )
     reference: dict[int, list] = {}

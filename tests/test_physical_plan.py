@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 import textwrap
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -468,7 +469,7 @@ def test_baseline_get_scans_decode_needed_columns_and_bill_full_rows(monkeypatch
                 expected_decodes.add((scan.table.name, tuple(scan.columns)))
             # Metering is blind to the decoded width.
             last = execution.phases[-1]
-            tables = plan.scan_tables
+            tables = [scan.table for scan in _scan_leaves(plan.root)]
             if plan.combined_label is not None:
                 assert last.name == "load+join"
                 assert last.server_records == sum(t.num_rows for t in tables)
@@ -490,3 +491,309 @@ def test_baseline_get_scans_decode_needed_columns_and_bill_full_rows(monkeypatch
 
     q6 = (QUERY_DIR / "q06.sql").read_text()
     assert "scan lineitem [get] cols=4 " in db.explain(q6)
+
+
+# ----------------------------------------------------------------------
+# one executor: every paper strategy and hand-written variant is a plan
+# ----------------------------------------------------------------------
+
+def _strategy_runners():
+    from repro.queries.micro import _JOIN_QUERY, MICRO_QUERIES
+    from repro.queries.tpch_queries import TPCH_QUERIES
+    from repro.sqlparser.parser import parse_expression
+    from repro.strategies import extensions, filter, groupby, join, topk
+
+    by_index = filter.FilterQuery(
+        table="customer", predicate=parse_expression("c_custkey < 40"),
+        projection=["c_custkey", "c_acctbal"],
+    )
+    grouped = groupby.GroupByQuery(
+        table="lineitem", group_columns=["l_returnflag"],
+        aggregates=[groupby.AggSpec("sum", "l_quantity"), groupby.AggSpec("avg", "l_tax")],
+        predicate=parse_expression("l_quantity < 30"),
+    )
+    top = topk.TopKQuery(table="lineitem", order_column="l_extendedprice", k=10)
+    runners = {}
+    for module, query, names in (
+        (filter, by_index, ("server_side_filter", "s3_side_filter", "indexed_filter")),
+        (extensions, by_index, ("multirange_indexed_filter",)),
+        (groupby, grouped, ("server_side_group_by", "filtered_group_by",
+                            "s3_side_group_by", "hybrid_group_by")),
+        (extensions, grouped, ("partial_pushdown_group_by",)),
+        (topk, top, ("server_side_top_k", "sampling_top_k")),
+        (join, _JOIN_QUERY, ("baseline_join", "filtered_join", "bloom_join")),
+    ):
+        for name in names:
+            runners[name] = (
+                lambda ctx, catalog, fn=getattr(module, name), query=query:
+                fn(ctx, catalog, query)
+            )
+    for family in (MICRO_QUERIES, TPCH_QUERIES):
+        for name, variants in family.items():
+            runners[f"{name}.baseline"] = variants.baseline
+            runners[f"{name}.optimized"] = variants.optimized
+    return runners
+
+
+STRATEGY_RUNNERS = _strategy_runners()
+STRATEGY_LEAVES = {
+    "IndexFetchNode", "CaseGroupByNode", "HybridGroupByNode",
+    "SampledThresholdScan", "PartialGroupByNode",
+}
+
+
+@pytest.fixture()
+def executed_plans(monkeypatch):
+    """Every execution `physical.execute_plan` finalizes, looked up the
+    way `bench/tracing.py` patches it: through the module."""
+    executions = []
+    real = physical.execute_plan
+
+    def execute_plan(ctx, plan, **kwargs):
+        executions.append(real(ctx, plan, **kwargs))
+        return executions[-1]
+
+    monkeypatch.setattr(physical, "execute_plan", execute_plan)
+    return executions
+
+
+def test_there_are_34_public_runners():
+    assert len(STRATEGY_RUNNERS) == 14 + 8 + 12
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGY_RUNNERS))
+def test_every_strategy_runner_is_a_plan(tpch_env, executed_plans, batch_streams, name):
+    """A strategy run is `build a tree -> physical.execute_plan`: it is
+    explainable like any SQL plan and streams nothing but `Batch`."""
+    ctx, catalog = tpch_env
+    execution = STRATEGY_RUNNERS[name](ctx, catalog)
+    assert executed_plans and executed_plans[-1] is execution
+    assert {"plan", "actuals", "operator_times"} <= set(execution.details)
+    assert execution.details["plan"].startswith(
+        execution.details["actuals"][0]["node"]
+    )
+    assert physical.render_execution_report(execution).startswith(
+        f"physical plan: {execution.strategy}\n"
+    )
+    assert "  plan:\n" in execution.explain(ctx.perf)
+    assert sum(batch_streams.values()) > 0
+
+
+def test_strategy_leaves_stream_batches(tpch_env, batch_streams):
+    ctx, catalog = tpch_env
+    for name in (
+        "indexed_filter", "multirange_indexed_filter", "s3_side_group_by",
+        "hybrid_group_by", "partial_pushdown_group_by", "sampling_top_k",
+    ):
+        STRATEGY_RUNNERS[name](ctx, catalog)
+    assert set(batch_streams) >= STRATEGY_LEAVES
+
+
+def test_fig11_point_runs_through_the_executor(executed_plans):
+    from repro.experiments import fig11_parquet
+
+    result = fig11_parquet.run(
+        num_rows=400, column_counts=(2,), selectivities=(0.1,)
+    )
+    assert len(executed_plans) == len(result.rows) == 2
+    for row, execution in zip(result.rows, executed_plans):
+        assert {"plan", "actuals", "operator_times"} <= set(execution.details)
+        assert [p.name for p in execution.phases] == ["scan"]
+        assert row["rows_out"] == len(execution.rows) == execution.phases[0].server_records
+
+
+def test_ctx_finalize_has_one_call_site():
+    """`execute_plan` is the only place that turns work into a
+    `QueryExecution`."""
+    import repro
+
+    sites = [
+        (path.name, line_no)
+        for path in Path(repro.__file__).parent.rglob("*.py")
+        for line_no, line in enumerate(path.read_text().splitlines(), start=1)
+        if "ctx.finalize(" in line
+    ]
+    assert [name for name, _ in sites] == ["physical.py"]
+
+
+class TestStrategyLaziness:
+    """What the row stack could not do: a LIMIT above a strategy's scan
+    stops typing batches, while every request stays metered."""
+
+    @pytest.fixture()
+    def small_batches(self):
+        from repro.workloads.synthetic import FILTER_SCHEMA, filter_table
+
+        ctx, catalog = CloudContext(batch_size=8), Catalog()
+        table = load_table(
+            ctx, catalog, "data", filter_table(400, seed=7), FILTER_SCHEMA,
+            bucket="lazy", partitions=4, index_columns=["key"],
+        )
+        return ctx, table
+
+    @staticmethod
+    def _limited(ctx, node, batch_streams, limit=3):
+        plan = physical.PhysicalPlan(physical.LimitNode(node, limit), "optimized", "lazy")
+        mark = ctx.metrics.mark()
+        execution = physical.execute_plan(ctx, plan)
+        assert len(execution.rows) == limit
+        return execution, ctx.metrics.records_since(mark)
+
+    def test_index_fetch_decodes_only_the_batch_it_stops_in(
+        self, small_batches, batch_streams
+    ):
+        from repro.sqlparser.parser import parse_expression
+        from repro.strategies.filter import IndexFetchNode
+
+        ctx, table = small_batches
+        fetch = IndexFetchNode(table, parse_expression("key < 60"), ["key", "p0"])
+        execution, records = self._limited(ctx, fetch, batch_streams)
+        assert batch_streams["IndexFetchNode"] == 1  # of 8 batches of 8
+        assert fetch.actual_rows == 8
+        # ... yet all 60 ranged GETs (and the 4 index lookups) were issued.
+        assert len(records) == execution.num_requests == 4 + 60
+        assert [p.name for p in execution.phases] == ["index-lookup", "record-fetch"]
+        assert execution.phases[1].server_records == 60
+        assert execution.details["matched_rows"] == 60
+
+    def test_get_scan_decodes_only_the_batch_it_stops_in(
+        self, small_batches, batch_streams
+    ):
+        from repro.sqlparser.parser import parse_expression
+        from repro.strategies.filter import FilterQuery, server_side_filter_node
+
+        ctx, table = small_batches
+        query = FilterQuery(table="data", predicate=parse_expression("key >= 0"))
+        execution, records = self._limited(
+            ctx, server_side_filter_node(table, query), batch_streams
+        )
+        assert batch_streams["ScanNode"] == 1
+        assert len(records) == 4
+        assert execution.bytes_transferred == table.total_bytes
+        (phase,) = execution.phases
+        assert (phase.name, phase.server_records) == ("load+filter", 8)
+        assert phase.server_fields == 8 * len(table.schema)
+
+
+class TestCombinedPhase:
+    """One phase for scans that load in parallel: GET scans ingest whole
+    tables by formula, pushed scans what they measured."""
+
+    def test_filtered_join_ingests_what_its_scans_returned(self, tpch_env):
+        from repro.sqlparser.parser import parse_expression
+        from repro.strategies.join import JoinQuery, filtered_join
+
+        ctx, catalog = tpch_env
+        execution = filtered_join(ctx, catalog, JoinQuery(
+            build_table="customer", probe_table="orders",
+            build_key="c_custkey", probe_key="o_custkey",
+            build_predicate=parse_expression("c_acctbal <= 0"),
+            build_projection=["c_custkey"],
+            probe_projection=["o_custkey", "o_totalprice"],
+        ))
+        (phase,) = execution.phases
+        scans = [r for r in execution.details["actuals"] if r["node"].startswith("scan ")]
+        build_rows, probe_rows = (r["actual_rows"] for r in scans)
+        assert probe_rows == catalog.get("orders").num_rows
+        assert 0 < build_rows < catalog.get("customer").num_rows
+        assert phase.name == "select+join"
+        assert phase.server_records == build_rows + probe_rows
+        assert phase.server_fields == pytest.approx(
+            build_rows * 1 + probe_rows * 2, rel=1e-12
+        )
+        assert len(phase.streams) == (
+            catalog.get("customer").partitions + catalog.get("orders").partitions
+        )
+
+    def test_sql_baseline_join_ingests_whole_tables_by_formula(self, tpch_env):
+        ctx, catalog = tpch_env
+        execution = plan_and_execute(
+            ctx, catalog,
+            "SELECT SUM(o_totalprice) AS total FROM customer, orders"
+            " WHERE c_custkey = o_custkey AND c_acctbal <= -950",
+            mode="baseline",
+        )
+        (phase,) = execution.phases
+        tables = [catalog.get("customer"), catalog.get("orders")]
+        assert phase.name == "load+join"
+        assert phase.server_records == sum(t.num_rows for t in tables)
+        assert phase.server_fields == pytest.approx(
+            sum(t.num_rows * len(t.schema) for t in tables), rel=1e-12
+        )
+
+
+class TestTwoTableJoinOrder:
+    def test_both_orders_of_a_two_table_query_run(self, db):
+        """Two tables are the join builder at n = 2.  A forced order says
+        which tables join first — no choice at n = 2 — and the hash-build
+        side still goes to the smaller filtered estimate, so both orders
+        are one plan, metered alike."""
+        sql = (
+            "SELECT COUNT(*) AS n FROM sub1, dim1"
+            " WHERE s1_id = d1_s1 AND s1_attr < 10"
+        )
+        plain = db.execute(sql)
+        for order in (["sub1", "dim1"], ["dim1", "sub1"]):
+            forced = execute_with_join_order(db.ctx, db.catalog, sql, order)
+            assert forced.rows == plain.rows
+            assert forced.strategy == "optimized multi-join (sub1 >< dim1)"
+            assert "probe: scan dim1 [select+bloom(d1_s1)]" in forced.details["plan"]
+            assert (forced.num_requests, forced.bytes_scanned, forced.bytes_returned) == (
+                plain.num_requests, plain.bytes_scanned, plain.bytes_returned
+            )
+        baseline = execute_with_join_order(
+            db.ctx, db.catalog, sql, ["dim1", "sub1"], mode="baseline"
+        )
+        assert baseline.rows == plain.rows and baseline.bytes_scanned == 0
+
+    def test_single_table_query_is_rejected(self, db):
+        from repro.common.errors import PlanError
+
+        with pytest.raises(PlanError, match="multi-table"):
+            execute_with_join_order(
+                db.ctx, db.catalog, "SELECT s1_id FROM sub1", ["sub1"]
+            )
+
+
+def test_q1_optimized_charges_its_final_sort(tpch_env):
+    from repro.queries.tpch_queries import q1_optimized
+
+    ctx, catalog = tpch_env
+    execution = q1_optimized(ctx, catalog)
+    assert execution.details["plan"].startswith("sort [l_returnflag ASC")
+    assert execution.phases[-1].server_cpu_seconds > 0
+    assert execution.details["num_groups"] == len(execution.rows)
+
+
+def test_plan_errors_are_raised_before_any_request(tpch_env):
+    from repro.common.errors import PlanError
+    from repro.queries.micro import _JOIN_QUERY
+    from repro.sqlparser.parser import parse_expression
+    from repro.strategies import extensions, filter, groupby, join, topk
+    from dataclasses import replace
+
+    ctx, catalog = tpch_env
+    two_columns = filter.FilterQuery(
+        table="customer", predicate=parse_expression("c_custkey < 5 AND c_acctbal < 0")
+    )
+    unindexed = filter.FilterQuery(
+        table="customer", predicate=parse_expression("c_nationkey = 3")
+    )
+    bad = [
+        (filter.indexed_filter, two_columns),
+        (extensions.multirange_indexed_filter, unindexed),
+        (groupby.hybrid_group_by, groupby.GroupByQuery(
+            table="lineitem", group_columns=["l_returnflag", "l_linestatus"],
+            aggregates=[groupby.AggSpec("sum", "l_quantity")],
+        )),
+        (topk.sampling_top_k, topk.TopKQuery(
+            table="customer", order_column="c_acctbal",
+            k=catalog.get("customer").num_rows + 1,
+        )),
+        (join.bloom_join, replace(_JOIN_QUERY, build_key="c_name", probe_key="o_clerk")),
+    ]
+    before = ctx.metrics.mark()
+    for runner, query in bad:
+        with pytest.raises(PlanError):
+            runner(ctx, catalog, query)
+    assert ctx.metrics.mark() == before

@@ -8,9 +8,8 @@ Covers the PR-1 refactor end to end:
   bytes billed);
 * lazy batch iterators agreeing with a naive row-at-a-time decode;
 * the batch operators agreeing with the row compiler and naive Python
-  references, at any batch boundaries, and their row-list adapters
-  charging the same CPU;
-* ``select_table`` column-name handling over empty partitions;
+  references, and charging the same CPU, at any batch boundaries;
+* pushed-scan column names over empty partitions;
 * ``workers > 1`` vs ``workers = 1`` producing identical rows, bytes
   and cost — differentially on every TPC-H query;
 * thread-safety of the metrics collector.
@@ -27,21 +26,21 @@ from repro.cloud.metrics import MetricsCollector, Phase, RequestKind, RequestRec
 from repro.cloud.perf import PAPER_PERF, SERVER_CPU_PER_ROW
 from repro.common.errors import (
     ExpressionLimitExceededError,
-    ReproError,
     SQLSyntaxError,
     UnsupportedFeatureError,
 )
 from repro.engine.batch import Batch
 from repro.engine.catalog import Catalog, load_table
 from repro.engine.operators.base import BatchCounter, CpuTally, materialize
-from repro.engine.operators.filter import filter_batches, filter_rows
-from repro.engine.operators.groupby import group_by_aggregate, group_by_batches
-from repro.engine.operators.hashjoin import hash_join, hash_join_batches
+from repro.engine.operators.filter import filter_batches
+from repro.engine.operators.groupby import group_by_batches
+from repro.engine.operators.hashjoin import hash_join_batches
 from repro.engine.operators.limit import limit_batches
-from repro.engine.operators.project import project, project_batches, projected_names
-from repro.engine.operators.sort import sort_batches, sort_rows
-from repro.engine.operators.topk import top_k, top_k_batches
+from repro.engine.operators.project import project_batches, projected_names
+from repro.engine.operators.sort import sort_batches
+from repro.engine.operators.topk import top_k_batches
 from repro.expr.compiler import compile_expr, compile_predicate
+from repro.planner import physical
 from repro.planner.planner import plan_and_execute
 from repro.queries.dataset import load_tpch
 from repro.queries.tpch_queries import TPCH_QUERIES
@@ -57,7 +56,11 @@ from repro.storage.csvcodec import (
 from repro.storage.object_store import StoredObject
 from repro.storage.parquet import ParquetFile, write_parquet
 from repro.storage.schema import ColumnDef, TableSchema
-from repro.strategies.scans import scan_partitions, select_aggregate, select_table
+from repro.strategies.scans import (
+    iter_scan_batches,
+    scan_partitions,
+    select_aggregate,
+)
 
 from helpers import decode_rows
 
@@ -254,17 +257,16 @@ class TestBatchIterators:
         assert limited.num_requests == 2  # both partitions still billed
 
     def test_get_scan_decodes_lazily_into_the_same_batches(self):
-        """`scan_partitions(sql=None)`: batches per partition, rows on demand."""
+        """`iter_scan_batches(sql=None)`: GET'd partitions as batches."""
         for fmt in ("csv", "parquet"):
             ctx = CloudContext(batch_size=4)
             info = load_table(
                 ctx, Catalog(), "t", ROWS, SCHEMA, bucket="b", partitions=2,
                 data_format=fmt,
             )
-            scans = list(scan_partitions(ctx, info))
-            assert all(type(b) is Batch for s in scans for b in s.batches)
-            assert all(len(b) <= 4 for s in scans for b in s.batches)
-            assert [r for s in scans for r in s.rows] == ROWS
+            batches = list(iter_scan_batches(ctx, info))
+            assert all(type(b) is Batch and len(b) <= 4 for b in batches)
+            assert materialize(batches) == ROWS
 
 
 # ----------------------------------------------------------------------
@@ -281,7 +283,7 @@ def _stream(rows=OP_ROWS, batch_size=9):
 
 
 #: Batch boundaries must never show in rows or modeled CPU: many small
-#: batches, and the single batch the row-list adapters build.
+#: batches, and all rows as one.
 BATCH_SIZES = [9, len(OP_ROWS)]
 
 
@@ -295,10 +297,9 @@ class TestStreamingOperators:
             filter_batches(_stream(batch_size=batch_size), NAMES, pred, tally)
         )
         assert got == [row for row in OP_ROWS if keep(row)]
-        adapter = filter_rows(OP_ROWS, NAMES, pred)
-        assert adapter.rows == got
-        assert adapter.cpu_seconds == len(OP_ROWS) * SERVER_CPU_PER_ROW["filter"]
-        assert tally.seconds == pytest.approx(adapter.cpu_seconds)
+        assert tally.seconds == pytest.approx(
+            len(OP_ROWS) * SERVER_CPU_PER_ROW["filter"]
+        )
 
     def test_project_matches_row_expressions(self, batch_size):
         items = parse("SELECT v, k * 2 FROM S3Object").select_items
@@ -308,13 +309,10 @@ class TestStreamingOperators:
             project_batches(_stream(batch_size=batch_size), NAMES, items, tally)
         )
         assert got == [tuple(fn(row) for fn in fns) for row in OP_ROWS]
-        adapter = project(OP_ROWS, NAMES, items)
-        assert adapter.rows == got
-        assert projected_names(NAMES, items) == adapter.column_names == ["v", "_2"]
-        assert adapter.cpu_seconds == pytest.approx(
+        assert projected_names(NAMES, items) == ["v", "_2"]
+        assert tally.seconds == pytest.approx(
             len(OP_ROWS) * 2 * SERVER_CPU_PER_ROW["filter"]
         )
-        assert tally.seconds == pytest.approx(adapter.cpu_seconds)
 
     def test_group_by_matches_naive_fold(self, batch_size):
         q = parse("SELECT k, SUM(v) AS s, COUNT(*) AS n FROM t GROUP BY k")
@@ -329,24 +327,23 @@ class TestStreamingOperators:
             entry[1] += 1
         assert got.rows == [(k, s, n) for k, (s, n) in want.items()]
         assert got.column_names == ["k", "s", "n"]
-        adapter = group_by_aggregate(OP_ROWS, NAMES, q.group_by, agg_items)
-        assert (adapter.rows, adapter.column_names) == (got.rows, got.column_names)
-        assert got.cpu_seconds == adapter.cpu_seconds == (
+        assert got.cpu_seconds == (
             len(OP_ROWS) * 2 * SERVER_CPU_PER_ROW["aggregate"]
         )
 
     def test_sort_and_topk_match_sorted(self, batch_size):
         order = parse("SELECT k FROM t ORDER BY v DESC").order_by
         want = sorted(OP_ROWS, key=lambda row: -row[1])
+        whole = [Batch.from_rows(OP_ROWS)]
         got = sort_batches(_stream(batch_size=batch_size), NAMES, order)
-        adapter = sort_rows(OP_ROWS, NAMES, order)
-        assert got.rows == adapter.rows == want
-        assert got.cpu_seconds == adapter.cpu_seconds > 0
+        assert got.rows == want
+        assert got.cpu_seconds == sort_batches(whole, NAMES, order).cpu_seconds > 0
         for k in (0, 5, 100, 1000):
             got = top_k_batches(_stream(batch_size=batch_size), NAMES, order, k)
-            adapter = top_k(OP_ROWS, NAMES, order, k)
-            assert got.rows == adapter.rows == want[:k]
-            assert got.cpu_seconds == adapter.cpu_seconds > 0
+            assert got.rows == want[:k]
+            assert got.cpu_seconds == (
+                top_k_batches(whole, NAMES, order, k).cpu_seconds
+            ) > 0
 
     def test_sort_and_topk_ties_keep_arrival_order(self, batch_size):
         rows = [(i, float(i % 2)) for i in range(40)]
@@ -355,7 +352,6 @@ class TestStreamingOperators:
         stream = _stream(rows, min(batch_size, 6))
         assert sort_batches(stream, NAMES, order).rows == want
         assert top_k_batches(stream, NAMES, order, 10).rows == want[:10]
-        assert top_k(rows, NAMES, order, 10).rows == want[:10]
 
     def test_hash_join_matches_nested_loop(self, batch_size):
         build = [(i, f"n{i}") for i in range(10)]
@@ -367,13 +363,11 @@ class TestStreamingOperators:
         )
         got = materialize(joined)
         assert got == [b + p for p in probe for b in build if b[0] == p[0]]
-        adapter = hash_join(build, ["id", "name"], probe, ["fk", "x"], "id", "fk")
-        assert (adapter.rows, adapter.column_names) == (got, names)
-        assert adapter.cpu_seconds == (
+        assert names == ["id", "name", "fk", "x"]
+        assert tally.seconds == pytest.approx(
             len(build) * SERVER_CPU_PER_ROW["hash_build"]
             + len(probe) * SERVER_CPU_PER_ROW["hash_probe"]
         )
-        assert tally.seconds == pytest.approx(adapter.cpu_seconds)
 
 
 class TestLimitAndCounting:
@@ -396,8 +390,15 @@ class TestLimitAndCounting:
 
 
 # ----------------------------------------------------------------------
-# select_table / select_aggregate column names over empty partitions
+# pushed scans over empty partitions
 # ----------------------------------------------------------------------
+
+def _pushed_scan(ctx, info, columns):
+    scan = physical.ScanNode(info, columns, None, pushdown=True)
+    return physical.execute_plan(
+        ctx, physical.PhysicalPlan(scan, "optimized", "scan")
+    )
+
 
 class TestPartitionScanNames:
     def _ctx_with_table(self, rows, partitions):
@@ -416,35 +417,21 @@ class TestPartitionScanNames:
             metadata={"format": "csv", "schema": SPEC, "header": False},
         )
         info.keys.append("t/part-9999.csv")
-        rows, names = select_table(ctx, info, "SELECT k, v FROM S3Object")
-        assert rows == [(1, 1.0), (2, 2.0), (3, 3.0)]
-        assert names == ["k", "v"]
+        out = _pushed_scan(ctx, info, ["k", "v"])
+        assert out.rows == [(1, 1.0), (2, 2.0), (3, 3.0)]
+        assert out.column_names == ["k", "v"]
+        assert out.num_requests == 4
 
     def test_names_present_for_empty_table(self):
         ctx, info = self._ctx_with_table([], 4)
-        rows, names = select_table(ctx, info, "SELECT k FROM S3Object")
-        assert rows == []
-        assert names == ["k"]
+        out = _pushed_scan(ctx, info, ["k"])
+        assert out.rows == []
+        assert out.column_names == ["k"]
 
-    def test_aggregate_names_from_first_partition(self):
+    def test_aggregate_partials_one_per_partition(self):
         ctx, info = self._ctx_with_table([(i, float(i)) for i in range(8)], 4)
-        partials, names = select_aggregate(
-            ctx, info, "SELECT SUM(v) AS s FROM S3Object"
-        )
-        assert names == ["s"]
-        assert len(partials) == 4
-
-    def test_inconsistent_partition_columns_rejected(self):
-        ctx, info = self._ctx_with_table([(1, 1.0), (2, 2.0)], 2)
-        # Corrupt one partition's schema metadata so its response differs.
-        obj = ctx.store.get_object("b", info.keys[1])
-        ctx.store.put_object(
-            "b", info.keys[1], obj.data,
-            metadata={"format": "csv", "schema": ["q:int", "w:float"],
-                      "header": False},
-        )
-        with pytest.raises(ReproError):
-            select_table(ctx, info, "SELECT * FROM S3Object")
+        partials = select_aggregate(ctx, info, "SELECT SUM(v) AS s FROM S3Object")
+        assert partials == [[1.0], [5.0], [9.0], [13.0]]
 
 
 # ----------------------------------------------------------------------
@@ -462,22 +449,13 @@ class TestConcurrentScans:
     def test_scan_partitions_ordered_and_complete(self):
         ctx = CloudContext()
         info = self._table(ctx)
-        serial = list(scan_partitions(ctx, info, "SELECT k FROM S3Object"))
-        pooled = list(
-            scan_partitions(ctx, info, "SELECT k FROM S3Object", workers=8)
-        )
-        assert [s.index for s in pooled] == [s.index for s in serial]
-        assert [s.rows for s in pooled] == [s.rows for s in serial]
-
-    def test_unordered_scan_covers_every_partition(self):
-        ctx = CloudContext()
-        info = self._table(ctx)
-        scans = list(
-            scan_partitions(
-                ctx, info, "SELECT k FROM S3Object", workers=8, ordered=False
-            )
-        )
-        assert sorted(s.index for s in scans) == list(range(16))
+        serial = scan_partitions(ctx, info, "SELECT k FROM S3Object")
+        pooled = scan_partitions(ctx, info, "SELECT k FROM S3Object", workers=8)
+        assert len(pooled) == 16
+        assert [materialize(p) for p in pooled] == [materialize(p) for p in serial]
+        assert materialize(b for p in pooled for b in p) == [
+            (i,) for i in range(500)
+        ]
 
     def test_get_and_select_identical_across_worker_counts(self):
         baseline = None
@@ -485,12 +463,12 @@ class TestConcurrentScans:
             ctx = CloudContext(workers=workers)
             info = self._table(ctx)
             mark = ctx.metrics.mark()
-            rows, names = select_table(
+            scans = scan_partitions(
                 ctx, info, "SELECT k, v FROM S3Object WHERE k < 100"
             )
             records = ctx.metrics.records_since(mark)
             summary = (
-                rows, names, len(records),
+                [materialize(batches) for batches in scans], len(records),
                 sum(r.bytes_scanned for r in records),
                 sum(r.bytes_returned for r in records),
             )
