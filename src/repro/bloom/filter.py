@@ -101,7 +101,7 @@ class BloomFilter:
 
     def bit_string(self) -> str:
         """The ``'0'``/``'1'`` string literal shipped inside SQL."""
-        return "".join("1" if b else "0" for b in self.bits)
+        return bytes(self.bits).translate(b"0" + b"1" * 255).decode("ascii")
 
     # ------------------------------------------------------------------
     # SQL rendering
@@ -112,17 +112,19 @@ class BloomFilter:
         One conjunct per hash function, each embedding the bit string —
         exactly the shape of the paper's Listing 1.
         """
-        attr_sql = f"CAST({attr} AS INT)" if cast_to_int else attr
-        bit_literal = "'" + self.bit_string() + "'"
-        clauses = [
-            f"SUBSTRING({bit_literal}, {h.to_sql(attr_sql)}, 1) = '1'"
-            for h in self.hashes
-        ]
-        return " AND ".join(clauses)
+        return self._render(f"CAST({attr} AS INT)" if cast_to_int else attr, self.bit_string())
+
+    def _render(self, attr_sql: str, bits: str) -> str:
+        return " AND ".join(
+            f"SUBSTRING('{bits}', {h.to_sql(attr_sql)}, 1) = '1'" for h in self.hashes
+        )
 
     def predicate_size_bytes(self, attr: str) -> int:
-        """Size of the rendered predicate (what counts against 256 KB)."""
-        return len(self.to_sql_predicate(attr).encode())
+        """Size of the rendered predicate (what counts against 256 KB):
+        the clause text plus one bit string per hash function, whatever
+        the bits — nothing is inserted or rendered to weigh a filter."""
+        clauses = self._render(f"CAST({attr} AS INT)", "")
+        return len(clauses.encode()) + self.num_hashes * self.num_bits
 
 
 @dataclass
@@ -166,8 +168,10 @@ def build_bloom_filter_within_limit(
     candidates.append(0.9)
     for fpr in candidates:
         attempts.append(fpr)
-        bloom = BloomFilter.build(keys, fpr, seed)
-        if bloom.predicate_size_bytes(attr) <= budget:
+        bloom = BloomFilter.with_capacity(len(keys), fpr, seed)
+        if bloom.predicate_size_bytes(attr) <= budget:  # weighed empty, filled once
+            for key in keys:
+                bloom.add(key)
             return BloomBuildOutcome(bloom=bloom, achieved_fpr=fpr, attempts=attempts)
     return BloomBuildOutcome(bloom=None, achieved_fpr=1.0, attempts=attempts)
 

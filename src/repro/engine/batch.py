@@ -36,10 +36,13 @@ class Batch:
     is what makes slicing and projection views safe to share.
     """
 
-    __slots__ = ("columns", "length")
+    __slots__ = ("columns", "length", "_types")
 
     def __init__(self, columns: Sequence[Sequence[object]], length: int | None = None):
         self.columns = list(columns)
+        #: column index -> the column's one Python type (``None``: NULLs or
+        #: mixed), filled lazily by :mod:`repro.expr.vector`'s clean-batch guard.
+        self._types: dict | None = None
         if length is None:
             if not self.columns:
                 raise ValueError("a Batch without columns needs an explicit length")

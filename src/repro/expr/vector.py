@@ -3,27 +3,39 @@
 ``compile_expr_vector(expr, schema)`` returns a ``batch -> list[value]``
 function mirroring :func:`repro.expr.compiler.compile_expr` value-for-
 value: same three-valued NULL semantics, same coercions, same errors.
-Instead of calling a closure per row, each supported operator runs as a
-list-comprehension kernel over whole columns, with constant operands
-folded once per batch.
+An expression is evaluated by the first of three tiers that applies:
 
-Two fallback layers keep the vector path exactly row-equivalent:
-
-* **per-node**: constructs without a kernel (CASE, scalar functions,
-  non-constant IN/LIKE) compile row-wise and are mapped over the batch,
-  so a single exotic sub-expression never forces the whole tree off the
-  fast path;
-* **whole-expression**: vectorized AND/OR evaluate both sides over all
-  rows, a superset of the row-wise short-circuit evaluation.  If that
-  superset hits a :class:`TypeMismatchError` the row-wise compiler may
-  not have — e.g. ``a IS NULL OR a < 5`` over unparseable strings — the
-  batch transparently re-evaluates row-by-row.  Vector success implies
-  row-identical values, because every kernel computes the row formula
-  pointwise.
+* **fused, on clean batches**: a batch is *clean* for an expression when
+  every column it references is NULL-free and holds one Python type
+  among ``int`` / ``float`` / ``str`` — the guard, one
+  ``set(map(type, column))`` pass memoised per ``(batch, column)``.
+  NULL propagation and per-value type dispatch are then vacuous and
+  Python's ``and`` / ``or`` / conditional expression *are* the row
+  compiler's short-circuit rules, so the whole expression (a value, a
+  keep-mask, or one conjunct of an ``AND`` chain) runs as **one
+  generated comprehension** over its columns: no list per AST node, no
+  ``operator.*`` call per value, CASE included.  One kernel is generated
+  per tuple of column types (see :class:`_Fused` for the subset);
+* **per-node kernels**: any other batch (a NULL, a ``bool``, a mixed
+  column) or expression runs each operator as a list-comprehension
+  kernel over whole columns, constant operands evaluated once per batch.
+  Constructs without a kernel (CASE, scalar functions, non-constant
+  IN / LIKE) compile row-wise and are mapped over the batch, so a single
+  exotic sub-expression never forces the whole tree off the kernels;
+* **row-wise, whole expression**: the kernels' AND / OR evaluate both
+  sides over all rows, a superset of the row-wise short-circuit
+  evaluation.  If that superset raises where the row compiler may not
+  have — ``a IS NULL OR a < 5`` over unparseable strings, ``b = 0 OR
+  a % b = 1`` — the batch transparently re-evaluates row-by-row, so the
+  row compiler alone decides whether, and which, error is raised.
+  Kernel success implies row-identical values, because every kernel
+  computes the row formula pointwise.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import count
 from typing import Callable, Mapping
 
 from repro.common.errors import TypeMismatchError
@@ -87,6 +99,10 @@ class _Node:
 
 _UNSET = object()
 
+#: What evaluating an expression can raise: a type mismatch, ``%`` by zero or
+#: an overflow, or a scalar function on a bad value (``int('x')``, ``abs('x')``).
+_EVALUATION_ERRORS = (TypeMismatchError, ArithmeticError, ValueError, TypeError)
+
 
 def compile_expr_vector(expr: ast.Expr, schema: Mapping[str, int]) -> VectorFunc:
     """Compile ``expr`` into a ``batch -> list of values`` function.
@@ -95,18 +111,26 @@ def compile_expr_vector(expr: ast.Expr, schema: Mapping[str, int]) -> VectorFunc
     context) are raised here, identical to :func:`compile_expr`.
     """
     lowered = _lower_schema(schema)
-    node = _compile_v(expr, lowered)
-    row_fn: list = []  # lazily compiled row-wise twin for the fallback
+    return _with_row_fallback(
+        _compile_values(expr, lowered), lambda: _compile(expr, lowered)
+    )
+
+
+def _with_row_fallback(vector_fn: VectorFunc, compile_row_fn: Callable) -> VectorFunc:
+    """``vector_fn``, re-run row by row through the (lazily compiled)
+    row-wise twin whenever it raises."""
+    row_fn: list = []
 
     def evaluate(batch: Batch) -> list:
         try:
-            return node.values(batch)
-        except TypeMismatchError:
-            # The vector path evaluated a (row, subexpression) pair the
-            # row-wise short-circuit would have skipped; re-run this
-            # batch row-by-row for exact semantics.
+            return vector_fn(batch)
+        except _EVALUATION_ERRORS:
+            # The kernels may have evaluated a (row, subexpression) pair
+            # the row-wise short-circuit skips, or met two failing rows in
+            # another order; the row compiler decides what is raised, if
+            # anything.
             if not row_fn:
-                row_fn.append(_compile(expr, lowered))
+                row_fn.append(compile_row_fn())
             fn = row_fn[0]
             return [fn(row) for row in batch.iter_rows()]
 
@@ -118,42 +142,43 @@ def compile_predicate_vector(
 ) -> Callable[[Batch], list]:
     """Compile a WHERE predicate into a boolean keep-mask per batch.
 
-    Runs in *mask space*: because ``(A AND B) IS TRUE`` equals
-    ``(A IS TRUE) AND (B IS TRUE)`` (and likewise for OR), the whole
-    conjunction tree combines plain booleans and comparison leaves emit
-    booleans directly — the three-valued intermediates are never
-    materialized.  Same whole-expression row-wise fallback as
-    :func:`compile_expr_vector`.
+    The kernels run in *mask space*: because ``(A AND B) IS TRUE`` equals
+    ``(A IS TRUE) AND (B IS TRUE)`` (and likewise for OR over booleans),
+    the conjunction tree combines plain booleans.  Same fused tier and
+    whole-expression row-wise fallback as :func:`compile_expr_vector`.
     """
     lowered = _lower_schema(schema)
-    mask_fn = _compile_mask(expr, lowered)
-    row_pred: list = []
+    return _with_row_fallback(
+        _Fused(expr, lowered, _compile_mask(expr, lowered), as_mask=True),
+        lambda: compile_predicate(expr, lowered),
+    )
 
-    def predicate_mask(batch: Batch) -> list:
-        try:
-            return mask_fn(batch)
-        except TypeMismatchError:
-            if not row_pred:
-                row_pred.append(compile_predicate(expr, lowered))
-            pred = row_pred[0]
-            return [pred(row) for row in batch.iter_rows()]
 
-    return predicate_mask
+def _is_boolean(expr: ast.Expr) -> bool:
+    """Whether ``expr`` can only evaluate to ``True`` / ``False`` / NULL."""
+    if isinstance(expr, ast.Binary):
+        return expr.op in _COMPARE or expr.op in ("AND", "OR")
+    if isinstance(expr, ast.Unary):
+        return expr.op == "NOT"
+    return isinstance(expr, (ast.InList, ast.Between, ast.Like, ast.IsNull))
 
 
 def _compile_mask(expr: ast.Expr, schema: dict[str, int]) -> Callable[[Batch], list]:
-    """``batch -> [bool]`` mask compiler (``value IS TRUE`` per row)."""
+    """``batch -> [bool]`` mask compiler (``value IS TRUE`` per row).
+
+    The OR and NOT shortcuts hold for boolean operands only — the row
+    compiler applies truthiness to anything else (``NOT 0`` is TRUE).
+    """
     if isinstance(expr, ast.Binary) and expr.op == "AND":
         return _compile_conjunction(ast.split_conjuncts(expr), schema)
-    if isinstance(expr, ast.Binary) and expr.op == "OR":
+    if (
+        isinstance(expr, ast.Binary) and expr.op == "OR"
+        and _is_boolean(expr.left) and _is_boolean(expr.right)
+    ):
         left = _compile_mask(expr.left, schema)
         right = _compile_mask(expr.right, schema)
         return lambda batch: [a or b for a, b in zip(left(batch), right(batch))]
-    if isinstance(expr, ast.Binary) and expr.op in _COMPARE:
-        return _compare_mask_kernel(
-            expr.op, _compile_v(expr.left, schema), _compile_v(expr.right, schema)
-        )
-    if isinstance(expr, ast.Unary) and expr.op == "NOT":
+    if isinstance(expr, ast.Unary) and expr.op == "NOT" and _is_boolean(expr.operand):
         # NOT NULL is NULL, so the inner three-valued result is needed:
         # the mask keeps exactly the rows where it is False.
         inner = _compile_v(expr.operand, schema)
@@ -167,13 +192,17 @@ class _Survivors(Batch):
 
     A column is gathered from the full batch the first time a kernel
     reads it, so a conjunct pays only for the columns it references.
+    ``types`` is the type memo of the batch the rows were taken from: a
+    non-empty subset of a single-type column has that type (and treating
+    the subset of a mixed column as mixed only costs the fused tier).
     """
 
     __slots__ = ("_source", "_alive")
 
-    def __init__(self, source: list, alive: list[int]):
+    def __init__(self, source: list, alive: list[int], types: dict | None):
         self._source = source
         self._alive = alive
+        self._types = dict(types) if types else None
         self.columns = [None] * len(source)
         self.length = len(alive)
 
@@ -190,14 +219,6 @@ class _Survivors(Batch):
         return super().iter_rows()
 
 
-def _is_column_cast(node: ast.Expr) -> bool:
-    return (
-        isinstance(node, ast.Cast)
-        and isinstance(node.operand, ast.Column)
-        and node.type_name in _CASTS
-    )
-
-
 def _compile_conjunction(
     conjuncts: list[ast.Expr], schema: dict[str, int]
 ) -> Callable[[Batch], list]:
@@ -206,40 +227,27 @@ def _compile_conjunction(
     Like the row compiler, a conjunct runs on exactly the rows no earlier
     conjunct made ``False`` — a NULL does not stop the chain, it only
     keeps the row out of the result — so a later conjunct raises here iff
-    it raises row-wise.  The Bloom-join predicate is the shape this is
-    for: ``k`` expensive conjuncts, the first already rejecting most rows.
-
-    A ``CAST(column AS type)`` the first conjunct shares with later ones
-    (the Bloom probe's hash input) is evaluated once per batch and read
-    like a column: ``schema`` maps the AST node to an extra column slot.
+    it raises row-wise.  This tier serves batches and chains the fused
+    tier cannot take whole; each conjunct still runs fused when the
+    columns *it* reads are clean.
     """
-    shared = list(dict.fromkeys(filter(_is_column_cast, ast.walk(conjuncts[0]))))
-    if shared:
-        later = {n for c in conjuncts[1:] for n in ast.walk(c) if _is_column_cast(n)}
-        shared = [node for node in shared if node in later]
-    width = max(schema.values(), default=-1) + 1
-    casts = [_compile_v(node, schema) for node in shared]
-    schema = {**schema, **{node: width + i for i, node in enumerate(shared)}}
-    nodes = [_compile_v(conjunct, schema) for conjunct in conjuncts]
+    conjunct_values = [_compile_values(conjunct, schema) for conjunct in conjuncts]
 
     def conjunction(batch: Batch) -> list:
         n = len(batch)
         if not n:
             return []
         source = batch.columns
-        if casts:
-            source = source[:width] + [cast.values(batch) for cast in casts]
-            batch = Batch(source, n)
         alive = range(n)  # row positions no conjunct has made False
         unknown: list[int] = []  # alive, but some conjunct was not true: never kept
-        for node in nodes:
-            values = node.values(batch)
+        for evaluate in conjunct_values:
+            values = evaluate(batch)
             survivors = [i for i, v in zip(alive, values) if v is not False]
             if values.count(True) != len(survivors):
                 unknown += [i for i, v in zip(alive, values) if not v and v is not False]
             if len(survivors) < len(values):
                 alive = survivors
-                batch = _Survivors(source, alive)
+                batch = _Survivors(source, alive, batch._types)
         if len(alive) == n:
             mask = [True] * n
         else:
@@ -251,78 +259,6 @@ def _compile_conjunction(
         return mask
 
     return conjunction
-
-
-def _compare_mask_kernel(op: str, left: _Node, right: _Node):
-    """Bool-mask comparison kernels (the 3VL column is never built)."""
-    fn = _COMPARE[op]
-
-    const, column = (right, left) if right.is_const else (left, right)
-    if not const.is_const:
-        def mask_generic(batch: Batch) -> list:
-            return [
-                a is not None and b is not None and (
-                    fn(a, b)
-                    if type(a) is type(b)
-                    and (type(a) in _NUMBER_TYPES or type(a) is str)
-                    else _compare_one(a, b, op, fn) is True
-                )
-                for a, b in zip(left.values(batch), right.values(batch))
-            ]
-
-        return mask_generic
-
-    def mask_const(batch: Batch) -> list:
-        n = len(batch)
-        if not n:
-            return []
-        c = const.const_value()
-        if c is None:
-            return [False] * n
-        vals = column.values(batch)
-        flipped = const is left
-        if type(c) in _NUMBER_TYPES:
-            if flipped:
-                return [
-                    v is not None and (
-                        fn(c, v) if type(v) in _NUMBER_TYPES
-                        else _compare_one(c, v, op, fn) is True
-                    )
-                    for v in vals
-                ]
-            return [
-                v is not None and (
-                    fn(v, c) if type(v) in _NUMBER_TYPES
-                    else _compare_one(v, c, op, fn) is True
-                )
-                for v in vals
-            ]
-        if type(c) is str:
-            if flipped:
-                return [
-                    v is not None and (
-                        fn(c, v) if type(v) is str
-                        else _compare_one(c, v, op, fn) is True
-                    )
-                    for v in vals
-                ]
-            return [
-                v is not None and (
-                    fn(v, c) if type(v) is str
-                    else _compare_one(v, c, op, fn) is True
-                )
-                for v in vals
-            ]
-        if flipped:
-            return [
-                v is not None and _compare_one(c, v, op, fn) is True
-                for v in vals
-            ]
-        return [
-            v is not None and _compare_one(v, c, op, fn) is True for v in vals
-        ]
-
-    return mask_const
 
 
 def compile_aggregate_input_vector(
@@ -354,6 +290,11 @@ def _fold(expr: ast.Expr, schema: dict[str, int]) -> _Node:
     """
     fn = _compile(expr, schema)
     return _Node(thunk=lambda: fn(()))
+
+
+def _compile_values(expr: ast.Expr, schema: dict[str, int]) -> VectorFunc:
+    """``expr`` as ``batch -> values``: fused on clean batches, else the kernels."""
+    return _Fused(expr, schema, _compile_v(expr, schema).values)
 
 
 def _compile_v(expr: ast.Expr, schema: dict[str, int]) -> _Node:
@@ -395,17 +336,11 @@ def _compile_unary_v(expr: ast.Unary, schema: dict[str, int]) -> _Node:
     if operand.is_const:
         return _fold(expr, schema)
     if expr.op == "-":
-        def negate(batch: Batch) -> list:
-            out = []
-            for v in operand.values(batch):
-                if v is None:
-                    out.append(None)
-                elif type(v) in _NUMBER_TYPES:
-                    out.append(-v)
-                else:
-                    _require_number(v, "-")
-            return out
-        return _Node(fn=negate)
+        return _Node(fn=lambda batch: [
+            None if v is None
+            else -v if type(v) in _NUMBER_TYPES else _require_number(v, "-")  # raises
+            for v in operand.values(batch)
+        ])
     if expr.op == "NOT":
         return _Node(fn=lambda batch: [
             None if v is None else (not v) for v in operand.values(batch)
@@ -552,40 +487,20 @@ def _compare_kernel(op: str, left: _Node, right: _Node):
         vals = column.values(batch)
         if c is None:
             return [None] * len(vals)
-        flipped = const is left
         # Same-type fast path: numbers against a number, strings against
         # a string, skip _coerce_pair (it would return the pair as-is).
-        if type(c) in _NUMBER_TYPES:
-            if flipped:
-                return [
-                    None if v is None
-                    else fn(c, v) if type(v) in _NUMBER_TYPES
-                    else _compare_one(c, v, op, fn)
-                    for v in vals
-                ]
+        same = _NUMBER_TYPES if type(c) in _NUMBER_TYPES else {str} if type(c) is str else ()
+        if const is left:
             return [
                 None if v is None
-                else fn(v, c) if type(v) in _NUMBER_TYPES
-                else _compare_one(v, c, op, fn)
+                else fn(c, v) if type(v) in same else _compare_one(c, v, op, fn)
                 for v in vals
             ]
-        if type(c) is str:
-            if flipped:
-                return [
-                    None if v is None
-                    else fn(c, v) if type(v) is str
-                    else _compare_one(c, v, op, fn)
-                    for v in vals
-                ]
-            return [
-                None if v is None
-                else fn(v, c) if type(v) is str
-                else _compare_one(v, c, op, fn)
-                for v in vals
-            ]
-        if flipped:
-            return [None if v is None else _compare_one(c, v, op, fn) for v in vals]
-        return [None if v is None else _compare_one(v, c, op, fn) for v in vals]
+        return [
+            None if v is None
+            else fn(v, c) if type(v) in same else _compare_one(v, c, op, fn)
+            for v in vals
+        ]
 
     return compare_const
 
@@ -594,9 +509,6 @@ def _compile_cast_v(expr: ast.Cast, schema: dict[str, int]) -> _Node:
     caster = _CASTS.get(expr.type_name)
     if caster is None:
         return _row_fallback(expr, schema)  # canonical unsupported-CAST error
-    slot = schema.get(expr)
-    if slot is not None:  # an AND chain computed this CAST once for the batch
-        return _Node(fn=lambda batch: batch.column(slot))
     operand = _compile_v(expr.operand, schema)
     if operand.is_const:
         return _fold(expr, schema)
@@ -635,35 +547,21 @@ def _compile_in_v(expr: ast.InList, schema: dict[str, int]) -> _Node:
     return _Node(fn=member)
 
 
-def _compile_between_v(expr: ast.Between, schema: dict[str, int]) -> _Node:
-    operand = _compile_v(expr.operand, schema)
-    low = _compile_v(expr.low, schema)
-    high = _compile_v(expr.high, schema)
-    if operand.is_const and low.is_const and high.is_const:
-        return _fold(expr, schema)
-    negated = expr.negated
+def _map_rows(one: Callable, operands: list[_Node]) -> _Node:
+    """A row compiler closure (one definition of the formula) applied to
+    the tuples of vectorized operand values."""
+    return _Node(fn=lambda batch: [
+        one(row) for row in zip(*(o.values(batch) for o in operands))
+    ])
 
-    def between(batch: Batch) -> list:
-        out = []
-        for value, lo, hi in zip(
-            operand.values(batch), low.values(batch), high.values(batch)
-        ):
-            above: object = None
-            if value is not None and lo is not None:
-                a, b = _coerce_pair(value, lo, "BETWEEN")
-                above = a >= b
-            below: object = None
-            if value is not None and hi is not None:
-                a, b = _coerce_pair(value, hi, "BETWEEN")
-                below = a <= b
-            if above is False or below is False:
-                out.append(negated)
-            elif above is None or below is None:
-                out.append(None)  # NOT of UNKNOWN is still UNKNOWN
-            else:
-                out.append(not negated)
-        return out
-    return _Node(fn=between)
+
+def _compile_between_v(expr: ast.Between, schema: dict[str, int]) -> _Node:
+    operands = [_compile_v(e, schema) for e in (expr.operand, expr.low, expr.high)]
+    if all(operand.is_const for operand in operands):
+        return _fold(expr, schema)
+    slots = {"0": 0, "1": 1, "2": 2}
+    between = ast.Between(*map(ast.Column, slots), negated=expr.negated)
+    return _map_rows(_compile(between, slots), operands)
 
 
 def _compile_like_v(expr: ast.Like, schema: dict[str, int]) -> _Node:
@@ -674,43 +572,243 @@ def _compile_like_v(expr: ast.Like, schema: dict[str, int]) -> _Node:
         return _fold(expr, schema)
     match = like_to_regex(expr.pattern.value).match
     negated = expr.negated
-    if negated:
-        return _Node(fn=lambda batch: [
-            None if v is None else match(_to_str(v)) is None
-            for v in operand.values(batch)
-        ])
     return _Node(fn=lambda batch: [
-        None if v is None else match(_to_str(v)) is not None
+        None if v is None else (match(_to_str(v)) is None) is negated
         for v in operand.values(batch)
     ])
 
 
 def _compile_substring_v(expr: ast.FuncCall, schema: dict[str, int]) -> _Node:
-    """SUBSTRING(text, start[, length]) over vectorized operands.
-
-    The per-row formula is :func:`compiler._fn_substring` itself, applied
-    to operand tuples; a constant text and length (the Bloom-join
-    predicate's bit string) fold once per batch and in-range integer
-    positions slice directly.
-    """
     if len(expr.args) not in (2, 3):
         return _row_fallback(expr, schema)  # canonical arity error
     operands = [_compile_v(arg, schema) for arg in expr.args]
     if all(operand.is_const for operand in operands):
         return _fold(expr, schema)
     one = _fn_substring([lambda row, i=i: row[i] for i in range(len(operands))])
-    folded = len(operands) == 3 and operands[0].is_const and operands[2].is_const
+    return _map_rows(one, operands)
 
-    def substring(batch: Batch) -> list:
-        if folded:
-            text, length = operands[0].const_value(), operands[2].const_value()
-            if type(text) is str and type(length) is int and length >= 0:
-                return [
-                    None if start is None
-                    else text[start - 1 : start - 1 + length]
-                    if type(start) is int and start > 0
-                    else one((text, start, length))
-                    for start in operands[1].values(batch)
-                ]
-        return [one(row) for row in zip(*(o.values(batch) for o in operands))]
-    return _Node(fn=substring)
+
+# ----------------------------------------------------------------------
+# fused kernels for clean batches
+# ----------------------------------------------------------------------
+
+_ANY = object()  # every column's type in the dry run: passes each type test below
+_OPAQUE = object()  # no static type (may be NULL): legal at the root and as a CASE branch
+_CLEAN_TYPES = (int, float, str)
+_NUMBER, _INT, _TEXT, _BOOL = (int, float, _ANY), (int, _ANY), (str, _ANY), (bool, _ANY)
+_PY_OPS = {"=": "==", "<>": "!=", "AND": "and", "OR": "or"}
+_kernel_lines = count(1)
+
+
+class _Unfusable(Exception):
+    """The expression, at these column types, is outside the fused subset."""
+
+
+def _comparable(a: object, b: object) -> bool:
+    """Number with number or string with string: no ``_coerce_pair`` case."""
+    return (a in _NUMBER and b in _NUMBER) or (a in _TEXT and b in _TEXT)
+
+
+def _column_types(batch: Batch, columns: list[int]) -> tuple:
+    """The guard: each listed column's one Python type (``None``: NULLs or
+    mixed), one C-speed pass per column, memoised on the batch."""
+    memo = batch._types
+    if memo is None:
+        memo = batch._types = {}
+    for i in columns:
+        if i not in memo:
+            kinds = set(map(type, batch.column(i)))
+            memo[i] = kinds.pop() if len(kinds) == 1 else None
+    return tuple([memo[i] for i in columns])
+
+
+@lru_cache(maxsize=256)
+def _kernel_factory(text: str) -> Callable:
+    """``text`` compiled once: it depends only on an expression's shape, and
+    a statement is re-prepared per scan.  Compiled under this file's name,
+    each text at a line of its own, because profilers key a function by
+    (file, line, name): kernel time stays attributed to this module."""
+    namespace: dict = {}
+    exec(compile("\n" * (next(_kernel_lines) % 4096) + text, __file__, "exec"), namespace)
+    return namespace["bind"]
+
+
+class _Fused:
+    """One expression as one generated comprehension per tuple of column types.
+
+    The subset, typed bottom-up from the guard's column types: columns and
+    int / float / str literals; ``+ - * %`` and unary minus over numbers;
+    comparisons and BETWEEN (column or literal bounds) of number with
+    number or string with string; AND / OR / NOT over booleans; searched
+    CASE with boolean conditions (no ELSE, or branches of different
+    types, make the result opaque); IN over non-NULL literals; LIKE a
+    literal pattern; IS NULL of a column; identity and int -> float
+    CASTs; ``SUBSTRING(text column or literal, int, literal length >=
+    0)``; one-argument scalar functions, by calling the row compiler's
+    own closure.  On clean operands each of these *is* the row compiler's
+    formula.  Left to the per-node kernels: ``/`` (NULL on zero), ``||``,
+    CASTs that can raise, NULL / boolean literals, non-literal IN / LIKE.
+
+    The generated text holds operators and generated identifiers only:
+    every literal (a Bloom bit string is ~29 KB), matcher, set and helper
+    is a bound constant.  Request threads share an instance: a racing
+    first batch may generate twice, but ``kernels`` entries are stored
+    complete.
+    """
+
+    __slots__ = ("expr", "schema", "fallback", "as_mask", "columns", "kernels")
+
+    def __init__(
+        self, expr: ast.Expr, schema: dict[str, int], fallback: VectorFunc, as_mask: bool = False
+    ):
+        self.expr, self.schema, self.as_mask = expr, schema, as_mask
+        self.fallback = fallback  # the per-node kernels, for everything not fused
+        columns = sorted({schema[name.lower()] for name in ast.referenced_columns(expr)})
+        #: Referenced column positions, or ``None``: never fused, no guard paid
+        #: (a bare column, which the kernels return uncopied; no column at all;
+        #: or, found by a dry run when a typing first fails, no typing can work).
+        self.columns: list[int] | None = (
+            None if isinstance(expr, ast.Column) or not columns else columns
+        )
+        self.kernels: dict[tuple, Callable | None] = {}
+
+    def __call__(self, batch: Batch) -> list:
+        """The values (with ``as_mask``, the keep-mask) of ``expr`` over ``batch``."""
+        columns = self.columns
+        if columns is not None and len(batch):
+            types = _column_types(batch, columns)
+            try:
+                kernel = self.kernels[types]
+            except KeyError:
+                kernel = self.kernels[types] = self._generate(columns, types)
+                if kernel is None and self._emit(columns, (_ANY,) * len(columns)) is None:
+                    self.columns = None
+            if kernel is not None:
+                return kernel(*map(batch.column, columns))
+        return self.fallback(batch)
+
+    def _emit(self, columns: list[int], types: tuple) -> tuple | None:
+        emitter = _Emitter(self.schema, dict(zip(columns, types)))
+        try:
+            return *emitter.emit(self.expr, 0), emitter.bound
+        except _Unfusable:
+            return None
+
+    def _generate(self, columns: list[int], types: tuple) -> Callable | None:
+        """The kernel for ``columns`` of ``types``; ``None`` unless they are
+        clean and type the expression inside the subset."""
+        emitted = all(kind in _CLEAN_TYPES for kind in types) and self._emit(columns, types)
+        if not emitted:
+            return None
+        source, kind, bound = emitted
+        if self.as_mask and kind is not bool:
+            source = f"({source}) is True"
+        rows, args = (", ".join(f"{v}{i}" for i in columns) for v in "vx")
+        text = (
+            f"def bind({', '.join(f'c{i}' for i in range(len(bound)))}):\n"
+            f" def kernel({args}):\n"
+            f"  return [{source} for {rows} in {args if len(types) == 1 else f'zip({args})'}]\n"
+            f" return kernel\n"
+        )
+        return _kernel_factory(text)(*bound)
+
+
+class _Emitter:
+    """Writes one kernel's row expression over the row variables ``v<i>``."""
+
+    def __init__(self, schema: dict[str, int], types: dict[int, object]):
+        self.schema, self.types = schema, types
+        self.bound: list = []  # constants, bound as c0, c1, ...
+
+    def bind(self, value: object) -> str:
+        self.bound.append(value)
+        return f"c{len(self.bound) - 1}"
+
+    def emit(self, expr: ast.Expr, depth: int) -> tuple[str, object]:
+        """``(source, static type)`` of ``expr``, or :class:`_Unfusable`."""
+        if depth > 60:  # keeps parenthesis nesting inside the parser's limit
+            raise _Unfusable
+        depth += 1
+        if isinstance(expr, ast.Literal):
+            if type(expr.value) in _CLEAN_TYPES:
+                return self.bind(expr.value), type(expr.value)
+        elif isinstance(expr, ast.Column):
+            idx = self.schema[expr.name.lower()]
+            return f"v{idx}", self.types[idx]
+        elif isinstance(expr, ast.IsNull):
+            if isinstance(expr.operand, ast.Column):  # a clean column holds no NULL
+                return repr(expr.negated), bool
+        elif isinstance(expr, ast.Unary):
+            src, kind = self.emit(expr.operand, depth)
+            if expr.op == "-" and kind in _NUMBER:
+                return f"(-{src})", kind
+            if expr.op == "NOT" and kind in _BOOL:
+                return f"(not {src})", bool
+        elif isinstance(expr, ast.Binary):
+            op = expr.op
+            (left, lk), (right, rk) = self.emit(expr.left, depth), self.emit(expr.right, depth)
+            if op in _ARITH and lk in _NUMBER and rk in _NUMBER:
+                kind = _ANY if _ANY in (lk, rk) else int if lk is rk is int else float
+                return f"({left} {op} {right})", kind
+            if (op in _COMPARE and _comparable(lk, rk)) or (
+                op in ("AND", "OR") and lk in _BOOL and rk in _BOOL
+            ):
+                return f"({left} {_PY_OPS.get(op, op)} {right})", bool
+        elif isinstance(expr, ast.Case):
+            parts, kinds = [], set()
+            for cond, value in expr.whens:
+                test, kind = self.emit(cond, depth)
+                if kind not in _BOOL:
+                    raise _Unfusable
+                src, kind = self.emit(value, depth)
+                parts.append(f"{src} if {test} else ")
+                kinds.add(kind)
+            src, kind = ("None", _OPAQUE) if expr.default is None else self.emit(expr.default, depth)
+            kinds.add(kind)
+            if len(kinds) > 1:
+                kind = _ANY if _ANY in kinds and _OPAQUE not in kinds else _OPAQUE
+            return f"({''.join(parts)}{src})", kind
+        elif isinstance(expr, ast.InList):
+            src, kind = self.emit(expr.operand, depth)
+            items = [item.value for item in expr.items if isinstance(item, ast.Literal)]
+            if len(items) == len(expr.items) and None not in items and kind in (*_CLEAN_TYPES, _ANY):
+                return f"({src} {'not ' * expr.negated}in {self.bind(frozenset(items))})", bool
+        elif isinstance(expr, ast.Between):
+            src, kind = self.emit(expr.operand, depth)
+            (low, lk), (high, hk) = self.emit(expr.low, depth), self.emit(expr.high, depth)
+            # Atom bounds cannot raise, so the chained comparison's order and
+            # short-circuit are unobservable.
+            atoms = all(isinstance(e, (ast.Literal, ast.Column)) for e in (expr.low, expr.high))
+            if atoms and _comparable(kind, lk) and _comparable(kind, hk):
+                return f"({'not ' * expr.negated}{low} <= {src} <= {high})", bool
+        elif isinstance(expr, ast.Like):
+            src, kind = self.emit(expr.operand, depth)
+            pattern = expr.pattern
+            if isinstance(pattern, ast.Literal) and type(pattern.value) is str and kind in _TEXT:
+                match = self.bind(like_to_regex(pattern.value).match)
+                return f"({match}({src}) is {'not ' * (not expr.negated)}None)", bool
+        elif isinstance(expr, ast.Cast):
+            src, kind = self.emit(expr.operand, depth)
+            target = _CAST_IDENTITY.get(expr.type_name)
+            if target is not None and kind in (target, _ANY):
+                return src, target
+            if target is float and kind is int:
+                return f"{self.bind(float)}({src})", float
+        elif isinstance(expr, ast.FuncCall):
+            builder = _FUNCTIONS.get(expr.name)
+            if builder is _fn_substring and len(expr.args) == 3:
+                (text, tk), (start, sk) = self.emit(expr.args[0], depth), self.emit(expr.args[1], depth)
+                n = expr.args[2].value if isinstance(expr.args[2], ast.Literal) else None
+                if type(n) is int and n >= 0 and text.isidentifier() and tk in _TEXT and sk in _INT:
+                    # _fn_substring over a str and an int: a start before
+                    # position 1 still counts the length from there.
+                    at, n = f"t{len(self.bound)}", self.bind(n)
+                    return (
+                        f"({text}[{at} - 1:{at} - 1 + {n}] if ({at} := {start}) > 0"
+                        f" else {text}[:{self.bind(max)}({at} - 1 + {n}, 0)])"
+                    ), str
+            elif builder is not None and builder is not _fn_substring and len(expr.args) == 1:
+                src, kind = self.emit(expr.args[0], depth)
+                if kind in (*_CLEAN_TYPES, _ANY):
+                    return f"{self.bind(builder([lambda value: value]))}({src})", _OPAQUE
+        raise _Unfusable

@@ -168,6 +168,55 @@ class TestLimitAdaptation:
         assert free.achieved_fpr <= cramped.achieved_fpr
         assert len(cramped.attempts) >= len(free.attempts)
 
+    @staticmethod
+    def reference_ladder(keys, target_fpr, attr, budget, seed):
+        """The ladder as first written: every rung filled and rendered,
+        bit by bit, only to take the length of its SQL."""
+        attempts, fpr = [], target_fpr
+        while True:
+            fpr = min(fpr, 0.9)
+            attempts.append(fpr)
+            bloom = BloomFilter.build(keys, fpr, seed)
+            bits = "".join("1" if b else "0" for b in bloom.bits)
+            sql = " AND ".join(
+                f"SUBSTRING('{bits}', {h.to_sql(f'CAST({attr} AS INT)')}, 1) = '1'"
+                for h in bloom.hashes
+            )
+            if len(sql.encode()) <= budget:
+                return attempts, fpr, sql
+            if fpr == 0.9:
+                return attempts, 1.0, None
+            fpr *= 10.0
+
+    @pytest.mark.parametrize(
+        "limit_bytes, rungs", [(500_000, 1), (100_000, 3), (43_449, 3), (43_448, 4), (500, 4)]
+    )
+    def test_rungs_are_weighed_empty_with_identical_outcome(self, limit_bytes, rungs):
+        """Sizing a rung from ``m`` and the hash texts alone changes nothing
+        observable: attempts, achieved FPR and the SQL are byte-identical
+        to filling and rendering every rung — a ladder that fits at once,
+        two that degrade twice (one landing exactly on the budget), one
+        that takes the last rung and one that gives up."""
+        keys = list(range(0, 9000, 3))
+        attempts, fpr, sql = self.reference_ladder(keys, 0.001, "l_ordérkey", limit_bytes, 7)
+        outcome = build_bloom_filter_within_limit(
+            keys, 0.001, "l_ordérkey", limit_bytes=limit_bytes, seed=7
+        )
+        assert len(attempts) == rungs
+        assert (outcome.attempts, outcome.achieved_fpr) == (attempts, fpr)
+        if sql is None:
+            assert outcome.bloom is None
+        else:
+            assert outcome.bloom.to_sql_predicate("l_ordérkey") == sql
+            assert outcome.bloom.predicate_size_bytes("l_ordérkey") == len(sql.encode())
+
+    def test_a_rung_fits_at_exactly_the_budget(self):
+        keys = list(range(300))
+        size = BloomFilter.build(keys, 0.01, seed=3).predicate_size_bytes("k")
+        at = build_bloom_filter_within_limit(keys, 0.01, "k", limit_bytes=size, seed=3)
+        under = build_bloom_filter_within_limit(keys, 0.01, "k", limit_bytes=size - 1, seed=3)
+        assert at.attempts == [0.01] and under.attempts[:2] == [0.01, 0.1]
+
 
 @settings(max_examples=30)
 @given(

@@ -11,10 +11,14 @@ batches, batch_size=1).
 
 from __future__ import annotations
 
+import cProfile
+import pstats
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bloom.filter import BloomFilter
 from repro.cloud.context import CloudContext, set_default_pipeline
 from repro.cloud.perf import SERVER_CPU_PER_ROW
 from repro.common.errors import CatalogError, TypeMismatchError
@@ -28,7 +32,11 @@ from repro.engine.operators.project import project_batches
 from repro.engine.operators.sort import SortKey, sort_batches
 from repro.engine.operators.topk import top_k_batches
 from repro.expr.compiler import compile_expr, compile_predicate
-from repro.expr.vector import compile_expr_vector, compile_predicate_vector
+from repro.expr.vector import (
+    compile_aggregate_input_vector,
+    compile_expr_vector,
+    compile_predicate_vector,
+)
 from repro.queries.common import items
 from repro.sqlparser import ast
 from repro.sqlparser.parser import parse_expression
@@ -60,6 +68,29 @@ rows_strategy = st.lists(
     ),
     max_size=30,
 )
+#: NULL-free, one Python type per column: what the fused tier of
+#: ``expr/vector.py`` takes whole.  ``rows_strategy`` draws NULL in every
+#: column independently, so almost none of its multi-row batches is clean.
+clean_rows_strategy = st.lists(
+    st.tuples(
+        st.integers(-50, 50),
+        st.integers(-5, 5),
+        st.floats(-100, 100).map(lambda v: round(v, 3)),
+        st.sampled_from(["", "a", "abc", "ü", "日本", "a%b", "A_c", "12"]),
+        st.sampled_from(["1995-01-01", "1996-06-15", "1997-12-31"]),
+    ),
+    min_size=1, max_size=30,
+)
+
+
+def nearly_clean(rows):
+    """``rows`` as is, then with one value that fails the fused tier's
+    guard: a NULL in the last row, a ``bool`` and a ``str`` in an int column."""
+    *head, last = rows
+    yield rows
+    yield head + [last[:3] + (None,) + last[4:]]
+    yield head + [(True,) + last[1:]]
+    yield [("7",) + rows[0][1:]] + rows[1:]
 
 #: One expression per vectorized kernel, plus the row-fallback shapes
 #: (CASE, COALESCE, function calls) and the const-folded thunks.
@@ -100,6 +131,28 @@ EXPRESSIONS = [
 ]
 
 
+def assert_same_outcome(vector_side, row_side):
+    """Same values and value types, or the same exception class."""
+    try:
+        want = row_side()
+    except Exception as exc:  # e.g. % by zero — both paths must agree
+        with pytest.raises(type(exc)):
+            vector_side()
+        return
+    assert_same_values(vector_side(), want)
+
+
+def row_compiler_calls(fn) -> int:
+    """Calls into ``expr/compiler.py`` while ``fn()`` runs."""
+    profile = cProfile.Profile(builtins=False)
+    profile.runcall(fn)
+    return sum(
+        calls
+        for (filename, _, _), (_, calls, *_) in pstats.Stats(profile).stats.items()
+        if filename.endswith("expr/compiler.py")
+    )
+
+
 def assert_same_values(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -116,13 +169,20 @@ class TestExpressionKernels:
         row_fn = compile_expr(expr, SCHEMA)
         vec_fn = compile_expr_vector(expr, SCHEMA)
         batch = Batch.from_rows(rows, num_columns=5)
-        try:
-            want = [row_fn(row) for row in rows]
-        except Exception as exc:  # e.g. % by zero — both paths must agree
-            with pytest.raises(type(exc)):
-                vec_fn(batch)
-            return
-        assert_same_values(vec_fn(batch), want)
+        assert_same_outcome(lambda: vec_fn(batch), lambda: [row_fn(row) for row in rows])
+
+    @pytest.mark.parametrize("sql", EXPRESSIONS)
+    @settings(max_examples=12, deadline=None)
+    @given(rows=clean_rows_strategy)
+    def test_clean_and_nearly_clean_batches_match_row_compiler(self, sql, rows):
+        expr = parse_expression(sql)
+        row_fn = compile_expr(expr, SCHEMA)
+        vec_fn = compile_expr_vector(expr, SCHEMA)
+        for variant in nearly_clean(rows):
+            assert_same_outcome(
+                lambda: vec_fn(Batch.from_rows(variant)),
+                lambda: [row_fn(row) for row in variant],
+            )
 
     @pytest.mark.parametrize("sql", EXPRESSIONS)
     def test_empty_batch_yields_empty(self, sql):
@@ -134,17 +194,35 @@ class TestExpressionKernels:
             "a = 1", "s LIKE 'a%'", "a IN (1, NULL)", "a = 1 OR b = 1",
             "SUBSTRING('0110100110', a, 1) = '1'"
             " AND SUBSTRING('1011001110', (3 * b + 7) % 10 + 1, 1) = '1'",
+            # Truthiness of non-boolean operands: the row compiler applies
+            # ``not v`` / ``bool(a) or bool(b)``, not ``v is False`` / ``is True``.
+            "NOT a", "NOT s", "a OR b", "NOT a OR b = 1", "NOT CAST(s AS STRING)",
         ]
     )
     @settings(max_examples=20, deadline=None)
-    @given(rows=rows_strategy)
-    def test_predicate_mask_matches_row_predicate(self, sql, rows):
+    @given(rows=rows_strategy, clean_rows=clean_rows_strategy)
+    def test_predicate_mask_matches_row_predicate(self, sql, rows, clean_rows):
         expr = parse_expression(sql)
         pred = compile_predicate(expr, SCHEMA)
         mask_fn = compile_predicate_vector(expr, SCHEMA)
         mask = mask_fn(Batch.from_rows(rows, num_columns=5))
         assert mask == [pred(row) for row in rows]
         assert all(v is True or v is False for v in mask)
+        for variant in nearly_clean(clean_rows):
+            assert_same_outcome(
+                lambda: mask_fn(Batch.from_rows(variant)),
+                lambda: [pred(row) for row in variant],
+            )
+
+    def test_mask_shortcuts_apply_truthiness_to_non_booleans(self):
+        rows = [(0, 1, 0.0, "", None), (2, 0, 0.0, "", None),
+                (None, 3, 0.0, "", None), (0, 0, 0.0, "", None)]
+        batch = Batch.from_rows(rows)
+        for sql, want in [("NOT a", [True, False, False, True]),
+                          ("a OR b", [True, True, False, False])]:
+            expr = parse_expression(sql)
+            assert [compile_predicate(expr, SCHEMA)(row) for row in rows] == want
+            assert compile_predicate_vector(expr, SCHEMA)(batch) == want
 
     @settings(max_examples=20, deadline=None)
     @given(rows=rows_strategy)
@@ -216,6 +294,22 @@ class TestSurvivorConjunctions:
         for row in rows:  # size-1 batches
             assert mask_fn(Batch.from_rows([row])) == [pred(row)]
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        conjuncts=st.lists(st.sampled_from(CONJUNCTS), min_size=2, max_size=8),
+        right_nested=st.booleans(),
+        rows=clean_rows_strategy,
+    )
+    def test_clean_and_nearly_clean_batches(self, conjuncts, right_nested, rows):
+        expr = parse_expression(_and_chain(conjuncts, right_nested))
+        pred = compile_predicate(expr, SCHEMA)
+        mask_fn = compile_predicate_vector(expr, SCHEMA)
+        for variant in nearly_clean(rows):
+            assert_same_outcome(
+                lambda: mask_fn(Batch.from_rows(variant)),
+                lambda: [pred(row) for row in variant],
+            )
+
     @pytest.mark.parametrize(
         "sql", ["a > 0 AND CAST(s AS INT) > 0", "a > 0 AND b = 1 AND CAST(s AS INT) > 0"]
     )
@@ -248,6 +342,76 @@ class TestSurvivorConjunctions:
         )
         mask = compile_predicate_vector(expr, SCHEMA)(Batch.from_rows(rows, num_columns=5))
         assert mask == want == [compile_predicate(expr, SCHEMA)(row) for row in rows]
+
+
+class TestFusedTierIsReached:
+    """On clean batches the paper's hot expressions never enter the row
+    compiler; one NULL sends the batch to the kernels, same values."""
+
+    CLEAN = [
+        (i * 7 % 40, i % 5, (i % 10) / 100, ["x", "abc"][i % 2], f"199{i % 4 + 2}-03-01")
+        for i in range(60)
+    ]
+    BLOOM = BloomFilter.build(range(0, 40, 3), 0.01, seed=5)
+    Q6_WHERE = (
+        "d >= '1994-01-01' AND d < '1995-01-01'"
+        " AND f BETWEEN 0.05 AND 0.07 AND a < 24"
+    )
+
+    def check(self, vec_fn, row_fn):
+        batch = Batch.from_rows(self.CLEAN)
+        assert row_compiler_calls(lambda: vec_fn(batch)) == 0
+        assert_same_values(vec_fn(batch), [row_fn(row) for row in self.CLEAN])
+        with_null = self.CLEAN[:-1] + [(None, None, None, None, None)]
+        assert_same_values(
+            vec_fn(Batch.from_rows(with_null)), [row_fn(row) for row in with_null]
+        )
+
+    def test_bloom_predicate(self):
+        assert self.BLOOM.num_hashes == 7
+        expr = parse_expression(self.BLOOM.to_sql_predicate("a"))
+        mask = compile_predicate_vector(expr, SCHEMA)(Batch.from_rows(self.CLEAN))
+        assert {row[0] for row in self.CLEAN if row[0] % 3 == 0} <= {
+            row[0] for row, keep in zip(self.CLEAN, mask) if keep
+        }
+        self.check(compile_predicate_vector(expr, SCHEMA), compile_predicate(expr, SCHEMA))
+
+    def test_q6_where(self):
+        expr = parse_expression(self.Q6_WHERE)
+        assert any(compile_predicate(expr, SCHEMA)(row) for row in self.CLEAN)
+        self.check(compile_predicate_vector(expr, SCHEMA), compile_predicate(expr, SCHEMA))
+
+    @pytest.mark.parametrize(
+        "sql", ["SUM(CASE WHEN b = 3 THEN f ELSE 0 END)", "MIN(CASE WHEN b = 3 THEN f END)",
+                "SUM(CASE WHEN s = 'abc' THEN a ELSE 0 END)", "SUM(f * (1 - f) * (1 + f))"]
+    )
+    def test_aggregate_input(self, sql):
+        agg = parse_expression(sql)
+        self.check(
+            compile_aggregate_input_vector(agg, SCHEMA), compile_expr(agg.operand, SCHEMA)
+        )
+
+    def test_kernels_are_shared_per_column_types_across_threads(self):
+        # One binding serves concurrent requests: a racing first batch may
+        # generate twice, but every thread gets complete, equal results.
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        expr = parse_expression(self.Q6_WHERE)
+        pred = compile_predicate(expr, SCHEMA)
+        want = [pred(row) for row in self.CLEAN]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                mask_fn = compile_predicate_vector(expr, SCHEMA)
+                with ThreadPoolExecutor(8) as pool:
+                    futures = [
+                        pool.submit(mask_fn, Batch.from_rows(self.CLEAN)) for _ in range(16)
+                    ]
+                    assert all(f.result(timeout=30) == want for f in futures)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 NAMES = ["a", "b", "f", "s", "d"]
