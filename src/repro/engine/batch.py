@@ -1,9 +1,8 @@
 """The columnar RecordBatch: one value sequence per column.
 
 A :class:`Batch` is the one thing that flows between operators: a chunk
-of rows stored column-wise — one plain Python list (or ``array.array``
-for NULL-free fixed-width numerics, see :meth:`compact`) per column plus
-a row count — so the vectorized expression kernels in
+of rows stored column-wise — one plain Python list per column plus a
+row count — so the vectorized expression kernels in
 :mod:`repro.expr.vector` sweep whole columns with C-speed list
 comprehensions instead of paying a Python-level loop per row.
 
@@ -17,21 +16,17 @@ sort buffers) and the final result handed to the caller.
 
 from __future__ import annotations
 
-from array import array
 from itertools import compress
 from operator import eq
 from typing import Iterable, Iterator, Sequence
-
-#: ``array.array`` typecodes used by :meth:`Batch.compact`.
-_COMPACT_TYPECODES = {int: "q", float: "d"}
 
 
 class Batch:
     """One columnar RecordBatch: per-column value sequences + a length.
 
     ``columns`` is a list with one entry per output column; each entry is
-    an indexable sequence (usually a list, possibly an ``array.array``)
-    of exactly ``length`` values, where ``None`` encodes SQL NULL.
+    an indexable sequence (usually a list) of exactly ``length`` values,
+    where ``None`` encodes SQL NULL.
     Columns are treated as immutable once a batch is constructed, which
     is what makes slicing and projection views safe to share.
     """
@@ -128,32 +123,6 @@ class Batch:
         if len(indices) == n and all(map(eq, indices, range(n))):
             return self
         return Batch([[col[i] for i in indices] for col in self.columns], len(indices))
-
-    def compact(self) -> "Batch":
-        """Repack NULL-free int/float columns into ``array.array``.
-
-        A memory-density optimization for long-lived batches (pipeline
-        breakers buffering input): fixed-width numerics drop the
-        per-object overhead.  Columns with NULLs, mixed types, or values
-        outside the fixed width stay as-is; values read back compare
-        equal, so semantics never change.
-        """
-        packed = []
-        for col in self.columns:
-            typecode = None
-            if self.length and not isinstance(col, array):
-                first = type(col[0])
-                typecode = _COMPACT_TYPECODES.get(first)
-                if typecode is not None and any(type(v) is not first for v in col):
-                    typecode = None
-            if typecode is None:
-                packed.append(col)
-                continue
-            try:
-                packed.append(array(typecode, col))
-            except (OverflowError, TypeError):
-                packed.append(col)
-        return Batch(packed, self.length)
 
     def __repr__(self) -> str:
         return f"Batch(columns={len(self.columns)}, rows={self.length})"

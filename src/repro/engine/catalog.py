@@ -143,7 +143,9 @@ def load_table(
     Data objects carry no header row (the schema travels as object
     metadata), so index-table byte offsets address records directly.
     Loading is a setup step and is deliberately unmetered, matching the
-    paper's exclusion of load cost from query cost.
+    paper's exclusion of load cost from query cost.  Loading a name again
+    replaces the table: every object under ``{name}/`` that this load did
+    not write (data and index objects alike) is deleted.
 
     Args:
         index_columns: columns to build Section IV-A index tables for.
@@ -227,6 +229,13 @@ def load_table(
         info.indexes[column.lower()] = _build_index(
             ctx, info, column, rows, slices, extents_per_partition, schema_spec
         )
+
+    # A reload under another layout (fewer partitions, another format, no
+    # index) must not leave the previous load's objects in the store.
+    written = {*keys, *(k for index in info.indexes.values() for k in index.keys)}
+    for key in ctx.store.list_keys(bucket, f"{name}/"):
+        if key not in written:
+            ctx.store.delete_object(bucket, key)
 
     catalog.register(info)
     return info

@@ -209,7 +209,8 @@ class PreparedSelect:
             else:
                 bytes_scanned = len(obj.data)
                 batches = iter_decode_column_batches(
-                    obj.data, binding.schema, has_header=has_header, columns=needed
+                    obj.data, binding.schema, has_header=has_header,
+                    columns=needed, memo=obj.decoded,
                 )
         elif fmt == "parquet":
             if scan_range is not None:

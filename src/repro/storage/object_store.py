@@ -19,17 +19,23 @@ from repro.common.errors import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class StoredObject:
     """One immutable object: payload bytes plus free-form metadata.
 
     Metadata carries hints the simulated control plane needs (e.g.
     ``format: csv|parquet``); the real S3 would infer the same from the
-    request's input serialization.
+    request's input serialization.  ``decoded`` is the CSV decoder's
+    private memo of this object's columns (see
+    :func:`repro.storage.csvcodec.iter_decode_column_batches`): it starts
+    empty, is derived from ``data`` alone — which can never be rebound —
+    and is dropped with the object, so an overwritten or deleted key
+    cannot serve old columns.
     """
 
     data: bytes
     metadata: dict = field(default_factory=dict)
+    decoded: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def size(self) -> int:

@@ -35,13 +35,15 @@ def _decode_partition(
     data: bytes,
     batch_size: int,
     columns: Sequence[str] | None = None,
+    memo: dict | None = None,
 ) -> Iterator[Batch]:
     """Lazily decode one GET'd partition object into batches of
-    ``columns`` (default: the whole schema)."""
+    ``columns`` (default: the whole schema); ``memo`` is the decoded
+    slot of the stored object ``data`` came from, if it still is it."""
     if table.format == "csv":
         return iter_decode_column_batches(
             data, table.schema, batch_size=batch_size, has_header=False,
-            columns=columns,
+            columns=columns, memo=memo,
         )
     return ParquetFile(data).iter_batches(columns, batch_size=batch_size)
 
@@ -145,14 +147,18 @@ def iter_scan_batches(
     if batch_size is None:
         batch_size = ctx.batch_size
     if sql is None:
-        payloads = _fan_out(
-            ctx, workers, lambda key: ctx.client.get_object(table.bucket, key),
-            _partition_keys(table, partitions),
-        )
+        def get(key: str) -> tuple[bytes, dict | None]:
+            # The object's decoded columns go with the payload only if the
+            # GET returned that object's very bytes (no overwrite in between).
+            obj = ctx.store.get_object(table.bucket, key)
+            data = ctx.client.get_object(table.bucket, key)
+            return data, obj.decoded if obj.data is data else None
+
+        payloads = _fan_out(ctx, workers, get, _partition_keys(table, partitions))
         return (
             batch
-            for data in payloads
-            for batch in _decode_partition(table, data, batch_size, columns)
+            for data, memo in payloads
+            for batch in _decode_partition(table, data, batch_size, columns, memo)
         )
     responses = scan_partitions(
         ctx, table, sql, workers=workers, scan_range_fraction=scan_range_fraction,

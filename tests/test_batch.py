@@ -1,7 +1,5 @@
 """Tests for the columnar RecordBatch container."""
 
-from array import array
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -109,25 +107,6 @@ class TestTransforms:
         batch = Batch.from_rows(ROWS)
         assert batch.take([0, 1, 2]) is batch
         assert batch.take([0, 2, 1]) is not batch
-
-    def test_compact_packs_numeric_columns(self):
-        batch = Batch.from_rows([(1, 1.5), (2, 2.5)]).compact()
-        assert isinstance(batch.columns[0], array)
-        assert batch.columns[0].typecode == "q"
-        assert isinstance(batch.columns[1], array)
-        assert batch.columns[1].typecode == "d"
-        assert batch.to_rows() == [(1, 1.5), (2, 2.5)]
-
-    def test_compact_leaves_nullable_and_mixed_columns(self):
-        batch = Batch.from_rows([(1, "x", 1), (None, "y", 2.5)]).compact()
-        assert isinstance(batch.columns[0], list)  # has NULL
-        assert isinstance(batch.columns[1], list)  # strings
-        assert isinstance(batch.columns[2], list)  # mixed int/float
-
-    def test_compact_overflow_falls_back_to_list(self):
-        batch = Batch.from_rows([(2**80,), (1,)]).compact()
-        assert isinstance(batch.columns[0], list)
-        assert batch.to_rows() == [(2**80,), (1,)]
 
 
 @given(

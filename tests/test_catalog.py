@@ -116,3 +116,27 @@ class TestIndexTables:
                 ctx, catalog, "t", rows(10), SCHEMA,
                 data_format="parquet", index_columns=["id"],
             )
+
+
+def test_reload_deletes_the_objects_the_new_load_did_not_write():
+    """Fewer partitions, a dropped index, another format: after each load
+    the store holds exactly the catalog's objects under ``t/`` — and a
+    table whose name merely shares the prefix is left alone."""
+    ctx, catalog = CloudContext(), Catalog()
+    load_table(ctx, catalog, "t2", rows(20), SCHEMA, partitions=3, index_columns=["id"])
+    neighbour = ctx.store.list_keys("tpch", "t2/")
+    assert len(neighbour) == 6
+    for data, layout in [
+        (rows(100), dict(partitions=8, index_columns=["id"])),
+        (rows(10), dict(partitions=2)),
+        (rows(10), dict(partitions=1, data_format="parquet")),
+    ]:
+        info = load_table(ctx, catalog, "t", data, SCHEMA, **layout)
+        indexes = list(info.indexes.values())
+        assert ctx.store.list_keys(info.bucket, "t/") == sorted(
+            info.keys + [key for index in indexes for key in index.keys]
+        )
+        assert ctx.store.total_bytes(info.bucket, "t/") == info.total_bytes + sum(
+            index.total_bytes for index in indexes
+        )
+        assert ctx.store.list_keys(info.bucket, "t2/") == neighbour

@@ -411,9 +411,10 @@ def test_baseline_get_scans_decode_needed_columns_and_bill_full_rows(monkeypatch
     decoded: list[tuple[str, tuple]] = []
     real_decode = scans._decode_partition
 
-    def decode(table, data, batch_size, columns=None):
+    def decode(table, data, batch_size, columns=None, memo=None):
         decoded.append((table.name, tuple(columns)))  # never None: never "all"
-        return real_decode(table, data, batch_size, columns)
+        assert memo is not None  # a stored CSV object's bytes travel with its memo
+        return real_decode(table, data, batch_size, columns, memo)
 
     monkeypatch.setattr(scans, "_decode_partition", decode)
 

@@ -1,8 +1,16 @@
 """Tests for schemas, the CSV codec, and the object store."""
 
+import cProfile
 import io
 import math
+import pstats
+import sys
 from array import array
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import FrozenInstanceError
+from itertools import islice
+from threading import Barrier
 
 import pytest
 from hypothesis import given
@@ -14,9 +22,12 @@ from repro.common.errors import (
     NoSuchBucketError,
     NoSuchKeyError,
 )
-from repro.engine.batch import Batch
 from repro.engine.operators.base import materialize
+from repro.planner.database import PushdownDB
+from repro.s3select.engine import execute_select
+from repro.sqlparser.parser import parse_expression
 from repro.storage.csvcodec import (
+    DEFAULT_BATCH_SIZE,
     RowExtent,
     encode_row,
     encode_table,
@@ -27,8 +38,9 @@ from repro.storage.csvcodec import (
     iter_decode_column_batches,
     iter_records,
 )
-from repro.storage.object_store import ObjectStore
+from repro.storage.object_store import ObjectStore, StoredObject
 from repro.storage.schema import ColumnDef, TableSchema
+from repro.strategies.filter import FilterQuery, indexed_filter
 
 from helpers import decode_rows
 
@@ -383,15 +395,15 @@ _FIELD_TEXT = {
 
 
 @st.composite
-def _csv_objects(draw):
+def _csv_objects(draw, field_text=_FIELD_TEXT):
     """(bytes, schema, has_header): a quote-free object under
     a typed schema of width 1-4, with LF or CRLF line ends, an optional
     missing trailing newline, and — sometimes — stray lines of another
     width (an empty line is a 1-field record: NULL under a width-1
     schema, ragged under a wider one)."""
-    types = draw(st.lists(st.sampled_from(sorted(_FIELD_TEXT)), min_size=1, max_size=4))
+    types = draw(st.lists(st.sampled_from(sorted(field_text)), min_size=1, max_size=4))
     schema = TableSchema.of(*(f"c{i}:{t}" for i, t in enumerate(types)))
-    valid = st.tuples(*(_FIELD_TEXT[t] for t in types)).map(",".join)
+    valid = st.tuples(*(field_text[t] for t in types)).map(",".join)
     stray = st.sampled_from(["", "1,2,3,4,5", ","])
     lines = draw(st.lists(st.one_of(valid, valid, valid, stray), max_size=14))
     has_header = draw(st.booleans())
@@ -497,20 +509,270 @@ _COLUMN = st.one_of(
 @given(_COLUMN)
 def test_property_format_column_equals_format_value_per_value(column):
     """Pure int / float / str columns take the one-pass branches; NULLs,
-    bools and mixed types the per-value one — same texts either way, and
-    for the ``array.array`` columns ``Batch.compact`` builds."""
+    bools and mixed types the per-value one — same texts either way."""
     expected = [format_value(v) for v in column]
     assert list(format_column(column)) == expected
     assert list(format_column(tuple(column))) == expected
-    (packed,) = Batch([column], len(column)).compact().columns
-    assert list(format_column(packed)) == expected
 
 
-def test_format_column_of_compacted_columns():
-    ints, floats = Batch([[3, -4], [-0.0, 2.5]], 2).compact().columns
-    assert isinstance(ints, array) and isinstance(floats, array)
-    assert format_column(ints) == ["3", "-4"]
-    assert format_column(floats) == ["-0.0", "2.5"]
+# ----------------------------------------------------------------------
+# the decoded-column memo: indistinguishable from a cold decode
+# ----------------------------------------------------------------------
+
+#: Adds what the packed forms must survive: ints at and beyond the int64
+#: edges (``array('q')`` or, past them, the text form), signed zero, nan.
+_MEMO_FIELD_TEXT = {
+    **_FIELD_TEXT,
+    "int": st.sampled_from([
+        "", "0", "-12", "9223372036854775807", "9223372036854775808",
+        "-9223372036854775808", "-9223372036854775809", str(10**30),
+    ]),
+    "float": st.sampled_from(
+        ["", "0.5", "-0.0", "1e3", "inf", "-inf", "nan", "5e-324", "1.5e300"]
+    ),
+}
+
+
+def _observed(data, schema, batch_size, has_header, columns, memo, pulls):
+    """What a consumer pulling ``pulls`` batches sees: per batch its row
+    count and every value's type and ``repr`` (nan, -0.0), then the class
+    of the error, if one was raised.  The columns are emptied afterwards —
+    a consumer may do what it likes with the lists it was handed."""
+    seen = []
+    try:
+        stream = iter_decode_column_batches(
+            data, schema, batch_size, has_header, columns, memo
+        )
+        for batch in islice(stream, pulls):
+            seen.append((len(batch), [
+                [(type(v), repr(v)) for v in column] for column in batch.columns
+            ]))
+            for column in batch.columns:
+                column.clear()
+    except (CatalogError, ValueError) as exc:
+        seen.append(type(exc))
+    return seen
+
+
+@given(st.data(), _csv_objects(_MEMO_FIELD_TEXT))
+def test_property_memo_is_indistinguishable_from_a_cold_decode(data, obj):
+    """A random sequence of calls through one shared memo — column
+    subsets in any order with repeats (or none at all), several batch
+    sizes, some streams abandoned after their first batch — yields, call
+    by call, what ``memo=None`` yields: boundaries, values, types, and
+    the same error class from the same batch, however often it is hit."""
+    payload, schema, has_header = obj
+    memo = {}
+    picks = st.one_of(st.none(), st.lists(st.sampled_from(schema.names), max_size=6))
+    for _ in range(data.draw(st.integers(2, 8))):
+        columns = data.draw(picks)
+        batch_size = data.draw(st.sampled_from([1, 2, 3, 5, 100]))
+        pulls = data.draw(st.sampled_from([1, None, None]))
+        call = (payload, schema, batch_size, has_header, columns)
+        assert _observed(*call, memo, pulls) == _observed(*call, None, pulls)
+
+
+def test_memo_packs_by_type_and_hands_out_fresh_lists():
+    schema = TableSchema.of("i:int", "big:int", "f:float", "s:str", "n:int")
+    data = f"1,{2**63},-0.0,é,\n-2,7,nan,z,5\n".encode()
+    memo = {}
+    first = next(iter_decode_column_batches(data, schema, has_header=False, memo=memo))
+    ((rows, packed),) = memo[False, DEFAULT_BATCH_SIZE, 5]
+    assert rows == 2
+    assert packed[0, "int"] == array("q", [1, -2])
+    assert packed[1, "int"] == f"{2**63}\n7"  # outside int64: the field text
+    assert packed[2, "float"].typecode == "d"
+    assert packed[3, "str"] == "é\nz"
+    assert packed[4, "int"] == "\n5"  # a NULL: the field text
+    again = next(iter_decode_column_batches(data, schema, has_header=False, memo=memo))
+    assert repr(again.to_rows()) == repr(first.to_rows())
+    assert again.to_rows()[0][:2] == (1, 2**63) and again.to_rows()[0][4] is None
+    assert all(a is not b for a, b in zip(first.columns, again.columns))
+
+
+def test_memo_never_stores_an_error_and_never_loses_one():
+    """A bad field fails its column, a ragged row its chunk — from the
+    same batch on every call; what is around them stays usable."""
+    schema = TableSchema.of("a:int", "b:float", "c:str")
+    data = b"1,1.5,x\n2,2.5,y\n3,oops,z\n4,4.5,w\n5,5.5\n6,6.5,u\n"
+    memo = {}
+    decode = lambda columns: iter_decode_column_batches(
+        data, schema, 2, has_header=False, columns=columns, memo=memo
+    )
+    for _ in range(3):
+        stream = decode(None)
+        assert next(stream).to_rows() == [(1, 1.5, "x"), (2, 2.5, "y")]
+        with pytest.raises(ValueError, match="oops"):
+            next(stream)
+        stream = decode(["c", "a"])  # the bad column is not read
+        assert next(stream).to_rows() == [("x", 1), ("y", 2)]
+        assert next(stream).to_rows() == [("z", 3), ("w", 4)]
+        with pytest.raises(CatalogError, match="row has 2 fields, schema has 3"):
+            next(stream)
+        stream = decode([])  # no column at all: the row count alone
+        assert [(len(b), b.columns) for b in islice(stream, 2)] == [(2, []), (2, [])]
+        with pytest.raises(CatalogError, match="row has 2 fields, schema has 3"):
+            next(stream)
+    chunks = memo[False, 2, 3]
+    assert [rows for rows, _ in chunks] == [2, 2, 2]
+    assert [sorted(i for i, _ in packed) for _, packed in chunks] == [[0, 1, 2], [0, 2], []]
+
+
+def test_quoted_object_decodes_through_the_scanner_and_stores_nothing():
+    schema = TableSchema.of("a:int", "b:str")
+    data = b'1,"x,y"\n2,"say ""hi"""\n'
+    memo = {}
+    for _ in range(2):
+        batches = iter_decode_column_batches(data, schema, has_header=False, memo=memo)
+        assert materialize(batches) == [(1, "x,y"), (2, 'say "hi"')]
+    assert memo == {}
+
+
+# ----------------------------------------------------------------------
+# the memo's lifetime (the StoredObject's), its warm path, its threads
+# ----------------------------------------------------------------------
+
+MEMO_SCHEMA = TableSchema.of("k:int", "v:float", "tag:str", "day:date")
+
+
+def _memo_rows(n, salt):
+    return [
+        (i, float(i * salt % 97), f"t{i % 5}", f"199{i % 8}-0{1 + i % 9}-1{salt % 10}")
+        for i in range(n)
+    ]
+
+
+def test_stored_object_is_frozen_and_the_memo_is_not_part_of_its_value():
+    obj = StoredObject(b"1,2\n", {"format": "csv"})  # positional, as bench/ builds it
+    with pytest.raises(FrozenInstanceError):
+        obj.data = b"3,4\n"
+    with pytest.raises(FrozenInstanceError):
+        obj.decoded = {}
+    obj.decoded["filled"] = True
+    assert obj == StoredObject(b"1,2\n", {"format": "csv"})
+    assert "decoded" not in repr(obj) and "filled" not in repr(obj)
+
+
+@pytest.mark.parametrize("indexed", [False, True])
+def test_reload_never_serves_the_previous_loads_columns(indexed):
+    """Same name, same partitioning, different rows: every mode answers
+    from the new objects, whose memos start empty."""
+    db = PushdownDB(bucket="memo")
+    layout = dict(partitions=3, index_columns=["k"] if indexed else [])
+    sql = "SELECT k, v, day FROM m WHERE v < 40.0 AND tag <> 't1'"
+    by_index = FilterQuery(
+        table="m", predicate=parse_expression("k < 25"), projection=["k", "v", "day"]
+    )
+
+    def answers():
+        rows = [db.execute(sql, mode=mode).rows for mode in ("baseline", "optimized", "auto")]
+        if indexed:
+            rows.append(indexed_filter(db.ctx, db.catalog, by_index).rows)
+        return rows
+
+    for salt in (3, 7):
+        rows = _memo_rows(300, salt)
+        info = db.load_table("m", rows, MEMO_SCHEMA, **layout)
+        keys = info.keys + [k for index in info.indexes.values() for k in index.keys]
+        assert all(db.ctx.store.get_object("memo", key).decoded == {} for key in keys)
+        want = sorted((k, v, day) for k, v, tag, day in rows if v < 40.0 and tag != "t1")
+        got = answers()
+        assert [sorted(r) for r in got[:3]] == [want] * 3
+        if indexed:
+            assert sorted(got[3]) == sorted((k, v, day) for k, v, _, day in rows if k < 25)
+        assert answers() == got  # warm
+        assert all(db.ctx.store.get_object("memo", key).decoded for key in keys)
+
+
+def test_get_scan_ignores_the_memo_of_an_object_overwritten_under_it():
+    """The GET path pairs bytes with a memo only when they are the same
+    object's: an overwrite between look-up and GET decodes from the bytes."""
+    db = PushdownDB(bucket="memo")
+    old, new = _memo_rows(40, 3), _memo_rows(40, 7)
+    info = db.load_table("m", old, MEMO_SCHEMA, partitions=1)
+    sql = "SELECT k, v FROM m"
+    assert db.execute(sql, mode="baseline").rows == [(k, v) for k, v, _, _ in old]
+    stale = db.ctx.store.get_object("memo", info.keys[0])
+    kept = {key: dict(packed) for key, [(_, packed)] in stale.decoded.items()}
+    real_get = db.ctx.client.get_object
+
+    def overwrite_then_get(bucket, key):
+        db.ctx.store.put_object(bucket, key, encode_table(new)[0], stale.metadata)
+        return real_get(bucket, key)
+
+    db.ctx.client.get_object = overwrite_then_get
+    assert db.execute(sql, mode="baseline").rows == [(k, v) for k, v, _, _ in new]
+    assert {key: dict(packed) for key, [(_, packed)] in stale.decoded.items()} == kept
+
+
+def _codec_calls(fn) -> Counter:
+    """Calls by function name while ``fn()`` runs (Python functions only)."""
+    profile = cProfile.Profile(builtins=False)
+    profile.runcall(fn)
+    calls = Counter()
+    for (_, _, name), (_, count, *_) in pstats.Stats(profile).stats.items():
+        calls[name] += count
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["optimized", "baseline"])
+def test_second_identical_scan_touches_no_text(mode):
+    """S3 Select request or GET scan: the repeat splits no line and types
+    no field; one more column re-tokenizes and types exactly that column."""
+    db = PushdownDB(bucket="memo")
+    db.load_table("m", _memo_rows(200, 3), MEMO_SCHEMA, partitions=2)
+    numeric = "SELECT k, v FROM m WHERE v < 40.0"
+    cold = _codec_calls(lambda: db.execute(numeric, mode=mode))
+    assert cold["_split_lines"] == 2 and cold["parse_column"] == 4
+    warm = _codec_calls(lambda: db.execute(numeric, mode=mode))
+    assert warm["_split_lines"] == 0 and warm["parse_column"] == 0
+    assert warm["_unpack"] == 4
+    wider = "SELECT k, v, tag FROM m WHERE v < 40.0"
+    added = _codec_calls(lambda: db.execute(wider, mode=mode))
+    assert added["_split_lines"] == 2 and added["parse_column"] == 2
+    assert added["_pack"] == 2 and added["_unpack"] == 4
+
+
+def test_racing_first_requests_see_whole_columns():
+    """16 first requests released together against one fresh object, mixed
+    column sets and both callers: every one gets a cold decode's rows."""
+    rows = _memo_rows(3000, 3)
+    data, _ = encode_table(rows)
+    metadata = {
+        "format": "csv", "header": False,
+        "schema": [f"{c.name}:{c.type}" for c in MEMO_SCHEMA.columns],
+    }
+    want_select = [(k, day) for k, v, _, day in rows if v < 40.0]
+    want_scan = [(tag, v, k) for k, v, tag, _ in rows]
+
+    def select(obj):
+        return execute_select(obj, "SELECT k, day FROM S3Object WHERE v < 40.0").rows
+
+    def get_scan(obj):
+        return materialize(iter_decode_column_batches(
+            obj.data, MEMO_SCHEMA, 64, has_header=False,
+            columns=["tag", "v", "k"], memo=obj.decoded,
+        ))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(16) as pool:
+            for _ in range(5):
+                obj = StoredObject(data, metadata)
+                start = Barrier(16)
+
+                def request(i):
+                    start.wait(timeout=60)
+                    return (select, get_scan)[i % 2](obj)
+
+                results = [f.result(timeout=60) for f in [
+                    pool.submit(request, i) for i in range(16)
+                ]]
+                assert results[0::2] == [want_select] * 8
+                assert results[1::2] == [want_scan] * 8
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _reference_encode_table(rows, header=None):
