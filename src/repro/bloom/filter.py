@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 
 from repro.bloom.universal_hash import UniversalHash, make_hash_family
 from repro.s3select.validator import EXPRESSION_LIMIT_BYTES
+from repro.sqlparser import ast
 from repro.sqlparser.ast import Literal
 
 
@@ -73,8 +74,7 @@ class BloomFilter:
         """Create a filter sized for and containing ``keys``."""
         key_list = list(keys)
         bloom = cls.with_capacity(len(key_list), fpr, seed)
-        for key in key_list:
-            bloom.add(key)
+        bloom.add_many(key_list)
         return bloom
 
     # ------------------------------------------------------------------
@@ -87,13 +87,21 @@ class BloomFilter:
         return len(self.hashes)
 
     def add(self, key: int) -> None:
-        if not isinstance(key, int) or isinstance(key, bool):
-            raise TypeError(
-                f"Bloom join supports only integer join attributes (got {key!r});"
-                " see paper Section V-A2"
-            )
+        self.add_many((key,))
+
+    def add_many(self, keys: Sequence[int]) -> None:
+        """Insert a column of keys: one type check, one pass of bits per hash."""
+        if not set(map(type, keys)) <= {int}:
+            for key in keys:
+                if not isinstance(key, int) or isinstance(key, bool):
+                    raise TypeError(
+                        "Bloom join supports only integer join attributes"
+                        f" (got {key!r}); see paper Section V-A2"
+                    )
         for h in self.hashes:
-            self.bits[h.apply(key)] = 1
+            a, b, n, m = h.a, h.b, h.n, h.m
+            for position in [(a * key + b) % n % m for key in keys]:
+                self.bits[position] = 1
 
     def might_contain(self, key: int) -> bool:
         """False means definitely absent; True means probably present."""
@@ -113,6 +121,16 @@ class BloomFilter:
         exactly the shape of the paper's Listing 1.
         """
         return self._render(f"CAST({attr} AS INT)" if cast_to_int else attr, self.bit_string())
+
+    def to_predicate(self, attr: str, cast_to_int: bool = True) -> ast.Expr:
+        """The tree the parser builds from :meth:`to_sql_predicate`'s text
+        (``==``, pinned by test), built without rendering or lexing it."""
+        key = ast.Cast(ast.Column(attr), "INT") if cast_to_int else ast.Column(attr)
+        bits, one, on = Literal(self.bit_string()), Literal(1), Literal("1")
+        return ast.and_join([
+            ast.Binary("=", ast.FuncCall("SUBSTRING", (bits, h.to_expr(key), one)), on)
+            for h in self.hashes
+        ])
 
     def _render(self, attr_sql: str, bits: str) -> str:
         return " AND ".join(
@@ -157,7 +175,6 @@ def build_bloom_filter_within_limit(
             other predicates) contributes toward the limit.
     """
     budget = limit_bytes - sql_overhead_bytes
-    attempts: list[float] = []
     candidates: list[float] = []
     fpr = target_fpr
     while fpr < 0.9:
@@ -166,14 +183,12 @@ def build_bloom_filter_within_limit(
     # Last resort before giving up entirely: a single-hash filter at a
     # terrible-but-still-useful rate (smallest possible bit array).
     candidates.append(0.9)
-    for fpr in candidates:
-        attempts.append(fpr)
+    for tried, fpr in enumerate(candidates, start=1):
         bloom = BloomFilter.with_capacity(len(keys), fpr, seed)
         if bloom.predicate_size_bytes(attr) <= budget:  # weighed empty, filled once
-            for key in keys:
-                bloom.add(key)
-            return BloomBuildOutcome(bloom=bloom, achieved_fpr=fpr, attempts=attempts)
-    return BloomBuildOutcome(bloom=None, achieved_fpr=1.0, attempts=attempts)
+            bloom.add_many(keys)
+            return BloomBuildOutcome(bloom, fpr, attempts=candidates[:tried])
+    return BloomBuildOutcome(bloom=None, achieved_fpr=1.0, attempts=candidates)
 
 
 # ----------------------------------------------------------------------
@@ -213,6 +228,15 @@ class BloomPushdown:
     when_empty: bool = False
 
 
+class PushedClause(str):
+    """A pushed predicate's wire text; ``expr`` is the tree it parses to."""
+
+    def __new__(cls, sql: str, expr: ast.Expr):
+        clause = super().__new__(cls, sql)
+        clause.expr = expr
+        return clause
+
+
 def membership_chunks(
     attr: str,
     keys,
@@ -230,22 +254,23 @@ def membership_chunks(
     unique = sorted(set(keys))
     budget = limit_bytes - overhead_bytes
     fixed = len(f"{attr} IN (".encode()) + 1
-    chunks: list[str] = []
-    current: list[str] = []
-    current_bytes = 0
+    groups: list[list[Literal]] = [[]]
+    used = 0
     for key in unique:
-        literal = Literal(key).to_sql()
-        cost = len(literal.encode()) + 2  # ", " separator
-        if fixed + len(literal.encode()) > budget:
+        literal = Literal(key)
+        size = len(literal.to_sql().encode())
+        if fixed + size > budget:
             return None
-        if current and fixed + current_bytes + cost > budget:
-            chunks.append(f"{attr} IN ({', '.join(current)})")
-            current, current_bytes = [], 0
-        current.append(literal)
-        current_bytes += cost
-    if current:
-        chunks.append(f"{attr} IN ({', '.join(current)})")
-    return chunks
+        if groups[-1] and fixed + used + size + 2 > budget:
+            groups.append([])
+            used = 0
+        groups[-1].append(literal)
+        used += size + 2  # ", " separator
+    return [
+        PushedClause(f"{attr} IN ({', '.join(map(Literal.to_sql, group))})",
+                     ast.InList(ast.Column(attr), tuple(group)))
+        for group in groups if group
+    ]
 
 
 def membership_clauses(
@@ -265,8 +290,9 @@ def membership_clauses(
         unique, how.fpr, attr, sql_overhead_bytes=overhead,
         limit_bytes=how.limit_bytes, seed=how.seed,
     )
-    if outcome.bloom is not None:
-        return [outcome.bloom.to_sql_predicate(attr)], outcome
+    if (bloom := outcome.bloom) is not None:
+        clause = PushedClause(bloom.to_sql_predicate(attr), bloom.to_predicate(attr))
+        return [clause], outcome
     chunks = membership_chunks(attr, unique, overhead, how.limit_bytes)
     if chunks and len(chunks) <= MAX_MEMBERSHIP_CHUNKS:
         return chunks, outcome

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.rng import py_rng
+from repro.sqlparser.ast import Binary, Expr, Literal
 
 
 def is_prime(n: int) -> bool:
@@ -67,6 +68,12 @@ class UniversalHash:
         ``((69 * CAST(attr as INT) + 92) % 97) % 68 + 1`` pattern.
         """
         return f"(({self.a} * {attr_sql} + {self.b}) % {self.n}) % {self.m} + 1"
+
+    def to_expr(self, attr: Expr) -> Expr:
+        """The tree the parser builds from :meth:`to_sql` over ``attr``'s text."""
+        inner = Binary("+", Binary("*", Literal(self.a), attr), Literal(self.b))
+        position = Binary("%", Binary("%", inner, Literal(self.n)), Literal(self.m))
+        return Binary("+", position, Literal(1))
 
 
 #: Default outer modulus: the Mersenne prime 2^31 - 1.  The universal

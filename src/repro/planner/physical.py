@@ -52,6 +52,7 @@ from repro.engine.operators.limit import limit_batches
 from repro.engine.operators.project import project_batches, projected_names
 from repro.engine.operators.sort import sort_batches
 from repro.engine.operators.topk import top_k_batches
+from repro.s3select.engine import PreparedSelect
 from repro.sqlparser import ast
 from repro.strategies.scans import (
     iter_scan_batches,
@@ -63,6 +64,7 @@ from repro.strategies.scans import (
 )
 
 if TYPE_CHECKING:
+    from repro.bloom.filter import PushedClause
     from repro.optimizer.cost import StrategyEstimate
     from repro.optimizer.joinorder import JoinOrderDecision
 
@@ -271,7 +273,7 @@ class ScanNode(PlanNode):
             parts.append(f"cache: {self.cache_status}")
         return " ".join(parts)
 
-    def _cacheable(self, state: ExecState, pushed: Sequence[str] | None):
+    def _cacheable(self, state: ExecState, pushed: Sequence[PushedClause] | None):
         """The session cache, when this scan may consult/populate it.
 
         Only plain pushdown scans participate: Bloom-annotated scans
@@ -323,7 +325,7 @@ class ScanNode(PlanNode):
         )
         return 1 if stored else 0
 
-    def scan_sqls(self, pushed: Sequence[str] | None = None) -> list[str]:
+    def scan_sqls(self, pushed: Sequence[PushedClause] | None = None) -> list[str]:
         """The scan's statements: its projection and predicate, once —
         or once per ``pushed`` clause a parent join ANDs on (a Bloom
         predicate, or the ``IN`` lists partitioning its key set)."""
@@ -333,7 +335,18 @@ class ScanNode(PlanNode):
             for extra in ([[clause] for clause in pushed] if pushed else [[]])
         ]
 
-    def run(self, state: ExecState, pushed: Sequence[str] | None = None):
+    def _statements(self, pushed: Sequence[PushedClause] | None):
+        """:meth:`scan_sqls` prepared, each text with the tree it parses to
+        (left-deep over ``own AND clause``'s conjuncts) — built, not parsed."""
+        own = [self.predicate] if self.predicate is not None else []
+        items = tuple(column_items(self.columns))
+        for sql, clause in zip(self.scan_sqls(pushed), pushed or [None]):
+            where = ast.and_join(own + ast.split_conjuncts(clause and clause.expr))
+            yield PreparedSelect(sql, query=ast.Query(
+                items or (ast.SelectItem(ast.Star()),), "S3Object", where
+            ))
+
+    def run(self, state: ExecState, pushed: Sequence[PushedClause] | None = None):
         """Streaming scan: requests issue now, the phase finalizes at the
         end of the pipeline so ingest reflects the rows actually pulled."""
         ctx = state.ctx
@@ -372,8 +385,8 @@ class ScanNode(PlanNode):
         keep, streams = self._effective_partitions(ctx)
         # Every statement's requests are issued before the first batch.
         counter = BatchCounter(chain.from_iterable([
-            iter_scan_batches(ctx, self.table, sql, partitions=keep)
-            for sql in self.scan_sqls(pushed)
+            iter_scan_batches(ctx, self.table, statement, partitions=keep)
+            for statement in self._statements(pushed)
         ]))
         if not state.combined:
             state.pending = _PendingScan(
@@ -386,7 +399,7 @@ class ScanNode(PlanNode):
         return list(self.columns), counted(self, stream)
 
     def run_materialized(
-        self, state: ExecState, pushed: Sequence[str] | None = None
+        self, state: ExecState, pushed: Sequence[PushedClause] | None = None
     ) -> tuple[list[str], list[Batch]]:
         """Scan drained now (hash-build sides, non-spine probes): the
         phase is appended before this returns."""
@@ -413,9 +426,9 @@ class ScanNode(PlanNode):
             keep, streams = self._effective_partitions(ctx)
             batches = [
                 batch
-                for sql in self.scan_sqls(pushed)
+                for statement in self._statements(pushed)
                 for response in scan_partitions(
-                    ctx, self.table, sql, partitions=keep
+                    ctx, self.table, statement, partitions=keep
                 )
                 for batch in response
             ]
@@ -541,7 +554,8 @@ class PushedAggregateNode(PlanNode):
             keep = self.keep_partitions if ctx.prune_partitions else None
             streams = self.table.partitions if keep is None else len(keep)
             partials = select_aggregate(
-                ctx, self.table, pushed.to_sql(), partitions=keep
+                ctx, self.table, PreparedSelect(pushed.to_sql(), query=pushed),
+                partitions=keep,
             )
             if cache is not None:
                 self.cache_status = "miss"
@@ -635,7 +649,7 @@ class HashJoinNode(PlanNode):
 
     def _pushed_membership(
         self, build_names, build: list[Batch], state: ExecState
-    ) -> list[str] | None:
+    ) -> list[PushedClause] | None:
         """The clauses shipping the build keys to the probe scan (one
         scan each; none = the ladder ended unfiltered), or ``None`` when
         this join pushes nothing."""

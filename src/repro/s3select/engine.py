@@ -12,7 +12,11 @@ Accounting mirrors AWS billing:
   ScanRange);
 * Parquet input: ``bytes_scanned`` is only the referenced column chunks
   plus footer;
-* ``bytes_returned`` is the size of the CSV payload shipped back.
+* ``bytes_returned`` is the size of the CSV payload shipped back, never
+  built to be measured: a full-object CSV request for bare columns / ``*``
+  sums memoised field widths over its rows (``csvcodec.returned_size``);
+  computed items, aggregates, ScanRange, Parquet, quoted objects and
+  compressed output are formatted (``csvcodec.encoded_size``, the reference).
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
-from typing import Callable, Iterable, Iterator
+from itertools import islice, repeat
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.common.errors import UnsupportedFeatureError
 from repro.engine.batch import Batch
@@ -46,6 +50,7 @@ from repro.storage.csvcodec import (
     iter_column_batches,
     iter_decode_column_batches,
     iter_records,
+    returned_size,
 )
 from repro.storage.object_store import StoredObject
 from repro.storage.parquet import ParquetFile
@@ -114,7 +119,7 @@ class _Binding:
     concurrent requests.
     """
 
-    __slots__ = ("key", "schema", "needed", "names", "_keep_mask", "_evaluate")
+    __slots__ = ("key", "schema", "needed", "names", "bare", "_keep_mask", "_evaluate")
 
     def __init__(self, query: ast.Query, key: object, schema: TableSchema):
         self.key = key
@@ -124,6 +129,8 @@ class _Binding:
         self.needed = _referenced_columns(query, schema)
         projected = schema.project(self.needed) if self.needed else schema
         name_to_index = projected.name_to_index
+        #: Each output column's source when all are bare columns / ``*``.
+        self.bare: list[str] | None = None
         if query.group_by:
             plan = _plan_grouped_aggregation(query, name_to_index)
         elif any(
@@ -133,17 +140,26 @@ class _Binding:
             plan = _plan_aggregation(query, name_to_index)
         else:
             plan = _plan_projection(query, projected, name_to_index)
+            exprs = [item.expr for item in query.select_items]
+            if all(isinstance(e, (ast.Star, ast.Column)) for e in exprs):
+                self.bare = [
+                    name for e in exprs for name in
+                    ([e.name] if isinstance(e, ast.Column) else projected.names)
+                ]
         self.names, self._evaluate = plan
         self._keep_mask = (
             None if query.where is None
             else compile_predicate_vector(query.where, name_to_index)
         )
 
-    def run(self, batches: Iterable[Batch]) -> list[Batch]:
-        """Filter and evaluate one request's batches."""
+    def run(self, batches: Iterable[Batch], masks: list) -> list[Batch]:
+        """Filter and evaluate one request's batches (``masks``: each WHERE mask)."""
         keep_mask = self._keep_mask
         if keep_mask is not None:
-            batches = (batch.filter(keep_mask(batch)) for batch in batches)
+            def keep(batch: Batch) -> Batch:
+                masks.append(mask := keep_mask(batch))
+                return batch.filter(mask)
+            batches = map(keep, batches)
         return self._evaluate(batches)
 
 
@@ -154,6 +170,9 @@ class PreparedSelect:
     per-row term count; a scan sends the same text to every partition, so
     it prepares once and executes the result against each object (S3
     still bills every request in full — nothing metered is shared).
+    A caller that rendered ``sql`` from an AST passes it as ``query`` and
+    nothing is lexed or parsed: it promises ``query == parse(sql)`` (pinned
+    by test, not checked here); the validator still weighs the *text*.
     The kernels are compiled against the first object's schema and
     re-compiled only when a later object advertises a different one.
     Construction raises the errors :func:`execute_select` documents.
@@ -164,8 +183,9 @@ class PreparedSelect:
         sql: str,
         expression_limit: int = EXPRESSION_LIMIT_BYTES,
         allow_group_by: bool = False,
+        query: ast.Query | None = None,
     ):
-        self.query = parser.parse(sql)
+        self.query = parser.parse(sql) if query is None else query
         validate_select_sql(
             sql, self.query, expression_limit, allow_group_by=allow_group_by
         )
@@ -193,12 +213,13 @@ class PreparedSelect:
         parsed; ``bytes_scanned`` does not shrink when LIMIT stops early.
         """
         fmt = obj.metadata.get("format", "csv")
+        sized: Sequence[str] = ()  # the bare columns of a response sized by width
         if fmt == "csv":
             binding = self._bound(
                 tuple(obj.metadata.get("schema") or ()), lambda: object_schema(obj)
             )
             has_header = obj.metadata.get("header", True)
-            needed = binding.needed or None
+            needed = binding.needed
             if scan_range is not None:
                 window = obj.data[scan_range.start : scan_range.end]
                 bytes_scanned = len(window)
@@ -208,9 +229,10 @@ class PreparedSelect:
                 batches = iter_column_batches(records, binding.schema, columns=needed)
             else:
                 bytes_scanned = len(obj.data)
+                sized = () if compress_output else binding.bare or ()
                 batches = iter_decode_column_batches(
-                    obj.data, binding.schema, has_header=has_header,
-                    columns=needed, memo=obj.decoded,
+                    obj.data, binding.schema, DEFAULT_BATCH_SIZE, has_header,
+                    columns=needed, memo=obj.decoded, sized=sized,
                 )
         elif fmt == "parquet":
             if scan_range is not None:
@@ -224,12 +246,19 @@ class PreparedSelect:
         # LIMIT stops pulling batches early, and the decoders have no
         # lookahead, so the count is what was actually parsed.
         counter = BatchCounter(batches)
-        out = binding.run(counter)
+        masks: list = []
+        out = binding.run(counter, masks)
+        bytes_returned = returned_size(
+            obj.decoded, binding.schema, has_header, DEFAULT_BATCH_SIZE,
+            sized, zip(masks or repeat(None), map(len, out)),
+        ) if sized else None
+        if bytes_returned is None:
+            bytes_returned = sum(encoded_size(b.columns, len(b)) for b in out)
         result = SelectResult(
             batches=out,
             column_names=list(binding.names),
             bytes_scanned=bytes_scanned,
-            bytes_returned=sum(encoded_size(b.columns, len(b)) for b in out),
+            bytes_returned=bytes_returned,
             rows_scanned=counter.rows,
             term_evals=counter.rows * self._terms,
         )

@@ -10,7 +10,9 @@ many times (every query in several variants; S3 Select scans the whole
 object per request), so :func:`iter_decode_column_batches` can keep what
 it typed on the object itself: a memo of packed column-chunks — this
 module alone knows its layout — that later requests and GET scans
-rebuild columns from instead of tokenizing the text again.  It sits
+rebuild columns from instead of tokenizing the text again — plus, for
+columns an S3 Select response returned bare, each field's encoded width,
+so such a response is sized by a sum (:func:`returned_size`).  It sits
 below the meter: no request, byte or row count depends on it.
 """
 
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, compress, islice, repeat
 from typing import Iterable, Iterator, Sequence
 
 from repro.engine.batch import Batch
@@ -256,6 +258,43 @@ def _unpack(col: ColumnDef, packed: array | str) -> list:
     return col.parse_column(packed.split(RECORD_DELIM))
 
 
+def _pack_widths(values: Sequence[object]) -> array:
+    """Encoded bytes of each field of a memoised column-chunk, in the
+    narrowest typecode holding them all.  Nothing decoded from quote-free
+    text formats to a field ``_escape`` would quote: text length is all."""
+    texts = format_column(values)
+    ascii_only = "".join(texts).isascii()
+    widths = list(map(len, texts if ascii_only else map(str.encode, texts)))
+    top = max(widths, default=0)
+    return array(next(c for c in "BHIQ" if top >> 8 * array(c).itemsize == 0), widths)
+
+
+def returned_size(
+    memo: dict, schema: TableSchema, has_header: bool, batch_size: int,
+    columns: Sequence[str], selections: Iterable[tuple[Sequence | None, int]],
+) -> int | None:
+    """:func:`encoded_size` of a response of bare ``columns`` (select-list
+    order, repeats included) from memoised widths, formatting nothing.
+    ``selections``: per chunk a full-object decode through ``memo`` with
+    ``sized=columns`` just yielded, the WHERE mask over its rows (``None``:
+    no predicate) and how many survivors, from the first, were returned
+    (fewer only under LIMIT).  ``None`` — the caller formats — when the
+    object has no memo entry (it holds a quote)."""
+    chunks = memo.get((has_header, batch_size, len(schema.columns)))
+    if chunks is None:
+        return None
+    kept = _kept_columns(schema, batch_size, columns)
+    total = 0
+    for (rows, packed), (mask, taken) in zip(chunks, selections):
+        total += taken * len(kept)
+        for i, col in kept:
+            widths = packed[i, col.type, "widths"]
+            if taken < rows:  # the first ``taken`` survivors only
+                widths = islice(compress(widths, mask or repeat(True)), taken)
+            total += sum(widths)
+    return total
+
+
 def iter_decode_column_batches(
     data: bytes,
     schema: TableSchema,
@@ -263,6 +302,7 @@ def iter_decode_column_batches(
     has_header: bool = True,
     columns: Sequence[str] | None = None,
     memo: dict | None = None,
+    sized: Sequence[str] = (),
 ) -> Iterator[Batch]:
     """Lazily decode CSV bytes into columnar :class:`Batch`es.
 
@@ -284,14 +324,16 @@ def iter_decode_column_batches(
     column is tokenized and checked again and only the missing columns
     are typed.  A chunk's row count is fixed when its entry is created,
     each packed column is stored whole in one assignment (threads may
-    pack twice, never see half), and a hit hands out fresh lists.  Never
-    stored: anything of an object holding a quote, of a chunk whose
-    field-count check fails, or of a column whose typing raises — those
-    raise again, from the same batch, on every call.
+    pack twice, never see half), and a hit hands out fresh lists; kept
+    columns named in ``sized`` get their :func:`_pack_widths` stored the
+    same way.  Never stored: anything of an object holding a quote, of a
+    chunk whose field-count check fails, or of a column whose typing
+    raises — those raise again, from the same batch, on every call.
     """
     kept = _kept_columns(schema, batch_size, columns)
     width = len(schema.columns)
     first = int(has_header)
+    sized_at = set(map(schema.index_of, sized)) if memo is not None else ()
     key = (has_header, batch_size, width)
     chunks = None if memo is None else memo.get(key)
     lines = None
@@ -329,12 +371,14 @@ def iter_decode_column_batches(
             for i, col in kept:
                 held = packed.get((i, col.type))
                 if held is not None:
-                    out.append(_unpack(col, held))
-                    continue
-                fields = flat[i::width]
-                values = col.parse_column(fields)
-                if memo is not None:
-                    packed[i, col.type] = _pack(col, fields, values)
+                    values = _unpack(col, held)
+                else:
+                    fields = flat[i::width]
+                    values = col.parse_column(fields)
+                    if memo is not None:
+                        packed[i, col.type] = _pack(col, fields, values)
+                if i in sized_at and (i, col.type, "widths") not in packed:
+                    packed[i, col.type, "widths"] = _pack_widths(values)
                 out.append(values)
             yield Batch(out, rows)
 

@@ -85,7 +85,7 @@ def _fan_out(
 def scan_partitions(
     ctx: CloudContext,
     table: TableInfo,
-    sql: str,
+    sql: str | PreparedSelect,
     *,
     workers: int | None = None,
     scan_range_fraction: float | None = None,
@@ -110,7 +110,7 @@ def scan_partitions(
         return []  # a fully pruned scan never looks at its SQL
     # One statement for the whole scan: bad SQL raises before any
     # request is metered.
-    statement = PreparedSelect(sql)
+    statement = sql if isinstance(sql, PreparedSelect) else PreparedSelect(sql)
 
     def select(key: str) -> list[Batch]:
         scan_range = None
@@ -127,7 +127,7 @@ def scan_partitions(
 def iter_scan_batches(
     ctx: CloudContext,
     table: TableInfo,
-    sql: str | None = None,
+    sql: str | PreparedSelect | None = None,
     *,
     workers: int | None = None,
     batch_size: int | None = None,
@@ -172,7 +172,7 @@ def iter_scan_batches(
 def select_aggregate(
     ctx: CloudContext,
     table: TableInfo,
-    sql: str,
+    sql: str | PreparedSelect,
     workers: int | None = None,
     partitions: Sequence[int] | None = None,
 ) -> list[list[object]]:

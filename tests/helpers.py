@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import cProfile
+import pstats
+from collections import Counter
+
 from repro.engine.batch import Batch
 from repro.storage.csvcodec import iter_records
 
@@ -45,3 +49,13 @@ def decode_rows(data, schema, has_header=False):
 def one_batch(rows, names):
     """``rows`` as the one-batch stream a ``*_batches`` operator takes."""
     return [Batch.from_rows(list(rows), len(names))]
+
+
+def calls_by_name(fn) -> Counter:
+    """Calls by function name while ``fn()`` runs (Python functions only)."""
+    profile = cProfile.Profile(builtins=False)
+    profile.runcall(fn)
+    calls = Counter()
+    for (_, _, name), (_, count, *_) in pstats.Stats(profile).stats.items():
+        calls[name] += count
+    return calls

@@ -258,3 +258,47 @@ def test_property_sql_equivalence(keys):
         parse_expression(bloom.to_sql_predicate("k")), {"pad": 0, "k": 1, "tail": 2}
     )
     assert wide(Batch([["x"] * len(probes), probes, probes])) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(-(2**40), 2**40), max_size=200),
+    st.sampled_from([0.001, 0.01, 0.5, 0.9]),
+    st.integers(0, 50),
+)
+def test_property_add_many_sets_the_bits_of_the_per_key_loop(keys, fpr, seed):
+    """Negatives and keys beyond 2**31 included; ``build`` and the ladder
+    fill through ``add_many``."""
+    looped = BloomFilter.with_capacity(len(keys), fpr, seed)
+    for key in keys:
+        looped.add(key)
+    column = BloomFilter.with_capacity(len(keys), fpr, seed)
+    column.add_many(keys)
+    assert column.bits == looped.bits
+    assert BloomFilter.build(keys, fpr, seed).bits == looped.bits
+    ladder = build_bloom_filter_within_limit(keys, fpr, "k", seed=seed)
+    assert ladder.bloom.bits == looped.bits
+
+
+@pytest.mark.parametrize("bad", ["7", 7.0, None, True])
+def test_add_many_rejects_the_first_offending_key_as_add_does(bad):
+    bloom = BloomFilter.with_capacity(10, 0.1, seed=1)
+    with pytest.raises(TypeError) as single:
+        bloom.add(bad)
+    with pytest.raises(TypeError) as column:
+        bloom.add_many([1, 2, bad, "later", 3])
+    assert str(column.value) == str(single.value)
+    with pytest.raises(TypeError):
+        BloomFilter.build([1, bad], 0.1)
+
+
+@pytest.mark.parametrize("cast_to_int", [True, False])
+@pytest.mark.parametrize("attr", ["k", "l_ordérkey"])
+@pytest.mark.parametrize("fpr", [0.001, 0.9])
+def test_to_predicate_is_the_parse_of_the_rendered_text(attr, fpr, cast_to_int):
+    """Seven conjuncts or one: the tree handed to S3 Select unparsed is
+    the tree the parser builds from the wire text."""
+    bloom = BloomFilter.build([-5, 3, 2**35, 10**6], fpr, seed=9)
+    text = bloom.to_sql_predicate(attr, cast_to_int)
+    assert bloom.to_predicate(attr, cast_to_int) == parse_expression(text)
+    assert bloom.num_hashes == (10 if fpr == 0.001 else 1)

@@ -798,3 +798,174 @@ def test_plan_errors_are_raised_before_any_request(tpch_env):
         with pytest.raises(PlanError):
             runner(ctx, catalog, query)
     assert ctx.metrics.mark() == before
+
+
+# ----------------------------------------------------------------------
+# pushed statements travel as (text, AST): the AST is the text's parse
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture()
+def prepared(monkeypatch):
+    """``(sql, query handed over)`` of every statement prepared while the
+    test runs; a tree that is not its text's parse fails on the spot."""
+    from repro.s3select import engine as select_engine
+
+    seen = []
+    init = select_engine.PreparedSelect.__init__
+
+    def checked(self, sql, *args, query=None, **kwargs):
+        assert query is None or query == parse(sql), sql[:300]
+        seen.append((sql, query))
+        init(self, sql, *args, query=query, **kwargs)
+
+    monkeypatch.setattr(select_engine.PreparedSelect, "__init__", checked)
+    return seen
+
+
+@pytest.mark.parametrize("seed", [11, 5])
+def test_tpch_suite_statements_are_their_texts_parse(prepared, seed):
+    ctx, catalog = CloudContext(), Catalog()
+    load_suite_tables(ctx, catalog, 0.002, seed=seed).close()
+    for name in ALL_QUERIES:
+        query = parse((QUERY_DIR / f"{name}.sql").read_text())
+        execute_parsed(ctx, catalog, query, "optimized")
+    handed = [sql for sql, query in prepared if query is not None]
+    assert len(handed) > 40 and len(handed) == len(prepared)
+    assert any("SUBSTRING('" in sql for sql in handed)  # Bloom statements
+    assert any("SUM(" in sql for sql in handed)         # pushed aggregates
+
+
+def test_fuzzer_statements_are_their_texts_parse(prepared):
+    import random
+
+    import test_sql_differential as fuzz
+
+    rng = random.Random(fuzz.SEED)
+    db = PushdownDB()
+    for name, (schema, rows) in fuzz._make_tables(rng).items():
+        db.load_table(name, rows, schema, partitions=4)
+    rng = random.Random(fuzz.SEED + 1)
+    for _ in range(fuzz.NUM_QUERIES):
+        db.execute(fuzz._generate_query(rng), mode="optimized")
+    handed = [sql for sql, query in prepared if query is not None]
+    assert len(handed) > fuzz.NUM_QUERIES and len(handed) == len(prepared)
+
+
+def test_paper_join_variants_hand_over_their_bloom_statements(tpch_env, prepared):
+    """``bloom_join`` and the hand-written Bloom variants of q3 / q14 / q17:
+    the probe scans are the planner's (tree handed over), the rest text."""
+    from repro.queries.micro import _JOIN_QUERY
+    from repro.queries.tpch_queries import TPCH_QUERIES
+    from repro.strategies.join import bloom_join
+
+    ctx, catalog = tpch_env
+    bloom_join(ctx, catalog, _JOIN_QUERY)
+    for name in ("q3", "q14", "q17"):
+        TPCH_QUERIES[name].optimized(ctx, catalog)
+    bloomed = [query for sql, query in prepared if "SUBSTRING('" in sql]
+    assert len(bloomed) >= 4 and None not in bloomed
+
+
+UNICODE_SCHEMAS = {
+    "petit": TableSchema.of("clé:int", "poids:int"),
+    "grand": TableSchema.of("réf:int", "prix:float"),
+}
+
+
+@pytest.mark.parametrize(
+    "limit_bytes, rung",
+    [(256 * 1024, "bloom"), (4_000, "raised"), (170, "in-lists"), (90, "unfiltered")],
+)
+def test_every_membership_rung_hands_over_its_texts_parse(prepared, limit_bytes, rung):
+    """Down the ladder under a non-ASCII attribute: a Bloom filter, one at
+    a raised FPR, chunked IN lists, nothing — same rows every time."""
+    from repro.strategies.join import JoinQuery, bloom_join
+
+    db = PushdownDB()
+    db.load_table("petit", [(k, k % 7) for k in range(0, 900, 3)], UNICODE_SCHEMAS["petit"])
+    db.load_table("grand", [(k % 1200, k / 4) for k in range(2000)], UNICODE_SCHEMAS["grand"])
+    query = JoinQuery(
+        "petit", "grand", "clé", "réf", parse("SELECT a FROM t WHERE poids < 5").where
+    )
+    execution = bloom_join(
+        db.ctx, db.catalog, query, seed=3, expression_limit_bytes=limit_bytes
+    )
+    want = sorted(
+        (k, k % 7, r % 1200, r / 4)
+        for k in range(0, 900, 3) if k % 7 < 5
+        for r in range(2000) if r % 1200 == k
+    )
+    assert sorted(execution.rows) == want
+    probes = [(sql, query) for sql, query in prepared if "réf" in sql]
+    assert probes and all(query is not None for _, query in probes)
+    details = execution.details
+    assert {
+        "bloom": not details["degraded"] and details["achieved_fpr"] == 0.01,
+        "raised": not details["degraded"] and details["achieved_fpr"] > 0.01,
+        "in-lists": details["membership_chunks"] > 1,
+        "unfiltered": details["degraded"] and details["membership_chunks"] == 0,
+    }[rung]
+    assert len(probes) == max(1, details["membership_chunks"])
+    assert all((" IN (" in sql) == (rung == "in-lists") for sql, _ in probes)
+
+
+def test_over_limit_planner_statement_raises_before_any_request(tpch_env):
+    """The text is still what is weighed: a statement handed over with its
+    tree fails the 256 KB check with the text's size, nothing metered."""
+    from repro.common.errors import ExpressionLimitExceededError
+    from repro.s3select.engine import PreparedSelect
+
+    ctx, catalog = tpch_env
+    table = catalog.get("customer")
+    wide = parse(f"SELECT a FROM t WHERE c_name <> '{'x' * 300_000}'").where
+    scan = physical.whole_table_select(table, ["c_custkey"], wide)
+    (sql,) = scan.scan_sqls()
+    mark = ctx.metrics.mark()
+    for run in (
+        lambda: physical.execute_plan(ctx, physical.PhysicalPlan(scan, "optimized", "wide")),
+        lambda: PreparedSelect(sql, query=parse(sql)),
+        lambda: PreparedSelect(sql),
+    ):
+        with pytest.raises(ExpressionLimitExceededError) as raised:
+            run()
+        assert raised.value.size == len(sql.encode())
+    assert ctx.metrics.records_since(mark) == []
+
+
+def test_pushed_scan_never_parses_its_statement(tpch_env, monkeypatch):
+    """The shortcut cannot silently fall off: a planner scan — Bloom
+    clause included — prepares with a tree and calls ``parser.parse`` 0
+    times; the same text through ``scan_partitions`` parses once."""
+    from repro.bloom.filter import BloomPushdown, membership_clauses
+    from repro.s3select import engine as select_engine
+    from repro.strategies.scans import scan_partitions
+
+    ctx, catalog = tpch_env
+    scan = physical.whole_table_select(
+        catalog.get("orders"), ["o_orderkey", "o_custkey"],
+        parse("SELECT a FROM t WHERE o_totalprice > 1000").where, bloom_attr="o_custkey",
+    )
+    pushed, _ = membership_clauses(
+        list(range(1, 200, 2)), "o_custkey", scan.scan_sqls()[0], BloomPushdown(seed=1)
+    )
+    parsed, queries = [], []
+    real_parse, init = select_engine.parser.parse, select_engine.PreparedSelect.__init__
+    monkeypatch.setattr(
+        select_engine.parser, "parse", lambda sql: parsed.append(sql) or real_parse(sql)
+    )
+
+    def recording(self, sql, *args, query=None, **kwargs):
+        queries.append(query)
+        init(self, sql, *args, query=query, **kwargs)
+
+    monkeypatch.setattr(select_engine.PreparedSelect, "__init__", recording)
+    names, stream = scan.run(physical.ExecState(ctx), pushed)
+    rows = [row for batch in stream for row in batch]
+    assert queries and None not in queries and parsed == []
+    (sql,) = scan.scan_sqls(pushed)
+    by_text = [
+        row for response in scan_partitions(ctx, scan.table, sql)
+        for batch in response for row in batch
+    ]
+    assert parsed == [sql] and by_text == rows and rows

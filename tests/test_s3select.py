@@ -1,5 +1,9 @@
 """Tests for the simulated S3 Select engine and its dialect validator."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from threading import Barrier
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -19,6 +23,8 @@ from repro.storage.csvcodec import encode_row, encode_table
 from repro.storage.object_store import StoredObject
 from repro.storage.parquet import write_parquet
 from repro.storage.schema import TableSchema
+
+from helpers import calls_by_name as _calls_by_name
 
 SCHEMA = TableSchema.of("k:int", "v:float", "name:str", "day:date")
 ROWS = [
@@ -125,6 +131,25 @@ class TestAggregation:
             obj, "SELECT * FROM S3Object"
         ).bytes_scanned
         assert execute_select(obj, "SELECT 7 FROM S3Object").rows == [(7,)] * len(rows)
+
+    def test_count_star_types_no_column(self):
+        """Nothing referenced, nothing typed (it used to type them all) —
+        metered as before, and a ragged object still raises."""
+        fresh, warm = csv_object(), csv_object()
+        execute_select(warm, "SELECT k FROM S3Object")
+        for obj in (fresh, warm, warm):
+            calls = _calls_by_name(
+                lambda: execute_select(obj, "SELECT COUNT(*) FROM S3Object LIMIT 3")
+            )
+            assert calls["parse_column"] == calls["_unpack"] == 0
+        result = execute_select(fresh, "SELECT COUNT(*) FROM S3Object WHERE 1 = 1")
+        assert (result.rows, result.rows_scanned, result.term_evals) == ([(4,)], 4, 8)
+        assert result.bytes_scanned == len(fresh.data)
+        ranged = execute_select(fresh, "SELECT COUNT(*) FROM S3Object", ScanRange(0, 30))
+        assert ranged.rows == [(1,)] and ranged.bytes_scanned == 30
+        ragged = StoredObject(fresh.data + b"5,6\n", fresh.metadata)
+        with pytest.raises(CatalogError):
+            execute_select(ragged, "SELECT COUNT(*) FROM S3Object")
 
     def test_empty_input_aggregates(self):
         result = execute_select(
@@ -465,3 +490,157 @@ def test_property_prepared_statement_matches_fresh_requests(objects, items, wher
         assert fresh is not CatalogError  # a cut record is dropped, never parsed
         assert _observed(lambda: statement.execute(obj, scan_range)) == fresh
         assert _observed(lambda: execute_select(obj, statement, scan_range)) == fresh
+
+
+# ----------------------------------------------------------------------
+# bytes_returned from memoised field widths == the payload's length
+# ----------------------------------------------------------------------
+
+_PLAIN_TEXT = ["x", "plain", "ü日本", "naïve café"]
+_TRIGGER_TEXT = ["a,b", 'say "hi"', "line\nbreak", "cr\rhere"]
+
+
+def _sized_rows(names):
+    return st.lists(
+        st.tuples(
+            st.one_of(
+                st.none(), st.integers(-50, 50),
+                st.sampled_from([2**63 - 1, 2**63, -(2**63) - 1, 10**30]),
+            ),
+            st.one_of(
+                st.none(), st.floats(-100, 100), st.integers(-5, 5).map(float),
+                st.sampled_from([1e16, -1e22, 1.5e300, float("inf"), float("nan"), -0.0]),
+            ),
+            st.one_of(st.none(), st.sampled_from(names)),
+            st.one_of(st.none(), st.sampled_from(["1995-01-01", "1996-06-15"])),
+        ),
+        max_size=30,
+    )
+
+
+#: Memoised (quote-free) objects and ones that hold a quote, about evenly.
+_SIZED_ROWS = st.one_of(_sized_rows(_PLAIN_TEXT), _sized_rows(_PLAIN_TEXT + _TRIGGER_TEXT))
+_SIZED_ITEMS = [
+    "*", "k", "name", "v, k", "day, name, v", "k, k", "name, *, name",
+    "name, k + 1, v", "COUNT(*), SUM(k)",
+]
+_SIZED_WHERE = [
+    None, "k IS NULL OR k IS NOT NULL", "v < 1.5", "name = 'x' AND k > 0",
+    "day < '1996-01-01' OR v IS NULL", "k < k",
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _SIZED_ROWS, st.sampled_from(_SIZED_ITEMS), st.sampled_from(_SIZED_WHERE),
+    st.one_of(st.none(), st.integers(0, 30)), st.sampled_from([4096, 7, 1]),
+    st.sampled_from([None, "SELECT v FROM S3Object", "SELECT COUNT(*) FROM S3Object WHERE k > 0"]),
+)
+def test_property_bytes_returned_is_the_payloads_length(
+    rows, items, where, limit, batch_size, warm_up
+):
+    """``encode_row`` builds the payload, so it is an independent oracle of
+    the width-summed size: cold, warm, and on a memo another statement
+    filled; survivors all / some / none; LIMIT cutting inside a chunk."""
+    from unittest import mock
+
+    from repro.s3select import engine as select_engine
+
+    sql = _sql(items, where, limit)
+    with mock.patch.object(select_engine, "DEFAULT_BATCH_SIZE", batch_size):
+        obj = csv_object(rows)
+        if warm_up:
+            execute_select(obj, warm_up)
+        results = [execute_select(obj, sql) for _ in range(2)]
+        fresh = execute_select(csv_object(rows), sql)
+    for result in (*results, fresh):
+        assert result.bytes_returned == len(result.payload)
+        assert result.bytes_returned == sum(len(encode_row(r)) for r in result.rows)
+    assert {r.bytes_returned for r in results} == {fresh.bytes_returned}
+    assert limit is None or len(fresh.rows) <= limit
+
+
+def _widths_held(obj) -> int:
+    return sum(
+        1 for chunks in obj.decoded.values() for _, packed in chunks
+        for key in packed if key[-1] == "widths"
+    )
+
+
+def test_width_sizing_is_lazy_packed_and_skips_formatting():
+    """Only columns some response returned bare get a vector (1 byte per
+    field while every field is short); the second identical request
+    formats nothing."""
+    rows = [(i, i / 8, "n" * (i % 5 + 1), "1995-01-01") for i in range(40)]
+    obj = csv_object(rows)
+    execute_select(obj, "SELECT SUM(v) FROM S3Object WHERE k > 3")
+    execute_select(obj, "SELECT k + 1 FROM S3Object")
+    assert _widths_held(obj) == 0
+    sql = "SELECT name, k FROM S3Object WHERE v > 1.0"
+    cold = _calls_by_name(lambda: execute_select(obj, sql))
+    assert cold["format_column"] == 2 and cold["encoded_size"] == 0
+    assert _widths_held(obj) == 2
+    warm = _calls_by_name(lambda: execute_select(obj, sql))
+    assert warm["format_column"] == warm["encoded_size"] == warm["_pack_widths"] == 0
+    (chunks,) = obj.decoded.values()
+    held = {key: w for _, packed in chunks for key, w in packed.items() if key[-1] == "widths"}
+    assert {w.typecode for w in held.values()} == {"B"}
+    long = csv_object([(1, 1.0, "w" * 300, "1995-01-01")])
+    assert execute_select(long, "SELECT name FROM S3Object").bytes_returned == 301
+    ((_, packed),) = next(iter(long.decoded.values()))
+    assert packed[2, "str", "widths"].typecode == "H"
+
+
+@pytest.mark.parametrize("case", ["quoted", "range", "parquet", "compressed"])
+def test_everything_else_is_sized_by_formatting(case):
+    rows = [(i, i / 8, "a,b" if case == "quoted" else "ab", "1995-01-01") for i in range(40)]
+    obj = parquet_object(rows) if case == "parquet" else csv_object(rows)
+    kwargs = {
+        "range": {"scan_range": ScanRange(0, len(obj.data) // 2)},
+        "compressed": {"compress_output": True},
+    }.get(case, {})
+    sql = "SELECT name, k FROM S3Object WHERE v > 1.0"
+    calls = _calls_by_name(lambda: execute_select(obj, sql, **kwargs))
+    assert calls["encoded_size"] >= 1
+    result = execute_select(obj, sql, **kwargs)
+    assert result.bytes_returned == len(result.payload)
+    assert _widths_held(obj) == 0
+
+
+def test_racing_first_requests_return_the_same_size():
+    """16 first requests released together against one fresh object: each
+    sizes from whole width vectors, whoever stored them."""
+    rows = [(i, i / 7, "t" * (i % 9), "1995-01-01") for i in range(3000)]
+    sql = "SELECT name, k, v FROM S3Object WHERE v < 200.0"
+    want = execute_select(csv_object(rows), sql)
+    assert want.bytes_returned == len(want.payload)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(16) as pool:
+            for _ in range(5):
+                obj = csv_object(rows)
+                start = Barrier(16)
+
+                def request(_):
+                    start.wait(timeout=60)
+                    return execute_select(obj, sql).bytes_returned
+
+                sizes = [f.result(timeout=60) for f in [
+                    pool.submit(request, i) for i in range(16)
+                ]]
+                assert sizes == [want.bytes_returned] * 16
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_reloaded_table_is_sized_from_its_new_rows():
+    from repro.planner.database import PushdownDB
+
+    db = PushdownDB(bucket="sized")
+    sql = "SELECT name, k FROM m WHERE v >= 0.0"
+    for width in (2, 11, 2):
+        rows = [(i * 10**width, 1.0, "n" * width, "1995-01-01") for i in range(1, 60)]
+        db.load_table("m", rows, SCHEMA, partitions=2)
+        want = sum(len(encode_row((name, k))) for k, _, name, _ in rows)
+        assert [db.execute(sql, mode="optimized").bytes_returned for _ in range(2)] == [want] * 2

@@ -1,12 +1,9 @@
 """Tests for schemas, the CSV codec, and the object store."""
 
-import cProfile
 import io
 import math
-import pstats
 import sys
 from array import array
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError
 from itertools import islice
@@ -42,6 +39,7 @@ from repro.storage.object_store import ObjectStore, StoredObject
 from repro.storage.schema import ColumnDef, TableSchema
 from repro.strategies.filter import FilterQuery, indexed_filter
 
+from helpers import calls_by_name as _codec_calls
 from helpers import decode_rows
 
 
@@ -703,16 +701,6 @@ def test_get_scan_ignores_the_memo_of_an_object_overwritten_under_it():
     db.ctx.client.get_object = overwrite_then_get
     assert db.execute(sql, mode="baseline").rows == [(k, v) for k, v, _, _ in new]
     assert {key: dict(packed) for key, [(_, packed)] in stale.decoded.items()} == kept
-
-
-def _codec_calls(fn) -> Counter:
-    """Calls by function name while ``fn()`` runs (Python functions only)."""
-    profile = cProfile.Profile(builtins=False)
-    profile.runcall(fn)
-    calls = Counter()
-    for (_, _, name), (_, count, *_) in pstats.Stats(profile).stats.items():
-        calls[name] += count
-    return calls
 
 
 @pytest.mark.parametrize("mode", ["optimized", "baseline"])

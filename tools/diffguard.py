@@ -1,0 +1,121 @@
+"""Dump every simulated-clock observable to JSON; run under parent and change, diff.
+
+usage: diffguard.py ROOT OUT.json [sql] [strategies] [fig1 fig5 ...]
+"""
+import json, sys
+root = sys.argv[1]
+sys.path.insert(0, root + "/src")
+sys.path.insert(0, root)
+from pathlib import Path
+from repro.cloud.context import CloudContext
+from repro.engine.catalog import Catalog
+from repro.experiments import ALL_EXPERIMENTS
+
+sections = sys.argv[3:]
+out = {}
+
+
+def dump(ctx, mark, ex):
+    records = ctx.metrics.records_since(mark)
+    return {
+        "rows": repr(ex.rows),
+        "names": list(ex.column_names),
+        "requests": ex.num_requests,
+        "n_records": len(records),
+        "bytes_scanned": ex.bytes_scanned,
+        "bytes_returned": ex.bytes_returned,
+        "bytes_transferred": ex.bytes_transferred,
+        "term_evals": sum(r.term_evals for r in records),
+        "phases": [
+            (p.name, len(p.streams), p.server_records, repr(p.server_fields))
+            for p in ex.phases
+        ],
+        "phase_cpu": [p.server_cpu_seconds for p in ex.phases],
+        "runtime_seconds": ex.runtime_seconds,
+        "cost_total": ex.cost.total,
+        "strategy": ex.strategy,
+        "details": sorted(ex.details),
+    }
+
+
+if "sql" in sections:
+    from repro.experiments.tpch_suite import ALL_QUERIES, load_suite_tables
+    from repro.planner.planner import execute_parsed
+    from repro.sqlparser.parser import parse
+
+    qdir = Path(root) / "benchmarks" / "tpch" / "queries"
+    for calibrated in (False, True):
+        ctx, catalog = CloudContext(), Catalog()
+        load_suite_tables(ctx, catalog, 0.002, seed=11).close()
+        if calibrated:
+            total = sum(catalog.get(n).total_bytes for n in catalog.table_names())
+            ctx.calibrate_to_paper_scale(total, 10e9)
+        for name in ALL_QUERIES:
+            query = parse((qdir / f"{name}.sql").read_text())
+            for mode in ("baseline", "optimized", "auto", "adaptive"):
+                ctx.feedback.reset()
+                mark = ctx.metrics.mark()
+                ex = execute_parsed(ctx, catalog, query, mode)
+                rec = dump(ctx, mark, ex)
+                rec["picked"] = (ex.details.get("optimizer") or {}).get("picked")
+                rec["phase_cpu"] = [repr(c) for c in rec["phase_cpu"]]
+                rec["runtime_seconds"] = repr(rec["runtime_seconds"])
+                rec["cost_total"] = repr(rec["cost_total"])
+                out[f"tpch/{'cal' if calibrated else 'raw'}/{name}/{mode}"] = rec
+
+if "strategies" in sections:
+    from bench import harness
+    from bench.workloads import WORKLOADS
+    from repro.queries.tpch_queries import TPCH_QUERIES
+    from repro.sqlparser.parser import parse_expression
+    from repro.strategies.extensions import (
+        multirange_indexed_filter, partial_pushdown_group_by,
+    )
+    from repro.strategies.filter import FilterQuery
+    from repro.strategies.groupby import AggSpec, GroupByQuery, filtered_group_by
+    from repro.strategies.join import filtered_join
+    from repro.queries.micro import _JOIN_QUERY
+
+    for seed in (1, 2):
+        session = harness.open_session(WORKLOADS["paper_strategies"](None, seed), loads=1)
+        db = session.db
+        n = len({t.name: t for t in session.tables}["filter_data"].rows)
+        extra = {
+            "filtered_join": lambda db: filtered_join(db.ctx, db.catalog, _JOIN_QUERY),
+            "filtered_group_by": lambda db: filtered_group_by(
+                db.ctx, db.catalog, GroupByQuery(
+                    table="skewed", group_columns=["g0"],
+                    aggregates=[AggSpec("sum", "v0"), AggSpec("avg", "v1"),
+                                AggSpec("count", "v2"), AggSpec("min", "v3")],
+                    predicate=parse_expression("v0 > 10"),
+                )),
+            "partial_pushdown_group_by": lambda db: partial_pushdown_group_by(
+                db.ctx, db.catalog, GroupByQuery(
+                    table="skewed", group_columns=["g0"],
+                    aggregates=[AggSpec("sum", "v0"), AggSpec("avg", "v1"),
+                                AggSpec("count", "v2"), AggSpec("max", "v3")],
+                )),
+            "multirange_indexed_filter": lambda db: multirange_indexed_filter(
+                db.ctx, db.catalog, FilterQuery(
+                    table="filter_data",
+                    predicate=parse_expression(f"key < {max(7, n // 20)}"),
+                )),
+        }
+        for q in ("q1", "q3", "q17", "q19"):
+            extra[f"{q}.baseline"] = (
+                lambda db, q=q: TPCH_QUERIES[q].baseline(db.ctx, db.catalog))
+            extra[f"{q}.optimized"] = (
+                lambda db, q=q: TPCH_QUERIES[q].optimized(db.ctx, db.catalog))
+        runs = [(op.name, op.run) for op in session.ops] + list(extra.items())
+        session.workload.begin_pass(db)
+        for name, run in runs:
+            mark = db.ctx.metrics.mark()
+            ex = run(db)
+            out[f"strategy/seed{seed}/{name}"] = dump(db.ctx, mark, ex)
+
+for fig in (s for s in sections if s.startswith("fig")):
+    result = ALL_EXPERIMENTS[fig]()
+    out[fig] = {"rows": repr(result.rows), "notes": repr(result.notes),
+                "table": result.to_table()}
+json.dump(out, open(sys.argv[2], "w"), indent=1, sort_keys=True)
+print("wrote", sys.argv[2], len(out))
