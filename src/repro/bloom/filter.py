@@ -44,6 +44,22 @@ def _check_fpr(fpr: float) -> None:
         raise ValueError(f"false-positive rate must be in (0, 1), got {fpr}")
 
 
+def predicted_bloom_pass(
+    build_keys: float, probe_keys: float, probe_rows: float, fpr: float
+) -> tuple[float, int] | None:
+    """A cost model's ``(probe rows passing, hash functions)`` for a Bloom
+    predicate over ``build_keys`` distinct keys, or ``None`` when it cannot
+    fit the expression limit at ``fpr``.  Containment: every build key is
+    among the probe's ``probe_keys`` at its mean multiplicity; the other
+    rows pass at the false-positive rate."""
+    hashes = optimal_num_hashes(fpr)
+    bits = optimal_num_bits(int(max(build_keys, 1)), fpr)
+    if hashes * (bits + 60) > EXPRESSION_LIMIT_BYTES:
+        return None
+    matched = probe_rows * min(1.0, build_keys / probe_keys)
+    return matched + (probe_rows - matched) * fpr, hashes
+
+
 @dataclass
 class BloomFilter:
     """A Bloom filter over integer keys (paper limitation: integers only,

@@ -3,15 +3,15 @@
 Replays the paper's three strategy-crossover sweeps — Figure 1 (filter
 strategies vs selectivity), Figure 5 (group-by strategies vs group
 count) and Figure 9 (top-K strategies vs K) — and at every swept point
-asks the cost-based chooser for its pick *before* running all candidate
-strategies for real.  A row records the pick, the measured winner under
-the same objective, and whether they agree; the notes aggregate the
-match rate.  This is the regression harness CI uses to catch cost-model
+asks the cost-based chooser for its pick *before* running every candidate
+plan it priced for real.  A row records the pick, the measured winner
+under the same objective, and whether they agree; the notes aggregate
+the match rate.  This is the regression harness CI uses to catch cost-model
 drift: a mis-ranked crossover shows up as ``agree=False``.
 
 Ground truth is computed with :func:`~repro.experiments.harness.
-winners_by_sweep` over the very same metered executions the figure
-harnesses tabulate.
+winners_by_sweep` over metered executions of the priced plans — the
+plans the figure harnesses' strategy runners execute.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from repro.experiments.harness import (
     winners_by_sweep,
 )
 from repro.optimizer.chooser import Choice, choose
+from repro.planner.physical import execute_plan
 from repro.queries.dataset import load_tpch
 from repro.sqlparser import ast
 from repro.strategies.filter import FilterQuery
@@ -45,24 +46,39 @@ OBJECTIVES = ("cost", "runtime")
 _METRIC = {"cost": "cost_total", "runtime": "runtime_s"}
 
 
-def _choice_row(
-    scenario: str, sweep_value, objective: str, choice: Choice, winner: str
-) -> dict:
-    best = choice.best
-    return {
-        "scenario": scenario,
-        "sweep": sweep_value,
-        "objective": objective,
-        "picked": choice.picked,
-        "measured_best": winner,
-        "agree": choice.picked == winner,
-        "predicted_runtime_s": round(best.runtime_seconds, 4),
-        "predicted_cost": round(best.total_cost, 6),
+def _validate(
+    scenario: str, sweep_value, ctx, catalog, query, rows_out: list[dict],
+    **options,
+) -> None:
+    """One swept point: pick under each objective, then meter every
+    candidate plan and compare the picks with the measured winners."""
+    choices = {
+        obj: choose(ctx, catalog, query, objective=obj, **options)
+        for obj in OBJECTIVES
     }
+    measured = [
+        execution_row("sweep", sweep_value, plan.strategy, execute_plan(ctx, plan))
+        for plan in choices["cost"].plans
+    ]
+    for objective in OBJECTIVES:
+        choice: Choice = choices[objective]
+        winner = winners_by_sweep(
+            measured, "sweep", _METRIC[objective]
+        )[sweep_value]
+        rows_out.append({
+            "scenario": scenario,
+            "sweep": sweep_value,
+            "objective": objective,
+            "picked": choice.picked,
+            "measured_best": winner,
+            "agree": choice.picked == winner,
+            "predicted_runtime_s": round(choice.best.runtime_seconds, 4),
+            "predicted_cost": round(choice.best.total_cost, 6),
+        })
 
 
 def _filter_scenario(num_rows: int, matches, rows_out: list[dict]) -> None:
-    from repro.experiments.fig01_filter import PAPER_ROWS, STRATEGIES
+    from repro.experiments.fig01_filter import PAPER_ROWS
 
     ctx, catalog = CloudContext(), Catalog()
     table_rows = filter_table(num_rows, seed=1)
@@ -72,11 +88,6 @@ def _filter_scenario(num_rows: int, matches, rows_out: list[dict]) -> None:
     )
     calibrate_tables(ctx, catalog, ["filter_data"], 10e9)
     ctx.client.range_request_weight = PAPER_ROWS / num_rows
-    name_map = {
-        "server-side": "server-side filter",
-        "s3-side": "s3-side filter",
-        "indexing": "s3-side indexing",
-    }
     for matched in matches:
         if matched > num_rows:
             continue
@@ -84,22 +95,11 @@ def _filter_scenario(num_rows: int, matches, rows_out: list[dict]) -> None:
             table="filter_data",
             predicate=ast.Binary("<", ast.Column("key"), ast.Literal(matched)),
         )
-        choices = {
-            obj: choose(ctx, catalog, query, objective=obj) for obj in OBJECTIVES
-        }
-        measured = [
-            execution_row("sweep", matched, name_map[name], strategy(ctx, catalog, query))
-            for name, strategy in STRATEGIES.items()
-        ]
-        for objective in OBJECTIVES:
-            winner = winners_by_sweep(measured, "sweep", _METRIC[objective])[matched]
-            rows_out.append(_choice_row(
-                "fig01-filter", matched, objective, choices[objective], winner
-            ))
+        _validate("fig01-filter", matched, ctx, catalog, query, rows_out)
 
 
 def _groupby_scenario(num_rows: int, group_counts, rows_out: list[dict]) -> None:
-    from repro.experiments.fig05_groupby_groups import AGG_COLUMNS, STRATEGIES
+    from repro.experiments.fig05_groupby_groups import AGG_COLUMNS
 
     ctx, catalog = CloudContext(), Catalog()
     load_table(
@@ -108,40 +108,20 @@ def _groupby_scenario(num_rows: int, group_counts, rows_out: list[dict]) -> None
     )
     calibrate_tables(ctx, catalog, ["uniform"], PAPER_GROUPBY_BYTES)
     aggregates = [AggSpec("sum", c) for c in AGG_COLUMNS]
-    name_map = {
-        "server-side": "server-side group-by",
-        "filtered": "filtered group-by",
-        "s3-side": "s3-side group-by",
-    }
     for groups in group_counts:
         column = f"g{groups.bit_length() - 2}"
         query = GroupByQuery(
             table="uniform", group_columns=[column], aggregates=aggregates
         )
         # Figure 5's candidate set has no hybrid strategy (uniform groups
-        # give it no head to push), so the chooser competes on the same
-        # three candidates the measurements cover.
-        choices = {
-            obj: choose(
-                ctx, catalog, query, objective=obj, include_hybrid=False
-            )
-            for obj in OBJECTIVES
-        }
-        measured = [
-            execution_row("sweep", groups, name_map[name], strategy(ctx, catalog, query))
-            for name, strategy in STRATEGIES.items()
-        ]
-        for objective in OBJECTIVES:
-            winner = winners_by_sweep(measured, "sweep", _METRIC[objective])[groups]
-            rows_out.append(_choice_row(
-                "fig05-groupby", groups, objective, choices[objective], winner
-            ))
+        # give it no head to push).
+        _validate(
+            "fig05-groupby", groups, ctx, catalog, query, rows_out,
+            include_hybrid=False,
+        )
 
 
 def _topk_scenario(scale_factor: float, k_fractions, rows_out: list[dict]) -> None:
-    from repro.experiments.fig09_topk_k import DEFAULT_K_FRACTIONS  # noqa: F401
-    from repro.strategies.topk import sampling_top_k, server_side_top_k
-
     ctx, catalog = CloudContext(), Catalog()
     load_tpch(ctx, catalog, scale_factor, tables=("lineitem",))
     calibrate_tables(ctx, catalog, ["lineitem"], PAPER_LINEITEM_BYTES)
@@ -153,22 +133,7 @@ def _topk_scenario(scale_factor: float, k_fractions, rows_out: list[dict]) -> No
             continue
         seen.add(k)
         query = TopKQuery(table="lineitem", order_column="l_extendedprice", k=k)
-        choices = {
-            obj: choose(ctx, catalog, query, objective=obj) for obj in OBJECTIVES
-        }
-        measured = [
-            execution_row(
-                "sweep", k, "server-side top-k", server_side_top_k(ctx, catalog, query)
-            ),
-            execution_row(
-                "sweep", k, "sampling top-k", sampling_top_k(ctx, catalog, query)
-            ),
-        ]
-        for objective in OBJECTIVES:
-            winner = winners_by_sweep(measured, "sweep", _METRIC[objective])[k]
-            rows_out.append(_choice_row(
-                "fig09-topk", k, objective, choices[objective], winner
-            ))
+        _validate("fig09-topk", k, ctx, catalog, query, rows_out)
 
 
 def run(

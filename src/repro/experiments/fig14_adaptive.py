@@ -43,7 +43,7 @@ from repro.experiments.harness import (
     close_enough,
     execution_row,
 )
-from repro.optimizer.chooser import choose_filter_strategy
+from repro.optimizer.chooser import choose
 from repro.planner.planner import plan_and_execute
 from repro.sqlparser.parser import parse_expression
 from repro.strategies.filter import FilterQuery
@@ -211,9 +211,7 @@ def _session_probe_sweep(
     rows = []
     for repeat in range(1, PROBE_REPEATS + 1):
         mark = ctx.metrics.mark()
-        choice = choose_filter_strategy(
-            ctx, catalog, query, probe=True, probe_fraction=0.25
-        )
+        choice = choose(ctx, catalog, query, probe=True, probe_fraction=0.25)
         spent = len(ctx.metrics.records_since(mark))
         rows.append({
             "repeat": repeat,

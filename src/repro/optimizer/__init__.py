@@ -1,4 +1,4 @@
-"""Cost-based optimizer: statistics, per-strategy cost model, chooser.
+"""Cost-based optimizer: statistics, one cost model, chooser.
 
 The paper's central observation (Sections IV-VII, Figures 1-9) is that
 no pushdown strategy dominates: server-side vs S3-side filtering flips
@@ -12,12 +12,18 @@ itself:
 * :mod:`repro.optimizer.selectivity` — predicate selectivity estimation
   from those statistics, plus an optional (metered) ScanRange sampling
   probe;
-* :mod:`repro.optimizer.cost` — per-candidate predictions of requests,
-  bytes scanned/returned/transferred, simulated runtime and dollar cost,
-  built on the *same* :mod:`repro.cloud.perf` phase math and
-  :mod:`repro.cloud.pricing` sheet the execution layer is billed with;
-* :mod:`repro.optimizer.chooser` — ranks the candidates, runs the
-  winner, and renders an EXPLAIN-style report;
+* :mod:`repro.optimizer.cost` — pricing: predicted phases (requests,
+  bytes scanned/returned/transferred, term evaluations, ingest, CPU)
+  become simulated runtime and dollar cost through the *same*
+  :mod:`repro.cloud.perf` phase math and :mod:`repro.cloud.pricing`
+  sheet the execution layer is billed with.  *Which* phases a plan will
+  meter is the one cost walker's business
+  (:mod:`repro.planner.costing`), for SQL plans and paper strategies
+  alike;
+* :mod:`repro.optimizer.chooser` — builds each candidate's physical
+  plan (the plans the strategy runners execute), prices them through
+  that walker, ranks them, runs the winning plan, and renders an
+  EXPLAIN-style report;
 * :mod:`repro.optimizer.feedback` — the session feedback store: every
   executed plan's measured selectivities and join cardinalities
   override the System-R heuristics for the rest of the session, and
@@ -27,15 +33,11 @@ itself:
 from repro.optimizer.chooser import (  # noqa: F401
     Choice,
     choose,
-    choose_filter_strategy,
-    choose_group_by_strategy,
-    choose_join_strategy,
-    choose_top_k_strategy,
     explain_choice,
     render_choice_summary,
     run_auto,
 )
-from repro.optimizer.cost import CostModel, StrategyEstimate  # noqa: F401
+from repro.optimizer.cost import StrategyEstimate  # noqa: F401
 from repro.optimizer.feedback import (  # noqa: F401
     FeedbackStore,
     estimate_selectivity_with_feedback,

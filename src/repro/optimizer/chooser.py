@@ -1,12 +1,14 @@
-"""The strategy chooser: rank candidate estimates, run the winner.
+"""The strategy chooser: build candidate plans, price them, run the winner.
 
-``choose_*`` functions return a :class:`Choice` — the ranked
-per-candidate :class:`~repro.optimizer.cost.StrategyEstimate` profiles
-plus the pick — without touching storage (unless a selectivity probe is
-requested, which is metered and reported).  :func:`run_auto` dispatches
-on the query object, executes the picked strategy, and attaches the full
-choice to ``execution.details["optimizer"]`` so callers can render the
-EXPLAIN report next to the measured run.
+:func:`choose` builds the candidate :class:`~repro.planner.physical.
+PhysicalPlan`s of the query's family — the plans the public strategy
+runners execute — prices each through the one cost walker
+(:func:`repro.planner.costing.annotate_costs`) and returns a
+:class:`Choice`: the priced plans plus the pick, without touching storage
+(unless a selectivity probe is requested, which is metered and reported).
+:func:`run_auto` executes the picked plan and attaches the choice to
+``execution.details["optimizer"]`` so callers can render the EXPLAIN
+report next to the measured run.
 
 Objectives: ``"cost"`` minimizes predicted total dollars (the paper's
 Figures 1b-9b axis; compute cost folds simulated runtime in, so this is
@@ -17,73 +19,63 @@ seconds (the Figures 1a-9a axis).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from functools import partial
 
 from repro.cloud.context import CloudContext, QueryExecution
 from repro.common.errors import PlanError
 from repro.engine.catalog import Catalog
-from repro.optimizer.cost import CostModel, StrategyEstimate, objective_key
+from repro.optimizer.cost import StrategyEstimate, objective_key
 from repro.optimizer.selectivity import probe_selectivity
-from repro.strategies import extensions as extension_strategies
-from repro.strategies import filter as filter_strategies
-from repro.strategies import groupby as groupby_strategies
-from repro.strategies import join as join_strategies
-from repro.strategies import topk as topk_strategies
+from repro.planner import physical
+from repro.planner.costing import annotate_costs
+from repro.planner.physical import PhysicalPlan
+from repro.strategies import extensions, groupby, join, topk
+from repro.strategies import filter as filters
 from repro.strategies.filter import FilterQuery
 from repro.strategies.groupby import GroupByQuery
 from repro.strategies.join import JoinQuery
 from repro.strategies.topk import TopKQuery
 
-if TYPE_CHECKING:
-    from repro.planner.physical import PhysicalPlan
-
 OBJECTIVES = ("cost", "runtime")
 
-#: Strategy name -> executor, for every query family the chooser covers.
-STRATEGY_RUNNERS: dict[str, Callable] = {
-    "server-side filter": filter_strategies.server_side_filter,
-    "s3-side filter": filter_strategies.s3_side_filter,
-    "s3-side indexing": filter_strategies.indexed_filter,
-    "multirange indexed filter": extension_strategies.multirange_indexed_filter,
-    "server-side group-by": groupby_strategies.server_side_group_by,
-    "filtered group-by": groupby_strategies.filtered_group_by,
-    "s3-side group-by": groupby_strategies.s3_side_group_by,
-    "hybrid group-by": groupby_strategies.hybrid_group_by,
-    "partial group-by pushdown": extension_strategies.partial_pushdown_group_by,
-    "server-side top-k": topk_strategies.server_side_top_k,
-    "sampling top-k": topk_strategies.sampling_top_k,
-    "baseline join": join_strategies.baseline_join,
-    "filtered join": join_strategies.filtered_join,
-    "bloom join": join_strategies.bloom_join,
-}
+#: Hybrid group-by split points (head groups pushed to S3) offered as
+#: candidates; the best under the objective competes as "hybrid group-by".
+HYBRID_SPLIT_CANDIDATES = (4, 6, 8, 12, 16)
 
 
 @dataclass
 class Choice:
-    """Outcome of one optimization: ranked candidates plus the pick."""
+    """Outcome of one optimization: the priced candidate plans plus the pick."""
 
     query_kind: str
     objective: str
-    candidates: list[StrategyEstimate] = field(default_factory=list)
+    #: One priced plan per candidate — the very objects a caller runs or
+    #: renders; ``plan.estimate`` is the candidate's predicted profile.
+    plans: list[PhysicalPlan] = field(default_factory=list)
     picked: str = ""
-    #: Extra context (probe spend, estimation inputs) for the report.
+    #: Extra context (probe spend, the hybrid split sweep, the join-order
+    #: table) for the report.
     notes: dict = field(default_factory=dict)
-    #: SQL mode choices only: the picked candidate's plan — the very
-    #: object that was priced, for the caller to run or render.
-    plan: PhysicalPlan | None = None
+
+    @property
+    def candidates(self) -> list[StrategyEstimate]:
+        return [plan.estimate for plan in self.plans]
+
+    @property
+    def plan(self) -> PhysicalPlan:
+        """The picked candidate's plan."""
+        for plan in self.plans:
+            if plan.estimate.strategy == self.picked:
+                return plan
+        raise PlanError(f"no candidate named {self.picked!r}")
 
     @property
     def best(self) -> StrategyEstimate:
-        for candidate in self.candidates:
-            if candidate.strategy == self.picked:
-                return candidate
-        raise PlanError(f"no candidate named {self.picked!r}")
-
-    def ranked(self) -> list[StrategyEstimate]:
-        return sorted(self.candidates, key=objective_key(self.objective))
+        return self.plan.estimate
 
     def explain(self) -> str:
-        return explain_choice(self)
+        """EXPLAIN-style report: one line per candidate, the pick marked."""
+        return render_choice_summary(self.summary(), self.query_kind)
 
     def summary(self) -> dict:
         """Compact dict for ``QueryExecution.details`` / experiment rows."""
@@ -105,103 +97,23 @@ class Choice:
         }
 
 
-def _choose(kind: str, candidates: list[StrategyEstimate], objective: str,
+def _choose(kind: str, plans: list[PhysicalPlan], objective: str,
             notes: dict | None = None) -> Choice:
+    """Rank priced plans.  Plans sharing a strategy name are one
+    candidate offered at several settings; its best competes."""
     if objective not in OBJECTIVES:
         raise PlanError(f"unknown objective {objective!r}; use {OBJECTIVES}")
-    if not candidates:
+    if not plans:
         raise PlanError(f"no candidate strategies for {kind}")
-    best = min(candidates, key=objective_key(objective))
-    return Choice(
-        query_kind=kind,
-        objective=objective,
-        candidates=candidates,
-        picked=best.strategy,
-        notes=notes or {},
-    )
-
-
-def choose_filter_strategy(
-    ctx: CloudContext,
-    catalog: Catalog,
-    query: FilterQuery,
-    objective: str = "cost",
-    probe: bool = False,
-    probe_fraction: float = 0.02,
-    probe_refresh: bool = False,
-    include_extensions: bool = False,
-) -> Choice:
-    """Pick among server-side / S3-side / indexed filtering.
-
-    ``probe=True`` measures selectivity with a metered ScanRange probe
-    instead of trusting the statistics estimate.  A selectivity already
-    measured this session (earlier probe or executed scan) is reused
-    without spending requests — and without re-reading ``probe_fraction``
-    — so the note's request count is 0 on warm hits; pass
-    ``probe_refresh=True`` to force a fresh metered probe at the
-    requested fraction.
-    ``include_extensions=True`` adds the multi-range-GET indexed filter
-    (Suggestion 1) to the candidate set.
-    """
-    model = CostModel(ctx, catalog)
-    notes = {}
-    selectivity = None
-    if probe:
-        mark = ctx.metrics.mark()
-        selectivity = probe_selectivity(
-            ctx, catalog.get(query.table), query.predicate, probe_fraction,
-            refresh=probe_refresh,
-        )
-        notes["probe"] = {
-            "selectivity": selectivity,
-            "requests": len(ctx.metrics.records_since(mark)),
-        }
-    candidates = model.estimate_filter(
-        query, selectivity=selectivity, include_extensions=include_extensions
-    )
-    return _choose("filter", candidates, objective, notes)
-
-
-def choose_group_by_strategy(
-    ctx: CloudContext,
-    catalog: Catalog,
-    query: GroupByQuery,
-    objective: str = "cost",
-    include_hybrid: bool = True,
-    include_extensions: bool = False,
-) -> Choice:
-    """Pick among the paper's four group-by strategies.
-
-    ``include_extensions=True`` adds Suggestion 4's partial group-by
-    pushdown to the candidate set (an extension real S3 does not offer,
-    so it is opt-in, mirroring the multirange filter).
-    """
-    model = CostModel(ctx, catalog)
-    candidates = model.estimate_group_by(
-        query, include_hybrid=include_hybrid, objective=objective,
-        include_extensions=include_extensions,
-    )
-    return _choose("group-by", candidates, objective)
-
-
-def choose_top_k_strategy(
-    ctx: CloudContext,
-    catalog: Catalog,
-    query: TopKQuery,
-    objective: str = "cost",
-) -> Choice:
-    model = CostModel(ctx, catalog)
-    return _choose("top-k", model.estimate_top_k(query), objective)
-
-
-def choose_join_strategy(
-    ctx: CloudContext,
-    catalog: Catalog,
-    query: JoinQuery,
-    objective: str = "cost",
-) -> Choice:
-    model = CostModel(ctx, catalog)
-    return _choose("join", model.estimate_join(query), objective)
+    key = objective_key(objective)
+    best: dict[str, PhysicalPlan] = {}
+    for plan in plans:
+        name = plan.estimate.strategy
+        if name not in best or key(plan.estimate) < key(best[name].estimate):
+            best[name] = plan
+    plans = list(best.values())
+    picked = min(plans, key=lambda plan: key(plan.estimate))
+    return Choice(kind, objective, plans, picked.estimate.strategy, notes or {})
 
 
 def choose_planner_mode(
@@ -240,54 +152,111 @@ def choose_planner_mode(
         prepared=prepared,
     )
     decision = optimized.join_decision
-    choice = _choose(
-        "sql", [baseline.estimate, optimized.estimate], objective,
+    return _choose(
+        "sql", [baseline, optimized], objective,
         decision.summary() if decision is not None else None,
     )
-    choice.plan = baseline if choice.picked == "baseline" else optimized
-    return choice
 
 
-_CHOOSERS = {
-    FilterQuery: choose_filter_strategy,
-    GroupByQuery: choose_group_by_strategy,
-    TopKQuery: choose_top_k_strategy,
-    JoinQuery: choose_join_strategy,
+#: Per query family: its name, the plan constructors always offered, and
+#: the opt-in ones — the paper's Section X suggestions (multi-range GETs,
+#: partial group-by), which real S3 does not offer.
+_FAMILIES = {
+    FilterQuery: ("filter", (
+        filters.server_side_filter_plan, filters.s3_side_filter_plan,
+        filters.indexed_filter_plan,
+    ), (extensions.multirange_indexed_filter_plan,)),
+    GroupByQuery: ("group-by", (
+        groupby.server_side_group_by_plan, groupby.filtered_group_by_plan,
+        groupby.s3_side_group_by_plan,
+    ), (extensions.partial_pushdown_group_by_plan,)),
+    TopKQuery: ("top-k", (
+        topk.server_side_top_k_plan, topk.sampling_top_k_plan,
+    ), ()),
+    JoinQuery: ("join", (
+        join.baseline_join_plan, join.filtered_join_plan, join.bloom_join_plan,
+    ), ()),
 }
 
 
 def choose(
-    ctx: CloudContext, catalog: Catalog, query, objective: str = "cost", **kwargs
-) -> Choice:
-    """Dispatch on the query object's family."""
-    chooser = _CHOOSERS.get(type(query))
-    if chooser is None:
-        raise PlanError(
-            f"cannot optimize query of type {type(query).__name__};"
-            f" supported: {[t.__name__ for t in _CHOOSERS]}"
-        )
-    return chooser(ctx, catalog, query, objective=objective, **kwargs)
-
-
-def run_auto(
     ctx: CloudContext,
     catalog: Catalog,
     query,
     objective: str = "cost",
-    **kwargs,
+    include_extensions: bool = False,
+    include_hybrid: bool = True,
+    probe: bool = False,
+    probe_fraction: float = 0.02,
+    probe_refresh: bool = False,
+) -> Choice:
+    """Price the candidate plans of the query object's family; pick one.
+
+    A candidate is whatever plan constructor accepts the query: one that
+    raises :class:`PlanError` (no index on the predicate's column, K past
+    the table, a non-integer Bloom key, several hybrid group columns)
+    declines.  ``include_extensions=True`` adds the family's opt-in
+    constructors; ``include_hybrid=False`` drops hybrid group-by, which
+    is otherwise offered once per :data:`HYBRID_SPLIT_CANDIDATES`.
+
+    ``probe=True`` (filter queries) measures selectivity with a metered
+    ScanRange probe instead of trusting the statistics: the measurement
+    lands in the session's feedback store, which every plan constructor
+    consults first.  A selectivity already measured this session (earlier
+    probe or executed scan) is reused without spending requests or
+    re-reading ``probe_fraction`` — the note's request count is then 0 —
+    unless ``probe_refresh=True`` forces a fresh probe.
+    """
+    if type(query) not in _FAMILIES:
+        raise PlanError(
+            f"cannot optimize query of type {type(query).__name__};"
+            f" supported: {[t.__name__ for t in _FAMILIES]}"
+        )
+    kind, builders, opt_in = _FAMILIES[type(query)]
+    notes = {}
+    if probe:
+        mark = ctx.metrics.mark()
+        selectivity = probe_selectivity(
+            ctx, catalog.get(query.table), query.predicate, probe_fraction,
+            refresh=probe_refresh,
+        )
+        notes["probe"] = {
+            "selectivity": selectivity,
+            "requests": len(ctx.metrics.records_since(mark)),
+        }
+    builders = [*builders, *(opt_in if include_extensions else ())]
+    if kind == "group-by" and include_hybrid:
+        builders += [
+            partial(groupby.hybrid_group_by_plan, s3_groups=split)
+            for split in HYBRID_SPLIT_CANDIDATES
+        ]
+    plans = []
+    for build in builders:
+        try:
+            plans.append(build(ctx, catalog, query))
+        except PlanError:
+            continue
+    for plan in plans:
+        annotate_costs(plan, ctx)
+    swept = [p for p in plans if isinstance(p.root, groupby.HybridGroupByNode)]
+    if swept:
+        notes["split_candidates"] = {
+            p.root.s3_groups: round(p.estimate.total_cost, 9) for p in swept
+        }
+    return _choose(kind, plans, objective, notes)
+
+
+def run_auto(
+    ctx: CloudContext, catalog: Catalog, query, objective: str = "cost", **options
 ) -> QueryExecution:
-    """Choose the cheapest strategy for ``query``, run it, report both.
+    """Choose the cheapest strategy for ``query`` (``options`` as for
+    :func:`choose`), run its plan, report both.
 
     The measured execution's ``details["optimizer"]`` carries the full
     per-candidate prediction table (:meth:`Choice.summary`).
     """
-    choice = choose(ctx, catalog, query, objective=objective, **kwargs)
-    runner = STRATEGY_RUNNERS[choice.picked]
-    runner_kwargs = {}
-    if choice.picked == "hybrid group-by" and "s3_groups" in choice.best.notes:
-        # The estimator swept the split point; run the winning split.
-        runner_kwargs["s3_groups"] = choice.best.notes["s3_groups"]
-    execution = runner(ctx, catalog, query, **runner_kwargs)
+    choice = choose(ctx, catalog, query, objective=objective, **options)
+    execution = physical.execute_plan(ctx, choice.plan)
     execution.details["optimizer"] = choice.summary()
     return execution
 
@@ -304,11 +273,12 @@ def render_choice_summary(summary: dict, query_kind: str = "") -> str:
     picked = summary.get("picked", "")
     kind = f"{query_kind} query, " if query_kind else ""
     lines = [f"optimizer: {kind}objective={objective}, picked {picked!r}"]
+    candidates = summary.get("candidates", {})
+    width = max(22, *map(len, candidates))
     lines.append(
-        f"  {'':2} {'strategy':<22} {'requests':>10} {'scanned':>10}"
+        f"  {'':2} {'strategy':<{width}} {'requests':>10} {'scanned':>10}"
         f" {'returned':>10} {'moved':>10} {'runtime':>10} {'cost':>12}"
     )
-    candidates = summary.get("candidates", {})
     sort_key = (
         (lambda kv: (kv[1]["runtime_s"], kv[1]["cost"]))
         if objective == "runtime"
@@ -317,7 +287,7 @@ def render_choice_summary(summary: dict, query_kind: str = "") -> str:
     for name, est in sorted(candidates.items(), key=sort_key):
         marker = "->" if name == picked else "  "
         lines.append(
-            f"  {marker} {name:<22} {est['requests']:>10.1f}"
+            f"  {marker} {name:<{width}} {est['requests']:>10.1f}"
             f" {human_bytes(int(est['bytes_scanned'])):>10}"
             f" {human_bytes(int(est['bytes_returned'])):>10}"
             f" {human_bytes(int(est['bytes_transferred'])):>10}"
@@ -350,6 +320,4 @@ def render_choice_summary(summary: dict, query_kind: str = "") -> str:
     return "\n".join(lines)
 
 
-def explain_choice(choice: Choice) -> str:
-    """EXPLAIN-style report: one line per candidate, the pick marked."""
-    return render_choice_summary(choice.summary(), choice.query_kind)
+explain_choice = Choice.explain

@@ -242,6 +242,14 @@ def estimate_selectivity_with_feedback(
     return min(max(product, 0.0), 1.0)
 
 
+def estimated_rows(ctx, table, predicate: ast.Expr | None) -> float:
+    """Rows of ``table`` (a ``TableInfo``) expected to pass ``predicate``:
+    the session's feedback first, the table's statistics otherwise."""
+    return table.num_rows * estimate_selectivity_with_feedback(
+        ctx.feedback, table.name, predicate, table.stats_or_default()
+    )
+
+
 # ----------------------------------------------------------------------
 # harvesting executed plans
 # ----------------------------------------------------------------------

@@ -35,21 +35,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from repro.bloom.filter import BloomPushdown, optimal_num_bits, optimal_num_hashes
+from repro.bloom.filter import DEFAULT_FPR, BloomPushdown, predicted_bloom_pass
 from repro.cloud.context import CloudContext
 from repro.cloud.perf import SERVER_CPU_PER_ROW
 from repro.common.errors import PlanError
 from repro.engine.catalog import Catalog, TableInfo
-from repro.optimizer.cost import (
-    StrategyEstimate,
-    _conjuncts,
-    objective_key,
-    price_phases,
-)
-from repro.optimizer.feedback import (
-    estimate_selectivity_with_feedback,
-    predicate_signature,
-)
+from repro.optimizer.cost import StrategyEstimate, objective_key, price_phases
+from repro.optimizer.feedback import estimated_rows, predicate_signature
 from repro.planner import physical
 from repro.planner.costing import predicted_phases
 from repro.planner.physical import (
@@ -58,9 +50,7 @@ from repro.planner.physical import (
     PlanNode,
     ScanNode,
 )
-from repro.s3select.validator import EXPRESSION_LIMIT_BYTES
 from repro.sqlparser import ast
-from repro.strategies.join import DEFAULT_FPR
 
 #: Exact DP over connected subsets is run up to this many tables (per
 #: connected component); larger components fall back to the greedy search.
@@ -354,11 +344,8 @@ class _TableShape:
     """Pre-computed per-table quantities the search prices with."""
 
     info: TableInfo
-    selectivity: float
     filtered_rows: float
     columns: list[str]
-    row_bytes: float
-    conjuncts: int
 
 
 class JoinOrderSearch:
@@ -394,26 +381,15 @@ class JoinOrderSearch:
         columns = needed_columns(graph, query, extra=extra_refs)
         self.shapes: dict[str, _TableShape] = {}
         for name, info in graph.tables.items():
-            stats = info.stats_or_default()
-            pred = graph.predicates[name]
-            sel = estimate_selectivity_with_feedback(
-                self.feedback, name, pred, stats
-            )
             self.shapes[name] = _TableShape(
-                info=info,
-                selectivity=sel,
-                filtered_rows=sel * info.num_rows,
-                columns=columns[name],
-                row_bytes=stats.projected_row_bytes(columns[name]),
-                conjuncts=_conjuncts(pred),
+                info, estimated_rows(ctx, info, graph.predicates[name]),
+                columns[name],
             )
 
     # -- cardinality -------------------------------------------------
     def _key_distinct(self, table: str, key: str, rows: float) -> float:
         stats = self.graph.tables[table].stats_or_default()
-        col = stats.column(key)
-        distinct = max(col.distinct, 1) if col is not None else max(rows, 1.0)
-        return max(1.0, min(float(distinct), max(rows, 1.0)))
+        return stats.distinct_among(key, rows)
 
     def _pair_rows(
         self, left: PlanNode, right: PlanNode, edges: list[JoinEdge]
@@ -484,7 +460,6 @@ class JoinOrderSearch:
         )
         node.est_rows = shape.filtered_rows
         node.est_filtered_rows = shape.filtered_rows
-        node.est_terms = float(shape.info.num_rows * shape.conjuncts)
         return node
 
     def _orient(self, t1: PlanNode, t2: PlanNode):
@@ -619,21 +594,12 @@ class JoinOrderSearch:
         column = self.graph.tables[build_end].schema.column(build_key)
         if column.type != "int":
             return None
-        shape = self.shapes[probe_end]
-        distinct_keys = self._key_distinct(
-            build_end, build_key, node.build.est_rows
+        filtered_rows = self.shapes[probe_end].filtered_rows
+        return predicted_bloom_pass(
+            self._key_distinct(build_end, build_key, node.build.est_rows),
+            self._key_distinct(probe_end, node.probe_key, filtered_rows),
+            filtered_rows, self.fpr,
         )
-        hashes = optimal_num_hashes(self.fpr)
-        bits = optimal_num_bits(int(max(distinct_keys, 1)), self.fpr)
-        if hashes * (bits + 60) > EXPRESSION_LIMIT_BYTES:
-            return None
-        probe_distinct = self._key_distinct(
-            probe_end, node.probe_key, shape.filtered_rows
-        )
-        match_fraction = min(1.0, distinct_keys / probe_distinct)
-        matched = shape.filtered_rows * match_fraction
-        pass_rows = matched + (shape.filtered_rows - matched) * self.fpr
-        return pass_rows, hashes
 
     def left_deep_tree(self, order: list[str]) -> PlanNode:
         """The join tree a forced left-deep ``order`` executes as."""

@@ -152,6 +152,14 @@ class TableStats:
     def column(self, name: str) -> ColumnStats | None:
         return self.columns.get(name.lower())
 
+    def distinct_among(self, name: str, rows: float) -> float:
+        """Distinct values of column ``name`` expected among ``rows`` of
+        the table's rows: its distinct count, capped by the rows (every
+        row its own value when the column has no statistics)."""
+        stats = self.column(name)
+        distinct = max(stats.distinct, 1) if stats is not None else max(rows, 1.0)
+        return max(1.0, min(float(distinct), max(rows, 1.0)))
+
     def projected_row_bytes(self, names: Sequence[str]) -> float:
         """Encoded width of a row projected to ``names`` (with delimiters).
 

@@ -5,9 +5,10 @@ into the :class:`~repro.cloud.metrics.Phase` objects :func:`execute_plan`
 would meter for it, from estimates instead of measurements;
 :func:`repro.optimizer.cost.price_phases` prices them through the
 context's own PerfModel and Pricing.  Everything that predicts the cost
-of a SQL plan goes through this pair: the ``auto`` mode chooser (whole
-plans, via :func:`annotate_costs`), the join-order DP and the adaptive
-re-planner (candidate join subtrees) and EXPLAIN's per-node ``est_cost``.
+of a plan goes through this pair: the ``auto`` mode chooser and the
+paper-strategy chooser (whole plans, via :func:`annotate_costs`), the
+join-order DP and the adaptive re-planner (candidate join subtrees) and
+EXPLAIN's per-node ``est_cost``.
 """
 
 from __future__ import annotations
@@ -60,21 +61,26 @@ def predicted_phases(
     Mirrors what :func:`~repro.planner.physical.execute_plan` meters for
     the same tree: one phase per scan or pushed aggregate (pruned
     request streams; Bloom-reduced returned rows where a parent join
-    attached a Bloom predicate), and every operator's local CPU
-    (``est_cpu``: joins, the group-by / sort / top-K / projection tail)
-    charged to the last phase emitted before it completes.
+    attached a Bloom predicate), the phases a leaf says its own ``run``
+    appends (:meth:`PlanNode.predicted_phases`: the paper strategies'
+    index fetch, pushed group-bys and threshold sample), and every
+    operator's local CPU (``est_cpu``: filters, joins, the group-by /
+    sort / top-K / projection tail) charged to the last phase emitted
+    before it completes.
 
     ``combined_label`` is the plan's phase policy
-    (:attr:`PhysicalPlan.combined_label`): baseline join plans meter all
-    their whole-table GETs and all local CPU as one phase of that name.
+    (:attr:`PhysicalPlan.combined_label`): baseline join plans and the
+    paper's filtered join meter all their scans and all local CPU as
+    one phase of that name.
 
     When ``ctx`` carries a warm semantic cache, pushdown scans and
     aggregates that would answer from it are priced at zero requests
     and bytes — the chooser and the join-order DP therefore *prefer*
-    cacheable plans exactly when the cache would fire.
+    cacheable plans exactly when the cache would fire (never inside a
+    combined phase, whose scans do not consult it).
     """
-    cache = ctx.result_cache
     combined = combined_label is not None
+    cache = None if combined else ctx.result_cache
     phases: list[Phase] = []
 
     def charge(cpu: float) -> None:
@@ -92,6 +98,9 @@ def predicted_phases(
         if isinstance(n, MaterializedNode):
             # Already executed (and billed): contributes no future work.
             return
+        children = n.children()
+        if not children:
+            phases.extend(n.predicted_phases(ctx))
         if isinstance(n, PushedAggregateNode):
             items = n.query.select_items
             if cache is not None and cache.peek_aggregate(
@@ -151,7 +160,7 @@ def predicted_phases(
                     fields=ingested * len(n.table.schema),
                 ))
             return
-        for child in n.children():
+        for child in children:
             walk(child)
         charge(n.est_cpu)
 
@@ -160,7 +169,10 @@ def predicted_phases(
         return [_phase(
             combined_label,
             sum(len(p.streams) for p in phases),
+            scan_bytes=sum(p.select_scan_bytes for p in phases),
+            returned_bytes=sum(p.select_returned_bytes for p in phases),
             get_bytes=sum(p.get_bytes for p in phases),
+            term_evals=sum(s.term_evals for p in phases for s in p.streams),
             cpu_seconds=sum(p.server_cpu_seconds for p in phases),
             records=sum(p.server_records for p in phases),
             fields=sum(p.server_fields for p in phases),
@@ -168,14 +180,18 @@ def predicted_phases(
     return phases
 
 
-def annotate_costs(plan: PhysicalPlan, ctx: CloudContext) -> None:
+def annotate_costs(
+    plan: PhysicalPlan, ctx: CloudContext, name: str | None = None
+) -> None:
     """Price ``plan``: ``est_cost`` on every node, ``estimate`` on the plan.
 
     Each node's ``est_cost`` is the cumulative cost of its subtree under
     the plan's phase policy; the root's is the whole plan's, and the
     full profile behind it (requests, bytes, runtime) is kept as
-    ``plan.estimate`` — the candidate the ``auto`` chooser ranks.
+    ``plan.estimate`` — the candidate a chooser ranks, called ``name``
+    (default: the plan's strategy; the SQL chooser's candidates are modes).
     """
+    name = name or plan.strategy
 
     def walk(node: PlanNode):
         for child in node.children():
@@ -183,7 +199,7 @@ def annotate_costs(plan: PhysicalPlan, ctx: CloudContext) -> None:
         phases = predicted_phases(node, ctx, plan.combined_label)
         if not phases:
             return None
-        estimate = price_phases(ctx, plan.mode, phases, {"plan": plan.strategy})
+        estimate = price_phases(ctx, name, phases, {"plan": plan.strategy})
         node.est_cost = estimate.total_cost
         return estimate
 

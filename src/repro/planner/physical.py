@@ -33,9 +33,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import wraps
 from itertools import chain
 from time import perf_counter
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from repro.bloom.filter import BloomBuildOutcome, BloomPushdown, membership_clauses
 from repro.cloud.context import CloudContext, QueryExecution
@@ -157,7 +158,8 @@ class PlanNode:
     * ``est_cost`` — estimated cumulative dollar cost of the subtree,
       priced through the context's PerfModel + Pricing;
     * ``est_cpu`` — estimated local CPU seconds of this operator alone
-      (joins and the local tail; scans price their own phases);
+      (joins, the local tail and the paper strategies' filters; scans
+      and leaves price their own phases);
     * ``actual_rows`` — observed output cardinality, recorded during
       execution (estimate-vs-actual feedback for EXPLAIN);
     * ``wall_seconds`` — measured inclusive wall-clock this subtree
@@ -179,6 +181,11 @@ class PlanNode:
 
     def describe(self) -> str:
         raise NotImplementedError
+
+    def predicted_phases(self, ctx: CloudContext) -> list[Phase]:
+        """A leaf's estimate of the phases its own :meth:`run` appends
+        (a scan's own phase excepted: the cost walker prices that)."""
+        return []
 
     def run(self, state: ExecState) -> tuple[list[str], Iterator[Batch]]:
         """Execute this subtree, returning (column names, batch stream)."""
@@ -214,9 +221,12 @@ class ScanNode(PlanNode):
         #: join builds the clauses at run time from its build rows and
         #: hands them to :meth:`run` as ``pushed``).
         self.bloom_attr: str | None = None
-        #: Estimated S3-side term evaluations (WHERE conjuncts + Bloom
-        #: hashes per scanned row), for the cost model.
-        self.est_terms: float = 0.0
+        #: Estimated S3-side term evaluations (WHERE conjuncts per scanned
+        #: row; a parent join adds its Bloom hashes), for the cost model.
+        self.est_terms: float = (
+            float(table.num_rows * len(ast.split_conjuncts(predicate)))
+            if pushdown else 0.0
+        )
         #: Pre-Bloom estimate of the rows the predicate alone keeps;
         #: baseline twins (GET + local filter, no Bloom) annotate with
         #: this so their Q-error reports stay meaningful.
@@ -455,16 +465,19 @@ def whole_table_select(
     predicate: ast.Expr | None = None,
     phase_label: str | None = None,
     bloom_attr: str | None = None,
+    est_rows: float | None = None,
 ) -> ScanNode:
     """A pushed scan as the paper's strategies issue it: ``columns``
     (default: all) of every partition — never zone-map pruned, their
     numbers are the whole-table reference.  ``bloom_attr`` lets a join
-    above ship its build keys into the WHERE clause."""
+    above ship its build keys into the WHERE clause; ``est_rows`` is the
+    builder's estimate of the rows returned."""
     scan = ScanNode(
         table, table.schema.names if columns is None else columns, predicate,
         pushdown=True, phase_label=phase_label, prune=False,
     )
     scan.bloom_attr = bloom_attr
+    scan.est_rows = est_rows
     return scan
 
 
@@ -820,7 +833,8 @@ class CrossProductNode(PlanNode):
 
 
 class FilterNode(PlanNode):
-    """Local predicate over the stream (residual cross-table filters)."""
+    """Local predicate over the stream (residual cross-table filters, the
+    paper's server-side filters; only the latter set an ``est_cpu``)."""
 
     def __init__(self, child: PlanNode, predicate: ast.Expr):
         self.child = child
@@ -840,11 +854,17 @@ class FilterNode(PlanNode):
 
 
 class ProjectNode(PlanNode):
-    """Evaluate the select list per row (streaming)."""
+    """Evaluate the select list per row (streaming); ``est_input`` rows."""
 
-    def __init__(self, child: PlanNode, items: Sequence[ast.SelectItem]):
+    def __init__(
+        self,
+        child: PlanNode,
+        items: Sequence[ast.SelectItem],
+        est_input: float = 0.0,
+    ):
         self.child = child
         self.items = list(items)
+        self.est_cpu = est_input * len(self.items) * SERVER_CPU_PER_ROW["filter"]
 
     def children(self):
         return (self.child,)
@@ -918,14 +938,22 @@ class SortNode(PlanNode):
 
 
 class TopKNode(PlanNode):
-    """ORDER BY + LIMIT as a bounded heap (pipeline breaker)."""
+    """ORDER BY + LIMIT as a bounded heap (pipeline breaker) over an
+    estimated ``est_input`` rows."""
 
     def __init__(
-        self, child: PlanNode, order_by: Sequence[ast.OrderItem], k: int
+        self,
+        child: PlanNode,
+        order_by: Sequence[ast.OrderItem],
+        k: int,
+        est_input: float = 0.0,
     ):
         self.child = child
         self.order_by = tuple(order_by)
         self.k = k
+        self.est_cpu = (
+            est_input * max(1.0, math.log2(max(k, 2))) * SERVER_CPU_PER_ROW["heap"]
+        )
 
     def children(self):
         return (self.child,)
@@ -1402,9 +1430,6 @@ def attach_local_tail(
     join's.
     """
     deferred_projection = False
-    project_cpu = (
-        est_rows * len(query.select_items) * SERVER_CPU_PER_ROW["filter"]
-    )
     aggregate_cpu = (
         est_rows * max(len(agg_items(query)), 1)
         * SERVER_CPU_PER_ROW["aggregate"]
@@ -1449,8 +1474,7 @@ def attach_local_tail(
             for ref in ast.referenced_columns(item.expr)
         )
         if not deferred_projection:
-            node = ProjectNode(node, query.select_items)
-            node.est_cpu = project_cpu
+            node = ProjectNode(node, query.select_items, est_rows)
 
     order_by = query.order_by
     if deferred_projection:
@@ -1460,11 +1484,7 @@ def attach_local_tail(
         )
     if order_by:
         if query.limit is not None:
-            node = TopKNode(node, order_by, query.limit)
-            node.est_cpu = (
-                est_rows * max(1.0, math.log2(max(query.limit, 2)))
-                * SERVER_CPU_PER_ROW["heap"]
-            )
+            node = TopKNode(node, order_by, query.limit, est_rows)
         else:
             node = SortNode(node, order_by)
             if est_rows > 1:
@@ -1475,8 +1495,7 @@ def attach_local_tail(
     elif query.limit is not None:
         node = LimitNode(node, query.limit)
     if deferred_projection:
-        node = ProjectNode(node, query.select_items)
-        node.est_cpu = project_cpu
+        node = ProjectNode(node, query.select_items, est_rows)
     return node
 
 
@@ -1486,19 +1505,24 @@ def column_items(columns: Sequence[str]) -> list[ast.SelectItem]:
 
 
 def select_list_node(
-    child: PlanNode, items: Sequence[ast.SelectItem] | None
+    child: PlanNode,
+    items: Sequence[ast.SelectItem] | None,
+    est_rows: float = 0.0,
 ) -> PlanNode:
     """A final select list over ``child``: ``None`` passes it through, a
     list holding an aggregate is a one-group aggregation (the micro
-    benchmarks' ``SUM(o_totalprice)`` shape), anything else a projection."""
+    benchmarks' ``SUM(o_totalprice)`` shape), anything else a projection.
+    ``est_rows`` is the estimated cardinality flowing in, for ``est_cpu``."""
     if items is None:
         return child
     if any(
         not isinstance(i.expr, ast.Star) and ast.contains_aggregate(i.expr)
         for i in items
     ):
-        return GroupByNode(child, (), items)
-    return ProjectNode(child, items)
+        node = GroupByNode(child, (), items)
+        node.est_cpu = est_rows * len(items) * SERVER_CPU_PER_ROW["aggregate"]
+        return node
+    return ProjectNode(child, items, est_rows)
 
 
 # ----------------------------------------------------------------------
@@ -1619,6 +1643,17 @@ def execute_plan(
         details["session"] = result_cache.stats.summary()
         execution.details["cache"] = details
     return execution
+
+
+def runner(build_plan: Callable[..., PhysicalPlan]) -> Callable[..., QueryExecution]:
+    """A plan constructor's public runner: same arguments, the plan built
+    and executed — what it runs is what a chooser would have priced."""
+
+    @wraps(build_plan)
+    def run(ctx: CloudContext, *args, **kwargs) -> QueryExecution:
+        return execute_plan(ctx, build_plan(ctx, *args, **kwargs))
+
+    return run
 
 
 # ----------------------------------------------------------------------

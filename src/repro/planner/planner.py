@@ -31,7 +31,7 @@ from repro.cloud.context import CloudContext, QueryExecution
 from repro.common.errors import PlanError
 from repro.engine.catalog import Catalog, TableInfo
 from repro.optimizer import chooser
-from repro.optimizer.feedback import estimate_selectivity_with_feedback
+from repro.optimizer.feedback import estimated_rows
 from repro.optimizer.joinorder import JoinOrderSearch, build_join_graph
 from repro.planner import physical
 from repro.planner.costing import annotate_costs
@@ -186,7 +186,7 @@ def build_plans(
             force_order=force_order, prepared=prepared,
         )
     for plan in plans:
-        annotate_costs(plan, ctx)
+        annotate_costs(plan, ctx, plan.mode)
     return plans
 
 
@@ -239,14 +239,7 @@ def _apply_sub_joins(
                 phase_label=f"join-scan-{sj.table.name}",
                 prune=ctx.prune_partitions,
             )
-            build.est_rows = estimate_selectivity_with_feedback(
-                ctx.feedback, sj.table.name, sj.scan_pred,
-                sj.table.stats_or_default(),
-            ) * sj.table.num_rows
-            if optimized:
-                build.est_terms = float(
-                    sj.table.num_rows * len(ast.split_conjuncts(sj.scan_pred))
-                )
+            build.est_rows = estimated_rows(ctx, sj.table, sj.scan_pred)
             build_names = list(build.columns)
             build_rows_est = build.est_rows
         else:
@@ -307,10 +300,6 @@ def _build_single_plan(
         return PhysicalPlan(
             root=root, mode=mode, strategy="optimized single-table"
         )
-    stats = table.stats_or_default()
-    selectivity = estimate_selectivity_with_feedback(
-        ctx.feedback, table.name, query.where, stats
-    )
     names = _needed_columns(
         query, table,
         extra=prepared.extra_refs if prepared is not None else (),
@@ -323,10 +312,7 @@ def _build_single_plan(
         scan = ScanNode(table, names, query.where, pushdown=True,
                         phase_label="scan",
                         prune=ctx.prune_partitions)
-        scan.est_terms = float(
-            table.num_rows * len(ast.split_conjuncts(query.where))
-        )
-    scan.est_rows = selectivity * table.num_rows
+    scan.est_rows = estimated_rows(ctx, table, query.where)
     node: physical.PlanNode = scan
     if wrapped:
         node, names = _apply_sub_joins(

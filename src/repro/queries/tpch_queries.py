@@ -133,7 +133,7 @@ _Q1_ORDER = [ast.OrderItem(expr=e) for e in _Q1.group_exprs()]
 
 
 def q1_baseline(ctx: CloudContext, catalog: Catalog) -> QueryExecution:
-    grouped = server_side_group_by_node(catalog.get("lineitem"), _Q1, "q1")
+    grouped = server_side_group_by_node(ctx, catalog.get("lineitem"), _Q1, "q1")
     return physical.execute_plan(
         ctx, _plan("q1 baseline", SortNode(grouped, _Q1_ORDER))
     )
@@ -141,7 +141,7 @@ def q1_baseline(ctx: CloudContext, catalog: Catalog) -> QueryExecution:
 
 def q1_optimized(ctx: CloudContext, catalog: Catalog) -> QueryExecution:
     """Push the whole aggregation to S3 via S3-side group-by (6 groups)."""
-    grouped = CaseGroupByNode(catalog.get("lineitem"), _Q1)
+    grouped = CaseGroupByNode(ctx, catalog.get("lineitem"), _Q1)
     return physical.execute_plan(
         ctx, _plan("q1 optimized", SortNode(grouped, _Q1_ORDER))
     )
@@ -209,7 +209,7 @@ _Q6 = FilterQuery(
 
 
 def q6_baseline(ctx: CloudContext, catalog: Catalog) -> QueryExecution:
-    root = server_side_filter_node(catalog.get("lineitem"), _Q6, "q6")
+    root = server_side_filter_node(ctx, catalog.get("lineitem"), _Q6, "q6")
     return physical.execute_plan(ctx, _plan("q6 baseline", root))
 
 

@@ -24,12 +24,14 @@ size, the second a leaf node of its own.
 
 from __future__ import annotations
 
-from repro.cloud.context import CloudContext, QueryExecution
+from repro.cloud.context import CloudContext
 from repro.cloud.metrics import Phase
 from repro.engine.catalog import Catalog
+from repro.optimizer.cost import _phase
 from repro.planner import physical
 from repro.planner.physical import PhysicalPlan
 from repro.s3select.engine import PreparedSelect
+from repro.sqlparser import ast
 from repro.strategies.filter import FilterQuery, indexed_filter_plan
 from repro.strategies.groupby import (
     GroupByQuery,
@@ -42,19 +44,22 @@ from repro.strategies.scans import merge_partial, phase_since, projection_sql
 MAX_RANGES_PER_REQUEST = 1000
 
 
-def multirange_indexed_filter(
+def multirange_indexed_filter_plan(
     ctx: CloudContext, catalog: Catalog, query: FilterQuery
-) -> QueryExecution:
+) -> PhysicalPlan:
     """Indexed filtering with Suggestion 1's multi-range GETs.
 
     Phase 1 is identical to :func:`repro.strategies.filter.indexed_filter`;
     phase 2 fetches all matched extents of a partition with one request
     per :data:`MAX_RANGES_PER_REQUEST` ranges.
     """
-    return physical.execute_plan(ctx, indexed_filter_plan(
-        catalog, query, "indexing + multirange GET (suggestion 1)",
+    return indexed_filter_plan(
+        ctx, catalog, query, "indexing + multirange GET (suggestion 1)",
         ranges_per_request=MAX_RANGES_PER_REQUEST,
-    ))
+    )
+
+
+multirange_indexed_filter = physical.runner(multirange_indexed_filter_plan)
 
 
 class PartialGroupByNode(PushedGroupByNode):
@@ -66,6 +71,29 @@ class PartialGroupByNode(PushedGroupByNode):
     """
 
     kind = "partial-group-by"
+
+    def predicted_phases(self, ctx: CloudContext) -> list[Phase]:
+        """One scan, one S3-side term per pushed accumulator whatever the
+        group count (the point of the suggestion); each partition returns
+        a row per group it saw."""
+        table, query, groups = self.table, self.query, self.est_rows
+        per_partition = self.est_kept / max(table.partitions, 1)
+        seen = groups * (1.0 - (1.0 - 1.0 / groups) ** per_partition)
+        partial_rows = table.partitions * max(min(seen, per_partition), 0.0)
+        accumulators = query.accumulators()
+        width = (
+            table.stats_or_default().projected_row_bytes(query.group_columns)
+            + accumulators * 12.0
+        )
+        return [_phase(
+            "partial-groupby", table.partitions,
+            scan_bytes=float(table.total_bytes),
+            returned_bytes=partial_rows * width,
+            term_evals=table.num_rows
+            * (accumulators + len(ast.split_conjuncts(query.predicate))),
+            records=partial_rows,
+            fields=partial_rows * (len(query.group_columns) + accumulators),
+        )]
 
     def group_rows(self, ctx: CloudContext, phases: list[Phase]) -> list[tuple]:
         table, query = self.table, self.query
@@ -105,11 +133,15 @@ class PartialGroupByNode(PushedGroupByNode):
         return assemble_group_rows(query, merged)
 
 
-def partial_pushdown_group_by(
+def partial_pushdown_group_by_plan(
     ctx: CloudContext, catalog: Catalog, query: GroupByQuery
-) -> QueryExecution:
+) -> PhysicalPlan:
     """Group-by with Suggestion 4's partial GROUP BY pushed to storage."""
-    root = PartialGroupByNode(catalog.get(query.table), query)
-    return physical.execute_plan(ctx, PhysicalPlan(
+    root = PartialGroupByNode(ctx, catalog.get(query.table), query)
+    return PhysicalPlan(
         root, "optimized", "partial group-by pushdown (suggestion 4)"
-    ))
+    )
+
+
+partial_pushdown_group_by = physical.runner(partial_pushdown_group_by_plan)
+

@@ -9,8 +9,9 @@ Figure 1 compares them across selectivities: S3-side filter wins broadly,
 indexing wins only when very few rows match (each match costs one HTTP
 request), and server-side is ~10x slower than S3-side throughout.
 
-Each runner builds a :mod:`repro.planner.physical` tree and hands it to
-the one executor; the index access is a leaf node of its own.
+Each ``*_plan`` constructor builds a :mod:`repro.planner.physical` tree
+annotated with its estimates: the chooser prices the very plan the
+runner of the same name executes.  The index access is a leaf of its own.
 """
 
 from __future__ import annotations
@@ -18,9 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from time import perf_counter
 
-from repro.cloud.context import CloudContext, QueryExecution
+from repro.cloud.context import CloudContext
+from repro.cloud.metrics import Phase
+from repro.cloud.perf import SERVER_CPU_PER_ROW
 from repro.common.errors import PlanError
 from repro.engine.catalog import Catalog, TableInfo
+from repro.optimizer.cost import _phase
+from repro.optimizer.feedback import estimated_rows
 from repro.planner import physical
 from repro.planner.physical import (
     FilterNode,
@@ -66,15 +71,19 @@ class FilterQuery:
             *(ast.referenced_columns(item.expr) for item in self.output)
         ))
 
-    def local_tail(self, node: PlanNode) -> PlanNode:
-        """The projection and select list applied on the query node."""
+    def local_tail(self, node: PlanNode, matched: float) -> PlanNode:
+        """The projection and select list applied on the query node to
+        an estimated ``matched`` rows."""
         if self.projection is not None:
-            node = ProjectNode(node, column_items(self.projection))
-        return select_list_node(node, self.output)
+            node = ProjectNode(node, column_items(self.projection), matched)
+        return select_list_node(node, self.output, matched)
 
 
 def server_side_filter_node(
-    table: TableInfo, query: FilterQuery, phase_label: str = "load+filter"
+    ctx: CloudContext,
+    table: TableInfo,
+    query: FilterQuery,
+    phase_label: str = "load+filter",
 ) -> PlanNode:
     """GET scan, local filter, local projection and select list.  The
     filter sits above the scan, not in it: the phase ingests every
@@ -83,30 +92,38 @@ def server_side_filter_node(
         table, decoded_columns(table, query.reads(table), query.predicate),
         None, pushdown=False, phase_label=phase_label,
     )
-    return query.local_tail(FilterNode(scan, query.predicate))
+    node = FilterNode(scan, query.predicate)
+    node.est_rows = matched = estimated_rows(ctx, table, query.predicate)
+    node.est_cpu = table.num_rows * SERVER_CPU_PER_ROW["filter"]
+    return query.local_tail(node, matched)
 
 
-def server_side_filter(
+def server_side_filter_plan(
     ctx: CloudContext, catalog: Catalog, query: FilterQuery
-) -> QueryExecution:
+) -> PhysicalPlan:
     """Load the entire table from S3 and filter on the compute node."""
-    root = server_side_filter_node(catalog.get(query.table), query)
-    return physical.execute_plan(
-        ctx, PhysicalPlan(root, "baseline", "server-side filter")
-    )
+    root = server_side_filter_node(ctx, catalog.get(query.table), query)
+    return PhysicalPlan(root, "baseline", "server-side filter")
 
 
-def s3_side_filter(
+server_side_filter = physical.runner(server_side_filter_plan)
+
+
+def s3_side_filter_plan(
     ctx: CloudContext, catalog: Catalog, query: FilterQuery
-) -> QueryExecution:
+) -> PhysicalPlan:
     """Push selection (and projection) into S3 Select."""
     table = catalog.get(query.table)
+    matched = estimated_rows(ctx, table, query.predicate)
     scan = whole_table_select(
-        table, query.projection, query.predicate, phase_label="s3-filter"
+        table, query.projection, query.predicate, "s3-filter", est_rows=matched
     )
-    return physical.execute_plan(ctx, PhysicalPlan(
-        select_list_node(scan, query.output), "optimized", "s3-side filter"
-    ))
+    return PhysicalPlan(
+        select_list_node(scan, query.output, matched), "optimized", "s3-side filter"
+    )
+
+
+s3_side_filter = physical.runner(s3_side_filter_plan)
 
 
 class IndexFetchNode(PlanNode):
@@ -129,6 +146,7 @@ class IndexFetchNode(PlanNode):
         predicate: ast.Expr,
         columns: list[str],
         ranges_per_request: int | None = None,
+        est_rows: float | None = None,
     ):
         column = _single_indexed_column(table, predicate)
         self.table = table
@@ -136,6 +154,7 @@ class IndexFetchNode(PlanNode):
         self.index = table.index_for(column)
         self.index_predicate = ast.rename_columns(predicate, {column: "value"})
         self.ranges_per_request = ranges_per_request
+        self.est_rows = est_rows
 
     def describe(self) -> str:
         per_get = self.ranges_per_request or 1
@@ -143,6 +162,32 @@ class IndexFetchNode(PlanNode):
             f"index-fetch {self.table.name} [{per_get} range(s) per get]"
             f" cols={len(self.columns)} pred=({self.index_predicate.to_sql()})"
         )
+
+    def predicted_phases(self, ctx: CloudContext) -> list[Phase]:
+        table, matched = self.table, self.est_rows
+        index_row = self.index.total_bytes / max(table.num_rows, 1)
+        lookup = _phase(
+            "index-lookup", len(self.index.keys),
+            scan_bytes=float(self.index.total_bytes),
+            returned_bytes=matched * (index_row * 0.8),  # offsets only
+            term_evals=table.num_rows
+            * len(ast.split_conjuncts(self.index_predicate)),
+            records=matched, fields=matched * 2,
+        )
+        # One request per record — or, batched, per `ranges_per_request`
+        # of them and at least one per partition.
+        requests = matched * ctx.client.range_request_weight
+        label, streams = "record-fetch", REQUEST_WORKERS
+        if self.ranges_per_request is not None:
+            label, streams = "multirange-fetch", table.partitions
+            requests = max(float(streams), requests / self.ranges_per_request)
+        fetch = _phase(
+            label, streams,
+            get_bytes=matched * table.stats_or_default().avg_row_bytes,
+            requests=requests,
+            records=matched, fields=matched * len(table.schema),
+        )
+        return [lookup, fetch]
 
     def run(self, state: physical.ExecState):
         ctx, table = state.ctx, self.table
@@ -207,27 +252,25 @@ class IndexFetchNode(PlanNode):
 
 
 def indexed_filter_plan(
+    ctx: CloudContext,
     catalog: Catalog,
     query: FilterQuery,
-    strategy: str,
+    strategy: str = "s3-side indexing",
     ranges_per_request: int | None = None,
 ) -> PhysicalPlan:
-    """Index fetch plus the query's local projection and select list."""
+    """Two-phase index access plus the query's local projection and
+    select list: one byte-range GET per matching record (why the paper's
+    Suggestion 1 asks for multi-range GETs), or ``ranges_per_request``
+    extents per GET."""
     table = catalog.get(query.table)
+    matched = estimated_rows(ctx, table, query.predicate)
     fetch = IndexFetchNode(
-        table, query.predicate, query.reads(table), ranges_per_request
+        table, query.predicate, query.reads(table), ranges_per_request, matched
     )
-    return PhysicalPlan(query.local_tail(fetch), "optimized", strategy)
+    return PhysicalPlan(query.local_tail(fetch, matched), "optimized", strategy)
 
 
-def indexed_filter(
-    ctx: CloudContext, catalog: Catalog, query: FilterQuery
-) -> QueryExecution:
-    """Two-phase index access with one byte-range GET per matching record
-    (why the paper's Suggestion 1 asks for multi-range GETs)."""
-    return physical.execute_plan(
-        ctx, indexed_filter_plan(catalog, query, "s3-side indexing")
-    )
+indexed_filter = physical.runner(indexed_filter_plan)
 
 
 def _single_indexed_column(table, predicate: ast.Expr) -> str:

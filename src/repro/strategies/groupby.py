@@ -14,23 +14,28 @@ S3 Select has no GROUP BY, which is what forces the CASE encoding — and
 what the paper's Suggestion 4 (partial group-by) would fix.
 
 The first two are scans under a :class:`~repro.planner.physical.GroupByNode`;
-the CASE-encoded and the hybrid aggregation are leaf nodes of their own.
+the CASE-encoded and the hybrid aggregation are leaf nodes of their own,
+each predicting its phases beside the ``group_rows`` that meters them.
+The chooser prices the very plan a ``*_plan`` constructor's runner executes.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from time import perf_counter
 
-from repro.cloud.context import CloudContext, QueryExecution
+from repro.cloud.context import CloudContext
 from repro.cloud.metrics import Phase
 from repro.cloud.perf import SERVER_CPU_PER_ROW
 from repro.common.errors import PlanError
 from repro.engine.catalog import Catalog, TableInfo
 from repro.engine.operators.base import BatchCounter, materialize
 from repro.engine.operators.groupby import group_by_batches
+from repro.optimizer.cost import _phase
+from repro.optimizer.feedback import estimated_rows
 from repro.planner import physical
 from repro.planner.physical import (
     FilterNode,
@@ -139,11 +144,34 @@ class GroupByQuery:
     def agg_items(self) -> list[ast.SelectItem]:
         return [a.to_select_item() for a in self.aggregates]
 
+    def accumulators(self) -> int:
+        """Running values one row folds into (AVG keeps a sum and a count)."""
+        return sum(2 if a.func.upper() == "AVG" else 1 for a in self.aggregates)
+
+    def estimated_groups(self, table: TableInfo) -> int:
+        """The columns' distinct counts multiplied; at most one a row."""
+        stats = table.stats_or_default()
+        groups = 1
+        for col in self.group_columns:
+            col_stats = stats.column(col)
+            groups *= max(col_stats.distinct, 1) if col_stats else 32
+        return min(groups, max(stats.row_count, 1))
+
+    def local_group_by(self, node: PlanNode, kept: float) -> GroupByNode:
+        """Hash aggregation on the query node over an estimated ``kept`` rows."""
+        node = GroupByNode(node, self.group_exprs(), self.agg_items())
+        node.est_cpu = kept * self.accumulators() * SERVER_CPU_PER_ROW["aggregate"]
+        return node
+
 
 def server_side_group_by_node(
-    table: TableInfo, query: GroupByQuery, phase_label: str = "load+groupby"
+    ctx: CloudContext,
+    table: TableInfo,
+    query: GroupByQuery,
+    phase_label: str = "load+groupby",
 ) -> PlanNode:
     """GET scan, local filter, local hash aggregation."""
+    kept = estimated_rows(ctx, table, query.predicate)
     node: PlanNode = ScanNode(
         table,
         decoded_columns(table, query.needed_columns(table), query.predicate),
@@ -153,47 +181,74 @@ def server_side_group_by_node(
         # Above the scan, not in it: the phase ingests every loaded row,
         # as the paper's server-side baseline does.
         node = FilterNode(node, query.predicate)
-    return GroupByNode(node, query.group_exprs(), query.agg_items())
+        node.est_rows = kept
+        node.est_cpu = table.num_rows * SERVER_CPU_PER_ROW["filter"]
+    return query.local_group_by(node, kept)
 
 
-def server_side_group_by(
+def server_side_group_by_plan(
     ctx: CloudContext, catalog: Catalog, query: GroupByQuery
-) -> QueryExecution:
+) -> PhysicalPlan:
     """GET all columns of all rows; aggregate on the query node."""
-    root = server_side_group_by_node(catalog.get(query.table), query)
-    return physical.execute_plan(
-        ctx, PhysicalPlan(root, "baseline", "server-side group-by")
-    )
+    root = server_side_group_by_node(ctx, catalog.get(query.table), query)
+    return PhysicalPlan(root, "baseline", "server-side group-by")
 
 
-def filtered_group_by(
+server_side_group_by = physical.runner(server_side_group_by_plan)
+
+
+def filtered_group_by_plan(
     ctx: CloudContext, catalog: Catalog, query: GroupByQuery
-) -> QueryExecution:
+) -> PhysicalPlan:
     """Push projection (and any predicate) to S3; aggregate locally.
 
     Loads only the group + aggregate columns — the paper credits this
     with a 64% speedup over server-side on its 20-column table.
     """
     table = catalog.get(query.table)
+    kept = estimated_rows(ctx, table, query.predicate)
     scan = whole_table_select(
-        table, query.needed_columns(table), query.predicate, "select+groupby"
+        table, query.needed_columns(table), query.predicate, "select+groupby",
+        est_rows=kept,
     )
-    root = GroupByNode(scan, query.group_exprs(), query.agg_items())
-    return physical.execute_plan(
-        ctx, PhysicalPlan(root, "optimized", "filtered group-by")
+    return PhysicalPlan(
+        query.local_group_by(scan, kept), "optimized", "filtered group-by"
     )
+
+
+filtered_group_by = physical.runner(filtered_group_by_plan)
 
 
 class PushedGroupByNode(PlanNode):
     """Leaf: a group-by computed (partly) in storage.  A subclass issues
-    its requests and appends its phases in :meth:`group_rows`; the
-    finished groups leave as one batch."""
+    its requests and appends its phases in :meth:`group_rows` — and says
+    in ``predicted_phases`` what it expects them to hold; the finished
+    groups leave as one batch."""
 
     kind = ""
 
-    def __init__(self, table: TableInfo, query: GroupByQuery):
+    def __init__(self, ctx: CloudContext, table: TableInfo, query: GroupByQuery):
         self.table = table
         self.query = query
+        #: Estimated rows the predicate keeps (feedback-first), and groups.
+        self.est_kept = estimated_rows(ctx, table, query.predicate)
+        self.est_rows = float(query.estimated_groups(table))
+
+    def _group_scan_phase(self, name: str, fraction: float = 1.0) -> Phase:
+        """Predicted phase of one scan returning the group columns of the
+        kept rows among the leading ``fraction`` of every partition, to
+        be counted on the query node."""
+        table, query, rows = self.table, self.query, self.est_kept * fraction
+        width = table.stats_or_default().projected_row_bytes(query.group_columns)
+        return _phase(
+            name, table.partitions,
+            scan_bytes=float(table.total_bytes) * fraction,
+            returned_bytes=rows * width,
+            term_evals=table.num_rows * fraction
+            * len(ast.split_conjuncts(query.predicate)),
+            cpu_seconds=rows * SERVER_CPU_PER_ROW["aggregate"],
+            records=rows, fields=rows * len(query.group_columns),
+        )
 
     def describe(self) -> str:
         query = self.query
@@ -228,6 +283,13 @@ class CaseGroupByNode(PushedGroupByNode):
 
     kind = "case-group-by"
 
+    def predicted_phases(self, ctx: CloudContext) -> list[Phase]:
+        work = _case_scan_work(self.table, self.query, int(self.est_rows))
+        return [
+            self._group_scan_phase("collect-groups"),
+            _phase("s3-aggregate", self.table.partitions, **work),
+        ]
+
     def group_rows(self, ctx: CloudContext, phases: list[Phase]) -> list[tuple]:
         table, query = self.table, self.query
         mark = ctx.metrics.mark()
@@ -252,14 +314,15 @@ class CaseGroupByNode(PushedGroupByNode):
         return rows
 
 
-def s3_side_group_by(
+def s3_side_group_by_plan(
     ctx: CloudContext, catalog: Catalog, query: GroupByQuery
-) -> QueryExecution:
+) -> PhysicalPlan:
     """Push the whole aggregation to S3 via CASE encoding (Section VI-A)."""
-    root = CaseGroupByNode(catalog.get(query.table), query)
-    return physical.execute_plan(
-        ctx, PhysicalPlan(root, "optimized", "s3-side group-by")
-    )
+    root = CaseGroupByNode(ctx, catalog.get(query.table), query)
+    return PhysicalPlan(root, "optimized", "s3-side group-by")
+
+
+s3_side_group_by = physical.runner(s3_side_group_by_plan)
 
 
 class HybridGroupByNode(PushedGroupByNode):
@@ -280,6 +343,7 @@ class HybridGroupByNode(PushedGroupByNode):
 
     def __init__(
         self,
+        ctx: CloudContext,
         table: TableInfo,
         query: GroupByQuery,
         sample_fraction: float,
@@ -288,11 +352,44 @@ class HybridGroupByNode(PushedGroupByNode):
     ):
         if len(query.group_columns) != 1:
             raise PlanError("hybrid group-by supports a single group column")
-        super().__init__(table, query)
+        super().__init__(ctx, table, query)
         self.kind = f"hybrid-group-by [s3_groups<={s3_groups}]"
         self.sample_fraction = sample_fraction
         self.s3_groups = s3_groups
         self.expression_limit_bytes = expression_limit_bytes
+
+    def predicted_phases(self, ctx: CloudContext) -> list[Phase]:
+        table, query = self.table, self.query
+        stats = table.stats_or_default()
+        groups = int(self.est_rows)
+        # The head is the column's most common values; without them
+        # (synthesized statistics), an even share of the groups.
+        head_groups = min(self.s3_groups, groups)
+        group_stats = stats.column(query.group_columns[0])
+        head_fraction = (
+            group_stats.mcv_fraction(stats.row_count, head_groups)
+            if group_stats is not None else 0.0
+        ) or head_groups / max(groups, 1)
+        tail_rows = self.est_kept * (1.0 - head_fraction)
+        needed = query.needed_columns(table)
+        # Q1 aggregates the head at S3; Q2 is one more scan, with one more
+        # conjunct (the NOT IN), returning the tail for local aggregation.
+        q1 = _case_scan_work(table, query, head_groups)
+        q2_terms = len(ast.split_conjuncts(query.predicate)) + 1
+        return [
+            self._group_scan_phase("sample-groups", self.sample_fraction),
+            _phase(
+                "s3-agg+tail", 2 * table.partitions,
+                scan_bytes=q1["scan_bytes"] + float(table.total_bytes),
+                returned_bytes=q1["returned_bytes"]
+                + tail_rows * stats.projected_row_bytes(needed),
+                term_evals=q1["term_evals"] + table.num_rows * q2_terms,
+                requests=q1["requests"] + table.partitions,
+                cpu_seconds=tail_rows * query.accumulators()
+                * SERVER_CPU_PER_ROW["aggregate"],
+                records=tail_rows, fields=tail_rows * len(needed),
+            ),
+        ]
 
     def group_rows(self, ctx: CloudContext, phases: list[Phase]) -> list[tuple]:
         table, query = self.table, self.query
@@ -367,23 +464,24 @@ class HybridGroupByNode(PushedGroupByNode):
         return assemble_group_rows(query, pushed) + tail.rows
 
 
-def hybrid_group_by(
+def hybrid_group_by_plan(
     ctx: CloudContext,
     catalog: Catalog,
     query: GroupByQuery,
     sample_fraction: float = DEFAULT_SAMPLE_FRACTION,
     s3_groups: int = DEFAULT_S3_GROUPS,
     expression_limit_bytes: int = EXPRESSION_LIMIT_BYTES,
-) -> QueryExecution:
+) -> PhysicalPlan:
     """Hybrid group-by (Section VI-B); see :class:`HybridGroupByNode`.
     ``expression_limit_bytes`` is a test seam; real S3 is 256 KB."""
     root = HybridGroupByNode(
-        catalog.get(query.table), query, sample_fraction, s3_groups,
+        ctx, catalog.get(query.table), query, sample_fraction, s3_groups,
         expression_limit_bytes,
     )
-    return physical.execute_plan(
-        ctx, PhysicalPlan(root, "optimized", "hybrid group-by")
-    )
+    return PhysicalPlan(root, "optimized", "hybrid group-by")
+
+
+hybrid_group_by = physical.runner(hybrid_group_by_plan)
 
 
 # ----------------------------------------------------------------------
@@ -423,6 +521,31 @@ def _agg_column_sql(agg: AggSpec, match: str) -> list[str]:
         f"SUM(CASE WHEN {match} THEN {agg.column} ELSE 0 END)",
         f"SUM(CASE WHEN {match} THEN 1 ELSE 0 END)",
     ]
+
+
+def _case_scan_work(table: TableInfo, query: GroupByQuery, groups: int) -> dict:
+    """Predicted :func:`_pushdown_group_aggregates` work for ``groups``
+    groups, as ``_phase`` arguments: the chunk count from one
+    representative group's rendered CASE columns; every chunk re-scans
+    the table, evaluating its own columns plus the WHERE conjuncts per
+    scanned row."""
+    stats = table.stats_or_default()
+    match = _group_match_sql(query.group_columns, tuple(
+        stats.column(c).max_value if stats.column(c) else 999
+        for c in query.group_columns
+    ))
+    columns = [c for agg in query.aggregates for c in _agg_column_sql(agg, match)]
+    group_bytes = sum(len(c.encode()) + 2 for c in columns)
+    chunks = max(1, math.ceil(groups * group_bytes / _SQL_BUDGET_BYTES))
+    case_columns = groups * len(columns)
+    n = table.num_rows
+    return dict(
+        scan_bytes=float(table.total_bytes) * chunks,
+        returned_bytes=case_columns * table.partitions * 12.0,
+        term_evals=n * case_columns
+        + n * chunks * len(ast.split_conjuncts(query.predicate)),
+        requests=float(table.partitions * chunks),
+    )
 
 
 def assemble_group_rows(

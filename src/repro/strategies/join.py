@@ -19,6 +19,8 @@ degraded scans are *serial* after the build side (the decision is made
 only after the build side is loaded).  The ladder itself is
 :func:`repro.bloom.filter.membership_clauses`, run by the plan's
 :class:`~repro.planner.physical.HashJoinNode`.
+
+The chooser prices the very plan a ``*_plan`` constructor's runner executes.
 """
 
 from __future__ import annotations
@@ -30,11 +32,13 @@ from repro.bloom.filter import (  # noqa: F401  (re-exported)
     MAX_MEMBERSHIP_CHUNKS,
     BloomPushdown,
     membership_chunks,
+    predicted_bloom_pass,
 )
 from repro.cloud.context import CloudContext, QueryExecution
 from repro.cloud.perf import SERVER_CPU_PER_ROW
 from repro.common.errors import PlanError
 from repro.engine.catalog import Catalog
+from repro.optimizer.feedback import estimated_rows
 from repro.planner import physical
 from repro.planner.physical import (
     HashJoinNode,
@@ -69,10 +73,37 @@ class JoinQuery:
     output: list[ast.SelectItem] | None = None
 
 
-def baseline_join(ctx: CloudContext, catalog: Catalog, query: JoinQuery) -> QueryExecution:
-    """Load both tables in full (no S3 Select) and join locally."""
+def _join_plan(
+    ctx: CloudContext,
+    catalog: Catalog,
+    query: JoinQuery,
+    mode: str,
+    strategy: str,
+    combined_label: str | None = None,
+    bloom: BloomPushdown | None = None,
+) -> PhysicalPlan:
+    """The tree all three strategies are — two scans under a hash join
+    under the select list — annotated with its estimates.  ``baseline``
+    mode GETs both tables and projects locally, anything else pushes
+    selection and projection into S3 Select; ``bloom`` also ships the
+    build keys into the probe scan, whose phases are then serial."""
+    build, probe = catalog.get(query.build_table), catalog.get(query.probe_table)
+    build_rows = estimated_rows(ctx, build, query.build_predicate)
+    probe_rows = pass_rows = estimated_rows(ctx, probe, query.probe_predicate)
+    build_keys = build.stats_or_default().distinct_among(query.build_key, build_rows)
+    probe_keys = probe.stats_or_default().distinct_among(query.probe_key, probe_rows)
+    if bloom is not None:
+        # A filter too large for the expression limit degrades: priced as
+        # the unfiltered serial probe scan the ladder ends in.
+        pass_rows, hashes = predicted_bloom_pass(
+            build_keys, probe_keys, probe_rows, bloom.fpr
+        ) or (probe_rows, 0)
 
-    def side(table, projection, predicate) -> PlanNode:
+    def side(table, projection, predicate, rows, label=None, bloom_attr=None):
+        if mode != "baseline":
+            return whole_table_select(
+                table, projection, predicate, label, bloom_attr, rows
+            )
         reads = projection if projection is not None else table.schema.names
         node: PlanNode = ScanNode(
             table, decoded_columns(table, reads, predicate), predicate,
@@ -83,53 +114,71 @@ def baseline_join(ctx: CloudContext, catalog: Catalog, query: JoinQuery) -> Quer
         # every column over the network, which is the point of the
         # comparison).
         if projection is not None:
-            node = ProjectNode(node, column_items(projection))
+            node = ProjectNode(node, column_items(projection), rows)
         return node
 
-    build = catalog.get(query.build_table)
-    probe = catalog.get(query.probe_table)
-    join = HashJoinNode(
-        side(build, query.build_projection, query.build_predicate),
-        side(probe, query.probe_projection, query.probe_predicate),
-        query.build_key, query.probe_key, stream_probe=True,
+    labels = ("build+bloom", "probe+join") if bloom else (None, None)
+    probe_scan = side(
+        probe, query.probe_projection, query.probe_predicate, pass_rows,
+        labels[1], query.probe_key if bloom else None,
     )
-    return physical.execute_plan(ctx, PhysicalPlan(
-        select_list_node(join, query.output), "baseline", "baseline join",
-        combined_label="load+join",
-    ))
+    if bloom is not None:
+        probe_scan.est_terms += probe.num_rows * hashes
+    join = HashJoinNode(
+        side(build, query.build_projection, query.build_predicate, build_rows,
+             labels[0]),
+        probe_scan, query.build_key, query.probe_key, stream_probe=True,
+        bloom=bloom,
+    )
+    # Containment: every build key meets the probe's mean rows per key.
+    join.est_rows = probe_rows * min(1.0, build_keys / probe_keys)
+    join.est_cpu = (
+        build_rows * SERVER_CPU_PER_ROW["hash_build"]
+        + pass_rows * SERVER_CPU_PER_ROW["hash_probe"]
+        + build_rows * (bloom.insert_cpu if bloom else 0.0)
+    )
+    return PhysicalPlan(
+        select_list_node(join, query.output, join.est_rows), mode, strategy,
+        combined_label,
+    )
 
 
-def filtered_join(ctx: CloudContext, catalog: Catalog, query: JoinQuery) -> QueryExecution:
+def baseline_join_plan(
+    ctx: CloudContext, catalog: Catalog, query: JoinQuery
+) -> PhysicalPlan:
+    """Load both tables in full (no S3 Select) and join locally."""
+    return _join_plan(
+        ctx, catalog, query, "baseline", "baseline join", "load+join"
+    )
+
+
+baseline_join = physical.runner(baseline_join_plan)
+
+
+def filtered_join_plan(
+    ctx: CloudContext, catalog: Catalog, query: JoinQuery
+) -> PhysicalPlan:
     """Push selections/projections into S3 Select; join locally.
 
     Both table scans run in parallel (one phase), which is the behaviour
     the paper contrasts with the degraded Bloom join's serial scans.
     """
-    join = HashJoinNode(
-        whole_table_select(
-            catalog.get(query.build_table), query.build_projection,
-            query.build_predicate,
-        ),
-        whole_table_select(
-            catalog.get(query.probe_table), query.probe_projection,
-            query.probe_predicate,
-        ),
-        query.build_key, query.probe_key, stream_probe=True,
+    return _join_plan(
+        ctx, catalog, query, "optimized", "filtered join", "select+join"
     )
-    return physical.execute_plan(ctx, PhysicalPlan(
-        select_list_node(join, query.output), "optimized", "filtered join",
-        combined_label="select+join",
-    ))
 
 
-def bloom_join(
+filtered_join = physical.runner(filtered_join_plan)
+
+
+def bloom_join_plan(
     ctx: CloudContext,
     catalog: Catalog,
     query: JoinQuery,
     fpr: float = DEFAULT_FPR,
     seed: int | None = None,
     expression_limit_bytes: int = EXPRESSION_LIMIT_BYTES,
-) -> QueryExecution:
+) -> PhysicalPlan:
     """Bloom join (Section V-A2): ship the build side's key set to S3.
 
     Phase 1 (``build+bloom``) loads the build side via S3 Select and
@@ -141,39 +190,37 @@ def bloom_join(
     megabyte key sets; production callers leave it at the service's
     256 KB.
     """
-    build = catalog.get(query.build_table)
-    key_type = build.schema.column(query.build_key).type
+    key_type = catalog.get(query.build_table).schema.column(query.build_key).type
     if key_type != "int":
         raise PlanError(
             f"Bloom join requires an integer join attribute; {query.build_key!r}"
             f" is {key_type} (paper Section V-A2 limitation)"
         )
-    probe = whole_table_select(
-        catalog.get(query.probe_table), query.probe_projection,
-        query.probe_predicate, "probe+join", bloom_attr=query.probe_key,
-    )
-    join = HashJoinNode(
-        whole_table_select(
-            build, query.build_projection, query.build_predicate, "build+bloom"
-        ),
-        probe, query.build_key, query.probe_key, stream_probe=True,
-        bloom=BloomPushdown(
-            fpr, seed, expression_limit_bytes,
-            insert_cpu=SERVER_CPU_PER_ROW["bloom_insert"], when_empty=True,
-        ),
-    )
-    execution = physical.execute_plan(ctx, PhysicalPlan(
-        select_list_node(join, query.output), "optimized", "bloom join"
+    return _join_plan(ctx, catalog, query, "optimized", "bloom join", bloom=BloomPushdown(
+        fpr, seed, expression_limit_bytes,
+        insert_cpu=SERVER_CPU_PER_ROW["bloom_insert"], when_empty=True,
     ))
+
+
+def bloom_join(
+    ctx: CloudContext, catalog: Catalog, query: JoinQuery, **options
+) -> QueryExecution:
+    """Run :func:`bloom_join_plan` (same ``options``); the report says
+    what the degradation ladder shipped."""
+    plan = bloom_join_plan(ctx, catalog, query, **options)
+    execution = physical.execute_plan(ctx, plan)
+    join = next(
+        n for n in physical.walk_plan(plan.root) if isinstance(n, HashJoinNode)
+    )
     bloom = join.bloom_outcome.bloom
     execution.details.update({
-        "requested_fpr": fpr,
+        "requested_fpr": join.bloom.fpr,
         "achieved_fpr": join.bloom_outcome.achieved_fpr,
         "degraded": bloom is None,
         "membership_chunks": len(join.bloom_clauses) if bloom is None else 0,
         "bloom_bits": 0 if bloom is None else bloom.num_bits,
         "bloom_hashes": 0 if bloom is None else bloom.num_hashes,
         "build_keys": join.bloom_keys,
-        "probe_rows_returned": probe.actual_rows,
+        "probe_rows_returned": join.probe.actual_rows,
     })
     return execution

@@ -12,7 +12,8 @@ needs (Section VII-B); :func:`optimal_sample_size` implements it and the
 Figure 8 experiment sweeps around it.
 
 Both are a scan under a :class:`~repro.planner.physical.TopKNode`; the
-sampling variant's scan first samples its own threshold predicate.
+sampling variant's scan first samples its own threshold predicate.  The
+chooser prices the very plan a ``*_plan`` constructor's runner executes.
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ import math
 from dataclasses import dataclass
 
 from repro.cloud.context import CloudContext, QueryExecution
+from repro.cloud.metrics import Phase
 from repro.common.errors import PlanError
 from repro.engine.catalog import Catalog, TableInfo
+from repro.optimizer.cost import _phase
 from repro.planner import physical
 from repro.planner.physical import PhysicalPlan, ScanNode, TopKNode
 from repro.sqlparser import ast
@@ -81,18 +84,19 @@ def order_bytes_fraction(table: TableInfo, order_column: str) -> float:
     return 1.0 / len(table.schema)
 
 
-def server_side_top_k(
+def server_side_top_k_plan(
     ctx: CloudContext, catalog: Catalog, query: TopKQuery
-) -> QueryExecution:
+) -> PhysicalPlan:
     """Load everything; heap-select K locally."""
     table = catalog.get(query.table)
     scan = ScanNode(
         table, table.schema.names, None, pushdown=False, phase_label="load+topk"
     )
-    root = TopKNode(scan, query.order_items(), query.k)
-    return physical.execute_plan(
-        ctx, PhysicalPlan(root, "baseline", "server-side top-k")
-    )
+    root = TopKNode(scan, query.order_items(), query.k, table.num_rows)
+    return PhysicalPlan(root, "baseline", "server-side top-k")
+
+
+server_side_top_k = physical.runner(server_side_top_k_plan)
 
 
 class SampledThresholdScan(ScanNode):
@@ -107,16 +111,39 @@ class SampledThresholdScan(ScanNode):
     sampled records at or below it are themselves in the table.
     """
 
-    def __init__(self, table: TableInfo, query: TopKQuery, sample_size: int):
+    def __init__(
+        self, table: TableInfo, query: TopKQuery, sample_size: int, alpha: float
+    ):
         super().__init__(
             table, table.schema.names, None, pushdown=True,
             phase_label="scan", prune=False,
         )
         self.query = query
         self.sample_size = sample_size
+        self.alpha = alpha
+        # The threshold is the K-th order statistic of the sample, so the
+        # expected pass fraction is K/S (± sampling noise); the pushed
+        # predicate is one term per scanned row.
+        n = table.num_rows
+        self.est_rows = min(float(n), n * query.k / max(sample_size, 1))
+        self.est_terms = float(n)
 
     def describe(self) -> str:
         return f"sampled[{self.sample_size}] {super().describe()}"
+
+    def predicted_phases(self, ctx: CloudContext) -> list[Phase]:
+        table, size = self.table, self.sample_size
+        width = table.stats_or_default().projected_row_bytes(
+            [self.query.order_column]
+        )
+        fraction = min(1.0, size / table.num_rows) if table.num_rows else 1.0
+        return [_phase(
+            "sample", table.partitions,
+            scan_bytes=float(table.total_bytes) * fraction,
+            returned_bytes=size * width,
+            cpu_seconds=size * math.log2(max(size, 2)) * 6e-9,
+            records=size, fields=size,
+        )]
 
     def run(self, state: physical.ExecState, pushed=None):
         ctx, table, query = state.ctx, self.table, self.query
@@ -142,7 +169,10 @@ class SampledThresholdScan(ScanNode):
             server_cpu_seconds=len(sample) * math.log2(max(len(sample), 2)) * 6e-9,
             ingest=(len(sample), 1),
         ))
-        self.details = {"sample_size": self.sample_size, "threshold": threshold}
+        self.details = {
+            "sample_size": self.sample_size, "threshold": threshold,
+            "alpha": self.alpha,
+        }
         return super().run(state)
 
     def _at_or_past(self, threshold) -> ast.Expr:
@@ -164,13 +194,13 @@ class SampledThresholdScan(ScanNode):
         )
 
 
-def sampling_top_k(
+def sampling_top_k_plan(
     ctx: CloudContext,
     catalog: Catalog,
     query: TopKQuery,
     sample_size: int | None = None,
     alpha: float | None = None,
-) -> QueryExecution:
+) -> PhysicalPlan:
     """Two-phase sampling top-K (Section VII-A).
 
     Args:
@@ -190,15 +220,21 @@ def sampling_top_k(
     if sample_size is None:
         sample_size = optimal_sample_size(query.k, table.num_rows, alpha)
     sample_size = max(min(sample_size, table.num_rows), min(query.k, table.num_rows))
-    scan = SampledThresholdScan(table, query, sample_size)
-    root = TopKNode(scan, query.order_items(), query.k)
-    execution = physical.execute_plan(
-        ctx, PhysicalPlan(root, "optimized", "sampling top-k")
-    )
+    scan = SampledThresholdScan(table, query, sample_size, alpha)
+    root = TopKNode(scan, query.order_items(), query.k, scan.est_rows)
+    return PhysicalPlan(root, "optimized", "sampling top-k")
+
+
+def sampling_top_k(
+    ctx: CloudContext, catalog: Catalog, query: TopKQuery, **options
+) -> QueryExecution:
+    """Run :func:`sampling_top_k_plan` (same ``options``); the report
+    splits the runtime by phase."""
+    plan = sampling_top_k_plan(ctx, catalog, query, **options)
+    execution = physical.execute_plan(ctx, plan)
     sample_phase, scan_phase = execution.phases
     execution.details.update(
-        alpha=alpha,
-        phase2_rows=scan.actual_rows,
+        phase2_rows=plan.root.child.actual_rows,
         sample_seconds=ctx.perf.phase_time(sample_phase),
         scan_seconds=ctx.perf.phase_time(scan_phase),
     )

@@ -6,15 +6,9 @@ from repro.cloud.context import CloudContext
 from repro.common.errors import PlanError
 from repro.engine.catalog import Catalog, load_table
 from repro.experiments.harness import calibrate_tables
-from repro.optimizer import (
-    CostModel,
-    choose,
-    choose_filter_strategy,
-    choose_top_k_strategy,
-    explain_choice,
-    run_auto,
-)
-from repro.optimizer.chooser import STRATEGY_RUNNERS, choose_planner_mode
+from repro.optimizer import choose, explain_choice, run_auto
+from repro.optimizer.chooser import HYBRID_SPLIT_CANDIDATES, choose_planner_mode
+from repro.planner.physical import execute_plan
 from repro.planner.database import PushdownDB
 from repro.sqlparser import ast
 from repro.sqlparser.parser import parse, parse_expression
@@ -46,19 +40,48 @@ def _filter_query(matched):
     )
 
 
+MULTIRANGE = "indexing + multirange GET (suggestion 1)"
+PARTIAL_GROUP_BY = "partial group-by pushdown (suggestion 4)"
+
+
+def _tag_group_by(*aggregates):
+    return GroupByQuery(
+        table="filter_data", group_columns=["tag"], aggregates=list(aggregates)
+    )
+
+
+def _join_query(build_where):
+    return JoinQuery(
+        build_table="customer", probe_table="orders",
+        build_key="c_custkey", probe_key="o_custkey",
+        build_predicate=parse_expression(build_where),
+        build_projection=["c_custkey"],
+        probe_projection=["o_custkey", "o_totalprice"],
+        output=[ast.SelectItem(
+            ast.Aggregate("SUM", ast.Column("o_totalprice")), "total"
+        )],
+    )
+
+
+def _candidates(ctx, catalog, query, **options):
+    """Each candidate's name -> (its estimate, the priced plan to meter)."""
+    choice = choose(ctx, catalog, query, **options)
+    return {plan.strategy: (plan.estimate, plan) for plan in choice.plans}
+
+
 class TestCostModelAccuracy:
     """Predictions must track what the strategies actually meter."""
 
     @pytest.mark.parametrize("matched", [5, 500])
     def test_filter_estimates_close_to_measured(self, fig1_env, matched):
         ctx, catalog = fig1_env
-        model = CostModel(ctx, catalog)
-        estimates = {e.strategy: e for e in model.estimate_filter(_filter_query(matched))}
-        assert set(estimates) == {
+        candidates = _candidates(ctx, catalog, _filter_query(matched))
+        assert set(candidates) == {
             "server-side filter", "s3-side filter", "s3-side indexing"
         }
-        for name, estimate in estimates.items():
-            execution = STRATEGY_RUNNERS[name](ctx, catalog, _filter_query(matched))
+        for name, (estimate, plan) in candidates.items():
+            execution = execute_plan(ctx, plan)
+            assert execution.strategy == name
             assert estimate.runtime_seconds == pytest.approx(
                 execution.runtime_seconds, rel=0.1
             ), name
@@ -72,11 +95,32 @@ class TestCostModelAccuracy:
                 rel=0.1,
             ), name
 
+    @pytest.mark.parametrize("build_where", ["c_acctbal <= -950", "c_acctbal <= 5000"])
+    def test_join_estimates_close_to_measured(self, tpch_env, build_where):
+        """Baseline / filtered / Bloom join, priced by the walker from the
+        plans' containment and Bloom-pass estimates, against the meter."""
+        ctx, catalog = tpch_env
+        candidates = _candidates(ctx, catalog, _join_query(build_where))
+        assert list(candidates) == ["baseline join", "filtered join", "bloom join"]
+        for name, (estimate, plan) in candidates.items():
+            ctx.feedback.reset()
+            execution = execute_plan(ctx, plan)
+            assert estimate.requests == execution.num_requests, name
+            assert estimate.runtime_seconds == pytest.approx(
+                execution.runtime_seconds, rel=0.15
+            ), name
+            assert estimate.total_cost == pytest.approx(
+                execution.total_cost, rel=0.15
+            ), name
+
     def test_estimates_are_pure(self, fig1_env):
-        """Estimating must not issue storage requests (no probe asked)."""
+        """Choosing must not issue storage requests (no probe asked)."""
         ctx, catalog = fig1_env
         mark = ctx.metrics.mark()
-        CostModel(ctx, catalog).estimate_filter(_filter_query(50))
+        choose(ctx, catalog, _filter_query(50), include_extensions=True)
+        choose(ctx, catalog, _tag_group_by(AggSpec("sum", "p0")),
+               include_extensions=True)
+        choose(ctx, catalog, TopKQuery("filter_data", "p0", 10))
         assert ctx.metrics.records_since(mark) == []
 
     def test_indexing_skipped_without_index(self, fig1_env):
@@ -84,30 +128,28 @@ class TestCostModelAccuracy:
         query = FilterQuery(
             table="filter_data", predicate=parse_expression("p0 < 1000")
         )
-        names = [e.strategy for e in CostModel(ctx, catalog).estimate_filter(query)]
+        names = [e.strategy for e in choose(ctx, catalog, query).candidates]
         assert "s3-side indexing" not in names
 
 
 class TestChooser:
     def test_picks_min_predicted_cost(self, fig1_env):
         ctx, catalog = fig1_env
-        choice = choose_filter_strategy(ctx, catalog, _filter_query(50))
+        choice = choose(ctx, catalog, _filter_query(50))
         best = min(choice.candidates, key=lambda e: e.total_cost)
         assert choice.picked == best.strategy
-        assert choice.best is best
+        assert choice.best is best is choice.plan.estimate
 
     def test_runtime_objective(self, fig1_env):
         ctx, catalog = fig1_env
-        choice = choose_filter_strategy(
-            ctx, catalog, _filter_query(50), objective="runtime"
-        )
+        choice = choose(ctx, catalog, _filter_query(50), objective="runtime")
         best = min(choice.candidates, key=lambda e: e.runtime_seconds)
         assert choice.picked == best.strategy
 
     def test_unknown_objective_rejected(self, fig1_env):
         ctx, catalog = fig1_env
         with pytest.raises(PlanError, match="objective"):
-            choose_filter_strategy(ctx, catalog, _filter_query(50), objective="vibes")
+            choose(ctx, catalog, _filter_query(50), objective="vibes")
 
     def test_dispatch_on_query_type(self, fig1_env):
         ctx, catalog = fig1_env
@@ -117,43 +159,93 @@ class TestChooser:
 
     def test_probe_updates_selectivity_and_is_reported(self, fig1_env):
         ctx, catalog = fig1_env
-        mark = ctx.metrics.mark()
-        choice = choose_filter_strategy(
-            ctx, catalog, _filter_query(100), probe=True, probe_fraction=0.2
+        query = FilterQuery(
+            table="filter_data", predicate=parse_expression("p0 + p1 < 1000")
         )
+        cold = choose(ctx, catalog, query).best
+        mark = ctx.metrics.mark()
+        choice = choose(ctx, catalog, query, probe=True, probe_fraction=0.2)
         assert len(ctx.metrics.records_since(mark)) > 0
-        assert choice.summary()["probe"]["requests"] > 0
+        probe = choice.summary()["probe"]
+        assert probe["requests"] > 0
+        # The candidates are priced at the probed selectivity, not at the
+        # statistics' guess for an expression they cannot see into.
+        table = catalog.get("filter_data")
+        s3_side = next(
+            c for c in choice.candidates if c.strategy == "s3-side filter"
+        )
+        width = table.stats_or_default().avg_row_bytes
+        assert s3_side.bytes_returned == pytest.approx(
+            probe["selectivity"] * table.num_rows * width, rel=1e-9
+        )
+        assert s3_side.bytes_returned != cold.bytes_returned
 
     def test_explain_lists_every_candidate(self, fig1_env):
         ctx, catalog = fig1_env
-        choice = choose_filter_strategy(ctx, catalog, _filter_query(50))
+        choice = choose(ctx, catalog, _filter_query(50), include_extensions=True)
         report = explain_choice(choice)
         for estimate in choice.candidates:
             assert estimate.strategy in report
         for column in ("requests", "scanned", "returned", "runtime", "cost"):
             assert column in report
         assert f"picked {choice.picked!r}" in report
+        # The longest strategy name fits its column: rows stay aligned.
+        assert len({len(line) for line in report.splitlines()[1:]}) == 1
 
-    def test_run_auto_executes_pick_and_attaches_report(self, fig1_env):
+    @pytest.mark.parametrize("query, options, rows", [
+        (_filter_query(5), {}, 5),
+        (_filter_query(5), {"include_extensions": True}, 5),
+        (_tag_group_by(AggSpec("sum", "p0")), {}, None),
+        (GroupByQuery("filter_data", ["key"], [AggSpec("sum", "p0")]),
+         {"include_extensions": True}, 10_000),
+        (TopKQuery("filter_data", "p0", 7), {}, 7),
+    ], ids=["filter", "multirange", "group-by", "partial-group-by", "top-k"])
+    def test_run_auto_executes_pick_and_attaches_report(
+        self, fig1_env, query, options, rows
+    ):
         ctx, catalog = fig1_env
-        execution = run_auto(ctx, catalog, _filter_query(5))
-        assert execution.strategy == execution.details["optimizer"]["picked"]
-        candidates = execution.details["optimizer"]["candidates"]
-        assert set(candidates) >= {"server-side filter", "s3-side filter"}
-        for estimate in candidates.values():
+        execution = run_auto(ctx, catalog, query, **options)
+        summary = execution.details["optimizer"]
+        assert execution.strategy == summary["picked"]
+        assert summary["picked"] in summary["candidates"]
+        for estimate in summary["candidates"].values():
             assert {"requests", "bytes_scanned", "bytes_returned",
                     "runtime_s", "cost"} <= set(estimate)
-        assert len(execution.rows) == 5
+        if rows is not None:
+            assert len(execution.rows) == rows
+
+    def test_run_auto_join(self, tpch_env):
+        ctx, catalog = tpch_env
+        execution = run_auto(ctx, catalog, _join_query("c_acctbal <= -950"))
+        assert execution.strategy == execution.details["optimizer"]["picked"]
+        assert set(execution.details["optimizer"]["candidates"]) == {
+            "baseline join", "filtered join", "bloom join"
+        }
+
+
+    def test_warm_cache_prices_a_cacheable_strategy_at_zero_requests(self):
+        """A strategy plan is priced like a SQL plan: a pushed scan the
+        semantic cache would answer costs no request, and none is sent."""
+        from repro.strategies.filter import s3_side_filter
+
+        ctx, catalog = CloudContext(cache_bytes=10_000_000), Catalog()
+        load_table(
+            ctx, catalog, "filter_data", filter_table(2_000, seed=3),
+            FILTER_SCHEMA, bucket="opt",
+        )
+        cold = choose(ctx, catalog, _filter_query(50))
+        assert cold.best.strategy == "s3-side filter" and cold.best.requests > 0
+        s3_side_filter(ctx, catalog, _filter_query(50))
+        execution = run_auto(ctx, catalog, _filter_query(50))
+        picked = execution.details["optimizer"]["candidates"]["s3-side filter"]
+        assert execution.strategy == "s3-side filter"
+        assert picked["requests"] == execution.num_requests == 0
 
 
 class TestOtherFamilies:
     def test_group_by_candidates(self, fig1_env):
         ctx, catalog = fig1_env
-        query = GroupByQuery(
-            table="filter_data", group_columns=["tag"],
-            aggregates=[AggSpec("sum", "p0")],
-        )
-        choice = choose(ctx, catalog, query)
+        choice = choose(ctx, catalog, _tag_group_by(AggSpec("sum", "p0")))
         names = {e.strategy for e in choice.candidates}
         assert {"server-side group-by", "filtered group-by",
                 "s3-side group-by", "hybrid group-by"} == names
@@ -162,7 +254,7 @@ class TestOtherFamilies:
         ctx, catalog = fig1_env
         n = catalog.get("filter_data").num_rows
         query = TopKQuery(table="filter_data", order_column="p0", k=n + 5)
-        choice = choose_top_k_strategy(ctx, catalog, query)
+        choice = choose(ctx, catalog, query)
         assert [e.strategy for e in choice.candidates] == ["server-side top-k"]
         assert choice.picked == "server-side top-k"
 
@@ -181,29 +273,19 @@ class TestExtensionCoverage:
 
     def test_multirange_is_opt_in(self, fig1_env):
         ctx, catalog = fig1_env
-        model = CostModel(ctx, catalog)
-        default = {e.strategy for e in model.estimate_filter(_filter_query(50))}
-        assert "multirange indexed filter" not in default
-        extended = {
-            e.strategy
-            for e in model.estimate_filter(
-                _filter_query(50), include_extensions=True
-            )
-        }
-        assert "multirange indexed filter" in extended
+        default = choose(ctx, catalog, _filter_query(50)).candidates
+        assert MULTIRANGE not in {e.strategy for e in default}
+        extended = choose(
+            ctx, catalog, _filter_query(50), include_extensions=True
+        ).candidates
+        assert MULTIRANGE in {e.strategy for e in extended}
 
     def test_multirange_estimate_tracks_measured(self, fig1_env):
         ctx, catalog = fig1_env
-        model = CostModel(ctx, catalog)
-        estimate = next(
-            e for e in model.estimate_filter(
-                _filter_query(50), include_extensions=True
-            )
-            if e.strategy == "multirange indexed filter"
-        )
-        execution = STRATEGY_RUNNERS["multirange indexed filter"](
-            ctx, catalog, _filter_query(50)
-        )
+        estimate, plan = _candidates(
+            ctx, catalog, _filter_query(50), include_extensions=True
+        )[MULTIRANGE]
+        execution = execute_plan(ctx, plan)
         assert estimate.runtime_seconds == pytest.approx(
             execution.runtime_seconds, rel=0.1
         )
@@ -215,44 +297,24 @@ class TestExtensionCoverage:
         """Multi-range GETs collapse the indexing strategy's request
         flood, so once offered the extension wins the selective end."""
         ctx, catalog = fig1_env
-        choice = choose_filter_strategy(
-            ctx, catalog, _filter_query(5), include_extensions=True
-        )
-        assert choice.picked == "multirange indexed filter"
-        execution = run_auto(
-            ctx, catalog, _filter_query(5), include_extensions=True
-        )
-        assert len(execution.rows) == 5
+        choice = choose(ctx, catalog, _filter_query(5), include_extensions=True)
+        assert choice.picked == MULTIRANGE
 
     def test_partial_groupby_is_opt_in(self, fig1_env):
         ctx, catalog = fig1_env
-        model = CostModel(ctx, catalog)
-        query = GroupByQuery(
-            table="filter_data", group_columns=["tag"],
-            aggregates=[AggSpec("sum", "p0"), AggSpec("avg", "p1")],
-        )
-        default = {e.strategy for e in model.estimate_group_by(query)}
-        assert "partial group-by pushdown" not in default
-        extended = {
-            e.strategy
-            for e in model.estimate_group_by(query, include_extensions=True)
-        }
-        assert "partial group-by pushdown" in extended
+        query = _tag_group_by(AggSpec("sum", "p0"), AggSpec("avg", "p1"))
+        default = choose(ctx, catalog, query).candidates
+        assert PARTIAL_GROUP_BY not in {e.strategy for e in default}
+        extended = choose(ctx, catalog, query, include_extensions=True).candidates
+        assert PARTIAL_GROUP_BY in {e.strategy for e in extended}
 
     def test_partial_groupby_estimate_tracks_measured(self, fig1_env):
         ctx, catalog = fig1_env
-        model = CostModel(ctx, catalog)
-        query = GroupByQuery(
-            table="filter_data", group_columns=["tag"],
-            aggregates=[AggSpec("sum", "p0"), AggSpec("avg", "p1")],
-        )
-        estimate = next(
-            e for e in model.estimate_group_by(query, include_extensions=True)
-            if e.strategy == "partial group-by pushdown"
-        )
-        execution = STRATEGY_RUNNERS["partial group-by pushdown"](
-            ctx, catalog, query
-        )
+        query = _tag_group_by(AggSpec("sum", "p0"), AggSpec("avg", "p1"))
+        estimate, plan = _candidates(
+            ctx, catalog, query, include_extensions=True
+        )[PARTIAL_GROUP_BY]
+        execution = execute_plan(ctx, plan)
         assert estimate.requests == execution.num_requests
         assert estimate.bytes_scanned == pytest.approx(
             execution.bytes_scanned, rel=0.01
@@ -264,46 +326,23 @@ class TestExtensionCoverage:
             execution.total_cost, rel=0.15
         )
 
-    def test_run_auto_executes_partial_groupby_pick(self, fig1_env):
-        """When offered and predicted cheapest, the chooser's pick runs
-        through `run_auto` and returns the real grouped result."""
-        from repro.optimizer.chooser import choose_group_by_strategy
-
-        ctx, catalog = fig1_env
-        query = GroupByQuery(
-            table="filter_data", group_columns=["key"],
-            aggregates=[AggSpec("sum", "p0")],
-        )
-        choice = choose_group_by_strategy(
-            ctx, catalog, query, include_extensions=True
-        )
-        assert "partial group-by pushdown" in {
-            c.strategy for c in choice.candidates
-        }
-        execution = run_auto(ctx, catalog, query, include_extensions=True)
-        assert execution.details["optimizer"]["picked"] == choice.picked
-        assert len(execution.rows) == 10_000  # every key is its own group
-
     def test_hybrid_split_point_is_swept(self, fig1_env):
-        from repro.optimizer.cost import HYBRID_SPLIT_CANDIDATES
-
         ctx, catalog = fig1_env
-        query = GroupByQuery(
-            table="filter_data", group_columns=["tag"],
-            aggregates=[AggSpec("sum", "p0")],
+        choice = choose(
+            ctx, catalog, _tag_group_by(AggSpec("sum", "p0")), include_hybrid=True
         )
         hybrids = [
-            e for e in CostModel(ctx, catalog).estimate_group_by(query)
-            if e.strategy == "hybrid group-by"
+            e for e in choice.candidates if e.strategy == "hybrid group-by"
         ]
-        assert len(hybrids) == 1  # one candidate, best split folded in
-        best = hybrids[0]
-        assert best.notes["s3_groups"] in (
-            *HYBRID_SPLIT_CANDIDATES, 8,
+        assert len(hybrids) == 1  # one candidate: the best split
+        swept = choice.notes["split_candidates"]
+        assert set(swept) == set(HYBRID_SPLIT_CANDIDATES)
+        assert min(swept.values()) == pytest.approx(
+            hybrids[0].total_cost, rel=1e-6
         )
-        swept = best.notes["split_candidates"]
-        assert len(swept) >= 3
-        assert min(swept.values()) == pytest.approx(best.total_cost, rel=1e-6)
+        # The winner is a plan object: running it runs that split.
+        choice.picked = "hybrid group-by"
+        assert swept[choice.plan.root.s3_groups] == min(swept.values())
 
 
 class TestPlannerAuto:

@@ -514,7 +514,7 @@ def _strategy_runners():
         predicate=parse_expression("l_quantity < 30"),
     )
     top = topk.TopKQuery(table="lineitem", order_column="l_extendedprice", k=10)
-    runners = {}
+    runners, plans = {}, {}
     for module, query, names in (
         (filter, by_index, ("server_side_filter", "s3_side_filter", "indexed_filter")),
         (extensions, by_index, ("multirange_indexed_filter",)),
@@ -529,14 +529,19 @@ def _strategy_runners():
                 lambda ctx, catalog, fn=getattr(module, name), query=query:
                 fn(ctx, catalog, query)
             )
+            # The constructor whose plan the runner executes.
+            plans[name] = (
+                lambda ctx, catalog, fn=getattr(module, f"{name}_plan"), query=query:
+                fn(ctx, catalog, query)
+            )
     for family in (MICRO_QUERIES, TPCH_QUERIES):
         for name, variants in family.items():
             runners[f"{name}.baseline"] = variants.baseline
             runners[f"{name}.optimized"] = variants.optimized
-    return runners
+    return runners, plans
 
 
-STRATEGY_RUNNERS = _strategy_runners()
+STRATEGY_RUNNERS, STRATEGY_PLANS = _strategy_runners()
 STRATEGY_LEAVES = {
     "IndexFetchNode", "CaseGroupByNode", "HybridGroupByNode",
     "SampledThresholdScan", "PartialGroupByNode",
@@ -617,6 +622,72 @@ def test_ctx_finalize_has_one_call_site():
     assert [name for name, _ in sites] == ["physical.py"]
 
 
+def test_price_phases_has_two_callers():
+    """One cost model: predicted work becomes seconds and dollars only
+    under the plan cost walker and the join-order search, and the pricing
+    module knows no strategy."""
+    import repro
+
+    root = Path(repro.__file__).parent
+    callers = {
+        str(path.relative_to(root))
+        for path in root.rglob("*.py")
+        for line in path.read_text().splitlines()
+        if "price_phases(" in line and not line.startswith("def ")
+    }
+    assert callers == {"planner/costing.py", "optimizer/joinorder.py"}
+    assert "repro.strategies" not in (root / "optimizer/cost.py").read_text()
+
+
+#: Phases whose request count depends on how many rows match.
+_DATA_DEPENDENT_REQUESTS = {"record-fetch", "multirange-fetch"}
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGY_PLANS))
+def test_strategy_plan_predicts_the_phases_it_meters(tpch_env, name):
+    """The cost walker names the phases a strategy plan will meter, in
+    order, with the requests each will issue (ROADMAP item 2's
+    "predicted == metered requests" gate, for the paper strategies)."""
+    from repro.planner.costing import predicted_phases
+
+    ctx, catalog = tpch_env
+    ctx.feedback.reset()
+    plan = STRATEGY_PLANS[name](ctx, catalog)
+    predicted = predicted_phases(plan.root, ctx, plan.combined_label)
+    execution = physical.execute_plan(ctx, plan)
+    assert [p.name for p in predicted] == [p.name for p in execution.phases]
+    for guess, metered in zip(predicted, execution.phases):
+        if guess.name not in _DATA_DEPENDENT_REQUESTS:
+            assert guess.requests == metered.requests, guess.name
+
+
+def test_combined_pushed_scans_predict_their_scanned_bytes(tpch_env):
+    """The combined-phase collapse keeps what pushed scans scan, return
+    and evaluate (the paper's filtered join: two selects, one phase)."""
+    from repro.planner.costing import predicted_phases
+    from repro.queries.micro import _JOIN_QUERY
+    from repro.strategies.join import filtered_join_plan
+
+    ctx, catalog = tpch_env
+    plan = filtered_join_plan(ctx, catalog, _JOIN_QUERY)
+    (predicted,) = predicted_phases(plan.root, ctx, plan.combined_label)
+    execution = physical.execute_plan(ctx, plan)
+    (metered,) = execution.phases
+    assert predicted.name == metered.name == "select+join"
+    assert predicted.select_scan_bytes == pytest.approx(
+        metered.select_scan_bytes, rel=1e-12
+    )
+    assert predicted.select_scan_bytes == pytest.approx(
+        execution.bytes_scanned, rel=1e-12
+    )
+    assert predicted.select_returned_bytes == pytest.approx(
+        metered.select_returned_bytes, rel=0.15
+    )
+    assert sum(s.term_evals for s in predicted.streams) == pytest.approx(
+        sum(s.term_evals for s in metered.streams), rel=1e-12
+    )
+
+
 class TestStrategyLaziness:
     """What the row stack could not do: a LIMIT above a strategy's scan
     stops typing batches, while every request stays metered."""
@@ -666,7 +737,7 @@ class TestStrategyLaziness:
         ctx, table = small_batches
         query = FilterQuery(table="data", predicate=parse_expression("key >= 0"))
         execution, records = self._limited(
-            ctx, server_side_filter_node(table, query), batch_streams
+            ctx, server_side_filter_node(ctx, table, query), batch_streams
         )
         assert batch_streams["ScanNode"] == 1
         assert len(records) == 4
