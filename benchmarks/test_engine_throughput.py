@@ -1,6 +1,7 @@
 """Substrate gates (not a paper figure): what pruning and the semantic
-cache do to the metered request count, and the wall-clock effect of
-concurrent partition scans.
+cache do to the metered request count, the wall-clock effect of
+concurrent partition scans, and what a NULL costs an expression kernel
+(no ``bench/`` workload holds one).
 
 Layer throughput (decode, S3 Select scans, filter, group-by, hash join)
 is measured by ``bench/probes.py`` with the calibrated clock; the loops
@@ -15,14 +16,19 @@ across commits.
 
 import json
 import os
+import random
 import statistics
 import time
 
 import pytest
 
+from repro.bloom.filter import BloomFilter
 from repro.cloud.context import CloudContext
+from repro.engine.batch import Batch
 from repro.engine.catalog import Catalog, load_table
 from repro.engine.operators.base import materialize
+from repro.expr.vector import compile_expr_vector, compile_predicate_vector
+from repro.sqlparser.parser import parse_expression
 from repro.strategies.scans import iter_scan_batches
 from repro.workloads.synthetic import (
     FILTER_SCHEMA,
@@ -190,3 +196,56 @@ def test_concurrent_partition_scan_speedup(benchmark):
         f"workers=4 only {speedup:.2f}x faster than workers=1"
         f" ({serial_s:.3f}s vs {concurrent_s:.3f}s)"
     )
+
+
+def test_null_bearing_batches_cost_at_most_twice_clean_ones():
+    """The paper's hot expressions over a 12k-row batch: with one NULL, and
+    with 10 % NULLs, in the columns read, the best-of-15 time is at most
+    2.0x the same process's NULL-free time.  A ratio, so it holds on any
+    machine; the us-per-row figures land in ``BENCH_throughput.json``.
+    """
+    n, rng = 12_000, random.Random(7)
+    schema = {"k": 0, "q": 1, "p": 2, "d": 3, "s": 4}
+    rows = [
+        (rng.randrange(1, 60_000), rng.randrange(1, 51), round(rng.uniform(900, 100_000), 2),
+         rng.randrange(0, 11) / 100, f"199{rng.randrange(2, 9)}-{rng.randrange(1, 13):02d}-15")
+        for _ in range(n)
+    ]
+    bloom = BloomFilter.build(range(0, 60_000, 5), 0.01, seed=3)
+    assert bloom.num_hashes == 7
+    cases = {  # name -> (SQL, compiler, columns read)
+        "q6_predicate": (
+            "s >= '1994-01-01' AND s < '1995-01-01' AND d BETWEEN 0.05 AND 0.07 AND q < 24",
+            compile_predicate_vector, (1, 3, 4)),
+        "revenue_projection": ("p * (1 - d)", compile_expr_vector, (2, 3)),
+        "case_column": ("CASE WHEN q > 25 THEN p * d ELSE 0 END", compile_expr_vector, (1, 2, 3)),
+        "bloom_chain_7": (bloom.to_sql_predicate("k"), compile_predicate_vector, (0,)),
+    }
+
+    def us_per_row(fn, columns) -> float:
+        times = []
+        for _ in range(15):
+            batch = Batch(columns, n)  # a fresh batch: the typing guard is paid
+            start = time.perf_counter()
+            fn(batch)
+            times.append(time.perf_counter() - start)
+        return min(times) / n * 1e6
+
+    for name, (sql, compiler, read) in cases.items():
+        fn = compiler(parse_expression(sql), schema)
+        clean = [list(column) for column in zip(*rows)]
+        one_null = [list(column) for column in clean]
+        tenth_null = [list(column) for column in clean]
+        for c in read:
+            one_null[c][n // 2] = None
+            for i in rng.sample(range(n), n // 10):
+                tenth_null[c][i] = None
+        entry = {"rows": n}
+        for label, columns in (("clean", clean), ("one_null", one_null), ("tenth_null", tenth_null)):
+            entry[f"us_per_row_{label}"] = round(us_per_row(fn, columns), 4)
+        for label in ("one_null", "tenth_null"):
+            entry[f"ratio_{label}"] = round(
+                entry[f"us_per_row_{label}"] / entry["us_per_row_clean"], 3
+            )
+        _THROUGHPUT[f"null_cost_{name}"] = entry
+        assert max(entry["ratio_one_null"], entry["ratio_tenth_null"]) <= 2.0, (name, entry)

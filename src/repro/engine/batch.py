@@ -35,8 +35,8 @@ class Batch:
 
     def __init__(self, columns: Sequence[Sequence[object]], length: int | None = None):
         self.columns = list(columns)
-        #: column index -> the column's one Python type (``None``: NULLs or
-        #: mixed), filled lazily by :mod:`repro.expr.vector`'s clean-batch guard.
+        #: column index -> the column's ``(kind, nullable)``, filled lazily
+        #: by :mod:`repro.expr.vector`'s typing guard.
         self._types: dict | None = None
         if length is None:
             if not self.columns:

@@ -67,7 +67,7 @@ class _GroupByState:
         input_cols = [fn(batch) for fn in self.input_fns]
         groups = self.groups
         if not self.group_fns:
-            self._fold(groups[()], input_cols, None)
+            self._fold_batch(groups[()], input_cols, None)
         else:
             key_cols = [fn(batch) for fn in self.group_fns]
             buckets: dict[tuple, list[int]] = {}
@@ -79,10 +79,10 @@ class _GroupByState:
                 if state is None:
                     state = self._new_state()
                     groups[key] = state
-                self._fold(state, input_cols, None if len(idxs) == n else idxs)
+                self._fold_batch(state, input_cols, None if len(idxs) == n else idxs)
         self.n_aggs += n * len(self.input_fns)
 
-    def _fold(self, state: list, input_cols: list, idxs: list[int] | None):
+    def _fold_batch(self, state: list, input_cols: list, idxs: list[int] | None):
         flat_accs = (acc for accs in state for acc in accs)
         if idxs is None:
             for col, acc in zip(input_cols, flat_accs):

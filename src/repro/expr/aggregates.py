@@ -156,53 +156,19 @@ def split_aggregate_expr(
     if isinstance(expr, ast.Aggregate):
         return [expr], None
     aggregates: list[ast.Aggregate] = []
-    placeholder_names: list[str] = []
-    rewritten = _replace_aggregates(expr, aggregates, placeholder_names)
+
+    def placeholder(node: ast.Expr) -> ast.Expr | None:
+        """Aggregates become placeholder columns ``__agg_N``."""
+        if isinstance(node, ast.Aggregate):
+            aggregates.append(node)
+            return ast.Column(name=f"__agg_{len(aggregates) - 1}")
+        return None
+
+    rewritten = ast.map_expr(expr, placeholder)
     if not aggregates:
         return [], None
-    schema = {name: i for i, name in enumerate(placeholder_names)}
-    fn = compile_expr(rewritten, schema)
+    fn = compile_expr(rewritten, {f"__agg_{i}": i for i in range(len(aggregates))})
 
     def finisher(values: list[object]) -> object:
         return fn(tuple(values))
     return aggregates, finisher
-
-
-def _replace_aggregates(
-    expr: ast.Expr, out: list[ast.Aggregate], names: list[str]
-) -> ast.Expr:
-    """Rewrite aggregates to placeholder columns ``__agg_N``."""
-    if isinstance(expr, ast.Aggregate):
-        name = f"__agg_{len(out)}"
-        out.append(expr)
-        names.append(name)
-        return ast.Column(name=name)
-    if isinstance(expr, ast.Binary):
-        return ast.Binary(
-            expr.op,
-            _replace_aggregates(expr.left, out, names),
-            _replace_aggregates(expr.right, out, names),
-        )
-    if isinstance(expr, ast.Unary):
-        return ast.Unary(expr.op, _replace_aggregates(expr.operand, out, names))
-    if isinstance(expr, ast.Cast):
-        return ast.Cast(_replace_aggregates(expr.operand, out, names), expr.type_name)
-    if isinstance(expr, ast.FuncCall):
-        return ast.FuncCall(
-            expr.name,
-            tuple(_replace_aggregates(a, out, names) for a in expr.args),
-        )
-    if isinstance(expr, ast.Case):
-        return ast.Case(
-            tuple(
-                (
-                    _replace_aggregates(cond, out, names),
-                    _replace_aggregates(val, out, names),
-                )
-                for cond, val in expr.whens
-            ),
-            None
-            if expr.default is None
-            else _replace_aggregates(expr.default, out, names),
-        )
-    return expr

@@ -1322,7 +1322,7 @@ def _rewrite_having(
     ]
     hidden: list[ast.SelectItem] = []
 
-    def rewrite(expr: ast.Expr) -> ast.Expr:
+    def rewrite(expr: ast.Expr) -> ast.Expr | None:
         for src, name in known:
             if expr == src:
                 return ast.Column(name)
@@ -1331,37 +1331,9 @@ def _rewrite_having(
             hidden.append(ast.SelectItem(expr, alias=name))
             known.append((expr, name))
             return ast.Column(name)
-        if isinstance(expr, ast.Unary):
-            return ast.Unary(expr.op, rewrite(expr.operand))
-        if isinstance(expr, ast.Binary):
-            return ast.Binary(expr.op, rewrite(expr.left), rewrite(expr.right))
-        if isinstance(expr, ast.FuncCall):
-            return ast.FuncCall(expr.name, tuple(rewrite(a) for a in expr.args))
-        if isinstance(expr, ast.Cast):
-            return ast.Cast(rewrite(expr.operand), expr.type_name)
-        if isinstance(expr, ast.Case):
-            return ast.Case(
-                tuple((rewrite(c), rewrite(v)) for c, v in expr.whens),
-                None if expr.default is None else rewrite(expr.default),
-            )
-        if isinstance(expr, ast.InList):
-            return ast.InList(
-                rewrite(expr.operand),
-                tuple(rewrite(i) for i in expr.items), expr.negated,
-            )
-        if isinstance(expr, ast.Between):
-            return ast.Between(
-                rewrite(expr.operand), rewrite(expr.low), rewrite(expr.high),
-                expr.negated,
-            )
-        if isinstance(expr, ast.Like):
-            return ast.Like(rewrite(expr.operand), rewrite(expr.pattern),
-                            expr.negated)
-        if isinstance(expr, ast.IsNull):
-            return ast.IsNull(rewrite(expr.operand), expr.negated)
-        return expr
+        return None
 
-    return rewrite(having), hidden
+    return ast.map_expr(having, rewrite), hidden
 
 
 def _group_output_projection(

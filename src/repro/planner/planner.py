@@ -343,12 +343,13 @@ def _fully_pushable(query: ast.Query) -> bool:
         or query.derived is not None
     ):
         return False
-    aggs: list[ast.Aggregate] = []
-    for item in query.select_items:
-        if isinstance(item.expr, ast.Star) or not ast.contains_aggregate(item.expr):
-            return False
-        aggs.extend(n for n in ast.walk(item.expr) if isinstance(n, ast.Aggregate))
-    return all(a.func in _ADDITIVE and not a.distinct for a in aggs)
+    # Bare aggregates only: per-partition results merge by addition, which
+    # no enclosing expression but a linear one survives (``SUM(a) / COUNT(*)``).
+    return all(
+        isinstance(item.expr, ast.Aggregate)
+        and item.expr.func in _ADDITIVE and not item.expr.distinct
+        for item in query.select_items
+    )
 
 
 def _needed_columns(

@@ -671,18 +671,4 @@ def _replace(expr, target, replacement):
     """Rebuild ``expr`` with the node ``target`` (matched by identity)
     swapped for ``replacement``.  Subquery bodies are separate scopes
     and are not descended into."""
-    if expr is target:
-        return replacement
-    if isinstance(expr, tuple):
-        out = tuple(_replace(x, target, replacement) for x in expr)
-        return out if any(a is not b for a, b in zip(out, expr)) else expr
-    if isinstance(expr, ast.Query) or not dataclasses.is_dataclass(expr):
-        return expr
-    changed = False
-    values = {}
-    for f in dataclasses.fields(expr):
-        old = getattr(expr, f.name)
-        new = _replace(old, target, replacement)
-        changed = changed or new is not old
-        values[f.name] = new
-    return type(expr)(**values) if changed else expr
+    return ast.map_expr(expr, lambda node: replacement if node is target else None)

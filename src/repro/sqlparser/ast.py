@@ -8,7 +8,9 @@ parse/render round-trips.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import lru_cache
+from operator import is_
 from typing import Union
 
 Expr = Union[
@@ -417,49 +419,48 @@ def contains_aggregate(expr: Expr) -> bool:
     return any(isinstance(node, Aggregate) for node in walk(expr))
 
 
+def map_expr(expr: Expr, fn) -> Expr:
+    """Rebuild ``expr`` top-down through ``fn``, the one AST rebuilder.
+
+    ``fn`` sees each node before its children and returns the node's
+    replacement (which is not descended into) or ``None`` to keep the
+    node with its children mapped in turn.  Children are found
+    generically — the fields a node class annotates with ``Expr`` — so a
+    new node type needs no case here; subquery bodies stay separate
+    scopes, as :func:`walk` treats them.  An expression nothing was
+    replaced in is returned as the same object.
+    """
+
+    def rebuild(value):
+        if isinstance(value, tuple):
+            out = tuple(map(rebuild, value))
+            return value if all(map(is_, out, value)) else out
+        if value is None:
+            return None  # no ELSE
+        replacement = fn(value)
+        if replacement is not None:
+            return replacement
+        changed = {
+            name: new for name in _child_fields(type(value))
+            if (new := rebuild(old := getattr(value, name))) is not old
+        }
+        return type(value)(**{**vars(value), **changed}) if changed else value
+
+    return rebuild(expr)
+
+
+@lru_cache(maxsize=None)
+def _child_fields(cls: type) -> tuple[str, ...]:
+    """The fields of a node class that hold sub-expressions."""
+    return tuple(f.name for f in fields(cls) if "Expr" in f.type)
+
+
 def map_columns(expr: Expr, fn) -> Expr:
     """Rebuild ``expr`` with every :class:`Column` node passed through
     ``fn`` (which returns a replacement expression, possibly the node
     itself).  The planner uses this to substitute output aliases with
     their select expressions; :func:`rename_columns` builds on it."""
-
-    def rewrite(node: Expr) -> Expr:
-        if isinstance(node, Column):
-            return fn(node)
-        if isinstance(node, Unary):
-            return Unary(node.op, rewrite(node.operand))
-        if isinstance(node, Binary):
-            return Binary(node.op, rewrite(node.left), rewrite(node.right))
-        if isinstance(node, FuncCall):
-            return FuncCall(node.name, tuple(rewrite(a) for a in node.args))
-        if isinstance(node, Cast):
-            return Cast(rewrite(node.operand), node.type_name)
-        if isinstance(node, Case):
-            return Case(
-                tuple((rewrite(c), rewrite(v)) for c, v in node.whens),
-                None if node.default is None else rewrite(node.default),
-            )
-        if isinstance(node, InList):
-            return InList(
-                rewrite(node.operand),
-                tuple(rewrite(i) for i in node.items),
-                node.negated,
-            )
-        if isinstance(node, Between):
-            return Between(
-                rewrite(node.operand), rewrite(node.low), rewrite(node.high), node.negated
-            )
-        if isinstance(node, Like):
-            return Like(rewrite(node.operand), rewrite(node.pattern), node.negated)
-        if isinstance(node, IsNull):
-            return IsNull(rewrite(node.operand), node.negated)
-        if isinstance(node, Aggregate):
-            return Aggregate(node.func, rewrite(node.operand), node.distinct)
-        if isinstance(node, InSubquery):
-            return InSubquery(rewrite(node.operand), node.query, node.negated)
-        return node
-
-    return rewrite(expr)
+    return map_expr(expr, lambda node: fn(node) if isinstance(node, Column) else None)
 
 
 def rename_columns(expr: Expr, mapping: dict[str, str]) -> Expr:

@@ -4,13 +4,15 @@ A small recursive grammar over ``a, b`` (int), ``f`` (float), ``s, d``
 (str) and literals — arithmetic, comparisons, AND / OR / NOT, CASE with
 and without ELSE, IN, BETWEEN, LIKE, IS NULL, CAST, SUBSTRING, UPPER /
 COALESCE / ABS — mostly well typed, now and then not; half the
-expressions are *tame* (drawn from the fused subset of
-:mod:`repro.expr.vector` only), so that tier is reached often.  Every
-expression runs over a clean batch (the fused tier) and a NULL-bearing
-one (the per-node kernels), as a value (``compile_expr`` vs
-``compile_expr_vector``) and as a WHERE mask (``compile_predicate`` vs
-``compile_predicate_vector``): same values, same value types, and the
-same error class exactly when the row compiler raises.
+expressions are *tame* (drawn from the constructs
+:mod:`repro.expr.vector` writes inline only), so whole-inline kernels are
+reached often.  Every expression runs over one batch per typing of the
+guard — clean; NULLs at density 0.15 and 0.5; a single NULL; ints and
+floats mixed in one column; a column of nothing but NULLs — as a value
+(``compile_expr`` vs ``compile_expr_vector``) and as a WHERE mask
+(``compile_predicate`` vs ``compile_predicate_vector``): same values,
+same value types, and the same error class exactly when the row
+compiler raises.
 
 No class of expression is skipped.  The one this file was expected to
 skip — *which* of two different errors surfaces inside nonsense like
@@ -42,7 +44,7 @@ _DATES = ["1995-01-01", "1996-06-15", "1997-12-31"]
 class Grammar:
     def __init__(self, rng: random.Random):
         self.rng = rng
-        self.tame = False  # only constructs of the fused subset
+        self.tame = False  # only constructs with an inline form
 
     def pick(self, *options):
         return self.rng.choice(options)
@@ -132,20 +134,36 @@ class Grammar:
         return f"CASE {whens}{default} END"
 
 
-def make_rows(rng: random.Random, nulls: bool) -> list[tuple]:
-    def maybe(value):
-        return None if nulls and rng.random() < 0.15 else value
+#: One batch per guard typing: NULL densities, then the shapes below.
+BATCHES = [0.0, 0.15, 0.5, "one NULL", "int / float column", "all-NULL column"]
 
-    return [
-        (
+
+def make_rows(rng: random.Random, shape) -> list[tuple]:
+    density = shape if isinstance(shape, float) else 0.0
+
+    def maybe(value):
+        return None if rng.random() < density else value
+
+    rows = [
+        [
             maybe(rng.randrange(-5, 20)),
             maybe(rng.randrange(-3, 4)),
             maybe(round(rng.uniform(-50, 50), 2)),
             maybe(rng.choice(_TEXTS)),
             maybe(rng.choice(_DATES)),
-        )
+        ]
         for _ in range(rng.randrange(1, 25))
     ]
+    column = rng.randrange(5)
+    if shape == "one NULL":
+        rng.choice(rows)[column] = None
+    elif shape == "int / float column":
+        for row in rows:
+            row[column % 3] = rng.choice([rng.randrange(-5, 20), round(rng.uniform(-5, 20), 2)])
+    elif shape == "all-NULL column":
+        for row in rows:
+            row[column] = None
+    return [tuple(row) for row in rows]
 
 
 def outcome(fn):
@@ -172,8 +190,8 @@ def test_vector_compiler_matches_row_compiler(seed):
         row_fn, vec_fn = compile_expr(expr, SCHEMA), compile_expr_vector(expr, SCHEMA)
         row_pred = compile_predicate(expr, SCHEMA)
         mask_fn = compile_predicate_vector(expr, SCHEMA)
-        for nulls in (False, True):
-            rows = make_rows(rng, nulls)
+        for shape in BATCHES:
+            rows = make_rows(rng, shape)
             batch = Batch.from_rows(rows)
             for row_side, vec_side in (
                 (lambda: [row_fn(row) for row in rows], lambda: vec_fn(batch)),

@@ -192,3 +192,35 @@ class TestRoundTrip:
         first = parse(sql)
         second = parse(first.to_sql())
         assert first == second
+
+
+class TestMapExpr:
+    """``ast.map_expr``, the one rebuilder under ``map_columns``, the HAVING
+    rewrite, the aggregate placeholders and the subquery replacement."""
+
+    EVERY_NODE = (
+        "CASE WHEN a IN (b, 2) AND s LIKE t THEN -a ELSE CAST(b AS INT) END"
+        " BETWEEN COALESCE(c, 0) AND SUM(d) + 1 OR e IS NULL"
+    )
+
+    def test_every_node_type_is_rebuilt_and_an_unchanged_tree_is_itself(self):
+        expr = parse_expression(self.EVERY_NODE)
+        upper = ast.map_columns(expr, lambda column: ast.Column(column.name.upper()))
+        assert upper == parse_expression(self.EVERY_NODE.upper().replace("INT", "int"))
+        assert ast.map_expr(expr, lambda node: None) is expr
+        assert ast.map_columns(expr, lambda column: column) is expr
+
+    def test_a_replacement_is_not_descended_into_and_subqueries_are_scopes(self):
+        query = parse("SELECT a FROM t WHERE a IN (SELECT a FROM u) AND a + 1 > 2")
+        seen = []
+
+        def swap(node):
+            seen.append(node)
+            return ast.Column("x") if node == ast.Column("a") else None
+
+        where = ast.map_expr(query.where, swap)
+        in_subquery = where.left
+        assert in_subquery.operand == ast.Column("x")
+        assert in_subquery.query is query.where.left.query  # the body kept its own a
+        assert where.right == parse_expression("x + 1 > 2")
+        assert ast.Column("x") not in seen

@@ -31,6 +31,7 @@ from repro.engine.operators.limit import limit_batches
 from repro.engine.operators.project import project_batches
 from repro.engine.operators.sort import SortKey, sort_batches
 from repro.engine.operators.topk import top_k_batches
+from repro.expr import vector
 from repro.expr.compiler import compile_expr, compile_predicate
 from repro.expr.vector import (
     compile_aggregate_input_vector,
@@ -68,9 +69,9 @@ rows_strategy = st.lists(
     ),
     max_size=30,
 )
-#: NULL-free, one Python type per column: what the fused tier of
-#: ``expr/vector.py`` takes whole.  ``rows_strategy`` draws NULL in every
-#: column independently, so almost none of its multi-row batches is clean.
+#: NULL-free, one Python type per column: the typing whose kernels are bare
+#: Python operators.  ``rows_strategy`` draws NULL in every column
+#: independently, so almost none of its multi-row batches is clean.
 clean_rows_strategy = st.lists(
     st.tuples(
         st.integers(-50, 50),
@@ -84,16 +85,19 @@ clean_rows_strategy = st.lists(
 
 
 def nearly_clean(rows):
-    """``rows`` as is, then with one value that fails the fused tier's
-    guard: a NULL in the last row, a ``bool`` and a ``str`` in an int column."""
+    """``rows`` as is, then one step away in the guard's typing: a NULL in
+    the last row, a ``bool`` and a ``str`` in an int column (opaque), a
+    float in an int column (number), two columns of nothing but NULLs."""
     *head, last = rows
     yield rows
     yield head + [last[:3] + (None,) + last[4:]]
     yield head + [(True,) + last[1:]]
     yield [("7",) + rows[0][1:]] + rows[1:]
+    yield head + [(last[0] + 0.5,) + last[1:]]
+    yield [(None,) + row[1:3] + (None,) + row[4:] for row in rows]
 
-#: One expression per vectorized kernel, plus the row-fallback shapes
-#: (CASE, COALESCE, function calls) and the const-folded thunks.
+#: One expression per inline form of the generator, plus the shapes that call
+#: a row compiler closure (``/``, ``||``, function calls) and column-free ones.
 EXPRESSIONS = [
     "a + b", "a - b", "a * b", "a % b", "a / b", "f * 2.5", "-a",
     "a = b", "a <> b", "a < b", "a <= 5", "5 <= a", "a > b", "a >= b",
@@ -345,8 +349,8 @@ class TestSurvivorConjunctions:
 
 
 class TestFusedTierIsReached:
-    """On clean batches the paper's hot expressions never enter the row
-    compiler; one NULL sends the batch to the kernels, same values."""
+    """The paper's hot expressions never enter the row compiler, on clean
+    batches and on NULL-bearing ones alike: the NULL tests are inline."""
 
     CLEAN = [
         (i * 7 % 40, i % 5, (i % 10) / 100, ["x", "abc"][i % 2], f"199{i % 4 + 2}-03-01")
@@ -363,6 +367,7 @@ class TestFusedTierIsReached:
         assert row_compiler_calls(lambda: vec_fn(batch)) == 0
         assert_same_values(vec_fn(batch), [row_fn(row) for row in self.CLEAN])
         with_null = self.CLEAN[:-1] + [(None, None, None, None, None)]
+        assert row_compiler_calls(lambda: vec_fn(Batch.from_rows(with_null))) == 0
         assert_same_values(
             vec_fn(Batch.from_rows(with_null)), [row_fn(row) for row in with_null]
         )
@@ -412,6 +417,60 @@ class TestFusedTierIsReached:
                     assert all(f.result(timeout=30) == want for f in futures)
         finally:
             sys.setswitchinterval(interval)
+
+
+def fused_kernel_texts() -> int:
+    """Distinct kernel texts generated for this module's expression matrix
+    (``EXPRESSIONS`` as values; ``CONJUNCTS``, Q6's WHERE and a 7-hash Bloom
+    chain as masks) over every ``nearly_clean`` typing of one batch.  CI
+    prints it in the step summary."""
+    hot = TestFusedTierIsReached
+    fns = [compile_expr_vector(parse_expression(sql), SCHEMA) for sql in EXPRESSIONS]
+    fns += [
+        compile_predicate_vector(parse_expression(sql), SCHEMA)
+        for sql in [*CONJUNCTS, hot.Q6_WHERE, hot.BLOOM.to_sql_predicate("a")]
+    ]
+    vector._kernel_factory.cache_clear()
+    for variant in nearly_clean(hot.CLEAN):
+        for fn in fns:
+            try:
+                fn(Batch.from_rows(variant))
+            except (TypeMismatchError, ArithmeticError):
+                pass  # ``a + 'x'``, ``a % b`` at zero: the row compiler's verdict
+    info = vector._kernel_factory.cache_info()
+    assert info.currsize == info.misses, "texts were evicted while counting"
+    return info.misses
+
+
+def test_kernel_texts_stay_inside_the_kernel_cache():
+    """One kernel per (expression shape, column typing): the typing lattice
+    must not outgrow ``_kernel_factory``'s LRU, or every re-prepared
+    statement would recompile its text."""
+    texts = fused_kernel_texts()
+    assert len(EXPRESSIONS) < texts < vector._kernel_factory.cache_parameters()["maxsize"]
+
+
+@pytest.mark.parametrize(
+    "shape, levels",  # AST levels each round of nesting adds
+    [("({} + b)", 1), ("(-{} % (b + 7))", 2), ("NOT ({} AND b > 0)", 2),
+     ("CASE WHEN {} > b THEN a ELSE {} END", 2)],
+)
+def test_deep_nesting_stays_inside_the_parser_limit_then_runs_row_wise(shape, levels):
+    # Up to the depth guard a NULL-bearing typing (three parentheses a level)
+    # still compiles as one Python expression; past it the row compiler runs.
+    rows = [(3, 2, 1.5, "x", None), (None, 4, None, None, None), (7, None, 2.5, "y", None)]
+    for depth in (59 // levels, 70):
+        sql = "a"
+        for _ in range(depth):
+            sql = shape.replace("{}", sql, 1).replace("{}", "a")
+        expr = parse_expression(sql)
+        row_fn, vec_fn = compile_expr(expr, SCHEMA), compile_expr_vector(expr, SCHEMA)
+        for batch in (rows[:1], rows):
+            assert_same_outcome(
+                lambda: vec_fn(Batch.from_rows(batch)), lambda: [row_fn(row) for row in batch]
+            )
+        calls = row_compiler_calls(lambda: vec_fn(Batch.from_rows(rows[:1])))
+        assert (calls > 0) == (depth == 70), (depth, calls)
 
 
 NAMES = ["a", "b", "f", "s", "d"]
