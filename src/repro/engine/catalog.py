@@ -10,11 +10,12 @@ schema, and any index tables built for it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 from typing import Iterable, Sequence
 
 from repro.cloud.context import CloudContext
 from repro.common.errors import CatalogError
-from repro.storage.csvcodec import encode_table
+from repro.storage.csvcodec import encode_columns, encoded_size
 from repro.storage.parquet import DEFAULT_ROW_GROUP_ROWS, write_parquet
 from repro.storage.schema import TableSchema
 
@@ -147,16 +148,40 @@ def load_table(
     replaces the table: every object under ``{name}/`` that this load did
     not write (data and index objects alike) is deleted.
 
+    Every row must be exactly as wide as ``schema``: wider, narrower or
+    ragged input raises :class:`CatalogError` before anything changes (a
+    previous load's objects, catalog entry, cached results and feedback
+    stay).  Each partition is then transposed once; its bytes, index
+    entries, zone map and column widths all come from those columns.
+
     Args:
         index_columns: columns to build Section IV-A index tables for.
             Index objects live under ``{name}/index/{column}/``.
-        collect_stats: run the optimizer's statistics pass over ``rows``
-            (row/column counts, min/max, distinct, widths, MCVs) and
-            attach the result to the catalog entry.  One linear pass at
+        collect_stats: keep the optimizer's statistics (row/column
+            counts, min/max, distinct, widths, MCVs, histograms, zone
+            maps) on the catalog entry.  One extra pass per column at
             load time; disable for throughput-sensitive bulk loads.
     """
     if data_format not in ("csv", "parquet"):
         raise CatalogError(f"unknown format {data_format!r}")
+    found = set(map(len, rows)) - {len(schema)}
+    if found:
+        raise CatalogError(
+            f"cannot load table {name!r}: rows have {sorted(found)} fields,"
+            f" schema has {len(schema)}"
+        )
+    indexes = {
+        column.lower(): IndexInfo(
+            column=column.lower(),
+            keys=[],
+            schema=TableSchema.of(
+                f"value:{schema.column(column).type}", "first_byte:int", "last_byte:int"
+            ),
+        )
+        for column in index_columns
+    }
+    if indexes and data_format != "csv":
+        raise CatalogError("index tables are only supported for CSV data")
     feedback = ctx.feedback
     if feedback is not None:
         # (Re)loading invalidates every measurement taken against the
@@ -169,70 +194,60 @@ def load_table(
         # table's content version and drops every derived entry, so the
         # semantic cache can never serve rows from the old contents.
         result_cache.invalidate_table(name)
+    if collect_stats:
+        from repro.optimizer.stats import collect_table_stats, zone_map
     ctx.store.create_bucket(bucket)
     slices = _partition_slices(len(rows), partitions)
-    schema_spec = [f"{c.name}:{c.type}" for c in schema.columns]
-
-    keys: list[str] = []
-    partition_rows: list[int] = []
-    partition_bytes: list[int] = []
-    zone_maps: list = []
-    total_bytes = 0
-    extents_per_partition: list[list] = []
-    for i, sl in enumerate(slices):
-        chunk = rows[sl]
-        if collect_stats:
-            from repro.optimizer.stats import collect_zone_map
-
-            zone_maps.append(collect_zone_map(chunk, schema))
-        ext = "csv" if data_format == "csv" else "spq"
-        key = f"{name}/part-{i:04d}.{ext}"
-        if data_format == "csv":
-            data, extents = encode_table(chunk, header=None)
-            extents_per_partition.append(extents)
-        else:
-            data = write_parquet(
-                chunk, schema, row_group_rows=row_group_rows, compression=compression
-            )
-            extents_per_partition.append([])
-        ctx.store.put_object(
-            bucket,
-            key,
-            data,
-            metadata={"format": data_format, "schema": schema_spec, "header": False},
-        )
-        keys.append(key)
-        partition_rows.append(len(chunk))
-        partition_bytes.append(len(data))
-        total_bytes += len(data)
 
     info = TableInfo(
         name=name,
         bucket=bucket,
-        keys=keys,
+        keys=[],
         schema=schema,
         format=data_format,
         num_rows=len(rows),
-        total_bytes=total_bytes,
-        partition_rows=partition_rows,
-        partition_bytes=partition_bytes,
-        zone_maps=zone_maps,
+        total_bytes=0,
+        indexes=indexes,
     )
+    widths = [0] * len(schema)
+    for i, sl in enumerate(slices):
+        chunk = rows[sl]
+        columns = list(zip(*chunk)) or [()] * len(schema)
+        if data_format == "csv":
+            data, offsets, sizes = encode_columns(columns)
+            key = f"{name}/part-{i:04d}.csv"
+        else:
+            data = write_parquet(
+                chunk, schema, row_group_rows=row_group_rows, compression=compression
+            )
+            # No CSV is stored, but the width statistic is the CSV field's.
+            sizes = [encoded_size([c], 0) for c in columns] if collect_stats else ()
+            key = f"{name}/part-{i:04d}.spq"
+        ctx.store.put_object(bucket, key, data, _metadata(data_format, schema))
+        info.keys.append(key)
+        info.partition_rows.append(len(chunk))
+        info.partition_bytes.append(len(data))
+        info.total_bytes += len(data)
+        if collect_stats:
+            info.zone_maps.append(zone_map(columns, schema))
+            widths = list(map(add, widths, sizes))
+        if indexes:  # CSV only: |value|first_byte|last_byte| per record
+            extents = offsets[:-1], [start - 1 for start in offsets[1:]]
+        for column, index in indexes.items():
+            data, _, _ = encode_columns([columns[schema.index_of(column)], *extents])
+            key = f"{name}/index/{column}/part-{i:04d}.csv"
+            ctx.store.put_object(bucket, key, data, _metadata("csv", index.schema))
+            index.keys.append(key)
+            index.total_bytes += len(data)
+
     if collect_stats:
-        from repro.optimizer.stats import collect_table_stats
-
-        info.stats = collect_table_stats(rows, schema)
-
-    for column in index_columns:
-        if data_format != "csv":
-            raise CatalogError("index tables are only supported for CSV data")
-        info.indexes[column.lower()] = _build_index(
-            ctx, info, column, rows, slices, extents_per_partition, schema_spec
+        info.stats = collect_table_stats(
+            rows, schema, zone_maps=info.zone_maps, widths=widths
         )
 
     # A reload under another layout (fewer partitions, another format, no
     # index) must not leave the previous load's objects in the store.
-    written = {*keys, *(k for index in info.indexes.values() for k in index.keys)}
+    written = {*info.keys, *(k for index in indexes.values() for k in index.keys)}
     for key in ctx.store.list_keys(bucket, f"{name}/"):
         if key not in written:
             ctx.store.delete_object(bucket, key)
@@ -241,41 +256,7 @@ def load_table(
     return info
 
 
-def _build_index(
-    ctx: CloudContext,
-    info: TableInfo,
-    column: str,
-    rows: Sequence[tuple],
-    slices: list[slice],
-    extents_per_partition: list[list],
-    schema_spec: list[str],
-) -> IndexInfo:
-    """Materialize ``|value|first_byte|last_byte|`` index objects."""
-    col_idx = info.schema.index_of(column)
-    col_type = info.schema.columns[col_idx].type
-    index_schema = TableSchema.of(
-        f"value:{col_type}", "first_byte:int", "last_byte:int"
-    )
-    index_spec = [f"{c.name}:{c.type}" for c in index_schema.columns]
-    index_keys = []
-    index_bytes = 0
-    for i, (sl, extents) in enumerate(zip(slices, extents_per_partition)):
-        chunk = rows[sl]
-        index_rows = [
-            (row[col_idx], ext.first_byte, ext.last_byte)
-            for row, ext in zip(chunk, extents)
-        ]
-        data, _ = encode_table(index_rows, header=None)
-        key = f"{info.name}/index/{column.lower()}/part-{i:04d}.csv"
-        ctx.store.put_object(
-            info.bucket,
-            key,
-            data,
-            metadata={"format": "csv", "schema": index_spec, "header": False},
-        )
-        index_keys.append(key)
-        index_bytes += len(data)
-    return IndexInfo(
-        column=column.lower(), keys=index_keys, schema=index_schema,
-        total_bytes=index_bytes,
-    )
+def _metadata(data_format: str, schema: TableSchema) -> dict:
+    """Metadata of a headerless object holding ``schema``'s columns."""
+    spec = [f"{c.name}:{c.type}" for c in schema.columns]
+    return {"format": data_format, "schema": spec, "header": False}

@@ -1,21 +1,25 @@
 """Table statistics collected at load time for the cost-based optimizer.
 
-Loading already walks every row to encode the partition objects, so the
-statistics pass is cheap and exact: row count, encoded row width,
-per-column distinct counts, min/max, NULL counts, mean encoded field
-width, and a small most-common-values (MCV) sketch.  The MCV list is
-what lets the cost model price hybrid group-by's head/tail split without
-re-scanning anything.
+:func:`~repro.engine.catalog.load_table` transposes each partition once;
+from those columns come the stored bytes, each column's encoded width
+(summed across partitions into ``avg_field_bytes`` — nothing is formatted
+a second time) and the partition's zone map, and the zone maps fold into
+the table's min / max / NULL counts.  What still needs a whole column at
+once is read one column at a time afterwards: the distinct count, the
+most-common-values (MCV) sketch — what lets the cost model price hybrid
+group-by's head/tail split without re-scanning anything — and the
+equi-depth histogram (a sort).  All of it is exact.
 
 Statistics are attached to the catalog's
-:class:`~repro.engine.catalog.TableInfo` (``info.stats``) by
-:func:`~repro.engine.catalog.load_table`.
+:class:`~repro.engine.catalog.TableInfo` (``info.stats``,
+``info.zone_maps``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from repro.storage.csvcodec import FIELD_DELIM, RECORD_DELIM, encoded_size
@@ -96,10 +100,8 @@ def build_histogram(
     capped by the number of values so single-value buckets only appear
     when the column is narrower than the requested resolution.
     """
-    if not non_null:
-        return None
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-               for v in non_null):
+    # One type dispatch for the column, as ``format_column`` does.
+    if not non_null or not set(map(type, non_null)) <= {int, float}:
         return None
     ordered = sorted(non_null)
     n = len(ordered)
@@ -179,42 +181,52 @@ def collect_table_stats(
     rows: Sequence[tuple],
     schema: TableSchema,
     mcv_size: int = DEFAULT_MCV_SIZE,
+    zone_maps: "Sequence[PartitionZoneMap] | None" = None,
+    widths: Sequence[int] = (),
 ) -> TableStats:
-    """One exact pass over ``rows`` producing a :class:`TableStats`.
+    """Exact :class:`TableStats` of ``rows``, one whole column at a time.
 
-    Runs at load time (the data is in memory anyway); query-time code
-    only ever reads the result.
+    The loader hands over what it derived a partition at a time: the
+    ``zone_maps`` (folded into min / max / NULL counts) and ``widths``,
+    each column's encoded size summed over the partitions; without them
+    ``rows`` are taken as one partition.  Query-time code only ever reads
+    the result.
     """
+    if zone_maps is None:
+        columns = schema.transpose(rows)
+        zone_maps = [zone_map(columns, schema)]
+        widths = [encoded_size([column], 0) for column in columns]
     n = len(rows)
-    columns: dict[str, ColumnStats] = {}
-    for idx, col in enumerate(schema.columns):
-        values = [row[idx] for row in rows]
-        non_null = [v for v in values if v is not None]
-        null_count = n - len(non_null)
+    stats: dict[str, ColumnStats] = {}
+    for idx, (col, width) in enumerate(zip(schema.columns, widths)):
+        values = list(map(itemgetter(idx), rows))
+        zones = [zone.columns[col.name.lower()] for zone in zone_maps]
+        null_count = sum(zone.null_count for zone in zones)
+        non_null = [v for v in values if v is not None] if null_count else values
         distinct_set = set(non_null)
         # Counts in first-seen order: ``most_common`` ties break by position.
         counter = (
             Counter(non_null) if len(distinct_set) <= _MCV_TRACK_LIMIT else None
         )
-        # The column's encoded size, less the one delimiter per field.
-        width_total = encoded_size([values], n) - n
-        columns[col.name.lower()] = ColumnStats(
+        # A zone's bounds are None iff the whole partition is NULL there.
+        bounded = [zone for zone in zones if zone.min_value is not None]
+        stats[col.name.lower()] = ColumnStats(
             name=col.name,
             type=col.type,
             distinct=len(distinct_set),
             null_count=null_count,
-            min_value=min(non_null) if non_null else None,
-            max_value=max(non_null) if non_null else None,
-            avg_field_bytes=width_total / n if n else 0.0,
+            min_value=min((z.min_value for z in bounded), default=None),
+            max_value=max((z.max_value for z in bounded), default=None),
+            avg_field_bytes=width / n if n else 0.0,
             mcvs=tuple(counter.most_common(mcv_size)) if counter else (),
             histogram=build_histogram(non_null),
         )
-    field_bytes = sum(c.avg_field_bytes for c in columns.values())
+    field_bytes = sum(c.avg_field_bytes for c in stats.values())
     delimiters = (len(schema) - 1) * len(FIELD_DELIM) + len(RECORD_DELIM)
     return TableStats(
         row_count=n,
         avg_row_bytes=(field_bytes + delimiters) if n else 0.0,
-        columns=columns,
+        columns=stats,
     )
 
 
@@ -251,20 +263,23 @@ class PartitionZoneMap:
 def collect_zone_map(
     rows: Sequence[tuple], schema: TableSchema
 ) -> PartitionZoneMap:
-    """Min/max/null-count per column over one partition's rows.
+    """Min/max/null-count per column over one partition's rows."""
+    return zone_map(schema.transpose(rows), schema)
 
-    Runs inside :func:`~repro.engine.catalog.load_table`'s per-partition
-    encoding loop, so the extra pass touches data that is hot anyway.
-    """
-    columns: dict[str, ColumnZone] = {}
-    for idx, col in enumerate(schema.columns):
-        non_null = [row[idx] for row in rows if row[idx] is not None]
-        columns[col.name.lower()] = ColumnZone(
+
+def zone_map(columns: Sequence[Sequence], schema: TableSchema) -> PartitionZoneMap:
+    """The zone map of a partition held a column at a time (as
+    :func:`~repro.engine.catalog.load_table` holds it); a column is
+    copied only when it holds a NULL."""
+    zones: dict[str, ColumnZone] = {}
+    for col, values in zip(schema.columns, columns):
+        non_null = [v for v in values if v is not None] if None in values else values
+        zones[col.name.lower()] = ColumnZone(
             min_value=min(non_null) if non_null else None,
             max_value=max(non_null) if non_null else None,
-            null_count=len(rows) - len(non_null),
+            null_count=len(values) - len(non_null),
         )
-    return PartitionZoneMap(row_count=len(rows), columns=columns)
+    return PartitionZoneMap(row_count=len(columns[0]), columns=zones)
 
 
 def synthesize_table_stats(

@@ -51,14 +51,19 @@ def format_value(value: object) -> str:
 def format_column(values: Sequence[object]) -> Sequence[str]:
     """:func:`format_value` of a whole column, dispatched once on the
     types it holds: text is returned as it is, pure int / float columns
-    render in one pass, anything else (NULLs, bools, mixed) per value."""
+    render in one pass, anything else (NULLs, bools, mixed, a float in
+    exponent form) per value."""
     kinds = set(map(type, values))
     if kinds == {str}:
         return values
     if kinds == {int}:
         return list(map(str, values))
     if kinds == {float}:
-        return [f"{v:.1f}" if v.is_integer() else repr(v) for v in values]
+        # ``repr`` is already the fixed-point text (``2.0``) unless it took
+        # the exponent form, which an integral float must not keep.
+        texts = list(map(repr, values))
+        if "e" not in "".join(texts):
+            return texts
     return list(map(format_value, values))
 
 
@@ -91,14 +96,18 @@ def encoded_size(columns: Sequence[Sequence[object]], num_rows: int) -> int:
     UTF-8 text, with RFC-4180 quoting overhead only where a trigger
     character occurs at all — so no row tuple or payload is built.
     """
-    total = num_rows * len(columns)
-    for column in columns:
-        texts = format_column(column)
-        joined = "".join(texts)
-        total += len(joined) if joined.isascii() else len(joined.encode())
-        if _has_trigger(joined):
-            total += sum(len(_escape(text)) - len(text) for text in texts)
-    return total
+    return num_rows * len(columns) + sum(_escape_column(c)[1] for c in columns)
+
+
+def _escape_column(values: Sequence[object]) -> tuple[Sequence[str], int]:
+    """A column's fields as a CSV object holds them, and their total size
+    in bytes: RFC-4180 quotes only where a trigger character occurs at all."""
+    fields = format_column(values)
+    joined = "".join(fields)
+    if _has_trigger(joined):
+        fields = list(map(_escape, fields))
+        joined = "".join(fields)
+    return fields, len(joined) if joined.isascii() else len(joined.encode())
 
 
 @dataclass(frozen=True)
@@ -109,6 +118,31 @@ class RowExtent:
     last_byte: int
 
 
+def encode_columns(
+    columns: Sequence[Sequence[object]], head: bytes = b""
+) -> tuple[bytes, list[int], list[int]]:
+    """Encode rows held a column at a time (at least one column) to CSV
+    bytes after ``head``, formatting and escaping each column once.
+
+    Returns the payload, the byte offset at which every record starts
+    plus the payload's length (record ``i`` spans ``offsets[i]`` to
+    ``offsets[i + 1] - 1``), and each column's encoded size (quotes
+    included, delimiters not): the loader's width statistic sums it.
+    """
+    texts, widths = zip(*map(_escape_column, columns))
+    return (*_frame(list(map(FIELD_DELIM.join, zip(*texts))), head), list(widths))
+
+
+def _frame(lines: list[str], head: bytes) -> tuple[bytes, list[int]]:
+    """Escaped ``lines`` as delimited records after ``head``, with the
+    record offsets :func:`encode_columns` documents."""
+    body = RECORD_DELIM.join([*lines, ""])
+    sizes = map(len, lines if body.isascii() else map(str.encode, lines))
+    # A record spans its line plus the delimiter byte.
+    offsets = list(accumulate(sizes, lambda at, n: at + n + 1, initial=len(head)))
+    return head + body.encode(), offsets
+
+
 def encode_table(
     rows: Iterable[Sequence[object]], header: Sequence[str] | None = None
 ) -> tuple[bytes, list[RowExtent]]:
@@ -116,27 +150,16 @@ def encode_table(
 
     The extents exclude the header line and are exactly what the paper's
     index tables store (``first_byte_offset`` / ``last_byte_offset``).
-    Rows are formatted and escaped a column at a time; ragged or
+    Rows are transposed and go through :func:`encode_columns`; ragged or
     zero-width rows cannot be transposed and go through :func:`encode_row`.
     """
     rows = list(rows)
-    if len(set(map(len, rows))) == 1 and len(rows[0]):
-        texts = []
-        for column in zip(*rows):
-            fields = format_column(column)
-            if _has_trigger("".join(fields)):
-                fields = list(map(_escape, fields))
-            texts.append(fields)
-        lines = list(map(FIELD_DELIM.join, zip(*texts)))
-    else:
-        lines = [encode_row(row)[:-1].decode() for row in rows]
     head = b"" if header is None else encode_row(list(header))
-    body = RECORD_DELIM.join([*lines, ""])
-    sizes = map(len, lines if body.isascii() else map(str.encode, lines))
-    # A record spans its line plus the delimiter byte.
-    firsts = list(accumulate(sizes, lambda at, n: at + n + 1, initial=len(head)))
-    extents = [RowExtent(a, b - 1) for a, b in zip(firsts, firsts[1:])]
-    return head + body.encode(), extents
+    if len(set(map(len, rows))) == 1 and len(rows[0]):
+        data, offsets, _ = encode_columns(list(zip(*rows)), head)
+    else:
+        data, offsets = _frame([encode_row(row)[:-1].decode() for row in rows], head)
+    return data, [RowExtent(a, b - 1) for a, b in zip(offsets, offsets[1:])]
 
 
 def _split_lines(text: str) -> list[str]:

@@ -91,14 +91,12 @@ def write_parquet(
 
     out = bytearray(MAGIC)
     groups: list[dict] = []
-    buffer: list[Sequence[object]] = []
-
-    def flush() -> None:
-        if not buffer:
-            return
+    rows = list(rows)
+    columns = schema.transpose(rows)
+    for start in range(0, len(rows), row_group_rows):
         chunk_metas = []
-        for col_idx in range(len(schema)):
-            raw = _encode_column([row[col_idx] for row in buffer])
+        for column in columns:
+            raw = _encode_column(column[start : start + row_group_rows])
             payload = zlib.compress(raw) if compression == "zlib" else raw
             chunk_metas.append(
                 {
@@ -108,14 +106,8 @@ def write_parquet(
                 }
             )
             out.extend(payload)
-        groups.append({"num_rows": len(buffer), "chunks": chunk_metas})
-        buffer.clear()
-
-    for row in rows:
-        buffer.append(row)
-        if len(buffer) >= row_group_rows:
-            flush()
-    flush()
+        num_rows = min(row_group_rows, len(rows) - start)
+        groups.append({"num_rows": num_rows, "chunks": chunk_metas})
 
     footer = json.dumps(
         {

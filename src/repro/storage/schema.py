@@ -126,6 +126,16 @@ class TableSchema:
             )
         return tuple(col.parse(field) for col, field in zip(self.columns, fields))
 
+    def transpose(self, rows: Sequence[Sequence]) -> list[Sequence]:
+        """``rows`` as one value tuple per column; every row must be
+        exactly as wide as the schema."""
+        found = set(map(len, rows)) - {len(self.columns)}
+        if found:
+            raise CatalogError(
+                f"rows have {sorted(found)} fields, schema has {len(self.columns)}"
+            )
+        return list(zip(*rows)) or [()] * len(self.columns)
+
     def __len__(self) -> int:
         return len(self.columns)
 

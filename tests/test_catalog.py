@@ -140,3 +140,105 @@ def test_reload_deletes_the_objects_the_new_load_did_not_write():
             index.total_bytes for index in indexes
         )
         assert ctx.store.list_keys(info.bucket, "t2/") == neighbour
+
+
+class TestRowWidthIsCheckedBeforeAnythingChanges:
+    """A load whose rows are not exactly as wide as the schema used to
+    succeed (wide: a table every scan then rejected) or die with a bare
+    ``IndexError`` after feedback and the cache were already dropped."""
+
+    SCHEMA = TableSchema.of("a:int", "b:int")
+    SQL = "SELECT a, b FROM t WHERE a < 3"
+
+    def _loaded(self):
+        from repro.planner.database import PushdownDB
+
+        db = PushdownDB(cache_bytes=1 << 20)
+        db.load_table("t", [(i, i * i) for i in range(8)], self.SCHEMA, partitions=2)
+        first = db.execute(self.SQL)
+        assert sorted(first.rows) == [(0, 0), (1, 1), (2, 4)]
+        assert first.num_requests > 0 and len(db.cache) > 0
+        return db
+
+    @pytest.mark.parametrize(
+        "bad, found",
+        [
+            ([(1, 2, 3), (4, 5, 6)], "[3]"),
+            ([(1,), (2,)], "[1]"),
+            ([(1, 2), (3,), (4, 5, 6)], "[1, 3]"),
+        ],
+        ids=["wide", "narrow", "ragged"],
+    )
+    def test_wrong_arity_raises_and_the_previous_load_survives(self, bad, found):
+        db = self._loaded()
+        info, store = db.table("t"), db.ctx.store
+        objects = dict(store.iter_objects(db.bucket))
+        entries, version = len(db.cache), db.cache.version("t")
+        feedback = db.feedback.summary()
+
+        with pytest.raises(CatalogError) as err:
+            db.load_table("t", bad, self.SCHEMA)
+        assert "'t'" in str(err.value) and found in str(err.value)
+        assert "schema has 2" in str(err.value)
+
+        assert db.table("t") is info
+        assert dict(store.iter_objects(db.bucket)) == objects
+        assert (len(db.cache), db.cache.version("t")) == (entries, version)
+        assert db.feedback.summary() == feedback
+        again = db.execute(self.SQL)  # still answered, and from the cache
+        assert sorted(again.rows) == [(0, 0), (1, 1), (2, 4)]
+        assert again.num_requests == 0
+
+    def test_a_correct_reload_afterwards_replaces_the_table(self):
+        db = self._loaded()
+        with pytest.raises(CatalogError):
+            db.load_table("t", [(1, 2, 3)], self.SCHEMA)
+        version = db.cache.version("t")
+        db.load_table("t", [(i, -i) for i in range(6)], self.SCHEMA, partitions=3)
+        assert db.cache.version("t") == version + 1
+        fresh = db.execute(self.SQL)
+        assert sorted(fresh.rows) == [(0, 0), (1, -1), (2, -2)]
+        assert fresh.num_requests > 0
+
+    def test_a_bad_index_column_or_format_fails_before_anything_changes(self):
+        db = self._loaded()
+        objects = dict(db.ctx.store.iter_objects(db.bucket))
+        for layout in (dict(index_columns=["nope"]),
+                       dict(index_columns=["a"], data_format="parquet")):
+            with pytest.raises(CatalogError):
+                db.load_table("t", [(1, 2)], self.SCHEMA, **layout)
+        assert dict(db.ctx.store.iter_objects(db.bucket)) == objects
+        assert db.execute(self.SQL).num_requests == 0
+
+
+#: Computed at the commit before the loader went columnar (PR 24's parent).
+PINNED_INFO = "b6ecfbb8881129c87bde788943698e7611fe92f59fa30853fd50b3a58a0a2ec4"
+PINNED_OBJECTS = "b7fcb1c2fa9c352ef402d104517378f9dd96517664919ce37c0d2cc5a532c9b4"
+
+
+def test_loaded_bytes_and_statistics_are_pinned():
+    """``lineitem`` + ``orders`` at SF 0.002, seed 1: a digest of every
+    catalog number the cost model reads and the sha256 of every stored
+    byte.  A loader change that moves one of them would otherwise only
+    show as ``sim_*`` shifting by an ulp."""
+    import hashlib
+
+    from repro.workloads.tpch import TABLE_SCHEMAS, TpchGenerator
+
+    gen = TpchGenerator(scale_factor=0.002, seed=1)
+    ctx, catalog = CloudContext(), Catalog()
+    described, stored = [], hashlib.sha256()
+    for name, index_columns in (("lineitem", ["l_orderkey"]), ("orders", [])):
+        info = load_table(
+            ctx, catalog, name, gen.table(name), TABLE_SCHEMAS[name],
+            index_columns=index_columns,
+        )
+        described.append(repr((
+            info.keys, info.partition_rows, info.partition_bytes, info.stats,
+            info.zone_maps,
+            [(i.column, i.keys, i.total_bytes) for i in info.indexes.values()],
+        )))
+    for key, obj in ctx.store.iter_objects("tpch"):
+        stored.update(key.encode() + obj.data)
+    assert hashlib.sha256("".join(described).encode()).hexdigest() == PINNED_INFO
+    assert stored.hexdigest() == PINNED_OBJECTS

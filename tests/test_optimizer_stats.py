@@ -8,17 +8,27 @@ from hypothesis import strategies as st
 
 from repro.cloud.context import CloudContext
 from repro.engine.catalog import Catalog, load_table
+from repro.engine.operators.base import materialize
 from repro.optimizer.selectivity import estimate_selectivity, probe_selectivity
 from repro.optimizer.stats import (
     _MCV_TRACK_LIMIT,
     ColumnStats,
+    ColumnZone,
+    PartitionZoneMap,
     TableStats,
     build_histogram,
     collect_table_stats,
+    collect_zone_map,
     synthesize_table_stats,
 )
 from repro.sqlparser.parser import parse_expression
-from repro.storage.csvcodec import encode_table, format_value
+from repro.storage.csvcodec import (
+    encode_row,
+    encode_table,
+    format_value,
+    iter_records,
+)
+from repro.storage.parquet import ParquetFile
 from repro.storage.schema import TableSchema
 
 SCHEMA = TableSchema.of("k:int", "v:float", "tag:str")
@@ -94,6 +104,9 @@ def _reference_table_stats(rows, schema, mcv_size=16):
     for idx, col in enumerate(schema.columns):
         values = [row[idx] for row in rows]
         non_null = [v for v in values if v is not None]
+        numeric = all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in non_null
+        )
         counter = Counter()
         distinct_set = set()
         width_total = 0
@@ -117,7 +130,7 @@ def _reference_table_stats(rows, schema, mcv_size=16):
             max_value=max(non_null) if non_null else None,
             avg_field_bytes=width_total / n if n else 0.0,
             mcvs=tuple(counter.most_common(mcv_size)) if counter else (),
-            histogram=build_histogram(non_null),
+            histogram=build_histogram(non_null) if numeric else None,
         )
     field_bytes = sum(c.avg_field_bytes for c in columns.values())
     return TableStats(
@@ -161,6 +174,107 @@ class TestCollectionMatchesThePerValueLoop:
         assert stats == _reference_table_stats(rows, SCHEMA)
         assert stats.column("k").distinct == distinct
         assert bool(stats.column("k").mcvs) == (distinct <= _MCV_TRACK_LIMIT)
+
+
+#: What the loader must agree with the per-value loops on: NULLs, an
+#: all-NULL column, bools among ints, ints among floats (integral floats,
+#: exponent forms), text that needs quoting or is not ASCII.
+_LOAD_SCHEMA = TableSchema.of("k:int", "gone:int", "flag:int", "num:float", "tag:str")
+_LOAD_ROW = st.tuples(
+    st.one_of(st.none(), st.integers(-3, 3)),
+    st.none(),
+    st.one_of(st.booleans(), st.integers(0, 2)),
+    st.one_of(st.none(), st.integers(-2, 2),
+              st.sampled_from([0.5, 2.0, -0.0, 1e16, 1.5e300, 2.5e-7])),
+    st.one_of(
+        st.none(),
+        st.sampled_from(["a", "b,c", 'say "hi"', "x\ny", "\u00e9t\u00e9", ""]),
+    ),
+)
+#: Values a Parquet object hands back as it got them.
+_PARQUET_ROW = st.tuples(
+    st.one_of(st.none(), st.integers(-3, 3)),
+    st.none(),
+    st.integers(0, 2),
+    st.one_of(st.none(), st.sampled_from([0.5, 2.0, -0.0, 1e16, 2.5e-7])),
+    st.one_of(st.none(), st.sampled_from(["a", "b,c", 'say "hi"', "\u00e9t\u00e9"])),
+)
+
+
+def _reference_zone_map(rows, schema):
+    """The per-row loop ``collect_zone_map`` replaced."""
+    columns = {}
+    for idx, col in enumerate(schema.columns):
+        non_null = [row[idx] for row in rows if row[idx] is not None]
+        columns[col.name.lower()] = ColumnZone(
+            min_value=min(non_null) if non_null else None,
+            max_value=max(non_null) if non_null else None,
+            null_count=len(rows) - len(non_null),
+        )
+    return PartitionZoneMap(row_count=len(rows), columns=columns)
+
+
+class TestLoaderMatchesThePerValueLoops:
+    """``load_table`` derives bytes, widths, zone maps and table statistics
+    from one transposition per partition; the row-at-a-time encoder and
+    the per-value statistics loops stay here as its oracle."""
+
+    def _check_statistics(self, info, rows):
+        expected = _reference_table_stats(rows, _LOAD_SCHEMA)
+        # ``2 == 2.0``: the repr pins which of two equal values was kept.
+        assert info.stats == expected and repr(info.stats) == repr(expected)
+        starts = [sum(info.partition_rows[:i]) for i in range(info.partitions)]
+        chunks = [rows[a : a + n] for a, n in zip(starts, info.partition_rows)]
+        zones = [_reference_zone_map(chunk, _LOAD_SCHEMA) for chunk in chunks]
+        assert info.zone_maps == zones and repr(info.zone_maps) == repr(zones)
+        assert collect_zone_map(rows, _LOAD_SCHEMA) == _reference_zone_map(
+            rows, _LOAD_SCHEMA
+        )
+        return chunks
+
+    @given(st.lists(_LOAD_ROW, max_size=40), st.integers(1, 6))
+    def test_property_csv_load(self, rows, partitions):
+        ctx = CloudContext()
+        info = load_table(
+            ctx, Catalog(), "t", rows, _LOAD_SCHEMA, bucket="b",
+            partitions=partitions, index_columns=["k", "tag"],
+        )
+        chunks = self._check_statistics(info, rows)
+        assert sum(info.partition_rows) == info.num_rows == len(rows)
+        for i, (key, chunk) in enumerate(zip(info.keys, chunks)):
+            data = ctx.store.get_bytes("b", key)
+            assert data == b"".join(map(encode_row, chunk))
+            assert info.partition_bytes[i] == len(data)
+            for column in ("k", "tag"):
+                at = _LOAD_SCHEMA.index_of(column)
+                index = ctx.store.get_bytes("b", info.index_for(column).keys[i])
+                entries = list(iter_records(index))
+                assert [e[0] for e in entries] == [format_value(r[at]) for r in chunk]
+                assert [data[int(e[1]) : int(e[2]) + 1] for e in entries] == [
+                    encode_row(row) for row in chunk
+                ]
+        assert info.total_bytes == sum(info.partition_bytes)
+        for index in info.indexes.values():
+            assert index.total_bytes == sum(
+                ctx.store.object_size("b", key) for key in index.keys
+            )
+
+    @given(st.lists(_PARQUET_ROW, max_size=40), st.integers(1, 4), st.integers(1, 5))
+    def test_property_parquet_load(self, rows, partitions, row_group_rows):
+        ctx = CloudContext()
+        info = load_table(
+            ctx, Catalog(), "t", rows, _LOAD_SCHEMA, bucket="b",
+            partitions=partitions, data_format="parquet",
+            row_group_rows=row_group_rows,
+        )
+        chunks = self._check_statistics(info, rows)
+        for key, chunk in zip(info.keys, chunks):
+            stored = ParquetFile(ctx.store.get_bytes("b", key))
+            assert materialize(stored.iter_batches()) == chunk
+            assert [g.num_rows for g in stored.row_groups] == [
+                len(chunk[a : a + row_group_rows])
+                for a in range(0, len(chunk), row_group_rows)
+            ]
 
 
 class TestCatalogWiring:
