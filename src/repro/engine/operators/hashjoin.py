@@ -150,8 +150,8 @@ def hash_join_batches(
             globally unique, so collisions indicate a planning bug).
     """
     out_names = _check_names(build_names, probe_names, join_type)
-    build_idx = _index_of(build_names, build_key)
-    probe_idx = _index_of(probe_names, probe_key)
+    build_idx = index_of(build_names, build_key)
+    probe_idx = index_of(probe_names, probe_key)
 
     build = _BuildTable(build_rows, build_idx)
     if tally is not None:
@@ -168,7 +168,8 @@ def hash_join_batches(
     return out_names, probe()
 
 
-def _index_of(names: Sequence[str], wanted: str) -> int:
+def index_of(names: Sequence[str], wanted: str) -> int:
+    """Position of join key ``wanted`` among ``names``, case-insensitively."""
     lowered = [n.lower() for n in names]
     try:
         return lowered.index(wanted.lower())

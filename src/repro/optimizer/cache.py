@@ -376,59 +376,23 @@ class SemanticCache:
 
 
 # ----------------------------------------------------------------------
-# plan harvesting (mirrors optimizer.feedback.harvest_plan)
+# plan harvesting (beside optimizer.feedback.harvest_plan)
 # ----------------------------------------------------------------------
 
 
 def harvest_plan(cache: SemanticCache, root) -> int:
     """Populate ``cache`` from a fully-executed plan tree.
 
-    Same completeness walk as the feedback harvest: a LIMIT falsifies
-    ``complete`` for everything beneath it (the stream may have been cut
-    short), and MaterializedNode wrappers are descended.  Only nodes
-    that actually drained their stream contribute.  Returns the number
-    of entries stored.
+    Every pushed scan or aggregate that ran to completion
+    (:func:`~repro.planner.physical.walk_plan`: nothing a LIMIT may have
+    cut short) stores what it retained.  Returns the number of entries
+    stored.
     """
     from repro.planner import physical
 
-    stored = 0
-
-    def walk(node, complete: bool) -> None:
-        nonlocal stored
-        if isinstance(node, physical.MaterializedNode):
-            if node.source is not None:
-                walk(node.source, complete)
-            return
-        if isinstance(
-            node, (physical.ScanNode, physical.PushedAggregateNode)
-        ):
-            if complete:
-                stored += node.flush_cache(cache)
-            return
-        child_complete = complete and not isinstance(node, physical.LimitNode)
-        for child in node.children():
-            walk(child, child_complete)
-
-    walk(root, True)
-    return stored
-
-
-def collect_statuses(root) -> dict[str, int]:
-    """Per-plan ``{hit, subsumed, miss}`` counts from annotated nodes."""
-    from repro.planner import physical
-
-    counts = {"hit": 0, "subsumed": 0, "miss": 0}
-
-    def walk(node) -> None:
-        if isinstance(node, physical.MaterializedNode):
-            if node.source is not None:
-                walk(node.source)
-            return
-        status = getattr(node, "cache_status", None)
-        if status in counts:
-            counts[status] += 1
-        for child in node.children():
-            walk(child)
-
-    walk(root)
-    return counts
+    return sum(
+        node.flush_cache(cache)
+        for node, complete in physical.walk_plan(root)
+        if complete
+        and isinstance(node, (physical.ScanNode, physical.PushedAggregateNode))
+    )

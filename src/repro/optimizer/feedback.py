@@ -25,9 +25,13 @@ threw them away.  This module closes the loop:
   to :func:`~repro.optimizer.selectivity.estimate_selectivity`, so a
   cold session plans byte-identically to the pre-feedback planner;
 
-* :func:`harvest_plan` walks an executed plan tree and records every
-  fully-drained node (subtrees cut short by a streaming ``LIMIT`` are
-  skipped — their observed counts are lower bounds, not measurements).
+* :func:`harvest_plan` reads the cardinalities the executor observed on
+  every node of an executed plan tree (``actual_rows``, counted as each
+  node's stream is pulled) through the one plan walk,
+  :func:`~repro.planner.physical.walk_plan`, which also says whether a
+  node ran to completion: subtrees cut short by a streaming ``LIMIT``
+  are skipped — their observed counts are lower bounds, not
+  measurements.
 
 The store is thread-safe (scans may execute under ``workers > 1``) and
 strictly session-scoped: two ``PushdownDB`` instances never share
@@ -254,87 +258,40 @@ def estimated_rows(ctx, table, predicate: ast.Expr | None) -> float:
 # harvesting executed plans
 # ----------------------------------------------------------------------
 
-def scan_feedback_entries(root) -> list[tuple[str, ast.Expr, float]]:
-    """``(table, predicate, selectivity)`` for every harvestable scan.
-
-    A scan is harvestable when it ran to completion (no streaming LIMIT
-    above it cut the pull short), carries a predicate, and has no Bloom
-    predicate attached (a Bloom-reduced count measures predicate x
-    Bloom, not the predicate alone).
-    """
-    from repro.planner import physical
-
-    out: list[tuple[str, ast.Expr, float]] = []
-
-    def walk(node, complete: bool) -> None:
-        if isinstance(node, physical.MaterializedNode):
-            if node.source is not None:
-                walk(node.source, complete)
-            return
-        if isinstance(node, physical.ScanNode):
-            if (
-                complete
-                and node.predicate is not None
-                and node.bloom_attr is None
-                and node.actual_rows is not None
-                and node.table.num_rows > 0
-            ):
-                out.append((
-                    node.table.name,
-                    node.predicate,
-                    node.actual_rows / node.table.num_rows,
-                ))
-            return
-        child_complete = complete and not isinstance(
-            node, physical.LimitNode
-        )
-        for child in node.children():
-            walk(child, child_complete)
-
-    walk(root, True)
-    return out
-
-
-def join_feedback_entries(root) -> list[tuple[tuple, float]]:
-    """``(signature, actual_rows)`` for every fully-drained hash join."""
-    from repro.planner import physical
-
-    out: list[tuple[tuple, float]] = []
-
-    def walk(node, complete: bool) -> None:
-        if isinstance(node, physical.MaterializedNode):
-            if node.source is not None:
-                walk(node.source, complete)
-            return
-        if isinstance(node, physical.HashJoinNode):
-            if complete and node.actual_rows is not None:
-                parts = physical.tree_signature(node)
-                if parts is not None:
-                    out.append((
-                        join_signature(*parts), float(node.actual_rows)
-                    ))
-        child_complete = complete and not isinstance(
-            node, physical.LimitNode
-        )
-        for child in node.children():
-            walk(child, child_complete)
-
-    walk(root, True)
-    return out
-
-
 def harvest_plan(store: FeedbackStore, root) -> int:
     """Record everything an executed plan tree measured; returns count.
 
-    Called by the physical executor after every execution, so the
-    session's very next query already plans with corrected estimates —
-    no extra metered requests are spent learning what was just paid for.
+    Every node that ran to completion (:func:`~repro.planner.physical.walk_plan`)
+    and observed its rows counts: a scan with a predicate and no Bloom
+    predicate attached (a Bloom-reduced count measures predicate x
+    Bloom, not the predicate alone) yields a selectivity, a hash join
+    whose shape feedback models a cardinality.  Called by the physical
+    executor after every execution, so the session's very next query
+    already plans with corrected estimates — no extra metered requests
+    are spent learning what was just paid for.
     """
+    from repro.planner import physical
+
     recorded = 0
-    for table, predicate, selectivity in scan_feedback_entries(root):
-        store.record_selectivity(table, predicate, selectivity)
-        recorded += 1
-    for signature, actual_rows in join_feedback_entries(root):
-        store.record_join(signature, actual_rows)
-        recorded += 1
+    for node, complete in physical.walk_plan(root):
+        if not complete or node.actual_rows is None:
+            continue
+        if isinstance(node, physical.ScanNode):
+            if (
+                node.predicate is not None
+                and node.bloom_attr is None
+                and node.table.num_rows > 0
+            ):
+                store.record_selectivity(
+                    node.table.name, node.predicate,
+                    node.actual_rows / node.table.num_rows,
+                )
+                recorded += 1
+        elif isinstance(node, physical.HashJoinNode):
+            parts = physical.tree_signature(node)
+            if parts is not None:
+                store.record_join(
+                    join_signature(*parts), float(node.actual_rows)
+                )
+                recorded += 1
     return recorded

@@ -15,10 +15,14 @@ The plan is a first-class tree of :class:`PlanNode` objects that
 
 Execution contract:
 
-* every **materialized** scan (hash-build sides) issues its requests and
-  appends its phase immediately; the one **streaming** scan on the
-  pipeline spine defers its phase until the root drains, so its ingest
-  accounting reflects what was actually pulled (LIMIT early-exit);
+* every node runs through one entry (:func:`_run_node`), which times its
+  ``run`` call and every pull of its stream and counts the rows it
+  yields — no node keeps a clock of its own;
+* a scan issues its requests when it runs and appends its phase once
+  its stream is drained: a **drained** scan (hash-build sides, non-spine
+  probes) at once, the one **streaming** scan on the pipeline spine when
+  the root drains, so its ingest accounting reflects what was actually
+  pulled (LIMIT early-exit);
 * in ``baseline`` mode for joins, all scans collapse into one
   ``load+join`` phase whose ingest is the whole-table formula;
 * all local-operator CPU accumulates into one :class:`CpuTally` charged
@@ -32,6 +36,7 @@ and fall back to **cross products** for small disconnected FROM lists.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import wraps
 from itertools import chain
@@ -43,12 +48,12 @@ from repro.cloud.context import CloudContext, QueryExecution
 from repro.cloud.metrics import Phase
 from repro.cloud.perf import SERVER_CPU_PER_ROW
 from repro.common.errors import PlanError
-from repro.engine.batch import Batch
+from repro.engine.batch import Batch, rechunk_batches
 from repro.engine.catalog import TableInfo
 from repro.engine.operators.base import BatchCounter, CpuTally, materialize
 from repro.engine.operators.filter import filter_batches
 from repro.engine.operators.groupby import group_by_batches
-from repro.engine.operators.hashjoin import hash_join_batches
+from repro.engine.operators.hashjoin import hash_join_batches, index_of
 from repro.engine.operators.limit import limit_batches
 from repro.engine.operators.project import project_batches, projected_names
 from repro.engine.operators.sort import sort_batches
@@ -76,13 +81,20 @@ if TYPE_CHECKING:
 
 @dataclass
 class _PendingScan:
-    """The spine's streaming scan, finalized after the root drains."""
+    """A streaming scan's phase, finalized once its stream is drained —
+    at the root for the spine, at the drain for any other scan."""
 
     mark: int
     label: str
     streams: int
     counter: BatchCounter
     ncols: int
+
+    def phase(self, ctx: CloudContext) -> Phase:
+        return phase_since(
+            ctx, self.mark, self.label, streams=self.streams,
+            ingest=(self.counter.rows, self.ncols),
+        )
 
 
 @dataclass
@@ -96,53 +108,13 @@ class ExecState:
     tally: CpuTally = field(default_factory=CpuTally)
     phases: list[Phase] = field(default_factory=list)
     pending: _PendingScan | None = None
-
-
-def counted(node: "PlanNode", batches: Iterable[Batch]) -> Iterator[Batch]:
-    """Record observed cardinality and wall-clock on ``node`` per batch.
-
-    The clock runs only while *this* node's stream is being pulled, so
-    ``wall_seconds`` is the inclusive production time of the subtree
-    (children wrapped in their own ``counted`` subtract out as
-    self-time in :func:`collect_operator_times`).  Nodes past a LIMIT
-    cut-off are never pulled and keep ``actual_rows``/``wall_seconds``
-    at ``None``.
-    """
-    node.actual_rows = 0
-    if node.wall_seconds is None:
-        node.wall_seconds = 0.0
-    source = iter(batches)
-    while True:
-        start = perf_counter()
-        batch = next(source, _DONE)
-        node.wall_seconds += perf_counter() - start
-        if batch is _DONE:
-            return
-        node.actual_rows += len(batch)
-        yield batch
-
-
-_DONE = object()
+    #: The nodes this execution ran: what its operator times cover.
+    ran: set[PlanNode] = field(default_factory=set)
 
 
 def one_batch(rows: list[tuple], names: Sequence[str]) -> Iterator[Batch]:
     """A materialized result handed downstream as a one-batch stream."""
     return iter([Batch.from_rows(rows, len(names))])
-
-
-def add_wall(node: "PlanNode", seconds: float) -> None:
-    """Accumulate explicitly-timed work (pipeline-breaker drains)."""
-    node.wall_seconds = (node.wall_seconds or 0.0) + seconds
-
-
-def _index_of(names: Sequence[str], wanted: str) -> int:
-    lowered = [n.lower() for n in names]
-    try:
-        return lowered.index(wanted.lower())
-    except ValueError:
-        raise PlanError(
-            f"join key {wanted!r} not in columns {list(names)}"
-        ) from None
 
 
 # ----------------------------------------------------------------------
@@ -160,13 +132,18 @@ class PlanNode:
     * ``est_cpu`` — estimated local CPU seconds of this operator alone
       (joins, the local tail and the paper strategies' filters; scans
       and leaves price their own phases);
-    * ``actual_rows`` — observed output cardinality, recorded during
-      execution (estimate-vs-actual feedback for EXPLAIN);
-    * ``wall_seconds`` — measured inclusive wall-clock this subtree
-      spent producing its output (``None`` until the node runs);
+    * ``actual_rows`` — observed output cardinality (estimate-vs-actual
+      feedback for EXPLAIN);
+    * ``wall_seconds`` — measured wall-clock of the node's :meth:`run`
+      call and of every pull of its stream, children included (``None``
+      until the node runs);
     * ``details`` — what a node publishes about its run (matched rows,
       pushed groups, a sampled threshold, ...); :func:`execute_plan`
       merges it into ``execution.details``.
+
+    ``actual_rows`` and ``wall_seconds`` are written by the executor
+    (:func:`_run_node`), never by a node: :meth:`run` only returns its
+    column names and batch stream.
     """
 
     est_rows: float | None = None
@@ -192,7 +169,56 @@ class PlanNode:
         raise NotImplementedError
 
 
-class ScanNode(PlanNode):
+class _TableLeaf(PlanNode):
+    """A leaf over one table's partitions: zone-map pruning, cache outcome.
+
+    ``keep_partitions`` are the partitions that survive zone-map
+    refutation of the leaf's predicate at plan time (``None``: all of
+    them); ``cache_status`` is the semantic-cache outcome
+    (``hit``/``subsumed``/``miss``), ``None`` when no cache was consulted
+    — so EXPLAIN output on cache-free sessions is unchanged.
+    """
+
+    table: TableInfo
+    keep_partitions: list[int] | None = None
+    cache_status: str | None = None
+
+    def _prune(self, predicate: ast.Expr | None) -> None:
+        if predicate is not None:
+            from repro.optimizer.pruning import keep_partitions
+
+            self.keep_partitions = keep_partitions(self.table, predicate)
+
+    @property
+    def pruned_partitions(self) -> int:
+        """How many partitions zone-map refutation eliminated."""
+        if self.keep_partitions is None:
+            return 0
+        return self.table.partitions - len(self.keep_partitions)
+
+    def _effective_partitions(self, ctx) -> tuple[list[int] | None, int]:
+        """(surviving indices or None, request-stream count) for ``ctx``.
+
+        Honors the context's ``prune_partitions`` kill switch at run
+        time so one plan can be A/B-executed with pruning on and off.
+        """
+        if self.keep_partitions is None or not ctx.prune_partitions:
+            return None, self.table.partitions
+        return self.keep_partitions, len(self.keep_partitions)
+
+    def _explain_tail(self) -> str:
+        text = ""
+        if self.pruned_partitions:
+            text += (
+                f" partitions pruned:"
+                f" {self.pruned_partitions}/{self.table.partitions}"
+            )
+        if self.cache_status is not None:
+            text += f" cache: {self.cache_status}"
+        return text
+
+
+class ScanNode(_TableLeaf):
     """Leaf: scan one table, either pushed down or GET + local filter.
 
     ``columns`` is the scan's output.  A pushed scan projects them
@@ -232,38 +258,12 @@ class ScanNode(PlanNode):
         #: this so their Q-error reports stay meaningful.
         self.est_filtered_rows: float | None = None
         self.tables: frozenset = frozenset((table.name,))
-        #: Partition indices this scan will actually request, or ``None``
-        #: for all of them.  Pushdown scans refute the table's zone maps
-        #: against the pushed predicate at plan time; baseline GET scans
-        #: never prune (they are the paper's whole-table reference point).
-        self.keep_partitions: list[int] | None = None
-        if prune and pushdown and predicate is not None:
-            from repro.optimizer.pruning import keep_partitions
-
-            self.keep_partitions = keep_partitions(table, predicate)
-        #: Semantic-cache outcome (``hit``/``subsumed``/``miss``) when a
-        #: cache is enabled; ``None`` means no cache was consulted, so
-        #: EXPLAIN output on cache-free sessions is unchanged.
-        self.cache_status: str | None = None
+        # Baseline GET scans never prune (they are the paper's
+        # whole-table reference point).
+        if prune and pushdown:
+            self._prune(predicate)
+        #: The drained stream a cache miss retained, for :meth:`flush_cache`.
         self._cache_batches: list[Batch] | None = None
-        self._cache_done = False
-
-    @property
-    def pruned_partitions(self) -> int:
-        """How many partitions zone-map refutation eliminated."""
-        if self.keep_partitions is None:
-            return 0
-        return self.table.partitions - len(self.keep_partitions)
-
-    def _effective_partitions(self, ctx) -> tuple[list[int] | None, int]:
-        """(surviving indices or None, request-stream count) for ``ctx``.
-
-        Honors the context's ``prune_partitions`` kill switch at run
-        time so one plan can be A/B-executed with pruning on and off.
-        """
-        if self.keep_partitions is None or not ctx.prune_partitions:
-            return None, self.table.partitions
-        return self.keep_partitions, len(self.keep_partitions)
 
     def describe(self) -> str:
         """The EXPLAIN line; ``cols=`` is the width a ``select`` scan
@@ -271,17 +271,10 @@ class ScanNode(PlanNode):
         how = "select" if self.pushdown else "get"
         if self.bloom_attr:
             how += f"+bloom({self.bloom_attr})"
-        parts = [f"scan {self.table.name} [{how}] cols={len(self.columns)}"]
+        text = f"scan {self.table.name} [{how}] cols={len(self.columns)}"
         if self.predicate is not None:
-            parts.append(f"pred=({self.predicate.to_sql()})")
-        if self.pruned_partitions:
-            parts.append(
-                f"partitions pruned:"
-                f" {self.pruned_partitions}/{self.table.partitions}"
-            )
-        if self.cache_status is not None:
-            parts.append(f"cache: {self.cache_status}")
-        return " ".join(parts)
+            text += f" pred=({self.predicate.to_sql()})"
+        return text + self._explain_tail()
 
     def _cacheable(self, state: ExecState, pushed: Sequence[PushedClause] | None):
         """The session cache, when this scan may consult/populate it.
@@ -314,19 +307,21 @@ class ScanNode(PlanNode):
             stream = (Batch(b.columns[:width], len(b)) for b in stream)
         return iter(stream)
 
-    def _tee_cache(self, stream: Iterator[Batch]) -> Iterator[Batch]:
-        """Retain yielded batches; mark complete only when drained."""
+    def _tee_cache(self, stream: Iterator[Batch], drained: bool) -> Iterator[Batch]:
+        """Retain the yielded batches once the stream drains — a drained
+        scan's as one batch: entries are sized per batch, and eviction
+        order must not depend on partition count."""
         buffer: list[Batch] = []
-        self._cache_batches = buffer
-        self._cache_done = False
         for batch in stream:
             buffer.append(batch)
             yield batch
-        self._cache_done = True
+        if drained:
+            buffer = [Batch.from_rows(materialize(buffer), len(self.columns))]
+        self._cache_batches = buffer
 
     def flush_cache(self, cache) -> int:
         """Store the teed stream if it fully drained; 1 if stored."""
-        if self._cache_batches is None or not self._cache_done:
+        if self._cache_batches is None:
             return 0
         batches = self._cache_batches
         self._cache_batches = None
@@ -356,25 +351,19 @@ class ScanNode(PlanNode):
                 items or (ast.SelectItem(ast.Star()),), "S3Object", where
             ))
 
-    def run(self, state: ExecState, pushed: Sequence[PushedClause] | None = None):
-        """Streaming scan: requests issue now, the phase finalizes at the
-        end of the pipeline so ingest reflects the rows actually pulled."""
+    def run(
+        self,
+        state: ExecState,
+        pushed: Sequence[PushedClause] | None = None,
+        drained: bool = False,
+    ):
+        """Requests issue now; the phase is finalized once the stream is
+        drained — at the root for the pipeline's spine, at the drain for
+        a hash-build side or a non-spine probe (``drained``) — so ingest
+        reflects the rows actually pulled."""
         ctx = state.ctx
         mark = ctx.metrics.mark()
-        if not self.pushdown:
-            names = list(self.columns)
-            stream = filter_batches(
-                iter_scan_batches(ctx, self.table, columns=names), names,
-                self.predicate, state.tally,
-            )
-            counter = BatchCounter(stream)
-            if not state.combined:
-                # Billed at the full row width, whatever was decoded.
-                state.pending = _PendingScan(
-                    mark, self.phase_label, self.table.partitions,
-                    counter, len(self.table.schema),
-                )
-            return names, counted(self, iter(counter))
+        names = list(self.columns)
         cache = self._cacheable(state, pushed)
         if cache is not None:
             reuse = cache.lookup_scan(
@@ -387,76 +376,42 @@ class ScanNode(PlanNode):
                 state.phases.append(
                     phase_since(ctx, mark, self.phase_label, streams=1)
                 )
-                return (
-                    list(self.columns),
-                    counted(self, self._replay(state, reuse)),
-                )
+                return names, self._replay(state, reuse)
             self.cache_status = "miss"
-        keep, streams = self._effective_partitions(ctx)
-        # Every statement's requests are issued before the first batch.
-        counter = BatchCounter(chain.from_iterable([
-            iter_scan_batches(ctx, self.table, statement, partitions=keep)
-            for statement in self._statements(pushed)
-        ]))
-        if not state.combined:
-            state.pending = _PendingScan(
-                mark, self.phase_label, streams,
-                counter, len(self.columns),
-            )
-        stream: Iterator[Batch] = iter(counter)
-        if cache is not None:
-            stream = self._tee_cache(stream)
-        return list(self.columns), counted(self, stream)
-
-    def run_materialized(
-        self, state: ExecState, pushed: Sequence[PushedClause] | None = None
-    ) -> tuple[list[str], list[Batch]]:
-        """Scan drained now (hash-build sides, non-spine probes): the
-        phase is appended before this returns."""
-        ctx = state.ctx
-        start = perf_counter()
-        mark = ctx.metrics.mark()
-        names = list(self.columns)
-        cache = self._cacheable(state, pushed)
-        reuse = None if cache is None else cache.lookup_scan(
-            self.table.name, self.predicate, self.columns
-        )
-        if not self.pushdown:
-            batches = list(filter_batches(
+        if self.pushdown:
+            keep, streams = self._effective_partitions(ctx)
+            # Every statement's requests are issued before the first
+            # batch.  A streamed scan re-cuts each statement's responses
+            # to ``batch_size`` (ingest under LIMIT counts whole
+            # batches); a drained one hands them over as they came.
+            responses = [
+                chain.from_iterable(scan_partitions(
+                    ctx, self.table, statement, partitions=keep
+                ))
+                for statement in self._statements(pushed)
+            ]
+            if not drained:
+                responses = [
+                    rechunk_batches(batches, ctx.batch_size)
+                    for batches in responses
+                ]
+            stream = chain.from_iterable(responses)
+            width = len(self.columns)
+        else:
+            stream = filter_batches(
                 iter_scan_batches(ctx, self.table, columns=names), names,
                 self.predicate, state.tally,
-            ))
-        elif reuse is not None:
-            self.cache_status = reuse.status
-            batches = list(self._replay(state, reuse))
-            state.phases.append(
-                phase_since(ctx, mark, self.phase_label, streams=1)
             )
-        else:
-            keep, streams = self._effective_partitions(ctx)
-            batches = [
-                batch
-                for statement in self._statements(pushed)
-                for response in scan_partitions(
-                    ctx, self.table, statement, partitions=keep
-                )
-                for batch in response
-            ]
-            state.phases.append(phase_since(
-                ctx, mark, self.phase_label, streams=streams,
-                ingest=(sum(map(len, batches)), len(self.columns)),
-            ))
-            if cache is not None:
-                self.cache_status = "miss"
-                # One batch per entry: the cache sizes entries per batch,
-                # and eviction order must not depend on partition count.
-                self._cache_batches = [
-                    Batch.from_rows(materialize(batches), len(self.columns))
-                ]
-                self._cache_done = True
-        self.actual_rows = sum(map(len, batches))
-        add_wall(self, perf_counter() - start)
-        return names, batches
+            # Billed at the full row width, whatever was decoded.
+            streams, width = self.table.partitions, len(self.table.schema)
+        counter = BatchCounter(stream)
+        if not state.combined:
+            state.pending = _PendingScan(
+                mark, self.phase_label, streams, counter, width
+            )
+        if cache is None:
+            return names, iter(counter)
+        return names, self._tee_cache(iter(counter), drained)
 
 
 def whole_table_select(
@@ -481,8 +436,14 @@ def whole_table_select(
     return scan
 
 
-class PushedAggregateNode(PlanNode):
-    """Leaf: a fully-pushable additive aggregate (SUM/COUNT shapes)."""
+class PushedAggregateNode(_TableLeaf):
+    """Leaf: a fully-pushable additive aggregate (SUM/COUNT shapes).
+
+    Pruning the WHERE clause's refuted partitions is sound for additive
+    aggregates: a refuted partition can only contribute NULL/zero
+    partials, which ``merge_sum_partials`` ignores anyway; at least one
+    partition always survives so the result row keeps its shape.
+    """
 
     def __init__(
         self,
@@ -496,37 +457,13 @@ class PushedAggregateNode(PlanNode):
         self.phase_label = phase_label
         self.est_rows = 1.0
         self.tables: frozenset = frozenset((table.name,))
-        #: Surviving partitions after zone-map refutation of the WHERE
-        #: clause (``None`` = all).  Sound for additive aggregates: a
-        #: refuted partition can only contribute NULL/zero partials,
-        #: which ``merge_sum_partials`` ignores anyway; at least one
-        #: partition always survives so the result row keeps its shape.
-        self.keep_partitions: list[int] | None = None
-        if prune and query.where is not None:
-            from repro.optimizer.pruning import keep_partitions
-
-            self.keep_partitions = keep_partitions(table, query.where)
-        #: Semantic-cache outcome; ``None`` until a cache is consulted.
-        self.cache_status: str | None = None
+        if prune:
+            self._prune(query.where)
         self._cache_partials: list[list] | None = None
-
-    @property
-    def pruned_partitions(self) -> int:
-        if self.keep_partitions is None:
-            return 0
-        return self.table.partitions - len(self.keep_partitions)
 
     def describe(self) -> str:
         items = ", ".join(i.to_sql() for i in self.query.select_items)
-        text = f"pushed-aggregate {self.table.name} [{items}]"
-        if self.pruned_partitions:
-            text += (
-                f" partitions pruned:"
-                f" {self.pruned_partitions}/{self.table.partitions}"
-            )
-        if self.cache_status is not None:
-            text += f" cache: {self.cache_status}"
-        return text
+        return f"pushed-aggregate {self.table.name} [{items}]" + self._explain_tail()
 
     def item_signatures(self) -> list[str]:
         """Alias-insensitive signature of each pushed aggregate item."""
@@ -546,7 +483,6 @@ class PushedAggregateNode(PlanNode):
 
     def run(self, state: ExecState):
         ctx = state.ctx
-        start = perf_counter()
         mark = ctx.metrics.mark()
         out_names = [
             item.output_name(i)
@@ -564,8 +500,7 @@ class PushedAggregateNode(PlanNode):
                 select_items=self.query.select_items, table="S3Object",
                 where=self.query.where,
             )
-            keep = self.keep_partitions if ctx.prune_partitions else None
-            streams = self.table.partitions if keep is None else len(keep)
+            keep, streams = self._effective_partitions(ctx)
             partials = select_aggregate(
                 ctx, self.table, PreparedSelect(pushed.to_sql(), query=pushed),
                 partitions=keep,
@@ -577,8 +512,6 @@ class PushedAggregateNode(PlanNode):
         state.phases.append(phase_since(
             ctx, mark, self.phase_label, streams=streams
         ))
-        self.actual_rows = 1
-        add_wall(self, perf_counter() - start)
         return out_names, one_batch([tuple(merged)], out_names)
 
 
@@ -674,7 +607,7 @@ class HashJoinNode(PlanNode):
         if not (self.bloom and isinstance(probe, ScanNode)
                 and probe.pushdown and probe.bloom_attr):
             return None
-        idx = _index_of(build_names, self.build_key)
+        idx = index_of(build_names, self.build_key)
         keys = [
             k for batch in build for k in batch.column(idx) if k is not None
         ]
@@ -702,7 +635,6 @@ class HashJoinNode(PlanNode):
         )
 
     def run(self, state: ExecState):
-        start = perf_counter()
         build_names, build = _drain_node(self.build, state)
         pushed = self._pushed_membership(build_names, build, state)
         build_key, probe_key = self.build_key, self.probe_key
@@ -721,14 +653,12 @@ class HashJoinNode(PlanNode):
                 build, probe = probe, build
                 build_names, probe_names = probe_names, build_names
                 build_key, probe_key = probe_key, build_key
-        names, joined = hash_join_batches(
+        return hash_join_batches(
             materialize(build), build_names, probe, probe_names,
             build_key, probe_key, state.tally,
             join_type=self.join_type,
             match_pred=self._match_pred(build_names, probe_names),
         )
-        add_wall(self, perf_counter() - start)  # build phase
-        return names, counted(self, joined)     # + the probe
 
 
 class MaterializedNode(PlanNode):
@@ -755,7 +685,6 @@ class MaterializedNode(PlanNode):
         #: feedback harvesting descend into it; execution does not).
         self.source = source
         self.est_rows = float(len(rows))
-        self.actual_rows = len(rows)
 
     def children(self) -> tuple[PlanNode, ...]:
         return (self.source,) if self.source is not None else ()
@@ -798,7 +727,6 @@ class CrossProductNode(PlanNode):
         return f"cross-product{tag}"
 
     def run(self, state: ExecState):
-        start = perf_counter()
         build_names, build_rows = _materialize_node(self.build, state)
         state.tally.add_seconds(
             len(build_rows) * SERVER_CPU_PER_ROW["hash_build"]
@@ -828,8 +756,7 @@ class CrossProductNode(PlanNode):
                     n,
                 )
 
-        add_wall(self, perf_counter() - start)  # build phase
-        return out_names, counted(self, product())
+        return out_names, product()
 
 
 class FilterNode(PlanNode):
@@ -848,9 +775,7 @@ class FilterNode(PlanNode):
 
     def run(self, state: ExecState):
         names, stream = _run_node(self.child, state)
-        return names, counted(
-            self, filter_batches(stream, names, self.predicate, state.tally)
-        )
+        return names, filter_batches(stream, names, self.predicate, state.tally)
 
 
 class ProjectNode(PlanNode):
@@ -878,9 +803,7 @@ class ProjectNode(PlanNode):
     def run(self, state: ExecState):
         names, stream = _run_node(self.child, state)
         out_names = projected_names(names, self.items)
-        return out_names, counted(
-            self, project_batches(stream, names, self.items, state.tally)
-        )
+        return out_names, project_batches(stream, names, self.items, state.tally)
 
 
 class GroupByNode(PlanNode):
@@ -905,12 +828,9 @@ class GroupByNode(PlanNode):
 
     def run(self, state: ExecState):
         names, stream = _run_node(self.child, state)
-        start = perf_counter()
         out = state.tally.add(
             group_by_batches(stream, names, self.group_exprs, self.agg_items)
         )
-        self.actual_rows = len(out.rows)
-        add_wall(self, perf_counter() - start)
         return out.column_names, one_batch(out.rows, out.column_names)
 
 
@@ -930,10 +850,7 @@ class SortNode(PlanNode):
 
     def run(self, state: ExecState):
         names, stream = _run_node(self.child, state)
-        start = perf_counter()
         out = state.tally.add(sort_batches(stream, names, self.order_by))
-        self.actual_rows = len(out.rows)
-        add_wall(self, perf_counter() - start)
         return out.column_names, one_batch(out.rows, out.column_names)
 
 
@@ -964,12 +881,9 @@ class TopKNode(PlanNode):
 
     def run(self, state: ExecState):
         names, stream = _run_node(self.child, state)
-        start = perf_counter()
         out = state.tally.add(
             top_k_batches(stream, names, self.order_by, self.k)
         )
-        self.actual_rows = len(out.rows)
-        add_wall(self, perf_counter() - start)
         return out.column_names, one_batch(out.rows, out.column_names)
 
 
@@ -988,7 +902,7 @@ class LimitNode(PlanNode):
 
     def run(self, state: ExecState):
         names, stream = _run_node(self.child, state)
-        return names, counted(self, limit_batches(stream, self.n))
+        return names, limit_batches(stream, self.n)
 
 
 def q_error(est: float | None, actual: int | None) -> float:
@@ -996,7 +910,7 @@ def q_error(est: float | None, actual: int | None) -> float:
 
     1.0 is a perfect estimate; the +1 keeps empty results finite.  The
     one formula behind both the EXPLAIN-ANALYZE report column
-    (:func:`collect_actuals`) and the adaptive executor's re-planning
+    (:func:`execution_records`) and the adaptive executor's re-planning
     trigger, so the reported number is always the number that decided.
     """
     if est is None or actual is None:
@@ -1162,7 +1076,6 @@ class AdaptiveJoinNode(PlanNode):
         tree = self.child
         if not isinstance(tree, HashJoinNode):
             return _run_node(tree, state)
-        start = perf_counter()
         while True:
             action, join, parent = _next_adaptive_step(tree)
             if action == "final":
@@ -1174,8 +1087,7 @@ class AdaptiveJoinNode(PlanNode):
                 join.build = done
                 tree = self._check(tree, done, scan.est_rows)
             else:
-                names, stream = join.run(state)
-                rows = materialize(stream)
+                names, rows = _materialize_node(join, state)
                 done = MaterializedNode(rows, names, join.tables, source=join)
                 if parent.build is join:
                     parent.build = done
@@ -1190,25 +1102,24 @@ class AdaptiveJoinNode(PlanNode):
                 )
                 tree = self._check(tree, done, est)
         self.child = tree
-        names, stream = tree.run(state)
+        names, stream = _run_node(tree, state)
         if self._missing_residual:
             residual = ast.and_join(
                 [edge.to_expr() for edge in self._missing_residual]
             )
             stream = filter_batches(stream, names, residual, state.tally)
-        add_wall(self, perf_counter() - start)  # materialization schedule
-        return names, counted(self, stream)     # + final spine drain
+        return names, stream
 
     def _check(
         self, tree: "HashJoinNode", done: MaterializedNode,
         est_rows: float | None,
     ) -> "HashJoinNode":
         """Record the estimate-vs-actual outcome; re-plan when it is bad."""
-        q = q_error(est_rows, done.actual_rows)
+        q = q_error(est_rows, len(done.rows))
         event = {
             "tables": sorted(done.tables),
             "est_rows": round(est_rows, 1) if est_rows is not None else None,
-            "actual_rows": done.actual_rows,
+            "actual_rows": len(done.rows),
             "q_error": round(q, 3),
             "replanned": False,
         }
@@ -1243,18 +1154,55 @@ class AdaptiveJoinNode(PlanNode):
         return new_tree
 
 
-def _run_node(node: PlanNode, state: ExecState, pushed=None):
+def _run_node(node: PlanNode, state: ExecState, pushed=None, drained=False):
+    """Run ``node``: the one place a node is timed and counted.
+
+    ``wall_seconds`` covers the :meth:`PlanNode.run` call (the requests a
+    leaf issues up front, the drain of a pipeline breaker) and every pull
+    of the stream it returns; ``actual_rows`` counts the rows that stream
+    yields.  A node's children run inside its clock, so its own share is
+    a subtraction (:func:`execution_records`).  A node past a LIMIT
+    cut-off whose stream is never pulled keeps ``actual_rows`` at
+    ``None``.  ``pushed`` and ``drained`` (the caller drains the stream
+    at once) are for a scan.
+    """
+    start = perf_counter()
     if isinstance(node, ScanNode):
-        return node.run(state, pushed)
-    return node.run(state)
+        names, stream = node.run(state, pushed, drained)
+    else:
+        names, stream = node.run(state)
+    node.wall_seconds = perf_counter() - start
+    state.ran.add(node)
+    return names, _observed(node, stream)
+
+
+def _observed(node: PlanNode, stream: Iterable[Batch]) -> Iterator[Batch]:
+    node.actual_rows = 0
+    source = iter(stream)
+    while True:
+        start = perf_counter()
+        batch = next(source, None)
+        node.wall_seconds += perf_counter() - start
+        if batch is None:
+            return
+        node.actual_rows += len(batch)
+        yield batch
 
 
 def _drain_node(node: PlanNode, state: ExecState, pushed=None):
-    """Run a subtree to completion now; returns (names, batches)."""
-    if isinstance(node, ScanNode):
-        return node.run_materialized(state, pushed)
-    names, stream = node.run(state)
-    return names, list(stream)
+    """Run a subtree to completion now (hash-build sides, non-spine
+    probes); returns (names, batches).
+
+    The streaming scan the subtree started, if any, ends here: its phase
+    is appended now, not at the root.
+    """
+    outer, state.pending = state.pending, None
+    names, stream = _run_node(node, state, pushed, drained=True)
+    batches = list(stream)
+    if state.pending is not None:
+        state.phases.append(state.pending.phase(state.ctx))
+    state.pending = outer
+    return names, batches
 
 
 def _materialize_node(node: PlanNode, state: ExecState):
@@ -1263,11 +1211,17 @@ def _materialize_node(node: PlanNode, state: ExecState):
     return names, materialize(batches)
 
 
-def walk_plan(node: PlanNode) -> Iterator[PlanNode]:
-    """Every node of a plan tree, pre-order."""
-    yield node
+def walk_plan(
+    node: PlanNode, complete: bool = True
+) -> Iterator[tuple[PlanNode, bool]]:
+    """Every node of a plan tree, pre-order (a materialized result's
+    executed source included), with whether it ran to completion: a
+    LIMIT above a node may have cut its stream short, so what it observed
+    is a lower bound, not a measurement."""
+    yield node, complete
+    complete = complete and not isinstance(node, LimitNode)
     for child in node.children():
-        yield from walk_plan(child)
+        yield from walk_plan(child, complete)
 
 
 # ----------------------------------------------------------------------
@@ -1554,10 +1508,11 @@ def execute_plan(
     query_mark = ctx.metrics.mark()
     names, stream = _run_node(plan.root, state)
     rows = materialize(stream)
+    nodes = [node for node, _ in walk_plan(plan.root)]
     if plan.combined_label is not None:
         # GET scans ingest whole tables whatever the pipeline pulled;
         # pushed scans ingest the rows and columns they returned.
-        scans = [n for n in walk_plan(plan.root) if isinstance(n, ScanNode)]
+        scans = [n for n in nodes if isinstance(n, ScanNode)]
         ingest = [
             (n.actual_rows or 0, len(n.columns)) if n.pushdown
             else (n.table.num_rows, len(n.table.schema))
@@ -1574,21 +1529,19 @@ def execute_plan(
     else:
         phases = (pre_phases or []) + state.phases
         if state.pending is not None:
-            pending = state.pending
-            phases.append(phase_since(
-                ctx, pending.mark, pending.label, streams=pending.streams,
-                ingest=(pending.counter.rows, pending.ncols),
-            ))
+            phases.append(state.pending.phase(ctx))
         phases[-1].server_cpu_seconds += state.tally.seconds
     execution = ctx.finalize(mark, rows, names, phases, strategy=plan.strategy)
-    for node in walk_plan(plan.root):
-        execution.details.update(node.details or {})
-    execution.details["plan"] = render_plan(plan.root)
-    execution.details["actuals"] = collect_actuals(plan.root)
-    execution.details["operator_times"] = collect_operator_times(plan.root)
+    details = execution.details
+    for node in nodes:
+        details.update(node.details or {})
+    details["plan"] = render_plan(plan.root)
+    details["actuals"], details["operator_times"] = execution_records(
+        plan.root, state.ran
+    )
     if plan.adaptive_node is not None:
         adaptive = plan.adaptive_node
-        execution.details["adaptive"] = {
+        details["adaptive"] = {
             "threshold": adaptive.threshold,
             "replans": adaptive.replans,
             "events": list(adaptive.events),
@@ -1606,14 +1559,15 @@ def execute_plan(
         # aggregates become reusable cache entries (LIMIT-cut subtrees
         # excluded), and the per-query outcome counters surface next to
         # the session totals.
-        from repro.optimizer.cache import collect_statuses
         from repro.optimizer.cache import harvest_plan as harvest_cache
 
         stored = harvest_cache(result_cache, plan.root)
-        details = collect_statuses(plan.root)
-        details["stores"] = stored
-        details["session"] = result_cache.stats.summary()
-        execution.details["cache"] = details
+        statuses = Counter(getattr(node, "cache_status", None) for node in nodes)
+        details["cache"] = {
+            "hit": statuses["hit"], "subsumed": statuses["subsumed"],
+            "miss": statuses["miss"], "stores": stored,
+            "session": result_cache.stats.summary(),
+        }
     return execution
 
 
@@ -1803,95 +1757,66 @@ def render_plan(root: PlanNode) -> str:
     return "\n".join(lines)
 
 
-def collect_actuals(root: PlanNode) -> list[dict]:
-    """Pre-order per-node cardinality records for ``details["actuals"]``.
+def execution_records(
+    root: PlanNode, ran: set[PlanNode]
+) -> tuple[list[dict], list[dict]]:
+    """``details["actuals"]`` and ``details["operator_times"]``: one record
+    each per node, pre-order, from one pass over the executed tree.
 
-    ``q_error`` is the smoothed quotient error
-    ``max((est+1)/(actual+1), (actual+1)/(est+1))`` — 1.0 is a perfect
-    estimate; the +1 keeps empty results finite.  Nodes that never ran
-    (e.g. past a LIMIT cut-off) report ``actual_rows=None``.
+    An actuals record holds ``est_rows``, ``actual_rows`` and their
+    :func:`q_error`.  A timing record covers the nodes in ``ran`` (run by
+    this execution): ``seconds`` is what the subtree spent producing its
+    output — the node's own clock plus the subtrees of its
+    :class:`MaterializedNode` children, whose work ran earlier on another
+    node's clock; ``self_seconds`` subtracts its other children's
+    ``seconds``, so the ``self_seconds`` of a tree sum to its root's
+    ``seconds``; ``rows_per_sec`` is output rows over self time.  Nodes
+    this execution did not run (an earlier execution's plan whose result
+    this one replays) and materialized replays report ``None`` times; a
+    node whose stream was never pulled (past a LIMIT cut-off), ``None``
+    rows.
     """
-    out: list[dict] = []
+    actuals: list[dict] = []
+    times: list[dict] = []
 
-    def walk(node: PlanNode, depth: int) -> None:
-        quotient = None
-        if node.est_rows is not None and node.actual_rows is not None:
-            quotient = round(q_error(node.est_rows, node.actual_rows), 3)
-        out.append({
-            "node": node.describe(),
+    def visit(node: PlanNode, depth: int) -> float:
+        """Append the subtree's records; return its ``seconds``."""
+        name, est, rows = node.describe(), node.est_rows, node.actual_rows
+        actuals.append({
+            "node": name,
             "depth": depth,
-            "est_rows": (
-                round(node.est_rows, 1) if node.est_rows is not None else None
+            "est_rows": round(est, 1) if est is not None else None,
+            "actual_rows": rows,
+            "q_error": (
+                round(q_error(est, rows), 3)
+                if est is not None and rows is not None else None
             ),
-            "actual_rows": node.actual_rows,
-            "q_error": quotient,
         })
+        timed = {
+            "node": name, "depth": depth, "seconds": None,
+            "self_seconds": None, "rows": rows, "rows_per_sec": None,
+        }
+        times.append(timed)
+        inside = earlier = 0.0
         for child in node.children():
-            walk(child, depth + 1)
+            seconds = visit(child, depth + 1)
+            if isinstance(child, MaterializedNode):
+                earlier += seconds
+            else:
+                inside += seconds
+        if isinstance(node, MaterializedNode):
+            return inside
+        if node not in ran:
+            return earlier
+        own = node.wall_seconds - inside
+        timed.update(
+            seconds=node.wall_seconds + earlier, self_seconds=own,
+            rows_per_sec=round(rows / own) if rows and own > 0.0 else None,
+        )
+        return node.wall_seconds + earlier
 
-    walk(root, 0)
-    return out
-
-
-def _inclusive_seconds(node: PlanNode) -> float:
-    """Wall-clock the whole subtree spent producing its output.
-
-    A node's own clock covers everything it pulled while running, which
-    excludes :class:`MaterializedNode` children — their work happened
-    earlier, on the wrapped source's clock — so those are added back.
-    """
-    if isinstance(node, MaterializedNode):
-        return _inclusive_seconds(node.source) if node.source is not None else 0.0
-    total = node.wall_seconds or 0.0
-    for child in node.children():
-        if isinstance(child, MaterializedNode):
-            total += _inclusive_seconds(child)
-    return total
-
-
-def collect_operator_times(root: PlanNode) -> list[dict]:
-    """Pre-order per-node wall-clock records for ``details["operator_times"]``.
-
-    ``seconds`` is the subtree-inclusive production time; ``self_seconds``
-    subtracts the children's inclusive time, so it is what *this*
-    operator cost; ``rows_per_sec`` is output rows over self time.
-    Nodes that never ran (past a LIMIT cut-off, or free materialized
-    replays) report ``None`` throughout.
-    """
-    out: list[dict] = []
-
-    def walk(node: PlanNode, depth: int) -> None:
-        wall = node.wall_seconds
-        if isinstance(node, MaterializedNode) or wall is None:
-            seconds = self_seconds = rate = None
-        else:
-            seconds = _inclusive_seconds(node)
-            inside = sum(
-                _inclusive_seconds(child)
-                for child in node.children()
-                if not isinstance(child, MaterializedNode)
-            )
-            self_seconds = max(wall - inside, 0.0)
-            rate = (
-                node.actual_rows / self_seconds
-                if node.actual_rows and self_seconds > 0.0
-                else None
-            )
-        out.append({
-            "node": node.describe(),
-            "depth": depth,
-            "seconds": round(seconds, 6) if seconds is not None else None,
-            "self_seconds": (
-                round(self_seconds, 6) if self_seconds is not None else None
-            ),
-            "rows": node.actual_rows,
-            "rows_per_sec": round(rate) if rate is not None else None,
-        })
-        for child in node.children():
-            walk(child, depth + 1)
-
-    walk(root, 0)
-    return out
+    visit(root, 0)
+    return actuals, times
 
 
 def render_execution_report(execution: QueryExecution) -> str:
@@ -1904,9 +1829,7 @@ def render_execution_report(execution: QueryExecution) -> str:
     actuals = execution.details.get("actuals")
     if not actuals:
         return "(no plan recorded for this execution)"
-    # actuals and operator_times walk the same tree pre-order: align by
-    # position.
-    times = execution.details.get("operator_times") or []
+    times = execution.details["operator_times"]
     width = max(len("  " * r["depth"] + r["node"]) for r in actuals)
     width = min(max(width, 20), 72)
     lines = [f"physical plan: {execution.strategy}"]
@@ -1914,7 +1837,7 @@ def render_execution_report(execution: QueryExecution) -> str:
         f"  {'operator':<{width}} {'est rows':>12} {'actual':>10}"
         f" {'q-error':>8} {'time':>9} {'rows/s':>10}"
     )
-    for i, record in enumerate(actuals):
+    for record, timed in zip(actuals, times):
         name = ("  " * record["depth"] + record["node"])[:width]
         est = (
             f"{record['est_rows']:.1f}" if record["est_rows"] is not None
@@ -1928,10 +1851,9 @@ def render_execution_report(execution: QueryExecution) -> str:
             f"{record['q_error']:.2f}" if record["q_error"] is not None
             else "-"
         )
-        timed = times[i] if i < len(times) else {}
-        seconds = timed.get("seconds")
+        seconds = timed["seconds"]
         time_s = f"{seconds * 1000:.1f}ms" if seconds is not None else "-"
-        rate = timed.get("rows_per_sec")
+        rate = timed["rows_per_sec"]
         rate_s = f"{rate:,}" if rate is not None else "-"
         lines.append(
             f"  {name:<{width}} {est:>12} {actual:>10} {q_error:>8}"

@@ -99,7 +99,7 @@ def _plan(strategy: str, root: PlanNode, one_phase: bool = False) -> PhysicalPla
     name, mode = strategy.split()
     gets = sum(
         isinstance(node, ScanNode) and not node.pushdown
-        for node in physical.walk_plan(root)
+        for node, _ in physical.walk_plan(root)
     )
     return PhysicalPlan(
         root, mode, strategy,

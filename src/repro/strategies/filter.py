@@ -17,7 +17,6 @@ runner of the same name executes.  The index access is a leaf of its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 
 from repro.cloud.context import CloudContext
 from repro.cloud.metrics import Phase
@@ -191,7 +190,6 @@ class IndexFetchNode(PlanNode):
 
     def run(self, state: physical.ExecState):
         ctx, table = state.ctx, self.table
-        start = perf_counter()
         mark = ctx.metrics.mark()
         statement = PreparedSelect(projection_sql(
             ["first_byte", "last_byte"], self.index_predicate.to_sql()
@@ -241,14 +239,12 @@ class IndexFetchNode(PlanNode):
             ingest=(matched, len(table.schema)),
         ))
         self.details = {"matched_rows": matched}
-        physical.add_wall(self, perf_counter() - start)
         # An extent spans its record's delimiter: the payloads are lines
         # (index tables exist for CSV data only).
-        stream = iter_decode_column_batches(
+        return list(self.columns), iter_decode_column_batches(
             b"".join(payloads), table.schema, batch_size=ctx.batch_size,
             has_header=False, columns=self.columns,
         )
-        return list(self.columns), physical.counted(self, stream)
 
 
 def indexed_filter_plan(

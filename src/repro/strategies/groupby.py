@@ -25,7 +25,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from time import perf_counter
 
 from repro.cloud.context import CloudContext
 from repro.cloud.metrics import Phase
@@ -264,10 +263,7 @@ class PushedGroupByNode(PlanNode):
         raise NotImplementedError
 
     def run(self, state: physical.ExecState):
-        start = perf_counter()
         rows = self.group_rows(state.ctx, state.phases)
-        self.actual_rows = len(rows)
-        physical.add_wall(self, perf_counter() - start)
         names = self.query.output_names()
         return names, physical.one_batch(rows, names)
 

@@ -210,7 +210,7 @@ def bloom_join(
     plan = bloom_join_plan(ctx, catalog, query, **options)
     execution = physical.execute_plan(ctx, plan)
     join = next(
-        n for n in physical.walk_plan(plan.root) if isinstance(n, HashJoinNode)
+        n for n, _ in physical.walk_plan(plan.root) if isinstance(n, HashJoinNode)
     )
     bloom = join.bloom_outcome.bloom
     execution.details.update({

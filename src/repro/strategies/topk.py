@@ -145,7 +145,7 @@ class SampledThresholdScan(ScanNode):
             records=size, fields=size,
         )]
 
-    def run(self, state: physical.ExecState, pushed=None):
+    def run(self, state: physical.ExecState, pushed=None, drained=False):
         ctx, table, query = state.ctx, self.table, self.query
         mark = ctx.metrics.mark()
         sample = [
@@ -173,7 +173,7 @@ class SampledThresholdScan(ScanNode):
             "sample_size": self.sample_size, "threshold": threshold,
             "alpha": self.alpha,
         }
-        return super().run(state)
+        return super().run(state, drained=drained)
 
     def _at_or_past(self, threshold) -> ast.Expr:
         """The pushed range predicate.  Inclusive in both directions, so

@@ -167,6 +167,30 @@ class TestCachedExecution:
         reference = _session().execute(narrow, mode="optimized")
         assert replay.rows == reference.rows
 
+    def test_entry_layout_follows_how_the_scan_was_drained(self):
+        """A streamed scan stores the batches it yielded; a scan drained
+        at a join (the hash-build side) stores its rows as one batch.
+        Entries are sized per batch, so eviction order rests on this."""
+        db = PushdownDB(bucket="cachetest", cache_bytes=CACHE_BYTES, batch_size=100)
+        db.load_table(
+            "fx", clustered_filter_table(2_000, seed=7), FILTER_SCHEMA, partitions=8
+        )
+        db.load_table(
+            "fy", [(k, float(k)) for k in range(0, 2_000, 10)],
+            TableSchema.of("y_k:int", "y_v:float"), partitions=8,
+        )
+        streamed = db.execute("SELECT key FROM fx WHERE key < 1000", mode="optimized")
+        joined = db.execute(
+            "SELECT key, y_v FROM fy, fx WHERE y_k = key AND y_k < 500",
+            mode="optimized",
+        )
+        assert "build: scan fy [select]" in joined.details["plan"]
+        assert streamed.details["cache"]["stores"] == joined.details["cache"]["stores"] == 1
+        batches = db.cache.lookup_scan("fx", _pred("key < 1000"), ["key"]).batches
+        assert len(batches) == -(-len(streamed.rows) // 100) > 1
+        (batch,) = db.cache.lookup_scan("fy", _pred("y_k < 500"), ["y_k"]).batches
+        assert len(batch) == 50
+
     def test_wider_predicate_is_not_subsumed(self):
         db = _session()
         db.execute("SELECT key, p0 FROM fx WHERE key < 700", mode="optimized")

@@ -212,7 +212,7 @@ class TestSqlJoinsShareTheLadder:
         ctx, catalog = tpch_env
         plan = build_plan(ctx, catalog, parse(self.SQL), "optimized")
         (join,) = (
-            n for n in physical.walk_plan(plan.root)
+            n for n, _ in physical.walk_plan(plan.root)
             if isinstance(n, physical.HashJoinNode)
         )
         assert join.bloom is not None and join.probe.table.name == "orders"

@@ -872,6 +872,125 @@ def test_plan_errors_are_raised_before_any_request(tpch_env):
 
 
 # ----------------------------------------------------------------------
+# one clock: the executor times and counts every node
+# ----------------------------------------------------------------------
+
+_REQUEST_SLEEP_S = 0.002
+
+
+@pytest.fixture()
+def slow_requests(monkeypatch):
+    """Every S3 request sleeps 2 ms; returns the list of requests made."""
+    import time
+
+    from repro.cloud.client import S3Client
+
+    made = []
+    for method in (
+        "select_object_content", "get_object", "get_object_range",
+        "get_object_ranges",
+    ):
+        def slowed(self, *args, _real=getattr(S3Client, method), **kwargs):
+            made.append(args[1])
+            time.sleep(_REQUEST_SLEEP_S)
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(S3Client, method, slowed)
+    return made
+
+
+def _tpch_sql(name):
+    return parse((QUERY_DIR / f"{name}.sql").read_text())
+
+
+@pytest.mark.parametrize("case, leaf", [
+    ("q01-optimized", "scan lineitem [select]"),
+    ("q01-baseline", "scan lineitem [get]"),
+    ("sampling_top_k", "sampled["),
+    ("q06-optimized", "pushed-aggregate lineitem"),
+    ("indexed_filter", "index-fetch customer"),
+])
+def test_storage_time_lands_on_the_issuing_node(tpch_env, slow_requests, case, leaf):
+    """A leaf's requests run inside its ``run()``: they are on its clock,
+    not on no node's (a pushed or GET scan issues them before its first
+    batch, a sampled scan samples first)."""
+    ctx, catalog = tpch_env
+    if "-" in case:
+        name, mode = case.split("-")
+        execution = execute_parsed(ctx, catalog, _tpch_sql(name), mode)
+    else:
+        execution = STRATEGY_RUNNERS[case](ctx, catalog)
+    (issuer,) = [
+        r for r in execution.details["operator_times"]
+        if r["node"].startswith(leaf)
+    ]
+    assert slow_requests
+    assert issuer["seconds"] >= _REQUEST_SLEEP_S * len(slow_requests)
+
+
+def _assert_one_clock(execution):
+    actuals = execution.details["actuals"]
+    times = execution.details["operator_times"]
+    assert [(r["node"], r["depth"], r["actual_rows"]) for r in actuals] == [
+        (r["node"], r["depth"], r["rows"]) for r in times
+    ]
+    for at, record in enumerate(times):
+        materialized = record["node"].startswith("materialized[")
+        if record["rows"] is not None and not materialized:
+            assert record["seconds"] is not None, record
+        if record["seconds"] is None:
+            continue
+        children, depth = [], record["depth"]
+        for later in times[at + 1:]:
+            if later["depth"] <= depth:
+                break
+            if later["depth"] == depth + 1 and not later["node"].startswith(
+                "materialized["
+            ):
+                children.append(later["seconds"] or 0.0)
+        assert record["self_seconds"] >= 0.0, record
+        assert record["seconds"] >= sum(children), record
+    root = times[0]
+    assert sum(
+        r["self_seconds"] for r in times if r["self_seconds"] is not None
+    ) == pytest.approx(root["seconds"], abs=1e-6)
+
+
+def test_one_clock_over_the_tpch_suite():
+    """``actuals`` and ``operator_times`` list the same nodes; every node
+    that ran is timed; no self time is negative; self times sum to the
+    root's time."""
+    ctx, catalog = CloudContext(), Catalog()
+    load_suite_tables(ctx, catalog, 0.002, seed=11).close()
+    for name in ALL_QUERIES:
+        query = _tpch_sql(name)
+        for mode in ("baseline", "optimized"):
+            _assert_one_clock(execute_parsed(ctx, catalog, query, mode))
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGY_PLANS))
+def test_one_clock_over_the_strategy_runners(tpch_env, name):
+    ctx, catalog = tpch_env
+    _assert_one_clock(STRATEGY_RUNNERS[name](ctx, catalog))
+
+
+def test_a_replayed_earlier_plan_is_not_on_this_executions_clock(tpch_env):
+    """The hand-written Q17 replays the rows of a plan it executed first:
+    that plan's nodes keep their rows in the second report, but their
+    time belongs to the first execution."""
+    from repro.queries.tpch_queries import q17_optimized
+
+    ctx, catalog = tpch_env
+    times = q17_optimized(ctx, catalog).details["operator_times"]
+    (first,) = [r for r in times if r["node"].startswith("hash-join [p_partkey")]
+    assert first["rows"] is not None and first["seconds"] is None
+    assert all(r["self_seconds"] >= 0.0 for r in times if r["seconds"] is not None)
+    assert sum(
+        r["self_seconds"] for r in times if r["self_seconds"] is not None
+    ) == pytest.approx(times[0]["seconds"], abs=1e-6)
+
+
+# ----------------------------------------------------------------------
 # pushed statements travel as (text, AST): the AST is the text's parse
 # ----------------------------------------------------------------------
 
