@@ -1,8 +1,7 @@
 """Substrate gates (not a paper figure): what pruning and the semantic
-cache do to the metered request count, the wall-clock effect of
-concurrent partition scans, what a NULL costs an expression kernel
-(no ``bench/`` workload holds one), and what loading a table costs over
-encoding it.
+cache do to the metered request count, what a NULL costs an expression
+kernel (no ``bench/`` workload holds one), and what loading a table
+costs over encoding it.
 
 Layer throughput (decode, S3 Select scans, filter, group-by, hash join)
 is measured by ``bench/probes.py`` with the calibrated clock; the loops
@@ -27,17 +26,11 @@ from repro.bloom.filter import BloomFilter
 from repro.cloud.context import CloudContext
 from repro.engine.batch import Batch
 from repro.engine.catalog import Catalog, load_table
-from repro.engine.operators.base import materialize
 from repro.expr.vector import compile_expr_vector, compile_predicate_vector
 from repro.sqlparser.parser import parse_expression
 from repro.storage.csvcodec import encode_table
-from repro.strategies.scans import iter_scan_batches
 from repro.workloads.tpch import TABLE_SCHEMAS, TpchGenerator
-from repro.workloads.synthetic import (
-    FILTER_SCHEMA,
-    clustered_filter_table,
-    filter_table,
-)
+from repro.workloads.synthetic import FILTER_SCHEMA, clustered_filter_table
 
 #: entries per gate; dumped to JSON at exit.
 _THROUGHPUT: dict[str, dict[str, float]] = {}
@@ -62,19 +55,6 @@ def _dump_throughput_json():
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"operators": _THROUGHPUT}, fh, indent=2)
         fh.write("\n")
-
-
-def _timed_scan(ctx, table, workers: int, repeats: int = 3) -> tuple[float, list]:
-    """Median wall-clock of a full-table SELECT at a worker count."""
-    times = []
-    rows = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        rows = materialize(iter_scan_batches(
-            ctx, table, "SELECT key, p0 FROM S3Object", workers=workers
-        ))
-        times.append(time.perf_counter() - start)
-    return statistics.median(times), rows
 
 
 def test_pruned_scan_request_reduction(benchmark):
@@ -151,54 +131,6 @@ def test_cached_scan_request_reduction(benchmark):
     }
     _THROUGHPUT["cached_scan"] = entry
     benchmark.extra_info.update(entry)
-
-
-def test_concurrent_partition_scan_speedup(benchmark):
-    """workers=4 must beat workers=1 by >=1.5x wall-clock on a 16-partition scan.
-
-    The in-process store has no network, so a small per-request delay
-    stands in for the S3 round-trip the worker pool exists to overlap.
-    Rows and metered cost must be identical either way.
-    """
-    ctx = CloudContext()
-    catalog = Catalog()
-    table = load_table(
-        ctx, catalog, "scanbench", filter_table(4_000, seed=7), FILTER_SCHEMA,
-        bucket="bench", partitions=16,
-    )
-    ctx.client.request_delay = 0.015  # 15 ms simulated round-trip per request
-
-    mark = ctx.metrics.mark()
-    serial_s, serial_rows = _timed_scan(ctx, table, workers=1)
-    serial_records = ctx.metrics.records_since(mark)
-
-    mark = ctx.metrics.mark()
-    concurrent_s, concurrent_rows = _timed_scan(ctx, table, workers=4)
-    concurrent_records = ctx.metrics.records_since(mark)
-
-    # Recorded with the simulated latency still active, so the benchmark
-    # table shows the same conditions the speedup was measured under.
-    benchmark.pedantic(
-        lambda: _timed_scan(ctx, table, workers=4, repeats=1),
-        rounds=1, iterations=1,
-    )
-    ctx.client.request_delay = 0.0
-    speedup = serial_s / concurrent_s
-    benchmark.extra_info["serial_seconds"] = round(serial_s, 4)
-    benchmark.extra_info["concurrent_seconds"] = round(concurrent_s, 4)
-    benchmark.extra_info["speedup"] = round(speedup, 2)
-
-    assert concurrent_rows == serial_rows
-    assert sum(r.bytes_scanned for r in concurrent_records) == sum(
-        r.bytes_scanned for r in serial_records
-    )
-    assert sum(r.bytes_returned for r in concurrent_records) == sum(
-        r.bytes_returned for r in serial_records
-    )
-    assert speedup >= 1.5, (
-        f"workers=4 only {speedup:.2f}x faster than workers=1"
-        f" ({serial_s:.3f}s vs {concurrent_s:.3f}s)"
-    )
 
 
 def test_null_bearing_batches_cost_at_most_twice_clean_ones():

@@ -6,14 +6,9 @@ Every query runs twice — once as the no-pushdown baseline (GET whole
 tables, compute locally) and once with the paper's S3 Select pushdown —
 and prints simulated runtime and dollar cost for both.
 
-The facade also exposes the streaming-pipeline knobs:
-
-* ``workers`` — how many partition scans run concurrently.  Results,
-  bytes scanned, and simulated cost are identical for any setting; only
-  real wall-clock changes (per-partition requests overlap).
-* ``batch_size`` — rows per RecordBatch flowing through the local
-  operators; queries stream batches end to end instead of materializing
-  whole tables, so a ``LIMIT`` stops parsing early.
+The facade's ``batch_size`` sets the rows per RecordBatch flowing
+through the local operators; queries stream batches end to end instead
+of materializing whole tables, so a ``LIMIT`` stops parsing early.
 
 Beyond the fixed ``baseline`` / ``optimized`` modes there is
 ``mode="auto"``: the cost-based optimizer prices every candidate plan
@@ -24,8 +19,6 @@ without executing anything.  The CLI spelling is
 
 Run:  python examples/quickstart.py
 """
-
-import time
 
 from repro import PushdownDB
 from repro.common.units import human_dollars, human_seconds
@@ -56,9 +49,8 @@ QUERIES = [
 def main() -> None:
     print("Generating TPC-H data (scale factor 0.01) ...")
     gen = TpchGenerator(scale_factor=0.01)
-    # workers=4: scan each table's 16 partitions four at a time;
     # batch_size=2048: RecordBatch granularity of the local operators.
-    db = PushdownDB(workers=4, batch_size=2048)
+    db = PushdownDB(batch_size=2048)
     db.load_table("lineitem", gen.lineitem(), LINEITEM_SCHEMA)
     db.load_table("customer", gen.customer(), CUSTOMER_SCHEMA)
     db.load_table("orders", gen.orders(), ORDERS_SCHEMA)
@@ -90,24 +82,7 @@ def main() -> None:
     print("optimizer EXPLAIN for", repr(sql))
     print(db.explain(sql))
     picked = db.execute(sql, mode="auto").details["optimizer"]["picked"]
-    print(f"  auto ran the {picked!r} plan\n")
-
-    # The workers knob changes real wall-clock, never the answer: add a
-    # little per-request latency so there is network time to overlap,
-    # then run the same scan serially and with 4 concurrent workers.
-    db.ctx.client.request_delay = 0.002  # 2 ms per request
-    sql = QUERIES[1]
-    timings = {}
-    for workers in (1, 4):
-        db.ctx.workers = workers
-        start = time.perf_counter()
-        result = db.execute(sql)
-        timings[workers] = time.perf_counter() - start
-    db.ctx.client.request_delay = 0.0
-    print(f"concurrent scan demo ({sql.split(' FROM ')[0]!r} ...):")
-    print(f"  workers=1: {timings[1] * 1e3:7.1f} ms wall-clock")
-    print(f"  workers=4: {timings[4] * 1e3:7.1f} ms wall-clock"
-          f"   (same rows, bytes, and cost)")
+    print(f"  auto ran the {picked!r} plan")
 
 
 if __name__ == "__main__":

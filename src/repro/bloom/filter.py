@@ -228,7 +228,7 @@ class BloomPushdown:
 
     SQL plans use the defaults.  The last two fields are where the
     paper's hand-written variants are modeled differently from SQL joins
-    (ROADMAP item 3's audit list): both sides' numbers are pinned, so
+    (ROADMAP item 2's audit list): both sides' numbers are pinned, so
     the difference is stated here instead of resolved.
     """
 

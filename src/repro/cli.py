@@ -21,10 +21,8 @@ from repro.common.units import human_bytes, human_dollars, human_seconds
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.cloud.context import set_default_pipeline
     from repro.experiments import ALL_EXPERIMENTS
 
-    set_default_pipeline(workers=args.workers, batch_size=args.batch_size)
     names = list(ALL_EXPERIMENTS) if "all" in args.names else args.names
     unknown = [n for n in names if n not in ALL_EXPERIMENTS]
     if unknown:
@@ -65,8 +63,7 @@ def _load_tpch_db(args: argparse.Namespace):
 
     gen = TpchGenerator(scale_factor=args.scale_factor)
     db = PushdownDB(
-        workers=getattr(args, "workers", None),
-        batch_size=getattr(args, "batch_size", None),
+        batch_size=args.batch_size,
         adaptive_threshold=getattr(args, "adaptive_threshold", None),
         cache_bytes=getattr(args, "cache_bytes", None) or 0,
     )
@@ -148,15 +145,10 @@ def build_parser() -> argparse.ArgumentParser:
             )
         return value
 
-    def add_pipeline_knobs(p: argparse.ArgumentParser) -> None:
+    def add_batch_size_knob(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "--workers", type=positive_int, default=None, metavar="N",
-            help="concurrent partition-scan requests (default: serial);"
-                 " affects wall-clock only, never results or cost",
-        )
-        p.add_argument(
-            "--batch-size", type=positive_int, default=None, metavar="ROWS",
-            help="rows per RecordBatch in the streaming executor",
+            "--batch-size", type=positive_int, default=DEFAULT_BATCH_SIZE,
+            metavar="ROWS", help="rows per RecordBatch in the streaming executor",
         )
 
     def add_cache_knob(p: argparse.ArgumentParser) -> None:
@@ -171,6 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     # The valid experiment names come from the registry itself, so new
     # figures can never go stale in this help string.
     from repro.experiments import ALL_EXPERIMENTS
+    from repro.storage.csvcodec import DEFAULT_BATCH_SIZE
 
     p_exp = sub.add_parser("experiment", help="run paper-figure experiments")
     p_exp.add_argument(
@@ -182,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also dump every experiment's rows and notes as JSON"
              " (the CI artifact for the TPC-H differential suite)",
     )
-    add_pipeline_knobs(p_exp)
     p_exp.set_defaults(fn=_cmd_experiment)
 
     modes = ("baseline", "optimized", "auto", "adaptive")
@@ -217,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
              " adaptive execution re-plans the remaining join tree"
              " (default 2.0; only used with --strategy adaptive)",
     )
-    add_pipeline_knobs(p_query)
+    add_batch_size_knob(p_query)
     add_cache_knob(p_query)
     p_query.set_defaults(fn=_cmd_query)
 
@@ -227,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_explain.add_argument("sql")
     p_explain.add_argument("--scale-factor", type=float, default=0.005)
-    add_pipeline_knobs(p_explain)
+    add_batch_size_knob(p_explain)
     add_cache_knob(p_explain)
     p_explain.set_defaults(fn=_cmd_explain)
 

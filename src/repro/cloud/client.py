@@ -9,8 +9,6 @@ byte range, ``select_object_content``).
 
 from __future__ import annotations
 
-import time
-
 from repro.cloud.metrics import MetricsCollector, RequestKind, RequestRecord
 from repro.s3select.engine import (
     PreparedSelect,
@@ -27,13 +25,6 @@ class S3Client:
 
     Writes (``put_object``) are not metered: the paper excludes load-time
     cost from query cost, and S3 PUTs are billed separately anyway.
-
-    ``request_delay`` is a benchmark-only knob: real seconds slept per
-    request, emulating the network round-trip the in-process store
-    otherwise lacks, so the concurrency benchmarks have actual I/O waits
-    to overlap.  It never affects results, simulated runtime, or cost —
-    leave it at ``0.0`` (the default) outside wall-clock benchmarks.
-    Negative values are rejected at assignment.
     """
 
     def __init__(self, store: ObjectStore, metrics: MetricsCollector | None = None):
@@ -43,30 +34,12 @@ class S3Client:
         #: contexts set this to 1/scale because ranged GETs are issued
         #: per matching *row* and row counts shrink with the dataset.
         self.range_request_weight: float = 1.0
-        self._request_delay: float = 0.0
-
-    @property
-    def request_delay(self) -> float:
-        """Benchmark-only per-request sleep (see class docstring)."""
-        return self._request_delay
-
-    @request_delay.setter
-    def request_delay(self, value: float) -> None:
-        value = float(value)
-        if value < 0:
-            raise ValueError(f"request_delay must be >= 0, got {value}")
-        self._request_delay = value
-
-    def _simulate_latency(self) -> None:
-        if self.request_delay > 0:
-            time.sleep(self.request_delay)
 
     # ------------------------------------------------------------------
     # plain data plane
     # ------------------------------------------------------------------
     def get_object(self, bucket: str, key: str) -> bytes:
         """Fetch a whole object (one metered GET)."""
-        self._simulate_latency()
         data = self.store.get_bytes(bucket, key)
         self.metrics.record(
             RequestRecord(
@@ -85,7 +58,6 @@ class S3Client:
         per GET — the indexing strategy's cost hinges on that, so this
         client deliberately offers no multi-range call.
         """
-        self._simulate_latency()
         data = self.store.get_range(bucket, key, first_byte, last_byte)
         self.metrics.record(
             RequestRecord(
@@ -114,7 +86,6 @@ class S3Client:
         as a single request with the caller-supplied paper-equivalent
         ``weight``.
         """
-        self._simulate_latency()
         payloads = [
             self.store.get_range(bucket, key, first, last)
             for first, last in ranges
@@ -152,7 +123,6 @@ class S3Client:
         Suggestion 4 and Section IX extensions respectively (neither is
         available on the real service).
         """
-        self._simulate_latency()
         obj = self.store.get_object(bucket, key)
         result = execute_select(
             obj, sql, scan_range=scan_range, expression_limit=expression_limit,

@@ -18,37 +18,6 @@ from repro.cloud.pricing import PAPER_PRICING, CostBreakdown, Pricing, cost_of_q
 from repro.storage.csvcodec import DEFAULT_BATCH_SIZE
 from repro.storage.object_store import ObjectStore
 
-#: Process-wide defaults for the streaming-pipeline knobs.  ``None``
-#: workers means serial partition scans (the pre-pipeline behavior); the
-#: CLI and the experiment harness override these via
-#: :func:`set_default_pipeline` so every context they create inherits
-#: the chosen concurrency without threading parameters through each
-#: experiment.
-_PIPELINE_DEFAULTS = {"workers": None, "batch_size": DEFAULT_BATCH_SIZE}
-
-
-def set_default_pipeline(
-    workers: int | None = None, batch_size: int | None = None
-) -> None:
-    """Set process-wide defaults for ``CloudContext`` pipeline knobs.
-
-    Arguments left as ``None`` keep their current default.
-
-    Raises:
-        ValueError: on a non-positive ``workers`` or ``batch_size`` —
-            rejected here rather than silently clamped, so a typo'd knob
-            fails loudly instead of degrading downstream.
-    """
-    if workers is not None:
-        if int(workers) <= 0:
-            raise ValueError(f"workers must be positive, got {workers}")
-        _PIPELINE_DEFAULTS["workers"] = int(workers)
-    if batch_size is not None:
-        if batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        _PIPELINE_DEFAULTS["batch_size"] = int(batch_size)
-
-
 @dataclass
 class QueryExecution:
     """The result of running one query through a strategy."""
@@ -141,17 +110,12 @@ class CloudContext:
         perf: PerfModel | None = None,
         pricing: Pricing | None = None,
         store: ObjectStore | None = None,
-        workers: int | None = None,
-        batch_size: int | None = None,
+        batch_size: int = DEFAULT_BATCH_SIZE,
         adaptive_threshold: float | None = None,
         prune_partitions: bool = True,
         cache_bytes: int = 0,
     ):
         """Args:
-            workers: default partition-scan concurrency for this context
-                (``None`` falls back to the process default, normally
-                serial).  Concurrency changes wall-clock only — rows,
-                bytes and dollar cost are independent of it.
             batch_size: rows per RecordBatch in the streaming pipeline.
             adaptive_threshold: build-cardinality Q-error above which
                 ``mode="adaptive"`` executions re-plan the un-executed
@@ -185,16 +149,7 @@ class CloudContext:
                 "adaptive_threshold is a Q-error bound and must be >= 1.0,"
                 f" got {self.adaptive_threshold}"
             )
-        if workers is not None and int(workers) <= 0:
-            raise ValueError(f"workers must be positive, got {workers}")
-        self.workers = (
-            int(workers) if workers is not None
-            else _PIPELINE_DEFAULTS["workers"]
-        )
-        self.batch_size = (
-            int(batch_size) if batch_size is not None
-            else _PIPELINE_DEFAULTS["batch_size"]
-        )
+        self.batch_size = int(batch_size)
         if self.batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
         self.prune_partitions = bool(prune_partitions)

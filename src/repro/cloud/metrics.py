@@ -52,14 +52,10 @@ class MetricsCollector:
     after it to attribute requests to phases without threading labels
     through every call.
 
-    Recording is thread-safe: the concurrent partition scans of
-    :func:`repro.strategies.scans.scan_partitions` issue requests from a
-    worker pool, so appends may race.  Marks are only taken between
-    phases (never while workers are in flight), so a mark still cleanly
-    partitions the record list; the *order* of records within a
-    concurrent phase is unspecified, which is fine because every
-    consumer aggregates per-phase sums or deals records onto one stream
-    each.
+    Recording is thread-safe: the engine issues requests serially, but a
+    caller may share one session across its own threads, so appends may
+    race.  Records then interleave in arrival order; every consumer
+    aggregates per-phase sums or deals records onto one stream each.
     """
 
     def __init__(self):
@@ -154,11 +150,6 @@ class Phase:
     record and per field, which is what separates "load 4 of 20 columns"
     from "load everything" (paper Fig 5) while keeping wide-row GET loads
     and S3 Select responses on one mechanism.
-
-    ``workers`` optionally bounds how many of the phase's streams can be
-    in flight at once (the concurrent-scan worker pool).  ``None`` keeps
-    the historical fully-overlapped model — every stream concurrent —
-    which is also what the paper's testbed assumed.
     """
 
     name: str
@@ -166,7 +157,6 @@ class Phase:
     server_cpu_seconds: float = 0.0
     server_records: float = 0.0
     server_fields: float = 0.0
-    workers: int | None = None
 
     @classmethod
     def from_records(
@@ -177,7 +167,6 @@ class Phase:
         server_cpu_seconds: float = 0.0,
         server_records: float = 0.0,
         server_fields: float = 0.0,
-        workers: int | None = None,
     ) -> "Phase":
         """Build a phase by dealing records round-robin onto N streams.
 
@@ -197,7 +186,6 @@ class Phase:
             server_cpu_seconds=server_cpu_seconds,
             server_records=server_records,
             server_fields=server_fields,
-            workers=workers,
         )
 
     @property

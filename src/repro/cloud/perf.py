@@ -103,22 +103,10 @@ class PerfModel:
         return scan + compute + get
 
     def phase_time(self, phase: Phase) -> float:
-        """Simulated duration of one phase (see module docstring).
-
-        When ``phase.workers`` bounds stream concurrency, the storage
-        side runs the streams on that many lanes: its duration is the
-        greedy lower bound ``max(slowest stream, total stream work /
-        workers)``.  Unbounded phases (``workers=None``) keep the fully
-        overlapped model.
-        """
+        """Simulated duration of one phase (see module docstring)."""
         if not phase.streams and phase.server_cpu_seconds == 0.0:
             return 0.0
-        stream_times = [self.stream_time(s) for s in phase.streams]
-        slowest_stream = max(stream_times, default=0.0)
-        if phase.workers is not None and 0 < phase.workers < len(stream_times):
-            slowest_stream = max(
-                slowest_stream, sum(stream_times) / phase.workers
-            )
+        slowest_stream = max(map(self.stream_time, phase.streams), default=0.0)
         ingest = (
             phase.server_records / self.server_record_rate
             + phase.server_fields / self.server_field_rate

@@ -10,23 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.cloud.context import CloudContext, QueryExecution, set_default_pipeline
+from repro.cloud.context import CloudContext, QueryExecution
 from repro.common.units import GB
 
-
-def configure_pipeline(
-    workers: int | None = None, batch_size: int | None = None
-) -> None:
-    """Set the streaming-pipeline knobs for every experiment context.
-
-    Experiments build their own :class:`CloudContext`; this sets the
-    process-wide defaults those contexts inherit, so a harness run can
-    turn on concurrent partition scans (``workers``) or change the
-    RecordBatch size without threading parameters through each figure.
-    Concurrency changes wall-clock only — reproduced figures (rows,
-    simulated runtime, cost) are identical for any setting.
-    """
-    set_default_pipeline(workers=workers, batch_size=batch_size)
 
 #: Paper dataset sizes used for paper-equivalent calibration.
 PAPER_TPCH_BYTES = 10 * GB          # "the same 10 GB TPC-H dataset"

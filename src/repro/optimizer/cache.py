@@ -22,10 +22,11 @@ in three tiers:
    without touching storage.
 
 Entries are LRU-evicted under a ``cache_bytes`` budget, guarded by one
-lock (the streaming executor scans partitions from worker threads), and
-versioned by table content: :func:`repro.engine.catalog.load_table`
-calls :meth:`SemanticCache.invalidate_table` whenever a name is
-(re)loaded, so stale entries can never answer.
+lock (the engine is serial, but a caller may share one session across
+its own threads), and versioned by table content:
+:func:`repro.engine.catalog.load_table` calls
+:meth:`SemanticCache.invalidate_table` whenever a name is (re)loaded, so
+stale entries can never answer.
 
 Correctness bar: a cold cache changes nothing (the executor consults it
 only when enabled, and population tees streams without reordering), and

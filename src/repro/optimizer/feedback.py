@@ -33,9 +33,9 @@ threw them away.  This module closes the loop:
   are skipped — their observed counts are lower bounds, not
   measurements.
 
-The store is thread-safe (scans may execute under ``workers > 1``) and
-strictly session-scoped: two ``PushdownDB`` instances never share
-feedback, and :meth:`FeedbackStore.reset` returns a session to the
+The store is thread-safe (a caller may share one session across its own
+threads) and strictly session-scoped: two ``PushdownDB`` instances never
+share feedback, and :meth:`FeedbackStore.reset` returns a session to the
 cold-start System-R behavior.
 """
 

@@ -19,6 +19,7 @@ from repro.cloud.perf import PerfModel
 from repro.cloud.pricing import Pricing
 from repro.engine.catalog import DEFAULT_PARTITIONS, Catalog, TableInfo, load_table
 from repro.planner.planner import choose_plan, plan_and_execute
+from repro.storage.csvcodec import DEFAULT_BATCH_SIZE
 from repro.storage.schema import TableSchema
 
 
@@ -31,15 +32,15 @@ class PushdownDB:
         pricing: Pricing | None = None,
         bucket: str = "pushdowndb",
         workers: int | None = None,
-        batch_size: int | None = None,
+        batch_size: int = DEFAULT_BATCH_SIZE,
         adaptive_threshold: float | None = None,
         prune_partitions: bool = True,
         cache_bytes: int = 0,
     ):
         """Args:
-            workers: concurrent partition-scan requests per table scan
-                (default serial).  Changes wall-clock only; rows, bytes
-                and simulated cost are identical for any setting.
+            workers: accepted as ``None`` or ``1`` only: the engine is
+                serial (a partition's requests are in-memory calls that
+                hold the GIL, so threads only add overhead).
             batch_size: rows per RecordBatch in the streaming executor.
             adaptive_threshold: Q-error bound for ``mode="adaptive"``
                 executions — a completed hash build whose observed
@@ -56,8 +57,10 @@ class PushdownDB:
                 aggregates answer from memory with zero metered
                 requests.  Reloading a table evicts its entries.
         """
+        if workers not in (None, 1):
+            raise ValueError(f"the engine is serial: workers must be 1, got {workers}")
         self.ctx = CloudContext(
-            perf=perf, pricing=pricing, workers=workers, batch_size=batch_size,
+            perf=perf, pricing=pricing, batch_size=batch_size,
             adaptive_threshold=adaptive_threshold,
             prune_partitions=prune_partitions,
             cache_bytes=cache_bytes,

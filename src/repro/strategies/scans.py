@@ -8,17 +8,12 @@ either as RecordBatches; :func:`scan_partitions` hands back the pushed
 scan's responses partition by partition.  The caller wraps the metered
 requests into a :class:`~repro.cloud.metrics.Phase` via
 :func:`phase_since`.
-
-Concurrency never changes *what* is metered: every partition request is
-issued regardless of how results are consumed, so rows, bytes and cost
-are identical for any ``workers`` setting — only wall-clock changes.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from itertools import chain
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.cloud.context import CloudContext
 from repro.cloud.metrics import Phase
@@ -66,28 +61,11 @@ def _partition_keys(table: TableInfo, partitions: Sequence[int] | None) -> list[
     return [table.keys[i] for i in partitions]
 
 
-def _fan_out(
-    ctx: CloudContext,
-    workers: int | None,
-    request: Callable[[str], object],
-    keys: list[str],
-) -> list:
-    """``request(key)`` per partition object: the results in order, issued
-    by up to ``workers`` threads (``None``: ``ctx.workers``, by default
-    serial)."""
-    workers = ctx.workers if workers is None else workers
-    if workers is None or workers <= 1 or len(keys) <= 1:
-        return [request(key) for key in keys]
-    with ThreadPoolExecutor(max_workers=min(int(workers), len(keys))) as pool:
-        return list(pool.map(request, keys))
-
-
 def scan_partitions(
     ctx: CloudContext,
     table: TableInfo,
     sql: str | PreparedSelect,
     *,
-    workers: int | None = None,
     scan_range_fraction: float | None = None,
     partitions: Sequence[int] | None = None,
 ) -> list[list[Batch]]:
@@ -95,9 +73,6 @@ def scan_partitions(
     in partition order.
 
     Args:
-        workers: concurrent partition requests.  ``None`` falls back to
-            ``ctx.workers`` (default serial).  Concurrency affects
-            wall-clock only, never the metered requests, rows, or cost.
         scan_range_fraction: scan only the leading fraction of each
             partition (sampling phases; S3 bills just the range).
         partitions: partition indices to scan; ``None`` scans them all.
@@ -121,7 +96,7 @@ def scan_partitions(
             table.bucket, key, statement, scan_range=scan_range
         ).batches
 
-    return _fan_out(ctx, workers, select, keys)
+    return [select(key) for key in keys]
 
 
 def iter_scan_batches(
@@ -129,7 +104,6 @@ def iter_scan_batches(
     table: TableInfo,
     sql: str | PreparedSelect | None = None,
     *,
-    workers: int | None = None,
     batch_size: int | None = None,
     scan_range_fraction: float | None = None,
     partitions: Sequence[int] | None = None,
@@ -154,14 +128,14 @@ def iter_scan_batches(
             data = ctx.client.get_object(table.bucket, key)
             return data, obj.decoded if obj.data is data else None
 
-        payloads = _fan_out(ctx, workers, get, _partition_keys(table, partitions))
+        payloads = [get(key) for key in _partition_keys(table, partitions)]
         return (
             batch
             for data, memo in payloads
             for batch in _decode_partition(table, data, batch_size, columns, memo)
         )
     responses = scan_partitions(
-        ctx, table, sql, workers=workers, scan_range_fraction=scan_range_fraction,
+        ctx, table, sql, scan_range_fraction=scan_range_fraction,
         partitions=partitions,
     )
     # Only the batch boundaries of the responses are re-cut (ingest
@@ -173,7 +147,6 @@ def select_aggregate(
     ctx: CloudContext,
     table: TableInfo,
     sql: str | PreparedSelect,
-    workers: int | None = None,
     partitions: Sequence[int] | None = None,
 ) -> list[list[object]]:
     """Run an aggregate-only select per partition, keeping partials apart.
@@ -187,9 +160,7 @@ def select_aggregate(
     """
     partials = (
         next((row for batch in batches for row in batch), None)
-        for batches in scan_partitions(
-            ctx, table, sql, workers=workers, partitions=partitions
-        )
+        for batches in scan_partitions(ctx, table, sql, partitions=partitions)
     )
     return [list(row) for row in partials if row is not None]
 

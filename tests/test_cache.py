@@ -280,16 +280,3 @@ class TestCachedExecution:
                 ["query", "SELECT 1", "--cache-bytes", "-1"]
             )
 
-
-class TestRequestDelayValidation:
-    def test_negative_request_delay_rejected(self):
-        ctx = CloudContext()
-        with pytest.raises(ValueError, match="request_delay"):
-            ctx.client.request_delay = -0.1
-
-    def test_request_delay_round_trips(self):
-        ctx = CloudContext()
-        ctx.client.request_delay = 0.25
-        assert ctx.client.request_delay == 0.25
-        ctx.client.request_delay = 0
-        assert ctx.client.request_delay == 0.0

@@ -173,6 +173,20 @@ class TestCli:
         assert main(["experiment", "stub"]) == 1
         assert "differential checks matched" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["query", "explain", "experiment"])
+    def test_workers_is_a_usage_error(self, command, capsys):
+        """The engine is serial: no subcommand takes ``--workers``."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command, "SELECT 1", "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+    def test_experiment_takes_no_batch_size(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["experiment", "fig1", "--batch-size", "64"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

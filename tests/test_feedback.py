@@ -93,7 +93,8 @@ class TestStore:
         assert db1.feedback.summary()["selectivities"] == 0
 
     def test_thread_safety_under_concurrent_sessions(self):
-        """Hammer one store from many threads (scans run under workers>1)."""
+        """Hammer one store from many threads: a caller may share one
+        session across its own threads."""
         store = FeedbackStore()
         predicate = parse_expression("a < 10")
         errors = []
@@ -155,13 +156,6 @@ class TestStore:
             parse_expression("c_acctbal < 5000"), fraction=0.5,
         )
         assert len(db.ctx.metrics.records_since(mark)) > 0
-
-    def test_workers_execution_still_harvests(self):
-        db = PushdownDB(workers=4)
-        db.load_table("t", _rows(), SCHEMA, partitions=8)
-        execution = db.execute("SELECT k FROM t WHERE a < 25")
-        assert len(execution.rows) == 100
-        assert db.feedback.summary()["selectivities"] == 1
 
 
 class TestHarvest:

@@ -1,4 +1,4 @@
-"""Tests for the streaming RecordBatch pipeline and concurrent scans.
+"""Tests for the streaming RecordBatch pipeline and partition scans.
 
 Covers the PR-1 refactor end to end:
 
@@ -10,8 +10,8 @@ Covers the PR-1 refactor end to end:
 * the batch operators agreeing with the row compiler and naive Python
   references, and charging the same CPU, at any batch boundaries;
 * pushed-scan column names over empty partitions;
-* ``workers > 1`` vs ``workers = 1`` producing identical rows, bytes
-  and cost — differentially on every TPC-H query;
+* partition scans in partition order, one statement per scan, and no
+  thread started by a query;
 * thread-safety of the metrics collector.
 """
 
@@ -22,8 +22,8 @@ import threading
 import pytest
 
 from repro.cloud.context import CloudContext
-from repro.cloud.metrics import MetricsCollector, Phase, RequestKind, RequestRecord
-from repro.cloud.perf import PAPER_PERF, SERVER_CPU_PER_ROW
+from repro.cloud.metrics import MetricsCollector, RequestKind, RequestRecord
+from repro.cloud.perf import SERVER_CPU_PER_ROW
 from repro.common.errors import (
     ExpressionLimitExceededError,
     SQLSyntaxError,
@@ -39,10 +39,10 @@ from repro.engine.operators.limit import limit_batches
 from repro.engine.operators.project import project_batches, projected_names
 from repro.engine.operators.sort import sort_batches
 from repro.engine.operators.topk import top_k_batches
+from repro.experiments.tpch_suite import QUERY_DIR
 from repro.expr.compiler import compile_expr, compile_predicate
 from repro.planner import physical
 from repro.planner.planner import plan_and_execute
-from repro.queries.dataset import load_tpch
 from repro.queries.tpch_queries import TPCH_QUERIES
 from repro.s3select import engine as select_engine
 from repro.s3select.engine import ScanRange, execute_select
@@ -435,10 +435,10 @@ class TestPartitionScanNames:
 
 
 # ----------------------------------------------------------------------
-# concurrent scans: identical results and accounting
+# partition scans: ordered, complete, one statement
 # ----------------------------------------------------------------------
 
-class TestConcurrentScans:
+class TestPartitionScans:
     def _table(self, ctx):
         catalog = Catalog()
         rows = [(i, float(i) * 0.5) for i in range(500)]
@@ -449,37 +449,15 @@ class TestConcurrentScans:
     def test_scan_partitions_ordered_and_complete(self):
         ctx = CloudContext()
         info = self._table(ctx)
-        serial = scan_partitions(ctx, info, "SELECT k FROM S3Object")
-        pooled = scan_partitions(ctx, info, "SELECT k FROM S3Object", workers=8)
-        assert len(pooled) == 16
-        assert [materialize(p) for p in pooled] == [materialize(p) for p in serial]
-        assert materialize(b for p in pooled for b in p) == [
+        scans = scan_partitions(ctx, info, "SELECT k FROM S3Object")
+        assert len(scans) == 16
+        assert materialize(b for p in scans for b in p) == [
             (i,) for i in range(500)
         ]
 
-    def test_get_and_select_identical_across_worker_counts(self):
-        baseline = None
-        for workers in (1, 4):
-            ctx = CloudContext(workers=workers)
-            info = self._table(ctx)
-            mark = ctx.metrics.mark()
-            scans = scan_partitions(
-                ctx, info, "SELECT k, v FROM S3Object WHERE k < 100"
-            )
-            records = ctx.metrics.records_since(mark)
-            summary = (
-                [materialize(batches) for batches in scans], len(records),
-                sum(r.bytes_scanned for r in records),
-                sum(r.bytes_returned for r in records),
-            )
-            if baseline is None:
-                baseline = summary
-            else:
-                assert summary == baseline
-
     def test_scan_prepares_its_statement_once(self, monkeypatch):
-        """16 partition requests, one parse — and the same 16 records as
-        a serial scan, because S3 still bills every request in full."""
+        """16 partition requests, one parse — and 16 records, one per
+        partition in partition order, because S3 bills every request."""
         parsed = []
         real_parse = select_engine.parser.parse
         monkeypatch.setattr(
@@ -487,22 +465,16 @@ class TestConcurrentScans:
             lambda sql: parsed.append(sql) or real_parse(sql),
         )
         sql = "SELECT k, v FROM S3Object WHERE k % 3 = 0 AND v < 200.0"
-        recorded = {}
-        for workers in (1, 4):
-            ctx = CloudContext()
-            info = self._table(ctx)
-            parsed.clear()
-            mark = ctx.metrics.mark()
-            scans = list(scan_partitions(ctx, info, sql, workers=workers))
-            assert parsed == [sql]
-            assert len(scans) == 16
-            recorded[workers] = sorted(
-                ctx.metrics.records_since(mark), key=lambda r: r.key
-            )
-        assert len(recorded[4]) == 16
-        assert recorded[4] == recorded[1]
+        ctx = CloudContext()
+        info = self._table(ctx)
+        parsed.clear()
+        mark = ctx.metrics.mark()
+        scans = scan_partitions(ctx, info, sql)
+        assert parsed == [sql]
+        assert len(scans) == 16
+        records = ctx.metrics.records_since(mark)
+        assert [r.key for r in records] == list(info.keys)
 
-    @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize(
         "sql, error",
         [
@@ -513,40 +485,60 @@ class TestConcurrentScans:
         ],
         ids=["dialect", "syntax", "over-limit"],
     )
-    def test_bad_sql_raises_before_any_request_is_metered(self, sql, error, workers):
+    def test_bad_sql_raises_before_any_request_is_metered(self, sql, error):
         ctx = CloudContext()
         info = self._table(ctx)
         mark = ctx.metrics.mark()
         with pytest.raises(error):
-            scan_partitions(ctx, info, sql, workers=workers)
+            scan_partitions(ctx, info, sql)
         # A scan with every partition pruned away never looks at its SQL.
-        assert list(scan_partitions(ctx, info, sql, workers=workers, partitions=[])) == []
+        assert scan_partitions(ctx, info, sql, partitions=[]) == []
         assert ctx.metrics.records_since(mark) == []
 
 
-@pytest.fixture(scope="module")
-def tpch_envs():
-    """The same TPC-H dataset loaded into a serial and a concurrent context."""
-    envs = {}
-    for workers in (1, 4):
-        ctx = CloudContext(workers=workers)
-        catalog = Catalog()
-        load_tpch(ctx, catalog, 0.002, seed=11)
-        envs[workers] = (ctx, catalog)
-    return envs
+def _forbid_threads(monkeypatch):
+    def no_threads(thread):
+        raise AssertionError("a query started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_threads)
 
 
-class TestTpchWorkersDifferential:
-    """Every TPC-H query must be byte-for-byte independent of ``workers``."""
+class TestSerialByConstruction:
+    """No query starts a thread: each TPC-H query runs pushed (S3 Select
+    scans) and in baseline mode (GET scans) with ``threading.Thread.start``
+    made to raise, and matches an unrestricted run of itself."""
+
+    @pytest.mark.parametrize("query", ["q01", "q03", "q06", "q14", "q17", "q19"])
+    @pytest.mark.parametrize("mode", ["optimized", "baseline"])
+    def test_tpch_sql_starts_no_thread(self, mode, query, tpch_env, monkeypatch):
+        ctx, catalog = tpch_env
+        sql = (QUERY_DIR / f"{query}.sql").read_text()
+        # The first run's feedback can re-order a join, and with it the
+        # last bit of a float sum; the reference is a warmed run.
+        plan_and_execute(ctx, catalog, sql, mode=mode)
+        expected = plan_and_execute(ctx, catalog, sql, mode=mode).rows
+
+        _forbid_threads(monkeypatch)
+        mark = ctx.metrics.mark()
+        got = plan_and_execute(ctx, catalog, sql, mode=mode)
+        assert got.rows == expected and got.rows
+        kinds = {r.kind for r in ctx.metrics.records_since(mark)}
+        if mode == "baseline":
+            assert kinds == {RequestKind.GET}
+        else:
+            assert RequestKind.SELECT in kinds
 
     @pytest.mark.parametrize("name", sorted(TPCH_QUERIES))
     @pytest.mark.parametrize("variant", ["baseline", "optimized"])
-    def test_rows_bytes_cost_identical(self, name, variant, tpch_envs):
-        outcomes = {}
-        for workers, (ctx, catalog) in tpch_envs.items():
-            query_fn = getattr(TPCH_QUERIES[name], variant)
-            outcomes[workers] = query_fn(ctx, catalog)
-        a, b = outcomes[1], outcomes[4]
+    def test_strategy_starts_no_thread(self, name, variant, tpch_env, monkeypatch):
+        """The hand-built strategy plans: rows, bytes, requests, runtime
+        and cost identical to an unrestricted run."""
+        ctx, catalog = tpch_env
+        query_fn = getattr(TPCH_QUERIES[name], variant)
+        a = query_fn(ctx, catalog)
+
+        _forbid_threads(monkeypatch)
+        b = query_fn(ctx, catalog)
         assert a.rows == b.rows
         assert a.column_names == b.column_names
         assert a.bytes_scanned == b.bytes_scanned
@@ -558,11 +550,12 @@ class TestTpchWorkersDifferential:
 
 
 # ----------------------------------------------------------------------
-# metrics thread safety & Phase.workers modeling
+# metrics thread safety
 # ----------------------------------------------------------------------
 
 class TestMetricsConcurrency:
     def test_concurrent_recording_loses_nothing(self):
+        """A caller may share one session across its own threads."""
         metrics = MetricsCollector()
         per_thread, threads = 500, 8
 
@@ -573,25 +566,10 @@ class TestMetricsConcurrency:
                                   bytes_transferred=1)
                 )
 
-        workers = [threading.Thread(target=hammer) for _ in range(threads)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join()
+        hammers = [threading.Thread(target=hammer) for _ in range(threads)]
+        for h in hammers:
+            h.start()
+        for h in hammers:
+            h.join()
         assert metrics.num_requests == per_thread * threads
         assert metrics.bytes_transferred == per_thread * threads
-
-    def test_phase_workers_bounds_modeled_overlap(self):
-        records = [
-            RequestRecord(kind=RequestKind.SELECT, bucket="b", key=f"k{i}",
-                          bytes_scanned=60_000_000)
-            for i in range(8)
-        ]
-        unbounded = Phase.from_records("scan", records)
-        bounded = Phase.from_records("scan", records, workers=2)
-        t_unbounded = PAPER_PERF.phase_time(unbounded)
-        t_bounded = PAPER_PERF.phase_time(bounded)
-        # 8 one-second streams: fully overlapped ~1s, two lanes ~4s.
-        assert t_bounded > t_unbounded
-        assert t_bounded == pytest.approx(4 * (t_unbounded - PAPER_PERF.request_latency)
-                                          + PAPER_PERF.request_latency)

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bloom.filter import BloomFilter
-from repro.cloud.context import CloudContext, set_default_pipeline
+from repro.cloud.context import CloudContext
 from repro.cloud.perf import SERVER_CPU_PER_ROW
 from repro.common.errors import CatalogError, TypeMismatchError
 from repro.engine.batch import Batch
@@ -617,40 +617,28 @@ class TestColumnarDecode:
 
 
 class TestKnobValidation:
-    def test_context_rejects_non_positive_workers(self):
-        with pytest.raises(ValueError, match="workers"):
-            CloudContext(workers=0)
-        with pytest.raises(ValueError, match="workers"):
-            CloudContext(workers=-2)
-
     def test_context_rejects_non_positive_batch_size(self):
         with pytest.raises(ValueError, match="batch_size"):
             CloudContext(batch_size=0)
 
-    def test_process_defaults_reject_non_positive(self):
-        with pytest.raises(ValueError, match="workers"):
-            set_default_pipeline(workers=0)
-        with pytest.raises(ValueError, match="batch_size"):
-            set_default_pipeline(batch_size=-1)
-
-    def test_pushdowndb_rejects_non_positive_workers(self):
+    def test_pushdowndb_is_serial(self):
         from repro.planner.database import PushdownDB
 
-        with pytest.raises(ValueError, match="workers"):
-            PushdownDB(workers=0)
+        for workers in (None, 1):  # bench/workloads.py passes 1
+            assert not hasattr(PushdownDB(workers=workers).ctx, "workers")
+        for workers in (0, 2, 4):
+            with pytest.raises(ValueError, match="serial"):
+                PushdownDB(workers=workers)
 
     def test_cli_rejects_non_positive_knobs(self, capsys):
         from repro.cli import build_parser
 
         parser = build_parser()
-        good = parser.parse_args(
-            ["query", "SELECT 1", "--workers", "2", "--batch-size", "64"]
-        )
-        assert good.workers == 2 and good.batch_size == 64
-        for bad in (["--workers", "0"], ["--batch-size", "-5"]):
-            with pytest.raises(SystemExit):
-                parser.parse_args(["query", "SELECT 1", *bad])
-            assert "positive integer" in capsys.readouterr().err
+        good = parser.parse_args(["query", "SELECT 1", "--batch-size", "64"])
+        assert good.batch_size == 64
+        with pytest.raises(SystemExit):
+            parser.parse_args(["query", "SELECT 1", "--batch-size", "-5"])
+        assert "positive integer" in capsys.readouterr().err
 
 
 class TestOperatorTimes:
