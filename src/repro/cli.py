@@ -2,8 +2,9 @@
 
 Four subcommands:
 
-* ``experiment fig1 [fig5 ...]`` — run paper-figure harnesses and print
-  their tables (``all`` runs everything; sizes match the benchmarks);
+* ``experiment fig1 [fig5 ...]`` — run paper-figure harnesses, print
+  their tables and judge the paper's claims (``all`` runs everything;
+  exits 1 if a claim fails or a row check disagrees);
 * ``query "<SQL>"`` — load a TPC-H dataset and run one SQL statement in
   both baseline and optimized mode, with an execution report;
 * ``explain "<SQL>"`` — the optimizer's EXPLAIN report (candidate
@@ -22,38 +23,42 @@ from repro.common.units import human_bytes, human_dollars, human_seconds
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.experiments import ALL_EXPERIMENTS
+    from repro.experiments.harness import Disagreement
 
     names = list(ALL_EXPERIMENTS) if "all" in args.names else args.names
     unknown = [n for n in names if n not in ALL_EXPERIMENTS]
     if unknown:
         print(f"unknown experiment(s): {unknown}; available: {list(ALL_EXPERIMENTS)}")
         return 2
-    collected = {}
+    collected, failures = {}, {}
     for name in names:
-        result = ALL_EXPERIMENTS[name]()
+        try:
+            result = ALL_EXPERIMENTS[name]()
+        except Disagreement as error:
+            failures[name] = [str(error)]
+            continue
+        failures[name] = result.failures()
         print(result.to_table())
-        print()
+        print(f"{name}: {len(result.claims) - len(failures[name])}"
+              f"/{len(result.claims)} claims hold\n")
         collected[name] = result
     if args.json is not None:
         import json
 
         payload = {
-            name: {"title": r.title, "rows": r.rows, "notes": r.notes}
+            name: {"title": r.title, "rows": r.rows, "notes": r.notes,
+                   "failed_claims": failures[name]}
             for name, r in collected.items()
         }
         with open(args.json, "w") as fh:
             json.dump(payload, fh, indent=2, default=str)
         print(f"wrote {args.json}")
-    # Differential experiments carry a matched count; a shortfall is a
-    # real failure CI must see, not just a table cell.
-    for name, r in collected.items():
-        matched = r.notes.get("matched")
-        if matched is not None:
-            done, _, want = str(matched).partition("/")
-            if done != want:
-                print(f"{name}: only {matched} differential checks matched")
-                return 1
-    return 0
+    # A claim that fails or a row check that disagrees is a real failure
+    # CI must see, by figure and paper text, not just a table cell.
+    lines = [line for found in failures.values() for line in found]
+    for line in lines:
+        print(line)
+    return 1 if lines else 0
 
 
 def _load_tpch_db(args: argparse.Namespace):

@@ -36,8 +36,8 @@ class PerfModel:
     """Rate parameters for the simulated cloud.
 
     All rates are bytes/second unless noted.  Defaults are the "paper"
-    calibration; experiments may scale them (documented per-experiment in
-    EXPERIMENTS.md).
+    calibration; each experiment scales them to paper size
+    (``experiments.harness.calibrate_tables``).
     """
 
     #: S3 Select scan rate of one partition stream.

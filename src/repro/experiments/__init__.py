@@ -1,13 +1,7 @@
-"""One experiment harness per paper figure.
-
-Each module exposes ``run(**params) -> ExperimentResult`` with defaults
-sized for seconds-scale execution; the benchmarks call these and print
-``result.to_table()``.
-
-:data:`ALL_EXPERIMENTS` is a *lazy* registry: iterating or rendering the
-name list (the CLI help does both) imports nothing, and each figure
-module loads only when its ``run`` is actually fetched — so
-``python -m repro tables`` never pays for fig1..fig14 at startup.
+"""One experiment per paper figure: ``run(**params) -> ExperimentResult``
+(defaults sized for seconds) and ``CLAIMS``, the paper's statements the
+result is judged by.  :data:`ALL_EXPERIMENTS` is *lazy*: listing names
+(the CLI help does) imports no figure module.
 """
 
 from collections.abc import Mapping
@@ -16,27 +10,14 @@ from typing import Callable, Iterator
 
 from repro.experiments.harness import ExperimentResult  # noqa: F401
 
-#: Experiment name -> implementing module, the single source of truth
-#: both the registry and the CLI's help string read.
+#: Experiment name -> module: what the registry and the CLI help both read.
 _EXPERIMENT_MODULES = {
-    "fig1": "fig01_filter",
-    "fig2": "fig02_join_customer",
-    "fig3": "fig03_join_orders",
-    "fig4": "fig04_bloom_fpr",
-    "fig5": "fig05_groupby_groups",
-    "fig6": "fig06_hybrid_split",
-    "fig7": "fig07_groupby_skew",
-    "fig8": "fig08_topk_sample",
-    "fig9": "fig09_topk_k",
-    "fig10": "fig10_tpch",
-    "fig11": "fig11_parquet",
-    "fig12": "fig12_multijoin",
-    "fig13": "fig13_snowflake",
-    "fig14": "fig14_adaptive",
-    "fig15": "fig15_pruning",
-    "fig16": "fig16_cache",
-    "auto": "auto_strategy",
-    "tpch": "tpch_suite",
+    "fig1": "fig01_filter", "fig2": "fig02_join_customer", "fig3": "fig03_join_orders",
+    "fig4": "fig04_bloom_fpr", "fig5": "fig05_groupby_groups", "fig6": "fig06_hybrid_split",
+    "fig7": "fig07_groupby_skew", "fig8": "fig08_topk_sample", "fig9": "fig09_topk_k",
+    "fig10": "fig10_tpch", "fig11": "fig11_parquet", "fig12": "fig12_multijoin",
+    "fig13": "fig13_snowflake", "fig14": "fig14_adaptive", "fig15": "fig15_pruning",
+    "fig16": "fig16_cache", "auto": "auto_strategy", "tpch": "tpch_suite",
 }
 
 
@@ -44,10 +25,10 @@ class _LazyRegistry(Mapping):
     """Experiment name -> ``run`` callable, imported on first access."""
 
     def __getitem__(self, name: str) -> Callable:
-        module = import_module(
-            f"repro.experiments.{_EXPERIMENT_MODULES[name]}"
-        )
-        return module.run
+        return self.module(name).run
+
+    def module(self, name: str):
+        return import_module(f"repro.experiments.{_EXPERIMENT_MODULES[name]}")
 
     def __contains__(self, name: object) -> bool:
         return name in _EXPERIMENT_MODULES

@@ -1,65 +1,37 @@
 """Figure 3: join strategies vs orders-table selectivity.
 
-Customer selectivity fixed at ``c_acctbal <= -950`` (highly selective),
-Bloom FPR at 0.01; ``o_orderdate < d`` swept from '1992-03-01' (few
-orders) to None (all orders).  Expected shape: filtered join beats
-baseline while the orders filter is selective and converges to it as the
-filter opens up; Bloom join stays fast and flat because the Bloom filter
-keeps the orders rows returned small regardless of the date filter.
+Customer filter fixed at ``c_acctbal <= -950``, Bloom FPR at 0.01;
+``o_orderdate < d`` swept from '1992-03-01' (few orders) to None (all).
 """
 
-from __future__ import annotations
+from repro.experiments.fig02_join_customer import join_strategies, join_sweep
+from repro.experiments.fig02_join_customer import make_join_query
+from repro.experiments.harness import PAPER_TPCH_BYTES, Claim, Sweep, runner
 
-from repro.cloud.context import CloudContext
-from repro.engine.catalog import Catalog
-from repro.experiments.fig02_join_customer import STRATEGIES, make_join_query
-from repro.experiments.harness import close_enough
-from repro.experiments.harness import (
-    ExperimentResult,
-    PAPER_TPCH_BYTES,
-    calibrate_tables,
-    execution_row,
-)
-from repro.queries.dataset import load_tpch
-
-DEFAULT_DATES = (
-    "1992-03-01", "1992-06-01", "1993-01-01", "1994-01-01", "1995-01-01", None,
-)
+DEFAULT_DATES = ("1992-03-01", "1992-06-01", "1993-01-01", "1994-01-01", "1995-01-01", None)
 
 
-def run(
-    scale_factor: float = 0.01,
-    dates: tuple = DEFAULT_DATES,
-    acctbal: float = -950,
-    fpr: float = 0.01,
-    paper_bytes: float = PAPER_TPCH_BYTES,
-) -> ExperimentResult:
-    ctx = CloudContext()
-    catalog = Catalog()
-    load_tpch(ctx, catalog, scale_factor, tables=("customer", "orders"))
-    scale = calibrate_tables(ctx, catalog, ["customer", "orders"], paper_bytes * 0.2)
-
-    result = ExperimentResult(
-        experiment="fig3",
-        title="Join strategies vs orders selectivity (o_orderdate < d)",
-        notes={"scale_factor": scale_factor, "paper_scale": f"{scale:.2e}",
+def sweep(scale_factor: float = 0.01, dates: tuple = DEFAULT_DATES, acctbal: float = -950,
+          fpr: float = 0.01, paper_bytes: float = PAPER_TPCH_BYTES) -> Sweep:
+    return join_sweep(
+        "fig3", "Join strategies vs orders selectivity (o_orderdate < d)",
+        "upper_o_orderdate", scale_factor, paper_bytes,
+        lambda ctx, catalog, _: (
+            (d or "None", make_join_query(acctbal, d), join_strategies(fpr)) for d in dates
+        ),
+        notes={"scale_factor": scale_factor, "paper_scale": None,
                "upper_c_acctbal": acctbal},
+        claims=CLAIMS,
     )
-    for date in dates:
-        query = make_join_query(acctbal, date)
-        reference = None
-        for name, strategy in STRATEGIES.items():
-            if name == "bloom":
-                execution = strategy(ctx, catalog, query, fpr=fpr)
-            else:
-                execution = strategy(ctx, catalog, query)
-            value = execution.rows[0][0] if execution.rows else None
-            if reference is None:
-                reference = value
-            elif not close_enough(reference, value):
-                raise AssertionError(
-                    f"join result mismatch at date={date}: {reference} vs {value}"
-                )
-            row = execution_row("upper_o_orderdate", date or "None", name, execution)
-            result.rows.append(row)
-    return result
+
+
+run = runner(sweep)
+
+CLAIMS = (
+    Claim("fig3", "Filtered beats baseline while selective, then slows toward it",
+          lambda r: (r.column("filtered"), r.column("baseline")[0]),
+          lambda v: v[0][0] < v[1] and v[0][-1] > v[0][0]),
+    Claim("fig3", "Bloom stays fast and flat: within 10%, under baseline everywhere",
+          lambda r: (r.column("bloom"), r.column("baseline")),
+          lambda v: max(v[0]) < min(1.1 * min(v[0]), min(v[1]))),
+)

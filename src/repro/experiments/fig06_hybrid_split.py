@@ -1,21 +1,14 @@
 """Figure 6: hybrid group-by — server-side vs S3-side time by split point.
 
 Sweeps how many (large) groups hybrid group-by pushes to S3 on the
-Zipfian workload.  Expected shape: pushing more groups increases the
-S3-side (Q1) time and decreases both the bytes returned and the
-server-side (Q2) time; total time — max of the two — is minimized in the
-middle (the paper finds 6-8 groups best at theta = 1.1-1.3).
+Zipfian workload; the total time is the slower of the two sides.
 """
 
-from __future__ import annotations
+from functools import partial
 
-from repro.cloud.context import CloudContext
-from repro.engine.catalog import Catalog, load_table
-from repro.experiments.harness import (
-    ExperimentResult,
-    PAPER_GROUPBY_BYTES,
-    calibrate_tables,
-)
+from repro.engine.catalog import load_table
+from repro.experiments.harness import PAPER_GROUPBY_BYTES, Claim, Sweep, ascending
+from repro.experiments.harness import paper_scale, runner
 from repro.strategies.groupby import AggSpec, GroupByQuery, hybrid_group_by
 from repro.workloads.synthetic import groupby_schema, skewed_groupby_table
 
@@ -24,41 +17,43 @@ DEFAULT_SPLITS = (1, 4, 6, 8, 10, 12)
 DEFAULT_THETA = 1.3
 
 
-def run(
-    num_rows: int = DEFAULT_NUM_ROWS,
-    splits: tuple = DEFAULT_SPLITS,
-    theta: float = DEFAULT_THETA,
-    paper_bytes: float = PAPER_GROUPBY_BYTES,
-    seed: int = 1,
-) -> ExperimentResult:
-    ctx = CloudContext()
-    catalog = Catalog()
-    rows = skewed_groupby_table(num_rows, theta=theta, seed=seed)
-    load_table(ctx, catalog, "skewed", rows, groupby_schema(), bucket="fig6")
-    scale = calibrate_tables(ctx, catalog, ["skewed"], paper_bytes)
+def _row(split, runs):
+    ex = runs["hybrid"]
+    return [{
+        "s3_groups": split, "strategy": "hybrid",
+        "runtime_s": round(ex.runtime_seconds, 4),
+        "s3_side_s": round(ex.details["s3_side_seconds"], 4),
+        "server_side_s": round(ex.details["server_side_seconds"], 4),
+        "bytes_returned": ex.details["bytes_returned_phase2"],
+        "tail_rows": ex.details["tail_rows"], "cost_total": round(ex.cost.total, 6),
+    }]
 
-    result = ExperimentResult(
-        experiment="fig6",
-        title="Hybrid group-by: groups aggregated at S3 vs server",
-        notes={"num_rows": num_rows, "theta": theta, "paper_scale": f"{scale:.2e}"},
-    )
-    query = GroupByQuery(
-        table="skewed",
-        group_columns=["g0"],
-        aggregates=[AggSpec("sum", c) for c in ("v0", "v1", "v2", "v3")],
-    )
-    for split in splits:
-        execution = hybrid_group_by(ctx, catalog, query, s3_groups=split)
-        result.rows.append(
-            {
-                "s3_groups": split,
-                "strategy": "hybrid",
-                "runtime_s": round(execution.runtime_seconds, 4),
-                "s3_side_s": round(execution.details["s3_side_seconds"], 4),
-                "server_side_s": round(execution.details["server_side_seconds"], 4),
-                "bytes_returned": execution.details["bytes_returned_phase2"],
-                "tail_rows": execution.details["tail_rows"],
-                "cost_total": round(execution.cost.total, 6),
-            }
-        )
-    return result
+
+def sweep(num_rows: int = DEFAULT_NUM_ROWS, splits: tuple = DEFAULT_SPLITS,
+          theta: float = DEFAULT_THETA, paper_bytes: float = PAPER_GROUPBY_BYTES,
+          seed: int = 1) -> Sweep:
+    def load(ctx, catalog, _):
+        rows = skewed_groupby_table(num_rows, theta=theta, seed=seed)
+        load_table(ctx, catalog, "skewed", rows, groupby_schema(), bucket="fig6")
+        return paper_scale(ctx, catalog, ["skewed"], paper_bytes)
+
+    def cases(ctx, catalog, _):
+        query = GroupByQuery("skewed", ["g0"], [AggSpec("sum", f"v{i}") for i in range(4)])
+        for split in splits:
+            yield split, query, {"hybrid": partial(hybrid_group_by, s3_groups=split)}
+
+    return Sweep("fig6", "Hybrid group-by: groups aggregated at S3 vs server", "s3_groups",
+                 load, cases, notes={"num_rows": num_rows, "theta": theta}, record=_row,
+                 claims=CLAIMS)
+
+
+run = runner(sweep)
+
+CLAIMS = (
+    Claim("fig6", "More groups at S3: more S3-side time, less server time and bytes",
+          lambda r: [r.column("hybrid", k) for k in
+                     ("s3_side_s", "server_side_s", "bytes_returned")],
+          lambda c: ascending(c[0]) and all(ascending(x, reverse=True) for x in c[1:])),
+    Claim("fig6", "Total time is lowest inside the sweep (paper: 6-8 groups)",
+          lambda r: r.column("hybrid"), lambda t: min(t) < min(t[0], t[-1])),
+)

@@ -1,29 +1,14 @@
 """Figure 10: the full query suite — baseline vs optimized PushdownDB.
 
-Four micro-operator queries (filter, group-by, top-K, join) plus TPC-H
-Q1, Q3, Q6, Q14, Q17, Q19, each run as:
-
-* PushdownDB (Baseline) — no S3 Select;
-* PushdownDB (Optimized) — the pushdown algorithms of Sections IV-VII.
-
-The paper's headline: optimized is on average 6.7x faster and 30%
-cheaper.  A synthetic Presto reference series is included for the §VIII
-sanity bound ("baseline PushdownDB is slower than Presto by less than
-2x; optimized outperforms Presto by 3.4x") — Presto itself is out of
-scope, so the series is derived, and clearly labeled as such.
+Four micro queries plus TPC-H Q1, Q3, Q6, Q14, Q17, Q19, without S3
+Select (baseline) and with Sections IV-VII's pushdown (optimized).  A
+derived Presto series gives §VIII's sanity bound (Presto is out of scope).
 """
-
-from __future__ import annotations
 
 import math
 
-from repro.cloud.context import CloudContext
-from repro.engine.catalog import Catalog
-from repro.experiments.harness import (
-    ExperimentResult,
-    PAPER_TPCH_BYTES,
-    calibrate_tables,
-)
+from repro.experiments.harness import PAPER_TPCH_BYTES, Claim, Sweep, cost_columns
+from repro.experiments.harness import paper_scale, run_sweep
 from repro.queries.dataset import DEFAULT_TABLES, load_tpch
 from repro.queries.micro import MICRO_QUERIES
 from repro.queries.tpch_queries import TPCH_QUERIES
@@ -32,101 +17,56 @@ from repro.queries.tpch_queries import TPCH_QUERIES
 #: 2x" — we derive the reference series with that factor.
 PRESTO_BASELINE_FACTOR = 2.0
 
+MODES = {
+    "baseline": lambda ctx, catalog, variants: variants.baseline(ctx, catalog),
+    "optimized": lambda ctx, catalog, variants: variants.optimized(ctx, catalog),
+}
 
-def run(
-    scale_factor: float = 0.01,
-    paper_bytes: float = PAPER_TPCH_BYTES,
-    include_presto_reference: bool = True,
-) -> ExperimentResult:
-    ctx = CloudContext()
-    catalog = Catalog()
-    load_tpch(ctx, catalog, scale_factor)
-    scale = calibrate_tables(ctx, catalog, list(DEFAULT_TABLES), paper_bytes)
 
-    result = ExperimentResult(
-        experiment="fig10",
-        title="Query suite: PushdownDB baseline vs optimized",
-        notes={
-            "scale_factor": scale_factor,
-            "paper_scale": f"{scale:.2e}",
-            "presto_series": "derived from baseline (documented synthetic)",
-        },
-    )
-    speedups: list[float] = []
-    baseline_costs: list[float] = []
-    optimized_costs: list[float] = []
-    for name, variants in {**MICRO_QUERIES, **TPCH_QUERIES}.items():
-        baseline = variants.baseline(ctx, catalog)
-        optimized = variants.optimized(ctx, catalog)
-        _check_match(name, baseline.rows, optimized.rows)
-        speedup = baseline.runtime_seconds / max(optimized.runtime_seconds, 1e-12)
-        speedups.append(speedup)
-        baseline_costs.append(baseline.cost.total)
-        optimized_costs.append(optimized.cost.total)
-        for label, execution in (("baseline", baseline), ("optimized", optimized)):
-            result.rows.append(
-                {
-                    "query": name,
-                    "strategy": label,
-                    "runtime_s": round(execution.runtime_seconds, 3),
-                    "cost_total": round(execution.cost.total, 6),
-                    "cost_compute": round(execution.cost.compute, 6),
-                    "cost_request": round(execution.cost.request, 6),
-                    "cost_scan": round(execution.cost.scan, 6),
-                    "cost_transfer": round(execution.cost.transfer, 6),
-                    "speedup": round(speedup, 2) if label == "optimized" else "",
-                }
-            )
+def run(scale_factor: float = 0.01, paper_bytes: float = PAPER_TPCH_BYTES,
+        include_presto_reference: bool = True):
+    speedups, costs = [], []
+
+    def record(name, runs):
+        baseline, optimized = runs["baseline"], runs["optimized"]
+        speedups.append(baseline.runtime_seconds / max(optimized.runtime_seconds, 1e-12))
+        costs.append((baseline.cost.total, optimized.cost.total))
+        speedup = round(speedups[-1], 2)
+        rows = [{"query": name, "strategy": mode, "runtime_s": round(ex.runtime_seconds, 3),
+                 **cost_columns(ex), "speedup": "" if ex is baseline else speedup}
+                for mode, ex in runs.items()]
         if include_presto_reference:
-            result.rows.append(
-                {
-                    "query": name,
-                    "strategy": "presto (derived)",
-                    "runtime_s": round(
-                        baseline.runtime_seconds / PRESTO_BASELINE_FACTOR, 3
-                    ),
-                    "cost_total": "",
-                }
-            )
+            presto = round(baseline.runtime_seconds / PRESTO_BASELINE_FACTOR, 3)
+            rows.append({"query": name, "strategy": "presto (derived)",
+                         "runtime_s": presto, "cost_total": ""})
+        return rows
 
-    geo_speedup = math.exp(sum(math.log(s) for s in speedups) / len(speedups))
-    cost_ratio = sum(optimized_costs) / sum(baseline_costs)
-    result.rows.append(
-        {
-            "query": "geo-mean",
-            "strategy": "optimized/baseline",
-            "runtime_s": "",
-            "cost_total": "",
-            "speedup": round(geo_speedup, 2),
-        }
+    def load(ctx, catalog, _):
+        load_tpch(ctx, catalog, scale_factor)
+        return paper_scale(ctx, catalog, list(DEFAULT_TABLES), paper_bytes)
+
+    queries = {**MICRO_QUERIES, **TPCH_QUERIES}
+    result = run_sweep(Sweep(
+        "fig10", "Query suite: PushdownDB baseline vs optimized", "query", load,
+        lambda ctx, catalog, _: ((name, queries[name], MODES) for name in queries),
+        notes={"scale_factor": scale_factor, "paper_scale": None,
+               "presto_series": "derived from baseline (documented synthetic)"},
+        record=record, claims=CLAIMS,
+    ))
+    geo_speedup = round(math.exp(sum(map(math.log, speedups)) / len(speedups)), 2)
+    result.rows.append({"query": "geo-mean", "strategy": "optimized/baseline",
+                        "runtime_s": "", "cost_total": "", "speedup": geo_speedup})
+    result.notes.update(
+        geomean_speedup=geo_speedup,
+        total_cost_ratio=round(sum(o for _, o in costs) / sum(b for b, _ in costs), 3),
+        paper_headline="6.7x faster, 30% cheaper",
     )
-    result.notes["geomean_speedup"] = round(geo_speedup, 2)
-    result.notes["total_cost_ratio"] = round(cost_ratio, 3)
-    result.notes["paper_headline"] = "6.7x faster, 30% cheaper"
     return result
 
 
-def _check_match(name: str, a: list[tuple], b: list[tuple]) -> None:
-    def norm(rows):
-        out = []
-        for row in rows:
-            out.append(
-                tuple(
-                    round(v, 6) if isinstance(v, float) and abs(v) < 1e3
-                    else round(v, 2) if isinstance(v, float)
-                    else v
-                    for v in row
-                )
-            )
-        return sorted(out)
-
-    na, nb = norm(a), norm(b)
-    if len(na) != len(nb):
-        raise AssertionError(f"{name}: row count mismatch {len(na)} vs {len(nb)}")
-    for ra, rb in zip(na, nb):
-        for va, vb in zip(ra, rb):
-            if isinstance(va, float) and isinstance(vb, float):
-                if abs(va - vb) > 1e-6 * max(abs(va), abs(vb), 1.0):
-                    raise AssertionError(f"{name}: {va} != {vb}")
-            elif va != vb:
-                raise AssertionError(f"{name}: {va!r} != {vb!r}")
+CLAIMS = (
+    Claim("fig10", "Optimized is 3x-12x faster on geo-mean (paper: 6.7x)",
+          lambda r: r.notes["geomean_speedup"], lambda x: 3.0 <= x <= 12.0),
+    Claim("fig10", "Optimized costs under 0.9x of baseline (paper: 0.70x)",
+          lambda r: r.notes["total_cost_ratio"], lambda x: x < 0.9),
+)

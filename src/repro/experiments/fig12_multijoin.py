@@ -1,142 +1,92 @@
 """Figure 12 (extension): join-order sweep on a 3-table TPC-H join.
 
-The paper evaluates joins pairwise; this harness runs the full
-customer ⋈ orders ⋈ lineitem chain (the shape of TPC-H Q3) through the
-N-way planner, executing *every* connected left-deep join order and
-comparing the cost-based search's pick against the measured best.
-Expected shape: orders-first plans win while the date filter is
-selective (a small build side feeds the Bloom filter on the lineitem
-probe); the search should pick a measured-optimal or near-optimal order
-at every swept point.
+The paper evaluates joins pairwise; this runs customer ⋈ orders ⋈
+lineitem (TPC-H Q3's shape) in *every* connected left-deep order plus
+``auto`` at each point, against the search's pick made before it runs.
 """
 
-from __future__ import annotations
+from functools import partial
 
-from repro.cloud.context import CloudContext
-from repro.engine.catalog import Catalog
-from repro.experiments.harness import (
-    ExperimentResult,
-    PAPER_TPCH_BYTES,
-    calibrate_tables,
-    close_enough,
-    execution_row,
-    winners_by_sweep,
-)
+from repro.experiments.harness import PAPER_TPCH_BYTES, Claim, Sweep, cost_against
+from repro.experiments.harness import paper_scale, run_sweep, winners_by_sweep
 from repro.optimizer.joinorder import (
-    build_join_graph,
-    enumerate_left_deep_orders,
-    plan_join_order,
+    build_join_graph, enumerate_left_deep_orders, plan_join_order,
 )
 from repro.planner.planner import execute_with_join_order, plan_and_execute
 from repro.queries.dataset import load_tpch
 from repro.sqlparser.parser import parse
 
 TABLES = ("customer", "orders", "lineitem")
-
 DEFAULT_DATES = ("1992-06-01", "1993-06-01", "1995-01-01", None)
 
 
 def make_sql(date: str | None, acctbal: float) -> str:
-    clauses = [
-        "c_custkey = o_custkey",
-        "o_orderkey = l_orderkey",
-        f"c_acctbal > {acctbal}",
-    ]
+    where = f"c_custkey = o_custkey AND o_orderkey = l_orderkey AND c_acctbal > {acctbal}"
     if date is not None:
-        clauses.append(f"o_orderdate < '{date}'")
-    return (
-        "SELECT c_mktsegment, SUM(l_extendedprice) AS revenue"
-        " FROM customer, orders, lineitem"
-        " WHERE " + " AND ".join(clauses)
-        + " GROUP BY c_mktsegment ORDER BY c_mktsegment"
-    )
+        where += f" AND o_orderdate < '{date}'"
+    return ("SELECT c_mktsegment, SUM(l_extendedprice) AS revenue FROM customer, orders,"
+            f" lineitem WHERE {where} GROUP BY c_mktsegment ORDER BY c_mktsegment")
 
 
-def _totals(rows) -> dict:
-    return {r[0]: r[1] for r in rows}
+def join_orders(ctx, catalog, sql: str):
+    """The search's decision, and every connected left-deep order as a strategy."""
+    query = parse(sql)
+    graph = build_join_graph(catalog, query)
+    decision = plan_join_order(ctx, catalog, query, graph=graph)
+    return decision, {" -> ".join(order): partial(execute_with_join_order, order=order)
+                      for order in enumerate_left_deep_orders(graph)}
 
 
-def run(
-    scale_factor: float = 0.005,
-    dates: tuple = DEFAULT_DATES,
-    acctbal: float = 0.0,
-    paper_bytes: float = PAPER_TPCH_BYTES,
-) -> ExperimentResult:
+def auto_plan(ctx, catalog, sql):
+    """The auto planner end to end: join-order search plus mode choice."""
+    return plan_and_execute(ctx, catalog, sql, mode="auto")
+
+
+def run(scale_factor: float = 0.005, dates: tuple = DEFAULT_DATES, acctbal: float = 0.0,
+        paper_bytes: float = PAPER_TPCH_BYTES):
     """Sweep the orders-date filter; execute every join order per point."""
-    ctx = CloudContext()
-    catalog = Catalog()
-    load_tpch(ctx, catalog, scale_factor, tables=TABLES)
-    scale = calibrate_tables(ctx, catalog, list(TABLES), paper_bytes)
+    picks = {}
 
-    result = ExperimentResult(
-        experiment="fig12",
-        title="3-way join: every left-deep order vs the cost-based pick",
-        notes={"scale_factor": scale_factor, "paper_scale": f"{scale:.2e}",
+    def load(ctx, catalog, _):
+        load_tpch(ctx, catalog, scale_factor, tables=TABLES)
+        return paper_scale(ctx, catalog, list(TABLES), paper_bytes)
+
+    def cases(ctx, catalog, _):
+        for date in dates:
+            sql = make_sql(date, acctbal)
+            decision, orders = join_orders(ctx, catalog, sql)
+            picks[date or "None"] = " -> ".join(decision.order)
+            yield date or "None", sql, {**orders, "auto": auto_plan}
+
+    result = run_sweep(Sweep(
+        "fig12", "3-way join: every left-deep order vs the cost-based pick",
+        "upper_o_orderdate", load, cases, claims=CLAIMS,
+        notes={"scale_factor": scale_factor, "paper_scale": None,
                "lower_c_acctbal": acctbal},
-    )
-    agreements = []
-    for date in dates:
-        sql = make_sql(date, acctbal)
-        query = parse(sql)
-        graph = build_join_graph(catalog, query)
-        decision = plan_join_order(ctx, catalog, query, graph=graph)
-        sweep_value = date or "None"
-        reference = None
-        measured = []
-        for order in enumerate_left_deep_orders(graph):
-            execution = execute_with_join_order(ctx, catalog, sql, order)
-            totals = _totals(execution.rows)
-            if reference is None:
-                reference = totals
-            elif set(totals) != set(reference) or not all(
-                close_enough(totals[k], reference[k]) for k in totals
-            ):
-                raise AssertionError(
-                    f"join result mismatch at date={date}:"
-                    f" {reference} vs {totals} (order {order})"
-                )
-            row = execution_row(
-                "upper_o_orderdate", sweep_value, " -> ".join(order), execution
-            )
-            result.rows.append(row)
-            measured.append(row)
-
-        # The auto planner end-to-end (search + mode choice) on the
-        # same query, recorded alongside the forced-order sweeps.
-        auto = plan_and_execute(ctx, catalog, sql, mode="auto")
-        auto_totals = _totals(auto.rows)
-        if reference is not None and (
-            set(auto_totals) != set(reference)
-            or not all(close_enough(auto_totals[k], reference[k]) for k in reference)
-        ):
-            raise AssertionError(
-                f"auto result mismatch at date={date}:"
-                f" {auto_totals} vs {reference}"
-            )
-        result.rows.append(
-            execution_row("upper_o_orderdate", sweep_value, "auto", auto)
-        )
-
-        picked = " -> ".join(decision.order)
-        best = winners_by_sweep(measured, "upper_o_orderdate")[sweep_value]
-        by_order = {r["strategy"]: r["cost_total"] for r in measured}
+    ))
+    cost = {(r["upper_o_orderdate"], r["strategy"]): r["cost_total"] for r in result.rows}
+    lines = []
+    for value, best in _winners(result).items():
         # Symmetric orders measure identically (ties); the pick agrees
         # whenever its measured cost matches the winner's.
-        agree = by_order[picked] <= by_order[best] * (1.0 + 1e-9)
-        agreements.append({
-            "upper_o_orderdate": sweep_value,
-            "picked_order": picked,
-            "measured_best": best,
-            "agree": agree,
-        })
-
-    result.notes["picks"] = "; ".join(
-        f"{a['upper_o_orderdate']}: picked [{a['picked_order']}]"
-        f" best [{a['measured_best']}]"
-        f" {'OK' if a['agree'] else 'MISS'}"
-        for a in agreements
-    )
-    result.notes["agreement"] = (
-        f"{sum(a['agree'] for a in agreements)}/{len(agreements)}"
-    )
+        ok = cost[value, picks[value]] <= cost[value, best] * (1.0 + 1e-9)
+        lines.append(f"{value}: picked [{picks[value]}] best [{best}]"
+                     f" {'OK' if ok else 'MISS'}")
+    result.notes["picks"] = "; ".join(lines)
     return result
+
+
+def _winners(r) -> dict:
+    return winners_by_sweep([row for row in r.rows if row["strategy"] != "auto"],
+                            "upper_o_orderdate")
+
+
+CLAIMS = (
+    Claim("fig12", "The search picks the measured-best order at all but one point",
+          lambda r: r.notes["picks"].count("MISS"), lambda misses: misses <= 1),
+    Claim("fig12", "Auto is within 6% of the best forced order, never over the worst",
+          lambda r: cost_against(r, "upper_o_orderdate", "auto", ("auto",)),
+          lambda ratios: all(b <= 1.06 and w <= 1 + 1e-9 for b, w in ratios)),
+    Claim("fig12", "Orders-first plans win while the date filter is selective",
+          lambda r: list(_winners(r).values()), lambda best: best[0].startswith("orders")),
+)

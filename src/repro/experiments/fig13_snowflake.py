@@ -1,153 +1,75 @@
 """Figure 13 (extension): bushy vs left-deep plans on a snowflake join.
 
-The fig12 sweep showed the cost-based search picking good *left-deep*
-orders; this harness exercises the shape left-deep planning cannot win:
-a snowflake — a fact table joining two independent dimension branches,
-each branch carrying a selective filter on its sub-dimension::
-
-    sub1 -- dim1 -- fact -- dim2 -- sub2
-    (s1_attr < t)           (s2_attr < t)
-
-A bushy plan joins each branch first, so *both* dimension scans are
-Bloom-reduced by their own filtered sub-dimension; any left-deep chain
-reaches the second branch's dimension through the fact-side
-intermediate, whose key set is nearly unselective there.  The harness
-executes every connected left-deep order plus the DP's pick at every
-swept point and records whether the pick (a) is genuinely bushy and
-(b) measures no worse than the best left-deep order.
+``sub1 -- dim1 -- fact -- dim2 -- sub2``, filtered ``s1_attr < t`` and
+``s2_attr < t``: a bushy plan Bloom-reduces *both* dimension scans by
+their own sub-dimension; a left-deep chain reaches the second through a
+nearly unselective fact-side key set.  Every point runs every connected
+left-deep order, the DP's pick and ``auto``.
 """
 
-from __future__ import annotations
+from functools import partial
 
-from repro.cloud.context import CloudContext
-from repro.engine.catalog import Catalog, load_table
-from repro.experiments.harness import (
-    ExperimentResult,
-    PAPER_TPCH_BYTES,
-    calibrate_tables,
-    close_enough,
-    execution_row,
-    winners_by_sweep,
-)
-from repro.optimizer.joinorder import (
-    build_join_graph,
-    enumerate_left_deep_orders,
-    plan_join_order,
-)
+from repro.engine.catalog import load_table
+from repro.experiments.fig12_multijoin import auto_plan, join_orders
+from repro.experiments.harness import PAPER_TPCH_BYTES, Claim, Sweep, cost_against
+from repro.experiments.harness import paper_scale, run_sweep, winners_by_sweep
 from repro.planner import physical
-from repro.planner.planner import (
-    execute_with_join_order,
-    execute_with_join_tree,
-    plan_and_execute,
-)
-from repro.sqlparser.parser import parse
+from repro.planner.planner import execute_with_join_tree
 from repro.workloads.synthetic import SNOWFLAKE_SCHEMAS, snowflake_tables
 
 TABLES = ("fact", "dim1", "sub1", "dim2", "sub2")
-
 DEFAULT_THRESHOLDS = (4, 10, 25, 60)
+PICKED = ("dp-pick", "auto")
 
 
 def make_sql(threshold: int) -> str:
-    return (
-        "SELECT SUM(f_v) AS total FROM fact, dim1, sub1, dim2, sub2"
-        " WHERE f_d1 = d1_id AND d1_s1 = s1_id"
-        " AND f_d2 = d2_id AND d2_s2 = s2_id"
-        f" AND s1_attr < {threshold} AND s2_attr < {threshold}"
-    )
+    return ("SELECT SUM(f_v) AS total FROM fact, dim1, sub1, dim2, sub2"
+            " WHERE f_d1 = d1_id AND d1_s1 = s1_id AND f_d2 = d2_id AND d2_s2 = s2_id"
+            f" AND s1_attr < {threshold} AND s2_attr < {threshold}")
 
 
-def run(
-    fact_rows: int = 9000,
-    thresholds: tuple = DEFAULT_THRESHOLDS,
-    paper_bytes: float = PAPER_TPCH_BYTES,
-    seed: int = 7,
-) -> ExperimentResult:
+def run(fact_rows: int = 9000, thresholds: tuple = DEFAULT_THRESHOLDS,
+        paper_bytes: float = PAPER_TPCH_BYTES, seed: int = 7):
     """Sweep the branch filters; execute every left-deep order + the pick."""
-    ctx = CloudContext()
-    catalog = Catalog()
-    tables = snowflake_tables(fact_rows, seed=seed)
-    for name in TABLES:
-        load_table(ctx, catalog, name, tables[name], SNOWFLAKE_SCHEMAS[name])
-    scale = calibrate_tables(ctx, catalog, list(TABLES), paper_bytes)
+    picks = {}  # threshold -> (tree label, is bushy)
 
-    result = ExperimentResult(
-        experiment="fig13",
-        title="snowflake join: bushy DP pick vs every left-deep order",
-        notes={"fact_rows": fact_rows, "paper_scale": f"{scale:.2e}"},
-    )
-    agreements = []
-    for threshold in thresholds:
-        sql = make_sql(threshold)
-        query = parse(sql)
-        graph = build_join_graph(catalog, query)
-        decision = plan_join_order(ctx, catalog, query, graph=graph)
-        picked_label = physical.join_tree_label(decision.tree)
-        bushy = not physical.is_left_deep(decision.tree)
+    def load(ctx, catalog, _):
+        tables = snowflake_tables(fact_rows, seed=seed)
+        for name in TABLES:
+            load_table(ctx, catalog, name, tables[name], SNOWFLAKE_SCHEMAS[name])
+        return paper_scale(ctx, catalog, list(TABLES), paper_bytes)
 
-        reference = None
-        measured = []
-        for order in enumerate_left_deep_orders(graph):
-            execution = execute_with_join_order(ctx, catalog, sql, order)
-            total = execution.rows[0][0]
-            if reference is None:
-                reference = total
-            elif not close_enough(total, reference):
-                raise AssertionError(
-                    f"left-deep result mismatch at t={threshold}:"
-                    f" {total} vs {reference} (order {order})"
-                )
-            measured.append(execution_row(
-                "threshold", threshold, " -> ".join(order), execution
-            ))
-        result.rows.extend(measured)
+    def cases(ctx, catalog, _):
+        for threshold in thresholds:
+            sql = make_sql(threshold)
+            decision, orders = join_orders(ctx, catalog, sql)
+            picks[threshold] = (physical.join_tree_label(decision.tree),
+                                not physical.is_left_deep(decision.tree))
+            pick = partial(execute_with_join_tree, shape=decision.shape)
+            yield threshold, sql, {**orders, "dp-pick": pick, "auto": auto_plan}
 
-        # The DP pick, executed through its (possibly bushy) tree shape.
-        pick = execute_with_join_tree(ctx, catalog, sql, decision.shape)
-        if not close_enough(pick.rows[0][0], reference):
-            raise AssertionError(
-                f"DP-pick result mismatch at t={threshold}:"
-                f" {pick.rows[0][0]} vs {reference} ({picked_label})"
-            )
-        pick_row = execution_row("threshold", threshold, "dp-pick", pick)
-        result.rows.append(pick_row)
-
-        # The auto planner end-to-end (search + mode choice).
-        auto = plan_and_execute(ctx, catalog, sql, mode="auto")
-        if not close_enough(auto.rows[0][0], reference):
-            raise AssertionError(
-                f"auto result mismatch at t={threshold}:"
-                f" {auto.rows[0][0]} vs {reference}"
-            )
-        result.rows.append(execution_row("threshold", threshold, "auto", auto))
-
-        best = winners_by_sweep(measured, "threshold")[threshold]
-        by_label = {r["strategy"]: r for r in measured}
-        best_row = by_label[best]
-        agreements.append({
-            "threshold": threshold,
-            "picked": picked_label,
-            "bushy": bushy,
-            "best_left_deep": best,
-            "beats_left_deep_cost":
-                pick_row["cost_total"] <= best_row["cost_total"] * (1 + 1e-9),
-            "beats_left_deep_runtime":
-                pick_row["runtime_s"] <= best_row["runtime_s"] * (1 + 1e-9),
-        })
-
-    result.notes["picks"] = "; ".join(
-        f"t={a['threshold']}: picked [{a['picked']}]"
-        f" {'BUSHY' if a['bushy'] else 'left-deep'}"
-        f" best-ld [{a['best_left_deep']}]"
-        f" {'<=' if a['beats_left_deep_cost'] else '>'} ld cost"
-        for a in agreements
-    )
-    result.notes["bushy_wins"] = sum(
-        1 for a in agreements
-        if a["bushy"] and a["beats_left_deep_cost"]
-    )
-    result.notes["agreement"] = (
-        f"{sum(a['beats_left_deep_cost'] for a in agreements)}"
-        f"/{len(agreements)}"
-    )
+    result = run_sweep(Sweep(
+        "fig13", "snowflake join: bushy DP pick vs every left-deep order", "threshold",
+        load, cases, notes={"fact_rows": fact_rows, "paper_scale": None}, claims=CLAIMS,
+    ))
+    left_deep = [r for r in result.rows if r["strategy"] not in PICKED]
+    cost = {(r["threshold"], r["strategy"]): r["cost_total"] for r in result.rows}
+    lines, wins, beats = [], 0, 0
+    for threshold, best in winners_by_sweep(left_deep, "threshold").items():
+        label, bushy = picks[threshold]
+        beat = cost[threshold, "dp-pick"] <= cost[threshold, best] * (1 + 1e-9)
+        wins, beats = wins + (bushy and beat), beats + beat
+        lines.append(f"t={threshold}: picked [{label}] {'BUSHY' if bushy else 'left-deep'}"
+                     f" best-ld [{best}] {'<=' if beat else '>'} ld cost")
+    result.notes.update(picks="; ".join(lines), bushy_wins=wins,
+                        agreement=f"{beats}/{len(lines)}")
     return result
+
+
+CLAIMS = (
+    Claim("fig13", "Somewhere the DP picks a bushy tree no worse than any left-deep one",
+          lambda r: r.notes["bushy_wins"], lambda wins: wins >= 1),
+    Claim("fig13", "The DP pick is within 6% of the best left-deep order, under the worst",
+          lambda r: cost_against(r, "threshold", "dp-pick", PICKED),
+          lambda ratios: all(b <= 1.06 and w <= 1 + 1e-9 for b, w in ratios)),
+)

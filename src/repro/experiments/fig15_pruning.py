@@ -1,32 +1,16 @@
 """Figure 15: zone-map partition pruning on partition-clustered data.
 
-Beyond the paper: PushdownDB's pushdown model only ever shrinks bytes
-per request — every partition object is still SELECTed.  Zone maps
-(collected free during the load-time stats pass) let a pushdown scan
-skip partitions whose min/max envelope refutes the pushed predicate,
-cutting the *request count* itself.
-
-Setup: the fig01 filter table sorted by ``key`` so each contiguous
-partition covers a tight, disjoint key interval (the layout ingest-
-ordered or sort-keyed warehouse data naturally has).  Sweeping the range
-predicate ``key < t`` from selective to all-inclusive sweeps the pruned
-fraction from (partitions-1)/partitions down to 0.  Each sweep point
-runs the identical optimized plan with pruning on and off.
-
-Expected shape: identical rows across every pair; measured requests,
-dollar cost and runtime drop monotonically as the pruning fraction
-grows; the unpruned arm pays a flat ``partitions`` requests everywhere.
+Beyond the paper: zone maps let a pushed scan skip partitions whose
+min/max refutes the predicate, cutting the *request count*.  On the fig01
+table sorted by ``key``, ``key < t`` sweeps the pruned fraction from
+(partitions-1)/partitions to 0; each point runs pruning on and off.
 """
 
-from __future__ import annotations
-
-from repro.experiments.harness import (
-    ExperimentResult,
-    calibrate_tables,
-    execution_row,
-)
+from repro.engine.catalog import load_table
+from repro.experiments.harness import Claim, Sweep, ascending, execution_row, paper_scale
+from repro.experiments.harness import runner
 from repro.optimizer.pruning import keep_partitions
-from repro.planner.database import PushdownDB
+from repro.planner.planner import plan_and_execute
 from repro.sqlparser import ast
 from repro.workloads.synthetic import FILTER_SCHEMA, clustered_filter_table
 
@@ -35,70 +19,56 @@ DEFAULT_PARTITIONS = 16
 #: Predicate selectivities swept, most selective (max pruning) first.
 DEFAULT_SELECTIVITIES = (0.02, 0.0625, 0.125, 0.25, 0.5, 1.0)
 
-ARMS = ("pruned", "unpruned")
+
+def _arm(prune: bool):
+    def execute(ctx, catalog, sql):
+        ctx.prune_partitions = prune
+        return plan_and_execute(ctx, catalog, sql, mode="optimized")
+    return execute
 
 
-def run(
-    num_rows: int = DEFAULT_NUM_ROWS,
-    partitions: int = DEFAULT_PARTITIONS,
-    selectivities: tuple = DEFAULT_SELECTIVITIES,
-    paper_bytes: float = 10e9,
-    seed: int = 1,
-) -> ExperimentResult:
-    db = PushdownDB(bucket="fig15")
-    rows = clustered_filter_table(num_rows, seed=seed)
-    db.load_table("fx", rows, FILTER_SCHEMA, partitions=partitions)
-    scale = calibrate_tables(db.ctx, db.catalog, ["fx"], paper_bytes)
-    table = db.table("fx")
+ARMS = {"pruned": _arm(True), "unpruned": _arm(False)}
 
-    result = ExperimentResult(
-        experiment="fig15",
-        title="Zone-map partition pruning vs predicate selectivity",
-        notes={
-            "num_rows": num_rows,
-            "partitions": table.partitions,
-            "paper_scale": f"{scale:.2e}",
-        },
+
+def sweep(num_rows: int = DEFAULT_NUM_ROWS, partitions: int = DEFAULT_PARTITIONS,
+          selectivities: tuple = DEFAULT_SELECTIVITIES, paper_bytes: float = 10e9,
+          seed: int = 1) -> Sweep:
+    def load(ctx, catalog, _):
+        table = load_table(ctx, catalog, "fx", clustered_filter_table(num_rows, seed=seed),
+                           FILTER_SCHEMA, bucket="fig15", partitions=partitions)
+        return {"partitions": table.partitions,
+                **paper_scale(ctx, catalog, ["fx"], paper_bytes)}
+
+    def cases(ctx, catalog, _):
+        for selectivity in sorted(selectivities):
+            t = max(1, int(round(selectivity * num_rows)))
+            keep = keep_partitions(catalog.get("fx"),
+                                   ast.Binary("<", ast.Column("key"), ast.Literal(t)))
+            pruned = 0 if keep is None else catalog.get("fx").partitions - len(keep)
+            yield (selectivity, pruned), f"SELECT key, p0 FROM fx WHERE key < {t}", ARMS
+
+    return Sweep(
+        "fig15", "Zone-map partition pruning vs predicate selectivity", "selectivity",
+        load, cases, notes={"num_rows": num_rows}, claims=CLAIMS,
+        record=lambda point, runs: [
+            execution_row("selectivity", point[0], arm, execution)
+            | {"partitions_pruned": point[1] if arm == "pruned" else 0}
+            for arm, execution in runs.items()
+        ],
     )
-    matched = 0
-    for selectivity in sorted(selectivities):
-        threshold = max(1, int(round(selectivity * num_rows)))
-        sql = f"SELECT key, p0 FROM fx WHERE key < {threshold}"
-        predicate = ast.Binary("<", ast.Column("key"), ast.Literal(threshold))
-        keep = keep_partitions(table, predicate)
-        pruned = 0 if keep is None else table.partitions - len(keep)
-        reference = None
-        for arm in ARMS:
-            db.ctx.prune_partitions = arm == "pruned"
-            execution = db.execute(sql, mode="optimized")
-            normalized = sorted(execution.rows)
-            if reference is None:
-                reference = normalized
-            elif normalized != reference:
-                raise AssertionError(
-                    f"pruned and unpruned rows disagree at"
-                    f" selectivity={selectivity}"
-                )
-            row = execution_row("selectivity", selectivity, arm, execution)
-            row["partitions_pruned"] = pruned if arm == "pruned" else 0
-            result.rows.append(row)
-        matched += 1
-    db.ctx.prune_partitions = True
-
-    _check_monotone(result, "requests")
-    _check_monotone(result, "cost_total")
-    _check_monotone(result, "runtime_s")
-    result.notes["matched"] = f"{matched}/{len(selectivities)}"
-    return result
 
 
-def _check_monotone(result: ExperimentResult, metric: str) -> None:
-    """The pruned arm's sweep runs selective -> inclusive, i.e. pruning
-    fraction high -> low, so ``metric`` must be non-decreasing in sweep
-    order (equivalently: drop monotonically with the pruning fraction)."""
-    series = result.column("pruned", metric)
-    for earlier, later in zip(series, series[1:]):
-        if later < earlier * (1.0 - 1e-9):
-            raise AssertionError(
-                f"{metric} not monotone in pruning fraction: {series}"
-            )
+run = runner(sweep)
+
+CLAIMS = (
+    Claim("fig15", "Requests, cost and runtime drop as the pruned fraction grows",
+          lambda r: [r.column("pruned", k) for k in ("requests", "cost_total",
+                                                     "runtime_s")],
+          lambda series: all(map(ascending, series))),
+    Claim("fig15", "The unpruned arm pays one request per partition everywhere",
+          lambda r: (set(r.column("unpruned", "requests")), r.notes["partitions"]),
+          lambda v: v[0] == {v[1]}),
+    Claim("fig15", "Pruning skips requests, never answers: both arms return equal bytes",
+          lambda r: [r.column(arm, "bytes_returned") for arm in ARMS],
+          lambda v: v[0] == v[1]),
+)

@@ -1,174 +1,102 @@
 """The full 22-query TPC-H suite, differentially checked against sqlite3.
 
-Every query in ``benchmarks/tpch/queries/q01.sql .. q22.sql`` is parsed
-once, executed through the engine in each requested mode, and its row
-set compared — order-insensitively, floats to relative 1e-6 — against
-sqlite3 running the *same parsed statement* (``parse(sql).to_sql()``,
-so date/INTERVAL arithmetic is already folded to ISO string literals
-both engines understand identically).
-
-**Aux tables.**  The SQL dialect has no table aliases, so queries that
-read the same table twice (Q2, Q7, Q8, Q21) or need an unambiguous
-correlated reference use prefixed copies: ``nation2`` (``n2_*``),
-``region2`` (``r2_*``), ``supplier2`` (``s2_*``), ``partsupp2``
-(``ps2_*``), ``lineitem2`` (``l2_*``) and ``lineitem3`` (``l3_*``) —
-identical rows, renamed columns, loaded into both engines.
-
-**Adaptations** from the spec text (each also documented in its .sql
-file): no table aliases (aux copies instead), ``EXTRACT(YEAR ...)``
-spelled ``CAST(SUBSTR(d, 1, 4) AS INT)``, LIKE patterns retargeted at
-the generator's color-word text corpus (Q9/Q13/Q16/Q20), ship mode
-``'REG AIR'`` for the spec's ``'AIR REG'`` (Q19), Q18's quantity
-threshold lowered to 250 for reduced scale, Q15's view inlined with
-ROUNDed revenue equality, and Q22 country codes drawn from the
-generator's phone format.
+Each ``benchmarks/tpch/queries/qNN.sql`` runs in every requested mode and
+is compared (:func:`rows_match`) with sqlite3 running ``parse(sql).to_sql()``.
+The dialect has no table aliases, so queries reading a table twice use
+prefixed copies (:data:`AUX_TABLES`); each ``.sql`` file documents the
+rest of its departures from the spec.
 """
 
-from __future__ import annotations
-
 import sqlite3
+from operator import not_
 from pathlib import Path
 from typing import Sequence
 
 from repro.cloud.context import CloudContext
 from repro.engine.catalog import Catalog, load_table
-from repro.experiments.harness import ExperimentResult, close_enough
+from repro.experiments.harness import Claim, ExperimentResult, rows_match
 from repro.sqlparser.parser import parse
 from repro.storage.schema import TableSchema
 from repro.workloads.tpch import TABLE_SCHEMAS, TpchGenerator
 
 #: ``<repo>/benchmarks/tpch/queries`` relative to this module.
 QUERY_DIR = Path(__file__).resolve().parents[3] / "benchmarks" / "tpch" / "queries"
-
 ALL_QUERIES = tuple(f"q{i:02d}" for i in range(1, 23))
-
-#: aux name -> (base table, column prefix); see the module docstring.
+#: aux name -> (base table, column prefix): identical rows, renamed columns.
 AUX_TABLES = {
-    "nation2": ("nation", "n2"),
-    "region2": ("region", "r2"),
-    "supplier2": ("supplier", "s2"),
-    "partsupp2": ("partsupp", "ps2"),
-    "lineitem2": ("lineitem", "l2"),
-    "lineitem3": ("lineitem", "l3"),
+    "nation2": ("nation", "n2"), "region2": ("region", "r2"),
+    "supplier2": ("supplier", "s2"), "partsupp2": ("partsupp", "ps2"),
+    "lineitem2": ("lineitem", "l2"), "lineitem3": ("lineitem", "l3"),
 }
-
 _SQLITE_TYPES = {"int": "INTEGER", "float": "REAL", "str": "TEXT", "date": "TEXT"}
 
 
 def aux_schema(base: TableSchema, prefix: str) -> TableSchema:
     """Rename ``x_col`` columns to ``<prefix>_col``, keeping types."""
-    return TableSchema.of(
-        *(f"{prefix}_{c.name.split('_', 1)[1]}:{c.type}" for c in base.columns)
-    )
+    return TableSchema.of(*(f"{prefix}_{c.name.split('_', 1)[1]}:{c.type}"
+                            for c in base.columns))
 
 
-def load_suite_tables(
-    ctx: CloudContext,
-    catalog: Catalog,
-    scale_factor: float,
-    seed: int | None = None,
-) -> sqlite3.Connection:
-    """Load the 8 TPC-H tables plus aux copies into the engine AND an
-    in-memory sqlite3 database (the differential oracle); returns the
-    sqlite connection."""
+def load_suite_tables(ctx: CloudContext, catalog: Catalog, scale_factor: float,
+                      seed: int | None = None) -> sqlite3.Connection:
+    """Load the TPC-H tables plus aux copies into the engine and an
+    in-memory sqlite3 database (the oracle); returns the connection."""
     gen = TpchGenerator(scale_factor=scale_factor, seed=seed)
     con = sqlite3.connect(":memory:")
-    tables = [(name, name, TABLE_SCHEMAS[name]) for name in TABLE_SCHEMAS]
-    tables += [
+    tables = [(name, name, TABLE_SCHEMAS[name]) for name in TABLE_SCHEMAS] + [
         (aux, base, aux_schema(TABLE_SCHEMAS[base], prefix))
-        for aux, (base, prefix) in AUX_TABLES.items()
-    ]
+        for aux, (base, prefix) in AUX_TABLES.items()]
     for name, base, schema in tables:
         rows = gen.table(base)
         load_table(ctx, catalog, name, rows, schema)
-        cols = ", ".join(
-            f"{c.name} {_SQLITE_TYPES[c.type]}" for c in schema.columns
-        )
+        cols = ", ".join(f"{c.name} {_SQLITE_TYPES[c.type]}" for c in schema.columns)
         con.execute(f"CREATE TABLE {name} ({cols})")
         marks = ", ".join("?" for _ in schema.columns)
         con.executemany(f"INSERT INTO {name} VALUES ({marks})", rows)
     return con
 
 
-def _canon(rows: Sequence[tuple]) -> list[tuple]:
-    """Sort a row multiset for order-insensitive comparison."""
-    return sorted(
-        [tuple(row) for row in rows],
-        key=lambda r: tuple((v is None, v if v is not None else 0) for v in r),
-    )
-
-
-def rows_match(got: Sequence[tuple], expected: Sequence[tuple]) -> bool:
-    """Order-insensitive row-set equality; floats to relative 1e-6."""
-    if len(got) != len(expected):
-        return False
-    for ra, rb in zip(_canon(got), _canon(expected)):
-        if len(ra) != len(rb):
-            return False
-        for va, vb in zip(ra, rb):
-            if isinstance(va, (int, float)) and isinstance(vb, (int, float)):
-                if not close_enough(float(va), float(vb)):
-                    return False
-            elif va != vb:
-                return False
-    return True
-
-
-def run(
-    scale_factor: float = 0.002,
-    modes: Sequence[str] = ("baseline", "auto"),
-    queries: Sequence[str] | None = None,
-    query_dir: str | None = None,
-    seed: int | None = None,
-) -> ExperimentResult:
-    """Run the suite; one result row per (query, mode).
-
-    Each row carries the differential verdict (``match``) plus the
-    engine-side requests, bytes and modeled runtime/cost, so the result
-    doubles as the per-query metrics artifact CI uploads.
-    """
-    ctx = CloudContext()
-    catalog = Catalog()
-    con = load_suite_tables(ctx, catalog, scale_factor, seed=seed)
-
+def run(scale_factor: float = 0.002, modes: Sequence[str] = ("baseline", "auto"),
+        queries: Sequence[str] | None = None, query_dir: str | None = None,
+        seed: int | None = None) -> ExperimentResult:
+    """One row per (query, mode): the verdict (``match``) and the metered
+    requests, bytes, runtime and cost — the artifact CI uploads."""
     from repro.planner.planner import execute_parsed
 
+    ctx, catalog = CloudContext(), Catalog()
+    con = load_suite_tables(ctx, catalog, scale_factor, seed=seed)
     names = list(queries) if queries else list(ALL_QUERIES)
     qdir = Path(query_dir) if query_dir else QUERY_DIR
     result = ExperimentResult(
-        experiment="tpch",
-        title="TPC-H 22-query differential suite vs sqlite3",
-        notes={
-            "scale_factor": scale_factor,
-            "oracle": "sqlite3 over parse(sql).to_sql()",
-            "comparison": "sorted row multiset, floats to relative 1e-6",
-        },
+        "tpch", "TPC-H 22-query differential suite vs sqlite3", claims=CLAIMS,
+        notes={"scale_factor": scale_factor, "oracle": "sqlite3 over parse(sql).to_sql()",
+               "comparison": "sorted row multiset, floats to relative 1e-6"},
     )
-    parsed_count = 0
-    ok_count = 0
     for name in names:
-        sql = (qdir / f"{name}.sql").read_text()
-        query = parse(sql)
-        parsed_count += 1
+        query = parse((qdir / f"{name}.sql").read_text())
         expected = con.execute(query.to_sql()).fetchall()
         for mode in modes:
-            execution = execute_parsed(ctx, catalog, query, mode)
-            ok = rows_match(execution.rows, expected)
-            ok_count += int(ok)
+            ex = execute_parsed(ctx, catalog, query, mode)
             result.rows.append({
-                "query": name,
-                "strategy": mode,
-                "rows": len(execution.rows),
-                "match": "yes" if ok else "MISMATCH",
-                "requests": execution.num_requests,
-                "bytes_scanned": execution.bytes_scanned,
-                "bytes_returned": (
-                    execution.bytes_returned + execution.bytes_transferred
-                ),
-                "runtime_s": round(execution.runtime_seconds, 4),
-                "cost_total": round(execution.cost.total, 6),
+                "query": name, "strategy": mode, "rows": len(ex.rows),
+                "match": "yes" if rows_match(ex.rows, expected) else "MISMATCH",
+                "requests": ex.num_requests, "bytes_scanned": ex.bytes_scanned,
+                "bytes_returned": ex.bytes_returned + ex.bytes_transferred,
+                "runtime_s": round(ex.runtime_seconds, 4),
+                "cost_total": round(ex.cost.total, 6),
             })
-    result.notes["parsed"] = f"{parsed_count}/{len(names)}"
-    result.notes["matched"] = f"{ok_count}/{len(names) * len(modes)}"
+    result.notes["parsed"] = f"{len(names)}/{len(names)}"
     con.close()
     return result
+
+
+CLAIMS = (
+    Claim("tpch", "Every query returns sqlite3's rows in every mode",
+          lambda r: [(row["query"], row["strategy"]) for row in r.rows
+                     if row["match"] != "yes"], not_),
+    Claim("tpch", "Optimized returns fewer bytes than baseline on q01 and q06 (if run)",
+          lambda r: [{row["strategy"]: row["bytes_returned"] for row in r.rows
+                      if row["query"] == q} for q in ("q01", "q06")],
+          lambda modes: all(b["optimized"] < b["baseline"] for b in modes
+                            if {"optimized", "baseline"} <= b.keys())),
+)

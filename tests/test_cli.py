@@ -127,12 +127,18 @@ class TestCli:
 
     @staticmethod
     def _stub_registry(monkeypatch, result):
-        """Swap the experiment registry for one stub returning ``result``."""
+        """Swap the experiment registry for one stub returning ``result``
+        (or raising it, when it is an exception)."""
         import repro.experiments as exp_pkg
+
+        def run():
+            if isinstance(result, Exception):
+                raise result
+            return result
 
         class StubRegistry(dict):
             def __getitem__(self, name):
-                return lambda: result
+                return run
 
             def __contains__(self, name):
                 return name == "stub"
@@ -161,17 +167,28 @@ class TestCli:
         assert data["stub"]["notes"]["matched"] == "1/1"
 
     def test_experiment_matched_shortfall_fails(self, capsys, monkeypatch):
-        """A differential experiment reporting fewer matches than checks
-        must fail the CLI run — CI sees exit 1, not a green table."""
-        from repro.experiments.harness import ExperimentResult
+        """A claim the result does not meet fails the CLI run — CI sees
+        exit 1 and the figure, the claim's text and what was observed."""
+        from repro.experiments.harness import Claim, ExperimentResult
 
         self._stub_registry(monkeypatch, ExperimentResult(
             experiment="tpch", title="stub suite",
             rows=[{"query": "q01", "strategy": "auto", "match": "MISMATCH"}],
-            notes={"matched": "0/1"},
+            claims=(Claim("tpch", "Every query returns sqlite3's rows",
+                          lambda r: [row["query"] for row in r.rows
+                                     if row["match"] != "yes"], lambda bad: not bad),),
         ))
         assert main(["experiment", "stub"]) == 1
-        assert "differential checks matched" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "stub: 0/1 claims hold" in out
+        assert "tpch: Every query returns sqlite3's rows — observed ['q01']" in out
+
+    def test_experiment_disagreeing_rows_fail(self, capsys, monkeypatch):
+        from repro.experiments.harness import Disagreement
+
+        self._stub_registry(monkeypatch, Disagreement("fig9 k=3 sampling: rows disagree"))
+        assert main(["experiment", "stub"]) == 1
+        assert "fig9 k=3 sampling: rows disagree" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["query", "explain", "experiment"])
     def test_workers_is_a_usage_error(self, command, capsys):

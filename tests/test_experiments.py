@@ -1,344 +1,151 @@
-"""Shape tests for the per-figure experiment harnesses.
+"""The paper's statements, judged at reduced size.
 
-These run each harness at reduced size and assert the qualitative claims
-the paper's figures make — who wins, what degrades, where the optimum
-sits — rather than absolute numbers.
+Every experiment runs once, at the sizes below, and each of its
+``CLAIMS`` is one test.  The other tests pin what is not a paper
+statement: the shape of the rows, the one row-equivalence rule and how
+a claim that fails is reported.
 """
+
+import functools
+import re
+from types import SimpleNamespace
 
 import pytest
 
-from repro.experiments import (
-    fig01_filter,
-    fig02_join_customer,
-    fig04_bloom_fpr,
-    fig05_groupby_groups,
-    fig06_hybrid_split,
-    fig07_groupby_skew,
-    fig08_topk_sample,
-    fig09_topk_k,
-    fig10_tpch,
-    fig11_parquet,
-    fig12_multijoin,
-    fig13_snowflake,
-    fig14_adaptive,
-)
+from repro.experiments import ALL_EXPERIMENTS
+from repro.experiments.harness import Claim, Disagreement, ExperimentResult, Sweep
+from repro.experiments.harness import rows_match, run_sweep
+
+#: Reduced sizes: seconds per experiment.
+SIZES = {
+    "fig1": dict(num_rows=8000, matches=(1, 8, 80, 480)),
+    "fig2": dict(scale_factor=0.002, acctbals=(-950, -650, -450)),
+    "fig3": dict(scale_factor=0.002),
+    # acctbal -500 keeps the build side non-empty at this tiny scale.
+    "fig4": dict(scale_factor=0.002, fprs=(0.0001, 0.01, 0.5), acctbal=-500),
+    "fig5": dict(num_rows=8000, group_counts=(2, 8, 32)),
+    "fig6": dict(num_rows=8000, splits=(1, 6, 12)),
+    "fig7": dict(num_rows=8000, thetas=(0.0, 1.3)),
+    "fig8": dict(scale_factor=0.002, k=50, sample_fractions=(1 / 100, 1 / 12, 1 / 2)),
+    "fig9": dict(scale_factor=0.002, k_fractions=(1e-4, 1e-2)),
+    "fig10": dict(scale_factor=0.002),
+    "fig11": dict(num_rows=4000, column_counts=(1, 20), selectivities=(0.0, 0.5, 1.0)),
+    "fig12": dict(scale_factor=0.002, dates=("1993-06-01", None)),
+    "fig13": dict(fact_rows=4000, thresholds=(10, 25)),
+    "fig14": dict(fact_rows=4000, thresholds=(15, 55)),
+    "fig15": dict(num_rows=4000),
+    "fig16": dict(num_rows=4000),
+    "auto": dict(filter_rows=10_000, groupby_rows=10_000, topk_scale_factor=0.002),
+    # One query per surface: HAVING + group (q01), pure filter (q06), LEFT
+    # JOIN + derived (q13), correlated scalar (q17), NOT EXISTS / EXISTS
+    # over aux copies (q21).
+    "tpch": dict(scale_factor=0.001, modes=("baseline", "optimized"),
+                 queries=("q01", "q06", "q13", "q17", "q21")),
+}
 
 
-@pytest.fixture(scope="module")
-def fig1():
-    return fig01_filter.run(num_rows=8000, matches=(1, 8, 80, 480))
+@functools.cache
+def result(name: str) -> ExperimentResult:
+    return ALL_EXPERIMENTS[name](**SIZES[name])
 
 
-class TestFig1Filter:
-    def test_s3_side_beats_server_side_everywhere(self, fig1):
-        server = fig1.column("server-side", "runtime_s")
-        s3 = fig1.column("s3-side", "runtime_s")
-        assert all(a > 5 * b for a, b in zip(server, s3))
-
-    def test_indexing_wins_when_selective(self, fig1):
-        indexing = fig1.column("indexing", "runtime_s")
-        s3 = fig1.column("s3-side", "runtime_s")
-        assert indexing[0] < s3[0]
-
-    def test_indexing_degrades_with_selectivity(self, fig1):
-        indexing = fig1.column("indexing", "runtime_s")
-        assert indexing[-1] > indexing[0]
-        assert indexing[-1] > max(fig1.column("s3-side", "runtime_s"))
-
-    def test_indexing_cost_dominated_by_requests_at_the_end(self, fig1):
-        rows = fig1.series("indexing")
-        assert rows[-1]["cost_request"] > rows[-1]["cost_scan"]
-        assert rows[-1]["cost_total"] > rows[0]["cost_total"] * 10
-
-    def test_s3_side_pays_scan_cost_server_side_does_not(self, fig1):
-        assert fig1.series("s3-side")[0]["cost_scan"] > 0
-        assert fig1.series("server-side")[0]["cost_scan"] == 0
-
-    def test_row_counts_exact(self, fig1):
-        for row in fig1.rows:
-            assert row["matched_rows"] == round(row["selectivity"] * 8000)
+CLAIMS = [claim for name in ALL_EXPERIMENTS for claim in ALL_EXPERIMENTS.module(name).CLAIMS]
 
 
-class TestFig2To4Joins:
-    @pytest.fixture(scope="class")
-    def fig2(self):
-        return fig02_join_customer.run(
-            scale_factor=0.002, acctbals=(-950, -650, -450)
-        )
-
-    def test_bloom_fastest_when_selective(self, fig2):
-        first = {r["strategy"]: r["runtime_s"] for r in fig2.rows[:3]}
-        assert first["bloom"] < first["filtered"] <= first["baseline"] * 1.2
-
-    def test_baseline_flat_across_selectivity(self, fig2):
-        runtimes = fig2.column("baseline", "runtime_s")
-        assert max(runtimes) < 1.05 * min(runtimes)
-
-    def test_fig4_fpr_tradeoff(self):
-        # acctbal -500 keeps the build side non-empty at this tiny scale.
-        result = fig04_bloom_fpr.run(
-            scale_factor=0.002, fprs=(0.0001, 0.01, 0.5), acctbal=-500
-        )
-        bloom = result.series("bloom")
-        # More hashes at lower FPR; more rows returned at higher FPR.
-        assert bloom[0]["bloom_hashes"] > bloom[-1]["bloom_hashes"]
-        assert bloom[0]["probe_rows_returned"] < bloom[-1]["probe_rows_returned"]
+@pytest.mark.parametrize("claim", CLAIMS, ids=[
+    f"{c.figure}-{re.sub(r'[^a-z0-9]+', '-', c.text.lower())[:48].strip('-')}" for c in CLAIMS
+])
+def test_claim(claim):
+    failure = claim.failure(result(claim.figure))
+    assert failure is None, failure
 
 
-class TestFig5To7GroupBy:
-    def test_fig5_shapes(self):
-        result = fig05_groupby_groups.run(num_rows=8000, group_counts=(2, 8, 32))
-        server = result.column("server-side", "runtime_s")
-        filtered = result.column("filtered", "runtime_s")
-        s3 = result.column("s3-side", "runtime_s")
-        assert max(server) < 1.05 * min(server)  # flat
-        assert all(f < s for f, s in zip(filtered, server))  # projection wins
-        assert s3[-1] > s3[0]  # degrades with groups
-        assert s3[0] < filtered[0]  # best at few groups
-
-    def test_fig6_split_tradeoff(self):
-        result = fig06_hybrid_split.run(num_rows=8000, splits=(1, 6, 12))
-        s3_times = [r["s3_side_s"] for r in result.rows]
-        server_times = [r["server_side_s"] for r in result.rows]
-        returned = [r["bytes_returned"] for r in result.rows]
-        assert s3_times == sorted(s3_times)  # more pushed -> more S3 time
-        assert server_times == sorted(server_times, reverse=True)
-        assert returned == sorted(returned, reverse=True)
-
-    def test_fig7_hybrid_gains_with_skew(self):
-        result = fig07_groupby_skew.run(num_rows=8000, thetas=(0.0, 1.3))
-        hybrid = result.column("hybrid", "runtime_s")
-        filtered = result.column("filtered", "runtime_s")
-        # At high skew hybrid beats filtered; at theta=0 it need not.
-        assert hybrid[-1] < filtered[-1]
+def test_every_experiment_declares_a_claim():
+    assert set(SIZES) == set(ALL_EXPERIMENTS)
+    for name in ALL_EXPERIMENTS:
+        claims = ALL_EXPERIMENTS.module(name).CLAIMS
+        assert claims and all(c.figure == name for c in claims), name
+        assert tuple(result(name).claims) == tuple(claims), name
 
 
-class TestFig8And9TopK:
-    def test_fig8_v_shape_and_optimum(self):
-        result = fig08_topk_sample.run(
-            scale_factor=0.002,
-            k=50,
-            sample_fractions=(1 / 100, 1 / 12, 1 / 2),
-        )
-        sample_times = [r["sample_phase_s"] for r in result.rows]
-        scan_times = [r["scan_phase_s"] for r in result.rows]
-        assert sample_times == sorted(sample_times)  # grows with S
-        assert scan_times == sorted(scan_times, reverse=True)  # shrinks
-
-    def test_fig9_sampling_always_wins(self):
-        result = fig09_topk_k.run(
-            scale_factor=0.002, k_fractions=(1e-4, 1e-2)
-        )
-        server = result.column("server-side", "runtime_s")
-        sampling = result.column("sampling", "runtime_s")
-        assert all(s > p for s, p in zip(server, sampling))
-        # runtime grows with K for both
-        assert server[-1] >= server[0]
+def test_a_false_claim_is_reported_with_its_figure_and_text():
+    false = Claim("fig1", "Indexing is always the slowest filter",
+                  lambda r: r.column("indexing")[0], lambda first: first > 1e9)
+    holds = Claim("fig1", "Indexing runs", lambda r: r.column("indexing"))
+    fig1 = result("fig1")
+    failing = ExperimentResult("fig1", "t", fig1.rows, fig1.notes, claims=(holds, false))
+    (line,) = failing.failures()
+    assert line.startswith("fig1: Indexing is always the slowest filter — observed ")
+    assert line.endswith(repr(fig1.column("indexing")[0]))
 
 
-class TestFig10Suite:
-    @pytest.fixture(scope="class")
-    def fig10(self):
-        return fig10_tpch.run(scale_factor=0.002)
+def test_rows_that_disagree_raise():
+    def returning(*rows):
+        return lambda ctx, catalog, query: SimpleNamespace(rows=list(rows))
 
-    def test_geomean_speedup_in_paper_ballpark(self, fig10):
-        """Paper: 6.7x.  Accept a broad band around it — the shape claim
-        is 'several-fold', not the third digit."""
-        assert 3.0 <= fig10.notes["geomean_speedup"] <= 12.0
-
-    def test_optimized_cheaper_in_aggregate(self, fig10):
-        assert fig10.notes["total_cost_ratio"] < 0.9  # paper: 0.70
-
-    def test_every_query_has_three_series(self, fig10):
-        queries = {r["query"] for r in fig10.rows if r["query"] != "geo-mean"}
-        for query in queries:
-            strategies = [r["strategy"] for r in fig10.rows if r["query"] == query]
-            assert set(strategies) == {"baseline", "optimized", "presto (derived)"}
+    sweep = Sweep("figX", "t", "x", lambda ctx, catalog, _: {}, lambda ctx, catalog, _: [
+        (1, "q", {"a": returning((1, 2.0)), "b": returning((1, 2.5))})])
+    with pytest.raises(Disagreement, match="figX x=1 b"):
+        run_sweep(sweep)
 
 
-class TestFig11Parquet:
-    @pytest.fixture(scope="class")
-    def fig11(self):
-        return fig11_parquet.run(
-            num_rows=4000, column_counts=(1, 20), selectivities=(0.0, 0.5, 1.0)
-        )
-
-    def test_parquet_wins_on_wide_table_low_selectivity(self, fig11):
-        wide = [r for r in fig11.rows if r["columns"] == 20 and r["selectivity"] == 0.0]
-        by_fmt = {r["strategy"]: r["runtime_s"] for r in wide}
-        assert by_fmt["parquet"] < by_fmt["csv"] / 2
-
-    def test_formats_converge_at_high_selectivity(self, fig11):
-        wide = [r for r in fig11.rows if r["columns"] == 20 and r["selectivity"] == 1.0]
-        by_fmt = {r["strategy"]: r["runtime_s"] for r in wide}
-        assert by_fmt["parquet"] == pytest.approx(by_fmt["csv"], rel=0.15)
-
-    def test_single_column_table_similar(self, fig11):
-        narrow = [r for r in fig11.rows if r["columns"] == 1 and r["selectivity"] == 0.5]
-        by_fmt = {r["strategy"]: r["runtime_s"] for r in narrow}
-        assert by_fmt["parquet"] == pytest.approx(by_fmt["csv"], rel=0.5)
-
-    def test_parquet_compressed_smaller_than_csv(self, fig11):
-        assert fig11.notes["parquet_size_ratio_20col"] < 1.0
-
-    def test_parquet_scans_fewer_bytes_on_wide_table(self, fig11):
-        wide = [r for r in fig11.rows if r["columns"] == 20 and r["selectivity"] == 0.0]
-        by_fmt = {r["strategy"]: r["bytes_scanned"] for r in wide}
-        assert by_fmt["parquet"] < by_fmt["csv"] / 5
+def test_rows_match_null_and_float_rules():
+    assert rows_match([(1, 2.0)], [(1, 2.0 + 1e-9)])
+    assert rows_match([(None, 1), (2, 3)], [(2, 3), (None, 1)])
+    assert not rows_match([(1,)], [(1,), (2,)])
+    assert not rows_match([(None,)], [(0,)])
+    assert not rows_match([(1, 2.0)], [(1, 2.1)])
 
 
-class TestFig12Multijoin:
-    @pytest.fixture(scope="class")
-    def fig12(self):
-        return fig12_multijoin.run(
-            scale_factor=0.002, dates=("1993-06-01", None)
-        )
-
-    def test_every_connected_order_runs(self, fig12):
-        orders = {r["strategy"] for r in fig12.rows} - {"auto"}
-        assert len(orders) == 4  # c-o-l chain: orders never joins last
-
-    def test_pick_agrees_with_measured_best(self, fig12):
-        agreed, total = fig12.notes["agreement"].split("/")
-        assert agreed == total
-
-    def test_auto_not_worse_than_worst_order(self, fig12):
-        for value in {r["upper_o_orderdate"] for r in fig12.rows}:
-            point = [r for r in fig12.rows if r["upper_o_orderdate"] == value]
-            auto = next(r for r in point if r["strategy"] == "auto")
-            worst = max(
-                r["cost_total"] for r in point if r["strategy"] != "auto"
-            )
-            assert auto["cost_total"] <= worst * (1 + 1e-9)
+def test_every_connected_order_runs():
+    orders = {r["strategy"] for r in result("fig12").rows} - {"auto"}
+    assert len(orders) == 4  # c-o-l chain: orders never joins last
 
 
-class TestFig13Snowflake:
-    @pytest.fixture(scope="class")
-    def fig13(self):
-        return fig13_snowflake.run(fact_rows=4000, thresholds=(10, 25))
-
-    def test_every_left_deep_order_runs(self, fig13):
-        orders = {
-            r["strategy"] for r in fig13.rows
-            if r["strategy"] not in ("auto", "dp-pick")
-        }
-        assert len(orders) == 16  # 5-node path graph: 2^4 interval orders
-
-    def test_pick_is_bushy_and_beats_left_deep(self, fig13):
-        """The acceptance claim: at >= 1 swept point the DP picks a
-        genuinely bushy tree whose measured cost is no worse than the
-        best left-deep order's."""
-        assert fig13.notes["bushy_wins"] >= 1
-
-    def test_dp_pick_never_loses_to_worst_order(self, fig13):
-        for value in {r["threshold"] for r in fig13.rows}:
-            point = [r for r in fig13.rows if r["threshold"] == value]
-            pick = next(r for r in point if r["strategy"] == "dp-pick")
-            worst = max(
-                r["cost_total"] for r in point
-                if r["strategy"] not in ("auto", "dp-pick")
-            )
-            assert pick["cost_total"] <= worst * (1 + 1e-9)
+def test_every_left_deep_order_runs():
+    orders = {r["strategy"] for r in result("fig13").rows} - {"auto", "dp-pick"}
+    assert len(orders) == 16  # 5-node path graph: 2^4 interval orders
 
 
-class TestFig14Adaptive:
-    @pytest.fixture(scope="class")
-    def fig14(self):
-        return fig14_adaptive.run(fact_rows=4000, thresholds=(15, 55))
-
-    def test_three_runs_per_point_plus_probe_sweep(self, fig14):
-        strategies = {r["strategy"] for r in fig14.rows}
-        assert strategies == {
-            "static", "adaptive", "warm", "probed-filter-choice"
-        }
-
-    def test_replanning_fires_and_wins_somewhere(self, fig14):
-        assert fig14.notes["replan_wins"] >= 1
-
-    def test_adaptive_never_measures_worse(self, fig14):
-        for value in {
-            r["threshold"] for r in fig14.rows if "threshold" in r
-        }:
-            point = [
-                r for r in fig14.rows if r.get("threshold") == value
-            ]
-            static = next(r for r in point if r["strategy"] == "static")
-            adaptive = next(r for r in point if r["strategy"] == "adaptive")
-            assert adaptive["cost_total"] <= static["cost_total"] * (1 + 1e-9)
-            assert adaptive["runtime_s"] <= static["runtime_s"] * (1 + 1e-9)
-
-    def test_warm_probe_runs_are_free(self, fig14):
-        probes = [
-            r for r in fig14.rows if r["strategy"] == "probed-filter-choice"
-        ]
-        assert probes[0]["probe_requests"] > 0
-        assert all(r["probe_requests"] == 0 for r in probes[1:])
-        assert len({r["probed_selectivity"] for r in probes}) == 1
+def test_three_runs_per_point_plus_probe_sweep():
+    strategies = {r["strategy"] for r in result("fig14").rows}
+    assert strategies == {"static", "adaptive", "warm", "probed-filter-choice"}
 
 
-class TestTpchSuite:
-    """The 22-query differential suite (full runs live in CI; here a
-    subset at tiny scale keeps the module under test in seconds)."""
+def test_every_query_has_three_series():
+    fig10 = result("fig10")
+    for query in {r["query"] for r in fig10.rows} - {"geo-mean"}:
+        strategies = {r["strategy"] for r in fig10.rows if r["query"] == query}
+        assert strategies == {"baseline", "optimized", "presto (derived)"}
 
-    @pytest.fixture(scope="class")
-    def subset(self):
-        from repro.experiments.tpch_suite import run
 
-        # One query per new surface: HAVING+group (q01), pure filter
-        # (q06), LEFT JOIN + derived (q13), correlated scalar (q17),
-        # NOT EXISTS/EXISTS pair over aux copies (q21).
-        return run(
-            scale_factor=0.001,
-            modes=("baseline", "optimized"),
-            queries=("q01", "q06", "q13", "q17", "q21"),
-        )
+def test_tpch_rows_carry_metrics():
+    tpch = result("tpch")
+    assert tpch.notes["parsed"] == "5/5"
+    for row in tpch.rows:
+        assert row["requests"] > 0 and row["cost_total"] > 0 and row["runtime_s"] >= 0
 
-    def test_subset_matches_sqlite(self, subset):
-        assert subset.notes["parsed"] == "5/5"
-        assert subset.notes["matched"] == "10/10"
-        assert all(r["match"] == "yes" for r in subset.rows)
 
-    def test_rows_carry_metrics(self, subset):
-        for row in subset.rows:
-            assert row["requests"] > 0
-            assert row["cost_total"] > 0
-            assert row["runtime_s"] >= 0
+def test_auto_rows_report_predictions():
+    for row in result("auto").rows:
+        assert row["predicted_runtime_s"] > 0 and row["predicted_cost"] > 0
 
-    def test_optimized_returns_fewer_bytes(self, subset):
-        """Pushdown must actually shrink data movement on the scan-heavy
-        queries (q01/q06 scan lineitem with tight filters)."""
-        for name in ("q01", "q06"):
-            rows = [r for r in subset.rows if r["query"] == name]
-            base = next(r for r in rows if r["strategy"] == "baseline")
-            opt = next(r for r in rows if r["strategy"] == "optimized")
-            assert opt["bytes_returned"] < base["bytes_returned"]
 
-    def test_aux_schema_renames_prefix(self):
-        from repro.experiments.tpch_suite import aux_schema
-        from repro.workloads.tpch import TABLE_SCHEMAS
+def test_aux_schema_renames_prefix():
+    from repro.experiments.tpch_suite import aux_schema
+    from repro.workloads.tpch import TABLE_SCHEMAS
 
-        schema = aux_schema(TABLE_SCHEMAS["nation"], "n2")
-        assert schema.names[0] == "n2_nationkey"
-        assert [c.type for c in schema.columns] == [
-            c.type for c in TABLE_SCHEMAS["nation"].columns
-        ]
-
-    def test_rows_match_null_and_float_rules(self):
-        from repro.experiments.tpch_suite import rows_match
-
-        assert rows_match([(1, 2.0)], [(1, 2.0 + 1e-9)])
-        assert rows_match([(None, 1), (2, 3)], [(2, 3), (None, 1)])
-        assert not rows_match([(1,)], [(1,), (2,)])
-        assert not rows_match([(None,)], [(0,)])
+    schema = aux_schema(TABLE_SCHEMAS["nation"], "n2")
+    assert schema.names[0] == "n2_nationkey"
+    assert [c.type for c in schema.columns] == [c.type for c in TABLE_SCHEMAS["nation"].columns]
 
 
 class TestHarnessUtilities:
-    def test_to_table_renders(self, fig1):
-        text = fig1.to_table()
-        assert "fig1" in text
-        assert "server-side" in text
+    def test_to_table_renders(self):
+        text = result("fig1").to_table()
+        assert "fig1" in text and "server-side" in text
 
-    def test_series_and_column_helpers(self, fig1):
-        series = fig1.series("indexing")
+    def test_series_and_column_helpers(self):
+        series = result("fig1").series("indexing")
         assert all(r["strategy"] == "indexing" for r in series)
-        assert len(fig1.column("indexing", "runtime_s")) == len(series)
+        assert len(result("fig1").column("indexing", "runtime_s")) == len(series)

@@ -113,7 +113,7 @@ if "strategies" in sections:
             ex = run(db)
             out[f"strategy/seed{seed}/{name}"] = dump(db.ctx, mark, ex)
 
-for fig in (s for s in sections if s.startswith("fig")):
+for fig in (s for s in sections if s in ALL_EXPERIMENTS):
     result = ALL_EXPERIMENTS[fig]()
     out[fig] = {"rows": repr(result.rows), "notes": repr(result.notes),
                 "table": result.to_table()}
