@@ -60,29 +60,6 @@ def predicate_signature(predicate: ast.Expr | None) -> str:
     return " AND ".join(sorted(c.to_sql() for c in ast.split_conjuncts(predicate)))
 
 
-def join_signature(
-    tables_with_predicates: list[tuple[str, ast.Expr | None]],
-    edges: list[tuple[str, str]],
-) -> tuple:
-    """Normalized signature of a join subtree's semantic content.
-
-    ``tables_with_predicates`` pairs each base table with the
-    single-table predicate pushed into its scan; ``edges`` are the
-    ``(build_key, probe_key)`` pairs of the hash joins *applied inside*
-    the subtree.  Bloom predicates are deliberately absent: they only
-    prune rows the join would drop anyway (modulo false positives that
-    the join still drops), so the output cardinality is Bloom-invariant.
-    """
-    tables = tuple(sorted(
-        (name.lower(), predicate_signature(pred))
-        for name, pred in tables_with_predicates
-    ))
-    edge_sigs = tuple(sorted(
-        tuple(sorted((a.lower(), b.lower()))) for a, b in edges
-    ))
-    return tables, edge_sigs
-
-
 @dataclass
 class FeedbackRecord:
     """One learned measurement (selectivity or cardinality)."""
@@ -288,10 +265,8 @@ def harvest_plan(store: FeedbackStore, root) -> int:
                 )
                 recorded += 1
         elif isinstance(node, physical.HashJoinNode):
-            parts = physical.tree_signature(node)
-            if parts is not None:
-                store.record_join(
-                    join_signature(*parts), float(node.actual_rows)
-                )
+            signature = physical.tree_signature(node)
+            if signature is not None:
+                store.record_join(signature, float(node.actual_rows))
                 recorded += 1
     return recorded

@@ -22,8 +22,15 @@ the planner past that limit:
   component and combined with
   :class:`~repro.planner.physical.CrossProductNode` when the estimated
   product stays under :data:`CROSS_PRODUCT_LIMIT` rows;
-* :func:`plan_join_order` is the planner/EXPLAIN entry point returning
-  the picked tree plus the per-candidate estimate table.
+* :func:`plan_join_order` builds the graph and runs the search in one
+  call, for the experiment sweeps (fig12) and the tests; the planner
+  builds its own :class:`JoinOrderSearch`, because it also rebuilds the
+  picked tree's shape for baseline mode and hands the search to the
+  adaptive executor.
+
+:class:`JoinOrderSearch` is the only code that builds a join tree: the
+DP's candidates, the greedy fallback, forced orders and shapes, the
+baseline rebuild of a picked shape and the adaptive executor's re-plans.
 
 Cardinalities use the System-R containment assumption:
 ``|A ⋈ B| = |A| · |B| / max(V(A,k), V(B,k))`` with distinct counts from
@@ -51,6 +58,7 @@ from repro.planner.physical import (
     ScanNode,
 )
 from repro.sqlparser import ast
+from repro.strategies.scans import decoded_columns
 
 #: Exact DP over connected subsets is run up to this many tables (per
 #: connected component); larger components fall back to the greedy search.
@@ -332,13 +340,6 @@ class JoinOrderDecision:
         }
 
 
-def _leaves(node: PlanNode) -> list[ScanNode]:
-    """All scan leaves of a join subtree, left to right."""
-    if isinstance(node, ScanNode):
-        return [node]
-    return [leaf for child in node.children() for leaf in _leaves(child)]
-
-
 @dataclass(frozen=True)
 class _TableShape:
     """Pre-computed per-table quantities the search prices with."""
@@ -372,8 +373,9 @@ class JoinOrderSearch:
         self.fpr = fpr
         self.feedback = ctx.feedback
         #: Per-table ``(name, predicate_signature)`` pairs, precomputed
-        #: once so warm-session DP candidates can build their feedback
-        #: signatures without re-serializing predicates per candidate.
+        #: once so warm-session DP candidates build their feedback
+        #: signatures (:func:`physical.tree_signature`) without
+        #: re-serializing predicates per candidate.
         self._pred_sigs = {
             name: (name, predicate_signature(graph.predicates[name]))
             for name in graph.tables
@@ -417,49 +419,21 @@ class JoinOrderSearch:
                 rows = min(rows, left.est_rows, right.est_rows)
         return max(rows, 0.0)
 
-    def _candidate_signature(self, node: PlanNode) -> tuple | None:
-        """Feedback signature of a DP candidate subtree.
-
-        Equivalent to ``join_signature(*physical.tree_signature(node))``
-        for trees this search built, but reads the per-table predicate
-        signatures precomputed at construction instead of re-serializing
-        every predicate inside the DP's inner loop.  Materialized leaves
-        are walked through their sources, which were planned from this
-        same graph, so the memo applies to them too.
-        """
-        names: list[str] = []
-        edges: list[tuple[str, str]] = []
-
-        def collect(n: PlanNode) -> bool:
-            if isinstance(n, physical.MaterializedNode):
-                return n.source is not None and collect(n.source)
-            if isinstance(n, ScanNode):
-                names.append(n.table.name.lower())
-                return True
-            if isinstance(n, HashJoinNode):
-                edges.append((n.build_key, n.probe_key))
-                return collect(n.build) and collect(n.probe)
-            return False
-
-        if not collect(node):
-            return None
-        tables = tuple(sorted(self._pred_sigs[name] for name in names))
-        edge_sigs = tuple(sorted(
-            tuple(sorted((a.lower(), b.lower()))) for a, b in edges
-        ))
-        return tables, edge_sigs
-
     # -- tree construction -------------------------------------------
-    def leaf(self, name: str) -> ScanNode:
-        """A fresh optimized-mode scan node for one table."""
+    def leaf(self, name: str, pushdown: bool = True) -> ScanNode:
+        """A fresh, unannotated scan of one table: pushed down, or
+        (``pushdown=False``) a GET scan decoding what the plan reads plus
+        what its own predicate reads."""
         shape = self.shapes[name]
+        predicate = self.graph.predicates[name]
         node = ScanNode(
-            shape.info, shape.columns, self.graph.predicates[name],
-            pushdown=True, phase_label=f"scan-{name}",
+            shape.info,
+            shape.columns if pushdown
+            else decoded_columns(shape.info, shape.columns, predicate),
+            predicate, pushdown=pushdown, phase_label=f"scan-{name}",
             prune=self.ctx.prune_partitions,
         )
         node.est_rows = shape.filtered_rows
-        node.est_filtered_rows = shape.filtered_rows
         return node
 
     def _orient(self, t1: PlanNode, t2: PlanNode):
@@ -474,9 +448,11 @@ class JoinOrderSearch:
     ) -> HashJoinNode:
         """Join two subtrees on their first crossing edge.
 
-        Children are cloned so memoized DP subtrees are never mutated by
-        Bloom annotations of one particular candidate.  ``orient=False``
-        keeps ``t1`` as the build side (rebuilding a serialized shape).
+        Neither subtree is copied or changed, so a memoized DP subtree
+        may sit in many candidates: a Bloom predicate goes on a fresh
+        scan of the probe table, never on the leaf passed in.
+        ``orient=False`` keeps ``t1`` as the build side (rebuilding a
+        serialized shape).
         """
         edges = self.graph.edges_across(t1.tables, t2.tables)
         if not edges:
@@ -486,15 +462,14 @@ class JoinOrderSearch:
             )
         est_rows = self._pair_rows(t1, t2, edges)
         build, probe = self._orient(t1, t2) if orient else (t1, t2)
-        build, probe = physical.clone_tree(build), physical.clone_tree(probe)
         edge = edges[0]
         build_end = edge.left if edge.left in build.tables else edge.right
         probe_end = edge.other(build_end)
-        node = HashJoinNode(
-            build, probe,
-            build_key=edge.key_for(build_end),
-            probe_key=edge.key_for(probe_end),
-        )
+        build_key, probe_key = edge.key_for(build_end), edge.key_for(probe_end)
+        bloom = self._bloom_shape(build, probe, build_end, build_key, probe_key)
+        if bloom is not None:
+            probe = self.leaf(probe_end)
+        node = HashJoinNode(build, probe, build_key=build_key, probe_key=probe_key)
         node.extra_edges = list(edges[1:])
         if node.extra_edges:
             # The hash join itself only applies ``edges[0]``; the rest
@@ -508,7 +483,7 @@ class JoinOrderSearch:
             # emptiness guard keeps signature construction out of the
             # cold DP's inner loop.  (Measured counts are pre-residual,
             # i.e. exactly what the node emits.)
-            signature = self._candidate_signature(node)
+            signature = physical.tree_signature(node, self._pred_sigs)
             if signature is not None:
                 measured = self.feedback.lookup_join(signature)
                 if measured is not None:
@@ -523,18 +498,15 @@ class JoinOrderSearch:
                         est_rows = measured
                     node.est_out_rows = measured
         node.est_rows = est_rows
-        node.est_build_rows = min(build.est_rows, probe.est_rows)
-        node.est_probe_rows = max(build.est_rows, probe.est_rows)
+        # CPU on the pre-Bloom inputs: the smaller one is hashed.
         cpu = (
-            node.est_build_rows * SERVER_CPU_PER_ROW["hash_build"]
-            + node.est_probe_rows * SERVER_CPU_PER_ROW["hash_probe"]
+            min(build.est_rows, probe.est_rows) * SERVER_CPU_PER_ROW["hash_build"]
+            + max(build.est_rows, probe.est_rows) * SERVER_CPU_PER_ROW["hash_probe"]
         )
-        node.est_cpu_plain = cpu
-        bloom = self._bloom_shape(node, build_end, probe_end)
         if bloom is not None:
             pass_rows, hashes = bloom
             node.bloom = BloomPushdown()
-            probe.bloom_attr = node.probe_key
+            probe.bloom_attr = probe_key
             probe.est_rows = min(probe.est_rows, pass_rows)
             probe.est_terms += probe.table.num_rows * hashes
             cpu += build.est_rows * SERVER_CPU_PER_ROW["bloom_insert"]
@@ -556,8 +528,8 @@ class JoinOrderSearch:
         columns = [
             c.lower()
             for tree in (t1, t2)
-            for leaf in _leaves(tree)
-            for c in leaf.columns
+            for name in tree.tables
+            for c in self.shapes[name].columns
         ]
         if len(set(columns)) != len(columns):
             # Fail at plan time, before any scan request is billed; the
@@ -567,37 +539,33 @@ class JoinOrderSearch:
                 f" {sorted(columns)}"
             )
         build, probe = self._orient(t1, t2) if orient else (t1, t2)
-        build, probe = physical.clone_tree(build), physical.clone_tree(probe)
         node = CrossProductNode(build, probe)
         node.est_rows = est_rows
-        node.est_build_rows = min(build.est_rows, probe.est_rows)
-        node.est_probe_rows = max(build.est_rows, probe.est_rows)
         node.est_cpu = (
             build.est_rows * SERVER_CPU_PER_ROW["hash_build"]
             + est_rows * SERVER_CPU_PER_ROW["hash_probe"]
         )
-        node.est_cpu_plain = node.est_cpu
         return node
 
     def _bloom_shape(
-        self, node: HashJoinNode, build_end: str, probe_end: str
+        self, build: PlanNode, probe: PlanNode, build_end: str,
+        build_key: str, probe_key: str,
     ) -> tuple[float, int] | None:
         """(expected probe rows passing, hash count) or None if ineligible.
 
-        Eligible whenever the probe child is a pushdown scan and the
-        build-side key column is an integer — inner probes included.
+        Eligible whenever the probe is a pushdown scan and the build-side
+        key column is an integer — inner probes included.
         """
-        probe = node.probe
-        if not isinstance(probe, ScanNode):
+        if not (isinstance(probe, ScanNode) and probe.pushdown):
             return None
-        build_key = node.build_key
         column = self.graph.tables[build_end].schema.column(build_key)
         if column.type != "int":
             return None
+        probe_end = next(iter(probe.tables))
         filtered_rows = self.shapes[probe_end].filtered_rows
         return predicted_bloom_pass(
-            self._key_distinct(build_end, build_key, node.build.est_rows),
-            self._key_distinct(probe_end, node.probe_key, filtered_rows),
+            self._key_distinct(build_end, build_key, build.est_rows),
+            self._key_distinct(probe_end, probe_key, filtered_rows),
             filtered_rows, self.fpr,
         )
 
@@ -608,18 +576,20 @@ class JoinOrderSearch:
             tree = self.combine(tree, self.leaf(name))
         return tree
 
-    def build_tree(self, shape) -> PlanNode:
+    def build_tree(self, shape, pushdown: bool = True) -> PlanNode:
         """Rebuild a serialized tree shape with fresh estimates.
 
         ``shape`` is :func:`physical.serialize_shape` output: a table
         name, or ``[kind, build_shape, probe_shape]`` with the build
-        orientation preserved.
+        orientation preserved.  ``pushdown=False`` builds it over GET
+        scans, hence without Bloom predicates: a picked tree's baseline
+        plan.
         """
         if isinstance(shape, str):
-            return self.leaf(shape.lower())
+            return self.leaf(shape.lower(), pushdown)
         kind, build_shape, probe_shape = shape
-        build = self.build_tree(build_shape)
-        probe = self.build_tree(probe_shape)
+        build = self.build_tree(build_shape, pushdown)
+        probe = self.build_tree(probe_shape, pushdown)
         if kind == "cross":
             return self.cross(build, probe, orient=False)
         return self.combine(build, probe, orient=False)
@@ -655,9 +625,9 @@ class JoinOrderSearch:
     def search(self, objective: str = "cost") -> JoinOrderDecision:
         """Pick the cheapest join tree under ``objective``.
 
-        Each connected component is planned by bushy DP (greedy above
-        :data:`DP_TABLE_LIMIT`); multiple components combine smallest
-        first through guarded cross products.
+        Each connected component is planned by :meth:`_best_tree` (bushy
+        DP, greedy above :data:`DP_TABLE_LIMIT`); multiple components
+        combine smallest first through guarded cross products.
         """
         key = objective_key(objective)
         components = self.graph.connected_components()
@@ -665,21 +635,15 @@ class JoinOrderSearch:
         candidates: list[StrategyEstimate] = []
         methods: set[str] = set()
         for component in components:
-            if len(component) == 1:
-                trees.append(self.leaf(component[0]))
+            leaves = [self.leaf(name) for name in component]
+            if len(leaves) == 1:
+                trees.append(leaves[0])
                 continue
-            if len(component) > DP_TABLE_LIMIT:
-                trees.append(self.left_deep_tree(self._greedy_order(component)))
-                methods.add("greedy")
-                continue
-            expansions = self._dp_component(component, objective)
-            best = min(expansions, key=lambda pair: key(pair[1]))
-            trees.append(best[0])
-            if len(components) == 1:
-                candidates = sorted(
-                    (est for _, est in expansions), key=key
-                )
-            methods.add("dp")
+            tree, options = self._best_tree(leaves, objective)
+            trees.append(tree)
+            methods.add("dp" if options else "greedy")
+            if len(components) == 1 and options:
+                candidates = sorted((est for _, est in options), key=key)
 
         trees.sort(
             key=lambda t: (t.est_rows, tuple(sorted(t.tables)))
@@ -708,21 +672,24 @@ class JoinOrderSearch:
             method=method,
         )
 
-    def _dp_component(
-        self, names: list[str], objective: str
-    ) -> list[tuple[PlanNode, StrategyEstimate]]:
-        """Bushy DP over one connected component's subsets.
-
-        Callers handle single-table components themselves, so ``names``
-        always holds at least two tables.
-        """
-        assert len(names) >= 2, "single-table components never reach the DP"
-        level = self._dp_leaves([self.leaf(name) for name in names], objective)
-        if not level:
+    def _best_tree(
+        self, leaves: list[PlanNode], objective: str
+    ) -> tuple[PlanNode, list[tuple[PlanNode, StrategyEstimate]]]:
+        """The cheapest join tree over two or more ``leaves``, with the
+        DP's priced candidates over all of them — or, above
+        :data:`DP_TABLE_LIMIT` leaves, where exhaustive subset
+        enumeration would stall (mid-query too), the greedy tree and no
+        candidates."""
+        if len(leaves) > DP_TABLE_LIMIT:
+            return self._greedy_tree(leaves), []
+        options = self._dp_leaves(leaves, objective)
+        if not options:
             raise PlanError(
-                f"no connected join tree exists for tables {names}"
+                "no connected join tree exists for tables"
+                f" {sorted(frozenset().union(*(leaf.tables for leaf in leaves)))}"
             )
-        return level
+        key = objective_key(objective)
+        return min(options, key=lambda pair: key(pair[1]))[0], options
 
     def _dp_leaves(
         self, leaves: list[PlanNode], objective: str
@@ -776,18 +743,18 @@ class JoinOrderSearch:
     def replan_remaining(
         self, leaves: list[PlanNode], objective: str = "cost"
     ) -> PlanNode:
-        """Bushy DP over the remaining relations of a *running* query.
+        """Re-plan the remaining relations of a *running* query.
 
         The adaptive executor calls this after a pipeline breaker's
         observed cardinality blows past its estimate.  ``leaves`` mix
         not-yet-started scans with materialized intermediates
         (:class:`~repro.planner.physical.MaterializedNode`) whose
         cardinalities are now facts; both carry ``tables`` /
-        ``est_rows``, which is all :meth:`combine` needs.  Candidates are
-        priced through the same :meth:`price_tree` machinery as the
-        plan-time search — materialized leaves contribute no predicted
-        phases (their work is already billed), so the ranking reflects
-        only the work still to do.
+        ``est_rows``, which is all :meth:`combine` needs.  The search is
+        the plan-time one (:meth:`_best_tree`): candidates price through
+        :meth:`price_tree`, where materialized leaves contribute no
+        predicted phases (their work is already billed), so the ranking
+        reflects only the work still to do.
         """
         if len(leaves) < 2:
             raise PlanError(
@@ -804,25 +771,14 @@ class JoinOrderSearch:
             if isinstance(leaf, ScanNode) else leaf
             for leaf in leaves
         ]
-        if len(leaves) > DP_TABLE_LIMIT:
-            # Mirror the plan-time search's guard: exhaustive subset
-            # enumeration mid-query would stall execution on wide joins.
-            return self._greedy_leaves(leaves)
-        options = self._dp_leaves(leaves, objective)
-        if not options:
-            raise PlanError(
-                "no connected join tree exists over the remaining relations"
-            )
-        return min(options, key=lambda pair: objective_key(objective)(pair[1]))[0]
+        return self._best_tree(leaves, objective)[0]
 
-    def _greedy_leaves(self, leaves: list[PlanNode]) -> PlanNode:
-        """Greedy minimum-intermediate-rows combine over mixed leaves
-        (the wide-join fallback of :meth:`replan_remaining`)."""
+    def _greedy_tree(self, leaves: list[PlanNode]) -> PlanNode:
+        """Left-deep greedy: the smallest leaf first, then always the
+        connected leaf that yields the fewest intermediate rows (ties go
+        to the earlier leaf)."""
         remaining = list(leaves)
-        tree = min(
-            remaining,
-            key=lambda leaf: (leaf.est_rows, tuple(sorted(leaf.tables))),
-        )
+        tree = min(remaining, key=lambda leaf: leaf.est_rows)
         remaining.remove(tree)
         while remaining:
             frontier = [
@@ -844,35 +800,6 @@ class JoinOrderSearch:
             tree = self.combine(tree, nxt)
             remaining.remove(nxt)
         return tree
-
-    def _greedy_order(self, names: list[str] | None = None) -> list[str]:
-        """Smallest filtered table first, then minimum intermediate rows."""
-        if names is None:
-            names = self.graph.table_names()
-        start = min(names, key=lambda n: self.shapes[n].filtered_rows)
-        tree: PlanNode = self.leaf(start)
-        order = [start]
-        joined = {start}
-        while len(order) < len(names):
-            frontier = [
-                n for n in names
-                if n not in joined and self.graph.edges_between(n, joined)
-            ]
-            if not frontier:
-                raise PlanError(
-                    "no connected left-deep join order exists for"
-                    f" tables {names}"
-                )
-            def grown_rows(name: str) -> float:
-                return self._pair_rows(
-                    tree, self.leaf(name),
-                    self.graph.edges_across(tree.tables, frozenset((name,))),
-                )
-            nxt = min(frontier, key=grown_rows)
-            tree = self.combine(tree, self.leaf(nxt))
-            order.append(nxt)
-            joined.add(nxt)
-        return order
 
 
 def enumerate_left_deep_orders(graph: JoinGraph) -> list[list[str]]:

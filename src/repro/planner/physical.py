@@ -196,13 +196,11 @@ class _TableLeaf(PlanNode):
             return 0
         return self.table.partitions - len(self.keep_partitions)
 
-    def _effective_partitions(self, ctx) -> tuple[list[int] | None, int]:
-        """(surviving indices or None, request-stream count) for ``ctx``.
-
-        Honors the context's ``prune_partitions`` kill switch at run
-        time so one plan can be A/B-executed with pruning on and off.
-        """
-        if self.keep_partitions is None or not ctx.prune_partitions:
+    def _effective_partitions(self) -> tuple[list[int] | None, int]:
+        """(surviving indices or None, request-stream count): decided
+        once, when the plan was built — what the cost walker priced is
+        what the leaf requests, whatever the context says by then."""
+        if self.keep_partitions is None:
             return None, self.table.partitions
         return self.keep_partitions, len(self.keep_partitions)
 
@@ -253,10 +251,6 @@ class ScanNode(_TableLeaf):
             float(table.num_rows * len(ast.split_conjuncts(predicate)))
             if pushdown else 0.0
         )
-        #: Pre-Bloom estimate of the rows the predicate alone keeps;
-        #: baseline twins (GET + local filter, no Bloom) annotate with
-        #: this so their Q-error reports stay meaningful.
-        self.est_filtered_rows: float | None = None
         self.tables: frozenset = frozenset((table.name,))
         # Baseline GET scans never prune (they are the paper's
         # whole-table reference point).
@@ -379,7 +373,7 @@ class ScanNode(_TableLeaf):
                 return names, self._replay(state, reuse)
             self.cache_status = "miss"
         if self.pushdown:
-            keep, streams = self._effective_partitions(ctx)
+            keep, streams = self._effective_partitions()
             # Every statement's requests are issued before the first
             # batch.  A streamed scan re-cuts each statement's responses
             # to ``batch_size`` (ingest under LIMIT counts whole
@@ -500,7 +494,7 @@ class PushedAggregateNode(_TableLeaf):
                 select_items=self.query.select_items, table="S3Object",
                 where=self.query.where,
             )
-            keep, streams = self._effective_partitions(ctx)
+            keep, streams = self._effective_partitions()
             partials = select_aggregate(
                 ctx, self.table, PreparedSelect(pushed.to_sql(), query=pushed),
                 partitions=keep,
@@ -567,12 +561,6 @@ class HashJoinNode(PlanNode):
         #: DP ranks with), but the hash join only applies its own edge,
         #: so the materialized count is compared against this instead.
         self.est_out_rows: float | None = None
-        #: Pre-Bloom estimated build/probe input rows, for CPU pricing.
-        self.est_build_rows: float = 0.0
-        self.est_probe_rows: float = 0.0
-        #: Estimated local CPU of this join (with / without Bloom build).
-        self.est_cpu: float = 0.0
-        self.est_cpu_plain: float = 0.0
         #: Equality edges beyond the hash edge, deferred to a residual
         #: filter above the join tree.
         self.extra_edges: list = []
@@ -710,10 +698,6 @@ class CrossProductNode(PlanNode):
         self.build = build
         self.probe = probe
         self.stream_probe = stream_probe
-        self.est_build_rows: float = 0.0
-        self.est_probe_rows: float = 0.0
-        self.est_cpu: float = 0.0
-        self.est_cpu_plain: float = 0.0
         self.extra_edges: list = []
         self.tables: frozenset = getattr(build, "tables", frozenset()) | getattr(
             probe, "tables", frozenset()
@@ -919,85 +903,6 @@ def q_error(est: float | None, actual: int | None) -> float:
     return max(e / a, a / e)
 
 
-def tree_signature(node: PlanNode):
-    """``(tables_with_predicates, applied_edges)`` of a hash-join subtree.
-
-    The semantic identity of a join result: which base tables it joins,
-    the single-table predicate pushed into each scan, and the hash edges
-    applied inside.  Bloom predicates are excluded on purpose — they
-    only pre-drop rows the join drops anyway — so Bloom and non-Bloom
-    plans over the same query share feedback.  Returns ``None`` for
-    shapes feedback does not model (cross products, pushed aggregates).
-    """
-    tables: list[tuple[str, ast.Expr | None]] = []
-    edges: list[tuple[str, str]] = []
-
-    def collect(n: PlanNode) -> bool:
-        if isinstance(n, MaterializedNode):
-            return n.source is not None and collect(n.source)
-        if isinstance(n, ScanNode):
-            tables.append((n.table.name, n.predicate))
-            return True
-        if isinstance(n, HashJoinNode):
-            if n.join_type != "inner" or n.match_cond is not None:
-                # Semi/anti/outer joins have different output-cardinality
-                # semantics; keep their trees out of the shared feedback.
-                return False
-            edges.append((n.build_key, n.probe_key))
-            return collect(n.build) and collect(n.probe)
-        return False
-
-    if not collect(node):
-        return None
-    return tables, edges
-
-
-def _adaptive_leaves(node: PlanNode) -> list[PlanNode]:
-    """The not-yet-joined relations of a working tree: pending scans and
-    finished materializations."""
-    if isinstance(node, (ScanNode, MaterializedNode)):
-        return [node]
-    return [
-        leaf
-        for child in (node.build, node.probe)
-        for leaf in _adaptive_leaves(child)
-    ]
-
-
-def _join_extra_edges(node: PlanNode) -> list:
-    """Extra (non-hash) equi edges of the *live* joins in a working tree.
-
-    Materialized results are opaque here: their deferred edges were part
-    of the originally planned tree, so the plan-time residual filter
-    already covers them.
-    """
-    if isinstance(node, (ScanNode, MaterializedNode)):
-        return []
-    out = list(getattr(node, "extra_edges", ()))
-    out += _join_extra_edges(node.build) + _join_extra_edges(node.probe)
-    return out
-
-
-def _tree_shape_key(node: PlanNode):
-    """Hashable shape identity used to detect a no-op re-plan."""
-    if isinstance(node, MaterializedNode):
-        return ("m", tuple(sorted(node.tables)))
-    if isinstance(node, ScanNode):
-        return ("s", node.table.name)
-    return (
-        "j", node.build_key, node.probe_key,
-        _tree_shape_key(node.build), _tree_shape_key(node.probe),
-    )
-
-
-def _adaptive_label(node: PlanNode) -> str:
-    if isinstance(node, MaterializedNode):
-        return "[" + "+".join(sorted(node.tables)) + "]"
-    if isinstance(node, ScanNode):
-        return node.table.name
-    return f"({_adaptive_label(node.build)} >< {_adaptive_label(node.probe)})"
-
-
 def _next_adaptive_step(root: "HashJoinNode"):
     """The next materialization the static recursive executor would run.
 
@@ -1063,7 +968,7 @@ class AdaptiveJoinNode(PlanNode):
         #: Extra equi edges the *planned* tree deferred — the planner put
         #: them in the residual filter above this node.  A re-planned
         #: tree may defer different edges; the delta is applied here.
-        self._known_extras = set(_join_extra_edges(child))
+        self._known_extras = set(join_extra_edges(child))
         self._missing_residual: list = []
 
     def children(self) -> tuple[PlanNode, ...]:
@@ -1126,7 +1031,7 @@ class AdaptiveJoinNode(PlanNode):
         self.events.append(event)
         if q <= self.threshold:
             return tree
-        leaves = _adaptive_leaves(tree)
+        leaves = join_leaves(tree)
         if len(leaves) < 3:
             event["note"] = "no alternative join order remains"
             return tree
@@ -1135,22 +1040,18 @@ class AdaptiveJoinNode(PlanNode):
         except PlanError as exc:
             event["note"] = f"replan failed: {exc}"
             return tree
-        if _tree_shape_key(new_tree) == _tree_shape_key(tree):
+        if serialize_shape(new_tree) == serialize_shape(tree):
             event["note"] = "replan confirmed the current tree"
             return tree
-        new_tree.stream_probe = True
-        if isinstance(new_tree.probe, ScanNode):
-            new_tree.probe.phase_label = (
-                f"probe-scan-{new_tree.probe.table.name}"
-            )
+        mark_spine(new_tree)
         covered = self._known_extras | set(self._missing_residual)
         self._missing_residual.extend(
-            edge for edge in _join_extra_edges(new_tree) if edge not in covered
+            edge for edge in join_extra_edges(new_tree) if edge not in covered
         )
         self.replans += 1
         event["replanned"] = True
-        event["old_tree"] = _adaptive_label(tree)
-        event["new_tree"] = _adaptive_label(new_tree)
+        event["old_tree"] = join_tree_label(tree)
+        event["new_tree"] = join_tree_label(new_tree)
         return new_tree
 
 
@@ -1583,52 +1484,81 @@ def runner(build_plan: Callable[..., PhysicalPlan]) -> Callable[..., QueryExecut
 
 
 # ----------------------------------------------------------------------
-# tree utilities: shape (de)serialization, labels, cloning
+# tree utilities: the one walker per question a join tree is asked
 # ----------------------------------------------------------------------
 
-def clone_tree(node: PlanNode) -> PlanNode:
-    """Deep-copy a join subtree (scan/join/cross nodes only).
+_JOINS = (HashJoinNode, CrossProductNode)
 
-    The join-order search memoizes the best subtree per table subset;
-    candidates embedding a memoized subtree clone it first so Bloom
-    annotations on one candidate never leak into another.
+
+def join_leaves(node: PlanNode) -> list[PlanNode]:
+    """The relations a join tree joins, left to right: scans and
+    materialized results (whose executed source is not descended)."""
+    if not isinstance(node, _JOINS):
+        return [node]
+    return join_leaves(node.build) + join_leaves(node.probe)
+
+
+def join_extra_edges(node: PlanNode) -> list:
+    """The equi edges beyond each join's hash edge, deferred to a
+    residual filter above the tree (a materialized result's were covered
+    when the tree it came from was planned)."""
+    if not isinstance(node, _JOINS):
+        return []
+    return (
+        node.extra_edges
+        + join_extra_edges(node.build) + join_extra_edges(node.probe)
+    )
+
+
+def mark_spine(tree: PlanNode) -> None:
+    """Stream the root join's probe side; relabel its probe scan."""
+    if isinstance(tree, _JOINS):
+        tree.stream_probe = True
+        probe = tree.probe
+        if isinstance(probe, ScanNode):
+            probe.phase_label = f"probe-scan-{probe.table.name}"
+
+
+def tree_signature(node: PlanNode, table_signatures: dict | None = None):
+    """The feedback signature of an inner hash-join subtree, or ``None``.
+
+    The semantic identity of a join result: which base tables it joins,
+    the single-table predicate pushed into each scan, and the hash edges
+    applied inside — each table as ``(name, predicate_signature)``, each
+    edge as its sorted key pair, both sorted.  Bloom predicates are
+    excluded on purpose — they only pre-drop rows the join drops anyway —
+    so Bloom and non-Bloom plans over the same query share feedback.  A
+    materialized result is walked through its executed source.  ``None``
+    for shapes feedback does not model (cross products, pushed
+    aggregates, semi / anti / outer joins or a residual match condition).
+    ``table_signatures`` maps a lower-cased table name to its
+    precomputed pair (the join-order search's, built once per search).
     """
-    if isinstance(node, MaterializedNode):
-        # Executed results are immutable facts: candidates share them.
-        return node
-    if isinstance(node, ScanNode):
-        twin = ScanNode(
-            node.table, node.columns, node.predicate, node.pushdown,
-            node.phase_label, prune=False,
-        )
-        twin.bloom_attr = node.bloom_attr
-        twin.est_rows = node.est_rows
-        twin.est_terms = node.est_terms
-        twin.est_filtered_rows = node.est_filtered_rows
-        twin.keep_partitions = node.keep_partitions
-        twin.cache_status = node.cache_status
-        return twin
-    if isinstance(node, (HashJoinNode, CrossProductNode)):
-        build = clone_tree(node.build)
-        probe = clone_tree(node.probe)
-        if isinstance(node, HashJoinNode):
-            twin = HashJoinNode(
-                build, probe, node.build_key, node.probe_key,
-                bloom=node.bloom, stream_probe=node.stream_probe,
-                join_type=node.join_type, match_cond=node.match_cond,
-                provenance=node.provenance,
+    from repro.optimizer.feedback import predicate_signature
+
+    tables: list[tuple[str, str]] = []
+    edges: list[tuple[str, ...]] = []
+
+    def collect(n: PlanNode) -> bool:
+        if isinstance(n, MaterializedNode):
+            return n.source is not None and collect(n.source)
+        if isinstance(n, ScanNode):
+            name = n.table.name.lower()
+            tables.append(
+                table_signatures[name] if table_signatures is not None
+                else (name, predicate_signature(n.predicate))
             )
-            twin.est_out_rows = node.est_out_rows
-        else:
-            twin = CrossProductNode(build, probe, node.stream_probe)
-        twin.est_rows = node.est_rows
-        twin.est_build_rows = node.est_build_rows
-        twin.est_probe_rows = node.est_probe_rows
-        twin.est_cpu = node.est_cpu
-        twin.est_cpu_plain = node.est_cpu_plain
-        twin.extra_edges = list(node.extra_edges)
-        return twin
-    raise PlanError(f"cannot clone plan node {type(node).__name__}")
+            return True
+        if isinstance(n, HashJoinNode):
+            if n.join_type != "inner" or n.match_cond is not None:
+                return False
+            edges.append(tuple(sorted((n.build_key.lower(), n.probe_key.lower()))))
+            return collect(n.build) and collect(n.probe)
+        return False
+
+    if not collect(node):
+        return None
+    return tuple(sorted(tables)), tuple(sorted(edges))
 
 
 def serialize_shape(node: PlanNode):
@@ -1824,7 +1754,8 @@ def render_execution_report(execution: QueryExecution) -> str:
 
     Renders the per-node observed cardinalities recorded in
     ``details["actuals"]`` next to the optimizer's estimates, with a
-    Q-error column — the groundwork for adaptive reordering.
+    Q-error column (the number ``mode="adaptive"`` re-plans on) and each
+    node's time and rows per second.
     """
     actuals = execution.details.get("actuals")
     if not actuals:

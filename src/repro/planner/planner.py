@@ -253,10 +253,8 @@ def _apply_sub_joins(
             stream_probe=True, join_type=sj.kind,
             match_cond=sj.match_cond, provenance=sj.provenance,
         )
-        join.est_build_rows = build_rows_est
-        join.est_probe_rows = probe_est
         join.est_rows = probe_est
-        join.est_cpu = join.est_cpu_plain = (
+        join.est_cpu = (
             build_rows_est * SERVER_CPU_PER_ROW["hash_build"]
             + probe_est * SERVER_CPU_PER_ROW["hash_probe"]
         )
@@ -494,13 +492,12 @@ def _join_plan(
     """
     optimized = mode != "baseline"
     if not optimized:
-        tree = _as_baseline_tree(tree)
-    _mark_spine(tree)
+        tree = search.build_tree(physical.serialize_shape(tree), pushdown=False)
+    physical.mark_spine(tree)
     label = physical.join_tree_label(tree)
+    leaves = physical.join_leaves(tree)
 
-    deferred = [
-        edge.to_expr() for edge in _collect_extra_edges(tree)
-    ]
+    deferred = [edge.to_expr() for edge in physical.join_extra_edges(tree)]
     residual = ast.and_join(
         deferred + ast.split_conjuncts(search.graph.residual)
     )
@@ -509,11 +506,12 @@ def _join_plan(
     if (
         mode == "adaptive"
         and isinstance(tree, HashJoinNode)
-        and _all_hash_joins(tree)
-        and len(_leaf_scans(tree)) >= 3
+        and len(leaves) >= 3
+        and physical.tree_signature(tree) is not None
     ):
         # Mid-flight re-optimization needs at least three relations (two
-        # leave nothing to reorder) and a pure equi-join tree; the search
+        # leave nothing to reorder) and a pure inner equi-join tree
+        # (outer / semi / anti edges may not be reordered); the search
         # object rides along so re-plans price through the same
         # calibrated cost model the original plan did.
         adaptive_node = physical.AdaptiveJoinNode(
@@ -522,11 +520,7 @@ def _join_plan(
         node = adaptive_node
     if residual is not None:
         node = FilterNode(node, residual)
-    names = [
-        column
-        for leaf in _leaf_scans(tree)
-        for column in leaf.columns
-    ]
+    names = [column for leaf in leaves for column in leaf.columns]
     if prepared is not None:
         node, names = _apply_sub_joins(
             ctx, node, names, tree.est_rows, prepared, mode
@@ -539,76 +533,3 @@ def _join_plan(
         adaptive_node=adaptive_node,
         join_decision=decision,
     )
-
-
-def _leaf_scans(tree: physical.PlanNode) -> list[ScanNode]:
-    if isinstance(tree, ScanNode):
-        return [tree]
-    return [leaf for child in tree.children() for leaf in _leaf_scans(child)]
-
-
-def _all_hash_joins(tree: physical.PlanNode) -> bool:
-    """True when ``tree`` is scans composed purely by *inner* hash joins
-    (adaptive re-planning may not reorder outer/semi/anti edges)."""
-    if isinstance(tree, ScanNode):
-        return True
-    if isinstance(tree, HashJoinNode):
-        return (
-            tree.join_type == "inner"
-            and tree.match_cond is None
-            and _all_hash_joins(tree.build)
-            and _all_hash_joins(tree.probe)
-        )
-    return False
-
-
-def _collect_extra_edges(tree: physical.PlanNode) -> list:
-    if isinstance(tree, ScanNode):
-        return []
-    extra = list(getattr(tree, "extra_edges", ()))
-    for child in tree.children():
-        extra.extend(_collect_extra_edges(child))
-    return extra
-
-
-def _as_baseline_tree(tree: physical.PlanNode) -> physical.PlanNode:
-    """Rebuild a search tree for baseline mode: GET scans, no Blooms."""
-    if isinstance(tree, ScanNode):
-        twin = ScanNode(
-            tree.table,
-            decoded_columns(tree.table, tree.columns, tree.predicate),
-            tree.predicate, pushdown=False, phase_label=tree.phase_label,
-        )
-        # Baseline scans carry no Bloom, so annotate with the pre-Bloom
-        # filtered estimate — the optimized tree's est_rows may have
-        # been reduced to the Bloom pass-rows.
-        twin.est_rows = (
-            tree.est_filtered_rows
-            if tree.est_filtered_rows is not None
-            else tree.est_rows
-        )
-        return twin
-    build = _as_baseline_tree(tree.build)
-    probe = _as_baseline_tree(tree.probe)
-    if isinstance(tree, HashJoinNode):
-        twin = HashJoinNode(
-            build, probe, tree.build_key, tree.probe_key
-        )
-    else:
-        twin = physical.CrossProductNode(build, probe)
-    twin.est_rows = tree.est_rows
-    twin.est_build_rows = tree.est_build_rows
-    twin.est_probe_rows = tree.est_probe_rows
-    twin.est_cpu = tree.est_cpu_plain
-    twin.est_cpu_plain = tree.est_cpu_plain
-    twin.extra_edges = list(tree.extra_edges)
-    return twin
-
-
-def _mark_spine(tree: physical.PlanNode) -> None:
-    """Stream the root join's probe side; relabel its probe scan."""
-    if isinstance(tree, (HashJoinNode, physical.CrossProductNode)):
-        tree.stream_probe = True
-        probe = tree.probe
-        if isinstance(probe, ScanNode):
-            probe.phase_label = f"probe-scan-{probe.table.name}"

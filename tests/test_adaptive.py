@@ -194,6 +194,51 @@ class TestReplanning:
         warm_adaptive = plan_and_execute(ctx, catalog, sql, mode="adaptive")
         assert warm_adaptive.details["adaptive"]["replans"] == 0
 
+    def test_wide_replan_takes_the_greedy_search(self, monkeypatch):
+        """Seven relations (over DP_TABLE_LIMIT) still to join when the
+        first build misses: the re-plan runs the greedy search, over a
+        materialized result and six pending scans, and rows stay those
+        of the static plan."""
+        from repro.optimizer.joinorder import DP_TABLE_LIMIT, JoinOrderSearch
+        from repro.planner.physical import MaterializedNode
+        from repro.storage.schema import TableSchema
+
+        n = DP_TABLE_LIMIT + 1
+
+        def session(threshold=None):
+            ctx, catalog = CloudContext(adaptive_threshold=threshold), Catalog()
+            for i in range(n):
+                load_table(
+                    ctx, catalog, f"t{i}",
+                    [(j % (8 + i), j) for j in range(20 + 3 * i)],
+                    TableSchema.of(f"t{i}_k:int", f"t{i}_v:int"), partitions=1,
+                )
+            return ctx, catalog
+
+        # ``v > k`` is a column-vs-column predicate: its estimate misses
+        # on every table, so the very first build fires a re-plan.
+        sql = (
+            f"SELECT COUNT(*) AS n, SUM(t0_v) AS s"
+            f" FROM {', '.join(f't{i}' for i in range(n))} WHERE "
+            + " AND ".join(f"t{i}_k = t{i + 1}_k" for i in range(n - 1))
+            + "".join(f" AND t{i}_v > t{i}_k" for i in range(n))
+        )
+        greedy = JoinOrderSearch._greedy_tree
+        mid_flight = []
+
+        def spy(search, leaves):
+            if any(isinstance(leaf, MaterializedNode) for leaf in leaves):
+                mid_flight.append(len(leaves))
+            return greedy(search, leaves)
+
+        monkeypatch.setattr(JoinOrderSearch, "_greedy_tree", spy)
+        static = plan_and_execute(*session(), sql, mode="optimized")
+        adaptive = plan_and_execute(*session(threshold=1.0), sql, mode="adaptive")
+        first = adaptive.details["adaptive"]["events"][0]
+        assert first["replanned"] and len(first["tables"]) == 1
+        assert mid_flight and mid_flight[0] == n
+        assert adaptive.rows == static.rows
+
     def test_replan_events_are_reported(self):
         ctx, catalog = star_session()
         execution = plan_and_execute(ctx, catalog, star_sql(15), mode="adaptive")

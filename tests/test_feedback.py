@@ -16,7 +16,6 @@ from repro.optimizer.feedback import (
     FeedbackStore,
     estimate_selectivity_with_feedback,
     harvest_plan,
-    join_signature,
     predicate_signature,
 )
 from repro.optimizer.selectivity import estimate_selectivity, probe_selectivity
@@ -71,18 +70,34 @@ class TestStore:
         assert combined == pytest.approx(0.5 * system_r_b)
 
     def test_join_feedback_roundtrip(self):
+        from repro.planner.physical import HashJoinNode, ScanNode, tree_signature
+
         store = FeedbackStore()
-        sig = join_signature(
-            [("x", parse_expression("a < 5")), ("y", None)], [("k", "k")]
+        table = _db().table("t")
+
+        def scan(where):
+            predicate = parse_expression(where) if where else None
+            return ScanNode(table, ["k"], predicate, pushdown=True)
+
+        sig = tree_signature(
+            HashJoinNode(scan("a < 5 AND b = 2"), scan(None), "k", "K")
         )
         assert store.lookup_join(sig) is None
         store.record_join(sig, 123.0)
         assert store.lookup_join(sig) == pytest.approx(123.0)
-        # Same content, different spelling order -> same signature.
-        sig2 = join_signature(
-            [("y", None), ("x", parse_expression("a < 5"))], [("k", "k")]
+        # Same content, other orientation and conjunct order -> same signature.
+        sig2 = tree_signature(
+            HashJoinNode(scan(None), scan("b = 2 AND a < 5"), "K", "k")
         )
         assert store.lookup_join(sig2) == pytest.approx(123.0)
+        # A precomputed table signature stands in for the predicate's own.
+        precomputed = {"t": ("t", predicate_signature(parse_expression("a < 5")))}
+        assert tree_signature(scan("b = 1"), precomputed) == (
+            (("t", "(a < 5)"),), ()
+        )
+        # Shapes feedback does not model have no signature.
+        semi = HashJoinNode(scan(None), scan(None), "k", "k", join_type="semi")
+        assert tree_signature(semi) is None
 
     def test_reset_and_isolation(self):
         db1, db2 = _db(), _db()

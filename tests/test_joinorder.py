@@ -266,6 +266,24 @@ class TestBushySearch:
         )
         assert decision.estimate.total_cost < best_left_deep
 
+    def test_search_never_mutates_a_memoized_subtree(self, snowflake):
+        """combine copies nothing: a Bloom goes on a fresh probe scan, so
+        one search prices an order the same before a search, after it
+        and again, and every DP candidate prices as its fresh rebuild."""
+        ctx, catalog, query = snowflake
+        graph = build_join_graph(catalog, query)
+        search = JoinOrderSearch(ctx, graph, query)
+        orders = enumerate_left_deep_orders(graph)
+        before = [search.price_order(order) for order in orders]
+        decision = search.search()
+        assert [search.price_order(order) for order in orders] == before
+        assert [search.price_order(order) for order in orders] == before
+        assert len(decision.candidates) > 1
+        for candidate in decision.candidates:
+            rebuilt = search.build_tree(candidate.notes["tree"])
+            assert search.price_tree(rebuilt) == candidate
+        assert search.search().estimate == decision.estimate
+
     def test_inner_probe_scans_carry_bloom_estimates(self, snowflake):
         """price/execution symmetry: probe-side leaf scans below the
         root join are Bloom-annotated when the build key is an int."""

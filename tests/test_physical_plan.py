@@ -141,6 +141,23 @@ class TestGoldenPlans:
                   |  `- probe: scan dim2 [select+bloom(d2_s2)] cols=2  (est_rows=6.4, est_cost=$1.26956e-05)
                   `- probe: scan fact [select+bloom(f_d2)] cols=3  (est_rows=14.0, est_cost=$1.32968e-05)""")
 
+    def test_bushy_baseline_tree(self, db):
+        """The baseline plan of a forced bushy shape: the search rebuilds
+        it on GET scans, so no Bloom and pre-Bloom scan estimates."""
+        assert rendered(
+            db, SNOWFLAKE_SQL, mode="baseline", shape=BUSHY_SHAPE,
+        ) == textwrap.dedent("""\
+            group-by [-] aggs=1  (est_cost=$1.63185e-05)
+            `- hash-join [d1_id = f_d1] streamed  (est_rows=0.0, est_cost=$1.63185e-05)
+               +- build: hash-join [s1_id = d1_s1]  (est_rows=12.6, est_cost=$1.34561e-05)
+               |  +- build: scan sub1 [get] cols=2 pred=((s1_attr < 10))  (est_rows=3.0, est_cost=$1.26287e-05)
+               |  `- probe: scan dim1 [get] cols=2  (est_rows=80.0, est_cost=$1.26481e-05)
+               `- probe: hash-join [d2_id = f_d2]  (est_rows=0.0, est_cost=$1.46844e-05)
+                  +- build: hash-join [s2_id = d2_s2]  (est_rows=0.0, est_cost=$1.34761e-05)
+                  |  +- build: scan sub2 [get] cols=2 pred=((s2_attr < 10))  (est_rows=0.0, est_cost=$1.26307e-05)
+                  |  `- probe: scan dim2 [get] cols=2  (est_rows=133.0, est_cost=$1.26653e-05)
+                  `- probe: scan fact [get] cols=3  (est_rows=800.0, est_cost=$1.30409e-05)""")
+
     def test_cross_product(self, db):
         assert rendered(
             db, "SELECT COUNT(*) AS n FROM sub1, tiny WHERE s1_attr < 5",

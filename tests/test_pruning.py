@@ -210,6 +210,25 @@ class TestPruningDifferential:
         assert pruned.num_requests == 1
         assert unpruned.num_requests == db.table("t").partitions
 
+    @pytest.mark.parametrize("sql", (
+        "SELECT k FROM t WHERE k < 20",
+        "SELECT SUM(v) AS s FROM t WHERE k < 20",
+    ), ids=["scan", "pushed-aggregate"])
+    def test_pruning_is_decided_when_the_plan_is_built(self, db, sql):
+        """A plan built with pruning on requests exactly what it was
+        priced at, even if the context's switch flips before it runs."""
+        from repro.planner.planner import build_plan, execute_plan
+
+        db.ctx.prune_partitions = True
+        plan = build_plan(db.ctx, db.catalog, parse(sql), "optimized")
+        db.ctx.prune_partitions = False
+        try:
+            execution = execute_plan(db.ctx, plan)
+        finally:
+            db.ctx.prune_partitions = True
+        assert plan.estimate.requests == 1
+        assert execution.num_requests == plan.estimate.requests
+
     def test_join_scans_prune(self, db):
         sql = (
             "SELECT COUNT(*) AS n FROM t, t2"

@@ -10,6 +10,11 @@ line: the label, the commit, per workload the median over its seeds of
 each end-to-end metric plus its failed ops and run count, and the
 ``src/`` line count.  ``--append`` also adds that line to the root-level
 ``BENCH_history.jsonl``.
+
+A line measured on a clean checkout records its ``commit``.  One measured
+on a tree with uncommitted changes (a change about to be committed) has
+no commit yet: it records ``"commit": null`` and the ``parent`` it sits
+on, and the line needs no correcting once the change is committed.
 """
 
 from __future__ import annotations
@@ -32,12 +37,19 @@ def src_lines() -> int:
     )
 
 
-def commit() -> str:
-    """The checkout's short commit, ``-dirty`` when the tree has changes."""
-    return subprocess.run(
-        ["git", "describe", "--always", "--dirty"], cwd=ROOT,
-        capture_output=True, text=True, check=True,
-    ).stdout.strip()
+def revision() -> dict:
+    """``{"commit": <short sha>}`` for a clean checkout; for a tree with
+    uncommitted changes to tracked files ``{"commit": None, "parent":
+    <HEAD's short sha>}``."""
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+
+    head = git("rev-parse", "--short", "HEAD")
+    if git("status", "--porcelain", "--untracked-files=no"):
+        return {"commit": None, "parent": head}
+    return {"commit": head}
 
 
 def history_line(label: str) -> dict:
@@ -69,7 +81,7 @@ def history_line(label: str) -> dict:
             "runs": len(runs),
         }
     return {
-        "label": label, "commit": commit(), "workloads": workloads,
+        "label": label, **revision(), "workloads": workloads,
         "src_lines": src_lines(),
     }
 
