@@ -11,8 +11,9 @@ records in dollars.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 
 class RequestKind(Enum):
@@ -150,13 +151,28 @@ class Phase:
     record and per field, which is what separates "load 4 of 20 columns"
     from "load everything" (paper Fig 5) while keeping wide-row GET loads
     and S3 Select responses on one mechanism.
+
+    ``streams`` becomes a tuple at construction and must not change
+    afterwards: the totals ``requests``, ``select_scan_bytes``,
+    ``select_returned_bytes`` and ``get_bytes`` are summed over it once,
+    right then, in stream order (bit-identical to summing on every read).
+    One lane object may fill several slots: a predicted phase repeats one
+    :class:`StreamWork` ``n`` times.
     """
 
     name: str
-    streams: list[StreamWork] = field(default_factory=list)
+    streams: tuple[StreamWork, ...] = ()
     server_cpu_seconds: float = 0.0
     server_records: float = 0.0
     server_fields: float = 0.0
+
+    def __post_init__(self):
+        streams = self.streams = tuple(self.streams)
+        #: Weighted (paper-equivalent) request count of the phase.
+        self.requests: float = sum(map(_REQUESTS, streams))
+        self.select_scan_bytes: int = sum(map(_SCAN_BYTES, streams))
+        self.select_returned_bytes: int = sum(map(_RETURNED_BYTES, streams))
+        self.get_bytes: int = sum(map(_GET_BYTES, streams))
 
     @classmethod
     def from_records(
@@ -188,19 +204,8 @@ class Phase:
             server_fields=server_fields,
         )
 
-    @property
-    def requests(self) -> float:
-        """Weighted (paper-equivalent) request count of the phase."""
-        return sum(s.requests for s in self.streams)
 
-    @property
-    def select_scan_bytes(self) -> int:
-        return sum(s.select_scan_bytes for s in self.streams)
-
-    @property
-    def select_returned_bytes(self) -> int:
-        return sum(s.select_returned_bytes for s in self.streams)
-
-    @property
-    def get_bytes(self) -> int:
-        return sum(s.get_bytes for s in self.streams)
+_REQUESTS = attrgetter("requests")
+_SCAN_BYTES = attrgetter("select_scan_bytes")
+_RETURNED_BYTES = attrgetter("select_returned_bytes")
+_GET_BYTES = attrgetter("get_bytes")

@@ -103,10 +103,17 @@ class PerfModel:
         return scan + compute + get
 
     def phase_time(self, phase: Phase) -> float:
-        """Simulated duration of one phase (see module docstring)."""
-        if not phase.streams and phase.server_cpu_seconds == 0.0:
+        """Simulated duration of one phase (see module docstring).
+
+        ``stream_time`` runs once per distinct lane object: a predicted
+        phase repeats one lane ``n`` times, and ``max`` over the repeats
+        is that lane's time exactly.
+        """
+        streams = phase.streams
+        if not streams and phase.server_cpu_seconds == 0.0:
             return 0.0
-        slowest_stream = max(map(self.stream_time, phase.streams), default=0.0)
+        lanes = dict(zip(map(id, streams), streams)).values()
+        slowest_stream = max(map(self.stream_time, lanes), default=0.0)
         ingest = (
             phase.server_records / self.server_record_rate
             + phase.server_fields / self.server_field_rate
@@ -116,7 +123,8 @@ class PerfModel:
         # stream: a 16-partition scan issues 16 long-lived requests whose
         # setup hides inside the streams, while the indexing strategy's
         # flood of per-record GETs pays for every extra request.
-        extra_requests = max(0.0, phase.requests - len(phase.streams))
+        requests = phase.requests
+        extra_requests = max(0.0, requests - len(streams))
         dispatch = extra_requests / self.request_dispatch_rate
         # Response parsing and local operator work share the query node's
         # CPU, so they add; everything else can overlap with the slowest
@@ -124,7 +132,7 @@ class PerfModel:
         local_cpu = phase.server_cpu_seconds * self.server_cpu_factor
         query_node = ingest + local_cpu
         bottleneck = max(slowest_stream, query_node, network, dispatch)
-        latency = self.request_latency if phase.requests else 0.0
+        latency = self.request_latency if requests else 0.0
         return bottleneck + latency
 
     def runtime(self, phases: list[Phase]) -> float:

@@ -64,23 +64,25 @@ def _phase(
     records: float = 0.0,
     fields: float = 0.0,
 ) -> Phase:
-    """A predicted phase: totals spread evenly over ``streams`` lanes."""
+    """A predicted phase: totals spread evenly over ``streams`` lanes.
+
+    The lanes are equal, so the phase holds one :class:`StreamWork`
+    repeated ``n`` times (``(lane,) * n``): every total and the slowest
+    lane come out exactly as they would over ``n`` separate copies.
+    """
     n = max(int(streams), 1)
     if requests is None:
         requests = float(n)
-    work = [
-        StreamWork(
-            requests=requests / n,
-            select_scan_bytes=scan_bytes / n,
-            select_returned_bytes=returned_bytes / n,
-            get_bytes=get_bytes / n,
-            term_evals=term_evals / n,
-        )
-        for _ in range(n)
-    ]
+    lane = StreamWork(
+        requests=requests / n,
+        select_scan_bytes=scan_bytes / n,
+        select_returned_bytes=returned_bytes / n,
+        get_bytes=get_bytes / n,
+        term_evals=term_evals / n,
+    )
     return Phase(
         name=name,
-        streams=work,
+        streams=(lane,) * n,
         server_cpu_seconds=cpu_seconds,
         server_records=records,
         server_fields=fields,

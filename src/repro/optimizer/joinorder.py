@@ -47,6 +47,7 @@ from repro.cloud.context import CloudContext
 from repro.cloud.perf import SERVER_CPU_PER_ROW
 from repro.common.errors import PlanError
 from repro.engine.catalog import Catalog, TableInfo
+from repro.optimizer import pruning
 from repro.optimizer.cost import StrategyEstimate, objective_key, price_phases
 from repro.optimizer.feedback import estimated_rows, predicate_signature
 from repro.planner import physical
@@ -387,6 +388,9 @@ class JoinOrderSearch:
                 info, estimated_rows(ctx, info, graph.predicates[name]),
                 columns[name],
             )
+        #: Zone-map survivors per pushdown table, refuted on first use:
+        #: neither a predicate nor a zone map changes during a search.
+        self._kept: dict[str, list[int] | None] = {}
 
     # -- cardinality -------------------------------------------------
     def _key_distinct(self, table: str, key: str, rows: float) -> float:
@@ -431,8 +435,12 @@ class JoinOrderSearch:
             shape.columns if pushdown
             else decoded_columns(shape.info, shape.columns, predicate),
             predicate, pushdown=pushdown, phase_label=f"scan-{name}",
-            prune=self.ctx.prune_partitions,
+            prune=False,
         )
+        if pushdown and self.ctx.prune_partitions:
+            if name not in self._kept:
+                self._kept[name] = pruning.keep_partitions(shape.info, predicate)
+            node.keep_partitions = self._kept[name]
         node.est_rows = shape.filtered_rows
         return node
 

@@ -1040,7 +1040,8 @@ class AdaptiveJoinNode(PlanNode):
         except PlanError as exc:
             event["note"] = f"replan failed: {exc}"
             return tree
-        if serialize_shape(new_tree) == serialize_shape(tree):
+        old_shape, new_shape = serialize_shape(tree), serialize_shape(new_tree)
+        if new_shape == old_shape:
             event["note"] = "replan confirmed the current tree"
             return tree
         mark_spine(new_tree)
@@ -1052,6 +1053,10 @@ class AdaptiveJoinNode(PlanNode):
         event["replanned"] = True
         event["old_tree"] = join_tree_label(tree)
         event["new_tree"] = join_tree_label(new_tree)
+        # The labels drop build / probe orientation; the shapes keep it,
+        # so an orientation-only re-plan still shows what changed.
+        event["old_shape"] = old_shape
+        event["new_shape"] = new_shape
         return new_tree
 
 

@@ -270,3 +270,46 @@ class TestReplanning:
         assert isinstance(plan.adaptive_node, physical.AdaptiveJoinNode)
         execution = execute_plan(ctx, plan)
         assert execution.rows[0][0] == pytest.approx(static.rows[0][0])
+
+
+class TestReplanEvents:
+    def test_orientation_only_replan_records_two_shapes(self):
+        """Flipping the root's build / probe sides keeps the join label
+        (``a >< b >< c`` either way) but not the serialized shape, which
+        the event records too."""
+        from repro.optimizer.joinorder import JoinOrderSearch, build_join_graph
+        from repro.planner.physical import AdaptiveJoinNode, MaterializedNode
+        from repro.sqlparser.parser import parse
+        from repro.storage.schema import TableSchema
+
+        ctx, catalog = CloudContext(), Catalog()
+        for name, rows in (
+            ("ta", [(i, i) for i in range(8)]),
+            ("tb", [(i % 8, i) for i in range(40)]),
+            ("tc", [(i % 40, i) for i in range(120)]),
+        ):
+            load_table(ctx, catalog, name, rows,
+                       TableSchema.of(f"{name}_k:int", f"{name}_v:int"))
+        query = parse(
+            "SELECT COUNT(*) AS n FROM ta, tb, tc"
+            " WHERE ta_k = tb_k AND tb_v = tc_k"
+        )
+        search = JoinOrderSearch(ctx, build_join_graph(catalog, query), query)
+        old_shape = ["hash", ["hash", "ta", "tb"], "tc"]
+        new_shape = ["hash", "tc", ["hash", "ta", "tb"]]
+        tree = search.build_tree(old_shape)
+        flipped = search.build_tree(new_shape)
+
+        class FlipRoot:
+            def replan_remaining(self, leaves, objective):
+                return flipped
+
+        node = AdaptiveJoinNode(tree, FlipRoot(), threshold=2.0)
+        done = MaterializedNode([(i, i) for i in range(80)], ["ta_k", "ta_v"],
+                                ["ta"])
+        assert node._check(tree, done, est_rows=8.0) is flipped
+        (event,) = node.events
+        assert event["replanned"]
+        assert event["old_tree"] == event["new_tree"] == "ta >< tb >< tc"
+        assert event["old_shape"] == old_shape
+        assert event["new_shape"] == new_shape

@@ -227,3 +227,140 @@ class TestCalibration:
         execution = ctx.finalize(mark, [], [], [Phase("p", [StreamWork(requests=1)])])
         assert execution.num_requests == 1
         assert execution.runtime_seconds > 0
+
+
+def distinct_lane_phase(
+    name, streams, *, scan_bytes=0.0, returned_bytes=0.0, get_bytes=0.0,
+    term_evals=0.0, requests=None, cpu_seconds=0.0, records=0.0, fields=0.0,
+):
+    """The reference construction of a predicted phase: ``n`` equal lanes
+    as ``n`` separate :class:`StreamWork` objects."""
+    n = max(int(streams), 1)
+    if requests is None:
+        requests = float(n)
+    work = [
+        StreamWork(
+            requests=requests / n,
+            select_scan_bytes=scan_bytes / n,
+            select_returned_bytes=returned_bytes / n,
+            get_bytes=get_bytes / n,
+            term_evals=term_evals / n,
+        )
+        for _ in range(n)
+    ]
+    return Phase(
+        name, work, server_cpu_seconds=cpu_seconds, server_records=records,
+        server_fields=fields,
+    )
+
+
+def _awkward_total(rng, n):
+    """An int or a float total that ``n`` lanes do not divide evenly."""
+    if rng.random() < 0.5:
+        return rng.uniform(0.0, 5e9)
+    value = rng.randint(1, 5 * 10**9)
+    return value + 1 if n > 1 and value % n == 0 else value
+
+
+def _predicted_phase_args(rng):
+    n = rng.randint(1, 64)
+    args = {
+        "scan_bytes": _awkward_total(rng, n),
+        "returned_bytes": _awkward_total(rng, n),
+        "get_bytes": rng.choice((0, _awkward_total(rng, n))),
+        "term_evals": rng.choice((0, _awkward_total(rng, n))),
+        "cpu_seconds": rng.choice((0.0, rng.uniform(0.0, 30.0))),
+        "records": rng.choice((0.0, rng.uniform(0.0, 1e8))),
+        "fields": rng.choice((0.0, rng.uniform(0.0, 1e9))),
+    }
+    if rng.random() < 0.5:
+        args["requests"] = rng.choice(
+            (float(rng.randint(1, 10**5)), rng.uniform(0.0, 1e5))
+        )
+    return n, args
+
+
+PHASE_TOTALS = ("requests", "select_scan_bytes", "select_returned_bytes", "get_bytes")
+
+
+class TestOneLanePredictedPhases:
+    """A predicted phase repeats one lane object; every price must equal
+    the one over ``n`` separate lanes exactly (``==``, not approx)."""
+
+    @staticmethod
+    def contexts():
+        calibrated = CloudContext()
+        calibrated.calibrate_to_paper_scale(3_000_000, 10 * GB)
+        return CloudContext(), calibrated
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_prices_equal_the_distinct_lane_reference(self, seed):
+        import random
+
+        from repro.optimizer.cost import _phase, price_phases
+
+        rng = random.Random(seed)
+        for ctx in self.contexts():
+            for _ in range(25):
+                ones, refs = [], []
+                for i in range(rng.randint(1, 4)):
+                    n, args = _predicted_phase_args(rng)
+                    one = _phase(f"p{i}", n, **args)
+                    ref = distinct_lane_phase(f"p{i}", n, **args)
+                    assert len(one.streams) == len(ref.streams) == n
+                    assert len({id(s) for s in one.streams}) == 1
+                    for total in PHASE_TOTALS:
+                        assert getattr(one, total) == getattr(ref, total)
+                        assert getattr(ref, total) == sum(
+                            getattr(s, total) for s in ref.streams
+                        )
+                    assert ctx.perf.phase_time(one) == ctx.perf.phase_time(ref)
+                    ones.append(one)
+                    refs.append(ref)
+                assert ctx.perf.runtime(ones) == ctx.perf.runtime(refs)
+                one_price = price_phases(ctx, "s", ones)
+                ref_price = price_phases(ctx, "s", refs)
+                assert one_price == ref_price
+                assert one_price.cost.total == ref_price.cost.total
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_record_phase_totals_equal_the_generator_sums(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        for _ in range(40):
+            records = [
+                RequestRecord(
+                    rng.choice((RequestKind.GET, RequestKind.SELECT)), "b", "k",
+                    bytes_scanned=rng.randint(0, 10**7),
+                    bytes_returned=rng.randint(0, 10**6),
+                    bytes_transferred=rng.randint(0, 10**7),
+                    term_evals=rng.randint(0, 10**6),
+                    weight=rng.choice((1.0, rng.uniform(0.1, 1000.0))),
+                )
+                for _ in range(rng.randint(0, 70))
+            ]
+            streams = rng.choice((None, rng.randint(1, 80)))
+            phase = Phase.from_records("p", records, streams=streams)
+            assert isinstance(phase.streams, tuple)
+            for total in PHASE_TOTALS:
+                assert getattr(phase, total) == sum(
+                    getattr(s, total) for s in phase.streams
+                )
+
+    def test_stream_time_runs_once_per_distinct_lane(self, monkeypatch):
+        from repro.optimizer.cost import _phase
+
+        lanes = []
+        stream_time = PerfModel.stream_time
+
+        def spy(self, stream):
+            lanes.append(stream)
+            return stream_time(self, stream)
+
+        monkeypatch.setattr(PerfModel, "stream_time", spy)
+        PAPER_PERF.phase_time(_phase("one", 16, scan_bytes=GB))
+        assert len(lanes) == 1
+        lanes.clear()
+        PAPER_PERF.phase_time(select_phase(GB, streams=16))
+        assert len(lanes) == 16

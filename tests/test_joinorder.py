@@ -302,3 +302,84 @@ class TestBushySearch:
 
         walk(decision.tree)
         assert len(bloomed) >= 2  # both dims (and the fact) get one
+
+
+class TestZoneMapsOncePerSearch:
+    """A search refutes each pushdown table's zone maps once, and every
+    leaf it builds carries what a freshly built scan would."""
+
+    @pytest.fixture()
+    def sorted_star(self):
+        ctx, catalog = CloudContext(), Catalog()
+        _load(ctx, catalog, "fact", ["f_d1:int", "f_d2:int", "f_v:int"],
+              [(i % 40, (i * 7) % 40, i) for i in range(400)], partitions=4)
+        _load(ctx, catalog, "dim1", ["d1_id:int", "d1_attr:int"],
+              [(i, i) for i in range(40)], partitions=4)
+        _load(ctx, catalog, "dim2", ["d2_id:int", "d2_attr:int"],
+              [(i, i) for i in range(40)], partitions=4)
+        _load(ctx, catalog, "dim3", ["d3_id:int", "d3_f:int"],
+              [(i, i % 40) for i in range(40)], partitions=2)
+        query = parse(
+            "SELECT SUM(f_v) AS total FROM fact, dim1, dim2, dim3"
+            " WHERE f_d1 = d1_id AND f_d2 = d2_id AND d3_f = f_d1"
+            " AND d1_attr < 10 AND d2_attr >= 30 AND f_v < 100"
+        )
+        return ctx, catalog, query
+
+    def test_keep_partitions_runs_once_per_table(self, sorted_star, monkeypatch):
+        from collections import Counter
+
+        from repro.optimizer import pruning
+        from repro.planner.physical import HashJoinNode, ScanNode
+
+        ctx, catalog, query = sorted_star
+        graph = build_join_graph(catalog, query)
+        calls: Counter = Counter()
+        keep_partitions = pruning.keep_partitions
+
+        def counting(table, predicate):
+            calls[table.name] += 1
+            return keep_partitions(table, predicate)
+
+        monkeypatch.setattr(pruning, "keep_partitions", counting)
+        search = JoinOrderSearch(ctx, graph, query)
+        trees = []
+        price_tree = search.price_tree
+
+        def recording(tree):
+            trees.append(tree)
+            return price_tree(tree)
+
+        monkeypatch.setattr(search, "price_tree", recording)
+        decision = search.search()
+        assert len(decision.candidates) > 1
+        assert {"fact", "dim1", "dim2"} <= set(calls)
+        assert max(calls.values()) == 1
+
+        monkeypatch.setattr(pruning, "keep_partitions", keep_partitions)
+        pruned = set()
+
+        def leaves(node):
+            if isinstance(node, ScanNode):
+                yield node
+            elif isinstance(node, HashJoinNode):
+                yield from leaves(node.build)
+                yield from leaves(node.probe)
+
+        for tree in trees:
+            for leaf in leaves(tree):
+                fresh = ScanNode(leaf.table, leaf.columns, leaf.predicate, True)
+                assert leaf.keep_partitions == fresh.keep_partitions
+                if leaf.keep_partitions is not None:
+                    pruned.add(leaf.table.name)
+        # The data is sorted so the zone maps really refute partitions.
+        assert pruned == {"fact", "dim1", "dim2"}
+
+    def test_pruning_off_keeps_every_partition(self, sorted_star):
+        ctx, catalog, query = sorted_star
+        ctx.prune_partitions = False
+        search = JoinOrderSearch(ctx, build_join_graph(catalog, query), query)
+        assert search.leaf("dim1").keep_partitions is None
+        ctx.prune_partitions = True
+        assert search.leaf("dim1").keep_partitions == [0]
+        assert search.leaf("dim1", pushdown=False).keep_partitions is None
