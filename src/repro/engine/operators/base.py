@@ -1,7 +1,9 @@
-"""Local (query-node) operator primitives.
+"""Batch operator primitives, one set for both sides of the wire.
 
-PushdownDB executes whatever S3 Select cannot on the query node.  Every
-operator is a ``*_batches`` function over a stream of columnar
+PushdownDB executes whatever S3 Select cannot on the query node, and the
+simulated S3 Select service evaluates what is pushed with the same
+operators (WHERE kernel, projection, LIMIT, group-by).  Every operator
+is a ``*_batches`` function over a stream of columnar
 :class:`~repro.engine.batch.Batch` objects — the only thing that flows
 between operators — evaluating expressions with the vector kernels of
 :mod:`repro.expr.vector` and charging modeled per-row CPU into a

@@ -1,8 +1,9 @@
 """Local hash group-by with aggregates.
 
 Used by the server-side / filtered group-by strategies, by hybrid
-group-by for its small-group tail, and by the SQL planner for TPC-H
-queries with GROUP BY.
+group-by for its small-group tail, by the SQL planner for TPC-H
+queries with GROUP BY, and by S3 Select for pushed aggregates and the
+partial group-by extension.
 
 Group keys and aggregate inputs are extracted column-at-a-time and each
 group's slice of a batch is folded with :meth:`Accumulator.add_many`, in
@@ -21,8 +22,13 @@ from repro.expr.vector import compile_aggregate_input_vector, compile_expr_vecto
 from repro.sqlparser import ast
 
 
-class _GroupByState:
-    """Incremental hash-aggregation state."""
+class GroupBy:
+    """A hash group-by compiled once against its input columns.
+
+    Holds only kernels and output names; every :meth:`run` folds into
+    fresh state, so one instance serves any number of streams (S3
+    Select's storage-side aggregates reuse one per bound statement).
+    """
 
     def __init__(
         self,
@@ -46,41 +52,11 @@ class _GroupByState:
             )
             self.out_names.append(item.output_name(ordinal))
 
-        self.groups: dict[tuple, list] = {}
-        if not group_exprs:
-            # A global aggregate (no GROUP BY) always produces exactly one
-            # output row, even over zero input rows (SQL semantics: SUM of
-            # nothing is NULL, COUNT of nothing is 0).
-            self.groups[()] = self._new_state()
-        self.n_aggs = 0
-
     def _new_state(self) -> list:
         return [
             [agg.new_accumulator() for agg in compiled]
             for compiled, _ in self.compiled_items
         ]
-
-    def add_batch(self, batch: Batch) -> None:
-        n = len(batch)
-        if n == 0:
-            return
-        input_cols = [fn(batch) for fn in self.input_fns]
-        groups = self.groups
-        if not self.group_fns:
-            self._fold_batch(groups[()], input_cols, None)
-        else:
-            key_cols = [fn(batch) for fn in self.group_fns]
-            buckets: dict[tuple, list[int]] = {}
-            setdefault = buckets.setdefault
-            for i, key in enumerate(zip(*key_cols)):
-                setdefault(key, []).append(i)
-            for key, idxs in buckets.items():
-                state = groups.get(key)
-                if state is None:
-                    state = self._new_state()
-                    groups[key] = state
-                self._fold_batch(state, input_cols, None if len(idxs) == n else idxs)
-        self.n_aggs += n * len(self.input_fns)
 
     def _fold_batch(self, state: list, input_cols: list, idxs: list[int] | None):
         flat_accs = (acc for accs in state for acc in accs)
@@ -91,15 +67,42 @@ class _GroupByState:
             for col, acc in zip(input_cols, flat_accs):
                 acc.add_many([col[i] for i in idxs])
 
-    def finish(self) -> OpResult:
+    def run(self, batches: Iterable[Batch]) -> OpResult:
+        """Drain ``batches`` into fresh hash-table accumulators."""
+        groups: dict[tuple, list] = {}
+        if not self.group_fns:
+            # A global aggregate (no GROUP BY) always produces exactly one
+            # output row, even over zero input rows (SQL semantics: SUM of
+            # nothing is NULL, COUNT of nothing is 0).
+            groups[()] = self._new_state()
+        rows = 0
+        for batch in batches:
+            n = len(batch)
+            if n == 0:
+                continue
+            rows += n
+            input_cols = [fn(batch) for fn in self.input_fns]
+            if not self.group_fns:
+                self._fold_batch(groups[()], input_cols, None)
+                continue
+            key_cols = [fn(batch) for fn in self.group_fns]
+            buckets: dict[tuple, list[int]] = {}
+            setdefault = buckets.setdefault
+            for i, key in enumerate(zip(*key_cols)):
+                setdefault(key, []).append(i)
+            for key, idxs in buckets.items():
+                state = groups.get(key)
+                if state is None:
+                    state = groups[key] = self._new_state()
+                self._fold_batch(state, input_cols, None if len(idxs) == n else idxs)
         out: list[tuple] = []
-        for key, state in self.groups.items():
+        for key, state in groups.items():
             values: list[object] = list(key)
-            for (compiled, finisher), accs in zip(self.compiled_items, state):
+            for (_, finisher), accs in zip(self.compiled_items, state):
                 results = [acc.result() for acc in accs]
                 values.append(results[0] if finisher is None else finisher(results))
             out.append(tuple(values))
-        cpu = self.n_aggs * SERVER_CPU_PER_ROW["aggregate"]
+        cpu = rows * len(self.input_fns) * SERVER_CPU_PER_ROW["aggregate"]
         return OpResult(rows=out, column_names=self.out_names, cpu_seconds=cpu)
 
 
@@ -118,7 +121,4 @@ def group_by_batches(
     the group expressions followed by one column per aggregate item;
     output order follows first appearance of each group (deterministic).
     """
-    state = _GroupByState(column_names, group_exprs, agg_items)
-    for batch in batches:
-        state.add_batch(batch)
-    return state.finish()
+    return GroupBy(column_names, group_exprs, agg_items).run(batches)

@@ -11,7 +11,10 @@ def limit_batches(batches: Iterable[Batch], n: int | None) -> Iterator[Batch]:
     """Streaming LIMIT: stop pulling upstream once ``n`` rows have passed.
 
     This is where streaming pays off end to end — upstream scans and
-    operators past the cut-off batch are never evaluated.
+    operators past the cut-off batch are never evaluated.  Every batch
+    pulled is passed on, empty ones included, so a caller can pair each
+    output batch with the input batch it came from (S3 Select sizes a
+    response from each chunk's WHERE mask).
     """
     if n is None:
         yield from batches
@@ -26,5 +29,4 @@ def limit_batches(batches: Iterable[Batch], n: int | None) -> Iterator[Batch]:
             yield batch[:remaining]
             return
         remaining -= len(batch)
-        if batch:
-            yield batch
+        yield batch

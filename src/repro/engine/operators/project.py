@@ -11,7 +11,7 @@ from repro.expr.vector import compile_expr_vector
 from repro.sqlparser import ast
 
 
-def _compile_items(
+def compile_items(
     column_names: Sequence[str], items: Sequence[ast.SelectItem]
 ) -> tuple[list, list[str]]:
     """``batch -> column`` functions + output names for a select list."""
@@ -33,7 +33,7 @@ def projected_names(
     column_names: Sequence[str], items: Sequence[ast.SelectItem]
 ) -> list[str]:
     """Output column names of a projection without evaluating rows."""
-    return _compile_items(column_names, items)[1]
+    return compile_items(column_names, items)[1]
 
 
 def project_batches(
@@ -46,7 +46,7 @@ def project_batches(
 
     Output names are available up front via :func:`projected_names`.
     """
-    extractors = _compile_items(column_names, items)[0]
+    extractors = compile_items(column_names, items)[0]
     per_row = len(extractors) * SERVER_CPU_PER_ROW["filter"]
     for batch in batches:
         if tally is not None:

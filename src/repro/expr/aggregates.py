@@ -1,8 +1,11 @@
-"""Aggregate accumulators shared by S3 Select and the PushdownDB engine.
+"""Aggregate accumulators of the one group-by operator.
 
 S3 Select supports ``SUM``/``COUNT``/``AVG``/``MIN``/``MAX`` *without*
-GROUP BY; PushdownDB's group-by operator reuses the same accumulators with
-one accumulator set per group.
+GROUP BY.  Both sides of the wire fold them through the same
+:class:`~repro.engine.operators.groupby.GroupBy` — one accumulator set
+per group, a single group for a global aggregate — so storage-side and
+query-node aggregates agree bit for bit.  Partials from different
+partitions combine with ``strategies.scans.merge_partial``.
 """
 
 from __future__ import annotations
@@ -86,21 +89,6 @@ class Accumulator:
             m = max(present)
             if self._max is None or m > self._max:
                 self._max = m
-
-    def merge(self, other: "Accumulator") -> None:
-        """Combine a partial aggregate computed elsewhere (e.g. at S3)."""
-        if self.func != other.func:
-            raise UnsupportedFeatureError("cannot merge different aggregates")
-        if self.distinct or other.distinct:
-            raise UnsupportedFeatureError("DISTINCT aggregates cannot be merged")
-        self._count += other._count
-        self._sum += other._sum
-        for candidate in (other._min,):
-            if candidate is not None and (self._min is None or candidate < self._min):
-                self._min = candidate
-        for candidate in (other._max,):
-            if candidate is not None and (self._max is None or candidate > self._max):
-                self._max = candidate
 
     def result(self) -> object:
         """Final aggregate value (SQL semantics: empty SUM/AVG/MIN/MAX are NULL)."""

@@ -6,6 +6,10 @@ returns a CSV payload — *always CSV*, even for Parquet input, mirroring
 the limitation the paper calls out in Section IX ("the current S3 Select
 always returns data in CSV format").
 
+Pushdown moves operators to storage, it does not write them twice: the
+engine runs the query node's own batch operators (:mod:`repro.engine.operators`),
+so one operator set runs on both sides of the wire.
+
 Accounting mirrors AWS billing:
 
 * CSV input: ``bytes_scanned`` is the full object (or the requested
@@ -24,18 +28,16 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, repeat
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import repeat
+from typing import Iterable, Iterator, Sequence
 
 from repro.common.errors import UnsupportedFeatureError
 from repro.engine.batch import Batch
 from repro.engine.operators.base import BatchCounter
-from repro.expr.aggregates import CompiledAggregate, split_aggregate_expr
-from repro.expr.vector import (
-    compile_aggregate_input_vector,
-    compile_expr_vector,
-    compile_predicate_vector,
-)
+from repro.engine.operators.groupby import GroupBy
+from repro.engine.operators.limit import limit_batches
+from repro.engine.operators.project import compile_items
+from repro.expr.vector import compile_predicate_vector
 from repro.s3select.validator import (
     EXPRESSION_LIMIT_BYTES,
     expression_complexity,
@@ -112,14 +114,17 @@ def object_schema(obj: StoredObject) -> TableSchema:
 
 
 class _Binding:
-    """A statement's kernels compiled against one object schema.
-
-    Holds only per-schema constants and stateless kernels; every ``run``
-    call makes its own accumulators, so one binding serves any number of
-    concurrent requests.
+    """A statement compiled against one object schema, out of the engine's
+    operators: the WHERE mask kernel (``returned_size`` needs each mask),
+    then the select list's extractors and LIMIT, or one :class:`GroupBy`
+    whose columns are permuted into select-list order.  Every ``run`` folds
+    into fresh accumulators, so one binding serves all of its requests.
     """
 
-    __slots__ = ("key", "schema", "needed", "names", "bare", "_keep_mask", "_evaluate")
+    __slots__ = (
+        "key", "schema", "needed", "names", "bare",
+        "_limit", "_keep_mask", "_extractors", "_group_by", "_order",
+    )
 
     def __init__(self, query: ast.Query, key: object, schema: TableSchema):
         self.key = key
@@ -128,39 +133,44 @@ class _Binding:
         #: Referenced columns in schema order; only these are typed.
         self.needed = _referenced_columns(query, schema)
         projected = schema.project(self.needed) if self.needed else schema
-        name_to_index = projected.name_to_index
-        #: Each output column's source when all are bare columns / ``*``.
-        self.bare: list[str] | None = None
-        if query.group_by:
-            plan = _plan_grouped_aggregation(query, name_to_index)
-        elif any(
-            not isinstance(item.expr, ast.Star) and ast.contains_aggregate(item.expr)
-            for item in query.select_items
-        ):
-            plan = _plan_aggregation(query, name_to_index)
-        else:
-            plan = _plan_projection(query, projected, name_to_index)
-            exprs = [item.expr for item in query.select_items]
-            if all(isinstance(e, (ast.Star, ast.Column)) for e in exprs):
-                self.bare = [
-                    name for e in exprs for name in
-                    ([e.name] if isinstance(e, ast.Column) else projected.names)
-                ]
-        self.names, self._evaluate = plan
+        self._limit = query.limit
         self._keep_mask = (
             None if query.where is None
-            else compile_predicate_vector(query.where, name_to_index)
+            else compile_predicate_vector(query.where, projected.name_to_index)
         )
+        items = query.select_items
+        #: Each output column's source when all are bare columns / ``*``.
+        self.bare: list[str] | None = None
+        layout = _aggregation_layout(query)
+        self._group_by = None
+        if layout is not None:
+            aggs, self._order = layout
+            self._group_by = GroupBy(projected.names, query.group_by, aggs)
+            self.names = [item.output_name(i) for i, item in enumerate(items, 1)]
+            return
+        self._extractors, self.names = compile_items(projected.names, items)
+        exprs = [item.expr for item in items]
+        if all(isinstance(e, (ast.Star, ast.Column)) for e in exprs):
+            self.bare = [n for e in exprs for n in
+                         ((e.name,) if isinstance(e, ast.Column) else projected.names)]
 
     def run(self, batches: Iterable[Batch], masks: list) -> list[Batch]:
-        """Filter and evaluate one request's batches (``masks``: each WHERE mask)."""
+        """Filter and evaluate one request's batches (``masks``: each WHERE
+        mask; a projection emits one batch per batch pulled, so they pair up)."""
         keep_mask = self._keep_mask
         if keep_mask is not None:
             def keep(batch: Batch) -> Batch:
                 masks.append(mask := keep_mask(batch))
                 return batch.filter(mask)
             batches = map(keep, batches)
-        return self._evaluate(batches)
+        if self._group_by is None:
+            extractors = self._extractors
+            projected = (Batch([fn(b) for fn in extractors], len(b)) for b in batches)
+            return list(limit_batches(projected, self._limit))
+        order = self._order
+        rows = self._group_by.run(batches).rows
+        rows = [tuple(row[i] for i in order) for row in rows]
+        return [Batch.from_rows(rows[: self._limit], len(self.names))]
 
 
 class PreparedSelect:
@@ -194,8 +204,7 @@ class PreparedSelect:
 
     def _bound(self, key: object, schema) -> _Binding:
         """The binding for an object advertising ``key`` (``schema()`` is
-        only called to re-bind).  Racing threads may each bind once; the
-        bindings are interchangeable and the last one is kept."""
+        only called to re-bind)."""
         binding = self._binding
         if binding is None or binding.key != key:
             binding = self._binding = _Binding(self.query, key, schema())
@@ -354,141 +363,31 @@ def _referenced_columns(query: ast.Query, schema: TableSchema) -> list[str]:
     return [n for n in schema.names if n.lower() in lowered]
 
 
-def _plan_projection(
-    query: ast.Query, schema: TableSchema, name_to_index: dict[str, int]
-) -> tuple[list[str], Callable[[Iterable[Batch]], list[Batch]]]:
-    """Compile the select list; the evaluator stops at ``LIMIT`` rows.
+def _aggregation_layout(
+    query: ast.Query,
+) -> tuple[list[ast.SelectItem], list[int]] | None:
+    """``None`` for a projection; else the aggregate items and each select
+    item's column in a :class:`GroupBy` row (group keys, then aggregates).
 
-    Early termination is what makes ``LIMIT n`` cheap: the batch source
-    is never pulled past the batch that completes the n-th output row.
-    Each select item is evaluated once per column; the output stays
-    columnar.
+    A partial group-by (Suggestion 4 extension) may list keys and
+    aggregates in any order or leave a key out; partials from different
+    partitions merge at the query node (the "partial" in partial group-by).
     """
-    extractors = []
-    names: list[str] = []
-    for ordinal, item in enumerate(query.select_items, start=1):
+    key_pos = {group.to_sql(): pos for pos, group in enumerate(query.group_by)}
+    aggs: list[ast.SelectItem] = []
+    order: list[int | None] = []
+    for item in query.select_items:
         if isinstance(item.expr, ast.Star):
-            for idx, col in enumerate(schema.columns):
-                extractors.append(lambda batch, i=idx: batch.column(i))
-                names.append(col.name)
-            continue
-        extractors.append(compile_expr_vector(item.expr, name_to_index))
-        names.append(item.output_name(ordinal))
-    limit = query.limit
-
-    def evaluate(batches: Iterable[Batch]) -> list[Batch]:
-        out: list[Batch] = []
-        remaining = limit
-        for batch in batches:
-            projected = Batch([fn(batch) for fn in extractors], len(batch))
-            if remaining is None:
-                out.append(projected)
-                continue
-            out.append(projected[:remaining])
-            remaining -= len(projected)
-            if remaining <= 0:
-                break
-        return out
-
-    return names, evaluate
-
-
-def _finish(finisher, results: list[object]) -> object:
-    return results[0] if finisher is None else finisher(results)
-
-
-def _plan_aggregates(
-    item: ast.SelectItem, name_to_index: dict[str, int]
-) -> tuple[list, list[CompiledAggregate], object]:
-    """One aggregate select item: vector inputs, accumulator makers and the
-    finisher for arithmetic around the aggregates (``SUM(a*b) / 100``)."""
-    agg_nodes, finisher = split_aggregate_expr(item.expr)
-    inputs = [compile_aggregate_input_vector(n, name_to_index) for n in agg_nodes]
-    return inputs, [CompiledAggregate(n, name_to_index) for n in agg_nodes], finisher
-
-
-def _plan_aggregation(
-    query: ast.Query, name_to_index: dict[str, int]
-) -> tuple[list[str], Callable[[Iterable[Batch]], list[Batch]]]:
-    """Compile an aggregate-only select list over filtered batches.
-
-    The S3-side group-by pushdown emits plain ``SUM(CASE ...)`` columns
-    but TPC-H pushdowns use compound forms.
-    """
-    items = [_plan_aggregates(item, name_to_index) for item in query.select_items]
-    names = [item.output_name(i) for i, item in enumerate(query.select_items, 1)]
-    limit = query.limit
-
-    def evaluate(batches: Iterable[Batch]) -> list[Batch]:
-        state = [[agg.new_accumulator() for agg in aggs] for _, aggs, _ in items]
-        for batch in batches:
-            for (inputs, _, _), accs in zip(items, state):
-                for input_values, acc in zip(inputs, accs):
-                    acc.add_many(input_values(batch))
-        row = tuple(
-            _finish(finisher, [acc.result() for acc in accs])
-            for (_, _, finisher), accs in zip(items, state)
+            order.append(None)
+        elif ast.contains_aggregate(item.expr):
+            order.append(len(query.group_by) + len(aggs))
+            aggs.append(item)
+        else:
+            order.append(key_pos.get(item.expr.to_sql()))
+    if not aggs and not query.group_by:
+        return None
+    if None in order:
+        raise UnsupportedFeatureError(
+            "partial group-by select items must be group expressions or aggregates"
         )
-        rows = [row] if limit is None else [row][:limit]
-        return [Batch.from_rows(rows, len(names))]
-
-    return names, evaluate
-
-
-def _plan_grouped_aggregation(
-    query: ast.Query, name_to_index: dict[str, int]
-) -> tuple[list[str], Callable[[Iterable[Batch]], list[Batch]]]:
-    """Partial group-by at the storage side (Suggestion 4 extension).
-
-    Group columns come from the GROUP BY clause; every select item must
-    be either a group expression or an aggregate.  Partials from
-    different partitions merge at the query node (the "partial" in
-    partial group-by).
-    """
-    group_fns = [compile_expr_vector(g, name_to_index) for g in query.group_by]
-    group_pos: dict[str, int] = {}
-    for pos, group in enumerate(query.group_by):
-        group_pos.setdefault(group.to_sql(), pos)
-
-    names: list[str] = []
-    agg_items: list[tuple] = []
-    layout: list[tuple[bool, int]] = []  # (is aggregate, key / item position)
-    for ordinal, item in enumerate(query.select_items, start=1):
-        names.append(item.output_name(ordinal))
-        if not isinstance(item.expr, ast.Star) and ast.contains_aggregate(item.expr):
-            layout.append((True, len(agg_items)))
-            agg_items.append(_plan_aggregates(item, name_to_index))
-            continue
-        if isinstance(item.expr, ast.Star) or item.expr.to_sql() not in group_pos:
-            raise UnsupportedFeatureError(
-                "partial group-by select items must be group expressions"
-                " or aggregates"
-            )
-        layout.append((False, group_pos[item.expr.to_sql()]))
-    makers = [agg for _, aggs, _ in agg_items for agg in aggs]
-    inputs = [fn for fns, _, _ in agg_items for fn in fns]
-
-    def evaluate(batches: Iterable[Batch]) -> list[Batch]:
-        groups: dict[tuple, list] = {}
-        for batch in batches:
-            keys = zip(*(fn(batch) for fn in group_fns))
-            # Rows fold in scan order, so float sums match the row loop.
-            for key, *values in zip(keys, *(fn(batch) for fn in inputs)):
-                accs = groups.get(key)
-                if accs is None:
-                    accs = groups[key] = [agg.new_accumulator() for agg in makers]
-                for acc, value in zip(accs, values):
-                    acc.add(value)
-        out: list[tuple] = []
-        for key, accs in groups.items():
-            results = (acc.result() for acc in accs)
-            agg_values = [
-                _finish(finisher, list(islice(results, len(aggs))))
-                for _, aggs, finisher in agg_items
-            ]
-            out.append(tuple(
-                agg_values[pos] if is_agg else key[pos] for is_agg, pos in layout
-            ))
-        return [Batch.from_rows(out, len(names))]
-
-    return names, evaluate
+    return aggs, order

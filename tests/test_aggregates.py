@@ -1,5 +1,7 @@
 """Tests for aggregate accumulators and aggregate-expression splitting."""
 
+import functools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from repro.expr.aggregates import (
 )
 from repro.sqlparser import ast
 from repro.sqlparser.parser import parse_expression
+from repro.strategies.scans import merge_partial
 
 
 class TestAccumulator:
@@ -58,28 +61,6 @@ class TestAccumulator:
         for v in (2, 2, 3):
             acc.add(v)
         assert acc.result() == 5
-
-    def test_merge_partials(self):
-        a, b = Accumulator("SUM"), Accumulator("SUM")
-        a.add(1)
-        b.add(2)
-        a.merge(b)
-        assert a.result() == 3
-
-    def test_merge_min_max(self):
-        a, b = Accumulator("MIN"), Accumulator("MIN")
-        a.add(5)
-        b.add(2)
-        a.merge(b)
-        assert a.result() == 2
-
-    def test_merge_mismatched_funcs_rejected(self):
-        with pytest.raises(UnsupportedFeatureError):
-            Accumulator("SUM").merge(Accumulator("MIN"))
-
-    def test_merge_distinct_rejected(self):
-        with pytest.raises(UnsupportedFeatureError):
-            Accumulator("SUM", distinct=True).merge(Accumulator("SUM"))
 
     def test_unknown_func_rejected(self):
         with pytest.raises(UnsupportedFeatureError):
@@ -147,7 +128,8 @@ def test_property_avg_equals_sum_over_count(values):
     st.integers(1, 5),
 )
 def test_property_merged_partials_equal_global(values, parts):
-    """Partition-wise accumulation + merge equals one global pass."""
+    """Partition-wise accumulation + ``merge_partial`` (the strategies'
+    rule) equals one global pass; an empty partition's NULL is skipped."""
     for func in ("SUM", "COUNT", "MIN", "MAX"):
         whole = Accumulator(func)
         for v in values:
@@ -155,7 +137,7 @@ def test_property_merged_partials_equal_global(values, parts):
         partials = [Accumulator(func) for _ in range(parts)]
         for i, v in enumerate(values):
             partials[i % parts].add(v)
-        merged = partials[0]
-        for p in partials[1:]:
-            merged.merge(p)
-        assert merged.result() == whole.result()
+        merged = functools.reduce(
+            lambda a, b: merge_partial(func, a, b), (p.result() for p in partials)
+        )
+        assert merged == whole.result()

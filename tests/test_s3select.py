@@ -84,6 +84,35 @@ class TestProjectionAndFilter:
         result = execute_select(csv_object(), sql)
         assert [r[0] for r in result.rows] == [1, 3]
 
+    @pytest.mark.parametrize("where", [None, "v >= 0"])
+    def test_limit_zero_pulls_no_chunk(self, where):
+        rows = [(i, float(i), "x", "1995-01-01") for i in range(5000)]
+        result = execute_select(csv_object(rows), _sql("k", where, 0))
+        assert (result.rows, result.bytes_returned) == ([], 0)
+        assert (result.rows_scanned, result.term_evals) == (0, 0)
+
+    @pytest.mark.parametrize(
+        "lo, limit, scanned",
+        [
+            # Chunks are rows [0, 4096), [4096, 8192), [8192, 10000).
+            (5000, 1, 8192), (5000, 3000, 8192), (5000, 3192, 8192),
+            (5000, 5000, 10000), (5000, None, 10000),
+            (9000, 3, 10000), (9000, None, 10000),
+        ],
+    )
+    def test_width_sized_response_pairs_each_chunk_with_its_mask(self, lo, limit, scanned):
+        """A bare-column response is sized by pairing each decoded chunk's
+        WHERE mask with the output batch at the same position; WHERE keeps
+        nothing in the leading chunk(s), so dropping an empty batch before
+        LIMIT would pair a later chunk's rows with an earlier mask."""
+        rows = [(i, float(i), "n" * (1 + i % 13), "1995-01-01") for i in range(10_000)]
+        obj = csv_object(rows)
+        result = execute_select(obj, _sql("k, name", f"k >= {lo}", limit))
+        assert _widths_held(obj) > 0  # sized from memoised widths
+        assert result.rows == [(k, name) for k, _, name, _ in rows if k >= lo][:limit]
+        assert result.bytes_returned == len(result.payload)
+        assert result.rows_scanned == scanned
+
 
 class TestAggregation:
     def test_simple_aggregates(self):
@@ -150,6 +179,11 @@ class TestAggregation:
         ragged = StoredObject(fresh.data + b"5,6\n", fresh.metadata)
         with pytest.raises(CatalogError):
             execute_select(ragged, "SELECT COUNT(*) FROM S3Object")
+
+    def test_limit_zero_still_reads_every_row(self):
+        rows = [(i, float(i), "x", "1995-01-01") for i in range(5000)]
+        result = execute_select(csv_object(rows), "SELECT COUNT(*) FROM S3Object LIMIT 0")
+        assert (result.rows, result.rows_scanned) == ([], 5000)
 
     def test_empty_input_aggregates(self):
         result = execute_select(
@@ -383,6 +417,75 @@ def test_property_pushed_aggregates_match_row_fold(rows, items, where):
     assert [repr(v) for v in result.rows[0]] == [repr(v) for v in expected]
     assert result.bytes_returned == len(encode_row(result.rows[0]))
     assert result.rows_scanned == len(rows)
+
+
+_GROUPED = [  # (select list, GROUP BY)
+    ("SUM(v), name", "name"),  # an aggregate before its key
+    ("COUNT(*), MAX(v)", "name, day"),  # no key selected
+    ("day, SUM(v * k) / 3, COUNT(k) + 1", "day"),  # arithmetic over aggregates
+    ("k % 3, MIN(name), AVG(v)", "k % 3"),  # a computed key
+    ("name, SUM(v), day, COUNT(*)", "day, name"),  # keys out of GROUP BY order
+]
+
+
+def _grouped_oracle(rows, items, group_by):
+    """Group in first-appearance order with the row compiler and fold every
+    aggregate one row at a time (``add(input_value(row))``)."""
+    index = SCHEMA.name_to_index
+    query = parse(f"SELECT {items} FROM S3Object GROUP BY {group_by}")
+    key_fns = [compile_expr(g, index) for g in query.group_by]
+    groups = {}
+    for row in rows:
+        groups.setdefault(tuple(fn(row) for fn in key_fns), []).append(row)
+    out = []
+    for members in groups.values():
+        values = []
+        for item in query.select_items:
+            nodes, finisher = split_aggregate_expr(item.expr)
+            if not nodes:  # a group expression: the same for every member
+                values.append(compile_expr(item.expr, index)(members[0]))
+                continue
+            results = []
+            for node in nodes:
+                compiled = CompiledAggregate(node, index)
+                acc = compiled.new_accumulator()
+                for row in members:
+                    acc.add(compiled.input_value(row))
+                results.append(acc.result())
+            values.append(results[0] if finisher is None else finisher(results))
+        out.append(tuple(values))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    _TYPED_ROWS, st.sampled_from([1, 400]), st.sampled_from(_GROUPED),
+    st.sampled_from(_WHERE), st.one_of(st.none(), st.integers(0, 4)),
+)
+def test_property_pushed_group_by_matches_row_fold(rows, copies, grouped, where, limit):
+    """The storage-side partial group-by (``allow_group_by=True``) == that
+    oracle, bit for bit: NULL keys, WHERE, LIMIT, and at 400 copies an
+    object of several 4,096-row chunks."""
+    rows = rows * copies
+    items, group_by = grouped
+    sql = (
+        f"SELECT {items} FROM S3Object" + (f" WHERE {where}" if where else "")
+        + f" GROUP BY {group_by}" + (f" LIMIT {limit}" if limit is not None else "")
+    )
+    result = execute_select(csv_object(rows), sql, allow_group_by=True)
+    expected = _grouped_oracle(_oracle_rows(rows, "*", where), items, group_by)[:limit]
+    assert [list(map(repr, r)) for r in result.rows] == [list(map(repr, r)) for r in expected]
+    assert result.bytes_returned == len(b"".join(encode_row(r) for r in result.rows))
+    assert result.rows_scanned == len(rows)
+
+
+@pytest.mark.parametrize(
+    "items", ["name, v, COUNT(*)", "*, COUNT(*)", "SUM(v), k + 1"]
+)
+def test_pushed_group_by_items_must_be_keys_or_aggregates(items):
+    sql = f"SELECT {items} FROM S3Object GROUP BY name, k"
+    with pytest.raises(UnsupportedFeatureError, match="group expressions or aggregates"):
+        execute_select(csv_object(), sql, allow_group_by=True)
 
 
 @settings(max_examples=40, deadline=None)

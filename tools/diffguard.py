@@ -12,6 +12,10 @@ from repro.engine.catalog import Catalog
 from repro.experiments import ALL_EXPERIMENTS
 
 sections = sys.argv[3:]
+unknown = [s for s in sections if s not in ("sql", "strategies", *ALL_EXPERIMENTS)]
+if unknown:
+    sys.exit(f"diffguard: unknown section(s) {', '.join(unknown)}; known: sql,"
+             f" strategies, {', '.join(ALL_EXPERIMENTS)}")
 out = {}
 
 
