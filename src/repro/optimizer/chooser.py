@@ -121,7 +121,6 @@ def choose_planner_mode(
     catalog: Catalog,
     query,
     objective: str = "cost",
-    extra_refs=(),
     prepared=None,
 ) -> Choice:
     """Pick the SQL planner's execution mode (``baseline`` / ``optimized``).
@@ -134,8 +133,7 @@ def choose_planner_mode(
     predicted profiles, and the picked plan rides along as
     ``choice.plan``.  When the decorrelation pass rewrote the query,
     ``prepared`` is its output, so the priced plans carry the sub-joins
-    that will run; ``extra_refs`` alone widens the core scans'
-    projections by the columns such sub-joins would read.
+    and the subquery legs (init plans) that will run.
 
     For multi-table queries the join-order search's per-candidate table
     (each considered order with predicted rows/runtime/cost) is lifted
@@ -143,10 +141,7 @@ def choose_planner_mode(
     """
     # Imported here: the planner itself imports this module.
     from repro.planner import planner
-    from repro.planner.subquery import PreparedQuery
 
-    if prepared is None and extra_refs:
-        prepared = PreparedQuery(query, extra_refs=set(extra_refs))
     baseline, optimized = planner.build_plans(
         ctx, catalog, query, ("baseline", "optimized"), objective,
         prepared=prepared,

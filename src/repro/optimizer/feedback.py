@@ -242,7 +242,9 @@ def harvest_plan(store: FeedbackStore, root) -> int:
     and observed its rows counts: a scan with a predicate and no Bloom
     predicate attached (a Bloom-reduced count measures predicate x
     Bloom, not the predicate alone) yields a selectivity, a hash join
-    whose shape feedback models a cardinality.  Called by the physical
+    whose shape feedback models a cardinality.  A predicate with a
+    ``$n`` is skipped: its value is bound at run time, so no plan could
+    ever look the measurement up by it.  Called by the physical
     executor after every execution, so the session's very next query
     already plans with corrected estimates — no extra metered requests
     are spent learning what was just paid for.
@@ -258,6 +260,7 @@ def harvest_plan(store: FeedbackStore, root) -> int:
                 node.predicate is not None
                 and node.bloom_attr is None
                 and node.table.num_rows > 0
+                and not ast.has_params(node.predicate)
             ):
                 store.record_selectivity(
                     node.table.name, node.predicate,
@@ -266,7 +269,11 @@ def harvest_plan(store: FeedbackStore, root) -> int:
                 recorded += 1
         elif isinstance(node, physical.HashJoinNode):
             signature = physical.tree_signature(node)
-            if signature is not None:
+            if signature is not None and not any(
+                isinstance(scan, physical.ScanNode)
+                and ast.has_params(scan.predicate)
+                for scan, _ in physical.walk_plan(node)
+            ):
                 store.record_join(signature, float(node.actual_rows))
                 recorded += 1
     return recorded

@@ -180,27 +180,39 @@ def predicted_phases(
     return phases
 
 
+def init_phases(plan: PhysicalPlan, ctx: CloudContext) -> list[Phase]:
+    """The predicted phases of ``plan``'s init plans, in the order they
+    run — each a whole plan under its own phase policy."""
+    return [
+        phase
+        for init in plan.init_plans
+        for phase in init_phases(init.plan, ctx)
+        + predicted_phases(init.plan.root, ctx, init.plan.combined_label)
+    ]
+
+
 def annotate_costs(
     plan: PhysicalPlan, ctx: CloudContext, name: str | None = None
 ) -> None:
     """Price ``plan``: ``est_cost`` on every node, ``estimate`` on the plan.
 
     Each node's ``est_cost`` is the cumulative cost of its subtree under
-    the plan's phase policy; the root's is the whole plan's, and the
-    full profile behind it (requests, bytes, runtime) is kept as
-    ``plan.estimate`` — the candidate a chooser ranks, called ``name``
-    (default: the plan's strategy; the SQL chooser's candidates are modes).
+    the plan's phase policy; the root's also covers the init plans, which
+    run before it, so it is the whole query's, and the full profile
+    behind it (requests, bytes, runtime) is kept as ``plan.estimate`` —
+    the candidate a chooser ranks, called ``name`` (default: the plan's
+    strategy; the SQL chooser's candidates are modes).
     """
     name = name or plan.strategy
 
-    def walk(node: PlanNode):
+    def walk(node: PlanNode, before: list[Phase]):
         for child in node.children():
-            walk(child)
-        phases = predicted_phases(node, ctx, plan.combined_label)
+            walk(child, [])
+        phases = before + predicted_phases(node, ctx, plan.combined_label)
         if not phases:
             return None
         estimate = price_phases(ctx, name, phases, {"plan": plan.strategy})
         node.est_cost = estimate.total_cost
         return estimate
 
-    plan.estimate = walk(plan.root)
+    plan.estimate = walk(plan.root, init_phases(plan, ctx))

@@ -18,7 +18,7 @@ from repro.cloud.context import CloudContext, QueryExecution
 from repro.cloud.perf import PerfModel
 from repro.cloud.pricing import Pricing
 from repro.engine.catalog import DEFAULT_PARTITIONS, Catalog, TableInfo, load_table
-from repro.planner.planner import choose_plan, plan_and_execute
+from repro.planner.planner import plan_and_execute, plan_parsed
 from repro.storage.csvcodec import DEFAULT_BATCH_SIZE
 from repro.storage.schema import TableSchema
 
@@ -171,24 +171,14 @@ class PushdownDB:
         was priced, and what ``mode="auto"`` would run — is rendered
         below the candidate table, annotated with per-node ``est_rows``
         and cumulative ``est_cost``; the root's ``est_cost`` is the
-        picked candidate's cost.  Plan building itself never touches
-        storage, with one exception: queries with subqueries or derived
-        tables pre-execute those legs (decorrelation joins against their
-        actual result), so their scans run and are billed to the
-        session.  Decorrelated joins render with their provenance, e.g.
-        ``semi hash-join [...] (decorrelated EXISTS)``.
+        picked candidate's cost.  Subquery legs render as the root's init
+        plans, each with its mode, estimate and what it feeds.  Planning
+        never touches storage.  Decorrelated joins render with their
+        provenance, e.g. ``semi hash-join [...] (decorrelated EXISTS)``.
         """
-        from repro.planner.subquery import needs_rewrite, prepare_query
         from repro.sqlparser.parser import parse
 
-        query = parse(sql)
-        prepared = None
-        if needs_rewrite(query):
-            prepared = prepare_query(self.ctx, self.catalog, query, "optimized")
-            query = prepared.query
-        plan, choice = choose_plan(
-            self.ctx, self.catalog, query, "auto", prepared
-        )
+        plan, choice = plan_parsed(self.ctx, self.catalog, parse(sql), "auto")
         report = f"physical plan ({plan.mode}):\n{plan.describe()}"
         if choice is not None:
             report = f"{choice.explain()}\n{report}"

@@ -26,7 +26,9 @@ Execution contract:
 * in ``baseline`` mode for joins, all scans collapse into one
   ``load+join`` phase whose ingest is the whole-table formula;
 * all local-operator CPU accumulates into one :class:`CpuTally` charged
-  to the final phase.
+  to the final phase;
+* a plan's init plans (subquery legs) run first, each as a plan of its
+  own; :class:`LegNode` leaves read their rows, ``$n`` their values.
 
 Join trees may be **bushy** (both sides of a join may themselves be
 joins), carry Bloom predicates on **inner** (non-outermost) probe scans,
@@ -108,8 +110,16 @@ class ExecState:
     tally: CpuTally = field(default_factory=CpuTally)
     phases: list[Phase] = field(default_factory=list)
     pending: _PendingScan | None = None
-    #: The nodes this execution ran: what its operator times cover.
-    ran: set[PlanNode] = field(default_factory=set)
+    #: ``$n`` -> the value init plan ``n`` produced (see :class:`InitPlan`).
+    params: dict[int, ast.Literal] = field(default_factory=dict)
+
+    def bind(self, expr: ast.Expr | None) -> ast.Expr | None:
+        """``expr`` with every ``$n`` bound to init plan ``n``'s value."""
+        if expr is None or not self.params:
+            return expr
+        return ast.map_expr(expr, lambda node: (
+            self.params[node.index] if isinstance(node, ast.Param) else None
+        ))
 
 
 def one_batch(rows: list[tuple], names: Sequence[str]) -> Iterator[Batch]:
@@ -176,12 +186,25 @@ class _TableLeaf(PlanNode):
     refutation of the leaf's predicate at plan time (``None``: all of
     them); ``cache_status`` is the semantic-cache outcome
     (``hit``/``subsumed``/``miss``), ``None`` when no cache was consulted
-    — so EXPLAIN output on cache-free sessions is unchanged.
+    — so EXPLAIN output on cache-free sessions is unchanged.  ``bound``
+    is the predicate this run evaluates (:meth:`bind`).
     """
 
     table: TableInfo
     keep_partitions: list[int] | None = None
     cache_status: str | None = None
+    bound: ast.Expr | None = None
+
+    def bind(
+        self, state: ExecState, predicate: ast.Expr | None, prune: bool = True
+    ) -> None:
+        """Bind ``predicate``'s ``$n`` for this run into :attr:`bound` (the
+        statements, the GET filter and the cache key read it).  One that
+        held a ``$n`` is refuted again with its value, which plan time
+        could not know."""
+        self.bound = state.bind(predicate)
+        if self.bound is not predicate and prune and state.ctx.prune_partitions:
+            self._prune(self.bound)
 
     def _prune(self, predicate: ast.Expr | None) -> None:
         if predicate is not None:
@@ -198,8 +221,9 @@ class _TableLeaf(PlanNode):
 
     def _effective_partitions(self) -> tuple[list[int] | None, int]:
         """(surviving indices or None, request-stream count): decided
-        once, when the plan was built — what the cost walker priced is
-        what the leaf requests, whatever the context says by then."""
+        when the plan was built — what the cost walker priced is what the
+        leaf requests, whatever the context says by then — unless a
+        ``$n``'s value refuted more (:meth:`bind`)."""
         if self.keep_partitions is None:
             return None, self.table.partitions
         return self.keep_partitions, len(self.keep_partitions)
@@ -256,6 +280,7 @@ class ScanNode(_TableLeaf):
         # whole-table reference point).
         if prune and pushdown:
             self._prune(predicate)
+        self.bound = predicate
         #: The drained stream a cache miss retained, for :meth:`flush_cache`.
         self._cache_batches: list[Batch] | None = None
 
@@ -294,7 +319,7 @@ class ScanNode(_TableLeaf):
         stream: Iterable[Batch] = iter(reuse.batches)
         if reuse.delta is not None:
             stream = filter_batches(
-                stream, reuse.names, self.predicate, state.tally
+                stream, reuse.names, self.bound, state.tally
             )
         if reuse.extra:
             width = len(self.columns)
@@ -320,15 +345,16 @@ class ScanNode(_TableLeaf):
         batches = self._cache_batches
         self._cache_batches = None
         stored = cache.store_scan(
-            self.table.name, self.predicate, self.columns, batches
+            self.table.name, self.bound, self.columns, batches
         )
         return 1 if stored else 0
 
     def scan_sqls(self, pushed: Sequence[PushedClause] | None = None) -> list[str]:
-        """The scan's statements: its projection and predicate, once —
-        or once per ``pushed`` clause a parent join ANDs on (a Bloom
-        predicate, or the ``IN`` lists partitioning its key set)."""
-        own = [self.predicate.to_sql()] if self.predicate is not None else []
+        """The scan's statements: its projection and :attr:`bound`
+        predicate, once — or once per ``pushed`` clause a parent join ANDs
+        on (a Bloom predicate, or the ``IN`` lists partitioning its key
+        set)."""
+        own = [self.bound.to_sql()] if self.bound is not None else []
         return [
             projection_sql(self.columns, " AND ".join(own + extra) or None)
             for extra in ([[clause] for clause in pushed] if pushed else [[]])
@@ -337,7 +363,7 @@ class ScanNode(_TableLeaf):
     def _statements(self, pushed: Sequence[PushedClause] | None):
         """:meth:`scan_sqls` prepared, each text with the tree it parses to
         (left-deep over ``own AND clause``'s conjuncts) — built, not parsed."""
-        own = [self.predicate] if self.predicate is not None else []
+        own = [self.bound] if self.bound is not None else []
         items = tuple(column_items(self.columns))
         for sql, clause in zip(self.scan_sqls(pushed), pushed or [None]):
             where = ast.and_join(own + ast.split_conjuncts(clause and clause.expr))
@@ -358,11 +384,10 @@ class ScanNode(_TableLeaf):
         ctx = state.ctx
         mark = ctx.metrics.mark()
         names = list(self.columns)
+        self.bind(state, self.predicate, prune=self.pushdown)
         cache = self._cacheable(state, pushed)
         if cache is not None:
-            reuse = cache.lookup_scan(
-                self.table.name, self.predicate, self.columns
-            )
+            reuse = cache.lookup_scan(self.table.name, self.bound, self.columns)
             if reuse is not None:
                 self.cache_status = reuse.status
                 # Zero metered requests: nothing was issued since the
@@ -394,7 +419,7 @@ class ScanNode(_TableLeaf):
         else:
             stream = filter_batches(
                 iter_scan_batches(ctx, self.table, columns=names), names,
-                self.predicate, state.tally,
+                self.bound, state.tally,
             )
             # Billed at the full row width, whatever was decoded.
             streams, width = self.table.partitions, len(self.table.schema)
@@ -470,8 +495,7 @@ class PushedAggregateNode(_TableLeaf):
         partials = self._cache_partials
         self._cache_partials = None
         stored = cache.store_aggregate(
-            self.table.name, self.query.where, self.item_signatures(),
-            partials,
+            self.table.name, self.bound, self.item_signatures(), partials,
         )
         return 1 if stored else 0
 
@@ -482,9 +506,10 @@ class PushedAggregateNode(_TableLeaf):
             item.output_name(i)
             for i, item in enumerate(self.query.select_items, start=1)
         ]
+        self.bind(state, self.query.where)
         cache = ctx.result_cache if not state.combined else None
         reuse = None if cache is None else cache.lookup_aggregate(
-            self.table.name, self.query.where, self.item_signatures()
+            self.table.name, self.bound, self.item_signatures()
         )
         if reuse is not None:
             self.cache_status = reuse.status
@@ -492,7 +517,7 @@ class PushedAggregateNode(_TableLeaf):
         else:
             pushed = ast.Query(
                 select_items=self.query.select_items, table="S3Object",
-                where=self.query.where,
+                where=self.bound,
             )
             keep, streams = self._effective_partitions()
             partials = select_aggregate(
@@ -607,19 +632,21 @@ class HashJoinNode(PlanNode):
                 len(keys) * self.bloom.insert_cpu
             )
         self.bloom_keys = len(keys)
+        probe.bind(state, probe.predicate)
         self.bloom_clauses, self.bloom_outcome = membership_clauses(
             keys, probe.bloom_attr, probe.scan_sqls()[0], self.bloom
         )
         return self.bloom_clauses
 
-    def _match_pred(self, build_names, probe_names):
+    def _match_pred(self, build_names, probe_names, state: ExecState):
         if self.match_cond is None:
             return None
         from repro.expr.compiler import compile_predicate
 
         combined = [*build_names, *probe_names]
         return compile_predicate(
-            self.match_cond, {name: i for i, name in enumerate(combined)}
+            state.bind(self.match_cond),
+            {name: i for i, name in enumerate(combined)},
         )
 
     def run(self, state: ExecState):
@@ -645,7 +672,7 @@ class HashJoinNode(PlanNode):
             materialize(build), build_names, probe, probe_names,
             build_key, probe_key, state.tally,
             join_type=self.join_type,
-            match_pred=self._match_pred(build_names, probe_names),
+            match_pred=self._match_pred(build_names, probe_names, state),
         )
 
 
@@ -659,23 +686,17 @@ class MaterializedNode(PlanNode):
     was metered when the wrapped ``source`` subtree actually ran.
     """
 
-    def __init__(
-        self,
-        rows: list[tuple],
-        names: Sequence[str],
-        tables: Iterable[str],
-        source: PlanNode | None = None,
-    ):
+    def __init__(self, rows: list[tuple], names: Sequence[str], source: PlanNode):
         self.rows = rows
         self.names = list(names)
-        self.tables: frozenset = frozenset(tables)
         #: The executed subtree this result came from (reporting +
         #: feedback harvesting descend into it; execution does not).
         self.source = source
+        self.tables: frozenset = source.tables
         self.est_rows = float(len(rows))
 
     def children(self) -> tuple[PlanNode, ...]:
-        return (self.source,) if self.source is not None else ()
+        return (self.source,)
 
     def describe(self) -> str:
         label = "+".join(sorted(self.tables))
@@ -683,6 +704,21 @@ class MaterializedNode(PlanNode):
 
     def run(self, state: ExecState):
         return list(self.names), one_batch(self.rows, self.names)
+
+
+class LegNode(PlanNode):
+    """Leaf: the rows of an init plan (a decorrelated build side, a
+    derived table), which ran — and metered its work — before the root."""
+
+    def __init__(self, leg: InitPlan):
+        self.leg = leg
+        self.est_rows = output_rows(leg.plan.root)
+
+    def describe(self) -> str:
+        return f"init plan {self.leg.index} [{', '.join(self.leg.names)}]"
+
+    def run(self, state: ExecState):
+        return list(self.leg.names), one_batch(self.leg.rows, self.leg.names)
 
 
 class CrossProductNode(PlanNode):
@@ -759,7 +795,9 @@ class FilterNode(PlanNode):
 
     def run(self, state: ExecState):
         names, stream = _run_node(self.child, state)
-        return names, filter_batches(stream, names, self.predicate, state.tally)
+        return names, filter_batches(
+            stream, names, state.bind(self.predicate), state.tally
+        )
 
 
 class ProjectNode(PlanNode):
@@ -889,6 +927,17 @@ class LimitNode(PlanNode):
         return names, limit_batches(stream, self.n)
 
 
+def output_rows(node: PlanNode) -> float:
+    """A subtree's estimated output rows: one for an aggregate without
+    GROUP BY, else the first estimate down its first-child path (the
+    local tail's nodes keep none of their own)."""
+    while node.est_rows is None and node.children():
+        if isinstance(node, GroupByNode) and not node.group_exprs:
+            return 1.0
+        node = node.children()[0]
+    return node.est_rows or 0.0
+
+
 def q_error(est: float | None, actual: int | None) -> float:
     """Smoothed quotient error: ``max((est+1)/(act+1), (act+1)/(est+1))``.
 
@@ -988,12 +1037,12 @@ class AdaptiveJoinNode(PlanNode):
             if action == "build_scan":
                 scan = join.build
                 names, rows = _materialize_node(scan, state)
-                done = MaterializedNode(rows, names, scan.tables, source=scan)
+                done = MaterializedNode(rows, names, scan)
                 join.build = done
                 tree = self._check(tree, done, scan.est_rows)
             else:
                 names, rows = _materialize_node(join, state)
-                done = MaterializedNode(rows, names, join.tables, source=join)
+                done = MaterializedNode(rows, names, join)
                 if parent.build is join:
                     parent.build = done
                 else:
@@ -1078,7 +1127,6 @@ def _run_node(node: PlanNode, state: ExecState, pushed=None, drained=False):
     else:
         names, stream = node.run(state)
     node.wall_seconds = perf_counter() - start
-    state.ran.add(node)
     return names, _observed(node, stream)
 
 
@@ -1379,38 +1427,84 @@ class PhysicalPlan:
     #: The join-order search's outcome, when the search (rather than a
     #: forced shape or order) picked this plan's join tree.
     join_decision: JoinOrderDecision | None = None
-    #: Predicted profile of the whole plan, filled by
-    #: :func:`repro.planner.costing.annotate_costs`; its ``total_cost``
-    #: is the root's ``est_cost``.
+    #: Predicted profile of the whole plan, init plans included, filled
+    #: by :func:`repro.planner.costing.annotate_costs`; its
+    #: ``total_cost`` is the root's ``est_cost``.
     estimate: StrategyEstimate | None = None
+    #: Subquery legs, in the order they run — all before the root.
+    init_plans: list[InitPlan] = field(default_factory=list)
 
     def describe(self) -> str:
-        return render_plan(self.root)
+        return render_plan(self)
 
 
-def execute_plan(
-    ctx: CloudContext,
-    plan: PhysicalPlan,
-    mark: int | None = None,
-    pre_phases: list[Phase] | None = None,
-) -> QueryExecution:
-    """Walk the plan tree once, meter it, and finalize the execution.
+@dataclass(eq=False)
+class InitPlan:
+    """A subquery leg: ``plan`` runs once, before the root of the plan
+    listing it at ``index`` (PostgreSQL's InitPlan).  Its rows feed
+    :class:`LegNode` leaves under ``names``, or — ``value`` being
+    ``"scalar"``, ``"exists"`` or ``"not exists"`` — become the value
+    bound to ``$index``; ``feeds`` says which, for EXPLAIN."""
 
-    This is the single executor behind every planner path.  The root is
-    drained into a row list; phases are assembled per the plan's policy;
-    all accumulated local CPU lands on the final phase; observed per-node
-    cardinalities are recorded into ``details["actuals"]``.
+    index: int
+    plan: PhysicalPlan
+    names: list[str]
+    feeds: str
+    value: str | None = None
+    #: What its latest run returned (``None`` until it runs).
+    rows: list[tuple] | None = None
 
-    ``mark``/``pre_phases`` let the planner charge subquery
-    pre-executions to the enclosing query: the mark was taken before the
-    subqueries ran (so their requests bill to this execution) and their
-    phases prepend to this plan's own.
+    def describe(self) -> str:
+        return (
+            f"init plan {self.index} ({self.plan.mode},"
+            f" est_rows={output_rows(self.plan.root):.1f}, feeds {self.feeds})"
+        )
+
+    def param(self) -> ast.Literal:
+        """The value ``$index`` is bound to, from the rows of the run."""
+        rows = self.rows
+        if self.value == "scalar":
+            if len(rows) > 1:
+                raise PlanError(
+                    "a scalar subquery must produce one column and at most"
+                    " one row"
+                )
+            return ast.Literal(rows[0][0] if rows else None)
+        return ast.Literal(bool(rows) != (self.value == "not exists"))
+
+
+def execute_plan(ctx: CloudContext, plan: PhysicalPlan) -> QueryExecution:
+    """Run the plan — its init plans, then its root — meter it, and
+    finalize the execution.
+
+    This is the single executor behind every planner path.  Each init plan
+    runs first, through the same routine as the root's plan (own state,
+    phase policy, CPU tally, harvest), and bills to this execution, its
+    phases ahead of the root's.  The root is drained into a row list;
+    phases are assembled per the plan's policy; all accumulated local CPU
+    lands on the final phase; observed per-node cardinalities are
+    recorded into ``details["actuals"]``.
     """
-    state = ExecState(ctx, combined=plan.combined_label is not None)
-    if mark is None:
-        mark = ctx.begin_query()
-    # The combined baseline phase spans only this plan's own requests;
-    # pre-executed subqueries carry their own phases in ``pre_phases``.
+    return _execute(ctx, plan)
+
+
+def _execute(
+    ctx: CloudContext, plan: PhysicalPlan, report: bool = True
+) -> QueryExecution:
+    # Init plans recurse here, not into ``execute_plan``: tracers wrap
+    # that one from outside and count each query once.  An init plan's
+    # tree and times are reported under its query's root (``report``).
+    mark = ctx.begin_query()
+    phases: list[Phase] = []
+    params: dict[int, ast.Literal] = {}
+    for init in plan.init_plans:
+        leg = _execute(ctx, init.plan, report=False)
+        init.rows = leg.rows
+        phases += leg.phases
+        if init.value is not None:
+            params[init.index] = init.param()
+    state = ExecState(ctx, combined=plan.combined_label is not None, params=params)
+    # The combined baseline phase spans only the root's own requests.
     query_mark = ctx.metrics.mark()
     names, stream = _run_node(plan.root, state)
     rows = materialize(stream)
@@ -1426,14 +1520,14 @@ def execute_plan(
         ]
         n_records = sum(records for records, _ in ingest)
         n_fields = sum(records * width for records, width in ingest)
-        phases = (pre_phases or []) + [phase_since(
+        phases.append(phase_since(
             ctx, query_mark, plan.combined_label,
             streams=sum(n.table.partitions for n in scans),
             server_cpu_seconds=state.tally.seconds,
             ingest=(n_records, n_fields / max(n_records, 1)),
-        )]
+        ))
     else:
-        phases = (pre_phases or []) + state.phases
+        phases += state.phases
         if state.pending is not None:
             phases.append(state.pending.phase(ctx))
         phases[-1].server_cpu_seconds += state.tally.seconds
@@ -1441,10 +1535,9 @@ def execute_plan(
     details = execution.details
     for node in nodes:
         details.update(node.details or {})
-    details["plan"] = render_plan(plan.root)
-    details["actuals"], details["operator_times"] = execution_records(
-        plan.root, state.ran
-    )
+    if report:
+        details["plan"] = render_plan(plan)
+        details["actuals"], details["operator_times"] = execution_records(plan)
     if plan.adaptive_node is not None:
         adaptive = plan.adaptive_node
         details["adaptive"] = {
@@ -1546,7 +1639,7 @@ def tree_signature(node: PlanNode, table_signatures: dict | None = None):
 
     def collect(n: PlanNode) -> bool:
         if isinstance(n, MaterializedNode):
-            return n.source is not None and collect(n.source)
+            return collect(n.source)
         if isinstance(n, ScanNode):
             name = n.table.name.lower()
             tables.append(
@@ -1666,55 +1759,58 @@ def _annotation(node: PlanNode) -> str:
     return f"  ({', '.join(parts)})" if parts else ""
 
 
-def render_plan(root: PlanNode) -> str:
-    """ASCII tree of the plan with per-node estimate annotations."""
+def render_plan(plan: PhysicalPlan) -> str:
+    """ASCII tree of the plan with per-node estimate annotations.
+
+    Each init plan hangs under the root, ahead of the root's children,
+    tagged with its mode, output estimate and what it feeds; the root's
+    ``est_cost`` covers them (they run first).
+    """
     lines: list[str] = []
 
-    def walk(node: PlanNode, prefix: str, tag: str, is_last: bool,
-             is_root: bool) -> None:
-        if is_root:
-            lines.append(f"{node.describe()}{_annotation(node)}")
-            child_prefix = ""
-        else:
-            branch = "`- " if is_last else "+- "
-            lines.append(
-                f"{prefix}{branch}{tag}{node.describe()}{_annotation(node)}"
-            )
-            child_prefix = prefix + ("   " if is_last else "|  ")
-        kids = node.children()
-        for i, child in enumerate(kids):
-            child_tag = ""
-            if isinstance(node, (HashJoinNode, CrossProductNode)):
-                child_tag = "build: " if i == 0 else "probe: "
-            walk(child, child_prefix, child_tag, i == len(kids) - 1, False)
+    def walk(node: PlanNode, head: str, prefix: str,
+             init_plans: Sequence[InitPlan]) -> None:
+        lines.append(f"{head}{node.describe()}{_annotation(node)}")
+        join = isinstance(node, (HashJoinNode, CrossProductNode))
+        kids = [
+            (f"{init.describe()}: ", init.plan.root, init.plan.init_plans)
+            for init in init_plans
+        ] + [
+            (("build: " if i == 0 else "probe: ") if join else "", child, ())
+            for i, child in enumerate(node.children())
+        ]
+        for i, (tag, child, inits) in enumerate(kids):
+            last = i == len(kids) - 1
+            walk(child, f"{prefix}{'`- ' if last else '+- '}{tag}",
+                 prefix + ("   " if last else "|  "), inits)
 
-    walk(root, "", "", True, True)
+    walk(plan.root, "", "", plan.init_plans)
     return "\n".join(lines)
 
 
-def execution_records(
-    root: PlanNode, ran: set[PlanNode]
-) -> tuple[list[dict], list[dict]]:
+def execution_records(plan: PhysicalPlan) -> tuple[list[dict], list[dict]]:
     """``details["actuals"]`` and ``details["operator_times"]``: one record
-    each per node, pre-order, from one pass over the executed tree.
+    each per node, pre-order, from one pass over the executed tree — each
+    init plan's tree under the root, ahead of the root's children, as
+    :func:`render_plan` draws it.
 
     An actuals record holds ``est_rows``, ``actual_rows`` and their
-    :func:`q_error`.  A timing record covers the nodes in ``ran`` (run by
-    this execution): ``seconds`` is what the subtree spent producing its
-    output — the node's own clock plus the subtrees of its
-    :class:`MaterializedNode` children, whose work ran earlier on another
-    node's clock; ``self_seconds`` subtracts its other children's
+    :func:`q_error`.  In a timing record, ``seconds`` is what the subtree
+    spent producing its output — the node's own clock plus the subtrees
+    of its init plans and of its :class:`MaterializedNode` children, whose
+    work ran earlier on another node's clock; ``self_seconds`` subtracts
+    its other children's
     ``seconds``, so the ``self_seconds`` of a tree sum to its root's
-    ``seconds``; ``rows_per_sec`` is output rows over self time.  Nodes
-    this execution did not run (an earlier execution's plan whose result
-    this one replays) and materialized replays report ``None`` times; a
-    node whose stream was never pulled (past a LIMIT cut-off), ``None``
-    rows.
+    ``seconds``; ``rows_per_sec`` is output rows over self time.  A
+    materialized replay reports ``None`` times; a node whose stream was
+    never pulled (past a LIMIT cut-off), ``None`` rows.
     """
     actuals: list[dict] = []
     times: list[dict] = []
 
-    def visit(node: PlanNode, depth: int) -> float:
+    def visit(
+        node: PlanNode, depth: int, init_plans: Sequence[InitPlan] = ()
+    ) -> float:
         """Append the subtree's records; return its ``seconds``."""
         name, est, rows = node.describe(), node.est_rows, node.actual_rows
         actuals.append({
@@ -1733,6 +1829,8 @@ def execution_records(
         }
         times.append(timed)
         inside = earlier = 0.0
+        for init in init_plans:
+            earlier += visit(init.plan.root, depth + 1, init.plan.init_plans)
         for child in node.children():
             seconds = visit(child, depth + 1)
             if isinstance(child, MaterializedNode):
@@ -1741,7 +1839,7 @@ def execution_records(
                 inside += seconds
         if isinstance(node, MaterializedNode):
             return inside
-        if node not in ran:
+        if node.wall_seconds is None:
             return earlier
         own = node.wall_seconds - inside
         timed.update(
@@ -1750,7 +1848,7 @@ def execution_records(
         )
         return node.wall_seconds + earlier
 
-    visit(root, 0)
+    visit(plan.root, 0, plan.init_plans)
     return actuals, times
 
 

@@ -73,14 +73,26 @@ def plan_and_execute(
 def execute_parsed(
     ctx: CloudContext, catalog: Catalog, query: ast.Query, mode: str
 ) -> QueryExecution:
-    """Plan and run an already-parsed query (see :func:`plan_and_execute`).
+    """Plan (:func:`plan_parsed`) and run an already-parsed query (see
+    :func:`plan_and_execute`); its subquery legs run first and bill to it."""
+    plan, choice = plan_parsed(ctx, catalog, query, mode)
+    execution = execute_plan(ctx, plan)
+    if choice is not None:
+        execution.details["optimizer"] = choice.summary()
+    return execution
+
+
+def plan_parsed(
+    ctx: CloudContext, catalog: Catalog, query: ast.Query, mode: str
+) -> tuple[PhysicalPlan, chooser.Choice | None]:
+    """The plan ``mode`` runs for an already-parsed query, plus the
+    optimizer's choice when ``mode="auto"`` made one; touches no storage.
+    Execution, EXPLAIN and every subquery leg plan here.
 
     Queries with subqueries, explicit JOINs or derived tables go through
-    the decorrelation pass first (:mod:`repro.planner.subquery`); its
-    pre-executed legs bill to this query — the cost read-out mark is
-    taken before they run and their phases prepend to the plan's own.
-    This is also the subquery pass's re-entry point, so nested
-    subqueries decorrelate recursively.
+    the decorrelation pass first (:mod:`repro.planner.subquery`), which
+    plans each leg through this entry (so nested subqueries decorrelate
+    recursively) as an init plan of the result.
     """
     if mode not in ("baseline", "optimized", "auto", "adaptive"):
         raise PlanError(
@@ -90,19 +102,10 @@ def execute_parsed(
     from repro.planner.subquery import needs_rewrite, prepare_query
 
     prepared = None
-    mark = None
     if needs_rewrite(query):
-        mark = ctx.begin_query()
         prepared = prepare_query(ctx, catalog, query, mode)
         query = prepared.query
-    plan, choice = choose_plan(ctx, catalog, query, mode, prepared)
-    execution = execute_plan(
-        ctx, plan, mark=mark,
-        pre_phases=prepared.pre_phases if prepared is not None else None,
-    )
-    if choice is not None:
-        execution.details["optimizer"] = choice.summary()
-    return execution
+    return choose_plan(ctx, catalog, query, mode, prepared)
 
 
 def choose_plan(
@@ -117,15 +120,8 @@ def choose_plan(
     exactly what was priced.
     """
     if mode == "auto":
-        if prepared is not None and prepared.derived_rows is not None:
-            # A derived-table core reads no storage; there is nothing
-            # for the baseline-vs-pushdown chooser to decide.
-            mode = "optimized"
-        else:
-            choice = chooser.choose_planner_mode(
-                ctx, catalog, query, prepared=prepared
-            )
-            return choice.plan, choice
+        choice = chooser.choose_planner_mode(ctx, catalog, query, prepared=prepared)
+        return choice.plan, choice
     return build_plan(ctx, catalog, query, mode, prepared=prepared), None
 
 
@@ -144,10 +140,10 @@ def build_plan(
     left-deep order (experiment sweeps).  ``prepared`` is the
     decorrelation pass's output
     (:class:`repro.planner.subquery.PreparedQuery`) — its sub-joins
-    stack on top of the core join tree, below the local tail.  Plan
-    building never touches storage (pre-executed subquery legs already
-    ran inside ``prepared``), so ``db.explain()`` can render the tree
-    for free.
+    stack on top of the core join tree, below the local tail, and its
+    subquery legs, already planned, become the plan's init plans.  Plan
+    building never touches storage, so ``db.explain()`` can render the
+    tree for free.
     """
     return build_plans(
         ctx, catalog, query, (mode,), shape=shape, force_order=force_order,
@@ -171,9 +167,9 @@ def build_plans(
     once and derive every mode's plan from the tree it picked, so the
     ``auto`` chooser's baseline and optimized candidates join in the
     same order.  Every returned plan carries its predicted profile
-    (``plan.estimate``) and per-node ``est_cost``.
+    (``plan.estimate``, init plans included) and per-node ``est_cost``.
     """
-    if prepared is not None and prepared.derived_rows is not None:
+    if prepared is not None and prepared.derived is not None:
         plans = [_build_derived_plan(query, mode, prepared) for mode in modes]
     elif query.join_table is None:
         plans = [
@@ -186,17 +182,17 @@ def build_plans(
             force_order=force_order, prepared=prepared,
         )
     for plan in plans:
+        if prepared is not None:
+            plan.init_plans = prepared.init_plans
         annotate_costs(plan, ctx, plan.mode)
     return plans
 
 
 def _build_derived_plan(query: ast.Query, mode: str, prepared) -> PhysicalPlan:
     """The outer query of ``FROM (SELECT ...) AS x``: its tail runs over
-    the pre-executed derived rows; no storage is touched again."""
-    node: physical.PlanNode = physical.MaterializedNode(
-        prepared.derived_rows, prepared.derived_names, tables=(query.table,)
-    )
-    names = list(prepared.derived_names)
+    the derived table's init plan's rows."""
+    node: physical.PlanNode = physical.LegNode(prepared.derived)
+    names = list(prepared.derived.names)
     est_rows = node.est_rows
     if query.where is not None:
         node = FilterNode(node, query.where)
@@ -221,9 +217,9 @@ def _apply_sub_joins(
     probe side, a left-outer join emits at least it, and a decorrelated
     scalar join (unique group keys) at most it; all four estimate at
     the probe cardinality ``probe_est``.  Bloom predicates are never attached here:
-    left/anti joins must see every probe row, and the pre-executed
-    build sides never rescan storage anyway.  Returns the wrapped node
-    and its output names.
+    left/anti joins must see every probe row, and an init plan's build
+    side never rescans storage anyway.  Returns the wrapped node and its
+    output names.
     """
     from repro.cloud.perf import SERVER_CPU_PER_ROW
     from repro.engine.operators.hashjoin import join_output_names
@@ -243,11 +239,9 @@ def _apply_sub_joins(
             build_names = list(build.columns)
             build_rows_est = build.est_rows
         else:
-            build = physical.MaterializedNode(
-                sj.rows, sj.names, tables=sj.source_tables
-            )
-            build_names = list(sj.names)
-            build_rows_est = float(len(sj.rows))
+            build = physical.LegNode(sj.leg)
+            build_names = list(sj.leg.names)
+            build_rows_est = build.est_rows
         join = HashJoinNode(
             build, node, sj.build_key, sj.probe_key,
             stream_probe=True, join_type=sj.kind,

@@ -7,33 +7,36 @@ that core plus a list of :class:`SubJoin` wraps the plan builders stack
 on top of the core join tree (below the GROUP BY / ORDER BY tail):
 
 * ``EXISTS`` / ``NOT EXISTS`` → semi / anti hash join against the
-  subquery's pre-executed correlation columns;
+  subquery's correlation columns;
 * ``col IN (SELECT ...)`` → semi join; ``NOT IN`` → NULL-aware anti
   join (``anti_null``), preserving three-valued ``NOT IN`` semantics
   (a NULL in the subquery result empties the output; a NULL probe
   value never qualifies);
 * correlated scalar aggregates (``x < (SELECT AVG(y) ... WHERE k =
-  outer.k)``) → the subquery is re-grouped by its correlation keys,
-  pre-executed, and inner-joined back on those keys; the comparison
-  becomes the join's residual ``match_cond`` (rows without a matching
-  group drop, exactly like a comparison against a NULL scalar);
-* uncorrelated scalar subqueries → pre-executed and inlined as literal
-  constants (in WHERE and HAVING);
+  outer.k)``) → the subquery is re-grouped by its correlation keys and
+  inner-joined back on those keys; the comparison becomes the join's
+  residual ``match_cond`` (rows without a matching group drop, exactly
+  like a comparison against a NULL scalar);
+* uncorrelated scalar subqueries (in WHERE and HAVING) and uncorrelated
+  ``[NOT] EXISTS`` → a parameter ``$n``, bound to the subquery's value
+  at run time;
 * ``LEFT OUTER JOIN t ON ...`` → a left hash join whose build side is a
   scan of ``t`` (ON-clause predicates local to ``t`` push into the
   scan; cross-side conditions become ``match_cond``).  Outer WHERE
   conjuncts that reference ``t``'s columns are held back in
   :attr:`PreparedQuery.post_filter` so they see the NULL padding
   (three-valued logic) instead of being pushed into a scan;
-* a sole derived table (``FROM (SELECT ...) AS x``) → pre-executed into
-  a materialized core the outer query's tail runs over.
+* a sole derived table (``FROM (SELECT ...) AS x``) → the core the
+  outer query's tail runs over.
 
-Pre-executed legs run through the full planner recursively, so nested
-subqueries decorrelate the same way; their phases ride back on
-:attr:`PreparedQuery.pre_phases` and the outer query's cost read-out
-covers their requests (the outer mark is taken before they run).  Name
-collisions between build and probe sides are impossible: every
-pre-executed build column is renamed to a ``__sq<N>_`` prefix.  Column
+Every subquery leg is *planned*, never run, here: it goes through the
+planner's one entry (:func:`~repro.planner.planner.plan_parsed`, so
+nested subqueries decorrelate the same way) and becomes an
+:class:`~repro.planner.physical.InitPlan` of the outer plan, which the
+executor runs before the root and bills to the query; a
+:class:`~repro.planner.physical.LegNode` reads its rows, a ``$n`` its
+value.  Name collisions between build and probe sides are impossible:
+every build column a leg feeds is renamed to a ``__sq<N>_`` prefix.  Column
 scoping follows SQL: an unqualified name resolves to the innermost
 query that has it, so self-correlation needs a renamed table copy (the
 TPC-H suite loads ``lineitem2`` etc. for exactly this).
@@ -53,6 +56,7 @@ from dataclasses import dataclass, field
 from repro.cloud.context import CloudContext
 from repro.common.errors import PlanError
 from repro.engine.catalog import Catalog, TableInfo
+from repro.planner.physical import InitPlan, column_items
 from repro.sqlparser import ast
 
 _SUBQUERY_NODES = (ast.Exists, ast.InSubquery, ast.ScalarSubquery)
@@ -93,12 +97,9 @@ class SubJoin:
     probe_key: str
     match_cond: ast.Expr | None
     provenance: str
-    #: Pre-executed build side (EXISTS / IN / scalar decorrelations);
-    #: column names already carry their collision-proof ``__sq<N>_``
-    #: prefix.
-    rows: list[tuple] | None = None
-    names: list[str] | None = None
-    source_tables: tuple[str, ...] = ()
+    #: The build side's init plan (EXISTS / IN / scalar decorrelations);
+    #: its names carry their collision-proof ``__sq<N>_`` prefix.
+    leg: InitPlan | None = None
     #: Scanned build side (LEFT JOIN): the planner builds the ScanNode
     #: itself so pushdown follows the chosen execution mode.
     table: TableInfo | None = None
@@ -112,28 +113,27 @@ class PreparedQuery:
 
     query: ast.Query
     sub_joins: list[SubJoin] = field(default_factory=list)
-    #: Phases of every pre-executed subquery leg, in execution order;
-    #: prepended to the outer plan's own phases.
-    pre_phases: list = field(default_factory=list)
+    #: Every subquery leg, planned, in the order they run (all before
+    #: the outer plan's root); ``$n`` is the value of the ``n``-th.
+    init_plans: list[InitPlan] = field(default_factory=list)
     #: Outer WHERE conjuncts referencing LEFT-JOINed columns; applied
     #: as a filter above the wraps so NULL padding survives into 3VL.
     post_filter: ast.Expr | None = None
     #: Core-side columns the wraps probe or evaluate (lower-cased);
     #: threaded into the core scans' projections.
     extra_refs: set[str] = field(default_factory=set)
-    #: Pre-executed derived table (sole-FROM ``(SELECT ...) AS x``).
-    derived_rows: list[tuple] | None = None
-    derived_names: list[str] | None = None
+    #: The init plan of a sole-FROM ``(SELECT ...) AS x``.
+    derived: InitPlan | None = None
 
 
 def prepare_query(
     ctx: CloudContext, catalog: Catalog, query: ast.Query, mode: str
 ) -> PreparedQuery:
-    """Rewrite ``query`` for planning, pre-executing subquery legs.
+    """Rewrite ``query`` for planning, planning its subquery legs.
 
-    ``mode`` is the requested execution mode; pre-executed legs run
-    through the full planner with the same mode (``"auto"`` legs each
-    make their own choice).
+    ``mode`` is the requested execution mode; legs are planned with the
+    same mode (``"auto"`` legs each make their own choice).  Touches no
+    storage.
     """
     return _Rewriter(ctx, catalog, query, mode).run()
 
@@ -149,7 +149,7 @@ class _Rewriter:
         self.query = query
         self.mode = mode
         self.sub_joins: list[SubJoin] = []
-        self.pre_phases: list = []
+        self.init_plans: list[InitPlan] = []
         self.extra_refs: set[str] = set()
         self._counter = itertools.count()
         self.outer: list[TableInfo] = []
@@ -180,7 +180,7 @@ class _Rewriter:
         return PreparedQuery(
             query=core,
             sub_joins=self.sub_joins,
-            pre_phases=self.pre_phases,
+            init_plans=self.init_plans,
             post_filter=ast.and_join(post),
             extra_refs=self.extra_refs,
         )
@@ -197,19 +197,11 @@ class _Rewriter:
             raise PlanError(
                 "subqueries over a derived table are not supported"
             )
-        rows, names, _ = self._execute(query.derived)
-        # The executor names group-key outputs after their source column,
-        # dropping any ``AS`` alias; the derived table's schema must use
-        # the aliases, so rebuild names from the select list when we can
-        # (a ``*`` select keeps the executed names).
-        items = query.derived.select_items
-        if not any(isinstance(it.expr, ast.Star) for it in items):
-            names = [it.output_name(i) for i, it in enumerate(items)]
+        leg = self._leg(query.derived, f"derived table {query.table}")
         return PreparedQuery(
             query=dataclasses.replace(query, derived=None),
-            pre_phases=self.pre_phases,
-            derived_rows=rows,
-            derived_names=names,
+            init_plans=self.init_plans,
+            derived=leg,
         )
 
     # ------------------------------------------------------------------
@@ -250,9 +242,7 @@ class _Rewriter:
             if self._is_correlated(node.query):
                 correlated.append(node)
             else:
-                conj = _replace(
-                    conj, node, ast.Literal(self._scalar_value(node.query))
-                )
+                conj = _replace(conj, node, self._param(node.query, "scalar"))
         if not correlated:
             return conj
         if len(correlated) > 1:
@@ -268,12 +258,7 @@ class _Rewriter:
     def _exists(self, node: ast.Exists) -> ast.Expr | None:
         sub = node.query
         what = "NOT EXISTS" if node.negated else "EXISTS"
-        if (
-            sub.group_by
-            or sub.having is not None
-            or sub.joins
-            or sub.derived is not None
-        ):
+        if not _plain(sub):
             raise PlanError(
                 f"{what} supports plain SELECT ... FROM ... WHERE bodies"
             )
@@ -284,8 +269,7 @@ class _Rewriter:
             probe = dataclasses.replace(
                 sub, limit=1 if sub.limit is None else min(1, sub.limit)
             )
-            rows, _, _ = self._execute(probe)
-            return ast.Literal(bool(rows) != node.negated)
+            return self._param(probe, what.lower())
         edge: tuple[str, str] | None = None
         rest: list[ast.Expr] = []
         for conj in corr:
@@ -316,21 +300,19 @@ class _Rewriter:
             sub.from_tables,
             ast.and_join(local),
         )
-        rows, names, _ = self._execute(synth)
-        renamed, ren = self._rename(names)
+        kind = "anti" if node.negated else "semi"
+        leg, ren = self._build_leg(synth, kind)
         self._note_outer_refs(edge[1], rest, inner)
         self.sub_joins.append(
             SubJoin(
-                kind="anti" if node.negated else "semi",
+                kind=kind,
                 build_key=ren[edge[0].lower()],
                 probe_key=edge[1],
                 match_cond=ast.and_join(
                     [_substitute(c, ren) for c in rest]
                 ),
                 provenance=f"decorrelated {what}",
-                rows=rows,
-                names=renamed,
-                source_tables=sub.from_tables,
+                leg=leg,
             )
         )
         return None
@@ -348,45 +330,40 @@ class _Rewriter:
             sub.select_items[0].expr, ast.Star
         ):
             raise PlanError("an IN subquery must select exactly one column")
-        rows, names, _ = self._execute(sub)
-        renamed, _ = self._rename(names)
+        kind = "anti_null" if node.negated else "semi"
+        leg, _ = self._build_leg(sub, kind)
         self.extra_refs.add(node.operand.name.lower())
         self.sub_joins.append(
             SubJoin(
-                kind="anti_null" if node.negated else "semi",
-                build_key=renamed[0],
+                kind=kind,
+                build_key=leg.names[0],
                 probe_key=node.operand.name,
                 match_cond=None,
                 provenance=f"decorrelated {what}",
-                rows=rows,
-                names=renamed,
-                source_tables=sub.from_tables,
+                leg=leg,
             )
         )
-        return None
 
     # ------------------------------------------------------------------
     # scalar subqueries
     # ------------------------------------------------------------------
-    def _scalar_value(self, sub: ast.Query) -> object:
-        rows, names, _ = self._execute(sub)
-        if len(names) != 1 or len(rows) > 1:
+    def _param(self, sub: ast.Query, value: str) -> ast.Param:
+        """An uncorrelated scalar or ``[NOT] EXISTS`` subquery: ``$n``,
+        bound to ``value`` of init plan ``n`` when it has run."""
+        n = len(self.init_plans)
+        leg = self._leg(sub, f"${n}", value)
+        if value == "scalar" and len(leg.names) != 1:
             raise PlanError(
                 "a scalar subquery must produce one column and at most"
                 " one row"
             )
-        return rows[0][0] if rows else None
+        return ast.Param(n)
 
     def _correlated_scalar(
         self, conj: ast.Expr, node: ast.ScalarSubquery
     ) -> SubJoin:
         sub = node.query
-        if (
-            sub.group_by
-            or sub.having is not None
-            or sub.joins
-            or sub.derived is not None
-        ):
+        if not _plain(sub):
             raise PlanError(
                 "correlated scalar subqueries support plain aggregate bodies"
             )
@@ -420,8 +397,7 @@ class _Rewriter:
             ast.and_join(local),
             group_by=[ast.Column(k) for k in keys],
         )
-        rows, names, _ = self._execute(synth)
-        renamed, ren = self._rename(names)
+        leg, ren = self._build_leg(synth, "inner")
         comparison = _replace(conj, node, ast.Column(ren["__val"]))
         extras = [
             ast.Binary("=", ast.Column(ren[i.lower()]), ast.Column(o))
@@ -429,7 +405,7 @@ class _Rewriter:
         ]
         for _, outer_col in pairs:
             self.extra_refs.add(outer_col.lower())
-        build_lower = {r.lower() for r in renamed}
+        build_lower = {r.lower() for r in leg.names}
         for c in ast.referenced_columns(comparison):
             if c.lower() not in build_lower:
                 self.extra_refs.add(c.lower())
@@ -439,9 +415,7 @@ class _Rewriter:
             probe_key=pairs[0][1],
             match_cond=ast.and_join(extras + [comparison]),
             provenance="decorrelated scalar subquery",
-            rows=rows,
-            names=renamed,
-            source_tables=sub.from_tables,
+            leg=leg,
         )
 
     def _inline_having(self, having: ast.Expr) -> ast.Expr:
@@ -457,9 +431,7 @@ class _Rewriter:
                 raise PlanError(
                     "correlated subqueries in HAVING are not supported"
                 )
-            having = _replace(
-                having, node, ast.Literal(self._scalar_value(node.query))
-            )
+            having = _replace(having, node, self._param(node.query, "scalar"))
         return having
 
     # ------------------------------------------------------------------
@@ -531,18 +503,39 @@ class _Rewriter:
     # ------------------------------------------------------------------
     # shared machinery
     # ------------------------------------------------------------------
-    def _execute(self, query: ast.Query):
-        """Run a subquery leg through the full planner (recursively)."""
-        from repro.planner.planner import execute_parsed
+    def _leg(
+        self, query: ast.Query, feeds: str, value: str | None = None
+    ) -> InitPlan:
+        """Plan a subquery leg (recursively) as the next init plan; its
+        output names are its select list's, positionally."""
+        from repro.planner.planner import plan_parsed
 
-        execution = execute_parsed(self.ctx, self.catalog, query, self.mode)
-        self.pre_phases.extend(execution.phases)
-        return execution.rows, list(execution.column_names), execution.phases
+        star = any(isinstance(i.expr, ast.Star) for i in query.select_items)
+        if star and query.derived is None:
+            # Spelled out: only a projection fixes a join's column order.
+            query = dataclasses.replace(query, select_items=_spell_star(
+                query.select_items,
+                [c for t in query.all_tables
+                 for c in self.catalog.get(t).schema.names],
+            ))
+        plan, _ = plan_parsed(self.ctx, self.catalog, query, self.mode)
+        items = query.select_items
+        if star and query.derived is not None:
+            # A derived table's columns are its one init plan's, in order.
+            items = _spell_star(items, plan.init_plans[0].names)
+        names = [item.output_name(i) for i, item in enumerate(items)]
+        leg = InitPlan(len(self.init_plans), plan, names, feeds, value)
+        self.init_plans.append(leg)
+        return leg
 
-    def _rename(self, names: list[str]) -> tuple[list[str], dict[str, str]]:
-        n = next(self._counter)
-        renamed = [f"__sq{n}_{c}" for c in names]
-        return renamed, {c.lower(): r for c, r in zip(names, renamed)}
+    def _build_leg(self, query: ast.Query, kind: str):
+        """A leg feeding the build side of a ``kind`` join, its columns
+        renamed to a ``__sq<N>_`` prefix; returns it and the renames."""
+        leg = self._leg(query, f"build of {kind} join")
+        prefix = f"__sq{next(self._counter)}_"
+        renames = {c.lower(): prefix + c for c in leg.names}
+        leg.names = [prefix + c for c in leg.names]
+        return leg, renames
 
     def _side(
         self,
@@ -655,6 +648,21 @@ def _make_query(
         group_by=tuple(group_by),
         join_table=tables[1] if len(tables) > 1 else None,
         extra_tables=tables[2:],
+    )
+
+
+def _plain(sub: ast.Query) -> bool:
+    """Whether ``sub`` is a plain ``SELECT ... FROM ... WHERE`` body."""
+    return not (sub.group_by or sub.having is not None or sub.joins
+                or sub.derived is not None)
+
+
+def _spell_star(items, columns) -> tuple[ast.SelectItem, ...]:
+    """``items`` with each ``*`` replaced by ``columns``."""
+    return tuple(
+        out for item in items
+        for out in (column_items(columns) if isinstance(item.expr, ast.Star)
+                    else [item])
     )
 
 

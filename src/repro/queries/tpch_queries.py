@@ -27,7 +27,8 @@ from repro.planner.physical import (
     FilterNode,
     GroupByNode,
     HashJoinNode,
-    MaterializedNode,
+    InitPlan,
+    LegNode,
     PhysicalPlan,
     PlanNode,
     ProjectNode,
@@ -268,36 +269,39 @@ _Q17_OUTPUT = items("COALESCE(SUM(l_extendedprice), 0.0) / 7.0 AS avg_yearly")
 def _q17(ctx: CloudContext, catalog: Catalog, scan, strategy: str) -> QueryExecution:
     """avg_yearly = SUM(l_extendedprice | l_quantity < 0.2*avg(part)) / 7.
 
-    The selected parts join their lineitems once; the correlated average
-    and the outer aggregate are a second plan over those rows, billed to
-    the same query as a subquery leg is.
+    The selected parts join their lineitems once, in an init plan; the
+    correlated average and the outer aggregate are the root over its
+    rows, as a subquery leg's consumer is.
     """
-    candidates = _plan(strategy, HashJoinNode(
+    candidates = HashJoinNode(
         scan(catalog.get("part"), ["p_partkey"], _Q17_PART_WHERE),
         scan(catalog.get("lineitem"), _Q17_L_COLS, bloom_attr="l_partkey"),
         "p_partkey", "l_partkey", bloom=_BLOOM, stream_probe=True,
-    ))
-    mark = ctx.begin_query()
-    lines = physical.execute_plan(ctx, candidates, mark=mark)
-    scope = (lines.rows, lines.column_names, ("part", "lineitem"))
+    )
+    lines = InitPlan(
+        0, _plan(strategy, candidates),
+        [*candidates.build.columns, *candidates.probe.columns],
+        "the average and its join",
+    )
     average = ProjectNode(
         GroupByNode(
-            MaterializedNode(*scope), [ast.Column("l_partkey")],
+            LegNode(lines), [ast.Column("l_partkey")],
             items("AVG(l_quantity) AS avg_quantity"),
         ),
         items("l_partkey AS avg_partkey", "avg_quantity"),
     )
     small = FilterNode(
         HashJoinNode(
-            average, MaterializedNode(*scope, source=candidates.root),
+            average, LegNode(lines),
             "avg_partkey", "l_partkey", stream_probe=True,
         ),
         parse_expression("l_quantity < 0.2 * avg_quantity"),
     )
     outer = PhysicalPlan(
-        select_list_node(small, _Q17_OUTPUT), candidates.mode, strategy
+        select_list_node(small, _Q17_OUTPUT), lines.plan.mode, strategy,
+        init_plans=[lines],
     )
-    return physical.execute_plan(ctx, outer, mark=mark, pre_phases=lines.phases)
+    return physical.execute_plan(ctx, outer)
 
 
 def q17_baseline(ctx: CloudContext, catalog: Catalog) -> QueryExecution:

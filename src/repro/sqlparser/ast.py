@@ -16,7 +16,7 @@ from typing import Union
 Expr = Union[
     "Literal", "Column", "Star", "Unary", "Binary", "FuncCall", "Cast",
     "Case", "InList", "Between", "Like", "IsNull", "Aggregate",
-    "Exists", "InSubquery", "ScalarSubquery",
+    "Exists", "InSubquery", "ScalarSubquery", "Param",
 ]
 
 #: Aggregate function names the dialect (and S3 Select) understands.
@@ -42,6 +42,17 @@ class Literal:
         if isinstance(self.value, str):
             return _sql_str(self.value)
         return repr(self.value)
+
+
+@dataclass(frozen=True)
+class Param:
+    """``$index``: the value of init plan ``index`` (an uncorrelated
+    scalar or EXISTS subquery), unknown until it has run."""
+
+    index: int
+
+    def to_sql(self) -> str:
+        return f"${self.index}"
 
 
 @dataclass(frozen=True)
@@ -227,9 +238,9 @@ class InSubquery:
 
 @dataclass(frozen=True)
 class ScalarSubquery:
-    """``(SELECT ...)`` used as a scalar value; the planner pre-executes
-    uncorrelated ones into constants and decorrelates correlated
-    aggregates into grouped joins."""
+    """``(SELECT ...)`` used as a scalar value; the planner turns
+    uncorrelated ones into init plans bound as :class:`Param` values and
+    decorrelates correlated aggregates into grouped joins."""
 
     query: "Query"
 
@@ -412,6 +423,11 @@ def and_join(conjuncts: list[Expr]) -> Expr | None:
 def referenced_columns(expr: Expr) -> set[str]:
     """Set of (unqualified) column names referenced by ``expr``."""
     return {node.name for node in walk(expr) if isinstance(node, Column)}
+
+
+def has_params(expr: Expr | None) -> bool:
+    """True if any sub-expression is a :class:`Param`."""
+    return expr is not None and any(isinstance(n, Param) for n in walk(expr))
 
 
 def contains_aggregate(expr: Expr) -> bool:

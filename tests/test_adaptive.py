@@ -306,7 +306,7 @@ class TestReplanEvents:
 
         node = AdaptiveJoinNode(tree, FlipRoot(), threshold=2.0)
         done = MaterializedNode([(i, i) for i in range(80)], ["ta_k", "ta_v"],
-                                ["ta"])
+                                search.leaf("ta"))
         assert node._check(tree, done, est_rows=8.0) is flipped
         (event,) = node.events
         assert event["replanned"]

@@ -417,9 +417,9 @@ class TestAutoRunsThePlanItPriced:
 
     def test_tpch_auto_equals_its_pick(self, suite):
         """Per TPC-H query: the picked candidate's predicted requests are
-        the metered ones, and running the priced plan meters exactly what
-        the picked fixed mode's plan does (pre-executed subquery legs
-        excluded: they are shared, and each made its own choice)."""
+        the metered ones — the whole query's, subquery legs included —
+        and running the priced plan meters exactly what the picked fixed
+        mode's plan over the same legs does."""
         from repro.experiments.tpch_suite import ALL_QUERIES, QUERY_DIR
         from repro.planner.planner import build_plan, execute_plan
         from repro.planner.subquery import needs_rewrite, prepare_query
@@ -432,8 +432,6 @@ class TestAutoRunsThePlanItPriced:
             if needs_rewrite(query):
                 prepared = prepare_query(ctx, catalog, query, "auto")
                 query = prepared.query
-                if prepared.derived_rows is not None:
-                    continue  # reads no storage: nothing to choose
             ctx.feedback.reset()
             choice = choose_planner_mode(ctx, catalog, query, prepared=prepared)
             auto = execute_plan(ctx, choice.plan)
@@ -463,8 +461,6 @@ class TestAutoRunsThePlanItPriced:
             query = parse((QUERY_DIR / f"{name}.sql").read_text())
             ctx.feedback.reset()
             auto = execute_parsed(ctx, catalog, query, "auto")
-            if "optimizer" not in auto.details:
-                continue  # derived-table outer query: legs chose, it did not
             ctx.feedback.reset()
             fixed = execute_parsed(ctx, catalog, query, summary_mode(auto))
             assert_rows_close(auto.rows, fixed.rows, rel=1e-6)
