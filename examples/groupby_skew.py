@@ -68,8 +68,8 @@ def main() -> None:
     for split in (1, 2, 4, 6, 8, 10, 12):
         execution = hybrid_group_by(ctx, catalog, query, s3_groups=split)
         print(f"  {split:>9}"
-              f"  {human_seconds(execution.details['s3_side_seconds']):>9}"
-              f"  {human_seconds(execution.details['server_side_seconds']):>11}"
+              f"  {human_seconds(execution.report.extras['s3_side_seconds']):>9}"
+              f"  {human_seconds(execution.report.extras['server_side_seconds']):>11}"
               f"  {human_seconds(execution.runtime_seconds):>9}")
     print("\nThe phase time is the max of the two sides; the sweet spot is"
           " where they balance (paper: 6-8 groups).")

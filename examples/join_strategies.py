@@ -57,11 +57,11 @@ def main() -> None:
               f"  {human_dollars(execution.cost.total)}"
               f"  data to server: {human_bytes(moved):>10}"
               f"  result: {execution.rows[0][0]:.2f}")
-        if execution.details:
-            interesting = {k: v for k, v in execution.details.items()
+        if execution.report.extras:
+            interesting = {k: v for k, v in execution.report.extras.items()
                            if k in ("achieved_fpr", "bloom_bits", "bloom_hashes",
                                     "probe_rows_returned")}
-            print(f"{'':14s} details: {interesting}")
+            print(f"{'':14s} extras: {interesting}")
 
     # ------------------------------------------------------------------
     # What the Bloom filter actually ships to S3.
@@ -121,7 +121,7 @@ def main() -> None:
 
     # The executed plan records per-node observed cardinalities, so the
     # estimate-vs-actual report (with Q-error columns) comes for free.
-    from repro.planner.physical import render_execution_report
+    from repro.planner.report import render_execution_report
 
     print()
     print(render_execution_report(execution))

@@ -81,7 +81,7 @@ def main() -> None:
     sql = "SELECT * FROM orders"  # pushdown buys nothing here: auto says GET
     print("optimizer EXPLAIN for", repr(sql))
     print(db.explain(sql))
-    picked = db.execute(sql, mode="auto").details["optimizer"]["picked"]
+    picked = db.execute(sql, mode="auto").report.optimizer["picked"]
     print(f"  auto ran the {picked!r} plan")
 
 

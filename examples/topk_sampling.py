@@ -48,10 +48,10 @@ def main() -> None:
         execution = sampling_top_k(ctx, catalog, query, sample_size=sample_size)
         correct = [r[price_idx] for r in execution.rows] == expected
         print(f"  {sample_size:>9}"
-              f"  {human_seconds(execution.details['sample_seconds']):>8}"
-              f"  {human_seconds(execution.details['scan_seconds']):>8}"
+              f"  {human_seconds(execution.report.extras['sample_seconds']):>8}"
+              f"  {human_seconds(execution.report.extras['scan_seconds']):>8}"
               f"  {human_seconds(execution.runtime_seconds):>8}"
-              f"  {execution.details['phase2_rows']:>11}"
+              f"  {execution.report.extras['phase2_rows']:>11}"
               f"  {human_bytes(execution.bytes_returned):>11}"
               f"  {correct}")
 

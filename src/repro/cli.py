@@ -91,9 +91,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     for mode in modes:
         execution = db.execute(args.sql, mode=mode)
         print(f"--- {mode} ---")
-        # Render the optimizer's candidate table as its own block rather
-        # than as a raw dict inside the execution report.
-        summary = execution.details.pop("optimizer", None)
+        summary = execution.report.optimizer
         if summary is not None:
             from repro.optimizer.chooser import render_choice_summary
 

@@ -8,8 +8,9 @@ through ``ctx.client``, and finalize into a :class:`QueryExecution`
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from repro.cloud.client import S3Client
 from repro.cloud.metrics import MetricsCollector, Phase
@@ -32,16 +33,23 @@ class QueryExecution:
     bytes_returned: int
     bytes_transferred: int
     strategy: str = ""
-    #: Strategy-specific extras (achieved Bloom FPR, per-phase splits, ...).
-    details: dict = field(default_factory=dict)
+    #: What the executor observed: a
+    #: :class:`repro.planner.report.ExecutionReport` (per-node estimates,
+    #: rows and times; optimizer choice; adaptive events; cache counters;
+    #: strategy extras).
+    report: ExecutionReport | None = None
+
+    @property
+    def details(self) -> Mapping[str, object]:
+        """Read-only string-keyed view of :attr:`report`
+        (``ExecutionReport.as_details``), built on each access."""
+        if self.report is None:
+            return MappingProxyType({})
+        return self.report.as_details()
 
     @property
     def total_cost(self) -> float:
         return self.cost.total
-
-    def phase_times(self, perf) -> dict[str, float]:
-        """Per-phase simulated durations under ``perf`` (for reports)."""
-        return {p.name: perf.phase_time(p) for p in self.phases}
 
     def explain(self, perf=None) -> str:
         """Human-readable execution report: phases, work, time, cost.
@@ -70,26 +78,8 @@ class QueryExecution:
                 f" returned={human_bytes(phase.select_returned_bytes)}"
                 f" get={human_bytes(phase.get_bytes)}"
             )
-        extras = {
-            k: v for k, v in self.details.items()
-            if k not in ("plan", "actuals", "operator_times")
-        }
-        if extras:
-            lines.append(f"  details: {extras}")
-        if self.details.get("plan"):
-            # The physical-plan tree and the estimate-vs-actual table
-            # render as their own blocks, not as raw dict dumps.
-            lines.append("  plan:")
-            lines.extend(
-                "    " + line for line in self.details["plan"].splitlines()
-            )
-        if self.details.get("actuals"):
-            from repro.planner.physical import render_execution_report
-
-            lines.extend(
-                "  " + line
-                for line in render_execution_report(self).splitlines()[1:]
-            )
+        if self.report is not None:
+            lines.extend(self.report.explain_lines())
         lines.append(
             f"  result: {len(self.rows)} row(s), columns {self.column_names}"
         )

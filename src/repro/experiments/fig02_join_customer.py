@@ -56,7 +56,7 @@ def sweep(scale_factor: float = 0.01, acctbals: tuple = DEFAULT_ACCTBALS,
         lambda ctx, catalog, _: (
             (v, make_join_query(v, None), join_strategies(fpr)) for v in acctbals),
         notes={"scale_factor": scale_factor, "paper_scale": None, "fpr": fpr},
-        extras=lambda ex: {"achieved_fpr": ex.details.get("achieved_fpr", "")},
+        extras=lambda ex: {"achieved_fpr": ex.report.extras.get("achieved_fpr", "")},
         claims=CLAIMS,
     )
 

@@ -28,7 +28,9 @@ def sweep(scale_factor: float = 0.01, fprs: tuple = DEFAULT_FPRS, acctbal: float
         cases, claims=CLAIMS,
         notes={"scale_factor": scale_factor, "paper_scale": None,
                "upper_c_acctbal": acctbal},
-        extras=lambda ex: {k: ex.details[k] for k in BLOOM_DETAILS if k in ex.details},
+        extras=lambda ex: {
+            k: ex.report.extras[k] for k in BLOOM_DETAILS if k in ex.report.extras
+        },
     )
 
 

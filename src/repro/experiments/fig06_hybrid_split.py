@@ -19,13 +19,14 @@ DEFAULT_THETA = 1.3
 
 def _row(split, runs):
     ex = runs["hybrid"]
+    extras = ex.report.extras
     return [{
         "s3_groups": split, "strategy": "hybrid",
         "runtime_s": round(ex.runtime_seconds, 4),
-        "s3_side_s": round(ex.details["s3_side_seconds"], 4),
-        "server_side_s": round(ex.details["server_side_seconds"], 4),
-        "bytes_returned": ex.details["bytes_returned_phase2"],
-        "tail_rows": ex.details["tail_rows"], "cost_total": round(ex.cost.total, 6),
+        "s3_side_s": round(extras["s3_side_seconds"], 4),
+        "server_side_s": round(extras["server_side_seconds"], 4),
+        "bytes_returned": extras["bytes_returned_phase2"],
+        "tail_rows": extras["tail_rows"], "cost_total": round(ex.cost.total, 6),
     }]
 
 

@@ -19,12 +19,13 @@ DEFAULT_SAMPLE_FRACTIONS = (1 / 600, 1 / 60, 1 / 24, 1 / 6, 1 / 3)
 
 def _row(sample_size, runs):
     ex = runs["sampling"]
+    extras = ex.report.extras
     return [{
         "sample_size": sample_size, "strategy": "sampling",
         "runtime_s": round(ex.runtime_seconds, 4),
-        "sample_phase_s": round(ex.details["sample_seconds"], 4),
-        "scan_phase_s": round(ex.details["scan_seconds"], 4),
-        "bytes_returned": ex.bytes_returned, "phase2_rows": ex.details["phase2_rows"],
+        "sample_phase_s": round(extras["sample_seconds"], 4),
+        "scan_phase_s": round(extras["scan_seconds"], 4),
+        "bytes_returned": ex.bytes_returned, "phase2_rows": extras["phase2_rows"],
         "cost_total": round(ex.cost.total, 6), "cost_scan": round(ex.cost.scan, 6),
     }]
 

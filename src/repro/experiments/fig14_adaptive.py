@@ -57,12 +57,12 @@ def run(fact_rows: int = 8000, thresholds: tuple = DEFAULT_THRESHOLDS,
         warm = plan_and_execute(ctx, catalog, make_sql(t), mode="optimized")
         agree(adaptive.rows, static.rows, f"fig14 threshold={t} adaptive")
         agree(warm.rows, static.rows, f"fig14 threshold={t} warm")
-        details = adaptive.details["adaptive"]
-        q_error = max((e["q_error"] for e in details["events"]), default=1.0)
+        report = adaptive.report.adaptive
+        q_error = max((e["q_error"] for e in report.events), default=1.0)
         result.rows += [
             execution_row("threshold", t, "static", static),
             execution_row("threshold", t, "adaptive", adaptive)
-            | {"replans": details["replans"], "max_q_error": q_error},
+            | {"replans": report.replans, "max_q_error": q_error},
             execution_row("threshold", t, "warm", warm),
         ]
         same = ("runtime_seconds", "num_requests", "bytes_scanned", "bytes_returned")
@@ -70,7 +70,7 @@ def run(fact_rows: int = 8000, thresholds: tuple = DEFAULT_THRESHOLDS,
             getattr(adaptive, a) == getattr(static, a) for a in same)
         outcome = ("WIN" if adaptive.cost.total < static.cost.total * (1 - 1e-9)
                    else "identical" if identical else "tie")
-        picks.append(f"t={t}: replans={details['replans']} {outcome}")
+        picks.append(f"t={t}: replans={report.replans} {outcome}")
 
     ctx, catalog, _ = _fresh_session(fact_rows, paper_bytes, seed)
     query = FilterQuery("dima", parse_expression("a_x < 25 AND a_y < 25"))

@@ -44,8 +44,10 @@ def run(num_rows: int = DEFAULT_NUM_ROWS, partitions: int = DEFAULT_PARTITIONS,
         agree(runs["warm"].rows, runs["cold"].rows, f"fig16 {selectivity} warm")
         agree(runs["drift"].rows, uncached.rows, f"fig16 {selectivity} drift")
         for arm, execution in runs.items():
-            counters = execution.details.get("cache", {})
-            outcome = next((s for s in ("subsumed", "hit") if counters.get(s)), "miss")
+            counters = execution.report.cache
+            outcome = next(
+                (s for s in ("subsumed", "hit") if getattr(counters, s)), "miss"
+            )
             row = execution_row("selectivity", selectivity, arm, execution)
             result.rows.append(row | {"cache": outcome})
     result.notes["matched"] = f"{len(selectivities)}/{len(selectivities)}"

@@ -33,7 +33,6 @@ itself:
 from repro.optimizer.chooser import (  # noqa: F401
     Choice,
     choose,
-    explain_choice,
     render_choice_summary,
     run_auto,
 )

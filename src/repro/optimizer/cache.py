@@ -49,7 +49,7 @@ from repro.sqlparser import ast
 
 @dataclass
 class CacheStats:
-    """Session counters, surfaced in ``execution.details['cache']``."""
+    """Session counters, surfaced in ``execution.report.cache.session``."""
 
     hits: int = 0
     subsumed: int = 0

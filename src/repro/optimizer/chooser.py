@@ -7,7 +7,7 @@ runners execute — prices each through the one cost walker
 :class:`Choice`: the priced plans plus the pick, without touching storage
 (unless a selectivity probe is requested, which is metered and reported).
 :func:`run_auto` executes the picked plan and attaches the choice to
-``execution.details["optimizer"]`` so callers can render the EXPLAIN
+``execution.report.optimizer`` so callers can render the EXPLAIN
 report next to the measured run.
 
 Objectives: ``"cost"`` minimizes predicted total dollars (the paper's
@@ -18,7 +18,7 @@ seconds (the Figures 1a-9a axis).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 from repro.cloud.context import CloudContext, QueryExecution
@@ -78,7 +78,7 @@ class Choice:
         return render_choice_summary(self.summary(), self.query_kind)
 
     def summary(self) -> dict:
-        """Compact dict for ``QueryExecution.details`` / experiment rows."""
+        """Compact dict for ``ExecutionReport.optimizer`` / experiment rows."""
         return {
             "picked": self.picked,
             "objective": self.objective,
@@ -247,21 +247,17 @@ def run_auto(
     """Choose the cheapest strategy for ``query`` (``options`` as for
     :func:`choose`), run its plan, report both.
 
-    The measured execution's ``details["optimizer"]`` carries the full
+    The measured execution's ``report.optimizer`` carries the full
     per-candidate prediction table (:meth:`Choice.summary`).
     """
     choice = choose(ctx, catalog, query, objective=objective, **options)
     execution = physical.execute_plan(ctx, choice.plan)
-    execution.details["optimizer"] = choice.summary()
+    execution.report = replace(execution.report, optimizer=choice.summary())
     return execution
 
 
 def render_choice_summary(summary: dict, query_kind: str = "") -> str:
-    """EXPLAIN-style report from a :meth:`Choice.summary` dict.
-
-    Works off the plain dict so the CLI can render the report straight
-    from ``execution.details["optimizer"]``.
-    """
+    """EXPLAIN-style report from a :meth:`Choice.summary` dict."""
     from repro.common.units import human_bytes, human_dollars, human_seconds
 
     objective = summary.get("objective", "cost")
@@ -314,5 +310,3 @@ def render_choice_summary(summary: dict, query_kind: str = "") -> str:
         )
     return "\n".join(lines)
 
-
-explain_choice = Choice.explain

@@ -1,7 +1,7 @@
 """Session-scoped execution feedback: the optimizer learns what it ran.
 
 PR 4 made every physical-plan execution record per-node
-estimate-vs-actual cardinalities (``details["actuals"]``) — and then
+estimate-vs-actual cardinalities (``execution.report.nodes``) — and then
 threw them away.  This module closes the loop:
 
 * a :class:`FeedbackStore` lives on the

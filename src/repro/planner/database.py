@@ -145,14 +145,14 @@ class PushdownDB:
                 ``"baseline"`` loads whole tables with plain GETs;
                 ``"auto"`` lets the cost-based optimizer pick whichever
                 the statistics predict cheaper (the per-candidate
-                estimates land in ``execution.details["optimizer"]``);
+                estimates land in ``execution.report.optimizer``);
                 ``"adaptive"`` runs the optimized plan with mid-flight
                 join re-optimization — misestimated hash builds
                 (Q-error beyond ``adaptive_threshold``) re-plan the
                 remaining tree around the observed cardinality, and
                 accurate estimates execute byte-identically to
                 ``"optimized"`` (re-plan events land in
-                ``execution.details["adaptive"]``).
+                ``execution.report.adaptive``).
             strategy: alias for ``mode`` matching the CLI's
                 ``--strategy`` flag; wins when both are given.
         """

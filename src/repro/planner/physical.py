@@ -9,9 +9,9 @@ The plan is a first-class tree of :class:`PlanNode` objects that
   executor meters — the mode chooser, the join-order search and the
   per-node ``est_cost`` annotations all read from it);
 * **EXPLAIN** renders (:func:`render_plan`), including per-node
-  ``est_rows`` / ``est_cost`` annotations and — after execution —
-  observed cardinalities with estimate-vs-actual Q-error columns
-  (:func:`render_execution_report`).
+  ``est_rows`` / ``est_cost`` annotations; after execution the same walk
+  (:func:`plan_records`) adds observed cardinalities, Q-errors and times
+  to the execution's :class:`~repro.planner.report.ExecutionReport`.
 
 Execution contract:
 
@@ -60,6 +60,12 @@ from repro.engine.operators.limit import limit_batches
 from repro.engine.operators.project import project_batches, projected_names
 from repro.engine.operators.sort import sort_batches
 from repro.engine.operators.topk import top_k_batches
+from repro.planner.report import (
+    AdaptiveReport,
+    CacheCounters,
+    ExecutionReport,
+    NodeRecord,
+)
 from repro.s3select.engine import PreparedSelect
 from repro.sqlparser import ast
 from repro.strategies.scans import (
@@ -147,9 +153,9 @@ class PlanNode:
     * ``wall_seconds`` — measured wall-clock of the node's :meth:`run`
       call and of every pull of its stream, children included (``None``
       until the node runs);
-    * ``details`` — what a node publishes about its run (matched rows,
+    * ``extras`` — what a node publishes about its run (matched rows,
       pushed groups, a sampled threshold, ...); :func:`execute_plan`
-      merges it into ``execution.details``.
+      merges it into the execution report's ``extras``.
 
     ``actual_rows`` and ``wall_seconds`` are written by the executor
     (:func:`_run_node`), never by a node: :meth:`run` only returns its
@@ -161,7 +167,7 @@ class PlanNode:
     est_cpu: float = 0.0
     actual_rows: int | None = None
     wall_seconds: float | None = None
-    details: dict | None = None
+    extras: dict | None = None
 
     def children(self) -> tuple["PlanNode", ...]:
         return ()
@@ -943,7 +949,7 @@ def q_error(est: float | None, actual: int | None) -> float:
 
     1.0 is a perfect estimate; the +1 keeps empty results finite.  The
     one formula behind both the EXPLAIN-ANALYZE report column
-    (:func:`execution_records`) and the adaptive executor's re-planning
+    (:func:`plan_records`) and the adaptive executor's re-planning
     trigger, so the reported number is always the number that decided.
     """
     if est is None or actual is None:
@@ -1116,7 +1122,7 @@ def _run_node(node: PlanNode, state: ExecState, pushed=None, drained=False):
     leaf issues up front, the drain of a pipeline breaker) and every pull
     of the stream it returns; ``actual_rows`` counts the rows that stream
     yields.  A node's children run inside its clock, so its own share is
-    a subtraction (:func:`execution_records`).  A node past a LIMIT
+    a subtraction (:func:`plan_records`).  A node past a LIMIT
     cut-off whose stream is never pulled keeps ``actual_rows`` at
     ``None``.  ``pushed`` and ``drained`` (the caller drains the stream
     at once) are for a scan.
@@ -1482,23 +1488,21 @@ def execute_plan(ctx: CloudContext, plan: PhysicalPlan) -> QueryExecution:
     phase policy, CPU tally, harvest), and bills to this execution, its
     phases ahead of the root's.  The root is drained into a row list;
     phases are assembled per the plan's policy; all accumulated local CPU
-    lands on the final phase; observed per-node cardinalities are
-    recorded into ``details["actuals"]``.
+    lands on the final phase; the execution's ``report`` records what
+    each node observed (:func:`plan_records`).
     """
     return _execute(ctx, plan)
 
 
-def _execute(
-    ctx: CloudContext, plan: PhysicalPlan, report: bool = True
-) -> QueryExecution:
+def _execute(ctx: CloudContext, plan: PhysicalPlan) -> QueryExecution:
     # Init plans recurse here, not into ``execute_plan``: tracers wrap
     # that one from outside and count each query once.  An init plan's
-    # tree and times are reported under its query's root (``report``).
+    # tree and times are reported under its query's root.
     mark = ctx.begin_query()
     phases: list[Phase] = []
     params: dict[int, ast.Literal] = {}
     for init in plan.init_plans:
-        leg = _execute(ctx, init.plan, report=False)
+        leg = _execute(ctx, init.plan)
         init.rows = leg.rows
         phases += leg.phases
         if init.value is not None:
@@ -1532,19 +1536,7 @@ def _execute(
             phases.append(state.pending.phase(ctx))
         phases[-1].server_cpu_seconds += state.tally.seconds
     execution = ctx.finalize(mark, rows, names, phases, strategy=plan.strategy)
-    details = execution.details
-    for node in nodes:
-        details.update(node.details or {})
-    if report:
-        details["plan"] = render_plan(plan)
-        details["actuals"], details["operator_times"] = execution_records(plan)
-    if plan.adaptive_node is not None:
-        adaptive = plan.adaptive_node
-        details["adaptive"] = {
-            "threshold": adaptive.threshold,
-            "replans": adaptive.replans,
-            "events": list(adaptive.events),
-        }
+    records = plan_records(plan)
     feedback = ctx.feedback
     if feedback is not None:
         # Close the loop: every measured cardinality becomes a learned
@@ -1552,6 +1544,7 @@ def _execute(
         from repro.optimizer.feedback import harvest_plan
 
         harvest_plan(feedback, plan.root)
+    cache = None
     result_cache = ctx.result_cache
     if result_cache is not None:
         # Same walk, other direction: fully-drained pushed scans and
@@ -1562,11 +1555,19 @@ def _execute(
 
         stored = harvest_cache(result_cache, plan.root)
         statuses = Counter(getattr(node, "cache_status", None) for node in nodes)
-        details["cache"] = {
-            "hit": statuses["hit"], "subsumed": statuses["subsumed"],
-            "miss": statuses["miss"], "stores": stored,
-            "session": result_cache.stats.summary(),
-        }
+        cache = CacheCounters(
+            statuses["hit"], statuses["subsumed"], statuses["miss"], stored,
+            result_cache.stats.summary(),
+        )
+    adaptive = plan.adaptive_node
+    execution.report = ExecutionReport(
+        records,
+        adaptive=None if adaptive is None else AdaptiveReport(
+            adaptive.threshold, adaptive.replans, tuple(adaptive.events)
+        ),
+        cache=cache,
+        extras={k: v for node in nodes for k, v in (node.extras or {}).items()},
+    )
     return execution
 
 
@@ -1679,6 +1680,24 @@ def serialize_shape(node: PlanNode):
     raise PlanError(f"cannot serialize plan node {type(node).__name__}")
 
 
+def _leaf_label(node: PlanNode) -> str:
+    if isinstance(node, ScanNode):
+        return node.table.name
+    return "[" + "+".join(sorted(node.tables)) + "]"
+
+
+def _leaf_order(node: PlanNode) -> tuple[list[str], bool]:
+    """:func:`join_leaf_order` and :func:`is_left_deep`, from one walk."""
+    if isinstance(node, (ScanNode, MaterializedNode)):
+        return [_leaf_label(node)], True
+    cross = isinstance(node, CrossProductNode)
+    for deep, leaf in ((node.build, node.probe), (node.probe, node.build)):
+        if isinstance(leaf, (ScanNode, MaterializedNode)):
+            order, left_deep = _leaf_order(deep)
+            return order + [_leaf_label(leaf)], left_deep and not cross
+    return _leaf_order(node.build)[0] + _leaf_order(node.probe)[0], False
+
+
 def join_leaf_order(node: PlanNode) -> list[str]:
     """Left-deep-equivalent table order of a join subtree, for display.
 
@@ -1687,49 +1706,19 @@ def join_leaf_order(node: PlanNode) -> list[str]:
     matches this tree.  Genuinely bushy nodes concatenate build then
     probe (display only; no left-deep equivalent exists).
     """
-    if isinstance(node, (ScanNode, MaterializedNode)):
-        return [_leaf_label(node)]
-    build, probe = node.build, node.probe
-    build_leaf = isinstance(build, (ScanNode, MaterializedNode))
-    probe_leaf = isinstance(probe, (ScanNode, MaterializedNode))
-    if build_leaf and probe_leaf:
-        return [_leaf_label(build), _leaf_label(probe)]
-    if probe_leaf:
-        return join_leaf_order(build) + [_leaf_label(probe)]
-    if build_leaf:
-        return join_leaf_order(probe) + [_leaf_label(build)]
-    return join_leaf_order(build) + join_leaf_order(probe)
-
-
-def _leaf_label(node: PlanNode) -> str:
-    if isinstance(node, ScanNode):
-        return node.table.name
-    return "[" + "+".join(sorted(node.tables)) + "]"
+    return _leaf_order(node)[0]
 
 
 def is_left_deep(node: PlanNode) -> bool:
     """True when the tree has a left-deep-equivalent execution order."""
-    if isinstance(node, (ScanNode, MaterializedNode)):
-        return True
-    if isinstance(node, CrossProductNode):
-        return False
-    build_leaf = isinstance(node.build, (ScanNode, MaterializedNode))
-    probe_leaf = isinstance(node.probe, (ScanNode, MaterializedNode))
-    if build_leaf and probe_leaf:
-        return True
-    if probe_leaf:
-        return is_left_deep(node.build)
-    if build_leaf:
-        return is_left_deep(node.probe)
-    return False
+    return _leaf_order(node)[1]
 
 
 def join_tree_label(node: PlanNode) -> str:
     """Compact label: `a >< b >< c` for left-deep, parenthesized for bushy."""
-    if isinstance(node, (ScanNode, MaterializedNode)):
-        return _leaf_label(node)
-    if is_left_deep(node) and not _has_cross(node):
-        return " >< ".join(join_leaf_order(node))
+    order, left_deep = _leaf_order(node)
+    if left_deep and not _has_cross(node):
+        return " >< ".join(order)
 
     def render(n: PlanNode) -> str:
         if isinstance(n, (ScanNode, MaterializedNode)):
@@ -1750,147 +1739,63 @@ def _has_cross(node: PlanNode) -> bool:
 # EXPLAIN rendering + estimate-vs-actual feedback
 # ----------------------------------------------------------------------
 
-def _annotation(node: PlanNode) -> str:
-    parts = []
-    if node.est_rows is not None:
-        parts.append(f"est_rows={node.est_rows:.1f}")
-    if node.est_cost is not None:
-        parts.append(f"est_cost=${node.est_cost:.6g}")
-    return f"  ({', '.join(parts)})" if parts else ""
-
-
 def render_plan(plan: PhysicalPlan) -> str:
-    """ASCII tree of the plan with per-node estimate annotations.
+    """ASCII tree of the plan with per-node estimate annotations (EXPLAIN):
+    the lines of :func:`plan_records`."""
+    return "\n".join(record.line for record in plan_records(plan))
 
-    Each init plan hangs under the root, ahead of the root's children,
-    tagged with its mode, output estimate and what it feeds; the root's
-    ``est_cost`` covers them (they run first).
+
+def plan_records(plan: PhysicalPlan) -> tuple[NodeRecord, ...]:
+    """One :class:`~repro.planner.report.NodeRecord` per node, pre-order,
+    from one walk of the plan — EXPLAIN's lines and, once the plan ran,
+    what each node observed.
+
+    Each init plan's tree hangs under the root, ahead of the root's
+    children, tagged with its mode, output estimate and what it feeds;
+    the root's ``est_cost`` covers them (they run first).  A node's
+    ``seconds`` is its own clock plus the subtrees of its init plans and
+    of its :class:`MaterializedNode` children, whose work ran earlier on
+    another node's clock; ``self_seconds`` subtracts its other children's
+    ``seconds``.
     """
-    lines: list[str] = []
+    records: list[NodeRecord | None] = []
 
-    def walk(node: PlanNode, head: str, prefix: str,
-             init_plans: Sequence[InitPlan]) -> None:
-        lines.append(f"{head}{node.describe()}{_annotation(node)}")
-        join = isinstance(node, (HashJoinNode, CrossProductNode))
-        kids = [
-            (f"{init.describe()}: ", init.plan.root, init.plan.init_plans)
-            for init in init_plans
-        ] + [
-            (("build: " if i == 0 else "probe: ") if join else "", child, ())
-            for i, child in enumerate(node.children())
-        ]
-        for i, (tag, child, inits) in enumerate(kids):
-            last = i == len(kids) - 1
-            walk(child, f"{prefix}{'`- ' if last else '+- '}{tag}",
-                 prefix + ("   " if last else "|  "), inits)
-
-    walk(plan.root, "", "", plan.init_plans)
-    return "\n".join(lines)
-
-
-def execution_records(plan: PhysicalPlan) -> tuple[list[dict], list[dict]]:
-    """``details["actuals"]`` and ``details["operator_times"]``: one record
-    each per node, pre-order, from one pass over the executed tree — each
-    init plan's tree under the root, ahead of the root's children, as
-    :func:`render_plan` draws it.
-
-    An actuals record holds ``est_rows``, ``actual_rows`` and their
-    :func:`q_error`.  In a timing record, ``seconds`` is what the subtree
-    spent producing its output — the node's own clock plus the subtrees
-    of its init plans and of its :class:`MaterializedNode` children, whose
-    work ran earlier on another node's clock; ``self_seconds`` subtracts
-    its other children's
-    ``seconds``, so the ``self_seconds`` of a tree sum to its root's
-    ``seconds``; ``rows_per_sec`` is output rows over self time.  A
-    materialized replay reports ``None`` times; a node whose stream was
-    never pulled (past a LIMIT cut-off), ``None`` rows.
-    """
-    actuals: list[dict] = []
-    times: list[dict] = []
-
-    def visit(
-        node: PlanNode, depth: int, init_plans: Sequence[InitPlan] = ()
-    ) -> float:
-        """Append the subtree's records; return its ``seconds``."""
-        name, est, rows = node.describe(), node.est_rows, node.actual_rows
-        actuals.append({
-            "node": name,
-            "depth": depth,
-            "est_rows": round(est, 1) if est is not None else None,
-            "actual_rows": rows,
-            "q_error": (
-                round(q_error(est, rows), 3)
-                if est is not None and rows is not None else None
-            ),
-        })
-        timed = {
-            "node": name, "depth": depth, "seconds": None,
-            "self_seconds": None, "rows": rows, "rows_per_sec": None,
-        }
-        times.append(timed)
+    def visit(node: PlanNode, depth: int, prefix: str, tag: str,
+              indent: str, init_plans: Sequence[InitPlan]) -> float:
+        """Record the subtree; return its ``seconds``."""
+        at = len(records)
+        records.append(None)
+        tags = ("build: ", "probe: ") if isinstance(node, _JOINS) else ("", "")
+        kids = [(f"{init.describe()}: ", init.plan.root, init.plan.init_plans)
+                for init in init_plans]
+        kids += [(tags[i > 0], child, ()) for i, child in enumerate(node.children())]
         inside = earlier = 0.0
-        for init in init_plans:
-            earlier += visit(init.plan.root, depth + 1, init.plan.init_plans)
-        for child in node.children():
-            seconds = visit(child, depth + 1)
-            if isinstance(child, MaterializedNode):
+        for i, (kid_tag, child, inits) in enumerate(kids):
+            last = i == len(kids) - 1
+            seconds = visit(
+                child, depth + 1, indent + ("`- " if last else "+- "), kid_tag,
+                indent + ("   " if last else "|  "), inits,
+            )
+            if i < len(init_plans) or isinstance(child, MaterializedNode):
                 earlier += seconds
             else:
                 inside += seconds
-        if isinstance(node, MaterializedNode):
+        est, rows, wall = node.est_rows, node.actual_rows, node.wall_seconds
+        notes = [] if est is None else [f"est_rows={est:.1f}"]
+        if node.est_cost is not None:
+            notes.append(f"est_cost=${node.est_cost:.6g}")
+        materialized = isinstance(node, MaterializedNode)
+        own = None if wall is None or materialized else wall - inside
+        records[at] = NodeRecord(
+            prefix, tag, node.describe(), f"  ({', '.join(notes)})" if notes else "",
+            depth, est_rows=None if est is None else round(est, 1), actual_rows=rows,
+            q_error=None if est is None or rows is None else round(q_error(est, rows), 3),
+            seconds=None if own is None else wall + earlier, self_seconds=own,
+            rows_per_sec=round(rows / own) if rows and (own or 0.0) > 0.0 else None,
+        )
+        if materialized:
             return inside
-        if node.wall_seconds is None:
-            return earlier
-        own = node.wall_seconds - inside
-        timed.update(
-            seconds=node.wall_seconds + earlier, self_seconds=own,
-            rows_per_sec=round(rows / own) if rows and own > 0.0 else None,
-        )
-        return node.wall_seconds + earlier
+        return earlier if wall is None else wall + earlier
 
-    visit(plan.root, 0, plan.init_plans)
-    return actuals, times
-
-
-def render_execution_report(execution: QueryExecution) -> str:
-    """Estimate-vs-actual table for an executed plan (EXPLAIN ANALYZE).
-
-    Renders the per-node observed cardinalities recorded in
-    ``details["actuals"]`` next to the optimizer's estimates, with a
-    Q-error column (the number ``mode="adaptive"`` re-plans on) and each
-    node's time and rows per second.
-    """
-    actuals = execution.details.get("actuals")
-    if not actuals:
-        return "(no plan recorded for this execution)"
-    times = execution.details["operator_times"]
-    width = max(len("  " * r["depth"] + r["node"]) for r in actuals)
-    width = min(max(width, 20), 72)
-    lines = [f"physical plan: {execution.strategy}"]
-    lines.append(
-        f"  {'operator':<{width}} {'est rows':>12} {'actual':>10}"
-        f" {'q-error':>8} {'time':>9} {'rows/s':>10}"
-    )
-    for record, timed in zip(actuals, times):
-        name = ("  " * record["depth"] + record["node"])[:width]
-        est = (
-            f"{record['est_rows']:.1f}" if record["est_rows"] is not None
-            else "-"
-        )
-        actual = (
-            str(record["actual_rows"]) if record["actual_rows"] is not None
-            else "-"
-        )
-        q_error = (
-            f"{record['q_error']:.2f}" if record["q_error"] is not None
-            else "-"
-        )
-        seconds = timed["seconds"]
-        time_s = f"{seconds * 1000:.1f}ms" if seconds is not None else "-"
-        rate = timed["rows_per_sec"]
-        rate_s = f"{rate:,}" if rate is not None else "-"
-        lines.append(
-            f"  {name:<{width}} {est:>12} {actual:>10} {q_error:>8}"
-            f" {time_s:>9} {rate_s:>10}"
-        )
-    return "\n".join(lines)
+    visit(plan.root, 0, "", "", "", plan.init_plans)
+    return tuple(records)

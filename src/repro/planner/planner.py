@@ -25,6 +25,7 @@ Anything else raises :class:`~repro.common.errors.PlanError`.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Sequence
 
 from repro.cloud.context import CloudContext, QueryExecution
@@ -59,7 +60,7 @@ def plan_and_execute(
 
     ``mode="auto"`` asks the cost-based optimizer to pick between the
     baseline and optimized physical plans; the per-candidate estimates
-    land in ``execution.details["optimizer"]``.  ``mode="adaptive"``
+    land in ``execution.report.optimizer``.  ``mode="adaptive"``
     executes the optimized plan with mid-flight re-optimization: when a
     completed hash build's cardinality misses its estimate by more than
     the context's ``adaptive_threshold`` Q-error, the remaining join
@@ -78,7 +79,7 @@ def execute_parsed(
     plan, choice = plan_parsed(ctx, catalog, query, mode)
     execution = execute_plan(ctx, plan)
     if choice is not None:
-        execution.details["optimizer"] = choice.summary()
+        execution.report = replace(execution.report, optimizer=choice.summary())
     return execution
 
 

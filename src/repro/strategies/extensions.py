@@ -127,7 +127,7 @@ class PartialGroupByNode(PushedGroupByNode):
             ctx, mark, "partial-groupby", streams=table.partitions,
             ingest=(rows_returned, n_group + len(pushed)),
         ))
-        self.details = {
+        self.extras = {
             "groups": len(merged), "partial_rows_returned": rows_returned,
         }
         return assemble_group_rows(query, merged)

@@ -238,7 +238,7 @@ class IndexFetchNode(PlanNode):
             ctx, mark, label, streams=streams,
             ingest=(matched, len(table.schema)),
         ))
-        self.details = {"matched_rows": matched}
+        self.extras = {"matched_rows": matched}
         # An extent spans its record's delimiter: the payloads are lines
         # (index tables exist for CSV data only).
         return list(self.columns), iter_decode_column_batches(

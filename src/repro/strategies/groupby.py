@@ -306,7 +306,7 @@ class CaseGroupByNode(PushedGroupByNode):
         phases.append(
             phase_since(ctx, mark, "s3-aggregate", streams=table.partitions)
         )
-        self.details = {"num_groups": len(groups)}
+        self.extras = {"num_groups": len(groups)}
         return rows
 
 
@@ -444,7 +444,7 @@ class HybridGroupByNode(PushedGroupByNode):
             "s3-agg+tail", q1_records + q2_records,
             streams=2 * table.partitions, **local,
         ))
-        self.details = {
+        self.extras = {
             "large_groups": len(large_groups),
             "s3_side_seconds": ctx.perf.phase_time(
                 Phase.from_records("q1", q1_records, streams=table.partitions)

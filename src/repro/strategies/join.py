@@ -213,14 +213,14 @@ def bloom_join(
         n for n, _ in physical.walk_plan(plan.root) if isinstance(n, HashJoinNode)
     )
     bloom = join.bloom_outcome.bloom
-    execution.details.update({
-        "requested_fpr": join.bloom.fpr,
-        "achieved_fpr": join.bloom_outcome.achieved_fpr,
-        "degraded": bloom is None,
-        "membership_chunks": len(join.bloom_clauses) if bloom is None else 0,
-        "bloom_bits": 0 if bloom is None else bloom.num_bits,
-        "bloom_hashes": 0 if bloom is None else bloom.num_hashes,
-        "build_keys": join.bloom_keys,
-        "probe_rows_returned": join.probe.actual_rows,
-    })
+    execution.report = execution.report.with_extras(
+        requested_fpr=join.bloom.fpr,
+        achieved_fpr=join.bloom_outcome.achieved_fpr,
+        degraded=bloom is None,
+        membership_chunks=len(join.bloom_clauses) if bloom is None else 0,
+        bloom_bits=0 if bloom is None else bloom.num_bits,
+        bloom_hashes=0 if bloom is None else bloom.num_hashes,
+        build_keys=join.bloom_keys,
+        probe_rows_returned=join.probe.actual_rows,
+    )
     return execution

@@ -169,7 +169,7 @@ class SampledThresholdScan(ScanNode):
             server_cpu_seconds=len(sample) * math.log2(max(len(sample), 2)) * 6e-9,
             ingest=(len(sample), 1),
         ))
-        self.details = {
+        self.extras = {
             "sample_size": self.sample_size, "threshold": threshold,
             "alpha": self.alpha,
         }
@@ -233,7 +233,7 @@ def sampling_top_k(
     plan = sampling_top_k_plan(ctx, catalog, query, **options)
     execution = physical.execute_plan(ctx, plan)
     sample_phase, scan_phase = execution.phases
-    execution.details.update(
+    execution.report = execution.report.with_extras(
         phase2_rows=plan.root.child.actual_rows,
         sample_seconds=ctx.perf.phase_time(sample_phase),
         scan_seconds=ctx.perf.phase_time(scan_phase),

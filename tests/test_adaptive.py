@@ -76,7 +76,7 @@ class TestByteIdentity:
         static = tpch_session().execute(sql, mode="optimized")
         adaptive = tpch_session().execute(sql, mode="adaptive")
         assert_byte_identical(static, adaptive)
-        assert adaptive.details["adaptive"]["replans"] == 0
+        assert adaptive.report.adaptive.replans == 0
 
     def test_huge_threshold_disables_replanning(self):
         """Even the adversarial workload executes identically when the
@@ -87,7 +87,7 @@ class TestByteIdentity:
         ctx_a, cat_a = star_session(threshold=1e9)
         adaptive = plan_and_execute(ctx_a, cat_a, sql, mode="adaptive")
         assert_byte_identical(static, adaptive)
-        assert adaptive.details["adaptive"]["replans"] == 0
+        assert adaptive.report.adaptive.replans == 0
 
     def test_pairwise_and_single_table_pass_through(self):
         """< 3 relations: nothing to reorder; plans equal optimized."""
@@ -99,7 +99,7 @@ class TestByteIdentity:
             static = tpch_session().execute(sql, mode="optimized")
             adaptive = tpch_session().execute(sql, mode="adaptive")
             assert_byte_identical(static, adaptive)
-            assert "adaptive" not in adaptive.details
+            assert adaptive.report.adaptive is None
 
     def test_threshold_knob_validated(self):
         with pytest.raises(ValueError):
@@ -150,11 +150,11 @@ class TestByteIdentity:
         static = plan_and_execute(ctx_s, cat_s, sql, mode="optimized")
         ctx_a, cat_a = session()
         adaptive = plan_and_execute(ctx_a, cat_a, sql, mode="adaptive")
-        details = adaptive.details["adaptive"]
+        report = adaptive.report.adaptive
         # Uniform keys estimate well: no event may report a blow-up just
         # because an extra edge was deferred, and nothing re-plans.
-        assert all(e["q_error"] < 2.0 for e in details["events"])
-        assert details["replans"] == 0
+        assert all(e["q_error"] < 2.0 for e in report.events)
+        assert report.replans == 0
         assert_byte_identical(static, adaptive)
 
 
@@ -167,9 +167,9 @@ class TestReplanning:
         static = plan_and_execute(ctx_s, cat_s, sql, mode="optimized")
         ctx_a, cat_a = star_session()
         adaptive = plan_and_execute(ctx_a, cat_a, sql, mode="adaptive")
-        details = adaptive.details["adaptive"]
-        assert details["replans"] >= 1
-        fired = [e for e in details["events"] if e["replanned"]]
+        report = adaptive.report.adaptive
+        assert report.replans >= 1
+        fired = [e for e in report.events if e["replanned"]]
         assert fired and fired[0]["q_error"] > 2.0
         assert "old_tree" in fired[0] and "new_tree" in fired[0]
         assert adaptive.rows[0][0] == pytest.approx(static.rows[0][0])
@@ -186,13 +186,13 @@ class TestReplanning:
         sql = star_sql(15)
         ctx, catalog = star_session()
         adaptive = plan_and_execute(ctx, catalog, sql, mode="adaptive")
-        assert adaptive.details["adaptive"]["replans"] >= 1
+        assert adaptive.report.adaptive.replans >= 1
         warm = plan_and_execute(ctx, catalog, sql, mode="optimized")
         assert warm.rows[0][0] == pytest.approx(adaptive.rows[0][0])
         assert warm.cost.total <= adaptive.cost.total * (1 + 1e-9)
         # And a warm *adaptive* run has nothing left to correct.
         warm_adaptive = plan_and_execute(ctx, catalog, sql, mode="adaptive")
-        assert warm_adaptive.details["adaptive"]["replans"] == 0
+        assert warm_adaptive.report.adaptive.replans == 0
 
     def test_wide_replan_takes_the_greedy_search(self, monkeypatch):
         """Seven relations (over DP_TABLE_LIMIT) still to join when the
@@ -234,7 +234,7 @@ class TestReplanning:
         monkeypatch.setattr(JoinOrderSearch, "_greedy_tree", spy)
         static = plan_and_execute(*session(), sql, mode="optimized")
         adaptive = plan_and_execute(*session(threshold=1.0), sql, mode="adaptive")
-        first = adaptive.details["adaptive"]["events"][0]
+        first = adaptive.report.adaptive.events[0]
         assert first["replanned"] and len(first["tables"]) == 1
         assert mid_flight and mid_flight[0] == n
         assert adaptive.rows == static.rows
@@ -242,15 +242,15 @@ class TestReplanning:
     def test_replan_events_are_reported(self):
         ctx, catalog = star_session()
         execution = plan_and_execute(ctx, catalog, star_sql(15), mode="adaptive")
-        details = execution.details["adaptive"]
-        assert details["threshold"] == pytest.approx(2.0)
-        for event in details["events"]:
+        report = execution.report.adaptive
+        assert report.threshold == pytest.approx(2.0)
+        for event in report.events:
             assert set(event) >= {
                 "tables", "est_rows", "actual_rows", "q_error", "replanned"
             }
         # The executed plan tree renders the spliced shape.
-        assert "adaptive [threshold=2 replans=" in execution.details["plan"]
-        assert "materialized[" in execution.details["plan"]
+        assert "adaptive [threshold=2 replans=" in execution.report.plan
+        assert "materialized[" in execution.report.plan
 
     def test_forced_shape_still_adapts(self):
         """Experiment-forced trees (execute_with_join_tree) adapt too."""

@@ -150,11 +150,11 @@ class TestCachedExecution:
         assert cold.num_requests > 0 and warm.num_requests == 0
         assert warm.bytes_scanned == 0 and warm.bytes_returned == 0
         assert warm.cost.total < cold.cost.total
-        assert warm.details["cache"]["hit"] == 1
-        assert cold.details["cache"]["miss"] == 1
-        assert cold.details["cache"]["stores"] == 1
-        assert "cache: hit" in warm.details["plan"]
-        assert "cache: miss" in cold.details["plan"]
+        assert warm.report.cache.hit == 1
+        assert cold.report.cache.miss == 1
+        assert cold.report.cache.stores == 1
+        assert "cache: hit" in warm.report.plan
+        assert "cache: miss" in cold.report.plan
 
     def test_subsumed_replay_matches_fresh_session(self):
         db = _session()
@@ -162,8 +162,8 @@ class TestCachedExecution:
         narrow = "SELECT key, p0 FROM fx WHERE key < 700"
         replay = db.execute(narrow, mode="optimized")
         assert replay.num_requests == 0
-        assert replay.details["cache"]["subsumed"] == 1
-        assert "cache: subsumed" in replay.details["plan"]
+        assert replay.report.cache.subsumed == 1
+        assert "cache: subsumed" in replay.report.plan
         reference = _session().execute(narrow, mode="optimized")
         assert replay.rows == reference.rows
 
@@ -184,8 +184,8 @@ class TestCachedExecution:
             "SELECT key, y_v FROM fy, fx WHERE y_k = key AND y_k < 500",
             mode="optimized",
         )
-        assert "build: scan fy [select]" in joined.details["plan"]
-        assert streamed.details["cache"]["stores"] == joined.details["cache"]["stores"] == 1
+        assert "build: scan fy [select]" in joined.report.plan
+        assert streamed.report.cache.stores == joined.report.cache.stores == 1
         batches = db.cache.lookup_scan("fx", _pred("key < 1000"), ["key"]).batches
         assert len(batches) == -(-len(streamed.rows) // 100) > 1
         (batch,) = db.cache.lookup_scan("fy", _pred("y_k < 500"), ["y_k"]).batches
@@ -198,7 +198,7 @@ class TestCachedExecution:
             "SELECT key, p0 FROM fx WHERE key < 1500", mode="optimized"
         )
         assert wider.num_requests > 0
-        assert wider.details["cache"]["miss"] == 1
+        assert wider.report.cache.miss == 1
 
     def test_aggregate_partials_recombine(self):
         db = _session()
@@ -207,7 +207,7 @@ class TestCachedExecution:
         warm = db.execute(sql, mode="optimized")
         assert warm.rows == cold.rows
         assert warm.num_requests == 0
-        assert warm.details["cache"]["hit"] == 1
+        assert warm.report.cache.hit == 1
         # A subset/permutation of the cached items recombines too.
         subset = db.execute(
             "SELECT COUNT(*) FROM fx WHERE key < 800", mode="optimized"
@@ -246,8 +246,8 @@ class TestCachedExecution:
         first = db.execute(sql, mode="optimized")
         second = db.execute(sql, mode="optimized")
         assert second.num_requests == first.num_requests > 0
-        assert "cache" not in second.details
-        assert "cache:" not in second.details["plan"]
+        assert second.report.cache is None
+        assert "cache:" not in second.report.plan
 
     def test_reset_cache_forces_cold_runs(self):
         db = _session()
@@ -263,7 +263,7 @@ class TestCachedExecution:
         db.execute(sql, mode="optimized")
         auto = db.execute(sql, mode="auto")
         assert auto.num_requests == 0
-        picked = auto.details["optimizer"]["picked"]
+        picked = auto.report.optimizer["picked"]
         assert picked == "optimized"
 
     def test_negative_cache_bytes_rejected(self):

@@ -105,7 +105,59 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "adaptive multi-join" in out
-        assert "'threshold': 3.5" in out
+        assert "adaptive: threshold=3.5 replans=" in out
+
+    def test_query_command_adaptive_with_cache_renders_no_raw_dict(self, capsys):
+        """The adaptive events render as a table and the cache counters as
+        one line."""
+        sql = (
+            "SELECT c_name, o_orderdate, l_quantity FROM customer, orders, lineitem"
+            " WHERE c_custkey = o_custkey AND o_orderkey = l_orderkey"
+            " AND c_acctbal < 100"
+        )
+        code = main([
+            "query", sql, "--scale-factor", "0.001", "--mode", "adaptive",
+            "--cache-bytes", "100000000",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "details:" not in out and "{'" not in out
+        lines = out.splitlines()
+        at = lines.index("  adaptive: threshold=2 replans=0")
+        assert lines[at + 1].split() == [
+            "materialized", "est", "rows", "actual", "q-error", "outcome"
+        ]
+        assert lines[at + 2].split()[0] == "customer"
+        assert lines[at + 2].endswith("  kept")
+        assert lines[at + 3].split()[0] == "customer+orders"
+        (cache,) = [line for line in lines if line.startswith("  cache:")]
+        assert cache == (
+            "  cache: hit=0 subsumed=0 miss=1 stores=1 (session: hits=0"
+            " subsumed=0 misses=1 stores=1 evictions=0 invalidations=0)"
+        )
+
+    def test_query_command_auto_leaves_the_report_as_it_ran(self, capsys, monkeypatch):
+        """The CLI renders the optimizer's table from ``report.optimizer``
+        and mutates no execution."""
+        from repro.planner.database import PushdownDB
+
+        executions = []
+        execute = PushdownDB.execute
+
+        def spy(self, *args, **kwargs):
+            executions.append(execute(self, *args, **kwargs))
+            return executions[-1]
+
+        monkeypatch.setattr(PushdownDB, "execute", spy)
+        assert main([
+            "query", "SELECT SUM(o_totalprice) AS total FROM orders",
+            "--scale-factor", "0.001", "--strategy", "auto",
+        ]) == 0
+        out = capsys.readouterr().out
+        (execution,) = executions
+        picked = execution.report.optimizer["picked"]
+        assert out.count(f"optimizer: sql query, objective=cost, picked {picked!r}") == 1
+        assert "{'" not in out
 
     def test_adaptive_threshold_below_one_rejected(self, capsys):
         """A Q-error bound below 1.0 is meaningless (observed/estimated

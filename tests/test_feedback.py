@@ -235,12 +235,10 @@ class TestHarvest:
         first = db.execute(sql)
         second = db.execute(sql)
         assert first.rows == second.rows
-        actual_by_depth = {
-            (r["node"], r["depth"]): r for r in second.details["actuals"]
-        }
+        actual_by_depth = {(r.node, r.depth): r for r in second.report.nodes}
         for record in actual_by_depth.values():
-            if record["q_error"] is not None and "hash-join" in record["node"]:
-                assert record["q_error"] == pytest.approx(1.0, abs=1e-3)
+            if record.q_error is not None and "hash-join" in record.node:
+                assert record.q_error == pytest.approx(1.0, abs=1e-3)
 
 
 class TestProbeCache:

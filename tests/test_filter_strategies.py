@@ -105,7 +105,7 @@ class TestAccountingShapes:
             FilterQuery(table="data", predicate=parse_expression("key < 200")),
         )
         assert many.num_requests > few.num_requests
-        assert many.details["matched_rows"] == 200
+        assert many.report.extras["matched_rows"] == 200
 
     def test_indexing_scans_only_index_table(self, env):
         ctx, catalog = env

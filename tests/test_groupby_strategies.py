@@ -159,16 +159,16 @@ class TestHybridMechanics:
         execution = hybrid_group_by(
             ctx, catalog, base_query(table="skewed", group="g0"), s3_groups=6
         )
-        assert execution.details["large_groups"] == 6
-        assert execution.details["s3_side_seconds"] > 0
-        assert execution.details["server_side_seconds"] > 0
+        assert execution.report.extras["large_groups"] == 6
+        assert execution.report.extras["s3_side_seconds"] > 0
+        assert execution.report.extras["server_side_seconds"] > 0
 
     def test_more_pushed_groups_fewer_tail_rows(self, env):
         ctx, catalog = env
         query = base_query(table="skewed", group="g0")
         small = hybrid_group_by(ctx, catalog, query, s3_groups=2)
         large = hybrid_group_by(ctx, catalog, query, s3_groups=10)
-        assert large.details["tail_rows"] < small.details["tail_rows"]
+        assert large.report.extras["tail_rows"] < small.report.extras["tail_rows"]
 
     def test_sample_fraction_parameter(self, env):
         ctx, catalog = env
@@ -183,12 +183,12 @@ class TestHybridMechanics:
         ctx, catalog = env
         query = base_query(table="skewed", group="g0")
         unclamped = hybrid_group_by(ctx, catalog, query, s3_groups=10)
-        assert unclamped.details["large_groups"] == 10
+        assert unclamped.report.extras["large_groups"] == 10
         clamped = hybrid_group_by(
             ctx, catalog, query, s3_groups=10, expression_limit_bytes=70
         )
-        assert 0 < clamped.details["large_groups"] < 10
-        assert clamped.details["tail_rows"] > unclamped.details["tail_rows"]
+        assert 0 < clamped.report.extras["large_groups"] < 10
+        assert clamped.report.extras["tail_rows"] > unclamped.report.extras["tail_rows"]
         reference = approx_rows(server_side_group_by(ctx, catalog, query).rows)
         assert approx_rows(clamped.rows) == reference
 
@@ -198,7 +198,7 @@ class TestHybridMechanics:
         out = hybrid_group_by(
             ctx, catalog, query, s3_groups=10, expression_limit_bytes=45
         )
-        assert out.details["large_groups"] == 0
+        assert out.report.extras["large_groups"] == 0
         reference = approx_rows(server_side_group_by(ctx, catalog, query).rows)
         assert approx_rows(out.rows) == reference
 
@@ -278,7 +278,7 @@ def test_null_group_keys_survive_every_strategy(rows, with_predicate, s3_groups)
         ctx, catalog, query, sample_fraction=1.0, s3_groups=s3_groups
     )
     assert sorted(hybrid.rows, key=repr) == expected
-    assert hybrid.details["large_groups"] <= s3_groups
+    assert hybrid.report.extras["large_groups"] <= s3_groups
 
 
 def bool_true(_value) -> bool:

@@ -53,16 +53,16 @@ def test_legs_run_first_and_are_priced(suite_db):
         assert plan.init_plans
         execution = suite_db.execute(_sql(name))
         assert plan.estimate.requests == execution.num_requests, name
-        times = execution.details["operator_times"]
+        times = execution.report.nodes
         # The first init plan's root comes first under the query's.
-        assert execution.details["plan"].splitlines()[1].startswith(
+        assert execution.report.plan.splitlines()[1].startswith(
             "+- init plan 0 (optimized"
         )
         leg = times[1]
-        assert leg["depth"] == 1
-        assert leg["seconds"] is not None and leg["self_seconds"] >= 0.0
-        assert sum(r["self_seconds"] or 0.0 for r in times) == pytest.approx(
-            times[0]["seconds"], abs=1e-6
+        assert leg.depth == 1
+        assert leg.seconds is not None and leg.self_seconds >= 0.0
+        assert sum(r.self_seconds or 0.0 for r in times) == pytest.approx(
+            times[0].seconds, abs=1e-6
         )
 
 
@@ -206,7 +206,7 @@ def test_a_bound_value_prunes_at_run_time(value_sql, literal):
     sql = f"SELECT t_k FROM t WHERE t_k >= ({value_sql})"
     assert "partitions pruned" not in db.explain(sql).splitlines()[-1]
     execution = db.execute(sql, mode="optimized")
-    assert "partitions pruned: 3/4" in execution.details["plan"]
+    assert "partitions pruned: 3/4" in execution.report.plan
     parts = [
         db.execute(part, mode="optimized")
         for part in (value_sql, f"SELECT t_k FROM t WHERE t_k >= {literal}")

@@ -74,19 +74,19 @@ class TestBloomBehaviour:
     def test_bloom_details_recorded(self, tpch_env):
         ctx, catalog = tpch_env
         execution = bloom_join(ctx, catalog, join_query(), fpr=0.01)
-        details = execution.details
-        assert details["requested_fpr"] == 0.01
-        assert details["achieved_fpr"] == 0.01
-        assert not details["degraded"]
-        assert details["bloom_hashes"] == 7  # log2(1/0.01) rounded
+        extras = execution.report.extras
+        assert extras["requested_fpr"] == 0.01
+        assert extras["achieved_fpr"] == 0.01
+        assert not extras["degraded"]
+        assert extras["bloom_hashes"] == 7  # log2(1/0.01) rounded
 
     def test_lower_fpr_means_more_hashes(self, tpch_env):
         ctx, catalog = tpch_env
         strict = bloom_join(ctx, catalog, join_query(), fpr=0.0001)
         loose = bloom_join(ctx, catalog, join_query(), fpr=0.5)
-        assert strict.details["bloom_hashes"] > loose.details["bloom_hashes"]
-        assert strict.details["probe_rows_returned"] <= (
-            loose.details["probe_rows_returned"]
+        assert strict.report.extras["bloom_hashes"] > loose.report.extras["bloom_hashes"]
+        assert strict.report.extras["probe_rows_returned"] <= (
+            loose.report.extras["probe_rows_returned"]
         )
 
     def test_degraded_bloom_still_correct(self, tpch_env):
@@ -149,8 +149,8 @@ class TestMembershipChunking:
         bloomed = bloom_join(
             ctx, catalog, query, expression_limit_bytes=130
         )
-        assert bloomed.details["degraded"]
-        chunks = bloomed.details["membership_chunks"]
+        assert bloomed.report.extras["degraded"]
+        chunks = bloomed.report.extras["membership_chunks"]
         assert chunks > 1
         assert_rows_close(reference.rows, bloomed.rows)
         # Metrics must account every chunked request: build partitions +
@@ -171,8 +171,8 @@ class TestMembershipChunking:
         query = join_query(build_predicate=None)  # every customer is a key
         reference = baseline_join(ctx, catalog, query)
         bloomed = bloom_join(ctx, catalog, query, expression_limit_bytes=120)
-        assert bloomed.details["degraded"]
-        assert bloomed.details["membership_chunks"] == 0
+        assert bloomed.report.extras["degraded"]
+        assert bloomed.report.extras["membership_chunks"] == 0
         assert_rows_close(reference.rows, bloomed.rows)
 
 

@@ -6,7 +6,7 @@ from repro.cloud.context import CloudContext
 from repro.common.errors import PlanError
 from repro.engine.catalog import Catalog, load_table
 from repro.experiments.harness import calibrate_tables
-from repro.optimizer import choose, explain_choice, run_auto
+from repro.optimizer import choose, run_auto
 from repro.optimizer.chooser import HYBRID_SPLIT_CANDIDATES, choose_planner_mode
 from repro.planner.physical import execute_plan
 from repro.planner.database import PushdownDB
@@ -183,7 +183,7 @@ class TestChooser:
     def test_explain_lists_every_candidate(self, fig1_env):
         ctx, catalog = fig1_env
         choice = choose(ctx, catalog, _filter_query(50), include_extensions=True)
-        report = explain_choice(choice)
+        report = choice.explain()
         for estimate in choice.candidates:
             assert estimate.strategy in report
         for column in ("requests", "scanned", "returned", "runtime", "cost"):
@@ -205,7 +205,7 @@ class TestChooser:
     ):
         ctx, catalog = fig1_env
         execution = run_auto(ctx, catalog, query, **options)
-        summary = execution.details["optimizer"]
+        summary = execution.report.optimizer
         assert execution.strategy == summary["picked"]
         assert summary["picked"] in summary["candidates"]
         for estimate in summary["candidates"].values():
@@ -217,8 +217,8 @@ class TestChooser:
     def test_run_auto_join(self, tpch_env):
         ctx, catalog = tpch_env
         execution = run_auto(ctx, catalog, _join_query("c_acctbal <= -950"))
-        assert execution.strategy == execution.details["optimizer"]["picked"]
-        assert set(execution.details["optimizer"]["candidates"]) == {
+        assert execution.strategy == execution.report.optimizer["picked"]
+        assert set(execution.report.optimizer["candidates"]) == {
             "baseline join", "filtered join", "bloom join"
         }
 
@@ -237,7 +237,7 @@ class TestChooser:
         assert cold.best.strategy == "s3-side filter" and cold.best.requests > 0
         s3_side_filter(ctx, catalog, _filter_query(50))
         execution = run_auto(ctx, catalog, _filter_query(50))
-        picked = execution.details["optimizer"]["candidates"]["s3-side filter"]
+        picked = execution.report.optimizer["candidates"]["s3-side filter"]
         assert execution.strategy == "s3-side filter"
         assert picked["requests"] == execution.num_requests == 0
 
@@ -365,7 +365,7 @@ class TestPlannerAuto:
             " GROUP BY o_orderdate",
         ):
             auto = db.execute(sql, mode="auto")
-            summary = auto.details["optimizer"]
+            summary = auto.report.optimizer
             measured = {
                 mode: db.execute(sql, mode=mode).total_cost
                 for mode in ("baseline", "optimized")
@@ -382,7 +382,7 @@ class TestPlannerAuto:
 
     def test_strategy_alias(self, db):
         execution = db.execute("SELECT COUNT(1) FROM orders", strategy="auto")
-        assert "optimizer" in execution.details
+        assert execution.report.optimizer is not None
 
     def test_explain_without_execution(self, db):
         mark = db.ctx.metrics.mark()
@@ -396,7 +396,7 @@ class TestPlannerAuto:
 
 
 def summary_mode(execution):
-    return execution.details["optimizer"]["picked"]
+    return execution.report.optimizer["picked"]
 
 
 class TestAutoRunsThePlanItPriced:

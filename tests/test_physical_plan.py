@@ -32,6 +32,7 @@ from repro.planner.planner import (
     execute_with_join_tree,
     plan_and_execute,
 )
+from repro.planner.report import render_execution_report
 from repro.sqlparser.parser import parse
 from repro.storage.schema import TableSchema
 from repro.workloads.synthetic import (
@@ -272,8 +273,8 @@ class TestBushyDifferential:
             db.ctx, db.catalog, SNOWFLAKE_SQL, BUSHY_SHAPE
         )
         bloomed = [
-            r["node"] for r in bushy.details["actuals"]
-            if "bloom" in r["node"] and "dim" in r["node"]
+            r.node for r in bushy.report.nodes
+            if "bloom" in r.node and "dim" in r.node
         ]
         assert len(bloomed) == 2
 
@@ -284,17 +285,16 @@ class TestActualsFeedback:
             "SELECT COUNT(*) AS n FROM sub1, dim1"
             " WHERE s1_id = d1_s1 AND s1_attr < 10"
         )
-        actuals = execution.details["actuals"]
-        scans = [r for r in actuals if r["node"].startswith("scan ")]
+        scans = [r for r in execution.report.nodes if r.node.startswith("scan ")]
         assert len(scans) == 2
         for record in scans:
-            assert record["actual_rows"] is not None
-            assert record["est_rows"] is not None
-            assert record["q_error"] >= 1.0
+            assert record.actual_rows is not None
+            assert record.est_rows is not None
+            assert record.q_error >= 1.0
 
     def test_report_renders_estimate_vs_actual(self, db):
         execution = db.execute(SNOWFLAKE_SQL)
-        report = physical.render_execution_report(execution)
+        report = render_execution_report(execution)
         assert "q-error" in report
         assert "est rows" in report and "actual" in report
         assert "hash-join" in report
@@ -304,8 +304,7 @@ class TestActualsFeedback:
         execution = db.execute(
             "SELECT s1_id FROM sub1 ORDER BY s1_id LIMIT 3"
         )
-        top = execution.details["actuals"][0]
-        assert top["actual_rows"] == 3
+        assert execution.report.nodes[0].actual_rows == 3
 
     def test_explain_includes_physical_plan(self, db):
         report = db.explain(SNOWFLAKE_SQL)
@@ -369,7 +368,7 @@ def test_every_plan_node_stream_yields_batches(batch_streams):
         for mode in ("baseline", "optimized")
     }
     replay = plan_and_execute(ctx, catalog, sql, mode="optimized")
-    assert replay.details["cache"]["hit"] == 1 and replay.num_requests == 0
+    assert replay.report.cache.hit == 1 and replay.num_requests == 0
     assert rows["baseline"] == rows["optimized"] == sorted(replay.rows)
     count = plan_and_execute(ctx, catalog, "SELECT COUNT(*) AS n FROM pq")
     assert count.rows == [(300,)]
@@ -396,7 +395,7 @@ def test_every_plan_node_stream_yields_batches(batch_streams):
         " AND a_x < 15 AND a_y < 15 AND b_sel < 12",
         mode="adaptive",
     )
-    assert adaptive.details["adaptive"]["replans"] >= 1
+    assert adaptive.report.adaptive.replans >= 1
 
     assert set(batch_streams) >= {
         "ScanNode", "PushedAggregateNode", "HashJoinNode", "MaterializedNode",
@@ -592,11 +591,8 @@ def test_every_strategy_runner_is_a_plan(tpch_env, executed_plans, batch_streams
     ctx, catalog = tpch_env
     execution = STRATEGY_RUNNERS[name](ctx, catalog)
     assert executed_plans and executed_plans[-1] is execution
-    assert {"plan", "actuals", "operator_times"} <= set(execution.details)
-    assert execution.details["plan"].startswith(
-        execution.details["actuals"][0]["node"]
-    )
-    assert physical.render_execution_report(execution).startswith(
+    assert execution.report.plan.startswith(execution.report.nodes[0].node)
+    assert render_execution_report(execution).startswith(
         f"physical plan: {execution.strategy}\n"
     )
     assert "  plan:\n" in execution.explain(ctx.perf)
@@ -621,7 +617,7 @@ def test_fig11_point_runs_through_the_executor(executed_plans):
     )
     assert len(executed_plans) == len(result.rows) == 2
     for row, execution in zip(result.rows, executed_plans):
-        assert {"plan", "actuals", "operator_times"} <= set(execution.details)
+        assert execution.report.nodes
         assert [p.name for p in execution.phases] == ["scan"]
         assert row["rows_out"] == len(execution.rows) == execution.phases[0].server_records
 
@@ -744,7 +740,7 @@ class TestStrategyLaziness:
         assert len(records) == execution.num_requests == 4 + 60
         assert [p.name for p in execution.phases] == ["index-lookup", "record-fetch"]
         assert execution.phases[1].server_records == 60
-        assert execution.details["matched_rows"] == 60
+        assert execution.report.extras["matched_rows"] == 60
 
     def test_get_scan_decodes_only_the_batch_it_stops_in(
         self, small_batches, batch_streams
@@ -782,8 +778,8 @@ class TestCombinedPhase:
             probe_projection=["o_custkey", "o_totalprice"],
         ))
         (phase,) = execution.phases
-        scans = [r for r in execution.details["actuals"] if r["node"].startswith("scan ")]
-        build_rows, probe_rows = (r["actual_rows"] for r in scans)
+        scans = [r for r in execution.report.nodes if r.node.startswith("scan ")]
+        build_rows, probe_rows = (r.actual_rows for r in scans)
         assert probe_rows == catalog.get("orders").num_rows
         assert 0 < build_rows < catalog.get("customer").num_rows
         assert phase.name == "select+join"
@@ -827,7 +823,7 @@ class TestTwoTableJoinOrder:
             forced = execute_with_join_order(db.ctx, db.catalog, sql, order)
             assert forced.rows == plain.rows
             assert forced.strategy == "optimized multi-join (sub1 >< dim1)"
-            assert "probe: scan dim1 [select+bloom(d1_s1)]" in forced.details["plan"]
+            assert "probe: scan dim1 [select+bloom(d1_s1)]" in forced.report.plan
             assert (forced.num_requests, forced.bytes_scanned, forced.bytes_returned) == (
                 plain.num_requests, plain.bytes_scanned, plain.bytes_returned
             )
@@ -850,9 +846,9 @@ def test_q1_optimized_charges_its_final_sort(tpch_env):
 
     ctx, catalog = tpch_env
     execution = q1_optimized(ctx, catalog)
-    assert execution.details["plan"].startswith("sort [l_returnflag ASC")
+    assert execution.report.plan.startswith("sort [l_returnflag ASC")
     assert execution.phases[-1].server_cpu_seconds > 0
-    assert execution.details["num_groups"] == len(execution.rows)
+    assert execution.report.extras["num_groups"] == len(execution.rows)
 
 
 def test_plan_errors_are_raised_before_any_request(tpch_env):
@@ -938,46 +934,38 @@ def test_storage_time_lands_on_the_issuing_node(tpch_env, slow_requests, case, l
         execution = execute_parsed(ctx, catalog, _tpch_sql(name), mode)
     else:
         execution = STRATEGY_RUNNERS[case](ctx, catalog)
-    (issuer,) = [
-        r for r in execution.details["operator_times"]
-        if r["node"].startswith(leaf)
-    ]
+    (issuer,) = [r for r in execution.report.nodes if r.node.startswith(leaf)]
     assert slow_requests
-    assert issuer["seconds"] >= _REQUEST_SLEEP_S * len(slow_requests)
+    assert issuer.seconds >= _REQUEST_SLEEP_S * len(slow_requests)
 
 
 def _assert_one_clock(execution):
-    actuals = execution.details["actuals"]
-    times = execution.details["operator_times"]
-    assert [(r["node"], r["depth"], r["actual_rows"]) for r in actuals] == [
-        (r["node"], r["depth"], r["rows"]) for r in times
-    ]
+    times = execution.report.nodes
     for at, record in enumerate(times):
-        materialized = record["node"].startswith("materialized[")
-        if record["rows"] is not None and not materialized:
-            assert record["seconds"] is not None, record
-        if record["seconds"] is None:
+        materialized = record.node.startswith("materialized[")
+        if record.actual_rows is not None and not materialized:
+            assert record.seconds is not None, record
+        if record.seconds is None:
             continue
-        children, depth = [], record["depth"]
+        children, depth = [], record.depth
         for later in times[at + 1:]:
-            if later["depth"] <= depth:
+            if later.depth <= depth:
                 break
-            if later["depth"] == depth + 1 and not later["node"].startswith(
+            if later.depth == depth + 1 and not later.node.startswith(
                 "materialized["
             ):
-                children.append(later["seconds"] or 0.0)
-        assert record["self_seconds"] >= 0.0, record
-        assert record["seconds"] >= sum(children), record
+                children.append(later.seconds or 0.0)
+        assert record.self_seconds >= 0.0, record
+        assert record.seconds >= sum(children), record
     root = times[0]
     assert sum(
-        r["self_seconds"] for r in times if r["self_seconds"] is not None
-    ) == pytest.approx(root["seconds"], abs=1e-6)
+        r.self_seconds for r in times if r.self_seconds is not None
+    ) == pytest.approx(root.seconds, abs=1e-6)
 
 
 def test_one_clock_over_the_tpch_suite():
-    """``actuals`` and ``operator_times`` list the same nodes; every node
-    that ran is timed; no self time is negative; self times sum to the
-    root's time."""
+    """Every node that ran is timed; no self time is negative; self times
+    sum to the root's time."""
     ctx, catalog = CloudContext(), Catalog()
     load_suite_tables(ctx, catalog, 0.002, seed=11).close()
     for name in ALL_QUERIES:
@@ -1000,10 +988,10 @@ def test_an_init_plan_runs_on_its_executions_clock(tpch_env):
 
     ctx, catalog = tpch_env
     execution = q17_optimized(ctx, catalog)
-    times = execution.details["operator_times"]
-    assert times[1]["node"].startswith("hash-join [p_partkey")
-    assert times[1]["depth"] == 1
-    assert times[1]["rows"] is not None and times[1]["seconds"] is not None
+    leg = execution.report.nodes[1]
+    assert leg.node.startswith("hash-join [p_partkey")
+    assert leg.depth == 1
+    assert leg.actual_rows is not None and leg.seconds is not None
     _assert_one_clock(execution)
 
 
@@ -1106,14 +1094,14 @@ def test_every_membership_rung_hands_over_its_texts_parse(prepared, limit_bytes,
     assert sorted(execution.rows) == want
     probes = [(sql, query) for sql, query in prepared if "réf" in sql]
     assert probes and all(query is not None for _, query in probes)
-    details = execution.details
+    extras = execution.report.extras
     assert {
-        "bloom": not details["degraded"] and details["achieved_fpr"] == 0.01,
-        "raised": not details["degraded"] and details["achieved_fpr"] > 0.01,
-        "in-lists": details["membership_chunks"] > 1,
-        "unfiltered": details["degraded"] and details["membership_chunks"] == 0,
+        "bloom": not extras["degraded"] and extras["achieved_fpr"] == 0.01,
+        "raised": not extras["degraded"] and extras["achieved_fpr"] > 0.01,
+        "in-lists": extras["membership_chunks"] > 1,
+        "unfiltered": extras["degraded"] and extras["membership_chunks"] == 0,
     }[rung]
-    assert len(probes) == max(1, details["membership_chunks"])
+    assert len(probes) == max(1, extras["membership_chunks"])
     assert all((" IN (" in sql) == (rung == "in-lists") for sql, _ in probes)
 
 

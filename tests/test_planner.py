@@ -208,7 +208,7 @@ class TestMultiwayJoins:
         auto = db.execute(self.SQL3, mode="auto")
         fixed = db.execute(self.SQL3, mode="optimized")
         assert_rows_close(auto.rows, fixed.rows)
-        summary = auto.details["optimizer"]
+        summary = auto.report.optimizer
         assert summary["picked"] in ("baseline", "optimized")
         assert summary["join_orders"], "join-order candidates missing"
         assert any(c["picked"] for c in summary["join_orders"])

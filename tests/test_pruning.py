@@ -305,11 +305,11 @@ class TestExplainAndCost:
         if warm_up is not None:
             db.execute(warm_up, mode="optimized")
         execution = db.execute(sql, mode="auto")
-        optimizer = execution.details["optimizer"]
+        optimizer = execution.report.optimizer
         picked = optimizer["candidates"][optimizer["picked"]]
         assert picked["requests"] == execution.num_requests
         if warm_up is not None:
-            assert execution.details["cache"]["hit"] == 1
+            assert execution.report.cache.hit == 1
         if "wide" in sql:
             assert optimizer["picked"] == "optimized"
             assert picked["cost"] == pytest.approx(

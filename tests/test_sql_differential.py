@@ -474,8 +474,8 @@ def test_differential_fuzz_warm_cache():
                 f" got {got}\n exp {expected}"
             )
             if pass_no == 1:
-                cache = execution.details.get("cache", {})
-                warm_hits += cache.get("hit", 0) + cache.get("subsumed", 0)
+                cache = execution.report.cache
+                warm_hits += cache.hit + cache.subsumed
     assert warm_hits > 50, f"only {warm_hits} cache reuses on pass 2"
 
 

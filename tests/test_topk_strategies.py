@@ -68,8 +68,8 @@ class TestMechanics:
         ctx, catalog = tpch_env
         query = TopKQuery(table="lineitem", order_column="l_extendedprice", k=10)
         out = sampling_top_k(ctx, catalog, query)
-        assert out.details["phase2_rows"] < catalog.get("lineitem").num_rows
-        assert out.details["phase2_rows"] >= 10
+        assert out.report.extras["phase2_rows"] < catalog.get("lineitem").num_rows
+        assert out.report.extras["phase2_rows"] >= 10
 
     def test_larger_sample_tighter_threshold(self, tpch_env):
         ctx, catalog = tpch_env
@@ -77,16 +77,16 @@ class TestMechanics:
         query = TopKQuery(table="lineitem", order_column="l_extendedprice", k=10)
         small = sampling_top_k(ctx, catalog, query, sample_size=max(10, n // 100))
         large = sampling_top_k(ctx, catalog, query, sample_size=n // 2)
-        assert large.details["phase2_rows"] <= small.details["phase2_rows"]
+        assert large.report.extras["phase2_rows"] <= small.report.extras["phase2_rows"]
 
     def test_details_have_phase_split(self, tpch_env):
         ctx, catalog = tpch_env
         query = TopKQuery(table="lineitem", order_column="l_extendedprice", k=10)
         out = sampling_top_k(ctx, catalog, query)
-        assert out.details["sample_seconds"] > 0
-        assert out.details["scan_seconds"] > 0
+        assert out.report.extras["sample_seconds"] > 0
+        assert out.report.extras["scan_seconds"] > 0
         assert out.runtime_seconds == pytest.approx(
-            out.details["sample_seconds"] + out.details["scan_seconds"]
+            out.report.extras["sample_seconds"] + out.report.extras["scan_seconds"]
         )
 
 
@@ -169,7 +169,7 @@ class TestTiesAndNulls:
         sampled = sampling_top_k(ctx, catalog, query, sample_size=10)
         assert [r[1] for r in server.rows] == [r[1] for r in sampled.rows]
         assert len(sampled.rows) == k
-        assert sampled.details["phase2_rows"] >= k
+        assert sampled.report.extras["phase2_rows"] >= k
 
     def test_at_least_k_pass_with_tied_threshold(self):
         # All rows share one value: any threshold is tied; the inclusive
@@ -178,7 +178,7 @@ class TestTiesAndNulls:
         ctx, catalog = _tiny_table(rows)
         query = TopKQuery(table="tiny", order_column="val", k=4)
         out = sampling_top_k(ctx, catalog, query, sample_size=6)
-        assert out.details["phase2_rows"] == 20
+        assert out.report.extras["phase2_rows"] == 20
         assert [r[1] for r in out.rows] == [42] * 4
 
     def test_ascending_keeps_null_keys(self):

@@ -644,7 +644,7 @@ class TestKnobValidation:
 class TestOperatorTimes:
     def test_execution_details_include_operator_times(self):
         from repro.planner.database import PushdownDB
-        from repro.planner.physical import render_execution_report
+        from repro.planner.report import render_execution_report
 
         db = PushdownDB()
         db.load_table(
@@ -655,19 +655,15 @@ class TestOperatorTimes:
             "SELECT t_g, SUM(t_v) AS sv FROM t WHERE t_id < 80"
             " GROUP BY t_g ORDER BY t_g"
         )
-        times = execution.details["operator_times"]
-        assert len(times) == len(execution.details["actuals"])
+        times = execution.report.nodes
         root = times[0]
-        assert root["seconds"] is not None and root["seconds"] >= 0.0
+        assert root.seconds is not None and root.seconds >= 0.0
         for record in times:
-            assert set(record) >= {
-                "node", "depth", "seconds", "self_seconds", "rows",
-                "rows_per_sec",
-            }
-            if record["seconds"] is not None:
-                assert record["self_seconds"] <= record["seconds"] + 1e-9
+            if record.seconds is not None:
+                assert record.self_seconds <= record.seconds + 1e-9
         # The report gains time and throughput columns...
         report = render_execution_report(execution)
         assert "time" in report and "rows/s" in report
-        # ...but the details dict never leaks into the explain() extras.
+        # ...and explain() renders them as a table, not as a raw dict.
         assert "operator_times" not in execution.explain()
+        assert "self_seconds" not in execution.explain()
