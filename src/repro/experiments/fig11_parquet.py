@@ -8,6 +8,7 @@ count is its own dataset, loaded as CSV and as Parquet.
 from repro.engine.catalog import load_table
 from repro.experiments.harness import Claim, Sweep, runner
 from repro.planner import physical
+from repro.planner.nodes import whole_table_select
 from repro.sqlparser import ast
 from repro.workloads.synthetic import float_schema, float_table
 
@@ -20,7 +21,7 @@ PAPER_BYTES_PER_COLUMN = 100e6
 
 def _scan(table):
     def execute(ctx, catalog, predicate):
-        scan = physical.whole_table_select(catalog.get(table), ["f0"], predicate, "scan")
+        scan = whole_table_select(catalog.get(table), ["f0"], predicate, "scan")
         return physical.execute_plan(ctx, physical.PhysicalPlan(scan, "optimized", ""))
     return execute
 

@@ -12,7 +12,7 @@ from repro.experiments.harness import paper_scale, run_sweep, winners_by_sweep
 from repro.optimizer.joinorder import (
     build_join_graph, enumerate_left_deep_orders, plan_join_order,
 )
-from repro.planner.planner import execute_with_join_order, plan_and_execute
+from repro.planner.planner import execute_forced_join, plan_and_execute
 from repro.queries.dataset import load_tpch
 from repro.sqlparser.parser import parse
 
@@ -33,7 +33,7 @@ def join_orders(ctx, catalog, sql: str):
     query = parse(sql)
     graph = build_join_graph(catalog, query)
     decision = plan_join_order(ctx, catalog, query, graph=graph)
-    return decision, {" -> ".join(order): partial(execute_with_join_order, order=order)
+    return decision, {" -> ".join(order): partial(execute_forced_join, order=order)
                       for order in enumerate_left_deep_orders(graph)}
 
 

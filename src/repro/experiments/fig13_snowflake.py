@@ -13,8 +13,8 @@ from repro.engine.catalog import load_table
 from repro.experiments.fig12_multijoin import auto_plan, join_orders
 from repro.experiments.harness import PAPER_TPCH_BYTES, Claim, Sweep, cost_against
 from repro.experiments.harness import paper_scale, run_sweep, winners_by_sweep
-from repro.planner import physical
-from repro.planner.planner import execute_with_join_tree
+from repro.planner.joins import is_left_deep, join_tree_label
+from repro.planner.planner import execute_forced_join
 from repro.workloads.synthetic import SNOWFLAKE_SCHEMAS, snowflake_tables
 
 TABLES = ("fact", "dim1", "sub1", "dim2", "sub2")
@@ -43,9 +43,9 @@ def run(fact_rows: int = 9000, thresholds: tuple = DEFAULT_THRESHOLDS,
         for threshold in thresholds:
             sql = make_sql(threshold)
             decision, orders = join_orders(ctx, catalog, sql)
-            picks[threshold] = (physical.join_tree_label(decision.tree),
-                                not physical.is_left_deep(decision.tree))
-            pick = partial(execute_with_join_tree, shape=decision.shape)
+            picks[threshold] = (join_tree_label(decision.tree),
+                                not is_left_deep(decision.tree))
+            pick = partial(execute_forced_join, shape=decision.shape)
             yield threshold, sql, {**orders, "dp-pick": pick, "auto": auto_plan}
 
     result = run_sweep(Sweep(

@@ -389,11 +389,12 @@ def harvest_plan(cache: SemanticCache, root) -> int:
     cut short) stores what it retained.  Returns the number of entries
     stored.
     """
-    from repro.planner import physical
+    from repro.planner.nodes import PushedAggregateNode, ScanNode
+    from repro.planner.physical import walk_plan
 
     return sum(
         node.flush_cache(cache)
-        for node, complete in physical.walk_plan(root)
+        for node, complete in walk_plan(root)
         if complete
-        and isinstance(node, (physical.ScanNode, physical.PushedAggregateNode))
+        and isinstance(node, (ScanNode, PushedAggregateNode))
     )

@@ -249,13 +249,15 @@ def harvest_plan(store: FeedbackStore, root) -> int:
     already plans with corrected estimates — no extra metered requests
     are spent learning what was just paid for.
     """
-    from repro.planner import physical
+    from repro.planner.joins import HashJoinNode, tree_signature
+    from repro.planner.nodes import ScanNode
+    from repro.planner.physical import walk_plan
 
     recorded = 0
-    for node, complete in physical.walk_plan(root):
+    for node, complete in walk_plan(root):
         if not complete or node.actual_rows is None:
             continue
-        if isinstance(node, physical.ScanNode):
+        if isinstance(node, ScanNode):
             if (
                 node.predicate is not None
                 and node.bloom_attr is None
@@ -267,12 +269,12 @@ def harvest_plan(store: FeedbackStore, root) -> int:
                     node.actual_rows / node.table.num_rows,
                 )
                 recorded += 1
-        elif isinstance(node, physical.HashJoinNode):
-            signature = physical.tree_signature(node)
+        elif isinstance(node, HashJoinNode):
+            signature = tree_signature(node)
             if signature is not None and not any(
-                isinstance(scan, physical.ScanNode)
+                isinstance(scan, ScanNode)
                 and ast.has_params(scan.predicate)
-                for scan, _ in physical.walk_plan(node)
+                for scan, _ in walk_plan(node)
             ):
                 store.record_join(signature, float(node.actual_rows))
                 recorded += 1

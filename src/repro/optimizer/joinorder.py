@@ -20,7 +20,7 @@ the planner past that limit:
   shapes need;
 * disconnected FROM lists (cross joins) are planned per connected
   component and combined with
-  :class:`~repro.planner.physical.CrossProductNode` when the estimated
+  :class:`~repro.planner.joins.CrossProductNode` when the estimated
   product stays under :data:`CROSS_PRODUCT_LIMIT` rows;
 * :func:`plan_join_order` builds the graph and runs the search in one
   call, for the experiment sweeps (fig12) and the tests; the planner
@@ -50,14 +50,16 @@ from repro.engine.catalog import Catalog, TableInfo
 from repro.optimizer import pruning
 from repro.optimizer.cost import StrategyEstimate, objective_key, price_phases
 from repro.optimizer.feedback import estimated_rows, predicate_signature
-from repro.planner import physical
 from repro.planner.costing import predicted_phases
-from repro.planner.physical import (
+from repro.planner.joins import (
     CrossProductNode,
     HashJoinNode,
-    PlanNode,
-    ScanNode,
+    join_leaf_order,
+    join_tree_label,
+    serialize_shape,
+    tree_signature,
 )
+from repro.planner.nodes import PlanNode, ScanNode
 from repro.sqlparser import ast
 from repro.strategies.scans import decoded_columns
 
@@ -194,7 +196,7 @@ def build_join_graph(catalog: Catalog, query: ast.Query) -> JoinGraph:
 
     Disconnected graphs (cross joins) are legal here; whether they are
     *plannable* is the search's call (small estimated products become
-    :class:`~repro.planner.physical.CrossProductNode` plans, anything
+    :class:`~repro.planner.joins.CrossProductNode` plans, anything
     bigger raises).
     """
     names = [t.lower() for t in query.from_tables]
@@ -316,11 +318,11 @@ class JoinOrderDecision:
     @property
     def shape(self):
         """Serialized tree shape (the planner's forced-plan contract)."""
-        return physical.serialize_shape(self.tree)
+        return serialize_shape(self.tree)
 
     def candidate_table(self) -> list[dict]:
         """Compact join-order rows for EXPLAIN / experiment output."""
-        picked = physical.join_tree_label(self.tree)
+        picked = join_tree_label(self.tree)
         return [
             {
                 "order": c.notes.get("label", ""),
@@ -375,7 +377,7 @@ class JoinOrderSearch:
         self.feedback = ctx.feedback
         #: Per-table ``(name, predicate_signature)`` pairs, precomputed
         #: once so warm-session DP candidates build their feedback
-        #: signatures (:func:`physical.tree_signature`) without
+        #: signatures (:func:`tree_signature`) without
         #: re-serializing predicates per candidate.
         self._pred_sigs = {
             name: (name, predicate_signature(graph.predicates[name]))
@@ -491,7 +493,7 @@ class JoinOrderSearch:
             # emptiness guard keeps signature construction out of the
             # cold DP's inner loop.  (Measured counts are pre-residual,
             # i.e. exactly what the node emits.)
-            signature = physical.tree_signature(node, self._pred_sigs)
+            signature = tree_signature(node, self._pred_sigs)
             if signature is not None:
                 measured = self.feedback.lookup_join(signature)
                 if measured is not None:
@@ -587,7 +589,7 @@ class JoinOrderSearch:
     def build_tree(self, shape, pushdown: bool = True) -> PlanNode:
         """Rebuild a serialized tree shape with fresh estimates.
 
-        ``shape`` is :func:`physical.serialize_shape` output: a table
+        ``shape`` is :func:`serialize_shape` output: a table
         name, or ``[kind, build_shape, probe_shape]`` with the build
         orientation preserved.  ``pushdown=False`` builds it over GET
         scans, hence without Bloom predicates: a picked tree's baseline
@@ -612,15 +614,15 @@ class JoinOrderSearch:
         returned rows on probe scans), join CPU lands on the phase
         preceding each join.
         """
-        label = physical.join_tree_label(tree)
+        label = join_tree_label(tree)
         return price_phases(
             self.ctx,
             f"join-order {label}",
             predicted_phases(tree, self.ctx),
             {
-                "order": physical.join_leaf_order(tree),
+                "order": join_leaf_order(tree),
                 "label": label,
-                "tree": physical.serialize_shape(tree),
+                "tree": serialize_shape(tree),
                 "est_rows": tree.est_rows,
             },
         )
@@ -673,7 +675,7 @@ class JoinOrderSearch:
             method = "dp"
         return JoinOrderDecision(
             graph=self.graph,
-            order=physical.join_leaf_order(tree),
+            order=join_leaf_order(tree),
             tree=tree,
             estimate=estimate,
             candidates=candidates,
@@ -756,7 +758,7 @@ class JoinOrderSearch:
         The adaptive executor calls this after a pipeline breaker's
         observed cardinality blows past its estimate.  ``leaves`` mix
         not-yet-started scans with materialized intermediates
-        (:class:`~repro.planner.physical.MaterializedNode`) whose
+        (:class:`~repro.planner.joins.MaterializedNode`) whose
         cardinalities are now facts; both carry ``tables`` /
         ``est_rows``, which is all :meth:`combine` needs.  The search is
         the plan-time one (:meth:`_best_tree`): candidates price through

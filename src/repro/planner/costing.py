@@ -1,8 +1,8 @@
 """The one cost walker: plan tree -> predicted phases -> seconds and dollars.
 
-:func:`predicted_phases` turns a :mod:`repro.planner.physical` subtree
-into the :class:`~repro.cloud.metrics.Phase` objects :func:`execute_plan`
-would meter for it, from estimates instead of measurements;
+:func:`predicted_phases` turns a plan subtree into the
+:class:`~repro.cloud.metrics.Phase` objects :func:`execute_plan` would
+meter for it, from estimates instead of measurements;
 :func:`repro.optimizer.cost.price_phases` prices them through the
 context's own PerfModel and Pricing.  Everything that predicts the cost
 of a plan goes through this pair: the ``auto`` mode chooser and the
@@ -15,42 +15,10 @@ from __future__ import annotations
 
 from repro.cloud.context import CloudContext
 from repro.cloud.metrics import Phase
-from repro.cloud.perf import SERVER_CPU_PER_ROW
 from repro.optimizer.cost import _phase, price_phases
-from repro.planner.physical import (
-    MaterializedNode,
-    PhysicalPlan,
-    PlanNode,
-    PushedAggregateNode,
-    ScanNode,
-)
-from repro.sqlparser import ast
-
-
-def _pruned_scan_profile(
-    n: ScanNode | PushedAggregateNode,
-) -> tuple[int, float, float]:
-    """(streams, scanned bytes, scanned-row fraction) after pruning.
-
-    Exact per-partition sizes and row counts are used when the catalog
-    has them; tables registered by hand fall back to a pro-rata split so
-    the prediction still shrinks with the partition count.
-    """
-    keep = n.keep_partitions
-    total = max(n.table.partitions, 1)
-    if keep is None:
-        return n.table.partitions, float(n.table.total_bytes), 1.0
-    sizes = n.table.partition_bytes
-    if len(sizes) == n.table.partitions:
-        scan_bytes = float(sum(sizes[i] for i in keep))
-    else:
-        scan_bytes = float(n.table.total_bytes) * len(keep) / total
-    counts = n.table.partition_rows
-    if len(counts) == n.table.partitions and n.table.num_rows:
-        row_frac = sum(counts[i] for i in keep) / n.table.num_rows
-    else:
-        row_frac = len(keep) / total
-    return len(keep), scan_bytes, row_frac
+from repro.planner.joins import MaterializedNode
+from repro.planner.nodes import PlanNode
+from repro.planner.physical import PhysicalPlan
 
 
 def predicted_phases(
@@ -59,28 +27,22 @@ def predicted_phases(
     """Assemble the predicted phases of a plan subtree, node by node.
 
     Mirrors what :func:`~repro.planner.physical.execute_plan` meters for
-    the same tree: one phase per scan or pushed aggregate (pruned
-    request streams; Bloom-reduced returned rows where a parent join
-    attached a Bloom predicate), the phases a leaf says its own ``run``
-    appends (:meth:`PlanNode.predicted_phases`: the paper strategies'
-    index fetch, pushed group-bys and threshold sample), and every
-    operator's local CPU (``est_cpu``: filters, joins, the group-by /
-    sort / top-K / projection tail) charged to the last phase emitted
-    before it completes.
+    the same tree: the phases each leaf says its own ``run`` appends
+    (:meth:`~repro.planner.nodes.PlanNode.predicted_phases`: a scan's or
+    pushed aggregate's pruned request streams, with Bloom-reduced
+    returned rows where a parent join attached a Bloom predicate and
+    zero requests where a warm semantic cache would answer; the paper
+    strategies' index fetch, pushed group-bys and threshold sample), and
+    every operator's local CPU (``est_cpu``: filters, joins, the
+    group-by / sort / top-K / projection tail) charged to the last phase
+    emitted before it completes.
 
     ``combined_label`` is the plan's phase policy
     (:attr:`PhysicalPlan.combined_label`): baseline join plans and the
     paper's filtered join meter all their scans and all local CPU as
-    one phase of that name.
-
-    When ``ctx`` carries a warm semantic cache, pushdown scans and
-    aggregates that would answer from it are priced at zero requests
-    and bytes — the chooser and the join-order DP therefore *prefer*
-    cacheable plans exactly when the cache would fire (never inside a
-    combined phase, whose scans do not consult it).
+    one phase of that name (whose scans do not consult the cache).
     """
     combined = combined_label is not None
-    cache = None if combined else ctx.result_cache
     phases: list[Phase] = []
 
     def charge(cpu: float) -> None:
@@ -100,66 +62,7 @@ def predicted_phases(
             return
         children = n.children()
         if not children:
-            phases.extend(n.predicted_phases(ctx))
-        if isinstance(n, PushedAggregateNode):
-            items = n.query.select_items
-            if cache is not None and cache.peek_aggregate(
-                n.table.name, n.query.where, n.item_signatures()
-            ) is not None:
-                phases.append(_phase("pushed-aggregate", 1, requests=0.0))
-                return
-            streams, scan_bytes, row_frac = _pruned_scan_profile(n)
-            phases.append(_phase(
-                "pushed-aggregate", streams,
-                scan_bytes=scan_bytes,
-                returned_bytes=streams * len(items) * 12.0,
-                term_evals=n.table.num_rows * row_frac
-                * (len(items) + len(ast.split_conjuncts(n.query.where))),
-            ))
-            return
-        if isinstance(n, ScanNode):
-            stats = n.table.stats_or_default()
-            est = (
-                n.est_rows if n.est_rows is not None
-                else float(n.table.num_rows)
-            )
-            if n.pushdown:
-                if (
-                    cache is not None
-                    and n.bloom_attr is None
-                    and cache.peek_scan(
-                        n.table.name, n.predicate, n.columns
-                    ) is not None
-                ):
-                    # Replay is local: no requests, no scanned bytes,
-                    # no server-side ingest.
-                    phases.append(_phase(n.phase_label, 1, requests=0.0))
-                    return
-                streams, scan_bytes, row_frac = _pruned_scan_profile(n)
-                phases.append(_phase(
-                    n.phase_label, streams,
-                    scan_bytes=scan_bytes,
-                    returned_bytes=est * stats.projected_row_bytes(n.columns),
-                    term_evals=n.est_terms * row_frac,
-                    records=est,
-                    fields=est * max(len(n.columns), 1),
-                ))
-            else:
-                raw = n.table.num_rows
-                # A combined phase ingests whole tables by formula; a
-                # lone streaming GET scan ingests what its filter keeps.
-                ingested = raw if combined else est
-                phases.append(_phase(
-                    n.phase_label, n.table.partitions,
-                    get_bytes=float(n.table.total_bytes),
-                    cpu_seconds=(
-                        raw * SERVER_CPU_PER_ROW["filter"]
-                        if n.predicate is not None else 0.0
-                    ),
-                    records=ingested,
-                    fields=ingested * len(n.table.schema),
-                ))
-            return
+            phases.extend(n.predicted_phases(ctx, combined))
         for child in children:
             walk(child)
         charge(n.est_cpu)

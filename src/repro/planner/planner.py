@@ -34,17 +34,26 @@ from repro.engine.catalog import Catalog, TableInfo
 from repro.optimizer import chooser
 from repro.optimizer.feedback import estimated_rows
 from repro.optimizer.joinorder import JoinOrderSearch, build_join_graph
-from repro.planner import physical
 from repro.planner.costing import annotate_costs
-from repro.planner.physical import (
-    FilterNode,
+from repro.planner.joins import (
+    AdaptiveJoinNode,
     HashJoinNode,
-    PhysicalPlan,
+    join_extra_edges,
+    join_leaves,
+    join_tree_label,
+    mark_spine,
+    serialize_shape,
+    tree_signature,
+)
+from repro.planner.nodes import (
+    FilterNode,
+    LegNode,
+    PlanNode,
     PushedAggregateNode,
     ScanNode,
-    attach_local_tail,
-    execute_plan,
 )
+from repro.planner.physical import PhysicalPlan, execute_plan
+from repro.planner.tail import attach_local_tail
 from repro.sqlparser import ast
 from repro.sqlparser.parser import parse
 from repro.strategies.scans import decoded_columns
@@ -65,7 +74,7 @@ def plan_and_execute(
     completed hash build's cardinality misses its estimate by more than
     the context's ``adaptive_threshold`` Q-error, the remaining join
     tree is re-planned around the observed count (see
-    :class:`~repro.planner.physical.AdaptiveJoinNode`); accurate
+    :class:`~repro.planner.joins.AdaptiveJoinNode`); accurate
     estimates execute byte-identically to ``mode="optimized"``.
     """
     return execute_parsed(ctx, catalog, parse(sql), mode)
@@ -192,7 +201,7 @@ def build_plans(
 def _build_derived_plan(query: ast.Query, mode: str, prepared) -> PhysicalPlan:
     """The outer query of ``FROM (SELECT ...) AS x``: its tail runs over
     the derived table's init plan's rows."""
-    node: physical.PlanNode = physical.LegNode(prepared.derived)
+    node: PlanNode = LegNode(prepared.derived)
     names = list(prepared.derived.names)
     est_rows = node.est_rows
     if query.where is not None:
@@ -205,12 +214,12 @@ def _build_derived_plan(query: ast.Query, mode: str, prepared) -> PhysicalPlan:
 
 def _apply_sub_joins(
     ctx: CloudContext,
-    node: physical.PlanNode,
+    node: PlanNode,
     names: list[str],
     probe_est: float,
     prepared,
     mode: str,
-) -> tuple[physical.PlanNode, list[str]]:
+) -> tuple[PlanNode, list[str]]:
     """Stack the decorrelated joins on top of the core tree.
 
     Wraps are pinned: the join-order DP never reorders them.  Pricing
@@ -228,7 +237,7 @@ def _apply_sub_joins(
     for sj in prepared.sub_joins:
         if sj.table is not None:
             optimized = mode != "baseline"
-            build: physical.PlanNode = ScanNode(
+            build: PlanNode = ScanNode(
                 sj.table,
                 sj.scan_cols if optimized
                 else decoded_columns(sj.table, sj.scan_cols, sj.scan_pred),
@@ -240,7 +249,7 @@ def _apply_sub_joins(
             build_names = list(build.columns)
             build_rows_est = build.est_rows
         else:
-            build = physical.LegNode(sj.leg)
+            build = LegNode(sj.leg)
             build_names = list(sj.leg.names)
             build_rows_est = build.est_rows
         join = HashJoinNode(
@@ -306,7 +315,7 @@ def _build_single_plan(
                         phase_label="scan",
                         prune=ctx.prune_partitions)
     scan.est_rows = estimated_rows(ctx, table, query.where)
-    node: physical.PlanNode = scan
+    node: PlanNode = scan
     if wrapped:
         node, names = _apply_sub_joins(
             ctx, node, names, scan.est_rows, prepared, mode
@@ -377,44 +386,29 @@ def _needed_columns(
 # join plans: N-way equi-join trees and cross products
 # ----------------------------------------------------------------------
 
-def execute_with_join_order(
+def execute_forced_join(
     ctx: CloudContext,
     catalog: Catalog,
     sql: str,
-    order: list[str],
+    *,
+    order: list[str] | None = None,
+    shape=None,
     mode: str = "optimized",
 ) -> QueryExecution:
-    """Run a multi-table query with a caller-forced left-deep join order.
-
-    The fig12/fig13 experiments use this to sweep every connected order
-    and compare the optimizer's pick against the measured best.
+    """Run a multi-table query with a caller-forced join tree: a
+    left-deep ``order`` of table names or a (possibly bushy) ``shape``,
+    :func:`repro.planner.joins.serialize_shape` output.  The fig12 /
+    fig13 sweeps compare the optimizer's pick against every such tree.
     """
+    if (order is None) == (shape is None):
+        raise PlanError("execute_forced_join takes exactly one of order= or shape=")
     query = parse(sql)
     if len(query.from_tables) < 2:
-        raise PlanError("execute_with_join_order needs a multi-table query")
+        raise PlanError("execute_forced_join needs a multi-table query")
+    force_order = None if order is None else [t.lower() for t in order]
     plan = build_plan(
-        ctx, catalog, query, mode, force_order=[t.lower() for t in order]
+        ctx, catalog, query, mode, shape=shape, force_order=force_order
     )
-    return execute_plan(ctx, plan)
-
-
-def execute_with_join_tree(
-    ctx: CloudContext,
-    catalog: Catalog,
-    sql: str,
-    shape,
-    mode: str = "optimized",
-) -> QueryExecution:
-    """Run a multi-table query with a caller-forced join-tree shape.
-
-    ``shape`` is :func:`repro.planner.physical.serialize_shape` output —
-    a table name or ``[kind, build, probe]`` nesting — so experiments can
-    force genuinely bushy plans the left-deep order API cannot express.
-    """
-    query = parse(sql)
-    if len(query.from_tables) < 2:
-        raise PlanError("execute_with_join_tree needs a multi-table query")
-    plan = build_plan(ctx, catalog, query, mode, shape=shape)
     return execute_plan(ctx, plan)
 
 
@@ -471,7 +465,7 @@ def _join_plan(
     ctx: CloudContext,
     query: ast.Query,
     mode: str,
-    tree: physical.PlanNode,
+    tree: PlanNode,
     search: JoinOrderSearch,
     decision,
     prepared,
@@ -487,29 +481,29 @@ def _join_plan(
     """
     optimized = mode != "baseline"
     if not optimized:
-        tree = search.build_tree(physical.serialize_shape(tree), pushdown=False)
-    physical.mark_spine(tree)
-    label = physical.join_tree_label(tree)
-    leaves = physical.join_leaves(tree)
+        tree = search.build_tree(serialize_shape(tree), pushdown=False)
+    mark_spine(tree)
+    label = join_tree_label(tree)
+    leaves = join_leaves(tree)
 
-    deferred = [edge.to_expr() for edge in physical.join_extra_edges(tree)]
+    deferred = [edge.to_expr() for edge in join_extra_edges(tree)]
     residual = ast.and_join(
         deferred + ast.split_conjuncts(search.graph.residual)
     )
-    node: physical.PlanNode = tree
+    node: PlanNode = tree
     adaptive_node = None
     if (
         mode == "adaptive"
         and isinstance(tree, HashJoinNode)
         and len(leaves) >= 3
-        and physical.tree_signature(tree) is not None
+        and tree_signature(tree) is not None
     ):
         # Mid-flight re-optimization needs at least three relations (two
         # leave nothing to reorder) and a pure inner equi-join tree
         # (outer / semi / anti edges may not be reordered); the search
         # object rides along so re-plans price through the same
         # calibrated cost model the original plan did.
-        adaptive_node = physical.AdaptiveJoinNode(
+        adaptive_node = AdaptiveJoinNode(
             tree, search, ctx.adaptive_threshold
         )
         node = adaptive_node

@@ -34,7 +34,7 @@ planner's one entry (:func:`~repro.planner.planner.plan_parsed`, so
 nested subqueries decorrelate the same way) and becomes an
 :class:`~repro.planner.physical.InitPlan` of the outer plan, which the
 executor runs before the root and bills to the query; a
-:class:`~repro.planner.physical.LegNode` reads its rows, a ``$n`` its
+:class:`~repro.planner.nodes.LegNode` reads its rows, a ``$n`` its
 value.  Name collisions between build and probe sides are impossible:
 every build column a leg feeds is renamed to a ``__sq<N>_`` prefix.  Column
 scoping follows SQL: an unqualified name resolves to the innermost
@@ -56,7 +56,8 @@ from dataclasses import dataclass, field
 from repro.cloud.context import CloudContext
 from repro.common.errors import PlanError
 from repro.engine.catalog import Catalog, TableInfo
-from repro.planner.physical import InitPlan, column_items
+from repro.planner.physical import InitPlan
+from repro.planner.tail import column_items
 from repro.sqlparser import ast
 
 _SUBQUERY_NODES = (ast.Exists, ast.InSubquery, ast.ScalarSubquery)

@@ -10,7 +10,7 @@ Every query comes in two variants matching the paper's configurations:
 
 Each variant is a function ``(ctx, catalog) -> QueryExecution`` over
 tables loaded by :func:`repro.queries.dataset.load_tpch`: a hand-written
-:mod:`repro.planner.physical` tree run by the one executor.  A baseline
+plan tree (:mod:`repro.planner.nodes`) run by the one executor.  A baseline
 is GET scans metered as one whole-query phase named after the query.
 """
 
@@ -23,22 +23,21 @@ from repro.bloom.filter import BloomPushdown
 from repro.cloud.context import CloudContext, QueryExecution
 from repro.engine.catalog import Catalog, TableInfo
 from repro.planner import physical
-from repro.planner.physical import (
+from repro.planner.joins import HashJoinNode
+from repro.planner.nodes import (
     FilterNode,
     GroupByNode,
-    HashJoinNode,
-    InitPlan,
     LegNode,
-    PhysicalPlan,
     PlanNode,
     ProjectNode,
     PushedAggregateNode,
     ScanNode,
     SortNode,
     TopKNode,
-    select_list_node,
     whole_table_select,
 )
+from repro.planner.physical import InitPlan, PhysicalPlan
+from repro.planner.tail import select_list_node
 from repro.queries.common import items
 from repro.sqlparser import ast
 from repro.sqlparser.parser import parse_expression

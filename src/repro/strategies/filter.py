@@ -9,7 +9,7 @@ Figure 1 compares them across selectivities: S3-side filter wins broadly,
 indexing wins only when very few rows match (each match costs one HTTP
 request), and server-side is ~10x slower than S3-side throughout.
 
-Each ``*_plan`` constructor builds a :mod:`repro.planner.physical` tree
+Each ``*_plan`` constructor builds a :mod:`repro.planner.nodes` tree
 annotated with its estimates: the chooser prices the very plan the
 runner of the same name executes.  The index access is a leaf of its own.
 """
@@ -26,16 +26,15 @@ from repro.engine.catalog import Catalog, TableInfo
 from repro.optimizer.cost import _phase
 from repro.optimizer.feedback import estimated_rows
 from repro.planner import physical
-from repro.planner.physical import (
+from repro.planner.nodes import (
     FilterNode,
-    PhysicalPlan,
     PlanNode,
     ProjectNode,
     ScanNode,
-    column_items,
-    select_list_node,
     whole_table_select,
 )
+from repro.planner.physical import PhysicalPlan
+from repro.planner.tail import column_items, select_list_node
 from repro.s3select.engine import PreparedSelect
 from repro.sqlparser import ast
 from repro.storage.csvcodec import iter_decode_column_batches
@@ -162,7 +161,7 @@ class IndexFetchNode(PlanNode):
             f" cols={len(self.columns)} pred=({self.index_predicate.to_sql()})"
         )
 
-    def predicted_phases(self, ctx: CloudContext) -> list[Phase]:
+    def predicted_phases(self, ctx: CloudContext, combined=False) -> list[Phase]:
         table, matched = self.table, self.est_rows
         index_row = self.index.total_bytes / max(table.num_rows, 1)
         lookup = _phase(

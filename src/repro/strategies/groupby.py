@@ -13,7 +13,7 @@
 S3 Select has no GROUP BY, which is what forces the CASE encoding — and
 what the paper's Suggestion 4 (partial group-by) would fix.
 
-The first two are scans under a :class:`~repro.planner.physical.GroupByNode`;
+The first two are scans under a :class:`~repro.planner.nodes.GroupByNode`;
 the CASE-encoded and the hybrid aggregation are leaf nodes of their own,
 each predicting its phases beside the ``group_rows`` that meters them.
 The chooser prices the very plan a ``*_plan`` constructor's runner executes.
@@ -36,14 +36,15 @@ from repro.engine.operators.groupby import group_by_batches
 from repro.optimizer.cost import _phase
 from repro.optimizer.feedback import estimated_rows
 from repro.planner import physical
-from repro.planner.physical import (
+from repro.planner.nodes import (
     FilterNode,
     GroupByNode,
-    PhysicalPlan,
     PlanNode,
     ScanNode,
+    one_batch,
     whole_table_select,
 )
+from repro.planner.physical import PhysicalPlan
 from repro.s3select.validator import EXPRESSION_LIMIT_BYTES
 from repro.sqlparser import ast
 from repro.strategies.scans import (
@@ -265,7 +266,7 @@ class PushedGroupByNode(PlanNode):
     def run(self, state: physical.ExecState):
         rows = self.group_rows(state.ctx, state.phases)
         names = self.query.output_names()
-        return names, physical.one_batch(rows, names)
+        return names, one_batch(rows, names)
 
 
 class CaseGroupByNode(PushedGroupByNode):
@@ -279,7 +280,7 @@ class CaseGroupByNode(PushedGroupByNode):
 
     kind = "case-group-by"
 
-    def predicted_phases(self, ctx: CloudContext) -> list[Phase]:
+    def predicted_phases(self, ctx: CloudContext, combined=False) -> list[Phase]:
         work = _case_scan_work(self.table, self.query, int(self.est_rows))
         return [
             self._group_scan_phase("collect-groups"),
@@ -354,7 +355,7 @@ class HybridGroupByNode(PushedGroupByNode):
         self.s3_groups = s3_groups
         self.expression_limit_bytes = expression_limit_bytes
 
-    def predicted_phases(self, ctx: CloudContext) -> list[Phase]:
+    def predicted_phases(self, ctx: CloudContext, combined=False) -> list[Phase]:
         table, query = self.table, self.query
         stats = table.stats_or_default()
         groups = int(self.est_rows)

@@ -18,7 +18,7 @@ only past that does it fall back to an unfiltered probe scan.  All the
 degraded scans are *serial* after the build side (the decision is made
 only after the build side is loaded).  The ladder itself is
 :func:`repro.bloom.filter.membership_clauses`, run by the plan's
-:class:`~repro.planner.physical.HashJoinNode`.
+:class:`~repro.planner.joins.HashJoinNode`.
 
 The chooser prices the very plan a ``*_plan`` constructor's runner executes.
 """
@@ -40,16 +40,10 @@ from repro.common.errors import PlanError
 from repro.engine.catalog import Catalog
 from repro.optimizer.feedback import estimated_rows
 from repro.planner import physical
-from repro.planner.physical import (
-    HashJoinNode,
-    PhysicalPlan,
-    PlanNode,
-    ProjectNode,
-    ScanNode,
-    column_items,
-    select_list_node,
-    whole_table_select,
-)
+from repro.planner.joins import HashJoinNode
+from repro.planner.nodes import PlanNode, ProjectNode, ScanNode, whole_table_select
+from repro.planner.physical import PhysicalPlan
+from repro.planner.tail import column_items, select_list_node
 from repro.s3select.validator import EXPRESSION_LIMIT_BYTES
 from repro.sqlparser import ast
 from repro.strategies.scans import decoded_columns

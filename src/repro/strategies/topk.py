@@ -11,7 +11,7 @@ where ``alpha`` is the fraction of row bytes the ORDER BY expression
 needs (Section VII-B); :func:`optimal_sample_size` implements it and the
 Figure 8 experiment sweeps around it.
 
-Both are a scan under a :class:`~repro.planner.physical.TopKNode`; the
+Both are a scan under a :class:`~repro.planner.nodes.TopKNode`; the
 sampling variant's scan first samples its own threshold predicate.  The
 chooser prices the very plan a ``*_plan`` constructor's runner executes.
 """
@@ -27,7 +27,8 @@ from repro.common.errors import PlanError
 from repro.engine.catalog import Catalog, TableInfo
 from repro.optimizer.cost import _phase
 from repro.planner import physical
-from repro.planner.physical import PhysicalPlan, ScanNode, TopKNode
+from repro.planner.nodes import ScanNode, TopKNode
+from repro.planner.physical import PhysicalPlan
 from repro.sqlparser import ast
 from repro.strategies.scans import iter_scan_batches, phase_since, projection_sql
 
@@ -131,7 +132,7 @@ class SampledThresholdScan(ScanNode):
     def describe(self) -> str:
         return f"sampled[{self.sample_size}] {super().describe()}"
 
-    def predicted_phases(self, ctx: CloudContext) -> list[Phase]:
+    def predicted_phases(self, ctx: CloudContext, combined=False) -> list[Phase]:
         table, size = self.table, self.sample_size
         width = table.stats_or_default().projected_row_bytes(
             [self.query.order_column]
@@ -143,9 +144,9 @@ class SampledThresholdScan(ScanNode):
             returned_bytes=size * width,
             cpu_seconds=size * math.log2(max(size, 2)) * 6e-9,
             records=size, fields=size,
-        )]
+        )] + super().predicted_phases(ctx, combined)
 
-    def run(self, state: physical.ExecState, pushed=None, drained=False):
+    def run(self, state: physical.ExecState):
         ctx, table, query = state.ctx, self.table, self.query
         mark = ctx.metrics.mark()
         sample = [
@@ -173,7 +174,7 @@ class SampledThresholdScan(ScanNode):
             "sample_size": self.sample_size, "threshold": threshold,
             "alpha": self.alpha,
         }
-        return super().run(state, drained=drained)
+        return super().run(state)
 
     def _at_or_past(self, threshold) -> ast.Expr:
         """The pushed range predicate.  Inclusive in both directions, so

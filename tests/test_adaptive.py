@@ -200,7 +200,7 @@ class TestReplanning:
         materialized result and six pending scans, and rows stay those
         of the static plan."""
         from repro.optimizer.joinorder import DP_TABLE_LIMIT, JoinOrderSearch
-        from repro.planner.physical import MaterializedNode
+        from repro.planner.joins import MaterializedNode
         from repro.storage.schema import TableSchema
 
         n = DP_TABLE_LIMIT + 1
@@ -253,7 +253,7 @@ class TestReplanning:
         assert "materialized[" in execution.report.plan
 
     def test_forced_shape_still_adapts(self):
-        """Experiment-forced trees (execute_with_join_tree) adapt too."""
+        """Experiment-forced trees (execute_forced_join) adapt too."""
         from repro.planner.planner import build_plan, execute_plan
         from repro.sqlparser.parser import parse
 
@@ -264,10 +264,10 @@ class TestReplanning:
         del shape_label
         static = plan_and_execute(ctx_s, cat_s, sql, mode="optimized")
         ctx, catalog = star_session()
-        from repro.planner import physical
+        from repro.planner.joins import AdaptiveJoinNode
 
         plan = build_plan(ctx, catalog, parse(sql), "adaptive")
-        assert isinstance(plan.adaptive_node, physical.AdaptiveJoinNode)
+        assert isinstance(plan.adaptive_node, AdaptiveJoinNode)
         execution = execute_plan(ctx, plan)
         assert execution.rows[0][0] == pytest.approx(static.rows[0][0])
 
@@ -278,7 +278,7 @@ class TestReplanEvents:
         (``a >< b >< c`` either way) but not the serialized shape, which
         the event records too."""
         from repro.optimizer.joinorder import JoinOrderSearch, build_join_graph
-        from repro.planner.physical import AdaptiveJoinNode, MaterializedNode
+        from repro.planner.joins import AdaptiveJoinNode, MaterializedNode
         from repro.sqlparser.parser import parse
         from repro.storage.schema import TableSchema
 

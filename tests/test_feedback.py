@@ -70,7 +70,8 @@ class TestStore:
         assert combined == pytest.approx(0.5 * system_r_b)
 
     def test_join_feedback_roundtrip(self):
-        from repro.planner.physical import HashJoinNode, ScanNode, tree_signature
+        from repro.planner.joins import HashJoinNode, tree_signature
+        from repro.planner.nodes import ScanNode
 
         store = FeedbackStore()
         table = _db().table("t")
@@ -209,7 +210,7 @@ class TestHarvest:
         assert store.summary()["selectivities"] == 0
         # The planner path harvests internally; the standalone API is
         # exercised against a hand-built scan.
-        from repro.planner.physical import ScanNode
+        from repro.planner.nodes import ScanNode
 
         scan = ScanNode(
             db2.table("t"), ["k"], parse_expression("b < 20"), pushdown=True

@@ -205,6 +205,7 @@ class TestSqlJoinsShareTheLadder:
         from dataclasses import replace
 
         from repro.planner import physical
+        from repro.planner.joins import HashJoinNode
         from repro.planner.planner import build_plan
         from repro.sqlparser.parser import parse
         from repro.workloads.tpch import TABLE_SCHEMAS
@@ -213,7 +214,7 @@ class TestSqlJoinsShareTheLadder:
         plan = build_plan(ctx, catalog, parse(self.SQL), "optimized")
         (join,) = (
             n for n, _ in physical.walk_plan(plan.root)
-            if isinstance(n, physical.HashJoinNode)
+            if isinstance(n, HashJoinNode)
         )
         assert join.bloom is not None and join.probe.table.name == "orders"
         join.bloom = replace(join.bloom, limit_bytes=130)

@@ -91,7 +91,7 @@ class TestJoinGraph:
         assert not graph.is_connected()
 
     def test_small_disconnected_plans_as_cross_product(self, env):
-        from repro.planner.physical import CrossProductNode
+        from repro.planner.joins import CrossProductNode
 
         ctx, catalog = env
         query = parse("SELECT COUNT(*) AS n FROM a, b, c WHERE a_id = b_a")
@@ -248,12 +248,12 @@ class TestBushySearch:
         return ctx, catalog, parse(sql)
 
     def test_dp_picks_a_bushy_tree_on_snowflakes(self, snowflake):
-        from repro.planner import physical
+        from repro.planner.joins import is_left_deep, join_tree_label
 
         ctx, catalog, query = snowflake
         decision = plan_join_order(ctx, catalog, query)
-        assert not physical.is_left_deep(decision.tree)
-        assert "><" in physical.join_tree_label(decision.tree)
+        assert not is_left_deep(decision.tree)
+        assert "><" in join_tree_label(decision.tree)
 
     def test_bushy_estimate_beats_every_left_deep_order(self, snowflake):
         ctx, catalog, query = snowflake
@@ -287,7 +287,8 @@ class TestBushySearch:
     def test_inner_probe_scans_carry_bloom_estimates(self, snowflake):
         """price/execution symmetry: probe-side leaf scans below the
         root join are Bloom-annotated when the build key is an int."""
-        from repro.planner.physical import HashJoinNode, ScanNode
+        from repro.planner.joins import HashJoinNode
+        from repro.planner.nodes import ScanNode
 
         ctx, catalog, query = snowflake
         decision = plan_join_order(ctx, catalog, query)
@@ -330,7 +331,8 @@ class TestZoneMapsOncePerSearch:
         from collections import Counter
 
         from repro.optimizer import pruning
-        from repro.planner.physical import HashJoinNode, ScanNode
+        from repro.planner.joins import HashJoinNode
+        from repro.planner.nodes import ScanNode
 
         ctx, catalog, query = sorted_star
         graph = build_join_graph(catalog, query)

@@ -25,11 +25,24 @@ from repro.engine.catalog import Catalog, load_table
 from repro.experiments.tpch_suite import ALL_QUERIES, QUERY_DIR, load_suite_tables
 from repro.planner import physical
 from repro.planner.database import PushdownDB
+from repro.planner.joins import (
+    HashJoinNode,
+    is_left_deep,
+    join_leaf_order,
+    join_tree_label,
+    serialize_shape,
+)
+from repro.planner.nodes import (
+    LimitNode,
+    PlanNode,
+    PushedAggregateNode,
+    ScanNode,
+    whole_table_select,
+)
 from repro.planner.planner import (
     build_plan,
     execute_parsed,
-    execute_with_join_order,
-    execute_with_join_tree,
+    execute_forced_join,
     plan_and_execute,
 )
 from repro.planner.report import render_execution_report
@@ -212,11 +225,11 @@ class TestShapeRoundTrip:
         plan = build_plan(db.ctx, db.catalog, query, "optimized",
                           shape=BUSHY_SHAPE)
         join_root = plan.root
-        while not isinstance(join_root, physical.HashJoinNode):
+        while not isinstance(join_root, HashJoinNode):
             join_root = join_root.children()[0]
-        assert physical.serialize_shape(join_root) == BUSHY_SHAPE
-        assert not physical.is_left_deep(join_root)
-        assert physical.join_tree_label(join_root) == (
+        assert serialize_shape(join_root) == BUSHY_SHAPE
+        assert not is_left_deep(join_root)
+        assert join_tree_label(join_root) == (
             "((sub1 >< dim1) >< ((sub2 >< dim2) >< fact))"
         )
 
@@ -230,11 +243,11 @@ class TestShapeRoundTrip:
             "optimized", force_order=["sub1", "dim1", "fact"],
         )
         join_root = plan.root
-        while not isinstance(join_root, physical.HashJoinNode):
+        while not isinstance(join_root, HashJoinNode):
             join_root = join_root.children()[0]
-        assert physical.is_left_deep(join_root)
-        assert physical.join_leaf_order(join_root) == ["sub1", "dim1", "fact"]
-        assert physical.join_tree_label(join_root) == "sub1 >< dim1 >< fact"
+        assert is_left_deep(join_root)
+        assert join_leaf_order(join_root) == ["sub1", "dim1", "fact"]
+        assert join_tree_label(join_root) == "sub1 >< dim1 >< fact"
 
 
 class TestBushyDifferential:
@@ -247,20 +260,20 @@ class TestBushyDifferential:
         )
 
         graph = build_join_graph(db.catalog, parse(SNOWFLAKE_SQL))
-        bushy = execute_with_join_tree(
-            db.ctx, db.catalog, SNOWFLAKE_SQL, BUSHY_SHAPE
+        bushy = execute_forced_join(
+            db.ctx, db.catalog, SNOWFLAKE_SQL, shape=BUSHY_SHAPE
         )
         orders = enumerate_left_deep_orders(graph)
         assert len(orders) == 16  # 5-node path graph: 2^4 interval orders
         for order in orders:
-            forced = execute_with_join_order(
-                db.ctx, db.catalog, SNOWFLAKE_SQL, order
+            forced = execute_forced_join(
+                db.ctx, db.catalog, SNOWFLAKE_SQL, order=order
             )
             assert forced.rows[0][0] == pytest.approx(bushy.rows[0][0])
 
     def test_bushy_matches_baseline_and_auto(self, db):
-        bushy = execute_with_join_tree(
-            db.ctx, db.catalog, SNOWFLAKE_SQL, BUSHY_SHAPE
+        bushy = execute_forced_join(
+            db.ctx, db.catalog, SNOWFLAKE_SQL, shape=BUSHY_SHAPE
         )
         for mode in ("baseline", "auto"):
             execution = db.execute(SNOWFLAKE_SQL, mode=mode)
@@ -269,8 +282,8 @@ class TestBushyDifferential:
     def test_bushy_blooms_both_dimension_scans(self, db):
         """The snowflake payoff: both dims Bloom-reduced by their own
         filtered sub-dimension, which no left-deep order achieves."""
-        bushy = execute_with_join_tree(
-            db.ctx, db.catalog, SNOWFLAKE_SQL, BUSHY_SHAPE
+        bushy = execute_forced_join(
+            db.ctx, db.catalog, SNOWFLAKE_SQL, shape=BUSHY_SHAPE
         )
         bloomed = [
             r.node for r in bushy.report.nodes
@@ -313,7 +326,7 @@ class TestActualsFeedback:
         assert "est_rows" in report
 
 
-def _plan_node_classes(cls=physical.PlanNode):
+def _plan_node_classes(cls=PlanNode):
     for sub in cls.__subclasses__():
         yield sub
         yield from _plan_node_classes(sub)
@@ -405,7 +418,7 @@ def test_every_plan_node_stream_yields_batches(batch_streams):
 
 
 def _scan_leaves(node):
-    if isinstance(node, physical.ScanNode):
+    if isinstance(node, ScanNode):
         yield node
     for child in node.children():
         yield from _scan_leaves(child)
@@ -473,7 +486,7 @@ def test_baseline_get_scans_decode_needed_columns_and_bill_full_rows(monkeypatch
                 if scan.table.name in twin_scans:
                     needed = set(twin_scans[scan.table.name].columns)
                 else:  # the twin pushed the whole aggregate S3-side
-                    assert isinstance(twin.root, physical.PushedAggregateNode)
+                    assert isinstance(twin.root, PushedAggregateNode)
                     needed = set().union(*(
                         ast.referenced_columns(i.expr) for i in query.select_items
                     ))
@@ -653,6 +666,56 @@ def test_price_phases_has_two_callers():
     assert "repro.strategies" not in (root / "optimizer/cost.py").read_text()
 
 
+def _sources(*packages: str) -> dict[str, str]:
+    """``{path under src/repro: text}`` of every module in ``packages``."""
+    import repro
+
+    root = Path(repro.__file__).parent
+    return {
+        str(path.relative_to(root)): path.read_text()
+        for package in packages
+        for path in sorted((root / package).rglob("*.py"))
+    }
+
+
+def test_no_planner_module_passes_a_thousand_lines():
+    sizes = {
+        path: text.count("\n") for path, text in _sources("planner").items()
+    }
+    assert max(sizes.values()) <= 1000, sizes
+
+
+def test_only_the_executor_reads_the_clock():
+    """Nodes are timed by the one run entry, never by themselves."""
+    sites = {
+        path for path, text in _sources("planner", "strategies").items()
+        if "perf_counter(" in text
+    }
+    assert sites == {"planner/physical.py"}
+
+
+def test_the_cost_walker_names_no_table_leaf():
+    """Every leaf predicts its own phase beside the run that meters it;
+    the walker only assembles them, so it branches on no leaf type."""
+    text = _sources("planner")["planner/costing.py"]
+    assert "ScanNode" not in text and "PushedAggregateNode" not in text
+
+
+def test_nodes_reach_the_executor_through_its_state():
+    """One run signature, one dispatch: ``ExecState.run`` branches on no
+    node type, and no module outside the executor reaches run / drain
+    helpers of its own."""
+    import inspect
+
+    assert "isinstance" not in inspect.getsource(physical.ExecState.run)
+    private = ("_run_node", "_drain_node", "_materialize_node")
+    reaching = {
+        path for path, text in _sources("").items()
+        if path != "planner/physical.py" and any(name in text for name in private)
+    }
+    assert reaching == set()
+
+
 #: Phases whose request count depends on how many rows match.
 _DATA_DEPENDENT_REQUESTS = {"record-fetch", "multirange-fetch"}
 
@@ -719,7 +782,7 @@ class TestStrategyLaziness:
 
     @staticmethod
     def _limited(ctx, node, batch_streams, limit=3):
-        plan = physical.PhysicalPlan(physical.LimitNode(node, limit), "optimized", "lazy")
+        plan = physical.PhysicalPlan(LimitNode(node, limit), "optimized", "lazy")
         mark = ctx.metrics.mark()
         execution = physical.execute_plan(ctx, plan)
         assert len(execution.rows) == limit
@@ -820,15 +883,15 @@ class TestTwoTableJoinOrder:
         )
         plain = db.execute(sql)
         for order in (["sub1", "dim1"], ["dim1", "sub1"]):
-            forced = execute_with_join_order(db.ctx, db.catalog, sql, order)
+            forced = execute_forced_join(db.ctx, db.catalog, sql, order=order)
             assert forced.rows == plain.rows
             assert forced.strategy == "optimized multi-join (sub1 >< dim1)"
             assert "probe: scan dim1 [select+bloom(d1_s1)]" in forced.report.plan
             assert (forced.num_requests, forced.bytes_scanned, forced.bytes_returned) == (
                 plain.num_requests, plain.bytes_scanned, plain.bytes_returned
             )
-        baseline = execute_with_join_order(
-            db.ctx, db.catalog, sql, ["dim1", "sub1"], mode="baseline"
+        baseline = execute_forced_join(
+            db.ctx, db.catalog, sql, order=["dim1", "sub1"], mode="baseline"
         )
         assert baseline.rows == plain.rows and baseline.bytes_scanned == 0
 
@@ -836,9 +899,18 @@ class TestTwoTableJoinOrder:
         from repro.common.errors import PlanError
 
         with pytest.raises(PlanError, match="multi-table"):
-            execute_with_join_order(
-                db.ctx, db.catalog, "SELECT s1_id FROM sub1", ["sub1"]
+            execute_forced_join(
+                db.ctx, db.catalog, "SELECT s1_id FROM sub1", order=["sub1"]
             )
+
+    @pytest.mark.parametrize("forced", [{}, {"order": ["sub1", "dim1"],
+                                             "shape": ["hash", "sub1", "dim1"]}])
+    def test_exactly_one_forced_tree_is_accepted(self, db, forced):
+        from repro.common.errors import PlanError
+
+        sql = "SELECT d1_id FROM dim1, sub1 WHERE d1_s1 = s1_id"
+        with pytest.raises(PlanError, match="exactly one"):
+            execute_forced_join(db.ctx, db.catalog, sql, **forced)
 
 
 def test_q1_optimized_charges_its_final_sort(tpch_env):
@@ -1114,7 +1186,7 @@ def test_over_limit_planner_statement_raises_before_any_request(tpch_env):
     ctx, catalog = tpch_env
     table = catalog.get("customer")
     wide = parse(f"SELECT a FROM t WHERE c_name <> '{'x' * 300_000}'").where
-    scan = physical.whole_table_select(table, ["c_custkey"], wide)
+    scan = whole_table_select(table, ["c_custkey"], wide)
     (sql,) = scan.scan_sqls()
     mark = ctx.metrics.mark()
     for run in (
@@ -1137,7 +1209,7 @@ def test_pushed_scan_never_parses_its_statement(tpch_env, monkeypatch):
     from repro.strategies.scans import scan_partitions
 
     ctx, catalog = tpch_env
-    scan = physical.whole_table_select(
+    scan = whole_table_select(
         catalog.get("orders"), ["o_orderkey", "o_custkey"],
         parse("SELECT a FROM t WHERE o_totalprice > 1000").where, bloom_attr="o_custkey",
     )
@@ -1155,7 +1227,8 @@ def test_pushed_scan_never_parses_its_statement(tpch_env, monkeypatch):
         init(self, sql, *args, query=query, **kwargs)
 
     monkeypatch.setattr(select_engine.PreparedSelect, "__init__", recording)
-    names, stream = scan.run(physical.ExecState(ctx), pushed)
+    scan.pushed = pushed
+    names, stream = scan.run(physical.ExecState(ctx))
     rows = [row for batch in stream for row in batch]
     assert queries and None not in queries and parsed == []
     (sql,) = scan.scan_sqls(pushed)

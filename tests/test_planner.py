@@ -218,7 +218,7 @@ class TestMultiwayJoins:
             build_join_graph,
             enumerate_left_deep_orders,
         )
-        from repro.planner.planner import execute_with_join_order
+        from repro.planner.planner import execute_forced_join
         from repro.sqlparser.parser import parse
 
         graph = build_join_graph(db.catalog, parse(self.SQL3))
@@ -226,8 +226,8 @@ class TestMultiwayJoins:
         assert len(orders) == 4  # chain c-o-l: o can never come last
         reference = None
         for order in orders:
-            execution = execute_with_join_order(
-                db.ctx, db.catalog, self.SQL3, order
+            execution = execute_forced_join(
+                db.ctx, db.catalog, self.SQL3, order=order
             )
             if reference is None:
                 reference = execution.rows
@@ -301,15 +301,15 @@ class TestMultiwayJoins:
 
     def test_two_table_query_is_the_join_builder_at_n_2(self, db):
         """A 2-table query and the same query forced through
-        ``execute_with_join_tree`` on the searched shape are one plan:
+        ``execute_forced_join`` on the searched shape are one plan:
         same strategy, rows and metering."""
-        from repro.planner.planner import execute_with_join_tree
+        from repro.planner.planner import execute_forced_join
 
         for mode in ("baseline", "optimized"):
             planned = db.execute(self.SQL2, mode=mode)
-            forced = execute_with_join_tree(
+            forced = execute_forced_join(
                 db.ctx, db.catalog, self.SQL2,
-                ["hash", "customer", "orders"], mode=mode,
+                shape=["hash", "customer", "orders"], mode=mode,
             )
             assert planned.strategy == f"{mode} multi-join (customer >< orders)"
             assert forced.strategy == planned.strategy

@@ -42,6 +42,7 @@ from repro.engine.operators.topk import top_k_batches
 from repro.experiments.tpch_suite import QUERY_DIR
 from repro.expr.compiler import compile_expr, compile_predicate
 from repro.planner import physical
+from repro.planner.nodes import ScanNode
 from repro.planner.planner import plan_and_execute
 from repro.queries.tpch_queries import TPCH_QUERIES
 from repro.s3select import engine as select_engine
@@ -394,7 +395,7 @@ class TestLimitAndCounting:
 # ----------------------------------------------------------------------
 
 def _pushed_scan(ctx, info, columns):
-    scan = physical.ScanNode(info, columns, None, pushdown=True)
+    scan = ScanNode(info, columns, None, pushdown=True)
     return physical.execute_plan(
         ctx, physical.PhysicalPlan(scan, "optimized", "scan")
     )

@@ -44,7 +44,7 @@ def dump(ctx, mark, ex):
 
 if "sql" in sections:
     from repro.experiments.tpch_suite import ALL_QUERIES, load_suite_tables
-    from repro.planner.planner import execute_parsed
+    from repro.planner.planner import execute_parsed, plan_parsed
     from repro.sqlparser.parser import parse
 
     qdir = Path(root) / "benchmarks" / "tpch" / "queries"
@@ -58,9 +58,17 @@ if "sql" in sections:
             query = parse((qdir / f"{name}.sql").read_text())
             for mode in ("baseline", "optimized", "auto", "adaptive"):
                 ctx.feedback.reset()
+                # The predicted side: planning issues no requests.
+                plan, _ = plan_parsed(ctx, catalog, query, mode)
+                est = plan.estimate
                 mark = ctx.metrics.mark()
                 ex = execute_parsed(ctx, catalog, query, mode)
                 rec = dump(ctx, mark, ex)
+                rec["explain"] = plan.describe()
+                rec["estimate"] = [repr(v) for v in (
+                    est.requests, est.bytes_scanned, est.bytes_returned,
+                    est.bytes_transferred, est.runtime_seconds, est.total_cost,
+                )]
                 rec["picked"] = (ex.details.get("optimizer") or {}).get("picked")
                 rec["phase_cpu"] = [repr(c) for c in rec["phase_cpu"]]
                 rec["runtime_seconds"] = repr(rec["runtime_seconds"])
