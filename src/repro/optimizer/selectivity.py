@@ -251,18 +251,18 @@ def probe_selectivity(
     measurement is recorded back into the store either way.
     ``refresh=True`` forces a fresh metered probe.
     """
-    from repro.strategies.scans import iter_scan_batches, projection_sql
+    from repro.strategies.scans import iter_scan_batches, prepare, select_query
 
     store = ctx.feedback
     if store is not None and not refresh:
         cached = store.lookup_selectivity(table.name, predicate)
         if cached is not None:
             return cached
-    sql = projection_sql(
-        [f"SUM(CASE WHEN {predicate.to_sql()} THEN 1 ELSE 0 END)", "SUM(1)"]
-    )
+    one = ast.Literal(1)
+    matched_sum = ast.Aggregate("SUM", ast.Case(((predicate, one),), ast.Literal(0)))
+    statement = prepare(select_query([matched_sum, ast.Aggregate("SUM", one)]))
     matched = seen = 0
-    for batch in iter_scan_batches(ctx, table, sql, scan_range_fraction=fraction):
+    for batch in iter_scan_batches(ctx, table, statement, scan_range_fraction=fraction):
         matched += sum(v or 0 for v in batch.column(0))
         seen += sum(v or 0 for v in batch.column(1))
     if not seen:

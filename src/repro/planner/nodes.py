@@ -51,9 +51,10 @@ from repro.strategies.scans import (
     iter_scan_batches,
     merge_sum_partials,
     phase_since,
-    projection_sql,
+    prepare,
     scan_partitions,
     select_aggregate,
+    select_query,
 )
 
 if TYPE_CHECKING:
@@ -353,7 +354,7 @@ class ScanNode(_TableLeaf):
         set)."""
         own = [self.bound.to_sql()] if self.bound is not None else []
         return [
-            projection_sql(self.columns, " AND ".join(own + extra) or None)
+            _projection_sql(self.columns, " AND ".join(own + extra) or None)
             for extra in ([[clause] for clause in pushed] if pushed else [[]])
         ]
 
@@ -361,12 +362,11 @@ class ScanNode(_TableLeaf):
         """:meth:`scan_sqls` prepared, each text with the tree it parses to
         (left-deep over ``own AND clause``'s conjuncts) — built, not parsed."""
         own = [self.bound] if self.bound is not None else []
-        items = tuple(ast.SelectItem(ast.Column(c)) for c in self.columns)
         for sql, clause in zip(self.scan_sqls(pushed), pushed or [None]):
             where = ast.and_join(own + ast.split_conjuncts(clause and clause.expr))
-            yield PreparedSelect(sql, query=ast.Query(
-                items or (ast.SelectItem(ast.Star()),), "S3Object", where
-            ))
+            yield PreparedSelect(
+                sql, query=select_query(self.columns or [ast.Star()], where)
+            )
 
     def run(self, state: ExecState):
         """Requests issue now; the phase is finalized once the stream is
@@ -423,6 +423,13 @@ class ScanNode(_TableLeaf):
         if cache is None:
             return names, iter(counter)
         return names, self._tee_cache(iter(counter), drained)
+
+
+def _projection_sql(columns: Sequence[str], where_sql: str | None) -> str:
+    """A scan's wire text: its Bloom clauses travel as rendered, so it is
+    assembled here rather than rendered from its tree."""
+    sql = f"SELECT {', '.join(columns) or '*'} FROM S3Object"
+    return f"{sql} WHERE {where_sql}" if where_sql else sql
 
 
 def whole_table_select(
@@ -525,14 +532,10 @@ class PushedAggregateNode(_TableLeaf):
             self.cache_status = reuse.status
             partials, streams = reuse.partials, 1
         else:
-            pushed = ast.Query(
-                select_items=self.query.select_items, table="S3Object",
-                where=self.bound,
-            )
+            pushed = ast.Query(self.query.select_items, "S3Object", self.bound)
             keep, streams = self._effective_partitions()
             partials = select_aggregate(
-                ctx, self.table, PreparedSelect(pushed.to_sql(), query=pushed),
-                partitions=keep,
+                ctx, self.table, prepare(pushed), partitions=keep
             )
             if cache is not None:
                 self.cache_status = "miss"

@@ -68,28 +68,24 @@ class QueryVariants:
 def _get(
     table: TableInfo,
     reads: Sequence[str],
-    where: str | None = None,
+    where: ast.Expr | None = None,
     bloom_attr: str | None = None,
 ) -> ScanNode:
     """A GET scan decoding what the plan ``reads`` (and its own filter);
     a join above it has no WHERE clause to ship ``bloom_attr`` keys into."""
-    predicate = parse_expression(where) if where else None
     return ScanNode(
-        table, decoded_columns(table, reads, predicate), predicate, pushdown=False
+        table, decoded_columns(table, reads, where), where, pushdown=False
     )
 
 
 def _select(
     table: TableInfo,
     columns: Sequence[str],
-    where: str | None = None,
+    where: ast.Expr | None = None,
     bloom_attr: str | None = None,
 ) -> ScanNode:
     """A pushed scan whose phase is named after its table."""
-    return whole_table_select(
-        table, columns, parse_expression(where) if where else None,
-        table.name, bloom_attr,
-    )
+    return whole_table_select(table, columns, where, table.name, bloom_attr)
 
 
 def _plan(strategy: str, root: PlanNode, one_phase: bool = False) -> PhysicalPlan:
@@ -152,6 +148,9 @@ def q1_optimized(ctx: CloudContext, catalog: Catalog) -> QueryExecution:
 # ----------------------------------------------------------------------
 
 _Q3_DATE = "1995-03-15"
+_Q3_CUSTOMER = parse_expression("c_mktsegment = 'BUILDING'")
+_Q3_ORDERS = parse_expression(f"o_orderdate < '{_Q3_DATE}'")
+_Q3_LINEITEM = parse_expression(f"l_shipdate > '{_Q3_DATE}'")
 _Q3_KEYS = [
     ast.Column("l_orderkey"), ast.Column("o_orderdate"), ast.Column("o_shippriority")
 ]
@@ -167,11 +166,11 @@ def _q3(catalog: Catalog, scan) -> PlanNode:
     lineitem.  The semi join is exact: it eliminates the false positives
     of a Bloom-filtered orders scan."""
     matched_orders = HashJoinNode(
-        scan(catalog.get("customer"), ["c_custkey"], "c_mktsegment = 'BUILDING'"),
+        scan(catalog.get("customer"), ["c_custkey"], _Q3_CUSTOMER),
         scan(
             catalog.get("orders"),
             ["o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"],
-            f"o_orderdate < '{_Q3_DATE}'", bloom_attr="o_custkey",
+            _Q3_ORDERS, bloom_attr="o_custkey",
         ),
         "c_custkey", "o_custkey", bloom=_BLOOM, join_type="semi",
     )
@@ -179,7 +178,7 @@ def _q3(catalog: Catalog, scan) -> PlanNode:
         matched_orders,
         scan(
             catalog.get("lineitem"), ["l_orderkey", "l_extendedprice", "l_discount"],
-            f"l_shipdate > '{_Q3_DATE}'", bloom_attr="l_orderkey",
+            _Q3_LINEITEM, bloom_attr="l_orderkey",
         ),
         "o_orderkey", "l_orderkey", bloom=_BLOOM, stream_probe=True,
     )
@@ -228,7 +227,7 @@ def q6_optimized(ctx: CloudContext, catalog: Catalog) -> QueryExecution:
 # Q14: promotion effect (lineitem ⋈ part, CASE aggregate)
 # ----------------------------------------------------------------------
 
-_Q14_WHERE = "l_shipdate >= '1995-09-01' AND l_shipdate < '1995-10-01'"
+_Q14_WHERE = parse_expression("l_shipdate >= '1995-09-01' AND l_shipdate < '1995-10-01'")
 _Q14_L_COLS = ["l_partkey", "l_extendedprice", "l_discount"]
 _Q14_P_COLS = ["p_partkey", "p_type"]
 _Q14_OUTPUT = items(
@@ -259,7 +258,10 @@ def q14_optimized(ctx: CloudContext, catalog: Catalog) -> QueryExecution:
 # Q17: small-quantity-order revenue (correlated subquery over lineitem)
 # ----------------------------------------------------------------------
 
-_Q17_PART_WHERE = "p_brand = 'Brand#23' AND p_container = 'MED BOX'"
+_Q17_PART_WHERE = parse_expression("p_brand = 'Brand#23' AND p_container = 'MED BOX'")
+_Q17_AVERAGE = items("AVG(l_quantity) AS avg_quantity")
+_Q17_KEYED = items("l_partkey AS avg_partkey", "avg_quantity")
+_Q17_SMALL = parse_expression("l_quantity < 0.2 * avg_quantity")
 _Q17_L_COLS = ["l_partkey", "l_quantity", "l_extendedprice"]
 #: (an empty candidate set sums to 0, not NULL, as the hand loop did)
 _Q17_OUTPUT = items("COALESCE(SUM(l_extendedprice), 0.0) / 7.0 AS avg_yearly")
@@ -283,18 +285,15 @@ def _q17(ctx: CloudContext, catalog: Catalog, scan, strategy: str) -> QueryExecu
         "the average and its join",
     )
     average = ProjectNode(
-        GroupByNode(
-            LegNode(lines), [ast.Column("l_partkey")],
-            items("AVG(l_quantity) AS avg_quantity"),
-        ),
-        items("l_partkey AS avg_partkey", "avg_quantity"),
+        GroupByNode(LegNode(lines), [ast.Column("l_partkey")], _Q17_AVERAGE),
+        _Q17_KEYED,
     )
     small = FilterNode(
         HashJoinNode(
             average, LegNode(lines),
             "avg_partkey", "l_partkey", stream_probe=True,
         ),
-        parse_expression("l_quantity < 0.2 * avg_quantity"),
+        _Q17_SMALL,
     )
     outer = PhysicalPlan(
         select_list_node(small, _Q17_OUTPUT), lines.plan.mode, strategy,
@@ -341,14 +340,20 @@ _Q19_BRANCHES_SQL = " OR ".join(
 _Q19_COMMON_L = (
     "l_shipmode IN ('AIR', 'AIR REG') AND l_shipinstruct = 'DELIVER IN PERSON'"
 )
+#: The baseline's filter, then the optimized variant's: each side's part
+#: of the disjunction pushed, the exact per-branch check left.
+_Q19_WHERE = parse_expression(f"({_Q19_BRANCHES_SQL}) AND {_Q19_COMMON_L}")
+_Q19_PART = parse_expression(" OR ".join(f"({p})" for p in _Q19_P_SIDE))
+_Q19_LINEITEM = parse_expression(f"{_Q19_COMMON_L} AND ({' OR '.join(_Q19_L_SIDE)})")
+_Q19_RESIDUAL = parse_expression(_Q19_BRANCHES_SQL)
 _Q19_L_COLS = ["l_partkey", "l_quantity", "l_extendedprice", "l_discount"]
 _Q19_P_COLS = ["p_partkey", "p_brand", "p_size", "p_container"]
 _Q19_OUTPUT = items("SUM(l_extendedprice * (1 - l_discount)) AS revenue")
 
 
-def _q19(ctx, strategy: str, part: ScanNode, lineitem: ScanNode, residual: str):
+def _q19(ctx, strategy: str, part: ScanNode, lineitem: ScanNode, residual: ast.Expr):
     joined = HashJoinNode(part, lineitem, "p_partkey", "l_partkey", stream_probe=True)
-    kept = FilterNode(joined, parse_expression(residual))
+    kept = FilterNode(joined, residual)
     # The two scans load in parallel, pushed or not: one phase.
     return physical.execute_plan(ctx, _plan(
         strategy, select_list_node(kept, _Q19_OUTPUT), one_phase=True
@@ -359,7 +364,7 @@ def q19_baseline(ctx: CloudContext, catalog: Catalog) -> QueryExecution:
     return _q19(
         ctx, "q19 baseline", _get(catalog.get("part"), _Q19_P_COLS),
         _get(catalog.get("lineitem"), _Q19_L_COLS + ["l_shipmode", "l_shipinstruct"]),
-        f"({_Q19_BRANCHES_SQL}) AND {_Q19_COMMON_L}",
+        _Q19_WHERE,
     )
 
 
@@ -370,14 +375,9 @@ def q19_optimized(ctx: CloudContext, catalog: Catalog) -> QueryExecution:
     needs an exact check."""
     return _q19(
         ctx, "q19 optimized",
-        _select(catalog.get("part"), _Q19_P_COLS, " OR ".join(
-            f"({p})" for p in _Q19_P_SIDE
-        )),
-        _select(
-            catalog.get("lineitem"), _Q19_L_COLS,
-            f"{_Q19_COMMON_L} AND ({' OR '.join(_Q19_L_SIDE)})",
-        ),
-        _Q19_BRANCHES_SQL,
+        _select(catalog.get("part"), _Q19_P_COLS, _Q19_PART),
+        _select(catalog.get("lineitem"), _Q19_L_COLS, _Q19_LINEITEM),
+        _Q19_RESIDUAL,
     )
 
 

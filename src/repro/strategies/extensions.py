@@ -30,7 +30,6 @@ from repro.engine.catalog import Catalog
 from repro.optimizer.cost import _phase
 from repro.planner import physical
 from repro.planner.physical import PhysicalPlan
-from repro.s3select.engine import PreparedSelect
 from repro.sqlparser import ast
 from repro.strategies.filter import FilterQuery, indexed_filter_plan
 from repro.strategies.groupby import (
@@ -38,7 +37,7 @@ from repro.strategies.groupby import (
     PushedGroupByNode,
     assemble_group_rows,
 )
-from repro.strategies.scans import merge_partial, phase_since, projection_sql
+from repro.strategies.scans import merge_partial, phase_since, prepare, select_query
 
 #: Ranges batched into one extended GET request.
 MAX_RANGES_PER_REQUEST = 1000
@@ -98,21 +97,19 @@ class PartialGroupByNode(PushedGroupByNode):
     def group_rows(self, ctx: CloudContext, phases: list[Phase]) -> list[tuple]:
         table, query = self.table, self.query
         # One pushed column per partial, and how each merges.
-        pushed: list[tuple[str, str]] = []
-        for agg in query.aggregates:
-            func = agg.func.upper()
-            for partial in ("SUM", "COUNT") if func == "AVG" else (func,):
-                pushed.append((func, f"{partial}({agg.column})"))
-        sql = projection_sql(
+        pushed = [
+            (agg.func.upper(), ast.Aggregate(partial, agg.parsed_expr))
+            for agg in query.aggregates for partial in agg.partial_funcs
+        ]
+        statement = prepare(select_query(
             [*query.group_columns, *(column for _, column in pushed)],
-            query.where_sql(),
-        ) + " GROUP BY " + ", ".join(query.group_columns)
+            query.predicate, query.group_columns,
+        ), allow_group_by=True)
 
         mark = ctx.metrics.mark()
         n_group = len(query.group_columns)
         merged: dict[tuple, list] = {}
         rows_returned = 0
-        statement = PreparedSelect(sql, allow_group_by=True)
         for key in table.keys:
             result = ctx.client.select_object_content(table.bucket, key, statement)
             rows_returned += len(result.rows)

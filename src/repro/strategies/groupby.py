@@ -4,8 +4,9 @@
 * **filtered** — push projection (group + aggregate columns) into S3
   Select, aggregate locally;
 * **S3-side** — phase 1 projects the group column and finds distinct
-  values locally; phase 2 pushes one ``SUM(CASE WHEN ...)`` column per
-  (group, aggregate) so only final aggregates cross the network;
+  values locally; phase 2 pushes one ``FUNC(CASE WHEN match THEN x END)``
+  column per (group, aggregate) — AVG as its SUM and COUNT — so only
+  final aggregates cross the network, NULLs counted as SQL counts them;
 * **hybrid** — sample a prefix of the table to find the populous groups,
   push aggregation for those to S3 (phase-2 query Q1), and pull the
   long-tail rows for local aggregation (query Q2).
@@ -16,7 +17,9 @@ what the paper's Suggestion 4 (partial group-by) would fix.
 The first two are scans under a :class:`~repro.planner.nodes.GroupByNode`;
 the CASE-encoded and the hybrid aggregation are leaf nodes of their own,
 each predicting its phases beside the ``group_rows`` that meters them.
-The chooser prices the very plan a ``*_plan`` constructor's runner executes.
+Every statement they push is built as an ``ast.Query`` and prepared from
+that tree; the byte budgets weigh its one rendering.  The chooser prices
+the very plan a ``*_plan`` constructor's runner executes.
 """
 
 from __future__ import annotations
@@ -52,8 +55,9 @@ from repro.strategies.scans import (
     iter_scan_batches,
     merge_partial,
     phase_since,
-    projection_sql,
+    prepare,
     select_aggregate,
+    select_query,
 )
 
 #: Keep pushed aggregation queries comfortably under the 256 KB limit.
@@ -86,6 +90,14 @@ class AggSpec:
     def __post_init__(self):
         if self.func.upper() not in _MERGEABLE:
             raise PlanError(f"unsupported aggregate {self.func!r}")
+        self.parsed_expr  # parsed here, never during a strategy run
+
+    @property
+    def partial_funcs(self) -> tuple[str, ...]:
+        """The pushed aggregates whose partials merge into this one (AVG
+        travels as a sum and a count)."""
+        func = self.func.upper()
+        return ("SUM", "COUNT") if func == "AVG" else (func,)
 
     @property
     def output_name(self) -> str:
@@ -132,9 +144,6 @@ class GroupByQuery:
         ]
         return list(dict.fromkeys([*self.group_columns, *agg_columns]))
 
-    def where_sql(self) -> str | None:
-        return self.predicate.to_sql() if self.predicate is not None else None
-
     def output_names(self) -> list[str]:
         return [*self.group_columns, *(a.output_name for a in self.aggregates)]
 
@@ -146,7 +155,7 @@ class GroupByQuery:
 
     def accumulators(self) -> int:
         """Running values one row folds into (AVG keeps a sum and a count)."""
-        return sum(2 if a.func.upper() == "AVG" else 1 for a in self.aggregates)
+        return sum(len(a.partial_funcs) for a in self.aggregates)
 
     def estimated_groups(self, table: TableInfo) -> int:
         """The columns' distinct counts multiplied; at most one a row."""
@@ -291,7 +300,7 @@ class CaseGroupByNode(PushedGroupByNode):
         table, query = self.table, self.query
         mark = ctx.metrics.mark()
         group_rows = materialize(iter_scan_batches(
-            ctx, table, projection_sql(query.group_columns, query.where_sql())
+            ctx, table, prepare(select_query(query.group_columns, query.predicate))
         ))
         groups = list(dict.fromkeys(group_rows))  # distinct, first-seen order
         phases.append(phase_since(
@@ -397,7 +406,7 @@ class HybridGroupByNode(PushedGroupByNode):
         sample = [
             value
             for batch in iter_scan_batches(
-                ctx, table, projection_sql([group_col], query.where_sql()),
+                ctx, table, prepare(select_query([group_col], query.predicate)),
                 scan_range_fraction=self.sample_fraction,
             )
             for value in batch.column(0)
@@ -405,22 +414,14 @@ class HybridGroupByNode(PushedGroupByNode):
         large_groups = [
             (value,) for value, _ in Counter(sample).most_common(self.s3_groups)
         ]
-
-        def tail_sql() -> str:
-            where = [
-                p for p in (
-                    query.where_sql(),
-                    _tail_sql(group_col, [g[0] for g in large_groups]),
-                ) if p
-            ]
-            return projection_sql(needed, " AND ".join(where) or None)
-
         # Drop the smallest pushed groups until the tail query fits the
         # expression limit; every dropped group is aggregated locally.
+        tail_query = _tail_query(query, needed, large_groups)
         while large_groups and (
-            len(tail_sql().encode()) > self.expression_limit_bytes
+            len(tail_query.to_sql().encode()) > self.expression_limit_bytes
         ):
             large_groups.pop()
+            tail_query = _tail_query(query, needed, large_groups)
         phases.append(phase_since(
             ctx, mark, "sample-groups", streams=table.partitions,
             server_cpu_seconds=len(sample) * SERVER_CPU_PER_ROW["aggregate"],
@@ -431,7 +432,7 @@ class HybridGroupByNode(PushedGroupByNode):
         pushed = _pushdown_group_aggregates(ctx, table, query, large_groups)
         q1_records = ctx.metrics.records_since(mark)
         mark = ctx.metrics.mark()
-        tail_rows = BatchCounter(iter_scan_batches(ctx, table, tail_sql()))
+        tail_rows = BatchCounter(iter_scan_batches(ctx, table, prepare(tail_query)))
         tail = group_by_batches(
             tail_rows, needed, query.group_exprs(), query.agg_items()
         )
@@ -485,39 +486,37 @@ hybrid_group_by = physical.runner(hybrid_group_by_plan)
 # pushdown helpers
 # ----------------------------------------------------------------------
 
-def _group_match_sql(group_columns: list[str], values: tuple) -> str:
-    return " AND ".join(
-        f"{col} IS NULL" if v is None else f"{col} = {ast.Literal(v).to_sql()}"
+def _group_match(group_columns: list[str], values: tuple) -> ast.Expr:
+    return ast.and_join([
+        ast.IsNull(ast.Column(col)) if v is None
+        else ast.Binary("=", ast.Column(col), ast.Literal(v))
         for col, v in zip(group_columns, values)
-    )
+    ])
 
 
-def _tail_sql(column: str, pushed: list) -> str | None:
-    """The rows of every group but the ``pushed`` ones.  ``NOT IN`` is
-    unknown for a NULL key (and for every key once NULL is listed), so
-    the NULL group is kept or dropped by its own test."""
-    heads = ", ".join(ast.Literal(v).to_sql() for v in pushed if v is not None)
-    if None in pushed:
-        return f"{column} NOT IN ({heads})" if heads else f"{column} IS NOT NULL"
-    if not heads:
-        return None
-    return f"({column} NOT IN ({heads}) OR {column} IS NULL)"
+def _tail_query(
+    query: GroupByQuery, needed: list[str], pushed: list[tuple]
+) -> ast.Query:
+    """The hybrid's Q2: the rows of every group but the ``pushed`` ones.
+    ``NOT IN`` is unknown for a NULL key (and for every key once NULL is
+    listed), so the NULL group is kept or dropped by its own test."""
+    key = ast.Column(query.group_columns[0])
+    heads = tuple(ast.Literal(v) for (v,) in pushed if v is not None)
+    not_in = ast.InList(key, heads, negated=True)
+    if (None,) in pushed:
+        tail = not_in if heads else ast.IsNull(key, negated=True)
+    else:
+        tail = ast.Binary("OR", not_in, ast.IsNull(key)) if heads else None
+    conjuncts = [p for p in (query.predicate, tail) if p is not None]
+    return select_query(needed, ast.and_join(conjuncts))
 
 
-def _agg_column_sql(agg: AggSpec, match: str) -> list[str]:
-    """Pushed S3 Select column(s) computing ``agg`` for one group."""
-    func = agg.func.upper()
-    if func == "SUM":
-        return [f"SUM(CASE WHEN {match} THEN {agg.column} ELSE 0 END)"]
-    if func == "COUNT":
-        return [f"SUM(CASE WHEN {match} THEN 1 ELSE 0 END)"]
-    if func in ("MIN", "MAX"):
-        return [f"{func}(CASE WHEN {match} THEN {agg.column} END)"]
-    # AVG = SUM / COUNT, merged after partials are combined.
-    return [
-        f"SUM(CASE WHEN {match} THEN {agg.column} ELSE 0 END)",
-        f"SUM(CASE WHEN {match} THEN 1 ELSE 0 END)",
-    ]
+def _case_columns(agg: AggSpec, match: ast.Expr) -> list[ast.Expr]:
+    """The CASE rule (Section VI-A): ``agg`` of one group is its partial
+    aggregates over ``CASE WHEN match THEN x END`` — NULL outside the
+    group, so every function keeps its SQL meaning."""
+    case = ast.Case(((match, agg.parsed_expr),))
+    return [ast.Aggregate(func, case) for func in agg.partial_funcs]
 
 
 def _case_scan_work(table: TableInfo, query: GroupByQuery, groups: int) -> dict:
@@ -527,12 +526,12 @@ def _case_scan_work(table: TableInfo, query: GroupByQuery, groups: int) -> dict:
     the table, evaluating its own columns plus the WHERE conjuncts per
     scanned row."""
     stats = table.stats_or_default()
-    match = _group_match_sql(query.group_columns, tuple(
+    match = _group_match(query.group_columns, tuple(
         stats.column(c).max_value if stats.column(c) else 999
         for c in query.group_columns
     ))
-    columns = [c for agg in query.aggregates for c in _agg_column_sql(agg, match)]
-    group_bytes = sum(len(c.encode()) + 2 for c in columns)
+    columns = [c for agg in query.aggregates for c in _case_columns(agg, match)]
+    group_bytes = sum(len(c.to_sql().encode()) + 2 for c in columns)
     chunks = max(1, math.ceil(groups * group_bytes / _SQL_BUDGET_BYTES))
     case_columns = groups * len(columns)
     n = table.num_rows
@@ -552,17 +551,13 @@ def assemble_group_rows(
     aggregate order, AVG holding its sum then its count."""
     rows = []
     for group, partials in partials_by_group.items():
-        out, at = list(group), 0
+        out, values = list(group), iter(partials)
         for agg in query.aggregates:
-            func = agg.func.upper()
+            func, value = agg.func.upper(), next(values)
             if func == "AVG":
-                total, count = partials[at : at + 2]
-                out.append(None if not count else total / count)
-                at += 2
-            else:
-                value = partials[at]
-                out.append(0 if func == "COUNT" and value is None else value)
-                at += 1
+                count = next(values)
+                value = value / count if count else None
+            out.append(0 if func == "COUNT" and value is None else value)
         rows.append(tuple(out))
     return rows
 
@@ -576,47 +571,34 @@ def _pushdown_group_aggregates(
     """Run the CASE-encoded aggregation queries for ``groups``.
 
     Returns each group's merged partials in the layout
-    :func:`assemble_group_rows` reads.  Queries are chunked so each stays
-    under the expression-size budget; every chunk is sent to every
-    partition and partials are merged according to the aggregate
-    function.
+    :func:`assemble_group_rows` reads.  The pushed columns are chunked
+    so each statement's text stays under the budget; every chunk is sent
+    to every partition, and each column's partials merge by its
+    aggregate function.
     """
-    where_sql = query.where_sql()
-    # One job per (group, aggregate): the slot its partials merge into,
-    # how they merge, and the pushed columns computing them.
+    # One job per pushed column: its group's slot, its place there, how
+    # it merges, and the column.
     merged: dict[tuple, list] = {}
-    jobs: list[tuple[list, int, str, list[str]]] = []
+    jobs: list[tuple[list, int, str, ast.Expr]] = []
     for values in groups:
         slot = merged[values] = []
-        match = _group_match_sql(query.group_columns, values)
+        match = _group_match(query.group_columns, values)
         for agg in query.aggregates:
-            columns = _agg_column_sql(agg, match)
-            jobs.append((slot, len(slot), agg.func.upper(), columns))
-            slot.extend([None] * len(columns))
-
-    def run_chunk(chunk: list) -> None:
-        partial_rows = select_aggregate(ctx, table, projection_sql(
-            [column for *_, columns in chunk for column in columns], where_sql
-        ))
-        at = 0
-        for slot, first, func, columns in chunk:
-            for j in range(len(columns)):
-                for row in partial_rows:
-                    slot[first + j] = merge_partial(
-                        func, slot[first + j], row[at + j]
-                    )
-            at += len(columns)
-
-    chunk: list = []
-    chunk_bytes = 0
-    base_bytes = len(projection_sql(["x"], where_sql).encode()) + 64
+            for column in _case_columns(agg, match):
+                jobs.append((slot, len(slot), agg.func.upper(), column))
+                slot.append(None)
+    base_bytes = len(select_query(["x"], query.predicate).to_sql().encode()) + 64
+    chunks: list[list] = []
     for job in jobs:
-        job_bytes = sum(len(c.encode()) + 2 for c in job[3])
-        if chunk and base_bytes + chunk_bytes + job_bytes > _SQL_BUDGET_BYTES:
-            run_chunk(chunk)
-            chunk, chunk_bytes = [], 0
-        chunk.append(job)
-        chunk_bytes += job_bytes
-    if chunk:
-        run_chunk(chunk)
+        job_bytes = len(job[3].to_sql().encode()) + 2  # and its ", "
+        if not chunks or used + job_bytes > _SQL_BUDGET_BYTES:
+            chunks.append([])
+            used = base_bytes
+        chunks[-1].append(job)
+        used += job_bytes
+    for chunk in chunks:
+        statement = prepare(select_query([job[3] for job in chunk], query.predicate))
+        for row in select_aggregate(ctx, table, statement):
+            for (slot, at, func, _), value in zip(chunk, row):
+                slot[at] = merge_partial(func, slot[at], value)
     return merged

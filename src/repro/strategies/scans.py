@@ -3,11 +3,13 @@
 Two ways to get table data onto the query node, matching the paper's two
 baselines: plain GETs of every partition object, decoded locally
 ("server-side" processing), or one S3 Select request per partition with
-a SQL string ("S3-side" processing).  :func:`iter_scan_batches` streams
+a statement ("S3-side" processing).  :func:`iter_scan_batches` streams
 either as RecordBatches; :func:`scan_partitions` hands back the pushed
-scan's responses partition by partition.  The caller wraps the metered
-requests into a :class:`~repro.cloud.metrics.Phase` via
-:func:`phase_since`.
+scan's responses partition by partition.  A strategy builds its
+statement as a tree (:func:`select_query`) and prepares it from that
+tree (:func:`prepare`): only text from elsewhere is parsed.  The caller
+wraps the metered requests into a :class:`~repro.cloud.metrics.Phase`
+via :func:`phase_since`.
 """
 
 from __future__ import annotations
@@ -212,10 +214,21 @@ def phase_since(
     )
 
 
-def projection_sql(columns: Sequence[str], where_sql: str | None = None) -> str:
-    """Build the simple pushdown SQL used all over the strategies."""
-    select_list = ", ".join(columns) if columns else "*"
-    sql = f"SELECT {select_list} FROM S3Object"
-    if where_sql:
-        sql += f" WHERE {where_sql}"
-    return sql
+def select_query(
+    items: Sequence[str | ast.Expr],
+    where: ast.Expr | None = None,
+    group_by: Sequence[str] = (),
+) -> ast.Query:
+    """``SELECT items FROM S3Object [WHERE where] [GROUP BY group_by]`` as
+    a tree, a ``str`` item naming a column: the statements the paper's
+    strategies push."""
+    return ast.Query(
+        tuple(ast.SelectItem(ast.Column(i) if isinstance(i, str) else i) for i in items),
+        "S3Object", where, tuple(map(ast.Column, group_by)),
+    )
+
+
+def prepare(query: ast.Query, allow_group_by: bool = False) -> PreparedSelect:
+    """A statement built as a tree, prepared from its one rendering: the
+    validator weighs ``to_sql()``, and nothing is lexed or parsed."""
+    return PreparedSelect(query.to_sql(), allow_group_by=allow_group_by, query=query)

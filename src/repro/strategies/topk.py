@@ -30,7 +30,7 @@ from repro.planner import physical
 from repro.planner.nodes import ScanNode, TopKNode
 from repro.planner.physical import PhysicalPlan
 from repro.sqlparser import ast
-from repro.strategies.scans import iter_scan_batches, phase_since, projection_sql
+from repro.strategies.scans import iter_scan_batches, phase_since, prepare, select_query
 
 
 @dataclass
@@ -152,7 +152,7 @@ class SampledThresholdScan(ScanNode):
         sample = [
             value
             for batch in iter_scan_batches(
-                ctx, table, projection_sql([query.order_column]),
+                ctx, table, prepare(select_query([query.order_column])),
                 scan_range_fraction=min(1.0, self.sample_size / table.num_rows),
             )
             for value in batch.column(0)

@@ -283,3 +283,43 @@ def test_null_group_keys_survive_every_strategy(rows, with_predicate, s3_groups)
 
 def bool_true(_value) -> bool:
     return True
+
+
+# ----------------------------------------------------------------------
+# NULL aggregate inputs: the pushed CASE columns keep SQL's meaning
+# ----------------------------------------------------------------------
+
+NULL_VALUE_AGGS = [
+    AggSpec("count", "v", "n"), AggSpec("avg", "v", "mean"),
+    AggSpec("min", "v", "lo"), AggSpec("sum", "v", "s"),
+]
+
+
+def test_null_values_aggregate_as_sql_does():
+    """COUNT(v) and AVG(v) skip NULL inputs, and the SUM of a group whose
+    inputs are all NULL is NULL — in the CASE-encoded columns of S3-side
+    and hybrid group-by (every group pushed) as in sqlite3."""
+    import sqlite3
+
+    # g = 2 holds NULL inputs only; g = 1, 3 and the NULL group some.
+    rows = [
+        (None if i % 7 == 0 else i % 3 + 1, None if i % 3 == 1 or i % 4 == 0 else i)
+        for i in range(30)
+    ]
+    ctx, catalog = CloudContext(), Catalog()
+    load_table(ctx, catalog, "t", rows, NULLABLE_SCHEMA, bucket="nulls", partitions=3)
+    oracle = sqlite3.connect(":memory:")
+    oracle.execute("CREATE TABLE t (g, v)")
+    oracle.executemany("INSERT INTO t VALUES (?, ?)", rows)
+    expected = approx_rows(oracle.execute(
+        "SELECT g, COUNT(v), AVG(v), MIN(v), SUM(v) FROM t GROUP BY g"
+    ).fetchall())
+    oracle.close()
+    assert (2, 0, None, None, None) in expected
+
+    query = GroupByQuery(table="t", group_columns=["g"], aggregates=NULL_VALUE_AGGS)
+    assert approx_rows(server_side_group_by(ctx, catalog, query).rows) == expected
+    assert approx_rows(s3_side_group_by(ctx, catalog, query).rows) == expected
+    hybrid = hybrid_group_by(ctx, catalog, query, sample_fraction=1.0, s3_groups=4)
+    assert hybrid.report.extras["large_groups"] == 4  # every group pushed
+    assert approx_rows(hybrid.rows) == expected

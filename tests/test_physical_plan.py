@@ -1121,7 +1121,7 @@ def test_fuzzer_statements_are_their_texts_parse(prepared):
 
 def test_paper_join_variants_hand_over_their_bloom_statements(tpch_env, prepared):
     """``bloom_join`` and the hand-written Bloom variants of q3 / q14 / q17:
-    the probe scans are the planner's (tree handed over), the rest text."""
+    every statement, the Bloom probes included, is handed over its tree."""
     from repro.queries.micro import _JOIN_QUERY
     from repro.queries.tpch_queries import TPCH_QUERIES
     from repro.strategies.join import bloom_join
@@ -1131,7 +1131,38 @@ def test_paper_join_variants_hand_over_their_bloom_statements(tpch_env, prepared
     for name in ("q3", "q14", "q17"):
         TPCH_QUERIES[name].optimized(ctx, catalog)
     bloomed = [query for sql, query in prepared if "SUBSTRING('" in sql]
-    assert len(bloomed) >= 4 and None not in bloomed
+    assert len(bloomed) >= 4 and None not in [query for _, query in prepared]
+
+
+@pytest.fixture()
+def lexed(monkeypatch):
+    """Every text the SQL lexer is handed while the test runs."""
+    from repro.sqlparser import parser
+
+    texts, tokenize = [], parser.tokenize
+    monkeypatch.setattr(parser, "tokenize", lambda sql: texts.append(sql) or tokenize(sql))
+    return texts
+
+
+_PROBED = parse("SELECT a FROM t WHERE l_quantity < 20").where
+
+
+def _probe(ctx, catalog):
+    from repro.optimizer.selectivity import probe_selectivity
+
+    measured = probe_selectivity(ctx, catalog.get("lineitem"), _PROBED, refresh=True)
+    assert 0 < measured < 1
+
+
+@pytest.mark.parametrize("name", [*sorted(STRATEGY_RUNNERS), "selectivity-probe"])
+def test_strategies_never_parse(tpch_env, prepared, lexed, name):
+    """A strategy builds every statement it pushes as a tree and prepares
+    it from that tree: the only texts lexed during a run are the
+    ``prepared`` fixture's own re-parses, one a statement."""
+    ctx, catalog = tpch_env
+    (STRATEGY_RUNNERS.get(name) or _probe)(ctx, catalog)
+    assert None not in [query for _, query in prepared]
+    assert lexed == [sql for sql, _ in prepared]
 
 
 UNICODE_SCHEMAS = {

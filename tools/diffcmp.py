@@ -21,6 +21,9 @@ for key in sorted(set(a) | set(b)):
         elif field == "phase_cpu" and va and not isinstance(va[0], str):
             if len(va) != len(vb) or not all(close(x, y) for x, y in zip(va, vb)):
                 diffs.append((field, va, vb))
+        elif field == "statements" and va and vb and va != vb:
+            moved = [i for i, (x, y) in enumerate(zip(va, vb)) if x != y]
+            diffs.append((field, f"{len(va)} -> {len(vb)}, trees differ at {moved}"))
         elif va != vb:
             diffs.append((field, str(va)[:300], str(vb)[:300]))
     if diffs:

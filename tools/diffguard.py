@@ -87,7 +87,18 @@ if "strategies" in sections:
     from repro.strategies.groupby import AggSpec, GroupByQuery, filtered_group_by
     from repro.strategies.join import filtered_join
     from repro.queries.micro import _JOIN_QUERY
+    from repro.s3select.engine import PreparedSelect
 
+    # The tree of every statement an op prepares: parsed from text or
+    # built, equal trees mean a change of rendering only.
+    statements = []
+    prepare = PreparedSelect.__init__
+
+    def recording(self, *args, **kwargs):
+        prepare(self, *args, **kwargs)
+        statements.append(repr(self.query))
+
+    PreparedSelect.__init__ = recording
     for seed in (1, 2):
         session = harness.open_session(WORKLOADS["paper_strategies"](None, seed), loads=1)
         db = session.db
@@ -122,8 +133,11 @@ if "strategies" in sections:
         session.workload.begin_pass(db)
         for name, run in runs:
             mark = db.ctx.metrics.mark()
+            statements.clear()
             ex = run(db)
             out[f"strategy/seed{seed}/{name}"] = dump(db.ctx, mark, ex)
+            out[f"strategy/seed{seed}/{name}"]["statements"] = list(statements)
+    PreparedSelect.__init__ = prepare
 
 for fig in (s for s in sections if s in ALL_EXPERIMENTS):
     result = ALL_EXPERIMENTS[fig]()
