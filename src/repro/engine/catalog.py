@@ -146,7 +146,8 @@ def load_table(
     Loading is a setup step and is deliberately unmetered, matching the
     paper's exclusion of load cost from query cost.  Loading a name again
     replaces the table: every object under ``{name}/`` that this load did
-    not write (data and index objects alike) is deleted.
+    not write (data and index objects alike) is deleted, and an object it
+    would write byte for byte again is kept, warm (:func:`_put`).
 
     Every row must be exactly as wide as ``schema``: wider, narrower or
     ragged input raises :class:`CatalogError` before anything changes (a
@@ -223,7 +224,7 @@ def load_table(
             # No CSV is stored, but the width statistic is the CSV field's.
             sizes = [encoded_size([c], 0) for c in columns] if collect_stats else ()
             key = f"{name}/part-{i:04d}.spq"
-        ctx.store.put_object(bucket, key, data, _metadata(data_format, schema))
+        _put(ctx, bucket, key, data, _metadata(data_format, schema))
         info.keys.append(key)
         info.partition_rows.append(len(chunk))
         info.partition_bytes.append(len(data))
@@ -236,7 +237,7 @@ def load_table(
         for column, index in indexes.items():
             data, _, _ = encode_columns([columns[schema.index_of(column)], *extents])
             key = f"{name}/index/{column}/part-{i:04d}.csv"
-            ctx.store.put_object(bucket, key, data, _metadata("csv", index.schema))
+            _put(ctx, bucket, key, data, _metadata("csv", index.schema))
             index.keys.append(key)
             index.total_bytes += len(data)
 
@@ -254,6 +255,18 @@ def load_table(
 
     catalog.register(info)
     return info
+
+
+def _put(ctx: CloudContext, bucket: str, key: str, data: bytes, metadata: dict) -> None:
+    """Store an object, unless ``key`` already holds these very bytes and
+    metadata: that object stays, and with it the columns its memo decoded
+    (which depend on ``data`` alone), so a reload of the same rows is warm."""
+    store = ctx.store
+    if store.object_exists(bucket, key):
+        old = store.get_object(bucket, key)
+        if old.data == data and old.metadata == metadata:
+            return
+    store.put_object(bucket, key, data, metadata)
 
 
 def _metadata(data_format: str, schema: TableSchema) -> dict:

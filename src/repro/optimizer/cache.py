@@ -117,13 +117,18 @@ def _value_bytes(value) -> int:
     return 28
 
 
+def _column_bytes(column) -> int:
+    """``sum(map(_value_bytes, column))``, one type dispatch per column."""
+    kinds = set(map(type, column))
+    if kinds == {str}:
+        return 49 * len(column) + sum(map(len, column))
+    if type(None) not in kinds and not any(issubclass(k, str) for k in kinds):
+        return 28 * len(column)
+    return sum(map(_value_bytes, column))
+
+
 def _batch_bytes(batches: list[Batch]) -> int:
-    total = 0
-    for batch in batches:
-        total += 64
-        for column in batch.columns:
-            total += 64 + sum(_value_bytes(v) for v in column)
-    return total
+    return sum(64 + sum(64 + _column_bytes(c) for c in b.columns) for b in batches)
 
 
 class SemanticCache:

@@ -17,8 +17,10 @@ Statistics are attached to the catalog's
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 from operator import itemgetter
 from typing import Mapping, Sequence
 
@@ -92,28 +94,37 @@ class Histogram:
 
 
 def build_histogram(
-    non_null: Sequence, num_buckets: int = DEFAULT_HISTOGRAM_BUCKETS
+    non_null: Sequence, num_buckets: int = DEFAULT_HISTOGRAM_BUCKETS,
+    counts: Counter | None = None,
 ) -> Histogram | None:
     """Equi-depth histogram of ``non_null`` (numeric values only).
 
     Returns ``None`` for empty or non-numeric input.  Bucket count is
     capped by the number of values so single-value buckets only appear
-    when the column is narrower than the requested resolution.
-    """
+    when the column is narrower than the requested resolution.  With
+    ``counts`` (``Counter(non_null)``) of one type, at most an eighth as
+    many distinct values as values and no ±0.0 or NaN (equal, but printed
+    apart) it is cut from cumulative counts instead of sorting the column."""
     # One type dispatch for the column, as ``format_column`` does.
-    if not non_null or not set(map(type, non_null)) <= {int, float}:
+    kinds = set(map(type, non_null))
+    if not non_null or not kinds <= {int, float}:
         return None
-    ordered = sorted(non_null)
-    n = len(ordered)
+    # Sorting the distinct values pays only when they are few: on TPC-H it
+    # cost 1.3-4x the column sort at one distinct value per four values or
+    # more, 0.2-0.8x at one per eight or fewer.
+    if counts is not None and 8 * len(counts) <= len(non_null) and (kinds == {int} or (
+        kinds == {float} and 0.0 not in counts and all(v == v for v in counts)
+    )):
+        distinct = sorted(counts)
+        ends = list(accumulate(map(counts.__getitem__, distinct)))
+        at = lambda position: distinct[bisect_right(ends, position)]
+    else:
+        at = sorted(non_null).__getitem__
+    n = len(non_null)
     b = max(min(num_buckets, n), 1)
-    buckets = []
-    for i in range(b):
-        start, stop = i * n // b, (i + 1) * n // b
-        if start >= stop:
-            continue
-        chunk = ordered[start:stop]
-        buckets.append((chunk[0], chunk[-1], len(chunk)))
-    return Histogram(buckets=tuple(buckets), total=n)
+    cuts = [i * n // b for i in range(b + 1)]  # b <= n: no bucket is empty
+    buckets = tuple((at(lo), at(hi - 1), hi - lo) for lo, hi in zip(cuts, cuts[1:]))
+    return Histogram(buckets=buckets, total=n)
 
 
 @dataclass(frozen=True)
@@ -203,23 +214,20 @@ def collect_table_stats(
         zones = [zone.columns[col.name.lower()] for zone in zone_maps]
         null_count = sum(zone.null_count for zone in zones)
         non_null = [v for v in values if v is not None] if null_count else values
-        distinct_set = set(non_null)
         # Counts in first-seen order: ``most_common`` ties break by position.
-        counter = (
-            Counter(non_null) if len(distinct_set) <= _MCV_TRACK_LIMIT else None
-        )
+        counts = Counter(non_null)
         # A zone's bounds are None iff the whole partition is NULL there.
         bounded = [zone for zone in zones if zone.min_value is not None]
         stats[col.name.lower()] = ColumnStats(
             name=col.name,
             type=col.type,
-            distinct=len(distinct_set),
+            distinct=len(counts),
             null_count=null_count,
             min_value=min((z.min_value for z in bounded), default=None),
             max_value=max((z.max_value for z in bounded), default=None),
             avg_field_bytes=width / n if n else 0.0,
-            mcvs=tuple(counter.most_common(mcv_size)) if counter else (),
-            histogram=build_histogram(non_null),
+            mcvs=tuple(counts.most_common(mcv_size)) if len(counts) <= _MCV_TRACK_LIMIT else (),
+            histogram=build_histogram(non_null, counts=counts),
         )
     field_bytes = sum(c.avg_field_bytes for c in stats.values())
     delimiters = (len(schema) - 1) * len(FIELD_DELIM) + len(RECORD_DELIM)

@@ -30,7 +30,8 @@ class StoredObject:
     :func:`repro.storage.csvcodec.iter_decode_column_batches`): it starts
     empty, is derived from ``data`` alone — which can never be rebound —
     and is dropped with the object, so an overwritten or deleted key
-    cannot serve old columns.
+    cannot serve old columns (a reload writing the same bytes keeps the
+    object, and so its memo: ``engine.catalog.load_table``).
     """
 
     data: bytes

@@ -12,10 +12,12 @@ differentials across a table reload.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cloud.context import CloudContext
 from repro.engine.batch import Batch
-from repro.optimizer.cache import SemanticCache
+from repro.optimizer.cache import SemanticCache, _batch_bytes, _value_bytes
 from repro.optimizer.pruning import predicate_implies
 from repro.planner.database import PushdownDB
 from repro.sqlparser.parser import parse_expression
@@ -23,6 +25,24 @@ from repro.storage.schema import TableSchema
 from repro.workloads.synthetic import FILTER_SCHEMA, clustered_filter_table
 
 CACHE_BYTES = 64 << 20
+
+
+class _Text(str):
+    """A ``str`` subclass: sized per value, like any text."""
+
+
+_CACHED_TEXT = st.text(max_size=4)
+_CACHED_NUMBER = st.one_of(st.booleans(), st.integers(), st.floats())
+#: Batch columns: all text, all numbers, or anything mixed with NULLs
+#: and text subclasses.
+_CACHED_COLUMN = st.one_of(
+    st.lists(_CACHED_TEXT, max_size=12),
+    st.lists(_CACHED_NUMBER, max_size=12),
+    st.lists(
+        st.one_of(st.none(), _CACHED_NUMBER, _CACHED_TEXT, _CACHED_TEXT.map(_Text)),
+        max_size=12,
+    ),
+)
 
 
 def _pred(sql: str):
@@ -117,6 +137,18 @@ class TestSemanticCacheUnit:
         assert cache.peek_scan("t", _pred("k < 10"), ["v", "w"]) is None
         # Nor a subsumed predicate over a column the entry lacks.
         assert cache.peek_scan("t", _pred("k < 5 AND w = 1"), ["k"]) is None
+
+    @given(st.lists(_CACHED_COLUMN, min_size=1, max_size=4))
+    def test_entry_size_is_the_per_value_sum(self, columns):
+        """One type dispatch per column sizes an entry to the byte the
+        per-value rule gives, so eviction order cannot move."""
+        rows = max(map(len, columns))
+        columns = [(c * rows)[:rows] if c else [None] * rows for c in columns]
+        batches = [Batch(columns, rows), Batch([c[:1] for c in columns], min(rows, 1))]
+        per_value = sum(
+            64 + sum(64 + sum(map(_value_bytes, c)) for c in b.columns) for b in batches
+        )
+        assert _batch_bytes(batches) == per_value
 
     def test_invalidate_table_scopes_by_name(self):
         batch = Batch.from_rows([(1,)])

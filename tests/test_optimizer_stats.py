@@ -175,6 +175,28 @@ class TestCollectionMatchesThePerValueLoop:
         assert stats.column("k").distinct == distinct
         assert bool(stats.column("k").mcvs) == (distinct <= _MCV_TRACK_LIMIT)
 
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(-3, 3), st.sampled_from([0.0, -0.0, 0.5, 2.0, 1e16]),
+                st.floats(),
+            ),
+            min_size=1, max_size=60,
+        ),
+        st.integers(1, 8),
+    )
+    def test_property_histogram_from_counts_equals_the_sort(self, values, buckets):
+        """A single-type column cut from its counts gives the repr of the
+        one sorted whole; mixed int / float columns, ``±0.0`` and NaN are
+        sorted whole either way.  Each column also runs eight times over,
+        so it has few enough distinct values to take the counts path."""
+        parts = (values, [v for v in values if type(v) is int],
+                 [v for v in values if type(v) is float])
+        for column in (*parts, *(part * 8 for part in parts)):
+            sorted_whole = build_histogram(column, buckets)
+            from_counts = build_histogram(column, buckets, counts=Counter(column))
+            assert repr(from_counts) == repr(sorted_whole)
+
 
 #: What the loader must agree with the per-value loops on: NULLs, an
 #: all-NULL column, bools among ints, ints among floats (integral floats,

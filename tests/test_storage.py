@@ -6,7 +6,7 @@ import sys
 from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError
-from itertools import islice
+from itertools import islice, product
 from threading import Barrier
 
 import pytest
@@ -651,10 +651,57 @@ def test_stored_object_is_frozen_and_the_memo_is_not_part_of_its_value():
     assert "decoded" not in repr(obj) and "filled" not in repr(obj)
 
 
+def _decode_calls(memo, schema):
+    """Single-column decodes that fill ``memo``'s entries: per key and
+    column, ``(batch_size, column, sized)`` (its widths kept or not)."""
+    calls = []
+    for (_, batch_size, _), chunks in memo.items():
+        names = set().union(*(packed for _, packed in chunks))
+        calls += [
+            (batch_size, schema.columns[i].name, (i, kind, "widths") in names)
+            for i, kind in sorted(name for name in names if len(name) == 2)
+        ]
+    return calls
+
+
+def _cold_memo(data, metadata, schema, calls):
+    """What the decodes ``calls`` (``(batch_size, column, sized)`` each),
+    made in order, store in a fresh object over ``data``; a decode whose
+    typing raises keeps whatever it stored before it did."""
+    fresh = StoredObject(data, metadata)
+    for batch_size, column, sized in calls:
+        try:
+            list(iter_decode_column_batches(
+                data, schema, batch_size, False, columns=[column],
+                memo=fresh.decoded, sized=[column] if sized else (),
+            ))
+        except ValueError:
+            pass
+    return fresh.decoded
+
+
+def _comparable(memo):
+    """A memo with each packed array as its typecode and exact bytes
+    (``-0.0`` and NaN payloads included)."""
+    return {
+        key: [
+            (rows, {
+                name: (v.typecode, v.tobytes()) if isinstance(v, array) else v
+                for name, v in packed.items()
+            })
+            for rows, packed in chunks
+        ]
+        for key, chunks in memo.items()
+    }
+
+
 @pytest.mark.parametrize("indexed", [False, True])
 def test_reload_never_serves_the_previous_loads_columns(indexed):
-    """Same name, same partitioning, different rows: every mode answers
-    from the new objects, whose memos start empty."""
+    """Same name and partitioning, loaded with rows A, A again, then B:
+    every mode answers from the rows just loaded.  The first load's
+    objects start empty; the second writes the very same bytes, so it
+    keeps those objects, whose memos equal what cold decodes of the same
+    columns store; the third writes new objects, empty again."""
     db = PushdownDB(bucket="memo")
     layout = dict(partitions=3, index_columns=["k"] if indexed else [])
     sql = "SELECT k, v, day FROM m WHERE v < 40.0 AND tag <> 't1'"
@@ -668,18 +715,105 @@ def test_reload_never_serves_the_previous_loads_columns(indexed):
             rows.append(indexed_filter(db.ctx, db.catalog, by_index).rows)
         return rows
 
-    for salt in (3, 7):
+    previous = {}
+    for load, salt in enumerate((3, 3, 7)):
         rows = _memo_rows(300, salt)
         info = db.load_table("m", rows, MEMO_SCHEMA, **layout)
         keys = info.keys + [k for index in info.indexes.values() for k in index.keys]
-        assert all(db.ctx.store.get_object("memo", key).decoded == {} for key in keys)
+        schemas = {
+            key: MEMO_SCHEMA if key in info.keys else info.indexes["k"].schema for key in keys
+        }
+        for key in keys:
+            obj = db.ctx.store.get_object("memo", key)
+            old, calls = previous.get(key, (None, []))
+            assert (obj is old) == (load == 1)
+            cold = _cold_memo(obj.data, obj.metadata, schemas[key], calls if load == 1 else [])
+            assert _comparable(obj.decoded) == _comparable(cold)
+            assert bool(obj.decoded) == (load == 1)
         want = sorted((k, v, day) for k, v, tag, day in rows if v < 40.0 and tag != "t1")
         got = answers()
         assert [sorted(r) for r in got[:3]] == [want] * 3
         if indexed:
             assert sorted(got[3]) == sorted((k, v, day) for k, v, _, day in rows if k < 25)
         assert answers() == got  # warm
-        assert all(db.ctx.store.get_object("memo", key).decoded for key in keys)
+        objects = {key: db.ctx.store.get_object("memo", key) for key in keys}
+        assert all(obj.decoded for obj in objects.values())
+        previous = {
+            key: (obj, _decode_calls(obj.decoded, schemas[key])) for key, obj in objects.items()
+        }
+
+
+_CARRY_SCHEMAS = (
+    MEMO_SCHEMA,
+    TableSchema.of("k:int", "w:float", "tag:str", "day:date"),  # same bytes, other metadata
+    TableSchema.of("k:int", "v:str", "tag:str", "day:date"),  # ``v`` retyped
+)
+_CARRY_TEXT = st.one_of(
+    st.none(), st.sampled_from(["", "t1", "\u00e9t\u00e9"]), st.text("xy\u20ac", max_size=3)
+)
+_CARRY_VALUES = {
+    # bools and floats do not parse back as ints; ints beyond int64 stay text
+    "int": st.one_of(
+        st.none(), st.integers(-(2**70), 2**70), st.booleans(), st.sampled_from([2.5, 3.0])
+    ),
+    # NaN, ±0.0, exponent forms, and ints that decode to floats
+    "float": st.one_of(
+        st.none(), st.floats(), st.integers(-(10**20), 10**20),
+        st.sampled_from([0.0, -0.0, 1e16, 2.5e-7, 1.5e300, math.nan, -math.nan]),
+    ),
+    "str": _CARRY_TEXT,
+    "date": _CARRY_TEXT,
+}
+
+
+@given(st.data())
+def test_property_a_reload_keeps_exactly_the_objects_it_writes_again(data):
+    """Random tables loaded twice under one name (the second time the same
+    rows or others, under the same schema, a renamed column or a retyped
+    one, over the same or another partition count), each
+    object's columns decoded in between (any columns and widths,
+    ``batch_size`` 4096 and others).  After the reload an object whose
+    bytes and metadata are unchanged is the old one, its memo equal to
+    what the same decodes store in a fresh object over those bytes; any
+    other object is new and empty, and so is every object holding a quote."""
+    db = PushdownDB(bucket="b")
+    batch_size = data.draw(st.sampled_from([1, 2, 5]))
+    previous = {}
+    for load in range(2):
+        schema = _CARRY_SCHEMAS[data.draw(st.integers(0, 2)) if load else 0]
+        if not load or schema is _CARRY_SCHEMAS[2] or data.draw(st.booleans()):
+            row = st.tuples(*(_CARRY_VALUES[col.type] for col in schema.columns))
+            rows = data.draw(st.lists(row, max_size=12))
+            if rows and not data.draw(st.integers(0, 3)):  # a field RFC-4180 must quote
+                at = data.draw(st.integers(0, len(rows) - 1))
+                text = data.draw(st.sampled_from(["a,b", 'say "hi"']))
+                rows[at] = (*rows[at][:2], text, rows[at][3])
+            partitions = data.draw(st.integers(1, 3))
+        info = db.load_table("t", rows, schema, partitions=partitions, index_columns=["k"])
+        objects = [(key, schema) for key in info.keys]
+        objects += [(key, info.index_for("k").schema) for key in info.index_for("k").keys]
+        for key, object_schema in objects:
+            obj = db.ctx.store.get_object("b", key)
+            old, calls = previous.get(key, (None, []))
+            kept = old is not None and (old.data, old.metadata) == (obj.data, obj.metadata)
+            assert (obj is old) == kept
+            calls = calls if kept else []
+            cold = _cold_memo(obj.data, obj.metadata, object_schema, calls)
+            assert _comparable(obj.decoded) == _comparable(cold)
+            if b'"' in obj.data:
+                assert obj.decoded == {}
+            for size, column in product((batch_size, DEFAULT_BATCH_SIZE), object_schema.names):
+                if data.draw(st.booleans()):
+                    continue
+                calls = [*calls, (size, column, data.draw(st.booleans()))]
+                try:
+                    list(iter_decode_column_batches(
+                        obj.data, object_schema, size, False, columns=[column],
+                        memo=obj.decoded, sized=[column] if calls[-1][2] else (),
+                    ))
+                except ValueError:  # a bool or a float in an int column
+                    pass
+            previous[key] = (obj, calls)
 
 
 def test_get_scan_ignores_the_memo_of_an_object_overwritten_under_it():
