@@ -4,9 +4,9 @@ The paper evaluates pushdown joins pairwise; real TPC-H shapes join
 three or more tables (lineitem ⋈ orders ⋈ customer).  This module lifts
 the planner past that limit:
 
-* :func:`build_join_graph` decomposes an N-table query's ``WHERE``
+* :func:`build_join_graph` decomposes a table query's ``WHERE``
   conjunction into per-table predicates, equi-join edges, and residual
-  cross-table conjuncts;
+  cross-table conjuncts (one table keeps the whole ``WHERE``);
 * :class:`JoinOrderSearch` enumerates join trees — exact dynamic
   programming over connected subset *pairs* (bushy trees, not just
   left-deep chains) up to :data:`DP_TABLE_LIMIT` tables, a greedy
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.bloom.filter import DEFAULT_FPR, BloomPushdown, predicted_bloom_pass
 from repro.cloud.context import CloudContext
@@ -192,17 +193,22 @@ def _owner_of(
 
 
 def build_join_graph(catalog: Catalog, query: ast.Query) -> JoinGraph:
-    """Extract the join graph from an N-table query's WHERE conjunction.
+    """Extract the join graph from a table query's WHERE conjunction.
 
-    Disconnected graphs (cross joins) are legal here; whether they are
-    *plannable* is the search's call (small estimated products become
-    :class:`~repro.planner.joins.CrossProductNode` plans, anything
-    bigger raises).
+    A one-table FROM list is the graph's trivial case: that table keeps
+    the whole WHERE as written, column-free conjuncts (``1 = 0``, the
+    ``$n`` of an uncorrelated EXISTS) included, and there is no edge and
+    no residual.  Disconnected graphs (cross joins) are legal here;
+    whether they are *plannable* is the search's call (small estimated
+    products become :class:`~repro.planner.joins.CrossProductNode`
+    plans, anything bigger raises).
     """
     names = [t.lower() for t in query.from_tables]
     if len(set(names)) != len(names):
         raise PlanError(f"duplicate table in FROM list: {query.from_tables}")
     tables = {name: catalog.get(name) for name in names}
+    if len(names) == 1:
+        return JoinGraph(tables, {names[0]: query.where}, [], None)
 
     side_preds: dict[str, list[ast.Expr]] = {name: [] for name in names}
     edges: list[JoinEdge] = []
@@ -360,6 +366,10 @@ class JoinOrderSearch:
     *same* per-node phase assembly the mode chooser ranks and EXPLAIN
     annotates with — so search ranking, EXPLAIN estimates and execution
     metering all read from one IR.
+
+    The planner builds one per table query, one-table queries included:
+    those have no order to search, so their tree is :meth:`leaf` of the
+    one table and :meth:`search` never runs.
     """
 
     def __init__(
@@ -375,14 +385,6 @@ class JoinOrderSearch:
         self.query = query
         self.fpr = fpr
         self.feedback = ctx.feedback
-        #: Per-table ``(name, predicate_signature)`` pairs, precomputed
-        #: once so warm-session DP candidates build their feedback
-        #: signatures (:func:`tree_signature`) without
-        #: re-serializing predicates per candidate.
-        self._pred_sigs = {
-            name: (name, predicate_signature(graph.predicates[name]))
-            for name in graph.tables
-        }
         columns = needed_columns(graph, query, extra=extra_refs)
         self.shapes: dict[str, _TableShape] = {}
         for name, info in graph.tables.items():
@@ -393,6 +395,17 @@ class JoinOrderSearch:
         #: Zone-map survivors per pushdown table, refuted on first use:
         #: neither a predicate nor a zone map changes during a search.
         self._kept: dict[str, list[int] | None] = {}
+
+    @cached_property
+    def _pred_sigs(self) -> dict[str, tuple[str, str]]:
+        """Per-table ``(name, predicate_signature)`` pairs, computed once
+        (on the first join feedback lookup) so warm-session DP candidates
+        build their feedback signatures (:func:`tree_signature`) without
+        re-serializing predicates per candidate."""
+        return {
+            name: (name, predicate_signature(self.graph.predicates[name]))
+            for name in self.graph.tables
+        }
 
     # -- cardinality -------------------------------------------------
     def _key_distinct(self, table: str, key: str, rows: float) -> float:

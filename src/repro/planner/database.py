@@ -131,9 +131,7 @@ class PushdownDB:
     # ------------------------------------------------------------------
     # querying
     # ------------------------------------------------------------------
-    def execute(
-        self, sql: str, mode: str = "optimized", strategy: str | None = None
-    ) -> QueryExecution:
+    def execute(self, sql: str, mode: str = "optimized") -> QueryExecution:
         """Run a SQL query.
 
         Args:
@@ -153,12 +151,8 @@ class PushdownDB:
                 accurate estimates execute byte-identically to
                 ``"optimized"`` (re-plan events land in
                 ``execution.report.adaptive``).
-            strategy: alias for ``mode`` matching the CLI's
-                ``--strategy`` flag; wins when both are given.
         """
-        return plan_and_execute(
-            self.ctx, self.catalog, sql, strategy if strategy is not None else mode
-        )
+        return plan_and_execute(self.ctx, self.catalog, sql, mode)
 
     def explain(self, sql: str) -> str:
         """The optimizer's EXPLAIN report for ``sql``.

@@ -432,8 +432,11 @@ def join_extra_edges(node: PlanNode) -> list:
 
 
 def mark_spine(tree: PlanNode) -> None:
-    """Stream the root join's probe side; relabel its probe scan."""
-    if isinstance(tree, JoinNode):
+    """Stream the root join's probe side and relabel its probe scan; a
+    lone scan (a one-table query) is the plan's one ``scan``."""
+    if isinstance(tree, ScanNode):
+        tree.phase_label = "scan"
+    elif isinstance(tree, JoinNode):
         tree.stream_probe = True
         probe = tree.probe
         if isinstance(probe, ScanNode):

@@ -461,22 +461,23 @@ class PushedAggregateNode(_TableLeaf):
     aggregates: a refuted partition can only contribute NULL/zero
     partials, which ``merge_sum_partials`` ignores anyway; at least one
     partition always survives so the result row keeps its shape.
+    ``keep_partitions`` are the survivors of the WHERE clause's zone-map
+    refutation, as the planner's scan leaf of the table found them.
     """
 
     def __init__(
         self,
         table: TableInfo,
         query: ast.Query,
-        prune: bool = True,
+        keep_partitions: list[int] | None = None,
         phase_label: str = "pushed-aggregate",
     ):
         self.table = table
         self.query = query
+        self.keep_partitions = keep_partitions
         self.phase_label = phase_label
         self.est_rows = 1.0
         self.tables: frozenset = frozenset((table.name,))
-        if prune:
-            self._prune(query.where)
         self._cache_partials: list[list] | None = None
 
     def describe(self) -> str:

@@ -158,9 +158,10 @@ class PhysicalPlan:
     mode: str
     strategy: str
     #: Phase name for plans whose scans load in parallel and meter as
-    #: one whole-query phase (baseline joins, the paper's filtered
-    #: join): a GET scan ingests its whole table by formula, a pushed
-    #: scan what it returned.  ``None`` = per-scan phases.
+    #: one whole-query phase (a baseline plan with two or more GET
+    #: scans, the paper's filtered join): a GET scan ingests its whole
+    #: table by formula, a pushed scan what it returned.  ``None`` =
+    #: per-scan phases.
     combined_label: str | None = None
     #: The mid-flight re-optimization wrapper, when this is an adaptive
     #: plan (``mode="adaptive"`` over a 3+-way equi-join tree).

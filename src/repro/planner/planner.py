@@ -12,13 +12,12 @@ recursive executor.  The same plan object is what the cost walker
 (:mod:`repro.planner.costing`) prices, what ``mode="auto"`` ranks, what
 ``db.explain()`` renders and what runs.
 
-Supported SQL per query:
-
-* single table — WHERE / GROUP BY / aggregates / ORDER BY / LIMIT;
-* two or more tables (``FROM a, b WHERE a.k = b.k AND ...``) — an
-  equi-join tree (left-deep or bushy) planned by the join-order search,
-  with Bloom predicates on probe-side scans, the same local tail, and
-  cross-product fallbacks for small disconnected FROM lists.
+Supported SQL per query: one or more tables (``FROM a, b WHERE a.k =
+b.k AND ...``) with WHERE / GROUP BY / aggregates / ORDER BY / LIMIT,
+planned by one builder — an equi-join tree (left-deep or bushy) picked
+by the join-order search, with Bloom predicates on probe-side scans and
+cross-product fallbacks for small disconnected FROM lists; one table is
+the one-leaf tree, with no order to search — under one local tail.
 
 Anything else raises :class:`~repro.common.errors.PlanError`.
 """
@@ -30,7 +29,7 @@ from typing import Sequence
 
 from repro.cloud.context import CloudContext, QueryExecution
 from repro.common.errors import PlanError
-from repro.engine.catalog import Catalog, TableInfo
+from repro.engine.catalog import Catalog
 from repro.optimizer import chooser
 from repro.optimizer.feedback import estimated_rows
 from repro.optimizer.joinorder import JoinOrderSearch, build_join_graph
@@ -52,7 +51,7 @@ from repro.planner.nodes import (
     PushedAggregateNode,
     ScanNode,
 )
-from repro.planner.physical import PhysicalPlan, execute_plan
+from repro.planner.physical import PhysicalPlan, execute_plan, walk_plan
 from repro.planner.tail import attach_local_tail
 from repro.sqlparser import ast
 from repro.sqlparser.parser import parse
@@ -173,19 +172,15 @@ def build_plans(
 ) -> list[PhysicalPlan]:
     """One priced plan per entry of ``modes`` (see :func:`build_plan`).
 
-    Multi-table queries run the join-order search (under ``objective``)
-    once and derive every mode's plan from the tree it picked, so the
-    ``auto`` chooser's baseline and optimized candidates join in the
-    same order.  Every returned plan carries its predicted profile
-    (``plan.estimate``, init plans included) and per-node ``est_cost``.
+    A table query builds one join tree — the join-order search runs
+    (under ``objective``) once for two or more tables — and derives
+    every mode's plan from it, so the ``auto`` chooser's baseline and
+    optimized candidates join in the same order.  Every returned plan
+    carries its predicted profile (``plan.estimate``, init plans
+    included) and per-node ``est_cost``.
     """
     if prepared is not None and prepared.derived is not None:
         plans = [_build_derived_plan(query, mode, prepared) for mode in modes]
-    elif query.join_table is None:
-        plans = [
-            _build_single_plan(ctx, catalog, query, mode, prepared=prepared)
-            for mode in modes
-        ]
     else:
         plans = _join_plans(
             ctx, catalog, query, modes, objective, shape=shape,
@@ -269,70 +264,6 @@ def _apply_sub_joins(
     return node, names
 
 
-# ----------------------------------------------------------------------
-# single-table plans
-# ----------------------------------------------------------------------
-
-def _build_single_plan(
-    ctx: CloudContext, catalog: Catalog, query: ast.Query, mode: str,
-    prepared=None,
-) -> PhysicalPlan:
-    """A single-table query as one streaming scan + local-tail pipeline.
-
-    The scan issues every partition request up front (so request and
-    byte accounting never depend on how far the pipeline is pulled);
-    batches flow through the local tail; a LIMIT cuts parsing and
-    operator work short without changing what was billed.  Decorrelated
-    sub-joins stack between the scan and the tail; the aggregate
-    pushdown shortcut is disabled for them (an S3-side aggregate leaves
-    nothing to join against).
-    """
-    table = catalog.get(query.table)
-    wrapped = prepared is not None and (
-        prepared.sub_joins or prepared.post_filter is not None
-    )
-    if (
-        mode in ("optimized", "adaptive")
-        and not wrapped
-        and _fully_pushable(query)
-    ):
-        root = PushedAggregateNode(
-            table, query, prune=ctx.prune_partitions
-        )
-        return PhysicalPlan(
-            root=root, mode=mode, strategy="optimized single-table"
-        )
-    names = _needed_columns(
-        query, table,
-        extra=prepared.extra_refs if prepared is not None else (),
-    )
-    if mode == "baseline":
-        names = decoded_columns(table, names, query.where)
-        scan = ScanNode(table, names, query.where, pushdown=False,
-                        phase_label="scan")
-    else:
-        scan = ScanNode(table, names, query.where, pushdown=True,
-                        phase_label="scan",
-                        prune=ctx.prune_partitions)
-    scan.est_rows = estimated_rows(ctx, table, query.where)
-    node: PlanNode = scan
-    if wrapped:
-        node, names = _apply_sub_joins(
-            ctx, node, names, scan.est_rows, prepared, mode
-        )
-    root = attach_local_tail(node, query, names, scan.est_rows)
-    # A baseline LEFT JOIN scan materializes via plain GETs whose
-    # ingest only the combined-phase formula accounts for; plans
-    # without such scans keep their historical per-scan phase.
-    combined = mode == "baseline" and wrapped and any(
-        sj.table is not None for sj in prepared.sub_joins
-    )
-    return PhysicalPlan(
-        root=root, mode=mode, strategy=f"{mode} single-table",
-        combined_label="load+join" if combined else None,
-    )
-
-
 def _fully_pushable(query: ast.Query) -> bool:
     """True when the whole query fits the S3 Select dialect with additive
     aggregates (pure SUM/COUNT shapes like TPC-H Q6)."""
@@ -354,36 +285,8 @@ def _fully_pushable(query: ast.Query) -> bool:
     )
 
 
-def _needed_columns(
-    query: ast.Query, table: TableInfo, extra=()
-) -> list[str]:
-    referenced: set[str] = set()
-    star = False
-    for item in query.select_items:
-        if isinstance(item.expr, ast.Star):
-            star = True
-        else:
-            referenced |= ast.referenced_columns(item.expr)
-    for expr in query.group_by:
-        referenced |= ast.referenced_columns(expr)
-    for order in query.order_by:
-        referenced |= ast.referenced_columns(order.expr)
-    if query.having is not None:
-        referenced |= ast.referenced_columns(query.having)
-    if star:
-        return list(table.schema.names)
-    lowered = {c.lower() for c in referenced} | {c.lower() for c in extra}
-    needed = [n for n in table.schema.names if n.lower() in lowered]
-    if not needed:
-        # A pure-literal select list (``SELECT 1 FROM t WHERE ...``, the
-        # shape EXISTS probes take) still needs one projected column so
-        # the pushed scan preserves row count.
-        needed = [table.schema.names[0]]
-    return needed
-
-
 # ----------------------------------------------------------------------
-# join plans: N-way equi-join trees and cross products
+# table plans: one scan or an N-way join tree, under one local tail
 # ----------------------------------------------------------------------
 
 def execute_forced_join(
@@ -422,13 +325,14 @@ def _join_plans(
     force_order: list[str] | None = None,
     prepared=None,
 ) -> list[PhysicalPlan]:
-    """A multi-table query's plan in each of ``modes``, from one search.
+    """A table query's plan in each of ``modes``, from one join tree.
 
     The join-tree search (``optimizer/joinorder.py``) decides the shape
     — left-deep or bushy, equi-joins or a guarded cross product — unless
-    the caller forces one; every mode's plan is derived from that one
-    tree (``modes`` may hold one pushdown mode, which takes the tree
-    itself, beside ``baseline``, which rebuilds it on GET scans).
+    the caller forces one; one table has no order to search, and its
+    tree is the table's lone scan.  Every mode's plan is derived from
+    that one tree (``modes`` may hold one pushdown mode, which takes the
+    tree itself, beside ``baseline``, which rebuilds it on GET scans).
     """
     graph = build_join_graph(catalog, query)
     search = JoinOrderSearch(
@@ -436,13 +340,13 @@ def _join_plans(
         extra_refs=frozenset(prepared.extra_refs) if prepared is not None
         else frozenset(),
     )
+    names = graph.table_names()
     decision = None
     if force_order is not None:
         order = list(force_order)
-        if sorted(order) != sorted(graph.table_names()):
+        if sorted(order) != sorted(names):
             raise PlanError(
-                f"join order {order} does not cover tables"
-                f" {graph.table_names()}"
+                f"join order {order} does not cover tables {names}"
             )
         for i in range(1, len(order)):
             if not graph.edges_between(order[i], set(order[:i])):
@@ -452,6 +356,9 @@ def _join_plans(
         tree = search.left_deep_tree(order)
     elif shape is not None:
         tree = search.build_tree(shape)
+    elif len(names) == 1:
+        # No order to search; a baseline-only build refutes no zone maps.
+        tree = search.leaf(names[0], pushdown=set(modes) != {"baseline"})
     else:
         decision = search.search(objective)
         tree = decision.tree
@@ -470,20 +377,34 @@ def _join_plan(
     decision,
     prepared,
 ) -> PhysicalPlan:
-    """The plan executing the search's join ``tree`` in one ``mode``.
+    """The plan executing the ``tree`` of :func:`_join_plans` in one ``mode``.
 
-    Hash-build sides materialize; the spine join streams its probe
-    through the residual filter and the local tail.  In the pushdown
-    modes each table's predicate and projection are pushed into its S3
-    Select scan, and *every* probe-side scan whose build key is an
-    integer carries a Bloom predicate — inner probes included, which is
-    what bushy snowflake plans profit from.
+    Hash-build sides materialize; the spine (the root join's probe, or a
+    lone scan) streams through the residual filter, the decorrelated
+    sub-joins and the local tail.  In the pushdown modes each table's
+    predicate and projection are pushed into its S3 Select scan, and
+    *every* probe-side scan whose build key is an integer carries a
+    Bloom predicate — inner probes included, which is what bushy
+    snowflake plans profit from.  A lone scan under bare additive
+    aggregates becomes one pushed aggregate unless sub-joins wrap it (an
+    S3-side aggregate leaves nothing to join against).
     """
     optimized = mode != "baseline"
+    wrapped = prepared is not None and (
+        prepared.sub_joins or prepared.post_filter is not None
+    )
+    if (
+        optimized and isinstance(tree, ScanNode) and not wrapped
+        and _fully_pushable(query)
+    ):
+        # The leaf refuted the zone maps with this same WHERE.
+        root = PushedAggregateNode(tree.table, query, tree.keep_partitions)
+        return PhysicalPlan(
+            root=root, mode=mode, strategy="optimized single-table"
+        )
     if not optimized:
         tree = search.build_tree(serialize_shape(tree), pushdown=False)
     mark_spine(tree)
-    label = join_tree_label(tree)
     leaves = join_leaves(tree)
 
     deferred = [edge.to_expr() for edge in join_extra_edges(tree)]
@@ -515,10 +436,18 @@ def _join_plan(
             ctx, node, names, tree.est_rows, prepared, mode
         )
     root = attach_local_tail(node, query, names, tree.est_rows)
+    # A baseline plan holding more than one GET scan meters them as one
+    # ``load+join`` phase, whose ingest is the whole-table formula.
+    gets = sum(
+        isinstance(n, ScanNode) and not n.pushdown for n, _ in walk_plan(root)
+    )
     return PhysicalPlan(
         root=root, mode=mode,
-        strategy=f"{mode} multi-join ({label})",
-        combined_label=None if optimized else "load+join",
+        strategy=(
+            f"{mode} single-table" if len(leaves) == 1
+            else f"{mode} multi-join ({join_tree_label(tree)})"
+        ),
+        combined_label="load+join" if not optimized and gets > 1 else None,
         adaptive_node=adaptive_node,
         join_decision=decision,
     )

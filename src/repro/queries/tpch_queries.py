@@ -217,9 +217,7 @@ def q6_optimized(ctx: CloudContext, catalog: Catalog) -> QueryExecution:
     query = ast.Query(
         select_items=tuple(_Q6.output), table="lineitem", where=_Q6.predicate
     )
-    root = PushedAggregateNode(
-        catalog.get("lineitem"), query, prune=False, phase_label="q6"
-    )
+    root = PushedAggregateNode(catalog.get("lineitem"), query, phase_label="q6")
     return physical.execute_plan(ctx, _plan("q6 optimized", root))
 
 

@@ -385,3 +385,99 @@ class TestZoneMapsOncePerSearch:
         ctx.prune_partitions = True
         assert search.leaf("dim1").keep_partitions == [0]
         assert search.leaf("dim1", pushdown=False).keep_partitions is None
+
+
+class TestOneTable:
+    """A one-table query is the join builder's one-leaf tree: its table
+    owns every conjunct, and there is no order to search."""
+
+    MODES = ("baseline", "optimized", "auto", "adaptive")
+
+    @pytest.fixture()
+    def one(self):
+        import sqlite3
+
+        ctx, catalog = CloudContext(), Catalog()
+        tables = {
+            "t": (["a:int", "b:int"], [(i, i % 7) for i in range(40)], 4),
+            "u": (["c:int", "d:int"], [(i % 10, i) for i in range(20)], 2),
+        }
+        oracle = sqlite3.connect(":memory:")
+        for name, (columns, rows, partitions) in tables.items():
+            _load(ctx, catalog, name, columns, rows, partitions=partitions)
+            oracle.execute(
+                f"CREATE TABLE {name} ({', '.join(c.split(':')[0] for c in columns)})"
+            )
+            oracle.executemany(
+                f"INSERT INTO {name} VALUES ({', '.join('?' * len(columns))})", rows
+            )
+        yield ctx, catalog, oracle
+        oracle.close()
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT a FROM t WHERE 1 = 0 AND a < 5",
+        "SELECT a FROM t WHERE EXISTS (SELECT c FROM u WHERE d > 15) AND a < 5",
+    ])
+    def test_column_free_conjuncts_stay_on_the_table(self, one, sql):
+        from repro.planner.nodes import FilterNode
+        from repro.planner.physical import walk_plan
+        from repro.planner.planner import execute_parsed, plan_parsed
+        from repro.planner.subquery import needs_rewrite, prepare_query
+        from repro.sqlparser import ast
+
+        ctx, catalog, oracle = one
+        query = parse(sql)
+        if needs_rewrite(query):
+            query = prepare_query(ctx, catalog, query, "optimized").query
+        graph = build_join_graph(catalog, query)
+        assert ast.split_conjuncts(graph.predicates["t"]) == (
+            ast.split_conjuncts(query.where)
+        )
+        assert len(ast.split_conjuncts(query.where)) == 2
+        assert graph.residual is None
+
+        expected = sorted(oracle.execute(sql).fetchall())
+        for mode in self.MODES:
+            plan, _ = plan_parsed(ctx, catalog, parse(sql), mode)
+            assert not any(
+                isinstance(node, FilterNode) for node, _ in walk_plan(plan.root)
+            ), (mode, plan.describe())
+            got = execute_parsed(ctx, catalog, parse(sql), mode).rows
+            assert sorted(got) == expected, mode
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_one_table_costs_no_search(self, one, mode, monkeypatch):
+        from collections import Counter
+
+        from repro.optimizer import pruning
+        from repro.planner.planner import plan_parsed
+
+        ctx, catalog, _ = one
+
+        def no_search(self, objective="cost"):
+            raise AssertionError("a one-table query ran the join-order search")
+
+        calls: Counter = Counter()
+        keep_partitions = pruning.keep_partitions
+
+        def counting(table, predicate):
+            calls[table.name] += 1
+            return keep_partitions(table, predicate)
+
+        monkeypatch.setattr(JoinOrderSearch, "search", no_search)
+        monkeypatch.setattr(pruning, "keep_partitions", counting)
+        for sql in (
+            "SELECT a, b FROM t WHERE a < 10",
+            "SELECT SUM(b) AS s, COUNT(*) AS n FROM t WHERE a >= 30",
+            "SELECT a FROM t WHERE b IN (SELECT c FROM u WHERE d < 5)",
+        ):
+            calls.clear()
+            plan, choice = plan_parsed(ctx, catalog, parse(sql), mode)
+            if mode == "baseline":
+                assert not calls, sql
+            else:
+                assert max(calls.values(), default=0) <= 1, (sql, calls)
+            assert plan.join_decision is None
+            assert (choice is not None) == (mode == "auto")
+            if choice is not None:
+                assert "join_orders" not in choice.summary()

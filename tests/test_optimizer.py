@@ -381,7 +381,7 @@ class TestPlannerAuto:
         assert_rows_close(auto.rows, fixed.rows)
 
     def test_strategy_alias(self, db):
-        execution = db.execute("SELECT COUNT(1) FROM orders", strategy="auto")
+        execution = db.execute("SELECT COUNT(1) FROM orders", mode="auto")
         assert execution.report.optimizer is not None
 
     def test_explain_without_execution(self, db):

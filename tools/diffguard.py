@@ -1,6 +1,6 @@
 """Dump every simulated-clock observable to JSON; run under parent and change, diff.
 
-usage: diffguard.py ROOT OUT.json [sql] [strategies] [fig1 fig5 ...]
+usage: diffguard.py ROOT OUT.json [sql] [strategies] [fuzz] [fig1 fig5 ...]
 """
 import json, sys
 root = sys.argv[1]
@@ -12,10 +12,11 @@ from repro.engine.catalog import Catalog
 from repro.experiments import ALL_EXPERIMENTS
 
 sections = sys.argv[3:]
-unknown = [s for s in sections if s not in ("sql", "strategies", *ALL_EXPERIMENTS)]
+unknown = [s for s in sections
+           if s not in ("sql", "strategies", "fuzz", *ALL_EXPERIMENTS)]
 if unknown:
     sys.exit(f"diffguard: unknown section(s) {', '.join(unknown)}; known: sql,"
-             f" strategies, {', '.join(ALL_EXPERIMENTS)}")
+             f" strategies, fuzz, {', '.join(ALL_EXPERIMENTS)}")
 out = {}
 
 
@@ -42,9 +43,35 @@ def dump(ctx, mark, ex):
     }
 
 
+def dump_sql(ctx, catalog, query):
+    """One record per mode for a parsed query: what it metered, plus its
+    plan's EXPLAIN text and predicted profile and the auto pick."""
+    from repro.planner.planner import execute_parsed, plan_parsed
+
+    recs = {}
+    for mode in ("baseline", "optimized", "auto", "adaptive"):
+        ctx.feedback.reset()
+        # The predicted side: planning issues no requests.
+        plan, _ = plan_parsed(ctx, catalog, query, mode)
+        est = plan.estimate
+        mark = ctx.metrics.mark()
+        ex = execute_parsed(ctx, catalog, query, mode)
+        rec = dump(ctx, mark, ex)
+        rec["explain"] = plan.describe()
+        rec["estimate"] = [repr(v) for v in (
+            est.requests, est.bytes_scanned, est.bytes_returned,
+            est.bytes_transferred, est.runtime_seconds, est.total_cost,
+        )]
+        rec["picked"] = (ex.details.get("optimizer") or {}).get("picked")
+        rec["phase_cpu"] = [repr(c) for c in rec["phase_cpu"]]
+        rec["runtime_seconds"] = repr(rec["runtime_seconds"])
+        rec["cost_total"] = repr(rec["cost_total"])
+        recs[mode] = rec
+    return recs
+
+
 if "sql" in sections:
     from repro.experiments.tpch_suite import ALL_QUERIES, load_suite_tables
-    from repro.planner.planner import execute_parsed, plan_parsed
     from repro.sqlparser.parser import parse
 
     qdir = Path(root) / "benchmarks" / "tpch" / "queries"
@@ -56,24 +83,30 @@ if "sql" in sections:
             ctx.calibrate_to_paper_scale(total, 10e9)
         for name in ALL_QUERIES:
             query = parse((qdir / f"{name}.sql").read_text())
-            for mode in ("baseline", "optimized", "auto", "adaptive"):
-                ctx.feedback.reset()
-                # The predicted side: planning issues no requests.
-                plan, _ = plan_parsed(ctx, catalog, query, mode)
-                est = plan.estimate
-                mark = ctx.metrics.mark()
-                ex = execute_parsed(ctx, catalog, query, mode)
-                rec = dump(ctx, mark, ex)
-                rec["explain"] = plan.describe()
-                rec["estimate"] = [repr(v) for v in (
-                    est.requests, est.bytes_scanned, est.bytes_returned,
-                    est.bytes_transferred, est.runtime_seconds, est.total_cost,
-                )]
-                rec["picked"] = (ex.details.get("optimizer") or {}).get("picked")
-                rec["phase_cpu"] = [repr(c) for c in rec["phase_cpu"]]
-                rec["runtime_seconds"] = repr(rec["runtime_seconds"])
-                rec["cost_total"] = repr(rec["cost_total"])
+            for mode, rec in dump_sql(ctx, catalog, query).items():
                 out[f"tpch/{'cal' if calibrated else 'raw'}/{name}/{mode}"] = rec
+
+if "fuzz" in sections:
+    # The SQL fuzzer's queries over its four tables, as its pinned seed
+    # generates them: loaded from ROOT's own test module by path.
+    import importlib.util
+    import random
+    from repro.planner.database import PushdownDB
+    from repro.sqlparser.parser import parse
+
+    spec = importlib.util.spec_from_file_location(
+        "sql_differential", Path(root) / "tests" / "test_sql_differential.py")
+    fuzz = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fuzz)
+    db = PushdownDB()
+    for name, (schema, rows) in fuzz._make_tables(random.Random(fuzz.SEED)).items():
+        db.load_table(name, rows, schema, partitions=4)
+    rng = random.Random(fuzz.SEED + 1)
+    queries = [fuzz._generate_query(rng) for _ in range(fuzz.NUM_QUERIES)]
+    for i, sql in enumerate(queries + fuzz._value_queries()):
+        for mode, rec in dump_sql(db.ctx, db.catalog, parse(sql)).items():
+            rec["sql"] = sql
+            out[f"fuzz/{i:03d}/{mode}"] = rec
 
 if "strategies" in sections:
     from bench import harness
