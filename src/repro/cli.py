@@ -61,17 +61,13 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 1 if lines else 0
 
 
-def _load_tpch_db(args: argparse.Namespace):
+def _load_tpch_db(scale_factor: float, **options):
     from repro import PushdownDB
 
     from repro.workloads.tpch import TABLE_SCHEMAS, TpchGenerator
 
-    gen = TpchGenerator(scale_factor=args.scale_factor)
-    db = PushdownDB(
-        batch_size=args.batch_size,
-        adaptive_threshold=getattr(args, "adaptive_threshold", None),
-        cache_bytes=getattr(args, "cache_bytes", None) or 0,
-    )
+    gen = TpchGenerator(scale_factor=scale_factor)
+    db = PushdownDB(**options)
     for table in ("customer", "orders", "lineitem", "part"):
         db.load_table(table, gen.table(table), TABLE_SCHEMAS[table])
     db.calibrate_to_paper_scale()
@@ -79,15 +75,17 @@ def _load_tpch_db(args: argparse.Namespace):
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    db = _load_tpch_db(args)
-
-    strategy = args.strategy if args.strategy is not None else args.mode
+    db = _load_tpch_db(
+        args.scale_factor, batch_size=args.batch_size,
+        adaptive_threshold=args.adaptive_threshold,
+        cache_bytes=args.cache_bytes,
+    )
     if args.compare:
         # Compare the two fixed plans; when auto was asked for, run it
         # too so its EXPLAIN report appears alongside the measurements.
-        modes = ("baseline", "optimized") + (("auto",) if strategy == "auto" else ())
+        modes = ("baseline", "optimized") + (("auto",) if args.strategy == "auto" else ())
     else:
-        modes = (strategy,)
+        modes = (args.strategy,)
     for mode in modes:
         execution = db.execute(args.sql, mode=mode)
         print(f"--- {mode} ---")
@@ -106,7 +104,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    db = _load_tpch_db(args)
+    db = _load_tpch_db(args.scale_factor)
     print(db.explain(args.sql))
     return 0
 
@@ -148,21 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
             )
         return value
 
-    def add_batch_size_knob(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--batch-size", type=positive_int, default=DEFAULT_BATCH_SIZE,
-            metavar="ROWS", help="rows per RecordBatch in the streaming executor",
-        )
-
-    def add_cache_knob(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--cache-bytes", type=non_negative_int, default=None,
-            metavar="BYTES",
-            help="semantic result-cache budget for the session; repeated"
-                 " or subsumed pushed scans answer from memory with zero"
-                 " metered requests (default 0: disabled)",
-        )
-
     # The valid experiment names come from the registry itself, so new
     # figures can never go stale in this help string.
     from repro.experiments import ALL_EXPERIMENTS
@@ -185,16 +168,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("sql")
     p_query.add_argument("--scale-factor", type=float, default=0.005)
     p_query.add_argument(
-        "--strategy", choices=modes, default=None,
+        "--strategy", choices=modes, default="optimized",
         help="physical plan: 'baseline' loads whole tables with GETs,"
              " 'optimized' pushes work into S3 Select, 'auto' lets the"
              " cost-based optimizer pick from per-candidate estimates"
              " and prints its EXPLAIN report, 'adaptive' re-plans"
              " misestimated joins mid-flight (default: optimized)",
     )
-    p_query.add_argument("--mode", choices=modes,
-                         default="optimized",
-                         help="deprecated alias for --strategy")
     p_query.add_argument("--compare", action="store_true",
                          help="run both modes and show both reports")
     p_query.add_argument("--max-rows", type=int, default=10)
@@ -212,8 +192,16 @@ def build_parser() -> argparse.ArgumentParser:
              " adaptive execution re-plans the remaining join tree"
              " (default 2.0; only used with --strategy adaptive)",
     )
-    add_batch_size_knob(p_query)
-    add_cache_knob(p_query)
+    p_query.add_argument(
+        "--batch-size", type=positive_int, default=DEFAULT_BATCH_SIZE,
+        metavar="ROWS", help="rows per RecordBatch in the streaming executor",
+    )
+    p_query.add_argument(
+        "--cache-bytes", type=non_negative_int, default=0, metavar="BYTES",
+        help="semantic result-cache budget for the session; repeated"
+             " or subsumed pushed scans answer from memory with zero"
+             " metered requests (default 0: disabled)",
+    )
     p_query.set_defaults(fn=_cmd_query)
 
     p_explain = sub.add_parser(
@@ -222,8 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_explain.add_argument("sql")
     p_explain.add_argument("--scale-factor", type=float, default=0.005)
-    add_batch_size_knob(p_explain)
-    add_cache_knob(p_explain)
     p_explain.set_defaults(fn=_cmd_explain)
 
     p_tables = sub.add_parser("tables", help="show TPC-H table sizes")

@@ -41,11 +41,19 @@ class QueryExecution:
 
     @property
     def details(self) -> Mapping[str, object]:
-        """Read-only string-keyed view of :attr:`report`
-        (``ExecutionReport.as_details``), built on each access."""
-        if self.report is None:
+        """Read-only ``{"operator_times": [...]}``, one dict per
+        :attr:`report` node (``node``, ``depth``, ``seconds``,
+        ``self_seconds``, ``rows``, ``rows_per_sec``), which
+        ``bench/tracing.py`` sums; empty without plan nodes.  Everything
+        else is on :attr:`report`."""
+        if self.report is None or not self.report.nodes:
             return MappingProxyType({})
-        return self.report.as_details()
+        return MappingProxyType({"operator_times": [
+            {"node": r.node, "depth": r.depth, "seconds": r.seconds,
+             "self_seconds": r.self_seconds, "rows": r.actual_rows,
+             "rows_per_sec": r.rows_per_sec}
+            for r in self.report.nodes
+        ]})
 
     @property
     def total_cost(self) -> float:

@@ -23,8 +23,7 @@ MODES = {
 }
 
 
-def run(scale_factor: float = 0.01, paper_bytes: float = PAPER_TPCH_BYTES,
-        include_presto_reference: bool = True):
+def run(scale_factor: float = 0.01, paper_bytes: float = PAPER_TPCH_BYTES):
     speedups, costs = [], []
 
     def record(name, runs):
@@ -35,10 +34,9 @@ def run(scale_factor: float = 0.01, paper_bytes: float = PAPER_TPCH_BYTES,
         rows = [{"query": name, "strategy": mode, "runtime_s": round(ex.runtime_seconds, 3),
                  **cost_columns(ex), "speedup": "" if ex is baseline else speedup}
                 for mode, ex in runs.items()]
-        if include_presto_reference:
-            presto = round(baseline.runtime_seconds / PRESTO_BASELINE_FACTOR, 3)
-            rows.append({"query": name, "strategy": "presto (derived)",
-                         "runtime_s": presto, "cost_total": ""})
+        presto = round(baseline.runtime_seconds / PRESTO_BASELINE_FACTOR, 3)
+        rows.append({"query": name, "strategy": "presto (derived)",
+                     "runtime_s": presto, "cost_total": ""})
         return rows
 
     def load(ctx, catalog, _):

@@ -120,7 +120,6 @@ def choose_planner_mode(
     ctx: CloudContext,
     catalog: Catalog,
     query,
-    objective: str = "cost",
     prepared=None,
 ) -> Choice:
     """Pick the SQL planner's execution mode (``baseline`` / ``optimized``).
@@ -130,10 +129,12 @@ def choose_planner_mode(
     physical plans are built once — one join-order search between them —
     and each is priced by the plan cost walker
     (:mod:`repro.planner.costing`); the candidates *are* the plans'
-    predicted profiles, and the picked plan rides along as
-    ``choice.plan``.  When the decorrelation pass rewrote the query,
-    ``prepared`` is its output, so the priced plans carry the sub-joins
-    and the subquery legs (init plans) that will run.
+    predicted profiles, ranked by predicted dollars (the SQL path has
+    one objective, so the choice always reports ``objective=cost``), and
+    the picked plan rides along as ``choice.plan``.  When the
+    decorrelation pass rewrote the query, ``prepared`` is its output, so
+    the priced plans carry the sub-joins and the subquery legs (init
+    plans) that will run.
 
     For multi-table queries the join-order search's per-candidate table
     (each considered order with predicted rows/runtime/cost) is lifted
@@ -143,12 +144,11 @@ def choose_planner_mode(
     from repro.planner import planner
 
     baseline, optimized = planner.build_plans(
-        ctx, catalog, query, ("baseline", "optimized"), objective,
-        prepared=prepared,
+        ctx, catalog, query, ("baseline", "optimized"), prepared=prepared,
     )
     decision = optimized.join_decision
     return _choose(
-        "sql", [baseline, optimized], objective,
+        "sql", [baseline, optimized], "cost",
         decision.summary() if decision is not None else None,
     )
 

@@ -68,6 +68,10 @@ from repro.strategies.scans import decoded_columns
 #: connected component); larger components fall back to the greedy search.
 DP_TABLE_LIMIT = 6
 
+#: The SQL path's one ranking: predicted dollars, runtime breaking ties
+#: (the paper's optimizer minimises cost).
+_RANK = objective_key("cost")
+
 #: Disconnected FROM lists execute as cross products only while the
 #: estimated row product stays under this bound; larger products are
 #: rejected as unplannable cross joins.
@@ -365,7 +369,10 @@ class JoinOrderSearch:
     priced via :func:`~repro.planner.costing.predicted_phases` — the
     *same* per-node phase assembly the mode chooser ranks and EXPLAIN
     annotates with — so search ranking, EXPLAIN estimates and execution
-    metering all read from one IR.
+    metering all read from one IR.  Candidates rank by predicted dollars
+    (runtime breaks ties), and a Bloom probe's pass rate is predicted at
+    :data:`~repro.bloom.filter.DEFAULT_FPR`, the rate :meth:`combine`
+    ships.
 
     The planner builds one per table query, one-table queries included:
     those have no order to search, so their tree is :meth:`leaf` of the
@@ -377,13 +384,11 @@ class JoinOrderSearch:
         ctx: CloudContext,
         graph: JoinGraph,
         query: ast.Query,
-        fpr: float = DEFAULT_FPR,
         extra_refs: frozenset = frozenset(),
     ):
         self.ctx = ctx
         self.graph = graph
         self.query = query
-        self.fpr = fpr
         self.feedback = ctx.feedback
         columns = needed_columns(graph, query, extra=extra_refs)
         self.shapes: dict[str, _TableShape] = {}
@@ -589,7 +594,7 @@ class JoinOrderSearch:
         return predicted_bloom_pass(
             self._key_distinct(build_end, build_key, build.est_rows),
             self._key_distinct(probe_end, probe_key, filtered_rows),
-            filtered_rows, self.fpr,
+            filtered_rows, DEFAULT_FPR,
         )
 
     def left_deep_tree(self, order: list[str]) -> PlanNode:
@@ -645,14 +650,14 @@ class JoinOrderSearch:
         return self.price_tree(self.left_deep_tree(list(order)))
 
     # -- enumeration -------------------------------------------------
-    def search(self, objective: str = "cost") -> JoinOrderDecision:
-        """Pick the cheapest join tree under ``objective``.
+    def search(self) -> JoinOrderDecision:
+        """Pick the cheapest join tree: least predicted dollars, then
+        least runtime.
 
         Each connected component is planned by :meth:`_best_tree` (bushy
         DP, greedy above :data:`DP_TABLE_LIMIT`); multiple components
         combine smallest first through guarded cross products.
         """
-        key = objective_key(objective)
         components = self.graph.connected_components()
         trees: list[PlanNode] = []
         candidates: list[StrategyEstimate] = []
@@ -662,11 +667,11 @@ class JoinOrderSearch:
             if len(leaves) == 1:
                 trees.append(leaves[0])
                 continue
-            tree, options = self._best_tree(leaves, objective)
+            tree, options = self._best_tree(leaves)
             trees.append(tree)
             methods.add("dp" if options else "greedy")
             if len(components) == 1 and options:
-                candidates = sorted((est for _, est in options), key=key)
+                candidates = sorted((est for _, est in options), key=_RANK)
 
         trees.sort(
             key=lambda t: (t.est_rows, tuple(sorted(t.tables)))
@@ -696,7 +701,7 @@ class JoinOrderSearch:
         )
 
     def _best_tree(
-        self, leaves: list[PlanNode], objective: str
+        self, leaves: list[PlanNode]
     ) -> tuple[PlanNode, list[tuple[PlanNode, StrategyEstimate]]]:
         """The cheapest join tree over two or more ``leaves``, with the
         DP's priced candidates over all of them — or, above
@@ -705,17 +710,16 @@ class JoinOrderSearch:
         candidates."""
         if len(leaves) > DP_TABLE_LIMIT:
             return self._greedy_tree(leaves), []
-        options = self._dp_leaves(leaves, objective)
+        options = self._dp_leaves(leaves)
         if not options:
             raise PlanError(
                 "no connected join tree exists for tables"
                 f" {sorted(frozenset().union(*(leaf.tables for leaf in leaves)))}"
             )
-        key = objective_key(objective)
-        return min(options, key=lambda pair: key(pair[1]))[0], options
+        return min(options, key=lambda pair: _RANK(pair[1]))[0], options
 
     def _dp_leaves(
-        self, leaves: list[PlanNode], objective: str
+        self, leaves: list[PlanNode]
     ) -> list[tuple[PlanNode, StrategyEstimate]]:
         """The bushy DP itself, over generic leaves.
 
@@ -728,7 +732,6 @@ class JoinOrderSearch:
         re-planning (materialized intermediates mixed in); connectivity
         is judged on each subset's union of base tables.
         """
-        key = objective_key(objective)
         n = len(leaves)
         best: dict[frozenset, PlanNode] = {
             frozenset((i,)): leaves[i] for i in range(n)
@@ -757,15 +760,13 @@ class JoinOrderSearch:
                 if not options:
                     continue
                 best[subset_key] = min(
-                    options, key=lambda pair: key(pair[1])
+                    options, key=lambda pair: _RANK(pair[1])
                 )[0]
                 if final_level:
                     level = options
         return level
 
-    def replan_remaining(
-        self, leaves: list[PlanNode], objective: str = "cost"
-    ) -> PlanNode:
+    def replan_remaining(self, leaves: list[PlanNode]) -> PlanNode:
         """Re-plan the remaining relations of a *running* query.
 
         The adaptive executor calls this after a pipeline breaker's
@@ -794,7 +795,7 @@ class JoinOrderSearch:
             if isinstance(leaf, ScanNode) else leaf
             for leaf in leaves
         ]
-        return self._best_tree(leaves, objective)[0]
+        return self._best_tree(leaves)[0]
 
     def _greedy_tree(self, leaves: list[PlanNode]) -> PlanNode:
         """Left-deep greedy: the smallest leaf first, then always the
@@ -843,10 +844,10 @@ def plan_join_order(
     ctx: CloudContext,
     catalog: Catalog,
     query: ast.Query,
-    objective: str = "cost",
     graph: JoinGraph | None = None,
 ) -> JoinOrderDecision:
-    """Build the join graph (unless given) and run the tree search."""
+    """Build the join graph (unless given) and run the tree search
+    (:meth:`JoinOrderSearch.search`: least predicted dollars)."""
     if graph is None:
         graph = build_join_graph(catalog, query)
-    return JoinOrderSearch(ctx, graph, query).search(objective)
+    return JoinOrderSearch(ctx, graph, query).search()

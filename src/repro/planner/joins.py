@@ -288,7 +288,8 @@ class AdaptiveJoinNode(PlanNode):
     execution is byte-identical — rows, bytes, requests, runtime, cost —
     to the static plan.  When a build comes out badly misestimated, the
     observed cardinality is fed into the join-order search and the bushy
-    DP re-runs over the *remaining* relations (the fresh materialization
+    DP re-runs, ranking by predicted dollars like the plan-time search,
+    over the *remaining* relations (the fresh materialization
     plus every not-yet-started scan); the winning tree is spliced in and
     execution continues.  Already-issued requests and billed bytes are
     never revisited: re-planning only reorders work not yet started.
@@ -299,7 +300,6 @@ class AdaptiveJoinNode(PlanNode):
         child: PlanNode,
         search,
         threshold: float,
-        objective: str = "cost",
     ):
         self.child = child
         #: The session's :class:`~repro.optimizer.joinorder.JoinOrderSearch`,
@@ -307,7 +307,6 @@ class AdaptiveJoinNode(PlanNode):
         #: import cycle).
         self.search = search
         self.threshold = float(threshold)
-        self.objective = objective
         self.events: list[dict] = []
         self.replans = 0
         self.est_rows = child.est_rows
@@ -383,7 +382,7 @@ class AdaptiveJoinNode(PlanNode):
             event["note"] = "no alternative join order remains"
             return tree
         try:
-            new_tree = self.search.replan_remaining(leaves, self.objective)
+            new_tree = self.search.replan_remaining(leaves)
         except PlanError as exc:
             event["note"] = f"replan failed: {exc}"
             return tree

@@ -165,15 +165,14 @@ def build_plans(
     catalog: Catalog,
     query: ast.Query,
     modes: Sequence[str],
-    objective: str = "cost",
     shape=None,
     force_order: list[str] | None = None,
     prepared=None,
 ) -> list[PhysicalPlan]:
     """One priced plan per entry of ``modes`` (see :func:`build_plan`).
 
-    A table query builds one join tree — the join-order search runs
-    (under ``objective``) once for two or more tables — and derives
+    A table query builds one join tree — the join-order search, ranking
+    by predicted dollars, runs once for two or more tables — and derives
     every mode's plan from it, so the ``auto`` chooser's baseline and
     optimized candidates join in the same order.  Every returned plan
     carries its predicted profile (``plan.estimate``, init plans
@@ -183,7 +182,7 @@ def build_plans(
         plans = [_build_derived_plan(query, mode, prepared) for mode in modes]
     else:
         plans = _join_plans(
-            ctx, catalog, query, modes, objective, shape=shape,
+            ctx, catalog, query, modes, shape=shape,
             force_order=force_order, prepared=prepared,
         )
     for plan in plans:
@@ -320,7 +319,6 @@ def _join_plans(
     catalog: Catalog,
     query: ast.Query,
     modes: Sequence[str],
-    objective: str = "cost",
     shape=None,
     force_order: list[str] | None = None,
     prepared=None,
@@ -360,7 +358,7 @@ def _join_plans(
         # No order to search; a baseline-only build refutes no zone maps.
         tree = search.leaf(names[0], pushdown=set(modes) != {"baseline"})
     else:
-        decision = search.search(objective)
+        decision = search.search()
         tree = decision.tree
     return [
         _join_plan(ctx, query, mode, tree, search, decision, prepared)

@@ -3,14 +3,14 @@
 The executor builds one :class:`ExecutionReport` per query from one
 pre-order walk of the executed plan (``physical.plan_records``) and hangs
 it on ``QueryExecution.report``.  This module renders it (EXPLAIN
-ANALYZE, the blocks of ``QueryExecution.explain()``) and builds the
-read-only ``details`` mapping that readers outside the package index.
+ANALYZE, the blocks of ``QueryExecution.explain()``); readers take the
+typed fields.  ``QueryExecution.details`` keeps only ``operator_times``,
+one dict per node record, which ``bench/tracing.py`` sums.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
-from types import MappingProxyType
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 
@@ -82,34 +82,6 @@ class ExecutionReport:
 
     def with_extras(self, **extras) -> ExecutionReport:
         return replace(self, extras={**self.extras, **extras})
-
-    def as_details(self) -> Mapping[str, object]:
-        """The record as one read-only string-keyed mapping: the extras,
-        then ``plan``, ``actuals``, ``operator_times``, ``adaptive``,
-        ``cache`` and ``optimizer`` when present."""
-        view = dict(self.extras)
-        if self.nodes:
-            view["plan"] = self.plan
-            view["actuals"] = [
-                {"node": r.node, "depth": r.depth, "est_rows": r.est_rows,
-                 "actual_rows": r.actual_rows, "q_error": r.q_error}
-                for r in self.nodes
-            ]
-            view["operator_times"] = [
-                {"node": r.node, "depth": r.depth, "seconds": r.seconds,
-                 "self_seconds": r.self_seconds, "rows": r.actual_rows,
-                 "rows_per_sec": r.rows_per_sec}
-                for r in self.nodes
-            ]
-        if self.adaptive is not None:
-            view["adaptive"] = {
-                **asdict(self.adaptive), "events": list(self.adaptive.events)
-            }
-        if self.cache is not None:
-            view["cache"] = asdict(self.cache)
-        if self.optimizer is not None:
-            view["optimizer"] = self.optimizer
-        return MappingProxyType(view)
 
     def explain_lines(self) -> list[str]:
         """What ``QueryExecution.explain()`` prints after the phases (the

@@ -301,7 +301,7 @@ class TestReplanEvents:
         flipped = search.build_tree(new_shape)
 
         class FlipRoot:
-            def replan_remaining(self, leaves, objective):
+            def replan_remaining(self, leaves):
                 return flipped
 
         node = AdaptiveJoinNode(tree, FlipRoot(), threshold=2.0)

@@ -52,16 +52,6 @@ class TestCli:
         for column in ("requests", "scanned", "returned", "runtime", "cost"):
             assert column in out
 
-    def test_mode_alias_still_accepts_auto(self, capsys):
-        code = main([
-            "query",
-            "SELECT COUNT(*) AS n FROM customer",
-            "--scale-factor", "0.001",
-            "--mode", "auto",
-        ])
-        assert code == 0
-        assert "optimizer:" in capsys.readouterr().out
-
     def test_experiment_unknown_name_fails(self, capsys):
         assert main(["experiment", "fig99"]) == 2
         assert "unknown experiment" in capsys.readouterr().out
@@ -116,7 +106,7 @@ class TestCli:
             " AND c_acctbal < 100"
         )
         code = main([
-            "query", sql, "--scale-factor", "0.001", "--mode", "adaptive",
+            "query", sql, "--scale-factor", "0.001", "--strategy", "adaptive",
             "--cache-bytes", "100000000",
         ])
         assert code == 0
@@ -242,13 +232,24 @@ class TestCli:
         assert main(["experiment", "stub"]) == 1
         assert "fig9 k=3 sampling: rows disagree" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("command", ["query", "explain", "experiment"])
-    def test_workers_is_a_usage_error(self, command, capsys):
-        """The engine is serial: no subcommand takes ``--workers``."""
+    @pytest.mark.parametrize("argv", [
+        *(pytest.param([command, "SELECT 1", "--workers", "2"], id=command)
+          for command in ("query", "explain", "experiment")),
+        pytest.param(["query", "SELECT 1", "--mode", "auto"], id="query-mode"),
+        pytest.param(["explain", "SELECT 1", "--batch-size", "64"],
+                     id="explain-batch-size"),
+        pytest.param(["explain", "SELECT 1", "--cache-bytes", "1"],
+                     id="explain-cache-bytes"),
+    ])
+    def test_workers_is_a_usage_error(self, argv, capsys):
+        """The engine is serial: no subcommand takes ``--workers``.  Nor
+        does ``query`` take ``--mode`` (``--strategy`` names the plan),
+        nor ``explain`` the knobs that change nothing when planning."""
         with pytest.raises(SystemExit) as exit_info:
-            build_parser().parse_args([command, "SELECT 1", "--workers", "2"])
+            build_parser().parse_args(argv)
         assert exit_info.value.code == 2
-        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(argv[2:])}" in err
 
     def test_experiment_takes_no_batch_size(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -1,6 +1,6 @@
 """One machine-readable line of benchmark history from ``bench/out``.
 
-usage: bench_history.py [--label L] [--append]
+usage: bench_history.py [--label L] [--tier1 "N passed in S.SSs"] [--append]
 
 Reads every ``bench/out/<workload>-seed<N>.json`` of the workloads
 ``BENCHMARK.json`` declares (``bench/run.py --workload W --seed N
@@ -8,8 +8,9 @@ Reads every ``bench/out/<workload>-seed<N>.json`` of the workloads
 (the smoke test writes the same names at a toy scale), and prints one JSON
 line: the label, the commit, per workload the median over its seeds of
 each end-to-end metric plus its failed ops and run count, and the
-``src/`` line count.  ``--append`` also adds that line to the root-level
-``BENCH_history.jsonl``.
+``src/`` line count.  ``--tier1`` takes the tier-1 run's pytest summary
+line and records ``"tier1": {"passed": N, "seconds": S}``.  ``--append``
+also adds that line to the root-level ``BENCH_history.jsonl``.
 
 A line measured on a clean checkout records its ``commit``.  One measured
 on a tree with uncommitted changes (a change about to be committed) has
@@ -52,7 +53,17 @@ def revision() -> dict:
     return {"commit": head}
 
 
-def history_line(label: str) -> dict:
+def tier1_summary(text: str) -> dict:
+    """``{"passed": N, "seconds": S}`` from a pytest summary line such as
+    ``1686 passed in 162.22s`` (other outcome counts may sit between)."""
+    passed = re.search(r"(\d+) passed", text)
+    seconds = re.search(r" in (\d+(?:\.\d+)?)s", text)
+    if passed is None or seconds is None:
+        sys.exit(f"bench_history: not a pytest summary line: {text!r}")
+    return {"passed": int(passed[1]), "seconds": float(seconds[1])}
+
+
+def history_line(label: str, tier1: str | None = None) -> dict:
     out_dir = ROOT / "bench" / "out"
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = [m["name"] for m in spec["end_to_end"]]
@@ -80,18 +91,25 @@ def history_line(label: str) -> dict:
             "failed_ops": sum(len(run["failed_ops"]) for run in runs),
             "runs": len(runs),
         }
-    return {
+    line = {
         "label": label, **revision(), "workloads": workloads,
         "src_lines": src_lines(),
     }
+    if tier1 is not None:
+        line["tier1"] = tier1_summary(tier1)
+    return line
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", default="", help="e.g. the PR this measures")
+    parser.add_argument(
+        "--tier1", default=None, metavar="SUMMARY",
+        help='the tier-1 pytest summary line, e.g. "1686 passed in 162.22s"',
+    )
     parser.add_argument("--append", action="store_true", help=f"append to {HISTORY.name}")
     args = parser.parse_args(argv)
-    line = json.dumps(history_line(args.label))
+    line = json.dumps(history_line(args.label, args.tier1))
     print(line)
     if args.append:
         with HISTORY.open("a") as history:

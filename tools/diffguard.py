@@ -1,6 +1,6 @@
 """Dump every simulated-clock observable to JSON; run under parent and change, diff.
 
-usage: diffguard.py ROOT OUT.json [sql] [strategies] [fuzz] [fig1 fig5 ...]
+usage: diffguard.py ROOT OUT.json [sql] [strategies] [fuzz] [repeat] [fig1 fig5 ...]
 """
 import json, sys
 root = sys.argv[1]
@@ -13,10 +13,10 @@ from repro.experiments import ALL_EXPERIMENTS
 
 sections = sys.argv[3:]
 unknown = [s for s in sections
-           if s not in ("sql", "strategies", "fuzz", *ALL_EXPERIMENTS)]
+           if s not in ("sql", "strategies", "fuzz", "repeat", *ALL_EXPERIMENTS)]
 if unknown:
     sys.exit(f"diffguard: unknown section(s) {', '.join(unknown)}; known: sql,"
-             f" strategies, fuzz, {', '.join(ALL_EXPERIMENTS)}")
+             f" strategies, fuzz, repeat, {', '.join(ALL_EXPERIMENTS)}")
 out = {}
 
 
@@ -39,7 +39,11 @@ def dump(ctx, mark, ex):
         "runtime_seconds": ex.runtime_seconds,
         "cost_total": ex.cost.total,
         "strategy": ex.strategy,
-        "details": sorted(ex.details),
+        # The execution record's shape: its extras' names and which of
+        # the optional parts the run filled in.
+        "extras": sorted(ex.report.extras),
+        "report": [part for part in ("optimizer", "adaptive", "cache")
+                   if getattr(ex.report, part) is not None],
     }
 
 
@@ -62,7 +66,7 @@ def dump_sql(ctx, catalog, query):
             est.requests, est.bytes_scanned, est.bytes_returned,
             est.bytes_transferred, est.runtime_seconds, est.total_cost,
         )]
-        rec["picked"] = (ex.details.get("optimizer") or {}).get("picked")
+        rec["picked"] = (ex.report.optimizer or {}).get("picked")
         rec["phase_cpu"] = [repr(c) for c in rec["phase_cpu"]]
         rec["runtime_seconds"] = repr(rec["runtime_seconds"])
         rec["cost_total"] = repr(rec["cost_total"])
@@ -171,6 +175,28 @@ if "strategies" in sections:
             out[f"strategy/seed{seed}/{name}"] = dump(db.ctx, mark, ex)
             out[f"strategy/seed{seed}/{name}"]["statements"] = list(statements)
     PreparedSelect.__init__ = prepare
+
+if "repeat" in sections:
+    # One pass of the cache-enabled session: cache hits, subsumption and
+    # the reloads that evict.
+    from bench import harness
+    from bench.workloads import WORKLOADS
+
+    session = harness.open_session(WORKLOADS["repeat_session"](None, 1), loads=1)
+    db = session.db
+    session.workload.begin_pass(db)
+    for op in session.ops:
+        mark = db.ctx.metrics.mark()
+        result = op.run(db)
+        if op.kind != "sql":
+            out[f"repeat/{op.name}"] = {"kind": op.kind, "rows": result.num_rows}
+            continue
+        rec = dump(db.ctx, mark, result)
+        cache = result.report.cache
+        rec["cache"] = None if cache is None else [
+            cache.hit, cache.subsumed, cache.miss, cache.stores,
+        ]
+        out[f"repeat/{op.name}"] = rec
 
 for fig in (s for s in sections if s in ALL_EXPERIMENTS):
     result = ALL_EXPERIMENTS[fig]()
