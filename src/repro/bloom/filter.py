@@ -128,36 +128,34 @@ class BloomFilter:
         return bytes(self.bits).translate(b"0" + b"1" * 255).decode("ascii")
 
     # ------------------------------------------------------------------
-    # SQL rendering
+    # the pushed predicate
     # ------------------------------------------------------------------
-    def to_sql_predicate(self, attr: str, cast_to_int: bool = True) -> str:
-        """Render the membership test as an S3 Select WHERE fragment.
-
-        One conjunct per hash function, each embedding the bit string —
-        exactly the shape of the paper's Listing 1.
-        """
-        return self._render(f"CAST({attr} AS INT)" if cast_to_int else attr, self.bit_string())
-
     def to_predicate(self, attr: str, cast_to_int: bool = True) -> ast.Expr:
-        """The tree the parser builds from :meth:`to_sql_predicate`'s text
-        (``==``, pinned by test), built without rendering or lexing it."""
+        """The membership test as an S3 Select WHERE tree: one conjunct per
+        hash function, each embedding the bit string.  Its ``to_sql()`` is
+        the paper's Listing 1 by construction:
+        ``SUBSTRING('…', ((a * CAST(attr AS INT) + b) % n) % m + 1, 1) = '1'``."""
+        return self._conjuncts(attr, self.bit_string(), cast_to_int)
+
+    def to_sql_predicate(self, attr: str, cast_to_int: bool = True) -> str:
+        """The rendering of :meth:`to_predicate`: the WHERE fragment as it
+        travels."""
+        return self.to_predicate(attr, cast_to_int).to_sql()
+
+    def _conjuncts(self, attr: str, bits: str, cast_to_int: bool = True) -> ast.Expr:
         key = ast.Cast(ast.Column(attr), "INT") if cast_to_int else ast.Column(attr)
-        bits, one, on = Literal(self.bit_string()), Literal(1), Literal("1")
+        bits, one, on = Literal(bits), Literal(1), Literal("1")
         return ast.and_join([
             ast.Binary("=", ast.FuncCall("SUBSTRING", (bits, h.to_expr(key), one)), on)
             for h in self.hashes
         ])
 
-    def _render(self, attr_sql: str, bits: str) -> str:
-        return " AND ".join(
-            f"SUBSTRING('{bits}', {h.to_sql(attr_sql)}, 1) = '1'" for h in self.hashes
-        )
-
     def predicate_size_bytes(self, attr: str) -> int:
         """Size of the rendered predicate (what counts against 256 KB):
-        the clause text plus one bit string per hash function, whatever
-        the bits — nothing is inserted or rendered to weigh a filter."""
-        clauses = self._render(f"CAST({attr} AS INT)", "")
+        the conjuncts rendered around empty bit strings, plus one bit
+        string per hash function, whatever the bits — nothing is inserted,
+        and no bit string rendered, to weigh a filter."""
+        clauses = self._conjuncts(attr, "").to_sql()
         return len(clauses.encode()) + self.num_hashes * self.num_bits
 
 
@@ -244,22 +242,13 @@ class BloomPushdown:
     when_empty: bool = False
 
 
-class PushedClause(str):
-    """A pushed predicate's wire text; ``expr`` is the tree it parses to."""
-
-    def __new__(cls, sql: str, expr: ast.Expr):
-        clause = super().__new__(cls, sql)
-        clause.expr = expr
-        return clause
-
-
 def membership_chunks(
     attr: str,
     keys,
     overhead_bytes: int,
     limit_bytes: int = EXPRESSION_LIMIT_BYTES,
-) -> list[str] | None:
-    """Render ``attr IN (...)`` predicates, each within the service limit.
+) -> list[ast.InList] | None:
+    """``attr IN (...)`` predicates whose renderings fit the service limit.
 
     The unique keys are split greedily so every rendered predicate plus
     ``overhead_bytes`` (the rest of the query) stays at or under
@@ -269,7 +258,8 @@ def membership_chunks(
     """
     unique = sorted(set(keys))
     budget = limit_bytes - overhead_bytes
-    fixed = len(f"{attr} IN (".encode()) + 1
+    column = ast.Column(attr)
+    fixed = len(ast.InList(column, ()).to_sql().encode())  # "attr IN ()"
     groups: list[list[Literal]] = [[]]
     used = 0
     for key in unique:
@@ -282,33 +272,29 @@ def membership_chunks(
             used = 0
         groups[-1].append(literal)
         used += size + 2  # ", " separator
-    return [
-        PushedClause(f"{attr} IN ({', '.join(map(Literal.to_sql, group))})",
-                     ast.InList(ast.Column(attr), tuple(group)))
-        for group in groups if group
-    ]
+    return [ast.InList(column, tuple(group)) for group in groups if group]
 
 
 def membership_clauses(
-    keys: Sequence[int], attr: str, base_sql: str, how: BloomPushdown
-) -> tuple[list[str], BloomBuildOutcome]:
+    keys: Sequence[int], attr: str, base: ast.Query, how: BloomPushdown
+) -> tuple[list[ast.Expr], BloomBuildOutcome]:
     """The pushed predicates testing ``attr`` against ``keys``, one probe
     scan per clause, down the degradation ladder: a Bloom filter (its FPR
     raised until the query fits the expression limit), else at most
     :data:`MAX_MEMBERSHIP_CHUNKS` exact ``IN`` lists whose scans union to
-    the membership scan, else none (an unfiltered scan).  ``base_sql`` is
-    the probe scan without the predicate (its size counts against the
-    limit); ``outcome.bloom is None`` marks the two degraded rungs.
+    the membership scan, else none (an unfiltered scan).  ``base`` is
+    the probe scan's statement without the predicate (its rendering counts
+    against the limit); ``outcome.bloom is None`` marks the two degraded
+    rungs.
     """
     unique = list(dict.fromkeys(keys))
-    overhead = len(base_sql.encode()) + 16
+    overhead = len(base.to_sql().encode()) + 16
     outcome = build_bloom_filter_within_limit(
         unique, how.fpr, attr, sql_overhead_bytes=overhead,
         limit_bytes=how.limit_bytes, seed=how.seed,
     )
     if (bloom := outcome.bloom) is not None:
-        clause = PushedClause(bloom.to_sql_predicate(attr), bloom.to_predicate(attr))
-        return [clause], outcome
+        return [bloom.to_predicate(attr)], outcome
     chunks = membership_chunks(attr, unique, overhead, how.limit_bytes)
     if chunks and len(chunks) <= MAX_MEMBERSHIP_CHUNKS:
         return chunks, outcome

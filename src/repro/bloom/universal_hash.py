@@ -61,16 +61,10 @@ class UniversalHash:
     def apply(self, x: int) -> int:
         return ((self.a * x + self.b) % self.n) % self.m
 
-    def to_sql(self, attr_sql: str) -> str:
-        """Render the hash as S3 Select arithmetic over ``attr_sql``.
-
-        The result is the 1-based SUBSTRING position, i.e. the paper's
-        ``((69 * CAST(attr as INT) + 92) % 97) % 68 + 1`` pattern.
-        """
-        return f"(({self.a} * {attr_sql} + {self.b}) % {self.n}) % {self.m} + 1"
-
     def to_expr(self, attr: Expr) -> Expr:
-        """The tree the parser builds from :meth:`to_sql` over ``attr``'s text."""
+        """The hash as S3 Select arithmetic over ``attr``: the 1-based
+        SUBSTRING position, rendered as the paper's
+        ``((69 * CAST(attr AS INT) + 92) % 97) % 68 + 1`` pattern."""
         inner = Binary("+", Binary("*", Literal(self.a), attr), Literal(self.b))
         position = Binary("%", Binary("%", inner, Literal(self.n)), Literal(self.m))
         return Binary("+", position, Literal(1))

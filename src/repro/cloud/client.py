@@ -16,7 +16,6 @@ from repro.s3select.engine import (
     SelectResult,
     execute_select,
 )
-from repro.s3select.validator import EXPRESSION_LIMIT_BYTES
 from repro.storage.object_store import ObjectStore
 
 
@@ -110,23 +109,19 @@ class S3Client:
         key: str,
         sql: str | PreparedSelect,
         scan_range: ScanRange | None = None,
-        expression_limit: int = EXPRESSION_LIMIT_BYTES,
-        allow_group_by: bool = False,
         compress_output: bool = False,
     ) -> SelectResult:
         """Run an S3 Select query against one object (metered SELECT).
 
-        ``sql`` is the SQL text or — for a scan sending one statement to
-        many objects — that statement as a ``PreparedSelect``, which has
-        passed the ``expression_limit`` / ``allow_group_by`` checks already.
-        ``allow_group_by`` and ``compress_output`` opt into the paper's
-        Suggestion 4 and Section IX extensions respectively (neither is
+        ``sql`` is the SQL text (:func:`execute_select`'s text entry) or —
+        for a scan sending one statement to many objects — that
+        statement, prepared once as a ``PreparedSelect``.
+        ``compress_output`` opts into the paper's Section IX extension (not
         available on the real service).
         """
         obj = self.store.get_object(bucket, key)
         result = execute_select(
-            obj, sql, scan_range=scan_range, expression_limit=expression_limit,
-            allow_group_by=allow_group_by, compress_output=compress_output,
+            obj, sql, scan_range=scan_range, compress_output=compress_output
         )
         self.metrics.record(
             RequestRecord(

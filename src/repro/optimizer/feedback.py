@@ -50,14 +50,15 @@ from repro.sqlparser import ast
 
 
 def predicate_signature(predicate: ast.Expr | None) -> str:
-    """Normalized signature of a predicate: sorted top-level conjuncts.
+    """Normalized signature of a predicate: sorted top-level conjuncts,
+    each parenthesized so that no two predicates share one.
 
     ``a < 5 AND b = 2`` and ``b = 2 AND a < 5`` share one signature, so
     feedback recorded under either spelling serves both.
     """
     if predicate is None:
         return ""
-    return " AND ".join(sorted(c.to_sql() for c in ast.split_conjuncts(predicate)))
+    return " AND ".join(sorted(f"({c.to_sql()})" for c in ast.split_conjuncts(predicate)))
 
 
 @dataclass

@@ -251,7 +251,8 @@ def probe_selectivity(
     measurement is recorded back into the store either way.
     ``refresh=True`` forces a fresh metered probe.
     """
-    from repro.strategies.scans import iter_scan_batches, prepare, select_query
+    from repro.s3select.engine import PreparedSelect
+    from repro.strategies.scans import iter_scan_batches, select_query
 
     store = ctx.feedback
     if store is not None and not refresh:
@@ -260,7 +261,7 @@ def probe_selectivity(
             return cached
     one = ast.Literal(1)
     matched_sum = ast.Aggregate("SUM", ast.Case(((predicate, one),), ast.Literal(0)))
-    statement = prepare(select_query([matched_sum, ast.Aggregate("SUM", one)]))
+    statement = PreparedSelect(select_query([matched_sum, ast.Aggregate("SUM", one)]))
     matched = seen = 0
     for batch in iter_scan_batches(ctx, table, statement, scan_range_fraction=fraction):
         matched += sum(v or 0 for v in batch.column(0))

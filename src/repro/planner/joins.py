@@ -77,7 +77,7 @@ class HashJoinNode(JoinNode):
         #: What a Bloom join shipped (``None`` until it runs): the
         #: clauses and outcome of :func:`membership_clauses`, and how
         #: many non-NULL build keys went in.
-        self.bloom_clauses: list[str] | None = None
+        self.bloom_clauses: list[ast.Expr] | None = None
         self.bloom_outcome: BloomBuildOutcome | None = None
         self.bloom_keys = 0
         #: inner | left | semi | anti | anti_null (see operators.hashjoin).
@@ -133,7 +133,7 @@ class HashJoinNode(JoinNode):
         self.bloom_keys = len(keys)
         probe.bind(state, probe.predicate)
         self.bloom_clauses, self.bloom_outcome = membership_clauses(
-            keys, probe.bloom_attr, probe.scan_sqls()[0], self.bloom
+            keys, probe.bloom_attr, probe.statement(), self.bloom
         )
         probe.pushed = self.bloom_clauses
 

@@ -51,14 +51,12 @@ from repro.strategies.scans import (
     iter_scan_batches,
     merge_sum_partials,
     phase_since,
-    prepare,
     scan_partitions,
     select_aggregate,
     select_query,
 )
 
 if TYPE_CHECKING:
-    from repro.bloom.filter import PushedClause
     from repro.planner.physical import ExecState, InitPlan
 
 
@@ -230,7 +228,7 @@ class ScanNode(_TableLeaf):
         self.bloom_attr: str | None = None
         #: The clauses the parent join hands this run (consumed by it),
         #: each ANDed onto the predicate in a statement of its own.
-        self.pushed: list[PushedClause] | None = None
+        self.pushed: list[ast.Expr] | None = None
         #: Estimated S3-side term evaluations (WHERE conjuncts per scanned
         #: row; a parent join adds its Bloom hashes), for the cost model.
         self.est_terms: float = (
@@ -347,26 +345,12 @@ class ScanNode(_TableLeaf):
         )
         return 1 if stored else 0
 
-    def scan_sqls(self, pushed: Sequence[PushedClause] | None = None) -> list[str]:
-        """The scan's statements: its projection and :attr:`bound`
-        predicate, once — or once per ``pushed`` clause a parent join ANDs
-        on (a Bloom predicate, or the ``IN`` lists partitioning its key
-        set)."""
-        own = [self.bound.to_sql()] if self.bound is not None else []
-        return [
-            _projection_sql(self.columns, " AND ".join(own + extra) or None)
-            for extra in ([[clause] for clause in pushed] if pushed else [[]])
-        ]
-
-    def _statements(self, pushed: Sequence[PushedClause] | None):
-        """:meth:`scan_sqls` prepared, each text with the tree it parses to
-        (left-deep over ``own AND clause``'s conjuncts) — built, not parsed."""
+    def statement(self, clause: ast.Expr | None = None) -> ast.Query:
+        """The scan's pushed statement: its projection and :attr:`bound`
+        predicate, a parent join's Bloom or ``IN``-list ``clause`` ANDed on."""
         own = [self.bound] if self.bound is not None else []
-        for sql, clause in zip(self.scan_sqls(pushed), pushed or [None]):
-            where = ast.and_join(own + ast.split_conjuncts(clause and clause.expr))
-            yield PreparedSelect(
-                sql, query=select_query(self.columns or [ast.Star()], where)
-            )
+        where = ast.and_join(own + ast.split_conjuncts(clause))
+        return select_query(self.columns or [ast.Star()], where)
 
     def run(self, state: ExecState):
         """Requests issue now; the phase is finalized once the stream is
@@ -400,9 +384,10 @@ class ScanNode(_TableLeaf):
             # batches); a drained one hands them over as they came.
             responses = [
                 chain.from_iterable(scan_partitions(
-                    ctx, self.table, statement, partitions=keep
+                    ctx, self.table, PreparedSelect(self.statement(clause)),
+                    partitions=keep,
                 ))
-                for statement in self._statements(pushed)
+                for clause in pushed or [None]
             ]
             if not drained:
                 responses = [
@@ -423,13 +408,6 @@ class ScanNode(_TableLeaf):
         if cache is None:
             return names, iter(counter)
         return names, self._tee_cache(iter(counter), drained)
-
-
-def _projection_sql(columns: Sequence[str], where_sql: str | None) -> str:
-    """A scan's wire text: its Bloom clauses travel as rendered, so it is
-    assembled here rather than rendered from its tree."""
-    sql = f"SELECT {', '.join(columns) or '*'} FROM S3Object"
-    return f"{sql} WHERE {where_sql}" if where_sql else sql
 
 
 def whole_table_select(
@@ -536,7 +514,7 @@ class PushedAggregateNode(_TableLeaf):
             pushed = ast.Query(self.query.select_items, "S3Object", self.bound)
             keep, streams = self._effective_partitions()
             partials = select_aggregate(
-                ctx, self.table, prepare(pushed), partitions=keep
+                ctx, self.table, PreparedSelect(pushed), partitions=keep
             )
             if cache is not None:
                 self.cache_status = "miss"

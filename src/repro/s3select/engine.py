@@ -40,6 +40,7 @@ from repro.engine.operators.project import compile_items
 from repro.expr.vector import compile_predicate_vector
 from repro.s3select.validator import (
     EXPRESSION_LIMIT_BYTES,
+    check_expression_size,
     expression_complexity,
     validate_select_sql,
 )
@@ -176,30 +177,24 @@ class _Binding:
 class PreparedSelect:
     """One pushed statement, prepared once and executed per object.
 
-    Preparing lexes, parses and validates the SQL text and fixes its
-    per-row term count; a scan sends the same text to every partition, so
-    it prepares once and executes the result against each object (S3
-    still bills every request in full — nothing metered is shared).
-    A caller that rendered ``sql`` from an AST passes it as ``query`` and
-    nothing is lexed or parsed: it promises ``query == parse(sql)`` (pinned
-    by test, not checked here); the validator still weighs the *text*.
-    The kernels are compiled against the first object's schema and
-    re-compiled only when a later object advertises a different one.
+    A statement is a tree.  Preparing weighs its wire text, ``to_sql()``,
+    against ``expression_limit`` (``None``: the text entry,
+    :func:`execute_select`, weighed the caller's own text), validates it
+    and fixes its per-row term count.  A scan sends the same statement to
+    every partition, so it prepares once and executes the result against
+    each object (S3 still bills every request in full — nothing metered is
+    shared).  The kernels are compiled against the first object's schema
+    and re-compiled only when a later object advertises a different one.
     Construction raises the errors :func:`execute_select` documents.
     """
 
-    def __init__(
-        self,
-        sql: str,
-        expression_limit: int = EXPRESSION_LIMIT_BYTES,
-        allow_group_by: bool = False,
-        query: ast.Query | None = None,
-    ):
-        self.query = parser.parse(sql) if query is None else query
-        validate_select_sql(
-            sql, self.query, expression_limit, allow_group_by=allow_group_by
-        )
-        self._terms = expression_complexity(self.query)
+    def __init__(self, query: ast.Query, expression_limit: int | None = EXPRESSION_LIMIT_BYTES,
+                 allow_group_by: bool = False):
+        if expression_limit is not None:
+            check_expression_size(query.to_sql(), expression_limit)
+        validate_select_sql(query, allow_group_by=allow_group_by)
+        self.query = query
+        self._terms = expression_complexity(query)
         self._binding: _Binding | None = None
 
     def _bound(self, key: object, schema) -> _Binding:
@@ -288,7 +283,8 @@ def execute_select(
     """Run one S3 Select request against ``obj``: prepare, then execute.
 
     Args:
-        sql: the SQL text, or a :class:`PreparedSelect`, which already
+        sql: the SQL text (the one text entry: weighed as written, then
+            parsed once), or a :class:`PreparedSelect`, which already
             passed the ``expression_limit`` / ``allow_group_by`` checks.
         allow_group_by: enable the *partial group-by* extension of the
             paper's Suggestion 4 (see :mod:`repro.strategies.extensions`).
@@ -303,8 +299,9 @@ def execute_select(
         UnsupportedFeatureError: SQL outside the S3 Select dialect.
         ExpressionLimitExceededError: SQL text over ``expression_limit``.
     """
-    if not isinstance(sql, PreparedSelect):
-        sql = PreparedSelect(sql, expression_limit, allow_group_by)
+    if isinstance(sql, str):
+        check_expression_size(sql, expression_limit)
+        sql = PreparedSelect(parser.parse(sql), None, allow_group_by)
     return sql.execute(obj, scan_range, compress_output)
 
 

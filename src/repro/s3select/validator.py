@@ -24,14 +24,20 @@ S3_OBJECT_TABLE = "s3object"
 _SUBQUERY_NODES = (ast.InSubquery, ast.Exists, ast.ScalarSubquery)
 
 
-def validate_select_sql(sql: str, query: ast.Query,
-                        expression_limit: int = EXPRESSION_LIMIT_BYTES,
-                        allow_group_by: bool = False) -> None:
+def check_expression_size(sql: str, expression_limit: int = EXPRESSION_LIMIT_BYTES) -> None:
+    """Raise unless the statement text ``sql`` is within the service's
+    expression limit — the first check the real service makes."""
+    size = len(sql.encode())
+    if size > expression_limit:
+        raise ExpressionLimitExceededError(size, expression_limit)
+
+
+def validate_select_sql(query: ast.Query, allow_group_by: bool = False) -> None:
     """Raise unless ``query`` is inside the S3 Select dialect.
 
-    Checks, in the order the real service would reject them:
+    Checks, in the order the real service would reject them (after the
+    size check, :func:`check_expression_size`):
 
-    * total expression size <= 256 KB;
     * ``FROM S3Object`` only — no joins, derived tables or subqueries;
     * no GROUP BY, no HAVING, no ORDER BY (LIMIT is allowed);
     * aggregates must not be mixed with per-row select items.
@@ -40,9 +46,6 @@ def validate_select_sql(sql: str, query: ast.Query,
         allow_group_by: opt into the *partial group-by* extension the
             paper's Suggestion 4 proposes (not in the real service).
     """
-    size = len(sql.encode())
-    if size > expression_limit:
-        raise ExpressionLimitExceededError(size, expression_limit)
     if query.table.lower() != S3_OBJECT_TABLE:
         raise UnsupportedFeatureError(
             f"S3 Select queries must read FROM S3Object, got {query.table!r}"
@@ -101,12 +104,4 @@ def expression_complexity(query: ast.Query) -> int:
     for item in query.select_items:
         if not isinstance(item.expr, (ast.Star, ast.Column)):
             count += 1
-    if query.where is not None:
-        count += _count_conjuncts(query.where)
-    return count
-
-
-def _count_conjuncts(expr: ast.Expr) -> int:
-    if isinstance(expr, ast.Binary) and expr.op == "AND":
-        return _count_conjuncts(expr.left) + _count_conjuncts(expr.right)
-    return 1
+    return count + len(ast.split_conjuncts(query.where))

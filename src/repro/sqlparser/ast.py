@@ -1,9 +1,12 @@
 """AST node definitions for the SQL dialect.
 
-Nodes are immutable dataclasses.  Every node renders back to SQL via
-``to_sql()``; the Bloom-join strategy uses this to ship generated filter
-expressions to the (simulated) S3 Select service, and tests use it for
-parse/render round-trips.
+Nodes are immutable dataclasses.  A pushed statement is a tree; its wire
+text, which S3 Select weighs against its expression limit, is ``to_sql()``.
+Round-trip contract: ``parse(q.to_sql())`` rebuilds any parsed tree ``q``
+exactly (``repr``-equal; ±inf renders as ``1e999`` / ``-1e999``).  Only
+parentheses our parser or sqlite3 needs are printed — sqlite3 binds ``||``
+tighter than ``*``, so every non-primary operand of ``||`` (and, to render
+a Bloom hash as the paper's Listing 1, of ``%``) is parenthesized.
 """
 
 from __future__ import annotations
@@ -28,6 +31,30 @@ def _sql_str(value: str) -> str:
     return "'" + value.replace("'", "''") + "'"
 
 
+#: The levels the parser climbs, loosest first; a comparison (or IN,
+#: BETWEEN, LIKE, IS) takes additive operands.
+_OR, _AND, _NOT, _PREDICATE, _ADDITIVE, _MULTIPLICATIVE, _SIGN, _PRIMARY = range(8)
+_BINARY_LEVEL = {
+    "OR": _OR, "AND": _AND, **dict.fromkeys(("=", "<>", "<", "<=", ">", ">="), _PREDICATE),
+    "+": _ADDITIVE, "-": _ADDITIVE, "||": _ADDITIVE,
+    "*": _MULTIPLICATIVE, "/": _MULTIPLICATIVE, "%": _MULTIPLICATIVE,
+}
+
+
+def _operand(node: Expr, level: int) -> str:
+    """``node`` rendered where the parser reads a ``level`` expression:
+    parenthesized if it binds looser."""
+    text = node.to_sql()
+    own = (
+        _BINARY_LEVEL[node.op] if isinstance(node, Binary)
+        else _PREDICATE if isinstance(node, (InList, InSubquery, Between, Like, IsNull))
+        else _NOT if text.startswith("NOT ")  # NOT x, NOT EXISTS (...)
+        else _SIGN if text.startswith(("-", "+"))  # a sign, a negative number
+        else _PRIMARY
+    )
+    return text if own >= level else f"({text})"
+
+
 @dataclass(frozen=True)
 class Literal:
     """A constant: int, float, str, bool, or None (SQL NULL)."""
@@ -41,6 +68,8 @@ class Literal:
             return "TRUE" if self.value else "FALSE"
         if isinstance(self.value, str):
             return _sql_str(self.value)
+        if isinstance(self.value, float) and abs(self.value) == float("inf"):
+            return "1e999" if self.value > 0 else "-1e999"
         return repr(self.value)
 
 
@@ -83,8 +112,9 @@ class Unary:
 
     def to_sql(self) -> str:
         if self.op == "NOT":
-            return f"NOT ({self.operand.to_sql()})"
-        return f"{self.op}({self.operand.to_sql()})"
+            return f"NOT {_operand(self.operand, _NOT)}"
+        # Only a primary goes bare: ``-(-a)``, as ``--`` opens a comment.
+        return self.op + _operand(self.operand, _PRIMARY)
 
 
 @dataclass(frozen=True)
@@ -96,7 +126,13 @@ class Binary:
     right: Expr
 
     def to_sql(self) -> str:
-        return f"({self.left.to_sql()} {self.op} {self.right.to_sql()})"
+        # Left-associative, a comparison takes no comparison operand, and
+        # || and % parenthesize every operand but a primary.
+        level = _BINARY_LEVEL[self.op]
+        left, right = level + (level == _PREDICATE), level + 1
+        if self.op in ("||", "%"):
+            left = right = _PRIMARY
+        return f"{_operand(self.left, left)} {self.op} {_operand(self.right, right)}"
 
 
 @dataclass(frozen=True)
@@ -150,7 +186,7 @@ class InList:
     def to_sql(self) -> str:
         rendered = ", ".join(item.to_sql() for item in self.items)
         maybe_not = "NOT " if self.negated else ""
-        return f"({self.operand.to_sql()} {maybe_not}IN ({rendered}))"
+        return f"{_operand(self.operand, _ADDITIVE)} {maybe_not}IN ({rendered})"
 
 
 @dataclass(frozen=True)
@@ -165,8 +201,8 @@ class Between:
     def to_sql(self) -> str:
         maybe_not = "NOT " if self.negated else ""
         return (
-            f"({self.operand.to_sql()} {maybe_not}BETWEEN "
-            f"{self.low.to_sql()} AND {self.high.to_sql()})"
+            f"{_operand(self.operand, _ADDITIVE)} {maybe_not}BETWEEN "
+            f"{_operand(self.low, _ADDITIVE)} AND {_operand(self.high, _ADDITIVE)}"
         )
 
 
@@ -180,7 +216,10 @@ class Like:
 
     def to_sql(self) -> str:
         maybe_not = "NOT " if self.negated else ""
-        return f"({self.operand.to_sql()} {maybe_not}LIKE {self.pattern.to_sql()})"
+        return (
+            f"{_operand(self.operand, _ADDITIVE)} {maybe_not}LIKE "
+            f"{_operand(self.pattern, _ADDITIVE)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -192,7 +231,7 @@ class IsNull:
 
     def to_sql(self) -> str:
         suffix = "IS NOT NULL" if self.negated else "IS NULL"
-        return f"({self.operand.to_sql()} {suffix})"
+        return f"{_operand(self.operand, _ADDITIVE)} {suffix}"
 
 
 @dataclass(frozen=True)
@@ -233,7 +272,7 @@ class InSubquery:
 
     def to_sql(self) -> str:
         maybe_not = "NOT " if self.negated else ""
-        return f"({self.operand.to_sql()} {maybe_not}IN ({self.query.to_sql()}))"
+        return f"{_operand(self.operand, _ADDITIVE)} {maybe_not}IN ({self.query.to_sql()})"
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from repro.engine.catalog import Catalog
 from repro.optimizer.cost import _phase
 from repro.planner import physical
 from repro.planner.physical import PhysicalPlan
+from repro.s3select.engine import PreparedSelect
 from repro.sqlparser import ast
 from repro.strategies.filter import FilterQuery, indexed_filter_plan
 from repro.strategies.groupby import (
@@ -37,7 +38,7 @@ from repro.strategies.groupby import (
     PushedGroupByNode,
     assemble_group_rows,
 )
-from repro.strategies.scans import merge_partial, phase_since, prepare, select_query
+from repro.strategies.scans import merge_partial, phase_since, select_query
 
 #: Ranges batched into one extended GET request.
 MAX_RANGES_PER_REQUEST = 1000
@@ -101,7 +102,7 @@ class PartialGroupByNode(PushedGroupByNode):
             (agg.func.upper(), ast.Aggregate(partial, agg.parsed_expr))
             for agg in query.aggregates for partial in agg.partial_funcs
         ]
-        statement = prepare(select_query(
+        statement = PreparedSelect(select_query(
             [*query.group_columns, *(column for _, column in pushed)],
             query.predicate, query.group_columns,
         ), allow_group_by=True)

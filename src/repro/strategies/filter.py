@@ -35,9 +35,10 @@ from repro.planner.nodes import (
 )
 from repro.planner.physical import PhysicalPlan
 from repro.planner.tail import column_items, select_list_node
+from repro.s3select.engine import PreparedSelect
 from repro.sqlparser import ast
 from repro.storage.csvcodec import iter_decode_column_batches
-from repro.strategies.scans import decoded_columns, phase_since, prepare, select_query
+from repro.strategies.scans import decoded_columns, phase_since, select_query
 
 
 #: Parallel workers issuing the indexing strategy's byte-range GETs
@@ -189,7 +190,7 @@ class IndexFetchNode(PlanNode):
     def run(self, state: physical.ExecState):
         ctx, table = state.ctx, self.table
         mark = ctx.metrics.mark()
-        statement = prepare(select_query(["first_byte", "last_byte"], self.index_predicate))
+        statement = PreparedSelect(select_query(["first_byte", "last_byte"], self.index_predicate))
         extents_per_partition = [
             [
                 (int(first), int(last)) for first, last in

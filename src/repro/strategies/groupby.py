@@ -48,6 +48,7 @@ from repro.planner.nodes import (
     whole_table_select,
 )
 from repro.planner.physical import PhysicalPlan
+from repro.s3select.engine import PreparedSelect
 from repro.s3select.validator import EXPRESSION_LIMIT_BYTES
 from repro.sqlparser import ast
 from repro.strategies.scans import (
@@ -55,7 +56,6 @@ from repro.strategies.scans import (
     iter_scan_batches,
     merge_partial,
     phase_since,
-    prepare,
     select_aggregate,
     select_query,
 )
@@ -300,7 +300,7 @@ class CaseGroupByNode(PushedGroupByNode):
         table, query = self.table, self.query
         mark = ctx.metrics.mark()
         group_rows = materialize(iter_scan_batches(
-            ctx, table, prepare(select_query(query.group_columns, query.predicate))
+            ctx, table, PreparedSelect(select_query(query.group_columns, query.predicate))
         ))
         groups = list(dict.fromkeys(group_rows))  # distinct, first-seen order
         phases.append(phase_since(
@@ -406,7 +406,7 @@ class HybridGroupByNode(PushedGroupByNode):
         sample = [
             value
             for batch in iter_scan_batches(
-                ctx, table, prepare(select_query([group_col], query.predicate)),
+                ctx, table, PreparedSelect(select_query([group_col], query.predicate)),
                 scan_range_fraction=self.sample_fraction,
             )
             for value in batch.column(0)
@@ -432,7 +432,7 @@ class HybridGroupByNode(PushedGroupByNode):
         pushed = _pushdown_group_aggregates(ctx, table, query, large_groups)
         q1_records = ctx.metrics.records_since(mark)
         mark = ctx.metrics.mark()
-        tail_rows = BatchCounter(iter_scan_batches(ctx, table, prepare(tail_query)))
+        tail_rows = BatchCounter(iter_scan_batches(ctx, table, PreparedSelect(tail_query)))
         tail = group_by_batches(
             tail_rows, needed, query.group_exprs(), query.agg_items()
         )
@@ -597,7 +597,7 @@ def _pushdown_group_aggregates(
         chunks[-1].append(job)
         used += job_bytes
     for chunk in chunks:
-        statement = prepare(select_query([job[3] for job in chunk], query.predicate))
+        statement = PreparedSelect(select_query([job[3] for job in chunk], query.predicate))
         for row in select_aggregate(ctx, table, statement):
             for (slot, at, func, _), value in zip(chunk, row):
                 slot[at] = merge_partial(func, slot[at], value)

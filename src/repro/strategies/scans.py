@@ -5,11 +5,10 @@ baselines: plain GETs of every partition object, decoded locally
 ("server-side" processing), or one S3 Select request per partition with
 a statement ("S3-side" processing).  :func:`iter_scan_batches` streams
 either as RecordBatches; :func:`scan_partitions` hands back the pushed
-scan's responses partition by partition.  A strategy builds its
-statement as a tree (:func:`select_query`) and prepares it from that
-tree (:func:`prepare`): only text from elsewhere is parsed.  The caller
-wraps the metered requests into a :class:`~repro.cloud.metrics.Phase`
-via :func:`phase_since`.
+scan's responses partition by partition.  A statement is a tree
+(:func:`select_query`) prepared as a ``PreparedSelect``: nothing here is
+parsed.  The caller wraps the metered requests into a
+:class:`~repro.cloud.metrics.Phase` via :func:`phase_since`.
 """
 
 from __future__ import annotations
@@ -66,13 +65,13 @@ def _partition_keys(table: TableInfo, partitions: Sequence[int] | None) -> list[
 def scan_partitions(
     ctx: CloudContext,
     table: TableInfo,
-    sql: str | PreparedSelect,
+    statement: PreparedSelect,
     *,
     scan_range_fraction: float | None = None,
     partitions: Sequence[int] | None = None,
 ) -> list[list[Batch]]:
-    """Push ``sql`` to ``table``'s partitions; each response's batches,
-    in partition order.
+    """Push ``statement`` to ``table``'s partitions; each response's
+    batches, in partition order.
 
     Args:
         scan_range_fraction: scan only the leading fraction of each
@@ -82,13 +81,6 @@ def scan_partitions(
             partitions issue *no* request, so pruning cuts the metered
             request count, not just bytes.
     """
-    keys = _partition_keys(table, partitions)
-    if not keys:
-        return []  # a fully pruned scan never looks at its SQL
-    # One statement for the whole scan: bad SQL raises before any
-    # request is metered.
-    statement = sql if isinstance(sql, PreparedSelect) else PreparedSelect(sql)
-
     def select(key: str) -> list[Batch]:
         scan_range = None
         if scan_range_fraction is not None:
@@ -98,13 +90,13 @@ def scan_partitions(
             table.bucket, key, statement, scan_range=scan_range
         ).batches
 
-    return [select(key) for key in keys]
+    return [select(key) for key in _partition_keys(table, partitions)]
 
 
 def iter_scan_batches(
     ctx: CloudContext,
     table: TableInfo,
-    sql: str | PreparedSelect | None = None,
+    statement: PreparedSelect | None = None,
     *,
     batch_size: int | None = None,
     scan_range_fraction: float | None = None,
@@ -115,14 +107,15 @@ def iter_scan_batches(
 
     The per-partition requests are issued eagerly (so request/byte
     accounting is independent of how far the stream is consumed); for
-    plain GETs (``sql=None``) the *decoding* is lazy, so a downstream
-    LIMIT that stops pulling never parses the remaining bytes, and only
-    ``columns`` (default: the whole schema) are decoded — a GET still
-    transfers every byte.  A pushed scan's projection is its ``sql``.
+    plain GETs (``statement=None``) the *decoding* is lazy, so a
+    downstream LIMIT that stops pulling never parses the remaining bytes,
+    and only ``columns`` (default: the whole schema) are decoded — a GET
+    still transfers every byte.  A pushed scan's projection is its
+    ``statement``'s.
     """
     if batch_size is None:
         batch_size = ctx.batch_size
-    if sql is None:
+    if statement is None:
         def get(key: str) -> tuple[bytes, dict | None]:
             # The object's decoded columns go with the payload only if the
             # GET returned that object's very bytes (no overwrite in between).
@@ -137,7 +130,7 @@ def iter_scan_batches(
             for batch in _decode_partition(table, data, batch_size, columns, memo)
         )
     responses = scan_partitions(
-        ctx, table, sql, scan_range_fraction=scan_range_fraction,
+        ctx, table, statement, scan_range_fraction=scan_range_fraction,
         partitions=partitions,
     )
     # Only the batch boundaries of the responses are re-cut (ingest
@@ -148,7 +141,7 @@ def iter_scan_batches(
 def select_aggregate(
     ctx: CloudContext,
     table: TableInfo,
-    sql: str | PreparedSelect,
+    statement: PreparedSelect,
     partitions: Sequence[int] | None = None,
 ) -> list[list[object]]:
     """Run an aggregate-only select per partition, keeping partials apart.
@@ -162,7 +155,7 @@ def select_aggregate(
     """
     partials = (
         next((row for batch in batches for row in batch), None)
-        for batches in scan_partitions(ctx, table, sql, partitions=partitions)
+        for batches in scan_partitions(ctx, table, statement, partitions=partitions)
     )
     return [list(row) for row in partials if row is not None]
 
@@ -227,8 +220,3 @@ def select_query(
         "S3Object", where, tuple(map(ast.Column, group_by)),
     )
 
-
-def prepare(query: ast.Query, allow_group_by: bool = False) -> PreparedSelect:
-    """A statement built as a tree, prepared from its one rendering: the
-    validator weighs ``to_sql()``, and nothing is lexed or parsed."""
-    return PreparedSelect(query.to_sql(), allow_group_by=allow_group_by, query=query)

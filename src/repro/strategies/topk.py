@@ -29,8 +29,9 @@ from repro.optimizer.cost import _phase
 from repro.planner import physical
 from repro.planner.nodes import ScanNode, TopKNode
 from repro.planner.physical import PhysicalPlan
+from repro.s3select.engine import PreparedSelect
 from repro.sqlparser import ast
-from repro.strategies.scans import iter_scan_batches, phase_since, prepare, select_query
+from repro.strategies.scans import iter_scan_batches, phase_since, select_query
 
 
 @dataclass
@@ -152,7 +153,7 @@ class SampledThresholdScan(ScanNode):
         sample = [
             value
             for batch in iter_scan_batches(
-                ctx, table, prepare(select_query([query.order_column])),
+                ctx, table, PreparedSelect(select_query([query.order_column])),
                 scan_range_fraction=min(1.0, self.sample_size / table.num_rows),
             )
             for value in batch.column(0)

@@ -21,7 +21,19 @@ from repro.bloom.universal_hash import (
 from repro.engine.batch import Batch
 from repro.expr.compiler import compile_predicate
 from repro.expr.vector import compile_predicate_vector
+from repro.sqlparser.ast import Column
 from repro.sqlparser.parser import parse_expression
+
+
+def listing_1(bloom, attr, cast_to_int=True, bits=None):
+    """The paper's Listing 1 as hand-assembled text, the reference every
+    rendered Bloom predicate must equal byte for byte."""
+    key = f"CAST({attr} AS INT)" if cast_to_int else attr
+    bits = bloom.bit_string() if bits is None else bits
+    return " AND ".join(
+        f"SUBSTRING('{bits}', (({h.a} * {key} + {h.b}) % {h.n}) % {h.m} + 1, 1) = '1'"
+        for h in bloom.hashes
+    )
 
 
 class TestPrimes:
@@ -80,7 +92,7 @@ class TestHashFamily:
     def test_sql_rendering_matches_apply(self):
         (h,) = make_hash_family(1, 68, seed=7)
         predicate = compile_predicate(
-            parse_expression(f"{h.to_sql('x')} = {h.apply(12345) + 1}"),
+            parse_expression(f"{h.to_expr(Column('x')).to_sql()} = {h.apply(12345) + 1}"),
             {"x": 0},
         )
         assert predicate((12345,))
@@ -178,10 +190,7 @@ class TestLimitAdaptation:
             attempts.append(fpr)
             bloom = BloomFilter.build(keys, fpr, seed)
             bits = "".join("1" if b else "0" for b in bloom.bits)
-            sql = " AND ".join(
-                f"SUBSTRING('{bits}', {h.to_sql(f'CAST({attr} AS INT)')}, 1) = '1'"
-                for h in bloom.hashes
-            )
+            sql = listing_1(bloom, attr, bits=bits)
             if len(sql.encode()) <= budget:
                 return attempts, fpr, sql
             if fpr == 0.9:
@@ -300,5 +309,21 @@ def test_to_predicate_is_the_parse_of_the_rendered_text(attr, fpr, cast_to_int):
     the tree the parser builds from the wire text."""
     bloom = BloomFilter.build([-5, 3, 2**35, 10**6], fpr, seed=9)
     text = bloom.to_sql_predicate(attr, cast_to_int)
-    assert bloom.to_predicate(attr, cast_to_int) == parse_expression(text)
+    assert repr(bloom.to_predicate(attr, cast_to_int)) == repr(parse_expression(text))
     assert bloom.num_hashes == (10 if fpr == 0.001 else 1)
+
+
+@pytest.mark.parametrize("cast_to_int", [True, False])
+@pytest.mark.parametrize("capacity", [1, 10, 50, 1000])
+@pytest.mark.parametrize("fpr", [0.5, 0.1, 0.01, 0.001])
+def test_rendered_predicate_is_listing_1_byte_for_byte(capacity, fpr, cast_to_int):
+    """The printer renders the tree as the paper's Listing 1 is written —
+    the ``%`` operands parenthesized, nothing else — and the weight the
+    ladder reads is that text's length."""
+    bloom = BloomFilter.build(range(0, 3 * capacity, 3), fpr, seed=capacity)
+    for attr in ("k", "l_ordérkey"):
+        text = listing_1(bloom, attr, cast_to_int)
+        assert bloom.to_sql_predicate(attr, cast_to_int) == text
+        assert bloom.to_predicate(attr, cast_to_int).to_sql() == text
+        if cast_to_int:
+            assert bloom.predicate_size_bytes(attr) == len(text.encode())

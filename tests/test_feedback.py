@@ -45,6 +45,23 @@ class TestStore:
         p2 = parse_expression("b = 3 AND a < 10")
         assert predicate_signature(p1) == predicate_signature(p2)
 
+    def test_signature_names_one_predicate(self):
+        """The rendering drops parentheses its parser does not need, so
+        the conjuncts are wrapped: one OR over an AND and an AND over an
+        OR must not share a feedback record or a cache entry."""
+        one = parse_expression("a < 10 OR b = 3 AND k < 5")
+        two = parse_expression("(a < 10 OR b = 3) AND k < 5")
+        assert predicate_signature(one) != predicate_signature(two)
+        db = PushdownDB(cache_bytes=1 << 20)
+        db.load_table("t", _rows(), SCHEMA, partitions=4)
+        keeps = {
+            "a < 10 OR b = 3 AND k < 5": lambda k, a, b: a < 10 or (b == 3 and k < 5),
+            "(a < 10 OR b = 3) AND k < 5": lambda k, a, b: (a < 10 or b == 3) and k < 5,
+        }
+        for where, keep in keeps.items():
+            got = db.execute(f"SELECT k FROM t WHERE {where}").rows
+            assert sorted(got) == sorted((k,) for k, a, b in _rows() if keep(k, a, b))
+
     def test_measurement_overrides_system_r(self):
         store = FeedbackStore()
         predicate = parse_expression("a < 10 AND b < 10")

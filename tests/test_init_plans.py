@@ -74,11 +74,11 @@ optimizer: sql query, objective=cost, picked 'baseline'
 physical plan (baseline):
 sort [o_orderpriority ASC]  (est_cost=$4.0312e-05)
 +- init plan 0 (baseline, est_rows=4030.0, feeds build of semi join): project [l_orderkey]  (est_cost=$2.17769e-05)
-|  `- scan lineitem [get] cols=3 pred=((l_commitdate < l_receiptdate))  (est_rows=4030.0, est_cost=$2.17674e-05)
+|  `- scan lineitem [get] cols=3 pred=(l_commitdate < l_receiptdate)  (est_rows=4030.0, est_cost=$2.17674e-05)
 `- group-by [o_orderpriority] aggs=1  (est_cost=$1.85252e-05)
    `- semi hash-join [__sq0_l_orderkey = o_orderkey] streamed (decorrelated EXISTS)  (est_rows=333.3, est_cost=$1.85229e-05)
       +- build: init plan 0 [__sq0_l_orderkey]  (est_rows=4030.0)
-      `- probe: scan orders [get] cols=3 pred=(((o_orderdate >= '1993-07-01') AND (o_orderdate < '1993-10-01')))  (est_rows=333.3, est_cost=$1.85074e-05)"""
+      `- probe: scan orders [get] cols=3 pred=(o_orderdate >= '1993-07-01' AND o_orderdate < '1993-10-01')  (est_rows=333.3, est_cost=$1.85074e-05)"""
 
 GOLDEN_Q22 = """\
 optimizer: sql query, objective=cost, picked 'baseline'
@@ -89,12 +89,12 @@ physical plan (baseline):
 sort [cntrycode ASC]  (est_cost=$5.6081e-05)
 +- init plan 0 (baseline, est_rows=33.3, feeds derived table custsale): project [SUBSTR(c_phone, 1, 2) AS cntrycode, c_acctbal]  (est_cost=$5.60799e-05)
 |  +- init plan 0 (baseline, est_rows=1.0, feeds $0): group-by [-] aggs=1  (est_cost=$1.82723e-05)
-|  |  `- scan customer [get] cols=2 pred=(((c_acctbal > 0.0) AND (SUBSTR(c_phone, 1, 2) IN ('13', '17', '18', '23', '29', '30', '31'))))  (est_rows=91.2, est_cost=$1.82717e-05)
+|  |  `- scan customer [get] cols=2 pred=(c_acctbal > 0.0 AND SUBSTR(c_phone, 1, 2) IN ('13', '17', '18', '23', '29', '30', '31'))  (est_rows=91.2, est_cost=$1.82717e-05)
 |  +- init plan 1 (optimized, est_rows=3000.0, feeds build of anti join): project [o_custkey]  (est_cost=$1.94951e-05)
 |  |  `- scan orders [select] cols=1  (est_rows=3000.0, est_cost=$1.9488e-05)
 |  `- anti hash-join [__sq0_o_custkey = c_custkey] streamed (decorrelated NOT EXISTS)  (est_rows=33.3, est_cost=$1.83123e-05)
 |     +- build: init plan 1 [__sq0_o_custkey]  (est_rows=3000.0)
-|     `- probe: scan customer [get] cols=3 pred=(((SUBSTR(c_phone, 1, 2) IN ('13', '17', '18', '23', '29', '30', '31')) AND (c_acctbal > $0)))  (est_rows=33.3, est_cost=$1.82522e-05)
+|     `- probe: scan customer [get] cols=3 pred=(SUBSTR(c_phone, 1, 2) IN ('13', '17', '18', '23', '29', '30', '31') AND c_acctbal > $0)  (est_rows=33.3, est_cost=$1.82522e-05)
 `- group-by [cntrycode] aggs=2  (est_cost=$4.72889e-10)
    `- init plan 0 [cntrycode, c_acctbal]  (est_rows=33.3)"""
 

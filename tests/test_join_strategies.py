@@ -124,15 +124,17 @@ class TestMembershipChunking:
         assert chunks is not None and len(chunks) > 1
         rendered_keys = []
         for chunk in chunks:
-            assert chunk.startswith("o_custkey IN (") and chunk.endswith(")")
-            assert len(chunk.encode()) + 40 <= 140
-            rendered_keys += [int(v) for v in chunk[14:-1].split(", ")]
+            text = chunk.to_sql()
+            assert text.startswith("o_custkey IN (") and text.endswith(")")
+            assert len(text.encode()) + 40 <= 140
+            assert repr(parse_expression(text)) == repr(chunk)
+            rendered_keys += [int(v) for v in text[14:-1].split(", ")]
         assert sorted(rendered_keys) == keys
 
     def test_duplicate_keys_deduplicated(self):
         chunks = membership_chunks("k", [7, 7, 7, 8], overhead_bytes=0,
                                    limit_bytes=1024)
-        assert chunks == ["k IN (7, 8)"]
+        assert [chunk.to_sql() for chunk in chunks] == ["k IN (7, 8)"]
 
     def test_unfittable_single_key_returns_none(self):
         assert membership_chunks("k", [123456789], overhead_bytes=0,
@@ -225,7 +227,7 @@ class TestSqlJoinsShareTheLadder:
         assert join.bloom_outcome.bloom is None  # no filter fits 130 bytes
         chunks = len(join.bloom_clauses)
         assert 1 < chunks <= 16
-        assert all(c.startswith("o_custkey IN (") for c in join.bloom_clauses)
+        assert all(c.to_sql().startswith("o_custkey IN (") for c in join.bloom_clauses)
         # Every chunk re-scans every probe partition, and is metered.
         partitions = {n: catalog.get(n).partitions for n in ("customer", "orders")}
         assert len(records) == execution.num_requests == (

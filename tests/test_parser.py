@@ -1,5 +1,8 @@
 """Unit tests for the SQL parser and AST rendering round-trips."""
 
+import random
+from pathlib import Path
+
 import pytest
 
 from repro.common.errors import SQLSyntaxError
@@ -172,8 +175,29 @@ class TestQueries:
             parse("SELECT 1")
 
 
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _round_trip_failures(texts, parse_fn=parse) -> list[str]:
+    """Each text whose tree does not come back from its ``to_sql()``:
+    compared by ``repr`` (``Literal(1) == Literal(True) == Literal(1.0)``
+    under ``==``), a rendering that does not parse counting as a miss."""
+    failures = []
+    for text in texts:
+        tree = parse_fn(text)
+        try:
+            again = repr(parse_fn(tree.to_sql()))
+        except SQLSyntaxError as exc:
+            again = f"SQLSyntaxError: {exc}"
+        if again != repr(tree):
+            failures.append(f"{text}\n  -> {tree.to_sql()}\n  => {again}")
+    return failures
+
+
 class TestRoundTrip:
-    """to_sql() output must re-parse to an equivalent AST."""
+    """``parse(q.to_sql())`` rebuilds ``q`` exactly, for every tree the
+    parser builds: hand-written cases, the expression fuzzer's grammar,
+    both TPC-H query sets and the SQL fuzzer's queries."""
 
     CASES = [
         "SELECT * FROM S3Object",
@@ -185,13 +209,58 @@ class TestRoundTrip:
         "SELECT * FROM t WHERE p_type LIKE 'PROMO%' ORDER BY a DESC, b LIMIT 10",
         "SELECT CAST(x AS INT) FROM t WHERE NOT (a = 1 OR b = 2)",
         "SELECT SUBSTRING('10101', ((3 * CAST(k AS INT) + 5) % 97) % 68 + 1, 1) FROM t",
+        # Non-finite literals render as 1e999 / -1e999, never as a column.
+        "SELECT * FROM t WHERE x < 1e999 AND y > -1e999 AND z <> -(1e999)",
+        # NOT as an operand, literal types, signs, right-nested chains.
+        "SELECT (NOT a) IS NULL, 2 * (NOT a), -(-a), a - -3, 1 = TRUE, 1.0 FROM t",
+        "SELECT a FROM t WHERE a AND (b AND c) OR NOT (d OR e) AND (f = g) = (h < i)",
+        "SELECT s || (t || u), (s || t) || u, (a + b) || c, a % (b % c), a / (b * c) FROM t",
+        "SELECT -a * b, -(a * b), a - (b - c), (a - b) - c FROM t",
     ]
 
     @pytest.mark.parametrize("sql", CASES)
     def test_round_trip(self, sql):
-        first = parse(sql)
-        second = parse(first.to_sql())
-        assert first == second
+        assert _round_trip_failures([sql]) == []
+
+    def test_infinity_renders_as_a_number(self):
+        expr = parse_expression("x < 1e999")
+        assert expr.right == ast.Literal(float("inf"))
+        assert expr.to_sql() == "x < 1e999"
+        assert ast.Literal(float("-inf")).to_sql() == "-1e999"
+
+    def test_listing_1_renders_as_written(self):
+        listing = "SUBSTRING('10101', ((3 * CAST(k AS INT) + 5) % 97) % 68 + 1, 1) = '1'"
+        assert parse_expression(listing).to_sql() == listing
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_expression_fuzzer_grammar(self, seed):
+        """600 expressions per seed from ``test_expr_fuzz.Grammar``, drawn
+        as that fuzzer draws them (tame and wild, every kind)."""
+        from test_expr_fuzz import EXPRESSIONS_PER_SEED, Grammar
+
+        rng = random.Random(seed)
+        grammar = Grammar(rng)
+        texts = []
+        for _ in range(EXPRESSIONS_PER_SEED):
+            grammar.tame = rng.random() < 0.5
+            kind = rng.choice(["num", "text", "bool", "bool"])
+            texts.append(grammar.expr(kind, rng.randrange(1, 5)))
+        assert _round_trip_failures(texts, parse_expression) == []
+
+    @pytest.mark.parametrize("directory", ["benchmarks/tpch/queries", "bench/queries"])
+    def test_tpch_queries(self, directory):
+        files = sorted((REPO / directory).glob("*.sql"))
+        assert len(files) == 22
+        assert _round_trip_failures([f.read_text() for f in files]) == []
+
+    def test_sql_fuzzer_queries(self):
+        import test_sql_differential as fuzz
+
+        rng = random.Random(fuzz.SEED + 1)
+        texts = [fuzz._generate_query(rng) for _ in range(fuzz.NUM_QUERIES)]
+        texts += fuzz._value_queries()
+        assert len(texts) == 240
+        assert _round_trip_failures(texts) == []
 
 
 class TestMapExpr:

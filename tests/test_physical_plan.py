@@ -97,7 +97,7 @@ class TestGoldenPlans:
         ) == textwrap.dedent("""\
             sort [s1_attr ASC]  (est_cost=$1.22256e-05)
             `- project [s1_id, s1_attr]  (est_cost=$1.22256e-05)
-               `- scan sub1 [select] cols=2 pred=((s1_attr < 10)) partitions pruned: 1/2  (est_rows=3.0, est_cost=$1.22256e-05)""")
+               `- scan sub1 [select] cols=2 pred=(s1_attr < 10) partitions pruned: 1/2  (est_rows=3.0, est_cost=$1.22256e-05)""")
 
     def test_pushed_aggregate(self, db):
         assert rendered(
@@ -117,7 +117,7 @@ class TestGoldenPlans:
         ) == textwrap.dedent("""\
             group-by [-] aggs=1  (est_cost=$2.48917e-05)
             `- hash-join [s1_id = d1_s1] streamed  (est_rows=12.6, est_cost=$2.48917e-05)
-               +- build: scan sub1 [select] cols=1 pred=((s1_attr < 10)) partitions pruned: 1/2  (est_rows=3.0, est_cost=$1.22256e-05)
+               +- build: scan sub1 [select] cols=1 pred=(s1_attr < 10) partitions pruned: 1/2  (est_rows=3.0, est_cost=$1.22256e-05)
                `- probe: scan dim1 [select+bloom(d1_s1)] cols=1  (est_rows=13.3, est_cost=$1.26661e-05)""")
 
     def test_left_deep_chain(self, db):
@@ -136,7 +136,7 @@ class TestGoldenPlans:
             group-by [-] aggs=1  (est_cost=$3.81894e-05)
             `- hash-join [d1_id = f_d1] streamed  (est_rows=126.3, est_cost=$3.81894e-05)
                +- build: hash-join [s1_id = d1_s1]  (est_rows=12.6, est_cost=$2.48917e-05)
-               |  +- build: scan sub1 [select] cols=1 pred=((s1_attr < 10)) partitions pruned: 1/2  (est_rows=3.0, est_cost=$1.22256e-05)
+               |  +- build: scan sub1 [select] cols=1 pred=(s1_attr < 10) partitions pruned: 1/2  (est_rows=3.0, est_cost=$1.22256e-05)
                |  `- probe: scan dim1 [select+bloom(d1_s1)] cols=2  (est_rows=13.3, est_cost=$1.26661e-05)
                `- probe: scan fact [select+bloom(f_d1)] cols=2  (est_rows=133.1, est_cost=$1.32977e-05)""")
 
@@ -147,11 +147,11 @@ class TestGoldenPlans:
             group-by [-] aggs=1  (est_cost=$6.31108e-05)
             `- hash-join [d1_id = f_d1] streamed  (est_rows=0.0, est_cost=$6.31108e-05)
                +- build: hash-join [s1_id = d1_s1]  (est_rows=12.6, est_cost=$2.48917e-05)
-               |  +- build: scan sub1 [select] cols=1 pred=((s1_attr < 10)) partitions pruned: 1/2  (est_rows=3.0, est_cost=$1.22256e-05)
+               |  +- build: scan sub1 [select] cols=1 pred=(s1_attr < 10) partitions pruned: 1/2  (est_rows=3.0, est_cost=$1.22256e-05)
                |  `- probe: scan dim1 [select+bloom(d1_s1)] cols=2  (est_rows=13.3, est_cost=$1.26661e-05)
                `- probe: hash-join [d2_id = f_d2]  (est_rows=0.0, est_cost=$3.82191e-05)
                   +- build: hash-join [s2_id = d2_s2]  (est_rows=0.0, est_cost=$2.49223e-05)
-                  |  +- build: scan sub2 [select] cols=1 pred=((s2_attr < 10)) partitions pruned: 1/2  (est_rows=0.0, est_cost=$1.22267e-05)
+                  |  +- build: scan sub2 [select] cols=1 pred=(s2_attr < 10) partitions pruned: 1/2  (est_rows=0.0, est_cost=$1.22267e-05)
                   |  `- probe: scan dim2 [select+bloom(d2_s2)] cols=2  (est_rows=6.4, est_cost=$1.26956e-05)
                   `- probe: scan fact [select+bloom(f_d2)] cols=3  (est_rows=14.0, est_cost=$1.32968e-05)""")
 
@@ -164,11 +164,11 @@ class TestGoldenPlans:
             group-by [-] aggs=1  (est_cost=$1.63185e-05)
             `- hash-join [d1_id = f_d1] streamed  (est_rows=0.0, est_cost=$1.63185e-05)
                +- build: hash-join [s1_id = d1_s1]  (est_rows=12.6, est_cost=$1.34561e-05)
-               |  +- build: scan sub1 [get] cols=2 pred=((s1_attr < 10))  (est_rows=3.0, est_cost=$1.26287e-05)
+               |  +- build: scan sub1 [get] cols=2 pred=(s1_attr < 10)  (est_rows=3.0, est_cost=$1.26287e-05)
                |  `- probe: scan dim1 [get] cols=2  (est_rows=80.0, est_cost=$1.26481e-05)
                `- probe: hash-join [d2_id = f_d2]  (est_rows=0.0, est_cost=$1.46844e-05)
                   +- build: hash-join [s2_id = d2_s2]  (est_rows=0.0, est_cost=$1.34761e-05)
-                  |  +- build: scan sub2 [get] cols=2 pred=((s2_attr < 10))  (est_rows=0.0, est_cost=$1.26307e-05)
+                  |  +- build: scan sub2 [get] cols=2 pred=(s2_attr < 10)  (est_rows=0.0, est_cost=$1.26307e-05)
                   |  `- probe: scan dim2 [get] cols=2  (est_rows=133.0, est_cost=$1.26653e-05)
                   `- probe: scan fact [get] cols=3  (est_rows=800.0, est_cost=$1.30409e-05)""")
 
@@ -178,7 +178,7 @@ class TestGoldenPlans:
         ) == textwrap.dedent("""\
             group-by [-] aggs=1  (est_cost=$2.48541e-05)
             `- cross-product streamed  (est_rows=40.0, est_cost=$2.48538e-05)
-               +- build: scan sub1 [select] cols=1 pred=((s1_attr < 5)) partitions pruned: 1/2  (est_rows=2.0, est_cost=$1.22256e-05)
+               +- build: scan sub1 [select] cols=1 pred=(s1_attr < 5) partitions pruned: 1/2  (est_rows=2.0, est_cost=$1.22256e-05)
                `- probe: scan tiny [select] cols=1  (est_rows=20.0, est_cost=$1.26274e-05)""")
 
     def test_baseline_get_scans_print_the_decoded_width(self, db):
@@ -193,7 +193,7 @@ class TestGoldenPlans:
         ) == textwrap.dedent("""\
             group-by [-] aggs=1  (est_cost=$1.46799e-05)
             `- hash-join [s1_id = d1_s1] streamed  (est_rows=126.3, est_cost=$1.4679e-05)
-               +- build: scan sub1 [get] cols=2 pred=((s1_attr < 10))  (est_rows=3.0, est_cost=$1.26287e-05)
+               +- build: scan sub1 [get] cols=2 pred=(s1_attr < 10)  (est_rows=3.0, est_cost=$1.26287e-05)
                `- probe: hash-join [d1_id = f_d1]  (est_rows=800.0, est_cost=$1.38583e-05)
                   +- build: scan dim1 [get] cols=2  (est_rows=80.0, est_cost=$1.26481e-05)
                   `- probe: scan fact [get] cols=2  (est_rows=800.0, est_cost=$1.30409e-05)""")
@@ -201,7 +201,7 @@ class TestGoldenPlans:
             db, "SELECT s1_id FROM sub1 WHERE s1_attr < 10 ORDER BY s1_id",
             mode="baseline",
         ).endswith(
-            "scan sub1 [get] cols=2 pred=((s1_attr < 10))"
+            "scan sub1 [get] cols=2 pred=(s1_attr < 10)"
             "  (est_rows=3.0, est_cost=$1.26255e-05)"
         )
         assert rendered(
@@ -1068,23 +1068,29 @@ def test_an_init_plan_runs_on_its_executions_clock(tpch_env):
 
 
 # ----------------------------------------------------------------------
-# pushed statements travel as (text, AST): the AST is the text's parse
+# pushed statements are trees: the wire text is a to_sql() that parses
+# back to the tree
 # ----------------------------------------------------------------------
 
 
 @pytest.fixture()
 def prepared(monkeypatch):
-    """``(sql, query handed over)`` of every statement prepared while the
-    test runs; a tree that is not its text's parse fails on the spot."""
+    """``(wire text, tree)`` of every statement prepared while the test
+    runs — ``(text, None)`` for one that entered as text, which the text
+    entry prepares with ``expression_limit=None`` (it weighed the text);
+    a tree whose ``to_sql()`` does not parse back to it (``repr``-equal)
+    fails on the spot."""
     from repro.s3select import engine as select_engine
+    from repro.s3select.validator import EXPRESSION_LIMIT_BYTES
 
     seen = []
     init = select_engine.PreparedSelect.__init__
 
-    def checked(self, sql, *args, query=None, **kwargs):
-        assert query is None or query == parse(sql), sql[:300]
-        seen.append((sql, query))
-        init(self, sql, *args, query=query, **kwargs)
+    def checked(self, query, expression_limit=EXPRESSION_LIMIT_BYTES, *args, **kwargs):
+        sql = query.to_sql()
+        assert repr(parse(sql)) == repr(query), sql[:300]
+        seen.append((sql, None if expression_limit is None else query))
+        init(self, query, expression_limit, *args, **kwargs)
 
     monkeypatch.setattr(select_engine.PreparedSelect, "__init__", checked)
     return seen
@@ -1209,8 +1215,9 @@ def test_every_membership_rung_hands_over_its_texts_parse(prepared, limit_bytes,
 
 
 def test_over_limit_planner_statement_raises_before_any_request(tpch_env):
-    """The text is still what is weighed: a statement handed over with its
-    tree fails the 256 KB check with the text's size, nothing metered."""
+    """The text is still what is weighed: a statement prepared from its
+    tree fails the 256 KB check with its rendered text's size, as that
+    text does through the text entry, nothing metered."""
     from repro.common.errors import ExpressionLimitExceededError
     from repro.s3select.engine import PreparedSelect
 
@@ -1218,12 +1225,12 @@ def test_over_limit_planner_statement_raises_before_any_request(tpch_env):
     table = catalog.get("customer")
     wide = parse(f"SELECT a FROM t WHERE c_name <> '{'x' * 300_000}'").where
     scan = whole_table_select(table, ["c_custkey"], wide)
-    (sql,) = scan.scan_sqls()
+    sql = scan.statement().to_sql()
     mark = ctx.metrics.mark()
     for run in (
         lambda: physical.execute_plan(ctx, physical.PhysicalPlan(scan, "optimized", "wide")),
-        lambda: PreparedSelect(sql, query=parse(sql)),
-        lambda: PreparedSelect(sql),
+        lambda: PreparedSelect(scan.statement()),
+        lambda: ctx.client.select_object_content(table.bucket, table.keys[0], sql),
     ):
         with pytest.raises(ExpressionLimitExceededError) as raised:
             run()
@@ -1232,12 +1239,12 @@ def test_over_limit_planner_statement_raises_before_any_request(tpch_env):
 
 
 def test_pushed_scan_never_parses_its_statement(tpch_env, monkeypatch):
-    """The shortcut cannot silently fall off: a planner scan — Bloom
-    clause included — prepares with a tree and calls ``parser.parse`` 0
-    times; the same text through ``scan_partitions`` parses once."""
+    """A planner scan — Bloom clause included — prepares its statement
+    from the tree and calls ``parser.parse`` 0 times; the statement's
+    rendered text through the text entry parses once per request, to the
+    same rows."""
     from repro.bloom.filter import BloomPushdown, membership_clauses
     from repro.s3select import engine as select_engine
-    from repro.strategies.scans import scan_partitions
 
     ctx, catalog = tpch_env
     scan = whole_table_select(
@@ -1245,26 +1252,23 @@ def test_pushed_scan_never_parses_its_statement(tpch_env, monkeypatch):
         parse("SELECT a FROM t WHERE o_totalprice > 1000").where, bloom_attr="o_custkey",
     )
     pushed, _ = membership_clauses(
-        list(range(1, 200, 2)), "o_custkey", scan.scan_sqls()[0], BloomPushdown(seed=1)
+        list(range(1, 200, 2)), "o_custkey", scan.statement(), BloomPushdown(seed=1)
     )
-    parsed, queries = [], []
-    real_parse, init = select_engine.parser.parse, select_engine.PreparedSelect.__init__
+    parsed = []
+    real_parse = select_engine.parser.parse
     monkeypatch.setattr(
         select_engine.parser, "parse", lambda sql: parsed.append(sql) or real_parse(sql)
     )
-
-    def recording(self, sql, *args, query=None, **kwargs):
-        queries.append(query)
-        init(self, sql, *args, query=query, **kwargs)
-
-    monkeypatch.setattr(select_engine.PreparedSelect, "__init__", recording)
     scan.pushed = pushed
     names, stream = scan.run(physical.ExecState(ctx))
     rows = [row for batch in stream for row in batch]
-    assert queries and None not in queries and parsed == []
-    (sql,) = scan.scan_sqls(pushed)
+    assert parsed == []
+    (clause,) = pushed
+    sql = scan.statement(clause).to_sql()
+    assert "SUBSTRING('" in sql
+    keys = scan.table.keys
     by_text = [
-        row for response in scan_partitions(ctx, scan.table, sql)
-        for batch in response for row in batch
+        row for key in keys
+        for row in ctx.client.select_object_content(scan.table.bucket, key, sql).rows
     ]
-    assert parsed == [sql] and by_text == rows and rows
+    assert parsed == [sql] * len(keys) and by_text == rows and rows

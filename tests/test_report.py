@@ -114,9 +114,9 @@ physical plan: optimized multi-join (customer >< orders >< lineitem)
       group-by [l_orderkey, o_orderdate, o_shippriority] aggs=1                       -         27        -
         hash-join [o_orderkey = l_orderkey] streamed                              328.0         55     5.87
           hash-join [c_custkey = o_custkey]                                       244.1        362     1.48
-            scan customer [select] cols=1 pred=((c_mktsegment = 'BUILDING'         73.0         73     1.00
-            scan orders [select+bloom(o_custkey)] cols=4 pred=((o_orderdat        251.7        362     1.44
-          scan lineitem [select+bloom(l_orderkey)] cols=3 pred=((l_shipdat        365.0        109     3.33"""
+            scan customer [select] cols=1 pred=(c_mktsegment = 'BUILDING')         73.0         73     1.00
+            scan orders [select+bloom(o_custkey)] cols=4 pred=(o_orderdate        251.7        362     1.44
+          scan lineitem [select+bloom(l_orderkey)] cols=3 pred=(l_shipdate        365.0        109     3.33"""
 
 
 def test_explain_analyze_of_q03_is_pinned():

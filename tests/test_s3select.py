@@ -327,7 +327,7 @@ class TestComplexityMetric:
 
     def test_validator_accepts_good_query(self):
         sql = "SELECT SUM(v) FROM S3Object WHERE k < 3"
-        validate_select_sql(sql, parse(sql))
+        validate_select_sql(parse(sql))
 
 
 # ----------------------------------------------------------------------
@@ -524,7 +524,7 @@ def test_having_joins_derived_tables_and_subqueries_rejected(sql):
     """Each used to be accepted with the clause silently dropped (HAVING,
     LEFT JOIN) or to fail only when the kernels were compiled."""
     with pytest.raises(UnsupportedFeatureError):
-        validate_select_sql(sql, parse(sql))
+        validate_select_sql(parse(sql))
     with pytest.raises(UnsupportedFeatureError):
         execute_select(csv_object(), sql)
 
@@ -576,7 +576,7 @@ def test_property_prepared_statement_matches_fresh_requests(objects, items, wher
         for rows, kind in objects
     ))
     sql = _sql(items, where, limit)
-    statement = PreparedSelect(sql)
+    statement = PreparedSelect(parse(sql))
     for rows, kind in objects + objects:
         scan_range = None
         if kind == "parquet":

@@ -46,7 +46,7 @@ from repro.planner.nodes import ScanNode
 from repro.planner.planner import plan_and_execute
 from repro.queries.tpch_queries import TPCH_QUERIES
 from repro.s3select import engine as select_engine
-from repro.s3select.engine import ScanRange, execute_select
+from repro.s3select.engine import PreparedSelect, ScanRange, execute_select
 from repro.sqlparser import ast
 from repro.sqlparser.parser import parse, parse_expression
 from repro.storage.csvcodec import (
@@ -431,7 +431,9 @@ class TestPartitionScanNames:
 
     def test_aggregate_partials_one_per_partition(self):
         ctx, info = self._ctx_with_table([(i, float(i)) for i in range(8)], 4)
-        partials = select_aggregate(ctx, info, "SELECT SUM(v) AS s FROM S3Object")
+        partials = select_aggregate(
+            ctx, info, PreparedSelect(parse("SELECT SUM(v) AS s FROM S3Object"))
+        )
         assert partials == [[1.0], [5.0], [9.0], [13.0]]
 
 
@@ -450,15 +452,16 @@ class TestPartitionScans:
     def test_scan_partitions_ordered_and_complete(self):
         ctx = CloudContext()
         info = self._table(ctx)
-        scans = scan_partitions(ctx, info, "SELECT k FROM S3Object")
+        scans = scan_partitions(ctx, info, PreparedSelect(parse("SELECT k FROM S3Object")))
         assert len(scans) == 16
         assert materialize(b for p in scans for b in p) == [
             (i,) for i in range(500)
         ]
 
     def test_scan_prepares_its_statement_once(self, monkeypatch):
-        """16 partition requests, one parse — and 16 records, one per
-        partition in partition order, because S3 bills every request."""
+        """16 partition requests, one prepared statement and no parse —
+        and 16 records, one per partition in partition order, because S3
+        bills every request."""
         parsed = []
         real_parse = select_engine.parser.parse
         monkeypatch.setattr(
@@ -468,10 +471,11 @@ class TestPartitionScans:
         sql = "SELECT k, v FROM S3Object WHERE k % 3 = 0 AND v < 200.0"
         ctx = CloudContext()
         info = self._table(ctx)
+        statement = PreparedSelect(parse(sql))
         parsed.clear()
         mark = ctx.metrics.mark()
-        scans = scan_partitions(ctx, info, sql)
-        assert parsed == [sql]
+        scans = scan_partitions(ctx, info, statement)
+        assert parsed == []
         assert len(scans) == 16
         records = ctx.metrics.records_since(mark)
         assert [r.key for r in records] == list(info.keys)
@@ -491,9 +495,10 @@ class TestPartitionScans:
         info = self._table(ctx)
         mark = ctx.metrics.mark()
         with pytest.raises(error):
-            scan_partitions(ctx, info, sql)
-        # A scan with every partition pruned away never looks at its SQL.
-        assert scan_partitions(ctx, info, sql, partitions=[]) == []
+            scan_partitions(ctx, info, PreparedSelect(parse(sql)))
+        # A scan with every partition pruned away issues no request.
+        good = PreparedSelect(parse("SELECT k FROM S3Object"))
+        assert scan_partitions(ctx, info, good, partitions=[]) == []
         assert ctx.metrics.records_since(mark) == []
 
 
