@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
-from repro.bloom.universal_hash import UniversalHash, make_hash_family
+from repro.bloom.universal_hash import UNIVERSE_PRIME, UniversalHash, make_hash_family
 from repro.s3select.validator import EXPRESSION_LIMIT_BYTES
 from repro.sqlparser import ast
 from repro.sqlparser.ast import Literal
@@ -45,19 +46,37 @@ def _check_fpr(fpr: float) -> None:
 
 
 def predicted_bloom_pass(
-    build_keys: float, probe_keys: float, probe_rows: float, fpr: float
+    build_keys: float, probe_keys: float, probe_rows: float, fpr: float,
+    attr: str,
 ) -> tuple[float, int] | None:
     """A cost model's ``(probe rows passing, hash functions)`` for a Bloom
-    predicate over ``build_keys`` distinct keys, or ``None`` when it cannot
-    fit the expression limit at ``fpr``.  Containment: every build key is
-    among the probe's ``probe_keys`` at its mean multiplicity; the other
-    rows pass at the false-positive rate."""
+    predicate over ``build_keys`` distinct keys on probe column ``attr``,
+    or ``None`` when it cannot fit the expression limit at ``fpr``.
+    Containment: every build key is among the probe's ``probe_keys`` at
+    its mean multiplicity; the other rows pass at the false-positive rate.
+
+    It fits as the ladder weighs a rung
+    (:meth:`BloomFilter.predicate_size_bytes`), each hash at the widest
+    constants the family draws.  The probe statement's own bytes stay
+    outside the model: a plan is priced before its statement exists, so
+    within that many bytes of the limit the ladder may still degrade."""
     hashes = optimal_num_hashes(fpr)
     bits = optimal_num_bits(int(max(build_keys, 1)), fpr)
-    if hashes * (bits + 60) > EXPRESSION_LIMIT_BYTES:
+    clauses = _widest_clauses_bytes(attr, hashes, len(str(bits)))
+    if clauses + hashes * bits > EXPRESSION_LIMIT_BYTES:
         return None
     matched = probe_rows * min(1.0, build_keys / probe_keys)
     return matched + (probe_rows - matched) * fpr, hashes
+
+
+@lru_cache(maxsize=256)
+def _widest_clauses_bytes(attr: str, hashes: int, bits_digits: int) -> int:
+    """What :meth:`BloomFilter.predicate_size_bytes` weighs besides the bit
+    strings, for ``hashes`` hashes at the widest constants over a
+    ``bits_digits``-digit array (``a``, ``b``, ``n``: ten digits each)."""
+    n = UNIVERSE_PRIME
+    widest = UniversalHash(n - 1, n - 1, n, 10 ** (bits_digits - 1))
+    return BloomFilter(bytearray(), [widest] * hashes, 0.0).predicate_size_bytes(attr)
 
 
 @dataclass

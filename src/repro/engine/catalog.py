@@ -144,8 +144,9 @@ def load_table(
     Data objects carry no header row (the schema travels as object
     metadata), so index-table byte offsets address records directly.
     Loading is a setup step and is deliberately unmetered, matching the
-    paper's exclusion of load cost from query cost.  Loading a name again
-    replaces the table: every object under ``{name}/`` that this load did
+    paper's exclusion of load cost from query cost.  Loading a name again,
+    in any spelling, replaces the table under the name the catalog
+    registered first: every object under ``{name}/`` that this load did
     not write (data and index objects alike) is deleted, and an object it
     would write byte for byte again is kept, warm (:func:`_put`).
 
@@ -165,6 +166,10 @@ def load_table(
     """
     if data_format not in ("csv", "parquet"):
         raise CatalogError(f"unknown format {data_format!r}")
+    if name in catalog:
+        # A reload keeps the name the catalog registered, whatever its
+        # spelling here: plans, cached results and feedback key on it.
+        name = catalog.get(name).name
     found = set(map(len, rows)) - {len(schema)}
     if found:
         raise CatalogError(
@@ -172,14 +177,14 @@ def load_table(
             f" schema has {len(schema)}"
         )
     indexes = {
-        column.lower(): IndexInfo(
-            column=column.lower(),
+        key: IndexInfo(
+            column=key,
             keys=[],
             schema=TableSchema.of(
-                f"value:{schema.column(column).type}", "first_byte:int", "last_byte:int"
+                f"value:{schema.column(key).type}", "first_byte:int", "last_byte:int"
             ),
         )
-        for column in index_columns
+        for key in (column.lower() for column in index_columns)
     }
     if indexes and data_format != "csv":
         raise CatalogError("index tables are only supported for CSV data")

@@ -12,6 +12,7 @@ from repro.experiments.harness import paper_scale, run_sweep, winners_by_sweep
 from repro.optimizer.joinorder import (
     build_join_graph, enumerate_left_deep_orders, plan_join_order,
 )
+from repro.planner.binder import bind
 from repro.planner.planner import execute_forced_join, plan_and_execute
 from repro.queries.dataset import load_tpch
 from repro.sqlparser.parser import parse
@@ -31,7 +32,7 @@ def make_sql(date: str | None, acctbal: float) -> str:
 def join_orders(ctx, catalog, sql: str):
     """The search's decision, and every connected left-deep order as a strategy."""
     query = parse(sql)
-    graph = build_join_graph(catalog, query)
+    graph = build_join_graph(bind(query, catalog))
     decision = plan_join_order(ctx, catalog, query, graph=graph)
     return decision, {" -> ".join(order): partial(execute_forced_join, order=order)
                       for order in enumerate_left_deep_orders(graph)}

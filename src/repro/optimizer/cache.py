@@ -159,7 +159,7 @@ class SemanticCache:
 
     def version(self, table: str) -> int:
         with self._lock:
-            return self._versions.get(table.lower(), 0)
+            return self._versions.get(table, 0)
 
     def invalidate_table(self, table: str) -> int:
         """Drop every entry derived from ``table`` and bump its version.
@@ -168,10 +168,9 @@ class SemanticCache:
         never serve rows from the previous content.  Returns the number
         of entries evicted.
         """
-        key = table.lower()
         with self._lock:
-            self._versions[key] = self._versions.get(key, 0) + 1
-            dead = [k for k, e in self._entries.items() if e.table == key]
+            self._versions[table] = self._versions.get(table, 0) + 1
+            dead = [k for k, e in self._entries.items() if e.table == table]
             for k in dead:
                 self._bytes -= self._entries.pop(k).nbytes
             if dead:
@@ -211,11 +210,10 @@ class SemanticCache:
         batches: list[Batch],
     ) -> bool:
         """Retain a fully-drained pushed scan's batch stream."""
-        table_key = table.lower()
-        cols = tuple(c.lower() for c in columns)
-        key = ("scan", table_key, predicate_signature(predicate), cols)
+        cols = tuple(columns)
+        key = ("scan", table, predicate_signature(predicate), cols)
         entry = _Entry(
-            table=table_key,
+            table=table,
             version=self.version(table),
             nbytes=_batch_bytes(batches),
             rows=sum(len(b) for b in batches),
@@ -230,17 +228,15 @@ class SemanticCache:
         self, table: str, predicate: ast.Expr | None, columns: list[str]
     ) -> tuple[tuple, _Entry, str] | None:
         """Find the best reusable entry; caller holds the lock."""
-        table_key = table.lower()
-        current = self._versions.get(table_key, 0)
+        current = self._versions.get(table, 0)
         sig = predicate_signature(predicate)
-        requested = {c.lower() for c in columns}
+        requested = set(columns)
         pred_cols = (
-            {c.lower() for c in ast.referenced_columns(predicate)}
-            if predicate is not None else set()
+            ast.referenced_columns(predicate) if predicate is not None else set()
         )
         best: tuple[tuple, _Entry, str] | None = None
         for key, entry in self._entries.items():
-            if key[0] != "scan" or entry.table != table_key:
+            if key[0] != "scan" or entry.table != table:
                 continue
             if entry.version != current:
                 continue
@@ -273,15 +269,13 @@ class SemanticCache:
             else:
                 self.stats.subsumed += 1
             index = {name: i for i, name in enumerate(entry.columns)}
-            names = [c.lower() for c in columns]
+            names = list(columns)
             extras: list[str] = []
             delta = None
             if status == "subsumed":
                 delta = predicate
                 seen = set(names)
-                for name in sorted(
-                    c.lower() for c in ast.referenced_columns(predicate)
-                ):
+                for name in sorted(ast.referenced_columns(predicate)):
                     if name not in seen:
                         extras.append(name)
             take = [index[name] for name in names + extras]
@@ -320,14 +314,13 @@ class SemanticCache:
         ``items`` are the normalized SQL of each aggregate expression
         (alias-insensitive), aligned with the partial-row columns.
         """
-        table_key = table.lower()
         item_key = tuple(items)
-        key = ("agg", table_key, predicate_signature(where), item_key)
+        key = ("agg", table, predicate_signature(where), item_key)
         nbytes = 64 + sum(
             _value_bytes(v) for row in partials for v in row
         )
         entry = _Entry(
-            table=table_key,
+            table=table,
             version=self.version(table),
             nbytes=nbytes,
             rows=len(partials),
@@ -341,11 +334,10 @@ class SemanticCache:
     def _match_aggregate(
         self, table: str, where: ast.Expr | None, items: list[str]
     ) -> tuple[tuple, _Entry, list[int]] | None:
-        table_key = table.lower()
-        current = self._versions.get(table_key, 0)
+        current = self._versions.get(table, 0)
         sig = predicate_signature(where)
         for key, entry in self._entries.items():
-            if key[0] != "agg" or entry.table != table_key:
+            if key[0] != "agg" or entry.table != table:
                 continue
             if entry.version != current:
                 continue

@@ -92,7 +92,7 @@ class FeedbackStore:
         """Record the measured fraction of ``table`` rows passing ``predicate``."""
         if predicate is None:
             return
-        key = (table.lower(), predicate_signature(predicate))
+        key = (table, predicate_signature(predicate))
         value = min(max(float(selectivity), 0.0), 1.0)
         with self._lock:
             prior = self._selectivities.get(key)
@@ -111,7 +111,7 @@ class FeedbackStore:
     ) -> float | None:
         if predicate is None:
             return None
-        key = (table.lower(), predicate_signature(predicate))
+        key = (table, predicate_signature(predicate))
         with self._lock:
             record = self._selectivities.get(key)
             if record is None:
@@ -157,17 +157,16 @@ class FeedbackStore:
         stale "measured" selectivity suppress fresh probes and mislead
         every estimate for the rest of the session.
         """
-        key = table.lower()
         with self._lock:
             self._selectivities = {
                 sig: record
                 for sig, record in self._selectivities.items()
-                if sig[0] != key
+                if sig[0] != table
             }
             self._joins = {
                 sig: record
                 for sig, record in self._joins.items()
-                if all(name != key for name, _ in sig[0])
+                if all(name != table for name, _ in sig[0])
             }
 
     def reset(self) -> None:

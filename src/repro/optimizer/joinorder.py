@@ -42,6 +42,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Collection
 
 from repro.bloom.filter import DEFAULT_FPR, BloomPushdown, predicted_bloom_pass
 from repro.cloud.context import CloudContext
@@ -51,6 +52,7 @@ from repro.engine.catalog import Catalog, TableInfo
 from repro.optimizer import pruning
 from repro.optimizer.cost import StrategyEstimate, objective_key, price_phases
 from repro.optimizer.feedback import estimated_rows, predicate_signature
+from repro.planner.binder import Bound, bind
 from repro.planner.costing import predicted_phases
 from repro.planner.joins import (
     CrossProductNode,
@@ -118,15 +120,18 @@ class JoinEdge:
 class JoinGraph:
     """Decomposed N-way join: tables, per-table predicates, edges."""
 
-    #: lower-cased table name -> catalog entry, in FROM order.
+    #: catalog table name -> catalog entry, in FROM order.
     tables: dict[str, TableInfo]
-    #: lower-cased table name -> conjunction of its single-table predicates.
+    #: catalog table name -> conjunction of its single-table predicates.
     predicates: dict[str, ast.Expr | None]
     edges: list[JoinEdge]
     #: Cross-table conjuncts that are not equi-join edges (plus duplicate
     #: equi conjuncts over an already-connected pair); applied after the
     #: full join tree.
     residual: ast.Expr | None
+    #: catalog table name -> the columns read above its scan: join keys,
+    #: the select list, GROUP BY, HAVING, ORDER BY and the residual.
+    reads: dict[str, set[str]]
 
     def table_names(self) -> list[str]:
         return list(self.tables)
@@ -172,136 +177,91 @@ class JoinGraph:
         return len(self.connected_components()) == 1 if self.tables else False
 
 
-def _owner_of(
-    column: ast.Column, tables: dict[str, TableInfo]
-) -> str | None:
-    """Which table a column reference belongs to (lower name), if any."""
-    if column.table:
-        key = column.table.lower()
-        if key not in tables:
-            return None
-        if not tables[key].schema.has_column(column.name):
-            raise PlanError(
-                f"table {key!r} has no column {column.name!r}"
-            )
-        return key
-    owners = [
-        name for name, info in tables.items()
-        if info.schema.has_column(column.name)
-    ]
-    if len(owners) > 1:
-        raise PlanError(
-            f"ambiguous column {column.name!r}: qualify it with a table name"
-        )
-    return owners[0] if owners else None
+def build_join_graph(bound: Bound) -> JoinGraph:
+    """Extract the join graph from a bound table query's WHERE conjunction.
 
-
-def build_join_graph(catalog: Catalog, query: ast.Query) -> JoinGraph:
-    """Extract the join graph from a table query's WHERE conjunction.
-
-    A one-table FROM list is the graph's trivial case: that table keeps
-    the whole WHERE as written, column-free conjuncts (``1 = 0``, the
-    ``$n`` of an uncorrelated EXISTS) included, and there is no edge and
-    no residual.  Disconnected graphs (cross joins) are legal here;
+    Reads what binding resolved (:class:`~repro.planner.binder.Bound`):
+    each conjunct's owner tables, each side's table of an equality, and
+    the columns the clauses above the scans read — no name is resolved
+    here.  A one-table FROM list is the graph's trivial case: that table
+    keeps the whole WHERE as written, column-free conjuncts (``1 = 0``,
+    the ``$n`` of an uncorrelated EXISTS) included, and there is no edge
+    and no residual.  Disconnected graphs (cross joins) are legal here;
     whether they are *plannable* is the search's call (small estimated
     products become :class:`~repro.planner.joins.CrossProductNode`
     plans, anything bigger raises).
     """
-    names = [t.lower() for t in query.from_tables]
-    if len(set(names)) != len(names):
-        raise PlanError(f"duplicate table in FROM list: {query.from_tables}")
-    tables = {name: catalog.get(name) for name in names}
+    query = bound.query
+    names = list(query.from_tables)
+    tables = {name: bound.tables[name] for name in names}
+    reads = {name: set(bound.columns[name]) for name in names}
     if len(names) == 1:
-        return JoinGraph(tables, {names[0]: query.where}, [], None)
+        return JoinGraph(tables, {names[0]: query.where}, [], None, reads)
 
     side_preds: dict[str, list[ast.Expr]] = {name: [] for name in names}
     edges: list[JoinEdge] = []
     connected_pairs: set[frozenset] = set()
     residual: list[ast.Expr] = []
 
-    for conjunct in ast.split_conjuncts(query.where):
+    for i, conjunct in enumerate(ast.split_conjuncts(query.where)):
+        owners = bound.owners(i)
         if (
-            isinstance(conjunct, ast.Binary)
+            len(owners) == 2
+            and isinstance(conjunct, ast.Binary)
             and conjunct.op == "="
             and isinstance(conjunct.left, ast.Column)
             and isinstance(conjunct.right, ast.Column)
         ):
-            lo = _owner_of(conjunct.left, tables)
-            ro = _owner_of(conjunct.right, tables)
-            if lo is not None and ro is not None and lo != ro:
-                pair = frozenset((lo, ro))
-                if pair not in connected_pairs:
-                    connected_pairs.add(pair)
-                    edges.append(JoinEdge(
-                        left=lo, right=ro,
-                        left_key=conjunct.left.name,
-                        right_key=conjunct.right.name,
-                    ))
-                else:
-                    # A second equality over an already-connected pair
-                    # cannot drive the hash join; keep it as a residual
-                    # filter over the joined rows.
-                    residual.append(conjunct)
+            lo, ro = bound.owner[conjunct.left], bound.owner[conjunct.right]
+            pair = frozenset((lo, ro))
+            if pair not in connected_pairs:
+                connected_pairs.add(pair)
+                edges.append(JoinEdge(
+                    left=lo, right=ro,
+                    left_key=conjunct.left.name,
+                    right_key=conjunct.right.name,
+                ))
+                reads[lo].add(conjunct.left.name)
+                reads[ro].add(conjunct.right.name)
                 continue
-        owners = set()
-        for node in ast.walk(conjunct):
-            if isinstance(node, ast.Column):
-                owner = _owner_of(node, tables)
-                if owner is not None:
-                    owners.add(owner)
+            # A second equality over an already-connected pair cannot
+            # drive the hash join; it stays a residual filter over the
+            # joined rows.
         if len(owners) == 1:
             side_preds[next(iter(owners))].append(conjunct)
-        else:
-            residual.append(conjunct)
+            continue
+        residual.append(conjunct)
+        for table, column in bound.reads[i]:
+            reads[table].add(column)
 
     return JoinGraph(
         tables=tables,
         predicates={name: ast.and_join(side_preds[name]) for name in names},
         edges=edges,
         residual=ast.and_join(residual),
+        reads=reads,
     )
 
 
-def needed_columns(
-    graph: JoinGraph, query: ast.Query, extra=()
-) -> dict[str, list[str]]:
+def needed_columns(graph: JoinGraph, extra=()) -> dict[str, list[str]]:
     """Per-table column lists the join pipeline must scan.
 
-    Join keys of every edge touching the table plus any column the
-    select list, GROUP BY, ORDER BY, HAVING or residual predicate
-    references; ``SELECT *`` keeps every column.  ``extra`` adds
-    lower-cased names a decorrelated sub-join probes or evaluates (they
-    belong to no clause the core query can see).  Schema order is
-    preserved so scan projections stay deterministic.  A table nothing
-    references (a bare cross-join factor under ``COUNT``-style outputs)
-    keeps its first column so the scan projection stays valid.
+    What the graph recorded each table delivering above its scan
+    (:attr:`JoinGraph.reads`: join keys, the select list, GROUP BY,
+    ORDER BY, HAVING and residual conjuncts; every column under
+    ``SELECT *``) plus ``extra``, the column names a decorrelated
+    sub-join probes or evaluates (they belong to no clause the core
+    query can see).  Schema order is preserved so scan projections stay
+    deterministic.  A table nothing references (a bare cross-join factor
+    under ``COUNT``-style outputs) keeps its first column so the scan
+    projection stays valid.
     """
-    referenced: set[str] = {c.lower() for c in extra}
-    star = False
-    exprs: list[ast.Expr] = [i.expr for i in query.select_items]
-    exprs += list(query.group_by)
-    exprs += [o.expr for o in query.order_by]
-    if query.having is not None:
-        exprs.append(query.having)
-    if graph.residual is not None:
-        exprs.append(graph.residual)
-    for expr in exprs:
-        if isinstance(expr, ast.Star):
-            star = True
-            continue
-        referenced |= {c.lower() for c in ast.referenced_columns(expr)}
-    for edge in graph.edges:
-        referenced.add(edge.left_key.lower())
-        referenced.add(edge.right_key.lower())
-
     out: dict[str, list[str]] = {}
     for name, info in graph.tables.items():
-        if star:
-            out[name] = list(info.schema.names)
-        else:
-            out[name] = [
-                c for c in info.schema.names if c.lower() in referenced
-            ] or [info.schema.names[0]]
+        reads = graph.reads[name]
+        out[name] = [
+            c for c in info.schema.names if c in reads or c in extra
+        ] or [info.schema.names[0]]
     return out
 
 
@@ -383,14 +343,12 @@ class JoinOrderSearch:
         self,
         ctx: CloudContext,
         graph: JoinGraph,
-        query: ast.Query,
-        extra_refs: frozenset = frozenset(),
+        extra_refs: Collection[str] = (),
     ):
         self.ctx = ctx
         self.graph = graph
-        self.query = query
         self.feedback = ctx.feedback
-        columns = needed_columns(graph, query, extra=extra_refs)
+        columns = needed_columns(graph, extra=extra_refs)
         self.shapes: dict[str, _TableShape] = {}
         for name, info in graph.tables.items():
             self.shapes[name] = _TableShape(
@@ -554,7 +512,7 @@ class JoinOrderSearch:
                 f" {CROSS_PRODUCT_LIMIT:.0f}-row cross-product fallback"
             )
         columns = [
-            c.lower()
+            c
             for tree in (t1, t2)
             for name in tree.tables
             for c in self.shapes[name].columns
@@ -594,7 +552,7 @@ class JoinOrderSearch:
         return predicted_bloom_pass(
             self._key_distinct(build_end, build_key, build.est_rows),
             self._key_distinct(probe_end, probe_key, filtered_rows),
-            filtered_rows, DEFAULT_FPR,
+            filtered_rows, DEFAULT_FPR, probe_key,
         )
 
     def left_deep_tree(self, order: list[str]) -> PlanNode:
@@ -614,7 +572,7 @@ class JoinOrderSearch:
         plan.
         """
         if isinstance(shape, str):
-            return self.leaf(shape.lower(), pushdown)
+            return self.leaf(shape, pushdown)
         kind, build_shape, probe_shape = shape
         build = self.build_tree(build_shape, pushdown)
         probe = self.build_tree(probe_shape, pushdown)
@@ -849,5 +807,5 @@ def plan_join_order(
     """Build the join graph (unless given) and run the tree search
     (:meth:`JoinOrderSearch.search`: least predicted dollars)."""
     if graph is None:
-        graph = build_join_graph(catalog, query)
-    return JoinOrderSearch(ctx, graph, query).search()
+        graph = build_join_graph(bind(query, catalog))
+    return JoinOrderSearch(ctx, graph).search()

@@ -138,9 +138,10 @@ def predicate_envelope(predicate: ast.Expr) -> PartitionZoneMap:
     bounds: dict[str, list] = {}
 
     def tighten(name: str, lo=None, hi=None) -> None:
-        entry = bounds.get(name.lower())
+        key = name.lower()  # zone maps key columns in lower case
+        entry = bounds.get(key)
         if entry is None:
-            entry = bounds[name.lower()] = [_NEG_INF, _POS_INF]
+            entry = bounds[key] = [_NEG_INF, _POS_INF]
         elif entry is _INCOMPARABLE:
             return
         try:
@@ -151,7 +152,7 @@ def predicate_envelope(predicate: ast.Expr) -> PartitionZoneMap:
         except TypeError:
             # Mixed-type bounds on one column (e.g. int vs str): give up
             # on this column entirely rather than keep a half-right box.
-            bounds[name.lower()] = _INCOMPARABLE
+            bounds[key] = _INCOMPARABLE
 
     for conjunct in ast.split_conjuncts(predicate):
         if isinstance(conjunct, ast.Binary):

@@ -211,14 +211,15 @@ def collect_table_stats(
     stats: dict[str, ColumnStats] = {}
     for idx, (col, width) in enumerate(zip(schema.columns, widths)):
         values = list(map(itemgetter(idx), rows))
-        zones = [zone.columns[col.name.lower()] for zone in zone_maps]
+        key = col.name.lower()
+        zones = [zone.columns[key] for zone in zone_maps]
         null_count = sum(zone.null_count for zone in zones)
         non_null = [v for v in values if v is not None] if null_count else values
         # Counts in first-seen order: ``most_common`` ties break by position.
         counts = Counter(non_null)
         # A zone's bounds are None iff the whole partition is NULL there.
         bounded = [zone for zone in zones if zone.min_value is not None]
-        stats[col.name.lower()] = ColumnStats(
+        stats[key] = ColumnStats(
             name=col.name,
             type=col.type,
             distinct=len(counts),

@@ -197,7 +197,7 @@ class CrossProductNode(JoinNode):
         else:
             probe_names, probe_stream = state.drain(self.probe)
         out_names = [*build_names, *probe_names]
-        if len(set(n.lower() for n in out_names)) != len(out_names):
+        if len(set(out_names)) != len(out_names):
             raise PlanError(
                 f"cross product would produce duplicate column names:"
                 f" {out_names}"
@@ -454,7 +454,7 @@ def tree_signature(node: PlanNode, table_signatures: dict | None = None):
     materialized result is walked through its executed source.  ``None``
     for shapes feedback does not model (cross products, pushed
     aggregates, semi / anti / outer joins or a residual match condition).
-    ``table_signatures`` maps a lower-cased table name to its
+    ``table_signatures`` maps a table's catalog name to its
     precomputed pair (the join-order search's, built once per search).
     """
     from repro.optimizer.feedback import predicate_signature
@@ -466,7 +466,7 @@ def tree_signature(node: PlanNode, table_signatures: dict | None = None):
         if isinstance(n, MaterializedNode):
             return collect(n.source)
         if isinstance(n, ScanNode):
-            name = n.table.name.lower()
+            name = n.table.name
             tables.append(
                 table_signatures[name] if table_signatures is not None
                 else (name, predicate_signature(n.predicate))
@@ -475,7 +475,7 @@ def tree_signature(node: PlanNode, table_signatures: dict | None = None):
         if isinstance(n, HashJoinNode):
             if n.join_type != "inner" or n.match_cond is not None:
                 return False
-            edges.append(tuple(sorted((n.build_key.lower(), n.probe_key.lower()))))
+            edges.append(tuple(sorted((n.build_key, n.probe_key))))
             return collect(n.build) and collect(n.probe)
         return False
 

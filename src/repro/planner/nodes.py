@@ -511,7 +511,7 @@ class PushedAggregateNode(_TableLeaf):
             self.cache_status = reuse.status
             partials, streams = reuse.partials, 1
         else:
-            pushed = ast.Query(self.query.select_items, "S3Object", self.bound)
+            pushed = ast.Query(self.query.select_items, ("S3Object",), self.bound)
             keep, streams = self._effective_partitions()
             partials = select_aggregate(
                 ctx, self.table, PreparedSelect(pushed), partitions=keep

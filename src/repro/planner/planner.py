@@ -33,6 +33,7 @@ from repro.engine.catalog import Catalog
 from repro.optimizer import chooser
 from repro.optimizer.feedback import estimated_rows
 from repro.optimizer.joinorder import JoinOrderSearch, build_join_graph
+from repro.planner.binder import bind
 from repro.planner.costing import annotate_costs
 from repro.planner.joins import (
     AdaptiveJoinNode,
@@ -98,23 +99,22 @@ def plan_parsed(
     optimizer's choice when ``mode="auto"`` made one; touches no storage.
     Execution, EXPLAIN and every subquery leg plan here.
 
-    Queries with subqueries, explicit JOINs or derived tables go through
-    the decorrelation pass first (:mod:`repro.planner.subquery`), which
-    plans each leg through this entry (so nested subqueries decorrelate
-    recursively) as an init plan of the result.
+    Names are bound first (:func:`repro.planner.binder.bind`): a name
+    error raises here, before any request.  Queries with subqueries,
+    explicit JOINs or derived tables then go through the decorrelation
+    pass (:mod:`repro.planner.subquery`), which plans each leg through
+    this entry (so nested subqueries decorrelate recursively) as an init
+    plan of the result.
     """
     if mode not in ("baseline", "optimized", "auto", "adaptive"):
         raise PlanError(
             f"unknown mode {mode!r}; use 'baseline', 'optimized',"
             " 'auto' or 'adaptive'"
         )
-    from repro.planner.subquery import needs_rewrite, prepare_query
+    from repro.planner.subquery import prepare_query
 
-    prepared = None
-    if needs_rewrite(query):
-        prepared = prepare_query(ctx, catalog, query, mode)
-        query = prepared.query
-    return choose_plan(ctx, catalog, query, mode, prepared)
+    prepared = prepare_query(ctx, catalog, bind(query, catalog), mode)
+    return choose_plan(ctx, catalog, prepared.query, mode, prepared)
 
 
 def choose_plan(
@@ -299,17 +299,17 @@ def execute_forced_join(
 ) -> QueryExecution:
     """Run a multi-table query with a caller-forced join tree: a
     left-deep ``order`` of table names or a (possibly bushy) ``shape``,
-    :func:`repro.planner.joins.serialize_shape` output.  The fig12 /
-    fig13 sweeps compare the optimizer's pick against every such tree.
+    :func:`repro.planner.joins.serialize_shape` output, each table as
+    the catalog names it.  The fig12 / fig13 sweeps compare the
+    optimizer's pick against every such tree.
     """
     if (order is None) == (shape is None):
         raise PlanError("execute_forced_join takes exactly one of order= or shape=")
     query = parse(sql)
     if len(query.from_tables) < 2:
         raise PlanError("execute_forced_join needs a multi-table query")
-    force_order = None if order is None else [t.lower() for t in order]
     plan = build_plan(
-        ctx, catalog, query, mode, shape=shape, force_order=force_order
+        ctx, catalog, query, mode, shape=shape, force_order=order
     )
     return execute_plan(ctx, plan)
 
@@ -332,12 +332,11 @@ def _join_plans(
     that one tree (``modes`` may hold one pushdown mode, which takes the
     tree itself, beside ``baseline``, which rebuilds it on GET scans).
     """
-    graph = build_join_graph(catalog, query)
-    search = JoinOrderSearch(
-        ctx, graph, query,
-        extra_refs=frozenset(prepared.extra_refs) if prepared is not None
-        else frozenset(),
-    )
+    if prepared is None:
+        graph, extra_refs = build_join_graph(bind(query, catalog)), frozenset()
+    else:
+        graph, extra_refs = build_join_graph(prepared.bound), prepared.extra_refs
+    search = JoinOrderSearch(ctx, graph, extra_refs=extra_refs)
     names = graph.table_names()
     decision = None
     if force_order is not None:

@@ -56,6 +56,7 @@ from dataclasses import dataclass, field
 from repro.cloud.context import CloudContext
 from repro.common.errors import PlanError
 from repro.engine.catalog import Catalog, TableInfo
+from repro.planner.binder import Bound
 from repro.planner.physical import InitPlan
 from repro.planner.tail import column_items
 from repro.sqlparser import ast
@@ -67,25 +68,6 @@ def contains_subquery(expr: ast.Expr | None) -> bool:
     """Whether ``expr`` contains any subquery construct."""
     return expr is not None and any(
         isinstance(n, _SUBQUERY_NODES) for n in ast.walk(expr)
-    )
-
-
-def needs_rewrite(query: ast.Query) -> bool:
-    """Whether ``query`` uses constructs the conjunctive core can't run.
-
-    Queries without subqueries, explicit JOINs or derived tables take
-    the planner's historical path untouched (plain HAVING is handled by
-    the local tail directly and needs no rewrite).
-    """
-    return bool(
-        query.joins
-        or query.derived is not None
-        or contains_subquery(query.where)
-        or contains_subquery(query.having)
-        or any(
-            not isinstance(i.expr, ast.Star) and contains_subquery(i.expr)
-            for i in query.select_items
-        )
     )
 
 
@@ -120,40 +102,50 @@ class PreparedQuery:
     #: Outer WHERE conjuncts referencing LEFT-JOINed columns; applied
     #: as a filter above the wraps so NULL padding survives into 3VL.
     post_filter: ast.Expr | None = None
-    #: Core-side columns the wraps probe or evaluate (lower-cased);
-    #: threaded into the core scans' projections.
+    #: Core-side columns the wraps probe or evaluate; threaded into the
+    #: core scans' projections.
     extra_refs: set[str] = field(default_factory=set)
     #: The init plan of a sole-FROM ``(SELECT ...) AS x``.
     derived: InitPlan | None = None
+    #: The core's binding (a table query's; ``None`` over a derived
+    #: table): what the join graph reads.
+    bound: Bound | None = None
 
 
 def prepare_query(
-    ctx: CloudContext, catalog: Catalog, query: ast.Query, mode: str
+    ctx: CloudContext, catalog: Catalog, bound: Bound, mode: str
 ) -> PreparedQuery:
-    """Rewrite ``query`` for planning, planning its subquery legs.
+    """Rewrite a bound query for planning, planning its subquery legs; a
+    query with no subquery, explicit JOIN or derived table is its own
+    core, with no wrap (plain HAVING is the local tail's).
 
+    Which side of a subquery a column belongs to, and which tables a
+    conjunct reads, is what binding resolved
+    (:class:`~repro.planner.binder.Bound`); nothing is resolved here.
     ``mode`` is the requested execution mode; legs are planned with the
     same mode (``"auto"`` legs each make their own choice).  Touches no
     storage.
     """
-    return _Rewriter(ctx, catalog, query, mode).run()
+    if not (bound.query.joins or bound.bodies):
+        return PreparedQuery(bound.query, bound=bound)
+    return _Rewriter(ctx, catalog, bound, mode).run()
 
 
 class _Rewriter:
-    """Single-use rewrite pass over one parsed query."""
+    """Single-use rewrite pass over one bound query."""
 
     def __init__(
-        self, ctx: CloudContext, catalog: Catalog, query: ast.Query, mode: str
+        self, ctx: CloudContext, catalog: Catalog, bound: Bound, mode: str
     ):
         self.ctx = ctx
         self.catalog = catalog
-        self.query = query
+        self.bound = bound
+        self.query = bound.query
         self.mode = mode
         self.sub_joins: list[SubJoin] = []
         self.init_plans: list[InitPlan] = []
         self.extra_refs: set[str] = set()
         self._counter = itertools.count()
-        self.outer: list[TableInfo] = []
 
     def run(self) -> PreparedQuery:
         query = self.query
@@ -166,7 +158,6 @@ class _Rewriter:
                 )
         if query.derived is not None:
             return self._prepare_derived(query)
-        self.outer = [self.catalog.get(t) for t in query.all_tables]
         # FROM-clause joins wrap closest to the core (they run before
         # WHERE-derived semi/anti joins in SQL's evaluation order).
         for spec in query.joins:
@@ -178,22 +169,20 @@ class _Rewriter:
         core = dataclasses.replace(
             query, where=ast.and_join(kept), having=having, joins=()
         )
+        tables = {t: self.bound.tables[t] for t in core.from_tables}
         return PreparedQuery(
             query=core,
             sub_joins=self.sub_joins,
             init_plans=self.init_plans,
             post_filter=ast.and_join(post),
             extra_refs=self.extra_refs,
+            bound=dataclasses.replace(self.bound, query=core, tables=tables),
         )
 
     # ------------------------------------------------------------------
     # derived tables
     # ------------------------------------------------------------------
     def _prepare_derived(self, query: ast.Query) -> PreparedQuery:
-        if query.joins:
-            raise PlanError(
-                "explicit JOINs over a derived table are not supported"
-            )
         if contains_subquery(query.where) or contains_subquery(query.having):
             raise PlanError(
                 "subqueries over a derived table are not supported"
@@ -209,18 +198,21 @@ class _Rewriter:
     # WHERE conjunct rewriting
     # ------------------------------------------------------------------
     def _rewrite_where(self) -> tuple[list[ast.Expr], list[ast.Expr]]:
-        query = self.query
-        joined_cols = {
-            c.lower()
-            for spec in query.joins
-            for c in self.catalog.get(spec.table).schema.names
-        }
+        """The core's WHERE conjuncts, and the ones held back above the
+        wraps."""
+        joined = {spec.table for spec in self.query.joins}
         kept: list[ast.Expr] = []
         post: list[ast.Expr] = []
-        for conj in ast.split_conjuncts(query.where):
+        for i, conj in enumerate(ast.split_conjuncts(self.query.where)):
             if not contains_subquery(conj):
-                refs = {c.lower() for c in ast.referenced_columns(conj)}
-                (post if refs & joined_cols else kept).append(conj)
+                if self.bound.owners(i) & joined:
+                    post.append(conj)
+                    # Its core-side columns must reach the filter.
+                    self.extra_refs.update(
+                        c for t, c in self.bound.reads[i] if t not in joined
+                    )
+                else:
+                    kept.append(conj)
                 continue
             replaced = self._rewrite_conjunct(conj)
             if replaced is not None:
@@ -263,20 +255,18 @@ class _Rewriter:
             raise PlanError(
                 f"{what} supports plain SELECT ... FROM ... WHERE bodies"
             )
-        inner, local, corr = self._split_sub_where(sub)
+        body, local, corr = self._split_sub_where(sub)
         if not corr:
             # Uncorrelated EXISTS is a run-time constant; probing for a
             # single row is enough to decide it.
             probe = dataclasses.replace(
                 sub, limit=1 if sub.limit is None else min(1, sub.limit)
             )
-            return self._param(probe, what.lower())
+            return self._param(probe, "not exists" if node.negated else "exists")
         edge: tuple[str, str] | None = None
         rest: list[ast.Expr] = []
         for conj in corr:
-            pair = None if edge is not None else self._corr_edge(
-                conj, inner, self.outer
-            )
+            pair = None if edge is not None else _corr_edge(conj, body.is_outer)
             if pair is not None:
                 edge = pair
             else:
@@ -292,7 +282,7 @@ class _Rewriter:
             for c in ast.walk(conj):
                 if (
                     isinstance(c, ast.Column)
-                    and self._side(c, inner, self.outer) == "inner"
+                    and not body.is_outer(c)
                     and c.name not in cols
                 ):
                     cols.append(c.name)
@@ -303,11 +293,11 @@ class _Rewriter:
         )
         kind = "anti" if node.negated else "semi"
         leg, ren = self._build_leg(synth, kind)
-        self._note_outer_refs(edge[1], rest, inner)
+        self._note_outer_refs(edge[1], rest, body.is_outer)
         self.sub_joins.append(
             SubJoin(
                 kind=kind,
-                build_key=ren[edge[0].lower()],
+                build_key=ren[edge[0]],
                 probe_key=edge[1],
                 match_cond=ast.and_join(
                     [_substitute(c, ren) for c in rest]
@@ -333,7 +323,7 @@ class _Rewriter:
             raise PlanError("an IN subquery must select exactly one column")
         kind = "anti_null" if node.negated else "semi"
         leg, _ = self._build_leg(sub, kind)
-        self.extra_refs.add(node.operand.name.lower())
+        self.extra_refs.add(node.operand.name)
         self.sub_joins.append(
             SubJoin(
                 kind=kind,
@@ -374,10 +364,10 @@ class _Rewriter:
             raise PlanError(
                 "a correlated scalar subquery must compute one aggregate"
             )
-        inner, local, corr = self._split_sub_where(sub)
+        body, local, corr = self._split_sub_where(sub)
         pairs: list[tuple[str, str]] = []
         for c in corr:
-            pair = self._corr_edge(c, inner, self.outer)
+            pair = _corr_edge(c, body.is_outer)
             if pair is None:
                 raise PlanError(
                     "correlated scalar subqueries support only"
@@ -401,18 +391,14 @@ class _Rewriter:
         leg, ren = self._build_leg(synth, "inner")
         comparison = _replace(conj, node, ast.Column(ren["__val"]))
         extras = [
-            ast.Binary("=", ast.Column(ren[i.lower()]), ast.Column(o))
+            ast.Binary("=", ast.Column(ren[i]), ast.Column(o))
             for i, o in pairs[1:]
         ]
-        for _, outer_col in pairs:
-            self.extra_refs.add(outer_col.lower())
-        build_lower = {r.lower() for r in leg.names}
-        for c in ast.referenced_columns(comparison):
-            if c.lower() not in build_lower:
-                self.extra_refs.add(c.lower())
+        self.extra_refs.update(outer_col for _, outer_col in pairs)
+        self.extra_refs.update(ast.referenced_columns(comparison) - set(leg.names))
         return SubJoin(
             kind="inner",
-            build_key=ren[pairs[0][0].lower()],
+            build_key=ren[pairs[0][0]],
             probe_key=pairs[0][1],
             match_cond=ast.and_join(extras + [comparison]),
             provenance="decorrelated scalar subquery",
@@ -439,11 +425,12 @@ class _Rewriter:
     # LEFT OUTER JOIN
     # ------------------------------------------------------------------
     def _left_join(self, spec: ast.JoinSpec) -> SubJoin:
-        jt = self.catalog.get(spec.table)
-        inner = [jt]
-        outer = [
-            t for t in self.outer if t.name.lower() != jt.name.lower()
-        ]
+        jt = self.bound.tables[spec.table]
+        owner = self.bound.owner
+
+        def is_outer(column: ast.Column) -> bool:
+            return owner[column] != jt.name
+
         scan_preds: list[ast.Expr] = []
         rest: list[ast.Expr] = []
         edge: tuple[str, str] | None = None
@@ -453,19 +440,15 @@ class _Rewriter:
                     "subqueries in ON conditions are not supported"
                 )
             sides = {
-                self._side(c, inner, outer)
-                for c in ast.walk(conj)
-                if isinstance(c, ast.Column)
+                is_outer(c) for c in ast.walk(conj) if isinstance(c, ast.Column)
             }
-            if sides == {"inner"}:
+            if sides == {False}:
                 # Local to the joined table: push into its scan — sound
                 # for a LEFT JOIN because it only shrinks the build
                 # side, never the preserved probe side.
                 scan_preds.append(conj)
                 continue
-            pair = None if edge is not None else self._corr_edge(
-                conj, inner, outer
-            )
+            pair = None if edge is not None else _corr_edge(conj, is_outer)
             if pair is not None:
                 edge = pair
             else:
@@ -475,21 +458,18 @@ class _Rewriter:
                 "LEFT JOIN needs an ON equality linking the joined table"
                 " to the FROM list"
             )
-        star = any(
-            isinstance(i.expr, ast.Star) for i in self.query.select_items
-        )
-        if star:
-            scan_cols = list(jt.schema.names)
-        else:
-            refs = self._query_refs()
-            for conj in rest:
-                refs |= {c.lower() for c in ast.referenced_columns(conj)}
-            scan_cols = [
-                n
-                for n in jt.schema.names
-                if n.lower() in refs or n.lower() == edge[0].lower()
-            ]
-        self._note_outer_refs(edge[1], rest, inner)
+        # The joined table's columns the query reads anywhere, and the
+        # ones the match condition reads.
+        refs = set(self.bound.columns[jt.name])
+        for reads in self.bound.reads:
+            refs.update(c for t, c in reads if t == jt.name)
+        for conj in rest:
+            refs.update(
+                c.name for c in ast.walk(conj)
+                if isinstance(c, ast.Column) and not is_outer(c)
+            )
+        scan_cols = [n for n in jt.schema.names if n in refs or n == edge[0]]
+        self._note_outer_refs(edge[1], rest, is_outer)
         return SubJoin(
             kind="left",
             build_key=edge[0],
@@ -534,104 +514,33 @@ class _Rewriter:
         renamed to a ``__sq<N>_`` prefix; returns it and the renames."""
         leg = self._leg(query, f"build of {kind} join")
         prefix = f"__sq{next(self._counter)}_"
-        renames = {c.lower(): prefix + c for c in leg.names}
+        renames = {c: prefix + c for c in leg.names}
         leg.names = [prefix + c for c in leg.names]
         return leg, renames
 
-    def _side(
-        self,
-        col: ast.Column,
-        inner: list[TableInfo],
-        outer: list[TableInfo],
-    ) -> str:
-        if col.table:
-            t = col.table.lower()
-            if any(i.name.lower() == t for i in inner):
-                return "inner"
-            if any(o.name.lower() == t for o in outer):
-                return "outer"
-            raise PlanError(f"unknown table {col.table!r} in subquery")
-        if any(i.schema.has_column(col.name) for i in inner):
-            return "inner"  # the innermost scope shadows the outer query
-        if any(o.schema.has_column(col.name) for o in outer):
-            return "outer"
-        raise PlanError(f"unknown column {col.name!r} in subquery")
-
     def _split_sub_where(self, sub: ast.Query):
-        """Split a subquery's WHERE into local and correlated conjuncts."""
-        inner = [self.catalog.get(t) for t in sub.all_tables]
+        """A subquery body's binding, and its WHERE split into local and
+        correlated (outer-reading) conjuncts."""
+        body = self.bound.body(sub)
         local: list[ast.Expr] = []
         corr: list[ast.Expr] = []
-        for conj in ast.split_conjuncts(sub.where):
-            sides = {
-                self._side(c, inner, self.outer)
-                for c in ast.walk(conj)
-                if isinstance(c, ast.Column)
-            }
-            (corr if "outer" in sides else local).append(conj)
-        return inner, local, corr
+        for i, conj in enumerate(ast.split_conjuncts(sub.where)):
+            outer = body.owners(i) - body.columns.keys()
+            (corr if outer else local).append(conj)
+        return body, local, corr
 
     def _is_correlated(self, sub: ast.Query) -> bool:
         if sub.derived is not None:
             return False
         return bool(self._split_sub_where(sub)[2])
 
-    def _corr_edge(
-        self,
-        conj: ast.Expr,
-        inner: list[TableInfo],
-        outer: list[TableInfo],
-    ) -> tuple[str, str] | None:
-        """``(inner_col, outer_col)`` when ``conj`` is a cross-side
-        equality between two plain columns."""
-        if (
-            isinstance(conj, ast.Binary)
-            and conj.op == "="
-            and isinstance(conj.left, ast.Column)
-            and isinstance(conj.right, ast.Column)
-        ):
-            ls = self._side(conj.left, inner, outer)
-            rs = self._side(conj.right, inner, outer)
-            if ls == "inner" and rs == "outer":
-                return conj.left.name, conj.right.name
-            if ls == "outer" and rs == "inner":
-                return conj.right.name, conj.left.name
-        return None
-
-    def _note_outer_refs(
-        self,
-        probe_key: str,
-        conjs: list[ast.Expr],
-        inner: list[TableInfo],
-    ) -> None:
+    def _note_outer_refs(self, probe_key: str, conjs: list[ast.Expr], is_outer) -> None:
         """Record core-side columns a wrap reads, so scans project them."""
-        self.extra_refs.add(probe_key.lower())
+        self.extra_refs.add(probe_key)
         for conj in conjs:
             for c in ast.walk(conj):
-                if (
-                    isinstance(c, ast.Column)
-                    and self._side(c, inner, self.outer) == "outer"
-                ):
-                    self.extra_refs.add(c.name.lower())
-
-    def _query_refs(self) -> set[str]:
-        """Lower-cased column names the outer query references anywhere."""
-        q = self.query
-        exprs: list[ast.Expr] = [
-            i.expr
-            for i in q.select_items
-            if not isinstance(i.expr, ast.Star)
-        ]
-        exprs += list(q.group_by)
-        exprs += [o.expr for o in q.order_by]
-        if q.where is not None:
-            exprs.append(q.where)
-        if q.having is not None:
-            exprs.append(q.having)
-        refs: set[str] = set()
-        for e in exprs:
-            refs |= {c.lower() for c in ast.referenced_columns(e)}
-        return refs
+                if isinstance(c, ast.Column) and is_outer(c):
+                    self.extra_refs.add(c.name)
 
 
 def _make_query(
@@ -641,14 +550,11 @@ def _make_query(
     group_by=(),
 ) -> ast.Query:
     """Assemble a synthesized subquery over the comma FROM list."""
-    tables = tuple(from_tables)
     return ast.Query(
         select_items=tuple(select_items),
-        table=tables[0],
+        from_tables=tuple(from_tables),
         where=where,
         group_by=tuple(group_by),
-        join_table=tables[1] if len(tables) > 1 else None,
-        extra_tables=tables[2:],
     )
 
 
@@ -672,8 +578,25 @@ def _substitute(expr: ast.Expr, renames: dict[str, str]) -> ast.Expr:
     expression compiles against the join's combined output schema."""
     return ast.map_columns(
         expr,
-        lambda col: ast.Column(renames.get(col.name.lower(), col.name)),
+        lambda col: ast.Column(renames.get(col.name, col.name)),
     )
+
+
+def _corr_edge(conj: ast.Expr, is_outer) -> tuple[str, str] | None:
+    """``(inner_col, outer_col)`` when ``conj`` is a cross-side equality
+    between two plain columns (``is_outer`` tells the sides apart)."""
+    if (
+        isinstance(conj, ast.Binary)
+        and conj.op == "="
+        and isinstance(conj.left, ast.Column)
+        and isinstance(conj.right, ast.Column)
+    ):
+        left_outer, right_outer = is_outer(conj.left), is_outer(conj.right)
+        if right_outer and not left_outer:
+            return conj.left.name, conj.right.name
+        if left_outer and not right_outer:
+            return conj.right.name, conj.left.name
+    return None
 
 
 def _replace(expr, target, replacement):

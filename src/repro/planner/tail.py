@@ -35,15 +35,14 @@ def unalias(expr: ast.Expr, select_items) -> ast.Expr:
 
     Recurses through the whole expression (``ORDER BY k + l_tax`` with
     ``... AS k`` rewrites the ``k`` inside the sum), matching SQL's rule
-    that ORDER BY names resolve against the select list first.
+    that ORDER BY names resolve against the select list first.  Binding
+    spelled every alias reference as its alias, so names match exactly.
     """
-    aliases = {
-        item.alias.lower(): item.expr for item in select_items if item.alias
-    }
+    aliases = {item.alias: item.expr for item in select_items if item.alias}
 
     def substitute(column: ast.Column) -> ast.Expr:
         if column.table is None:
-            replacement = aliases.get(column.name.lower())
+            replacement = aliases.get(column.name)
             if replacement is not None:
                 return replacement
         return column
@@ -121,8 +120,7 @@ def _group_output_projection(
             if match is None:
                 return None
             proj.append(ast.SelectItem(ast.Column(group_names[match])))
-    names = [p.expr.name.lower() for p in proj]
-    if not has_hidden and names == [v.lower() for v in visible]:
+    if not has_hidden and [p.expr.name for p in proj] == visible:
         return None
     return proj
 
@@ -172,12 +170,9 @@ def attach_local_tail(
         if output is not None:
             node = ProjectNode(node, output)
     elif not all(isinstance(i.expr, ast.Star) for i in query.select_items):
-        out_names = {
-            n.lower()
-            for n in projected_names(list(input_names), query.select_items)
-        }
+        out_names = set(projected_names(list(input_names), query.select_items))
         deferred_projection = any(
-            ref.lower() not in out_names
+            ref not in out_names
             for item in query.order_by
             for ref in ast.referenced_columns(item.expr)
         )

@@ -215,7 +215,8 @@ def q6_baseline(ctx: CloudContext, catalog: Catalog) -> QueryExecution:
 def q6_optimized(ctx: CloudContext, catalog: Catalog) -> QueryExecution:
     """The entire query is inside the S3 Select dialect: push it all."""
     query = ast.Query(
-        select_items=tuple(_Q6.output), table="lineitem", where=_Q6.predicate
+        select_items=tuple(_Q6.output), from_tables=("lineitem",),
+        where=_Q6.predicate,
     )
     root = PushedAggregateNode(catalog.get("lineitem"), query, phase_label="q6")
     return physical.execute_plan(ctx, _plan("q6 optimized", root))

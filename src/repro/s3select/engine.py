@@ -356,8 +356,7 @@ def _referenced_columns(query: ast.Query, schema: TableSchema) -> list[str]:
     for expr in (query.where, *query.group_by):
         if expr is not None:
             names |= ast.referenced_columns(expr)
-    lowered = {n.lower() for n in names}
-    return [n for n in schema.names if n.lower() in lowered]
+    return schema.subset(names)
 
 
 def _aggregation_layout(

@@ -50,7 +50,7 @@ def validate_select_sql(query: ast.Query, allow_group_by: bool = False) -> None:
         raise UnsupportedFeatureError(
             f"S3 Select queries must read FROM S3Object, got {query.table!r}"
         )
-    if query.join_table is not None or query.joins:
+    if len(query.from_tables) > 1 or query.joins:
         raise UnsupportedFeatureError("S3 Select does not support joins")
     if query.derived is not None:
         raise UnsupportedFeatureError("S3 Select does not support derived tables")

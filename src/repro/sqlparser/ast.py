@@ -339,37 +339,29 @@ class JoinSpec:
 class Query:
     """A parsed SELECT statement.
 
-    The ``FROM`` list is carried as ``table`` (first entry),
-    ``join_table`` (second entry, if any) and ``extra_tables`` (third
-    entry onward); :attr:`from_tables` reassembles the full list.
-
-    Explicit outer joins live in ``joins`` (their tables are *not* part
-    of :attr:`from_tables` — the planner applies them on top of the
-    comma-join core).  A sole derived table (``FROM (SELECT ...) AS x``)
-    is carried in ``derived`` with ``table`` holding its alias.
+    The comma ``FROM`` list is one tuple, :attr:`from_tables`, in source
+    order (``INNER JOIN ... ON`` lands here too, its condition in WHERE);
+    :attr:`table` is its first entry.  Explicit outer joins live in
+    ``joins`` (their tables are *not* part of :attr:`from_tables` — the
+    planner applies them on top of the comma-join core).  A sole derived
+    table (``FROM (SELECT ...) AS x``) is carried in ``derived`` with the
+    one FROM entry holding its alias.
     """
 
     select_items: tuple[SelectItem, ...]
-    table: str
+    from_tables: tuple[str, ...]
     where: Expr | None = None
     group_by: tuple[Expr, ...] = field(default=())
     order_by: tuple[OrderItem, ...] = field(default=())
     limit: int | None = None
-    join_table: str | None = None
-    join_condition: Expr | None = None
-    extra_tables: tuple[str, ...] = field(default=())
     having: Expr | None = None
     joins: tuple[JoinSpec, ...] = field(default=())
     derived: "Query | None" = None
 
     @property
-    def from_tables(self) -> tuple[str, ...]:
-        """Every comma-list table in the ``FROM`` clause, in source order
-        (outer-joined tables from :attr:`joins` are excluded)."""
-        tables = (self.table,)
-        if self.join_table:
-            tables += (self.join_table,)
-        return tables + self.extra_tables
+    def table(self) -> str:
+        """The first ``FROM`` entry (a derived table's alias)."""
+        return self.from_tables[0]
 
     @property
     def all_tables(self) -> tuple[str, ...]:
@@ -522,13 +514,13 @@ def rename_columns(expr: Expr, mapping: dict[str, str]) -> Expr:
     """Return ``expr`` with column names rewritten per ``mapping``.
 
     Used by the indexing strategy to retarget a data-table predicate at
-    the index table's ``value`` column.  Lookup is case-insensitive;
-    qualifiers are dropped on renamed columns.
+    the index table's ``value`` column, keyed by the name as that
+    predicate spells it.  Lookup is exact (names are compared as
+    spelled); qualifiers are dropped on renamed columns.
     """
-    lowered = {k.lower(): v for k, v in mapping.items()}
 
     def rename(column: Column) -> Expr:
-        new_name = lowered.get(column.name.lower())
+        new_name = mapping.get(column.name)
         if new_name is not None:
             return Column(name=new_name)
         return column

@@ -138,9 +138,6 @@ class _Parser:
                     inner_join_conds.append(self.parse_expr())
                     continue
                 break
-        table = tables[0]
-        join_table = tables[1] if len(tables) > 1 else None
-        extra_tables = tuple(tables[2:])
         where = None
         if self._match_keyword("WHERE"):
             where = self.parse_expr()
@@ -173,13 +170,11 @@ class _Parser:
                 ) from None
         return ast.Query(
             select_items=tuple(select_items),
-            table=table,
+            from_tables=tuple(tables),
             where=where,
             group_by=group_by,
             order_by=order_by,
             limit=limit,
-            join_table=join_table,
-            extra_tables=extra_tables,
             having=having,
             joins=tuple(joins),
             derived=derived,

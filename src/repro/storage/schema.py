@@ -9,7 +9,8 @@ queries need).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.common.errors import CatalogError
 
@@ -73,11 +74,13 @@ class TableSchema:
     def __init__(self, columns: Sequence[ColumnDef]):
         if not columns:
             raise CatalogError("a table schema needs at least one column")
-        names = [c.name.lower() for c in columns]
-        if len(set(names)) != len(names):
-            raise CatalogError(f"duplicate column names in schema: {names}")
-        self.columns: tuple[ColumnDef, ...] = tuple(columns)
         self._index = {c.name.lower(): i for i, c in enumerate(columns)}
+        if len(self._index) != len(columns):
+            raise CatalogError(
+                f"duplicate column names in schema: {[c.name for c in columns]}"
+            )
+        self.columns: tuple[ColumnDef, ...] = tuple(columns)
+        self._names = tuple(c.name for c in columns)
 
     @classmethod
     def of(cls, *specs: str) -> "TableSchema":
@@ -94,11 +97,12 @@ class TableSchema:
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.columns)
+        return self._names
 
     @property
-    def name_to_index(self) -> dict[str, int]:
-        return dict(self._index)
+    def name_to_index(self) -> Mapping[str, int]:
+        """Lower-cased column name -> position (read-only)."""
+        return MappingProxyType(self._index)
 
     def index_of(self, name: str) -> int:
         key = name.lower()
@@ -111,8 +115,11 @@ class TableSchema:
     def column(self, name: str) -> ColumnDef:
         return self.columns[self.index_of(name)]
 
-    def has_column(self, name: str) -> bool:
-        return name.lower() in self._index
+    def subset(self, names: Iterable[str]) -> list[str]:
+        """This schema's columns among ``names`` (any spelling; names it
+        does not hold are skipped), in schema order."""
+        positions = {self._index.get(n.lower()) for n in names}
+        return [n for i, n in enumerate(self._names) if i in positions]
 
     def project(self, names: Iterable[str]) -> "TableSchema":
         """Schema of a projection of this schema, in the given order."""

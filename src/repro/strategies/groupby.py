@@ -135,12 +135,8 @@ class GroupByQuery:
         """The group columns, then the table columns each aggregate reads."""
         agg_columns = [
             name
-            for refs in (
-                {c.lower() for c in agg.referenced_columns()}
-                for agg in self.aggregates
-            )
-            for name in table.schema.names
-            if name.lower() in refs
+            for agg in self.aggregates
+            for name in table.schema.subset(agg.referenced_columns())
         ]
         return list(dict.fromkeys([*self.group_columns, *agg_columns]))
 

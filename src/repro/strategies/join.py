@@ -90,7 +90,7 @@ def _join_plan(
         # A filter too large for the expression limit degrades: priced as
         # the unfiltered serial probe scan the ladder ends in.
         pass_rows, hashes = predicted_bloom_pass(
-            build_keys, probe_keys, probe_rows, bloom.fpr
+            build_keys, probe_keys, probe_rows, bloom.fpr, query.probe_key
         ) or (probe_rows, 0)
 
     def side(table, projection, predicate, rows, label=None, bloom_attr=None):

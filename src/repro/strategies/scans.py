@@ -50,10 +50,10 @@ def decoded_columns(
     """What a GET scan decodes, in schema order: the columns the plan
     above it reads (``needed``, its pushdown twin's projection) plus
     those a local ``predicate`` reads."""
-    wanted = {c.lower() for c in needed}
+    wanted = set(needed)
     if predicate is not None:
-        wanted |= {c.lower() for c in ast.referenced_columns(predicate)}
-    return [n for n in table.schema.names if n.lower() in wanted]
+        wanted |= ast.referenced_columns(predicate)
+    return table.schema.subset(wanted)
 
 
 def _partition_keys(table: TableInfo, partitions: Sequence[int] | None) -> list[str]:
@@ -217,6 +217,6 @@ def select_query(
     strategies push."""
     return ast.Query(
         tuple(ast.SelectItem(ast.Column(i) if isinstance(i, str) else i) for i in items),
-        "S3Object", where, tuple(map(ast.Column, group_by)),
+        ("S3Object",), where, tuple(map(ast.Column, group_by)),
     )
 

@@ -278,6 +278,7 @@ class TestReplanEvents:
         (``a >< b >< c`` either way) but not the serialized shape, which
         the event records too."""
         from repro.optimizer.joinorder import JoinOrderSearch, build_join_graph
+        from repro.planner.binder import bind
         from repro.planner.joins import AdaptiveJoinNode, MaterializedNode
         from repro.sqlparser.parser import parse
         from repro.storage.schema import TableSchema
@@ -294,7 +295,7 @@ class TestReplanEvents:
             "SELECT COUNT(*) AS n FROM ta, tb, tc"
             " WHERE ta_k = tb_k AND tb_v = tc_k"
         )
-        search = JoinOrderSearch(ctx, build_join_graph(catalog, query), query)
+        search = JoinOrderSearch(ctx, build_join_graph(bind(query, catalog)))
         old_shape = ["hash", ["hash", "ta", "tb"], "tc"]
         new_shape = ["hash", "tc", ["hash", "ta", "tb"]]
         tree = search.build_tree(old_shape)

@@ -11,6 +11,7 @@ from repro.bloom.filter import (
     build_bloom_filter_within_limit,
     optimal_num_bits,
     optimal_num_hashes,
+    predicted_bloom_pass,
 )
 from repro.bloom.universal_hash import (
     UNIVERSE_PRIME,
@@ -225,6 +226,22 @@ class TestLimitAdaptation:
         at = build_bloom_filter_within_limit(keys, 0.01, "k", limit_bytes=size, seed=3)
         under = build_bloom_filter_within_limit(keys, 0.01, "k", limit_bytes=size - 1, seed=3)
         assert at.attempts == [0.01] and under.attempts[:2] == [0.01, 0.1]
+
+    @pytest.mark.parametrize("attr", ["k", "o_custkey", "l_orderkey"])
+    def test_the_cost_model_fits_a_filter_only_where_the_ladder_keeps_it(self, attr):
+        """Around the largest filter 256 KB holds at 1 % (~3,900 keys),
+        whenever the cost model predicts a filter the ladder keeps its
+        first rung, with no statement around it; the model weighs each
+        conjunct as rendered (95-105 bytes a hash here), not at 60."""
+        predicted = []
+        for n in range(3860, 3910, 2):
+            fits = predicted_bloom_pass(n, n, 10 * n, 0.01, attr) is not None
+            kept = build_bloom_filter_within_limit(
+                range(n), 0.01, attr, seed=n
+            ).achieved_fpr == 0.01
+            assert kept or not fits, n
+            predicted.append(fits)
+        assert any(predicted) and not all(predicted)
 
 
 @settings(max_examples=30)

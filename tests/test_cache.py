@@ -155,7 +155,7 @@ class TestSemanticCacheUnit:
         cache = SemanticCache(CACHE_BYTES)
         cache.store_scan("t", None, ["k"], [batch])
         cache.store_scan("u", None, ["k"], [batch])
-        assert cache.invalidate_table("T") == 1
+        assert cache.invalidate_table("t") == 1
         assert cache.peek_scan("t", None, ["k"]) is None
         assert cache.peek_scan("u", None, ["k"]) == "hit"
         assert cache.stats.invalidations == 1
@@ -247,13 +247,17 @@ class TestCachedExecution:
         assert subset.num_requests == 0
         assert subset.rows == [(cold.rows[0][1],)]
 
-    def test_reload_evicts_stale_results(self):
+    @pytest.mark.parametrize("spelling", ["fx", "FX"])
+    def test_reload_evicts_stale_results(self, spelling):
+        """A reload in any spelling keeps the catalog's name, so the
+        cache (which compares names exactly) drops what it derived."""
         old_rows = clustered_filter_table(2_000, seed=7)
         new_rows = clustered_filter_table(2_000, seed=11)
         db = _session(rows=old_rows)
         sql = "SELECT key, p0 FROM fx WHERE key < 900"
         stale = db.execute(sql, mode="optimized")
-        db.load_table("fx", new_rows, FILTER_SCHEMA, partitions=8)
+        db.load_table(spelling, new_rows, FILTER_SCHEMA, partitions=8)
+        assert db.table_names() == ["fx"]
         refreshed = db.execute(sql, mode="optimized")
         fresh = _session(rows=new_rows).execute(sql, mode="optimized")
         assert refreshed.rows == fresh.rows

@@ -14,6 +14,7 @@ import textwrap
 
 import pytest
 
+from repro.common.errors import PlanError
 from repro.experiments.tpch_suite import ALL_QUERIES, QUERY_DIR, load_suite_tables
 from repro.planner.database import PushdownDB
 from repro.planner.planner import plan_parsed
@@ -41,6 +42,44 @@ def test_planning_never_touches_storage(suite_db):
         suite_db.explain(_sql(name))
         for mode in ("baseline", "optimized", "auto", "adaptive"):
             plan_parsed(suite_db.ctx, suite_db.catalog, parse(_sql(name)), mode)
+    assert metrics.num_requests == before
+
+
+@pytest.fixture(scope="module")
+def two_tables():
+    """Two tables shaped like the SQL fuzzer's ``t0`` and ``t1``."""
+    db = PushdownDB()
+    db.load_table(
+        "t0", [(i % 6, i - 10, i % 4, "oak") for i in range(24)],
+        TableSchema.of("t0_key:int", "t0_a:int", "t0_b:int", "t0_s:str"),
+        partitions=4,
+    )
+    db.load_table(
+        "t1", [(i % 6, i, i % 3) for i in range(18)],
+        TableSchema.of("t1_key:int", "t1_c:int", "t1_d:int"), partitions=4,
+    )
+    return db
+
+
+#: A qualifier naming a table outside FROM (in the select list, in WHERE,
+#: or a FROM table without that column) and an unknown name in WHERE or
+#: ORDER BY: each is a name error, raised by binding before any request.
+NAME_ERRORS = [
+    ("SELECT t9.t0_a FROM t0", "unknown column"),
+    ("SELECT t0_a FROM t0 WHERE t9.t0_a < 3", "unknown column"),
+    ("SELECT t1.t0_a FROM t0, t1 WHERE t0_key = t1_key", "has no column"),
+    ("SELECT t0_a FROM t0, t1 WHERE t0_key = t1_key AND nope = 1", "unknown column"),
+    ("SELECT t0_a FROM t0 ORDER BY nope", "unknown column"),
+]
+
+
+@pytest.mark.parametrize("sql, message", NAME_ERRORS)
+@pytest.mark.parametrize("mode", ["baseline", "optimized"])
+def test_name_errors_raise_before_any_request(two_tables, sql, message, mode):
+    metrics = two_tables.ctx.metrics
+    before = metrics.num_requests
+    with pytest.raises(PlanError, match=message):
+        two_tables.execute(sql, mode=mode)
     assert metrics.num_requests == before
 
 

@@ -16,6 +16,7 @@ from repro.optimizer.joinorder import (
     needed_columns,
     plan_join_order,
 )
+from repro.planner.binder import bind
 from repro.sqlparser.parser import parse
 from repro.storage.schema import TableSchema
 
@@ -45,7 +46,7 @@ class TestJoinGraph:
             "SELECT COUNT(*) AS n FROM a, b, c"
             " WHERE a_id = b_a AND b_id = c_b AND a_v > 2 AND c_v <> 'x'"
         )
-        graph = build_join_graph(catalog, query)
+        graph = build_join_graph(bind(query, catalog))
         assert graph.table_names() == ["a", "b", "c"]
         assert len(graph.edges) == 2
         assert graph.predicates["a"] is not None
@@ -59,7 +60,7 @@ class TestJoinGraph:
             "SELECT COUNT(*) AS n FROM a, b"
             " WHERE a_id = b_a AND a_v = b_v"
         )
-        graph = build_join_graph(catalog, query)
+        graph = build_join_graph(bind(query, catalog))
         assert len(graph.edges) == 1
         assert graph.residual is not None
 
@@ -69,7 +70,7 @@ class TestJoinGraph:
             "SELECT COUNT(*) AS n FROM a, b, c"
             " WHERE a.a_id = b.b_a AND b.b_id = c.c_b"
         )
-        graph = build_join_graph(catalog, query)
+        graph = build_join_graph(bind(query, catalog))
         assert len(graph.edges) == 2
 
     def test_qualified_column_typo_fails_fast(self, env):
@@ -81,12 +82,12 @@ class TestJoinGraph:
             " WHERE a.b_a = b.b_a AND b_id = c_b"
         )
         with pytest.raises(PlanError, match="has no column"):
-            build_join_graph(catalog, query)
+            build_join_graph(bind(query, catalog))
 
     def test_disconnected_graph_reports_components(self, env):
         _, catalog = env
         query = parse("SELECT COUNT(*) AS n FROM a, b, c WHERE a_id = b_a")
-        graph = build_join_graph(catalog, query)
+        graph = build_join_graph(bind(query, catalog))
         assert graph.connected_components() == [["a", "b"], ["c"]]
         assert not graph.is_connected()
 
@@ -113,8 +114,8 @@ class TestJoinGraph:
         query = parse(
             "SELECT a_v FROM a, b, c WHERE a_id = b_a AND b_id = c_b"
         )
-        graph = build_join_graph(catalog, query)
-        needed = needed_columns(graph, query)
+        graph = build_join_graph(bind(query, catalog))
+        needed = needed_columns(graph)
         assert needed["a"] == ["a_id", "a_v"]
         assert needed["b"] == ["b_id", "b_a"]
         assert needed["c"] == ["c_b"]
@@ -144,9 +145,9 @@ class TestSearch:
             "SELECT COUNT(*) AS n FROM a, b, c"
             " WHERE a_id = b_a AND b_id = c_b AND a_v < 6"
         )
-        graph = build_join_graph(catalog, query)
+        graph = build_join_graph(bind(query, catalog))
         decision = plan_join_order(ctx, catalog, query, graph=graph)
-        search = JoinOrderSearch(ctx, graph, query)
+        search = JoinOrderSearch(ctx, graph)
         exhaustive = min(
             search.price_order(order).total_cost
             for order in enumerate_left_deep_orders(graph)
@@ -159,7 +160,7 @@ class TestSearch:
             "SELECT COUNT(*) AS n FROM a, b, c"
             " WHERE a_id = b_a AND b_id = c_b"
         )
-        graph = build_join_graph(catalog, query)
+        graph = build_join_graph(bind(query, catalog))
         orders = enumerate_left_deep_orders(graph)
         # b (the middle of the chain) can never be joined last.
         assert all(o[-1] != "b" for o in orders)
@@ -207,8 +208,8 @@ class TestSearch:
             "SELECT COUNT(*) AS n FROM a, c, b"
             " WHERE a_id = b_a AND b_id = c_b AND a_v < 4"
         )
-        graph = build_join_graph(catalog, query)
-        search = JoinOrderSearch(ctx, graph, query)
+        graph = build_join_graph(bind(query, catalog))
+        search = JoinOrderSearch(ctx, graph)
         with_bloom = search.price_order(["a", "b", "c"])
         assert with_bloom.notes["order"] == ["a", "b", "c"]
         baseline = choose_planner_mode(ctx, catalog, query).candidates[0]
@@ -257,9 +258,9 @@ class TestBushySearch:
 
     def test_bushy_estimate_beats_every_left_deep_order(self, snowflake):
         ctx, catalog, query = snowflake
-        graph = build_join_graph(catalog, query)
+        graph = build_join_graph(bind(query, catalog))
         decision = plan_join_order(ctx, catalog, query, graph=graph)
-        search = JoinOrderSearch(ctx, graph, query)
+        search = JoinOrderSearch(ctx, graph)
         best_left_deep = min(
             search.price_order(order).total_cost
             for order in enumerate_left_deep_orders(graph)
@@ -271,8 +272,8 @@ class TestBushySearch:
         one search prices an order the same before a search, after it
         and again, and every DP candidate prices as its fresh rebuild."""
         ctx, catalog, query = snowflake
-        graph = build_join_graph(catalog, query)
-        search = JoinOrderSearch(ctx, graph, query)
+        graph = build_join_graph(bind(query, catalog))
+        search = JoinOrderSearch(ctx, graph)
         orders = enumerate_left_deep_orders(graph)
         before = [search.price_order(order) for order in orders]
         decision = search.search()
@@ -335,7 +336,7 @@ class TestZoneMapsOncePerSearch:
         from repro.planner.nodes import ScanNode
 
         ctx, catalog, query = sorted_star
-        graph = build_join_graph(catalog, query)
+        graph = build_join_graph(bind(query, catalog))
         calls: Counter = Counter()
         keep_partitions = pruning.keep_partitions
 
@@ -344,7 +345,7 @@ class TestZoneMapsOncePerSearch:
             return keep_partitions(table, predicate)
 
         monkeypatch.setattr(pruning, "keep_partitions", counting)
-        search = JoinOrderSearch(ctx, graph, query)
+        search = JoinOrderSearch(ctx, graph)
         trees = []
         price_tree = search.price_tree
 
@@ -380,7 +381,7 @@ class TestZoneMapsOncePerSearch:
     def test_pruning_off_keeps_every_partition(self, sorted_star):
         ctx, catalog, query = sorted_star
         ctx.prune_partitions = False
-        search = JoinOrderSearch(ctx, build_join_graph(catalog, query), query)
+        search = JoinOrderSearch(ctx, build_join_graph(bind(query, catalog)))
         assert search.leaf("dim1").keep_partitions is None
         ctx.prune_partitions = True
         assert search.leaf("dim1").keep_partitions == [0]
@@ -422,14 +423,13 @@ class TestOneTable:
         from repro.planner.nodes import FilterNode
         from repro.planner.physical import walk_plan
         from repro.planner.planner import execute_parsed, plan_parsed
-        from repro.planner.subquery import needs_rewrite, prepare_query
+        from repro.planner.subquery import prepare_query
         from repro.sqlparser import ast
 
         ctx, catalog, oracle = one
         query = parse(sql)
-        if needs_rewrite(query):
-            query = prepare_query(ctx, catalog, query, "optimized").query
-        graph = build_join_graph(catalog, query)
+        query = prepare_query(ctx, catalog, bind(query, catalog), "optimized").query
+        graph = build_join_graph(bind(query, catalog))
         assert ast.split_conjuncts(graph.predicates["t"]) == (
             ast.split_conjuncts(query.where)
         )

@@ -421,17 +421,16 @@ class TestAutoRunsThePlanItPriced:
         and running the priced plan meters exactly what the picked fixed
         mode's plan over the same legs does."""
         from repro.experiments.tpch_suite import ALL_QUERIES, QUERY_DIR
+        from repro.planner.binder import bind
         from repro.planner.planner import build_plan, execute_plan
-        from repro.planner.subquery import needs_rewrite, prepare_query
+        from repro.planner.subquery import prepare_query
 
         ctx, catalog = suite
         picks = set()
         for name in ALL_QUERIES:
             query = parse((QUERY_DIR / f"{name}.sql").read_text())
-            prepared = None
-            if needs_rewrite(query):
-                prepared = prepare_query(ctx, catalog, query, "auto")
-                query = prepared.query
+            prepared = prepare_query(ctx, catalog, bind(query, catalog), "auto")
+            query = prepared.query
             ctx.feedback.reset()
             choice = choose_planner_mode(ctx, catalog, query, prepared=prepared)
             auto = execute_plan(ctx, choice.plan)

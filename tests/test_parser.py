@@ -164,7 +164,7 @@ class TestQueries:
 
     def test_implicit_join_syntax(self):
         q = parse("SELECT * FROM customer, orders WHERE c_custkey = o_custkey")
-        assert q.join_table == "orders"
+        assert q.from_tables[1] == "orders"
 
     def test_limit_requires_integer(self):
         with pytest.raises(SQLSyntaxError):

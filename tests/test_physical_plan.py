@@ -258,8 +258,9 @@ class TestBushyDifferential:
             build_join_graph,
             enumerate_left_deep_orders,
         )
+        from repro.planner.binder import bind
 
-        graph = build_join_graph(db.catalog, parse(SNOWFLAKE_SQL))
+        graph = build_join_graph(bind(parse(SNOWFLAKE_SQL), db.catalog))
         bushy = execute_forced_join(
             db.ctx, db.catalog, SNOWFLAKE_SQL, shape=BUSHY_SHAPE
         )

@@ -218,10 +218,11 @@ class TestMultiwayJoins:
             build_join_graph,
             enumerate_left_deep_orders,
         )
+        from repro.planner.binder import bind
         from repro.planner.planner import execute_forced_join
         from repro.sqlparser.parser import parse
 
-        graph = build_join_graph(db.catalog, parse(self.SQL3))
+        graph = build_join_graph(bind(parse(self.SQL3), db.catalog))
         orders = enumerate_left_deep_orders(graph)
         assert len(orders) == 4  # chain c-o-l: o can never come last
         reference = None

@@ -19,9 +19,27 @@ if unknown:
              f" strategies, fuzz, repeat, {', '.join(ALL_EXPERIMENTS)}")
 out = {}
 
+# Every statement an op prepares, as its tree and as its wire text: a
+# refactor may change a tree's ``repr`` (a field renamed) but must keep
+# what S3 Select receives byte for byte.
+from repro.s3select.engine import PreparedSelect
+
+statements = []
+_prepare = PreparedSelect.__init__
+
+
+def _recording(self, *args, **kwargs):
+    _prepare(self, *args, **kwargs)
+    statements.append((repr(self.query), self.query.to_sql()))
+
+
+PreparedSelect.__init__ = _recording
+
 
 def dump(ctx, mark, ex):
     records = ctx.metrics.records_since(mark)
+    prepared = list(statements)
+    statements.clear()
     return {
         "rows": repr(ex.rows),
         "names": list(ex.column_names),
@@ -35,6 +53,8 @@ def dump(ctx, mark, ex):
             (p.name, len(p.streams), p.server_records, repr(p.server_fields))
             for p in ex.phases
         ],
+        "statements": [tree for tree, _ in prepared],
+        "statements_sql": [text for _, text in prepared],
         "phase_cpu": [p.server_cpu_seconds for p in ex.phases],
         "runtime_seconds": ex.runtime_seconds,
         "cost_total": ex.cost.total,
@@ -59,6 +79,7 @@ def dump_sql(ctx, catalog, query):
         plan, _ = plan_parsed(ctx, catalog, query, mode)
         est = plan.estimate
         mark = ctx.metrics.mark()
+        statements.clear()
         ex = execute_parsed(ctx, catalog, query, mode)
         rec = dump(ctx, mark, ex)
         rec["explain"] = plan.describe()
@@ -124,18 +145,7 @@ if "strategies" in sections:
     from repro.strategies.groupby import AggSpec, GroupByQuery, filtered_group_by
     from repro.strategies.join import filtered_join
     from repro.queries.micro import _JOIN_QUERY
-    from repro.s3select.engine import PreparedSelect
 
-    # The tree of every statement an op prepares: parsed from text or
-    # built, equal trees mean a change of rendering only.
-    statements = []
-    prepare = PreparedSelect.__init__
-
-    def recording(self, *args, **kwargs):
-        prepare(self, *args, **kwargs)
-        statements.append(repr(self.query))
-
-    PreparedSelect.__init__ = recording
     for seed in (1, 2):
         session = harness.open_session(WORKLOADS["paper_strategies"](None, seed), loads=1)
         db = session.db
@@ -173,8 +183,6 @@ if "strategies" in sections:
             statements.clear()
             ex = run(db)
             out[f"strategy/seed{seed}/{name}"] = dump(db.ctx, mark, ex)
-            out[f"strategy/seed{seed}/{name}"]["statements"] = list(statements)
-    PreparedSelect.__init__ = prepare
 
 if "repeat" in sections:
     # One pass of the cache-enabled session: cache hits, subsumption and
@@ -187,6 +195,7 @@ if "repeat" in sections:
     session.workload.begin_pass(db)
     for op in session.ops:
         mark = db.ctx.metrics.mark()
+        statements.clear()
         result = op.run(db)
         if op.kind != "sql":
             out[f"repeat/{op.name}"] = {"kind": op.kind, "rows": result.num_rows}
