@@ -162,20 +162,44 @@ class BloomFilter:
         return self.to_predicate(attr, cast_to_int).to_sql()
 
     def _conjuncts(self, attr: str, bits: str, cast_to_int: bool = True) -> ast.Expr:
-        key = ast.Cast(ast.Column(attr), "INT") if cast_to_int else ast.Column(attr)
-        bits, one, on = Literal(bits), Literal(1), Literal("1")
+        bits = Literal(bits)
         return ast.and_join([
-            ast.Binary("=", ast.FuncCall("SUBSTRING", (bits, h.to_expr(key), one)), on)
-            for h in self.hashes
+            _probe(bits, p) for p in _positions(self.hashes, attr, cast_to_int)
         ])
 
     def predicate_size_bytes(self, attr: str) -> int:
-        """Size of the rendered predicate (what counts against 256 KB):
-        the conjuncts rendered around empty bit strings, plus one bit
-        string per hash function, whatever the bits — nothing is inserted,
-        and no bit string rendered, to weigh a filter."""
-        clauses = self._conjuncts(attr, "").to_sql()
-        return len(clauses.encode()) + self.num_hashes * self.num_bits
+        """Size of the rendered predicate (what counts against 256 KB),
+        whatever the bits: each hash's position, the printer's frame
+        around it (:func:`_frame_bytes`) and one bit string per hash —
+        nothing is inserted, and no conjunct rendered, to weigh a filter."""
+        frame, separator = _frame_bytes()
+        positions = _positions(self.hashes, attr, True)
+        k = self.num_hashes
+        return (sum(len(p.to_sql().encode()) for p in positions)
+                + k * (frame + self.num_bits) + (k - 1) * separator)
+
+
+def _positions(hashes: list, attr: str, cast_to_int: bool) -> list[ast.Expr]:
+    """Each hash's 1-based SUBSTRING position over ``attr``: the trees the
+    predicate is made of, and what the ladder weighs."""
+    key = ast.Cast(ast.Column(attr), "INT") if cast_to_int else ast.Column(attr)
+    return [h.to_expr(key) for h in hashes]
+
+
+def _probe(bits: Literal, position: ast.Expr) -> ast.Expr:
+    """One hash's conjunct: ``SUBSTRING(bits, position, 1) = '1'``."""
+    return ast.Binary(
+        "=", ast.FuncCall("SUBSTRING", (bits, position, Literal(1))), Literal("1")
+    )
+
+
+@lru_cache(maxsize=None)
+def _frame_bytes() -> tuple[int, int]:
+    """What the printer writes around one position in a conjunct with an
+    empty bit string, and between two conjuncts — read off its own
+    output around a one-byte column."""
+    x = ast.Column("x")
+    return len(_probe(Literal(""), x).to_sql()) - 1, len(ast.and_join([x, x]).to_sql()) - 2
 
 
 @dataclass

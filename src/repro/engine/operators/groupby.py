@@ -22,6 +22,15 @@ from repro.expr.vector import compile_aggregate_input_vector, compile_expr_vecto
 from repro.sqlparser import ast
 
 
+def group_key_names(group_exprs: Sequence[ast.Expr]) -> list[str]:
+    """A group-by's key output columns: a column key keeps its name, any
+    other key is ``group_{i}``."""
+    return [
+        g.name if isinstance(g, ast.Column) else f"group_{i}"
+        for i, g in enumerate(group_exprs)
+    ]
+
+
 class GroupBy:
     """A hash group-by compiled once against its input columns.
 
@@ -40,9 +49,7 @@ class GroupBy:
         self.group_fns = [compile_expr_vector(g, schema) for g in group_exprs]
         self.compiled_items: list[tuple[list[CompiledAggregate], object]] = []
         self.input_fns: list = []
-        self.out_names: list[str] = []
-        for i, g in enumerate(group_exprs):
-            self.out_names.append(g.name if isinstance(g, ast.Column) else f"group_{i}")
+        self.out_names = group_key_names(group_exprs)
         for ordinal, item in enumerate(agg_items, start=1):
             agg_nodes, finisher = split_aggregate_expr(item.expr)
             compiled = [CompiledAggregate(node, schema) for node in agg_nodes]

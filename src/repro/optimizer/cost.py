@@ -91,15 +91,16 @@ def _phase(
 
 def price_phases(
     ctx: CloudContext, strategy: str, phases: list[Phase],
-    notes: dict | None = None,
+    notes: dict | None = None, phase_time=None,
 ) -> StrategyEstimate:
     """Price predicted phases through ``ctx``'s PerfModel and Pricing.
 
     The one place predicted work becomes seconds and dollars: the plan
     cost walker (:mod:`repro.planner.costing`) and the join-order search
     end here, so a calibrated context calibrates every prediction.
+    ``phase_time`` (default ``ctx.perf.phase_time``) times one phase.
     """
-    runtime = ctx.perf.runtime(phases)
+    runtime = sum(map(phase_time or ctx.perf.phase_time, phases))
     requests = sum(p.requests for p in phases)
     scanned = sum(p.select_scan_bytes for p in phases)
     returned = sum(p.select_returned_bytes for p in phases)

@@ -53,7 +53,7 @@ from repro.optimizer import pruning
 from repro.optimizer.cost import StrategyEstimate, objective_key, price_phases
 from repro.optimizer.feedback import estimated_rows, predicate_signature
 from repro.planner.binder import Bound, bind
-from repro.planner.costing import predicted_phases
+from repro.planner.costing import CostWalk
 from repro.planner.joins import (
     CrossProductNode,
     HashJoinNode,
@@ -326,10 +326,12 @@ class JoinOrderSearch:
     """Join-tree enumeration priced through the shared physical-plan IR.
 
     Candidates are built as :mod:`repro.planner.physical` node trees and
-    priced via :func:`~repro.planner.costing.predicted_phases` — the
-    *same* per-node phase assembly the mode chooser ranks and EXPLAIN
-    annotates with — so search ranking, EXPLAIN estimates and execution
-    metering all read from one IR.  Candidates rank by predicted dollars
+    priced by the search's one :class:`~repro.planner.costing.CostWalk`
+    (:attr:`costs`) — the phase assembly the mode chooser ranks and
+    EXPLAIN annotates with — whose memo makes a DP candidate cost its
+    fresh Bloom probe leaf and one copied phase, not a walk of its
+    tree (a subplan priced once, Selinger et al., SIGMOD 1979).
+    Candidates rank by predicted dollars
     (runtime breaks ties), and a Bloom probe's pass rate is predicted at
     :data:`~repro.bloom.filter.DEFAULT_FPR`, the rate :meth:`combine`
     ships.
@@ -348,6 +350,7 @@ class JoinOrderSearch:
         self.ctx = ctx
         self.graph = graph
         self.feedback = ctx.feedback
+        self.costs = CostWalk(ctx)
         columns = needed_columns(graph, extra=extra_refs)
         self.shapes: dict[str, _TableShape] = {}
         for name, info in graph.tables.items():
@@ -581,26 +584,31 @@ class JoinOrderSearch:
         return self.combine(build, probe, orient=False)
 
     # -- pricing -----------------------------------------------------
-    def price_tree(self, tree: PlanNode) -> StrategyEstimate:
+    def price_tree(self, tree: PlanNode, notes: bool = True) -> StrategyEstimate:
         """Predicted profile of the optimized pushdown plan for ``tree``.
 
-        The tree's own :func:`~repro.planner.costing.predicted_phases`
-        priced by :func:`~repro.optimizer.cost.price_phases` — scan
-        phases mirror the executor's per-scan metering (Bloom-reduced
-        returned rows on probe scans), join CPU lands on the phase
-        preceding each join.
+        Priced by the search's memoized walk (:attr:`costs`), which
+        walks no subtree it priced before: scan phases mirror the
+        executor's per-scan metering (Bloom-reduced returned rows on
+        probe scans), join CPU lands on a copy of the phase preceding
+        each join.  ``notes=False`` (the DP's inner subsets) leaves out
+        the label, order and shape only EXPLAIN's candidate list shows.
         """
+        phases, timed = self.costs.phases(tree), self.costs.phase_time
+        if not notes:
+            return price_phases(self.ctx, "join-order", phases, phase_time=timed)
         label = join_tree_label(tree)
         return price_phases(
             self.ctx,
             f"join-order {label}",
-            predicted_phases(tree, self.ctx),
+            phases,
             {
                 "order": join_leaf_order(tree),
                 "label": label,
                 "tree": serialize_shape(tree),
                 "est_rows": tree.est_rows,
             },
+            timed,
         )
 
     def price_order(self, order: list[str]) -> StrategyEstimate:
@@ -684,17 +692,17 @@ class JoinOrderSearch:
         ``best[S]`` holds the cheapest join tree over exactly the leaves
         in ``S``, found by splitting ``S`` into every connected pair of
         disjoint subsets — single-leaf extensions (left-deep) fall out
-        as the ``|S2| = 1`` splits.  The full set's splits are returned
-        (the EXPLAIN candidate list).  One loop serves both the
-        plan-time search (every leaf a fresh scan) and mid-flight
-        re-planning (materialized intermediates mixed in); connectivity
-        is judged on each subset's union of base tables.
+        as the ``|S2| = 1`` splits; only connected pairs join (DPccp,
+        Moerkotte & Neumann, VLDB 2006).  The full set's splits are
+        returned with their notes (the EXPLAIN candidate list).  One loop
+        serves both the plan-time search (every leaf a fresh scan) and
+        mid-flight re-planning (materialized intermediates mixed in);
+        connectivity is judged on each subtree's base tables.
         """
         n = len(leaves)
         best: dict[frozenset, PlanNode] = {
             frozenset((i,)): leaves[i] for i in range(n)
         }
-        tables_of = {i: leaves[i].tables for i in range(n)}
         level: list[tuple[PlanNode, StrategyEstimate]] = []
         for size in range(2, n + 1):
             final_level = size == n
@@ -709,12 +717,10 @@ class JoinOrderSearch:
                         t1, t2 = best.get(s1), best.get(s2)
                         if t1 is None or t2 is None:
                             continue
-                        u1 = frozenset().union(*(tables_of[i] for i in s1))
-                        u2 = frozenset().union(*(tables_of[i] for i in s2))
-                        if not self.graph.edges_across(u1, u2):
+                        if not self.graph.edges_across(t1.tables, t2.tables):
                             continue
                         tree = self.combine(t1, t2)
-                        options.append((tree, self.price_tree(tree)))
+                        options.append((tree, self.price_tree(tree, final_level)))
                 if not options:
                     continue
                 best[subset_key] = min(

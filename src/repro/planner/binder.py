@@ -6,8 +6,9 @@ every column a ``Var``) and DuckDB's ``Binder`` do.  Tables and columns
 become the catalog's spelling, so a bare column item is named as its
 catalog column (sqlite3's rule) and an alias keeps the user's spelling.
 An unqualified ORDER BY / HAVING name that a select item aliases means
-that alias (in GROUP BY, only a name no table has) — the one place a
-name is matched to an alias without regard to case.  A subquery body
+that alias (in GROUP BY, only a name no table has, and it stands for
+the item's expression, as in sqlite3) — the one place a name is matched
+to an alias without regard to case.  A subquery body
 is bound against its scope chain, the innermost scope shadowing.
 Unknown columns, qualifiers naming a table outside FROM and ambiguous
 names raise :class:`~repro.common.errors.PlanError` here, before any
@@ -90,7 +91,9 @@ class _Binder:
             if query.joins:
                 raise PlanError("explicit JOINs over a derived table are not supported")
             # A derived table is its own scope: it sees no enclosing query.
-            self.derived = _Binder(query.derived, catalog, None).bound()
+            self.derived = _as_written(
+                query.derived, _Binder(query.derived, catalog, None).bound()
+            )
             self.bodies[id(self.derived.query)] = self.derived
             names = _output_names(self.derived)
             #: table -> (column names, column key -> position)
@@ -178,12 +181,17 @@ class _Binder:
             for i in query.select_items
         ]
         aliases = {_key(i.alias): i.alias for i in query.select_items if i.alias}
-        # A GROUP BY name means a column first, an alias only if no table has it.
+        # A GROUP BY name means a column first, an alias only if no table
+        # has it; the alias groups by its item's expression.
         grouping = {k: a for k, a in aliases.items() if not self.hits(k)}
+        grouped = {i.alias: i.expr for i in items if i.alias in grouping.values()}
         changed = {
             "from_tables": self.from_tables,
             "select_items": tuple(items),
-            "group_by": tuple(self.expr(g, grouping) for g in query.group_by),
+            "group_by": tuple(
+                ast.map_columns(self.expr(g, grouping), lambda c: grouped.get(c.name, c))
+                for g in query.group_by
+            ),
             "order_by": tuple(
                 _rebuilt(o, {"expr": self.expr(o.expr, aliases)}) for o in query.order_by
             ),
@@ -216,6 +224,18 @@ def _rebuilt(node, fields: dict):
     value equals the old (an unchanged part is the same object)."""
     changed = {k: v for k, v in fields.items() if v != getattr(node, k)}
     return replace(node, **changed) if changed else node
+
+
+def _as_written(written: ast.Query, bound: Bound) -> Bound:
+    """A derived table's binding, each bare column item aliased as the
+    select list spelled it: sqlite3 names a subquery's column by its text
+    (``(SELECT T0_A FROM T0)`` has a column ``T0_A``)."""
+    items = tuple(
+        replace(b, alias=w.expr.name) if isinstance(b.expr, ast.Column)
+        and not b.alias and w.expr.name != b.expr.name else b
+        for w, b in zip(written.select_items, bound.query.select_items)
+    )
+    return replace(bound, query=_rebuilt(bound.query, {"select_items": items}))
 
 
 def _output_names(bound: Bound) -> tuple[str, ...]:

@@ -7,6 +7,7 @@ import math
 from typing import Iterable, Sequence
 
 from repro.cloud.perf import SERVER_CPU_PER_ROW
+from repro.engine.operators.groupby import group_key_names
 from repro.engine.operators.project import projected_names
 from repro.planner.nodes import (
     FilterNode,
@@ -58,13 +59,15 @@ def _rewrite_having(
     Aggregates already produced by the select list become references to
     their output columns; aggregates appearing only in HAVING get hidden
     ``__having_N`` items (computed by the GroupByNode, filtered on, then
-    projected away).  Group-key columns pass through by name.
+    projected away).  Group-key columns pass through by name, and a
+    group-key expression becomes its ``group_N`` output.
     """
     having = unalias(query.having, query.select_items)
     known: list[tuple[ast.Expr, str]] = [
         (item.expr, item.output_name(ordinal))
         for ordinal, item in enumerate(items, start=1)
-    ]
+    ] + [(g, name) for g, name in zip(query.group_by, group_key_names(query.group_by))
+         if not isinstance(g, ast.Column)]
     hidden: list[ast.SelectItem] = []
 
     def rewrite(expr: ast.Expr) -> ast.Expr | None:
@@ -93,10 +96,7 @@ def _group_output_projection(
     when the group-by output already matches (the historical fast path,
     byte-identical to prior releases).
     """
-    group_names = [
-        g.name if isinstance(g, ast.Column) else f"group_{i}"
-        for i, g in enumerate(query.group_by)
-    ]
+    group_names = group_key_names(query.group_by)
     visible = group_names + [
         item.output_name(ordinal) for ordinal, item in enumerate(items, start=1)
     ]
@@ -111,7 +111,7 @@ def _group_output_projection(
                 return None
             proj.append(ast.SelectItem(ast.Column(item.output_name(j + 1))))
         elif isinstance(item.expr, ast.Column):
-            proj.append(ast.SelectItem(ast.Column(item.expr.name)))
+            proj.append(ast.SelectItem(ast.Column(item.expr.name), item.alias))
         else:
             match = next(
                 (i for i, g in enumerate(query.group_by) if g == item.expr),
@@ -119,8 +119,10 @@ def _group_output_projection(
             )
             if match is None:
                 return None
-            proj.append(ast.SelectItem(ast.Column(group_names[match])))
-    if not has_hidden and [p.expr.name for p in proj] == visible:
+            proj.append(
+                ast.SelectItem(ast.Column(group_names[match]), item.alias)
+            )
+    if not has_hidden and [p.output_name(0) for p in proj] == visible:
         return None
     return proj
 

@@ -347,13 +347,14 @@ class TestZoneMapsOncePerSearch:
         monkeypatch.setattr(pruning, "keep_partitions", counting)
         search = JoinOrderSearch(ctx, graph)
         trees = []
-        price_tree = search.price_tree
+        phases = search.costs.phases
 
         def recording(tree):
             trees.append(tree)
-            return price_tree(tree)
+            return phases(tree)
 
-        monkeypatch.setattr(search, "price_tree", recording)
+        # Every candidate tree the search prices enters its cost walk here.
+        monkeypatch.setattr(search.costs, "phases", recording)
         decision = search.search()
         assert len(decision.candidates) > 1
         assert {"fact", "dim1", "dim2"} <= set(calls)

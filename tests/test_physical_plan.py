@@ -726,12 +726,12 @@ def test_strategy_plan_predicts_the_phases_it_meters(tpch_env, name):
     """The cost walker names the phases a strategy plan will meter, in
     order, with the requests each will issue (ROADMAP item 2's
     "predicted == metered requests" gate, for the paper strategies)."""
-    from repro.planner.costing import predicted_phases
+    from repro.planner.costing import CostWalk
 
     ctx, catalog = tpch_env
     ctx.feedback.reset()
     plan = STRATEGY_PLANS[name](ctx, catalog)
-    predicted = predicted_phases(plan.root, ctx, plan.combined_label)
+    predicted = CostWalk(ctx, plan.combined_label).phases(plan.root)
     execution = physical.execute_plan(ctx, plan)
     assert [p.name for p in predicted] == [p.name for p in execution.phases]
     for guess, metered in zip(predicted, execution.phases):
@@ -742,13 +742,13 @@ def test_strategy_plan_predicts_the_phases_it_meters(tpch_env, name):
 def test_combined_pushed_scans_predict_their_scanned_bytes(tpch_env):
     """The combined-phase collapse keeps what pushed scans scan, return
     and evaluate (the paper's filtered join: two selects, one phase)."""
-    from repro.planner.costing import predicted_phases
+    from repro.planner.costing import CostWalk
     from repro.queries.micro import _JOIN_QUERY
     from repro.strategies.join import filtered_join_plan
 
     ctx, catalog = tpch_env
     plan = filtered_join_plan(ctx, catalog, _JOIN_QUERY)
-    (predicted,) = predicted_phases(plan.root, ctx, plan.combined_label)
+    (predicted,) = CostWalk(ctx, plan.combined_label).phases(plan.root)
     execution = physical.execute_plan(ctx, plan)
     (metered,) = execution.phases
     assert predicted.name == metered.name == "select+join"

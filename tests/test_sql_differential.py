@@ -421,20 +421,56 @@ def _respell(sql: str, spell) -> str:
     )
 
 
+#: Derived tables: sqlite3 names a subquery's column by its text, so a
+#: respelled bare column keeps the spelling the inner select wrote.
+DERIVED_TABLES = [
+    "SELECT t0_a FROM (SELECT t0_a FROM t0) AS x",
+    "SELECT * FROM (SELECT t0_a, t0.t0_b FROM t0 WHERE t0_a > 2) AS x",
+    "SELECT t0_b, COUNT(*) AS n FROM (SELECT t0_b, t0_a FROM t0) AS x"
+    " GROUP BY t0_b",
+]
+
+
 @pytest.mark.parametrize("spell", [str.upper, str.title], ids=["upper", "title"])
 def test_mixed_case_names_follow_the_oracle(engines, spell):
-    """The 240 fuzzer queries with their names respelled: rows equal
-    sqlite3's, and so do the output names — a bare column is named as
-    its catalog column, an alias as written."""
+    """The 240 fuzzer queries and a few derived tables with their names
+    respelled: rows equal sqlite3's, and so do the output names — a bare
+    column is named as its catalog column, a derived table's column as
+    its inner select wrote it, an alias as written."""
     db, oracle = engines
     rng = random.Random(SEED + 1)
     queries = [_generate_query(rng) for _ in range(NUM_QUERIES)] + _value_queries()
+    queries += DERIVED_TABLES
     for sql in map(_respell, queries, [spell] * len(queries)):
         cursor = oracle.execute(sql)
         expected = sorted(_normalize(cursor.fetchall()), key=repr)
         execution = db.execute(sql, mode="auto")
         assert sorted(_normalize(execution.rows), key=repr) == expected, sql
         assert execution.column_names == [d[0] for d in cursor.description], sql
+
+
+#: A select alias in GROUP BY groups by its item's expression, and a
+#: grouped column keeps its alias (sqlite3's rules for both).
+GROUP_BY_ALIASES = [
+    "SELECT t0_b AS g, COUNT(*) AS n FROM t0 GROUP BY g",
+    "SELECT t0_b AS g, COUNT(*) AS n FROM t0 GROUP BY t0_b",
+    "SELECT COUNT(*) AS n, t0_b AS g FROM t0 GROUP BY g HAVING g > 1 ORDER BY g",
+    "SELECT t0_b + 1 AS g, SUM(t0_a) AS s FROM t0 GROUP BY g",
+    "SELECT t0_b + 1 AS g, COUNT(*) AS n FROM t0 GROUP BY g HAVING g > 2",
+    "SELECT t1_d AS g, COUNT(*) AS n FROM t0, t1 WHERE t0_key = t1_key GROUP BY g",
+]
+
+
+@pytest.mark.parametrize("sql", GROUP_BY_ALIASES)
+def test_group_by_a_select_alias(engines, sql):
+    """Rows and column names equal sqlite3's, baseline and optimized."""
+    db, oracle = engines
+    cursor = oracle.execute(sql)
+    expected = sorted(_normalize(cursor.fetchall()), key=repr)
+    for mode in ("baseline", "optimized"):
+        execution = db.execute(sql, mode=mode)
+        assert sorted(_normalize(execution.rows), key=repr) == expected, mode
+        assert execution.column_names == [d[0] for d in cursor.description], mode
 
 
 def test_fuzz_covers_join_arities(engines):
