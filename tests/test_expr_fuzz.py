@@ -28,9 +28,13 @@ import random
 
 import pytest
 
+from repro.bloom.filter import BloomFilter
+from repro.bloom.universal_hash import UniversalHash, make_hash_family
 from repro.engine.batch import Batch
+from repro.expr import vector
 from repro.expr.compiler import compile_expr, compile_predicate
-from repro.expr.vector import compile_expr_vector, compile_predicate_vector
+from repro.expr.vector import PROBE_RUN_MIN_ROWS, compile_expr_vector, compile_predicate_vector
+from repro.sqlparser import ast
 from repro.sqlparser.parser import parse_expression
 
 SCHEMA = {"a": 0, "b": 1, "f": 2, "s": 3, "d": 4}
@@ -204,3 +208,127 @@ def test_vector_compiler_matches_row_compiler(seed):
                     assert got[1] is want[1], context
                 else:
                     assert same(got[1], want[1]), context
+
+
+# ----------------------------------------------------------------------
+# Listing-1 probe runs: the (k x rows) int64 path against the row compiler
+# ----------------------------------------------------------------------
+
+RUN_SCHEMA = {"k": 0, "b": 1, "s": 2}
+RUN_BATCH_SIZES = [1, 5, PROBE_RUN_MIN_ROWS - 1, PROBE_RUN_MIN_ROWS, 90, 300]
+
+
+def probe_run(rng: random.Random, hashes: int, cast: bool) -> ast.Expr:
+    """A Listing-1 run: a random family over ``n`` = 97 (the paper's
+    example) or :data:`UNIVERSE_PRIME`, random bits, ``hashes`` conjuncts."""
+    m = rng.randrange(1, 97) if rng.random() < 0.5 else rng.randrange(50, 400)
+    if m < 97 and rng.random() < 0.5:
+        family = [UniversalHash(rng.randrange(1, 97), rng.randrange(97), 97, m)
+                  for _ in range(hashes)]
+    else:
+        family = make_hash_family(hashes, m, rng.randrange(10**6))
+    bits = bytearray(rng.random() < 0.6 for _ in range(m))
+    return BloomFilter(bits, family, 0.01).to_predicate("k", cast_to_int=cast)
+
+
+def run_keys(rng: random.Random, n: int) -> list:
+    """One key column: small ints with negatives and zero, ints whose hash
+    products pass 2^63, ints past int64, or bools; NULL-free, one NULL,
+    10 % NULL or all NULL."""
+    kind = rng.choice(["small", "small", "small", "wide", "huge", "bool"])
+    draw = {
+        "small": lambda: rng.randrange(-60, 400),
+        "wide": lambda: rng.choice([1, -1]) * rng.randrange(2**40, 2**62),
+        "huge": lambda: rng.choice([rng.randrange(-60, 400), 2**63 + rng.randrange(9), -(2**64)]),
+        "bool": lambda: rng.random() < 0.5,
+    }[kind]
+    keys = [draw() for _ in range(n)]
+    nulls = rng.choice(["none", "none", "one", "tenth", "all"])
+    if nulls == "one":
+        keys[rng.randrange(n)] = None
+    elif nulls == "tenth":
+        keys = [None if rng.random() < 0.1 else key for key in keys]
+    elif nulls == "all":
+        keys = [None] * n
+    return keys
+
+
+#: A chain's conjuncts around its runs: ``b <> 2`` leaves NULL-``b`` rows
+#: running; ``k % b = 1`` raises on a row it reaches with ``b`` = 0; a bare
+#: ``b`` or ``s`` is a head that is not boolean (its truthiness decides).
+#: Only a run that ends the chain can take the array path.
+RUN_CHAINS = {
+    "run": "R",
+    "run, raising": "R X",
+    "head, run, raising": "P R X",
+    "head, run": "P R",
+    "int head, run": "B R",
+    "string head, run": "S R",
+    "int and string head, run": "B S R",
+    "head, two runs": "P R R2",
+    "two runs, raising": "R R2 X",
+    "head, run, raising, run": "P R X R2",
+}
+
+
+@pytest.mark.parametrize("hashes", range(1, 9))
+@pytest.mark.parametrize("chain", RUN_CHAINS)
+def test_probe_runs_match_the_row_compiler(hashes, chain, monkeypatch):
+    rng = random.Random(hashes * 1000 + list(RUN_CHAINS).index(chain))
+    array_path = []
+    int64 = vector._ProbeChain.int64
+
+    def spy(self, keys):
+        result = int64(self, keys)
+        array_path.append(result is not None)
+        return result
+
+    monkeypatch.setattr(vector._ProbeChain, "int64", spy)
+    parts_of = RUN_CHAINS[chain].split()
+    for _ in range(12):
+        cast = rng.random() < 0.7
+        parts = {
+            "P": parse_expression("b <> 2"),
+            "X": parse_expression("k % b = 1"),
+            "B": parse_expression("b"),
+            "S": parse_expression("s"),
+            "R": probe_run(rng, hashes, cast),
+            # another family: different bits, and now and then the other shape
+            "R2": probe_run(rng, rng.randrange(1, 9), cast if rng.random() < 0.5 else not cast),
+        }
+        expr = ast.and_join([
+            c for name in parts_of for c in ast.split_conjuncts(parts[name])
+        ])
+        row_pred = compile_predicate(expr, RUN_SCHEMA)
+        mask_fn = compile_predicate_vector(expr, RUN_SCHEMA)
+        for n in RUN_BATCH_SIZES:
+            keys = run_keys(rng, n)
+            divisors = [rng.choice([None, 0, 1, 2, 3, 3, 5]) if {"X", "B"} & set(parts_of) else 1
+                        for _ in range(n)]
+            strings = [rng.choice([None, "", "x", "0"]) for _ in range(n)]
+            rows = list(zip(keys, divisors, strings))
+            want = outcome(lambda: [row_pred(row) for row in rows])
+            got = outcome(lambda: mask_fn(Batch.from_rows(rows)))
+            assert got[0] == want[0], (chain, n, rows, want, got)
+            assert got[1] == want[1] if want[0] == "ok" else got[1] is want[1], (chain, n, rows)
+    *head, last = parts_of
+    if not last.startswith("R"):  # no run ends the chain: the comprehension alone
+        assert not array_path
+    elif not {"R", "X"} & set(head):  # a head that keeps many rows: the array path
+        assert any(array_path), "no batch took the array path"
+
+
+@pytest.mark.parametrize("top", [10**3, 2**40, 2**61, 2**62])
+def test_probe_run_that_subtracts_declines_where_int64_would_wrap(top):
+    """``b - k * a`` wraps in int64 over keys near 2^62: the bound reads
+    ``-`` as ``+``, so such a batch declines.  Positions run from -3 to 56
+    over 50 bits: some miss before position 1, some past the end."""
+    rng = random.Random(top)
+    bits = "".join(rng.choice("011") for _ in range(50))
+    expr = ast.and_join([
+        parse_expression(f"SUBSTRING('{bits}', ({b} - k * {a}) % 60 - 4, 1) = '1'")
+        for a, b in ((3, 7), (5, 1), (2, 9))
+    ])
+    rows = [(rng.randrange(-top, top), 1, "x") for _ in range(100)]
+    want = [compile_predicate(expr, RUN_SCHEMA)(row) for row in rows]
+    assert compile_predicate_vector(expr, RUN_SCHEMA)(Batch.from_rows(rows)) == want

@@ -381,6 +381,24 @@ class TestFusedTierIsReached:
         }
         self.check(compile_predicate_vector(expr, SCHEMA), compile_predicate(expr, SCHEMA))
 
+    def test_bloom_predicate_above_the_crossover_takes_the_array_path(self, monkeypatch):
+        # Past PROBE_RUN_MIN_ROWS the run is one int64 computation, NULL keys
+        # included: no row compiler, and no comprehension over the run either.
+        expr = parse_expression(self.BLOOM.to_sql_predicate("a"))
+        mask_fn, row_fn = compile_predicate_vector(expr, SCHEMA), compile_predicate(expr, SCHEMA)
+        rows = self.CLEAN * 4
+        assert len(rows) >= 2 * vector.PROBE_RUN_MIN_ROWS
+        taken = []
+        int64 = vector._ProbeChain.int64
+        monkeypatch.setattr(vector._ProbeChain, "int64",
+                            lambda chain, keys: taken.append(int64(chain, keys)) or taken[-1])
+        for batch_rows in (rows, rows[:-1] + [(None,) * 5], [
+            (None, *row[1:]) if i % 10 == 3 else row for i, row in enumerate(rows)
+        ]):
+            assert row_compiler_calls(lambda: mask_fn(Batch.from_rows(batch_rows))) == 0
+            assert mask_fn(Batch.from_rows(batch_rows)) == [row_fn(row) for row in batch_rows]
+        assert len(taken) == 6 and None not in taken
+
     def test_q6_where(self):
         expr = parse_expression(self.Q6_WHERE)
         assert any(compile_predicate(expr, SCHEMA)(row) for row in self.CLEAN)

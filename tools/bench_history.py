@@ -1,10 +1,12 @@
 """One machine-readable line of benchmark history from ``bench/out``.
 
-usage: bench_history.py [--label L] [--tier1 "N passed in S.SSs"] [--append]
+usage: bench_history.py [--label L] [--seeds 1-10] [--tier1 "N passed in S.SSs"] [--append]
 
-Reads every ``bench/out/<workload>-seed<N>.json`` of the workloads
-``BENCHMARK.json`` declares (``bench/run.py --workload W --seed N
---trace 0`` writes them), refuses any file marked ``"comparable": false``
+Reads ``bench/out/<workload>-seed<N>.json`` of the workloads
+``BENCHMARK.json`` declares, for the seeds ``--seeds`` names (default
+1-10; ``bench/run.py --workload W --seed N --trace 0`` writes them) and
+no other: a file an out-of-sample run left there is not one of this
+line's runs.  It refuses a missing file and any marked ``"comparable": false``
 (the smoke test writes the same names at a toy scale), and prints one JSON
 line: the label, the commit, per workload the median over its seeds of
 each end-to-end metric plus its failed ops and run count, and the
@@ -63,20 +65,26 @@ def tier1_summary(text: str) -> dict:
     return {"passed": int(passed[1]), "seconds": float(seconds[1])}
 
 
-def history_line(label: str, tier1: str | None = None) -> dict:
+def parse_seeds(text: str) -> list[int]:
+    """``1-10``, ``3,5,11`` or a mix of both."""
+    seeds: list[int] = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds += range(int(lo), int(hi or lo) + 1)
+    return seeds
+
+
+def history_line(label: str, tier1: str | None = None, seeds=range(1, 11)) -> dict:
     out_dir = ROOT / "bench" / "out"
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = [m["name"] for m in spec["end_to_end"]]
     workloads = {}
     for workload in (w["name"] for w in spec["workloads"]):
-        pattern = re.compile(rf"{re.escape(workload)}-seed\d+\.json")
-        runs = [
-            json.loads(path.read_text())
-            for path in sorted(out_dir.glob(f"{workload}-seed*.json"))
-            if pattern.fullmatch(path.name)
-        ]
-        if not runs:
-            sys.exit(f"bench_history: no {workload}-seed<N>.json in {out_dir}")
+        paths = [out_dir / f"{workload}-seed{seed}.json" for seed in seeds]
+        missing = [path.name for path in paths if not path.exists()]
+        if missing:
+            sys.exit(f"bench_history: no {', '.join(missing)} in {out_dir}")
+        runs = [json.loads(path.read_text()) for path in paths]
         toy = [run["seed"] for run in runs if not run["comparable"]]
         if toy:
             sys.exit(
@@ -107,9 +115,10 @@ def main(argv=None) -> int:
         "--tier1", default=None, metavar="SUMMARY",
         help='the tier-1 pytest summary line, e.g. "1686 passed in 162.22s"',
     )
+    parser.add_argument("--seeds", default="1-10", help="the seeds to read, e.g. 1-10 or 1")
     parser.add_argument("--append", action="store_true", help=f"append to {HISTORY.name}")
     args = parser.parse_args(argv)
-    line = json.dumps(history_line(args.label, args.tier1))
+    line = json.dumps(history_line(args.label, args.tier1, parse_seeds(args.seeds)))
     print(line)
     if args.append:
         with HISTORY.open("a") as history:

@@ -25,9 +25,9 @@ A run of every workload over seeds 1-10 or more also makes the
 ``BENCH_history.jsonl`` line: the change side's
 ``bench/out/<workload>-seed<N>.json`` of the seeds just run replace this
 checkout's, and ``tools/bench_history.py`` prints the line (``--label``,
-``--tier1`` and ``--append`` are passed on; it reads every seed file in
-``bench/out``).  Other runs leave ``bench/out`` as it was, apart from
-their JSON.
+``--tier1`` and ``--append`` are passed on, and ``--seeds``: it reads the
+files of the seeds just run and no other).  Other runs leave
+``bench/out`` as it was, apart from their JSON.
 
 ``--scale`` and ``--passes`` are passed to ``bench/run.py`` for a toy run:
 its numbers are NON-COMPARABLE, and no history line is made.
@@ -47,6 +47,8 @@ import tarfile
 import tempfile
 from pathlib import Path
 
+from bench_history import parse_seeds
+
 ROOT = Path(__file__).resolve().parent.parent
 SIM = ("sim_runtime_s", "sim_cost_usd")
 
@@ -55,15 +57,6 @@ def git(*args: str) -> str:
     return subprocess.run(
         ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True,
     ).stdout.strip()
-
-
-def parse_seeds(text: str) -> list[int]:
-    """``1-10``, ``3,5,11`` or a mix of both."""
-    seeds: list[int] = []
-    for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        seeds += range(int(lo), int(hi or lo) + 1)
-    return seeds
 
 
 def export(ref: str | None, into: Path) -> dict:
@@ -236,7 +229,7 @@ def main(argv=None) -> int:
                 name = f"{workload}-seed{seed}.json"
                 shutil.copy2(trees["change"] / "bench" / "out" / name, out_dir / name)
         history = [sys.executable, str(ROOT / "tools" / "bench_history.py"),
-                   "--label", args.label]
+                   "--label", args.label, "--seeds", args.seeds]
         if args.tier1 is not None:
             history += ["--tier1", args.tier1]
         if args.append:

@@ -48,3 +48,35 @@ def test_one_toy_pair_of_head_against_the_working_tree(tmp_path):
     again = pairs(*toy)
     assert again.returncode != 0 and "holds an earlier run" in again.stderr
     assert json.loads(out.read_text()) == record
+
+
+def test_history_line_reads_only_the_seeds_it_is_given(tmp_path, monkeypatch):
+    # An out-of-sample run leaves bench/out/<w>-seed11.json behind; a line
+    # over seeds 1-10 must take neither its numbers nor its count.
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "bench_history", ROOT / "tools" / "bench_history.py")
+    history = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(history)
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(benchmark))
+    (tmp_path / "src").mkdir()
+    out = tmp_path / "bench" / "out"
+    out.mkdir(parents=True)
+    names = [m["name"] for m in benchmark["end_to_end"]]
+    for workload in (w["name"] for w in benchmark["workloads"]):
+        for seed in range(1, 12):
+            value = 1000.0 if seed == 11 else float(seed)
+            (out / f"{workload}-seed{seed}.json").write_text(json.dumps({
+                "seed": seed, "comparable": True, "failed_ops": ["stale"] * (seed == 11),
+                "metrics": {name: {"value": value} for name in names},
+            }))
+    monkeypatch.setattr(history, "ROOT", tmp_path)
+    monkeypatch.setattr(history, "revision", lambda: {"commit": "test"})
+    line = history.history_line("t")
+    for run in line["workloads"].values():
+        assert run["runs"] == 10 and run["failed_ops"] == 0
+        assert all(run[name] == 5.5 for name in names)
+    seed1 = history.history_line("t", seeds=history.parse_seeds("1"))
+    assert all(run["runs"] == 1 and run["wall_s"] == 1.0 for run in seed1["workloads"].values())
