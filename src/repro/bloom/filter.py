@@ -76,7 +76,7 @@ def _widest_clauses_bytes(attr: str, hashes: int, bits_digits: int) -> int:
     ``bits_digits``-digit array (``a``, ``b``, ``n``: ten digits each)."""
     n = UNIVERSE_PRIME
     widest = UniversalHash(n - 1, n - 1, n, 10 ** (bits_digits - 1))
-    return BloomFilter(bytearray(), [widest] * hashes, 0.0).predicate_size_bytes(attr)
+    return BloomFilter(bytearray(), [widest] * hashes).predicate_size_bytes(attr)
 
 
 @dataclass
@@ -89,7 +89,6 @@ class BloomFilter:
 
     bits: bytearray
     hashes: list[UniversalHash]
-    target_fpr: float
 
     @classmethod
     def with_capacity(
@@ -98,9 +97,7 @@ class BloomFilter:
         """Create an empty filter sized for ``n_elements`` at ``fpr``."""
         m = optimal_num_bits(n_elements, fpr)
         k = optimal_num_hashes(fpr)
-        return cls(
-            bits=bytearray(m), hashes=make_hash_family(k, m, seed), target_fpr=fpr
-        )
+        return cls(bits=bytearray(m), hashes=make_hash_family(k, m, seed))
 
     @classmethod
     def build(

@@ -14,8 +14,8 @@ from typing import Mapping, Sequence
 
 from repro.cloud.client import S3Client
 from repro.cloud.metrics import MetricsCollector, Phase
-from repro.cloud.perf import PAPER_PERF, PerfModel
-from repro.cloud.pricing import PAPER_PRICING, CostBreakdown, Pricing, cost_of_query
+from repro.cloud.perf import PAPER_PERF
+from repro.cloud.pricing import PAPER_PRICING, CostBreakdown, cost_of_query
 from repro.storage.csvcodec import DEFAULT_BATCH_SIZE
 from repro.storage.object_store import ObjectStore
 
@@ -105,15 +105,16 @@ class CloudContext:
 
     def __init__(
         self,
-        perf: PerfModel | None = None,
-        pricing: Pricing | None = None,
-        store: ObjectStore | None = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         adaptive_threshold: float | None = None,
         prune_partitions: bool = True,
         cache_bytes: int = 0,
     ):
-        """Args:
+        """The rates start at the paper's (:data:`PAPER_PERF`,
+        :data:`PAPER_PRICING`); :meth:`calibrate_to_paper_scale` is what
+        re-rates them.
+
+        Args:
             batch_size: rows per RecordBatch in the streaming pipeline.
             adaptive_threshold: build-cardinality Q-error above which
                 ``mode="adaptive"`` executions re-plan the un-executed
@@ -130,11 +131,11 @@ class CloudContext:
         """
         from repro.optimizer.feedback import FeedbackStore
 
-        self.store = store if store is not None else ObjectStore()
+        self.store = ObjectStore()
         self.metrics = MetricsCollector()
         self.client = S3Client(self.store, self.metrics)
-        self.perf = perf if perf is not None else PAPER_PERF
-        self.pricing = pricing if pricing is not None else PAPER_PRICING
+        self.perf = PAPER_PERF
+        self.pricing = PAPER_PRICING
         #: Session-scoped measured-selectivity/cardinality store; every
         #: executed plan feeds it, every estimate consults it.
         self.feedback = FeedbackStore()
@@ -180,8 +181,8 @@ class CloudContext:
         scale = data_bytes / paper_bytes
         if scale <= 0:
             raise ValueError("data_bytes and paper_bytes must be positive")
-        self.perf = self.perf.scaled(scale)
-        self.pricing = scaled_pricing(self.pricing, scale)
+        self.perf = PAPER_PERF.scaled(scale)
+        self.pricing = scaled_pricing(PAPER_PRICING, scale)
         # Per-row ranged GETs stand in for 1/scale paper-scale requests.
         self.client.range_request_weight = 1.0 / scale
         return scale

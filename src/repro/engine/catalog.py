@@ -9,7 +9,7 @@ schema, and any index tables built for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import add
 from typing import Iterable, Sequence
 
@@ -43,7 +43,9 @@ class IndexInfo:
 
 @dataclass
 class TableInfo:
-    """Catalog entry for one table."""
+    """Catalog entry for one table, as :func:`load_table` leaves it: its
+    statistics, and per partition (parallel to ``keys``) a row count, an
+    encoded size and a zone map."""
 
     name: str
     bucket: str
@@ -52,31 +54,21 @@ class TableInfo:
     format: str
     num_rows: int
     total_bytes: int
-    partition_rows: list[int] = field(default_factory=list)
-    #: Encoded size of each partition object, parallel to ``keys``; lets
-    #: the cost model price a pruned scan by the bytes it actually touches.
-    partition_bytes: list[int] = field(default_factory=list)
-    indexes: dict[str, IndexInfo] = field(default_factory=dict)
-    #: Optimizer statistics collected at load time (``None`` when the
-    #: table was registered with ``collect_stats=False``).
-    stats: "TableStats | None" = None
-    #: Per-partition zone maps (min/max/null-count per column), parallel
-    #: to ``keys``; empty when stats collection was disabled.  Pushdown
+    partition_rows: list[int]
+    #: Encoded size of each partition object; lets the cost model price
+    #: a pruned scan by the bytes it actually touches.
+    partition_bytes: list[int]
+    indexes: dict[str, IndexInfo]
+    #: Optimizer statistics collected at load time.
+    stats: "TableStats"
+    #: Per-partition zone maps (min/max/null-count per column).  Pushdown
     #: scans refute these against the pushed predicate to skip whole
     #: partition requests.
-    zone_maps: "list[PartitionZoneMap]" = field(default_factory=list)
+    zone_maps: "list[PartitionZoneMap]"
 
     @property
     def partitions(self) -> int:
         return len(self.keys)
-
-    def stats_or_default(self) -> "TableStats":
-        """Collected statistics, or a synthesized fallback."""
-        if self.stats is not None:
-            return self.stats
-        from repro.optimizer.stats import synthesize_table_stats
-
-        return synthesize_table_stats(self.schema, self.num_rows, self.total_bytes)
 
     def index_for(self, column: str) -> IndexInfo:
         key = column.lower()
@@ -101,12 +93,14 @@ class Catalog:
         key = name.lower()
         if key not in self._tables:
             raise CatalogError(
-                f"unknown table {name!r}; registered: {sorted(self._tables)}"
+                f"unknown table {name!r}; registered: {self.table_names()}"
             )
         return self._tables[key]
 
     def table_names(self) -> list[str]:
-        return sorted(self._tables)
+        """The registered tables, sorted, each spelled as it was first
+        loaded (as EXPLAIN and the binder spell it)."""
+        return sorted(info.name for info in self._tables.values())
 
     def __contains__(self, name: str) -> bool:
         return name.lower() in self._tables
@@ -137,7 +131,6 @@ def load_table(
     index_columns: Iterable[str] = (),
     row_group_rows: int = DEFAULT_ROW_GROUP_ROWS,
     compression: str = "zlib",
-    collect_stats: bool = True,
 ) -> TableInfo:
     """Write ``rows`` to partitioned objects and register the table.
 
@@ -154,15 +147,14 @@ def load_table(
     ragged input raises :class:`CatalogError` before anything changes (a
     previous load's objects, catalog entry, cached results and feedback
     stay).  Each partition is then transposed once; its bytes, index
-    entries, zone map and column widths all come from those columns.
+    entries, zone map and column widths all come from those columns, and
+    the table's statistics (row / column counts, min / max, distinct
+    counts, widths, MCVs, histograms) from them and the rows.  Every
+    table the optimizer sees was loaded here, so every one has them.
 
     Args:
         index_columns: columns to build Section IV-A index tables for.
             Index objects live under ``{name}/index/{column}/``.
-        collect_stats: keep the optimizer's statistics (row/column
-            counts, min/max, distinct, widths, MCVs, histograms, zone
-            maps) on the catalog entry.  One extra pass per column at
-            load time; disable for throughput-sensitive bulk loads.
     """
     if data_format not in ("csv", "parquet"):
         raise CatalogError(f"unknown format {data_format!r}")
@@ -200,23 +192,12 @@ def load_table(
         # table's content version and drops every derived entry, so the
         # semantic cache can never serve rows from the old contents.
         result_cache.invalidate_table(name)
-    if collect_stats:
-        from repro.optimizer.stats import collect_table_stats, zone_map
-    ctx.store.create_bucket(bucket)
-    slices = _partition_slices(len(rows), partitions)
+    from repro.optimizer.stats import collect_table_stats, zone_map
 
-    info = TableInfo(
-        name=name,
-        bucket=bucket,
-        keys=[],
-        schema=schema,
-        format=data_format,
-        num_rows=len(rows),
-        total_bytes=0,
-        indexes=indexes,
-    )
+    ctx.store.create_bucket(bucket)
+    keys, partition_rows, partition_bytes, zone_maps = [], [], [], []
     widths = [0] * len(schema)
-    for i, sl in enumerate(slices):
+    for i, sl in enumerate(_partition_slices(len(rows), partitions)):
         chunk = rows[sl]
         columns = list(zip(*chunk)) or [()] * len(schema)
         if data_format == "csv":
@@ -227,16 +208,14 @@ def load_table(
                 chunk, schema, row_group_rows=row_group_rows, compression=compression
             )
             # No CSV is stored, but the width statistic is the CSV field's.
-            sizes = [encoded_size([c], 0) for c in columns] if collect_stats else ()
+            sizes = [encoded_size([c], 0) for c in columns]
             key = f"{name}/part-{i:04d}.spq"
         _put(ctx, bucket, key, data, _metadata(data_format, schema))
-        info.keys.append(key)
-        info.partition_rows.append(len(chunk))
-        info.partition_bytes.append(len(data))
-        info.total_bytes += len(data)
-        if collect_stats:
-            info.zone_maps.append(zone_map(columns, schema))
-            widths = list(map(add, widths, sizes))
+        keys.append(key)
+        partition_rows.append(len(chunk))
+        partition_bytes.append(len(data))
+        zone_maps.append(zone_map(columns, schema))
+        widths = list(map(add, widths, sizes))
         if indexes:  # CSV only: |value|first_byte|last_byte| per record
             extents = offsets[:-1], [start - 1 for start in offsets[1:]]
         for column, index in indexes.items():
@@ -246,10 +225,20 @@ def load_table(
             index.keys.append(key)
             index.total_bytes += len(data)
 
-    if collect_stats:
-        info.stats = collect_table_stats(
-            rows, schema, zone_maps=info.zone_maps, widths=widths
-        )
+    info = TableInfo(
+        name=name,
+        bucket=bucket,
+        keys=keys,
+        schema=schema,
+        format=data_format,
+        num_rows=len(rows),
+        total_bytes=sum(partition_bytes),
+        partition_rows=partition_rows,
+        partition_bytes=partition_bytes,
+        indexes=indexes,
+        stats=collect_table_stats(rows, schema, zone_maps=zone_maps, widths=widths),
+        zone_maps=zone_maps,
+    )
 
     # A reload under another layout (fewer partitions, another format, no
     # index) must not leave the previous load's objects in the store.

@@ -183,7 +183,6 @@ def choose(
     include_hybrid: bool = True,
     probe: bool = False,
     probe_fraction: float = 0.02,
-    probe_refresh: bool = False,
 ) -> Choice:
     """Price the candidate plans of the query object's family; pick one.
 
@@ -199,8 +198,7 @@ def choose(
     lands in the session's feedback store, which every plan constructor
     consults first.  A selectivity already measured this session (earlier
     probe or executed scan) is reused without spending requests or
-    re-reading ``probe_fraction`` — the note's request count is then 0 —
-    unless ``probe_refresh=True`` forces a fresh probe.
+    re-reading ``probe_fraction`` — the note's request count is then 0.
     """
     if type(query) not in _FAMILIES:
         raise PlanError(
@@ -212,8 +210,7 @@ def choose(
     if probe:
         mark = ctx.metrics.mark()
         selectivity = probe_selectivity(
-            ctx, catalog.get(query.table), query.predicate, probe_fraction,
-            refresh=probe_refresh,
+            ctx, catalog.get(query.table), query.predicate, probe_fraction
         )
         notes["probe"] = {
             "selectivity": selectivity,

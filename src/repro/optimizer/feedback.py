@@ -62,15 +62,6 @@ def predicate_signature(predicate: ast.Expr | None) -> str:
 
 
 @dataclass
-class FeedbackRecord:
-    """One learned measurement (selectivity or cardinality)."""
-
-    value: float
-    source: str
-    observations: int = 1
-
-
-@dataclass
 class FeedbackStore:
     """Measured selectivities and join cardinalities for one session."""
 
@@ -87,24 +78,16 @@ class FeedbackStore:
         table: str,
         predicate: ast.Expr | None,
         selectivity: float,
-        source: str = "execution",
     ) -> None:
-        """Record the measured fraction of ``table`` rows passing ``predicate``."""
+        """Record the measured fraction of ``table`` rows passing ``predicate``.
+
+        The newest measurement wins (data and literals are fixed within a
+        session, so repeated observations agree up to probe sampling)."""
         if predicate is None:
             return
         key = (table, predicate_signature(predicate))
-        value = min(max(float(selectivity), 0.0), 1.0)
         with self._lock:
-            prior = self._selectivities.get(key)
-            if prior is None:
-                self._selectivities[key] = FeedbackRecord(value, source)
-            else:
-                # Exact measurements simply refresh; the newest run wins
-                # (data and literals are fixed within a session, so
-                # repeated observations agree up to probe sampling).
-                prior.value = value
-                prior.source = source
-                prior.observations += 1
+            self._selectivities[key] = min(max(float(selectivity), 0.0), 1.0)
 
     def lookup_selectivity(
         self, table: str, predicate: ast.Expr | None
@@ -113,35 +96,26 @@ class FeedbackStore:
             return None
         key = (table, predicate_signature(predicate))
         with self._lock:
-            record = self._selectivities.get(key)
-            if record is None:
+            value = self._selectivities.get(key)
+            if value is None:
                 self.misses += 1
                 return None
             self.hits += 1
-            return record.value
+            return value
 
     # -- joins ----------------------------------------------------------
-    def record_join(self, signature: tuple, actual_rows: float,
-                    source: str = "execution") -> None:
+    def record_join(self, signature: tuple, actual_rows: float) -> None:
         with self._lock:
-            prior = self._joins.get(signature)
-            if prior is None:
-                self._joins[signature] = FeedbackRecord(
-                    float(actual_rows), source
-                )
-            else:
-                prior.value = float(actual_rows)
-                prior.source = source
-                prior.observations += 1
+            self._joins[signature] = float(actual_rows)
 
     def lookup_join(self, signature: tuple) -> float | None:
         with self._lock:
-            record = self._joins.get(signature)
-            if record is None:
+            value = self._joins.get(signature)
+            if value is None:
                 self.misses += 1
                 return None
             self.hits += 1
-            return record.value
+            return value
 
     def has_join_feedback(self) -> bool:
         """Cheap emptiness check: the join-order DP skips signature
@@ -159,13 +133,13 @@ class FeedbackStore:
         """
         with self._lock:
             self._selectivities = {
-                sig: record
-                for sig, record in self._selectivities.items()
+                sig: value
+                for sig, value in self._selectivities.items()
                 if sig[0] != table
             }
             self._joins = {
-                sig: record
-                for sig, record in self._joins.items()
+                sig: value
+                for sig, value in self._joins.items()
                 if all(name != table for name, _ in sig[0])
             }
 
@@ -227,7 +201,7 @@ def estimated_rows(ctx, table, predicate: ast.Expr | None) -> float:
     """Rows of ``table`` (a ``TableInfo``) expected to pass ``predicate``:
     the session's feedback first, the table's statistics otherwise."""
     return table.num_rows * estimate_selectivity_with_feedback(
-        ctx.feedback, table.name, predicate, table.stats_or_default()
+        ctx.feedback, table.name, predicate, table.stats
     )
 
 

@@ -375,7 +375,7 @@ class JoinOrderSearch:
 
     # -- cardinality -------------------------------------------------
     def _key_distinct(self, table: str, key: str, rows: float) -> float:
-        stats = self.graph.tables[table].stats_or_default()
+        stats = self.graph.tables[table].stats
         return stats.distinct_among(key, rows)
 
     def _pair_rows(

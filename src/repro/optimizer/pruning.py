@@ -53,17 +53,15 @@ def partition_may_match(
 def keep_partitions(table, predicate: ast.Expr | None) -> list[int] | None:
     """Partition indices a pushed ``predicate`` cannot refute.
 
-    Returns ``None`` when pruning is inapplicable (no predicate, no zone
-    maps, or zone maps out of sync with the partition list) *or* when
+    Returns ``None`` when pruning is inapplicable (no predicate, or zone
+    maps out of sync with the partition list) *or* when
     nothing was pruned — callers treat ``None`` as "scan everything".
     When every partition is refuted, one partition is still kept: pushed
     aggregates need at least one response to shape their result, and the
     single wasted request keeps the executor's phase math trivial.
     """
-    zone_maps = getattr(table, "zone_maps", None)
-    if predicate is None or not zone_maps:
-        return None
-    if len(zone_maps) != len(table.keys):
+    zone_maps = table.zone_maps
+    if predicate is None or len(zone_maps) != len(table.keys):
         return None
     keep = [
         i for i, zone in enumerate(zone_maps)

@@ -235,7 +235,6 @@ def probe_selectivity(
     table,
     predicate: ast.Expr,
     fraction: float = 0.02,
-    refresh: bool = False,
 ) -> float:
     """Measure selectivity on a leading slice of every partition.
 
@@ -249,13 +248,12 @@ def probe_selectivity(
     earlier probe *or* by an executed scan) is returned without issuing
     any request, so repeated queries stop paying for probes.  The
     measurement is recorded back into the store either way.
-    ``refresh=True`` forces a fresh metered probe.
     """
     from repro.s3select.engine import PreparedSelect
     from repro.strategies.scans import iter_scan_batches, select_query
 
     store = ctx.feedback
-    if store is not None and not refresh:
+    if store is not None:
         cached = store.lookup_selectivity(table.name, predicate)
         if cached is not None:
             return cached
@@ -267,8 +265,8 @@ def probe_selectivity(
         matched += sum(v or 0 for v in batch.column(0))
         seen += sum(v or 0 for v in batch.column(1))
     if not seen:
-        return estimate_selectivity(predicate, table.stats_or_default())
+        return estimate_selectivity(predicate, table.stats)
     measured = matched / seen
     if store is not None:
-        store.record_selectivity(table.name, predicate, measured, source="probe")
+        store.record_selectivity(table.name, predicate, measured)
     return measured

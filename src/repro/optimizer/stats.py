@@ -143,7 +143,7 @@ class ColumnStats:
     #: column blew past the tracking limit.
     mcvs: tuple = ()
     #: Equi-depth histogram over the non-NULL values; ``None`` for
-    #: non-numeric columns and synthesized stats.
+    #: non-numeric and all-NULL columns.
     histogram: Histogram | None = None
 
     def mcv_fraction(self, row_count: int, top: int) -> float:
@@ -269,13 +269,6 @@ class PartitionZoneMap:
         return self.columns.get(name.lower())
 
 
-def collect_zone_map(
-    rows: Sequence[tuple], schema: TableSchema
-) -> PartitionZoneMap:
-    """Min/max/null-count per column over one partition's rows."""
-    return zone_map(schema.transpose(rows), schema)
-
-
 def zone_map(columns: Sequence[Sequence], schema: TableSchema) -> PartitionZoneMap:
     """The zone map of a partition held a column at a time (as
     :func:`~repro.engine.catalog.load_table` holds it); a column is
@@ -289,34 +282,3 @@ def zone_map(columns: Sequence[Sequence], schema: TableSchema) -> PartitionZoneM
             null_count=len(values) - len(non_null),
         )
     return PartitionZoneMap(row_count=len(columns[0]), columns=zones)
-
-
-def synthesize_table_stats(
-    schema: TableSchema, num_rows: int, total_bytes: int
-) -> TableStats:
-    """Fallback statistics for a table registered without a stats pass.
-
-    The true average row width comes from the object sizes; it is
-    apportioned across columns by the per-type typical widths so
-    projection estimates stay sane.  Distinct counts and min/max are
-    unknown and left at worst-case defaults.
-    """
-    avg_row = total_bytes / num_rows if num_rows else 0.0
-    typical = [c.typical_field_bytes() for c in schema.columns]
-    scale = (
-        (avg_row - len(schema) - 1) / sum(typical)
-        if num_rows and sum(typical) > 0
-        else 1.0
-    )
-    scale = max(scale, 0.1)
-    columns = {
-        c.name.lower(): ColumnStats(
-            name=c.name,
-            type=c.type,
-            distinct=num_rows,
-            null_count=0,
-            avg_field_bytes=w * scale,
-        )
-        for c, w in zip(schema.columns, typical)
-    }
-    return TableStats(row_count=num_rows, avg_row_bytes=avg_row, columns=columns)

@@ -15,8 +15,6 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.cloud.context import CloudContext, QueryExecution
-from repro.cloud.perf import PerfModel
-from repro.cloud.pricing import Pricing
 from repro.engine.catalog import DEFAULT_PARTITIONS, Catalog, TableInfo, load_table
 from repro.planner.planner import plan_and_execute, plan_parsed
 from repro.storage.csvcodec import DEFAULT_BATCH_SIZE
@@ -28,8 +26,6 @@ class PushdownDB:
 
     def __init__(
         self,
-        perf: PerfModel | None = None,
-        pricing: Pricing | None = None,
         bucket: str = "pushdowndb",
         workers: int | None = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
@@ -60,7 +56,7 @@ class PushdownDB:
         if workers not in (None, 1):
             raise ValueError(f"the engine is serial: workers must be 1, got {workers}")
         self.ctx = CloudContext(
-            perf=perf, pricing=pricing, batch_size=batch_size,
+            batch_size=batch_size,
             adaptive_threshold=adaptive_threshold,
             prune_partitions=prune_partitions,
             cache_bytes=cache_bytes,

@@ -163,27 +163,15 @@ class _TableLeaf(PlanNode):
         return self.keep_partitions, len(self.keep_partitions)
 
     def _pruned_profile(self) -> tuple[int, float, float]:
-        """(streams, scanned bytes, scanned-row fraction) after pruning.
-
-        Exact per-partition sizes and row counts are used when the catalog
-        has them; tables registered by hand fall back to a pro-rata split
-        so the prediction still shrinks with the partition count.
-        """
+        """(streams, scanned bytes, scanned-row fraction) after pruning,
+        from the surviving partitions' exact sizes and row counts (an
+        empty table's fraction is 0: it has no rows to scan)."""
         keep, table = self.keep_partitions, self.table
-        total = max(table.partitions, 1)
         if keep is None:
             return table.partitions, float(table.total_bytes), 1.0
-        sizes = table.partition_bytes
-        if len(sizes) == table.partitions:
-            scan_bytes = float(sum(sizes[i] for i in keep))
-        else:
-            scan_bytes = float(table.total_bytes) * len(keep) / total
-        counts = table.partition_rows
-        if len(counts) == table.partitions and table.num_rows:
-            row_frac = sum(counts[i] for i in keep) / table.num_rows
-        else:
-            row_frac = len(keep) / total
-        return len(keep), scan_bytes, row_frac
+        scan_bytes = float(sum(table.partition_bytes[i] for i in keep))
+        kept_rows = sum(table.partition_rows[i] for i in keep)
+        return len(keep), scan_bytes, kept_rows / max(table.num_rows, 1)
 
     def _explain_tail(self) -> str:
         text = ""
@@ -288,7 +276,7 @@ class ScanNode(_TableLeaf):
         return [_phase(
             self.phase_label, streams,
             scan_bytes=scan_bytes,
-            returned_bytes=est * table.stats_or_default().projected_row_bytes(
+            returned_bytes=est * table.stats.projected_row_bytes(
                 self.columns
             ),
             term_evals=self.est_terms * row_frac,

@@ -17,11 +17,6 @@ from repro.common.errors import CatalogError
 #: Supported logical column types.
 COLUMN_TYPES = ("int", "float", "str", "date")
 
-#: Rough encoded CSV field widths (bytes) by logical type.  Used by the
-#: cost-based optimizer as a fallback when a table was registered
-#: without collected statistics; measured statistics always win.
-TYPICAL_FIELD_BYTES = {"int": 6.0, "float": 9.0, "str": 12.0, "date": 10.0}
-
 #: Python constructor that revives a non-empty CSV field of each type.
 _CONVERTERS: dict[str, Callable[[str], object]] = {
     "int": int,
@@ -62,10 +57,6 @@ class ColumnDef:
         if "" not in texts:
             return list(map(convert, texts))
         return [convert(t) if t else None for t in texts]
-
-    def typical_field_bytes(self) -> float:
-        """Ballpark encoded width of one field of this type."""
-        return TYPICAL_FIELD_BYTES[self.type]
 
 
 class TableSchema:

@@ -82,7 +82,7 @@ class PartialGroupByNode(PushedGroupByNode):
         partial_rows = table.partitions * max(min(seen, per_partition), 0.0)
         accumulators = query.accumulators()
         width = (
-            table.stats_or_default().projected_row_bytes(query.group_columns)
+            table.stats.projected_row_bytes(query.group_columns)
             + accumulators * 12.0
         )
         return [_phase(

@@ -181,7 +181,7 @@ class IndexFetchNode(PlanNode):
             requests = max(float(streams), requests / self.ranges_per_request)
         fetch = _phase(
             label, streams,
-            get_bytes=matched * table.stats_or_default().avg_row_bytes,
+            get_bytes=matched * table.stats.avg_row_bytes,
             requests=requests,
             records=matched, fields=matched * len(table.schema),
         )

@@ -155,7 +155,7 @@ class GroupByQuery:
 
     def estimated_groups(self, table: TableInfo) -> int:
         """The columns' distinct counts multiplied; at most one a row."""
-        stats = table.stats_or_default()
+        stats = table.stats
         groups = 1
         for col in self.group_columns:
             col_stats = stats.column(col)
@@ -244,7 +244,7 @@ class PushedGroupByNode(PlanNode):
         kept rows among the leading ``fraction`` of every partition, to
         be counted on the query node."""
         table, query, rows = self.table, self.query, self.est_kept * fraction
-        width = table.stats_or_default().projected_row_bytes(query.group_columns)
+        width = table.stats.projected_row_bytes(query.group_columns)
         return _phase(
             name, table.partitions,
             scan_bytes=float(table.total_bytes) * fraction,
@@ -362,10 +362,10 @@ class HybridGroupByNode(PushedGroupByNode):
 
     def predicted_phases(self, ctx: CloudContext, combined=False) -> list[Phase]:
         table, query = self.table, self.query
-        stats = table.stats_or_default()
+        stats = table.stats
         groups = int(self.est_rows)
-        # The head is the column's most common values; without them
-        # (synthesized statistics), an even share of the groups.
+        # The head is the column's most common values; without them (a
+        # column past the MCV tracking limit), an even share of the groups.
         head_groups = min(self.s3_groups, groups)
         group_stats = stats.column(query.group_columns[0])
         head_fraction = (
@@ -521,7 +521,7 @@ def _case_scan_work(table: TableInfo, query: GroupByQuery, groups: int) -> dict:
     representative group's rendered CASE columns; every chunk re-scans
     the table, evaluating its own columns plus the WHERE conjuncts per
     scanned row."""
-    stats = table.stats_or_default()
+    stats = table.stats
     match = _group_match(query.group_columns, tuple(
         stats.column(c).max_value if stats.column(c) else 999
         for c in query.group_columns

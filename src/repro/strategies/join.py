@@ -84,8 +84,8 @@ def _join_plan(
     build, probe = catalog.get(query.build_table), catalog.get(query.probe_table)
     build_rows = estimated_rows(ctx, build, query.build_predicate)
     probe_rows = pass_rows = estimated_rows(ctx, probe, query.probe_predicate)
-    build_keys = build.stats_or_default().distinct_among(query.build_key, build_rows)
-    probe_keys = probe.stats_or_default().distinct_among(query.probe_key, probe_rows)
+    build_keys = build.stats.distinct_among(query.build_key, build_rows)
+    probe_keys = probe.stats.distinct_among(query.probe_key, probe_rows)
     if bloom is not None:
         # A filter too large for the expression limit degrades: priced as
         # the unfiltered serial probe scan the ladder ends in.

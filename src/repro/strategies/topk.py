@@ -135,7 +135,7 @@ class SampledThresholdScan(ScanNode):
 
     def predicted_phases(self, ctx: CloudContext, combined=False) -> list[Phase]:
         table, size = self.table, self.sample_size
-        width = table.stats_or_default().projected_row_bytes(
+        width = table.stats.projected_row_bytes(
             [self.query.order_column]
         )
         fraction = min(1.0, size / table.num_rows) if table.num_rows else 1.0

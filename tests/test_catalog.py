@@ -56,6 +56,18 @@ class TestLoadTable:
         data = ctx.store.get_bytes(info.bucket, info.keys[0])
         assert ParquetFile(data).num_rows == 15
 
+    def test_table_names_are_spelled_as_registered(self):
+        ctx, catalog = CloudContext(), Catalog()
+        load_table(ctx, catalog, "LineItem", rows(4), SCHEMA)
+        load_table(ctx, catalog, "orders", rows(2), SCHEMA)
+        assert catalog.table_names() == ["LineItem", "orders"]
+        # A reload under another spelling keeps the first one.
+        load_table(ctx, catalog, "LINEITEM", rows(3), SCHEMA)
+        assert catalog.table_names() == ["LineItem", "orders"]
+        assert catalog.get("lineitem").num_rows == 3
+        with pytest.raises(CatalogError, match=r"\['LineItem', 'orders'\]"):
+            catalog.get("part")
+
     def test_unknown_format_rejected(self):
         ctx, catalog = CloudContext(), Catalog()
         with pytest.raises(CatalogError):
@@ -242,3 +254,59 @@ def test_loaded_bytes_and_statistics_are_pinned():
         stored.update(key.encode() + obj.data)
     assert hashlib.sha256("".join(described).encode()).hexdigest() == PINNED_INFO
     assert stored.hexdigest() == PINNED_OBJECTS
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 37])
+@pytest.mark.parametrize("layout", [
+    {}, {"data_format": "parquet"}, {"index_columns": ["id", "name"]},
+])
+def test_every_load_carries_statistics_and_one_entry_per_partition(n_rows, layout):
+    """The optimizer reads a table's statistics and per-partition sizes,
+    row counts and zone maps without a fallback: every load leaves them."""
+    from repro.optimizer.stats import collect_table_stats
+
+    ctx, catalog = CloudContext(), Catalog()
+    data = rows(n_rows)
+    info = load_table(ctx, catalog, "t", data, SCHEMA, partitions=4, **layout)
+    assert info.stats == collect_table_stats(data, SCHEMA)
+    assert info.stats.row_count == info.num_rows == n_rows
+    assert info.partitions == max(1, min(4, n_rows))
+    assert len(info.zone_maps) == len(info.partition_rows) == len(
+        info.partition_bytes
+    ) == info.partitions
+    assert [zone.row_count for zone in info.zone_maps] == info.partition_rows
+    assert sum(info.partition_rows) == n_rows
+    assert sum(info.partition_bytes) == info.total_bytes == sum(
+        ctx.store.object_size(info.bucket, key) for key in info.keys
+    )
+
+
+EMPTY_QUERIES = {
+    "SELECT id, name FROM e WHERE id < 5": [],
+    "SELECT COUNT(*) AS n, SUM(price) AS s FROM e WHERE price > 1.0": [(0, None)],
+    "SELECT k, name FROM t JOIN e ON k = id WHERE price < 10": [],
+    "SELECT name, COUNT(*) AS n FROM e GROUP BY name ORDER BY name LIMIT 3": [],
+}
+
+
+@pytest.mark.parametrize("calibrated", [False, True])
+@pytest.mark.parametrize("mode", ["baseline", "optimized", "auto", "adaptive"])
+def test_an_empty_table_plans_runs_and_explains(mode, calibrated):
+    from repro.planner.database import PushdownDB
+    from repro.planner.planner import plan_parsed
+    from repro.sqlparser.parser import parse
+
+    db = PushdownDB()
+    db.load_table("e", [], SCHEMA)
+    db.load_table(
+        "t", [(i, i * 1.5) for i in range(50)], TableSchema.of("k:int", "w:float"),
+        partitions=4,
+    )
+    if calibrated:
+        db.calibrate_to_paper_scale()
+    for sql, expected in EMPTY_QUERIES.items():
+        plan, _ = plan_parsed(db.ctx, db.catalog, parse(sql), mode)
+        assert "scan e" in plan.describe() or "aggregate e" in plan.describe()
+        assert plan.estimate.total_cost > 0
+        assert db.execute(sql, mode=mode).rows == expected
+    assert "physical plan" in db.explain(next(iter(EMPTY_QUERIES)))

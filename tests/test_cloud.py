@@ -208,6 +208,30 @@ class TestCalibration:
             PAPER_PERF.select_scan_rate_per_stream * 0.001
         )
 
+    @pytest.mark.parametrize("earlier", [[1.0], [0.25, 4.0]])
+    def test_calibrating_again_replaces_the_last_calibration(self, earlier):
+        """The rates are re-rated from the paper's every time: any earlier
+        calls leave runtime, cost and range weight as one call does."""
+        from repro.planner.database import PushdownDB
+        from repro.storage.schema import TableSchema
+
+        def run(ratios):
+            db = PushdownDB()
+            db.load_table("t", [(i, i * 0.5) for i in range(2_000)],
+                          TableSchema.of("k:int", "v:float"))
+            for ratio in ratios:
+                db.calibrate_to_paper_scale(10 * GB * ratio)
+            return db.execute("SELECT SUM(v) FROM t", mode="baseline"), db.ctx
+
+        once, once_ctx = run([1.0])
+        again, again_ctx = run([*earlier, 1.0])
+        assert again.runtime_seconds == once.runtime_seconds
+        assert again.cost.total == once.cost.total
+        assert again_ctx.client.range_request_weight == (
+            once_ctx.client.range_request_weight
+        )
+        assert (again_ctx.perf, again_ctx.pricing) == (once_ctx.perf, once_ctx.pricing)
+
     def test_calibrate_rejects_bad_input(self):
         ctx = CloudContext()
         with pytest.raises(ValueError):

@@ -228,7 +228,7 @@ def probe_run(rng: random.Random, hashes: int, cast: bool) -> ast.Expr:
     else:
         family = make_hash_family(hashes, m, rng.randrange(10**6))
     bits = bytearray(rng.random() < 0.6 for _ in range(m))
-    return BloomFilter(bits, family, 0.01).to_predicate("k", cast_to_int=cast)
+    return BloomFilter(bits, family).to_predicate("k", cast_to_int=cast)
 
 
 def run_keys(rng: random.Random, n: int) -> list:

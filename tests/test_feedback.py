@@ -66,7 +66,7 @@ class TestStore:
         store = FeedbackStore()
         predicate = parse_expression("a < 10 AND b < 10")
         db = _db()
-        stats = db.table("t").stats_or_default()
+        stats = db.table("t").stats
         cold = estimate_selectivity_with_feedback(store, "t", predicate, stats)
         assert cold == pytest.approx(estimate_selectivity(predicate, stats))
         store.record_selectivity("t", predicate, 0.1)
@@ -78,7 +78,7 @@ class TestStore:
         """A measured conjunct improves *similar* queries sharing it."""
         store = FeedbackStore()
         db = _db()
-        stats = db.table("t").stats_or_default()
+        stats = db.table("t").stats
         store.record_selectivity("t", parse_expression("a < 10"), 0.5)
         combined = estimate_selectivity_with_feedback(
             store, "t", parse_expression("a < 10 AND b = 3"), stats
@@ -273,13 +273,14 @@ class TestProbeCache:
         assert len(ctx.metrics.records_since(mark)) == 0
         assert second == first
 
-    def test_probe_refresh_forces_measurement(self):
+    def test_reset_feedback_forces_measurement(self):
         db = _db(partitions=4)
         ctx, table = db.ctx, db.table("t")
         predicate = parse_expression("a < 30")
         probe_selectivity(ctx, table, predicate, fraction=0.5)
+        db.reset_feedback()
         mark = ctx.metrics.mark()
-        probe_selectivity(ctx, table, predicate, fraction=0.5, refresh=True)
+        probe_selectivity(ctx, table, predicate, fraction=0.5)
         assert len(ctx.metrics.records_since(mark)) == 4
 
     def test_execution_feedback_short_circuits_probe(self):

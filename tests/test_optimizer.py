@@ -174,7 +174,7 @@ class TestChooser:
         s3_side = next(
             c for c in choice.candidates if c.strategy == "s3-side filter"
         )
-        width = table.stats_or_default().avg_row_bytes
+        width = table.stats.avg_row_bytes
         assert s3_side.bytes_returned == pytest.approx(
             probe["selectivity"] * table.num_rows * width, rel=1e-9
         )

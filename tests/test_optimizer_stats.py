@@ -18,8 +18,7 @@ from repro.optimizer.stats import (
     TableStats,
     build_histogram,
     collect_table_stats,
-    collect_zone_map,
-    synthesize_table_stats,
+    zone_map,
 )
 from repro.sqlparser.parser import parse_expression
 from repro.storage.csvcodec import (
@@ -224,7 +223,7 @@ _PARQUET_ROW = st.tuples(
 
 
 def _reference_zone_map(rows, schema):
-    """The per-row loop ``collect_zone_map`` replaced."""
+    """The per-row loop ``zone_map`` replaced."""
     columns = {}
     for idx, col in enumerate(schema.columns):
         non_null = [row[idx] for row in rows if row[idx] is not None]
@@ -249,8 +248,8 @@ class TestLoaderMatchesThePerValueLoops:
         chunks = [rows[a : a + n] for a, n in zip(starts, info.partition_rows)]
         zones = [_reference_zone_map(chunk, _LOAD_SCHEMA) for chunk in chunks]
         assert info.zone_maps == zones and repr(info.zone_maps) == repr(zones)
-        assert collect_zone_map(rows, _LOAD_SCHEMA) == _reference_zone_map(
-            rows, _LOAD_SCHEMA
+        assert zone_map(_LOAD_SCHEMA.transpose(rows), _LOAD_SCHEMA) == (
+            _reference_zone_map(rows, _LOAD_SCHEMA)
         )
         return chunks
 
@@ -303,22 +302,8 @@ class TestCatalogWiring:
     def test_load_table_attaches_stats(self):
         ctx, catalog = CloudContext(), Catalog()
         info = load_table(ctx, catalog, "t", ROWS, SCHEMA, bucket="b")
-        assert info.stats is not None
+        assert info.stats == collect_table_stats(ROWS, SCHEMA)
         assert info.stats.row_count == len(ROWS)
-        assert info.stats_or_default() is info.stats
-
-    def test_collect_stats_opt_out_synthesizes(self):
-        ctx, catalog = CloudContext(), Catalog()
-        info = load_table(
-            ctx, catalog, "t", ROWS, SCHEMA, bucket="b", collect_stats=False
-        )
-        assert info.stats is None
-        fallback = info.stats_or_default()
-        assert fallback.row_count == len(ROWS)
-        # The fallback apportions the true average row width.
-        assert fallback.avg_row_bytes == pytest.approx(
-            info.total_bytes / info.num_rows
-        )
 
     def test_index_total_bytes_recorded(self):
         ctx, catalog = CloudContext(), Catalog()
@@ -329,11 +314,6 @@ class TestCatalogWiring:
         assert index.total_bytes == sum(
             ctx.store.object_size("b", key) for key in index.keys
         )
-
-    def test_synthesize_without_rows(self):
-        stats = synthesize_table_stats(SCHEMA, 0, 0)
-        assert stats.row_count == 0
-        assert stats.projected_row_bytes(["k"]) > 0  # never degenerate
 
 
 class TestSelectivity:

@@ -10,9 +10,10 @@ and require identical rows with no more requests.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.engine.catalog import TableInfo
 from repro.optimizer.chooser import choose_planner_mode
 from repro.optimizer.pruning import keep_partitions, partition_may_match
 from repro.optimizer.stats import ColumnZone, PartitionZoneMap
@@ -67,16 +68,6 @@ class TestZoneMapCollection:
         mixed = table.zone_maps[2].column("k")
         assert (mixed.min_value, mixed.max_value, mixed.null_count) == (64, 79, 16)
         assert table.zone_maps[3].column("k").min_value is None  # all NULL
-
-    def test_zone_maps_skipped_without_stats(self, db):
-        from repro.engine.catalog import load_table
-
-        info = load_table(
-            db.ctx, db.catalog, "nostats", make_rows(), SCHEMA,
-            bucket="prune-test", partitions=4, collect_stats=False,
-        )
-        assert info.zone_maps == []
-        assert keep_partitions(info, pred("k < 5")) is None
 
 
 class TestRefutation:
@@ -156,12 +147,7 @@ class TestRefutation:
 
     def test_zone_map_desync_disables_pruning(self, db):
         table = db.table("t")
-        broken = TableInfo(
-            name="b", bucket=table.bucket, keys=list(table.keys),
-            schema=table.schema, format=table.format,
-            num_rows=table.num_rows, total_bytes=table.total_bytes,
-            zone_maps=table.zone_maps[:2],
-        )
+        broken = replace(table, name="b", zone_maps=table.zone_maps[:2])
         assert keep_partitions(broken, pred("k < 5")) is None
 
 
