@@ -134,12 +134,3 @@ class S3Client:
             )
         )
         return result
-
-    # ------------------------------------------------------------------
-    # control plane (unmetered)
-    # ------------------------------------------------------------------
-    def create_bucket(self, bucket: str) -> None:
-        self.store.create_bucket(bucket)
-
-    def put_object(self, bucket: str, key: str, data: bytes, metadata: dict | None = None) -> None:
-        self.store.put_object(bucket, key, data, metadata)

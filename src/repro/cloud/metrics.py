@@ -76,11 +76,6 @@ class MetricsCollector:
         with self._lock:
             return self._records[mark:]
 
-    @property
-    def records(self) -> list[RequestRecord]:
-        with self._lock:
-            return list(self._records)
-
     # ------------------------------------------------------------------
     # aggregates
     # ------------------------------------------------------------------
@@ -89,20 +84,8 @@ class MetricsCollector:
         return len(self._records)
 
     @property
-    def bytes_scanned(self) -> int:
-        return sum(r.bytes_scanned for r in self._records)
-
-    @property
-    def bytes_returned(self) -> int:
-        return sum(r.bytes_returned for r in self._records)
-
-    @property
     def bytes_transferred(self) -> int:
         return sum(r.bytes_transferred for r in self._records)
-
-    def reset(self) -> None:
-        with self._lock:
-            self._records.clear()
 
 
 @dataclass

@@ -74,22 +74,6 @@ class CostBreakdown:
     def total(self) -> float:
         return self.compute + self.request + self.scan + self.transfer
 
-    def __add__(self, other: "CostBreakdown") -> "CostBreakdown":
-        return CostBreakdown(
-            compute=self.compute + other.compute,
-            request=self.request + other.request,
-            scan=self.scan + other.scan,
-            transfer=self.transfer + other.transfer,
-        )
-
-    def scaled(self, factor: float) -> "CostBreakdown":
-        return CostBreakdown(
-            compute=self.compute * factor,
-            request=self.request * factor,
-            scan=self.scan * factor,
-            transfer=self.transfer * factor,
-        )
-
 
 def cost_of_requests(
     records: Iterable[RequestRecord], pricing: Pricing = PAPER_PRICING

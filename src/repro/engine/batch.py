@@ -61,12 +61,6 @@ class Batch:
             return cls([[] for _ in range(num_columns)], 0)
         return cls([list(col) for col in zip(*rows)], len(rows))
 
-    def to_rows(self) -> list[tuple]:
-        """Materialize the batch as a list of row tuples."""
-        if not self.columns:
-            return [()] * self.length
-        return list(zip(*self.columns))
-
     def iter_rows(self) -> Iterator[tuple]:
         """Iterate row tuples without materializing them all up front."""
         if not self.columns:
@@ -123,9 +117,6 @@ class Batch:
         if len(indices) == n and all(map(eq, indices, range(n))):
             return self
         return Batch([[col[i] for i in indices] for col in self.columns], len(indices))
-
-    def __repr__(self) -> str:
-        return f"Batch(columns={len(self.columns)}, rows={self.length})"
 
 
 def rechunk_batches(batches: Iterable[Batch], batch_size: int) -> Iterator[Batch]:

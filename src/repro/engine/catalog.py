@@ -180,12 +180,10 @@ def load_table(
     }
     if indexes and data_format != "csv":
         raise CatalogError("index tables are only supported for CSV data")
-    feedback = ctx.feedback
-    if feedback is not None:
-        # (Re)loading invalidates every measurement taken against the
-        # table's previous contents — stale "facts" must not outlive
-        # the data they were measured on.
-        feedback.forget_table(name)
+    # (Re)loading invalidates every measurement taken against the
+    # table's previous contents — stale "facts" must not outlive the
+    # data they were measured on.
+    ctx.feedback.forget_table(name)
     result_cache = ctx.result_cache
     if result_cache is not None:
         # Same rule for cached results: a reloaded name bumps the

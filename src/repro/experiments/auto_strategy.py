@@ -24,8 +24,10 @@ def run(filter_rows: int = 20_000, filter_matches: tuple = (1, 6, 60, 600, 1_200
         k_fractions: tuple = (1.7e-5, 1.7e-4, 1.7e-3, 8e-3, 4e-2)) -> ExperimentResult:
     scenarios = (
         ("fig01-filter", fig01_filter.sweep(filter_rows, filter_matches), {}),
-        # Figure 5's candidate set has no hybrid strategy (uniform groups
-        # give it no head to push).
+        # Figure 5's candidate set has no hybrid strategy: the cost model
+        # misprices hybrid on uniform groups (offered, it would win by
+        # cost at 8 and 16 groups, where filtered group-by wins as
+        # measured).
         ("fig05-groupby", fig05_groupby_groups.sweep(
             num_rows=groupby_rows, group_counts=group_counts), {"include_hybrid": False}),
         ("fig09-topk", fig09_topk_k.sweep(

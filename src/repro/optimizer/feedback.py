@@ -76,24 +76,18 @@ class FeedbackStore:
     def record_selectivity(
         self,
         table: str,
-        predicate: ast.Expr | None,
+        predicate: ast.Expr,
         selectivity: float,
     ) -> None:
         """Record the measured fraction of ``table`` rows passing ``predicate``.
 
         The newest measurement wins (data and literals are fixed within a
         session, so repeated observations agree up to probe sampling)."""
-        if predicate is None:
-            return
         key = (table, predicate_signature(predicate))
         with self._lock:
             self._selectivities[key] = min(max(float(selectivity), 0.0), 1.0)
 
-    def lookup_selectivity(
-        self, table: str, predicate: ast.Expr | None
-    ) -> float | None:
-        if predicate is None:
-            return None
+    def lookup_selectivity(self, table: str, predicate: ast.Expr) -> float | None:
         key = (table, predicate_signature(predicate))
         with self._lock:
             value = self._selectivities.get(key)
@@ -162,7 +156,7 @@ class FeedbackStore:
 
 
 def estimate_selectivity_with_feedback(
-    store: FeedbackStore | None,
+    store: FeedbackStore,
     table: str,
     predicate: ast.Expr | None,
     stats: TableStats,
@@ -179,8 +173,6 @@ def estimate_selectivity_with_feedback(
     """
     if predicate is None:
         return 1.0
-    if store is None:
-        return estimate_selectivity(predicate, stats)
     exact = store.lookup_selectivity(table, predicate)
     if exact is not None:
         return exact

@@ -173,9 +173,6 @@ class JoinGraph:
             components.append([n for n in names if n in component])
         return components
 
-    def is_connected(self) -> bool:
-        return len(self.connected_components()) == 1 if self.tables else False
-
 
 def build_join_graph(bound: Bound) -> JoinGraph:
     """Extract the join graph from a bound table query's WHERE conjunction.
@@ -465,7 +462,7 @@ class JoinOrderSearch:
             # are filtered in the residual above the tree, so the rows
             # this node *emits* are estimated from the hash edge alone.
             node.est_out_rows = self._pair_rows(t1, t2, edges[:1])
-        if self.feedback is not None and self.feedback.has_join_feedback():
+        if self.feedback.has_join_feedback():
             # A join this session already executed (same tables, same
             # pushed predicates, same hash edges) has a *measured* output
             # cardinality; it replaces the containment estimate.  The
@@ -610,10 +607,6 @@ class JoinOrderSearch:
             },
             timed,
         )
-
-    def price_order(self, order: list[str]) -> StrategyEstimate:
-        """Price a forced left-deep order."""
-        return self.price_tree(self.left_deep_tree(list(order)))
 
     # -- enumeration -------------------------------------------------
     def search(self) -> JoinOrderDecision:

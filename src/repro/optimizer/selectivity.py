@@ -145,9 +145,9 @@ def _comparison(expr: ast.Binary, stats: TableStats) -> float:
     if normalized is None:
         return DEFAULT_SELECTIVITY
     column, value, op = normalized
+    if value is None:
+        return 0.0
     col = stats.column(column.name)
-    if col is None or value is None:
-        return 0.0 if value is None else DEFAULT_SELECTIVITY
     if op == "=":
         return _equality(col, value, stats)
     if op == "<>":
@@ -168,18 +168,13 @@ def _between(expr: ast.Between, stats: TableStats) -> float:
         return inside
     # NOT BETWEEN is never true for NULL operands (3VL): the complement
     # is taken within the non-NULL fraction, mirroring _in_list.
-    col = stats.column(expr.operand.name)
-    if col is not None:
-        return _clamp(_non_null_fraction(col, stats) - inside)
-    return 1.0 - inside
+    return _clamp(_non_null_fraction(stats.column(expr.operand.name), stats) - inside)
 
 
 def _in_list(expr: ast.InList, stats: TableStats) -> float:
     if not isinstance(expr.operand, ast.Column):
         return DEFAULT_SELECTIVITY
     col = stats.column(expr.operand.name)
-    if col is None:
-        return DEFAULT_SELECTIVITY
     total = 0.0
     for item in expr.items:
         if isinstance(item, ast.Literal) and item.value is not None:
@@ -198,10 +193,8 @@ def _like(expr: ast.Like, stats: TableStats) -> float:
     pattern = expr.pattern.value
     if "%" not in pattern and "_" not in pattern:
         if isinstance(expr.operand, ast.Column):
-            col = stats.column(expr.operand.name)
-            if col is not None:
-                s = _equality(col, pattern, stats)
-                return _negate_like(expr, s, stats) if expr.negated else s
+            s = _equality(stats.column(expr.operand.name), pattern, stats)
+            return _negate_like(expr, s, stats) if expr.negated else s
         s = DEFAULT_SELECTIVITY
     elif pattern and not pattern.startswith(("%", "_")):
         s = PREFIX_LIKE_SELECTIVITY
@@ -213,20 +206,16 @@ def _like(expr: ast.Like, stats: TableStats) -> float:
 def _negate_like(expr: ast.Like, s: float, stats: TableStats) -> float:
     """3VL complement of a LIKE match fraction: NULL operands match
     neither ``LIKE`` nor ``NOT LIKE``, so the complement is taken within
-    the column's non-NULL fraction when stats are available."""
+    the column's non-NULL fraction when the operand is a column."""
     if isinstance(expr.operand, ast.Column):
-        col = stats.column(expr.operand.name)
-        if col is not None:
-            return _clamp(_non_null_fraction(col, stats) - s)
+        return _clamp(_non_null_fraction(stats.column(expr.operand.name), stats) - s)
     return 1.0 - s
 
 
 def _is_null(expr: ast.IsNull, stats: TableStats) -> float:
-    if isinstance(expr.operand, ast.Column):
-        col = stats.column(expr.operand.name)
-        if col is not None and stats.row_count:
-            s = col.null_count / stats.row_count
-            return 1.0 - s if expr.negated else s
+    if isinstance(expr.operand, ast.Column) and stats.row_count:
+        s = stats.column(expr.operand.name).null_count / stats.row_count
+        return 1.0 - s if expr.negated else s
     return 0.05 if not expr.negated else 0.95
 
 
@@ -252,11 +241,9 @@ def probe_selectivity(
     from repro.s3select.engine import PreparedSelect
     from repro.strategies.scans import iter_scan_batches, select_query
 
-    store = ctx.feedback
-    if store is not None:
-        cached = store.lookup_selectivity(table.name, predicate)
-        if cached is not None:
-            return cached
+    cached = ctx.feedback.lookup_selectivity(table.name, predicate)
+    if cached is not None:
+        return cached
     one = ast.Literal(1)
     matched_sum = ast.Aggregate("SUM", ast.Case(((predicate, one),), ast.Literal(0)))
     statement = PreparedSelect(select_query([matched_sum, ast.Aggregate("SUM", one)]))
@@ -267,6 +254,5 @@ def probe_selectivity(
     if not seen:
         return estimate_selectivity(predicate, table.stats)
     measured = matched / seen
-    if store is not None:
-        store.record_selectivity(table.name, predicate, measured)
+    ctx.feedback.record_selectivity(table.name, predicate, measured)
     return measured

@@ -24,6 +24,7 @@ from itertools import accumulate
 from operator import itemgetter
 from typing import Mapping, Sequence
 
+from repro.common.errors import CatalogError
 from repro.storage.csvcodec import FIELD_DELIM, RECORD_DELIM, encoded_size
 from repro.storage.schema import TableSchema
 
@@ -162,28 +163,31 @@ class TableStats:
     avg_row_bytes: float
     columns: Mapping[str, ColumnStats] = field(default_factory=dict)
 
-    def column(self, name: str) -> ColumnStats | None:
-        return self.columns.get(name.lower())
+    def column(self, name: str) -> ColumnStats:
+        """Statistics of column ``name``; every loaded column has them, so
+        an unknown name raises :class:`CatalogError`."""
+        try:
+            return self.columns[name.lower()]
+        except KeyError:
+            raise CatalogError(
+                f"no column {name!r} among the table's columns {list(self.columns)}"
+            ) from None
 
     def distinct_among(self, name: str, rows: float) -> float:
         """Distinct values of column ``name`` expected among ``rows`` of
-        the table's rows: its distinct count, capped by the rows (every
-        row its own value when the column has no statistics)."""
-        stats = self.column(name)
-        distinct = max(stats.distinct, 1) if stats is not None else max(rows, 1.0)
+        the table's rows: its distinct count, capped by the rows."""
+        distinct = max(self.column(name).distinct, 1)
         return max(1.0, min(float(distinct), max(rows, 1.0)))
 
     def projected_row_bytes(self, names: Sequence[str]) -> float:
-        """Encoded width of a row projected to ``names`` (with delimiters).
+        """Encoded width of a row projected to ``names`` (with delimiters):
+        each column's mean encoded field width, from its statistics.
 
         This is what an S3 Select response row costs on the wire — the
         service always returns CSV — and what separates "return 4 of 20
         columns" from "return everything" in the cost model.
         """
-        widths = []
-        for name in names:
-            stats = self.column(name)
-            widths.append(stats.avg_field_bytes if stats is not None else 8.0)
+        widths = [self.column(name).avg_field_bytes for name in names]
         delimiters = max(len(widths) - 1, 0) * len(FIELD_DELIM) + len(RECORD_DELIM)
         return sum(widths) + delimiters
 

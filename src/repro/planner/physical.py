@@ -273,13 +273,11 @@ def _execute(ctx: CloudContext, plan: PhysicalPlan) -> QueryExecution:
         phases[-1].server_cpu_seconds += state.tally.seconds
     execution = ctx.finalize(mark, rows, names, phases, strategy=plan.strategy)
     records = plan_records(plan)
-    feedback = ctx.feedback
-    if feedback is not None:
-        # Close the loop: every measured cardinality becomes a learned
-        # estimate for the rest of the session, for free.
-        from repro.optimizer.feedback import harvest_plan
+    # Close the loop: every measured cardinality becomes a learned
+    # estimate for the rest of the session, for free.
+    from repro.optimizer.feedback import harvest_plan
 
-        harvest_plan(feedback, plan.root)
+    harvest_plan(ctx.feedback, plan.root)
     cache = None
     result_cache = ctx.result_cache
     if result_cache is not None:

@@ -10,7 +10,6 @@ storage from its request front-end.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.common.errors import (
     InvalidRangeError,
@@ -115,11 +114,3 @@ class ObjectStore:
         """List keys in a bucket with an optional prefix, sorted (like S3)."""
         objects = self._bucket(bucket)
         return sorted(k for k in objects if k.startswith(prefix))
-
-    def iter_objects(self, bucket: str, prefix: str = "") -> Iterator[tuple[str, StoredObject]]:
-        for key in self.list_keys(bucket, prefix):
-            yield key, self._buckets[bucket][key]
-
-    def total_bytes(self, bucket: str, prefix: str = "") -> int:
-        """Total stored bytes under a prefix (used for storage-cost reports)."""
-        return sum(obj.size for _, obj in self.iter_objects(bucket, prefix))

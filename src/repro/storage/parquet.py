@@ -165,14 +165,6 @@ class ParquetFile:
         )
         self._footer_size = footer_len + 8 + 2 * len(MAGIC)
 
-    @property
-    def num_rows(self) -> int:
-        return sum(g.num_rows for g in self.row_groups)
-
-    @property
-    def footer_size(self) -> int:
-        return self._footer_size
-
     def _read_chunk(self, group: RowGroupMeta, col_idx: int) -> list[object]:
         chunk = group.chunks[col_idx]
         payload = self._data[chunk.offset : chunk.offset + chunk.compressed_size]

@@ -139,7 +139,3 @@ class TableSchema:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TableSchema) and self.columns == other.columns
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{c.name}:{c.type}" for c in self.columns)
-        return f"TableSchema({inner})"

@@ -158,8 +158,7 @@ class GroupByQuery:
         stats = table.stats
         groups = 1
         for col in self.group_columns:
-            col_stats = stats.column(col)
-            groups *= max(col_stats.distinct, 1) if col_stats else 32
+            groups *= max(stats.column(col).distinct, 1)
         return min(groups, max(stats.row_count, 1))
 
     def local_group_by(self, node: PlanNode, kept: float) -> GroupByNode:
@@ -367,11 +366,8 @@ class HybridGroupByNode(PushedGroupByNode):
         # The head is the column's most common values; without them (a
         # column past the MCV tracking limit), an even share of the groups.
         head_groups = min(self.s3_groups, groups)
-        group_stats = stats.column(query.group_columns[0])
-        head_fraction = (
-            group_stats.mcv_fraction(stats.row_count, head_groups)
-            if group_stats is not None else 0.0
-        ) or head_groups / max(groups, 1)
+        head_fraction = stats.column(query.group_columns[0]).mcv_fraction(
+            stats.row_count, head_groups) or head_groups / max(groups, 1)
         tail_rows = self.est_kept * (1.0 - head_fraction)
         needed = query.needed_columns(table)
         # Q1 aggregates the head at S3; Q2 is one more scan, with one more
@@ -521,11 +517,8 @@ def _case_scan_work(table: TableInfo, query: GroupByQuery, groups: int) -> dict:
     representative group's rendered CASE columns; every chunk re-scans
     the table, evaluating its own columns plus the WHERE conjuncts per
     scanned row."""
-    stats = table.stats
     match = _group_match(query.group_columns, tuple(
-        stats.column(c).max_value if stats.column(c) else 999
-        for c in query.group_columns
-    ))
+        table.stats.column(c).max_value for c in query.group_columns))
     columns = [c for agg in query.aggregates for c in _case_columns(agg, match)]
     group_bytes = sum(len(c.to_sql().encode()) + 2 for c in columns)
     chunks = max(1, math.ceil(groups * group_bytes / _SQL_BUDGET_BYTES))

@@ -17,12 +17,12 @@ ROWS = [
 class TestConverters:
     def test_from_rows_to_rows_round_trip(self):
         batch = Batch.from_rows(ROWS)
-        assert batch.to_rows() == ROWS
+        assert list(batch) == ROWS
         assert len(batch) == 3
         assert list(batch) == ROWS
 
     def test_round_trip_preserves_value_types(self):
-        values = Batch.from_rows(ROWS).to_rows()
+        values = list(Batch.from_rows(ROWS))
         for got, want in zip(values, ROWS):
             for g, w in zip(got, want):
                 assert type(g) is type(w)
@@ -33,13 +33,13 @@ class TestConverters:
         batch = Batch.from_rows([], num_columns=4)
         assert len(batch) == 0
         assert len(batch.columns) == 4
-        assert batch.to_rows() == []
+        assert list(batch) == []
 
     def test_zero_column_batch(self):
         with pytest.raises(ValueError, match="explicit length"):
             Batch([])
         batch = Batch([], length=3)
-        assert batch.to_rows() == [(), (), ()]
+        assert list(batch) == [(), (), ()]
         assert list(batch.iter_rows()) == [(), (), ()]
 
     @given(
@@ -53,7 +53,7 @@ class TestConverters:
         )
     )
     def test_round_trip_property(self, rows):
-        assert Batch.from_rows(rows).to_rows() == rows
+        assert list(Batch.from_rows(rows)) == rows
 
 
 class TestSequenceProtocol:
@@ -77,7 +77,7 @@ class TestSequenceProtocol:
         batch = Batch.from_rows(ROWS)
         view = batch[1:3]
         assert len(view) == 2
-        assert view.to_rows() == ROWS[1:3]
+        assert list(view) == ROWS[1:3]
         # The string objects are shared, not rebuilt.
         assert view.column(2)[0] is batch.column(2)[1]
 
@@ -91,7 +91,7 @@ class TestTransforms:
         batch = Batch.from_rows(ROWS)
         # SQL WHERE semantics: NULL and False both drop the row.
         out = batch.filter([True, None, False])
-        assert out.to_rows() == [ROWS[0]]
+        assert list(out) == [ROWS[0]]
 
     def test_filter_nothing_dropped_returns_self(self):
         batch = Batch.from_rows(ROWS)
@@ -99,9 +99,9 @@ class TestTransforms:
 
     def test_take(self):
         batch = Batch.from_rows(ROWS)
-        assert batch.take([2, 0]).to_rows() == [ROWS[2], ROWS[0]]
-        assert batch.take([]).to_rows() == []
-        assert batch.take([0, 0, 2]).to_rows() == [ROWS[0], ROWS[0], ROWS[2]]
+        assert list(batch.take([2, 0])) == [ROWS[2], ROWS[0]]
+        assert list(batch.take([])) == []
+        assert list(batch.take([0, 0, 2])) == [ROWS[0], ROWS[0], ROWS[2]]
 
     def test_take_every_row_in_order_returns_self(self):
         batch = Batch.from_rows(ROWS)
@@ -117,7 +117,7 @@ def test_property_rechunk_matches_row_chunking(partitions, batch_size):
     """Columnar re-chunking cuts exactly where ``chunk_rows`` cuts."""
     batches = [Batch.from_rows(rows, num_columns=2) for rows in partitions]
     rows = [row for part in partitions for row in part]
-    got = [batch.to_rows() for batch in rechunk_batches(batches, batch_size)]
+    got = [list(batch) for batch in rechunk_batches(batches, batch_size)]
     assert got == list(chunk_rows(rows, batch_size))
 
 
@@ -130,9 +130,9 @@ def test_rechunk_zero_column_batches_carry_their_length():
 
 def test_rechunk_cuts_one_large_batch_into_many():
     batch = Batch.from_rows([(i, str(i)) for i in range(11)])
-    got = [b.to_rows() for b in rechunk_batches([batch], 3)]
+    got = [list(b) for b in rechunk_batches([batch], 3)]
     assert [len(rows) for rows in got] == [3, 3, 3, 2]
-    assert [row for rows in got for row in rows] == batch.to_rows()
+    assert [row for rows in got for row in rows] == list(batch)
 
 
 def test_rechunk_rejects_non_positive_batch_size():

@@ -132,7 +132,7 @@ class TestSemanticCacheUnit:
         cache.store_scan("t", _pred("k < 10"), ["k", "v"], [batch])
         reuse = cache.lookup_scan("t", _pred("k < 10"), ["v"])
         assert reuse.status == "hit"
-        assert [b.to_rows() for b in reuse.batches] == [[(2.0,), (4.0,)]]
+        assert [list(b) for b in reuse.batches] == [[(2.0,), (4.0,)]]
         # A projection the entry does not cover cannot be served.
         assert cache.peek_scan("t", _pred("k < 10"), ["v", "w"]) is None
         # Nor a subsumed predicate over a column the entry lacks.

@@ -33,7 +33,7 @@ class TestClientMetering:
     def test_get_object_metered(self):
         client, size = make_client()
         client.get_object("b", "t.csv")
-        (record,) = client.metrics.records
+        (record,) = client.metrics.records_since(0)
         assert record.kind is RequestKind.GET
         assert record.bytes_transferred == size
         assert record.bytes_scanned == 0
@@ -42,7 +42,7 @@ class TestClientMetering:
         client, _ = make_client()
         client.range_request_weight = 250.0
         client.get_object_range("b", "t.csv", 0, 9)
-        (record,) = client.metrics.records
+        (record,) = client.metrics.records_since(0)
         assert record.bytes_transferred == 10
         assert record.weight == 250.0
 
@@ -51,7 +51,7 @@ class TestClientMetering:
         result = client.select_object_content(
             "b", "t.csv", "SELECT k FROM S3Object WHERE k < 10"
         )
-        (record,) = client.metrics.records
+        (record,) = client.metrics.records_since(0)
         assert record.kind is RequestKind.SELECT
         assert record.bytes_scanned == size
         assert record.bytes_returned == len(result.payload)
@@ -95,11 +95,9 @@ class TestPricing:
         cost = cost_of_query([], runtime_seconds=3600.0)
         assert cost.compute == pytest.approx(2.128)
 
-    def test_breakdown_total_and_add(self):
+    def test_breakdown_total(self):
         a = CostBreakdown(compute=1, request=2, scan=3, transfer=4)
         assert a.total == 10
-        assert (a + a).total == 20
-        assert a.scaled(0.5).total == 5
 
     def test_scaled_pricing_divides_per_gb_only(self):
         scaled = scaled_pricing(PAPER_PRICING, 0.001)

@@ -220,7 +220,7 @@ class TestJoinMatrix:
             [Batch([[1]]), Batch([[None]]), Batch([[2]]), Batch([[]])], ["j"],
             "k", "j", join_type=join_type,
         )
-        got = [batch.to_rows() for batch in stream]
+        got = [list(batch) for batch in stream]
         want = [
             reference_join([(1,), (1,), (None,)], 0, rows, 0, join_type, None)
             for rows in ([(1,)], [(None,)], [(2,)], [])

@@ -26,6 +26,11 @@ def _load(ctx, catalog, name, columns, rows, partitions=2):
     load_table(ctx, catalog, name, rows, schema, partitions=partitions)
 
 
+def _price_order(search, order):
+    """Price a forced left-deep ``order``."""
+    return search.price_tree(search.left_deep_tree(list(order)))
+
+
 @pytest.fixture()
 def env():
     ctx = CloudContext()
@@ -89,7 +94,6 @@ class TestJoinGraph:
         query = parse("SELECT COUNT(*) AS n FROM a, b, c WHERE a_id = b_a")
         graph = build_join_graph(bind(query, catalog))
         assert graph.connected_components() == [["a", "b"], ["c"]]
-        assert not graph.is_connected()
 
     def test_small_disconnected_plans_as_cross_product(self, env):
         from repro.planner.joins import CrossProductNode
@@ -149,7 +153,7 @@ class TestSearch:
         decision = plan_join_order(ctx, catalog, query, graph=graph)
         search = JoinOrderSearch(ctx, graph)
         exhaustive = min(
-            search.price_order(order).total_cost
+            _price_order(search, order).total_cost
             for order in enumerate_left_deep_orders(graph)
         )
         assert decision.estimate.total_cost <= exhaustive * (1 + 1e-12)
@@ -210,7 +214,7 @@ class TestSearch:
         )
         graph = build_join_graph(bind(query, catalog))
         search = JoinOrderSearch(ctx, graph)
-        with_bloom = search.price_order(["a", "b", "c"])
+        with_bloom = _price_order(search, ["a", "b", "c"])
         assert with_bloom.notes["order"] == ["a", "b", "c"]
         baseline = choose_planner_mode(ctx, catalog, query).candidates[0]
         assert baseline.strategy == "baseline"
@@ -262,7 +266,7 @@ class TestBushySearch:
         decision = plan_join_order(ctx, catalog, query, graph=graph)
         search = JoinOrderSearch(ctx, graph)
         best_left_deep = min(
-            search.price_order(order).total_cost
+            _price_order(search, order).total_cost
             for order in enumerate_left_deep_orders(graph)
         )
         assert decision.estimate.total_cost < best_left_deep
@@ -275,10 +279,10 @@ class TestBushySearch:
         graph = build_join_graph(bind(query, catalog))
         search = JoinOrderSearch(ctx, graph)
         orders = enumerate_left_deep_orders(graph)
-        before = [search.price_order(order) for order in orders]
+        before = [_price_order(search, order) for order in orders]
         decision = search.search()
-        assert [search.price_order(order) for order in orders] == before
-        assert [search.price_order(order) for order in orders] == before
+        assert [_price_order(search, order) for order in orders] == before
+        assert [_price_order(search, order) for order in orders] == before
         assert len(decision.candidates) > 1
         for candidate in decision.candidates:
             rebuilt = search.build_tree(candidate.notes["tree"])

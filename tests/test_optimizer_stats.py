@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cloud.context import CloudContext
+from repro.common.errors import CatalogError
 from repro.engine.catalog import Catalog, load_table
 from repro.engine.operators.base import materialize
 from repro.optimizer.selectivity import estimate_selectivity, probe_selectivity
@@ -84,7 +85,8 @@ class TestCollection:
 
     def test_case_insensitive_lookup(self, stats):
         assert stats.column("K") is stats.column("k")
-        assert stats.column("missing") is None
+        with pytest.raises(CatalogError, match="no column 'missing'"):
+            stats.column("missing")
 
     def test_empty_table(self):
         empty = collect_table_stats([], SCHEMA)

@@ -180,6 +180,31 @@ class TestLeftOuterPads:
         assert (3, None) in rows     # ...and key 3's match (NULL amt) pads
 
 
+class TestLeftJoinPostFilter:
+    """A WHERE conjunct that reads the padded side is held back above
+    the LEFT JOIN (``PreparedQuery.post_filter``): it sees the pads, so
+    ``IS NULL`` keeps them and a comparison drops them, unlike an ON
+    conjunct, which turns a failed match into a pad."""
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT c_key, o_id FROM cust LEFT OUTER JOIN ords ON c_key = o_ref"
+        " WHERE o_id IS NULL",
+        "SELECT c_key, o_id FROM cust LEFT OUTER JOIN ords ON c_key = o_ref"
+        " WHERE o_amt > 7",
+        "SELECT c_key, o_id FROM cust LEFT OUTER JOIN ords"
+        " ON c_key = o_ref AND o_amt > 7",
+        "SELECT c_key, o_id FROM cust LEFT OUTER JOIN ords ON c_key = o_ref"
+        " WHERE o_amt IS NULL OR c_bal > 25",
+        "SELECT c_key, o_id FROM cust LEFT OUTER JOIN ords"
+        " ON c_key = o_ref AND o_amt < c_bal",
+        "SELECT c_key, COUNT(o_id) AS n FROM cust LEFT OUTER JOIN ords"
+        " ON c_key = o_ref AND o_amt > 7 WHERE c_key < 5 GROUP BY c_key",
+    ], ids=["pads-only", "drops-pads", "on-residual", "or-across-sides",
+            "on-match-condition", "grouped-count"])
+    def test_matches_sqlite(self, engines, sql):
+        _check(engines, sql, modes=MODES + ("adaptive",))
+
+
 class TestDecorrelationGuards:
     """Unsupported shapes fail with a named PlanError, never a wrong
     answer — each case pins one guard in the decorrelation pass."""

@@ -49,13 +49,13 @@ class TestRoundTrip:
         data = write_parquet(ROWS, SCHEMA, row_group_rows=2)
         pq = ParquetFile(data)
         assert len(pq.row_groups) == 2
-        assert pq.num_rows == 4
+        assert sum(g.num_rows for g in pq.row_groups) == 4
         assert read_rows(pq) == ROWS
 
     def test_empty_table(self):
         data = write_parquet([], SCHEMA)
         pq = ParquetFile(data)
-        assert pq.num_rows == 0
+        assert sum(g.num_rows for g in pq.row_groups) == 0
         assert read_rows(pq) == []
 
     def test_uncompressed_roundtrip(self):
@@ -77,7 +77,7 @@ class TestScanAccounting:
         total_chunks = sum(
             c.compressed_size for g in pq.row_groups for c in g.chunks
         )
-        assert pq.scan_bytes_for(None) == total_chunks + pq.footer_size
+        assert pq.scan_bytes_for(None) == total_chunks + pq._footer_size
 
     def test_duplicate_columns_not_double_billed(self):
         data = write_parquet(ROWS, SCHEMA)

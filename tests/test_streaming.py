@@ -242,7 +242,7 @@ class TestBatchIterators:
             data, SCHEMA, 6, has_header=False, columns=["v"]
         )
         assert typed == []
-        assert next(stream).to_rows() == [(r[1],) for r in ROWS[:6]]
+        assert list(next(stream)) == [(r[1],) for r in ROWS[:6]]
         assert typed == [("v", 6)]
         next(stream)
         assert typed == [("v", 6), ("v", 6)]

@@ -612,7 +612,7 @@ class TestColumnarDecode:
         assert want == self.ROWS
         for size in (1, 2, 100):
             got = [
-                b.to_rows()
+                list(b)
                 for b in iter_decode_column_batches(
                     data, self.SCHEMA, batch_size=size, has_header=False
                 )
