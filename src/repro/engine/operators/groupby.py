@@ -109,8 +109,20 @@ class GroupBy:
                 results = [acc.result() for acc in accs]
                 values.append(results[0] if finisher is None else finisher(results))
             out.append(tuple(values))
-        cpu = rows * len(self.input_fns) * SERVER_CPU_PER_ROW["aggregate"]
+        cpu = group_by_cpu(rows, len(self.input_fns))
         return OpResult(rows=out, column_names=self.out_names, cpu_seconds=cpu)
+
+
+def aggregate_inputs(agg_items: Sequence[ast.SelectItem]) -> int:
+    """The input columns a group-by folds per row: one per aggregate
+    call (``AVG`` is one; ``SUM(a) / SUM(b)`` is two), as :class:`GroupBy`
+    compiles them."""
+    return sum(len(split_aggregate_expr(item.expr)[0]) for item in agg_items)
+
+
+def group_by_cpu(rows: float, inputs: int) -> float:
+    """CPU seconds to fold ``rows`` rows into ``inputs`` accumulators each."""
+    return rows * inputs * SERVER_CPU_PER_ROW["aggregate"]
 
 
 def group_by_batches(

@@ -79,6 +79,11 @@ def sort_batches(
         rows.extend(batch)
     n = len(rows)
     out = [rows[i] for i in sorted(range(n), key=keys.__getitem__)]
-    comparisons = n * max(1.0, math.log2(n)) if n else 0.0
-    cpu = comparisons * len(order_items) * SERVER_CPU_PER_ROW["sort_per_cmp"]
+    cpu = sort_cpu(n, len(order_items))
     return OpResult(rows=out, column_names=list(column_names), cpu_seconds=cpu)
+
+
+def sort_cpu(n: float, keys: int) -> float:
+    """CPU seconds to sort ``n`` rows on ``keys`` keys."""
+    comparisons = n * max(1.0, math.log2(n)) if n else 0.0
+    return comparisons * keys * SERVER_CPU_PER_ROW["sort_per_cmp"]

@@ -57,5 +57,10 @@ def top_k_batches(
             for key, seq, b, payload in best
         ]
     rows = [payload for _, _, _, payload in best]
-    cpu = n * max(1.0, math.log2(max(k, 2))) * SERVER_CPU_PER_ROW["heap"]
+    cpu = top_k_cpu(n, k)
     return OpResult(rows=rows, column_names=list(column_names), cpu_seconds=cpu)
+
+
+def top_k_cpu(n: float, k: int) -> float:
+    """CPU seconds to heap-select K of ``n`` rows."""
+    return n * max(1.0, math.log2(max(k, 2))) * SERVER_CPU_PER_ROW["heap"]

@@ -21,12 +21,11 @@ in three tiers:
    partials (any subset/permutation of the cached aggregate items)
    without touching storage.
 
-Entries are LRU-evicted under a ``cache_bytes`` budget, guarded by one
-lock (the engine is serial, but a caller may share one session across
-its own threads), and versioned by table content:
-:func:`repro.engine.catalog.load_table` calls
-:meth:`SemanticCache.invalidate_table` whenever a name is (re)loaded, so
-stale entries can never answer.
+Entries are LRU-evicted under a ``cache_bytes`` budget and guarded by
+one lock (the engine is serial, but a caller may share one session
+across its own threads).  :func:`repro.engine.catalog.load_table` calls
+:meth:`SemanticCache.invalidate_table` whenever a name is (re)loaded,
+which drops the table's entries, so stale entries can never answer.
 
 Correctness bar: a cold cache changes nothing (the executor consults it
 only when enabled, and population tees streams without reordering), and
@@ -97,7 +96,6 @@ class AggregateReuse:
 @dataclass
 class _Entry:
     table: str
-    version: int
     nbytes: int
     rows: int
     # scan entries
@@ -141,7 +139,6 @@ class SemanticCache:
             )
         self.capacity_bytes = int(capacity_bytes)
         self._entries: OrderedDict[tuple, _Entry] = OrderedDict()
-        self._versions: dict[str, int] = {}
         self._bytes = 0
         self._lock = threading.RLock()
         self.stats = CacheStats()
@@ -157,19 +154,14 @@ class SemanticCache:
         with self._lock:
             return self._bytes
 
-    def version(self, table: str) -> int:
-        with self._lock:
-            return self._versions.get(table, 0)
-
     def invalidate_table(self, table: str) -> int:
-        """Drop every entry derived from ``table`` and bump its version.
+        """Drop every entry derived from ``table``.
 
         Called from the catalog's load hook, so re-loading a name can
         never serve rows from the previous content.  Returns the number
         of entries evicted.
         """
         with self._lock:
-            self._versions[table] = self._versions.get(table, 0) + 1
             dead = [k for k, e in self._entries.items() if e.table == table]
             for k in dead:
                 self._bytes -= self._entries.pop(k).nbytes
@@ -214,7 +206,6 @@ class SemanticCache:
         key = ("scan", table, predicate_signature(predicate), cols)
         entry = _Entry(
             table=table,
-            version=self.version(table),
             nbytes=_batch_bytes(batches),
             rows=sum(len(b) for b in batches),
             predicate=predicate,
@@ -228,7 +219,6 @@ class SemanticCache:
         self, table: str, predicate: ast.Expr | None, columns: list[str]
     ) -> tuple[tuple, _Entry, str] | None:
         """Find the best reusable entry; caller holds the lock."""
-        current = self._versions.get(table, 0)
         sig = predicate_signature(predicate)
         requested = set(columns)
         pred_cols = (
@@ -237,8 +227,6 @@ class SemanticCache:
         best: tuple[tuple, _Entry, str] | None = None
         for key, entry in self._entries.items():
             if key[0] != "scan" or entry.table != table:
-                continue
-            if entry.version != current:
                 continue
             available = set(entry.columns)
             if not requested <= available:
@@ -321,7 +309,6 @@ class SemanticCache:
         )
         entry = _Entry(
             table=table,
-            version=self.version(table),
             nbytes=nbytes,
             rows=len(partials),
             predicate=where,
@@ -334,12 +321,9 @@ class SemanticCache:
     def _match_aggregate(
         self, table: str, where: ast.Expr | None, items: list[str]
     ) -> tuple[tuple, _Entry, list[int]] | None:
-        current = self._versions.get(table, 0)
         sig = predicate_signature(where)
         for key, entry in self._entries.items():
             if key[0] != "agg" or entry.table != table:
-                continue
-            if entry.version != current:
                 continue
             if predicate_signature(entry.predicate) != sig:
                 continue

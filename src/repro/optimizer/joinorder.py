@@ -527,10 +527,6 @@ class JoinOrderSearch:
         build, probe = self._orient(t1, t2) if orient else (t1, t2)
         node = CrossProductNode(build, probe)
         node.est_rows = est_rows
-        node.est_cpu = (
-            build.est_rows * SERVER_CPU_PER_ROW["hash_build"]
-            + est_rows * SERVER_CPU_PER_ROW["hash_probe"]
-        )
         return node
 
     def _bloom_shape(

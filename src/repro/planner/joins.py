@@ -17,7 +17,7 @@ from repro.engine.batch import Batch
 from repro.engine.operators.base import materialize
 from repro.engine.operators.filter import filter_batches
 from repro.engine.operators.hashjoin import hash_join_batches, index_of
-from repro.planner.nodes import PlanNode, ScanNode, one_batch, q_error
+from repro.planner.nodes import PlanNode, ScanNode, one_batch, output_rows, q_error
 from repro.sqlparser import ast
 
 if TYPE_CHECKING:
@@ -186,6 +186,13 @@ class CrossProductNode(JoinNode):
     def describe(self) -> str:
         tag = " streamed" if self.stream_probe else ""
         return f"cross-product{tag}"
+
+    @property
+    def est_cpu(self) -> float:
+        return (
+            output_rows(self.build) * SERVER_CPU_PER_ROW["hash_build"]
+            + output_rows(self) * SERVER_CPU_PER_ROW["hash_probe"]
+        )
 
     def run(self, state: ExecState):
         build_names, build_rows = state.materialize(self.build)

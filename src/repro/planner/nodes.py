@@ -28,7 +28,6 @@ Execution contract:
 
 from __future__ import annotations
 
-import math
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -39,11 +38,15 @@ from repro.engine.batch import Batch, rechunk_batches
 from repro.engine.catalog import TableInfo
 from repro.engine.operators.base import BatchCounter, materialize
 from repro.engine.operators.filter import filter_batches
-from repro.engine.operators.groupby import group_by_batches
+from repro.engine.operators.groupby import (
+    aggregate_inputs,
+    group_by_batches,
+    group_by_cpu,
+)
 from repro.engine.operators.limit import limit_batches
 from repro.engine.operators.project import project_batches, projected_names
-from repro.engine.operators.sort import sort_batches
-from repro.engine.operators.topk import top_k_batches
+from repro.engine.operators.sort import sort_batches, sort_cpu
+from repro.engine.operators.topk import top_k_batches, top_k_cpu
 from repro.optimizer.cost import _phase
 from repro.s3select.engine import PreparedSelect
 from repro.sqlparser import ast
@@ -73,9 +76,10 @@ class PlanNode:
     * ``est_rows`` — estimated output cardinality;
     * ``est_cost`` — estimated cumulative dollar cost of the subtree,
       priced through the context's PerfModel + Pricing;
-    * ``est_cpu`` — estimated local CPU seconds of this operator alone
-      (joins, the local tail and the paper strategies' filters; scans
-      and leaves price their own phases);
+    * ``est_cpu`` — estimated local CPU seconds of this operator alone.
+      A local operator computes it from its child's estimate
+      (:func:`output_rows`) with the per-row formula its ``run`` bills;
+      a hash join's builder sets it; leaves price their own phases;
     * ``actual_rows`` — observed output cardinality (estimate-vs-actual
       feedback for EXPLAIN);
     * ``wall_seconds`` — measured wall-clock of the node's :meth:`run`
@@ -246,8 +250,7 @@ class ScanNode(_TableLeaf):
     def predicted_phases(self, ctx: CloudContext, combined=False) -> list[Phase]:
         """The scan's one phase: pruned request streams, Bloom-reduced
         returned rows (``est_rows``), zero requests on a warm cache."""
-        table = self.table
-        est = self.est_rows if self.est_rows is not None else float(table.num_rows)
+        table, est = self.table, output_rows(self)
         if not self.pushdown:
             raw = table.num_rows
             # A combined phase ingests whole tables by formula; a lone
@@ -530,8 +533,8 @@ class LegNode(PlanNode):
 
 
 class FilterNode(PlanNode):
-    """Local predicate over the stream (residual cross-table filters, the
-    paper's server-side filters; only the latter set an ``est_cpu``)."""
+    """Local predicate over the stream (residual cross-table filters,
+    HAVING, the paper's server-side filters)."""
 
     def __init__(self, child: PlanNode, predicate: ast.Expr):
         self.child = child
@@ -543,6 +546,10 @@ class FilterNode(PlanNode):
     def describe(self) -> str:
         return f"filter [{self.predicate.to_sql()}]"
 
+    @property
+    def est_cpu(self) -> float:
+        return output_rows(self.child) * SERVER_CPU_PER_ROW["filter"]
+
     def run(self, state: ExecState):
         names, stream = state.run(self.child)
         return names, filter_batches(
@@ -551,17 +558,11 @@ class FilterNode(PlanNode):
 
 
 class ProjectNode(PlanNode):
-    """Evaluate the select list per row (streaming); ``est_input`` rows."""
+    """Evaluate the select list per row (streaming)."""
 
-    def __init__(
-        self,
-        child: PlanNode,
-        items: Sequence[ast.SelectItem],
-        est_input: float = 0.0,
-    ):
+    def __init__(self, child: PlanNode, items: Sequence[ast.SelectItem]):
         self.child = child
         self.items = list(items)
-        self.est_cpu = est_input * len(self.items) * SERVER_CPU_PER_ROW["filter"]
 
     def children(self):
         return (self.child,)
@@ -571,6 +572,15 @@ class ProjectNode(PlanNode):
         if len(rendered) > 60:
             rendered = rendered[:57] + "..."
         return f"project [{rendered}]"
+
+    @property
+    def est_cpu(self) -> float:
+        """One evaluation per item and input row (``*``, whose width the
+        plan does not know, counted as one)."""
+        return (
+            output_rows(self.child) * len(self.items)
+            * SERVER_CPU_PER_ROW["filter"]
+        )
 
     def run(self, state: ExecState):
         names, stream = state.run(self.child)
@@ -598,6 +608,12 @@ class GroupByNode(PlanNode):
         groups = ", ".join(e.to_sql() for e in self.group_exprs) or "-"
         return f"group-by [{groups}] aggs={len(self.agg_items)}"
 
+    @property
+    def est_cpu(self) -> float:
+        return group_by_cpu(
+            output_rows(self.child), aggregate_inputs(self.agg_items)
+        )
+
     def run(self, state: ExecState):
         names, stream = state.run(self.child)
         out = state.tally.add(
@@ -620,6 +636,10 @@ class SortNode(PlanNode):
         keys = ", ".join(o.to_sql() for o in self.order_by)
         return f"sort [{keys}]"
 
+    @property
+    def est_cpu(self) -> float:
+        return sort_cpu(output_rows(self.child), len(self.order_by))
+
     def run(self, state: ExecState):
         names, stream = state.run(self.child)
         out = state.tally.add(sort_batches(stream, names, self.order_by))
@@ -627,22 +647,14 @@ class SortNode(PlanNode):
 
 
 class TopKNode(PlanNode):
-    """ORDER BY + LIMIT as a bounded heap (pipeline breaker) over an
-    estimated ``est_input`` rows."""
+    """ORDER BY + LIMIT as a bounded heap (pipeline breaker)."""
 
     def __init__(
-        self,
-        child: PlanNode,
-        order_by: Sequence[ast.OrderItem],
-        k: int,
-        est_input: float = 0.0,
+        self, child: PlanNode, order_by: Sequence[ast.OrderItem], k: int
     ):
         self.child = child
         self.order_by = tuple(order_by)
         self.k = k
-        self.est_cpu = (
-            est_input * max(1.0, math.log2(max(k, 2))) * SERVER_CPU_PER_ROW["heap"]
-        )
 
     def children(self):
         return (self.child,)
@@ -650,6 +662,10 @@ class TopKNode(PlanNode):
     def describe(self) -> str:
         keys = ", ".join(o.to_sql() for o in self.order_by)
         return f"top-k [{keys}] k={self.k}"
+
+    @property
+    def est_cpu(self) -> float:
+        return top_k_cpu(output_rows(self.child), self.k)
 
     def run(self, state: ExecState):
         names, stream = state.run(self.child)
@@ -680,11 +696,14 @@ class LimitNode(PlanNode):
 def output_rows(node: PlanNode) -> float:
     """A subtree's estimated output rows: one for an aggregate without
     GROUP BY, else the first estimate down its first-child path (the
-    local tail's nodes keep none of their own)."""
+    local tail's nodes keep none of their own); a table leaf no builder
+    gave an estimate yields its table's rows, as its phase predicts."""
     while node.est_rows is None and node.children():
         if isinstance(node, GroupByNode) and not node.group_exprs:
             return 1.0
         node = node.children()[0]
+    if node.est_rows is None and isinstance(node, _TableLeaf):
+        return float(node.table.num_rows)
     return node.est_rows or 0.0
 
 

@@ -197,10 +197,9 @@ def _build_derived_plan(query: ast.Query, mode: str, prepared) -> PhysicalPlan:
     the derived table's init plan's rows."""
     node: PlanNode = LegNode(prepared.derived)
     names = list(prepared.derived.names)
-    est_rows = node.est_rows
     if query.where is not None:
         node = FilterNode(node, query.where)
-    root = attach_local_tail(node, query, names, est_rows)
+    root = attach_local_tail(node, query, names)
     return PhysicalPlan(
         root=root, mode=mode, strategy=f"{mode} derived-table",
     )
@@ -241,11 +240,9 @@ def _apply_sub_joins(
             )
             build.est_rows = estimated_rows(ctx, sj.table, sj.scan_pred)
             build_names = list(build.columns)
-            build_rows_est = build.est_rows
         else:
             build = LegNode(sj.leg)
             build_names = list(sj.leg.names)
-            build_rows_est = build.est_rows
         join = HashJoinNode(
             build, node, sj.build_key, sj.probe_key,
             stream_probe=True, join_type=sj.kind,
@@ -253,7 +250,7 @@ def _apply_sub_joins(
         )
         join.est_rows = probe_est
         join.est_cpu = (
-            build_rows_est * SERVER_CPU_PER_ROW["hash_build"]
+            build.est_rows * SERVER_CPU_PER_ROW["hash_build"]
             + probe_est * SERVER_CPU_PER_ROW["hash_probe"]
         )
         names = join_output_names(build_names, names, sj.kind)
@@ -432,7 +429,7 @@ def _join_plan(
         node, names = _apply_sub_joins(
             ctx, node, names, tree.est_rows, prepared, mode
         )
-    root = attach_local_tail(node, query, names, tree.est_rows)
+    root = attach_local_tail(node, query, names)
     # A baseline plan holding more than one GET scan meters them as one
     # ``load+join`` phase, whose ingest is the whole-table formula.
     gets = sum(

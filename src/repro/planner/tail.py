@@ -3,10 +3,8 @@ select list) as plan nodes above the scans and joins that feed it."""
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Sequence
 
-from repro.cloud.perf import SERVER_CPU_PER_ROW
 from repro.engine.operators.groupby import group_key_names
 from repro.engine.operators.project import projected_names
 from repro.planner.nodes import (
@@ -128,10 +126,7 @@ def _group_output_projection(
 
 
 def attach_local_tail(
-    node: PlanNode,
-    query: ast.Query,
-    input_names: Sequence[str],
-    est_rows: float = 0.0,
+    node: PlanNode, query: ast.Query, input_names: Sequence[str]
 ) -> PlanNode:
     """GROUP BY / aggregate / ORDER BY / LIMIT as plan nodes above ``node``.
 
@@ -142,10 +137,6 @@ def attach_local_tail(
     sort are rewritten to their select expressions.  ``input_names`` are
     the plan-time column names of ``node``'s output (presence only —
     runtime order may differ when an inner join swaps its hash sides).
-    ``est_rows`` is the estimated cardinality flowing into the tail;
-    each CPU-bearing tail node is annotated with the ``est_cpu`` it
-    spends on that many rows, which the cost walker charges like a
-    join's.
     """
     deferred_projection = False
     aggregates = _aggregates(query.select_items)
@@ -156,9 +147,6 @@ def attach_local_tail(
         if query.having is not None:
             having_pred, hidden = _rewrite_having(query, items)
         node = GroupByNode(node, query.group_by, items + hidden)
-        node.est_cpu = (
-            est_rows * max(len(aggregates), 1) * SERVER_CPU_PER_ROW["aggregate"]
-        )
         if having_pred is not None:
             node = FilterNode(node, having_pred)
         if query.group_by:
@@ -179,7 +167,7 @@ def attach_local_tail(
             for ref in ast.referenced_columns(item.expr)
         )
         if not deferred_projection:
-            node = ProjectNode(node, query.select_items, est_rows)
+            node = ProjectNode(node, query.select_items)
 
     order_by = query.order_by
     if deferred_projection:
@@ -189,18 +177,13 @@ def attach_local_tail(
         )
     if order_by:
         if query.limit is not None:
-            node = TopKNode(node, order_by, query.limit, est_rows)
+            node = TopKNode(node, order_by, query.limit)
         else:
             node = SortNode(node, order_by)
-            if est_rows > 1:
-                node.est_cpu = (
-                    est_rows * math.log2(est_rows) * len(order_by)
-                    * SERVER_CPU_PER_ROW["sort_per_cmp"]
-                )
     elif query.limit is not None:
         node = LimitNode(node, query.limit)
     if deferred_projection:
-        node = ProjectNode(node, query.select_items, est_rows)
+        node = ProjectNode(node, query.select_items)
     return node
 
 
@@ -210,18 +193,13 @@ def column_items(columns: Iterable[str]) -> list[ast.SelectItem]:
 
 
 def select_list_node(
-    child: PlanNode,
-    items: Sequence[ast.SelectItem] | None,
-    est_rows: float = 0.0,
+    child: PlanNode, items: Sequence[ast.SelectItem] | None
 ) -> PlanNode:
     """A final select list over ``child``: ``None`` passes it through, a
     list holding an aggregate is a one-group aggregation (the micro
-    benchmarks' ``SUM(o_totalprice)`` shape), anything else a projection.
-    ``est_rows`` is the estimated cardinality flowing in, for ``est_cpu``."""
+    benchmarks' ``SUM(o_totalprice)`` shape), anything else a projection."""
     if items is None:
         return child
     if _aggregates(items):
-        node = GroupByNode(child, (), items)
-        node.est_cpu = est_rows * len(items) * SERVER_CPU_PER_ROW["aggregate"]
-        return node
-    return ProjectNode(child, items, est_rows)
+        return GroupByNode(child, (), items)
+    return ProjectNode(child, items)

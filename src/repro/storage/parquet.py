@@ -163,7 +163,9 @@ class ParquetFile:
             )
             for g in meta["row_groups"]
         )
-        self._footer_size = footer_len + 8 + 2 * len(MAGIC)
+        # Everything outside the column chunks: both magics, the footer
+        # and its u32 length word.
+        self._footer_size = footer_len + 4 + 2 * len(MAGIC)
 
     def _read_chunk(self, group: RowGroupMeta, col_idx: int) -> list[object]:
         chunk = group.chunks[col_idx]

@@ -80,7 +80,7 @@ class PartialGroupByNode(PushedGroupByNode):
         per_partition = self.est_kept / max(table.partitions, 1)
         seen = groups * (1.0 - (1.0 - 1.0 / groups) ** per_partition)
         partial_rows = table.partitions * max(min(seen, per_partition), 0.0)
-        accumulators = query.accumulators()
+        accumulators = sum(len(a.partial_funcs) for a in query.aggregates)
         width = (
             table.stats.projected_row_bytes(query.group_columns)
             + accumulators * 12.0

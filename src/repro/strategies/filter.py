@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from repro.cloud.context import CloudContext
 from repro.cloud.metrics import Phase
-from repro.cloud.perf import SERVER_CPU_PER_ROW
 from repro.common.errors import PlanError
 from repro.engine.catalog import Catalog, TableInfo
 from repro.optimizer.cost import _phase
@@ -69,12 +68,11 @@ class FilterQuery:
             *(ast.referenced_columns(item.expr) for item in self.output)
         ))
 
-    def local_tail(self, node: PlanNode, matched: float) -> PlanNode:
-        """The projection and select list applied on the query node to
-        an estimated ``matched`` rows."""
+    def local_tail(self, node: PlanNode) -> PlanNode:
+        """The projection and select list applied on the query node."""
         if self.projection is not None:
-            node = ProjectNode(node, column_items(self.projection), matched)
-        return select_list_node(node, self.output, matched)
+            node = ProjectNode(node, column_items(self.projection))
+        return select_list_node(node, self.output)
 
 
 def server_side_filter_node(
@@ -91,9 +89,8 @@ def server_side_filter_node(
         None, pushdown=False, phase_label=phase_label,
     )
     node = FilterNode(scan, query.predicate)
-    node.est_rows = matched = estimated_rows(ctx, table, query.predicate)
-    node.est_cpu = table.num_rows * SERVER_CPU_PER_ROW["filter"]
-    return query.local_tail(node, matched)
+    node.est_rows = estimated_rows(ctx, table, query.predicate)
+    return query.local_tail(node)
 
 
 def server_side_filter_plan(
@@ -117,7 +114,7 @@ def s3_side_filter_plan(
         table, query.projection, query.predicate, "s3-filter", est_rows=matched
     )
     return PhysicalPlan(
-        select_list_node(scan, query.output, matched), "optimized", "s3-side filter"
+        select_list_node(scan, query.output), "optimized", "s3-side filter"
     )
 
 
@@ -260,7 +257,7 @@ def indexed_filter_plan(
     fetch = IndexFetchNode(
         table, query.predicate, query.reads(table), ranges_per_request, matched
     )
-    return PhysicalPlan(query.local_tail(fetch, matched), "optimized", strategy)
+    return PhysicalPlan(query.local_tail(fetch), "optimized", strategy)
 
 
 indexed_filter = physical.runner(indexed_filter_plan)

@@ -35,7 +35,7 @@ from repro.cloud.perf import SERVER_CPU_PER_ROW
 from repro.common.errors import PlanError
 from repro.engine.catalog import Catalog, TableInfo
 from repro.engine.operators.base import BatchCounter, materialize
-from repro.engine.operators.groupby import group_by_batches
+from repro.engine.operators.groupby import group_by_batches, group_by_cpu
 from repro.optimizer.cost import _phase
 from repro.optimizer.feedback import estimated_rows
 from repro.planner import physical
@@ -149,10 +149,6 @@ class GroupByQuery:
     def agg_items(self) -> list[ast.SelectItem]:
         return [a.to_select_item() for a in self.aggregates]
 
-    def accumulators(self) -> int:
-        """Running values one row folds into (AVG keeps a sum and a count)."""
-        return sum(len(a.partial_funcs) for a in self.aggregates)
-
     def estimated_groups(self, table: TableInfo) -> int:
         """The columns' distinct counts multiplied; at most one a row."""
         stats = table.stats
@@ -160,12 +156,6 @@ class GroupByQuery:
         for col in self.group_columns:
             groups *= max(stats.column(col).distinct, 1)
         return min(groups, max(stats.row_count, 1))
-
-    def local_group_by(self, node: PlanNode, kept: float) -> GroupByNode:
-        """Hash aggregation on the query node over an estimated ``kept`` rows."""
-        node = GroupByNode(node, self.group_exprs(), self.agg_items())
-        node.est_cpu = kept * self.accumulators() * SERVER_CPU_PER_ROW["aggregate"]
-        return node
 
 
 def server_side_group_by_node(
@@ -175,7 +165,6 @@ def server_side_group_by_node(
     phase_label: str = "load+groupby",
 ) -> PlanNode:
     """GET scan, local filter, local hash aggregation."""
-    kept = estimated_rows(ctx, table, query.predicate)
     node: PlanNode = ScanNode(
         table,
         decoded_columns(table, query.needed_columns(table), query.predicate),
@@ -185,9 +174,8 @@ def server_side_group_by_node(
         # Above the scan, not in it: the phase ingests every loaded row,
         # as the paper's server-side baseline does.
         node = FilterNode(node, query.predicate)
-        node.est_rows = kept
-        node.est_cpu = table.num_rows * SERVER_CPU_PER_ROW["filter"]
-    return query.local_group_by(node, kept)
+        node.est_rows = estimated_rows(ctx, table, query.predicate)
+    return GroupByNode(node, query.group_exprs(), query.agg_items())
 
 
 def server_side_group_by_plan(
@@ -210,13 +198,13 @@ def filtered_group_by_plan(
     with a 64% speedup over server-side on its 20-column table.
     """
     table = catalog.get(query.table)
-    kept = estimated_rows(ctx, table, query.predicate)
     scan = whole_table_select(
         table, query.needed_columns(table), query.predicate, "select+groupby",
-        est_rows=kept,
+        est_rows=estimated_rows(ctx, table, query.predicate),
     )
     return PhysicalPlan(
-        query.local_group_by(scan, kept), "optimized", "filtered group-by"
+        GroupByNode(scan, query.group_exprs(), query.agg_items()),
+        "optimized", "filtered group-by",
     )
 
 
@@ -383,8 +371,7 @@ class HybridGroupByNode(PushedGroupByNode):
                 + tail_rows * stats.projected_row_bytes(needed),
                 term_evals=q1["term_evals"] + table.num_rows * q2_terms,
                 requests=q1["requests"] + table.partitions,
-                cpu_seconds=tail_rows * query.accumulators()
-                * SERVER_CPU_PER_ROW["aggregate"],
+                cpu_seconds=group_by_cpu(tail_rows, len(query.aggregates)),
                 records=tail_rows, fields=tail_rows * len(needed),
             ),
         ]

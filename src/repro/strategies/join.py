@@ -103,12 +103,13 @@ def _join_plan(
             table, decoded_columns(table, reads, predicate), predicate,
             pushdown=False,
         )
+        node.est_rows = rows
         # Apply the query's projections locally so baseline output matches
         # the pushdown strategies' column-for-column (it still *moved*
         # every column over the network, which is the point of the
         # comparison).
         if projection is not None:
-            node = ProjectNode(node, column_items(projection), rows)
+            node = ProjectNode(node, column_items(projection))
         return node
 
     labels = ("build+bloom", "probe+join") if bloom else (None, None)
@@ -132,7 +133,7 @@ def _join_plan(
         + build_rows * (bloom.insert_cpu if bloom else 0.0)
     )
     return PhysicalPlan(
-        select_list_node(join, query.output, join.est_rows), mode, strategy,
+        select_list_node(join, query.output), mode, strategy,
         combined_label,
     )
 

@@ -25,6 +25,7 @@ from repro.cloud.context import CloudContext, QueryExecution
 from repro.cloud.metrics import Phase
 from repro.common.errors import PlanError
 from repro.engine.catalog import Catalog, TableInfo
+from repro.engine.operators.sort import sort_cpu
 from repro.optimizer.cost import _phase
 from repro.planner import physical
 from repro.planner.nodes import ScanNode, TopKNode
@@ -94,7 +95,7 @@ def server_side_top_k_plan(
     scan = ScanNode(
         table, table.schema.names, None, pushdown=False, phase_label="load+topk"
     )
-    root = TopKNode(scan, query.order_items(), query.k, table.num_rows)
+    root = TopKNode(scan, query.order_items(), query.k)
     return PhysicalPlan(root, "baseline", "server-side top-k")
 
 
@@ -143,7 +144,7 @@ class SampledThresholdScan(ScanNode):
             "sample", table.partitions,
             scan_bytes=float(table.total_bytes) * fraction,
             returned_bytes=size * width,
-            cpu_seconds=size * math.log2(max(size, 2)) * 6e-9,
+            cpu_seconds=sort_cpu(size, 1),
             records=size, fields=size,
         )] + super().predicted_phases(ctx, combined)
 
@@ -168,7 +169,7 @@ class SampledThresholdScan(ScanNode):
             self.predicate = self._at_or_past(threshold)
         state.phases.append(phase_since(
             ctx, mark, "sample", streams=table.partitions,
-            server_cpu_seconds=len(sample) * math.log2(max(len(sample), 2)) * 6e-9,
+            server_cpu_seconds=sort_cpu(len(sample), 1),
             ingest=(len(sample), 1),
         ))
         self.extras = {
@@ -223,7 +224,7 @@ def sampling_top_k_plan(
         sample_size = optimal_sample_size(query.k, table.num_rows, alpha)
     sample_size = max(min(sample_size, table.num_rows), min(query.k, table.num_rows))
     scan = SampledThresholdScan(table, query, sample_size, alpha)
-    root = TopKNode(scan, query.order_items(), query.k, scan.est_rows)
+    root = TopKNode(scan, query.order_items(), query.k)
     return PhysicalPlan(root, "optimized", "sampling top-k")
 
 

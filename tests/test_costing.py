@@ -8,11 +8,17 @@ ran once in the session first, so the search reads measured join
 cardinalities).  The reference is the plain walk the memo replaced:
 every node of a subtree visited, each operator's CPU added in place to
 the last phase, nothing reused.
+
+The walk charges each operator's ``est_cpu``: the last tests check that a
+local operator's is the CPU its run bills when its input estimate is
+exact, and that only the hash-join builders assign one.
 """
 
 from __future__ import annotations
 
+import ast as pyast
 import random
+from pathlib import Path
 
 import pytest
 from test_sql_differential import _COLUMNS, SEED, _make_tables, _simple_predicate
@@ -23,9 +29,20 @@ from repro.optimizer.joinorder import JoinOrderSearch, build_join_graph
 from repro.planner.binder import bind
 from repro.planner.costing import init_phases
 from repro.planner.database import PushdownDB
-from repro.planner.joins import MaterializedNode
+from repro.planner.joins import CrossProductNode, MaterializedNode
+from repro.planner.nodes import (
+    FilterNode,
+    GroupByNode,
+    PlanNode,
+    ProjectNode,
+    SortNode,
+    TopKNode,
+    one_batch,
+)
+from repro.planner.physical import ExecState
 from repro.planner.planner import plan_parsed
-from repro.sqlparser.parser import parse
+from repro.sqlparser import ast
+from repro.sqlparser.parser import parse, parse_expression
 from repro.storage.schema import TableSchema
 
 #: The fuzzer's tables, then t4-t6: copies of t0-t2 under their own names.
@@ -150,3 +167,118 @@ def test_memoized_pricing_equals_a_walk_from_scratch(db, seed, feedback):
             assert node.est_cost == alone.total_cost, (sql, mode, node.describe())
             if node is plan.root:
                 assert plan.estimate == alone, (sql, mode)
+
+
+# ----------------------------------------------------------------------
+# Each local operator prices what its run bills
+# ----------------------------------------------------------------------
+
+class _Rows(PlanNode):
+    """A leaf yielding fixed rows, estimated exactly."""
+
+    def __init__(self, names, rows):
+        self.names, self.rows = list(names), list(rows)
+        self.est_rows = float(len(self.rows))
+
+    def describe(self) -> str:
+        return "rows"
+
+    def run(self, state):
+        return list(self.names), one_batch(self.rows, self.names)
+
+
+def _billed(ctx, node) -> float:
+    """The local CPU ``node``'s run charges, its stream drained."""
+    state = ExecState(ctx)
+    list(state.run(node)[1])
+    return state.tally.seconds
+
+
+_NAMES = ["k", "g", "x", "y"]
+_TABLE = [(i, i % 3, float(i) * 1.5, i * i - 40) for i in range(23)]
+
+
+def _order(*keys):
+    return [ast.OrderItem(ast.Column(k), descending=i % 2 == 1)
+            for i, k in enumerate(keys)]
+
+
+def _items(sql: str):
+    return list(parse(f"SELECT {sql} FROM t").select_items)
+
+
+@pytest.mark.parametrize("kind", [
+    "filter", "project", "group-by", "aggregate", "sort", "top-k", "cross",
+])
+def test_a_local_operator_estimates_the_cpu_its_run_bills(db, kind):
+    """Over a child whose estimate is exact, ``est_cpu`` is the CPU the
+    node's run charges: AVG is one aggregate input, ``SUM(x) / SUM(y)``
+    two."""
+    child = _Rows(_NAMES, _TABLE)
+    node = {
+        "filter": lambda: FilterNode(child, parse_expression("x < 9 OR y > 0")),
+        "project": lambda: ProjectNode(child, _items("k, x + y AS s, g")),
+        "group-by": lambda: GroupByNode(
+            child, [ast.Column("g")],
+            _items("AVG(x) AS a, SUM(x) / SUM(y) AS r, COUNT(*) AS n"),
+        ),
+        "aggregate": lambda: GroupByNode(child, (), _items("AVG(y) AS a")),
+        "sort": lambda: SortNode(child, _order("g", "x")),
+        "top-k": lambda: TopKNode(child, _order("y"), 5),
+        "cross": lambda: _cross(child),
+    }[kind]()
+    assert node.est_cpu > 0
+    assert node.est_cpu == pytest.approx(_billed(db.ctx, node), rel=1e-12)
+
+
+def _cross(build):
+    probe = _Rows(["p", "q"], [(i, -i) for i in range(7)])
+    node = CrossProductNode(build, probe)
+    node.est_rows = build.est_rows * probe.est_rows
+    return node
+
+
+def test_a_sql_residual_filter_is_priced(db):
+    """The planner's residual filter over a join, run over the rows the
+    join yields, estimates what it bills."""
+    sql = (
+        "SELECT t0_a, t1_c FROM t0, t1"
+        " WHERE t0_key = t1_key AND t0_a < t1_c + 5"
+    )
+    plan, _ = plan_parsed(db.ctx, db.catalog, parse(sql), "optimized")
+    (residual,) = [n for n in _nodes(plan.root) if isinstance(n, FilterNode)]
+    state = ExecState(db.ctx)
+    names, rows = state.materialize(residual.child)
+    residual.child = _Rows(names, rows)
+    assert rows and residual.est_cpu > 0
+    assert residual.est_cpu == pytest.approx(_billed(db.ctx, residual), rel=1e-12)
+
+
+def test_only_hash_join_builders_assign_an_estimated_cpu():
+    """A local operator owns its ``est_cpu``: under ``src/`` the only
+    assignments are the three hash-join builders'."""
+    import repro
+
+    root = Path(repro.__file__).parent
+    sites = set()
+    for path in sorted(root.rglob("*.py")):
+        tree = pyast.parse(path.read_text())
+        for func in pyast.walk(tree):
+            if not isinstance(func, pyast.FunctionDef):
+                continue
+            for node in pyast.walk(func):
+                targets = (
+                    node.targets if isinstance(node, pyast.Assign)
+                    else [node.target] if isinstance(node, pyast.AugAssign)
+                    else []
+                )
+                if any(
+                    isinstance(t, pyast.Attribute) and t.attr == "est_cpu"
+                    for t in targets
+                ):
+                    sites.add((str(path.relative_to(root)), func.name))
+    assert sites == {
+        ("optimizer/joinorder.py", "combine"),
+        ("planner/planner.py", "_apply_sub_joins"),
+        ("strategies/join.py", "_join_plan"),
+    }

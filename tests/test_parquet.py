@@ -79,6 +79,17 @@ class TestScanAccounting:
         )
         assert pq.scan_bytes_for(None) == total_chunks + pq._footer_size
 
+    @pytest.mark.parametrize(
+        "rows, row_group_rows",
+        [([], 2), (ROWS, 8), (ROWS * 5, 3)],
+        ids=["empty", "one-group", "several-groups"],
+    )
+    def test_full_scan_bills_exactly_the_file(self, rows, row_group_rows):
+        data = write_parquet(rows, SCHEMA, row_group_rows=row_group_rows)
+        pq = ParquetFile(data)
+        assert len(pq.row_groups) == -(-len(rows) // row_group_rows)
+        assert pq.scan_bytes_for(None) == len(data)
+
     def test_duplicate_columns_not_double_billed(self):
         data = write_parquet(ROWS, SCHEMA)
         pq = ParquetFile(data)

@@ -1,7 +1,15 @@
-"""Compare two diffguard dumps: exact on everything but the float fields, 1e-9 relative on those."""
+"""Compare two diffguard dumps: exact on everything but the float fields, 1e-9 relative on those.
+
+Ends with a per-field tally of the entries that moved, the metered fields
+(what a request or the simulated clock bills) listed apart.
+"""
 import json, re, sys
+from collections import Counter
 a, b = (json.load(open(p)) for p in sys.argv[1:3])   # a = parent, b = change
 bad = 0
+fields_moved = Counter()
+METERED = {"requests", "n_records", "bytes_scanned", "bytes_returned", "bytes_transferred",
+           "term_evals", "phases", "phase_cpu", "runtime_seconds", "cost_total"}
 def from_list(tree):
     """A statement tree's repr with its FROM list spelled as one tuple, the
     way ``ast.Query`` carries it: trees that differ only in that spelling
@@ -12,7 +20,7 @@ def close(x, y):
     return x == y or abs(x - y) <= 1e-9 * max(abs(x), abs(y))
 for key in sorted(set(a) | set(b)):
     if key not in a or key not in b:
-        print("MISSING", key); bad += 1; continue
+        print("MISSING", key); bad += 1; fields_moved["missing"] += 1; continue
     ra, rb = a[key], b[key]
     diffs = []
     for field in sorted(set(ra) | set(rb)):
@@ -35,4 +43,9 @@ for key in sorted(set(a) | set(b)):
         print(key)
         for d in diffs:
             print("   ", *d)
+        fields_moved.update(d[0] for d in diffs)
+def tally(fields):
+    return ", ".join(f"{field} {n}" for field, n in fields) or "none"
 print("entries", len(a), "differing", bad)
+counts = fields_moved.most_common()
+print(f"moved fields: {tally(counts)}; metered: {tally((f, n) for f, n in counts if f in METERED)}")
