@@ -10,8 +10,8 @@ A batch also reads like the sequence of row tuples it represents:
 ``len(batch)`` is the row count, iteration yields tuples, ``batch[i]``
 is a row, and ``batch[a:b]`` is a sliced *view* — column slices share
 the underlying value objects and no row tuple is ever rebuilt.  Row
-tuples exist only at the edges: operator *state* (hash tables, heaps,
-sort buffers) and the final result handed to the caller.
+tuples exist only at the edges: operator *state* (hash tables, heaps)
+and the final result handed to the caller.
 """
 
 from __future__ import annotations

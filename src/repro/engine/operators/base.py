@@ -9,7 +9,7 @@ between operators — evaluating expressions with the vector kernels of
 :mod:`repro.expr.vector` and charging modeled per-row CPU into a
 :class:`CpuTally` as the batches flow.  Streaming operators (filter,
 project, hash-join probe, limit) yield batches; pipeline breakers (sort,
-group-by, top-K) drain their input and return an :class:`OpResult`.
+group-by, top-K) drain their input and return their output as one batch.
 
 Estimated CPU time is folded into the owning phase's
 ``server_cpu_seconds`` so the performance model can charge local compute.
@@ -24,23 +24,10 @@ from repro.engine.batch import Batch
 
 
 @dataclass
-class OpResult:
-    """Rows out of a local operator plus its estimated CPU cost."""
-
-    rows: list[tuple]
-    column_names: list[str]
-    cpu_seconds: float = 0.0
-
-
-@dataclass
 class CpuTally:
     """Accumulates local CPU across several operators in one phase."""
 
     seconds: float = 0.0
-
-    def add(self, result: OpResult) -> OpResult:
-        self.seconds += result.cpu_seconds
-        return result
 
     def add_seconds(self, seconds: float) -> None:
         self.seconds += seconds

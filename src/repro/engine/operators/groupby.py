@@ -15,24 +15,58 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.cloud.perf import SERVER_CPU_PER_ROW
+from repro.common.errors import UnsupportedFeatureError
 from repro.engine.batch import Batch
-from repro.engine.operators.base import OpResult
-from repro.expr.aggregates import CompiledAggregate, split_aggregate_expr
+from repro.engine.operators.base import CpuTally
+from repro.expr.aggregates import CompiledAggregate
 from repro.expr.vector import compile_aggregate_input_vector, compile_expr_vector
 from repro.sqlparser import ast
 
 
-def group_key_names(group_exprs: Sequence[ast.Expr]) -> list[str]:
-    """A group-by's key output columns: a column key keeps its name, any
-    other key is ``group_{i}``."""
-    return [
-        g.name if isinstance(g, ast.Column) else f"group_{i}"
-        for i, g in enumerate(group_exprs)
-    ]
+def slotted(
+    expr: ast.Expr, group_exprs: Sequence[ast.Expr], calls: list[ast.Aggregate]
+) -> ast.Expr:
+    """``expr`` over the group-by's slots: each GROUP BY expression becomes
+    its key slot ``#i``, each aggregate call a call slot numbered after
+    the keys (and appended to ``calls``).
+
+    Columns match by name, as the input schema reads them (``t.a`` is
+    the key ``a``).  Raises :class:`UnsupportedFeatureError` naming a
+    column (or ``*``) outside every GROUP BY expression and every
+    aggregate call.
+    """
+    keys = {unqualified(g): i for i, g in enumerate(group_exprs)}
+
+    def slot(node: ast.Expr) -> ast.Expr | None:
+        if keys and (key := keys.get(unqualified(node))) is not None:
+            return ast.Column(f"#{key}")
+        if isinstance(node, ast.Aggregate):
+            calls.append(node)
+            return ast.Column(f"#{len(keys) + len(calls) - 1}")
+        if isinstance(node, (ast.Column, ast.Star)):
+            raise UnsupportedFeatureError(
+                f"{node.to_sql()!r} is outside every group expression and aggregate"
+            )
+        return None
+
+    return ast.map_expr(expr, slot)
+
+
+def unqualified(expr: ast.Expr) -> ast.Expr:
+    """A column as the group-by's input schema reads it: by name alone."""
+    return ast.Column(expr.name) if isinstance(expr, ast.Column) and expr.table else expr
 
 
 class GroupBy:
-    """A hash group-by compiled once against its input columns.
+    """A hash group-by compiled once against its input columns, emitting
+    exactly its ``items``, in order (PostgreSQL's Agg node evaluates its
+    target list the same way).
+
+    An item is any grouped expression: a GROUP BY expression, an
+    aggregate call, a literal, or anything computed from them.  Every
+    aggregate call folds into an accumulator of its own, in item order;
+    after the drain a bare key or bare call is its slot's column as it
+    stands, any other item one kernel over the slots batch.
 
     Holds only kernels and output names; every :meth:`run` folds into
     fresh state, so one instance serves any number of streams (S3
@@ -43,39 +77,36 @@ class GroupBy:
         self,
         column_names: Sequence[str],
         group_exprs: Sequence[ast.Expr],
-        agg_items: Sequence[ast.SelectItem],
+        items: Sequence[ast.SelectItem],
     ):
         schema = {name: i for i, name in enumerate(column_names)}
         self.group_fns = [compile_expr_vector(g, schema) for g in group_exprs]
-        self.compiled_items: list[tuple[list[CompiledAggregate], object]] = []
-        self.input_fns: list = []
-        self.out_names = group_key_names(group_exprs)
-        for ordinal, item in enumerate(agg_items, start=1):
-            agg_nodes, finisher = split_aggregate_expr(item.expr)
-            compiled = [CompiledAggregate(node, schema) for node in agg_nodes]
-            self.compiled_items.append((compiled, finisher))
-            self.input_fns.extend(
-                compile_aggregate_input_vector(node, schema) for node in agg_nodes
-            )
-            self.out_names.append(item.output_name(ordinal))
+        calls: list[ast.Aggregate] = []
+        exprs = [slotted(item.expr, group_exprs, calls) for item in items]
+        self.aggregates = [CompiledAggregate(call, schema) for call in calls]
+        self.input_fns = [compile_aggregate_input_vector(c, schema) for c in calls]
+        slots = {f"#{i}": i for i in range(len(group_exprs) + len(calls))}
+        #: Per item: its slot's index, or a kernel over the slots batch.
+        self.outputs = [
+            slots[e.name] if isinstance(e, ast.Column) else compile_expr_vector(e, slots)
+            for e in exprs
+        ]
+        self.names = [item.output_name(i) for i, item in enumerate(items, start=1)]
 
     def _new_state(self) -> list:
-        return [
-            [agg.new_accumulator() for agg in compiled]
-            for compiled, _ in self.compiled_items
-        ]
+        return [agg.new_accumulator() for agg in self.aggregates]
 
     def _fold_batch(self, state: list, input_cols: list, idxs: list[int] | None):
-        flat_accs = (acc for accs in state for acc in accs)
         if idxs is None:
-            for col, acc in zip(input_cols, flat_accs):
+            for col, acc in zip(input_cols, state):
                 acc.add_many(col)
         else:
-            for col, acc in zip(input_cols, flat_accs):
+            for col, acc in zip(input_cols, state):
                 acc.add_many([col[i] for i in idxs])
 
-    def run(self, batches: Iterable[Batch]) -> OpResult:
-        """Drain ``batches`` into fresh hash-table accumulators."""
+    def run(self, batches: Iterable[Batch], tally: CpuTally | None = None) -> Batch:
+        """Drain ``batches`` into fresh hash-table accumulators; the items
+        as one batch, a row per group in order of first appearance."""
         groups: dict[tuple, list] = {}
         if not self.group_fns:
             # A global aggregate (no GROUP BY) always produces exactly one
@@ -102,22 +133,28 @@ class GroupBy:
                 if state is None:
                     state = groups[key] = self._new_state()
                 self._fold_batch(state, input_cols, None if len(idxs) == n else idxs)
-        out: list[tuple] = []
-        for key, state in groups.items():
-            values: list[object] = list(key)
-            for (_, finisher), accs in zip(self.compiled_items, state):
-                results = [acc.result() for acc in accs]
-                values.append(results[0] if finisher is None else finisher(results))
-            out.append(tuple(values))
-        cpu = group_by_cpu(rows, len(self.input_fns))
-        return OpResult(rows=out, column_names=self.out_names, cpu_seconds=cpu)
+        if tally is not None:
+            tally.add_seconds(group_by_cpu(rows, len(self.input_fns)))
+        keys = [[key[i] for key in groups] for i in range(len(self.group_fns))]
+        results = [
+            [state[j].result() for state in groups.values()]
+            for j in range(len(self.aggregates))
+        ]
+        slots = Batch(keys + results, len(groups))
+        return Batch(
+            [slots.columns[out] if isinstance(out, int) else out(slots)
+             for out in self.outputs],
+            len(groups),
+        )
 
 
-def aggregate_inputs(agg_items: Sequence[ast.SelectItem]) -> int:
+def aggregate_inputs(items: Sequence[ast.SelectItem]) -> int:
     """The input columns a group-by folds per row: one per aggregate
     call (``AVG`` is one; ``SUM(a) / SUM(b)`` is two), as :class:`GroupBy`
     compiles them."""
-    return sum(len(split_aggregate_expr(item.expr)[0]) for item in agg_items)
+    return sum(
+        isinstance(node, ast.Aggregate) for item in items for node in ast.walk(item.expr)
+    )
 
 
 def group_by_cpu(rows: float, inputs: int) -> float:
@@ -129,15 +166,15 @@ def group_by_batches(
     batches: Iterable[Batch],
     column_names: Sequence[str],
     group_exprs: Sequence[ast.Expr],
-    agg_items: Sequence[ast.SelectItem],
-) -> OpResult:
-    """Group the stream by ``group_exprs`` and evaluate ``agg_items``.
+    items: Sequence[ast.SelectItem],
+    tally: CpuTally | None = None,
+) -> Batch:
+    """Group the stream by ``group_exprs`` and evaluate ``items`` per group.
 
     A pipeline breaker: drains the batch stream into hash-table
     accumulators as batches arrive — nothing upstream is ever
-    materialized whole.  Each aggregate item may be a bare aggregate or
-    arithmetic over aggregates (``SUM(a) / SUM(b)``).  Output columns are
-    the group expressions followed by one column per aggregate item;
-    output order follows first appearance of each group (deterministic).
+    materialized whole — and bills its CPU into ``tally``.  The output
+    holds one column per item (see :class:`GroupBy`); output order
+    follows first appearance of each group (deterministic).
     """
-    return GroupBy(column_names, group_exprs, agg_items).run(batches)
+    return GroupBy(column_names, group_exprs, items).run(batches, tally)

@@ -7,7 +7,7 @@ from typing import Iterable, Sequence
 
 from repro.cloud.perf import SERVER_CPU_PER_ROW
 from repro.engine.batch import Batch
-from repro.engine.operators.base import OpResult
+from repro.engine.operators.base import CpuTally
 from repro.expr.vector import compile_expr_vector
 from repro.sqlparser import ast
 
@@ -66,21 +66,26 @@ def sort_batches(
     batches: Iterable[Batch],
     column_names: Sequence[str],
     order_items: Sequence[ast.OrderItem],
-) -> OpResult:
-    """Sort the stream by the ORDER BY items (a pipeline breaker).
+    tally: CpuTally | None = None,
+) -> Batch:
+    """Sort the stream by the ORDER BY items (a pipeline breaker) into
+    one batch, each column gathered by the sorted permutation; bills its
+    CPU into ``tally``.
 
     Stable: rows with equal keys keep arrival order.
     """
     keys_fn = make_vector_key_fn(column_names, order_items)
     keys: list[tuple] = []
-    rows: list[tuple] = []
+    columns: list[list] = [[] for _ in column_names]
     for batch in batches:
         keys.extend(keys_fn(batch))
-        rows.extend(batch)
-    n = len(rows)
-    out = [rows[i] for i in sorted(range(n), key=keys.__getitem__)]
-    cpu = sort_cpu(n, len(order_items))
-    return OpResult(rows=out, column_names=list(column_names), cpu_seconds=cpu)
+        for held, column in zip(columns, batch.columns):
+            held.extend(column)
+    n = len(keys)
+    order = sorted(range(n), key=keys.__getitem__)
+    if tally is not None:
+        tally.add_seconds(sort_cpu(n, len(order_items)))
+    return Batch([[column[i] for i in order] for column in columns], n)
 
 
 def sort_cpu(n: float, keys: int) -> float:

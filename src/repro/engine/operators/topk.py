@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from repro.cloud.perf import SERVER_CPU_PER_ROW
 from repro.engine.batch import Batch
-from repro.engine.operators.base import OpResult
+from repro.engine.operators.base import CpuTally
 from repro.engine.operators.sort import make_vector_key_fn
 from repro.sqlparser import ast
 
@@ -25,8 +25,10 @@ def top_k_batches(
     column_names: Sequence[str],
     order_items: Sequence[ast.OrderItem],
     k: int,
-) -> OpResult:
-    """The K smallest rows under the ORDER BY items, in sorted order.
+    tally: CpuTally | None = None,
+) -> Batch:
+    """The K smallest rows under the ORDER BY items, in sorted order, as
+    one batch; bills its CPU into ``tally``.
 
     Equivalent to ``nsmallest`` over the whole input (ties keep input
     order), but memory is bounded by K + one batch instead of the full
@@ -56,9 +58,9 @@ def top_k_batches(
             (key, seq, None, b.row(payload) if b is not None else payload)
             for key, seq, b, payload in best
         ]
-    rows = [payload for _, _, _, payload in best]
-    cpu = top_k_cpu(n, k)
-    return OpResult(rows=rows, column_names=list(column_names), cpu_seconds=cpu)
+    if tally is not None:
+        tally.add_seconds(top_k_cpu(n, k))
+    return Batch.from_rows([payload for _, _, _, payload in best], len(column_names))
 
 
 def top_k_cpu(n: float, k: int) -> float:

@@ -10,7 +10,7 @@ partitions combine with ``strategies.scans.merge_partial``.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Mapping
 
 from repro.common.errors import UnsupportedFeatureError
 from repro.expr.compiler import RowFunc, compile_expr
@@ -128,35 +128,3 @@ class CompiledAggregate:
     def input_value(self, row: tuple) -> object:
         return self._arg(row)
 
-
-def split_aggregate_expr(
-    expr: ast.Expr,
-) -> tuple[list[ast.Aggregate], Callable[[list[object]], object] | None]:
-    """Decompose an expression containing aggregates.
-
-    Returns the list of aggregate sub-expressions (in traversal order) and
-    a finisher that, given their computed values, evaluates the enclosing
-    arithmetic.  For a bare aggregate the finisher is ``None``.
-
-    Example: ``SUM(a) / COUNT(b) + 1`` yields two aggregates and a
-    finisher over their results.
-    """
-    if isinstance(expr, ast.Aggregate):
-        return [expr], None
-    aggregates: list[ast.Aggregate] = []
-
-    def placeholder(node: ast.Expr) -> ast.Expr | None:
-        """Aggregates become placeholder columns ``__agg_N``."""
-        if isinstance(node, ast.Aggregate):
-            aggregates.append(node)
-            return ast.Column(name=f"__agg_{len(aggregates) - 1}")
-        return None
-
-    rewritten = ast.map_expr(expr, placeholder)
-    if not aggregates:
-        return [], None
-    fn = compile_expr(rewritten, {f"__agg_{i}": i for i in range(len(aggregates))})
-
-    def finisher(values: list[object]) -> object:
-        return fn(tuple(values))
-    return aggregates, finisher

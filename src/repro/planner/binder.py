@@ -26,8 +26,6 @@ from repro.common.errors import PlanError
 from repro.engine.catalog import Catalog, TableInfo
 from repro.sqlparser import ast
 
-_SUBQUERY_NODES = (ast.Exists, ast.InSubquery, ast.ScalarSubquery)
-
 
 @dataclass(frozen=True, eq=False)
 class Bound:
@@ -158,7 +156,7 @@ class _Binder:
                     self.owner[bound] = table
                 if bound is not node:
                     renamed[id(node)] = bound
-            elif isinstance(node, _SUBQUERY_NODES):
+            elif isinstance(node, ast.SUBQUERY_NODES):
                 body = _Binder(node.query, self.catalog, self).bound()
                 self.bodies[id(body.query)] = body
                 if body.query is not node.query:
@@ -166,7 +164,7 @@ class _Binder:
 
         def rename(node):
             new = renamed.get(id(node))
-            if new is None or not isinstance(node, _SUBQUERY_NODES):
+            if new is None or not isinstance(node, ast.SUBQUERY_NODES):
                 return new  # None: an IN's operand may still be respelled
             if isinstance(node, ast.InSubquery):
                 return replace(node, query=new, operand=ast.map_expr(node.operand, rename))

@@ -38,11 +38,7 @@ from repro.engine.batch import Batch, rechunk_batches
 from repro.engine.catalog import TableInfo
 from repro.engine.operators.base import BatchCounter, materialize
 from repro.engine.operators.filter import filter_batches
-from repro.engine.operators.groupby import (
-    aggregate_inputs,
-    group_by_batches,
-    group_by_cpu,
-)
+from repro.engine.operators.groupby import GroupBy, aggregate_inputs, group_by_cpu
 from repro.engine.operators.limit import limit_batches
 from repro.engine.operators.project import project_batches, projected_names
 from repro.engine.operators.sort import sort_batches, sort_cpu
@@ -589,37 +585,35 @@ class ProjectNode(PlanNode):
 
 
 class GroupByNode(PlanNode):
-    """Hash aggregation (pipeline breaker)."""
+    """Hash aggregation (pipeline breaker) emitting exactly its items:
+    a key column is output only when an item lists it."""
 
     def __init__(
         self,
         child: PlanNode,
         group_exprs: Sequence[ast.Expr],
-        agg_items: Sequence[ast.SelectItem],
+        items: Sequence[ast.SelectItem],
     ):
         self.child = child
         self.group_exprs = tuple(group_exprs)
-        self.agg_items = list(agg_items)
+        self.items = list(items)
 
     def children(self):
         return (self.child,)
 
     def describe(self) -> str:
         groups = ", ".join(e.to_sql() for e in self.group_exprs) or "-"
-        return f"group-by [{groups}] aggs={len(self.agg_items)}"
+        aggs = sum(ast.contains_aggregate(item.expr) for item in self.items)
+        return f"group-by [{groups}] aggs={aggs}"
 
     @property
     def est_cpu(self) -> float:
-        return group_by_cpu(
-            output_rows(self.child), aggregate_inputs(self.agg_items)
-        )
+        return group_by_cpu(output_rows(self.child), aggregate_inputs(self.items))
 
     def run(self, state: ExecState):
         names, stream = state.run(self.child)
-        out = state.tally.add(
-            group_by_batches(stream, names, self.group_exprs, self.agg_items)
-        )
-        return out.column_names, one_batch(out.rows, out.column_names)
+        group_by = GroupBy(names, self.group_exprs, self.items)
+        return group_by.names, iter([group_by.run(stream, state.tally)])
 
 
 class SortNode(PlanNode):
@@ -642,8 +636,7 @@ class SortNode(PlanNode):
 
     def run(self, state: ExecState):
         names, stream = state.run(self.child)
-        out = state.tally.add(sort_batches(stream, names, self.order_by))
-        return out.column_names, one_batch(out.rows, out.column_names)
+        return names, iter([sort_batches(stream, names, self.order_by, state.tally)])
 
 
 class TopKNode(PlanNode):
@@ -669,10 +662,9 @@ class TopKNode(PlanNode):
 
     def run(self, state: ExecState):
         names, stream = state.run(self.child)
-        out = state.tally.add(
-            top_k_batches(stream, names, self.order_by, self.k)
-        )
-        return out.column_names, one_batch(out.rows, out.column_names)
+        return names, iter([
+            top_k_batches(stream, names, self.order_by, self.k, state.tally)
+        ])
 
 
 class LimitNode(PlanNode):

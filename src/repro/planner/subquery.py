@@ -61,16 +61,6 @@ from repro.planner.physical import InitPlan
 from repro.planner.tail import column_items
 from repro.sqlparser import ast
 
-_SUBQUERY_NODES = (ast.Exists, ast.InSubquery, ast.ScalarSubquery)
-
-
-def contains_subquery(expr: ast.Expr | None) -> bool:
-    """Whether ``expr`` contains any subquery construct."""
-    return expr is not None and any(
-        isinstance(n, _SUBQUERY_NODES) for n in ast.walk(expr)
-    )
-
-
 @dataclass
 class SubJoin:
     """One decorrelated join to stack on top of the core join tree."""
@@ -150,9 +140,7 @@ class _Rewriter:
     def run(self) -> PreparedQuery:
         query = self.query
         for item in query.select_items:
-            if not isinstance(item.expr, ast.Star) and contains_subquery(
-                item.expr
-            ):
+            if ast.contains_subquery(item.expr):
                 raise PlanError(
                     "subqueries in the select list are not supported"
                 )
@@ -164,7 +152,7 @@ class _Rewriter:
             self.sub_joins.append(self._left_join(spec))
         kept, post = self._rewrite_where()
         having = query.having
-        if contains_subquery(having):
+        if ast.contains_subquery(having):
             having = self._inline_having(having)
         core = dataclasses.replace(
             query, where=ast.and_join(kept), having=having, joins=()
@@ -183,7 +171,7 @@ class _Rewriter:
     # derived tables
     # ------------------------------------------------------------------
     def _prepare_derived(self, query: ast.Query) -> PreparedQuery:
-        if contains_subquery(query.where) or contains_subquery(query.having):
+        if ast.contains_subquery(query.where) or ast.contains_subquery(query.having):
             raise PlanError(
                 "subqueries over a derived table are not supported"
             )
@@ -204,7 +192,7 @@ class _Rewriter:
         kept: list[ast.Expr] = []
         post: list[ast.Expr] = []
         for i, conj in enumerate(ast.split_conjuncts(self.query.where)):
-            if not contains_subquery(conj):
+            if not ast.contains_subquery(conj):
                 if self.bound.owners(i) & joined:
                     post.append(conj)
                     # Its core-side columns must reach the filter.
@@ -224,7 +212,7 @@ class _Rewriter:
             return self._exists(conj)
         if isinstance(conj, ast.InSubquery):
             return self._in_subquery(conj)
-        nodes = [n for n in ast.walk(conj) if isinstance(n, _SUBQUERY_NODES)]
+        nodes = [n for n in ast.walk(conj) if isinstance(n, ast.SUBQUERY_NODES)]
         if any(not isinstance(n, ast.ScalarSubquery) for n in nodes):
             raise PlanError(
                 "EXISTS / IN (SELECT ...) must appear as top-level AND"
@@ -407,7 +395,7 @@ class _Rewriter:
 
     def _inline_having(self, having: ast.Expr) -> ast.Expr:
         nodes = [
-            n for n in ast.walk(having) if isinstance(n, _SUBQUERY_NODES)
+            n for n in ast.walk(having) if isinstance(n, ast.SUBQUERY_NODES)
         ]
         for node in nodes:
             if not isinstance(node, ast.ScalarSubquery):
@@ -435,7 +423,7 @@ class _Rewriter:
         rest: list[ast.Expr] = []
         edge: tuple[str, str] | None = None
         for conj in ast.split_conjuncts(spec.condition):
-            if contains_subquery(conj):
+            if ast.contains_subquery(conj):
                 raise PlanError(
                     "subqueries in ON conditions are not supported"
                 )

@@ -3,9 +3,11 @@ select list) as plan nodes above the scans and joins that feed it."""
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Sequence
 
-from repro.engine.operators.groupby import group_key_names
+from repro.common.errors import PlanError, UnsupportedFeatureError
+from repro.engine.operators.groupby import slotted, unqualified
 from repro.engine.operators.project import projected_names
 from repro.planner.nodes import (
     FilterNode,
@@ -19,14 +21,9 @@ from repro.planner.nodes import (
 from repro.sqlparser import ast
 
 
-def _aggregates(items: Sequence[ast.SelectItem]) -> list[ast.SelectItem]:
-    """Aggregate-bearing select items (group columns come from GROUP BY)."""
-    return [
-        item
-        for item in items
-        if not isinstance(item.expr, ast.Star)
-        and ast.contains_aggregate(item.expr)
-    ]
+def _has_aggregate(items: Sequence[ast.SelectItem]) -> bool:
+    """Whether any select item calls an aggregate."""
+    return any(ast.contains_aggregate(item.expr) for item in items)
 
 
 def unalias(expr: ast.Expr, select_items) -> ast.Expr:
@@ -49,80 +46,36 @@ def unalias(expr: ast.Expr, select_items) -> ast.Expr:
     return ast.map_columns(expr, substitute)
 
 
-def _rewrite_having(
-    query: ast.Query, items: list[ast.SelectItem]
-) -> tuple[ast.Expr, list[ast.SelectItem]]:
-    """Rewrite HAVING into a predicate over the group-by output schema.
+def _over_items(
+    expr: ast.Expr, clause: str, query: ast.Query, hidden: list[ast.SelectItem]
+) -> ast.Expr:
+    """A HAVING or ORDER BY term over the group-by's output (the select
+    list, then ``hidden``): each part an item computes reads that item's
+    column; a GROUP BY expression or an aggregate call no item computes
+    is appended to ``hidden`` as a ``__<clause>_<n>`` item first.  A
+    column outside both is a :class:`PlanError`, raised while planning."""
+    expr = unalias(expr, query.select_items)
+    _check_grouped(expr, query.group_by)
+    keys = set(map(unqualified, query.group_by))
 
-    Aggregates already produced by the select list become references to
-    their output columns; aggregates appearing only in HAVING get hidden
-    ``__having_N`` items (computed by the GroupByNode, filtered on, then
-    projected away).  Group-key columns pass through by name, and a
-    group-key expression becomes its ``group_N`` output.
-    """
-    having = unalias(query.having, query.select_items)
-    known: list[tuple[ast.Expr, str]] = [
-        (item.expr, item.output_name(ordinal))
-        for ordinal, item in enumerate(items, start=1)
-    ] + [(g, name) for g, name in zip(query.group_by, group_key_names(query.group_by))
-         if not isinstance(g, ast.Column)]
-    hidden: list[ast.SelectItem] = []
-
-    def rewrite(expr: ast.Expr) -> ast.Expr | None:
-        for src, name in known:
-            if expr == src:
-                return ast.Column(name)
-        if isinstance(expr, ast.Aggregate):
-            name = f"__having_{len(hidden)}"
-            hidden.append(ast.SelectItem(expr, alias=name))
-            known.append((expr, name))
-            return ast.Column(name)
+    def resolve(node: ast.Expr) -> ast.Expr | None:
+        for ordinal, item in enumerate(chain(query.select_items, hidden), start=1):
+            if node == item.expr:
+                return ast.Column(item.output_name(ordinal))
+        if unqualified(node) in keys or isinstance(node, ast.Aggregate):
+            hidden.append(ast.SelectItem(node, f"__{clause}_{len(hidden)}"))
+            return ast.Column(hidden[-1].alias)
         return None
 
-    return ast.map_expr(having, rewrite), hidden
+    return ast.map_expr(expr, resolve)
 
 
-def _group_output_projection(
-    query: ast.Query, items: list[ast.SelectItem], has_hidden: bool
-) -> list[ast.SelectItem] | None:
-    """Projection restoring select-list column order over group-by output.
-
-    The GroupByNode always emits group keys first, then aggregate items;
-    when the select list interleaves them (TPC-H Q3's ``key, SUM(...),
-    date, priority``) — or hidden HAVING aggregates must be dropped — a
-    ProjectNode reorders by output-column reference.  Returns ``None``
-    when the group-by output already matches (the historical fast path,
-    byte-identical to prior releases).
-    """
-    group_names = group_key_names(query.group_by)
-    visible = group_names + [
-        item.output_name(ordinal) for ordinal, item in enumerate(items, start=1)
-    ]
-    proj: list[ast.SelectItem] = []
-    for item in query.select_items:
-        if not isinstance(item.expr, ast.Star) and ast.contains_aggregate(
-            item.expr
-        ):
-            try:
-                j = items.index(item)
-            except ValueError:
-                return None
-            proj.append(ast.SelectItem(ast.Column(item.output_name(j + 1))))
-        elif isinstance(item.expr, ast.Column):
-            proj.append(ast.SelectItem(ast.Column(item.expr.name), item.alias))
-        else:
-            match = next(
-                (i for i, g in enumerate(query.group_by) if g == item.expr),
-                None,
-            )
-            if match is None:
-                return None
-            proj.append(
-                ast.SelectItem(ast.Column(group_names[match]), item.alias)
-            )
-    if not has_hidden and [p.output_name(0) for p in proj] == visible:
-        return None
-    return proj
+def _check_grouped(expr: ast.Expr, group_by: Sequence[ast.Expr]) -> None:
+    """The group-by's own check (:func:`slotted`), as a plan error."""
+    try:
+        slotted(expr, group_by, [])
+    except UnsupportedFeatureError as exc:
+        raise PlanError(str(exc)) from None
 
 
 def attach_local_tail(
@@ -131,50 +84,55 @@ def attach_local_tail(
     """GROUP BY / aggregate / ORDER BY / LIMIT as plan nodes above ``node``.
 
     Row-at-a-time operators (projection, LIMIT) stay streaming; pipeline
-    breakers (group-by, sort, top-K) drain internally.  ``ORDER BY``
-    keys outside the select list defer the projection until after the
-    sort so the keys stay in scope; alias references in the deferred
-    sort are rewritten to their select expressions.  ``input_names`` are
-    the plan-time column names of ``node``'s output (presence only —
-    runtime order may differ when an inner join swaps its hash sides).
+    breakers (group-by, sort, top-K) drain internally.  A grouped query
+    is one group-by emitting its select list, plus the hidden items its
+    HAVING and ORDER BY read (:func:`_over_items`), projected away after
+    the HAVING filter — or after the sort when it reads one.  An
+    ungrouped ``ORDER BY`` key outside the select list defers the
+    projection until after the sort so the key stays in scope; alias
+    references in the deferred sort are rewritten to their select
+    expressions.  ``input_names`` are the plan-time column names of
+    ``node``'s output (presence only — runtime order may differ when an
+    inner join swaps its hash sides).
     """
-    deferred_projection = False
-    aggregates = _aggregates(query.select_items)
-    if query.group_by or aggregates:
-        # Ungrouped: the whole select list is computed as one group.
-        items = aggregates if query.group_by else list(query.select_items)
-        having_pred, hidden = (None, [])
-        if query.having is not None:
-            having_pred, hidden = _rewrite_having(query, items)
-        node = GroupByNode(node, query.group_by, items + hidden)
-        if having_pred is not None:
-            node = FilterNode(node, having_pred)
-        if query.group_by:
-            output = _group_output_projection(query, items, bool(hidden))
-        elif hidden:
-            output = column_items(
-                item.output_name(i) for i, item in enumerate(items, start=1)
-            )
-        else:
-            output = None
-        if output is not None:
-            node = ProjectNode(node, output)
-    elif not all(isinstance(i.expr, ast.Star) for i in query.select_items):
-        out_names = set(projected_names(list(input_names), query.select_items))
-        deferred_projection = any(
-            ref not in out_names
-            for item in query.order_by
-            for ref in ast.referenced_columns(item.expr)
-        )
-        if not deferred_projection:
-            node = ProjectNode(node, query.select_items)
-
     order_by = query.order_by
-    if deferred_projection:
+    deferred: list[ast.SelectItem] | None = None
+    if query.group_by or _has_aggregate(query.select_items):
+        for item in query.select_items:
+            _check_grouped(item.expr, query.group_by)
+        hidden: list[ast.SelectItem] = []
+        having = None if query.having is None else (
+            _over_items(query.having, "having", query, hidden)
+        )
         order_by = tuple(
-            ast.OrderItem(unalias(o.expr, query.select_items), o.descending)
+            ast.OrderItem(_over_items(o.expr, "order", query, hidden), o.descending)
             for o in order_by
         )
+        node = GroupByNode(node, query.group_by, [*query.select_items, *hidden])
+        if having is not None:
+            node = FilterNode(node, having)
+        if hidden:
+            deferred = column_items(
+                item.output_name(i) for i, item in enumerate(query.select_items, start=1)
+            )
+            names = {item.alias for item in hidden}
+            if not any(ast.referenced_columns(o.expr) & names for o in order_by):
+                node, deferred = ProjectNode(node, deferred), None
+    elif not all(isinstance(i.expr, ast.Star) for i in query.select_items):
+        out_names = set(projected_names(list(input_names), query.select_items))
+        if any(
+            ref not in out_names
+            for item in order_by
+            for ref in ast.referenced_columns(item.expr)
+        ):
+            deferred = list(query.select_items)
+            order_by = tuple(
+                ast.OrderItem(unalias(o.expr, query.select_items), o.descending)
+                for o in order_by
+            )
+        else:
+            node = ProjectNode(node, query.select_items)
+
     if order_by:
         if query.limit is not None:
             node = TopKNode(node, order_by, query.limit)
@@ -182,8 +140,8 @@ def attach_local_tail(
             node = SortNode(node, order_by)
     elif query.limit is not None:
         node = LimitNode(node, query.limit)
-    if deferred_projection:
-        node = ProjectNode(node, query.select_items)
+    if deferred is not None:
+        node = ProjectNode(node, deferred)
     return node
 
 
@@ -200,6 +158,6 @@ def select_list_node(
     benchmarks' ``SUM(o_totalprice)`` shape), anything else a projection."""
     if items is None:
         return child
-    if _aggregates(items):
+    if _has_aggregate(items):
         return GroupByNode(child, (), items)
     return ProjectNode(child, items)

@@ -151,10 +151,11 @@ _Q3_DATE = "1995-03-15"
 _Q3_CUSTOMER = parse_expression("c_mktsegment = 'BUILDING'")
 _Q3_ORDERS = parse_expression(f"o_orderdate < '{_Q3_DATE}'")
 _Q3_LINEITEM = parse_expression(f"l_shipdate > '{_Q3_DATE}'")
-_Q3_KEYS = [
-    ast.Column("l_orderkey"), ast.Column("o_orderdate"), ast.Column("o_shippriority")
-]
-_Q3_REVENUE = items("SUM(l_extendedprice * (1 - l_discount)) AS revenue")
+_Q3_ITEMS = items(
+    "l_orderkey", "o_orderdate", "o_shippriority",
+    "SUM(l_extendedprice * (1 - l_discount)) AS revenue",
+)
+_Q3_KEYS = [item.expr for item in _Q3_ITEMS[:3]]
 _Q3_ORDER = [
     ast.OrderItem(expr=ast.Column("revenue"), descending=True),
     ast.OrderItem(expr=ast.Column("o_orderdate")),
@@ -182,7 +183,7 @@ def _q3(catalog: Catalog, scan) -> PlanNode:
         ),
         "o_orderkey", "l_orderkey", bloom=_BLOOM, stream_probe=True,
     )
-    return TopKNode(GroupByNode(joined, _Q3_KEYS, _Q3_REVENUE), _Q3_ORDER, 10)
+    return TopKNode(GroupByNode(joined, _Q3_KEYS, _Q3_ITEMS), _Q3_ORDER, 10)
 
 
 def q3_baseline(ctx: CloudContext, catalog: Catalog) -> QueryExecution:
@@ -258,7 +259,7 @@ def q14_optimized(ctx: CloudContext, catalog: Catalog) -> QueryExecution:
 # ----------------------------------------------------------------------
 
 _Q17_PART_WHERE = parse_expression("p_brand = 'Brand#23' AND p_container = 'MED BOX'")
-_Q17_AVERAGE = items("AVG(l_quantity) AS avg_quantity")
+_Q17_AVERAGE = items("l_partkey", "AVG(l_quantity) AS avg_quantity")
 _Q17_KEYED = items("l_partkey AS avg_partkey", "avg_quantity")
 _Q17_SMALL = parse_expression("l_quantity < 0.2 * avg_quantity")
 _Q17_L_COLS = ["l_partkey", "l_quantity", "l_extendedprice"]

@@ -118,13 +118,13 @@ class _Binding:
     """A statement compiled against one object schema, out of the engine's
     operators: the WHERE mask kernel (``returned_size`` needs each mask),
     then the select list's extractors and LIMIT, or one :class:`GroupBy`
-    whose columns are permuted into select-list order.  Every ``run`` folds
-    into fresh accumulators, so one binding serves all of its requests.
+    emitting the select list.  Every ``run`` folds into fresh accumulators,
+    so one binding serves all of its requests.
     """
 
     __slots__ = (
         "key", "schema", "needed", "names", "bare",
-        "_limit", "_keep_mask", "_extractors", "_group_by", "_order",
+        "_limit", "_keep_mask", "_extractors", "_group_by",
     )
 
     def __init__(self, query: ast.Query, key: object, schema: TableSchema):
@@ -142,12 +142,14 @@ class _Binding:
         items = query.select_items
         #: Each output column's source when all are bare columns / ``*``.
         self.bare: list[str] | None = None
-        layout = _aggregation_layout(query)
         self._group_by = None
-        if layout is not None:
-            aggs, self._order = layout
-            self._group_by = GroupBy(projected.names, query.group_by, aggs)
-            self.names = [item.output_name(i) for i, item in enumerate(items, 1)]
+        if query.group_by or any(ast.contains_aggregate(i.expr) for i in items):
+            # A partial group-by (Suggestion 4 extension) may list keys and
+            # aggregates in any order, compute over them or leave a key
+            # out; partials from different partitions merge at the query
+            # node (the "partial" in partial group-by).
+            self._group_by = GroupBy(projected.names, query.group_by, items)
+            self.names = self._group_by.names
             return
         self._extractors, self.names = compile_items(projected.names, items)
         exprs = [item.expr for item in items]
@@ -168,10 +170,7 @@ class _Binding:
             extractors = self._extractors
             projected = (Batch([fn(b) for fn in extractors], len(b)) for b in batches)
             return list(limit_batches(projected, self._limit))
-        order = self._order
-        rows = self._group_by.run(batches).rows
-        rows = [tuple(row[i] for i in order) for row in rows]
-        return [Batch.from_rows(rows[: self._limit], len(self.names))]
+        return [self._group_by.run(batches)[: self._limit]]
 
 
 class PreparedSelect:
@@ -357,33 +356,3 @@ def _referenced_columns(query: ast.Query, schema: TableSchema) -> list[str]:
         if expr is not None:
             names |= ast.referenced_columns(expr)
     return schema.subset(names)
-
-
-def _aggregation_layout(
-    query: ast.Query,
-) -> tuple[list[ast.SelectItem], list[int]] | None:
-    """``None`` for a projection; else the aggregate items and each select
-    item's column in a :class:`GroupBy` row (group keys, then aggregates).
-
-    A partial group-by (Suggestion 4 extension) may list keys and
-    aggregates in any order or leave a key out; partials from different
-    partitions merge at the query node (the "partial" in partial group-by).
-    """
-    key_pos = {group.to_sql(): pos for pos, group in enumerate(query.group_by)}
-    aggs: list[ast.SelectItem] = []
-    order: list[int | None] = []
-    for item in query.select_items:
-        if isinstance(item.expr, ast.Star):
-            order.append(None)
-        elif ast.contains_aggregate(item.expr):
-            order.append(len(query.group_by) + len(aggs))
-            aggs.append(item)
-        else:
-            order.append(key_pos.get(item.expr.to_sql()))
-    if not aggs and not query.group_by:
-        return None
-    if None in order:
-        raise UnsupportedFeatureError(
-            "partial group-by select items must be group expressions or aggregates"
-        )
-    return aggs, order

@@ -21,8 +21,6 @@ EXPRESSION_LIMIT_BYTES = 256 * 1024
 #: The only table name S3 Select accepts.
 S3_OBJECT_TABLE = "s3object"
 
-_SUBQUERY_NODES = (ast.InSubquery, ast.Exists, ast.ScalarSubquery)
-
 
 def check_expression_size(sql: str, expression_limit: int = EXPRESSION_LIMIT_BYTES) -> None:
     """Raise unless the statement text ``sql`` is within the service's
@@ -65,9 +63,7 @@ def validate_select_sql(query: ast.Query, allow_group_by: bool = False) -> None:
     if query.where is not None and ast.contains_aggregate(query.where):
         raise UnsupportedFeatureError("aggregates are not allowed in WHERE")
     exprs = [item.expr for item in query.select_items] + list(query.group_by)
-    if query.where is not None:
-        exprs.append(query.where)
-    if any(isinstance(node, _SUBQUERY_NODES) for e in exprs for node in ast.walk(e)):
+    if any(map(ast.contains_subquery, [*exprs, query.where])):
         raise UnsupportedFeatureError("S3 Select does not support subqueries")
 
 

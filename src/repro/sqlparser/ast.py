@@ -466,6 +466,15 @@ def contains_aggregate(expr: Expr) -> bool:
     return any(isinstance(node, Aggregate) for node in walk(expr))
 
 
+#: The subquery constructs (each body a scope of its own).
+SUBQUERY_NODES = (Exists, InSubquery, ScalarSubquery)
+
+
+def contains_subquery(expr: Expr | None) -> bool:
+    """True if ``expr`` contains any subquery construct."""
+    return expr is not None and any(isinstance(n, SUBQUERY_NODES) for n in walk(expr))
+
+
 def map_expr(expr: Expr, fn) -> Expr:
     """Rebuild ``expr`` top-down through ``fn``, the one AST rebuilder.
 

@@ -34,7 +34,7 @@ from repro.cloud.metrics import Phase
 from repro.cloud.perf import SERVER_CPU_PER_ROW
 from repro.common.errors import PlanError
 from repro.engine.catalog import Catalog, TableInfo
-from repro.engine.operators.base import BatchCounter, materialize
+from repro.engine.operators.base import BatchCounter, CpuTally, materialize
 from repro.engine.operators.groupby import group_by_batches, group_by_cpu
 from repro.optimizer.cost import _phase
 from repro.optimizer.feedback import estimated_rows
@@ -146,8 +146,12 @@ class GroupByQuery:
     def group_exprs(self) -> list[ast.Expr]:
         return [ast.Column(c) for c in self.group_columns]
 
-    def agg_items(self) -> list[ast.SelectItem]:
-        return [a.to_select_item() for a in self.aggregates]
+    def items(self) -> list[ast.SelectItem]:
+        """The output as a group-by's items: the keys, then the aggregates."""
+        return [
+            *map(ast.SelectItem, self.group_exprs()),
+            *(a.to_select_item() for a in self.aggregates),
+        ]
 
     def estimated_groups(self, table: TableInfo) -> int:
         """The columns' distinct counts multiplied; at most one a row."""
@@ -175,7 +179,7 @@ def server_side_group_by_node(
         # as the paper's server-side baseline does.
         node = FilterNode(node, query.predicate)
         node.est_rows = estimated_rows(ctx, table, query.predicate)
-    return GroupByNode(node, query.group_exprs(), query.agg_items())
+    return GroupByNode(node, query.group_exprs(), query.items())
 
 
 def server_side_group_by_plan(
@@ -203,7 +207,7 @@ def filtered_group_by_plan(
         est_rows=estimated_rows(ctx, table, query.predicate),
     )
     return PhysicalPlan(
-        GroupByNode(scan, query.group_exprs(), query.agg_items()),
+        GroupByNode(scan, query.group_exprs(), query.items()),
         "optimized", "filtered group-by",
     )
 
@@ -412,12 +416,13 @@ class HybridGroupByNode(PushedGroupByNode):
         q1_records = ctx.metrics.records_since(mark)
         mark = ctx.metrics.mark()
         tail_rows = BatchCounter(iter_scan_batches(ctx, table, PreparedSelect(tail_query)))
+        tally = CpuTally()
         tail = group_by_batches(
-            tail_rows, needed, query.group_exprs(), query.agg_items()
+            tail_rows, needed, query.group_exprs(), query.items(), tally
         )
         q2_records = ctx.metrics.records_since(mark)
         local = dict(
-            server_cpu_seconds=tail.cpu_seconds,
+            server_cpu_seconds=tally.seconds,
             server_records=tail_rows.rows,
             server_fields=tail_rows.rows * len(needed),
         )
@@ -438,7 +443,7 @@ class HybridGroupByNode(PushedGroupByNode):
                 r.bytes_returned for r in q1_records + q2_records
             ),
         }
-        return assemble_group_rows(query, pushed) + tail.rows
+        return assemble_group_rows(query, pushed) + list(tail)
 
 
 def hybrid_group_by_plan(

@@ -1,4 +1,4 @@
-"""Tests for aggregate accumulators and aggregate-expression splitting."""
+"""Tests for aggregate accumulators."""
 
 import functools
 
@@ -7,11 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.errors import UnsupportedFeatureError
-from repro.expr.aggregates import (
-    Accumulator,
-    CompiledAggregate,
-    split_aggregate_expr,
-)
+from repro.expr.aggregates import Accumulator, CompiledAggregate
 from repro.sqlparser import ast
 from repro.sqlparser.parser import parse_expression
 from repro.strategies.scans import merge_partial
@@ -89,28 +85,6 @@ class TestCompiledAggregate:
     def test_non_count_star_rejected(self):
         with pytest.raises(UnsupportedFeatureError):
             CompiledAggregate(ast.Aggregate("SUM", ast.Star()), {})
-
-
-class TestSplitAggregateExpr:
-    def test_bare_aggregate_has_no_finisher(self):
-        aggs, finisher = split_aggregate_expr(parse_expression("SUM(a)"))
-        assert len(aggs) == 1 and finisher is None
-
-    def test_arithmetic_over_aggregates(self):
-        aggs, finisher = split_aggregate_expr(
-            parse_expression("100 * SUM(a) / SUM(b)")
-        )
-        assert len(aggs) == 2
-        assert finisher([10.0, 4.0]) == 250.0
-
-    def test_sum_over_count_is_manual_avg(self):
-        aggs, finisher = split_aggregate_expr(parse_expression("SUM(a) / COUNT(a)"))
-        assert [a.func for a in aggs] == ["SUM", "COUNT"]
-        assert finisher([6, 3]) == 2
-
-    def test_non_aggregate_expression_yields_nothing(self):
-        aggs, finisher = split_aggregate_expr(parse_expression("a + 1"))
-        assert aggs == [] and finisher is None
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))

@@ -6,11 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import one_batch
-from repro.common.errors import PlanError
+from repro.common.errors import PlanError, UnsupportedFeatureError
 from repro.engine.batch import Batch
 from repro.engine.operators.base import CpuTally, materialize
 from repro.engine.operators.filter import filter_batches
-from repro.engine.operators.groupby import group_by_batches
+from repro.engine.operators.groupby import GroupBy, group_by_batches
 from repro.engine.operators.hashjoin import hash_join_batches
 from repro.engine.operators.limit import limit_batches
 from repro.engine.operators.project import project_batches, projected_names
@@ -46,16 +46,16 @@ def hash_join(build, build_names, probe, probe_names, build_key, probe_key):
     return materialize(joined), names
 
 
-def group_by(rows, names, group_exprs, agg_items):
-    return group_by_batches(one_batch(rows, names), names, group_exprs, agg_items)
+def group_by(rows, names, group_exprs, items):
+    return list(group_by_batches(one_batch(rows, names), names, group_exprs, items))
 
 
 def sort_rows(rows, names, order):
-    return sort_batches(one_batch(rows, names), names, order).rows
+    return list(sort_batches(one_batch(rows, names), names, order))
 
 
 def top_k(rows, names, order, k):
-    return top_k_batches(one_batch(rows, names), names, order, k).rows
+    return list(top_k_batches(one_batch(rows, names), names, order, k))
 
 
 class TestProjectAndFilter:
@@ -124,33 +124,50 @@ class TestHashJoin:
 class TestGroupBy:
     def test_single_group_column(self):
         out = group_by(
-            ROWS, NAMES, [ast.Column("k")], items("SUM(v) AS total", "COUNT(*) AS n")
+            ROWS, NAMES, [ast.Column("k")],
+            items("k", "SUM(v) AS total", "COUNT(*) AS n"),
         )
-        as_dict = {r[0]: (r[1], r[2]) for r in out.rows}
+        as_dict = {r[0]: (r[1], r[2]) for r in out}
         assert as_dict == {3: (30.0, 1), 1: (10.0, 1), 2: (45.0, 2)}
 
     def test_empty_group_list_is_global_aggregate(self):
         out = group_by(ROWS, NAMES, (), items("SUM(v) AS t"))
-        assert out.rows == [(85.0,)]
+        assert out == [(85.0,)]
 
     def test_compound_aggregate_item(self):
         out = group_by(
-            ROWS, NAMES, [ast.Column("tag")], items("SUM(v) / COUNT(v) AS avg_v")
+            ROWS, NAMES, [ast.Column("tag")],
+            items("tag", "SUM(v) / COUNT(v) AS avg_v"),
         )
-        as_dict = dict(out.rows)
+        as_dict = dict(out)
         assert as_dict["b"] == 22.5
 
     def test_group_expression(self):
         out = group_by(
-            ROWS, NAMES, [parse_expression("k % 2")], items("COUNT(*) AS n")
+            ROWS, NAMES, [parse_expression("k % 2")],
+            items("k % 2", "COUNT(*) AS n"),
         )
-        assert dict(out.rows) == {1: 2, 0: 2}
+        assert dict(out) == {1: 2, 0: 2}
 
     def test_output_names(self):
+        group_by = GroupBy(NAMES, [ast.Column("k")], items("k", "SUM(v) AS total"))
+        assert group_by.names == ["k", "total"]
+
+    def test_emits_exactly_its_items(self):
+        """Keys only where an item lists them, items in order, computed
+        from keys, aggregates and literals alike."""
         out = group_by(
-            ROWS, NAMES, [ast.Column("k")], items("SUM(v) AS total")
+            ROWS, NAMES, [ast.Column("k")],
+            items("COUNT(*)", "k + 1", "7", "SUM(v) + k", "100 * SUM(v) / SUM(k)"),
         )
-        assert out.column_names == ["k", "total"]
+        assert out == [
+            (1, 4, 7, 33.0, 1000.0), (1, 2, 7, 11.0, 1000.0),
+            (2, 3, 7, 47.0, 1125.0),
+        ]
+
+    def test_a_column_outside_keys_and_aggregates_is_named(self):
+        with pytest.raises(UnsupportedFeatureError, match="'v' is outside every"):
+            GroupBy(NAMES, [ast.Column("k")], items("k", "v"))
 
 
 class TestSortAndTopK:
@@ -234,13 +251,13 @@ def test_property_groupby_matches_naive(rows):
     """Hash group-by equals a dict-based reference implementation."""
     names = ["g", "v"]
     out = group_by(
-        rows, names, [ast.Column("g")], items("SUM(v) AS s", "COUNT(*) AS n")
+        rows, names, [ast.Column("g")], items("g", "SUM(v) AS s", "COUNT(*) AS n")
     )
     reference: dict[int, list] = {}
     for g, v in rows:
         entry = reference.setdefault(g, [0, 0])
         entry[0] += v
         entry[1] += 1
-    assert {r[0]: (r[1], r[2]) for r in out.rows} == {
+    assert {r[0]: (r[1], r[2]) for r in out} == {
         g: tuple(e) for g, e in reference.items()
     }

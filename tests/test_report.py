@@ -106,17 +106,18 @@ def test_one_walk_draws_explain_and_the_report(tpch_env):
     assert depths[0] == 0 and all(b <= a + 1 for a, b in zip(depths, depths[1:]))
 
 
+#: The group-by emits Q3's select list in order itself: no projection
+#: above it reorders its columns.
 GOLDEN_Q03 = """\
 physical plan: optimized multi-join (customer >< orders >< lineitem)
   operator                                                                     est rows     actual  q-error      time     rows/s
   top-k [revenue DESC, o_orderdate ASC] k=10                                          -         10        -
-    project [l_orderkey, revenue, o_orderdate, o_shippriority]                        -         27        -
-      group-by [l_orderkey, o_orderdate, o_shippriority] aggs=1                       -         27        -
-        hash-join [o_orderkey = l_orderkey] streamed                              328.0         55     5.87
-          hash-join [c_custkey = o_custkey]                                       244.1        362     1.48
-            scan customer [select] cols=1 pred=(c_mktsegment = 'BUILDING')         73.0         73     1.00
-            scan orders [select+bloom(o_custkey)] cols=4 pred=(o_orderdate        251.7        362     1.44
-          scan lineitem [select+bloom(l_orderkey)] cols=3 pred=(l_shipdate        365.0        109     3.33"""
+    group-by [l_orderkey, o_orderdate, o_shippriority] aggs=1                         -         27        -
+      hash-join [o_orderkey = l_orderkey] streamed                                328.0         55     5.87
+        hash-join [c_custkey = o_custkey]                                         244.1        362     1.48
+          scan customer [select] cols=1 pred=(c_mktsegment = 'BUILDING')           73.0         73     1.00
+          scan orders [select+bloom(o_custkey)] cols=4 pred=(o_orderdate <        251.7        362     1.44
+        scan lineitem [select+bloom(l_orderkey)] cols=3 pred=(l_shipdate >        365.0        109     3.33"""
 
 
 def test_explain_analyze_of_q03_is_pinned():

@@ -33,7 +33,7 @@ from repro.engine.batch import Batch
 from repro.engine.catalog import Catalog, load_table
 from repro.engine.operators.base import BatchCounter, CpuTally, materialize
 from repro.engine.operators.filter import filter_batches
-from repro.engine.operators.groupby import group_by_batches
+from repro.engine.operators.groupby import GroupBy, group_by_batches
 from repro.engine.operators.hashjoin import hash_join_batches
 from repro.engine.operators.limit import limit_batches
 from repro.engine.operators.project import project_batches, projected_names
@@ -47,7 +47,6 @@ from repro.planner.planner import plan_and_execute
 from repro.queries.tpch_queries import TPCH_QUERIES
 from repro.s3select import engine as select_engine
 from repro.s3select.engine import PreparedSelect, ScanRange, execute_select
-from repro.sqlparser import ast
 from repro.sqlparser.parser import parse, parse_expression
 from repro.storage.csvcodec import (
     chunk_rows,
@@ -317,18 +316,18 @@ class TestStreamingOperators:
 
     def test_group_by_matches_naive_fold(self, batch_size):
         q = parse("SELECT k, SUM(v) AS s, COUNT(*) AS n FROM t GROUP BY k")
-        agg_items = [i for i in q.select_items if ast.contains_aggregate(i.expr)]
+        tally = CpuTally()
         got = group_by_batches(
-            _stream(batch_size=batch_size), NAMES, q.group_by, agg_items
+            _stream(batch_size=batch_size), NAMES, q.group_by, q.select_items, tally
         )
         want: dict = {}
         for k, v in OP_ROWS:  # first-appearance order, sequential float sums
             entry = want.setdefault(k, [0, 0])
             entry[0] += v
             entry[1] += 1
-        assert got.rows == [(k, s, n) for k, (s, n) in want.items()]
-        assert got.column_names == ["k", "s", "n"]
-        assert got.cpu_seconds == (
+        assert list(got) == [(k, s, n) for k, (s, n) in want.items()]
+        assert GroupBy(NAMES, q.group_by, q.select_items).names == ["k", "s", "n"]
+        assert tally.seconds == (
             len(OP_ROWS) * 2 * SERVER_CPU_PER_ROW["aggregate"]
         )
 
@@ -336,23 +335,26 @@ class TestStreamingOperators:
         order = parse("SELECT k FROM t ORDER BY v DESC").order_by
         want = sorted(OP_ROWS, key=lambda row: -row[1])
         whole = [Batch.from_rows(OP_ROWS)]
-        got = sort_batches(_stream(batch_size=batch_size), NAMES, order)
-        assert got.rows == want
-        assert got.cpu_seconds == sort_batches(whole, NAMES, order).cpu_seconds > 0
+
+        def run(op, stream, *args):
+            tally = CpuTally()
+            return list(op(stream, NAMES, order, *args, tally)), tally.seconds
+
+        got, cpu = run(sort_batches, _stream(batch_size=batch_size))
+        assert got == want
+        assert cpu == run(sort_batches, whole)[1] > 0
         for k in (0, 5, 100, 1000):
-            got = top_k_batches(_stream(batch_size=batch_size), NAMES, order, k)
-            assert got.rows == want[:k]
-            assert got.cpu_seconds == (
-                top_k_batches(whole, NAMES, order, k).cpu_seconds
-            ) > 0
+            got, cpu = run(top_k_batches, _stream(batch_size=batch_size), k)
+            assert got == want[:k]
+            assert cpu == run(top_k_batches, whole, k)[1] > 0
 
     def test_sort_and_topk_ties_keep_arrival_order(self, batch_size):
         rows = [(i, float(i % 2)) for i in range(40)]
         order = parse("SELECT k FROM t ORDER BY v").order_by
         want = sorted(rows, key=lambda row: row[1])  # stable
         stream = _stream(rows, min(batch_size, 6))
-        assert sort_batches(stream, NAMES, order).rows == want
-        assert top_k_batches(stream, NAMES, order, 10).rows == want[:10]
+        assert list(sort_batches(stream, NAMES, order)) == want
+        assert list(top_k_batches(stream, NAMES, order, 10)) == want[:10]
 
     def test_hash_join_matches_nested_loop(self, batch_size):
         build = [(i, f"n{i}") for i in range(10)]

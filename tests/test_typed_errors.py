@@ -68,12 +68,21 @@ def db():
      "only scalar subqueries are supported in HAVING"),
     ("SELECT COUNT(*) AS n FROM cust, twin", PlanError,
      "cross product would produce duplicate column names"),
+    ("SELECT c_bal, COUNT(*) FROM cust GROUP BY c_ref", PlanError,
+     "'c_bal' is outside every group expression and aggregate"),
+    ("SELECT c_ref, COUNT(*) FROM cust GROUP BY c_ref HAVING c_bal > 1", PlanError,
+     "'c_bal' is outside every group expression and aggregate"),
+    ("SELECT c_ref, COUNT(*) FROM cust GROUP BY c_ref ORDER BY c_bal", PlanError,
+     "'c_bal' is outside every group expression and aggregate"),
+    ("SELECT c_bal, COUNT(*) FROM cust", PlanError,
+     "'c_bal' is outside every group expression and aggregate"),
 ], ids=[
     "limit-not-integer", "table-name", "alias-name", "bare-not",
     "interval-unquoted", "interval-count", "interval-unit", "interval-left",
     "unexpected-keyword", "column-after-dot", "interval-iso-date",
     "derived-table-subquery", "two-correlated-scalars", "scalar-two-columns",
     "correlated-scalar-grouped", "having-exists", "cross-product-duplicates",
+    "ungrouped-item", "ungrouped-having", "ungrouped-order-by", "ungrouped-aggregate",
 ])
 def test_raises_its_typed_error_before_any_request(db, sql, error, fragment):
     before = db.ctx.metrics.num_requests

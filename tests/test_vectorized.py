@@ -25,7 +25,7 @@ from repro.common.errors import CatalogError, TypeMismatchError
 from repro.engine.batch import Batch
 from repro.engine.operators.base import CpuTally, materialize
 from repro.engine.operators.filter import filter_batches
-from repro.engine.operators.groupby import group_by_batches
+from repro.engine.operators.groupby import GroupBy, group_by_batches
 from repro.engine.operators.hashjoin import hash_join_batches
 from repro.engine.operators.limit import limit_batches
 from repro.engine.operators.project import project_batches
@@ -536,11 +536,13 @@ class TestOperatorParity:
         )
 
     def test_group_by(self, batch_size):
-        aggs = items(
-            "COUNT(*) AS n", "SUM(f) AS sf", "MIN(s) AS mn", "AVG(b) AS av"
+        grouped = items(
+            "a", "COUNT(*) AS n", "SUM(f) AS sf", "MIN(s) AS mn", "AVG(b) AS av"
         )
+        keys = [parse_expression("a")]
+        tally = CpuTally()
         got = group_by_batches(
-            columnar_batches(DATA, batch_size), NAMES, [parse_expression("a")], aggs
+            columnar_batches(DATA, batch_size), NAMES, keys, grouped, tally
         )
         # First-appearance group order; sums folded row by row, so the
         # floats are bit-identical whatever the batch boundaries.
@@ -554,19 +556,20 @@ class TestOperatorParity:
                 g["mn"] = s if g["mn"] is None else min(g["mn"], s)
             g["sb"] += b
             g["nb"] += 1
-        assert got.rows == [
+        assert list(got) == [
             (a, g["n"], g["sf"], g["mn"], g["sb"] / g["nb"]) for a, g in want.items()
         ]
-        assert got.column_names == ["a", "n", "sf", "mn", "av"]
-        assert got.cpu_seconds == len(DATA) * 4 * SERVER_CPU_PER_ROW["aggregate"]
+        assert GroupBy(NAMES, keys, grouped).names == ["a", "n", "sf", "mn", "av"]
+        assert tally.seconds == len(DATA) * 4 * SERVER_CPU_PER_ROW["aggregate"]
 
     def test_global_aggregate(self, batch_size):
         aggs = items("COUNT(*) AS n", "SUM(a) AS sa")
-        got = group_by_batches(columnar_batches(DATA, batch_size), NAMES, [], aggs)
-        assert got.rows == [(len(DATA), sum(row[0] for row in DATA))]
-        assert got.cpu_seconds == len(DATA) * 2 * SERVER_CPU_PER_ROW["aggregate"]
+        tally = CpuTally()
+        got = group_by_batches(columnar_batches(DATA, batch_size), NAMES, [], aggs, tally)
+        assert list(got) == [(len(DATA), sum(row[0] for row in DATA))]
+        assert tally.seconds == len(DATA) * 2 * SERVER_CPU_PER_ROW["aggregate"]
         # ... and one row even over no input at all.
-        assert group_by_batches([], NAMES, [], aggs).rows == [(0, None)]
+        assert list(group_by_batches([], NAMES, [], aggs)) == [(0, None)]
 
     def test_sort_and_top_k_ties_keep_arrival_order(self, batch_size):
         order = [
@@ -575,10 +578,10 @@ class TestOperatorParity:
         ]
         want = sorted(DATA, key=lambda r: (SortKey(r[1], False), SortKey(r[0], True)))
         batches = columnar_batches(DATA, batch_size)
-        assert sort_batches(batches, NAMES, order).rows == want
-        got = top_k_batches(batches, NAMES, order, 10)
-        assert got.rows == want[:10]
-        assert got.cpu_seconds > 0
+        assert list(sort_batches(batches, NAMES, order)) == want
+        tally = CpuTally()
+        assert list(top_k_batches(batches, NAMES, order, 10, tally)) == want[:10]
+        assert tally.seconds > 0
 
     def test_hash_join(self, batch_size):
         build = [(i, f"t{i}") for i in range(7)]

@@ -1,7 +1,8 @@
 """Compare two diffguard dumps: exact on everything but the float fields, 1e-9 relative on those.
 
 Ends with a per-field tally of the entries that moved, the metered fields
-(what a request or the simulated clock bills) listed apart.
+(what a request or the simulated clock bills, and a figure's rows, which
+are such numbers) listed apart.
 """
 import json, re, sys
 from collections import Counter
@@ -9,7 +10,8 @@ a, b = (json.load(open(p)) for p in sys.argv[1:3])   # a = parent, b = change
 bad = 0
 fields_moved = Counter()
 METERED = {"requests", "n_records", "bytes_scanned", "bytes_returned", "bytes_transferred",
-           "term_evals", "phases", "phase_cpu", "runtime_seconds", "cost_total"}
+           "term_evals", "phases", "phase_cpu", "runtime_seconds", "cost_total",
+           "figure_rows"}
 def from_list(tree):
     """A statement tree's repr with its FROM list spelled as one tuple, the
     way ``ast.Query`` carries it: trees that differ only in that spelling

@@ -42,3 +42,13 @@ def test_the_tally_counts_each_moved_field(tmp_path):
         "moved fields: estimate 2, explain 1, bytes_scanned 1;"
         " metered: bytes_scanned 1"
     )
+
+
+def test_a_figures_rows_are_tallied_as_metered(tmp_path):
+    """A figure's rows are metered numbers under their own field, so a
+    mended number moves ``figure_rows``, never ``rows``."""
+    parent = {"fig11": {"figure_rows": "[('parquet', 100)]", "notes": "{}"}}
+    change = {"fig11": {"figure_rows": "[('parquet', 96)]", "notes": "{}"}}
+    lines = _compare(tmp_path, parent, change)
+    assert lines[-2] == "entries 1 differing 1"
+    assert lines[-1] == "moved fields: figure_rows 1; metered: figure_rows 1"
