@@ -9,9 +9,12 @@ comprehensions instead of paying a Python-level loop per row.
 A batch also reads like the sequence of row tuples it represents:
 ``len(batch)`` is the row count, iteration yields tuples, ``batch[i]``
 is a row, and ``batch[a:b]`` is a sliced *view* — column slices share
-the underlying value objects and no row tuple is ever rebuilt.  Row
-tuples exist only at the edges: operator *state* (hash tables, heaps)
-and the final result handed to the caller.
+the underlying value objects and no row tuple is ever rebuilt.  What a
+plan materializes (a hash-join build, a cross product's build, an
+adaptive re-plan's finished subtree, an init plan's result) is one batch
+too (:meth:`Batch.concat`); row tuples exist only in the result handed
+to the caller and in a few operators' private state (top-K's heap, the
+paper strategies' group rows).
 """
 
 from __future__ import annotations
@@ -60,6 +63,19 @@ class Batch:
                 raise ValueError("from_rows([]) needs num_columns")
             return cls([[] for _ in range(num_columns)], 0)
         return cls([list(col) for col in zip(*rows)], len(rows))
+
+    @classmethod
+    def concat(cls, batches: Sequence["Batch"], width: int) -> "Batch":
+        """One batch of ``batches``' rows, in order (a lone batch comes
+        back as it is).  ``width`` is the column count, needed only when
+        there is no batch to read it from."""
+        if len(batches) == 1:
+            return batches[0]
+        columns: list[list] = [[] for _ in range(width)]
+        for batch in batches:
+            for held, column in zip(columns, batch.columns):
+                held.extend(column)
+        return cls(columns, sum(map(len, batches)))
 
     def iter_rows(self) -> Iterator[tuple]:
         """Iterate row tuples without materializing them all up front."""

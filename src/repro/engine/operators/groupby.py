@@ -18,7 +18,7 @@ from repro.cloud.perf import SERVER_CPU_PER_ROW
 from repro.common.errors import UnsupportedFeatureError
 from repro.engine.batch import Batch
 from repro.engine.operators.base import CpuTally
-from repro.expr.aggregates import CompiledAggregate
+from repro.expr.aggregates import Accumulator
 from repro.expr.vector import compile_aggregate_input_vector, compile_expr_vector
 from repro.sqlparser import ast
 
@@ -83,7 +83,7 @@ class GroupBy:
         self.group_fns = [compile_expr_vector(g, schema) for g in group_exprs]
         calls: list[ast.Aggregate] = []
         exprs = [slotted(item.expr, group_exprs, calls) for item in items]
-        self.aggregates = [CompiledAggregate(call, schema) for call in calls]
+        self.calls = calls
         self.input_fns = [compile_aggregate_input_vector(c, schema) for c in calls]
         slots = {f"#{i}": i for i in range(len(group_exprs) + len(calls))}
         #: Per item: its slot's index, or a kernel over the slots batch.
@@ -94,7 +94,7 @@ class GroupBy:
         self.names = [item.output_name(i) for i, item in enumerate(items, start=1)]
 
     def _new_state(self) -> list:
-        return [agg.new_accumulator() for agg in self.aggregates]
+        return [Accumulator(call.func, call.distinct) for call in self.calls]
 
     def _fold_batch(self, state: list, input_cols: list, idxs: list[int] | None):
         if idxs is None:
@@ -138,7 +138,7 @@ class GroupBy:
         keys = [[key[i] for key in groups] for i in range(len(self.group_fns))]
         results = [
             [state[j].result() for state in groups.values()]
-            for j in range(len(self.aggregates))
+            for j in range(len(self.calls))
         ]
         slots = Batch(keys + results, len(groups))
         return Batch(

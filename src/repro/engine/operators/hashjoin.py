@@ -17,23 +17,24 @@ TPC-H decorrelation pass produces:
   contains a NULL key nothing qualifies, and a NULL probe key is never
   emitted (three-valued ``NOT IN`` semantics).
 
-``match_pred`` evaluates a residual ON/correlation condition per
-candidate (build_row + probe_row) pair before a pair counts as a match.
-
-The build side is operator *state* (row tuples in a hash table); the
-probe side is a :class:`~repro.engine.batch.Batch` stream and so is the
-output, assembled by gathering the matched build rows and the probe
-positions they matched — no joined row tuple is ever concatenated.
+``match_cond``, a residual ON/correlation condition over the build
+columns then the probe columns, is one vector mask over a probe batch's
+candidate pairs.  Both sides are :class:`~repro.engine.batch.Batch`
+objects: the hash table maps a build key to its row positions, and the
+output is gathered column by column — no joined row tuple is built.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import compress
+from typing import Iterable, Iterator, Sequence
 
 from repro.cloud.perf import SERVER_CPU_PER_ROW
 from repro.common.errors import PlanError
 from repro.engine.batch import Batch
 from repro.engine.operators.base import CpuTally
+from repro.expr.vector import VectorFunc, compile_predicate_vector
+from repro.sqlparser import ast
 
 JOIN_TYPES = ("inner", "left", "semi", "anti", "anti_null")
 
@@ -49,22 +50,26 @@ def join_output_names(
 
 
 class _BuildTable:
-    """Hash table over the build side plus NULL-key bookkeeping."""
+    """The build batch, hashed: each non-NULL key -> its row positions.
 
-    __slots__ = ("table", "has_null", "num_rows")
+    A left join's build batch carries one all-NULL row past its rows: a
+    probe row without a match gathers that one.
+    """
 
-    def __init__(self, build_rows: list[tuple], build_idx: int):
-        table: dict[object, list[tuple]] = {}
-        has_null = False
-        for row in build_rows:
-            key = row[build_idx]
-            if key is None:
-                has_null = True  # NULL never matches an equi-join
-                continue
-            table.setdefault(key, []).append(row)
+    __slots__ = ("batch", "table", "has_null")
+
+    def __init__(self, build: Batch, build_idx: int, pad: bool):
+        table: dict[object, list[int]] = {}
+        setdefault = table.setdefault
+        for i, key in enumerate(build.column(build_idx)):
+            setdefault(key, []).append(i)
+        # NULL never matches an equi-join.
+        self.has_null = table.pop(None, None) is not None
         self.table = table
-        self.has_null = has_null
-        self.num_rows = len(build_rows)
+        self.batch = (
+            Batch([[*col, None] for col in build.columns], len(build) + 1)
+            if pad else build
+        )
 
 
 def _check_names(
@@ -78,13 +83,34 @@ def _check_names(
     return join_output_names(build_names, probe_names, join_type)
 
 
+def _pairs(found: Iterable, pad: int | None = None) -> tuple[list[int], list[int]]:
+    """Every (build position, probe position) pair of ``found`` (per probe
+    row, its build positions), probe-major; a probe row without one pairs
+    with ``pad`` when that is set."""
+    picked: list[int] = []
+    positions: list[int] = []
+    for i, hits in enumerate(found):
+        if hits:
+            picked += hits
+            positions += [i] * len(hits)
+        elif pad is not None:
+            picked.append(pad)
+            positions.append(i)
+    return picked, positions
+
+
+def _gather(build: Batch, picked: list[int], batch: Batch, positions: list[int]) -> Batch:
+    """The joined batch: build columns at ``picked``, probe columns at
+    ``positions``."""
+    return Batch(build.take(picked).columns + batch.take(positions).columns, len(positions))
+
+
 def _probe(
     build: _BuildTable,
     batch: Batch,
     probe_idx: int,
     join_type: str,
-    match_pred: Callable[[tuple], object] | None,
-    null_pad: tuple,
+    match: VectorFunc | None,
 ) -> Batch:
     """Join one probe batch against the built table.
 
@@ -95,11 +121,14 @@ def _probe(
         return batch[:0]  # NOT IN over a set containing NULL is never true
     keys = batch.column(probe_idx)
     found = map(build.table.get, keys)  # a NULL key finds nothing
-    if match_pred is not None:
-        found = [
-            hits and [b for b in hits if match_pred(b + row)]
-            for hits, row in zip(found, batch.iter_rows())
-        ]
+    if match is not None:
+        # Keep, per probe row, the hits whose pair passes the residual.
+        picked, positions = _pairs(found)
+        found = [[] for _ in keys]
+        if picked:
+            mask = match(_gather(build.batch, picked, batch, positions))
+            for b, p in compress(zip(picked, positions), mask):
+                found[p].append(b)
     if join_type == "semi":
         return batch.take([i for i, hits in enumerate(found) if hits])
     if join_type == "anti":
@@ -110,24 +139,13 @@ def _probe(
             i for i, (hits, key) in enumerate(zip(found, keys))
             if not hits and key is not None
         ])
-    pad_misses = join_type == "left"
-    picked: list[tuple] = []  # the build row of every output row
-    positions: list[int] = []  # ... and the probe row it joined
-    for i, hits in enumerate(found):
-        if hits:
-            picked += hits
-            positions += [i] * len(hits)
-        elif pad_misses:
-            picked.append(null_pad)
-            positions.append(i)
-    build_columns = (
-        [list(col) for col in zip(*picked)] if picked else [[] for _ in null_pad]
-    )
-    return Batch(build_columns + batch.take(positions).columns, len(positions))
+    pad = len(build.batch) - 1 if join_type == "left" else None
+    picked, positions = _pairs(found, pad)
+    return _gather(build.batch, picked, batch, positions)
 
 
 def hash_join_batches(
-    build_rows: list[tuple],
+    build: Batch | list[tuple],
     build_names: Sequence[str],
     probe_batches: Iterable[Batch],
     probe_names: Sequence[str],
@@ -135,14 +153,16 @@ def hash_join_batches(
     probe_key: str,
     tally: CpuTally | None = None,
     join_type: str = "inner",
-    match_pred: Callable[[tuple], object] | None = None,
+    match_cond: ast.Expr | None = None,
 ) -> tuple[list[str], Iterator[Batch]]:
     """Equi-join: build eagerly, probe batch by batch.
 
     The build side is a pipeline breaker (hashed up front, charged to
-    ``tally`` immediately); the probe side streams, one output batch per
-    probe batch, so joined batches reach downstream operators while later
-    probe batches are still being produced.  Returns ``(output_names,
+    ``tally`` immediately); a list of row tuples is transposed into a
+    batch first.  The probe side streams, one output batch per probe
+    batch, so joined batches reach downstream operators while later
+    probe batches are still being produced.  ``match_cond`` reads the
+    build columns then the probe columns.  Returns ``(output_names,
     joined_batches)``.
 
     Raises:
@@ -152,18 +172,22 @@ def hash_join_batches(
     out_names = _check_names(build_names, probe_names, join_type)
     build_idx = index_of(build_names, build_key)
     probe_idx = index_of(probe_names, probe_key)
+    if not isinstance(build, Batch):
+        build = Batch.from_rows(build, len(build_names))
+    match = None if match_cond is None else compile_predicate_vector(
+        match_cond, {name: i for i, name in enumerate([*build_names, *probe_names])}
+    )
 
-    build = _BuildTable(build_rows, build_idx)
+    table = _BuildTable(build, build_idx, pad=join_type == "left")
     if tally is not None:
-        tally.add_seconds(build.num_rows * SERVER_CPU_PER_ROW["hash_build"])
-    null_pad = (None,) * len(build_names)
+        tally.add_seconds(len(build) * SERVER_CPU_PER_ROW["hash_build"])
 
     def probe() -> Iterator[Batch]:
         per_row = SERVER_CPU_PER_ROW["hash_probe"]
         for batch in probe_batches:
             if tally is not None:
                 tally.add_seconds(len(batch) * per_row)
-            yield _probe(build, batch, probe_idx, join_type, match_pred, null_pad)
+            yield _probe(table, batch, probe_idx, join_type, match)
 
     return out_names, probe()
 

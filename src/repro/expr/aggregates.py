@@ -10,10 +10,7 @@ partitions combine with ``strategies.scans.merge_partial``.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from repro.common.errors import UnsupportedFeatureError
-from repro.expr.compiler import RowFunc, compile_expr
 from repro.sqlparser import ast
 
 
@@ -103,28 +100,4 @@ class Accumulator:
         if self.func == "MIN":
             return self._min
         return self._max
-
-
-class CompiledAggregate:
-    """An aggregate call bound to an input schema.
-
-    ``new_accumulator()`` makes per-group state; ``input_value(row)``
-    evaluates the aggregate's argument for one row.
-    """
-
-    def __init__(self, agg: ast.Aggregate, schema: Mapping[str, int]):
-        self.func = agg.func
-        self.distinct = agg.distinct
-        if isinstance(agg.operand, ast.Star):
-            if agg.func != "COUNT":
-                raise UnsupportedFeatureError(f"{agg.func}(*) is not valid SQL")
-            self._arg: RowFunc = lambda row: 1  # COUNT(*) counts rows, not values
-        else:
-            self._arg = compile_expr(agg.operand, schema)
-
-    def new_accumulator(self) -> Accumulator:
-        return Accumulator(self.func, self.distinct)
-
-    def input_value(self, row: tuple) -> object:
-        return self._arg(row)
 

@@ -66,7 +66,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from repro.common.errors import TypeMismatchError
+from repro.common.errors import TypeMismatchError, UnsupportedFeatureError
 from repro.engine.batch import Batch
 from repro.expr.compiler import (
     _ARITH,
@@ -144,9 +144,15 @@ def compile_predicate_vector(
 def compile_aggregate_input_vector(
     agg: ast.Aggregate, schema: Mapping[str, int]
 ) -> VectorFunc:
-    """Vectorized twin of :meth:`CompiledAggregate.input_value`."""
+    """The values an aggregate call folds, per batch: its operand's, or a
+    1 per row for ``COUNT(*)``, which counts rows, not values.
+
+    Raises :class:`UnsupportedFeatureError` for any other ``*`` operand.
+    """
     if isinstance(agg.operand, ast.Star):
-        return lambda batch: [1] * len(batch)  # COUNT(*) counts rows
+        if agg.func != "COUNT":
+            raise UnsupportedFeatureError(f"{agg.func}(*) is not valid SQL")
+        return lambda batch: [1] * len(batch)
     return compile_expr_vector(agg.operand, schema)
 
 

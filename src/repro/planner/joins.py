@@ -14,10 +14,9 @@ from repro.bloom.filter import BloomBuildOutcome, BloomPushdown, membership_clau
 from repro.cloud.perf import SERVER_CPU_PER_ROW
 from repro.common.errors import PlanError
 from repro.engine.batch import Batch
-from repro.engine.operators.base import materialize
 from repro.engine.operators.filter import filter_batches
 from repro.engine.operators.hashjoin import hash_join_batches, index_of
-from repro.planner.nodes import PlanNode, ScanNode, one_batch, output_rows, q_error
+from repro.planner.nodes import PlanNode, ScanNode, output_rows, q_error
 from repro.sqlparser import ast
 
 if TYPE_CHECKING:
@@ -82,8 +81,9 @@ class HashJoinNode(JoinNode):
         self.bloom_keys = 0
         #: inner | left | semi | anti | anti_null (see operators.hashjoin).
         self.join_type = join_type
-        #: Residual ON/correlation condition evaluated per candidate
-        #: (build_row + probe_row) pair before it counts as a match.
+        #: Residual ON/correlation condition over the build columns then
+        #: the probe columns, evaluated over the candidate pairs before
+        #: a pair counts as a match.
         self.match_cond = match_cond
         #: Where this join came from, for EXPLAIN (e.g. "decorrelated
         #: EXISTS", "LEFT OUTER JOIN").
@@ -137,17 +137,6 @@ class HashJoinNode(JoinNode):
         )
         probe.pushed = self.bloom_clauses
 
-    def _match_pred(self, build_names, probe_names, state: ExecState):
-        if self.match_cond is None:
-            return None
-        from repro.expr.compiler import compile_predicate
-
-        combined = [*build_names, *probe_names]
-        return compile_predicate(
-            state.bind(self.match_cond),
-            {name: i for i, name in enumerate(combined)},
-        )
-
     def run(self, state: ExecState):
         build_names, build = state.drain(self.build)
         self._push_membership(build_names, build, state)
@@ -167,11 +156,12 @@ class HashJoinNode(JoinNode):
                 build, probe = probe, build
                 build_names, probe_names = probe_names, build_names
                 build_key, probe_key = probe_key, build_key
+        # Only the hashed side becomes one batch: the probe keeps its
+        # batch boundaries, which the per-batch CPU tally follows.
         return hash_join_batches(
-            materialize(build), build_names, probe, probe_names,
-            build_key, probe_key, state.tally,
-            join_type=self.join_type,
-            match_pred=self._match_pred(build_names, probe_names, state),
+            Batch.concat(build, len(build_names)), build_names, probe,
+            probe_names, build_key, probe_key, state.tally,
+            join_type=self.join_type, match_cond=state.bind(self.match_cond),
         )
 
 
@@ -195,10 +185,9 @@ class CrossProductNode(JoinNode):
         )
 
     def run(self, state: ExecState):
-        build_names, build_rows = state.materialize(self.build)
-        state.tally.add_seconds(
-            len(build_rows) * SERVER_CPU_PER_ROW["hash_build"]
-        )
+        build_names, batches = state.drain(self.build)
+        build = Batch.concat(batches, len(build_names))
+        state.tally.add_seconds(len(build) * SERVER_CPU_PER_ROW["hash_build"])
         if self.stream_probe:
             probe_names, probe_stream = state.run(self.probe)
         else:
@@ -212,14 +201,13 @@ class CrossProductNode(JoinNode):
 
         def product() -> Iterator[Batch]:
             per_row = SERVER_CPU_PER_ROW["hash_probe"]
-            fan_out = range(len(build_rows))
-            build_columns = Batch.from_rows(build_rows, len(build_names)).columns
+            fan_out = range(len(build))
             for batch in probe_stream:
                 # Probe-major order: every build row against each probe row.
-                n = len(batch) * len(build_rows)
+                n = len(batch) * len(build)
                 state.tally.add_seconds(n * per_row)
                 yield Batch(
-                    [col * len(batch) for col in build_columns]
+                    [col * len(batch) for col in build.columns]
                     + [[v for v in col for _ in fan_out] for col in batch.columns],
                     n,
                 )
@@ -228,7 +216,7 @@ class CrossProductNode(JoinNode):
 
 
 class MaterializedNode(PlanNode):
-    """A subtree that already executed: its rows live in memory.
+    """A subtree that already executed: its result is one batch in memory.
 
     The adaptive executor replaces each pipeline breaker it finishes
     with one of these, so the *remaining* tree can be re-planned around
@@ -237,24 +225,24 @@ class MaterializedNode(PlanNode):
     was metered when the wrapped ``source`` subtree actually ran.
     """
 
-    def __init__(self, rows: list[tuple], names: Sequence[str], source: PlanNode):
-        self.rows = rows
+    def __init__(self, batch: Batch, names: Sequence[str], source: PlanNode):
+        self.batch = batch
         self.names = list(names)
         #: The executed subtree this result came from (reporting +
         #: feedback harvesting descend into it; execution does not).
         self.source = source
         self.tables: frozenset = source.tables
-        self.est_rows = float(len(rows))
+        self.est_rows = float(len(batch))
 
     def children(self) -> tuple[PlanNode, ...]:
         return (self.source,)
 
     def describe(self) -> str:
         label = "+".join(sorted(self.tables))
-        return f"materialized[{label}] rows={len(self.rows)}"
+        return f"materialized[{label}] rows={len(self.batch)}"
 
     def run(self, state: ExecState):
-        return list(self.names), one_batch(self.rows, self.names)
+        return list(self.names), iter([self.batch])
 
 
 def _next_adaptive_step(root: HashJoinNode):
@@ -338,15 +326,13 @@ class AdaptiveJoinNode(PlanNode):
             action, join, parent = _next_adaptive_step(tree)
             if action == "final":
                 break
+            node = join.build if action == "build_scan" else join
+            names, batches = state.drain(node)
+            done = MaterializedNode(Batch.concat(batches, len(names)), names, node)
             if action == "build_scan":
-                scan = join.build
-                names, rows = state.materialize(scan)
-                done = MaterializedNode(rows, names, scan)
                 join.build = done
-                tree = self._check(tree, done, scan.est_rows)
+                est = node.est_rows
             else:
-                names, rows = state.materialize(join)
-                done = MaterializedNode(rows, names, join)
                 if parent.build is join:
                     parent.build = done
                 else:
@@ -358,7 +344,7 @@ class AdaptiveJoinNode(PlanNode):
                     join.est_out_rows
                     if join.est_out_rows is not None else join.est_rows
                 )
-                tree = self._check(tree, done, est)
+            tree = self._check(tree, done, est)
         self.child = tree
         names, stream = state.run(tree)
         if self._missing_residual:
@@ -373,11 +359,11 @@ class AdaptiveJoinNode(PlanNode):
         est_rows: float | None,
     ) -> HashJoinNode:
         """Record the estimate-vs-actual outcome; re-plan when it is bad."""
-        q = q_error(est_rows, len(done.rows))
+        q = q_error(est_rows, len(done.batch))
         event = {
             "tables": sorted(done.tables),
             "est_rows": round(est_rows, 1) if est_rows is not None else None,
-            "actual_rows": len(done.rows),
+            "actual_rows": len(done.batch),
             "q_error": round(q, 3),
             "replanned": False,
         }

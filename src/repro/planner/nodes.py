@@ -12,7 +12,8 @@ Execution contract:
   and every pull of its stream and counts the rows it yields — no node
   keeps a clock of its own; a node runs its children through the same
   entry (``state.run(child)``), or drains them now
-  (``state.drain(child)``, ``state.materialize(child)``);
+  (``state.drain(child)``); what a node holds on to is one batch
+  (:meth:`Batch.concat <repro.engine.batch.Batch.concat>`);
 * a scan issues its requests when it runs and appends its phase once
   its stream is drained: a **drained** scan (hash-build sides, non-spine
   probes) at once, the one **streaming** scan on the pipeline spine when
@@ -23,7 +24,8 @@ Execution contract:
 * all local-operator CPU accumulates into one :class:`CpuTally` charged
   to the final phase;
 * a plan's init plans (subquery legs) run first, each as a plan of its
-  own; :class:`LegNode` leaves read their rows, ``$n`` their values.
+  own; :class:`LegNode` leaves read their result batch, ``$n`` their
+  values.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from repro.cloud.metrics import Phase
 from repro.cloud.perf import SERVER_CPU_PER_ROW
 from repro.engine.batch import Batch, rechunk_batches
 from repro.engine.catalog import TableInfo
-from repro.engine.operators.base import BatchCounter, materialize
+from repro.engine.operators.base import BatchCounter
 from repro.engine.operators.filter import filter_batches
 from repro.engine.operators.groupby import GroupBy, aggregate_inputs, group_by_cpu
 from repro.engine.operators.limit import limit_batches
@@ -57,11 +59,6 @@ from repro.strategies.scans import (
 
 if TYPE_CHECKING:
     from repro.planner.physical import ExecState, InitPlan
-
-
-def one_batch(rows: list[tuple], names: Sequence[str]) -> Iterator[Batch]:
-    """A materialized result handed downstream as a one-batch stream."""
-    return iter([Batch.from_rows(rows, len(names))])
 
 
 class PlanNode:
@@ -318,7 +315,7 @@ class ScanNode(_TableLeaf):
             buffer.append(batch)
             yield batch
         if drained:
-            buffer = [Batch.from_rows(materialize(buffer), len(self.columns))]
+            buffer = [Batch.concat(buffer, len(self.columns))]
         self._cache_batches = buffer
 
     def flush_cache(self, cache) -> int:
@@ -510,12 +507,12 @@ class PushedAggregateNode(_TableLeaf):
         state.phases.append(phase_since(
             ctx, mark, self.phase_label, streams=streams
         ))
-        return out_names, one_batch([tuple(merged)], out_names)
+        return out_names, iter([Batch([[v] for v in merged], 1)])
 
 
 class LegNode(PlanNode):
-    """Leaf: the rows of an init plan (a decorrelated build side, a
-    derived table), which ran — and metered its work — before the root."""
+    """Leaf: the result batch of an init plan (a decorrelated build side,
+    a derived table), which ran — and metered its work — before the root."""
 
     def __init__(self, leg: InitPlan):
         self.leg = leg
@@ -525,7 +522,7 @@ class LegNode(PlanNode):
         return f"init plan {self.leg.index} [{', '.join(self.leg.names)}]"
 
     def run(self, state: ExecState):
-        return list(self.leg.names), one_batch(self.leg.rows, self.leg.names)
+        return list(self.leg.names), iter([self.leg.batch])
 
 
 class FilterNode(PlanNode):

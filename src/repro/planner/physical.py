@@ -24,7 +24,7 @@ from repro.cloud.context import CloudContext, QueryExecution
 from repro.cloud.metrics import Phase
 from repro.common.errors import PlanError
 from repro.engine.batch import Batch
-from repro.engine.operators.base import BatchCounter, CpuTally, materialize
+from repro.engine.operators.base import BatchCounter, CpuTally
 from repro.planner.joins import AdaptiveJoinNode, JoinNode, MaterializedNode
 from repro.planner.nodes import LimitNode, PlanNode, ScanNode, output_rows, q_error
 from repro.planner.report import (
@@ -102,11 +102,6 @@ class ExecState:
         self.pending = outer
         return names, batches
 
-    def materialize(self, node: PlanNode) -> tuple[list[str], list[tuple]]:
-        """Drain a subtree into a row list (hash-build / cross-build sides)."""
-        names, batches = self.drain(node)
-        return names, materialize(batches)
-
     def stream_phase(
         self, mark: int, label: str, streams: int, counter: BatchCounter,
         ncols: int,
@@ -183,8 +178,8 @@ class PhysicalPlan:
 @dataclass(eq=False)
 class InitPlan:
     """A subquery leg: ``plan`` runs once, before the root of the plan
-    listing it at ``index`` (PostgreSQL's InitPlan).  Its rows feed
-    :class:`LegNode` leaves under ``names``, or — ``value`` being
+    listing it at ``index`` (PostgreSQL's InitPlan).  Its result batch
+    feeds :class:`LegNode` leaves under ``names``, or — ``value`` being
     ``"scalar"``, ``"exists"`` or ``"not exists"`` — become the value
     bound to ``$index``; ``feeds`` says which, for EXPLAIN."""
 
@@ -193,8 +188,8 @@ class InitPlan:
     names: list[str]
     feeds: str
     value: str | None = None
-    #: What its latest run returned (``None`` until it runs).
-    rows: list[tuple] | None = None
+    #: What its latest run returned, as one batch (``None`` until it runs).
+    batch: Batch | None = None
 
     def describe(self) -> str:
         return (
@@ -203,16 +198,16 @@ class InitPlan:
         )
 
     def param(self) -> ast.Literal:
-        """The value ``$index`` is bound to, from the rows of the run."""
-        rows = self.rows
+        """The value ``$index`` is bound to, from the result of the run."""
+        batch = self.batch
         if self.value == "scalar":
-            if len(rows) > 1:
+            if len(batch) > 1:
                 raise PlanError(
                     "a scalar subquery must produce one column and at most"
                     " one row"
                 )
-            return ast.Literal(rows[0][0] if rows else None)
-        return ast.Literal(bool(rows) != (self.value == "not exists"))
+            return ast.Literal(batch.columns[0][0] if len(batch) else None)
+        return ast.Literal(bool(len(batch)) != (self.value == "not exists"))
 
 
 def execute_plan(ctx: CloudContext, plan: PhysicalPlan) -> QueryExecution:
@@ -222,24 +217,25 @@ def execute_plan(ctx: CloudContext, plan: PhysicalPlan) -> QueryExecution:
     This is the single executor behind every planner path.  Each init plan
     runs first, through the same routine as the root's plan (own state,
     phase policy, CPU tally, harvest), and bills to this execution, its
-    phases ahead of the root's.  The root is drained into a row list;
+    phases ahead of the root's.  The root is drained into one batch,
+    whose rows are the execution's;
     phases are assembled per the plan's policy; all accumulated local CPU
     lands on the final phase; the execution's ``report`` records what
     each node observed (:func:`plan_records`).
     """
-    return _execute(ctx, plan)
+    return _execute(ctx, plan)[0]
 
 
-def _execute(ctx: CloudContext, plan: PhysicalPlan) -> QueryExecution:
+def _execute(ctx: CloudContext, plan: PhysicalPlan) -> tuple[QueryExecution, Batch]:
     # Init plans recurse here, not into ``execute_plan``: tracers wrap
     # that one from outside and count each query once.  An init plan's
-    # tree and times are reported under its query's root.
+    # tree and times are reported under its query's root; it keeps its
+    # result as the one batch the root drained into.
     mark = ctx.begin_query()
     phases: list[Phase] = []
     params: dict[int, ast.Literal] = {}
     for init in plan.init_plans:
-        leg = _execute(ctx, init.plan)
-        init.rows = leg.rows
+        leg, init.batch = _execute(ctx, init.plan)
         phases += leg.phases
         if init.value is not None:
             params[init.index] = init.param()
@@ -247,7 +243,7 @@ def _execute(ctx: CloudContext, plan: PhysicalPlan) -> QueryExecution:
     # The combined baseline phase spans only the root's own requests.
     query_mark = ctx.metrics.mark()
     names, stream = state.run(plan.root)
-    rows = materialize(stream)
+    result = Batch.concat(list(stream), len(names))
     nodes = [node for node, _ in walk_plan(plan.root)]
     if plan.combined_label is not None:
         # GET scans ingest whole tables whatever the pipeline pulled;
@@ -271,7 +267,9 @@ def _execute(ctx: CloudContext, plan: PhysicalPlan) -> QueryExecution:
         if state.pending is not None:
             phases.append(state.pending())
         phases[-1].server_cpu_seconds += state.tally.seconds
-    execution = ctx.finalize(mark, rows, names, phases, strategy=plan.strategy)
+    execution = ctx.finalize(
+        mark, list(result.iter_rows()), names, phases, strategy=plan.strategy
+    )
     records = plan_records(plan)
     # Close the loop: every measured cardinality becomes a learned
     # estimate for the rest of the session, for free.
@@ -302,7 +300,7 @@ def _execute(ctx: CloudContext, plan: PhysicalPlan) -> QueryExecution:
         cache=cache,
         extras={k: v for node in nodes for k, v in (node.extras or {}).items()},
     )
-    return execution
+    return execution, result
 
 
 def runner(build_plan: Callable[..., PhysicalPlan]) -> Callable[..., QueryExecution]:

@@ -33,6 +33,7 @@ from repro.cloud.context import CloudContext
 from repro.cloud.metrics import Phase
 from repro.cloud.perf import SERVER_CPU_PER_ROW
 from repro.common.errors import PlanError
+from repro.engine.batch import Batch
 from repro.engine.catalog import Catalog, TableInfo
 from repro.engine.operators.base import BatchCounter, CpuTally, materialize
 from repro.engine.operators.groupby import group_by_batches, group_by_cpu
@@ -44,7 +45,6 @@ from repro.planner.nodes import (
     GroupByNode,
     PlanNode,
     ScanNode,
-    one_batch,
     whole_table_select,
 )
 from repro.planner.physical import PhysicalPlan
@@ -262,7 +262,7 @@ class PushedGroupByNode(PlanNode):
     def run(self, state: physical.ExecState):
         rows = self.group_rows(state.ctx, state.phases)
         names = self.query.output_names()
-        return names, one_batch(rows, names)
+        return names, iter([Batch.from_rows(rows, len(names))])
 
 
 class CaseGroupByNode(PushedGroupByNode):

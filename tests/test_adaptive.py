@@ -14,6 +14,7 @@ The contract under test, matching the PR's acceptance criteria:
 import pytest
 
 from repro.cloud.context import CloudContext
+from repro.engine.batch import Batch
 from repro.engine.catalog import Catalog, load_table
 from repro.planner.database import PushdownDB
 from repro.planner.planner import plan_and_execute
@@ -306,8 +307,10 @@ class TestReplanEvents:
                 return flipped
 
         node = AdaptiveJoinNode(tree, FlipRoot(), threshold=2.0)
-        done = MaterializedNode([(i, i) for i in range(80)], ["ta_k", "ta_v"],
-                                search.leaf("ta"))
+        done = MaterializedNode(
+            Batch.from_rows([(i, i) for i in range(80)]), ["ta_k", "ta_v"],
+            search.leaf("ta"),
+        )
         assert node._check(tree, done, est_rows=8.0) is flipped
         (event,) = node.events
         assert event["replanned"]

@@ -7,7 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.errors import UnsupportedFeatureError
-from repro.expr.aggregates import Accumulator, CompiledAggregate
+from repro.engine.batch import Batch
+from repro.expr.aggregates import Accumulator
+from repro.expr.compiler import compile_expr
+from repro.expr.vector import compile_aggregate_input_vector
 from repro.sqlparser import ast
 from repro.sqlparser.parser import parse_expression
 from repro.strategies.scans import merge_partial
@@ -64,27 +67,30 @@ class TestAccumulator:
 
 
 class TestCompiledAggregate:
+    """An aggregate call bound to a schema: the row compiler evaluates its
+    operand and an :class:`Accumulator` folds it, row by row (the row
+    oracle), or its vector input folds a whole batch."""
+
     def test_count_star_counts_rows(self):
-        agg = CompiledAggregate(
+        rows = ((None,), (1,), (2,))
+        inputs = compile_aggregate_input_vector(
             ast.Aggregate("COUNT", ast.Star()), {"x": 0}
-        )
-        acc = agg.new_accumulator()
-        for row in ((None,), (1,), (2,)):
-            acc.add(agg.input_value(row))
+        )(Batch.from_rows(rows))
+        acc = Accumulator("COUNT")
+        acc.add_many(inputs)
         assert acc.result() == 3  # COUNT(*) counts NULL rows too
 
     def test_sum_of_expression(self):
-        agg = CompiledAggregate(
-            parse_expression("SUM(a * 2)"), {"a": 0}
-        )
-        acc = agg.new_accumulator()
+        call = parse_expression("SUM(a * 2)")
+        operand = compile_expr(call.operand, {"a": 0})
+        acc = Accumulator(call.func, call.distinct)
         for row in ((1,), (2,)):
-            acc.add(agg.input_value(row))
+            acc.add(operand(row))
         assert acc.result() == 6
 
     def test_non_count_star_rejected(self):
         with pytest.raises(UnsupportedFeatureError):
-            CompiledAggregate(ast.Aggregate("SUM", ast.Star()), {})
+            compile_aggregate_input_vector(ast.Aggregate("SUM", ast.Star()), {})
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))

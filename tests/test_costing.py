@@ -21,6 +21,7 @@ import random
 from pathlib import Path
 
 import pytest
+from helpers import one_batch
 from test_sql_differential import _COLUMNS, SEED, _make_tables, _simple_predicate
 
 from repro.cloud.metrics import Phase
@@ -37,7 +38,6 @@ from repro.planner.nodes import (
     ProjectNode,
     SortNode,
     TopKNode,
-    one_batch,
 )
 from repro.planner.physical import ExecState
 from repro.planner.planner import plan_parsed
@@ -248,7 +248,8 @@ def test_a_sql_residual_filter_is_priced(db):
     plan, _ = plan_parsed(db.ctx, db.catalog, parse(sql), "optimized")
     (residual,) = [n for n in _nodes(plan.root) if isinstance(n, FilterNode)]
     state = ExecState(db.ctx)
-    names, rows = state.materialize(residual.child)
+    names, batches = state.drain(residual.child)
+    rows = [row for batch in batches for row in batch]
     residual.child = _Rows(names, rows)
     assert rows and residual.est_cpu > 0
     assert residual.est_cpu == pytest.approx(_billed(db.ctx, residual), rel=1e-12)

@@ -6,7 +6,8 @@ keys on both sides (many-to-many fan-out), NULL join keys (SQL equality
 never matches NULL), and probe-side early termination under LIMIT (the
 streaming pipeline must stop pulling probe batches once enough joined
 rows exist).  A property pins all five join types, with and without a
-residual match predicate, against a row-at-a-time reference.
+residual match condition, against a row-at-a-time reference that
+evaluates the condition with the row compiler.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from repro.engine.batch import Batch
 from repro.engine.operators.base import CpuTally, materialize
 from repro.engine.operators.hashjoin import JOIN_TYPES, hash_join_batches
 from repro.engine.operators.limit import limit_batches
+from repro.expr.compiler import compile_predicate
+from repro.sqlparser.parser import parse_expression
 
 BUILD_NAMES = ["k", "a"]
 PROBE_NAMES = ["j", "b"]
@@ -175,11 +178,18 @@ class TestNameCollisions:
             hash_join_batches([(1, "a")], BUILD_NAMES, [Batch([], 2)], [], "k", "j")
 
 
-# Few distinct keys so duplicates, misses and NULLs on either side all occur.
+# Few distinct keys so duplicates, misses and NULLs on either side all
+# occur; NULL payloads make the residual UNKNOWN for some pairs.
 _keys = st.one_of(st.none(), st.integers(0, 3))
-_build_rows = st.lists(st.tuples(_keys, st.integers(0, 9)), max_size=8)
+_payload = st.one_of(st.none(), st.integers(0, 9))
+_build_rows = st.lists(st.tuples(_keys, _payload), max_size=8)
 _probe_chunks = st.lists(
-    st.lists(st.tuples(_keys, st.integers(0, 9)), max_size=5), max_size=4
+    st.lists(st.tuples(_keys, _payload), max_size=5), max_size=4
+)
+#: The residual over the combined (k, a, j, b) row: ``a <= b``.
+RESIDUAL = parse_expression("a <= b")
+_residual_pred = compile_predicate(
+    RESIDUAL, {name: i for i, name in enumerate(BUILD_NAMES + PROBE_NAMES)}
 )
 
 
@@ -187,16 +197,17 @@ class TestJoinMatrix:
     """`hash_join_batches` == the row-at-a-time reference: rows, row
     order and names, for every join type."""
 
+    @pytest.mark.parametrize("build_as", ["batch", "rows"])
     @pytest.mark.parametrize("with_pred", [False, True], ids=["equi", "residual"])
     @pytest.mark.parametrize("join_type", JOIN_TYPES)
     @settings(max_examples=60, deadline=None)
     @given(build=_build_rows, chunks=_probe_chunks)
-    def test_matches_row_reference(self, join_type, with_pred, build, chunks):
-        # Residual condition over the combined (k, a, j, b) row; NULL-safe.
-        match_pred = (lambda row: row[1] <= row[3]) if with_pred else None
+    def test_matches_row_reference(self, join_type, with_pred, build_as, build, chunks):
+        match_pred = _residual_pred if with_pred else None
         names, stream = hash_join_batches(
-            build, BUILD_NAMES, _batches(*chunks), PROBE_NAMES, "k", "j",
-            join_type=join_type, match_pred=match_pred,
+            Batch.from_rows(build, 2) if build_as == "batch" else build,
+            BUILD_NAMES, _batches(*chunks), PROBE_NAMES, "k", "j",
+            join_type=join_type, match_cond=RESIDUAL if with_pred else None,
         )
         batches = list(stream)
         assert all(type(batch) is Batch for batch in batches)
@@ -211,6 +222,23 @@ class TestJoinMatrix:
         assert materialize(batches) == reference_join(
             build, 0, probe_rows, 0, join_type, match_pred
         )
+
+    @pytest.mark.parametrize("join_type", JOIN_TYPES)
+    def test_a_null_residual_operand_drops_the_pair(self, join_type):
+        """``NULL <= 5`` is UNKNOWN: the key matches but the pair does not,
+        so a left join pads that probe row and an anti join keeps it."""
+        build = [(1, None), (1, 3)]
+        probe = [(1, 5), (1, 2), (1, None)]
+        _, stream = hash_join_batches(
+            Batch.from_rows(build), BUILD_NAMES, _batches(probe), PROBE_NAMES,
+            "k", "j", join_type=join_type, match_cond=RESIDUAL,
+        )
+        want = reference_join(build, 0, probe, 0, join_type, _residual_pred)
+        assert materialize(stream) == want
+        if join_type == "left":
+            assert want == [
+                (1, 3, 1, 5), (None, None, 1, 2), (None, None, 1, None),
+            ]
 
     @pytest.mark.parametrize("join_type", JOIN_TYPES)
     def test_key_only_and_size_one_batches(self, join_type):

@@ -18,6 +18,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from helpers import calls_by_name
 
 from repro.cloud.context import CloudContext
 from repro.engine.batch import Batch
@@ -418,6 +419,50 @@ def test_every_plan_node_stream_yields_batches(batch_streams):
     }
 
 
+#: Join shapes whose state a plan holds on to, and the EXPLAIN text that
+#: shows each one ran: a left join with an ON residual, a cross product,
+#: init-plan legs feeding hash builds (a semi join, a left join, nested
+#: legs under a residual), an adaptive execution's materialized results.
+_HELD_STATE = {
+    "left_on": (
+        "SELECT c_custkey, o_orderkey FROM customer LEFT OUTER JOIN orders"
+        " ON c_custkey = o_custkey AND o_totalprice < c_acctbal * 20",
+        ("left hash-join", " on ("),
+    ),
+    "cross": (
+        "SELECT n_name, r_name FROM nation, region"
+        " WHERE r_regionkey < 2 AND n_nationkey < 5",
+        ("cross-product",),
+    ),
+    "q04": (None, ("semi hash-join", "init plan")),
+    "q13": (None, ("left hash-join", "init plan")),
+    "q20": (None, (" on (", "init plan")),
+    "q05": (None, ("materialized[",)),
+}
+
+
+def test_join_state_legs_and_materialized_results_stay_batches():
+    """No row-tuple round trip between batches: hash and cross builds,
+    materialized results, init-plan legs and the cache tee hold one
+    batch, so no row list is drained (``materialize``) or transposed
+    back (``Batch.from_rows``)."""
+    ctx, catalog = CloudContext(cache_bytes=1 << 24), Catalog()
+    load_suite_tables(ctx, catalog, 0.002, seed=11).close()
+    for name, (sql, shows) in _HELD_STATE.items():
+        sql = sql or (QUERY_DIR / f"{name}.sql").read_text()
+        modes = ("adaptive",) if name == "q05" else ("baseline", "optimized")
+        for mode in modes:
+            executions = []
+            calls = calls_by_name(lambda: executions.append(
+                plan_and_execute(ctx, catalog, sql, mode=mode)
+            ))
+            (execution,) = executions
+            assert execution.rows, (name, mode)
+            assert all(text in execution.report.plan for text in shows), (name, mode)
+            assert calls["from_rows"] == calls["materialize"] == 0, (name, mode)
+    assert ctx.result_cache.stats.stores > 0
+
+
 def _scan_leaves(node):
     if isinstance(node, ScanNode):
         yield node
@@ -465,9 +510,9 @@ def test_baseline_get_scans_decode_needed_columns_and_bill_full_rows(monkeypatch
     real_execute = physical._execute
 
     def execute(ctx, plan, **kwargs):
-        execution = real_execute(ctx, plan, **kwargs)
+        execution, result = real_execute(ctx, plan, **kwargs)
         executed.append((plan, execution))
-        return execution
+        return execution, result
 
     monkeypatch.setattr(physical, "_execute", execute)
 

@@ -14,7 +14,7 @@ from repro.common.errors import (
     ReproError,
     UnsupportedFeatureError,
 )
-from repro.expr.aggregates import CompiledAggregate
+from repro.expr.aggregates import Accumulator
 from repro.expr.compiler import compile_expr, compile_predicate
 from repro.s3select.engine import PreparedSelect, ScanRange, execute_select
 from repro.s3select.validator import expression_complexity, validate_select_sql
@@ -398,7 +398,7 @@ def test_property_projection_rows_and_bytes(rows, items, where, limit, parquet):
 @settings(max_examples=40, deadline=None)
 @given(_TYPED_ROWS, st.sampled_from(_AGGREGATES), st.sampled_from(_WHERE))
 def test_property_pushed_aggregates_match_row_fold(rows, items, where):
-    """``add_many`` over vector inputs == ``add(input_value(row))`` per row,
+    """``add_many`` over vector inputs == ``add(operand(row))`` per row,
     bit for bit (float sums fold in the same order)."""
     result = execute_select(csv_object(rows), _sql(items, where))
     query = parse(_sql(items, where))
@@ -411,16 +411,20 @@ def test_property_pushed_aggregates_match_row_fold(rows, items, where):
 
 def _fold_item(expr, members):
     """``expr`` over one group's rows: each aggregate node (found with
-    ``ast.walk``) folded one row at a time (``add(input_value(row))``),
-    then the rest evaluated by the row compiler on the group's first row."""
+    ``ast.walk``) folded one row at a time (``add(operand(row))``, the
+    operand row-compiled; ``COUNT(*)`` folds a 1 per row), then the rest
+    evaluated by the row compiler on the group's first row."""
     index = SCHEMA.name_to_index
     values = {}
     for node in ast.walk(expr):
         if isinstance(node, ast.Aggregate):
-            compiled = CompiledAggregate(node, index)
-            acc = compiled.new_accumulator()
+            operand = (
+                (lambda row: 1) if isinstance(node.operand, ast.Star)
+                else compile_expr(node.operand, index)
+            )
+            acc = Accumulator(node.func, node.distinct)
             for row in members:
-                acc.add(compiled.input_value(row))
+                acc.add(operand(row))
             values[node] = acc.result()
     folded = ast.map_expr(
         expr, lambda n: ast.Literal(values[n]) if isinstance(n, ast.Aggregate) else None
