@@ -12,9 +12,9 @@ is a row, and ``batch[a:b]`` is a sliced *view* — column slices share
 the underlying value objects and no row tuple is ever rebuilt.  What a
 plan materializes (a hash-join build, a cross product's build, an
 adaptive re-plan's finished subtree, an init plan's result) is one batch
-too (:meth:`Batch.concat`); row tuples exist only in the result handed
-to the caller and in a few operators' private state (top-K's heap, the
-paper strategies' group rows).
+too (:meth:`Batch.concat`), and so are the partials a pushed aggregate
+returns; row tuples exist only in the result handed to the caller and in
+a few operators' private state (top-K's heap).
 """
 
 from __future__ import annotations

@@ -33,14 +33,6 @@ class CpuTally:
         self.seconds += seconds
 
 
-def materialize(batches: Iterable[Batch]) -> list[tuple]:
-    """Drain a batch stream into one row list (the pipeline's sink)."""
-    out: list[tuple] = []
-    for batch in batches:
-        out.extend(batch)
-    return out
-
-
 class BatchCounter:
     """Counts rows flowing through a batch stream without buffering it.
 

@@ -2,8 +2,9 @@
 
 Used by the server-side / filtered group-by strategies, by hybrid
 group-by for its small-group tail, by the SQL planner for TPC-H
-queries with GROUP BY, and by S3 Select for pushed aggregates and the
-partial group-by extension.
+queries with GROUP BY, by S3 Select for pushed aggregates and the
+partial group-by extension, and — as :func:`combine_partials` — to
+finish the per-partition partials those pushed aggregates return.
 
 Group keys and aggregate inputs are extracted column-at-a-time and each
 group's slice of a batch is folded with :meth:`Accumulator.add_many`, in
@@ -178,3 +179,38 @@ def group_by_batches(
     follows first appearance of each group (deterministic).
     """
     return GroupBy(column_names, group_exprs, items).run(batches, tally)
+
+
+#: The partial aggregates each combinable function travels as, in the
+#: order :func:`combine_partials` reads them: AVG as a SUM and a COUNT.
+PARTIALS = {
+    "SUM": ("SUM",), "COUNT": ("COUNT",), "MIN": ("MIN",), "MAX": ("MAX",),
+    "AVG": ("SUM", "COUNT"),
+}
+
+
+def combine_partials(partials: Batch, keys: int, funcs: Sequence[str]) -> Batch:
+    """Finish pushed aggregates from their partials, with a group-by (the
+    combine and final functions of PostgreSQL's two-phase aggregation).
+
+    ``partials`` holds ``keys`` group columns, then the :data:`PARTIALS`
+    columns of each of ``funcs``, a row per (partition, group).  The
+    result holds the keys, then one column per function, a row per group
+    in first-seen order: COUNT partials add up, SUM / MIN / MAX ones
+    combine as themselves, and AVG is its summed SUM over its summed
+    COUNT — a float (the engine's ``/`` keeps an exact int quotient an
+    int), NULL at count 0.  Combining bills no CPU.
+    """
+    names = [f"p{i}" for i in range(len(partials.columns))]
+    columns = iter(map(ast.Column, names[keys:]))
+    finals: list[ast.Expr] = []
+    for func in funcs:
+        if func == "AVG":
+            total = ast.Aggregate("SUM", next(columns))
+            count = ast.Aggregate("SUM", next(columns))
+            finals.append(ast.Binary("/", ast.Cast(total, "FLOAT"), count))
+        else:
+            finals.append(ast.Aggregate("SUM" if func == "COUNT" else func, next(columns)))
+    group_exprs = [ast.Column(name) for name in names[:keys]]
+    items = [ast.SelectItem(expr) for expr in (*group_exprs, *finals)]
+    return GroupBy(names, group_exprs, items).run([partials])

@@ -5,7 +5,8 @@ GROUP BY.  Both sides of the wire fold them through the same
 :class:`~repro.engine.operators.groupby.GroupBy` — one accumulator set
 per group, a single group for a global aggregate — so storage-side and
 query-node aggregates agree bit for bit.  Partials from different
-partitions combine with ``strategies.scans.merge_partial``.
+partitions combine through it too
+(:func:`~repro.engine.operators.groupby.combine_partials`).
 """
 
 from __future__ import annotations

@@ -86,14 +86,6 @@ class ScanReuse:
 
 
 @dataclass
-class AggregateReuse:
-    """Cached per-partition partials projected to the requested items."""
-
-    status: str  # always "hit" — aggregates require an exact WHERE match
-    partials: list[list]
-
-
-@dataclass
 class _Entry:
     table: str
     nbytes: int
@@ -104,7 +96,7 @@ class _Entry:
     batches: list[Batch] = field(default_factory=list)
     # aggregate entries
     items: tuple[str, ...] = ()
-    partials: list[list] = field(default_factory=list)
+    partials: Batch | None = None
 
 
 def _value_bytes(value) -> int:
@@ -295,25 +287,22 @@ class SemanticCache:
         table: str,
         where: ast.Expr | None,
         items: list[str],
-        partials: list[list],
+        partials: Batch,
     ) -> bool:
-        """Retain a pushed aggregate's per-partition partial rows.
+        """Retain a pushed aggregate's partials batch, a row per partition.
 
         ``items`` are the normalized SQL of each aggregate expression
-        (alias-insensitive), aligned with the partial-row columns.
+        (alias-insensitive), aligned with the batch's columns.
         """
         item_key = tuple(items)
         key = ("agg", table, predicate_signature(where), item_key)
-        nbytes = 64 + sum(
-            _value_bytes(v) for row in partials for v in row
-        )
         entry = _Entry(
             table=table,
-            nbytes=nbytes,
+            nbytes=64 + sum(map(_column_bytes, partials.columns)),
             rows=len(partials),
             predicate=where,
             items=item_key,
-            partials=[list(row) for row in partials],
+            partials=partials,
         )
         with self._lock:
             return self._admit(key, entry)
@@ -334,8 +323,9 @@ class SemanticCache:
 
     def lookup_aggregate(
         self, table: str, where: ast.Expr | None, items: list[str]
-    ) -> AggregateReuse | None:
-        """Recombinable partials for a pushed aggregate; ``None`` on miss."""
+    ) -> Batch | None:
+        """A pushed aggregate's cached partials projected to ``items`` (views
+        of the cached columns; only an exact WHERE hits); ``None`` on miss."""
         with self._lock:
             match = self._match_aggregate(table, where, items)
             if match is None:
@@ -344,10 +334,8 @@ class SemanticCache:
             key, entry, take = match
             self._entries.move_to_end(key)
             self.stats.hits += 1
-            return AggregateReuse(
-                status="hit",
-                partials=[[row[i] for i in take] for row in entry.partials],
-            )
+            partials = entry.partials
+            return Batch([partials.columns[i] for i in take], len(partials))
 
     def peek_aggregate(
         self, table: str, where: ast.Expr | None, items: list[str]

@@ -238,8 +238,9 @@ def probe_selectivity(
     any request, so repeated queries stop paying for probes.  The
     measurement is recorded back into the store either way.
     """
+    from repro.engine.operators.groupby import combine_partials
     from repro.s3select.engine import PreparedSelect
-    from repro.strategies.scans import iter_scan_batches, select_query
+    from repro.strategies.scans import select_partials, select_query
 
     cached = ctx.feedback.lookup_selectivity(table.name, predicate)
     if cached is not None:
@@ -247,10 +248,8 @@ def probe_selectivity(
     one = ast.Literal(1)
     matched_sum = ast.Aggregate("SUM", ast.Case(((predicate, one),), ast.Literal(0)))
     statement = PreparedSelect(select_query([matched_sum, ast.Aggregate("SUM", one)]))
-    matched = seen = 0
-    for batch in iter_scan_batches(ctx, table, statement, scan_range_fraction=fraction):
-        matched += sum(v or 0 for v in batch.column(0))
-        seen += sum(v or 0 for v in batch.column(1))
+    partials = select_partials(ctx, table, statement, 2, scan_range_fraction=fraction)
+    matched, seen = combine_partials(partials, 0, ["SUM", "SUM"]).row(0)
     if not seen:
         return estimate_selectivity(predicate, table.stats)
     measured = matched / seen

@@ -40,7 +40,12 @@ from repro.engine.batch import Batch, rechunk_batches
 from repro.engine.catalog import TableInfo
 from repro.engine.operators.base import BatchCounter
 from repro.engine.operators.filter import filter_batches
-from repro.engine.operators.groupby import GroupBy, aggregate_inputs, group_by_cpu
+from repro.engine.operators.groupby import (
+    GroupBy,
+    aggregate_inputs,
+    combine_partials,
+    group_by_cpu,
+)
 from repro.engine.operators.limit import limit_batches
 from repro.engine.operators.project import project_batches, projected_names
 from repro.engine.operators.sort import sort_batches, sort_cpu
@@ -50,10 +55,9 @@ from repro.s3select.engine import PreparedSelect
 from repro.sqlparser import ast
 from repro.strategies.scans import (
     iter_scan_batches,
-    merge_sum_partials,
     phase_since,
     scan_partitions,
-    select_aggregate,
+    select_partials,
     select_query,
 )
 
@@ -421,8 +425,8 @@ class PushedAggregateNode(_TableLeaf):
 
     Pruning the WHERE clause's refuted partitions is sound for additive
     aggregates: a refuted partition can only contribute NULL/zero
-    partials, which ``merge_sum_partials`` ignores anyway; at least one
-    partition always survives so the result row keeps its shape.
+    partials, which combining ignores anyway; at least one partition
+    always survives so the result row keeps its shape.
     ``keep_partitions`` are the survivors of the WHERE clause's zone-map
     refutation, as the planner's scan leaf of the table found them.
     """
@@ -440,7 +444,7 @@ class PushedAggregateNode(_TableLeaf):
         self.phase_label = phase_label
         self.est_rows = 1.0
         self.tables: frozenset = frozenset((table.name,))
-        self._cache_partials: list[list] | None = None
+        self._cache_partials: Batch | None = None
 
     def describe(self) -> str:
         items = ", ".join(i.to_sql() for i in self.query.select_items)
@@ -469,7 +473,7 @@ class PushedAggregateNode(_TableLeaf):
         )]
 
     def flush_cache(self, cache) -> int:
-        """Store the retained per-partition partials; 1 if stored."""
+        """Store the retained per-partition partials batch; 1 if stored."""
         if self._cache_partials is None:
             return 0
         partials = self._cache_partials
@@ -482,32 +486,29 @@ class PushedAggregateNode(_TableLeaf):
     def run(self, state: ExecState):
         ctx = state.ctx
         mark = ctx.metrics.mark()
-        out_names = [
-            item.output_name(i)
-            for i, item in enumerate(self.query.select_items, start=1)
-        ]
+        items = self.query.select_items
+        out_names = [item.output_name(i) for i, item in enumerate(items, start=1)]
         self.bind(state, self.query.where)
         cache = ctx.result_cache if not state.combined else None
-        reuse = None if cache is None else cache.lookup_aggregate(
+        partials = None if cache is None else cache.lookup_aggregate(
             self.table.name, self.bound, self.item_signatures()
         )
-        if reuse is not None:
-            self.cache_status = reuse.status
-            partials, streams = reuse.partials, 1
+        if partials is not None:
+            self.cache_status, streams = "hit", 1
         else:
-            pushed = ast.Query(self.query.select_items, ("S3Object",), self.bound)
+            pushed = ast.Query(items, ("S3Object",), self.bound)
             keep, streams = self._effective_partitions()
-            partials = select_aggregate(
-                ctx, self.table, PreparedSelect(pushed), partitions=keep
+            partials = select_partials(
+                ctx, self.table, PreparedSelect(pushed), len(items), partitions=keep
             )
             if cache is not None:
                 self.cache_status = "miss"
-                self._cache_partials = [list(row) for row in partials]
-        merged = merge_sum_partials(partials)
+                self._cache_partials = partials
+        merged = combine_partials(partials, 0, [item.expr.func for item in items])
         state.phases.append(phase_since(
             ctx, mark, self.phase_label, streams=streams
         ))
-        return out_names, iter([Batch([[v] for v in merged], 1)])
+        return out_names, iter([merged])
 
 
 class LegNode(PlanNode):

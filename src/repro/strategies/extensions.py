@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from repro.cloud.context import CloudContext
 from repro.cloud.metrics import Phase
+from repro.engine.batch import Batch
 from repro.engine.catalog import Catalog
 from repro.optimizer.cost import _phase
 from repro.planner import physical
@@ -33,12 +34,8 @@ from repro.planner.physical import PhysicalPlan
 from repro.s3select.engine import PreparedSelect
 from repro.sqlparser import ast
 from repro.strategies.filter import FilterQuery, indexed_filter_plan
-from repro.strategies.groupby import (
-    GroupByQuery,
-    PushedGroupByNode,
-    assemble_group_rows,
-)
-from repro.strategies.scans import merge_partial, phase_since, select_query
+from repro.strategies.groupby import GroupByQuery, PushedGroupByNode
+from repro.strategies.scans import phase_since, select_partials, select_query
 
 #: Ranges batched into one extended GET request.
 MAX_RANGES_PER_REQUEST = 1000
@@ -66,8 +63,8 @@ class PartialGroupByNode(PushedGroupByNode):
     """Suggestion 4's partial GROUP BY pushed to storage.
 
     One scan (``partial-groupby``): each partition returns per-group
-    partial aggregates, merged on the query node.  AVG is decomposed
-    into SUM and COUNT so partials merge exactly.
+    partial aggregates, combined on the query node.  AVG is decomposed
+    into SUM and COUNT so partials combine exactly.
     """
 
     kind = "partial-group-by"
@@ -95,40 +92,27 @@ class PartialGroupByNode(PushedGroupByNode):
             fields=partial_rows * (len(query.group_columns) + accumulators),
         )]
 
-    def group_rows(self, ctx: CloudContext, phases: list[Phase]) -> list[tuple]:
+    def group_batch(self, ctx: CloudContext, phases: list[Phase]) -> Batch:
         table, query = self.table, self.query
-        # One pushed column per partial, and how each merges.
+        # One pushed column per partial, in the layout ``combine`` reads.
         pushed = [
-            (agg.func.upper(), ast.Aggregate(partial, agg.parsed_expr))
+            ast.Aggregate(partial, agg.parsed_expr)
             for agg in query.aggregates for partial in agg.partial_funcs
         ]
         statement = PreparedSelect(select_query(
-            [*query.group_columns, *(column for _, column in pushed)],
-            query.predicate, query.group_columns,
+            [*query.group_columns, *pushed], query.predicate, query.group_columns,
         ), allow_group_by=True)
 
         mark = ctx.metrics.mark()
-        n_group = len(query.group_columns)
-        merged: dict[tuple, list] = {}
-        rows_returned = 0
-        for key in table.keys:
-            result = ctx.client.select_object_content(table.bucket, key, statement)
-            rows_returned += len(result.rows)
-            for row in result.rows:
-                partials = merged.get(row[:n_group])
-                if partials is None:
-                    merged[row[:n_group]] = list(row[n_group:])
-                    continue
-                for i, (func, _) in enumerate(pushed):
-                    partials[i] = merge_partial(func, partials[i], row[n_group + i])
+        width = len(query.group_columns) + len(pushed)
+        partials = select_partials(ctx, table, statement, width)
         phases.append(phase_since(
             ctx, mark, "partial-groupby", streams=table.partitions,
-            ingest=(rows_returned, n_group + len(pushed)),
+            ingest=(len(partials), width),
         ))
-        self.extras = {
-            "groups": len(merged), "partial_rows_returned": rows_returned,
-        }
-        return assemble_group_rows(query, merged)
+        out = query.combine(partials)
+        self.extras = {"groups": len(out), "partial_rows_returned": len(partials)}
+        return out
 
 
 def partial_pushdown_group_by_plan(

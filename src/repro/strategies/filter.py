@@ -190,8 +190,11 @@ class IndexFetchNode(PlanNode):
         statement = PreparedSelect(select_query(["first_byte", "last_byte"], self.index_predicate))
         extents_per_partition = [
             [
-                (int(first), int(last)) for first, last in
-                ctx.client.select_object_content(table.bucket, key, statement).rows
+                (int(first), int(last))
+                for batch in ctx.client.select_object_content(
+                    table.bucket, key, statement
+                ).batches
+                for first, last in batch
             ]
             for key in self.index.keys
         ]

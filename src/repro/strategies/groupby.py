@@ -16,7 +16,9 @@ what the paper's Suggestion 4 (partial group-by) would fix.
 
 The first two are scans under a :class:`~repro.planner.nodes.GroupByNode`;
 the CASE-encoded and the hybrid aggregation are leaf nodes of their own,
-each predicting its phases beside the ``group_rows`` that meters them.
+each predicting its phases beside the ``group_batch`` that meters them.
+What they push returns per-partition partials, which the engine's own
+group-by finishes (:func:`~repro.engine.operators.groupby.combine_partials`).
 Every statement they push is built as an ``ast.Query`` and prepared from
 that tree; the byte budgets weigh its one rendering.  The chooser prices
 the very plan a ``*_plan`` constructor's runner executes.
@@ -28,6 +30,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from repro.cloud.context import CloudContext
 from repro.cloud.metrics import Phase
@@ -35,8 +38,13 @@ from repro.cloud.perf import SERVER_CPU_PER_ROW
 from repro.common.errors import PlanError
 from repro.engine.batch import Batch
 from repro.engine.catalog import Catalog, TableInfo
-from repro.engine.operators.base import BatchCounter, CpuTally, materialize
-from repro.engine.operators.groupby import group_by_batches, group_by_cpu
+from repro.engine.operators.base import BatchCounter, CpuTally
+from repro.engine.operators.groupby import (
+    PARTIALS,
+    combine_partials,
+    group_by_batches,
+    group_by_cpu,
+)
 from repro.optimizer.cost import _phase
 from repro.optimizer.feedback import estimated_rows
 from repro.planner import physical
@@ -54,9 +62,8 @@ from repro.sqlparser import ast
 from repro.strategies.scans import (
     decoded_columns,
     iter_scan_batches,
-    merge_partial,
     phase_since,
-    select_aggregate,
+    select_partials,
     select_query,
 )
 
@@ -70,9 +77,6 @@ DEFAULT_SAMPLE_FRACTION = 0.01
 #: Number of groups hybrid pushes to S3; the paper's Figure 6 finds 6-8
 #: optimal for its Zipfian workload.
 DEFAULT_S3_GROUPS = 8
-
-_MERGEABLE = {"SUM", "COUNT", "MIN", "MAX", "AVG"}
-
 
 @dataclass(frozen=True)
 class AggSpec:
@@ -88,16 +92,14 @@ class AggSpec:
     name: str | None = None
 
     def __post_init__(self):
-        if self.func.upper() not in _MERGEABLE:
+        if self.func.upper() not in PARTIALS:
             raise PlanError(f"unsupported aggregate {self.func!r}")
         self.parsed_expr  # parsed here, never during a strategy run
 
     @property
     def partial_funcs(self) -> tuple[str, ...]:
-        """The pushed aggregates whose partials merge into this one (AVG
-        travels as a sum and a count)."""
-        func = self.func.upper()
-        return ("SUM", "COUNT") if func == "AVG" else (func,)
+        """The pushed aggregates whose partials finish this one."""
+        return PARTIALS[self.func.upper()]
 
     @property
     def output_name(self) -> str:
@@ -152,6 +154,15 @@ class GroupByQuery:
             *map(ast.SelectItem, self.group_exprs()),
             *(a.to_select_item() for a in self.aggregates),
         ]
+
+    def combine(self, partials: Batch) -> Batch:
+        """The output, from pushed partials in the layout partial
+        group-by's statement returns: the group columns, then each
+        aggregate's :attr:`AggSpec.partial_funcs` columns."""
+        return combine_partials(
+            partials, len(self.group_columns),
+            [agg.func.upper() for agg in self.aggregates],
+        )
 
     def estimated_groups(self, table: TableInfo) -> int:
         """The columns' distinct counts multiplied; at most one a row."""
@@ -217,7 +228,7 @@ filtered_group_by = physical.runner(filtered_group_by_plan)
 
 class PushedGroupByNode(PlanNode):
     """Leaf: a group-by computed (partly) in storage.  A subclass issues
-    its requests and appends its phases in :meth:`group_rows` — and says
+    its requests and appends its phases in :meth:`group_batch` — and says
     in ``predicted_phases`` what it expects them to hold; the finished
     groups leave as one batch."""
 
@@ -256,13 +267,12 @@ class PushedGroupByNode(PlanNode):
             text += f" pred=({query.predicate.to_sql()})"
         return text
 
-    def group_rows(self, ctx: CloudContext, phases: list[Phase]) -> list[tuple]:
+    def group_batch(self, ctx: CloudContext, phases: list[Phase]) -> Batch:
         raise NotImplementedError
 
     def run(self, state: physical.ExecState):
-        rows = self.group_rows(state.ctx, state.phases)
-        names = self.query.output_names()
-        return names, iter([Batch.from_rows(rows, len(names))])
+        groups = self.group_batch(state.ctx, state.phases)
+        return self.query.output_names(), iter([groups])
 
 
 class CaseGroupByNode(PushedGroupByNode):
@@ -276,6 +286,11 @@ class CaseGroupByNode(PushedGroupByNode):
 
     kind = "case-group-by"
 
+    def __init__(self, ctx: CloudContext, table: TableInfo, query: GroupByQuery):
+        if not query.group_columns:
+            raise PlanError("S3-side group-by needs a group column")
+        super().__init__(ctx, table, query)
+
     def predicted_phases(self, ctx: CloudContext, combined=False) -> list[Phase]:
         work = _case_scan_work(self.table, self.query, int(self.est_rows))
         return [
@@ -283,28 +298,26 @@ class CaseGroupByNode(PushedGroupByNode):
             _phase("s3-aggregate", self.table.partitions, **work),
         ]
 
-    def group_rows(self, ctx: CloudContext, phases: list[Phase]) -> list[tuple]:
+    def group_batch(self, ctx: CloudContext, phases: list[Phase]) -> Batch:
         table, query = self.table, self.query
         mark = ctx.metrics.mark()
-        group_rows = materialize(iter_scan_batches(
+        scan = BatchCounter(iter_scan_batches(
             ctx, table, PreparedSelect(select_query(query.group_columns, query.predicate))
         ))
-        groups = list(dict.fromkeys(group_rows))  # distinct, first-seen order
+        groups = list(dict.fromkeys(chain.from_iterable(scan)))  # first-seen order
         phases.append(phase_since(
             ctx, mark, "collect-groups", streams=table.partitions,
-            server_cpu_seconds=len(group_rows) * SERVER_CPU_PER_ROW["aggregate"],
-            ingest=(len(group_rows), len(query.group_columns)),
+            server_cpu_seconds=scan.rows * SERVER_CPU_PER_ROW["aggregate"],
+            ingest=(scan.rows, len(query.group_columns)),
         ))
 
         mark = ctx.metrics.mark()
-        rows = assemble_group_rows(
-            query, _pushdown_group_aggregates(ctx, table, query, groups)
-        )
+        out = _pushdown_group_aggregates(ctx, table, query, groups)
         phases.append(
             phase_since(ctx, mark, "s3-aggregate", streams=table.partitions)
         )
         self.extras = {"num_groups": len(groups)}
-        return rows
+        return out
 
 
 def s3_side_group_by_plan(
@@ -380,7 +393,7 @@ class HybridGroupByNode(PushedGroupByNode):
             ),
         ]
 
-    def group_rows(self, ctx: CloudContext, phases: list[Phase]) -> list[tuple]:
+    def group_batch(self, ctx: CloudContext, phases: list[Phase]) -> Batch:
         table, query = self.table, self.query
         (group_col,) = query.group_columns
         needed = query.needed_columns(table)
@@ -443,7 +456,7 @@ class HybridGroupByNode(PushedGroupByNode):
                 r.bytes_returned for r in q1_records + q2_records
             ),
         }
-        return assemble_group_rows(query, pushed) + list(tail)
+        return Batch.concat([pushed, tail], len(query.output_names()))
 
 
 def hybrid_group_by_plan(
@@ -525,61 +538,47 @@ def _case_scan_work(table: TableInfo, query: GroupByQuery, groups: int) -> dict:
     )
 
 
-def assemble_group_rows(
-    query: GroupByQuery, partials_by_group: dict[tuple, list]
-) -> list[tuple]:
-    """Output rows from each group's merged pushed partials: flat, in
-    aggregate order, AVG holding its sum then its count."""
-    rows = []
-    for group, partials in partials_by_group.items():
-        out, values = list(group), iter(partials)
-        for agg in query.aggregates:
-            func, value = agg.func.upper(), next(values)
-            if func == "AVG":
-                count = next(values)
-                value = value / count if count else None
-            out.append(0 if func == "COUNT" and value is None else value)
-        rows.append(tuple(out))
-    return rows
-
-
 def _pushdown_group_aggregates(
     ctx: CloudContext,
     table: TableInfo,
     query: GroupByQuery,
     groups: list[tuple],
-) -> dict[tuple, list]:
-    """Run the CASE-encoded aggregation queries for ``groups``.
+) -> Batch:
+    """Run the CASE-encoded aggregation queries for ``groups``; the
+    finished groups, in ``groups`` order.
 
-    Returns each group's merged partials in the layout
-    :func:`assemble_group_rows` reads.  The pushed columns are chunked
-    so each statement's text stays under the budget; every chunk is sent
-    to every partition, and each column's partials merge by its
-    aggregate function.
+    The pushed columns are chunked so each statement's text stays under
+    the budget, and every chunk is sent to every partition: row *i* of
+    each chunk's response is partition *i*.  Laid side by side, the
+    chunks' columns hold a column per (group, partial) — a group's
+    partials may straddle two chunks — which is then cut per group into
+    the layout :meth:`GroupByQuery.combine` reads, a row per (group,
+    partition).
     """
-    # One job per pushed column: its group's slot, its place there, how
-    # it merges, and the column.
-    merged: dict[tuple, list] = {}
-    jobs: list[tuple[list, int, str, ast.Expr]] = []
+    columns: list[ast.Expr] = []
     for values in groups:
-        slot = merged[values] = []
         match = _group_match(query.group_columns, values)
-        for agg in query.aggregates:
-            for column in _case_columns(agg, match):
-                jobs.append((slot, len(slot), agg.func.upper(), column))
-                slot.append(None)
+        columns += [c for agg in query.aggregates for c in _case_columns(agg, match)]
     base_bytes = len(select_query(["x"], query.predicate).to_sql().encode()) + 64
-    chunks: list[list] = []
-    for job in jobs:
-        job_bytes = len(job[3].to_sql().encode()) + 2  # and its ", "
-        if not chunks or used + job_bytes > _SQL_BUDGET_BYTES:
+    chunks: list[list[ast.Expr]] = []
+    for column in columns:
+        column_bytes = len(column.to_sql().encode()) + 2  # and its ", "
+        if not chunks or used + column_bytes > _SQL_BUDGET_BYTES:
             chunks.append([])
             used = base_bytes
-        chunks[-1].append(job)
-        used += job_bytes
+        chunks[-1].append(column)
+        used += column_bytes
+    wide: list[list] = []  # one column per (group, partial), a row per partition
     for chunk in chunks:
-        statement = PreparedSelect(select_query([job[3] for job in chunk], query.predicate))
-        for row in select_aggregate(ctx, table, statement):
-            for (slot, at, func, _), value in zip(chunk, row):
-                slot[at] = merge_partial(func, slot[at], value)
-    return merged
+        statement = PreparedSelect(select_query(chunk, query.predicate))
+        wide += select_partials(ctx, table, statement, len(chunk)).columns
+    partitions = len(wide[0]) if wide else 0
+    per_group = sum(len(agg.partial_funcs) for agg in query.aggregates)
+    keys = [
+        [values[k] for values in groups for _ in range(partitions)]
+        for k in range(len(query.group_columns))
+    ]
+    partials = [
+        list(chain.from_iterable(wide[j::per_group])) for j in range(per_group)
+    ]
+    return query.combine(Batch(keys + partials, len(groups) * partitions))

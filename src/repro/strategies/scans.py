@@ -5,7 +5,8 @@ baselines: plain GETs of every partition object, decoded locally
 ("server-side" processing), or one S3 Select request per partition with
 a statement ("S3-side" processing).  :func:`iter_scan_batches` streams
 either as RecordBatches; :func:`scan_partitions` hands back the pushed
-scan's responses partition by partition.  A statement is a tree
+scan's responses partition by partition, and :func:`select_partials` an
+aggregating statement's partials as one batch.  A statement is a tree
 (:func:`select_query`) prepared as a ``PreparedSelect``: nothing here is
 parsed.  The caller wraps the metered requests into a
 :class:`~repro.cloud.metrics.Phase` via :func:`phase_since`.
@@ -138,47 +139,19 @@ def iter_scan_batches(
     return rechunk_batches(chain.from_iterable(responses), batch_size)
 
 
-def select_aggregate(
+def select_partials(
     ctx: CloudContext,
     table: TableInfo,
     statement: PreparedSelect,
-    partitions: Sequence[int] | None = None,
-) -> list[list[object]]:
-    """Run an aggregate-only select per partition, keeping partials apart.
-
-    Each partition returns exactly one row of partial aggregates; the
-    caller merges them (SUM/COUNT add, MIN/MAX compare).  Returned as a
-    list of per-partition rows, in partition order.  A pruned-away
-    partition contributes no partial — sound for SUM/COUNT/MIN/MAX
-    because its refuted rows would only have produced NULL/zero
-    partials.
-    """
-    partials = (
-        next((row for batch in batches for row in batch), None)
-        for batches in scan_partitions(ctx, table, statement, partitions=partitions)
-    )
-    return [list(row) for row in partials if row is not None]
-
-
-def merge_partial(func: str, a, b):
-    """Combine two partials of one pushed aggregate column (``func``
-    upper-case; AVG travels as a sum and a count, both additive).  A
-    NULL partial (an empty partition) is skipped, as SQL aggregates do."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if func in ("SUM", "COUNT", "AVG"):
-        return a + b
-    return min(a, b) if func == "MIN" else max(a, b)
-
-
-def merge_sum_partials(partials: list[list[object]]) -> list[object]:
-    """Merge per-partition SUM/COUNT rows by element-wise addition."""
-    merged: list[object] = list(partials[0]) if partials else []
-    for row in partials[1:]:
-        merged = [merge_partial("SUM", a, b) for a, b in zip(merged, row)]
-    return merged
+    width: int,
+    **scan,
+) -> Batch:
+    """Push an aggregating ``statement`` (``width`` output columns) to
+    ``table``'s partitions (``scan`` as for :func:`scan_partitions`); its
+    partials as one batch, a row per partition — or per (partition,
+    group) — in partition order."""
+    responses = scan_partitions(ctx, table, statement, **scan)
+    return Batch.concat(list(chain.from_iterable(responses)), width)
 
 
 def phase_since(

@@ -46,6 +46,11 @@ def decode_rows(data, schema, has_header=False):
     return [schema.parse_row(record) for record in records]
 
 
+def materialize(batches):
+    """Drain a batch stream into one row list."""
+    return [row for batch in batches for row in batch]
+
+
 def one_batch(rows, names):
     """``rows`` as the one-batch stream a ``*_batches`` operator takes."""
     return [Batch.from_rows(list(rows), len(names))]

@@ -1,19 +1,17 @@
 """Tests for aggregate accumulators."""
 
-import functools
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.errors import UnsupportedFeatureError
 from repro.engine.batch import Batch
+from repro.engine.operators.groupby import PARTIALS, combine_partials
 from repro.expr.aggregates import Accumulator
 from repro.expr.compiler import compile_expr
 from repro.expr.vector import compile_aggregate_input_vector
 from repro.sqlparser import ast
 from repro.sqlparser.parser import parse_expression
-from repro.strategies.scans import merge_partial
 
 
 class TestAccumulator:
@@ -108,16 +106,17 @@ def test_property_avg_equals_sum_over_count(values):
     st.integers(1, 5),
 )
 def test_property_merged_partials_equal_global(values, parts):
-    """Partition-wise accumulation + ``merge_partial`` (the strategies'
-    rule) equals one global pass; an empty partition's NULL is skipped."""
-    for func in ("SUM", "COUNT", "MIN", "MAX"):
+    """Partition-wise partial aggregates finished by ``combine_partials``
+    (the pushed aggregates' rule) equal one global pass: an empty
+    partition's NULL is skipped, and AVG is its SUM over its COUNT."""
+    for func in ("SUM", "COUNT", "MIN", "MAX", "AVG"):
         whole = Accumulator(func)
         for v in values:
             whole.add(v)
-        partials = [Accumulator(func) for _ in range(parts)]
+        partials = [[Accumulator(f) for f in PARTIALS[func]] for _ in range(parts)]
         for i, v in enumerate(values):
-            partials[i % parts].add(v)
-        merged = functools.reduce(
-            lambda a, b: merge_partial(func, a, b), (p.result() for p in partials)
-        )
-        assert merged == whole.result()
+            for acc in partials[i % parts]:
+                acc.add(v)
+        batch = Batch.from_rows([tuple(a.result() for a in row) for row in partials])
+        (combined,) = combine_partials(batch, 0, [func]).row(0)
+        assert combined == whole.result()

@@ -4,10 +4,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import approx_rows
+from helpers import approx_rows, calls_by_name
 from repro.cloud.context import CloudContext
 from repro.common.errors import PlanError
 from repro.engine.catalog import Catalog, load_table
+from repro.optimizer.chooser import choose
+from repro.planner import physical
+from repro.planner.planner import plan_and_execute
 from repro.sqlparser.parser import parse_expression
 from repro.storage.schema import TableSchema
 from repro.strategies import groupby as gb
@@ -297,8 +300,11 @@ NULL_VALUE_AGGS = [
 
 def test_null_values_aggregate_as_sql_does():
     """COUNT(v) and AVG(v) skip NULL inputs, and the SUM of a group whose
-    inputs are all NULL is NULL — in the CASE-encoded columns of S3-side
-    and hybrid group-by (every group pushed) as in sqlite3."""
+    inputs are all NULL is NULL — in every strategy, the CASE-encoded
+    columns of S3-side and hybrid group-by (every group pushed) and the
+    combined partials of partial group-by included, as in sqlite3.  AVG
+    is a float even where its division is exact (``approx_rows`` cannot
+    tell ``13.0`` from ``13``)."""
     import sqlite3
 
     # g = 2 holds NULL inputs only; g = 1, 3 and the NULL group some.
@@ -318,8 +324,65 @@ def test_null_values_aggregate_as_sql_does():
     assert (2, 0, None, None, None) in expected
 
     query = GroupByQuery(table="t", group_columns=["g"], aggregates=NULL_VALUE_AGGS)
-    assert approx_rows(server_side_group_by(ctx, catalog, query).rows) == expected
-    assert approx_rows(s3_side_group_by(ctx, catalog, query).rows) == expected
     hybrid = hybrid_group_by(ctx, catalog, query, sample_fraction=1.0, s3_groups=4)
     assert hybrid.report.extras["large_groups"] == 4  # every group pushed
-    assert approx_rows(hybrid.rows) == expected
+    runs = {
+        fn.__name__: fn(ctx, catalog, query).rows
+        for fn in (server_side_group_by, filtered_group_by, s3_side_group_by,
+                   partial_pushdown_group_by)
+    }
+    for name, rows in {**runs, "hybrid_group_by": hybrid.rows}.items():
+        assert approx_rows(rows) == expected, name
+        means = [mean for _, _, mean, _, _ in rows if mean is not None]
+        assert means and all(type(mean) is float for mean in means), name
+
+
+def test_pushed_aggregates_hand_over_one_batch():
+    """Every pushed-aggregate leaf receives its partials as one batch and
+    combines them with the engine's group-by: no row tuples are built
+    from a response (``SelectResult.rows``) or transposed back
+    (``Batch.from_rows``) — in S3-side, hybrid (every group pushed, and a
+    tail) and partial group-by, and in a SQL pushed aggregate on a cache
+    miss and on the hit that recombines the cached partials."""
+    rows = [(None if i % 7 == 0 else i % 3 + 1, i) for i in range(60)]
+    ctx, catalog = CloudContext(cache_bytes=1 << 20), Catalog()
+    load_table(ctx, catalog, "t", rows, NULLABLE_SCHEMA, bucket="nulls", partitions=3)
+    query = GroupByQuery(table="t", group_columns=["g"], aggregates=NULL_VALUE_AGGS)
+    sql = "SELECT SUM(v) AS s, COUNT(*) AS n FROM t WHERE v < 50"
+    executions = []
+    runs = [
+        lambda: s3_side_group_by(ctx, catalog, query),
+        lambda: hybrid_group_by(ctx, catalog, query, sample_fraction=1.0, s3_groups=4),
+        lambda: hybrid_group_by(ctx, catalog, query, sample_fraction=1.0, s3_groups=1),
+        lambda: partial_pushdown_group_by(ctx, catalog, query),
+        lambda: plan_and_execute(ctx, catalog, sql),
+        lambda: plan_and_execute(ctx, catalog, sql),
+    ]
+    for run in runs:
+        calls = calls_by_name(lambda: executions.append(run()))
+        assert calls["from_rows"] == calls["rows"] == 0, len(executions)
+    _, every, tail, _, miss, hit = executions
+    assert every.report.extras["tail_rows"] == 0 < tail.report.extras["tail_rows"]
+    assert "pushed-aggregate" in miss.report.plan
+    assert ctx.result_cache.stats.hits == 1
+    assert miss.rows == hit.rows == [(sum(range(50)), 50)]
+
+
+def test_s3_side_group_by_declines_a_query_without_group_column():
+    """With no group column there is nothing to CASE-encode: S3-side
+    group-by raises PlanError before any request, so the chooser lets it
+    decline and runs a plan that answers as server-side group-by does."""
+    ctx, catalog = CloudContext(), Catalog()
+    load_table(
+        ctx, catalog, "t", [(i % 3, i) for i in range(40)], NULLABLE_SCHEMA,
+        bucket="nulls", partitions=2,
+    )
+    query = GroupByQuery(table="t", group_columns=[], aggregates=NULL_VALUE_AGGS)
+    mark = ctx.metrics.mark()
+    with pytest.raises(PlanError):
+        s3_side_group_by(ctx, catalog, query)
+    assert ctx.metrics.records_since(mark) == []
+    choice = choose(ctx, catalog, query)
+    assert "s3-side group-by" not in {p.estimate.strategy for p in choice.plans}
+    expected = server_side_group_by(ctx, catalog, query).rows
+    assert physical.execute_plan(ctx, choice.plan).rows == expected

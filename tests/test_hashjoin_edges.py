@@ -18,11 +18,13 @@ from hypothesis import strategies as st
 
 from repro.common.errors import PlanError
 from repro.engine.batch import Batch
-from repro.engine.operators.base import CpuTally, materialize
+from repro.engine.operators.base import CpuTally
 from repro.engine.operators.hashjoin import JOIN_TYPES, hash_join_batches
 from repro.engine.operators.limit import limit_batches
 from repro.expr.compiler import compile_predicate
 from repro.sqlparser.parser import parse_expression
+
+from helpers import materialize
 
 BUILD_NAMES = ["k", "a"]
 PROBE_NAMES = ["j", "b"]

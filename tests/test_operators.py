@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import one_batch
+from helpers import materialize, one_batch
 from repro.common.errors import PlanError, UnsupportedFeatureError
 from repro.engine.batch import Batch
-from repro.engine.operators.base import CpuTally, materialize
+from repro.engine.operators.base import CpuTally
 from repro.engine.operators.filter import filter_batches
 from repro.engine.operators.groupby import GroupBy, group_by_batches
 from repro.engine.operators.hashjoin import hash_join_batches

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.cloud.context import CloudContext
 from repro.common.errors import CatalogError
 from repro.engine.catalog import Catalog, load_table
-from repro.engine.operators.base import materialize
 from repro.optimizer.selectivity import estimate_selectivity, probe_selectivity
 from repro.optimizer.stats import (
     _MCV_TRACK_LIMIT,
@@ -30,6 +29,8 @@ from repro.storage.csvcodec import (
 )
 from repro.storage.parquet import ParquetFile
 from repro.storage.schema import TableSchema
+
+from helpers import materialize
 
 SCHEMA = TableSchema.of("k:int", "v:float", "tag:str")
 

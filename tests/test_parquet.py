@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 
 from repro.common.errors import CatalogError
 from repro.engine.batch import Batch
-from repro.engine.operators.base import materialize
 from repro.storage.parquet import (
     ParquetFile,
     ParquetFormatError,
     write_parquet,
 )
 from repro.storage.schema import TableSchema
+
+from helpers import materialize
 
 SCHEMA = TableSchema.of("a:int", "b:float", "c:str")
 ROWS = [(1, 1.5, "x"), (2, 2.5, "y"), (None, None, None), (4, 4.5, "z,w")]

@@ -19,7 +19,6 @@ from repro.common.errors import (
     NoSuchBucketError,
     NoSuchKeyError,
 )
-from repro.engine.operators.base import materialize
 from repro.planner.database import PushdownDB
 from repro.s3select.engine import execute_select
 from repro.sqlparser.parser import parse_expression
@@ -40,7 +39,7 @@ from repro.storage.schema import ColumnDef, TableSchema
 from repro.strategies.filter import FilterQuery, indexed_filter
 
 from helpers import calls_by_name as _codec_calls
-from helpers import decode_rows
+from helpers import decode_rows, materialize
 
 
 class TestSchema:

@@ -31,7 +31,7 @@ from repro.common.errors import (
 )
 from repro.engine.batch import Batch
 from repro.engine.catalog import Catalog, load_table
-from repro.engine.operators.base import BatchCounter, CpuTally, materialize
+from repro.engine.operators.base import BatchCounter, CpuTally
 from repro.engine.operators.filter import filter_batches
 from repro.engine.operators.groupby import GroupBy, group_by_batches
 from repro.engine.operators.hashjoin import hash_join_batches
@@ -59,10 +59,10 @@ from repro.storage.schema import ColumnDef, TableSchema
 from repro.strategies.scans import (
     iter_scan_batches,
     scan_partitions,
-    select_aggregate,
+    select_partials,
 )
 
-from helpers import decode_rows
+from helpers import decode_rows, materialize
 
 SCHEMA = TableSchema.of("k:int", "v:float")
 SPEC = ["k:int", "v:float"]
@@ -433,10 +433,10 @@ class TestPartitionScanNames:
 
     def test_aggregate_partials_one_per_partition(self):
         ctx, info = self._ctx_with_table([(i, float(i)) for i in range(8)], 4)
-        partials = select_aggregate(
-            ctx, info, PreparedSelect(parse("SELECT SUM(v) AS s FROM S3Object"))
+        partials = select_partials(
+            ctx, info, PreparedSelect(parse("SELECT SUM(v) AS s FROM S3Object")), 1
         )
-        assert partials == [[1.0], [5.0], [9.0], [13.0]]
+        assert list(partials) == [(1.0,), (5.0,), (9.0,), (13.0,)]
 
 
 # ----------------------------------------------------------------------

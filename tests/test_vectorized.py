@@ -23,7 +23,7 @@ from repro.cloud.context import CloudContext
 from repro.cloud.perf import SERVER_CPU_PER_ROW
 from repro.common.errors import CatalogError, TypeMismatchError
 from repro.engine.batch import Batch
-from repro.engine.operators.base import CpuTally, materialize
+from repro.engine.operators.base import CpuTally
 from repro.engine.operators.filter import filter_batches
 from repro.engine.operators.groupby import GroupBy, group_by_batches
 from repro.engine.operators.hashjoin import hash_join_batches
@@ -48,7 +48,7 @@ from repro.storage.csvcodec import (
 )
 from repro.storage.schema import TableSchema
 
-from helpers import decode_rows
+from helpers import decode_rows, materialize
 
 # Columns: a int, b int, f float, s str, d date-ish str.
 SCHEMA = {"a": 0, "b": 1, "f": 2, "s": 3, "d": 4}
