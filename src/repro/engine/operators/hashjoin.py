@@ -17,7 +17,11 @@ TPC-H decorrelation pass produces:
   contains a NULL key nothing qualifies, and a NULL probe key is never
   emitted (three-valued ``NOT IN`` semantics).
 
-``match_cond``, a residual ON/correlation condition over the build
+The hash key is every equality between the two sides, one column or
+several: a multi-column join emits only the pairs that meet on all of
+them.  A composite key is a tuple per row, NULL when any part is (SQL
+``=`` over a NULL is never true).  ``match_cond``, the residual
+ON/correlation condition (what is not an equality) over the build
 columns then the probe columns, is one vector mask over a probe batch's
 candidate pairs.  Both sides are :class:`~repro.engine.batch.Batch`
 objects: the hash table maps a build key to its row positions, and the
@@ -58,10 +62,10 @@ class _BuildTable:
 
     __slots__ = ("batch", "table", "has_null")
 
-    def __init__(self, build: Batch, build_idx: int, pad: bool):
+    def __init__(self, build: Batch, build_idx: tuple[int, ...], pad: bool):
         table: dict[object, list[int]] = {}
         setdefault = table.setdefault
-        for i, key in enumerate(build.column(build_idx)):
+        for i, key in enumerate(_key_column(build, build_idx)):
             setdefault(key, []).append(i)
         # NULL never matches an equi-join.
         self.has_null = table.pop(None, None) is not None
@@ -70,6 +74,19 @@ class _BuildTable:
             Batch([[*col, None] for col in build.columns], len(build) + 1)
             if pad else build
         )
+
+
+def key_names(keys: str | Sequence[str]) -> tuple[str, ...]:
+    """A join key as its column names: one name, or several."""
+    return (keys,) if isinstance(keys, str) else tuple(keys)
+
+
+def _key_column(batch: Batch, idx: tuple[int, ...]) -> list:
+    """Each row's hash key: the one key column itself, or a tuple over
+    several, ``None`` where any part is NULL."""
+    if len(idx) == 1:
+        return batch.column(idx[0])
+    return [None if None in key else key for key in zip(*map(batch.column, idx))]
 
 
 def _check_names(
@@ -108,7 +125,7 @@ def _gather(build: Batch, picked: list[int], batch: Batch, positions: list[int])
 def _probe(
     build: _BuildTable,
     batch: Batch,
-    probe_idx: int,
+    probe_idx: tuple[int, ...],
     join_type: str,
     match: VectorFunc | None,
 ) -> Batch:
@@ -119,7 +136,7 @@ def _probe(
     """
     if join_type == "anti_null" and build.has_null:
         return batch[:0]  # NOT IN over a set containing NULL is never true
-    keys = batch.column(probe_idx)
+    keys = _key_column(batch, probe_idx)
     found = map(build.table.get, keys)  # a NULL key finds nothing
     if match is not None:
         # Keep, per probe row, the hits whose pair passes the residual.
@@ -149,13 +166,15 @@ def hash_join_batches(
     build_names: Sequence[str],
     probe_batches: Iterable[Batch],
     probe_names: Sequence[str],
-    build_key: str,
-    probe_key: str,
+    build_key: str | Sequence[str],
+    probe_key: str | Sequence[str],
     tally: CpuTally | None = None,
     join_type: str = "inner",
     match_cond: ast.Expr | None = None,
 ) -> tuple[list[str], Iterator[Batch]]:
-    """Equi-join: build eagerly, probe batch by batch.
+    """Equi-join on ``build_key`` = ``probe_key`` (one column name each,
+    or equally long sequences of them): build eagerly, probe batch by
+    batch.
 
     The build side is a pipeline breaker (hashed up front, charged to
     ``tally`` immediately); a list of row tuples is transposed into a
@@ -167,11 +186,14 @@ def hash_join_batches(
 
     Raises:
         PlanError: if output column names would collide (TPC-H names are
-            globally unique, so collisions indicate a planning bug).
+            globally unique, so collisions indicate a planning bug), or
+            the two keys name different numbers of columns.
     """
     out_names = _check_names(build_names, probe_names, join_type)
-    build_idx = index_of(build_names, build_key)
-    probe_idx = index_of(probe_names, probe_key)
+    build_idx = tuple(index_of(build_names, k) for k in key_names(build_key))
+    probe_idx = tuple(index_of(probe_names, k) for k in key_names(probe_key))
+    if len(build_idx) != len(probe_idx):
+        raise PlanError(f"join keys {build_key!r} and {probe_key!r} differ in length")
     if not isinstance(build, Batch):
         build = Batch.from_rows(build, len(build_names))
     match = None if match_cond is None else compile_predicate_vector(

@@ -110,11 +110,6 @@ class JoinEdge:
             return self.left
         raise PlanError(f"edge {self} does not touch table {table!r}")
 
-    def to_expr(self) -> ast.Expr:
-        return ast.Binary(
-            "=", ast.Column(self.left_key), ast.Column(self.right_key)
-        )
-
 
 @dataclass
 class JoinGraph:
@@ -124,10 +119,11 @@ class JoinGraph:
     tables: dict[str, TableInfo]
     #: catalog table name -> conjunction of its single-table predicates.
     predicates: dict[str, ast.Expr | None]
+    #: Every column equality between two tables, a second one over a
+    #: pair included: a hash join keys on all the edges it crosses.
     edges: list[JoinEdge]
-    #: Cross-table conjuncts that are not equi-join edges (plus duplicate
-    #: equi conjuncts over an already-connected pair); applied after the
-    #: full join tree.
+    #: Cross-table conjuncts that are not column equalities; applied
+    #: after the full join tree.
     residual: ast.Expr | None
     #: catalog table name -> the columns read above its scan: join keys,
     #: the select list, GROUP BY, HAVING, ORDER BY and the residual.
@@ -197,7 +193,6 @@ def build_join_graph(bound: Bound) -> JoinGraph:
 
     side_preds: dict[str, list[ast.Expr]] = {name: [] for name in names}
     edges: list[JoinEdge] = []
-    connected_pairs: set[frozenset] = set()
     residual: list[ast.Expr] = []
 
     for i, conjunct in enumerate(ast.split_conjuncts(query.where)):
@@ -210,20 +205,14 @@ def build_join_graph(bound: Bound) -> JoinGraph:
             and isinstance(conjunct.right, ast.Column)
         ):
             lo, ro = bound.owner[conjunct.left], bound.owner[conjunct.right]
-            pair = frozenset((lo, ro))
-            if pair not in connected_pairs:
-                connected_pairs.add(pair)
-                edges.append(JoinEdge(
-                    left=lo, right=ro,
-                    left_key=conjunct.left.name,
-                    right_key=conjunct.right.name,
-                ))
-                reads[lo].add(conjunct.left.name)
-                reads[ro].add(conjunct.right.name)
-                continue
-            # A second equality over an already-connected pair cannot
-            # drive the hash join; it stays a residual filter over the
-            # joined rows.
+            edges.append(JoinEdge(
+                left=lo, right=ro,
+                left_key=conjunct.left.name,
+                right_key=conjunct.right.name,
+            ))
+            reads[lo].add(conjunct.left.name)
+            reads[ro].add(conjunct.right.name)
+            continue
         if len(owners) == 1:
             side_preds[next(iter(owners))].append(conjunct)
             continue
@@ -378,9 +367,11 @@ class JoinOrderSearch:
     def _pair_rows(
         self, left: PlanNode, right: PlanNode, edges: list[JoinEdge]
     ) -> float:
-        """Containment estimate of joining two subtrees along ``edges``."""
+        """Containment estimate of joining two subtrees along ``edges``:
+        each edge multiplies its own ``1 / max(V)`` in (System-R
+        independence)."""
         rows = left.est_rows * right.est_rows
-        for i, edge in enumerate(edges):
+        for edge in edges:
             l_end = edge.left if edge.left in left.tables else edge.right
             r_end = edge.other(l_end)
             d_left = self._key_distinct(
@@ -392,13 +383,6 @@ class JoinOrderSearch:
                 min(right.est_rows, self.shapes[r_end].filtered_rows),
             )
             rows /= max(d_left, d_right)
-            if i > 0:
-                # System-R independence: every extra edge multiplies its
-                # own 1/max(V) in.  Extra edges act as compound-key
-                # refinements, so additionally cap the estimate at the
-                # smaller input — such a join cannot fan out past either
-                # side even when the distinct counts are uninformative.
-                rows = min(rows, left.est_rows, right.est_rows)
         return max(rows, 0.0)
 
     # -- tree construction -------------------------------------------
@@ -432,7 +416,8 @@ class JoinOrderSearch:
     def combine(
         self, t1: PlanNode, t2: PlanNode, orient: bool = True
     ) -> HashJoinNode:
-        """Join two subtrees on their first crossing edge.
+        """Join two subtrees on every edge crossing them, in edge order;
+        a Bloom predicate ships the first edge's keys.
 
         Neither subtree is copied or changed, so a memoized DP subtree
         may sit in many candidates: a Bloom predicate goes on a fresh
@@ -448,41 +433,31 @@ class JoinOrderSearch:
             )
         est_rows = self._pair_rows(t1, t2, edges)
         build, probe = self._orient(t1, t2) if orient else (t1, t2)
+        build_keys, probe_keys = zip(*(
+            (e.left_key, e.right_key) if e.left in build.tables
+            else (e.right_key, e.left_key)
+            for e in edges
+        ))
         edge = edges[0]
         build_end = edge.left if edge.left in build.tables else edge.right
         probe_end = edge.other(build_end)
-        build_key, probe_key = edge.key_for(build_end), edge.key_for(probe_end)
-        bloom = self._bloom_shape(build, probe, build_end, build_key, probe_key)
+        bloom = self._bloom_shape(
+            build, probe, build_end, build_keys[0], probe_keys[0]
+        )
         if bloom is not None:
             probe = self.leaf(probe_end)
-        node = HashJoinNode(build, probe, build_key=build_key, probe_key=probe_key)
-        node.extra_edges = list(edges[1:])
-        if node.extra_edges:
-            # The hash join itself only applies ``edges[0]``; the rest
-            # are filtered in the residual above the tree, so the rows
-            # this node *emits* are estimated from the hash edge alone.
-            node.est_out_rows = self._pair_rows(t1, t2, edges[:1])
+        node = HashJoinNode(build, probe, build_keys, probe_keys)
         if self.feedback.has_join_feedback():
             # A join this session already executed (same tables, same
-            # pushed predicates, same hash edges) has a *measured* output
+            # pushed predicates, same key pairs) has a *measured* output
             # cardinality; it replaces the containment estimate.  The
             # emptiness guard keeps signature construction out of the
-            # cold DP's inner loop.  (Measured counts are pre-residual,
-            # i.e. exactly what the node emits.)
+            # cold DP's inner loop.
             signature = tree_signature(node, self._pred_sigs)
             if signature is not None:
                 measured = self.feedback.lookup_join(signature)
                 if measured is not None:
-                    if node.est_out_rows:
-                        # Measured counts are what the node *emits*
-                        # (pre-residual).  est_rows keeps its all-edges
-                        # semantics, so deferred-edge selectivity is
-                        # re-applied at the model's own ratio — warm and
-                        # cold candidates stay ranked on one quantity.
-                        est_rows = measured * (est_rows / node.est_out_rows)
-                    else:
-                        est_rows = measured
-                    node.est_out_rows = measured
+                    est_rows = measured
         node.est_rows = est_rows
         # CPU on the pre-Bloom inputs: the smaller one is hashed.
         cpu = (
@@ -492,7 +467,7 @@ class JoinOrderSearch:
         if bloom is not None:
             pass_rows, hashes = bloom
             node.bloom = BloomPushdown()
-            probe.bloom_attr = probe_key
+            probe.bloom_attr = probe_keys[0]
             probe.est_rows = min(probe.est_rows, pass_rows)
             probe.est_terms += probe.table.num_rows * hashes
             cpu += build.est_rows * SERVER_CPU_PER_ROW["bloom_insert"]

@@ -14,8 +14,7 @@ from repro.bloom.filter import BloomBuildOutcome, BloomPushdown, membership_clau
 from repro.cloud.perf import SERVER_CPU_PER_ROW
 from repro.common.errors import PlanError
 from repro.engine.batch import Batch
-from repro.engine.operators.filter import filter_batches
-from repro.engine.operators.hashjoin import hash_join_batches, index_of
+from repro.engine.operators.hashjoin import hash_join_batches, index_of, key_names
 from repro.planner.nodes import PlanNode, ScanNode, output_rows, q_error
 from repro.sqlparser import ast
 
@@ -34,9 +33,6 @@ class JoinNode(PlanNode):
         self.build = build
         self.probe = probe
         self.stream_probe = stream_probe
-        #: Equality edges beyond the hash edge, deferred to a residual
-        #: filter above the join tree.
-        self.extra_edges: list = []
         self.tables: frozenset = getattr(build, "tables", frozenset()) | getattr(
             probe, "tables", frozenset()
         )
@@ -47,6 +43,10 @@ class JoinNode(PlanNode):
 
 class HashJoinNode(JoinNode):
     """Equi hash join: build side materializes, probe side streams.
+
+    The key is every equality between the two sides: ``build_key`` and
+    ``probe_key`` name one column each, or equally long tuples of them
+    (stored as :attr:`build_keys` / :attr:`probe_keys`).
 
     Inner joins that are not the spine materialize both children, pick
     the hash build side from the *actual* row counts, as the chained
@@ -61,8 +61,8 @@ class HashJoinNode(JoinNode):
         self,
         build: PlanNode,
         probe: PlanNode,
-        build_key: str,
-        probe_key: str,
+        build_key: str | tuple[str, ...],
+        probe_key: str | tuple[str, ...],
         bloom: BloomPushdown | None = None,
         stream_probe: bool = False,
         join_type: str = "inner",
@@ -70,12 +70,13 @@ class HashJoinNode(JoinNode):
         provenance: str | None = None,
     ):
         super().__init__(build, probe, stream_probe)
-        self.build_key = build_key
-        self.probe_key = probe_key
+        self.build_keys = key_names(build_key)
+        self.probe_keys = key_names(probe_key)
         self.bloom = bloom
-        #: What a Bloom join shipped (``None`` until it runs): the
-        #: clauses and outcome of :func:`membership_clauses`, and how
-        #: many non-NULL build keys went in.
+        #: What a Bloom join shipped on its first key pair (``None``
+        #: until it runs): the clauses and outcome of
+        #: :func:`membership_clauses`, and how many non-NULL build keys
+        #: went in.
         self.bloom_clauses: list[ast.Expr] | None = None
         self.bloom_outcome: BloomBuildOutcome | None = None
         self.bloom_keys = 0
@@ -88,22 +89,16 @@ class HashJoinNode(JoinNode):
         #: Where this join came from, for EXPLAIN (e.g. "decorrelated
         #: EXISTS", "LEFT OUTER JOIN").
         self.provenance = provenance
-        #: Estimated rows this node itself emits when extra equi edges
-        #: are deferred to the plan's residual filter: ``est_rows``
-        #: folds every crossing edge's selectivity in (the quantity the
-        #: DP ranks with), but the hash join only applies its own edge,
-        #: so the materialized count is compared against this instead.
-        self.est_out_rows: float | None = None
 
     def describe(self) -> str:
         tag = " streamed" if self.stream_probe else ""
         kind = "" if self.join_type == "inner" else f"{self.join_type} "
         cond = f" on ({self.match_cond.to_sql()})" if self.match_cond else ""
         src = f" ({self.provenance})" if self.provenance else ""
-        return (
-            f"{kind}hash-join [{self.build_key} = {self.probe_key}]"
-            f"{cond}{tag}{src}"
+        keys = " AND ".join(
+            f"{b} = {p}" for b, p in zip(self.build_keys, self.probe_keys)
         )
+        return f"{kind}hash-join [{keys}]{cond}{tag}{src}"
 
     def _push_membership(
         self, build_names, build: list[Batch], state: ExecState
@@ -119,7 +114,7 @@ class HashJoinNode(JoinNode):
         if not (self.bloom and isinstance(probe, ScanNode)
                 and probe.pushdown and probe.bloom_attr):
             return
-        idx = index_of(build_names, self.build_key)
+        idx = index_of(build_names, self.build_keys[0])
         keys = [
             k for batch in build for k in batch.column(idx) if k is not None
         ]
@@ -140,7 +135,7 @@ class HashJoinNode(JoinNode):
     def run(self, state: ExecState):
         build_names, build = state.drain(self.build)
         self._push_membership(build_names, build, state)
-        build_key, probe_key = self.build_key, self.probe_key
+        build_key, probe_key = self.build_keys, self.probe_keys
         if self.stream_probe:
             probe_names, probe = state.run(self.probe)
         else:
@@ -306,11 +301,6 @@ class AdaptiveJoinNode(PlanNode):
         self.replans = 0
         self.est_rows = child.est_rows
         self.tables: frozenset = getattr(child, "tables", frozenset())
-        #: Extra equi edges the *planned* tree deferred — the planner put
-        #: them in the residual filter above this node.  A re-planned
-        #: tree may defer different edges; the delta is applied here.
-        self._known_extras = set(join_extra_edges(child))
-        self._missing_residual: list = []
 
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
@@ -331,28 +321,13 @@ class AdaptiveJoinNode(PlanNode):
             done = MaterializedNode(Batch.concat(batches, len(names)), names, node)
             if action == "build_scan":
                 join.build = done
-                est = node.est_rows
+            elif parent.build is join:
+                parent.build = done
             else:
-                if parent.build is join:
-                    parent.build = done
-                else:
-                    parent.probe = done
-                # Joins with deferred extra equi edges emit *pre-residual*
-                # rows; compare against the commensurate estimate so an
-                # accurately-planned cyclic join never fires.
-                est = (
-                    join.est_out_rows
-                    if join.est_out_rows is not None else join.est_rows
-                )
-            tree = self._check(tree, done, est)
+                parent.probe = done
+            tree = self._check(tree, done, node.est_rows)
         self.child = tree
-        names, stream = state.run(tree)
-        if self._missing_residual:
-            residual = ast.and_join(
-                [edge.to_expr() for edge in self._missing_residual]
-            )
-            stream = filter_batches(stream, names, residual, state.tally)
-        return names, stream
+        return state.run(tree)
 
     def _check(
         self, tree: HashJoinNode, done: MaterializedNode,
@@ -384,10 +359,6 @@ class AdaptiveJoinNode(PlanNode):
             event["note"] = "replan confirmed the current tree"
             return tree
         mark_spine(new_tree)
-        covered = self._known_extras | set(self._missing_residual)
-        self._missing_residual.extend(
-            edge for edge in join_extra_edges(new_tree) if edge not in covered
-        )
         self.replans += 1
         event["replanned"] = True
         event["old_tree"] = join_tree_label(tree)
@@ -411,18 +382,6 @@ def join_leaves(node: PlanNode) -> list[PlanNode]:
     return join_leaves(node.build) + join_leaves(node.probe)
 
 
-def join_extra_edges(node: PlanNode) -> list:
-    """The equi edges beyond each join's hash edge, deferred to a
-    residual filter above the tree (a materialized result's were covered
-    when the tree it came from was planned)."""
-    if not isinstance(node, JoinNode):
-        return []
-    return (
-        node.extra_edges
-        + join_extra_edges(node.build) + join_extra_edges(node.probe)
-    )
-
-
 def mark_spine(tree: PlanNode) -> None:
     """Stream the root join's probe side and relabel its probe scan; a
     lone scan (a one-table query) is the plan's one ``scan``."""
@@ -439,9 +398,9 @@ def tree_signature(node: PlanNode, table_signatures: dict | None = None):
     """The feedback signature of an inner hash-join subtree, or ``None``.
 
     The semantic identity of a join result: which base tables it joins,
-    the single-table predicate pushed into each scan, and the hash edges
-    applied inside — each table as ``(name, predicate_signature)``, each
-    edge as its sorted key pair, both sorted.  Bloom predicates are
+    the single-table predicate pushed into each scan, and the key pairs
+    its hash joins apply — each table as ``(name, predicate_signature)``,
+    each pair sorted, both lists sorted.  Bloom predicates are
     excluded on purpose — they only pre-drop rows the join drops anyway —
     so Bloom and non-Bloom plans over the same query share feedback.  A
     materialized result is walked through its executed source.  ``None``
@@ -468,7 +427,9 @@ def tree_signature(node: PlanNode, table_signatures: dict | None = None):
         if isinstance(n, HashJoinNode):
             if n.join_type != "inner" or n.match_cond is not None:
                 return False
-            edges.append(tuple(sorted((n.build_key, n.probe_key))))
+            edges.extend(
+                tuple(sorted(pair)) for pair in zip(n.build_keys, n.probe_keys)
+            )
             return collect(n.build) and collect(n.probe)
         return False
 

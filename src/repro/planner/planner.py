@@ -38,7 +38,6 @@ from repro.planner.costing import annotate_costs
 from repro.planner.joins import (
     AdaptiveJoinNode,
     HashJoinNode,
-    join_extra_edges,
     join_leaves,
     join_tree_label,
     mark_spine,
@@ -244,7 +243,7 @@ def _apply_sub_joins(
             build = LegNode(sj.leg)
             build_names = list(sj.leg.names)
         join = HashJoinNode(
-            build, node, sj.build_key, sj.probe_key,
+            build, node, sj.build_keys, sj.probe_keys,
             stream_probe=True, join_type=sj.kind,
             match_cond=sj.match_cond, provenance=sj.provenance,
         )
@@ -400,11 +399,7 @@ def _join_plan(
         tree = search.build_tree(serialize_shape(tree), pushdown=False)
     mark_spine(tree)
     leaves = join_leaves(tree)
-
-    deferred = [edge.to_expr() for edge in join_extra_edges(tree)]
-    residual = ast.and_join(
-        deferred + ast.split_conjuncts(search.graph.residual)
-    )
+    residual = search.graph.residual
     node: PlanNode = tree
     adaptive_node = None
     if (

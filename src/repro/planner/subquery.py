@@ -6,15 +6,16 @@ scalar subqueries, ``LEFT OUTER JOIN ... ON`` and derived tables — into
 that core plus a list of :class:`SubJoin` wraps the plan builders stack
 on top of the core join tree (below the GROUP BY / ORDER BY tail):
 
-* ``EXISTS`` / ``NOT EXISTS`` → semi / anti hash join against the
-  subquery's correlation columns;
+* ``EXISTS`` / ``NOT EXISTS`` → semi / anti hash join keyed on the
+  subquery's correlation equalities (any other correlation conjunct is
+  the residual ``match_cond``);
 * ``col IN (SELECT ...)`` → semi join; ``NOT IN`` → NULL-aware anti
   join (``anti_null``), preserving three-valued ``NOT IN`` semantics
   (a NULL in the subquery result empties the output; a NULL probe
   value never qualifies);
 * correlated scalar aggregates (``x < (SELECT AVG(y) ... WHERE k =
   outer.k)``) → the subquery is re-grouped by its correlation keys and
-  inner-joined back on those keys; the comparison becomes the join's
+  inner-joined back on all of them; the comparison becomes the join's
   residual ``match_cond`` (rows without a matching group drop, exactly
   like a comparison against a NULL scalar);
 * uncorrelated scalar subqueries (in WHERE and HAVING) and uncorrelated
@@ -22,10 +23,10 @@ on top of the core join tree (below the GROUP BY / ORDER BY tail):
   at run time;
 * ``LEFT OUTER JOIN t ON ...`` → a left hash join whose build side is a
   scan of ``t`` (ON-clause predicates local to ``t`` push into the
-  scan; cross-side conditions become ``match_cond``).  Outer WHERE
-  conjuncts that reference ``t``'s columns are held back in
-  :attr:`PreparedQuery.post_filter` so they see the NULL padding
-  (three-valued logic) instead of being pushed into a scan;
+  scan; of the cross-side conditions, equalities are keys, the rest
+  residual).  Outer WHERE conjuncts that reference ``t``'s columns are
+  held back in :attr:`PreparedQuery.post_filter` so they see the NULL
+  padding (three-valued logic) instead of being pushed into a scan;
 * a sole derived table (``FROM (SELECT ...) AS x``) → the core the
   outer query's tail runs over.
 
@@ -66,8 +67,10 @@ class SubJoin:
     """One decorrelated join to stack on top of the core join tree."""
 
     kind: str  # left | semi | anti | anti_null | inner
-    build_key: str
-    probe_key: str
+    #: The key pairs: build column ``i`` = probe column ``i``.
+    build_keys: tuple[str, ...]
+    probe_keys: tuple[str, ...]
+    #: The conjuncts between the sides that are not a key pair.
     match_cond: ast.Expr | None
     provenance: str
     #: The build side's init plan (EXISTS / IN / scalar decorrelations);
@@ -251,21 +254,14 @@ class _Rewriter:
                 sub, limit=1 if sub.limit is None else min(1, sub.limit)
             )
             return self._param(probe, "not exists" if node.negated else "exists")
-        edge: tuple[str, str] | None = None
-        rest: list[ast.Expr] = []
-        for conj in corr:
-            pair = None if edge is not None else _corr_edge(conj, body.is_outer)
-            if pair is not None:
-                edge = pair
-            else:
-                rest.append(conj)
-        if edge is None:
+        inner, outer, rest = _corr_keys(corr, body.is_outer)
+        if not inner:
             raise PlanError(
                 f"correlated {what} needs an inner = outer equality"
             )
         # The build side is the subquery's correlation columns only —
-        # the hash key plus whatever the residual conditions read.
-        cols: list[str] = [edge[0]]
+        # the hash keys plus whatever the residual conditions read.
+        cols = list(dict.fromkeys(inner))
         for conj in rest:
             for c in ast.walk(conj):
                 if (
@@ -281,12 +277,12 @@ class _Rewriter:
         )
         kind = "anti" if node.negated else "semi"
         leg, ren = self._build_leg(synth, kind)
-        self._note_outer_refs(edge[1], rest, body.is_outer)
+        self._note_outer_refs(outer, rest, body.is_outer)
         self.sub_joins.append(
             SubJoin(
                 kind=kind,
-                build_key=ren[edge[0]],
-                probe_key=edge[1],
+                build_keys=tuple(ren[c] for c in inner),
+                probe_keys=outer,
                 match_cond=ast.and_join(
                     [_substitute(c, ren) for c in rest]
                 ),
@@ -315,8 +311,8 @@ class _Rewriter:
         self.sub_joins.append(
             SubJoin(
                 kind=kind,
-                build_key=leg.names[0],
-                probe_key=node.operand.name,
+                build_keys=(leg.names[0],),
+                probe_keys=(node.operand.name,),
                 match_cond=None,
                 provenance=f"decorrelated {what}",
                 leg=leg,
@@ -353,19 +349,13 @@ class _Rewriter:
                 "a correlated scalar subquery must compute one aggregate"
             )
         body, local, corr = self._split_sub_where(sub)
-        pairs: list[tuple[str, str]] = []
-        for c in corr:
-            pair = _corr_edge(c, body.is_outer)
-            if pair is None:
-                raise PlanError(
-                    "correlated scalar subqueries support only"
-                    " inner = outer equality correlation"
-                )
-            pairs.append(pair)
-        keys: list[str] = []
-        for inner_col, _ in pairs:
-            if inner_col not in keys:
-                keys.append(inner_col)
+        inner, outer, rest = _corr_keys(corr, body.is_outer)
+        if rest:
+            raise PlanError(
+                "correlated scalar subqueries support only"
+                " inner = outer equality correlation"
+            )
+        keys = list(dict.fromkeys(inner))
         # Re-group the aggregate by its correlation keys: one build row
         # per key combination, joined back as an at-most-one-match
         # inner join (group keys are unique).
@@ -378,17 +368,13 @@ class _Rewriter:
         )
         leg, ren = self._build_leg(synth, "inner")
         comparison = _replace(conj, node, ast.Column(ren["__val"]))
-        extras = [
-            ast.Binary("=", ast.Column(ren[i]), ast.Column(o))
-            for i, o in pairs[1:]
-        ]
-        self.extra_refs.update(outer_col for _, outer_col in pairs)
+        self.extra_refs.update(outer)
         self.extra_refs.update(ast.referenced_columns(comparison) - set(leg.names))
         return SubJoin(
             kind="inner",
-            build_key=ren[pairs[0][0]],
-            probe_key=pairs[0][1],
-            match_cond=ast.and_join(extras + [comparison]),
+            build_keys=tuple(ren[c] for c in inner),
+            probe_keys=outer,
+            match_cond=comparison,
             provenance="decorrelated scalar subquery",
             leg=leg,
         )
@@ -420,8 +406,7 @@ class _Rewriter:
             return owner[column] != jt.name
 
         scan_preds: list[ast.Expr] = []
-        rest: list[ast.Expr] = []
-        edge: tuple[str, str] | None = None
+        cross: list[ast.Expr] = []
         for conj in ast.split_conjuncts(spec.condition):
             if ast.contains_subquery(conj):
                 raise PlanError(
@@ -435,13 +420,10 @@ class _Rewriter:
                 # for a LEFT JOIN because it only shrinks the build
                 # side, never the preserved probe side.
                 scan_preds.append(conj)
-                continue
-            pair = None if edge is not None else _corr_edge(conj, is_outer)
-            if pair is not None:
-                edge = pair
             else:
-                rest.append(conj)
-        if edge is None:
+                cross.append(conj)
+        inner, outer, rest = _corr_keys(cross, is_outer)
+        if not inner:
             raise PlanError(
                 "LEFT JOIN needs an ON equality linking the joined table"
                 " to the FROM list"
@@ -456,12 +438,12 @@ class _Rewriter:
                 c.name for c in ast.walk(conj)
                 if isinstance(c, ast.Column) and not is_outer(c)
             )
-        scan_cols = [n for n in jt.schema.names if n in refs or n == edge[0]]
-        self._note_outer_refs(edge[1], rest, is_outer)
+        scan_cols = [n for n in jt.schema.names if n in refs or n in inner]
+        self._note_outer_refs(outer, rest, is_outer)
         return SubJoin(
             kind="left",
-            build_key=edge[0],
-            probe_key=edge[1],
+            build_keys=inner,
+            probe_keys=outer,
             match_cond=ast.and_join([_substitute(c, {}) for c in rest]),
             provenance="LEFT OUTER JOIN",
             table=jt,
@@ -522,9 +504,9 @@ class _Rewriter:
             return False
         return bool(self._split_sub_where(sub)[2])
 
-    def _note_outer_refs(self, probe_key: str, conjs: list[ast.Expr], is_outer) -> None:
+    def _note_outer_refs(self, probe_keys, conjs: list[ast.Expr], is_outer) -> None:
         """Record core-side columns a wrap reads, so scans project them."""
-        self.extra_refs.add(probe_key)
+        self.extra_refs.update(probe_keys)
         for conj in conjs:
             for c in ast.walk(conj):
                 if isinstance(c, ast.Column) and is_outer(c):
@@ -570,21 +552,28 @@ def _substitute(expr: ast.Expr, renames: dict[str, str]) -> ast.Expr:
     )
 
 
-def _corr_edge(conj: ast.Expr, is_outer) -> tuple[str, str] | None:
-    """``(inner_col, outer_col)`` when ``conj`` is a cross-side equality
-    between two plain columns (``is_outer`` tells the sides apart)."""
-    if (
-        isinstance(conj, ast.Binary)
-        and conj.op == "="
-        and isinstance(conj.left, ast.Column)
-        and isinstance(conj.right, ast.Column)
-    ):
-        left_outer, right_outer = is_outer(conj.left), is_outer(conj.right)
-        if right_outer and not left_outer:
-            return conj.left.name, conj.right.name
-        if left_outer and not right_outer:
-            return conj.right.name, conj.left.name
-    return None
+def _corr_keys(conjs: list[ast.Expr], is_outer):
+    """A correlation conjunct list as join keys and residual: the inner
+    and the outer column of each cross-side equality between two plain
+    columns (``is_outer`` tells the sides apart), as two tuples pair by
+    pair, and the conjuncts that are not one."""
+    inner: list[str] = []
+    outer: list[str] = []
+    rest: list[ast.Expr] = []
+    for conj in conjs:
+        if (
+            isinstance(conj, ast.Binary) and conj.op == "="
+            and isinstance(conj.left, ast.Column)
+            and isinstance(conj.right, ast.Column)
+            and is_outer(conj.left) != is_outer(conj.right)
+        ):
+            if is_outer(conj.left):
+                conj = ast.Binary("=", conj.right, conj.left)
+            inner.append(conj.left.name)
+            outer.append(conj.right.name)
+        else:
+            rest.append(conj)
+    return tuple(inner), tuple(outer), rest
 
 
 def _replace(expr, target, replacement):

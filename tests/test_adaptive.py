@@ -119,10 +119,10 @@ class TestByteIdentity:
         assert PushdownDB(adaptive_threshold=1.0).ctx.adaptive_threshold == 1.0
 
     def test_cyclic_extra_edges_do_not_fire_spuriously(self):
-        """A join whose subtree defers an extra equi edge to the residual
-        emits pre-residual rows; the trigger must compare against the
-        commensurate estimate, not the all-edges one, or every
-        accurately-planned cyclic query would re-plan for nothing."""
+        """A cyclic query's closing join keys on both edges it crosses,
+        and its estimate multiplies both edges' selectivities: it counts
+        exactly the rows the join emits, so an accurately-planned cyclic
+        query never re-plans for nothing."""
         from repro.storage.schema import TableSchema
 
         def session():
@@ -152,8 +152,8 @@ class TestByteIdentity:
         ctx_a, cat_a = session()
         adaptive = plan_and_execute(ctx_a, cat_a, sql, mode="adaptive")
         report = adaptive.report.adaptive
-        # Uniform keys estimate well: no event may report a blow-up just
-        # because an extra edge was deferred, and nothing re-plans.
+        # Uniform keys estimate well: no event may report a blow-up on
+        # the two-edge join, and nothing re-plans.
         assert all(e["q_error"] < 2.0 for e in report.events)
         assert report.replans == 0
         assert_byte_identical(static, adaptive)

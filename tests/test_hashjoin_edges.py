@@ -5,9 +5,11 @@ ever: empty build sides (a selective filter killed one input), duplicate
 keys on both sides (many-to-many fan-out), NULL join keys (SQL equality
 never matches NULL), and probe-side early termination under LIMIT (the
 streaming pipeline must stop pulling probe batches once enough joined
-rows exist).  A property pins all five join types, with and without a
+rows exist).  A property pins all five join types, on one key column
+and on two (every join type but ``NOT IN``'s), with and without a
 residual match condition, against a row-at-a-time reference that
-evaluates the condition with the row compiler.
+applies SQL ``=`` to each key pair and evaluates the condition with the
+row compiler.
 """
 
 from __future__ import annotations
@@ -42,26 +44,31 @@ def _run(build_rows, probe_batches):
 
 
 def reference_join(build_rows, build_idx, probe_rows, probe_idx, join_type, match_pred):
-    """The row-at-a-time join loop the gather join replaced, kept as the
-    semantics reference: build-order matches per probe row, NULL keys
-    never match, three-valued ``NOT IN`` for ``anti_null``."""
-    table: dict = {}
-    has_null = False
-    for row in build_rows:
-        if row[build_idx] is None:
-            has_null = True
-            continue
-        table.setdefault(row[build_idx], []).append(row)
+    """The nested-loop join, kept as the semantics reference: a build row
+    matches a probe row when SQL ``=`` holds for every key pair (a NULL
+    on either side never equals), build-order matches per probe row,
+    three-valued ``NOT IN`` for ``anti_null``.  ``build_idx`` /
+    ``probe_idx`` are one key position or a tuple of them."""
+    build_idx = build_idx if isinstance(build_idx, tuple) else (build_idx,)
+    probe_idx = probe_idx if isinstance(probe_idx, tuple) else (probe_idx,)
+
+    def equal(b, p):
+        return all(
+            b[i] is not None and p[j] is not None and b[i] == p[j]
+            for i, j in zip(build_idx, probe_idx)
+        )
+
     null_pad = (None,) * (len(build_rows[0]) if build_rows else len(BUILD_NAMES))
-    if join_type == "anti_null" and has_null:
+    if join_type == "anti_null" and any(
+        row[i] is None for row in build_rows for i in build_idx
+    ):
         return []
     out = []
     for row in probe_rows:
-        matches = table.get(row[probe_idx])
-        if match_pred is None:
-            matched = matches or ()
-        else:
-            matched = [b for b in (matches or ()) if match_pred(b + row)]
+        matched = [
+            b for b in build_rows
+            if equal(b, row) and (match_pred is None or match_pred(b + row))
+        ]
         if join_type == "inner":
             out.extend(b + row for b in matched)
         elif join_type == "left":
@@ -70,7 +77,7 @@ def reference_join(build_rows, build_idx, probe_rows, probe_idx, join_type, matc
             if matched:
                 out.append(row)
         else:  # anti / anti_null
-            if join_type == "anti_null" and row[probe_idx] is None:
+            if join_type == "anti_null" and row[probe_idx[0]] is None:
                 continue
             if not matched:
                 out.append(row)
@@ -175,6 +182,12 @@ class TestNameCollisions:
                 [(1, "a")], ["k", "v"], iter(_batches([(1, "x")])), ["K", "v"], "k", "K"
             )
 
+    def test_keys_of_different_lengths_rejected(self):
+        with pytest.raises(PlanError, match="differ in length"):
+            hash_join_batches(
+                [(1, "a")], BUILD_NAMES, [], PROBE_NAMES, ("k", "a"), "j"
+            )
+
     def test_zero_column_probe_has_no_key_to_join_on(self):
         with pytest.raises(PlanError, match="join key"):
             hash_join_batches([(1, "a")], BUILD_NAMES, [Batch([], 2)], [], "k", "j")
@@ -195,20 +208,35 @@ _residual_pred = compile_predicate(
 )
 
 
+#: Key columns per key count: one (``k = j``, a bare name) or two
+#: (``(k, a) = (j, b)``: NULLs and misses in either part).
+_KEYS = {1: ("k", "j", 0), 2: (("k", "a"), ("j", "b"), (0, 1))}
+#: ``NOT IN`` compares one column, so it has no two-key case.
+_JOIN_CASES = [(t, 1) for t in JOIN_TYPES] + [
+    (t, 2) for t in JOIN_TYPES if t != "anti_null"
+]
+
+
 class TestJoinMatrix:
     """`hash_join_batches` == the row-at-a-time reference: rows, row
-    order and names, for every join type."""
+    order and names, for every join type and key count."""
 
     @pytest.mark.parametrize("build_as", ["batch", "rows"])
     @pytest.mark.parametrize("with_pred", [False, True], ids=["equi", "residual"])
-    @pytest.mark.parametrize("join_type", JOIN_TYPES)
+    @pytest.mark.parametrize(
+        "join_type, keys", _JOIN_CASES,
+        ids=[t if n == 1 else f"{t}-2key" for t, n in _JOIN_CASES],
+    )
     @settings(max_examples=60, deadline=None)
     @given(build=_build_rows, chunks=_probe_chunks)
-    def test_matches_row_reference(self, join_type, with_pred, build_as, build, chunks):
+    def test_matches_row_reference(
+        self, join_type, keys, with_pred, build_as, build, chunks
+    ):
         match_pred = _residual_pred if with_pred else None
+        build_key, probe_key, idx = _KEYS[keys]
         names, stream = hash_join_batches(
             Batch.from_rows(build, 2) if build_as == "batch" else build,
-            BUILD_NAMES, _batches(*chunks), PROBE_NAMES, "k", "j",
+            BUILD_NAMES, _batches(*chunks), PROBE_NAMES, build_key, probe_key,
             join_type=join_type, match_cond=RESIDUAL if with_pred else None,
         )
         batches = list(stream)
@@ -222,7 +250,7 @@ class TestJoinMatrix:
         assert all(len(batch.columns) == len(names) for batch in batches)
         probe_rows = [row for chunk in chunks for row in chunk]
         assert materialize(batches) == reference_join(
-            build, 0, probe_rows, 0, join_type, match_pred
+            build, idx, probe_rows, idx, join_type, match_pred
         )
 
     @pytest.mark.parametrize("join_type", JOIN_TYPES)

@@ -9,6 +9,7 @@ never a cache or feedback key, and the legs run on the executor's clock.
 
 from __future__ import annotations
 
+import re
 import sqlite3
 import textwrap
 
@@ -17,7 +18,11 @@ import pytest
 from repro.common.errors import PlanError
 from repro.experiments.tpch_suite import ALL_QUERIES, QUERY_DIR, load_suite_tables
 from repro.planner.database import PushdownDB
+from repro.planner.joins import HashJoinNode
+from repro.planner.nodes import FilterNode
+from repro.planner.physical import execute_plan, walk_plan
 from repro.planner.planner import plan_parsed
+from repro.sqlparser import ast
 from repro.sqlparser.parser import parse
 from repro.storage.schema import TableSchema
 
@@ -43,6 +48,74 @@ def test_planning_never_touches_storage(suite_db):
         for mode in ("baseline", "optimized", "auto", "adaptive"):
             plan_parsed(suite_db.ctx, suite_db.catalog, parse(_sql(name)), mode)
     assert metrics.num_requests == before
+
+
+def _plans(plan):
+    """A plan, then its init plans' plans, recursively."""
+    yield plan
+    for leg in plan.init_plans:
+        yield from _plans(leg.plan)
+
+
+def _cross_table_equalities(plan, catalog) -> list[str]:
+    """Every ``col = col`` conjunct of a filter or a join's residual whose
+    columns belong to two different tables (a leg's ``__sq<N>_`` column
+    to the table it was read from; ``__val`` and aliases to none)."""
+    owner = {
+        column: name for name in catalog.table_names()
+        for column in catalog.get(name).schema.names
+    }
+    found = []
+    for p in _plans(plan):
+        for node, _ in walk_plan(p.root):
+            cond = node.predicate if isinstance(node, FilterNode) else (
+                getattr(node, "match_cond", None)
+            )
+            for conj in ast.split_conjuncts(cond):
+                if not (
+                    isinstance(conj, ast.Binary) and conj.op == "="
+                    and isinstance(conj.left, ast.Column)
+                    and isinstance(conj.right, ast.Column)
+                ):
+                    continue
+                tables = {
+                    owner.get(re.sub(r"^__sq\d+_", "", c.name))
+                    for c in (conj.left, conj.right)
+                }
+                if None not in tables and len(tables) == 2:
+                    found.append(conj.to_sql())
+    return found
+
+
+@pytest.mark.parametrize("mode", ["optimized", "baseline"])
+def test_every_equality_between_join_sides_is_a_key(suite_db, mode):
+    """No filter and no join residual of the 22 queries compares columns
+    of two tables for equality: each such equality is a hash-join key
+    pair (Q5's cycle edge, Q9's second partsupp edge and Q20's leg join
+    included)."""
+    found = {}
+    for name in ALL_QUERIES:
+        plan, _ = plan_parsed(suite_db.ctx, suite_db.catalog, parse(_sql(name)), mode)
+        found[name] = _cross_table_equalities(plan, suite_db.catalog)
+    assert {name: conjs for name, conjs in found.items() if conjs} == {}
+
+
+@pytest.mark.parametrize("mode", ["optimized", "baseline"])
+def test_q9_partsupp_lineitem_join_emits_only_kept_rows(suite_db, mode):
+    """Q9's join of partsupp and lineitem keys on both of their
+    equalities, so it emits exactly the rows its derived-table leg
+    returns (the joins above it are many-to-one lookups)."""
+    plan, _ = plan_parsed(suite_db.ctx, suite_db.catalog, parse(_sql("q09")), mode)
+    execute_plan(suite_db.ctx, plan)
+    (leg,) = plan.init_plans
+    both = {"partsupp", "lineitem"}
+    (join,) = [
+        node for node, _ in walk_plan(leg.plan.root)
+        if isinstance(node, HashJoinNode) and both <= node.tables
+        and not any(both <= child.tables for child in node.children())
+    ]
+    assert len(join.build_keys) == 2
+    assert join.actual_rows == len(leg.batch) > 0
 
 
 @pytest.fixture(scope="module")

@@ -59,15 +59,23 @@ class TestJoinGraph:
         assert graph.predicates["c"] is not None
         assert graph.residual is None
 
-    def test_duplicate_equality_becomes_residual(self, env):
-        _, catalog = env
+    def test_second_equality_over_a_pair_is_an_edge(self, env):
+        """Both equalities between ``a`` and ``b`` are edges, and the
+        join over them keys on both, in WHERE order."""
+        ctx, catalog = env
         query = parse(
             "SELECT COUNT(*) AS n FROM a, b"
             " WHERE a_id = b_a AND a_v = b_v"
         )
         graph = build_join_graph(bind(query, catalog))
-        assert len(graph.edges) == 1
-        assert graph.residual is not None
+        assert [(e.left_key, e.right_key) for e in graph.edges] == [
+            ("a_id", "b_a"), ("a_v", "b_v"),
+        ]
+        assert graph.residual is None
+        join = JoinOrderSearch(ctx, graph).search().tree
+        assert {join.build_keys, join.probe_keys} == {
+            ("a_id", "a_v"), ("b_a", "b_v"),
+        }
 
     def test_qualified_columns_resolve(self, env):
         _, catalog = env

@@ -407,6 +407,55 @@ def test_differential_fuzz(engines):
     assert n_joins > 50
 
 
+#: Two or more equalities between the same two join sides, in each place
+#: a query can spell them: every one is a key pair of one hash join.
+COMPOSITE_JOINS = [
+    # three-table cycles: the closing join crosses two edges
+    "SELECT t0_a, t1_c, t2_e FROM t0, t1, t2"
+    " WHERE t0_key = t1_key AND t1_key = t2_key AND t2_key = t0_key",
+    "SELECT COUNT(*) AS n, SUM(t3_f) AS f FROM t0, t1, t3"
+    " WHERE t0_key = t1_key AND t1_d = t3_g AND t3_key = t0_key",
+    # a second equality over one pair: nullable keys, strings, ints
+    "SELECT t1_c, t2_e FROM t1, t2 WHERE t1_c = t2_e AND t1_key = t2_key",
+    "SELECT t0_a, t2_e FROM t0, t2 WHERE t0_key = t2_key AND t0_s = t2_s",
+    "SELECT t0_b, COUNT(*) AS n FROM t0, t2, t3"
+    " WHERE t0_s = t2_s AND t2_key = t0_key AND t3_key = t2_key"
+    " AND t0_a < t3_f GROUP BY t0_b",
+    # LEFT OUTER JOIN ... ON two equalities, with and without a residual
+    "SELECT t0_a, t2_e FROM t0 LEFT OUTER JOIN t2"
+    " ON t0_key = t2_key AND t0_s = t2_s",
+    "SELECT t0_a, t2_e FROM t0 LEFT OUTER JOIN t2"
+    " ON t2_s = t0_s AND t2_key = t0_key AND t2_e > t0_a",
+    # [NOT] EXISTS correlated on two equalities
+    "SELECT t0_a, t0_s FROM t0 WHERE EXISTS"
+    " (SELECT 1 FROM t2 WHERE t2_key = t0_key AND t2_s = t0_s)",
+    "SELECT t0_a, t0_s FROM t0 WHERE NOT EXISTS"
+    " (SELECT 1 FROM t2 WHERE t2_key = t0_key AND t0_s = t2_s)",
+    "SELECT t1_c FROM t1 WHERE EXISTS"
+    " (SELECT 1 FROM t2 WHERE t2_key = t1_key AND t2_e = t1_c AND t2_s <> 'oak')",
+    # a correlated scalar aggregate over two correlation pairs
+    "SELECT t0_a, t0_s FROM t0 WHERE t0_a > (SELECT MIN(t2_e) FROM t2"
+    " WHERE t2_key = t0_key AND t2_s = t0_s)",
+    "SELECT t1_c FROM t1 WHERE t1_c >= (SELECT AVG(t3_f) FROM t3"
+    " WHERE t3_key = t1_key AND t3_g = t1_d)",
+]
+
+
+@pytest.mark.parametrize("sql", COMPOSITE_JOINS)
+def test_composite_join_keys(engines, sql):
+    """Multi-column joins agree with sqlite3 in every mode (NULL parts
+    of a key never match), and each plan keys one hash join on all of
+    a pair's equalities: the join line names two or more of them."""
+    db, oracle = engines
+    _check(db, oracle, sql)
+    execution = db.execute(sql, mode="optimized")
+    expected = sorted(_normalize(oracle.execute(sql).fetchall()), key=repr)
+    assert sorted(_normalize(execution.rows), key=repr) == expected
+    assert re.search(r"hash-join \[[^\]]* AND ", execution.report.plan), (
+        execution.report.plan
+    )
+
+
 #: A table or column name of the fuzzer's tables (``t0`` ... ``t3_g``).
 _NAME = re.compile(r"\bt[0-3](?:_[a-z]+)?\b")
 
