@@ -208,16 +208,20 @@ class SemanticCache:
             return self._admit(key, entry)
 
     def _match_scan(
-        self, table: str, predicate: ast.Expr | None, columns: list[str]
+        self, table: str, predicate: ast.Expr | None, columns: list[str],
+        pending: tuple = (),
     ) -> tuple[tuple, _Entry, str] | None:
-        """Find the best reusable entry; caller holds the lock."""
+        """Find the best reusable entry; caller holds the lock.  ``pending``
+        scans ``(table, predicate, columns)`` match as empty entries."""
+        entries = [*self._entries.items(), *((("scan",), _Entry(name, 0, 0, pred, tuple(cols)))
+                                             for name, pred, cols in pending)]
         sig = predicate_signature(predicate)
         requested = set(columns)
         pred_cols = (
             ast.referenced_columns(predicate) if predicate is not None else set()
         )
         best: tuple[tuple, _Entry, str] | None = None
-        for key, entry in self._entries.items():
+        for key, entry in entries:
             if key[0] != "scan" or entry.table != table:
                 continue
             available = set(entry.columns)
@@ -273,11 +277,13 @@ class SemanticCache:
             )
 
     def peek_scan(
-        self, table: str, predicate: ast.Expr | None, columns: list[str]
+        self, table: str, predicate: ast.Expr | None, columns: list[str],
+        pending: tuple = (),
     ) -> str | None:
-        """Non-mutating match for the cost model: status or ``None``."""
+        """Non-mutating match for the cost model: status or ``None``;
+        ``pending`` scans are stored before this one runs."""
         with self._lock:
-            match = self._match_scan(table, predicate, columns)
+            match = self._match_scan(table, predicate, columns, pending)
             return None if match is None else match[2]
 
     # -- pushed aggregates ---------------------------------------------

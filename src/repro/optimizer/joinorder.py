@@ -14,10 +14,10 @@ the planner past that limit:
   a :mod:`repro.planner.physical` operator tree and pricing it through
   the one plan cost walker (:mod:`repro.planner.costing`), so the
   context's calibrated :class:`~repro.cloud.perf.PerfModel` and
-  :class:`~repro.cloud.pricing.Pricing` carry over unchanged.  Bloom
-  predicates are attached to *every* probe-side scan whose build key is
-  an integer — inner (non-outermost) probes included, which snowflake
-  shapes need;
+  :class:`~repro.cloud.pricing.Pricing` carry over unchanged.  A Bloom
+  predicate goes on a probe-side scan whose build key is an integer —
+  inner (non-outermost) probes included, which snowflake shapes need —
+  wherever it is predicted to reject a row;
 * disconnected FROM lists (cross joins) are planned per connected
   component and combined with
   :class:`~repro.planner.joins.CrossProductNode` when the estimated
@@ -40,6 +40,7 @@ the statistics layer, capped by the filtered input sizes.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Collection
@@ -52,6 +53,7 @@ from repro.engine.catalog import Catalog, TableInfo
 from repro.optimizer import pruning
 from repro.optimizer.cost import StrategyEstimate, objective_key, price_phases
 from repro.optimizer.feedback import estimated_rows, predicate_signature
+from repro.optimizer.selectivity import estimate_selectivity
 from repro.planner.binder import Bound, bind
 from repro.planner.costing import CostWalk
 from repro.planner.joins import (
@@ -347,6 +349,9 @@ class JoinOrderSearch:
         #: Zone-map survivors per pushdown table, refuted on first use:
         #: neither a predicate nor a zone map changes during a search.
         self._kept: dict[str, list[int] | None] = {}
+        self._shares: dict[tuple[str, str, str, str], float] = {}
+        #: False for a one-phase plan's re-plans: no scan may wait on a Bloom.
+        self.blooms = True
 
     @cached_property
     def _pred_sigs(self) -> dict[str, tuple[str, str]]:
@@ -364,6 +369,24 @@ class JoinOrderSearch:
         stats = self.graph.tables[table].stats
         return stats.distinct_among(key, rows)
 
+    def _key_share(self, table: str, key: str, other: str, other_key: str) -> float:
+        """Estimated share of ``table``'s rows whose ``key`` can meet ``other``:
+        ``other``'s demands on its key hold for ``key`` across the equality
+        (``a.k = b.k AND b.k < 9``: ``a.k < 9``) unless ``table`` restricts it."""
+        memo = table, key, other, other_key
+        if memo not in self._shares:
+            own = self.graph.predicates[table]
+            restricted = own is not None and key in ast.referenced_columns(own)
+            implied = [
+                ast.rename_columns(conjunct, {other_key: key})
+                for conjunct in ast.split_conjuncts(self.graph.predicates[other])
+                if not restricted and ast.referenced_columns(conjunct) == {other_key}
+            ]
+            self._shares[memo] = estimate_selectivity(
+                ast.and_join(implied), self.graph.tables[table].stats
+            )
+        return self._shares[memo]
+
     def _pair_rows(
         self, left: PlanNode, right: PlanNode, edges: list[JoinEdge]
     ) -> float:
@@ -374,15 +397,16 @@ class JoinOrderSearch:
         for edge in edges:
             l_end = edge.left if edge.left in left.tables else edge.right
             r_end = edge.other(l_end)
-            d_left = self._key_distinct(
-                l_end, edge.key_for(l_end),
-                min(left.est_rows, self.shapes[l_end].filtered_rows),
+            l_key, r_key = edge.key_for(l_end), edge.key_for(r_end)
+            l_share = self._key_share(l_end, l_key, r_end, r_key)
+            r_share = self._key_share(r_end, r_key, l_end, l_key)
+            d_left = l_share * self._key_distinct(
+                l_end, l_key, min(left.est_rows, self.shapes[l_end].filtered_rows),
             )
-            d_right = self._key_distinct(
-                r_end, edge.key_for(r_end),
-                min(right.est_rows, self.shapes[r_end].filtered_rows),
+            d_right = r_share * self._key_distinct(
+                r_end, r_key, min(right.est_rows, self.shapes[r_end].filtered_rows),
             )
-            rows /= max(d_left, d_right)
+            rows *= l_share * r_share / (max(d_left, d_right) or 1.0)
         return max(rows, 0.0)
 
     # -- tree construction -------------------------------------------
@@ -417,7 +441,8 @@ class JoinOrderSearch:
         self, t1: PlanNode, t2: PlanNode, orient: bool = True
     ) -> HashJoinNode:
         """Join two subtrees on every edge crossing them, in edge order;
-        a Bloom predicate ships the first edge's keys.
+        a Bloom predicate ships the first edge's keys when it is predicted
+        to reject a probe row (:meth:`_bloom_shape`).
 
         Neither subtree is copied or changed, so a memoized DP subtree
         may sit in many candidates: a Bloom predicate goes on a fresh
@@ -510,21 +535,28 @@ class JoinOrderSearch:
     ) -> tuple[float, int] | None:
         """(expected probe rows passing, hash count) or None if ineligible.
 
-        Eligible whenever the probe is a pushdown scan and the build-side
-        key column is an integer — inner probes included.
+        Eligible when the probe is a pushdown scan, the build-side key
+        column is an integer — inner probes included — and the filter is
+        predicted to reject a row: each hash is an S3-side term per
+        scanned row (a Bloomjoin pays only when selective: Mackert &
+        Lohman, VLDB 1986).
         """
-        if not (isinstance(probe, ScanNode) and probe.pushdown):
+        if not (self.blooms and isinstance(probe, ScanNode) and probe.pushdown):
             return None
         column = self.graph.tables[build_end].schema.column(build_key)
         if column.type != "int":
             return None
         probe_end = next(iter(probe.tables))
         filtered_rows = self.shapes[probe_end].filtered_rows
-        return predicted_bloom_pass(
+        # Sized for every build key; only the share meeting the probe's key passes rows.
+        share = self._key_share(build_end, build_key, probe_end, probe_key)
+        bloom = predicted_bloom_pass(
             self._key_distinct(build_end, build_key, build.est_rows),
-            self._key_distinct(probe_end, probe_key, filtered_rows),
+            self._key_distinct(probe_end, probe_key, filtered_rows) / share
+            if share else math.inf,
             filtered_rows, DEFAULT_FPR, probe_key,
         )
+        return None if bloom is None or bloom[0] == filtered_rows else bloom
 
     def left_deep_tree(self, order: list[str]) -> PlanNode:
         """The join tree a forced left-deep ``order`` executes as."""

@@ -23,7 +23,7 @@ from repro.cloud.metrics import Phase
 from repro.optimizer.cost import _phase, price_phases
 from repro.planner.joins import MaterializedNode
 from repro.planner.nodes import PlanNode
-from repro.planner.physical import PhysicalPlan
+from repro.planner.physical import PhysicalPlan, walk_plan
 
 
 def _charge(pending: tuple, phases: list[Phase], cpus: tuple) -> tuple[tuple, list[Phase]]:
@@ -45,13 +45,19 @@ class CostWalk:
     operator's ``est_cpu`` charged to the last phase emitted before it
     completes.  ``combined_label`` is the plan's phase policy
     (:attr:`PhysicalPlan.combined_label`): all scans and local CPU as one
-    phase of that name, whose scans do not consult the cache.  A node
-    must not change its estimates once priced.
+    phase of that name, each part keeping its own lanes (the executor
+    meters one lane per request, so the slowest lane is the slowest
+    part's, not their average); a GET scan ingests its whole table, a
+    pushed scan still consults the cache.  ``stored`` are the scans the
+    query's earlier legs leave in a session cache (:func:`init_phases`),
+    which a scan here replays.  A node must not change its estimates
+    once priced.
     """
 
-    def __init__(self, ctx: CloudContext, combined_label: str | None = None):
+    def __init__(self, ctx: CloudContext, combined_label: str | None = None, stored=()):
         self.ctx = ctx
         self.combined_label = combined_label
+        self.stored = stored
         self._parts: dict[PlanNode, tuple[tuple, list[Phase]]] = {}
         self._times: dict[int, tuple[Phase, float]] = {}
 
@@ -63,7 +69,9 @@ class CostWalk:
             if not isinstance(node, MaterializedNode):  # else: already billed
                 children = node.children()
                 if not children:
-                    phases = node.predicted_phases(self.ctx, self.combined_label is not None)
+                    phases = node.predicted_phases(
+                        self.ctx, self.combined_label is not None, self.stored
+                    )
                 for child in children:
                     cpus, more = self._walk(child)
                     pending, phases = _charge(pending, phases, cpus)
@@ -83,16 +91,12 @@ class CostWalk:
             phases = _charge((), [_phase("local", 1, requests=0.0)], pending)[1] + phases
         if self.combined_label is None or not phases:
             return phases
-        return [_phase(
+        return [Phase(
             self.combined_label,
-            sum(len(p.streams) for p in phases),
-            scan_bytes=sum(p.select_scan_bytes for p in phases),
-            returned_bytes=sum(p.select_returned_bytes for p in phases),
-            get_bytes=sum(p.get_bytes for p in phases),
-            term_evals=sum(s.term_evals for p in phases for s in p.streams),
-            cpu_seconds=sum(p.server_cpu_seconds for p in phases),
-            records=sum(p.server_records for p in phases),
-            fields=sum(p.server_fields for p in phases),
+            tuple(lane for p in phases for lane in p.streams),
+            server_cpu_seconds=sum(p.server_cpu_seconds for p in phases),
+            server_records=sum(p.server_records for p in phases),
+            server_fields=sum(p.server_fields for p in phases),
         )]
 
     def phase_time(self, phase: Phase) -> float:
@@ -104,15 +108,17 @@ class CostWalk:
         return hit[1]
 
 
-def init_phases(plan: PhysicalPlan, ctx: CloudContext) -> list[Phase]:
+def init_phases(plan: PhysicalPlan, ctx: CloudContext, stored: list | None = None) -> list[Phase]:
     """The predicted phases of ``plan``'s init plans, in the order they
-    run — each a whole plan under its own phase policy."""
-    return [
-        phase
-        for init in plan.init_plans
-        for phase in init_phases(init.plan, ctx)
-        + CostWalk(ctx, init.plan.combined_label).phases(init.plan.root)
-    ]
+    run — each a whole plan under its own phase policy, replaying in a
+    session cache what the legs before it store: ``stored`` gains each
+    leg's :meth:`~repro.planner.nodes.PlanNode.stores`."""
+    stored, phases = [] if stored is None else stored, []
+    for init in plan.init_plans:
+        phases += init_phases(init.plan, ctx, stored)
+        phases += CostWalk(ctx, init.plan.combined_label, tuple(stored)).phases(init.plan.root)
+        stored += [key for n, _ in walk_plan(init.plan.root) for key in n.stores()]
+    return phases
 
 
 def annotate_costs(
@@ -129,7 +135,9 @@ def annotate_costs(
     are modes).
     """
     name = name or plan.strategy
-    costs = CostWalk(ctx, plan.combined_label)
+    stored: list = []
+    before = init_phases(plan, ctx, stored)
+    costs = CostWalk(ctx, plan.combined_label, tuple(stored))
 
     def walk(node: PlanNode, before: list[Phase]):
         for child in node.children():
@@ -142,4 +150,4 @@ def annotate_costs(
         node.est_cost = estimate.total_cost
         return estimate
 
-    plan.estimate = walk(plan.root, init_phases(plan, ctx))
+    plan.estimate = walk(plan.root, before)

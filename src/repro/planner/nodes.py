@@ -104,10 +104,15 @@ class PlanNode:
     def describe(self) -> str:
         raise NotImplementedError
 
-    def predicted_phases(self, ctx: CloudContext, combined=False) -> list[Phase]:
+    def predicted_phases(self, ctx: CloudContext, combined=False, stored=()) -> list[Phase]:
         """A leaf's estimate of the phases its own :meth:`run` appends;
-        ``combined``: they merge into the plan's one combined phase."""
+        ``combined``: they merge into the plan's one combined phase;
+        ``stored``: the scans its query's earlier legs cache."""
         return []
+
+    def stores(self) -> tuple:
+        """The scans a run of this node leaves in a session cache."""
+        return ()
 
     def run(self, state: ExecState) -> tuple[list[str], Iterator[Batch]]:
         """Execute this subtree, returning (column names, batch stream)."""
@@ -244,7 +249,7 @@ class ScanNode(_TableLeaf):
             text += f" pred=({self.predicate.to_sql()})"
         return text + self._explain_tail()
 
-    def predicted_phases(self, ctx: CloudContext, combined=False) -> list[Phase]:
+    def predicted_phases(self, ctx: CloudContext, combined=False, stored=()) -> list[Phase]:
         """The scan's one phase: pruned request streams, Bloom-reduced
         returned rows (``est_rows``), zero requests on a warm cache."""
         table, est = self.table, output_rows(self)
@@ -263,15 +268,15 @@ class ScanNode(_TableLeaf):
                 records=ingested,
                 fields=ingested * len(table.schema),
             )]
-        cache = None if combined else ctx.result_cache
+        cache = ctx.result_cache
         if (
             cache is not None
             and self.bloom_attr is None
-            and cache.peek_scan(table.name, self.predicate, self.columns) is not None
+            and cache.peek_scan(table.name, self.predicate, self.columns, stored) is not None
         ):
-            # Replay is local: no requests, no scanned bytes, no
-            # server-side ingest.
-            return [_phase(self.phase_label, 1, requests=0.0)]
+            # Replay is local: no requests, no lanes, no scanned bytes,
+            # no server-side ingest.
+            return [Phase(self.phase_label)]
         streams, scan_bytes, row_frac = self._pruned_profile()
         return [_phase(
             self.phase_label, streams,
@@ -284,17 +289,22 @@ class ScanNode(_TableLeaf):
             fields=est * max(len(self.columns), 1),
         )]
 
-    def _cacheable(self, state: ExecState):
-        """The session cache, when this scan may consult/populate it.
+    def stores(self) -> tuple:
+        """``(table, predicate, columns)`` when this scan may consult and
+        populate the session cache.
 
-        Only plain pushdown scans participate: Bloom-annotated scans
-        (the only ones a join hands clauses) carry run-time-dependent
-        predicates, and combined (baseline join) executions are the
-        paper's unmetered-per-scan reference point.
+        Only plain pushdown scans participate, alone or inside a combined
+        phase: Bloom-annotated scans (the only ones a join hands clauses)
+        carry run-time-dependent predicates, and GET scans are the
+        paper's whole-table reference point.
         """
-        if not self.pushdown or self.bloom_attr is not None or state.combined:
-            return None
-        return state.ctx.result_cache
+        if not self.pushdown or self.bloom_attr is not None:
+            return ()
+        return ((self.table.name, self.predicate, self.columns),)
+
+    def _cacheable(self, state: ExecState):
+        """The session cache, when this scan may use it (:meth:`stores`)."""
+        return state.ctx.result_cache if self.stores() else None
 
     def _replay(
         self, state: ExecState, reuse
@@ -454,7 +464,7 @@ class PushedAggregateNode(_TableLeaf):
         """Alias-insensitive signature of each pushed aggregate item."""
         return [item.expr.to_sql() for item in self.query.select_items]
 
-    def predicted_phases(self, ctx: CloudContext, combined=False) -> list[Phase]:
+    def predicted_phases(self, ctx: CloudContext, combined=False, stored=()) -> list[Phase]:
         """One pushed-aggregate phase: one partial row per pruned stream,
         zero requests on a warm cache."""
         cache = None if combined else ctx.result_cache

@@ -51,8 +51,8 @@ class ExecState:
     through which every node runs its children."""
 
     ctx: CloudContext
-    #: True for baseline join plans: scans skip per-scan phases; the
-    #: executor builds one whole-query ``load+join`` phase instead.
+    #: True for plans metered as one phase (``load+join``, ``select+join``):
+    #: scans skip per-scan phases; the executor builds that one instead.
     combined: bool = False
     tally: CpuTally = field(default_factory=CpuTally)
     phases: list[Phase] = field(default_factory=list)
@@ -154,9 +154,9 @@ class PhysicalPlan:
     strategy: str
     #: Phase name for plans whose scans load in parallel and meter as
     #: one whole-query phase (a baseline plan with two or more GET
-    #: scans, the paper's filtered join): a GET scan ingests its whole
-    #: table by formula, a pushed scan what it returned.  ``None`` =
-    #: per-scan phases.
+    #: scans; two or more pushed scans with no Bloom, the paper's
+    #: filtered join): a GET scan ingests its whole table by formula, a
+    #: pushed scan what it returned.  ``None`` = per-scan phases.
     combined_label: str | None = None
     #: The mid-flight re-optimization wrapper, when this is an adaptive
     #: plan (``mode="adaptive"`` over a 3+-way equi-join tree).
@@ -240,15 +240,17 @@ def _execute(ctx: CloudContext, plan: PhysicalPlan) -> tuple[QueryExecution, Bat
         if init.value is not None:
             params[init.index] = init.param()
     state = ExecState(ctx, combined=plan.combined_label is not None, params=params)
-    # The combined baseline phase spans only the root's own requests.
+    # The combined phase spans only the root's own requests.
     query_mark = ctx.metrics.mark()
     names, stream = state.run(plan.root)
     result = Batch.concat(list(stream), len(names))
     nodes = [node for node, _ in walk_plan(plan.root)]
     if plan.combined_label is not None:
         # GET scans ingest whole tables whatever the pipeline pulled;
-        # pushed scans ingest the rows and columns they returned.
-        scans = [n for n in nodes if isinstance(n, ScanNode)]
+        # pushed scans ingest the rows and columns they returned, and a
+        # cache replay nothing.
+        scans = [n for n in nodes if isinstance(n, ScanNode)
+                 and n.cache_status not in ("hit", "subsumed")]
         ingest = [
             (n.actual_rows or 0, len(n.columns)) if n.pushdown
             else (n.table.num_rows, len(n.table.schema))

@@ -375,12 +375,17 @@ def _join_plan(
     Hash-build sides materialize; the spine (the root join's probe, or a
     lone scan) streams through the residual filter, the decorrelated
     sub-joins and the local tail.  In the pushdown modes each table's
-    predicate and projection are pushed into its S3 Select scan, and
-    *every* probe-side scan whose build key is an integer carries a
-    Bloom predicate — inner probes included, which is what bushy
+    predicate and projection are pushed into its S3 Select scan, and a
+    probe-side scan carries a Bloom predicate where the search predicts
+    it rejects a row — inner probes included, which is what bushy
     snowflake plans profit from.  A lone scan under bare additive
     aggregates becomes one pushed aggregate unless sub-joins wrap it (an
     S3-side aggregate leaves nothing to join against).
+
+    Two or more scans none of which waits for a Bloom load in parallel,
+    as one ``load+join`` (GET) or ``select+join`` (pushed: the paper's
+    filtered join) phase — never slower in the model: a max of sums is
+    at most the sum of maxes, and latency is paid once.
     """
     optimized = mode != "baseline"
     wrapped = prepared is not None and (
@@ -425,18 +430,20 @@ def _join_plan(
             ctx, node, names, tree.est_rows, prepared, mode
         )
     root = attach_local_tail(node, query, names)
-    # A baseline plan holding more than one GET scan meters them as one
-    # ``load+join`` phase, whose ingest is the whole-table formula.
-    gets = sum(
-        isinstance(n, ScanNode) and not n.pushdown for n, _ in walk_plan(root)
+    scans = [n for n, _ in walk_plan(root) if isinstance(n, ScanNode)]
+    combined = (
+        None if len(scans) < 2 or any(n.bloom_attr for n in scans)
+        else "select+join" if optimized else "load+join"
     )
+    if adaptive_node is not None:
+        search.blooms = combined is None
     return PhysicalPlan(
         root=root, mode=mode,
         strategy=(
             f"{mode} single-table" if len(leaves) == 1
             else f"{mode} multi-join ({join_tree_label(tree)})"
         ),
-        combined_label="load+join" if not optimized and gets > 1 else None,
+        combined_label=combined,
         adaptive_node=adaptive_node,
         join_decision=decision,
     )

@@ -69,7 +69,7 @@ class PartialGroupByNode(PushedGroupByNode):
 
     kind = "partial-group-by"
 
-    def predicted_phases(self, ctx: CloudContext, combined=False) -> list[Phase]:
+    def predicted_phases(self, ctx: CloudContext, combined=False, stored=()) -> list[Phase]:
         """One scan, one S3-side term per pushed accumulator whatever the
         group count (the point of the suggestion); each partition returns
         a row per group it saw."""

@@ -158,7 +158,7 @@ class IndexFetchNode(PlanNode):
             f" cols={len(self.columns)} pred=({self.index_predicate.to_sql()})"
         )
 
-    def predicted_phases(self, ctx: CloudContext, combined=False) -> list[Phase]:
+    def predicted_phases(self, ctx: CloudContext, combined=False, stored=()) -> list[Phase]:
         table, matched = self.table, self.est_rows
         index_row = self.index.total_bytes / max(table.num_rows, 1)
         lookup = _phase(

@@ -291,7 +291,7 @@ class CaseGroupByNode(PushedGroupByNode):
             raise PlanError("S3-side group-by needs a group column")
         super().__init__(ctx, table, query)
 
-    def predicted_phases(self, ctx: CloudContext, combined=False) -> list[Phase]:
+    def predicted_phases(self, ctx: CloudContext, combined=False, stored=()) -> list[Phase]:
         work = _case_scan_work(self.table, self.query, int(self.est_rows))
         return [
             self._group_scan_phase("collect-groups"),
@@ -364,7 +364,7 @@ class HybridGroupByNode(PushedGroupByNode):
         self.s3_groups = s3_groups
         self.expression_limit_bytes = expression_limit_bytes
 
-    def predicted_phases(self, ctx: CloudContext, combined=False) -> list[Phase]:
+    def predicted_phases(self, ctx: CloudContext, combined=False, stored=()) -> list[Phase]:
         table, query = self.table, self.query
         stats = table.stats
         groups = int(self.est_rows)

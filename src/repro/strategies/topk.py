@@ -134,7 +134,7 @@ class SampledThresholdScan(ScanNode):
     def describe(self) -> str:
         return f"sampled[{self.sample_size}] {super().describe()}"
 
-    def predicted_phases(self, ctx: CloudContext, combined=False) -> list[Phase]:
+    def predicted_phases(self, ctx: CloudContext, combined=False, stored=()) -> list[Phase]:
         table, size = self.table, self.sample_size
         width = table.stats.projected_row_bytes(
             [self.query.order_column]

@@ -138,6 +138,17 @@ class TestSemanticCacheUnit:
         # Nor a subsumed predicate over a column the entry lacks.
         assert cache.peek_scan("t", _pred("k < 5 AND w = 1"), ["k"]) is None
 
+    def test_peek_matches_a_pending_store(self):
+        """A scan an earlier leg of the query will store matches the cost
+        model's peek as a stored entry does, and changes nothing."""
+        cache = SemanticCache(CACHE_BYTES)
+        pending = (("t", _pred("k < 10"), ["k", "v"]),)
+        assert cache.peek_scan("t", _pred("k < 10"), ["v"], pending) == "hit"
+        assert cache.peek_scan("t", _pred("k < 5"), ["v"], pending) == "subsumed"
+        assert cache.peek_scan("t", _pred("k < 10"), ["w"], pending) is None
+        assert cache.peek_scan("u", _pred("k < 10"), ["v"], pending) is None
+        assert len(cache) == 0 and cache.stats.misses == 0
+
     @given(st.lists(_CACHED_COLUMN, min_size=1, max_size=4))
     def test_entry_size_is_the_per_value_sum(self, columns):
         """One type dispatch per column sizes an entry to the byte the

@@ -28,7 +28,7 @@ from repro.cloud.metrics import Phase
 from repro.optimizer.cost import _phase, price_phases
 from repro.optimizer.joinorder import JoinOrderSearch, build_join_graph
 from repro.planner.binder import bind
-from repro.planner.costing import init_phases
+from repro.planner.costing import CostWalk, init_phases
 from repro.planner.database import PushdownDB
 from repro.planner.joins import CrossProductNode, MaterializedNode
 from repro.planner.nodes import (
@@ -39,7 +39,7 @@ from repro.planner.nodes import (
     SortNode,
     TopKNode,
 )
-from repro.planner.physical import ExecState
+from repro.planner.physical import ExecState, execute_plan
 from repro.planner.planner import plan_parsed
 from repro.sqlparser import ast
 from repro.sqlparser.parser import parse, parse_expression
@@ -111,16 +111,13 @@ def _walked_alone(node, ctx, combined_label: str | None) -> list[Phase]:
     walk(node)
     if combined_label is None or not phases:
         return phases
-    return [_phase(
+    # One phase keeping every part's own lanes.
+    return [Phase(
         combined_label,
-        sum(len(p.streams) for p in phases),
-        scan_bytes=sum(p.select_scan_bytes for p in phases),
-        returned_bytes=sum(p.select_returned_bytes for p in phases),
-        get_bytes=sum(p.get_bytes for p in phases),
-        term_evals=sum(s.term_evals for p in phases for s in p.streams),
-        cpu_seconds=sum(p.server_cpu_seconds for p in phases),
-        records=sum(p.server_records for p in phases),
-        fields=sum(p.server_fields for p in phases),
+        [lane for p in phases for lane in p.streams],
+        server_cpu_seconds=sum(p.server_cpu_seconds for p in phases),
+        server_records=sum(p.server_records for p in phases),
+        server_fields=sum(p.server_fields for p in phases),
     )]
 
 
@@ -167,6 +164,37 @@ def test_memoized_pricing_equals_a_walk_from_scratch(db, seed, feedback):
             assert node.est_cost == alone.total_cost, (sql, mode, node.describe())
             if node is plan.root:
                 assert plan.estimate == alone, (sql, mode)
+
+
+def test_a_combined_phase_keeps_each_scans_lanes():
+    """A ``select+join`` phase over a big and a small table predicts the
+    big table's lane as its slowest, as the executor meters one lane per
+    request — not the average lane of an even split over all of them."""
+    db = PushdownDB()
+    db.load_table(
+        "big", [(1000 + i % 500, 1000 + i % 9000) for i in range(8000)],
+        TableSchema.of("b_k:int", "b_v:int"), partitions=4,
+    )
+    db.load_table(
+        "small", [(1000 + i,) for i in range(500)],
+        TableSchema.of("s_k:int"), partitions=2,
+    )
+    plan, _ = plan_parsed(
+        db.ctx, db.catalog,
+        parse("SELECT SUM(b_v) AS s FROM small, big WHERE s_k = b_k"), "optimized",
+    )
+    assert plan.combined_label == "select+join"
+    [predicted] = CostWalk(db.ctx, plan.combined_label).phases(plan.root)
+    [metered] = execute_plan(db.ctx, plan).phases
+    assert (metered.name, len(metered.streams)) == ("select+join", 6)
+
+    def slowest(phase):
+        return max(map(db.ctx.perf.stream_time, phase.streams))
+
+    assert slowest(predicted) == pytest.approx(slowest(metered), rel=1e-9)
+    assert slowest(predicted) > slowest(_phase(
+        "even", 6, scan_bytes=predicted.select_scan_bytes
+    ))
 
 
 # ----------------------------------------------------------------------

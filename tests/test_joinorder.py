@@ -494,3 +494,51 @@ class TestOneTable:
             assert (choice is not None) == (mode == "auto")
             if choice is not None:
                 assert "join_orders" not in choice.summary()
+
+
+class TestBloomOnlyWhereItRejects:
+    """A probe gets a Bloom only where the search predicts it rejects a
+    row (a Bloomjoin pays only when its filter is selective: Mackert &
+    Lohman, VLDB 1986).  A build covering the probe key's domain ships
+    none, and the plan is the paper's filtered join: one phase."""
+
+    @pytest.fixture()
+    def keyed(self):
+        import sqlite3
+
+        ctx, catalog = CloudContext(), Catalog()
+        tables = {
+            "k": (["k_id:int", "k_v:int"], [(i, i % 5) for i in range(50)]),
+            "f": (["f_k:int", "f_v:int"], [(i % 50, i) for i in range(400)]),
+        }
+        oracle = sqlite3.connect(":memory:")
+        for name, (columns, rows) in tables.items():
+            _load(ctx, catalog, name, columns, rows)
+            oracle.execute(
+                f"CREATE TABLE {name} ({', '.join(c.split(':')[0] for c in columns)})"
+            )
+            oracle.executemany(f"INSERT INTO {name} VALUES (?, ?)", rows)
+        yield ctx, catalog, oracle
+        oracle.close()
+
+    @pytest.mark.parametrize("build_pred, probe_scan, phases", [
+        ("", "scan f [select] cols=2", ["select+join"]),
+        (" AND k_v = 1", "scan f [select+bloom(f_k)] cols=2",
+         ["scan-k", "probe-scan-f"]),
+    ], ids=["covering-build", "selective-build"])
+    def test_bloom_only_where_it_rejects_a_row(
+        self, keyed, build_pred, probe_scan, phases
+    ):
+        from repro.planner.physical import execute_plan
+        from repro.planner.planner import plan_parsed
+
+        ctx, catalog, oracle = keyed
+        sql = (
+            "SELECT k_v, SUM(f_v) AS s FROM k, f"
+            f" WHERE k_id = f_k{build_pred} GROUP BY k_v"
+        )
+        plan, _ = plan_parsed(ctx, catalog, parse(sql), "optimized")
+        assert probe_scan in plan.describe()
+        execution = execute_plan(ctx, plan)
+        assert [phase.name for phase in execution.phases] == phases
+        assert sorted(execution.rows) == sorted(oracle.execute(sql).fetchall())

@@ -177,8 +177,8 @@ class TestGoldenPlans:
         assert rendered(
             db, "SELECT COUNT(*) AS n FROM sub1, tiny WHERE s1_attr < 5",
         ) == textwrap.dedent("""\
-            group-by [-] aggs=1  (est_cost=$2.48541e-05)
-            `- cross-product streamed  (est_rows=40.0, est_cost=$2.48538e-05)
+            group-by [-] aggs=1  (est_cost=$1.30293e-05)
+            `- cross-product streamed  (est_rows=40.0, est_cost=$1.3029e-05)
                +- build: scan sub1 [select] cols=1 pred=(s1_attr < 5) partitions pruned: 1/2  (est_rows=2.0, est_cost=$1.22256e-05)
                `- probe: scan tiny [select] cols=1  (est_rows=20.0, est_cost=$1.26274e-05)""")
 
