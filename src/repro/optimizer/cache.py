@@ -16,10 +16,10 @@ in three tiers:
    on the zone-map three-valued possibility analysis): replay the
    cached batches through a local delta filter instead of re-issuing
    partition requests.
-3. **partial-aggregate reuse** — a pushed additive aggregate whose
-   WHERE matches a cached one recombines the cached per-partition
-   partials (any subset/permutation of the cached aggregate items)
-   without touching storage.
+3. **partial-aggregate reuse** — a pushed aggregate whose WHERE
+   matches a cached one recombines the cached partials (any subset or
+   permutation of the cached columns, group keys included) without
+   touching storage.
 
 Entries are LRU-evicted under a ``cache_bytes`` budget and guarded by
 one lock (the engine is serial, but a caller may share one session
@@ -295,10 +295,11 @@ class SemanticCache:
         items: list[str],
         partials: Batch,
     ) -> bool:
-        """Retain a pushed aggregate's partials batch, a row per partition.
+        """Retain a pushed aggregate's partials batch, a row per
+        partition (and group).
 
-        ``items`` are the normalized SQL of each aggregate expression
-        (alias-insensitive), aligned with the batch's columns.
+        ``items`` are the normalized SQL of each pushed column (keys and
+        partials, alias-insensitive), aligned with the batch's columns.
         """
         item_key = tuple(items)
         key = ("agg", table, predicate_signature(where), item_key)

@@ -179,6 +179,14 @@ class TableStats:
         distinct = max(self.column(name).distinct, 1)
         return max(1.0, min(float(distinct), max(rows, 1.0)))
 
+    def groups(self, names: Sequence[str]) -> int:
+        """Groups of columns ``names`` expected: their distinct counts
+        multiplied, at most one a row (one group for no column)."""
+        groups = 1
+        for name in names:
+            groups *= max(self.column(name).distinct, 1)
+        return min(groups, max(self.row_count, 1))
+
     def projected_row_bytes(self, names: Sequence[str]) -> float:
         """Encoded width of a row projected to ``names`` (with delimiters):
         each column's mean encoded field width, from its statistics.

@@ -41,6 +41,7 @@ from repro.engine.catalog import TableInfo
 from repro.engine.operators.base import BatchCounter
 from repro.engine.operators.filter import filter_batches
 from repro.engine.operators.groupby import (
+    PARTIALS,
     GroupBy,
     aggregate_inputs,
     combine_partials,
@@ -51,6 +52,7 @@ from repro.engine.operators.project import project_batches, projected_names
 from repro.engine.operators.sort import sort_batches, sort_cpu
 from repro.engine.operators.topk import top_k_batches, top_k_cpu
 from repro.optimizer.cost import _phase
+from repro.optimizer.feedback import estimated_rows
 from repro.s3select.engine import PreparedSelect
 from repro.sqlparser import ast
 from repro.strategies.scans import (
@@ -431,14 +433,17 @@ def whole_table_select(
 
 
 class PushedAggregateNode(_TableLeaf):
-    """Leaf: a fully-pushable additive aggregate (SUM/COUNT shapes).
+    """Leaf: decomposable aggregates pushed to storage, grouped by
+    ``query.group_by`` (the paper's Suggestion 4) or not (TPC-H Q6):
+    partial aggregates in S3 Select, finalized on the query node.
 
-    Pruning the WHERE clause's refuted partitions is sound for additive
-    aggregates: a refuted partition can only contribute NULL/zero
-    partials, which combining ignores anyway; at least one partition
-    always survives so the result row keeps its shape.
-    ``keep_partitions`` are the survivors of the WHERE clause's zone-map
-    refutation, as the planner's scan leaf of the table found them.
+    ``query`` selects the keys, then bare aggregates; each partition
+    returns their :data:`PARTIALS`, a row per group it saw, which
+    :func:`combine_partials` finishes.  Pruning to ``keep_partitions``
+    (the WHERE clause's zone-map survivors, as the planner's scan leaf
+    found them) is sound: a refuted partition contributes no group or
+    NULL/zero partials, and one partition always survives so an
+    ungrouped result row keeps its shape.
     """
 
     def __init__(
@@ -452,73 +457,101 @@ class PushedAggregateNode(_TableLeaf):
         self.query = query
         self.keep_partitions = keep_partitions
         self.phase_label = phase_label
-        self.est_rows = 1.0
+        self.keys = query.group_by
+        self.aggregates = query.select_items[len(self.keys):]
+        #: The pushed columns: the keys, then each aggregate's partials.
+        self.pushed = [*self.keys, *(
+            ast.Aggregate(partial, item.expr.operand)
+            for item in self.aggregates for partial in PARTIALS[item.expr.func]
+        )]
+        self.est_rows = float(table.stats.groups([key.name for key in self.keys]))
         self.tables: frozenset = frozenset((table.name,))
         self._cache_partials: Batch | None = None
 
     def describe(self) -> str:
-        items = ", ".join(i.to_sql() for i in self.query.select_items)
-        return f"pushed-aggregate {self.table.name} [{items}]" + self._explain_tail()
+        keys = ", ".join(key.to_sql() for key in self.keys) or "-"
+        items = ", ".join(item.to_sql() for item in self.aggregates)
+        text = f"pushed-aggregate {self.table.name} [{keys}] [{items}]"
+        if self.query.where is not None:
+            text += f" pred=({self.query.where.to_sql()})"
+        return text + self._explain_tail()
 
-    def item_signatures(self) -> list[str]:
-        """Alias-insensitive signature of each pushed aggregate item."""
-        return [item.expr.to_sql() for item in self.query.select_items]
+    def signatures(self) -> list[str]:
+        """Alias-insensitive signature of each pushed column (the cache
+        key: another set of keys misses)."""
+        return [column.to_sql() for column in self.pushed]
 
     def predicted_phases(self, ctx: CloudContext, combined=False, stored=()) -> list[Phase]:
-        """One pushed-aggregate phase: one partial row per pruned stream,
-        zero requests on a warm cache."""
+        """One phase: one S3-side term per pushed accumulator whatever the
+        group count; each pruned stream returns a row per group it saw
+        (one when ungrouped); zero requests on a warm cache."""
+        table, where = self.table, self.query.where
         cache = None if combined else ctx.result_cache
         if cache is not None and cache.peek_aggregate(
-            self.table.name, self.query.where, self.item_signatures()
+            table.name, where, self.signatures()
         ) is not None:
-            return [_phase("pushed-aggregate", 1, requests=0.0)]
-        items = self.query.select_items
+            return [_phase(self.phase_label, 1, requests=0.0)]
         streams, scan_bytes, row_frac = self._pruned_profile()
+        accumulators = len(self.pushed) - len(self.keys)
+        rows, width = float(streams), accumulators * 12.0
+        if self.keys:
+            groups = self.est_rows
+            per_stream = estimated_rows(ctx, table, where) / max(streams, 1)
+            seen = groups * (1.0 - (1.0 - 1.0 / groups) ** per_stream)
+            rows = streams * max(min(seen, per_stream), 0.0)
+            width += table.stats.projected_row_bytes([key.name for key in self.keys])
         return [_phase(
-            "pushed-aggregate", streams,
+            self.phase_label, streams,
             scan_bytes=scan_bytes,
-            returned_bytes=streams * len(items) * 12.0,
-            term_evals=self.table.num_rows * row_frac
-            * (len(items) + len(ast.split_conjuncts(self.query.where))),
+            returned_bytes=rows * width,
+            term_evals=table.num_rows * row_frac
+            * (accumulators + len(ast.split_conjuncts(where))),
+            records=rows,
+            fields=rows * len(self.pushed),
         )]
 
     def flush_cache(self, cache) -> int:
-        """Store the retained per-partition partials batch; 1 if stored."""
-        if self._cache_partials is None:
-            return 0
-        partials = self._cache_partials
-        self._cache_partials = None
-        stored = cache.store_aggregate(
-            self.table.name, self.bound, self.item_signatures(), partials,
-        )
-        return 1 if stored else 0
+        """Store the retained partials batch; 1 if stored."""
+        partials, self._cache_partials = self._cache_partials, None
+        return 0 if partials is None else int(cache.store_aggregate(
+            self.table.name, self.bound, self.signatures(), partials,
+        ))
 
     def run(self, state: ExecState):
-        ctx = state.ctx
+        ctx, table = state.ctx, self.table
         mark = ctx.metrics.mark()
         items = self.query.select_items
         out_names = [item.output_name(i) for i, item in enumerate(items, start=1)]
         self.bind(state, self.query.where)
         cache = ctx.result_cache if not state.combined else None
         partials = None if cache is None else cache.lookup_aggregate(
-            self.table.name, self.bound, self.item_signatures()
+            table.name, self.bound, self.signatures()
         )
         if partials is not None:
-            self.cache_status, streams = "hit", 1
+            self.cache_status, streams, ingest = "hit", 1, None
         else:
-            pushed = ast.Query(items, ("S3Object",), self.bound)
+            statement = PreparedSelect(
+                select_query(self.pushed, self.bound, self.keys),
+                allow_group_by=bool(self.keys),
+            )
             keep, streams = self._effective_partitions()
             partials = select_partials(
-                ctx, self.table, PreparedSelect(pushed), len(items), partitions=keep
+                ctx, table, statement, len(self.pushed), partitions=keep
             )
+            ingest = (len(partials), len(self.pushed))
             if cache is not None:
                 self.cache_status = "miss"
-                self._cache_partials = partials
-        merged = combine_partials(partials, 0, [item.expr.func for item in items])
+                # A grouped run that saw no row is not kept: it would
+                # answer an ungrouped COUNT with NULL, not 0.
+                self._cache_partials = partials if len(partials) else None
+        out = combine_partials(
+            partials, len(self.keys), [item.expr.func for item in self.aggregates]
+        )
         state.phases.append(phase_since(
-            ctx, mark, self.phase_label, streams=streams
+            ctx, mark, self.phase_label, streams=streams, ingest=ingest
         ))
-        return out_names, iter([merged])
+        self.extras = {"groups": len(out), "partial_rows_returned": len(partials)}
+        return out_names, iter([out])
 
 
 class LegNode(PlanNode):

@@ -97,11 +97,6 @@ class AggSpec:
         self.parsed_expr  # parsed here, never during a strategy run
 
     @property
-    def partial_funcs(self) -> tuple[str, ...]:
-        """The pushed aggregates whose partials finish this one."""
-        return PARTIALS[self.func.upper()]
-
-    @property
     def output_name(self) -> str:
         if self.name:
             return self.name
@@ -154,23 +149,6 @@ class GroupByQuery:
             *map(ast.SelectItem, self.group_exprs()),
             *(a.to_select_item() for a in self.aggregates),
         ]
-
-    def combine(self, partials: Batch) -> Batch:
-        """The output, from pushed partials in the layout partial
-        group-by's statement returns: the group columns, then each
-        aggregate's :attr:`AggSpec.partial_funcs` columns."""
-        return combine_partials(
-            partials, len(self.group_columns),
-            [agg.func.upper() for agg in self.aggregates],
-        )
-
-    def estimated_groups(self, table: TableInfo) -> int:
-        """The columns' distinct counts multiplied; at most one a row."""
-        stats = table.stats
-        groups = 1
-        for col in self.group_columns:
-            groups *= max(stats.column(col).distinct, 1)
-        return min(groups, max(stats.row_count, 1))
 
 
 def server_side_group_by_node(
@@ -239,7 +217,7 @@ class PushedGroupByNode(PlanNode):
         self.query = query
         #: Estimated rows the predicate keeps (feedback-first), and groups.
         self.est_kept = estimated_rows(ctx, table, query.predicate)
-        self.est_rows = float(query.estimated_groups(table))
+        self.est_rows = float(table.stats.groups(query.group_columns))
 
     def _group_scan_phase(self, name: str, fraction: float = 1.0) -> Phase:
         """Predicted phase of one scan returning the group columns of the
@@ -513,7 +491,7 @@ def _case_columns(agg: AggSpec, match: ast.Expr) -> list[ast.Expr]:
     aggregates over ``CASE WHEN match THEN x END`` — NULL outside the
     group, so every function keeps its SQL meaning."""
     case = ast.Case(((match, agg.parsed_expr),))
-    return [ast.Aggregate(func, case) for func in agg.partial_funcs]
+    return [ast.Aggregate(func, case) for func in PARTIALS[agg.func.upper()]]
 
 
 def _case_scan_work(table: TableInfo, query: GroupByQuery, groups: int) -> dict:
@@ -552,7 +530,7 @@ def _pushdown_group_aggregates(
     each chunk's response is partition *i*.  Laid side by side, the
     chunks' columns hold a column per (group, partial) — a group's
     partials may straddle two chunks — which is then cut per group into
-    the layout :meth:`GroupByQuery.combine` reads, a row per (group,
+    the layout :func:`combine_partials` reads, a row per (group,
     partition).
     """
     columns: list[ast.Expr] = []
@@ -573,7 +551,7 @@ def _pushdown_group_aggregates(
         statement = PreparedSelect(select_query(chunk, query.predicate))
         wide += select_partials(ctx, table, statement, len(chunk)).columns
     partitions = len(wide[0]) if wide else 0
-    per_group = sum(len(agg.partial_funcs) for agg in query.aggregates)
+    per_group = sum(len(PARTIALS[agg.func.upper()]) for agg in query.aggregates)
     keys = [
         [values[k] for values in groups for _ in range(partitions)]
         for k in range(len(query.group_columns))
@@ -581,4 +559,7 @@ def _pushdown_group_aggregates(
     partials = [
         list(chain.from_iterable(wide[j::per_group])) for j in range(per_group)
     ]
-    return query.combine(Batch(keys + partials, len(groups) * partitions))
+    return combine_partials(
+        Batch(keys + partials, len(groups) * partitions), len(keys),
+        [agg.func.upper() for agg in query.aggregates],
+    )

@@ -183,13 +183,13 @@ def phase_since(
 def select_query(
     items: Sequence[str | ast.Expr],
     where: ast.Expr | None = None,
-    group_by: Sequence[str] = (),
+    group_by: Sequence[ast.Expr] = (),
 ) -> ast.Query:
     """``SELECT items FROM S3Object [WHERE where] [GROUP BY group_by]`` as
     a tree, a ``str`` item naming a column: the statements the paper's
-    strategies push."""
+    strategies and the pushed leaves push."""
     return ast.Query(
         tuple(ast.SelectItem(ast.Column(i) if isinstance(i, str) else i) for i in items),
-        ("S3Object",), where, tuple(map(ast.Column, group_by)),
+        ("S3Object",), where, tuple(group_by),
     )
 

@@ -6,6 +6,7 @@ from helpers import approx_rows, assert_rows_close
 from repro.cloud.context import CloudContext
 from repro.common.errors import UnsupportedFeatureError
 from repro.engine.catalog import Catalog, load_table
+from repro.planner.planner import plan_and_execute
 from repro.s3select.engine import execute_select
 from repro.sqlparser.parser import parse_expression
 from repro.storage.csvcodec import encode_table
@@ -169,6 +170,65 @@ class TestPartialGroupByPushdown:
         assert approx_rows(
             partial_pushdown_group_by(ctx, catalog, query).rows
         ) == reference
+
+
+class TestPartialGroupByInACacheSession:
+    """Suggestion 4's leaf is the planner's pushed aggregate with keys: it
+    stores its partials in a session cache and answers from them."""
+
+    QUERY = GroupByQuery(
+        table="t", group_columns=["g2"],
+        aggregates=[AggSpec("sum", "v0"), AggSpec("count", "v1"),
+                    AggSpec("min", "v2"), AggSpec("avg", "v1")],
+        predicate=parse_expression("v0 < 500"),
+    )
+
+    @pytest.fixture()
+    def session(self):
+        rows = uniform_groupby_table(600, seed=3)
+        ctx, catalog = CloudContext(cache_bytes=1 << 22), Catalog()
+        load_table(ctx, catalog, "t", rows, groupby_schema(), bucket="ext", partitions=4)
+        return ctx, catalog, rows
+
+    def test_a_repeat_is_a_hit_without_requests(self, session):
+        ctx, catalog, _ = session
+        cold = partial_pushdown_group_by(ctx, catalog, self.QUERY)
+        warm = partial_pushdown_group_by(ctx, catalog, self.QUERY)
+        assert (cold.report.cache.miss, cold.report.cache.stores) == (1, 1)
+        assert warm.report.cache.hit == 1 and warm.num_requests == 0
+        assert warm.rows == cold.rows
+        assert "cache: hit" in warm.report.plan
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT SUM(v0) AS s, COUNT(v1) AS n FROM t WHERE v0 < 500",
+        "SELECT SUM(v0), COUNT(v1), MIN(v2), AVG(v1) FROM t WHERE v0 < 500",
+    ])
+    def test_an_ungrouped_query_answers_as_sqlite_does(self, session, sql):
+        """Whether the grouped entry answers it (the pushed SUM / COUNT)
+        or not (MIN and AVG are not pushed from SQL)."""
+        import sqlite3
+
+        ctx, catalog, rows = session
+        partial_pushdown_group_by(ctx, catalog, self.QUERY)
+        oracle = sqlite3.connect(":memory:")
+        oracle.execute(f"CREATE TABLE t ({', '.join(groupby_schema().names)})")
+        oracle.executemany(f"INSERT INTO t VALUES ({', '.join('?' * len(rows[0]))})", rows)
+        expected = oracle.execute(sql).fetchall()
+        oracle.close()
+        assert approx_rows(plan_and_execute(ctx, catalog, sql).rows) == approx_rows(expected)
+
+    def test_other_keys_miss(self, session):
+        ctx, catalog, _ = session
+        partial_pushdown_group_by(ctx, catalog, self.QUERY)
+        query = GroupByQuery(
+            table="t", group_columns=["g1"], aggregates=self.QUERY.aggregates,
+            predicate=self.QUERY.predicate,
+        )
+        other = partial_pushdown_group_by(ctx, catalog, query)
+        assert other.report.cache.miss == 1 and other.num_requests == 4
+        assert approx_rows(other.rows) == approx_rows(
+            filtered_group_by(ctx, catalog, query).rows
+        )
 
 
 class TestCompressedTransfer:

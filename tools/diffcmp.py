@@ -1,12 +1,28 @@
 """Compare two diffguard dumps: exact on everything but the float fields, 1e-9 relative on those.
 
+usage: diffcmp.py [--rows] PARENT.json CHANGE.json
+
 Ends with a per-field tally of the entries that moved, the metered fields
 (what a request or the simulated clock bills, and a figure's rows, which
-are such numbers) listed apart.
+are such numbers) listed apart.  ``--rows`` checks result rows and column
+names only and exits 1 where they differ: an entry whose query has no
+ORDER BY (``"ordered": false``) compares its rows as a multiset, since
+SQL gives such a result no row order; every other entry in order.
 """
-import json, re, sys
+import ast, json, re, sys
 from collections import Counter
-a, b = (json.load(open(p)) for p in sys.argv[1:3])   # a = parent, b = change
+rows_only = sys.argv[1] == "--rows"
+a, b = (json.load(open(p)) for p in sys.argv[1 + rows_only:3 + rows_only])   # a = parent, b = change
+def rows_differ(ra, rb):
+    if ra.get("names") != rb.get("names"):
+        return True
+    if ra.get("ordered", True) or rb.get("ordered", True):
+        return ra.get("rows") != rb.get("rows")
+    return sorted(ast.literal_eval(ra["rows"]), key=repr) != sorted(ast.literal_eval(rb["rows"]), key=repr)
+if rows_only:
+    moved = [key for key in sorted(set(a) & set(b)) if rows_differ(a[key], b[key])]
+    print("result rows / names differ:", moved or "nowhere")
+    sys.exit(bool(moved))
 bad = 0
 fields_moved = Counter()
 METERED = {"requests", "n_records", "bytes_scanned", "bytes_returned", "bytes_transferred",

@@ -88,6 +88,9 @@ def dump_sql(ctx, catalog, query):
             est.bytes_transferred, est.runtime_seconds, est.total_cost,
         )]
         rec["picked"] = (ex.report.optimizer or {}).get("picked")
+        # SQL gives a query without ORDER BY no row order: the rows check
+        # compares such an entry's rows as a multiset.
+        rec["ordered"] = bool(query.order_by)
         rec["phase_cpu"] = [repr(c) for c in rec["phase_cpu"]]
         rec["runtime_seconds"] = repr(rec["runtime_seconds"])
         rec["cost_total"] = repr(rec["cost_total"])

@@ -92,8 +92,6 @@ KEPT = (
     ("bloom/filter.py", "membership_chunks", "a ladder rung the planner builds"),
     ("strategies/groupby.py", "HybridGroupByNode.predicted_phases",
      "strategy leaf prediction, pinned per strategy and priced by the chooser"),
-    ("strategies/extensions.py", "PartialGroupByNode.predicted_phases",
-     "strategy leaf prediction, pinned per strategy and priced by the chooser"),
     ("optimizer/feedback.py", "FeedbackStore.summary", "tests observe session isolation through it"),
 )
 TYPED_ERROR = "typed error"
