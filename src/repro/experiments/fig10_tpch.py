@@ -1,8 +1,12 @@
 """Figure 10: the full query suite — baseline vs optimized PushdownDB.
 
 Four micro queries plus TPC-H Q1, Q3, Q6, Q14, Q17, Q19, without S3
-Select (baseline) and with Sections IV-VII's pushdown (optimized).  A
-derived Presto series gives §VIII's sanity bound (Presto is out of scope).
+Select (baseline) and with Sections IV-VII's pushdown (optimized).  The
+micro queries run the paper strategies; the TPC-H queries run their
+``.sql`` files through the SQL planner in each mode, except Q6's
+whole-table baseline and Q17, which are hand-built plan trees
+(:mod:`repro.queries.tpch_queries`).  A derived Presto series gives
+§VIII's sanity bound (Presto is out of scope).
 """
 
 import math

@@ -15,12 +15,12 @@ from typing import Sequence
 from repro.cloud.context import CloudContext
 from repro.engine.catalog import Catalog, load_table
 from repro.experiments.harness import Claim, ExperimentResult, rows_match
+from repro.planner.planner import execute_parsed
+from repro.queries.tpch_queries import QUERY_DIR
 from repro.sqlparser.parser import parse
 from repro.storage.schema import TableSchema
 from repro.workloads.tpch import TABLE_SCHEMAS, TpchGenerator
 
-#: ``<repo>/benchmarks/tpch/queries`` relative to this module.
-QUERY_DIR = Path(__file__).resolve().parents[3] / "benchmarks" / "tpch" / "queries"
 ALL_QUERIES = tuple(f"q{i:02d}" for i in range(1, 23))
 #: aux name -> (base table, column prefix): identical rows, renamed columns.
 AUX_TABLES = {
@@ -37,6 +37,15 @@ def aux_schema(base: TableSchema, prefix: str) -> TableSchema:
                             for c in base.columns))
 
 
+def oracle_table(con: sqlite3.Connection, name: str, schema: TableSchema,
+                 rows: list[tuple]) -> None:
+    """Create table ``name`` in the sqlite3 oracle and insert ``rows``."""
+    cols = ", ".join(f"{c.name} {_SQLITE_TYPES[c.type]}" for c in schema.columns)
+    con.execute(f"CREATE TABLE {name} ({cols})")
+    marks = ", ".join("?" for _ in schema.columns)
+    con.executemany(f"INSERT INTO {name} VALUES ({marks})", rows)
+
+
 def load_suite_tables(ctx: CloudContext, catalog: Catalog, scale_factor: float,
                       seed: int | None = None) -> sqlite3.Connection:
     """Load the TPC-H tables plus aux copies into the engine and an
@@ -49,10 +58,7 @@ def load_suite_tables(ctx: CloudContext, catalog: Catalog, scale_factor: float,
     for name, base, schema in tables:
         rows = gen.table(base)
         load_table(ctx, catalog, name, rows, schema)
-        cols = ", ".join(f"{c.name} {_SQLITE_TYPES[c.type]}" for c in schema.columns)
-        con.execute(f"CREATE TABLE {name} ({cols})")
-        marks = ", ".join("?" for _ in schema.columns)
-        con.executemany(f"INSERT INTO {name} VALUES ({marks})", rows)
+        oracle_table(con, name, schema, rows)
     return con
 
 
@@ -61,8 +67,6 @@ def run(scale_factor: float = 0.002, modes: Sequence[str] = ("baseline", "auto")
         seed: int | None = None) -> ExperimentResult:
     """One row per (query, mode): the verdict (``match``) and the metered
     requests, bytes, runtime and cost — the artifact CI uploads."""
-    from repro.planner.planner import execute_parsed
-
     ctx, catalog = CloudContext(), Catalog()
     con = load_suite_tables(ctx, catalog, scale_factor, seed=seed)
     names = list(queries) if queries else list(ALL_QUERIES)

@@ -17,6 +17,7 @@ order, so every number is bit-identical to pricing each subtree alone.
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import Sequence
 
 from repro.cloud.context import CloudContext
 from repro.cloud.metrics import Phase
@@ -81,23 +82,29 @@ class CostWalk:
             parts = self._parts[node] = pending, phases
         return parts
 
-    def phases(self, node: PlanNode) -> list[Phase]:
-        """The predicted phases of ``node``'s subtree, priced on its own."""
+    def phases(self, node: PlanNode, before: Sequence[Phase] = ()) -> list[Phase]:
+        """The predicted phases of ``node``'s subtree, priced on its own
+        or — ``before``, its plan's init phases — after them.  CPU spent
+        before the subtree's first phase of its own lands where the
+        executor bills it: on a copy of the last earlier phase, or, with
+        none (every input already materialized, as in a mid-flight
+        replan candidate), on a zero-IO ``local`` phase.  A combined
+        phase carries all of its plan's CPU itself."""
         pending, phases = self._walk(node)
-        if pending:
-            # Every input already materialized (mid-flight replan
-            # candidates, derived tables): the CPU is still future work —
-            # carry it on a zero-IO phase.
+        if pending and (self.combined_label is not None or not before):
             phases = _charge((), [_phase("local", 1, requests=0.0)], pending)[1] + phases
-        if self.combined_label is None or not phases:
+            pending = ()
+        if self.combined_label is not None and phases:
+            phases = [Phase(
+                self.combined_label,
+                tuple(lane for p in phases for lane in p.streams),
+                server_cpu_seconds=sum(p.server_cpu_seconds for p in phases),
+                server_records=sum(p.server_records for p in phases),
+                server_fields=sum(p.server_fields for p in phases),
+            )]
+        if not before:
             return phases
-        return [Phase(
-            self.combined_label,
-            tuple(lane for p in phases for lane in p.streams),
-            server_cpu_seconds=sum(p.server_cpu_seconds for p in phases),
-            server_records=sum(p.server_records for p in phases),
-            server_fields=sum(p.server_fields for p in phases),
-        )]
+        return _charge((), list(before), pending)[1] + phases
 
     def phase_time(self, phase: Phase) -> float:
         """``ctx.perf.phase_time``, once per phase object (the memo holds
@@ -110,15 +117,27 @@ class CostWalk:
 
 def init_phases(plan: PhysicalPlan, ctx: CloudContext, stored: list | None = None) -> list[Phase]:
     """The predicted phases of ``plan``'s init plans, in the order they
-    run — each a whole plan under its own phase policy, replaying in a
-    session cache what the legs before it store: ``stored`` gains each
-    leg's :meth:`~repro.planner.nodes.PlanNode.stores`."""
+    run — each a whole plan (:func:`plan_phases`), replaying in a session
+    cache what the legs before it store: ``stored`` gains each leg's
+    :meth:`~repro.planner.nodes.PlanNode.stores`."""
     stored, phases = [] if stored is None else stored, []
     for init in plan.init_plans:
-        phases += init_phases(init.plan, ctx, stored)
-        phases += CostWalk(ctx, init.plan.combined_label, tuple(stored)).phases(init.plan.root)
+        phases += plan_phases(init.plan, ctx, stored)[1]
         stored += [key for n, _ in walk_plan(init.plan.root) for key in n.stores()]
     return phases
+
+
+def plan_phases(
+    plan: PhysicalPlan, ctx: CloudContext, stored: list | None = None
+) -> tuple[CostWalk, list[Phase]]:
+    """The predicted phases of ``plan`` as the executor meters them: its
+    init phases, then its root's under its own phase policy
+    (:meth:`CostWalk.phases` after them); and the walk that priced the
+    root, whose memo prices any of its subtrees."""
+    stored = [] if stored is None else stored
+    before = init_phases(plan, ctx, stored)
+    costs = CostWalk(ctx, plan.combined_label, tuple(stored))
+    return costs, costs.phases(plan.root, before)
 
 
 def annotate_costs(
@@ -135,14 +154,12 @@ def annotate_costs(
     are modes).
     """
     name = name or plan.strategy
-    stored: list = []
-    before = init_phases(plan, ctx, stored)
-    costs = CostWalk(ctx, plan.combined_label, tuple(stored))
+    costs, phases = plan_phases(plan, ctx)
 
-    def walk(node: PlanNode, before: list[Phase]):
+    def walk(node: PlanNode, phases: list[Phase] | None = None):
         for child in node.children():
-            walk(child, [])
-        phases = before + costs.phases(node)
+            walk(child)
+        phases = costs.phases(node) if phases is None else phases
         if not phases:
             return None
         notes = {"plan": plan.strategy}
@@ -150,4 +167,4 @@ def annotate_costs(
         node.est_cost = estimate.total_cost
         return estimate
 
-    plan.estimate = walk(plan.root, before)
+    plan.estimate = walk(plan.root, phases)

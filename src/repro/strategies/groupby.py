@@ -155,13 +155,12 @@ def server_side_group_by_node(
     ctx: CloudContext,
     table: TableInfo,
     query: GroupByQuery,
-    phase_label: str = "load+groupby",
 ) -> PlanNode:
     """GET scan, local filter, local hash aggregation."""
     node: PlanNode = ScanNode(
         table,
         decoded_columns(table, query.needed_columns(table), query.predicate),
-        None, pushdown=False, phase_label=phase_label,
+        None, pushdown=False, phase_label="load+groupby",
     )
     if query.predicate is not None:
         # Above the scan, not in it: the phase ingests every loaded row,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import ast as pyast
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -91,9 +92,14 @@ def _random_query(rng: random.Random) -> str:
     )
 
 
-def _walked_alone(node, ctx, combined_label: str | None) -> list[Phase]:
-    """``node``'s predicted phases by the plain walk: the reference."""
-    phases: list[Phase] = []
+def _walked_alone(node, ctx, combined_label: str | None, before=()) -> list[Phase]:
+    """``node``'s predicted phases by the plain walk, after ``before``
+    (its plan's init phases, for the root): the reference.  CPU with no
+    phase of the subtree's own yet goes to the last earlier phase, or to
+    a ``local`` phase when there is none or the subtree is one combined
+    phase."""
+    phases: list[Phase] = [replace(p) for p in before]  # charged in place
+    start = len(phases)
 
     def walk(n) -> None:
         if isinstance(n, MaterializedNode):
@@ -104,20 +110,21 @@ def _walked_alone(node, ctx, combined_label: str | None) -> list[Phase]:
         for child in children:
             walk(child)
         if n.est_cpu:
-            if not phases:
+            if len(phases) == start and (combined_label is not None or not start):
                 phases.append(_phase("local", 1, requests=0.0))
             phases[-1].server_cpu_seconds += n.est_cpu
 
     walk(node)
-    if combined_label is None or not phases:
+    own = phases[start:]
+    if combined_label is None or not own:
         return phases
     # One phase keeping every part's own lanes.
-    return [Phase(
+    return phases[:start] + [Phase(
         combined_label,
-        [lane for p in phases for lane in p.streams],
-        server_cpu_seconds=sum(p.server_cpu_seconds for p in phases),
-        server_records=sum(p.server_records for p in phases),
-        server_fields=sum(p.server_fields for p in phases),
+        [lane for p in own for lane in p.streams],
+        server_cpu_seconds=sum(p.server_cpu_seconds for p in own),
+        server_records=sum(p.server_records for p in own),
+        server_fields=sum(p.server_fields for p in own),
     )]
 
 
@@ -157,7 +164,7 @@ def test_memoized_pricing_equals_a_walk_from_scratch(db, seed, feedback):
         plan, _ = plan_parsed(ctx, catalog, parse(sql), mode)
         for node in _nodes(plan.root):
             before = init_phases(plan, ctx) if node is plan.root else []
-            phases = before + _walked_alone(node, ctx, plan.combined_label)
+            phases = _walked_alone(node, ctx, plan.combined_label, before)
             if not phases:
                 continue
             alone = price_phases(ctx, plan.mode, phases, {"plan": plan.strategy})

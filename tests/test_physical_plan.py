@@ -45,6 +45,7 @@ from repro.planner.planner import (
     execute_parsed,
     execute_forced_join,
     plan_and_execute,
+    plan_parsed,
 )
 from repro.planner.report import render_execution_report
 from repro.sqlparser.parser import parse
@@ -625,10 +626,19 @@ STRATEGY_LEAVES = {
 }
 
 
+def _patch_execute_plan(monkeypatch, execute_plan):
+    """Route every plan run through ``execute_plan`` the way
+    `bench/tracing.py` patches it: the physical module's name and the
+    one the SQL planner imported (the SQL TPC-H variants run there)."""
+    from repro.planner import planner
+
+    monkeypatch.setattr(physical, "execute_plan", execute_plan)
+    monkeypatch.setattr(planner, "execute_plan", execute_plan)
+
+
 @pytest.fixture()
 def executed_plans(monkeypatch):
-    """Every execution `physical.execute_plan` finalizes, looked up the
-    way `bench/tracing.py` patches it: through the module."""
+    """Every execution `physical.execute_plan` finalizes."""
     executions = []
     real = physical.execute_plan
 
@@ -636,11 +646,14 @@ def executed_plans(monkeypatch):
         executions.append(real(ctx, plan, **kwargs))
         return executions[-1]
 
-    monkeypatch.setattr(physical, "execute_plan", execute_plan)
+    _patch_execute_plan(monkeypatch, execute_plan)
     return executions
 
 
 def test_there_are_34_public_runners():
+    """14 strategies, the 4 micro queries' 8 variants and the 6 TPC-H
+    queries' 12 (Q6 ``baseline`` and both Q17s hand-built, the rest
+    their ``.sql`` files)."""
     assert len(STRATEGY_RUNNERS) == 14 + 8 + 12
 
 
@@ -767,25 +780,18 @@ def test_nodes_reach_the_executor_through_its_state():
 _DATA_DEPENDENT_REQUESTS = {"record-fetch", "multirange-fetch"}
 
 
-#: The hand-built query variants, whose runners build their plan inline.
-#: Hand Q17's two plans are left out: their leg-only root predicts a
-#: zero-request ``local`` phase whose CPU the executor charges to the
-#: last leg's phase (``['q17', 'local']`` predicted, ``['q17']``
-#: metered; ROADMAP item 2).
-HAND_VARIANTS = sorted(
-    name for name in STRATEGY_RUNNERS
-    if "." in name and not name.startswith("q17.")
-)
+#: The query variants: the micro queries' and TPC-H's, hand-built or SQL.
+QUERY_VARIANTS = sorted(name for name in STRATEGY_RUNNERS if "." in name)
 
 
-@pytest.mark.parametrize("name", sorted(STRATEGY_PLANS) + HAND_VARIANTS)
+@pytest.mark.parametrize("name", sorted(STRATEGY_PLANS) + QUERY_VARIANTS)
 def test_strategy_plan_predicts_the_phases_it_meters(tpch_env, monkeypatch, name):
-    """The cost walker names the phases a strategy or hand-built plan
+    """The cost walker names the phases a strategy or query variant's plan
     will meter, in order, with the requests each will issue (ROADMAP item
     2's "predicted == metered requests" gate, for the paper strategies).
     Each plan is predicted as `annotate_costs` prices it, init plans
     first, when its runner hands it to `physical.execute_plan`."""
-    from repro.planner.costing import CostWalk, init_phases
+    from repro.planner.costing import plan_phases
 
     ctx, catalog = tpch_env
     ctx.feedback.reset()
@@ -793,13 +799,10 @@ def test_strategy_plan_predicts_the_phases_it_meters(tpch_env, monkeypatch, name
     execute = physical.execute_plan
 
     def predict_and_execute(ctx, plan, **kwargs):
-        stored: list = []
-        predicted = init_phases(plan, ctx, stored)
-        predicted += CostWalk(ctx, plan.combined_label, tuple(stored)).phases(plan.root)
-        runs.append((predicted, execute(ctx, plan, **kwargs)))
+        runs.append((plan_phases(plan, ctx)[1], execute(ctx, plan, **kwargs)))
         return runs[-1][1]
 
-    monkeypatch.setattr(physical, "execute_plan", predict_and_execute)
+    _patch_execute_plan(monkeypatch, predict_and_execute)
     STRATEGY_RUNNERS[name](ctx, catalog)
     ((predicted, execution),) = runs
     assert [p.name for p in predicted] == [p.name for p in execution.phases]
@@ -983,13 +986,26 @@ class TestTwoTableJoinOrder:
             execute_forced_join(db.ctx, db.catalog, sql, **forced)
 
 
-def test_q1_optimized_charges_its_final_sort(tpch_env):
-    from repro.queries.tpch_queries import q1_optimized
+def test_a_sort_over_a_strategy_leaf_charges_the_last_phase(tpch_env):
+    """A local operator above S3-side group-by bills its CPU to the
+    leaf's phase, the last one."""
+    from repro.planner.nodes import SortNode
+    from repro.sqlparser import ast
+    from repro.strategies.groupby import AggSpec, GroupByQuery, s3_side_group_by_plan
 
     ctx, catalog = tpch_env
-    execution = q1_optimized(ctx, catalog)
+    query = GroupByQuery(
+        table="lineitem", group_columns=["l_returnflag", "l_linestatus"],
+        aggregates=[AggSpec("sum", "l_quantity"), AggSpec("count", "1")],
+    )
+    bare = physical.execute_plan(ctx, s3_side_group_by_plan(ctx, catalog, query))
+    plan = s3_side_group_by_plan(ctx, catalog, query)
+    plan.root = SortNode(plan.root, [ast.OrderItem(expr=e) for e in query.group_exprs()])
+    execution = physical.execute_plan(ctx, plan)
     assert execution.report.plan.startswith("sort [l_returnflag ASC")
-    assert execution.phases[-1].server_cpu_seconds > 0
+    assert execution.rows == sorted(bare.rows)
+    assert [p.name for p in execution.phases] == [p.name for p in bare.phases]
+    assert execution.phases[-1].server_cpu_seconds > bare.phases[-1].server_cpu_seconds
     assert execution.report.extras["num_groups"] == len(execution.rows)
 
 
@@ -1105,15 +1121,38 @@ def _assert_one_clock(execution):
     ) == pytest.approx(root.seconds, abs=1e-6)
 
 
-def test_one_clock_over_the_tpch_suite():
-    """Every node that ran is timed; no self time is negative; self times
-    sum to the root's time."""
+@pytest.fixture(scope="module")
+def suite_env():
     ctx, catalog = CloudContext(), Catalog()
     load_suite_tables(ctx, catalog, 0.002, seed=11).close()
+    return ctx, catalog
+
+
+def test_one_clock_over_the_tpch_suite(suite_env):
+    """Every node that ran is timed; no self time is negative; self times
+    sum to the root's time."""
+    ctx, catalog = suite_env
     for name in ALL_QUERIES:
         query = _tpch_sql(name)
         for mode in ("baseline", "optimized"):
             _assert_one_clock(execute_parsed(ctx, catalog, query, mode))
+
+
+@pytest.mark.parametrize("mode", ["baseline", "optimized"])
+def test_suite_plans_predict_the_phases_they_meter(suite_env, mode):
+    """Every TPC-H query's plan names the phases it meters, in order,
+    init plans' first.  A root whose work starts on its legs' results
+    (Q7-Q9, Q13, Q15 and Q22 here) charges that CPU to the last leg's
+    phase, as the executor bills it, and predicts no phase of its own
+    for it."""
+    from repro.planner.costing import plan_phases
+
+    ctx, catalog = suite_env
+    for name in ALL_QUERIES:
+        plan, _ = plan_parsed(ctx, catalog, _tpch_sql(name), mode)
+        predicted = [p.name for p in plan_phases(plan, ctx)[1]]
+        metered = [p.name for p in physical.execute_plan(ctx, plan).phases]
+        assert predicted == metered, name
 
 
 @pytest.mark.parametrize("name", sorted(STRATEGY_PLANS))
@@ -1196,7 +1235,7 @@ def test_fuzzer_statements_are_their_texts_parse(prepared):
 
 
 def test_paper_join_variants_hand_over_their_bloom_statements(tpch_env, prepared):
-    """``bloom_join`` and the hand-written Bloom variants of q3 / q14 / q17:
+    """``bloom_join``, the hand-written Q17 and the SQL planner's Q3 / Q14:
     every statement, the Bloom probes included, is handed over its tree."""
     from repro.queries.micro import _JOIN_QUERY
     from repro.queries.tpch_queries import TPCH_QUERIES

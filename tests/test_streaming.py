@@ -539,8 +539,8 @@ class TestSerialByConstruction:
     @pytest.mark.parametrize("name", sorted(TPCH_QUERIES))
     @pytest.mark.parametrize("variant", ["baseline", "optimized"])
     def test_strategy_starts_no_thread(self, name, variant, tpch_env, monkeypatch):
-        """The hand-built strategy plans: rows, bytes, requests, runtime
-        and cost identical to an unrestricted run."""
+        """The TPC-H variants, hand-built and SQL: rows, bytes, requests,
+        runtime and cost identical to an unrestricted run."""
         ctx, catalog = tpch_env
         query_fn = getattr(TPCH_QUERIES[name], variant)
         a = query_fn(ctx, catalog)
