@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.bloom.universal_hash import UNIVERSE_PRIME, UniversalHash, make_hash_family
 from repro.s3select.validator import EXPRESSION_LIMIT_BYTES
 from repro.sqlparser import ast
@@ -122,7 +124,9 @@ class BloomFilter:
         self.add_many((key,))
 
     def add_many(self, keys: Sequence[int]) -> None:
-        """Insert a column of keys: one type check, one pass of bits per hash."""
+        """Insert a column of keys: one type check, then every hash's
+        positions as one ``(k × keys)`` int64 step, or one Python pass per
+        hash where ``a·x + b`` may pass int64 (``_ProbeChain``'s bound)."""
         if not set(map(type, keys)) <= {int}:
             for key in keys:
                 if not isinstance(key, int) or isinstance(key, bool):
@@ -130,6 +134,17 @@ class BloomFilter:
                         "Bloom join supports only integer join attributes"
                         f" (got {key!r}); see paper Section V-A2"
                     )
+        a, b, n, m = np.array(
+            [(h.a, h.b, h.n, h.m) for h in self.hashes], np.int64
+        ).T[..., None]
+        try:
+            x = np.array(keys, np.int64)
+        except OverflowError:
+            x = np.array(())
+        magnitude = max(1, -int(x.min()), int(x.max())) if len(x) else 0
+        if magnitude and int(a.max()) * magnitude + int(b.max()) < 2**63:
+            np.frombuffer(self.bits, np.uint8)[((a * x + b) % n % m).ravel()] = 1
+            return
         for h in self.hashes:
             a, b, n, m = h.a, h.b, h.n, h.m
             for position in [(a * key + b) % n % m for key in keys]:

@@ -9,7 +9,7 @@ schema, and any index tables built for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import add
 from typing import Iterable, Sequence
 
@@ -65,6 +65,8 @@ class TableInfo:
     #: scans refute these against the pushed predicate to skip whole
     #: partition requests.
     zone_maps: "list[PartitionZoneMap]"
+    #: Zone-map survivors per planned predicate (the join search's memo).
+    kept: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def partitions(self) -> int:

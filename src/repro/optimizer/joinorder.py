@@ -81,6 +81,10 @@ _RANK = objective_key("cost")
 #: rejected as unplannable cross joins.
 CROSS_PRODUCT_LIMIT = 1_000_000.0
 
+#: Planned predicates whose zone-map survivors a catalog entry memoizes
+#: (``TableInfo.kept``) before the memo starts over.
+KEPT_PREDICATES = 256
+
 
 # ----------------------------------------------------------------------
 # join graph
@@ -346,9 +350,6 @@ class JoinOrderSearch:
                 info, estimated_rows(ctx, info, graph.predicates[name]),
                 columns[name],
             )
-        #: Zone-map survivors per pushdown table, refuted on first use:
-        #: neither a predicate nor a zone map changes during a search.
-        self._kept: dict[str, list[int] | None] = {}
         self._shares: dict[tuple[str, str, str, str], float] = {}
         #: False for a one-phase plan's re-plans: no scan may wait on a Bloom.
         self.blooms = True
@@ -424,9 +425,15 @@ class JoinOrderSearch:
             prune=False,
         )
         if pushdown and self.ctx.prune_partitions:
-            if name not in self._kept:
-                self._kept[name] = pruning.keep_partitions(shape.info, predicate)
-            node.keep_partitions = self._kept[name]
+            # Refuted on first use: neither a predicate nor a zone map
+            # changes while a catalog entry lives.  A long session's
+            # distinct predicates do not pile up past the bound.
+            kept = shape.info.kept
+            if predicate not in kept:
+                if len(kept) >= KEPT_PREDICATES:
+                    kept.clear()
+                kept[predicate] = pruning.keep_partitions(shape.info, predicate)
+            node.keep_partitions = kept[predicate]
         node.est_rows = shape.filtered_rows
         return node
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from repro.bloom.filter import BloomBuildOutcome, BloomPushdown, membership_clauses
+from repro.bloom.filter import BloomBuildOutcome, BloomPushdown
 from repro.cloud.perf import SERVER_CPU_PER_ROW
 from repro.common.errors import PlanError
 from repro.engine.batch import Batch
@@ -75,7 +75,7 @@ class HashJoinNode(JoinNode):
         self.bloom = bloom
         #: What a Bloom join shipped on its first key pair (``None``
         #: until it runs): the clauses and outcome of
-        #: :func:`membership_clauses`, and how many non-NULL build keys
+        #: :meth:`ScanNode.ship`, and how many non-NULL build keys
         #: went in.
         self.bloom_clauses: list[ast.Expr] | None = None
         self.bloom_outcome: BloomBuildOutcome | None = None
@@ -126,11 +126,8 @@ class HashJoinNode(JoinNode):
                 len(keys) * self.bloom.insert_cpu
             )
         self.bloom_keys = len(keys)
-        probe.bind(state, probe.predicate)
-        self.bloom_clauses, self.bloom_outcome = membership_clauses(
-            keys, probe.bloom_attr, probe.statement(), self.bloom
-        )
-        probe.pushed = self.bloom_clauses
+        self.bloom_outcome = probe.ship(state, keys, self.bloom)
+        self.bloom_clauses = probe.pushed
 
     def run(self, state: ExecState):
         build_names, build = state.drain(self.build)

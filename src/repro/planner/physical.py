@@ -226,16 +226,19 @@ def execute_plan(ctx: CloudContext, plan: PhysicalPlan) -> QueryExecution:
     return _execute(ctx, plan)[0]
 
 
-def _execute(ctx: CloudContext, plan: PhysicalPlan) -> tuple[QueryExecution, Batch]:
+def _execute(
+    ctx: CloudContext, plan: PhysicalPlan, outer: dict | None = None
+) -> tuple[QueryExecution, Batch]:
     # Init plans recurse here, not into ``execute_plan``: tracers wrap
     # that one from outside and count each query once.  An init plan's
     # tree and times are reported under its query's root; it keeps its
-    # result as the one batch the root drained into.
+    # result as the one batch the root drained into, and binds the
+    # ``$n`` of the ones before it (``outer``; a magic set reads them).
     mark = ctx.begin_query()
     phases: list[Phase] = []
-    params: dict[int, ast.Literal] = {}
+    params: dict[int, ast.Literal] = dict(outer or {})
     for init in plan.init_plans:
-        leg, init.batch = _execute(ctx, init.plan)
+        leg, init.batch = _execute(ctx, init.plan, outer=params)
         phases += leg.phases
         if init.value is not None:
             params[init.index] = init.param()

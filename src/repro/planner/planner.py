@@ -31,6 +31,7 @@ from repro.cloud.context import CloudContext, QueryExecution
 from repro.common.errors import PlanError
 from repro.engine.catalog import Catalog
 from repro.optimizer import chooser
+from repro.optimizer.cost import objective_key
 from repro.optimizer.feedback import estimated_rows
 from repro.optimizer.joinorder import JoinOrderSearch, build_join_graph
 from repro.planner.binder import bind
@@ -113,7 +114,14 @@ def plan_parsed(
     from repro.planner.subquery import prepare_query
 
     prepared = prepare_query(ctx, catalog, bind(query, catalog), mode)
-    return choose_plan(ctx, catalog, prepared.query, mode, prepared)
+    plan, choice = choose_plan(ctx, catalog, prepared.query, mode, prepared)
+    if prepared.rung is not None:
+        # The magic-set rung, priced by the same walk: kept when cheaper.
+        rung = build_plan(ctx, catalog, prepared.rung.query, mode, prepared=prepared.rung)
+        cheaper = objective_key("cost")
+        if cheaper(rung.estimate) < cheaper(plan.estimate):
+            return rung, choice
+    return plan, choice
 
 
 def choose_plan(
@@ -177,8 +185,8 @@ def build_plans(
     carries its predicted profile (``plan.estimate``, init plans
     included) and per-node ``est_cost``.
     """
-    if prepared is not None and prepared.derived is not None:
-        plans = [_build_derived_plan(query, mode, prepared) for mode in modes]
+    if prepared is not None and (prepared.derived or prepared.magic) is not None:
+        plans = [_build_leg_plan(ctx, query, mode, prepared) for mode in modes]
     else:
         plans = _join_plans(
             ctx, catalog, query, modes, shape=shape,
@@ -191,17 +199,23 @@ def build_plans(
     return plans
 
 
-def _build_derived_plan(query: ast.Query, mode: str, prepared) -> PhysicalPlan:
-    """The outer query of ``FROM (SELECT ...) AS x``: its tail runs over
-    the derived table's init plan's rows."""
-    node: PlanNode = LegNode(prepared.derived)
-    names = list(prepared.derived.names)
-    if query.where is not None:
+def _build_leg_plan(
+    ctx: CloudContext, query: ast.Query, mode: str, prepared
+) -> PhysicalPlan:
+    """A root over one init plan's rows: the outer query of ``FROM
+    (SELECT ...) AS x`` (its WHERE filters the derived table's rows), or
+    a one-table core read from its magic set (which applied the core's
+    WHERE), wrapped by its decorrelated joins."""
+    leg = prepared.derived or prepared.magic
+    node: PlanNode = LegNode(leg)
+    names = list(leg.names)
+    if prepared.magic is not None:
+        node, names = _apply_sub_joins(ctx, node, names, node.est_rows, prepared, mode)
+    elif query.where is not None:
         node = FilterNode(node, query.where)
     root = attach_local_tail(node, query, names)
-    return PhysicalPlan(
-        root=root, mode=mode, strategy=f"{mode} derived-table",
-    )
+    kind = "derived-table" if prepared.derived is not None else "magic-set"
+    return PhysicalPlan(root=root, mode=mode, strategy=f"{mode} {kind}")
 
 
 def _apply_sub_joins(
@@ -218,10 +232,11 @@ def _apply_sub_joins(
     uses output caps by join kind — semi/anti joins emit at most the
     probe side, a left-outer join emits at least it, and a decorrelated
     scalar join (unique group keys) at most it; all four estimate at
-    the probe cardinality ``probe_est``.  Bloom predicates are never attached here:
-    left/anti joins must see every probe row, and an init plan's build
-    side never rescans storage anyway.  Returns the wrapped node and its
-    output names.
+    the probe cardinality ``probe_est``.  No Bloom goes onto the probe
+    side here (left / anti joins must see every probe row); the keys go
+    the other way, planned by the rewrite: a semi / anti leg's scan may
+    take the core table's keys (its magic set, :mod:`~repro.planner.subquery`).
+    Returns the wrapped node and its output names.
     """
     from repro.cloud.perf import SERVER_CPU_PER_ROW
     from repro.engine.operators.hashjoin import join_output_names

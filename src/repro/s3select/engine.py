@@ -40,8 +40,10 @@ from repro.engine.operators.project import compile_items
 from repro.expr.vector import compile_predicate_vector
 from repro.s3select.validator import (
     EXPRESSION_LIMIT_BYTES,
+    StatementShape,
     check_expression_size,
     expression_complexity,
+    statement_shape,
     validate_select_sql,
 )
 from repro.sqlparser import ast, parser
@@ -127,12 +129,18 @@ class _Binding:
         "_limit", "_keep_mask", "_extractors", "_group_by",
     )
 
-    def __init__(self, query: ast.Query, key: object, schema: TableSchema):
+    def __init__(
+        self, query: ast.Query, shape: StatementShape, key: object,
+        schema: TableSchema,
+    ):
         self.key = key
         #: The object's full schema (the CSV decoder needs every column).
         self.schema = schema
         #: Referenced columns in schema order; only these are typed.
-        self.needed = _referenced_columns(query, schema)
+        self.needed = (
+            list(schema.names) if shape.columns is None
+            else schema.subset(shape.columns)
+        )
         projected = schema.project(self.needed) if self.needed else schema
         self._limit = query.limit
         self._keep_mask = (
@@ -143,7 +151,7 @@ class _Binding:
         #: Each output column's source when all are bare columns / ``*``.
         self.bare: list[str] | None = None
         self._group_by = None
-        if query.group_by or any(ast.contains_aggregate(i.expr) for i in items):
+        if query.group_by or any(shape.item_aggregates):
             # A partial group-by (Suggestion 4 extension) may list keys and
             # aggregates in any order, compute over them or leave a key
             # out; partials from different partitions merge at the query
@@ -191,7 +199,8 @@ class PreparedSelect:
                  allow_group_by: bool = False):
         if expression_limit is not None:
             check_expression_size(query.to_sql(), expression_limit)
-        validate_select_sql(query, allow_group_by=allow_group_by)
+        self._shape = statement_shape(query)
+        validate_select_sql(query, allow_group_by, self._shape)
         self.query = query
         self._terms = expression_complexity(query)
         self._binding: _Binding | None = None
@@ -201,7 +210,7 @@ class PreparedSelect:
         only called to re-bind)."""
         binding = self._binding
         if binding is None or binding.key != key:
-            binding = self._binding = _Binding(self.query, key, schema())
+            binding = self._binding = _Binding(self.query, self._shape, key, schema())
         return binding
 
     def execute(
@@ -343,16 +352,3 @@ def _iter_range_records(
         pending = record
     if pending is not None and keep_trailing:
         yield pending
-
-
-def _referenced_columns(query: ast.Query, schema: TableSchema) -> list[str]:
-    """Columns the query touches, in schema order (``*`` means all)."""
-    names: set[str] = set()
-    for item in query.select_items:
-        if isinstance(item.expr, ast.Star):
-            return list(schema.names)
-        names |= ast.referenced_columns(item.expr)
-    for expr in (query.where, *query.group_by):
-        if expr is not None:
-            names |= ast.referenced_columns(expr)
-    return schema.subset(names)

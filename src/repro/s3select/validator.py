@@ -9,6 +9,8 @@ way it would against AWS.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from repro.common.errors import (
     ExpressionLimitExceededError,
     UnsupportedFeatureError,
@@ -30,8 +32,38 @@ def check_expression_size(sql: str, expression_limit: int = EXPRESSION_LIMIT_BYT
         raise ExpressionLimitExceededError(size, expression_limit)
 
 
-def validate_select_sql(query: ast.Query, allow_group_by: bool = False) -> None:
-    """Raise unless ``query`` is inside the S3 Select dialect.
+class StatementShape(NamedTuple):
+    """What one walk of each expression of a statement finds: the columns
+    it reads (``None`` under ``*``), which select items aggregate, whether
+    its WHERE does, and whether any part holds a subquery."""
+
+    columns: frozenset[str] | None
+    item_aggregates: tuple[bool, ...]
+    where_aggregate: bool
+    subquery: bool
+
+
+def statement_shape(query: ast.Query) -> StatementShape:
+    """The :class:`StatementShape` of ``query``: each node walked once."""
+    items = [item.expr for item in query.select_items]
+    where = query.where or ast.Literal(True)
+    parts = [list(ast.walk(e)) for e in (*items, where, *query.group_by)]
+    nodes = [node for part in parts for node in part]
+    aggregates = [any(isinstance(n, ast.Aggregate) for n in part) for part in parts]
+    return StatementShape(
+        None if any(isinstance(e, ast.Star) for e in items)
+        else frozenset(n.name for n in nodes if isinstance(n, ast.Column)),
+        tuple(aggregates[:len(items)]), aggregates[len(items)],
+        any(isinstance(n, ast.SUBQUERY_NODES) for n in nodes),
+    )
+
+
+def validate_select_sql(
+    query: ast.Query, allow_group_by: bool = False,
+    shape: StatementShape | None = None,
+) -> None:
+    """Raise unless ``query`` (whose :func:`statement_shape` is ``shape``,
+    when the caller has it) is inside the S3 Select dialect.
 
     Checks, in the order the real service would reject them (after the
     size check, :func:`check_expression_size`):
@@ -58,27 +90,18 @@ def validate_select_sql(query: ast.Query, allow_group_by: bool = False) -> None:
         raise UnsupportedFeatureError("S3 Select does not support HAVING")
     if query.order_by:
         raise UnsupportedFeatureError("S3 Select does not support ORDER BY")
+    shape = shape or statement_shape(query)
     if not query.group_by:
-        _validate_select_list(query)
-    if query.where is not None and ast.contains_aggregate(query.where):
+        _validate_select_list(shape)
+    if shape.where_aggregate:
         raise UnsupportedFeatureError("aggregates are not allowed in WHERE")
-    exprs = [item.expr for item in query.select_items] + list(query.group_by)
-    if any(map(ast.contains_subquery, [*exprs, query.where])):
+    if shape.subquery:
         raise UnsupportedFeatureError("S3 Select does not support subqueries")
 
 
-def _validate_select_list(query: ast.Query) -> None:
-    has_aggregate = False
-    has_scalar = False
-    for item in query.select_items:
-        if isinstance(item.expr, ast.Star):
-            has_scalar = True
-            continue
-        if ast.contains_aggregate(item.expr):
-            has_aggregate = True
-        else:
-            has_scalar = True
-    if has_aggregate and has_scalar:
+def _validate_select_list(shape: StatementShape) -> None:
+    aggregates = shape.item_aggregates
+    if any(aggregates) and not all(aggregates):
         raise UnsupportedFeatureError(
             "S3 Select cannot mix aggregates with per-row columns"
             " (it has no GROUP BY)"

@@ -344,3 +344,28 @@ def test_rendered_predicate_is_listing_1_byte_for_byte(capacity, fpr, cast_to_in
         assert bloom.to_predicate(attr, cast_to_int).to_sql() == text
         if cast_to_int:
             assert bloom.predicate_size_bytes(attr) == len(text.encode())
+
+
+def _python_pass_bits(bloom: BloomFilter, keys) -> bytearray:
+    """The bits one Python pass per hash sets: the formula itself."""
+    bits = bytearray(bloom.num_bits)
+    for h in bloom.hashes:
+        for key in keys:
+            bits[(h.a * key + h.b) % h.n % h.m] = 1
+    return bits
+
+
+@pytest.mark.parametrize("keys", [
+    [],
+    [5, 5, 5, 0],
+    [-1, -(2**31), -7, 12, -7],
+    [2**63, 2**64 + 3, 5, -(2**70)],  # past int64: the Python pass
+    [2**62, -(2**62), 1],  # in int64, but a·x + b could reach 2^63
+    list(range(-1500, 1500, 7)) * 2,
+], ids=["empty", "duplicates", "negative", "past-int64", "past-the-bound", "many"])
+def test_add_many_sets_the_bits_of_the_python_pass(keys):
+    """The ``(k × keys)`` int64 step and its fallback set exactly the bits
+    of ``((a·x + b) mod n) mod m`` per hash and key."""
+    bloom = BloomFilter.with_capacity(max(len(keys), 1), 0.01, seed=3)
+    bloom.add_many(keys)
+    assert bloom.bits == _python_pass_bits(bloom, keys)

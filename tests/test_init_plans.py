@@ -325,3 +325,143 @@ def test_a_bound_value_prunes_at_run_time(value_sql, literal):
     ]
     assert execution.num_requests == sum(p.num_requests for p in parts)
     assert execution.rows == parts[1].rows
+
+
+# ----------------------------------------------------------------------
+# the magic-set rung: a semi / anti leg takes the core table's keys
+# ----------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def keyed_db():
+    """A selective outer table ``o`` and a wider ``i`` whose join key holds
+    NULLs, calibrated to 1 GB, with its sqlite3 oracle."""
+    o_rows = [(k, k % 40, k % 7) for k in range(400)]
+    i_rows = [(None if j % 13 == 0 else j % 500, j % 11) for j in range(3000)]
+    db = PushdownDB()
+    db.load_table("o", o_rows, TableSchema.of("o_k:int", "o_v:int", "o_w:int"),
+                  partitions=4)
+    db.load_table("i", i_rows, TableSchema.of("i_k:int", "i_x:int"), partitions=4)
+    db.calibrate_to_paper_scale(1e9)
+    oracle = sqlite3.connect(":memory:")
+    oracle.execute("CREATE TABLE o (o_k, o_v, o_w)")
+    oracle.execute("CREATE TABLE i (i_k, i_x)")
+    oracle.executemany("INSERT INTO o VALUES (?, ?, ?)", o_rows)
+    oracle.executemany("INSERT INTO i VALUES (?, ?)", i_rows)
+    yield db, oracle
+    oracle.close()
+
+
+def _keyed_scans(plan) -> list:
+    """The scans of ``plan`` and its legs, recursively, that take a key set."""
+    return [
+        node for p in _plans(plan) for node, _ in walk_plan(p.root)
+        if getattr(node, "key_set", None) is not None
+    ]
+
+
+KEYED_LEGS = [
+    "SELECT o_k, o_w FROM o WHERE o_v = 3"
+    " AND EXISTS (SELECT 1 FROM i WHERE i_k = o_k)",
+    "SELECT o_k, o_w FROM o WHERE o_v = 3"
+    " AND NOT EXISTS (SELECT 1 FROM i WHERE i_k = o_k)",
+    "SELECT o_k FROM o WHERE o_v = 3 AND o_k IN (SELECT i_k FROM i)",
+]
+
+
+@pytest.mark.parametrize("mode", ["optimized", "adaptive"])
+@pytest.mark.parametrize("sql", KEYED_LEGS, ids=["exists", "not-exists", "in"])
+def test_a_leg_takes_its_outer_tables_keys(keyed_db, sql, mode):
+    """The core table runs first as the magic set, with its own WHERE; the
+    leg's scan ships its keys (``i_k IN $0``); the root reads the magic
+    set instead of scanning ``o`` again.  Rows match sqlite3, and the plan
+    predicts the phases and requests it meters."""
+    from repro.planner.costing import plan_phases
+
+    db, oracle = keyed_db
+    plan, _ = plan_parsed(db.ctx, db.catalog, parse(sql), mode)
+    (scan,) = _keyed_scans(plan)
+    assert plan.strategy == f"{mode} magic-set"
+    magic = plan.init_plans[0]
+    assert magic.feeds == "magic set" and scan.key_set == (magic, "o_k")
+    assert "scan i [select+bloom(i_k IN $0)]" in plan.describe()
+    predicted = plan_phases(plan, db.ctx)[1]
+    execution = execute_plan(db.ctx, plan)
+    assert [p.name for p in predicted] == [p.name for p in execution.phases]
+    assert plan.estimate.requests == execution.num_requests
+    assert sorted(execution.rows) == sorted(oracle.execute(sql).fetchall())
+
+
+@pytest.mark.parametrize("mode", ["optimized", "adaptive"])
+def test_not_in_keeps_its_null_keys(keyed_db, mode):
+    """``NOT IN`` never takes keys — its build must keep the NULL that
+    empties its result — though ``IN`` over the same leg does."""
+    db, oracle = keyed_db
+    sql = "SELECT o_k FROM o WHERE o_v = 3 AND o_k {} (SELECT i_k FROM i)"
+    for negated in (False, True):
+        text = sql.format("NOT IN" if negated else "IN")
+        plan, _ = plan_parsed(db.ctx, db.catalog, parse(text), mode)
+        assert bool(_keyed_scans(plan)) != negated, text
+        expected = sorted(oracle.execute(text).fetchall())
+        assert sorted(db.execute(text, mode=mode).rows) == expected, text
+    assert not oracle.execute(sql.format("NOT IN")).fetchall()
+
+
+def test_an_empty_magic_set(keyed_db):
+    """A core WHERE no row passes: the leg's scan ships no key, which the
+    plan priced, and the query returns sqlite3's (empty) rows."""
+    db, oracle = keyed_db
+    sql = (
+        "SELECT o_k FROM o WHERE o_v = 99"
+        " AND EXISTS (SELECT 1 FROM i WHERE i_k = o_k)"
+    )
+    plan, _ = plan_parsed(db.ctx, db.catalog, parse(sql), "optimized")
+    (scan,) = _keyed_scans(plan)
+    execution = execute_plan(db.ctx, plan)
+    assert len(plan.init_plans[0].batch) == 0
+    assert execution.rows == oracle.execute(sql).fetchall() == []
+    assert plan.estimate.requests == execution.num_requests
+
+
+def test_magic_sets_never_share_a_cache_entry():
+    """In a cache session two queries whose magic sets differ each match
+    sqlite3: the keyed scan is not in ``stores()`` (like a Bloom probe's),
+    so it neither consults nor fills the cache."""
+    o_rows = [(k, k % 40) for k in range(400)]
+    i_rows = [(j % 500, j % 11) for j in range(3000)]
+    db = PushdownDB(cache_bytes=1 << 22)
+    db.load_table("o", o_rows, TableSchema.of("o_k:int", "o_v:int"), partitions=4)
+    db.load_table("i", i_rows, TableSchema.of("i_k:int", "i_x:int"), partitions=4)
+    db.calibrate_to_paper_scale(1e9)
+    oracle = sqlite3.connect(":memory:")
+    oracle.execute("CREATE TABLE o (o_k, o_v)")
+    oracle.execute("CREATE TABLE i (i_k, i_x)")
+    oracle.executemany("INSERT INTO o VALUES (?, ?)", o_rows)
+    oracle.executemany("INSERT INTO i VALUES (?, ?)", i_rows)
+    for v in (3, 4, 3):
+        sql = (
+            f"SELECT o_k, o_v FROM o WHERE o_v = {v}"
+            " AND EXISTS (SELECT 1 FROM i WHERE i_k = o_k)"
+        )
+        plan, _ = plan_parsed(db.ctx, db.catalog, parse(sql), "optimized")
+        (scan,) = _keyed_scans(plan)
+        assert scan.stores() == ()
+        execution = execute_plan(db.ctx, plan)
+        assert scan.cache_status is None
+        assert sorted(execution.rows) == sorted(oracle.execute(sql).fetchall())
+    tables = {key[1] for key in db.cache._entries}
+    assert tables == {"o"}, tables  # the magic sets' scans, never the leg's
+
+
+def test_q4_takes_the_keys_once_its_leg_is_measured():
+    """Q4's leg (``l_commitdate < l_receiptdate``) is estimated at a third
+    of lineitem and returns two thirds, so a fresh session prices the
+    rung above today's plan; once the leg's selectivity is measured the
+    same session takes it, and meters less."""
+    db = PushdownDB()
+    load_suite_tables(db.ctx, db.catalog, 0.002, seed=1).close()
+    db.calibrate_to_paper_scale(10e9)
+    first, second = (db.execute(_sql("q04"), mode="optimized") for _ in range(2))
+    assert first.strategy == "optimized single-table"
+    assert second.strategy == "optimized magic-set"
+    assert second.runtime_seconds < first.runtime_seconds
+    assert sorted(second.rows) == sorted(first.rows)

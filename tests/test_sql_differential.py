@@ -48,6 +48,9 @@ import sqlite3
 import pytest
 
 from repro.planner.database import PushdownDB
+from repro.planner.physical import walk_plan
+from repro.planner.planner import plan_parsed
+from repro.sqlparser.parser import parse
 from repro.storage.schema import TableSchema
 
 SEED = 0x5EED_2024
@@ -644,13 +647,14 @@ def test_fuzz_covers_extended_grammar(engines):
     """The pinned seeds exercise every construct the tentpole added:
     HAVING, LEFT OUTER JOIN, [NOT] EXISTS, [NOT] IN (SELECT), CASE — and
     the values bound at run time: uncorrelated [NOT] EXISTS and scalar
-    comparisons, some over an empty input."""
+    comparisons, some over an empty input; and legs that take their
+    outer table's keys in the pushdown modes."""
     rng = random.Random(SEED + 1)
+    queries = [_generate_query(rng) for _ in range(NUM_QUERIES)]
     counts = {"HAVING": 0, "LEFT OUTER JOIN": 0, "EXISTS (": 0,
               "NOT EXISTS (": 0, "IN (SELECT": 0, "NOT IN (SELECT": 0,
               "CASE WHEN": 0}
-    for _ in range(NUM_QUERIES):
-        sql = _generate_query(rng)
+    for sql in queries:
         for marker in counts:
             if marker in sql:
                 counts[marker] += 1
@@ -662,6 +666,22 @@ def test_fuzz_covers_extended_grammar(engines):
         for marker in values:
             values[marker] += marker in sql
     assert all(n >= 3 for n in values.values()), values
+    # Some [NOT] EXISTS / IN legs take their outer table's keys (the
+    # magic-set rung), which only the pushdown modes plan.
+    db, _ = engines
+    for mode in ("optimized", "adaptive"):
+        keyed = sum(_takes_keys(plan_parsed(db.ctx, db.catalog, parse(sql), mode)[0])
+                    for sql in queries)
+        assert keyed >= 2, (mode, keyed)
+
+
+def _takes_keys(plan) -> bool:
+    """Whether a scan of ``plan`` or of its legs, recursively, takes a
+    key set."""
+    return any(
+        getattr(node, "key_set", None) is not None
+        for node, _ in walk_plan(plan.root)
+    ) or any(_takes_keys(leg.plan) for leg in plan.init_plans)
 
 
 #: ``*`` inside a derived table: over a LEFT JOIN (the joined table's
