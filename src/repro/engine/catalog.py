@@ -65,7 +65,7 @@ class TableInfo:
     #: scans refute these against the pushed predicate to skip whole
     #: partition requests.
     zone_maps: "list[PartitionZoneMap]"
-    #: Zone-map survivors per planned predicate (the join search's memo).
+    #: Zone-map survivors per pushed predicate (a table leaf's memo).
     kept: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property

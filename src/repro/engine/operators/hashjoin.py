@@ -15,7 +15,11 @@ TPC-H decorrelation pass produces:
   probe key never matches, so it is emitted);
 * ``anti_null`` — NULL-aware anti join for ``NOT IN``: if the build side
   contains a NULL key nothing qualifies, and a NULL probe key is never
-  emitted (three-valued ``NOT IN`` semantics).
+  emitted (three-valued ``NOT IN`` semantics);
+* ``right_semi`` / ``right_anti`` — PostgreSQL's: each *build* row with
+  a match / with none (a NULL key never matches), in build order, once
+  the probe side is consumed.  A probe row meeting no build key changes
+  neither, so the build keys may filter the probe scan.
 
 The hash key is every equality between the two sides, one column or
 several: a multi-column join emits only the pairs that meet on all of
@@ -30,7 +34,7 @@ output is gathered column by column — no joined row tuple is built.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterable, Iterator, Sequence
 
 from repro.cloud.perf import SERVER_CPU_PER_ROW
@@ -40,16 +44,19 @@ from repro.engine.operators.base import CpuTally
 from repro.expr.vector import VectorFunc, compile_predicate_vector
 from repro.sqlparser import ast
 
-JOIN_TYPES = ("inner", "left", "semi", "anti", "anti_null")
+JOIN_TYPES = ("inner", "left", "semi", "anti", "anti_null", "right_semi", "right_anti")
 
 
 def join_output_names(
     build_names: Sequence[str], probe_names: Sequence[str], join_type: str = "inner"
 ) -> list[str]:
     """Output schema of a join: build columns then probe columns for
-    inner/left joins, probe columns only for semi/anti variants."""
+    inner/left joins, probe columns only for semi/anti variants, build
+    columns only for the right ones."""
     if join_type in ("semi", "anti", "anti_null"):
         return list(probe_names)
+    if join_type.startswith("right_"):
+        return list(build_names)
     return [*build_names, *probe_names]
 
 
@@ -57,12 +64,14 @@ class _BuildTable:
     """The build batch, hashed: each non-NULL key -> its row positions.
 
     A left join's build batch carries one all-NULL row past its rows: a
-    probe row without a match gathers that one.
+    probe row without a match gathers that one.  A right join collects
+    the build positions some probe row met (:attr:`matched`).
     """
 
-    __slots__ = ("batch", "table", "has_null")
+    __slots__ = ("batch", "table", "has_null", "matched")
 
     def __init__(self, build: Batch, build_idx: tuple[int, ...], pad: bool):
+        self.matched: set[int] = set()
         table: dict[object, list[int]] = {}
         setdefault = table.setdefault
         for i, key in enumerate(_key_column(build, build_idx)):
@@ -128,11 +137,11 @@ def _probe(
     probe_idx: tuple[int, ...],
     join_type: str,
     match: VectorFunc | None,
-) -> Batch:
+) -> Batch | None:
     """Join one probe batch against the built table.
 
     Output rows follow probe order, and build order within one probe
-    row's matches.
+    row's matches; a right join only marks the build rows met (``None``).
     """
     if join_type == "anti_null" and build.has_null:
         return batch[:0]  # NOT IN over a set containing NULL is never true
@@ -146,6 +155,9 @@ def _probe(
             mask = match(_gather(build.batch, picked, batch, positions))
             for b, p in compress(zip(picked, positions), mask):
                 found[p].append(b)
+    if join_type.startswith("right_"):
+        build.matched.update(chain.from_iterable(filter(None, found)))
+        return None
     if join_type == "semi":
         return batch.take([i for i, hits in enumerate(found) if hits])
     if join_type == "anti":
@@ -180,7 +192,8 @@ def hash_join_batches(
     ``tally`` immediately); a list of row tuples is transposed into a
     batch first.  The probe side streams, one output batch per probe
     batch, so joined batches reach downstream operators while later
-    probe batches are still being produced.  ``match_cond`` reads the
+    probe batches are still being produced; a right join's one batch
+    follows the last probe batch.  ``match_cond`` reads the
     build columns then the probe columns.  Returns ``(output_names,
     joined_batches)``.
 
@@ -209,7 +222,12 @@ def hash_join_batches(
         for batch in probe_batches:
             if tally is not None:
                 tally.add_seconds(len(batch) * per_row)
-            yield _probe(table, batch, probe_idx, join_type, match)
+            out = _probe(table, batch, probe_idx, join_type, match)
+            if out is not None:
+                yield out
+        if join_type.startswith("right_"):
+            met, semi = table.matched, join_type == "right_semi"
+            yield build.take([i for i in range(len(build)) if (i in met) == semi])
 
     return out_names, probe()
 

@@ -50,7 +50,6 @@ from repro.cloud.context import CloudContext
 from repro.cloud.perf import SERVER_CPU_PER_ROW
 from repro.common.errors import PlanError
 from repro.engine.catalog import Catalog, TableInfo
-from repro.optimizer import pruning
 from repro.optimizer.cost import StrategyEstimate, objective_key, price_phases
 from repro.optimizer.feedback import estimated_rows, predicate_signature
 from repro.optimizer.selectivity import estimate_selectivity
@@ -80,10 +79,6 @@ _RANK = objective_key("cost")
 #: estimated row product stays under this bound; larger products are
 #: rejected as unplannable cross joins.
 CROSS_PRODUCT_LIMIT = 1_000_000.0
-
-#: Planned predicates whose zone-map survivors a catalog entry memoizes
-#: (``TableInfo.kept``) before the memo starts over.
-KEPT_PREDICATES = 256
 
 
 # ----------------------------------------------------------------------
@@ -305,6 +300,28 @@ class JoinOrderDecision:
         }
 
 
+def bloom_probe(
+    join: HashJoinNode, build_keys: float, probe_keys: float, fresh=None
+) -> bool:
+    """Ship ``join``'s build keys into its probe scan on the first key
+    pair when a Bloom over ``build_keys`` distinct keys fits and is
+    predicted to reject some of the scan's rows (``probe_keys`` distinct;
+    each hash is an S3-side term per scanned row, so a Bloomjoin pays
+    only when selective: Mackert & Lohman, VLDB 1986).  The scan —
+    ``fresh()`` instead, when given — is priced at the rows passing."""
+    probe, attr = join.probe, join.probe_keys[0]
+    bloom = predicted_bloom_pass(build_keys, probe_keys, probe.est_rows, DEFAULT_FPR, attr)
+    if bloom is None or bloom[0] == probe.est_rows:
+        return False
+    if fresh is not None:
+        join.probe = probe = fresh()
+    join.bloom = BloomPushdown()
+    probe.bloom_attr = attr
+    probe.est_rows = min(probe.est_rows, bloom[0])
+    probe.est_terms += probe.table.num_rows * bloom[1]
+    return True
+
+
 @dataclass(frozen=True)
 class _TableShape:
     """Pre-computed per-table quantities the search prices with."""
@@ -422,18 +439,8 @@ class JoinOrderSearch:
             shape.columns if pushdown
             else decoded_columns(shape.info, shape.columns, predicate),
             predicate, pushdown=pushdown, phase_label=f"scan-{name}",
-            prune=False,
+            prune=pushdown and self.ctx.prune_partitions,
         )
-        if pushdown and self.ctx.prune_partitions:
-            # Refuted on first use: neither a predicate nor a zone map
-            # changes while a catalog entry lives.  A long session's
-            # distinct predicates do not pile up past the bound.
-            kept = shape.info.kept
-            if predicate not in kept:
-                if len(kept) >= KEPT_PREDICATES:
-                    kept.clear()
-                kept[predicate] = pruning.keep_partitions(shape.info, predicate)
-            node.keep_partitions = kept[predicate]
         node.est_rows = shape.filtered_rows
         return node
 
@@ -449,7 +456,7 @@ class JoinOrderSearch:
     ) -> HashJoinNode:
         """Join two subtrees on every edge crossing them, in edge order;
         a Bloom predicate ships the first edge's keys when it is predicted
-        to reject a probe row (:meth:`_bloom_shape`).
+        to reject a probe row (:func:`bloom_probe`).
 
         Neither subtree is copied or changed, so a memoized DP subtree
         may sit in many candidates: a Bloom predicate goes on a fresh
@@ -470,14 +477,6 @@ class JoinOrderSearch:
             else (e.right_key, e.left_key)
             for e in edges
         ))
-        edge = edges[0]
-        build_end = edge.left if edge.left in build.tables else edge.right
-        probe_end = edge.other(build_end)
-        bloom = self._bloom_shape(
-            build, probe, build_end, build_keys[0], probe_keys[0]
-        )
-        if bloom is not None:
-            probe = self.leaf(probe_end)
         node = HashJoinNode(build, probe, build_keys, probe_keys)
         if self.feedback.has_join_feedback():
             # A join this session already executed (same tables, same
@@ -496,12 +495,21 @@ class JoinOrderSearch:
             min(build.est_rows, probe.est_rows) * SERVER_CPU_PER_ROW["hash_build"]
             + max(build.est_rows, probe.est_rows) * SERVER_CPU_PER_ROW["hash_probe"]
         )
-        if bloom is not None:
-            pass_rows, hashes = bloom
-            node.bloom = BloomPushdown()
-            probe.bloom_attr = probe_keys[0]
-            probe.est_rows = min(probe.est_rows, pass_rows)
-            probe.est_terms += probe.table.num_rows * hashes
+        edge = edges[0]
+        build_end = edge.left if edge.left in build.tables else edge.right
+        probe_end, key = edge.other(build_end), probe_keys[0]
+        # Sized for every build key; only the share meeting the probe's key passes rows.
+        share = self._key_share(build_end, build_keys[0], probe_end, key)
+        if (  # a pushed probe scan, inner ones included, on an integer key
+            self.blooms and isinstance(probe, ScanNode) and probe.pushdown
+            and self.graph.tables[build_end].schema.column(build_keys[0]).type == "int"
+            and bloom_probe(
+                node, self._key_distinct(build_end, build_keys[0], build.est_rows),
+                self._key_distinct(probe_end, key, probe.est_rows) / share
+                if share else math.inf,
+                lambda: self.leaf(probe_end),
+            )
+        ):
             cpu += build.est_rows * SERVER_CPU_PER_ROW["bloom_insert"]
         node.est_cpu = cpu
         return node
@@ -535,35 +543,6 @@ class JoinOrderSearch:
         node = CrossProductNode(build, probe)
         node.est_rows = est_rows
         return node
-
-    def _bloom_shape(
-        self, build: PlanNode, probe: PlanNode, build_end: str,
-        build_key: str, probe_key: str,
-    ) -> tuple[float, int] | None:
-        """(expected probe rows passing, hash count) or None if ineligible.
-
-        Eligible when the probe is a pushdown scan, the build-side key
-        column is an integer — inner probes included — and the filter is
-        predicted to reject a row: each hash is an S3-side term per
-        scanned row (a Bloomjoin pays only when selective: Mackert &
-        Lohman, VLDB 1986).
-        """
-        if not (self.blooms and isinstance(probe, ScanNode) and probe.pushdown):
-            return None
-        column = self.graph.tables[build_end].schema.column(build_key)
-        if column.type != "int":
-            return None
-        probe_end = next(iter(probe.tables))
-        filtered_rows = self.shapes[probe_end].filtered_rows
-        # Sized for every build key; only the share meeting the probe's key passes rows.
-        share = self._key_share(build_end, build_key, probe_end, probe_key)
-        bloom = predicted_bloom_pass(
-            self._key_distinct(build_end, build_key, build.est_rows),
-            self._key_distinct(probe_end, probe_key, filtered_rows) / share
-            if share else math.inf,
-            filtered_rows, DEFAULT_FPR, probe_key,
-        )
-        return None if bloom is None or bloom[0] == filtered_rows else bloom
 
     def left_deep_tree(self, order: list[str]) -> PlanNode:
         """The join tree a forced left-deep ``order`` executes as."""

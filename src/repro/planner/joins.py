@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from repro.bloom.filter import BloomBuildOutcome, BloomPushdown
+from repro.bloom.filter import BloomBuildOutcome, BloomPushdown, membership_clauses
 from repro.cloud.perf import SERVER_CPU_PER_ROW
 from repro.common.errors import PlanError
 from repro.engine.batch import Batch
@@ -75,12 +75,12 @@ class HashJoinNode(JoinNode):
         self.bloom = bloom
         #: What a Bloom join shipped on its first key pair (``None``
         #: until it runs): the clauses and outcome of
-        #: :meth:`ScanNode.ship`, and how many non-NULL build keys
+        #: :func:`membership_clauses`, and how many non-NULL build keys
         #: went in.
         self.bloom_clauses: list[ast.Expr] | None = None
         self.bloom_outcome: BloomBuildOutcome | None = None
         self.bloom_keys = 0
-        #: inner | left | semi | anti | anti_null (see operators.hashjoin).
+        #: One of :data:`~repro.engine.operators.hashjoin.JOIN_TYPES`.
         self.join_type = join_type
         #: Residual ON/correlation condition over the build columns then
         #: the probe columns, evaluated over the candidate pairs before
@@ -106,7 +106,7 @@ class HashJoinNode(JoinNode):
         """Hand the probe scan the clauses shipping the build keys (one
         statement each; none = the ladder ended unfiltered), when this
         join pushes any."""
-        if self.join_type not in ("inner", "semi"):
+        if self.join_type not in ("inner", "semi", "right_semi", "right_anti"):
             # Left/anti joins must see every probe row: a Bloom filter on
             # the probe scan would drop exactly the rows they preserve.
             return
@@ -126,8 +126,11 @@ class HashJoinNode(JoinNode):
                 len(keys) * self.bloom.insert_cpu
             )
         self.bloom_keys = len(keys)
-        self.bloom_outcome = probe.ship(state, keys, self.bloom)
-        self.bloom_clauses = probe.pushed
+        probe.bind(state, probe.predicate)
+        self.bloom_clauses, self.bloom_outcome = membership_clauses(
+            keys, probe.bloom_attr, probe.statement(), self.bloom
+        )
+        probe.pushed = self.bloom_clauses
 
     def run(self, state: ExecState):
         build_names, build = state.drain(self.build)
@@ -356,6 +359,7 @@ class AdaptiveJoinNode(PlanNode):
             event["note"] = "replan confirmed the current tree"
             return tree
         mark_spine(new_tree)
+        new_tree.stream_probe = tree.stream_probe  # a hashed core stays drained
         self.replans += 1
         event["replanned"] = True
         event["old_tree"] = join_tree_label(tree)

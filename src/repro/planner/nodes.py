@@ -33,7 +33,6 @@ from __future__ import annotations
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from repro.bloom.filter import BloomBuildOutcome, BloomPushdown, membership_clauses
 from repro.cloud.context import CloudContext
 from repro.cloud.metrics import Phase
 from repro.cloud.perf import SERVER_CPU_PER_ROW
@@ -48,7 +47,6 @@ from repro.engine.operators.groupby import (
     combine_partials,
     group_by_cpu,
 )
-from repro.engine.operators.hashjoin import index_of
 from repro.engine.operators.limit import limit_batches
 from repro.engine.operators.project import project_batches, projected_names
 from repro.engine.operators.sort import sort_batches, sort_cpu
@@ -123,6 +121,11 @@ class PlanNode:
         raise NotImplementedError
 
 
+#: Predicates whose zone-map survivors a catalog entry memoizes
+#: (``TableInfo.kept``) before the memo starts over.
+KEPT_PREDICATES = 256
+
+
 class _TableLeaf(PlanNode):
     """A leaf over one table's partitions: zone-map pruning, cache outcome.
 
@@ -151,10 +154,19 @@ class _TableLeaf(PlanNode):
             self._prune(self.bound)
 
     def _prune(self, predicate: ast.Expr | None) -> None:
+        """Refute the zone maps against ``predicate`` once per catalog entry
+        (:attr:`TableInfo.kept`): neither changes while the entry lives,
+        and a long session's distinct predicates do not pile up past
+        :data:`KEPT_PREDICATES`."""
         if predicate is not None:
             from repro.optimizer.pruning import keep_partitions
 
-            self.keep_partitions = keep_partitions(self.table, predicate)
+            kept = self.table.kept
+            if predicate not in kept:
+                if len(kept) >= KEPT_PREDICATES:
+                    kept.clear()
+                kept[predicate] = keep_partitions(self.table, predicate)
+            self.keep_partitions = kept[predicate]
 
     @property
     def pruned_partitions(self) -> int:
@@ -224,12 +236,8 @@ class ScanNode(_TableLeaf):
         #: join builds the clauses at run time from its build rows and
         #: hands them over as :attr:`pushed`).
         self.bloom_attr: str | None = None
-        #: The set-valued parameter ``bloom_attr IN $n``: init plan ``n``
-        #: (a leg's magic set) and its column holding the keys.
-        self.key_set: tuple[InitPlan, str] | None = None
-        #: The clauses a parent join or the key set hands this run
-        #: (consumed by it), each ANDed onto the predicate in a statement
-        #: of its own.
+        #: The clauses a parent join hands this run (consumed by it),
+        #: each ANDed onto the predicate in a statement of its own.
         self.pushed: list[ast.Expr] | None = None
         #: Estimated S3-side term evaluations (WHERE conjuncts per scanned
         #: row; a parent join adds its Bloom hashes), for the cost model.
@@ -251,8 +259,7 @@ class ScanNode(_TableLeaf):
         projects or a ``get`` scan decodes (not the width a GET bills)."""
         how = "select" if self.pushdown else "get"
         if self.bloom_attr:
-            keys = "" if self.key_set is None else f" IN ${self.key_set[0].index}"
-            how += f"+bloom({self.bloom_attr}{keys})"
+            how += f"+bloom({self.bloom_attr})"
         text = f"scan {self.table.name} [{how}] cols={len(self.columns)}"
         if self.predicate is not None:
             text += f" pred=({self.predicate.to_sql()})"
@@ -352,16 +359,6 @@ class ScanNode(_TableLeaf):
         )
         return 1 if stored else 0
 
-    def ship(self, state: ExecState, keys: list, how: BloomPushdown) -> BloomBuildOutcome:
-        """Hand this run the clauses shipping ``keys`` on :attr:`bloom_attr`
-        down the one membership ladder (a parent join's build keys, or the
-        :attr:`key_set`'s)."""
-        self.bind(state, self.predicate)
-        self.pushed, outcome = membership_clauses(
-            keys, self.bloom_attr, self.statement(), how
-        )
-        return outcome
-
     def statement(self, clause: ast.Expr | None = None) -> ast.Query:
         """The scan's pushed statement: its projection and :attr:`bound`
         predicate, a parent join's Bloom or ``IN``-list ``clause`` ANDed on."""
@@ -378,13 +375,6 @@ class ScanNode(_TableLeaf):
         ctx = state.ctx
         mark = ctx.metrics.mark()
         names = list(self.columns)
-        if self.key_set is not None:
-            leg, column = self.key_set
-            values = leg.batch.column(index_of(leg.names, column))
-            # No key: no outer row can use a leg row, and the all-zero
-            # filter the plan priced returns none.
-            keys = [k for k in values if k is not None]
-            self.ship(state, keys, BloomPushdown())
         pushed, self.pushed = self.pushed, None
         drained = state.draining is self
         self.bind(state, self.predicate, prune=self.pushdown)

@@ -28,17 +28,19 @@ from dataclasses import replace
 from typing import Sequence
 
 from repro.cloud.context import CloudContext, QueryExecution
+from repro.cloud.perf import SERVER_CPU_PER_ROW
 from repro.common.errors import PlanError
 from repro.engine.catalog import Catalog
 from repro.optimizer import chooser
 from repro.optimizer.cost import objective_key
 from repro.optimizer.feedback import estimated_rows
-from repro.optimizer.joinorder import JoinOrderSearch, build_join_graph
+from repro.optimizer.joinorder import JoinOrderSearch, bloom_probe, build_join_graph
 from repro.planner.binder import bind
 from repro.planner.costing import annotate_costs
 from repro.planner.joins import (
     AdaptiveJoinNode,
     HashJoinNode,
+    JoinNode,
     join_leaves,
     join_tree_label,
     mark_spine,
@@ -51,6 +53,7 @@ from repro.planner.nodes import (
     PlanNode,
     PushedAggregateNode,
     ScanNode,
+    output_rows,
 )
 from repro.planner.physical import PhysicalPlan, execute_plan, walk_plan
 from repro.planner.tail import attach_local_tail
@@ -114,14 +117,7 @@ def plan_parsed(
     from repro.planner.subquery import prepare_query
 
     prepared = prepare_query(ctx, catalog, bind(query, catalog), mode)
-    plan, choice = choose_plan(ctx, catalog, prepared.query, mode, prepared)
-    if prepared.rung is not None:
-        # The magic-set rung, priced by the same walk: kept when cheaper.
-        rung = build_plan(ctx, catalog, prepared.rung.query, mode, prepared=prepared.rung)
-        cheaper = objective_key("cost")
-        if cheaper(rung.estimate) < cheaper(plan.estimate):
-            return rung, choice
-    return plan, choice
+    return choose_plan(ctx, catalog, prepared.query, mode, prepared)
 
 
 def choose_plan(
@@ -183,10 +179,11 @@ def build_plans(
     every mode's plan from it, so the ``auto`` chooser's baseline and
     optimized candidates join in the same order.  Every returned plan
     carries its predicted profile (``plan.estimate``, init plans
-    included) and per-node ``est_cost``.
+    included) and per-node ``est_cost``; a leg whose wrap scans its body
+    instead (:func:`_apply_sub_joins`) is not among its init plans.
     """
-    if prepared is not None and (prepared.derived or prepared.magic) is not None:
-        plans = [_build_leg_plan(ctx, query, mode, prepared) for mode in modes]
+    if prepared is not None and prepared.derived is not None:
+        plans = [_build_derived_plan(query, mode, prepared) for mode in modes]
     else:
         plans = _join_plans(
             ctx, catalog, query, modes, shape=shape,
@@ -194,28 +191,23 @@ def build_plans(
         )
     for plan in plans:
         if prepared is not None:
-            plan.init_plans = prepared.init_plans
+            read = {id(n.leg) for n, _ in walk_plan(plan.root) if isinstance(n, LegNode)}
+            plan.init_plans = [
+                leg for leg in prepared.init_plans if leg.value is not None or id(leg) in read
+            ]
         annotate_costs(plan, ctx, plan.mode)
     return plans
 
 
-def _build_leg_plan(
-    ctx: CloudContext, query: ast.Query, mode: str, prepared
-) -> PhysicalPlan:
-    """A root over one init plan's rows: the outer query of ``FROM
-    (SELECT ...) AS x`` (its WHERE filters the derived table's rows), or
-    a one-table core read from its magic set (which applied the core's
-    WHERE), wrapped by its decorrelated joins."""
-    leg = prepared.derived or prepared.magic
-    node: PlanNode = LegNode(leg)
-    names = list(leg.names)
-    if prepared.magic is not None:
-        node, names = _apply_sub_joins(ctx, node, names, node.est_rows, prepared, mode)
-    elif query.where is not None:
+def _build_derived_plan(query: ast.Query, mode: str, prepared) -> PhysicalPlan:
+    """The outer query of ``FROM (SELECT ...) AS x``: its tail runs over
+    the derived table's init plan's rows."""
+    node: PlanNode = LegNode(prepared.derived)
+    names = list(prepared.derived.names)
+    if query.where is not None:
         node = FilterNode(node, query.where)
     root = attach_local_tail(node, query, names)
-    kind = "derived-table" if prepared.derived is not None else "magic-set"
-    return PhysicalPlan(root=root, mode=mode, strategy=f"{mode} {kind}")
+    return PhysicalPlan(root=root, mode=mode, strategy=f"{mode} derived-table")
 
 
 def _apply_sub_joins(
@@ -232,46 +224,105 @@ def _apply_sub_joins(
     uses output caps by join kind — semi/anti joins emit at most the
     probe side, a left-outer join emits at least it, and a decorrelated
     scalar join (unique group keys) at most it; all four estimate at
-    the probe cardinality ``probe_est``.  No Bloom goes onto the probe
-    side here (left / anti joins must see every probe row); the keys go
-    the other way, planned by the rewrite: a semi / anti leg's scan may
-    take the core table's keys (its magic set, :mod:`~repro.planner.subquery`).
+    the probe cardinality ``probe_est``.  No Bloom goes onto the core
+    (left / anti joins must see every probe row).  In a pushdown mode the
+    keys may go the other way: a semi / anti wrap whose leg the rewrite
+    also names as a scan may hash the core instead (:func:`_hashed_core`),
+    and the one cost walk keeps whichever orientation is cheaper in
+    dollars, the leg's init plan counting on the side that reads it.
     Returns the wrapped node and its output names.
     """
-    from repro.cloud.perf import SERVER_CPU_PER_ROW
     from repro.engine.operators.hashjoin import join_output_names
 
+    rank = objective_key("cost")
     for sj in prepared.sub_joins:
-        if sj.table is not None:
-            optimized = mode != "baseline"
-            build: PlanNode = ScanNode(
-                sj.table,
-                sj.scan_cols if optimized
-                else decoded_columns(sj.table, sj.scan_cols, sj.scan_pred),
-                sj.scan_pred, pushdown=optimized,
-                phase_label=f"join-scan-{sj.table.name}",
-                prune=ctx.prune_partitions,
-            )
-            build.est_rows = estimated_rows(ctx, sj.table, sj.scan_pred)
+        if sj.leg is None:
+            build: PlanNode = _body_scan(ctx, sj, mode != "baseline", "join-scan")
             build_names = list(build.columns)
         else:
             build = LegNode(sj.leg)
             build_names = list(sj.leg.names)
-        join = HashJoinNode(
-            build, node, sj.build_keys, sj.probe_keys,
+        core = node
+        joins = [HashJoinNode(
+            build, core, sj.build_keys, sj.probe_keys,
             stream_probe=True, join_type=sj.kind,
             match_cond=sj.match_cond, provenance=sj.provenance,
-        )
-        join.est_rows = probe_est
-        join.est_cpu = (
-            build.est_rows * SERVER_CPU_PER_ROW["hash_build"]
-            + probe_est * SERVER_CPU_PER_ROW["hash_probe"]
-        )
+        )]
+        if sj.leg is not None and sj.table is not None and mode != "baseline":
+            joins += _hashed_core(ctx, sj, core)
+        for join in joins:
+            hashed = output_rows(join.build)
+            join.est_rows = probe_est
+            join.est_cpu = (
+                hashed * SERVER_CPU_PER_ROW["hash_build"]
+                + output_rows(join.probe) * SERVER_CPU_PER_ROW["hash_probe"]
+                + (hashed * SERVER_CPU_PER_ROW["bloom_insert"] if join.bloom else 0.0)
+            )
+        node = joins[0]
+        if len(joins) > 1:
+            # Each priced as it would run: the leg hashed after its init
+            # plan, in one phase if no scan waits on a Bloom; ties keep it.
+            plans = [
+                PhysicalPlan(
+                    node, mode, "leg hashed", _phase_policy(node, True), init_plans=[sj.leg]
+                ),
+                PhysicalPlan(joins[1], mode, "core hashed"),
+            ]
+            for plan in plans:
+                annotate_costs(plan, ctx)
+            node = min(plans, key=lambda plan: rank(plan.estimate)).root
+            if node is joins[1]:  # the core is drained: its root join may hash its smaller side
+                while isinstance(core, (FilterNode, AdaptiveJoinNode)):
+                    core = core.child
+                if isinstance(core, JoinNode):
+                    core.stream_probe = False
         names = join_output_names(build_names, names, sj.kind)
-        node = join
     if prepared.post_filter is not None:
         node = FilterNode(node, prepared.post_filter)
     return node, names
+
+
+def _phase_policy(root: PlanNode, optimized: bool) -> str | None:
+    """The one phase a plan over ``root`` meters, if any
+    (:attr:`PhysicalPlan.combined_label`): two or more scans none of
+    which waits for a Bloom load in parallel."""
+    scans = [n for n, _ in walk_plan(root) if isinstance(n, ScanNode)]
+    if len(scans) < 2 or any(n.bloom_attr for n in scans):
+        return None
+    return "select+join" if optimized else "load+join"
+
+
+def _body_scan(ctx: CloudContext, sj, pushdown: bool, label: str) -> ScanNode:
+    """A scan of a wrap's body table (``sj.table``) under its own WHERE."""
+    scan = ScanNode(
+        sj.table,
+        sj.scan_cols if pushdown else decoded_columns(sj.table, sj.scan_cols, sj.scan_pred),
+        sj.scan_pred, pushdown=pushdown, phase_label=f"{label}-{sj.table.name}",
+        prune=ctx.prune_partitions,
+    )
+    scan.est_rows = estimated_rows(ctx, sj.table, sj.scan_pred)
+    return scan
+
+
+def _hashed_core(ctx: CloudContext, sj, core: PlanNode) -> list[HashJoinNode]:
+    """The other orientation of a semi / anti wrap: its right semi / anti
+    join hashing the ``core``, probed by a fresh pushed scan of the leg's
+    body that takes the core's keys on the first key pair (the magic
+    set), as the join search prices a Bloom probe
+    (:func:`~repro.optimizer.joinorder.bloom_probe`); none when that
+    Bloom would reject no row."""
+    renames = dict(zip(sj.leg.names, sj.scan_cols))
+    scan = _body_scan(ctx, sj, True, "probe-scan")
+    join = HashJoinNode(
+        core, scan, sj.probe_keys, tuple(renames[k] for k in sj.build_keys),
+        stream_probe=True, join_type=f"right_{sj.kind}",
+        match_cond=sj.match_cond and ast.rename_columns(sj.match_cond, renames),
+        provenance=sj.provenance,
+    )
+    return [join] if bloom_probe(
+        join, sj.owner.stats.distinct_among(sj.probe_keys[0], output_rows(core)),
+        sj.table.stats.distinct_among(join.probe_keys[0], scan.est_rows),
+    ) else []
 
 
 def _fully_pushable(query: ast.Query) -> bool:
@@ -445,11 +496,7 @@ def _join_plan(
             ctx, node, names, tree.est_rows, prepared, mode
         )
     root = attach_local_tail(node, query, names)
-    scans = [n for n, _ in walk_plan(root) if isinstance(n, ScanNode)]
-    combined = (
-        None if len(scans) < 2 or any(n.bloom_attr for n in scans)
-        else "select+join" if optimized else "load+join"
-    )
+    combined = _phase_policy(root, optimized)
     if adaptive_node is not None:
         search.blooms = combined is None
     return PhysicalPlan(

@@ -42,17 +42,15 @@ scoping follows SQL: an unqualified name resolves to the innermost
 query that has it, so self-correlation needs a renamed table copy (the
 TPC-H suite loads ``lineitem2`` etc. for exactly this).
 
-The magic-set rung (semi-join reduction; Seshadri et al., SIGMOD 1996):
-over a one-table core in a pushdown mode, a second pass defers each
-semi / anti leg that can take keys, plans the core table under its WHERE
-as the *magic set* init plan, and hands each leg's scan its key column
-as a set-valued parameter (``key IN $n``); the planner prices
-:attr:`PreparedQuery.rung` against the plain rewrite.
-
 Join-order interaction: wraps are *pinned*.  The join-order DP reorders
 only the inner comma-join core; outer/semi/anti edges keep their
 syntactic position on top of it, which is always sound (they were
-defined relative to the completed core result).
+defined relative to the completed core result).  A pinned wrap still
+picks its orientation: a semi / anti leg over a plain one-table body,
+keyed on integers, also records that body as a scan (``table`` /
+``scan_pred`` / ``scan_cols``, as a LEFT JOIN does), so the planner may
+hash the core instead and ship its keys into that scan — the magic set
+(Seshadri et al., SIGMOD 1996) as a right semi / anti join's build side.
 """
 
 from __future__ import annotations
@@ -61,7 +59,6 @@ import dataclasses
 import itertools
 from dataclasses import dataclass, field
 
-from repro.bloom.filter import DEFAULT_FPR, predicted_bloom_pass
 from repro.cloud.context import CloudContext
 from repro.common.errors import PlanError
 from repro.engine.catalog import Catalog, TableInfo
@@ -85,10 +82,14 @@ class SubJoin:
     #: its names carry their collision-proof ``__sq<N>_`` prefix.
     leg: InitPlan | None = None
     #: Scanned build side (LEFT JOIN): the planner builds the ScanNode
-    #: itself so pushdown follows the chosen execution mode.
+    #: itself so pushdown follows the chosen execution mode.  Beside a
+    #: semi / anti leg: its body as one scan of its unrenamed columns,
+    #: which the planner may probe with the core hashed instead; then
+    #: ``owner`` is the outer table of the first probe key.
     table: TableInfo | None = None
     scan_pred: ast.Expr | None = None
     scan_cols: list[str] | None = None
+    owner: TableInfo | None = None
 
 
 @dataclass
@@ -108,11 +109,6 @@ class PreparedQuery:
     extra_refs: set[str] = field(default_factory=set)
     #: The init plan of a sole-FROM ``(SELECT ...) AS x``.
     derived: InitPlan | None = None
-    #: The magic set: the core table's rows under its WHERE, an init plan
-    #: the root reads and its keyed legs' scans take keys from.
-    magic: InitPlan | None = None
-    #: This query with the magic-set rung, when a leg can take keys.
-    rung: PreparedQuery | None = None
     #: The core's binding (a table query's; ``None`` over a derived
     #: table): what the join graph reads.
     bound: Bound | None = None
@@ -134,18 +130,14 @@ def prepare_query(
     """
     if not (bound.query.joins or bound.bodies):
         return PreparedQuery(bound.query, bound=bound)
-    rewriter = _Rewriter(ctx, catalog, bound, mode)
-    prepared = rewriter.run()
-    if rewriter.rung:
-        prepared.rung = _Rewriter(ctx, catalog, bound, mode, magic=True).run()
-    return prepared
+    return _Rewriter(ctx, catalog, bound, mode).run()
 
 
 class _Rewriter:
     """Single-use rewrite pass over one bound query."""
 
     def __init__(
-        self, ctx: CloudContext, catalog: Catalog, bound: Bound, mode: str, magic=False
+        self, ctx: CloudContext, catalog: Catalog, bound: Bound, mode: str
     ):
         self.ctx = ctx
         self.catalog = catalog
@@ -156,14 +148,8 @@ class _Rewriter:
         self.init_plans: list[InitPlan] = []
         self.extra_refs: set[str] = set()
         self._counter = itertools.count()
-        #: Build the magic-set rung (:meth:`_key_legs`); ``rung``: a leg
-        #: could take keys.
-        self.magic, self.rung, self._magic = magic, False, None
-        q = self.query
-        self._core = catalog.get(q.table) if mode in ("optimized", "adaptive") and not (
-            q.joins or q.derived or q.from_tables[1:]) else None
 
-    def run(self) -> PreparedQuery | None:
+    def run(self) -> PreparedQuery:
         query = self.query
         for item in query.select_items:
             if ast.contains_subquery(item.expr):
@@ -184,8 +170,6 @@ class _Rewriter:
             query, where=ast.and_join(kept), having=having, joins=()
         )
         tables = {t: self.bound.tables[t] for t in core.from_tables}
-        if self.magic and self._magic is None:
-            return None  # no leg takes keys: the rung is today's plan
         return PreparedQuery(
             query=core,
             sub_joins=self.sub_joins,
@@ -193,7 +177,6 @@ class _Rewriter:
             post_filter=ast.and_join(post),
             extra_refs=self.extra_refs,
             bound=dataclasses.replace(self.bound, query=core, tables=tables),
-            magic=self._magic,
         )
 
     # ------------------------------------------------------------------
@@ -220,7 +203,6 @@ class _Rewriter:
         joined = {spec.table for spec in self.query.joins}
         kept: list[ast.Expr] = []
         post: list[ast.Expr] = []
-        keyed: list[tuple[ast.Expr, tuple[str, str]]] = []
         for i, conj in enumerate(ast.split_conjuncts(self.query.where)):
             if not ast.contains_subquery(conj):
                 if self.bound.owners(i) & joined:
@@ -232,86 +214,10 @@ class _Rewriter:
                 else:
                     kept.append(conj)
                 continue
-            if (key := self._leg_key(conj)) is not None:
-                self.rung = True
-                if self.magic:
-                    keyed.append((conj, key))  # once the core's WHERE is whole
-                    continue
             replaced = self._rewrite_conjunct(conj)
             if replaced is not None:
                 kept.append(replaced)
-        self._magic = self._key_legs(keyed, kept) if keyed else None
         return kept, post
-
-    # ------------------------------------------------------------------
-    # the magic-set rung
-    # ------------------------------------------------------------------
-    def _leg_key(self, conj: ast.Expr) -> tuple[str, str] | None:
-        """``(leg column, core column)`` when ``conj``'s leg can take the
-        keys of a one-table core in a pushdown mode: a semi or anti leg
-        (``[NOT] EXISTS``, ``IN (SELECT col ...)``; never ``NOT IN``, whose
-        build keeps its NULL keys) over a plain one-table body, keyed on
-        an integer column pair (the first)."""
-        if self._core is None or not isinstance(conj, (ast.Exists, ast.InSubquery)):
-            return None
-        sub, key = conj.query, None
-        if (not _plain(sub) or sub.from_tables[1:] or sub.limit is not None
-                or ast.contains_subquery(sub.where)):
-            return None
-        if isinstance(conj, ast.Exists):
-            body, _, corr = self._split_sub_where(sub)
-            inner, outer, _ = _corr_keys(corr, body.is_outer)
-            key = (inner[0], outer[0]) if inner else None
-        elif not conj.negated and isinstance(conj.operand, ast.Column) and isinstance(
-            sub.select_items[0].expr, ast.Column
-        ) and not self._is_correlated(sub):
-            key = (sub.select_items[0].expr.name, conj.operand.name)
-        tables = (self.catalog.get(sub.table), self._core)
-        return key if key and all(
-            t.schema.subset([c]) and t.schema.column(c).type == "int"
-            for t, c in zip(tables, key)
-        ) else None
-
-    def _key_legs(self, keyed: list, kept: list[ast.Expr]) -> InitPlan | None:
-        """Plan the legs of the ``keyed`` conjuncts (each with its
-        :meth:`_leg_key`), then the magic set (the core's columns the root
-        reads, under its WHERE ``kept``) to run just before them; each
-        leg's scan takes ``key IN $magic`` where a Bloom over the
-        predicted keys rejects a row (the join search's rule).  Any
-        superset of the keys the core can use is sound: a build row with
-        another key matches nothing.  ``None``: no leg took keys."""
-        from repro.planner.costing import annotate_costs
-        from repro.planner.nodes import ScanNode, output_rows
-        from repro.planner.physical import walk_plan
-
-        start, core = len(self.init_plans), self._core
-        for conj, _ in keyed:
-            self._rewrite_conjunct(conj)  # one leg each
-        wanted = self.bound.columns[core.name] | self.extra_refs
-        columns = [c for c in core.schema.names if c in wanted] or core.schema.names[:1]
-        magic = self._leg(
-            _make_query(column_items(columns), (core.name,), ast.and_join(kept)),
-            "magic set",
-        )
-        legs = self.init_plans[start:-1]
-        self.init_plans[start:] = [magic, *legs]
-        for index, init in enumerate(self.init_plans[start:], start):
-            init.index = index
-        rows, taken = output_rows(magic.plan.root), False
-        for leg, (_, (column, key)) in zip(legs, keyed):
-            (scan,) = [n for n, _ in walk_plan(leg.plan.root) if isinstance(n, ScanNode)]
-            passing = predicted_bloom_pass(
-                core.stats.distinct_among(key, rows),
-                scan.table.stats.distinct_among(column, scan.est_rows),
-                scan.est_rows, DEFAULT_FPR, column,
-            )
-            if passing is not None and passing[0] < scan.est_rows:
-                scan.bloom_attr, scan.key_set = column, (magic, key)
-                scan.est_rows = passing[0]
-                scan.est_terms += scan.table.num_rows * passing[1]
-                annotate_costs(leg.plan, self.ctx)
-                taken = True
-        return magic if taken else None
 
     def _rewrite_conjunct(self, conj: ast.Expr) -> ast.Expr | None:
         if isinstance(conj, ast.Exists):
@@ -391,6 +297,7 @@ class _Rewriter:
                 ),
                 provenance=f"decorrelated {what}",
                 leg=leg,
+                **self._scanned(sub, local, cols, inner[0], outer[0]),
             )
         )
         return None
@@ -411,6 +318,7 @@ class _Rewriter:
         kind = "anti_null" if node.negated else "semi"
         leg, _ = self._build_leg(sub, kind)
         self.extra_refs.add(node.operand.name)
+        item = sub.select_items[0].expr
         self.sub_joins.append(
             SubJoin(
                 kind=kind,
@@ -419,6 +327,11 @@ class _Rewriter:
                 match_cond=None,
                 provenance=f"decorrelated {what}",
                 leg=leg,
+                # NOT IN's build keeps the NULL that empties its result.
+                **self._scanned(
+                    sub, ast.split_conjuncts(sub.where), [item.name],
+                    item.name, node.operand.name,
+                ) if kind == "semi" and isinstance(item, ast.Column) else {},
             )
         )
 
@@ -590,6 +503,24 @@ class _Rewriter:
         renames = {c: prefix + c for c in leg.names}
         leg.names = [prefix + c for c in leg.names]
         return leg, renames
+
+    def _scanned(self, sub: ast.Query, local: list, cols: list, key: str, outer_key: str):
+        """The :class:`SubJoin` fields naming a semi / anti leg's body as
+        one scan of ``cols`` under its ``local`` conjuncts: a plain
+        one-table body whose first key pair (``key`` = ``outer_key``) is
+        two integer columns, the Bloom join's rule, and whose ``cols`` no
+        outer table has (one join's two sides); else none."""
+        outer = self.bound.tables.values()
+        if (sub.from_tables[1:] or sub.limit is not None or not _plain(sub)
+                or ast.contains_subquery(sub.where)
+                or any(t.schema.subset(cols) for t in outer)):
+            return {}
+        table = self.catalog.get(sub.table)
+        owner = next((t for t in outer if t.schema.subset([outer_key])), None)
+        if owner is None or {table.schema.column(key).type,
+                             owner.schema.column(outer_key).type} != {"int"}:
+            return {}
+        return dict(table=table, scan_pred=ast.and_join(local), scan_cols=cols, owner=owner)
 
     def _split_sub_where(self, sub: ast.Query):
         """A subquery body's binding, and its WHERE split into local and

@@ -5,7 +5,7 @@ ever: empty build sides (a selective filter killed one input), duplicate
 keys on both sides (many-to-many fan-out), NULL join keys (SQL equality
 never matches NULL), and probe-side early termination under LIMIT (the
 streaming pipeline must stop pulling probe batches once enough joined
-rows exist).  A property pins all five join types, on one key column
+rows exist).  A property pins all seven join types, on one key column
 and on two (every join type but ``NOT IN``'s), with and without a
 residual match condition, against a row-at-a-time reference that
 applies SQL ``=`` to each key pair and evaluates the condition with the
@@ -47,8 +47,9 @@ def reference_join(build_rows, build_idx, probe_rows, probe_idx, join_type, matc
     """The nested-loop join, kept as the semantics reference: a build row
     matches a probe row when SQL ``=`` holds for every key pair (a NULL
     on either side never equals), build-order matches per probe row,
-    three-valued ``NOT IN`` for ``anti_null``.  ``build_idx`` /
-    ``probe_idx`` are one key position or a tuple of them."""
+    three-valued ``NOT IN`` for ``anti_null``, and the build rows with a
+    match (``right_semi``) or none (``right_anti``) in build order.
+    ``build_idx`` / ``probe_idx`` are one key position or a tuple of them."""
     build_idx = build_idx if isinstance(build_idx, tuple) else (build_idx,)
     probe_idx = probe_idx if isinstance(probe_idx, tuple) else (probe_idx,)
 
@@ -58,6 +59,14 @@ def reference_join(build_rows, build_idx, probe_rows, probe_idx, join_type, matc
             for i, j in zip(build_idx, probe_idx)
         )
 
+    def matches(b, row):
+        return equal(b, row) and (match_pred is None or match_pred(b + row))
+
+    if join_type in ("right_semi", "right_anti"):
+        return [
+            b for b in build_rows
+            if any(matches(b, row) for row in probe_rows) == (join_type == "right_semi")
+        ]
     null_pad = (None,) * (len(build_rows[0]) if build_rows else len(BUILD_NAMES))
     if join_type == "anti_null" and any(
         row[i] is None for row in build_rows for i in build_idx
@@ -65,10 +74,7 @@ def reference_join(build_rows, build_idx, probe_rows, probe_idx, join_type, matc
         return []
     out = []
     for row in probe_rows:
-        matched = [
-            b for b in build_rows
-            if equal(b, row) and (match_pred is None or match_pred(b + row))
-        ]
+        matched = [b for b in build_rows if matches(b, row)]
         if join_type == "inner":
             out.extend(b + row for b in matched)
         elif join_type == "left":
@@ -241,10 +247,12 @@ class TestJoinMatrix:
         )
         batches = list(stream)
         assert all(type(batch) is Batch for batch in batches)
-        assert len(batches) == len(chunks)  # one output batch per probe batch
+        right = join_type.startswith("right_")
+        # One output batch per probe batch; a right join's one at the end.
+        assert len(batches) == (1 if right else len(chunks))
         want_names = (
             BUILD_NAMES + PROBE_NAMES if join_type in ("inner", "left")
-            else PROBE_NAMES
+            else BUILD_NAMES if right else PROBE_NAMES
         )
         assert names == want_names
         assert all(len(batch.columns) == len(names) for batch in batches)
@@ -279,8 +287,11 @@ class TestJoinMatrix:
             "k", "j", join_type=join_type,
         )
         got = [list(batch) for batch in stream]
+        chunks = [[(1,)], [(None,)], [(2,)], []]
+        if join_type.startswith("right_"):  # over every probe row at once
+            chunks = [[row for chunk in chunks for row in chunk]]
         want = [
             reference_join([(1,), (1,), (None,)], 0, rows, 0, join_type, None)
-            for rows in ([(1,)], [(None,)], [(2,)], [])
+            for rows in chunks
         ]
         assert got == want

@@ -18,7 +18,7 @@ import pytest
 from repro.common.errors import PlanError
 from repro.experiments.tpch_suite import ALL_QUERIES, QUERY_DIR, load_suite_tables
 from repro.planner.database import PushdownDB
-from repro.planner.joins import HashJoinNode
+from repro.planner.joins import AdaptiveJoinNode, HashJoinNode, JoinNode
 from repro.planner.nodes import FilterNode
 from repro.planner.physical import execute_plan, walk_plan
 from repro.planner.planner import plan_parsed
@@ -195,18 +195,16 @@ sort [o_orderpriority ASC]  (est_cost=$4.0312e-05)
 GOLDEN_Q22 = """\
 optimizer: sql query, objective=cost, picked 'baseline'
      strategy                 requests    scanned   returned      moved    runtime         cost
-  -> baseline                     48.0  270.21 KB   10.86 KB   56.77 KB      61 ms    $0.000056
-     optimized                    48.0  270.21 KB   10.86 KB   56.77 KB      61 ms    $0.000056
+  -> baseline                     48.0  298.59 KB    2.09 KB   28.38 KB      61 ms    $0.000056
+     optimized                    48.0  298.59 KB    2.09 KB   28.38 KB      61 ms    $0.000056
 physical plan (baseline):
-sort [cntrycode ASC]  (est_cost=$5.6081e-05)
-+- init plan 0 (baseline, est_rows=33.3, feeds derived table custsale): project [SUBSTR(c_phone, 1, 2) AS cntrycode, c_acctbal]  (est_cost=$5.60799e-05)
+sort [cntrycode ASC]  (est_cost=$5.56589e-05)
++- init plan 0 (optimized, est_rows=33.3, feeds derived table custsale): project [SUBSTR(c_phone, 1, 2) AS cntrycode, c_acctbal]  (est_cost=$5.56589e-05)
 |  +- init plan 0 (baseline, est_rows=1.0, feeds $0): group-by [-] aggs=1  (est_cost=$1.82723e-05)
 |  |  `- scan customer [get] cols=2 pred=(c_acctbal > 0.0 AND SUBSTR(c_phone, 1, 2) IN ('13', '17', '18', '23', '29', '30', '31'))  (est_rows=91.2, est_cost=$1.82717e-05)
-|  +- init plan 1 (optimized, est_rows=3000.0, feeds build of anti join): project [o_custkey]  (est_cost=$1.94951e-05)
-|  |  `- scan orders [select] cols=1  (est_rows=3000.0, est_cost=$1.9488e-05)
-|  `- anti hash-join [__sq0_o_custkey = c_custkey] streamed (decorrelated NOT EXISTS)  (est_rows=33.3, est_cost=$1.83123e-05)
-|     +- build: init plan 1 [__sq0_o_custkey]  (est_rows=3000.0)
-|     `- probe: scan customer [get] cols=3 pred=(SUBSTR(c_phone, 1, 2) IN ('13', '17', '18', '23', '29', '30', '31') AND c_acctbal > $0)  (est_rows=33.3, est_cost=$1.82522e-05)
+|  `- right_anti hash-join [c_custkey = o_custkey] streamed (decorrelated NOT EXISTS)  (est_rows=33.3, est_cost=$3.73865e-05)
+|     +- build: scan customer [select] cols=3 pred=(SUBSTR(c_phone, 1, 2) IN ('13', '17', '18', '23', '29', '30', '31') AND c_acctbal > $0)  (est_rows=33.3, est_cost=$1.83014e-05)
+|     `- probe: scan orders [select+bloom(o_custkey)] cols=1  (est_rows=361.1, est_cost=$1.90851e-05)
 `- group-by [cntrycode] aggs=2  (est_cost=$4.72889e-10)
    `- init plan 0 [cntrycode, c_acctbal]  (est_rows=33.3)"""
 
@@ -216,8 +214,10 @@ sort [cntrycode ASC]  (est_cost=$5.6081e-05)
 ], ids=["q04", "q22"])
 def test_explain_shows_the_legs(name, golden):
     """Each init plan renders under the root with its mode, est_rows,
-    est_cost and what it feeds; Q22's derived table nests its own two
-    (the ``$0`` its scan binds, the anti join's build side)."""
+    est_cost and what it feeds; Q22's derived table nests its own (the
+    ``$0`` its scan binds), and its NOT EXISTS hashes the core's customers
+    and Blooms their keys into the orders scan, so the anti join's build
+    side is no init plan."""
     db = PushdownDB()
     load_suite_tables(db.ctx, db.catalog, 0.002, seed=11).close()
     assert db.explain(_sql(name)) == textwrap.dedent(golden)
@@ -328,7 +328,8 @@ def test_a_bound_value_prunes_at_run_time(value_sql, literal):
 
 
 # ----------------------------------------------------------------------
-# the magic-set rung: a semi / anti leg takes the core table's keys
+# the magic set: a semi / anti wrap hashes the core, and its keys filter
+# the leg's scan
 # ----------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -351,11 +352,12 @@ def keyed_db():
     oracle.close()
 
 
-def _keyed_scans(plan) -> list:
-    """The scans of ``plan`` and its legs, recursively, that take a key set."""
+def _right_wraps(plan) -> list:
+    """The right semi / anti joins of ``plan`` and its legs, recursively:
+    the wraps that hash the core and ship its keys into the leg's scan."""
     return [
         node for p in _plans(plan) for node, _ in walk_plan(p.root)
-        if getattr(node, "key_set", None) is not None
+        if isinstance(node, HashJoinNode) and node.join_type.startswith("right_")
     ]
 
 
@@ -371,19 +373,21 @@ KEYED_LEGS = [
 @pytest.mark.parametrize("mode", ["optimized", "adaptive"])
 @pytest.mark.parametrize("sql", KEYED_LEGS, ids=["exists", "not-exists", "in"])
 def test_a_leg_takes_its_outer_tables_keys(keyed_db, sql, mode):
-    """The core table runs first as the magic set, with its own WHERE; the
-    leg's scan ships its keys (``i_k IN $0``); the root reads the magic
-    set instead of scanning ``o`` again.  Rows match sqlite3, and the plan
-    predicts the phases and requests it meters."""
+    """The wrap hashes the core (the scan of ``o`` under its own WHERE)
+    and ships its keys into a pushed scan of the leg's table
+    (``i_k`` Bloomed), as a right semi / anti join; the leg's init plan is
+    not run.  Rows match sqlite3, and the plan predicts the phases and
+    requests it meters."""
     from repro.planner.costing import plan_phases
 
     db, oracle = keyed_db
     plan, _ = plan_parsed(db.ctx, db.catalog, parse(sql), mode)
-    (scan,) = _keyed_scans(plan)
-    assert plan.strategy == f"{mode} magic-set"
-    magic = plan.init_plans[0]
-    assert magic.feeds == "magic set" and scan.key_set == (magic, "o_k")
-    assert "scan i [select+bloom(i_k IN $0)]" in plan.describe()
+    (join,) = _right_wraps(plan)
+    assert join.join_type == ("right_anti" if "NOT EXISTS" in sql else "right_semi")
+    assert plan.strategy == f"{mode} single-table" and plan.init_plans == []
+    assert join.build.table.name == "o" and join.build_keys == ("o_k",)
+    assert join.probe.bloom_attr == "i_k" and join.probe.pushdown
+    assert "`- probe: scan i [select+bloom(i_k)]" in plan.describe()
     predicted = plan_phases(plan, db.ctx)[1]
     execution = execute_plan(db.ctx, plan)
     assert [p.name for p in predicted] == [p.name for p in execution.phases]
@@ -400,32 +404,33 @@ def test_not_in_keeps_its_null_keys(keyed_db, mode):
     for negated in (False, True):
         text = sql.format("NOT IN" if negated else "IN")
         plan, _ = plan_parsed(db.ctx, db.catalog, parse(text), mode)
-        assert bool(_keyed_scans(plan)) != negated, text
+        assert bool(_right_wraps(plan)) != negated, text
         expected = sorted(oracle.execute(text).fetchall())
         assert sorted(db.execute(text, mode=mode).rows) == expected, text
     assert not oracle.execute(sql.format("NOT IN")).fetchall()
 
 
 def test_an_empty_magic_set(keyed_db):
-    """A core WHERE no row passes: the leg's scan ships no key, which the
-    plan priced, and the query returns sqlite3's (empty) rows."""
+    """A core WHERE no row passes: the hashed core ships no key, the
+    leg's scan runs unfiltered as the plan priced, and the query returns
+    sqlite3's (empty) rows."""
     db, oracle = keyed_db
     sql = (
         "SELECT o_k FROM o WHERE o_v = 99"
         " AND EXISTS (SELECT 1 FROM i WHERE i_k = o_k)"
     )
     plan, _ = plan_parsed(db.ctx, db.catalog, parse(sql), "optimized")
-    (scan,) = _keyed_scans(plan)
+    (join,) = _right_wraps(plan)
     execution = execute_plan(db.ctx, plan)
-    assert len(plan.init_plans[0].batch) == 0
+    assert join.build.actual_rows == 0
     assert execution.rows == oracle.execute(sql).fetchall() == []
     assert plan.estimate.requests == execution.num_requests
 
 
 def test_magic_sets_never_share_a_cache_entry():
-    """In a cache session two queries whose magic sets differ each match
-    sqlite3: the keyed scan is not in ``stores()`` (like a Bloom probe's),
-    so it neither consults nor fills the cache."""
+    """In a cache session two queries whose cores differ each match
+    sqlite3: the keyed scan is not in ``stores()`` (a Bloom probe), so it
+    neither consults nor fills the cache."""
     o_rows = [(k, k % 40) for k in range(400)]
     i_rows = [(j % 500, j % 11) for j in range(3000)]
     db = PushdownDB(cache_bytes=1 << 22)
@@ -443,25 +448,169 @@ def test_magic_sets_never_share_a_cache_entry():
             " AND EXISTS (SELECT 1 FROM i WHERE i_k = o_k)"
         )
         plan, _ = plan_parsed(db.ctx, db.catalog, parse(sql), "optimized")
-        (scan,) = _keyed_scans(plan)
+        (join,) = _right_wraps(plan)
+        scan = join.probe
         assert scan.stores() == ()
         execution = execute_plan(db.ctx, plan)
         assert scan.cache_status is None
         assert sorted(execution.rows) == sorted(oracle.execute(sql).fetchall())
     tables = {key[1] for key in db.cache._entries}
-    assert tables == {"o"}, tables  # the magic sets' scans, never the leg's
+    assert tables == {"o"}, tables  # the cores' scans, never the leg's
+
+
+def test_a_null_core_key_survives_not_exists():
+    """A core row whose key is NULL meets no leg row, so ``NOT EXISTS``
+    keeps it, as sqlite3 does; the hashed core ships only its non-NULL
+    keys into the leg's scan, and ``EXISTS`` drops that row."""
+    o_rows = [(None if k % 9 == 0 else k, k % 40) for k in range(400)]
+    i_rows = [(j % 500, j % 11) for j in range(3000)]
+    db = PushdownDB()
+    db.load_table("o", o_rows, TableSchema.of("o_k:int", "o_v:int"), partitions=4)
+    db.load_table("i", i_rows, TableSchema.of("i_k:int", "i_x:int"), partitions=4)
+    db.calibrate_to_paper_scale(1e9)
+    oracle = sqlite3.connect(":memory:")
+    oracle.execute("CREATE TABLE o (o_k, o_v)")
+    oracle.execute("CREATE TABLE i (i_k, i_x)")
+    oracle.executemany("INSERT INTO o VALUES (?, ?)", o_rows)
+    oracle.executemany("INSERT INTO i VALUES (?, ?)", i_rows)
+    for what in ("NOT EXISTS", "EXISTS"):
+        sql = (
+            f"SELECT o_k, o_v FROM o WHERE o_v = 9"
+            f" AND {what} (SELECT 1 FROM i WHERE i_k = o_k)"
+        )
+        plan, _ = plan_parsed(db.ctx, db.catalog, parse(sql), "optimized")
+        assert len(_right_wraps(plan)) == 1, sql
+        rows = sorted(execute_plan(db.ctx, plan).rows, key=repr)
+        assert rows == sorted(oracle.execute(sql).fetchall(), key=repr), sql
+        assert ((None, 9) in rows) == (what == "NOT EXISTS"), sql
+
+
+@pytest.fixture(scope="module")
+def left_joined_db():
+    """``o`` LEFT JOINs ``j`` (every third ``o_k`` unmatched, some ``j_v``
+    NULL); ``i`` is keyed on ``j_v``'s range, with NULLs; with the
+    sqlite3 oracle."""
+    tables = {
+        "o": (["o_k", "o_v"], [(k, k % 40) for k in range(400)]),
+        "j": (["j_k", "j_v"], [
+            (k, None if k % 7 == 0 else k * 7 % 800) for k in range(400) if k % 3
+        ]),
+        "i": (["i_k", "i_x"], [
+            (None if n % 13 == 0 else n % 500, n % 11) for n in range(3000)
+        ]),
+    }
+    db = PushdownDB()
+    oracle = sqlite3.connect(":memory:")
+    for name, (cols, rows) in tables.items():
+        db.load_table(name, rows, TableSchema.of(*(f"{c}:int" for c in cols)),
+                      partitions=4)
+        oracle.execute(f"CREATE TABLE {name} ({', '.join(cols)})")
+        oracle.executemany(f"INSERT INTO {name} VALUES (?, ?)", rows)
+    db.calibrate_to_paper_scale(1e9)
+    yield db, oracle
+    oracle.close()
+
+
+@pytest.mark.parametrize("mode", ["optimized", "adaptive", "auto"])
+@pytest.mark.parametrize("leg", [
+    "j_v IN (SELECT i_k FROM i)",
+    "EXISTS (SELECT 1 FROM i WHERE i_k = j_v)",
+    "NOT EXISTS (SELECT 1 FROM i WHERE i_k = j_v)",
+], ids=["in", "exists", "not-exists"])
+def test_a_leg_keyed_on_a_left_joined_column(left_joined_db, leg, mode):
+    """A semi / anti leg keyed on a LEFT JOINed table's column wraps the
+    outer join: the core it may hash is ``o`` with ``j`` joined, NULL
+    ``j_v`` rows included.  It plans, returns sqlite3's rows and meters
+    the requests it predicts."""
+    db, oracle = left_joined_db
+    sql = f"SELECT o_k, j_v FROM o LEFT JOIN j ON j_k = o_k WHERE o_v = 3 AND {leg}"
+    plan, _ = plan_parsed(db.ctx, db.catalog, parse(sql), mode)
+    execution = execute_plan(db.ctx, plan)
+    expected = sorted(oracle.execute(sql).fetchall(), key=repr)
+    assert expected and sorted(execution.rows, key=repr) == expected
+    assert plan.estimate.requests == execution.num_requests
 
 
 def test_q4_takes_the_keys_once_its_leg_is_measured():
     """Q4's leg (``l_commitdate < l_receiptdate``) is estimated at a third
-    of lineitem and returns two thirds, so a fresh session prices the
-    rung above today's plan; once the leg's selectivity is measured the
-    same session takes it, and meters less."""
+    of lineitem and returns two thirds, so a fresh session prices hashing
+    the leg below hashing the core; once the leg's selectivity is
+    measured the same session hashes the core, and meters less."""
     db = PushdownDB()
     load_suite_tables(db.ctx, db.catalog, 0.002, seed=1).close()
     db.calibrate_to_paper_scale(10e9)
     first, second = (db.execute(_sql("q04"), mode="optimized") for _ in range(2))
-    assert first.strategy == "optimized single-table"
-    assert second.strategy == "optimized magic-set"
+    assert "right_semi hash-join" not in first.report.plan
+    assert "right_semi hash-join" in second.report.plan
     assert second.runtime_seconds < first.runtime_seconds
     assert sorted(second.rows) == sorted(first.rows)
+
+
+def test_q22_auto_sees_the_right_anti_wrap():
+    """``auto`` prices the same wraps: at the calibrated scale Q22's
+    derived body hashes its customers and Blooms their keys into the
+    orders scan, in the optimized candidate of the outer choice."""
+    db = PushdownDB()
+    load_suite_tables(db.ctx, db.catalog, 0.002, seed=1).close()
+    db.calibrate_to_paper_scale(10e9)
+    _, choice = plan_parsed(db.ctx, db.catalog, parse(_sql("q22")), "auto")
+    (optimized,) = [p for p in choice.plans if p.mode == "optimized"]
+    (join,) = _right_wraps(optimized)
+    assert join.join_type == "right_anti" and join.probe.table.name == "orders"
+    assert join.probe.bloom_attr == "o_custkey"
+
+
+@pytest.mark.parametrize("mode", ["optimized", "adaptive"])
+def test_both_orientations_of_every_keyed_wrap_run(mode, monkeypatch):
+    """Over the 22 suite queries, every wrap that can hash the core
+    (:func:`~repro.planner.planner._hashed_core` builds it) runs both
+    ways: with that candidate never built (the leg hashed) and with it
+    ranked first (the core hashed, its keys Bloomed into the leg's
+    scan; a core join tree drained, not streamed).  Both return sqlite3's rows and meter the requests they
+    predict."""
+    from repro.experiments.harness import rows_match
+    from repro.planner import planner
+
+    db = PushdownDB()
+    oracle = load_suite_tables(db.ctx, db.catalog, 0.002, seed=11)
+    built: list = []
+    hashed_core = planner._hashed_core
+
+    def spy(*args):
+        out = hashed_core(*args)
+        built.extend(out)
+        return out
+
+    def core_first(objective):
+        return lambda estimate: estimate.strategy != "core hashed"
+
+    monkeypatch.setattr(planner, "_hashed_core", spy)
+    keyed = []
+    for name in ALL_QUERIES:
+        query = parse(_sql(name))
+        expected = oracle.execute(query.to_sql()).fetchall()
+        built.clear()
+        db.ctx.feedback.reset()
+        plan_parsed(db.ctx, db.catalog, query, mode)
+        if not built:
+            continue
+        keyed.append(name)
+        for side in ("leg", "core"):
+            db.ctx.feedback.reset()
+            with monkeypatch.context() as patch:
+                if side == "leg":
+                    patch.setattr(planner, "_hashed_core", lambda *args: [])
+                else:
+                    patch.setattr(planner, "objective_key", core_first)
+                plan, _ = plan_parsed(db.ctx, db.catalog, query, mode)
+            assert bool(_right_wraps(plan)) == (side == "core"), (name, side)
+            for wrap in _right_wraps(plan):  # a hashed core is drained, not streamed
+                core = wrap.build
+                while isinstance(core, (FilterNode, AdaptiveJoinNode)):
+                    core = core.child
+                assert not (isinstance(core, JoinNode) and core.stream_probe), (name, side)
+            execution = execute_plan(db.ctx, plan)
+            assert rows_match(execution.rows, expected), (name, side)
+            assert plan.estimate.requests == execution.num_requests, (name, side)
+    oracle.close()
+    assert {"q04", "q21", "q22"} <= set(keyed), keyed

@@ -666,8 +666,9 @@ def test_fuzz_covers_extended_grammar(engines):
         for marker in values:
             values[marker] += marker in sql
     assert all(n >= 3 for n in values.values()), values
-    # Some [NOT] EXISTS / IN legs take their outer table's keys (the
-    # magic-set rung), which only the pushdown modes plan.
+    # Some [NOT] EXISTS / IN wraps hash the core and ship its keys into
+    # the leg's scan (right semi / anti joins), which only the pushdown
+    # modes plan.
     db, _ = engines
     for mode in ("optimized", "adaptive"):
         keyed = sum(_takes_keys(plan_parsed(db.ctx, db.catalog, parse(sql), mode)[0])
@@ -676,10 +677,11 @@ def test_fuzz_covers_extended_grammar(engines):
 
 
 def _takes_keys(plan) -> bool:
-    """Whether a scan of ``plan`` or of its legs, recursively, takes a
-    key set."""
+    """Whether ``plan`` or one of its legs, recursively, has a wrap that
+    hashes the core and Blooms its keys into the leg's scan."""
     return any(
-        getattr(node, "key_set", None) is not None
+        getattr(node, "join_type", "").startswith("right_")
+        and node.probe.bloom_attr is not None
         for node, _ in walk_plan(plan.root)
     ) or any(_takes_keys(leg.plan) for leg in plan.init_plans)
 

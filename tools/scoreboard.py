@@ -7,8 +7,11 @@ Runs the standing method: the 22 TPC-H queries (``benchmarks/tpch/queries``)
 in ``optimized`` and ``auto`` mode, at SF 0.01 and seed 1, every suite
 table loaded once and the context calibrated as if they held 10 GB, with
 a fresh feedback store and no result cache for each query and mode.  Per
-query and mode it records the metered simulated runtime, the dollars and
-whether the rows equal sqlite3's, and writes them to ``--out`` (JSON).
+query and mode it records the metered simulated runtime and dollars, the
+ones the plan predicted (``pred_s`` / ``pred_usd``: ``plan_parsed``, then
+``execute_plan``, as ``execute_parsed`` does) and whether the rows equal
+sqlite3's, and writes them to ``--out`` (JSON).  Under each mode's table
+it counts the queries whose metered sim-s is within 5 % of predicted.
 
 ``--against`` names a second file of the same shape (say, the parent
 commit's, made with ``--root`` pointing at a ``git archive`` of it); the
@@ -27,6 +30,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PAPER_BYTES = 10e9
 MODES = ("optimized", "auto")
+#: A metered sim-s this close to the predicted one, relatively, counts as met.
+WITHIN = 0.05
 
 
 def run(scale: float, seed: int, queries: list[str] | None) -> dict:
@@ -35,7 +40,8 @@ def run(scale: float, seed: int, queries: list[str] | None) -> dict:
     from repro.engine.catalog import Catalog
     from repro.experiments.harness import calibrate_tables, rows_match
     from repro.experiments.tpch_suite import ALL_QUERIES, QUERY_DIR, load_suite_tables
-    from repro.planner.planner import execute_parsed
+    from repro.planner.physical import execute_plan
+    from repro.planner.planner import plan_parsed
     from repro.sqlparser.parser import parse
 
     ctx, catalog = CloudContext(), Catalog()
@@ -47,10 +53,13 @@ def run(scale: float, seed: int, queries: list[str] | None) -> dict:
         expected = oracle.execute(query.to_sql()).fetchall()
         for mode in MODES:
             ctx.feedback.reset()
-            execution = execute_parsed(ctx, catalog, query, mode)
+            plan, _ = plan_parsed(ctx, catalog, query, mode)
+            execution = execute_plan(ctx, plan)
             board.setdefault(name, {})[mode] = {
                 "sim_s": round(execution.runtime_seconds, 6),
                 "usd": round(execution.cost.total, 8),
+                "pred_s": round(plan.estimate.runtime_seconds, 6),
+                "pred_usd": round(plan.estimate.total_cost, 8),
                 "rows_match": rows_match(execution.rows, expected),
             }
     oracle.close()
@@ -63,6 +72,18 @@ def run(scale: float, seed: int, queries: list[str] | None) -> dict:
 def totals(board: dict, mode: str) -> tuple[float, float]:
     cells = [modes[mode] for modes in board["queries"].values() if mode in modes]
     return sum(c["sim_s"] for c in cells), sum(c["usd"] for c in cells)
+
+
+def within(board: dict, mode: str) -> tuple[int, int]:
+    """How many of ``mode``'s queries metered a sim-s within
+    :data:`WITHIN` of the predicted one, and of how many that record a
+    prediction."""
+    cells = [
+        modes[mode] for modes in board["queries"].values()
+        if "pred_s" in modes.get(mode, {})
+    ]
+    close = sum(abs(c["sim_s"] - c["pred_s"]) <= WITHIN * c["pred_s"] for c in cells)
+    return close, len(cells)
 
 
 def _delta(new: float, old: float) -> str:
@@ -109,7 +130,9 @@ def render(board: dict, against: dict | None = None) -> str:
                 f"| **sum** | {old_sim:.2f} / ${old_usd:.4f} | {sim:.2f} / ${usd:.4f}"
                 f" | {_delta(sim, old_sim)} | {_delta(usd, old_usd)} |"
             )
-        lines.append("")
+        close, predicted = within(board, mode)
+        lines += ["", f"{mode}: metered sim-s within {WITHIN * 100:g} % of predicted on"
+                      f" {close} of {predicted} queries", ""]
     return "\n".join(lines)
 
 
