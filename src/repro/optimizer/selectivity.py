@@ -1,32 +1,34 @@
 """Predicate selectivity estimation for the cost-based optimizer.
 
-Two tiers, per the classic System-R recipe adapted to the statistics we
-collect at load time:
+Three tiers, per the classic System-R recipe adapted to what we collect
+at load time:
 
-* :func:`estimate_selectivity` — free, purely from
-  :class:`~repro.optimizer.stats.TableStats`: min/max interpolation for
-  range predicates, MCV/distinct counts for equality, three-valued
-  combinators for AND/OR/NOT;
-* :func:`probe_selectivity` — a cheap *metered* ScanRange probe that
-  pushes ``SUM(CASE WHEN p THEN 1 ELSE 0 END)`` over a leading fraction
-  of each partition.  It spends a few requests and scanned bytes (every
-  one accounted like any other query work) to replace a heuristic with a
-  measurement — worth it when a crossover sits nearby.
+* statistics — :func:`estimate_selectivity`, free, from
+  :class:`~repro.optimizer.stats.TableStats`: histogram / min-max
+  interpolation for range predicates, MCV / distinct counts for
+  equality, three-valued combinators for AND / OR / NOT;
+* the sample — what those cannot price (a comparison between two
+  columns, a wildcard ``LIKE``) runs its compiled mask over the table's
+  load-time row sample (PostgreSQL ANALYZE's), free at plan time too;
+* a metered probe — :func:`probe_selectivity` pushes
+  ``SUM(CASE WHEN p THEN 1 ELSE 0 END)`` over a leading fraction of
+  each partition.  It spends a few requests and scanned bytes (every
+  one accounted like any other query work) to replace an estimate with
+  a measurement — worth it when a crossover sits nearby.
 """
 
 from __future__ import annotations
 
+from repro.expr.vector import compile_predicate_vector
 from repro.optimizer.stats import ColumnStats, TableStats
 from repro.sqlparser import ast
 
 #: Fallback selectivity for predicates the estimator cannot decompose.
 DEFAULT_SELECTIVITY = 1.0 / 3.0
 
-#: Fallback for LIKE with leading wildcards.
-LIKE_SELECTIVITY = 0.25
-
-#: Fallback for LIKE anchored at the start (``'abc%'``).
-PREFIX_LIKE_SELECTIVITY = 0.1
+#: Predicates whose sample estimate a statistics object memoizes before
+#: the memo starts over (as ``TableInfo.kept`` bounds refutation).
+SAMPLED_PREDICATES = 256
 
 
 def estimate_selectivity(predicate: ast.Expr | None, stats: TableStats) -> float:
@@ -143,6 +145,8 @@ def _range_fraction(col: ColumnStats, value: object, op: str) -> float | None:
 def _comparison(expr: ast.Binary, stats: TableStats) -> float:
     normalized = _column_literal(expr)
     if normalized is None:
+        if isinstance(expr.left, ast.Column) and isinstance(expr.right, ast.Column):
+            return _sampled(expr, stats)
         return DEFAULT_SELECTIVITY
     column, value, op = normalized
     if value is None:
@@ -191,15 +195,12 @@ def _like(expr: ast.Like, stats: TableStats) -> float:
     ):
         return DEFAULT_SELECTIVITY
     pattern = expr.pattern.value
-    if "%" not in pattern and "_" not in pattern:
-        if isinstance(expr.operand, ast.Column):
-            s = _equality(stats.column(expr.operand.name), pattern, stats)
-            return _negate_like(expr, s, stats) if expr.negated else s
-        s = DEFAULT_SELECTIVITY
-    elif pattern and not pattern.startswith(("%", "_")):
-        s = PREFIX_LIKE_SELECTIVITY
+    if "%" in pattern or "_" in pattern:
+        return _sampled(expr, stats)
+    if isinstance(expr.operand, ast.Column):
+        s = _equality(stats.column(expr.operand.name), pattern, stats)
     else:
-        s = LIKE_SELECTIVITY
+        s = DEFAULT_SELECTIVITY
     return _negate_like(expr, s, stats) if expr.negated else s
 
 
@@ -210,6 +211,23 @@ def _negate_like(expr: ast.Like, s: float, stats: TableStats) -> float:
     if isinstance(expr.operand, ast.Column):
         return _clamp(_non_null_fraction(stats.column(expr.operand.name), stats) - s)
     return 1.0 - s
+
+
+def _sampled(expr: ast.Expr, stats: TableStats) -> float:
+    """Share of the load-time sample's rows on which ``expr`` is true, and
+    1 / (2 x sample rows) when none is (a sample miss proves no absence);
+    the default when there is no sample, or for a ``$n``, unknown until
+    its init plan runs.  Memoized per statistics object and predicate."""
+    sample, memo = stats.sample, stats.sampled
+    if not sample or ast.has_params(expr):
+        return DEFAULT_SELECTIVITY
+    if expr not in memo:
+        if len(memo) >= SAMPLED_PREDICATES:
+            memo.clear()
+        schema = {name: i for i, name in enumerate(stats.columns)}
+        mask = compile_predicate_vector(expr, schema)(sample)
+        memo[expr] = max(sum(mask), 0.5) / len(sample)
+    return memo[expr]
 
 
 def _is_null(expr: ast.IsNull, stats: TableStats) -> float:

@@ -25,6 +25,7 @@ from operator import itemgetter
 from typing import Mapping, Sequence
 
 from repro.common.errors import CatalogError
+from repro.engine.batch import Batch
 from repro.storage.csvcodec import FIELD_DELIM, RECORD_DELIM, encoded_size
 from repro.storage.schema import TableSchema
 
@@ -41,6 +42,10 @@ _MCV_TRACK_LIMIT = 4096
 #: Zipf(1.3) head (fig07's worst skew) lands in its own buckets instead
 #: of being linearly smeared across the whole min/max range.
 DEFAULT_HISTOGRAM_BUCKETS = 32
+
+#: Rows in a table's load-time sample (PostgreSQL ANALYZE's row sample,
+#: at a fixed size): what prices the predicates the statistics cannot.
+SAMPLE_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -162,6 +167,11 @@ class TableStats:
     #: Mean encoded CSV row width in bytes (delimiters included).
     avg_row_bytes: float
     columns: Mapping[str, ColumnStats] = field(default_factory=dict)
+    #: Up to :data:`SAMPLE_ROWS` rows at :func:`sample_positions`, one
+    #: batch column per statistics column; ``None`` when not collected.
+    sample: Batch | None = field(default=None, repr=False, compare=False)
+    #: The sample's estimate per predicate (``selectivity._sampled``).
+    sampled: dict = field(default_factory=dict, repr=False, compare=False)
 
     def column(self, name: str) -> ColumnStats:
         """Statistics of column ``name``; every loaded column has them, so
@@ -198,6 +208,15 @@ class TableStats:
         widths = [self.column(name).avg_field_bytes for name in names]
         delimiters = max(len(widths) - 1, 0) * len(FIELD_DELIM) + len(RECORD_DELIM)
         return sum(widths) + delimiters
+
+
+def sample_positions(n: int) -> range | list[int]:
+    """Where an ``n``-row table's sample sits: every row, or
+    :data:`SAMPLE_ROWS` evenly spaced ones.  The row count alone decides,
+    so a reload of the same rows under any partitioning samples alike."""
+    if n <= SAMPLE_ROWS:
+        return range(n)
+    return [i * n // SAMPLE_ROWS for i in range(SAMPLE_ROWS)]
 
 
 def collect_table_stats(
@@ -248,6 +267,7 @@ def collect_table_stats(
         row_count=n,
         avg_row_bytes=(field_bytes + delimiters) if n else 0.0,
         columns=stats,
+        sample=Batch.from_rows([rows[i] for i in sample_positions(n)], len(schema)),
     )
 
 

@@ -216,13 +216,14 @@ class TestReplanning:
                 )
             return ctx, catalog
 
-        # ``v > k`` is a column-vs-column predicate: its estimate misses
+        # ``v - k > 0`` is an arithmetic comparison, which neither the
+        # statistics nor the load-time sample price: its estimate misses
         # on every table, so the very first build fires a re-plan.
         sql = (
             f"SELECT COUNT(*) AS n, SUM(t0_v) AS s"
             f" FROM {', '.join(f't{i}' for i in range(n))} WHERE "
             + " AND ".join(f"t{i}_k = t{i + 1}_k" for i in range(n - 1))
-            + "".join(f" AND t{i}_v > t{i}_k" for i in range(n))
+            + "".join(f" AND t{i}_v - t{i}_k > 0" for i in range(n))
         )
         greedy = JoinOrderSearch._greedy_tree
         mid_flight = []

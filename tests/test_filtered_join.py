@@ -125,9 +125,6 @@ def test_q18_one_phase_time_is_predicted(suite_db):
     assert times[0] == pytest.approx(times[1], rel=0.01)
 
 
-@pytest.mark.xfail(strict=False, reason="Q21's pick runs 32.44 sim-s against the"
-                   " Bloomed tree's 29.16: its lineitem scan is estimated at 4,030"
-                   " rows and returns 7,647 (ROADMAP item 22)")
 def test_q21_pick_is_no_slower_than_the_bloomed_tree(suite_db):
     """The search's Q21 tree, ``supplier >< lineitem`` with no Bloom on
     lineitem, runs no slower than ``nation >< supplier >< lineitem >< orders``,

@@ -125,10 +125,11 @@ class TestThreeValuedNegation:
         assert estimate("v NOT BETWEEN -100 AND 100", null_stats) >= 0.0
 
     def test_not_like_prefix_pattern(self, null_stats):
-        # prefix LIKE heuristic is 0.1; complement within tag's 0.9
+        # the sample (all ten rows) holds no 'zzz' tag: NOT LIKE is true
+        # on every non-NULL tag, 0.9, and never on the NULL one
         assert estimate(
             "tag NOT LIKE 'zzz%'", null_stats
-        ) == pytest.approx(0.8)
+        ) == pytest.approx(0.9)
 
     def test_not_like_exact_pattern_uses_mcvs(self, null_stats):
         # 'alpha' covers 5/10 rows; NOT LIKE gets 0.9 - 0.5, not 1 - 0.5

@@ -160,7 +160,7 @@ def test_legs_run_first_and_are_priced(suite_db):
     """A query's legs are init plans: priced into its estimate, run before
     its root on the one clock, their phases ahead of the root's."""
     ctx, catalog = suite_db.ctx, suite_db.catalog
-    for name in ("q04", "q16", "q22"):
+    for name in ("q18", "q16", "q22"):
         plan, _ = plan_parsed(ctx, catalog, parse(_sql(name)), "optimized")
         assert plan.init_plans
         execution = suite_db.execute(_sql(name))
@@ -176,20 +176,26 @@ def test_legs_run_first_and_are_priced(suite_db):
         assert sum(r.self_seconds or 0.0 for r in times) == pytest.approx(
             times[0].seconds, abs=1e-6
         )
+    # Q4's leg is no init plan: its wrap hashes the core and ships the
+    # core's keys into the lineitem scan.
+    plan, _ = plan_parsed(ctx, catalog, parse(_sql("q04")), "optimized")
+    (wrap,) = _right_wraps(plan)
+    assert plan.init_plans == [] and wrap.join_type == "right_semi"
+    assert wrap.build.table.name == "orders" and wrap.probe.bloom_attr == "l_orderkey"
 
 
 GOLDEN_Q04 = """\
 optimizer: sql query, objective=cost, picked 'baseline'
      strategy                 requests    scanned   returned      moved    runtime         cost
-  -> baseline                     32.0        0 B        0 B    1.61 MB      47 ms    $0.000040
-     optimized                    32.0  270.21 KB    4.69 KB    1.34 MB      46 ms    $0.000041
+  -> baseline                     32.0    1.34 MB   34.85 KB  270.21 KB      44 ms    $0.000041
+     optimized                    32.0    1.61 MB    8.87 KB        0 B      43 ms    $0.000041
 physical plan (baseline):
-sort [o_orderpriority ASC]  (est_cost=$4.0312e-05)
-+- init plan 0 (baseline, est_rows=4030.0, feeds build of semi join): project [l_orderkey]  (est_cost=$2.17769e-05)
-|  `- scan lineitem [get] cols=3 pred=(l_commitdate < l_receiptdate)  (est_rows=4030.0, est_cost=$2.17674e-05)
-`- group-by [o_orderpriority] aggs=1  (est_cost=$1.85252e-05)
-   `- semi hash-join [__sq0_l_orderkey = o_orderkey] streamed (decorrelated EXISTS)  (est_rows=333.3, est_cost=$1.85229e-05)
-      +- build: init plan 0 [__sq0_l_orderkey]  (est_rows=4030.0)
+sort [o_orderpriority ASC]  (est_cost=$4.13704e-05)
++- init plan 0 (optimized, est_rows=7532.6, feeds build of semi join): project [l_orderkey]  (est_cost=$2.27524e-05)
+|  `- scan lineitem [select] cols=1 pred=(l_commitdate < l_receiptdate)  (est_rows=7532.6, est_cost=$2.27346e-05)
+`- group-by [o_orderpriority] aggs=1  (est_cost=$1.8608e-05)
+   `- semi hash-join [__sq0_l_orderkey = o_orderkey] streamed (decorrelated EXISTS)  (est_rows=333.3, est_cost=$1.86057e-05)
+      +- build: init plan 0 [__sq0_l_orderkey]  (est_rows=7532.6)
       `- probe: scan orders [get] cols=3 pred=(o_orderdate >= '1993-07-01' AND o_orderdate < '1993-10-01')  (est_rows=333.3, est_cost=$1.85074e-05)"""
 
 GOLDEN_Q22 = """\
@@ -531,19 +537,26 @@ def test_a_leg_keyed_on_a_left_joined_column(left_joined_db, leg, mode):
     assert plan.estimate.requests == execution.num_requests
 
 
-def test_q4_takes_the_keys_once_its_leg_is_measured():
-    """Q4's leg (``l_commitdate < l_receiptdate``) is estimated at a third
-    of lineitem and returns two thirds, so a fresh session prices hashing
-    the leg below hashing the core; once the leg's selectivity is
-    measured the same session hashes the core, and meters less."""
+def test_q4_takes_the_keys_in_a_fresh_session(monkeypatch):
+    """Q4's leg (``l_commitdate < l_receiptdate``, a column–column
+    comparison) is estimated on the load-time sample, so a fresh session
+    hashes the core; it still does once the leg is measured, and meters
+    less than the plan that hashes the leg."""
+    from repro.planner import planner
+
     db = PushdownDB()
     load_suite_tables(db.ctx, db.catalog, 0.002, seed=1).close()
     db.calibrate_to_paper_scale(10e9)
     first, second = (db.execute(_sql("q04"), mode="optimized") for _ in range(2))
-    assert "right_semi hash-join" not in first.report.plan
+    assert "right_semi hash-join" in first.report.plan
     assert "right_semi hash-join" in second.report.plan
-    assert second.runtime_seconds < first.runtime_seconds
-    assert sorted(second.rows) == sorted(first.rows)
+    db.ctx.feedback.reset()
+    monkeypatch.setattr(planner, "_hashed_core", lambda *args: [])
+    leg_hashed = db.execute(_sql("q04"), mode="optimized")
+    assert "right_semi hash-join" not in leg_hashed.report.plan
+    assert first.runtime_seconds < leg_hashed.runtime_seconds
+    assert first.cost.total < leg_hashed.cost.total
+    assert sorted(first.rows) == sorted(second.rows) == sorted(leg_hashed.rows)
 
 
 def test_q22_auto_sees_the_right_anti_wrap():

@@ -15,11 +15,14 @@ from repro.optimizer.stats import (
     ColumnStats,
     ColumnZone,
     PartitionZoneMap,
+    SAMPLE_ROWS,
     TableStats,
     build_histogram,
     collect_table_stats,
+    sample_positions,
     zone_map,
 )
+from repro.sqlparser import ast
 from repro.sqlparser.parser import parse_expression
 from repro.storage.csvcodec import (
     encode_row,
@@ -30,7 +33,7 @@ from repro.storage.csvcodec import (
 from repro.storage.parquet import ParquetFile
 from repro.storage.schema import TableSchema
 
-from helpers import materialize
+from helpers import calls_by_name, materialize
 
 SCHEMA = TableSchema.of("k:int", "v:float", "tag:str")
 
@@ -360,6 +363,83 @@ class TestSelectivity:
     def test_clamped_to_unit_interval(self, stats):
         assert 0.0 <= self._estimate("k < -100", stats) <= 1.0
         assert self._estimate("k < 1000", stats) == 1.0
+
+
+class TestSampleEstimates:
+    """Column–column comparisons and wildcard LIKEs are estimated on the
+    load-time row sample: its share of matching rows, never 0."""
+
+    SCHEMA = TableSchema.of("a:int", "b:int", "s:str")
+    N = 20_000
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        # a < b on the rows where j % 5 < 2 (b is NULL on every 7th row):
+        # a known column–column fraction
+        rows = [
+            (j % 100, None if j % 7 == 0 else j % 100 + (1 if j % 5 < 2 else -1),
+             f"s{j % 13}")
+            for j in range(self.N)
+        ]
+        return rows, collect_table_stats(rows, self.SCHEMA)
+
+    def _estimate(self, sql, stats):
+        return estimate_selectivity(parse_expression(sql), stats)
+
+    def test_column_comparison_is_the_samples_share(self, big):
+        rows, stats = big
+        sample = [rows[i] for i in sample_positions(self.N)]
+        share = sum(b is not None and a < b for a, b, _ in sample) / SAMPLE_ROWS
+        truth = sum(b is not None and a < b for a, b, _ in rows) / self.N
+        assert self._estimate("a < b", stats) == share
+        assert abs(share - truth) <= 0.05
+        # a NULL on either side never matches, whichever side it is on
+        assert self._estimate("b > a", stats) == share
+
+    def test_not_like_never_counts_a_null_row(self):
+        stats = collect_table_stats(
+            [(1, 2, "ab"), (1, 2, None), (1, 2, "xb"), (1, 2, "ay")], self.SCHEMA
+        )
+        assert self._estimate("s LIKE 'a%'", stats) == 0.5
+        assert self._estimate("s NOT LIKE 'a%'", stats) == 0.25
+        assert self._estimate("s LIKE '%b'", stats) == 0.5
+
+    def test_no_match_is_half_a_sample_row(self, big):
+        _, stats = big
+        assert self._estimate("s LIKE 'zz%'", stats) == 1 / (2 * SAMPLE_ROWS)
+        assert self._estimate("a > b + 1000", stats) > 0.0
+
+    def test_the_sample_depends_on_the_row_count_alone(self, big):
+        rows, stats = big
+        # positions are integer arithmetic, the same on every Python
+        assert list(sample_positions(self.N))[:4] == [0, 19, 39, 58]
+        assert list(sample_positions(self.N))[-1] == 19980
+        assert list(sample_positions(10)) == list(range(10))
+        columns = lambda info: info.stats.sample.columns
+        ctx, catalog = CloudContext(), Catalog()
+        first = columns(load_table(ctx, catalog, "t", rows, self.SCHEMA, partitions=4))
+        reload = columns(load_table(ctx, catalog, "t", rows, self.SCHEMA, partitions=4))
+        other = columns(load_table(ctx, catalog, "t", rows, self.SCHEMA, partitions=7))
+        assert first == reload == other == stats.sample.columns
+        assert stats.sample.columns[0][:3] == [0, 19, 39]
+
+    def test_a_parameter_keeps_the_default(self, big):
+        from repro.optimizer.selectivity import DEFAULT_SELECTIVITY
+
+        _, stats = big
+        like = ast.Like(ast.Binary("||", ast.Column("s"), ast.Param(0)), ast.Literal("s1%"))
+        assert estimate_selectivity(like, stats) == DEFAULT_SELECTIVITY
+        assert estimate_selectivity(
+            ast.Like(ast.Column("s"), ast.Literal("s1%")), stats
+        ) != DEFAULT_SELECTIVITY
+
+    def test_a_second_estimate_compiles_nothing(self, big):
+        _, stats = big
+        predicate = parse_expression("a <= b")
+        first = calls_by_name(lambda: estimate_selectivity(predicate, stats))
+        second = calls_by_name(lambda: estimate_selectivity(predicate, stats))
+        assert first["compile_predicate_vector"] == 1
+        assert second["compile_predicate_vector"] == 0
 
 
 class TestProbe:

@@ -11,7 +11,9 @@ query and mode it records the metered simulated runtime and dollars, the
 ones the plan predicted (``pred_s`` / ``pred_usd``: ``plan_parsed``, then
 ``execute_plan``, as ``execute_parsed`` does) and whether the rows equal
 sqlite3's, and writes them to ``--out`` (JSON).  Under each mode's table
-it counts the queries whose metered sim-s is within 5 % of predicted.
+it counts the queries whose metered sim-s is within 5 % of predicted, and
+it lists ``auto``'s regrets: the queries whose ``auto`` dollars exceed
+their ``optimized`` dollars.
 
 ``--against`` names a second file of the same shape (say, the parent
 commit's, made with ``--root`` pointing at a ``git archive`` of it); the
@@ -86,6 +88,16 @@ def within(board: dict, mode: str) -> tuple[int, int]:
     return close, len(cells)
 
 
+def regrets(board: dict) -> list[str]:
+    """The queries whose ``auto`` cell metered more dollars than their
+    ``optimized`` one: what ``auto``'s pick overpaid."""
+    return [
+        name for name, modes in board["queries"].items()
+        if "auto" in modes and "optimized" in modes
+        and modes["auto"]["usd"] > modes["optimized"]["usd"]
+    ]
+
+
 def _delta(new: float, old: float) -> str:
     return f"{(new - old) / old:+.1%}" if old else "n/a"
 
@@ -133,6 +145,8 @@ def render(board: dict, against: dict | None = None) -> str:
         close, predicted = within(board, mode)
         lines += ["", f"{mode}: metered sim-s within {WITHIN * 100:g} % of predicted on"
                       f" {close} of {predicted} queries", ""]
+    if "auto" in board["modes"] and "optimized" in board["modes"]:
+        lines.append(f"auto regrets (metered $ above optimized's): {', '.join(regrets(board)) or 'none'}")
     return "\n".join(lines)
 
 

@@ -60,3 +60,9 @@ def test_three_queries_at_a_small_scale(tmp_path):
     assert "| -50.0% |" in table
     assert "q19 **ROWS DIFFER**" in table
     assert scoreboard.mismatches(board) == ["q19/auto"]
+    assert "auto regrets (metered $ above optimized's): " in done.stdout
+    for name in QUERIES:
+        board["queries"][name]["auto"]["usd"] = board["queries"][name]["optimized"]["usd"]
+    board["queries"]["q14"]["auto"]["usd"] *= 1.01
+    assert scoreboard.regrets(board) == ["q14"]
+    assert "auto regrets (metered $ above optimized's): q14" in scoreboard.render(board)
